@@ -41,7 +41,7 @@ func main() {
 		killAfter   = flag.Duration("kill-after", time.Second, "when to kill -kill-node")
 		reviveAfter = flag.Duration("revive-after", 0, "start a replacement NM this long after the kill (0 = never)")
 
-		journalDir = flag.String("journal-dir", "", "RM write-ahead journal directory (empty = no durability); a restarted RM pointed at the same directory recovers its state")
+		journalDir = flag.String("journal-dir", "", "RM write-ahead journal directory, one shard-<i> subdirectory per shard (empty = no durability); a restarted RM pointed at the same directory with the same -shards recovers its state")
 		fsyncMode  = flag.String("fsync", "interval", "journal fsync policy: interval, always, or never")
 		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshot checkpoints (0 = default)")
 
@@ -52,7 +52,7 @@ func main() {
 
 		coreName = flag.String("core", "incremental", "tetris schedule core: incremental | reference | parallel")
 		workers  = flag.Int("sched-workers", 0, "parallel core pool size (0 = GOMAXPROCS; needs -core=parallel)")
-		shards   = flag.Int("shards", 1, "scheduler shards (>1 boots the two-level sharded RM)")
+		shards   = flag.Int("shards", 1, "scheduler shards: the RM partitions nodes by id mod N and routes each job to one shard")
 
 		connTimeout = flag.Duration("conn-timeout", 0, "per-read/write deadline on RM connection handlers (0 = 2m default)")
 		tenant      = flag.String("tenant", "", "tenant name stamped on submitted jobs (empty = anonymous default tenant)")
@@ -109,37 +109,19 @@ func main() {
 	} else if *tenantRate > 0 || *shedHigh > 0 {
 		log.Fatal("-tenant-rate/-shed-highwater need -tenant-quota-jobs to enable admission")
 	}
-	// srv is the single global RM or, with -shards > 1, the two-level
-	// sharded RM; both speak the same wire protocol.
-	var srv rmServer
-	if *shards > 1 {
-		srv, err = rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
-			Shards:        *shards,
-			NewScheduler:  func() tetris.Scheduler { return tetris.NewScheduler(schedCfg) },
-			NewEstimator:  tetris.NewEstimator,
-			NodeTimeout:   *nodeTimeout,
-			JournalDir:    *journalDir,
-			JournalSync:   syncPolicy,
-			SnapshotEvery: *snapEvery,
-			Admission:     admCfg,
-			ConnTimeout:   *connTimeout,
-			Metrics:       reg,
-			Logger:        logger,
-		})
-	} else {
-		srv, err = rm.New("127.0.0.1:0", rm.Config{
-			Scheduler:     tetris.NewScheduler(schedCfg),
-			Estimator:     tetris.NewEstimator(),
-			Logger:        logger,
-			NodeTimeout:   *nodeTimeout,
-			JournalDir:    *journalDir,
-			JournalSync:   syncPolicy,
-			SnapshotEvery: *snapEvery,
-			Admission:     admCfg,
-			ConnTimeout:   *connTimeout,
-			Metrics:       reg,
-		})
-	}
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:        *shards,
+		NewScheduler:  func() tetris.Scheduler { return tetris.NewScheduler(schedCfg) },
+		NewEstimator:  tetris.NewEstimator,
+		NodeTimeout:   *nodeTimeout,
+		JournalDir:    *journalDir,
+		JournalSync:   syncPolicy,
+		SnapshotEvery: *snapEvery,
+		Admission:     admCfg,
+		ConnTimeout:   *connTimeout,
+		Metrics:       reg,
+		Logger:        logger,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -280,16 +262,4 @@ func main() {
 	}
 	cancel()
 	nmWG.Wait()
-}
-
-// rmServer is the driver-facing surface shared by rm.Server and
-// rm.Sharded.
-type rmServer interface {
-	Addr() string
-	Close() error
-	ClusterStatus() wire.ClusterStatusReply
-	HeartbeatStats() (nmMean, nmMax, amMean, amMax float64)
-	JournalStats() (appends, snapshots uint64, ok bool)
-	DroppedFaultEvents() uint64
-	FaultEvents() []faults.Record
 }

@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -93,7 +94,7 @@ func main() {
 		nodeTimeout = flag.Duration("node-timeout", 10*time.Second, "RM failure-detector heartbeat silence threshold (0 = off)")
 		crashFrac   = flag.Float64("crash-frac", 0, "fraction of nodes that crash once mid-run (fault-plan churn; needs -node-timeout)")
 		coreName    = flag.String("core", "incremental", "tetris schedule core: incremental | reference | parallel")
-		shards      = flag.Int("shards", 1, "scheduler shards (>1 boots the two-level sharded RM)")
+		shards      = flag.Int("shards", 1, "scheduler shards: the RM partitions nodes by id mod N and routes each job to one shard")
 		verbose     = flag.Bool("v", false, "verbose RM/fleet logging")
 
 		tenants      = flag.Int("tenants", 0, "enable the admission front door and run a submission storm drawn from this many tenants (0 = off)")
@@ -250,34 +251,17 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 		maxAttempts = 64
 	}
 
-	// srv is either the single global RM or the two-level sharded RM;
-	// both speak the same wire protocol, so the fleet cannot tell.
-	var srv rmServer
-	var err error
-	if o.shards > 1 {
-		srv, err = rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
-			Shards:          o.shards,
-			NewScheduler:    func() tetris.Scheduler { return tetris.NewScheduler(schedCfg) },
-			NewEstimator:    tetris.NewEstimator,
-			NodeTimeout:     o.nodeTimeout,
-			MaxTaskAttempts: maxAttempts,
-			Gang:            gangCfg,
-			Metrics:         reg,
-			Logger:          o.logger,
-			Admission:       admCfg,
-		})
-	} else {
-		srv, err = rm.New("127.0.0.1:0", rm.Config{
-			Scheduler:       tetris.NewScheduler(schedCfg),
-			Estimator:       tetris.NewEstimator(),
-			NodeTimeout:     o.nodeTimeout,
-			MaxTaskAttempts: maxAttempts,
-			Gang:            gangCfg,
-			Metrics:         reg,
-			Logger:          o.logger,
-			Admission:       admCfg,
-		})
-	}
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:          o.shards,
+		NewScheduler:    func() tetris.Scheduler { return tetris.NewScheduler(schedCfg) },
+		NewEstimator:    tetris.NewEstimator,
+		NodeTimeout:     o.nodeTimeout,
+		MaxTaskAttempts: maxAttempts,
+		Gang:            gangCfg,
+		Metrics:         reg,
+		Logger:          o.logger,
+		Admission:       admCfg,
+	})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -388,58 +372,32 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 	cpuSec := processCPU() - cpu0
 	fr := fleet.Report()
 
-	// With shards > 1 every RM series is labeled shard="<i>"; aggregate
-	// rounds across shards and keep per-shard entries for the gate.
+	// Every RM series is labeled shard="<i>": rounds, handle time and
+	// gang counts sum across shards, gang admit-wait quantiles take the
+	// worst shard, and per-shard entries are kept for the gate.
 	perShard := make(map[string]float64)
-	var rounds uint64
-	var roundSec, nmHandleSec float64
-	var nmHandleN uint64
-	if o.shards > 1 {
-		for i := 0; i < o.shards; i++ {
-			label := strconv.Itoa(i)
-			rh := reg.Histogram(telemetry.Label("tetris_rm_schedule_round_seconds", "shard", label), "")
-			hh := reg.Histogram(telemetry.Label("tetris_rm_nm_heartbeat_seconds", "shard", label), "")
-			rounds += rh.Count()
-			roundSec += rh.Sum()
-			nmHandleSec += hh.Sum()
-			nmHandleN += hh.Count()
-			perShard["shard"+label+"_rounds_per_sec"] = float64(rh.Count()) / elapsed
-			perShard["shard"+label+"_heartbeat_p99_seconds"] = hh.Quantile(0.99)
+	var rounds, nmHandleN, gangCommits, gangReleases, preempts uint64
+	var roundSec, nmHandleSec, gangP50, gangP99 float64
+	for i := 0; i < o.shards; i++ {
+		label := strconv.Itoa(i)
+		series := func(name string) string { return telemetry.Label(name, "shard", label) }
+		rh := reg.Histogram(series("tetris_rm_schedule_round_seconds"), "")
+		hh := reg.Histogram(series("tetris_rm_nm_heartbeat_seconds"), "")
+		rounds += rh.Count()
+		roundSec += rh.Sum()
+		nmHandleSec += hh.Sum()
+		nmHandleN += hh.Count()
+		perShard["shard"+label+"_rounds_per_sec"] = float64(rh.Count()) / elapsed
+		perShard["shard"+label+"_heartbeat_p99_seconds"] = hh.Quantile(0.99)
+		if !gangScenario {
+			continue
 		}
-	} else {
-		h := reg.Histogram("tetris_rm_schedule_round_seconds", "")
-		rounds, roundSec = h.Count(), h.Sum()
-		nmHB := reg.Histogram("tetris_rm_nm_heartbeat_seconds", "")
-		nmHandleSec, nmHandleN = nmHB.Sum(), nmHB.Count()
-	}
-
-	// Gang counters follow the same shard-labeling scheme as the round
-	// histograms; counts sum across shards, admit-wait quantiles take
-	// the worst shard.
-	var gangCommits, gangReleases, preempts uint64
-	var gangP50, gangP99 float64
-	if gangScenario {
-		if o.shards > 1 {
-			for i := 0; i < o.shards; i++ {
-				label := strconv.Itoa(i)
-				gangCommits += reg.Counter(telemetry.Label("tetris_rm_gang_commits_total", "shard", label), "").Value()
-				gangReleases += reg.Counter(telemetry.Label("tetris_rm_gang_releases_total", "shard", label), "").Value()
-				preempts += reg.Counter(telemetry.Label("tetris_rm_preemptions_total", "shard", label), "").Value()
-				gh := reg.Histogram(telemetry.Label("tetris_rm_gang_admit_wait_seconds", "shard", label), "")
-				if q := gh.Quantile(0.5); q > gangP50 {
-					gangP50 = q
-				}
-				if q := gh.Quantile(0.99); q > gangP99 {
-					gangP99 = q
-				}
-			}
-		} else {
-			gangCommits = reg.Counter("tetris_rm_gang_commits_total", "").Value()
-			gangReleases = reg.Counter("tetris_rm_gang_releases_total", "").Value()
-			preempts = reg.Counter("tetris_rm_preemptions_total", "").Value()
-			gh := reg.Histogram("tetris_rm_gang_admit_wait_seconds", "")
-			gangP50, gangP99 = gh.Quantile(0.5), gh.Quantile(0.99)
-		}
+		gangCommits += reg.Counter(series("tetris_rm_gang_commits_total"), "").Value()
+		gangReleases += reg.Counter(series("tetris_rm_gang_releases_total"), "").Value()
+		preempts += reg.Counter(series("tetris_rm_preemptions_total"), "").Value()
+		gh := reg.Histogram(series("tetris_rm_gang_admit_wait_seconds"), "")
+		gangP50 = math.Max(gangP50, gh.Quantile(0.5))
+		gangP99 = math.Max(gangP99, gh.Quantile(0.99))
 	}
 
 	snap := &bench.Snapshot{
@@ -532,13 +490,11 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 		o.scenario, elapsed, amRep.Finished, amRep.Submitted, fr.TasksCompleted)
 	fmt.Printf("  rounds/sec          %.1f (mean round %.3fms)\n",
 		float64(rounds)/elapsed, 1e3*safeDiv(roundSec, float64(rounds)))
-	if o.shards > 1 {
-		for i := 0; i < o.shards; i++ {
-			label := strconv.Itoa(i)
-			fmt.Printf("  shard %-2s            %.1f rounds/sec, heartbeat p99 %.3fms\n",
-				label, perShard["shard"+label+"_rounds_per_sec"],
-				1e3*perShard["shard"+label+"_heartbeat_p99_seconds"])
-		}
+	for i := 0; i < o.shards; i++ {
+		label := strconv.Itoa(i)
+		fmt.Printf("  shard %-2s            %.1f rounds/sec, heartbeat p99 %.3fms\n",
+			label, perShard["shard"+label+"_rounds_per_sec"],
+			1e3*perShard["shard"+label+"_heartbeat_p99_seconds"])
 	}
 	fmt.Printf("  heartbeat RTT       p50 %.3fms  p99 %.3fms  (%d samples)\n",
 		fr.RTTp50*1e3, fr.RTTp99*1e3, fr.RTTSamples)
@@ -565,14 +521,6 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 	}
 	fmt.Println("  ledger              balanced")
 	return snap, amRep.Failed, nil
-}
-
-// rmServer is the driver-facing surface shared by rm.Server and
-// rm.Sharded.
-type rmServer interface {
-	Addr() string
-	Close() error
-	VerifyLedger() error
 }
 
 // processCPU returns the process's cumulative user+system CPU seconds.

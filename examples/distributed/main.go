@@ -18,9 +18,12 @@ import (
 )
 
 func main() {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler: tetris.NewScheduler(tetris.DefaultConfig()),
-		Estimator: tetris.NewEstimator(),
+	// One shard: a single scheduling core owns the whole fleet. Raise
+	// Shards to partition the nodes; nothing else here changes.
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:       1,
+		NewScheduler: func() tetris.Scheduler { return tetris.NewScheduler(tetris.DefaultConfig()) },
+		NewEstimator: tetris.NewEstimator,
 	})
 	if err != nil {
 		log.Fatal(err)

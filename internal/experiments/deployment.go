@@ -240,7 +240,7 @@ func runTable7(p Params, w io.Writer) error {
 		{"tetris", func() scheduler.Scheduler { return newTetris() }},
 	} {
 		for _, pending := range []int{p.scaled(10000), p.scaled(50000)} {
-			nmMean, amMean, err := measureHeartbeats(s.mk(), machines, pending)
+			nmMean, amMean, err := measureHeartbeats(s.mk, machines, pending)
 			if err != nil {
 				return err
 			}
@@ -253,8 +253,8 @@ func runTable7(p Params, w io.Writer) error {
 
 // measureHeartbeats builds an in-process RM with the given pending-task
 // backlog and measures handler latencies.
-func measureHeartbeats(sch scheduler.Scheduler, machines, pendingTasks int) (nmMean, amMean float64, err error) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{Scheduler: sch, Estimator: estimator.New()})
+func measureHeartbeats(mk func() scheduler.Scheduler, machines, pendingTasks int) (nmMean, amMean float64, err error) {
+	srv, err := rm.NewShardedInProcess(rm.ShardedConfig{Shards: 1, NewScheduler: mk, NewEstimator: estimator.New})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -13,6 +13,10 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
+func tetrisScheduler() scheduler.Scheduler {
+	return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
+}
+
 // mkChurnPlan crashes machines 2 and 7 at 0.5s and recovers them at
 // 1.5s — both windows comfortably longer than the RM's NodeTimeout so
 // the detector confirms each death before the node returns.
@@ -44,9 +48,7 @@ func mkJob(id, nTasks int, cores, mem, durSec float64) *workload.Job {
 // task execution, delta heartbeats must compress the steady state, and
 // the RM's ledger must balance afterwards.
 func TestHollowFleetEndToEnd(t *testing.T) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-	})
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +129,10 @@ func TestHollowFleetEndToEnd(t *testing.T) {
 // ledger still balances, demonstrating batching changes framing only,
 // not semantics.
 func TestHollowBinaryBatchedFleet(t *testing.T) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler:   scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		NodeTimeout: 150 * time.Millisecond,
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NodeTimeout:  150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,9 +225,10 @@ func TestHollowBinaryBatchedFleet(t *testing.T) {
 // nodes and verifies they re-register after their windows and that the
 // cluster converges back to fully live.
 func TestHollowChurn(t *testing.T) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler:   scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		NodeTimeout: 150 * time.Millisecond,
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NodeTimeout:  150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

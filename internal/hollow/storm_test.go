@@ -7,16 +7,16 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/rm"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 )
 
 // TestStormOverloadsAdmission points the storm at a quota-bound RM and
 // checks the front door both admits and rejects under the onslaught,
 // with batch round-trips measured.
 func TestStormOverloadsAdmission(t *testing.T) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		Estimator: estimator.New(),
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NewEstimator: estimator.New,
 		Admission: &rm.AdmissionConfig{
 			Defaults:      rm.TenantLimits{MaxQueuedJobs: 5},
 			ShedHighWater: 200,

@@ -33,10 +33,15 @@ func mkJob(id, nTasks int, cores, mem, durSec float64) *workload.Job {
 	return j
 }
 
+func tetrisScheduler() scheduler.Scheduler {
+	return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
+}
+
 func TestEndToEndSingleJob(t *testing.T) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		Estimator: estimator.New(),
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NewEstimator: estimator.New,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +90,7 @@ func TestEndToEndSingleJob(t *testing.T) {
 }
 
 func TestEndToEndConcurrentJobs(t *testing.T) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-	})
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,10 @@ func TestEndToEndConcurrentJobs(t *testing.T) {
 }
 
 func TestNMCancellation(t *testing.T) {
-	srv, err := rm.New("127.0.0.1:0", rm.Config{Scheduler: scheduler.NewSlotFair()})
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:       1,
+		NewScheduler: func() scheduler.Scheduler { return scheduler.NewSlotFair() },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +171,10 @@ func TestEndToEndNodeFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos e2e skipped in -short mode")
 	}
-	srv, err := rm.New("127.0.0.1:0", rm.Config{
-		Scheduler:   scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		NodeTimeout: 200 * time.Millisecond,
+	srv, err := rm.NewSharded("127.0.0.1:0", rm.ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NodeTimeout:  200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -107,9 +107,9 @@ type tenantState struct {
 	depth    *telemetry.Gauge
 }
 
-// admission is the front door's shared state. One instance serves the
-// flat server, or is shared by the top layer and every shard core of a
-// sharded RM (the top layer gates, the cores account).
+// admission is the front door's shared state: one instance is shared by
+// the top layer and every shard core (the top layer gates, the cores
+// account).
 type admission struct {
 	cfg AdmissionConfig
 

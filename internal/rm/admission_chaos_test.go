@@ -23,15 +23,15 @@ import (
 	"time"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/wire"
 )
 
-func startAdmissionRM(t *testing.T, addr, journalDir string) *Server {
+func startAdmissionRM(t *testing.T, addr, journalDir string) *Sharded {
 	t.Helper()
-	cfg := Config{
-		Scheduler:     scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		Estimator:     estimator.New(),
+	cfg := ShardedConfig{
+		Shards:        1,
+		NewScheduler:  tetrisScheduler,
+		NewEstimator:  estimator.New,
 		JournalDir:    journalDir,
 		SnapshotEvery: 64,
 		Admission: &AdmissionConfig{
@@ -42,11 +42,11 @@ func startAdmissionRM(t *testing.T, addr, journalDir string) *Server {
 		},
 	}
 	var (
-		s   *Server
+		s   *Sharded
 		err error
 	)
 	for attempt := 0; attempt < 50; attempt++ {
-		s, err = New(addr, cfg)
+		s, err = NewSharded(addr, cfg)
 		if err == nil {
 			return s
 		}
@@ -141,9 +141,9 @@ func TestChaosAdmissionCrashRestart(t *testing.T) {
 		if err := srv.Close(); err != nil {
 			t.Fatalf("crash %d: close: %v", crashes, err)
 		}
-		want := srv.StateDigest()
+		want := srv.Shard(0).StateDigest()
 		srv = startAdmissionRM(t, addr, journalDir)
-		if got := srv.RecoveredDigest(); !bytes.Equal(want, got) {
+		if got := srv.Shard(0).RecoveredDigest(); !bytes.Equal(want, got) {
 			t.Fatalf("crash %d: replayed state diverges\n pre-crash: %s\n recovered: %s", crashes, want, got)
 		}
 	}
@@ -165,23 +165,24 @@ func TestChaosAdmissionCrashRestart(t *testing.T) {
 	wg.Wait()
 
 	// Final verification against the last incarnation's state.
-	srv.mu.Lock()
+	core := srv.Shard(0)
+	core.mu.Lock()
 	perTenant := map[string]int{}
 	unfinished := 0
-	for _, ji := range srv.jobs {
+	for _, ji := range core.jobs {
 		if !ji.finished {
 			perTenant[ji.tenant]++
 			unfinished++
 		}
 	}
 	jobTenant := func(id int) (string, bool) {
-		ji := srv.jobs[id]
+		ji := core.jobs[id]
 		if ji == nil {
 			return "", false
 		}
 		return ji.tenant, true
 	}
-	srv.mu.Unlock()
+	core.mu.Unlock()
 
 	mu.Lock()
 	admitted, rejected := 0, 0

@@ -6,6 +6,7 @@ package rm
 // journal.
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -13,17 +14,17 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-func newAdmissionServer(t *testing.T, adm AdmissionConfig) *Server {
+func newAdmissionServer(t *testing.T, adm AdmissionConfig) *Sharded {
 	t.Helper()
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		Estimator: estimator.New(),
-		Admission: &adm,
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NewEstimator: estimator.New,
+		Admission:    &adm,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +34,7 @@ func newAdmissionServer(t *testing.T, adm AdmissionConfig) *Server {
 }
 
 // rejectCode submits and returns the typed rejection code ("" = admitted).
-func rejectCode(s *Server, tenant string, id, tasks int) (string, float64) {
+func rejectCode(s *Sharded, tenant string, id, tasks int) (string, float64) {
 	reply := s.handleSubmitJob(&wire.SubmitJob{Job: simpleJob(id, tasks), Tenant: tenant})
 	if reply.Type == wire.TypeSubmitReject {
 		return reply.SubmitReject.Code, reply.SubmitReject.RetryAfter
@@ -185,9 +186,10 @@ func TestAdmissionBatchMixed(t *testing.T) {
 }
 
 func TestAdmissionConnDeadline(t *testing.T) {
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler:   scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		ConnTimeout: 150 * time.Millisecond,
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		ConnTimeout:  150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,22 +215,23 @@ func TestAdmissionConnDeadline(t *testing.T) {
 }
 
 func TestAdmissionTenantWeights(t *testing.T) {
-	s := newAdmissionServer(t, AdmissionConfig{
+	g := newAdmissionServer(t, AdmissionConfig{
 		Tenants: map[string]TenantLimits{
 			"gold":   {Weight: 3},
 			"bronze": {Weight: 1},
 		},
 	})
-	if err := s.SubmitJobAs("gold", simpleJob(0, 1)); err != nil {
+	if err := g.SubmitJobAs("gold", simpleJob(0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitJobAs("gold", simpleJob(1, 1)); err != nil {
+	if err := g.SubmitJobAs("gold", simpleJob(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitJobAs("bronze", simpleJob(2, 1)); err != nil {
+	if err := g.SubmitJobAs("bronze", simpleJob(2, 1)); err != nil {
 		t.Fatal(err)
 	}
 
+	s := g.Shard(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	active := []*jobInfo{s.jobs[0], s.jobs[1], s.jobs[2]}
@@ -255,12 +258,13 @@ func TestAdmissionTenantWeights(t *testing.T) {
 func TestAdmissionReplayRebuildsAccounting(t *testing.T) {
 	dir := t.TempDir()
 	adm := AdmissionConfig{Defaults: TenantLimits{MaxQueuedJobs: 2}}
-	mk := func() *Server {
-		s, err := New("127.0.0.1:0", Config{
-			Scheduler:  scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-			Estimator:  estimator.New(),
-			Admission:  &adm,
-			JournalDir: dir,
+	mk := func() *Sharded {
+		s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+			Shards:       1,
+			NewScheduler: tetrisScheduler,
+			NewEstimator: estimator.New,
+			Admission:    &adm,
+			JournalDir:   dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -281,14 +285,14 @@ func TestAdmissionReplayRebuildsAccounting(t *testing.T) {
 	if err := s.SubmitJobAs("a", simpleJob(3, 1)); err == nil || !strings.Contains(err.Error(), wire.RejectQuotaJobs) {
 		t.Fatalf("over-quota submit error = %v", err)
 	}
-	want := s.StateDigest()
+	want := s.Shard(0).StateDigest()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := mk()
 	defer s2.Close()
-	if got := s2.RecoveredDigest(); string(got) != string(want) {
+	if got := s2.Shard(0).RecoveredDigest(); string(got) != string(want) {
 		t.Fatalf("replayed state diverges\n pre-crash: %s\n recovered: %s", want, got)
 	}
 	// Accounting is derived state: replay rebuilds it, so the quota
@@ -302,30 +306,35 @@ func TestAdmissionReplayRebuildsAccounting(t *testing.T) {
 	if got := s2.adm.backlog(); got != 3 {
 		t.Errorf("backlog after replay = %d, want 3", got)
 	}
-	s2.mu.Lock()
-	if s2.jobs[3] != nil {
+	core := s2.Shard(0)
+	core.mu.Lock()
+	if core.jobs[3] != nil {
 		t.Error("rejected job resurrected through replay")
 	}
-	if ji := s2.jobs[0]; ji == nil || ji.tenant != "a" {
+	if ji := core.jobs[0]; ji == nil || ji.tenant != "a" {
 		t.Errorf("job 0 tenant not recovered: %+v", ji)
 	}
-	s2.mu.Unlock()
+	core.mu.Unlock()
 	if err := s2.SubmitJobAs("a", simpleJob(4, 1)); err == nil {
 		t.Error("quota not enforced after replay")
 	}
 }
 
 func TestShardedAdmissionGate(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { shardedAdmissionGate(t, shards) })
+	}
+}
+
+func shardedAdmissionGate(t *testing.T, shards int) {
 	dir := t.TempDir()
 	adm := AdmissionConfig{Defaults: TenantLimits{MaxQueuedJobs: 2}}
 	mk := func() *Sharded {
 		g, err := NewShardedInProcess(ShardedConfig{
-			Shards: 2,
-			NewScheduler: func() scheduler.Scheduler {
-				return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
-			},
-			JournalDir: dir,
-			Admission:  &adm,
+			Shards:       shards,
+			NewScheduler: tetrisScheduler,
+			JournalDir:   dir,
+			Admission:    &adm,
 		})
 		if err != nil {
 			t.Fatal(err)

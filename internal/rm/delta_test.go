@@ -18,7 +18,6 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/trace"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -133,7 +132,7 @@ func (n *emuNode) finishBeat(t *testing.T, reply *wire.Message) {
 
 // beat performs one heartbeat exchange against s and applies the reply,
 // passing request and reply through the binary codec when configured.
-func (n *emuNode) beat(t *testing.T, s *Server) *wire.Message {
+func (n *emuNode) beat(t *testing.T, s *Sharded) *wire.Message {
 	t.Helper()
 	hb := n.prepareBeat()
 	if n.trip != nil {
@@ -150,13 +149,13 @@ func (n *emuNode) beat(t *testing.T, s *Server) *wire.Message {
 // register (re-)registers the node carrying its current truth, as a
 // reconnecting NM would, and resets the delta baseline like a real
 // session boundary does.
-func (n *emuNode) register(t *testing.T, s *Server) *wire.Message {
+func (n *emuNode) register(t *testing.T, s *Sharded) *wire.Message {
 	t.Helper()
 	reg := &wire.RegisterNM{NodeID: n.id, Capacity: n.cap, Running: n.sortedRunning()}
 	if n.trip != nil {
 		reg = n.trip.roundTrip(t, &wire.Message{Type: wire.TypeRegisterNM, RegisterNM: reg}).RegisterNM
 	}
-	reply := s.handleRegisterNM(reg)
+	reply := s.nodeShard(n.id).handleRegisterNM(reg)
 	if n.trip != nil {
 		reply = n.trip.roundTrip(t, reply)
 	}
@@ -242,10 +241,11 @@ func replyJSON(t *testing.T, m *wire.Message) string {
 }
 
 func TestDeltaHeartbeatLedgerEquivalence(t *testing.T) {
-	newSrv := func() *Server {
-		s, err := New("127.0.0.1:0", Config{
-			Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-			Estimator: estimator.New(),
+	newSrv := func() *Sharded {
+		s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+			Shards:       1,
+			NewScheduler: tetrisScheduler,
+			NewEstimator: estimator.New,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -306,13 +306,13 @@ func TestDeltaHeartbeatLedgerEquivalence(t *testing.T) {
 		}
 	}
 
-	submit := func(s *Server, j *workload.Job) {
+	submit := func(s *Sharded, j *workload.Job) {
 		if err := s.SubmitJob(j); err != nil {
 			t.Fatalf("submit job %d: %v", j.ID, err)
 		}
 	}
 
-	servers := map[string]*Server{
+	servers := map[string]*Sharded{
 		"full": full, "delta": compressed, "binary": binarySrv, "batched": batchedSrv,
 	}
 	deltaSent := 0
@@ -366,12 +366,12 @@ func TestDeltaHeartbeatLedgerEquivalence(t *testing.T) {
 				}
 			}
 		}
-		da := ledgerDigest(full)
+		da := ledgerDigest(full.Shard(0))
 		for mode, s := range servers {
 			if mode == "full" {
 				continue
 			}
-			if db := ledgerDigest(s); !bytes.Equal(da, db) {
+			if db := ledgerDigest(s.Shard(0)); !bytes.Equal(da, db) {
 				la, lb := bytes.Split(da, []byte("\n")), bytes.Split(db, []byte("\n"))
 				for i := 0; i < len(la) && i < len(lb); i++ {
 					if !bytes.Equal(la[i], lb[i]) {
@@ -387,17 +387,17 @@ func TestDeltaHeartbeatLedgerEquivalence(t *testing.T) {
 			}
 		}
 	}
-	deltaSent = int(compressed.metrics.deltaBeats.Value())
+	deltaSent = int(compressed.Shard(0).metrics.deltaBeats.Value())
 	if deltaSent == 0 {
 		t.Fatal("delta mode never actually compressed a heartbeat — the test proved nothing")
 	}
-	if binaryDeltas := int(binarySrv.metrics.deltaBeats.Value()); binaryDeltas != deltaSent {
+	if binaryDeltas := int(binarySrv.Shard(0).metrics.deltaBeats.Value()); binaryDeltas != deltaSent {
 		t.Fatalf("binary codec changed delta compression: %d beats vs %d", binaryDeltas, deltaSent)
 	}
-	if batchedDeltas := int(batchedSrv.metrics.deltaBeats.Value()); batchedDeltas != deltaSent {
+	if batchedDeltas := int(batchedSrv.Shard(0).metrics.deltaBeats.Value()); batchedDeltas != deltaSent {
 		t.Fatalf("batching changed delta compression: %d beats vs %d", batchedDeltas, deltaSent)
 	}
-	if fullSent := int(full.metrics.deltaBeats.Value()); fullSent != 0 {
+	if fullSent := int(full.Shard(0).metrics.deltaBeats.Value()); fullSent != 0 {
 		t.Fatalf("full mode recorded %d delta beats", fullSent)
 	}
 	t.Logf("equivalent over %d rounds × %d nodes × 4 codec/batch modes; %d/%d beats compressed",
@@ -429,9 +429,10 @@ func TestDeltaFullReportAfterReset(t *testing.T) {
 	if reply.NMReply.FullReport {
 		t.Fatal("FullReport still set after a full beat")
 	}
-	s.mu.Lock()
-	got := s.machines[0].Reported
-	s.mu.Unlock()
+	core := s.Shard(0)
+	core.mu.Lock()
+	got := core.machines[0].Reported
+	core.mu.Unlock()
 	if got != u {
 		t.Fatalf("Reported = %v, want %v", got, u)
 	}
@@ -441,9 +442,9 @@ func TestDeltaFullReportAfterReset(t *testing.T) {
 	if reply.NMReply.FullReport {
 		t.Fatal("FullReport on a steady-state delta beat")
 	}
-	s.mu.Lock()
-	got = s.machines[0].Reported
-	s.mu.Unlock()
+	core.mu.Lock()
+	got = core.machines[0].Reported
+	core.mu.Unlock()
 	if got != u {
 		t.Fatalf("delta beat moved Reported to %v, want %v", got, u)
 	}

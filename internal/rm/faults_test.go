@@ -14,10 +14,11 @@ import (
 // faultServer creates an RM with failure detection on. The huge timeout
 // keeps the background sweeper inert so tests drive detection by hand
 // (markDead) and stay deterministic.
-func faultServer(t *testing.T, maxAttempts int) *Server {
+func faultServer(t *testing.T, maxAttempts int) *Sharded {
 	t.Helper()
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler:       scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:          1,
+		NewScheduler:    tetrisScheduler,
 		NodeTimeout:     time.Hour,
 		MaxTaskAttempts: maxAttempts,
 	})
@@ -26,6 +27,15 @@ func faultServer(t *testing.T, maxAttempts int) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// killNode declares a node dead on its shard core, as the failure
+// detector would.
+func killNode(g *Sharded, id int) {
+	s := g.nodeShard(id)
+	s.mu.Lock()
+	s.markDead(id, s.now())
+	s.mu.Unlock()
 }
 
 func TestDeadNodeReclaimedAndRejoin(t *testing.T) {
@@ -44,9 +54,7 @@ func TestDeadNodeReclaimedAndRejoin(t *testing.T) {
 			on0, len(r1.NMReply.Launch))
 	}
 
-	s.mu.Lock()
-	s.markDead(0, s.now())
-	s.mu.Unlock()
+	killNode(s, 0)
 
 	if got := s.LiveNodes(); got != 1 {
 		t.Fatalf("LiveNodes = %d after death, want 1", got)
@@ -67,9 +75,10 @@ func TestDeadNodeReclaimedAndRejoin(t *testing.T) {
 		t.Error("reclaimed tasks were not re-placed on the surviving node")
 	}
 	// The surviving node's ledger must stay within capacity.
-	s.mu.Lock()
-	alloc := s.machines[1].Allocated
-	s.mu.Unlock()
+	core := s.Shard(0)
+	core.mu.Lock()
+	alloc := core.machines[1].Allocated
+	core.mu.Unlock()
 	if !alloc.FitsIn(cap) {
 		t.Errorf("node 1 over-allocated after reclaim: %v > %v", alloc, cap)
 	}
@@ -90,9 +99,7 @@ func TestDeadNodeReclaimedAndRejoin(t *testing.T) {
 func TestSlowNodeRejoinsOnHeartbeat(t *testing.T) {
 	s := faultServer(t, 0)
 	s.RegisterMachine(0, resources.New(16, 32, 0, 0, 0, 0))
-	s.mu.Lock()
-	s.markDead(0, s.now())
-	s.mu.Unlock()
+	killNode(s, 0)
 	if got := s.LiveNodes(); got != 0 {
 		t.Fatalf("LiveNodes = %d, want 0", got)
 	}
@@ -115,9 +122,7 @@ func TestAttemptCapAbandonsJob(t *testing.T) {
 	if r := s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0}); len(r.NMReply.Launch) != 1 {
 		t.Fatalf("launch = %+v, want the single task", r.NMReply)
 	}
-	s.mu.Lock()
-	s.markDead(0, s.now())
-	s.mu.Unlock()
+	killNode(s, 0)
 
 	am := s.HandleAMHeartbeat(&wire.AMHeartbeat{JobID: 0})
 	if am.AMReply == nil || !am.AMReply.Finished || !am.AMReply.Failed {
@@ -128,9 +133,10 @@ func TestAttemptCapAbandonsJob(t *testing.T) {
 func TestHeartbeatTimeoutDetection(t *testing.T) {
 	// Real-time path: a node that stops heartbeating is declared dead by
 	// the background sweeper.
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler:   scheduler.NewSlotFair(),
-		NodeTimeout: 50 * time.Millisecond,
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: func() scheduler.Scheduler { return scheduler.NewSlotFair() },
+		NodeTimeout:  50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,14 +29,9 @@ import (
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
-
-func newTetrisForGangChaos() scheduler.Scheduler {
-	return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
-}
 
 // gangChaosJob builds a single-stage gang job: members homogeneous,
 // high priority, quorum = all members.
@@ -74,7 +69,7 @@ func gangOccupancy(s *Server, jobID int) (occupied int, committed bool) {
 	return len(ji.launched) + ji.state.Status.DoneTasks(), ji.gangCommitted
 }
 
-// TestGangChaosMachineDeathMidGang drives a flat RM in-process: a gang
+// TestGangChaosMachineDeathMidGang drives a 1-shard RM in-process: a gang
 // that needs most of the cluster waits behind preemptible fillers,
 // commits all-or-nothing, then loses a machine mid-run. The dead
 // members must be reclaimed and re-placed as a group, every job must
@@ -90,10 +85,11 @@ func TestGangChaosMachineDeathMidGang(t *testing.T) {
 		numFillers = 3
 		fillerLen  = 6
 	)
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler: newTetrisForGangChaos(),
-		Estimator: estimator.New(),
-		Gang:      &gang.Config{HoldSec: 3600, PreemptSec: 3600}, // timers inert: pure placement
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NewEstimator: estimator.New,
+		Gang:         &gang.Config{HoldSec: 3600, PreemptSec: 3600}, // timers inert: pure placement
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +153,7 @@ func TestGangChaosMachineDeathMidGang(t *testing.T) {
 			t.Fatal("gang never committed")
 		}
 		step()
-		occ, c := gangOccupancy(s, gangID)
+		occ, c := gangOccupancy(s.Shard(0), gangID)
 		if occ > 0 && occ < members {
 			t.Fatalf("round %d: partial gang on machines: %d of %d members (no death occurred)",
 				round, occ, members)
@@ -170,22 +166,21 @@ func TestGangChaosMachineDeathMidGang(t *testing.T) {
 
 	// Phase 2: kill a machine hosting gang members, losing its in-flight
 	// work. The reclaim must re-queue exactly the dead members.
-	s.mu.Lock()
-	ji := s.jobs[gangID]
+	core := s.Shard(0)
+	core.mu.Lock()
+	ji := core.jobs[gangID]
 	victim := -1
 	for _, rec := range ji.launched {
 		victim = rec.machine
 		break
 	}
-	s.mu.Unlock()
+	core.mu.Unlock()
 	if victim < 0 {
 		t.Fatal("gang committed but no member is launched")
 	}
 	alive[victim] = false
 	inflight[victim] = nil
-	s.mu.Lock()
-	s.markDead(victim, s.now())
-	s.mu.Unlock()
+	killNode(s, victim)
 	if err := s.VerifyLedger(); err != nil {
 		t.Fatalf("post-death ledger: %v", err)
 	}
@@ -230,10 +225,11 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 	)
 	addr := reserveAddr(t)
 	journalDir := t.TempDir()
-	newCfg := func() Config {
-		return Config{
-			Scheduler: newTetrisForGangChaos(),
-			Estimator: estimator.New(),
+	newCfg := func() ShardedConfig {
+		return ShardedConfig{
+			Shards:       1,
+			NewScheduler: tetrisScheduler,
+			NewEstimator: estimator.New,
 			// A tiny preemption bound with an inert hold timer: the gang
 			// preempts the fillers almost immediately, generating evPreempt
 			// and evGangCommit frames for the journal to replay.
@@ -242,13 +238,13 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 			SnapshotEvery: 16, // force checkpoints that must carry gang state
 		}
 	}
-	boot := func() *Server {
+	boot := func() *Sharded {
 		var (
-			s   *Server
+			s   *Sharded
 			err error
 		)
 		for attempt := 0; attempt < 50; attempt++ {
-			if s, err = New(addr, newCfg()); err == nil {
+			if s, err = NewSharded(addr, newCfg()); err == nil {
 				return s
 			}
 			time.Sleep(20 * time.Millisecond)
@@ -302,9 +298,9 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("%s: close: %v", when, err)
 		}
-		want := s.StateDigest()
+		want := s.Shard(0).StateDigest()
 		s = boot()
-		if got := s.RecoveredDigest(); !bytes.Equal(want, got) {
+		if got := s.Shard(0).RecoveredDigest(); !bytes.Equal(want, got) {
 			t.Fatalf("%s: replayed state diverges\n pre-crash: %s\n recovered: %s", when, want, got)
 		}
 		// Resync: every node re-registers its still-running attempts (the
@@ -315,7 +311,7 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 			for _, c := range inflight[id] {
 				running = append(running, c.Task)
 			}
-			rep := s.handleRegisterNM(&wire.RegisterNM{
+			rep := s.Shard(0).handleRegisterNM(&wire.RegisterNM{
 				NodeID:   id,
 				Capacity: resources.New(16, 32, 200, 200, 1000, 1000),
 				Running:  running,
@@ -337,21 +333,21 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 	preempted := false
 	for round := 0; ; round++ {
 		if round > 500 {
-			s.mu.Lock()
-			p := s.jobs[gangID]
+			s.Shard(0).mu.Lock()
+			p := s.Shard(0).jobs[gangID]
 			t.Fatalf("gang never committed under preemption (committed=%v preempted=%v)",
 				p != nil && p.gangCommitted, preempted)
 		}
 		beat(false)
-		s.mu.Lock()
+		s.Shard(0).mu.Lock()
 		var evictions int
 		for id := 1; id <= 2; id++ {
-			if ji := s.jobs[id]; ji != nil {
+			if ji := s.Shard(0).jobs[id]; ji != nil {
 				evictions += ji.preempted
 			}
 		}
-		committed := s.jobs[gangID] != nil && s.jobs[gangID].gangCommitted
-		s.mu.Unlock()
+		committed := s.Shard(0).jobs[gangID] != nil && s.Shard(0).jobs[gangID].gangCommitted
+		s.Shard(0).mu.Unlock()
 		if evictions > 0 && !preempted {
 			preempted = true
 			crashRestart("after first preemptions")
@@ -372,13 +368,13 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 		}
 		beat(true)
 		allDone := true
-		s.mu.Lock()
+		s.Shard(0).mu.Lock()
 		for id := 0; id <= 2; id++ {
-			if ji := s.jobs[id]; ji == nil || !ji.finished {
+			if ji := s.Shard(0).jobs[id]; ji == nil || !ji.finished {
 				allDone = false
 			}
 		}
-		s.mu.Unlock()
+		s.Shard(0).mu.Unlock()
 		if allDone {
 			break
 		}
@@ -389,7 +385,7 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 	}
 }
 
-// TestGangChaosShardChurn routes a gang through the two-level RM while
+// TestGangChaosShardChurn routes a gang through a 2-shard RM while
 // its shard's machines churn. The gang must pin to one shard, survive
 // the death of a machine hosting its members, and finish together with
 // the fillers with zero lost or duplicated attempts; the untouched
@@ -491,9 +487,7 @@ func TestGangChaosShardChurn(t *testing.T) {
 	}
 	alive[victim] = false
 	inflight[victim] = nil
-	ownerShard.mu.Lock()
-	ownerShard.markDead(victim, ownerShard.now())
-	ownerShard.mu.Unlock()
+	killNode(g, victim)
 	for i := 0; i < shards; i++ {
 		if err := g.Shard(i).VerifyLedger(); err != nil {
 			t.Fatalf("post-kill shard %d ledger: %v", i, err)

@@ -175,8 +175,8 @@ func (s *Server) applyEvent(ev *event) error {
 // server for resync: every machine that was live at the crash is marked
 // down-pending-resync (ledger kept!) until its NM re-registers, the
 // clock is re-based so time continues from the last journaled event,
-// and a fresh checkpoint compacts the log. Called from New, before any
-// goroutine starts.
+// and a fresh checkpoint compacts the log. Called from newCore, before
+// any goroutine starts.
 func (s *Server) recover() error {
 	jnl, rec, err := journal.Open(journal.Options{
 		Dir:          s.cfg.JournalDir,

@@ -50,24 +50,15 @@ type rmMetrics struct {
 	prevScatterRounds uint64
 }
 
-// shardSeries tags a metric name with the server's shard label, or
-// returns it unchanged for an unsharded server.
-func shardSeries(name, shard string) string {
-	if shard == "" {
-		return name
-	}
-	return telemetry.Label(name, "shard", shard)
-}
-
-// newRMMetrics resolves the RM's metric set in reg. A nil reg gets a
-// private registry: recording still happens (hot paths stay branch-free)
-// but nothing is exposed. A non-empty shard label scopes every series to
-// that shard, so shard cores sharing one registry stay distinguishable.
+// newRMMetrics resolves one shard core's metric set in reg. A nil reg
+// gets a private registry: recording still happens (hot paths stay
+// branch-free) but nothing is exposed. Every series carries the shard
+// label, so shard cores sharing one registry stay distinguishable.
 func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	name := func(n string) string { return shardSeries(n, shard) }
+	name := func(n string) string { return telemetry.Label(n, "shard", shard) }
 	return &rmMetrics{
 		placements:    reg.Counter(name("tetris_rm_placements_total"), "Task placements decided by the scheduler."),
 		completions:   reg.Counter(name("tetris_rm_completions_total"), "Task completions absorbed from node heartbeats."),
@@ -97,13 +88,13 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 }
 
 // registerGauges installs the scrape-time views over live server state.
-// Called from New before the server starts serving; fns run on the
+// Called from newCore before the core is reachable; fns run on the
 // scrape goroutine and take s.mu.
 func (s *Server) registerGauges(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	name := func(n string) string { return shardSeries(n, s.cfg.ShardLabel) }
+	name := func(n string) string { return telemetry.Label(n, "shard", s.cfg.ShardLabel) }
 	reg.GaugeFunc(name("tetris_rm_nodes_total"), "Registered node managers.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()

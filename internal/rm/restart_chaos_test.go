@@ -22,7 +22,6 @@ import (
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/nm"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
@@ -42,22 +41,23 @@ func reserveAddr(t *testing.T) string {
 // startRM boots an RM incarnation on the fixed address, retrying the
 // bind briefly (the previous incarnation's socket may still be
 // releasing).
-func startRM(t *testing.T, addr, journalDir string) *Server {
+func startRM(t *testing.T, addr, journalDir string) *Sharded {
 	t.Helper()
-	cfg := Config{
-		Scheduler:       scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		Estimator:       estimator.New(),
+	cfg := ShardedConfig{
+		Shards:          1,
+		NewScheduler:    tetrisScheduler,
+		NewEstimator:    estimator.New,
 		NodeTimeout:     3 * time.Second,
 		MaxTaskAttempts: 10,
 		JournalDir:      journalDir,
 		SnapshotEvery:   64, // exercise checkpoints mid-chaos
 	}
 	var (
-		s   *Server
+		s   *Sharded
 		err error
 	)
 	for attempt := 0; attempt < 50; attempt++ {
-		s, err = New(addr, cfg)
+		s, err = NewSharded(addr, cfg)
 		if err == nil {
 			return s
 		}
@@ -166,9 +166,9 @@ func runRMCrashChaos(t *testing.T, seed int64) {
 			if err := srv.Close(); err != nil {
 				t.Fatalf("crash %d: close: %v", crashes, err)
 			}
-			want := srv.StateDigest()
+			want := srv.Shard(0).StateDigest()
 			srv = startRM(t, addr, journalDir)
-			if got := srv.RecoveredDigest(); !bytes.Equal(want, got) {
+			if got := srv.Shard(0).RecoveredDigest(); !bytes.Equal(want, got) {
 				t.Fatalf("crash %d: replayed state diverges from pre-crash state\n pre-crash: %s\n recovered: %s",
 					crashes, want, got)
 			}
@@ -186,9 +186,10 @@ func runRMCrashChaos(t *testing.T, seed int64) {
 	// Zero lost or duplicated attempts: every job completed every task
 	// exactly once (Status panics on duplicate MarkDone, so Finished
 	// plus zero failures is exact), and the reconciled books balance.
-	srv.mu.Lock()
+	core := srv.Shard(0)
+	core.mu.Lock()
 	for id := 0; id < numJobs; id++ {
-		ji := srv.jobs[id]
+		ji := core.jobs[id]
 		if ji == nil {
 			t.Errorf("job %d unknown to final RM", id)
 			continue
@@ -203,7 +204,7 @@ func runRMCrashChaos(t *testing.T, seed int64) {
 			t.Errorf("job %d: %d failed attempts, want 0 (no node ever died)", id, f)
 		}
 	}
-	srv.mu.Unlock()
+	core.mu.Unlock()
 	if err := srv.VerifyLedger(); err != nil {
 		t.Errorf("final ledger: %v", err)
 	}

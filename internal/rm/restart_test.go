@@ -11,7 +11,6 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
@@ -19,11 +18,12 @@ import (
 // journaledServer creates an RM journaling to dir. The huge node
 // timeout keeps the background sweeper inert so tests stay
 // deterministic.
-func journaledServer(t *testing.T, dir string, snapEvery int) *Server {
+func journaledServer(t *testing.T, dir string, snapEvery int) *Sharded {
 	t.Helper()
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler:       scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		Estimator:       estimator.New(),
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:          1,
+		NewScheduler:    tetrisScheduler,
+		NewEstimator:    estimator.New,
 		NodeTimeout:     time.Hour,
 		MaxTaskAttempts: 10,
 		JournalDir:      dir,
@@ -34,6 +34,14 @@ func journaledServer(t *testing.T, dir string, snapEvery int) *Server {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// failedAttempts returns the failed task attempts charged to a job.
+func failedAttempts(g *Sharded, jobID int) int {
+	s := g.Shard(0)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[jobID].state.Status.TotalFailures()
 }
 
 func completionsFor(launch []wire.TaskLaunch) []wire.TaskCompletion {
@@ -69,9 +77,7 @@ func TestJournalReplayEquivalence(t *testing.T) {
 	// Complete node 1's tasks (estimator observes), kill node 0 (tasks
 	// reclaimed as failed attempts), then let it rejoin via heartbeat.
 	s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 1, Completed: completionsFor(r1.NMReply.Launch)})
-	s.mu.Lock()
-	s.markDead(0, s.now())
-	s.mu.Unlock()
+	killNode(s, 0)
 	r0 = s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0}) // rejoin + relaunch
 	s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: completionsFor(r0.NMReply.Launch)})
 
@@ -81,10 +87,10 @@ func TestJournalReplayEquivalence(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	want := s.StateDigest()
+	want := s.Shard(0).StateDigest()
 
 	s2 := journaledServer(t, dir, 0)
-	got := s2.RecoveredDigest()
+	got := s2.Shard(0).RecoveredDigest()
 	if !bytes.Equal(want, got) {
 		t.Fatalf("replayed state diverges from pre-crash state:\n pre-crash: %s\n recovered: %s", want, got)
 	}
@@ -119,10 +125,10 @@ func TestSnapshotCheckpointAndTruncate(t *testing.T) {
 		t.Fatalf("no snapshot after %d appends with cadence 5", appends)
 	}
 	s.Close()
-	want := s.StateDigest()
+	want := s.Shard(0).StateDigest()
 
 	s2 := journaledServer(t, dir, 5)
-	if got := s2.RecoveredDigest(); !bytes.Equal(want, got) {
+	if got := s2.Shard(0).RecoveredDigest(); !bytes.Equal(want, got) {
 		t.Fatalf("snapshot+log recovery diverges:\n pre-crash: %s\n recovered: %s", want, got)
 	}
 }
@@ -155,7 +161,7 @@ func TestResyncReconciliation(t *testing.T) {
 	// The node re-registers still running tasks 0 and 1; task 2 finished
 	// during the outage; an alien task (job 99) is also running.
 	alien := workload.TaskID{Job: 99, Stage: 0, Index: 0}
-	rep := s2.handleRegisterNM(&wire.RegisterNM{
+	rep := s2.Shard(0).handleRegisterNM(&wire.RegisterNM{
 		NodeID: 0, Capacity: cap,
 		Running:   []workload.TaskID{launch[0].Task, launch[1].Task, alien},
 		Completed: []wire.TaskCompletion{{Task: launch[2].Task, Usage: launch[2].Demand, Duration: 7.5}},
@@ -184,10 +190,7 @@ func TestResyncReconciliation(t *testing.T) {
 	if am.AMReply == nil || !am.AMReply.Finished || am.AMReply.Failed {
 		t.Fatalf("job not finished after resync completions: %+v", am)
 	}
-	s2.mu.Lock()
-	attempts := s2.jobs[0].state.Status.TotalFailures()
-	s2.mu.Unlock()
-	if attempts != 0 {
+	if attempts := failedAttempts(s2, 0); attempts != 0 {
 		t.Fatalf("resync charged %d failed attempts, want 0", attempts)
 	}
 }
@@ -212,7 +215,7 @@ func TestResyncLostLaunchesRequeued(t *testing.T) {
 	s2 := journaledServer(t, dir, 0)
 	// The node re-registers running nothing: every journaled launch was
 	// lost in flight.
-	rep := s2.handleRegisterNM(&wire.RegisterNM{NodeID: 0, Capacity: cap})
+	rep := s2.Shard(0).handleRegisterNM(&wire.RegisterNM{NodeID: 0, Capacity: cap})
 	if rep.Type == wire.TypeError {
 		t.Fatalf("re-register rejected: %s", rep.Error)
 	}
@@ -233,10 +236,7 @@ func TestResyncLostLaunchesRequeued(t *testing.T) {
 	if am.AMReply == nil || !am.AMReply.Finished {
 		t.Fatalf("job not finished: %+v", am)
 	}
-	s2.mu.Lock()
-	attempts := s2.jobs[0].state.Status.TotalFailures()
-	s2.mu.Unlock()
-	if attempts != 0 {
+	if attempts := failedAttempts(s2, 0); attempts != 0 {
 		t.Fatalf("lost launches charged %d failed attempts, want 0", attempts)
 	}
 }
@@ -259,10 +259,11 @@ func TestResyncTimeoutReclaims(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := New("127.0.0.1:0", Config{
-		Scheduler:   scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		NodeTimeout: 50 * time.Millisecond,
-		JournalDir:  dir,
+	s2, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NodeTimeout:  50 * time.Millisecond,
+		JournalDir:   dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,10 +287,7 @@ func TestResyncTimeoutReclaims(t *testing.T) {
 	if err := s2.VerifyLedger(); err != nil {
 		t.Fatalf("ledger after reclaim: %v", err)
 	}
-	s2.mu.Lock()
-	attempts := s2.jobs[0].state.Status.TotalFailures()
-	s2.mu.Unlock()
-	if attempts != 3 {
+	if attempts := failedAttempts(s2, 0); attempts != 3 {
 		t.Fatalf("reclaim charged %d failed attempts, want 3", attempts)
 	}
 }

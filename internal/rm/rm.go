@@ -5,16 +5,20 @@
 // the Table 7 overhead measurement), maintains allocation ledgers, and
 // feeds completed-task measurements to the demand estimator.
 //
-// With Config.JournalDir set the RM is durable: every state transition
-// is journaled to a write-ahead log (internal/journal) off the
-// scheduling hot path, and a restarted RM replays snapshot+log, then
-// reconciles with re-registering node managers (see resync.go).
+// Sharded (sharded.go) is the RM's one front door for any shard count
+// N ≥ 1: it owns the listener, the wire loop, validation, admission and
+// routing. Server (this file) is one shard's locked state machine and
+// never touches a socket.
+//
+// With JournalDir set the RM is durable: every state transition is
+// journaled to a write-ahead log (internal/journal) off the scheduling
+// hot path, and a restarted RM replays snapshot+log, then reconciles
+// with re-registering node managers (see resync.go).
 package rm
 
 import (
 	"fmt"
 	"log"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -31,7 +35,8 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// Config parameterizes the resource manager.
+// Config parameterizes one shard core; Sharded fills it from
+// ShardedConfig.
 type Config struct {
 	// Scheduler is the placement policy (required).
 	Scheduler scheduler.Scheduler
@@ -67,39 +72,28 @@ type Config struct {
 	// lower-priority preemptible tasks. Nil disables gang handling (gang
 	// jobs then trickle through the inner scheduler task by task).
 	Gang *gang.Config
-	// Admission enables the multi-tenant front door (admission.go):
-	// per-tenant quotas, token-bucket submit rate limiting, and
-	// overload shedding, all answered with typed wire.SubmitReject
-	// frames. Nil admits everything (the pre-admission behavior).
-	Admission *AdmissionConfig
-	// ConnTimeout bounds how long a connection handler waits on a single
-	// read or write before dropping the connection, so a stalled or
-	// half-dead peer cannot wedge a handler goroutine; peers recover
-	// through their normal redial/resync paths. 0 means the 2-minute
-	// default; negative disables deadlines.
-	ConnTimeout time.Duration
-	// sharedAdmission injects an existing front door instead of building
-	// one from Admission: the sharded RM gates at its top layer and hands
-	// every shard core the same instance so accounting (adopt/release,
-	// journal replay) lands in shared tenant state without double-gating.
+	// sharedAdmission is the front door's tenant accounting: Sharded
+	// gates at its top layer and hands every shard core the same instance
+	// so adopt/release and journal replay land in shared tenant state.
+	// Nil admits everything.
 	sharedAdmission *admission
 	// Metrics receives the RM's telemetry (placements, heartbeat and
 	// fsync latencies, node liveness, ...; see metrics.go). Nil records
 	// into a private registry, exposing nothing.
 	Metrics *telemetry.Registry
-	// ShardLabel, when non-empty, tags every metric series this server
-	// registers with a `shard` label, so N shard cores sharing one
-	// registry (see sharded.go) expose disjoint per-shard series instead
-	// of silently aggregating into one.
+	// ShardLabel is the value of the `shard` label on every metric series
+	// this core registers, so N shard cores sharing one registry (see
+	// sharded.go) expose disjoint per-shard series.
 	ShardLabel string
 	// Logger for diagnostics; nil discards.
 	Logger *log.Logger
 }
 
-// Server is a running resource manager.
+// Server is one shard core of a running resource manager: the ledger,
+// job table, failure detector and journal of the machines it owns,
+// behind one lock.
 type Server struct {
 	cfg Config
-	ln  net.Listener
 	log *log.Logger
 
 	mu       sync.Mutex
@@ -126,21 +120,15 @@ type Server struct {
 	nmTimes  stats.Online
 	amTimes  stats.Online
 	metrics  *rmMetrics
-	// adm is the admission front door; nil admits everything. gate is
-	// true when this server runs the admission checks itself (flat
-	// server) and false when an enclosing sharded top layer already
-	// gated and this core only carries the accounting.
-	adm  *admission
-	gate bool
+	// adm is the tenant accounting shared with the front door, which
+	// runs the admission checks; nil admits everything.
+	adm *admission
 
 	jnl             *journal.Journal // nil when journaling is off
 	replaying       bool             // suppress journal writes during replay
 	lastEventTime   float64          // clock of the newest journaled event
 	sinceSnap       int              // journaled records since the last checkpoint
 	recoveredDigest []byte           // state digest right after replay, pre-resync
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -185,33 +173,11 @@ type remoteCharge struct {
 	epoch   int
 }
 
-// New creates a resource manager listening on addr ("host:port"; use
-// "127.0.0.1:0" for an ephemeral port). With Config.JournalDir set, any
-// existing journal there is replayed before the server starts serving:
-// recovered machines await resync (see resync.go) and recovered jobs
-// resume where the journal left them.
-func New(addr string, cfg Config) (*Server, error) {
-	s, err := newCore(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		if s.jnl != nil {
-			s.jnl.Close()
-		}
-		return nil, fmt.Errorf("rm: listen: %w", err)
-	}
-	s.ln = ln
-	s.startBackground()
-	return s, nil
-}
-
-// newCore builds a server (state, metrics, journal recovery) without a
-// listener or goroutines. The sharded manager (sharded.go) uses it
-// directly to run shard cores behind its own single listener; call
-// startBackground to start the failure-detection sweeper (and, when a
-// listener was installed, the accept loop).
+// newCore builds a shard core (state, metrics, journal recovery) with
+// no goroutines. With Config.JournalDir set, any existing journal there
+// is replayed first: recovered machines await resync (see resync.go) and
+// recovered jobs resume where the journal left them. Call
+// startBackground to start the failure-detection sweeper.
 func newCore(cfg Config) (*Server, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("rm: scheduler is required")
@@ -233,7 +199,6 @@ func newCore(cfg Config) (*Server, error) {
 		epochs:         make(map[int]int),
 		resync:         make(map[int]bool),
 		needFull:       make(map[int]bool),
-		conns:          make(map[net.Conn]struct{}),
 		closed:         make(chan struct{}),
 	}
 	if s.log == nil {
@@ -244,16 +209,7 @@ func newCore(cfg Config) (*Server, error) {
 	if s.cfg.SnapshotEvery <= 0 {
 		s.cfg.SnapshotEvery = 4096
 	}
-	switch {
-	case cfg.sharedAdmission != nil:
-		s.adm = cfg.sharedAdmission // sharded core: top layer gates
-	case cfg.Admission != nil:
-		s.adm = newAdmission(*cfg.Admission, cfg.Metrics)
-		s.gate = true
-	}
-	if s.cfg.ConnTimeout == 0 {
-		s.cfg.ConnTimeout = 2 * time.Minute
-	}
+	s.adm = cfg.sharedAdmission
 	if cfg.NodeTimeout > 0 {
 		s.detector = faults.NewDetector(cfg.NodeTimeout.Seconds())
 		s.downSince = make(map[int]float64)
@@ -266,17 +222,12 @@ func newCore(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// startBackground starts the server's goroutines: the dead-node sweeper
-// (when failure detection is on) and the accept loop (when a listener is
-// installed).
+// startBackground starts the dead-node sweeper when failure detection
+// is on.
 func (s *Server) startBackground() {
 	if s.detector != nil {
 		s.wg.Add(1)
 		go s.watchNodes(s.cfg.NodeTimeout / 4)
-	}
-	if s.ln != nil {
-		s.wg.Add(1)
-		go s.accept()
 	}
 }
 
@@ -301,142 +252,26 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close shuts the server down — severing live NM/AM connections as a
-// real crash would — waits for connection handlers, and flushes the
-// journal (if any). A Close is indistinguishable from a crash to the
-// next incarnation: no final checkpoint is written, so restart always
-// exercises the replay path.
+// Close stops the sweeper and flushes the journal (if any). A Close is
+// indistinguishable from a crash to the next incarnation: no final
+// checkpoint is written, so restart always exercises the replay path.
 func (s *Server) Close() error {
 	select {
 	case <-s.closed:
 	default:
 		close(s.closed)
 	}
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	s.connMu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.connMu.Unlock()
 	s.wg.Wait()
 	if s.jnl != nil {
-		if jerr := s.jnl.Close(); err == nil {
-			err = jerr
-		}
+		return s.jnl.Close()
 	}
-	return err
+	return nil
 }
 
 // now returns seconds since the server started (continued across
 // restarts when journaling: recovery re-bases the epoch so the clock
 // never runs backwards relative to journaled times).
 func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
-
-func (s *Server) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-				s.log.Printf("rm: accept: %v", err)
-				return
-			}
-		}
-		s.wg.Add(1)
-		go s.serve(conn)
-	}
-}
-
-func (s *Server) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer conn.Close()
-	s.connMu.Lock()
-	s.conns[conn] = struct{}{}
-	s.connMu.Unlock()
-	defer func() {
-		s.connMu.Lock()
-		delete(s.conns, conn)
-		s.connMu.Unlock()
-	}()
-	// One Framer per connection: codec negotiation is reply-in-kind
-	// (legacy JSON peers get legacy frames, binary peers get binary),
-	// and hot-frame decode reuses the Framer's scratch so steady-state
-	// heartbeats allocate nothing.
-	framer := wire.NewServerFramer()
-	for {
-		// Read/write deadlines: a stalled or half-dead peer times out and
-		// the connection drops — NMs/AMs recover through their redial and
-		// resync paths, and no handler goroutine is wedged forever.
-		armDeadline(conn, s.cfg.ConnTimeout)
-		m, err := framer.Read(conn)
-		if err != nil {
-			return // peer closed, stalled past the deadline, or protocol error
-		}
-		var reply *wire.Message
-		switch m.Type {
-		case wire.TypeRegisterNM:
-			reply = s.handleRegisterNM(m.RegisterNM)
-		case wire.TypeNMHeartbeat:
-			reply = s.HandleNMHeartbeat(m.NMHeartbeat)
-		case wire.TypeHeartbeatBatch:
-			reply = s.HandleHeartbeatBatch(m.HeartbeatBatch)
-		case wire.TypeSubmitJob:
-			reply = s.handleSubmitJob(m.SubmitJob)
-		case wire.TypeSubmitBatch:
-			reply = s.handleSubmitBatch(m.SubmitBatch)
-		case wire.TypeAMHeartbeat:
-			reply = s.HandleAMHeartbeat(m.AMHeartbeat)
-		case wire.TypeClusterStatus:
-			reply = s.handleClusterStatus()
-		default:
-			reply = &wire.Message{Type: wire.TypeError, Error: fmt.Sprintf("unknown message type %q", m.Type)}
-		}
-		armDeadline(conn, s.cfg.ConnTimeout)
-		if err := framer.Write(conn, reply); err != nil {
-			return
-		}
-	}
-}
-
-// HandleHeartbeatBatch fans a multi-node heartbeat frame through the
-// per-node heartbeat path in beat order. Each entry carries exactly
-// what the node would have received on its own connection — an NMReply
-// or a typed error string — so DeltaTracker baseline-advance semantics
-// on the sender are unchanged by batching. Exported for benchmarks and
-// the hollow driver's in-process paths.
-func (s *Server) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
-	replies := make([]wire.NMBeatReply, 0, len(b.Beats))
-	for i := range b.Beats {
-		hb := &b.Beats[i]
-		entry := wire.NMBeatReply{NodeID: hb.NodeID}
-		switch r := s.HandleNMHeartbeat(hb); r.Type {
-		case wire.TypeError:
-			entry.Error = r.Error
-		default:
-			entry.Reply = *r.NMReply
-		}
-		replies = append(replies, entry)
-	}
-	return &wire.Message{Type: wire.TypeHeartbeatBatchReply,
-		HeartbeatBatchReply: &wire.HeartbeatBatchReply{Replies: replies}}
-}
-
-// armDeadline sets the connection's absolute I/O deadline d from now
-// (no-op when deadlines are disabled with a negative timeout).
-func armDeadline(conn net.Conn, d time.Duration) {
-	if d > 0 {
-		conn.SetDeadline(time.Now().Add(d))
-	}
-}
 
 func (s *Server) handleRegisterNM(r *wire.RegisterNM) *wire.Message {
 	if r == nil {
@@ -484,28 +319,13 @@ func (s *Server) recomputeTotal() {
 	s.total = total
 }
 
-func (s *Server) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
-	if r == nil || r.Job == nil {
-		return errMsg("missing job payload")
-	}
-	if err := r.Job.Validate(); err != nil {
-		return rejectMsg(&wire.SubmitReject{
-			JobID: r.Job.ID, Tenant: r.Tenant, Code: wire.RejectInvalid,
-			Reason: fmt.Sprintf("invalid job: %v", err),
-		})
-	}
+// submit applies one validated, front-door-admitted job under the shard
+// lock: idempotence/conflict check, journal, apply. reserved marks a
+// submission the front door passed through admit — on a duplicate the
+// reservation is rolled back here, where the duplicate is discovered.
+func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.submitLocked(r.Job, r.Tenant, false)
-}
-
-// submitLocked admits one validated job: idempotence/conflict check,
-// admission gate (when this server runs one and the enclosing layer did
-// not already reserve), journal, apply. reserved marks a submission the
-// sharded top layer already passed through admit — on a duplicate the
-// reservation is rolled back here, where the duplicate is discovered.
-// Caller holds s.mu.
-func (s *Server) submitLocked(j *workload.Job, tenant string, reserved bool) *wire.Message {
 	if ji, ok := s.jobs[j.ID]; ok {
 		// Idempotent resubmission: a job manager that lost its RM link
 		// re-submits on reconnect. The same definition is deduplicated
@@ -522,16 +342,10 @@ func (s *Server) submitLocked(j *workload.Job, tenant string, reserved bool) *wi
 			Reason: fmt.Sprintf("job %d already submitted with a different definition", j.ID),
 		})
 	}
-	if s.gate && s.adm != nil && !reserved {
-		if rej := s.adm.admit(tenant, j.ID, jobDemand(j)); rej != nil {
-			return rejectMsg(rej)
-		}
-		reserved = true
-	}
 	if s.adm != nil && !reserved {
-		// No gate anywhere admitted this job (admission was enabled after
-		// the fact, or a shard core is driven directly in tests): account
-		// it so release stays balanced.
+		// Nothing reserved for this job (a resubmission that raced its
+		// own first submit to this shard, or a core driven directly in
+		// tests): account it so release stays balanced.
 		s.adm.adopt(tenant, jobDemand(j))
 	}
 	if j.Weight <= 0 {
@@ -543,68 +357,8 @@ func (s *Server) submitLocked(j *workload.Job, tenant string, reserved bool) *wi
 	return &wire.Message{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: j.ID, Total: j.NumTasks()}}
 }
 
-// handleSubmitBatch is the bulk-ingest path: every job in the batch is
-// admitted independently under one lock acquisition, their submit events
-// stream to the journal's writer goroutine, and a single Sync barrier —
-// one fsync for the whole batch — makes them durable before the reply.
-// That makes an acked batch stronger than an acked single submit (whose
-// append is asynchronous under the interval fsync policy) while paying
-// the fsync once per batch instead of once per job.
-func (s *Server) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
-	if r == nil || len(r.Jobs) == 0 {
-		return errMsg("missing or empty submitBatch payload")
-	}
-	reply := &wire.SubmitBatchReply{Results: make([]wire.SubmitResult, 0, len(r.Jobs))}
-	s.mu.Lock()
-	for _, j := range r.Jobs {
-		reply.Results = append(reply.Results, s.submitOneOfBatchLocked(j, r.Tenant, false))
-	}
-	s.mu.Unlock()
-	if s.adm != nil {
-		s.adm.batches.Inc()
-		s.adm.batchJobs.Add(uint64(len(r.Jobs)))
-	}
-	if s.jnl != nil {
-		if err := s.jnl.Sync(); err != nil {
-			s.log.Printf("rm: batch journal sync: %v", err)
-		}
-	}
-	return &wire.Message{Type: wire.TypeSubmitBatchReply, SubmitBatchReply: reply}
-}
-
-// submitOneOfBatchLocked runs one batch entry through the same
-// validate/admit/journal pipeline as a single submit and flattens the
-// verdict into a SubmitResult. Caller holds s.mu.
-func (s *Server) submitOneOfBatchLocked(j *workload.Job, tenant string, reserved bool) wire.SubmitResult {
-	if j == nil {
-		return wire.SubmitResult{Reject: &wire.SubmitReject{
-			Tenant: tenant, Code: wire.RejectInvalid, Reason: "missing job in batch",
-		}}
-	}
-	if err := j.Validate(); err != nil {
-		if reserved && s.adm != nil {
-			s.adm.cancel(tenant, jobDemand(j))
-		}
-		return wire.SubmitResult{JobID: j.ID, Reject: &wire.SubmitReject{
-			JobID: j.ID, Tenant: tenant, Code: wire.RejectInvalid,
-			Reason: fmt.Sprintf("invalid job: %v", err),
-		}}
-	}
-	m := s.submitLocked(j, tenant, reserved)
-	res := wire.SubmitResult{JobID: j.ID}
-	switch m.Type {
-	case wire.TypeAMReply:
-		res.Total = m.AMReply.Total
-	case wire.TypeSubmitReject:
-		res.Reject = m.SubmitReject
-	default:
-		res.Reject = &wire.SubmitReject{JobID: j.ID, Tenant: tenant, Code: wire.RejectInvalid, Reason: m.Error}
-	}
-	return res
-}
-
-// syncJournal flushes and fsyncs this server's journal, if any — the
-// sharded batch path's per-shard durability barrier.
+// syncJournal flushes and fsyncs this core's journal, if any — the
+// batch-submit path's per-shard durability barrier.
 func (s *Server) syncJournal() error {
 	if s.jnl == nil {
 		return nil
@@ -645,7 +399,6 @@ func (s *Server) releaseTenant(ji *jobInfo) {
 // HandleNMHeartbeat processes one node heartbeat: absorbs the usage
 // report and completions, runs a scheduling round (allocation happens on
 // NM heartbeats, as in YARN), and returns the node's queued launches.
-// Exported for benchmarking the Table-7 overhead without sockets.
 func (s *Server) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 	if hb == nil {
 		return errMsg("missing nmHeartbeat payload")
@@ -1072,7 +825,7 @@ func (s *Server) largestMachine() resources.Vector {
 	return biggest
 }
 
-// HandleAMHeartbeat reports job progress. Exported for benchmarking.
+// HandleAMHeartbeat reports job progress.
 func (s *Server) HandleAMHeartbeat(hb *wire.AMHeartbeat) *wire.Message {
 	if hb == nil {
 		return errMsg("missing amHeartbeat payload")
@@ -1110,12 +863,6 @@ func (s *Server) amReplyLocked(jobID int, ji *jobInfo) *wire.Message {
 		ji.lastRelease = nil
 	}
 	return &wire.Message{Type: wire.TypeAMReply, AMReply: rep}
-}
-
-// handleClusterStatus answers a node-liveness and fault-log query.
-func (s *Server) handleClusterStatus() *wire.Message {
-	st := s.ClusterStatus()
-	return &wire.Message{Type: wire.TypeClusterStatusReply, ClusterStatus: &st}
 }
 
 // ClusterStatus snapshots node liveness and the fault-event log.
@@ -1179,14 +926,6 @@ func (s *Server) LiveNodes() int {
 	return n
 }
 
-// HeartbeatStats returns the mean and max observed processing times (in
-// seconds) of NM and AM heartbeats — the Table 7 measurement.
-func (s *Server) HeartbeatStats() (nmMean, nmMax, amMean, amMax float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nmTimes.Mean(), s.nmTimes.Max(), s.amTimes.Mean(), s.amTimes.Max()
-}
-
 // JournalStats reports journaling activity: records appended and
 // snapshots taken by this incarnation. It flushes the journal's queue
 // first so the counts reflect every transition journaled so far. ok is
@@ -1202,32 +941,10 @@ func (s *Server) JournalStats() (appends, snapshots uint64, ok bool) {
 	return a, sn, true
 }
 
-// RegisterMachine adds a machine directly (without a socket); used by
-// benchmarks and tests that drive handlers in-process.
+// RegisterMachine adds a machine directly, as a first registration
+// frame would.
 func (s *Server) RegisterMachine(id int, capacity resources.Vector) {
 	s.handleRegisterNM(&wire.RegisterNM{NodeID: id, Capacity: capacity})
-}
-
-// SubmitJob registers a job directly (without a socket) under the
-// anonymous default tenant.
-func (s *Server) SubmitJob(j *workload.Job) error {
-	return replyErr(s.handleSubmitJob(&wire.SubmitJob{Job: j}))
-}
-
-// SubmitJobAs registers a job directly under a tenant; admission-gated
-// when the front door is enabled.
-func (s *Server) SubmitJobAs(tenant string, j *workload.Job) error {
-	return replyErr(s.handleSubmitJob(&wire.SubmitJob{Job: j, Tenant: tenant}))
-}
-
-// SubmitBatch runs the bulk-ingest path directly (without a socket) and
-// returns the per-job verdicts.
-func (s *Server) SubmitBatch(tenant string, jobs []*workload.Job) ([]wire.SubmitResult, error) {
-	reply := s.handleSubmitBatch(&wire.SubmitBatch{Tenant: tenant, Jobs: jobs})
-	if reply.Type != wire.TypeSubmitBatchReply {
-		return nil, replyErr(reply)
-	}
-	return reply.SubmitBatchReply.Results, nil
 }
 
 // replyErr flattens a submit reply into an error: nil for acceptance,

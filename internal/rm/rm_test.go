@@ -10,11 +10,16 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-func newServer(t *testing.T) *Server {
+func tetrisScheduler() scheduler.Scheduler {
+	return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
+}
+
+func newServer(t *testing.T) *Sharded {
 	t.Helper()
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		Estimator: estimator.New(),
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		NewEstimator: estimator.New,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +43,11 @@ func simpleJob(id, n int) *workload.Job {
 }
 
 func TestRequiresScheduler(t *testing.T) {
-	if _, err := New("127.0.0.1:0", Config{}); err == nil {
+	if _, err := NewSharded("127.0.0.1:0", ShardedConfig{Shards: 1}); err == nil {
 		t.Error("nil scheduler accepted")
+	}
+	if _, err := newCore(Config{}); err == nil {
+		t.Error("shard core accepted a nil scheduler")
 	}
 }
 
@@ -183,7 +191,7 @@ func TestBarrierAcrossHeartbeats(t *testing.T) {
 func TestLaunchQueuedForOtherNode(t *testing.T) {
 	// No estimator: declared demands are used as-is, so the full packing
 	// is visible in the very first round.
-	s, err := New("127.0.0.1:0", Config{Scheduler: scheduler.NewTetris(scheduler.DefaultTetrisConfig())})
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package rm
 
-// Shard routing: the top layer of the two-level RM (see sharded.go)
+// Shard routing: the top layer of the RM (see sharded.go)
 // assigns every admitted job to exactly one shard, and the shard's core
 // then places the job's tasks on its own machines with the ordinary
 // scheduler. Routing reuses the paper's alignment heuristic one level

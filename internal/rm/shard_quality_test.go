@@ -1,10 +1,10 @@
 package rm
 
 // Cross-shard quality harness: replay the SAME seeded workload through
-// the unsharded server, a 1-shard sharded RM (the oracle must match the
-// unsharded server decision-for-decision), and 2-/4-shard
-// configurations, on a virtual clock, and measure what partitioning
-// costs. Tetris-style packing is robust to placement partitioning
+// a bare shard core, the 1-shard front door (the oracle, which must
+// match the bare core decision-for-decision: the top layer adds no
+// decision), and 2-/4-shard configurations, on a virtual clock, and
+// measure what partitioning costs. Tetris-style packing is robust to placement partitioning
 // (Shafiee & Ghaderi), but the loss is a property to measure, not
 // assume — this harness computes packing efficiency and completion
 // times per configuration and pins bounds; EXPERIMENTS.md records the
@@ -27,13 +27,20 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// qualityRM is the handler surface shared by *Server and *Sharded that
+// qualityRM is the handler surface shared by bareCore and *Sharded that
 // the replay drives.
 type qualityRM interface {
 	RegisterMachine(id int, capacity resources.Vector)
 	SubmitJob(j *workload.Job) error
 	HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message
 }
+
+// bareCore drives one shard core with nothing in front of it: no
+// validation, admission or routing between the replay and the state
+// machine.
+type bareCore struct{ *Server }
+
+func (c bareCore) SubmitJob(j *workload.Job) error { return replyErr(c.submit(j, "", false)) }
 
 // qualityScheduler is the shard-core factory used for every
 // configuration under test: the default Tetris core with starvation
@@ -191,27 +198,28 @@ func newQualitySharded(t *testing.T, shards int) *Sharded {
 	return g
 }
 
-// TestShardQualityOracle: a 1-shard sharded RM must be decision-
-// equivalent to the unsharded server — identical per-job finish rounds
-// on the same replay. This is the oracle the loss measurements lean on.
+// TestShardQualityOracle: the 1-shard front door must be decision-
+// equivalent to a bare shard core — identical per-job finish rounds on
+// the same replay. This is the proof that the top layer adds no
+// decision, and the oracle the loss measurements lean on.
 func TestShardQualityOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		w := makeQualityWorkload(seed, 8, 24)
 
-		srv, err := New("127.0.0.1:0", Config{Scheduler: qualityScheduler()})
+		core, err := newCore(Config{Scheduler: qualityScheduler()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := replayQuality(t, srv, w)
-		srv.Close()
+		base := replayQuality(t, bareCore{core}, w)
+		core.Close()
 
 		one := replayQuality(t, newQualitySharded(t, 1), w)
 		if base.makespan != one.makespan || len(base.finish) != len(one.finish) {
-			t.Fatalf("seed %d: 1-shard makespan %d != unsharded %d", seed, one.makespan, base.makespan)
+			t.Fatalf("seed %d: 1-shard makespan %d != bare core %d", seed, one.makespan, base.makespan)
 		}
 		for id, r := range base.finish {
 			if one.finish[id] != r {
-				t.Fatalf("seed %d: job %d finished round %d sharded vs %d unsharded",
+				t.Fatalf("seed %d: job %d finished round %d behind the front door vs %d on the bare core",
 					seed, id, one.finish[id], r)
 			}
 		}

@@ -1,13 +1,14 @@
 package rm
 
-// Sharded is the two-level resource manager: N independent shard cores
-// (ordinary *Server instances without their own listeners), each owning
-// a disjoint partition of the machine fleet and running the existing
-// incremental/parallel scheduling core against its own free ledger,
-// behind a thin top layer that does admission → shard routing →
-// dispatch. The global s.mu of the single-server design becomes N
-// per-shard locks: heartbeats from different shards schedule
-// concurrently, and a scheduling round only walks 1/N of the fleet.
+// Sharded is the resource manager's front door for any shard count
+// N ≥ 1: N independent shard cores (*Server), each owning a disjoint
+// partition of the machine fleet and running the scheduling core
+// against its own free ledger, behind a thin top layer that owns the
+// listener and does wire decode → validation → admission → shard
+// routing → dispatch. Each shard has its own lock: heartbeats from
+// different shards schedule concurrently, and a scheduling round only
+// walks 1/N of the fleet. N = 1 is the degenerate partition — one core
+// holding the whole fleet, every job routed to it.
 //
 // Partitioning is static by node ID (nodeID mod N): a node's shard can
 // be computed by anyone at any time, survives restarts with no extra
@@ -23,15 +24,21 @@ package rm
 // What is given up: a task cannot pack against another shard's spare
 // capacity, so N-shard placement can lose packing efficiency versus the
 // global packer. The shard_quality_test.go harness measures exactly
-// that loss against the 1-shard oracle; EXPERIMENTS.md records it.
+// that loss against the 1-shard oracle, and proves the top layer itself
+// adds no decision (bare core ≡ 1-shard front door); EXPERIMENTS.md
+// records both.
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,9 +53,9 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// ShardedConfig parameterizes the two-level RM. Per-shard knobs mirror
-// Config; the factories exist because shard cores must not share
-// mutable scheduler or estimator state.
+// ShardedConfig parameterizes the RM. Per-shard knobs mirror Config;
+// the factories exist because shard cores must not share mutable
+// scheduler or estimator state.
 type ShardedConfig struct {
 	// Shards is the number of scheduler shards (≥ 1).
 	Shards int
@@ -76,18 +83,21 @@ type ShardedConfig struct {
 	// shard="<i>", plus the top layer's routing metrics.
 	Metrics *telemetry.Registry
 	Logger  *log.Logger
-	// Admission enables the multi-tenant front door at the top layer:
-	// submissions are gated (quota/rate/shed) once, before routing, and
-	// all shard cores share the same tenant accounting so per-tenant
-	// state is global even though jobs scatter across shard journals.
+	// Admission enables the multi-tenant front door (admission.go):
+	// submissions are gated (quota/rate/shed) once, before routing, with
+	// typed wire.SubmitReject answers, and all shard cores share the same
+	// tenant accounting so per-tenant state is global even though jobs
+	// scatter across shard journals. Nil admits everything.
 	Admission *AdmissionConfig
-	// ConnTimeout bounds single reads/writes on the top layer's
-	// per-connection handlers (see Config.ConnTimeout). 0 means the
-	// 2-minute default; negative disables deadlines.
+	// ConnTimeout bounds how long a connection handler waits on a single
+	// read or write before dropping the connection, so a stalled or
+	// half-dead peer cannot wedge a handler goroutine; peers recover
+	// through their normal redial/resync paths. 0 means the 2-minute
+	// default; negative disables deadlines.
 	ConnTimeout time.Duration
 }
 
-// Sharded is a running two-level resource manager.
+// Sharded is a running resource manager.
 type Sharded struct {
 	cfg    ShardedConfig
 	shards []*Server
@@ -104,13 +114,17 @@ type Sharded struct {
 	routedJobs []*telemetry.Counter // per-shard admission counts
 	fallbacks  *telemetry.Counter   // jobs routed with no feasible shard
 
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
+
 	wg     sync.WaitGroup
 	closed chan struct{}
 }
 
-// NewSharded creates a two-level RM listening on addr. With
-// cfg.JournalDir set, each shard recovers from its own journal before
-// serving and the job→shard table is rebuilt from the recovered shards.
+// NewSharded creates a resource manager listening on addr ("host:port";
+// use "127.0.0.1:0" for an ephemeral port). With cfg.JournalDir set,
+// each shard recovers from its own journal before serving and the
+// job→shard table is rebuilt from the recovered shards.
 func NewSharded(addr string, cfg ShardedConfig) (*Sharded, error) {
 	g, err := newShardedCore(cfg)
 	if err != nil {
@@ -126,7 +140,7 @@ func NewSharded(addr string, cfg ShardedConfig) (*Sharded, error) {
 	return g, nil
 }
 
-// NewShardedInProcess creates a two-level RM with no listener, for
+// NewShardedInProcess creates a resource manager with no listener, for
 // tests and benchmarks that drive the handlers directly.
 func NewShardedInProcess(cfg ShardedConfig) (*Sharded, error) {
 	g, err := newShardedCore(cfg)
@@ -148,6 +162,7 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 		cfg:      cfg,
 		log:      cfg.Logger,
 		jobShard: make(map[int]int),
+		conns:    make(map[net.Conn]struct{}),
 		closed:   make(chan struct{}),
 	}
 	if g.log == nil {
@@ -161,6 +176,11 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 	if g.cfg.ConnTimeout == 0 {
 		g.cfg.ConnTimeout = 2 * time.Minute
 	}
+	if cfg.JournalDir != "" {
+		if err := checkJournalLayout(cfg.JournalDir, cfg.Shards); err != nil {
+			return nil, err
+		}
+	}
 	for i := 0; i < cfg.Shards; i++ {
 		sc := Config{
 			Scheduler:       cfg.NewScheduler(),
@@ -172,7 +192,6 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 			Metrics:         cfg.Metrics,
 			ShardLabel:      strconv.Itoa(i),
 			Logger:          cfg.Logger,
-			ConnTimeout:     cfg.ConnTimeout,
 			Gang:            cfg.Gang,
 			sharedAdmission: g.adm,
 		}
@@ -205,7 +224,7 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 		}
 		g.fallbacks = reg.Counter("tetris_rm_route_fallbacks_total",
 			"Jobs routed while no shard had a machine fitting their largest task.")
-		reg.GaugeFunc("tetris_rm_shards", "Scheduler shards in the two-level RM.",
+		reg.GaugeFunc("tetris_rm_shards", "Scheduler shards behind the RM front door.",
 			func() float64 { return float64(len(g.shards)) })
 	} else {
 		for range g.shards {
@@ -216,8 +235,50 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 	return g, nil
 }
 
-// start launches every shard's background work plus the top-level
-// accept loop when a listener is installed.
+// ErrJournalLayout reports state under ShardedConfig.JournalDir that the
+// configured shard count would start without. The RM fails closed; the
+// operator moves or removes Path.
+type ErrJournalLayout struct {
+	Path   string // the offending entry
+	Reason string
+}
+
+func (e *ErrJournalLayout) Error() string {
+	return fmt.Sprintf("rm: journal layout: %s: %s", e.Path, e.Reason)
+}
+
+// checkJournalLayout rejects a journal directory holding journal files at
+// its top level (a single-journal layout; fix: mv dir/*.dat dir/shard-0/)
+// or a shard-<k> directory with k ≥ shards (written by a run with more
+// shards). Shard cores only ever open dir/shard-<i> for i < shards, so
+// either would be silently ignored.
+func checkJournalLayout(dir string, shards int) error {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("rm: journal dir: %w", err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(dir, e.Name())
+		if !e.IsDir() {
+			if filepath.Ext(e.Name()) == ".dat" {
+				return &ErrJournalLayout{Path: path, Reason: "journal file outside a shard-<i> directory (move it into shard-0/)"}
+			}
+			continue
+		}
+		if k, ok := strings.CutPrefix(e.Name(), "shard-"); ok {
+			if i, err := strconv.Atoi(k); err == nil && i >= shards {
+				return &ErrJournalLayout{Path: path, Reason: fmt.Sprintf("shard journal beyond the %d configured shard(s)", shards)}
+			}
+		}
+	}
+	return nil
+}
+
+// start launches every shard's background work plus the accept loop
+// when a listener is installed.
 func (g *Sharded) start() {
 	for _, s := range g.shards {
 		s.startBackground()
@@ -244,16 +305,20 @@ func (g *Sharded) NumShards() int { return len(g.shards) }
 // stats) in tests and drivers.
 func (g *Sharded) Shard(i int) *Server { return g.shards[i] }
 
-// nodeShard is the static node partition: nodeID mod N.
-func (g *Sharded) nodeShard(nodeID int) *Server {
+// shardIndex is the static node partition: nodeID mod N, non-negative.
+func (g *Sharded) shardIndex(nodeID int) int {
 	i := nodeID % len(g.shards)
 	if i < 0 {
 		i += len(g.shards)
 	}
-	return g.shards[i]
+	return i
 }
 
-// Close shuts down the listener and every shard.
+func (g *Sharded) nodeShard(nodeID int) *Server { return g.shards[g.shardIndex(nodeID)] }
+
+// Close shuts the RM down — closing the listener and severing live
+// NM/AM connections as a real crash would — waits for the connection
+// handlers, and closes every shard (flushing its journal, if any).
 func (g *Sharded) Close() error {
 	select {
 	case <-g.closed:
@@ -264,6 +329,11 @@ func (g *Sharded) Close() error {
 	if g.ln != nil {
 		err = g.ln.Close()
 	}
+	g.connMu.Lock()
+	for conn := range g.conns {
+		conn.Close()
+	}
+	g.connMu.Unlock()
 	g.wg.Wait()
 	for _, s := range g.shards {
 		if serr := s.Close(); err == nil {
@@ -291,18 +361,38 @@ func (g *Sharded) accept() {
 	}
 }
 
-// serve speaks the same wire protocol as the single server: the sharded
-// RM is a drop-in replacement at the socket, and peers cannot tell they
-// talk to a partitioned fleet.
+// serve runs one connection's request/reply loop. Frames are keyed on
+// their payload's NodeID/JobID, so peers cannot tell how many shards
+// they talk to.
 func (g *Sharded) serve(conn net.Conn) {
 	defer g.wg.Done()
 	defer conn.Close()
+	g.connMu.Lock()
+	g.conns[conn] = struct{}{}
+	g.connMu.Unlock()
+	defer func() {
+		g.connMu.Lock()
+		delete(g.conns, conn)
+		g.connMu.Unlock()
+	}()
+	select {
+	case <-g.closed:
+		return // accepted while Close was severing; it will not see this conn
+	default:
+	}
+	// One Framer per connection: codec negotiation is reply-in-kind
+	// (legacy JSON peers get legacy frames, binary peers get binary),
+	// and hot-frame decode reuses the Framer's scratch so steady-state
+	// heartbeats allocate nothing.
 	framer := wire.NewServerFramer()
 	for {
+		// Read/write deadlines: a stalled or half-dead peer times out and
+		// the connection drops — NMs/AMs recover through their redial and
+		// resync paths, and no handler goroutine is wedged forever.
 		armDeadline(conn, g.cfg.ConnTimeout)
 		m, err := framer.Read(conn)
 		if err != nil {
-			return
+			return // peer closed, stalled past the deadline, or protocol error
 		}
 		var reply *wire.Message
 		switch m.Type {
@@ -335,13 +425,12 @@ func (g *Sharded) serve(conn net.Conn) {
 	}
 }
 
-// shardIndex is nodeShard as an index (nodeID mod N, non-negative).
-func (g *Sharded) shardIndex(nodeID int) int {
-	i := nodeID % len(g.shards)
-	if i < 0 {
-		i += len(g.shards)
+// armDeadline sets the connection's absolute I/O deadline d from now
+// (no-op when deadlines are disabled with a negative timeout).
+func armDeadline(conn net.Conn, d time.Duration) {
+	if d > 0 {
+		conn.SetDeadline(time.Now().Add(d))
 	}
-	return i
 }
 
 // HandleHeartbeatBatch splits a multi-node heartbeat frame by owning
@@ -349,9 +438,10 @@ func (g *Sharded) shardIndex(nodeID int) int {
 // its nodes' beats (and runs its scheduling rounds) in parallel with
 // the other shards, which is what makes one shared connection carrying
 // thousands of nodes scale past a single core. Entries are reassembled
-// in beat order with the exact per-node verdict an individual
-// connection would have produced, so sender-side DeltaTracker
-// semantics are unchanged.
+// in beat order, each carrying exactly what the node would have
+// received on its own connection — an NMReply or a typed error string —
+// so sender-side DeltaTracker baseline-advance semantics are unchanged
+// by batching.
 func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
 	entries := make([]wire.NMBeatReply, len(b.Beats))
 	apply := func(s *Server, idxs []int) {
@@ -419,7 +509,7 @@ func (g *Sharded) HandleAMHeartbeat(hb *wire.AMHeartbeat) *wire.Message {
 // never flaps and resubmissions never re-charge the tenant's quota. Two
 // racing first submissions of one ID may both reserve; the loser's
 // reservation is rolled back by the shard core when it discovers the
-// duplicate (submitLocked's reserved path), so quotas never leak.
+// duplicate (Server.submit's reserved path), so quotas never leak.
 func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 	if r == nil || r.Job == nil {
 		return errMsg("missing job payload")
@@ -434,7 +524,7 @@ func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 	shard, known := g.jobShard[r.Job.ID]
 	g.mu.Unlock()
 	if known {
-		return g.forwardSubmit(shard, r.Job, r.Tenant, false)
+		return g.shards[shard].submit(r.Job, r.Tenant, false)
 	}
 	reserved := false
 	if g.adm != nil {
@@ -443,22 +533,17 @@ func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 		}
 		reserved = true
 	}
-	return g.forwardSubmit(g.routeJob(r.Job), r.Job, r.Tenant, reserved)
+	return g.shards[g.routeJob(r.Job)].submit(r.Job, r.Tenant, reserved)
 }
 
-// forwardSubmit hands an admitted (or known) submission to its shard
-// core under that shard's lock.
-func (g *Sharded) forwardSubmit(shard int, j *workload.Job, tenant string, reserved bool) *wire.Message {
-	s := g.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.submitLocked(j, tenant, reserved)
-}
-
-// handleSubmitBatch is the sharded bulk-ingest path: each job is gated
-// at the top layer, routed, and applied on its shard; then every shard
-// that accepted work runs one journal Sync — one fsync per (batch,
-// shard) pair — before the combined reply is sent.
+// handleSubmitBatch is the bulk-ingest path: each job is validated,
+// gated, routed and applied on its shard independently; their submit
+// events stream to the shard journals' writer goroutines, and then every
+// shard that accepted work runs one journal Sync — one fsync per (batch,
+// shard) pair — before the combined reply is sent. That makes an acked
+// batch stronger than an acked single submit (whose append is
+// asynchronous under the interval fsync policy) while paying the fsync
+// once per batch and shard instead of once per job.
 func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 	if r == nil || len(r.Jobs) == 0 {
 		return errMsg("missing or empty submitBatch payload")
@@ -541,12 +626,14 @@ func (g *Sharded) SubmitJob(j *workload.Job) error {
 	return replyErr(g.handleSubmitJob(&wire.SubmitJob{Job: j}))
 }
 
-// SubmitJobAs routes and registers a job directly under a tenant.
+// SubmitJobAs routes and registers a job directly under a tenant;
+// admission-gated when the front door is enabled.
 func (g *Sharded) SubmitJobAs(tenant string, j *workload.Job) error {
 	return replyErr(g.handleSubmitJob(&wire.SubmitJob{Job: j, Tenant: tenant}))
 }
 
-// SubmitBatch runs the sharded bulk-ingest path directly.
+// SubmitBatch runs the bulk-ingest path directly (without a socket) and
+// returns the per-job verdicts.
 func (g *Sharded) SubmitBatch(tenant string, jobs []*workload.Job) ([]wire.SubmitResult, error) {
 	reply := g.handleSubmitBatch(&wire.SubmitBatch{Tenant: tenant, Jobs: jobs})
 	if reply.Type != wire.TypeSubmitBatchReply {
@@ -600,8 +687,9 @@ func (g *Sharded) ResyncPending() int {
 	return n
 }
 
-// HeartbeatStats merges per-shard heartbeat timings: count-weighted
-// means, fleet-wide maxima.
+// HeartbeatStats returns the mean and max observed processing times (in
+// seconds) of NM and AM heartbeats — the Table 7 measurement — merged
+// across shards: count-weighted means, fleet-wide maxima.
 func (g *Sharded) HeartbeatStats() (nmMean, nmMax, amMean, amMax float64) {
 	var nmN, amN float64
 	for _, s := range g.shards {

@@ -1,13 +1,16 @@
 package rm
 
 import (
+	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/telemetry"
 	"github.com/tetris-sched/tetris/internal/wire"
 )
@@ -16,9 +19,7 @@ func newShardedServer(t *testing.T, shards int, cfg ShardedConfig) *Sharded {
 	t.Helper()
 	cfg.Shards = shards
 	if cfg.NewScheduler == nil {
-		cfg.NewScheduler = func() scheduler.Scheduler {
-			return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
-		}
+		cfg.NewScheduler = tetrisScheduler
 	}
 	if cfg.NewEstimator == nil {
 		cfg.NewEstimator = estimator.New
@@ -113,15 +114,13 @@ func TestShardedLifecycle(t *testing.T) {
 	}
 }
 
-// TestShardedWireProtocol checks the sharded RM is a drop-in replacement
-// at the socket: register, submit, heartbeat and status all speak the
-// single-server protocol.
+// TestShardedWireProtocol checks sharding is invisible at the socket:
+// register, submit, heartbeat and status are keyed on the payload's
+// node/job ID and answered by whichever shard owns it.
 func TestShardedWireProtocol(t *testing.T) {
 	cfg := ShardedConfig{
-		Shards: 2,
-		NewScheduler: func() scheduler.Scheduler {
-			return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
-		},
+		Shards:       2,
+		NewScheduler: tetrisScheduler,
 	}
 	g, err := NewSharded("127.0.0.1:0", cfg)
 	if err != nil {
@@ -254,11 +253,9 @@ func TestShardedJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Sharded {
 		g, err := NewShardedInProcess(ShardedConfig{
-			Shards: 2,
-			NewScheduler: func() scheduler.Scheduler {
-				return scheduler.NewTetris(scheduler.DefaultTetrisConfig())
-			},
-			JournalDir: dir,
+			Shards:       2,
+			NewScheduler: tetrisScheduler,
+			JournalDir:   dir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -291,4 +288,122 @@ func TestShardedJournalRecovery(t *testing.T) {
 	if err := g2.VerifyLedger(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestShardedCloseSeversConnections: Close must not wait out ConnTimeout
+// (2 minutes by default) on a peer that is connected but silent.
+func TestShardedCloseSeversConnections(t *testing.T) {
+	g, err := NewSharded("127.0.0.1:0", ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// One round trip, so the handler is known to be parked in its next
+	// read when Close runs.
+	if err := wire.Write(conn, &wire.Message{Type: wire.TypeClusterStatus}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.Read(conn); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- g.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close blocked on an idle client connection")
+	}
+	if _, err := wire.Read(conn); err == nil {
+		t.Fatal("connection still open after Close")
+	}
+}
+
+// journaledSharded opens an in-process RM journaling under dir.
+func journaledSharded(dir string, shards int) (*Sharded, error) {
+	return NewShardedInProcess(ShardedConfig{Shards: shards, NewScheduler: tetrisScheduler, JournalDir: dir})
+}
+
+// TestJournalLayoutTopLevelFilesRejected: journal files directly under
+// JournalDir (the single-journal layout) would be silently ignored, so
+// the RM must refuse to start and name the file; after the operator
+// moves them into shard-0/ the state recovers.
+func TestJournalLayoutTopLevelFilesRejected(t *testing.T) {
+	dir := t.TempDir()
+	g, err := journaledSharded(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SubmitJob(simpleJob(7, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Recreate the single-journal layout: the shard's files at top level.
+	files, err := filepath.Glob(filepath.Join(dir, "shard-0", "*.dat"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no journal files under shard-0 (%v)", err)
+	}
+	for _, f := range files {
+		if err := os.Rename(f, filepath.Join(dir, filepath.Base(f))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = journaledSharded(dir, 1)
+	var layout *ErrJournalLayout
+	if !errors.As(err, &layout) {
+		t.Fatalf("open over top-level journal files: err = %v, want ErrJournalLayout", err)
+	}
+	if filepath.Dir(layout.Path) != dir || filepath.Ext(layout.Path) != ".dat" {
+		t.Fatalf("ErrJournalLayout names %q, want a .dat file directly under %q", layout.Path, dir)
+	}
+	// The operator fix: mv dir/*.dat dir/shard-0/.
+	for _, f := range files {
+		if err := os.Rename(filepath.Join(dir, filepath.Base(f)), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g2, err := journaledSharded(dir, 1)
+	if err != nil {
+		t.Fatalf("reopen after moving files into shard-0: %v", err)
+	}
+	defer g2.Close()
+	if shard, ok := g2.JobShard(7); !ok || shard != 0 {
+		t.Fatalf("job 7 not recovered (shard %d, known %v)", shard, ok)
+	}
+}
+
+// TestJournalLayoutExtraShardRejected: reopening with fewer shards than
+// wrote the directory would drop the extra shards' jobs and machines;
+// the RM must refuse and name the first shard directory out of range.
+func TestJournalLayoutExtraShardRejected(t *testing.T) {
+	dir := t.TempDir()
+	g, err := journaledSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = journaledSharded(dir, 1)
+	var layout *ErrJournalLayout
+	if !errors.As(err, &layout) {
+		t.Fatalf("1-shard open of a 2-shard dir: err = %v, want ErrJournalLayout", err)
+	}
+	if want := filepath.Join(dir, "shard-1"); layout.Path != want {
+		t.Fatalf("ErrJournalLayout names %q, want %q", layout.Path, want)
+	}
+	// The shard count that wrote the directory still opens it.
+	g, err = journaledSharded(dir, 2)
+	if err != nil {
+		t.Fatalf("2-shard reopen: %v", err)
+	}
+	g.Close()
 }

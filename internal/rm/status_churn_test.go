@@ -10,16 +10,16 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 )
 
 func TestClusterStatusUnderChurn(t *testing.T) {
 	const ringCap = 4
 	// No NodeTimeout: deaths are injected directly through markDead so
 	// the churn sequence is deterministic — no background watcher races.
-	s, err := New("127.0.0.1:0", Config{
-		Scheduler:   scheduler.NewTetris(scheduler.DefaultTetrisConfig()),
-		FaultLogCap: ringCap,
+	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		FaultLogCap:  ringCap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +33,9 @@ func TestClusterStatusUnderChurn(t *testing.T) {
 	}
 
 	// Kill nodes 0–3: four MachineCrash records.
-	s.mu.Lock()
 	for _, id := range []int{0, 1, 2, 3} {
-		s.markDead(id, s.now())
+		killNode(s, id)
 	}
-	s.mu.Unlock()
 
 	st := s.ClusterStatus()
 	if got, want := st.Nodes, nodes; got != want {

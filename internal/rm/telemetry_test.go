@@ -63,12 +63,13 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	schedCfg := scheduler.DefaultTetrisConfig()
 	schedCfg.Trace = ring
 
-	srv, err := New("127.0.0.1:0", Config{
-		Scheduler:   scheduler.NewTetris(schedCfg),
-		Estimator:   estimator.New(),
-		JournalDir:  t.TempDir(),
-		JournalSync: journal.SyncAlways,
-		Metrics:     reg,
+	srv, err := NewSharded("127.0.0.1:0", ShardedConfig{
+		Shards:       1,
+		NewScheduler: func() scheduler.Scheduler { return scheduler.NewTetris(schedCfg) },
+		NewEstimator: estimator.New,
+		JournalDir:   t.TempDir(),
+		JournalSync:  journal.SyncAlways,
+		Metrics:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -120,16 +121,17 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 
 	metrics := httpGet(t, base+"/metrics")
-	if v := metricValue(metrics, "tetris_rm_placements_total"); v < 40 {
+	// Every RM series carries its shard label, at one shard too.
+	if v := metricValue(metrics, `tetris_rm_placements_total{shard="0"}`); v < 40 {
 		t.Errorf("tetris_rm_placements_total = %v, want >= 40", v)
 	}
-	if v := metricValue(metrics, "tetris_rm_journal_fsync_seconds_count"); v <= 0 {
+	if v := metricValue(metrics, `tetris_rm_journal_fsync_seconds_count{shard="0"}`); v <= 0 {
 		t.Errorf("tetris_rm_journal_fsync_seconds_count = %v, want > 0 under SyncAlways", v)
 	}
 	if v := metricValue(metrics, "tetris_nm_heartbeat_rtt_seconds_count"); v <= 0 {
 		t.Errorf("tetris_nm_heartbeat_rtt_seconds_count = %v, want > 0", v)
 	}
-	if v := metricValue(metrics, "tetris_rm_nodes_live"); v != 2 {
+	if v := metricValue(metrics, `tetris_rm_nodes_live{shard="0"}`); v != 2 {
 		t.Errorf("tetris_rm_nodes_live = %v, want 2", v)
 	}
 	if v := metricValue(metrics, "tetris_am_jobs_finished_total"); v != 1 {

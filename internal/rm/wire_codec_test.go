@@ -3,12 +3,12 @@ package rm
 // Wire-level tests of the binary codec and heartbeat batching against
 // live RMs: mixed-codec sessions (one v0 JSON peer, one v1 binary peer
 // on the same server), reply-in-kind negotiation observed on the raw
-// socket, and batch fan-out semantics on both the flat and the sharded
-// server.
+// socket, and batch fan-out semantics at one shard and several.
 
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -16,7 +16,6 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/wire"
 )
 
@@ -156,58 +155,22 @@ func TestReplyInKindOnTheSocket(t *testing.T) {
 	}
 }
 
-// TestHeartbeatBatchFlat pins batch fan-out semantics on the flat
-// server: per-node verdicts in beat order, including a typed error
-// entry for an unregistered node, with ack semantics identical to
+// TestHeartbeatBatch drives one batch spanning every shard over a real
+// socket in binary framing, at one shard and at three: the top layer
+// fans groups out to per-shard cores concurrently and reassembles
+// per-node verdicts in beat order — including a typed error entry for
+// an unregistered node mid-batch — with ack semantics identical to
 // individual beats.
-func TestHeartbeatBatchFlat(t *testing.T) {
-	s := newServer(t)
-	capV := resources.New(16, 32, 200, 200, 1000, 1000)
-	s.RegisterMachine(0, capV)
-	s.RegisterMachine(1, capV)
-	if err := s.SubmitJob(simpleJob(1, 4)); err != nil {
-		t.Fatal(err)
-	}
-
-	reply := s.HandleHeartbeatBatch(&wire.HeartbeatBatch{Beats: []wire.NMHeartbeat{
-		{NodeID: 0, Used: resources.Vector{}, Allocated: resources.Vector{}},
-		{NodeID: 99}, // never registered: per-node error, not a dropped batch
-		{NodeID: 1},
-	}})
-	if reply.Type != wire.TypeHeartbeatBatchReply {
-		t.Fatalf("reply type = %s", reply.Type)
-	}
-	entries := reply.HeartbeatBatchReply.Replies
-	if len(entries) != 3 {
-		t.Fatalf("%d entries, want 3", len(entries))
-	}
-	if entries[0].NodeID != 0 || entries[1].NodeID != 99 || entries[2].NodeID != 1 {
-		t.Fatalf("entry order mangled: %+v", entries)
-	}
-	if entries[1].Error == "" || !strings.Contains(entries[1].Error, "unregistered node 99") {
-		t.Fatalf("entry for unknown node: %+v", entries[1])
-	}
-	if entries[0].Error != "" || entries[2].Error != "" {
-		t.Fatalf("registered nodes drew errors: %+v", entries)
-	}
-	// The job's tasks must have been launched across the two live beats
-	// exactly as individual heartbeats would have.
-	launched := len(entries[0].Reply.Launch) + len(entries[2].Reply.Launch)
-	if launched == 0 {
-		t.Fatal("batch beats produced no launches for a submitted job")
-	}
-	if err := s.VerifyLedger(); err != nil {
-		t.Fatal(err)
+func TestHeartbeatBatch(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { heartbeatBatch(t, shards) })
 	}
 }
 
-// TestHeartbeatBatchSharded drives one batch spanning every shard over
-// a real socket in binary framing: the top layer fans groups out to
-// per-shard cores concurrently and reassembles entries in beat order.
-func TestHeartbeatBatchSharded(t *testing.T) {
+func heartbeatBatch(t *testing.T, shards int) {
 	g, err := NewSharded("127.0.0.1:0", ShardedConfig{
-		Shards:       4,
-		NewScheduler: func() scheduler.Scheduler { return scheduler.NewTetris(scheduler.DefaultTetrisConfig()) },
+		Shards:       shards,
+		NewScheduler: tetrisScheduler,
 		NewEstimator: estimator.New,
 	})
 	if err != nil {
@@ -216,7 +179,7 @@ func TestHeartbeatBatchSharded(t *testing.T) {
 	t.Cleanup(func() { g.Close() })
 
 	capV := resources.New(16, 32, 200, 200, 1000, 1000)
-	const nodes = 16
+	const nodes, unknown = 16, 1000
 	conn := dialRM(t, g.Addr())
 	f := wire.NewFramer(wire.CodecBinary)
 	for id := 0; id < nodes; id++ {
@@ -232,11 +195,12 @@ func TestHeartbeatBatchSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var beats []wire.NMHeartbeat
-	for id := 0; id < nodes; id++ {
+	// Node 0, then a never-registered node (a per-node error, not a
+	// dropped batch), then the rest of the fleet.
+	beats := []wire.NMHeartbeat{{NodeID: 0}, {NodeID: unknown}}
+	for id := 1; id < nodes; id++ {
 		beats = append(beats, wire.NMHeartbeat{NodeID: id})
 	}
-	beats = append(beats, wire.NMHeartbeat{NodeID: 1000}) // unknown, shard 0
 	if err := f.Write(conn, &wire.Message{Type: wire.TypeHeartbeatBatch,
 		HeartbeatBatch: &wire.HeartbeatBatch{Beats: beats}}); err != nil {
 		t.Fatal(err)
@@ -249,20 +213,30 @@ func TestHeartbeatBatchSharded(t *testing.T) {
 		t.Fatalf("reply type = %s (%s)", m.Type, m.Error)
 	}
 	entries := m.HeartbeatBatchReply.Replies
-	if len(entries) != nodes+1 {
-		t.Fatalf("%d entries, want %d", len(entries), nodes+1)
+	if len(entries) != len(beats) {
+		t.Fatalf("%d entries, want %d", len(entries), len(beats))
 	}
 	launches := 0
-	for i, e := range entries {
-		if i < nodes {
-			if e.NodeID != i || e.Error != "" {
-				t.Fatalf("entry %d: %+v", i, e)
-			}
-			launches += len(e.Reply.Launch)
-		} else if e.NodeID != 1000 || e.Error == "" {
-			t.Fatalf("unknown-node entry: %+v", e)
+	acks := make([]*wire.NMReply, nodes)
+	for i := range entries {
+		e := &entries[i]
+		if e.NodeID != beats[i].NodeID {
+			t.Fatalf("entry order mangled at %d: %+v", i, e)
 		}
+		if e.NodeID == unknown {
+			if !strings.Contains(e.Error, "unregistered node 1000") {
+				t.Fatalf("entry for unknown node: %+v", e)
+			}
+			continue
+		}
+		if e.Error != "" {
+			t.Fatalf("registered node drew an error: %+v", e)
+		}
+		launches += len(e.Reply.Launch)
+		acks[e.NodeID] = &e.Reply
 	}
+	// The job's tasks must have been launched across the live beats
+	// exactly as individual heartbeats would have.
 	if launches == 0 {
 		t.Fatal("no launches across a 16-node batch with a queued job")
 	}
@@ -278,7 +252,7 @@ func TestHeartbeatBatchSharded(t *testing.T) {
 		// Establish baselines: the first batch carried full (zero) usage
 		// reports, acked by the entries above.
 		trackers[id].Mark(&wire.NMHeartbeat{NodeID: id})
-		trackers[id].Ack(&entries[id].Reply)
+		trackers[id].Ack(acks[id])
 		hb := wire.NMHeartbeat{NodeID: id}
 		trackers[id].Mark(&hb)
 		if !hb.Delta {

@@ -18,7 +18,7 @@ PID=$!
 # Wait for the exposition to come up, then for placements to appear.
 for i in $(seq 1 50); do
   if curl -sf "http://$ADDR/metrics" >"$SCRAPE" 2>/dev/null &&
-    grep -q '^tetris_rm_placements_total [1-9]' "$SCRAPE"; then
+    grep -q '^tetris_rm_placements_total{shard="0"} [1-9]' "$SCRAPE"; then
     break
   fi
   if ! kill -0 "$PID" 2>/dev/null; then
@@ -31,10 +31,10 @@ done
 
 fail=0
 for series in \
-  'tetris_rm_placements_total [1-9]' \
-  'tetris_rm_nodes_live 2' \
+  'tetris_rm_placements_total{shard="0"} [1-9]' \
+  'tetris_rm_nodes_live{shard="0"} 2' \
   'tetris_nm_heartbeat_rtt_seconds_count [1-9]' \
-  'tetris_rm_schedule_round_seconds_count [1-9]' \
+  'tetris_rm_schedule_round_seconds_count{shard="0"} [1-9]' \
   'tetris_am_jobs_submitted_total [1-9]'; do
   if ! grep -q "^$series" "$SCRAPE"; then
     echo "MISSING: $series" >&2
