@@ -21,17 +21,13 @@ import (
 // candidate, in deterministic (job ID, stage, index) order so live
 // execution and journal replay hand the coordinator identical input.
 // Caller holds s.mu.
-func (s *Server) runningTasks(jobIDs []int) []gang.Running {
+func (s *Server) runningTasks() []gang.Running {
 	var out []gang.Running
-	for _, id := range jobIDs {
-		ji := s.jobs[id]
-		if ji.finished {
-			continue
-		}
+	for _, ji := range s.active {
 		for _, tid := range launchedIDs(ji, -1) {
 			rec := ji.launched[tid]
 			out = append(out, gang.Running{
-				JobID: id, Task: tid, Machine: rec.machine, Demand: rec.local,
+				JobID: tid.Job, Task: tid, Machine: rec.machine, Demand: rec.local,
 			})
 		}
 	}

@@ -121,6 +121,9 @@ func (s *Server) maybeSnapshot() {
 func (s *Server) applyEvent(ev *event) error {
 	switch ev.Kind {
 	case evRegister:
+		if ev.Node < 0 {
+			return fmt.Errorf("register event for invalid node %d", ev.Node)
+		}
 		s.applyRegister(&wire.RegisterNM{
 			NodeID: ev.Node, Capacity: ev.Capacity,
 			Running: ev.Running, Completed: ev.Completed,
@@ -378,9 +381,12 @@ func (s *Server) restoreState(data []byte) error {
 	}
 	s.lastEventTime = st.Now
 	for _, ms := range st.Machines {
-		s.machines[ms.ID] = &scheduler.MachineState{
-			ID: ms.ID, Capacity: ms.Capacity, Allocated: ms.Allocated, Down: ms.Dead,
+		if ms.ID < 0 {
+			return fmt.Errorf("snapshot machine with invalid id %d", ms.ID)
 		}
+		s.addMachine(&scheduler.MachineState{
+			ID: ms.ID, Capacity: ms.Capacity, Allocated: ms.Allocated, Down: ms.Dead,
+		})
 		if ms.Epoch != 0 {
 			s.epochs[ms.ID] = ms.Epoch
 		}
@@ -388,7 +394,6 @@ func (s *Server) restoreState(data []byte) error {
 			s.downSince[ms.ID] = *ms.DownSince
 		}
 	}
-	s.recomputeTotal()
 	for _, js := range st.Jobs {
 		if js.Job == nil {
 			return fmt.Errorf("snapshot job without definition")
@@ -408,6 +413,7 @@ func (s *Server) restoreState(data []byte) error {
 			finishedAt:    js.FinishedAt,
 			tenant:        js.Tenant,
 			demand:        jobDemand(js.Job),
+			meanVolume:    meanTaskVolume(js.Job),
 			gangCommitted: js.GangCommitted,
 			gangReleases:  js.GangReleases,
 			preempted:     js.Preempted,
@@ -424,7 +430,7 @@ func (s *Server) restoreState(data []byte) error {
 			}
 			ji.launched[ls.Task] = rec
 		}
-		s.jobs[js.Job.ID] = ji
+		s.addJob(ji)
 	}
 	s.faultLog.Restore(st.Faults, st.DroppedFaults)
 	if s.cfg.Estimator != nil && st.Estimator != nil {

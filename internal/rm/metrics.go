@@ -33,6 +33,11 @@ type rmMetrics struct {
 	preemptions   *telemetry.Counter
 	gangCommits   *telemetry.Counter
 	gangReleases  *telemetry.Counter
+	// rounds counts scheduling rounds by what triggered them (indexed by
+	// roundCause; causeNone unused); beatsWithoutRound counts the NM
+	// heartbeats that needed none.
+	rounds            [numCauses]*telemetry.Counter
+	beatsWithoutRound *telemetry.Counter
 
 	scheduleRound *telemetry.Histogram
 	nmHeartbeat   *telemetry.Histogram
@@ -59,7 +64,7 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 		reg = telemetry.NewRegistry()
 	}
 	name := func(n string) string { return telemetry.Label(n, "shard", shard) }
-	return &rmMetrics{
+	m := &rmMetrics{
 		placements:    reg.Counter(name("tetris_rm_placements_total"), "Task placements decided by the scheduler."),
 		completions:   reg.Counter(name("tetris_rm_completions_total"), "Task completions absorbed from node heartbeats."),
 		jobsSubmitted: reg.Counter(name("tetris_rm_jobs_submitted_total"), "Jobs accepted from job managers."),
@@ -84,7 +89,14 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 
 		replaySeconds: reg.Gauge(name("tetris_rm_journal_replay_seconds"), "Wall time of the last journal recovery replay."),
 		replayRecords: reg.Gauge(name("tetris_rm_journal_replay_records"), "Log records replayed by the last journal recovery."),
+
+		beatsWithoutRound: reg.Counter(name("tetris_rm_beats_without_round_total"), "NM heartbeats processed without a scheduling round: nothing a round decides on had changed."),
 	}
+	for c := causeNone + 1; c < numCauses; c++ {
+		m.rounds[c] = reg.Counter(telemetry.Label(name("tetris_rm_rounds_total"), "cause", causeNames[c]),
+			"Scheduling rounds run, by trigger: a changed input (submit, completion, node, usage), a follow-up to a round that acted, or the heartbeat-interval floor.")
+	}
+	return m
 }
 
 // registerGauges installs the scrape-time views over live server state.
@@ -106,19 +118,13 @@ func (s *Server) registerGauges(reg *telemetry.Registry) {
 	reg.GaugeFunc(name("tetris_rm_jobs_running"), "Submitted jobs not yet finished.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		n := 0
-		for _, ji := range s.jobs {
-			if !ji.finished {
-				n++
-			}
-		}
-		return float64(n)
+		return float64(len(s.active))
 	})
 	reg.GaugeFunc(name("tetris_rm_tasks_running"), "Task attempts currently charged to the ledger.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		n := 0
-		for _, ji := range s.jobs {
+		for _, ji := range s.active { // a finished job holds no launches
 			n += len(ji.launched)
 		}
 		return float64(n)

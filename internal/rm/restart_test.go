@@ -6,6 +6,7 @@ package rm
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,6 +131,96 @@ func TestSnapshotCheckpointAndTruncate(t *testing.T) {
 	s2 := journaledServer(t, dir, 5)
 	if got := s2.Shard(0).RecoveredDigest(); !bytes.Equal(want, got) {
 		t.Fatalf("snapshot+log recovery diverges:\n pre-crash: %s\n recovered: %s", want, got)
+	}
+}
+
+// viewSummary reads what a scheduling round would see of the shard's
+// capacity and job list: the ID-ordered capacity total and the active
+// job IDs.
+func viewSummary(s *Server) (total resources.Vector, active []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.refreshCaps()
+	for _, j := range s.view.Jobs {
+		active = append(active, j.Job.ID)
+	}
+	return s.view.Total, active
+}
+
+// TestRecoveryAfterOutOfOrderRegistration: nodes register and jobs
+// arrive out of ID order, one job finishes, the RM closes and recovers.
+// A log replay meets the machines in the live order, a snapshot restore
+// in ID order; either way the recovered shard's capacity total must
+// equal the live one's bit for bit (it is summed in ID order on both
+// sides, not in arrival order), and so must its active list and state.
+func TestRecoveryAfterOutOfOrderRegistration(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		snapEvery int
+	}{{"log replay", 0}, {"snapshot restore", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := journaledServer(t, dir, tc.snapEvery)
+			nodes := []int{5, 0, 3, 7, 1, 6, 2, 4}
+			for _, id := range nodes {
+				f := float64(id)
+				// Non-dyadic capacities: the order of summation shows in the
+				// last bits.
+				s.RegisterMachine(id, resources.New(16.1+0.3*f, 32.7+0.1*f, 200.3, 199.9, 1000.7, 999.1))
+			}
+			for _, id := range []int{9, 2, 5} {
+				if err := s.SubmitJob(simpleJob(id, 6)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			launched := make(map[int][]wire.TaskLaunch) // job → launches
+			for round := 0; round < 2; round++ {
+				for _, id := range nodes {
+					r := s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: id})
+					for _, l := range r.NMReply.Launch {
+						launched[l.JobID] = append(launched[l.JobID], l)
+					}
+				}
+			}
+			if len(launched[2]) != 6 {
+				t.Fatalf("job 2 launched %d of 6 tasks", len(launched[2]))
+			}
+			byNode := make(map[int][]wire.TaskLaunch)
+			s.Shard(0).mu.Lock()
+			for _, l := range launched[2] {
+				node := s.Shard(0).jobs[2].launched[l.Task].machine
+				byNode[node] = append(byNode[node], l)
+			}
+			s.Shard(0).mu.Unlock()
+			for node, ls := range byNode {
+				s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: node, Completed: completionsFor(ls)})
+			}
+			if err := s.VerifyLedger(); err != nil {
+				t.Fatalf("live ledger: %v", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			wantTotal, wantActive := viewSummary(s.Shard(0))
+			if !slices.Equal(wantActive, []int{5, 9}) {
+				t.Fatalf("live active list %v, want [5 9]", wantActive)
+			}
+
+			s2 := journaledServer(t, dir, tc.snapEvery)
+			if got, want := s2.Shard(0).RecoveredDigest(), s.Shard(0).StateDigest(); !bytes.Equal(want, got) {
+				t.Fatalf("recovered state diverges:\n pre-crash: %s\n recovered: %s", want, got)
+			}
+			gotTotal, gotActive := viewSummary(s2.Shard(0))
+			if !sameBits(gotTotal, wantTotal) {
+				t.Errorf("recovered capacity total %v differs in bits from the live %v", gotTotal, wantTotal)
+			}
+			if !slices.Equal(gotActive, wantActive) {
+				t.Errorf("recovered active list %v, live %v", gotActive, wantActive)
+			}
+			if err := s2.VerifyLedger(); err != nil {
+				t.Errorf("recovered ledger: %v", err)
+			}
+		})
 	}
 }
 

@@ -38,11 +38,12 @@ func (s *Server) applyRegister(r *wire.RegisterNM, now float64) []workload.TaskI
 	m, known := s.machines[id]
 	if !known {
 		m = &scheduler.MachineState{ID: id, Capacity: r.Capacity}
-		s.machines[id] = m
-		s.recomputeTotal()
-	} else {
+		s.addMachine(m)
+	} else if m.Capacity != r.Capacity {
 		m.Capacity = r.Capacity
+		s.capsStale = true
 	}
+	s.markDirty(causeNode)
 	wasResync := s.resync[id]
 	delete(s.resync, id)
 	// Whatever usage view the RM holds predates this (re)registration;
@@ -106,11 +107,7 @@ func (s *Server) reconcile(id int, running []workload.TaskID) []workload.TaskID 
 		inFlight[l.Task] = true
 	}
 	lost := 0
-	for _, jobID := range s.jobIDs() {
-		ji := s.jobs[jobID]
-		if ji.finished {
-			continue
-		}
+	for _, ji := range s.active {
 		for _, tid := range launchedIDs(ji, id) {
 			if runningSet[tid] || inFlight[tid] {
 				continue
@@ -146,8 +143,9 @@ func (s *Server) ResyncPending() int {
 // VerifyLedger checks the RM's accounting invariant: every machine's
 // Allocated equals the sum of local charges of launches placed on it
 // plus the still-valid (same-epoch) remote charges pointing at it, and
-// every job's Alloc equals the sum of its launches' local charges.
-// Returns nil when the books balance (within float tolerance).
+// every job's Alloc equals the sum of its launches' local charges
+// (within float tolerance); and the maintained scheduling view equals a
+// from-scratch rebuild (verifyView). Returns nil when both hold.
 func (s *Server) VerifyLedger() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -174,7 +172,7 @@ func (s *Server) VerifyLedger() error {
 			return fmt.Errorf("machine %d ledger drift: allocated %v, launches sum to %v", id, m.Allocated, wantMachine[id])
 		}
 	}
-	return nil
+	return s.verifyView()
 }
 
 // vecClose reports whether two vectors agree within accumulated

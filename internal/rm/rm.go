@@ -99,9 +99,22 @@ type Server struct {
 	mu       sync.Mutex
 	start    time.Time
 	machines map[int]*scheduler.MachineState
-	total    resources.Vector
-	jobs     map[int]*jobInfo
+	jobs     map[int]*jobInfo          // every job, finished or not
 	pending  map[int][]wire.TaskLaunch // queued launches per node
+
+	// The long-lived scheduling view and what triggers a round over it
+	// (view.go). view.Machines is dense by machine ID; active parallels
+	// view.Jobs, the unfinished jobs in ascending ID order.
+	view      scheduler.View
+	active    []*jobInfo
+	largest   resources.Vector // component-wise max machine capacity
+	capsStale bool             // view.Total and largest await refreshCaps
+	dirty     roundCause       // a Schedule input changed since the last round (causeNone: none did)
+	followup  bool             // the last round acted
+	unplaced  bool             // the last round left runnable work pending
+	rounds    uint64           // rounds run so far
+	beatRound []uint64         // per machine ID: rounds when that node last beat
+
 	// pendingPreempt queues gang-preemption kills per node, delivered
 	// (like launches) on the node's next heartbeat. Transient: a kill
 	// lost to an RM restart resurfaces as an orphaned attempt at resync.
@@ -144,6 +157,9 @@ type jobInfo struct {
 	// (sum of task peaks) released when the job finishes.
 	tenant string
 	demand resources.Vector
+	// meanVolume is meanTaskVolume of the job, which the router reads on
+	// every submission to any shard; a pure function of the definition.
+	meanVolume float64
 	// Gang accounting, durable (snapshotted): whether the gang's quorum
 	// ever committed, how many hoard epochs timed out, and how many of
 	// the job's attempts were preempted for higher-priority gangs.
@@ -200,6 +216,15 @@ func newCore(cfg Config) (*Server, error) {
 		resync:         make(map[int]bool),
 		needFull:       make(map[int]bool),
 		closed:         make(chan struct{}),
+		dirty:          causeNode,
+	}
+	if est := cfg.Estimator; est != nil {
+		s.view.EstimateDemand = func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
+			peak, dur, _ := est.Estimate(j.Job, t.ID.Stage, t.Peak, t.PeakDuration())
+			// Never let estimates exceed the biggest machine: a wild
+			// over-estimate would make the task unplaceable forever.
+			return peak.Min(s.largest), dur
+		}
 	}
 	if s.log == nil {
 		s.log = log.New(discard{}, "", 0)
@@ -277,6 +302,11 @@ func (s *Server) handleRegisterNM(r *wire.RegisterNM) *wire.Message {
 	if r == nil {
 		return errMsg("missing registerNM payload")
 	}
+	if r.NodeID < 0 {
+		// The view indexes machines by ID; a negative one could never be
+		// placed on.
+		return errMsg(fmt.Sprintf("invalid node id %d", r.NodeID))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
@@ -304,19 +334,6 @@ func (s *Server) rejoin(id int, now float64) {
 		s.metrics.rejoins.Inc()
 	}
 	s.log.Printf("rm: node %d rejoined after %.2fs down", id, rec.Downtime)
-}
-
-func (s *Server) recomputeTotal() {
-	var total resources.Vector
-	ids := make([]int, 0, len(s.machines))
-	for id := range s.machines {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		total = total.Add(s.machines[id].Capacity)
-	}
-	s.total = total
 }
 
 // submit applies one validated, front-door-admitted job under the shard
@@ -372,12 +389,14 @@ func (s *Server) syncJournal() error {
 // crash-restarts. Caller holds s.mu.
 func (s *Server) applySubmit(j *workload.Job, tenant string) {
 	ji := &jobInfo{
-		state:    &scheduler.JobState{Job: j, Status: workload.NewStatus(j)},
-		launched: make(map[workload.TaskID]launchRecord),
-		tenant:   tenant,
-		demand:   jobDemand(j),
+		state:      &scheduler.JobState{Job: j, Status: workload.NewStatus(j)},
+		launched:   make(map[workload.TaskID]launchRecord),
+		tenant:     tenant,
+		demand:     jobDemand(j),
+		meanVolume: meanTaskVolume(j),
 	}
-	s.jobs[j.ID] = ji
+	s.addJob(ji)
+	s.markDirty(causeSubmit)
 	if s.replaying {
 		if s.adm != nil {
 			s.adm.adopt(tenant, ji.demand)
@@ -387,49 +406,85 @@ func (s *Server) applySubmit(j *workload.Job, tenant string) {
 	s.metrics.jobsSubmitted.Inc()
 }
 
-// releaseTenant returns a finishing job's admission accounting. Callers
-// guarantee the job was unfinished until now (release runs exactly once
-// per admitted job). Caller holds s.mu.
-func (s *Server) releaseTenant(ji *jobInfo) {
-	if s.adm != nil {
-		s.adm.release(ji.tenant, ji.demand)
-	}
-}
-
 // HandleNMHeartbeat processes one node heartbeat: absorbs the usage
-// report and completions, runs a scheduling round (allocation happens on
-// NM heartbeats, as in YARN), and returns the node's queued launches.
+// report and completions, runs a scheduling round if one is due
+// (allocation happens on NM heartbeats, as in YARN), and returns the
+// node's queued launches.
 func (s *Server) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 	if hb == nil {
 		return errMsg("missing nmHeartbeat payload")
 	}
+	rep := new(wire.NMReply)
 	t0 := time.Now()
 	s.mu.Lock()
-	defer func() {
-		dt := time.Since(t0).Seconds()
-		s.nmTimes.Add(dt)
-		s.metrics.nmHeartbeat.Observe(dt)
-		s.mu.Unlock()
-	}()
-	m, ok := s.machines[hb.NodeID]
-	if !ok {
-		return errMsg(fmt.Sprintf("unregistered node %d", hb.NodeID))
+	errText := s.beat(hb, s.now(), rep)
+	s.observeBeat(time.Since(t0))
+	s.mu.Unlock()
+	if errText != "" {
+		return errMsg(errText)
 	}
-	if s.resync[hb.NodeID] {
+	return &wire.Message{Type: wire.TypeNMReply, NMReply: rep}
+}
+
+// handleBeats processes the beats at idxs (non-empty) of a batch frame —
+// the ones this shard owns — under one lock hold and one reading of the
+// RM clock, writing each node's verdict straight into its entry of out.
+// At one clock reading the failure detector scans at most once: whatever
+// the first beat's sweep leaves cannot have expired by the same instant,
+// so the others return at its early exit. Shards run their groups
+// concurrently; the entries they write are disjoint.
+func (s *Server) handleBeats(beats []wire.NMHeartbeat, idxs []int, out []wire.NMBeatReply) {
+	t0 := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.now()
+	for _, i := range idxs {
+		e := &out[i]
+		e.NodeID = beats[i].NodeID
+		e.Error = s.beat(&beats[i], now, &e.Reply)
+	}
+	// The group is timed as a whole (a clock reading costs about what an
+	// idle beat does) and each beat booked an equal share: the histogram's
+	// count and sum — beats handled, mean cost per beat — stay exact, and
+	// a batched beat's quantiles are those of its group's mean.
+	share := time.Since(t0) / time.Duration(len(idxs))
+	for range idxs {
+		s.observeBeat(share)
+	}
+}
+
+// observeBeat records one NM heartbeat's processing time. Caller holds
+// s.mu.
+func (s *Server) observeBeat(d time.Duration) {
+	dt := d.Seconds()
+	s.nmTimes.Add(dt)
+	s.metrics.nmHeartbeat.Observe(dt)
+}
+
+// beat is the body of one NM heartbeat at RM time now: ledger apply, a
+// scheduling round if roundDue says so, and the node's queued work
+// written into rep. It returns the error text for a node that must
+// (re-)register, else "". Caller holds s.mu.
+func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) string {
+	id := hb.NodeID
+	m, ok := s.machines[id]
+	if !ok {
+		return fmt.Sprintf("unregistered node %d", id)
+	}
+	if s.resync[id] {
 		// The RM restarted since this node last registered; its ledger
 		// entries await reconciliation, which only a registration (with
 		// the node's running set) can provide.
-		return errMsg(fmt.Sprintf("node %d must re-register: resource manager restarted", hb.NodeID))
+		return fmt.Sprintf("node %d must re-register: resource manager restarted", id)
 	}
-	now := s.now()
 	if s.detector != nil {
-		s.detector.Beat(hb.NodeID, now)
+		s.detector.Beat(id, now)
 		if m.Down {
 			// The node was presumed dead but is merely slow; take it back.
 			// Its old tasks were reclaimed (and may rerun elsewhere), so it
 			// rejoins with a clean ledger.
-			s.journal(&event{Kind: evRejoin, Time: now, Node: hb.NodeID})
-			s.applyRejoin(hb.NodeID, now)
+			s.journal(&event{Kind: evRejoin, Time: now, Node: id})
+			s.applyRejoin(id, now)
 		}
 		s.checkFailures(now)
 	}
@@ -440,24 +495,35 @@ func (s *Server) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 		// value and ask for a full report below.
 		s.metrics.deltaBeats.Inc()
 	} else {
-		m.Reported = hb.Used
-		delete(s.needFull, hb.NodeID)
+		if m.Reported != hb.Used {
+			m.Reported = hb.Used
+			s.markDirty(causeUsage)
+		}
+		delete(s.needFull, id)
 	}
 	for _, c := range hb.Completed {
-		if s.applyComplete(c, hb.NodeID, now) {
-			s.journal(&event{Kind: evComplete, Time: now, Node: hb.NodeID,
+		if s.applyComplete(c, id, now) {
+			s.journal(&event{Kind: evComplete, Time: now, Node: id,
 				Task: c.Task, Usage: c.Usage, Duration: c.Duration})
 		}
 	}
-	s.runScheduler()
+	if cause := s.roundDue(id); cause != causeNone {
+		s.runScheduler(now, cause)
+	} else {
+		s.metrics.beatsWithoutRound.Inc()
+	}
+	s.beatRound[id] = s.rounds
 	s.maybeSnapshot()
-	launch := s.pending[hb.NodeID]
-	delete(s.pending, hb.NodeID)
-	preempt := s.pendingPreempt[hb.NodeID]
-	delete(s.pendingPreempt, hb.NodeID)
-	return &wire.Message{Type: wire.TypeNMReply, NMReply: &wire.NMReply{
-		Launch: launch, Preempt: preempt, FullReport: s.needFull[hb.NodeID],
-	}}
+	if q, ok := s.pending[id]; ok {
+		rep.Launch = q
+		delete(s.pending, id)
+	}
+	if q, ok := s.pendingPreempt[id]; ok {
+		rep.Preempt = q
+		delete(s.pendingPreempt, id)
+	}
+	rep.FullReport = s.needFull[id]
+	return ""
 }
 
 // applyRejoin takes a presumed-dead node back on a heartbeat: its old
@@ -468,6 +534,7 @@ func (s *Server) applyRejoin(id int, now float64) {
 	m.Allocated = resources.Vector{}
 	s.needFull[id] = true // Reported was zeroed at death; re-baseline
 	s.rejoin(id, now)
+	s.markDirty(causeNode)
 }
 
 // applyComplete absorbs one task completion from a node, returning
@@ -491,6 +558,7 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 	}
 	s.subRemote(rec.remote)
 	ji.state.Status.MarkDone(c.Task, now)
+	s.markDirty(causeCompletion)
 	if s.cfg.Estimator != nil {
 		s.cfg.Estimator.Observe(ji.state.Job, c.Task.Stage, c.Usage, c.Duration)
 	}
@@ -500,7 +568,7 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 	if ji.state.Status.Finished() {
 		ji.finished = true
 		ji.finishedAt = now
-		s.releaseTenant(ji)
+		s.retire(ji)
 		if !s.replaying {
 			s.metrics.jobsFinished.Inc()
 		}
@@ -571,12 +639,13 @@ func (s *Server) applyDead(id int, now float64) {
 	}
 	delete(s.pending, id) // undelivered launches are reclaimed below
 	delete(s.pendingPreempt, id)
+	s.markDirty(causeNode)
 	killed := 0
-	for _, jobID := range s.jobIDs() {
-		ji := s.jobs[jobID]
-		if ji.finished {
-			continue
-		}
+	// failJob takes the job off s.active, which then holds its successor
+	// at i; every other job advances the index.
+	for i := 0; i < len(s.active); {
+		ji := s.active[i]
+		jobID := ji.state.Job.ID
 		for _, tid := range launchedIDs(ji, id) {
 			rec := ji.launched[tid]
 			delete(ji.launched, tid)
@@ -587,6 +656,9 @@ func (s *Server) applyDead(id int, now float64) {
 			if cap := s.cfg.MaxTaskAttempts; cap > 0 && ji.state.Status.Attempts(tid) >= cap {
 				s.failJob(jobID, ji, now)
 			}
+		}
+		if !ji.finished {
+			i++
 		}
 	}
 	s.faultLog.Append(faults.Record{
@@ -636,7 +708,7 @@ func launchedIDs(ji *jobInfo, id int) []workload.TaskID {
 // AMReply.Failed. Caller holds s.mu.
 func (s *Server) failJob(jobID int, ji *jobInfo, now float64) {
 	if !ji.finished {
-		s.releaseTenant(ji) // release exactly once, even if failJob re-runs
+		s.retire(ji) // exactly once, even if failJob re-runs
 	}
 	ji.failed = true
 	ji.finished = true
@@ -665,70 +737,19 @@ func (s *Server) failJob(jobID int, ji *jobInfo, now float64) {
 	s.log.Printf("rm: job %d abandoned after repeated task failures", jobID)
 }
 
-// runScheduler executes one scheduling round and queues the resulting
-// launches. Caller holds s.mu.
-func (s *Server) runScheduler() {
-	if len(s.machines) == 0 {
-		return
-	}
-	now := s.now()
-	v := &scheduler.View{
-		Time:  now,
-		Total: s.total,
-	}
-	// Deterministic machine order.
-	maxID := -1
-	for id := range s.machines {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	for id := 0; id <= maxID; id++ {
-		if m, ok := s.machines[id]; ok {
-			v.Machines = append(v.Machines, m)
-		} else {
-			// Dense machine slice is required by the scheduler's indexing;
-			// fill holes with Down placeholders. Down keeps the cores from
-			// placing on them and makes LiveCharges drop bandwidth charges
-			// aimed at them — a sharded RM's tasks routinely name input
-			// machines owned by sibling shards.
-			v.Machines = append(v.Machines, &scheduler.MachineState{ID: id, Down: true})
-		}
-	}
-	// Deterministic job order. Sort the live keys rather than scanning a
-	// dense 0..max range: tenant storms submit with huge sparse IDs
-	// (e.g. a 1<<30 base), and a dense scan would walk every hole.
-	jobIDs := make([]int, 0, len(s.jobs))
-	for id, ji := range s.jobs {
-		if !ji.finished {
-			jobIDs = append(jobIDs, id)
-		}
-	}
-	sort.Ints(jobIDs)
-	var active []*jobInfo
-	for _, id := range jobIDs {
-		ji := s.jobs[id]
-		v.Jobs = append(v.Jobs, ji.state)
-		active = append(active, ji)
-	}
-	if len(v.Jobs) == 0 {
-		return
-	}
-	if s.cfg.Estimator != nil {
-		est := s.cfg.Estimator
-		v.EstimateDemand = func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
-			peak, dur, _ := est.Estimate(j.Job, t.ID.Stage, t.Peak, t.PeakDuration())
-			// Never let estimates exceed the biggest machine: a wild
-			// over-estimate would make the task unplaceable forever.
-			return peak.Min(s.largestMachine()), dur
-		}
-	}
-	restoreWeights := s.applyTenantWeights(active)
+// runScheduler executes one scheduling round over the maintained view
+// and queues the resulting launches. Caller holds s.mu and has found a
+// round due (roundDue), so there is at least one active job.
+func (s *Server) runScheduler(now float64, cause roundCause) {
+	s.refreshCaps()
+	v := &s.view
+	v.Time = now
+	restoreWeights := s.applyTenantWeights(s.active)
 	t0 := time.Now()
 	var asgs []scheduler.Assignment
 	var gdec *gang.Decision
 	if gc, ok := s.cfg.Scheduler.(*gang.Coordinator); ok {
-		dec := gc.Decide(v, s.runningTasks(jobIDs))
+		dec := gc.Decide(v, s.runningTasks())
 		gdec = &dec
 		asgs = dec.Assignments
 	} else {
@@ -736,6 +757,7 @@ func (s *Server) runScheduler() {
 	}
 	restoreWeights()
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
+	s.metrics.rounds[cause].Inc()
 	if ps, ok := parallelStats(s.cfg.Scheduler); ok && ps.Rounds > s.metrics.prevScatterRounds {
 		// The counters are cumulative; the delta is this round's scatter
 		// (Schedule runs under s.mu, so rounds advance one at a time).
@@ -757,9 +779,13 @@ func (s *Server) runScheduler() {
 			WriteMB:  a.Task.Work.WriteMB,
 		})
 	}
+	acted := len(asgs) > 0
 	if gdec != nil {
 		s.applyGangDecision(gdec, now)
+		acted = acted || len(gdec.Preemptions)+len(gdec.Commits)+len(gdec.Releases) > 0
 	}
+	s.rounds++
+	s.dirty, s.followup, s.unplaced = causeNone, acted, s.hasRunnable()
 }
 
 // applyLaunch charges one placement decision to the ledgers. Shared by
@@ -815,14 +841,6 @@ func (s *Server) applyTenantWeights(active []*jobInfo) func() {
 			ji.state.Job.Weight = base[i]
 		}
 	}
-}
-
-func (s *Server) largestMachine() resources.Vector {
-	var biggest resources.Vector
-	for _, m := range s.machines {
-		biggest = biggest.Max(m.Capacity)
-	}
-	return biggest
 }
 
 // HandleAMHeartbeat reports job progress.

@@ -46,11 +46,17 @@ type ShardView struct {
 // and unfinished jobs. Down machines contribute nothing: a shard that
 // lost every node reports an empty view and attracts no new jobs until
 // nodes return.
+//
+// Both walks are in ID order over the maintained view (view.go), so two
+// summaries of an unchanged shard are bit-identical — float sums in map
+// order were not, and a near-tie could route differently on a rerun. A
+// sibling shard's placeholder slot is Down and drops out like any dead
+// machine.
 func (s *Server) RoutingSummary() ShardView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := ShardView{}
-	for _, m := range s.machines {
+	v := ShardView{ActiveJobs: len(s.active), MachineCaps: make([]resources.Vector, 0, len(s.machines))}
+	for _, m := range s.view.Machines {
 		if m.Down {
 			continue
 		}
@@ -58,11 +64,8 @@ func (s *Server) RoutingSummary() ShardView {
 		v.Capacity = v.Capacity.Add(m.Capacity)
 		v.MachineCaps = append(v.MachineCaps, m.Capacity)
 	}
-	for _, ji := range s.jobs {
-		if !ji.finished {
-			v.ActiveJobs++
-			v.PendingWork += float64(ji.state.Status.RemainingTasks()) * meanTaskVolume(ji.state.Job)
-		}
+	for _, ji := range s.active {
+		v.PendingWork += float64(ji.state.Status.RemainingTasks()) * ji.meanVolume
 	}
 	return v
 }

@@ -435,28 +435,17 @@ func armDeadline(conn net.Conn, d time.Duration) {
 
 // HandleHeartbeatBatch splits a multi-node heartbeat frame by owning
 // shard and fans the groups out concurrently: each shard core absorbs
-// its nodes' beats (and runs its scheduling rounds) in parallel with
-// the other shards, which is what makes one shared connection carrying
-// thousands of nodes scale past a single core. Entries are reassembled
-// in beat order, each carrying exactly what the node would have
-// received on its own connection — an NMReply or a typed error string —
-// so sender-side DeltaTracker baseline-advance semantics are unchanged
-// by batching.
+// its nodes' beats (and runs whatever rounds they make due) in parallel
+// with the other shards, which is what makes one shared connection
+// carrying thousands of nodes scale past a single core. A shard is
+// entered once per frame — one lock hold for its whole group
+// (Server.handleBeats) — and writes each node's verdict into that beat's
+// entry, so entries stay in beat order and each carries exactly what the
+// node would have received on its own connection — an NMReply or a typed
+// error string — leaving sender-side DeltaTracker baseline-advance
+// semantics unchanged by batching.
 func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
 	entries := make([]wire.NMBeatReply, len(b.Beats))
-	apply := func(s *Server, idxs []int) {
-		for _, i := range idxs {
-			hb := &b.Beats[i]
-			e := wire.NMBeatReply{NodeID: hb.NodeID}
-			switch r := s.HandleNMHeartbeat(hb); r.Type {
-			case wire.TypeError:
-				e.Error = r.Error
-			default:
-				e.Reply = *r.NMReply
-			}
-			entries[i] = e
-		}
-	}
 	groups := make([][]int, len(g.shards))
 	for i := range b.Beats {
 		si := g.shardIndex(b.Beats[i].NodeID)
@@ -468,10 +457,10 @@ func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
 			continue
 		}
 		wg.Add(1)
-		go func(s *Server, idxs []int) {
+		go func(s *Server) {
 			defer wg.Done()
-			apply(s, idxs)
-		}(g.shards[si], idxs)
+			s.handleBeats(b.Beats, idxs, entries)
+		}(g.shards[si])
 	}
 	wg.Wait()
 	return &wire.Message{Type: wire.TypeHeartbeatBatchReply,
@@ -479,9 +468,9 @@ func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
 }
 
 // HandleNMHeartbeat dispatches a node heartbeat to the node's shard,
-// which absorbs the report and runs its own scheduling round. Exported
-// for in-process drivers; shard cores never contend on a shared lock
-// here, which is where the rounds/sec scaling comes from.
+// which absorbs the report and runs a scheduling round if one is due.
+// Exported for in-process drivers; shard cores never contend on a shared
+// lock here, which is where the beats/sec scaling comes from.
 func (g *Sharded) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 	if hb == nil {
 		return errMsg("missing nmHeartbeat payload")

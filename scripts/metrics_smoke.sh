@@ -35,6 +35,7 @@ for series in \
   'tetris_rm_nodes_live{shard="0"} 2' \
   'tetris_nm_heartbeat_rtt_seconds_count [1-9]' \
   'tetris_rm_schedule_round_seconds_count{shard="0"} [1-9]' \
+  'tetris_rm_rounds_total{shard="0",cause="submit"} [1-9]' \
   'tetris_am_jobs_submitted_total [1-9]'; do
   if ! grep -q "^$series" "$SCRAPE"; then
     echo "MISSING: $series" >&2
