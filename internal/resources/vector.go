@@ -198,6 +198,19 @@ func (v Vector) MaxComponent() (Kind, float64) {
 // L2Norm returns the Euclidean norm of v.
 func (v Vector) L2Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
+// SameBits reports whether v and o are bit-for-bit equal. Stricter than
+// ==, which equates +0 with −0 (and never equates a NaN with itself): the
+// test for code that must reproduce a computation to the bit — cache keys,
+// replay and drift checks.
+func (v Vector) SameBits(o Vector) bool {
+	for i := range v {
+		if math.Float64bits(v[i]) != math.Float64bits(o[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // IsZero reports whether all components are exactly zero.
 func (v Vector) IsZero() bool {
 	for i := range v {

@@ -99,6 +99,19 @@ func TestFitsIn(t *testing.T) {
 	}
 }
 
+func TestSameBits(t *testing.T) {
+	a := New(1, 2, 0, 0, math.NaN(), 0)
+	if !a.SameBits(a) {
+		t.Error("identical vectors (NaN included) reported different")
+	}
+	if b := a.With(DiskRead, math.Copysign(0, -1)); a.SameBits(b) {
+		t.Error("+0 and −0 reported bit-identical")
+	}
+	if b := a.With(CPU, 1.5); a.SameBits(b) {
+		t.Error("different values reported bit-identical")
+	}
+}
+
 func TestDotAndNorm(t *testing.T) {
 	a := New(1, 0, 0, 0, 0, 0)
 	b := New(0, 1, 0, 0, 0, 0)

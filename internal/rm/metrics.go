@@ -38,6 +38,11 @@ type rmMetrics struct {
 	// heartbeats that needed none.
 	rounds            [numCauses]*telemetry.Counter
 	beatsWithoutRound *telemetry.Counter
+	// stageScans / stagePrunes split the Tetris core's stage visits into
+	// windows walked task by task and visits one envelope comparison
+	// skipped (scheduler.ScanStats).
+	stageScans  *telemetry.Counter
+	stagePrunes *telemetry.Counter
 
 	scheduleRound *telemetry.Histogram
 	nmHeartbeat   *telemetry.Histogram
@@ -49,10 +54,11 @@ type rmMetrics struct {
 	replaySeconds *telemetry.Gauge
 	replayRecords *telemetry.Gauge
 
-	// Previous cumulative parallel-core counters, for per-round scatter
-	// deltas. Only touched at the Schedule call site under s.mu.
+	// Previous cumulative scheduler-core counters, for per-round deltas.
+	// Only touched at the Schedule call site under s.mu.
 	prevScatterNs     uint64
 	prevScatterRounds uint64
+	prevScan          scheduler.ScanStats
 }
 
 // newRMMetrics resolves one shard core's metric set in reg. A nil reg
@@ -92,6 +98,9 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 
 		beatsWithoutRound: reg.Counter(name("tetris_rm_beats_without_round_total"), "NM heartbeats processed without a scheduling round: nothing a round decides on had changed."),
 	}
+	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
+	m.stageScans = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "scanned"), scansHelp)
+	m.stagePrunes = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "pruned"), scansHelp)
 	for c := causeNone + 1; c < numCauses; c++ {
 		m.rounds[c] = reg.Counter(telemetry.Label(name("tetris_rm_rounds_total"), "cause", causeNames[c]),
 			"Scheduling rounds run, by trigger: a changed input (submit, completion, node, usage), a follow-up to a round that acted, or the heartbeat-interval floor.")
@@ -150,19 +159,39 @@ func (s *Server) registerGauges(reg *telemetry.Registry) {
 	}
 }
 
+// innerScheduler looks through wrappers that expose their inner
+// scheduler (the gang coordinator).
+func innerScheduler(sched scheduler.Scheduler) scheduler.Scheduler {
+	if w, ok := sched.(interface{ Inner() scheduler.Scheduler }); ok {
+		return w.Inner()
+	}
+	return sched
+}
+
 // parallelStats reports the scheduler's parallel-core counters. ok is
 // false when the scheduler has no parallel core (other schedulers, or
-// a Tetris instance on a sequential core). Wrappers that expose their
-// inner scheduler (the gang coordinator) are looked through.
+// a Tetris instance on a sequential core).
 func parallelStats(sched scheduler.Scheduler) (scheduler.ParallelStats, bool) {
-	if w, ok := sched.(interface{ Inner() scheduler.Scheduler }); ok {
-		sched = w.Inner()
-	}
-	p, ok := sched.(interface {
+	p, ok := innerScheduler(sched).(interface {
 		ParallelStats() (scheduler.ParallelStats, bool)
 	})
 	if !ok {
 		return scheduler.ParallelStats{}, false
 	}
 	return p.ParallelStats()
+}
+
+// observeScans adds the round's share of the Tetris core's cumulative
+// scan counters to the stage-scan series. Caller holds s.mu (the
+// counters are plain fields of the scheduler). No-op for schedulers
+// without them.
+func (m *rmMetrics) observeScans(sched scheduler.Scheduler) {
+	p, ok := innerScheduler(sched).(interface{ ScanStats() scheduler.ScanStats })
+	if !ok {
+		return
+	}
+	st := p.ScanStats()
+	m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
+	m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
+	m.prevScan = st
 }

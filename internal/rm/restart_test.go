@@ -211,7 +211,7 @@ func TestRecoveryAfterOutOfOrderRegistration(t *testing.T) {
 				t.Fatalf("recovered state diverges:\n pre-crash: %s\n recovered: %s", want, got)
 			}
 			gotTotal, gotActive := viewSummary(s2.Shard(0))
-			if !sameBits(gotTotal, wantTotal) {
+			if !gotTotal.SameBits(wantTotal) {
 				t.Errorf("recovered capacity total %v differs in bits from the live %v", gotTotal, wantTotal)
 			}
 			if !slices.Equal(gotActive, wantActive) {

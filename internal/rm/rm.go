@@ -765,6 +765,7 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 		s.metrics.prevScatterNs = ps.ScatterNs
 		s.metrics.prevScatterRounds = ps.Rounds
 	}
+	s.metrics.observeScans(s.cfg.Scheduler)
 	s.metrics.placements.Add(uint64(len(asgs)))
 	for _, a := range asgs {
 		s.journal(&event{Kind: evLaunch, Time: now, Task: a.Task.ID,

@@ -131,6 +131,14 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if v := metricValue(metrics, "tetris_nm_heartbeat_rtt_seconds_count"); v <= 0 {
 		t.Errorf("tetris_nm_heartbeat_rtt_seconds_count = %v, want > 0", v)
 	}
+	if v := metricValue(metrics, `tetris_rm_sched_stage_scans_total{shard="0",result="scanned"}`); v <= 0 {
+		t.Errorf("tetris_rm_sched_stage_scans_total{result=scanned} = %v, want > 0", v)
+	}
+	// Every round is traced here (ring sampling 1), and a traced round
+	// takes the unpruned path.
+	if v := metricValue(metrics, `tetris_rm_sched_stage_scans_total{shard="0",result="pruned"}`); v != 0 {
+		t.Errorf("tetris_rm_sched_stage_scans_total{result=pruned} = %v, want 0 with every round traced", v)
+	}
 	if v := metricValue(metrics, `tetris_rm_nodes_live{shard="0"}`); v != 2 {
 		t.Errorf("tetris_rm_nodes_live = %v, want 2", v)
 	}

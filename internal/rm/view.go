@@ -25,7 +25,6 @@ package rm
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -202,7 +201,7 @@ func (s *Server) verifyView() error {
 		}
 	}
 	s.refreshCaps()
-	if !sameBits(s.view.Total, total) || !sameBits(s.largest, largest) {
+	if !s.view.Total.SameBits(total) || !s.largest.SameBits(largest) {
 		return fmt.Errorf("view drift: total %v largest %v, ID-ordered recomputation gives %v and %v", s.view.Total, s.largest, total, largest)
 	}
 	var active []int
@@ -220,14 +219,4 @@ func (s *Server) verifyView() error {
 		}
 	}
 	return nil
-}
-
-// sameBits reports whether two vectors are bit-for-bit equal.
-func sameBits(a, b resources.Vector) bool {
-	for k := range a {
-		if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
-			return false
-		}
-	}
-	return true
 }

@@ -86,7 +86,7 @@ func TestRoutingSummaryBitStable(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		v := g.Shard(0).RoutingSummary()
 		if math.Float64bits(v.PendingWork) != math.Float64bits(first.PendingWork) ||
-			!sameBits(v.Free, first.Free) || !sameBits(v.Capacity, first.Capacity) {
+			!v.Free.SameBits(first.Free) || !v.Capacity.SameBits(first.Capacity) {
 			t.Fatalf("call %d differs from the first on an unchanged shard:\n pending %x vs %x\n free %v vs %v",
 				i, math.Float64bits(v.PendingWork), math.Float64bits(first.PendingWork), v.Free, first.Free)
 		}
@@ -386,6 +386,38 @@ func TestRoundCauses(t *testing.T) {
 	hist := reg.Histogram(telemetry.Label("tetris_rm_schedule_round_seconds", "shard", "0"), "")
 	if hist.Count() != all() {
 		t.Errorf("schedule_round_seconds has %d observations for %d rounds", hist.Count(), all())
+	}
+}
+
+// TestStageScanCounters: the shard adds each round's share of the Tetris
+// core's scan counters to tetris_rm_sched_stage_scans_total, and a backlog
+// deeper than the cluster makes the pruned side move — the round after
+// the submit fills the machines; the follow-up round finds the first one
+// full, and the other two cost one envelope comparison each.
+func TestStageScanCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	g, err := NewShardedInProcess(ShardedConfig{Shards: 1, NewScheduler: qualityScheduler, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	const nodes = 3
+	for id := 0; id < nodes; id++ {
+		g.RegisterMachine(id, resources.New(16, 32, 200, 200, 1000, 1000))
+	}
+	if err := g.SubmitJob(simpleJob(0, 60)); err != nil { // 8 tasks fill a machine
+		t.Fatal(err)
+	}
+	sweep(t, g, nodes, false)
+	series := func(result string) uint64 {
+		return reg.Counter(telemetry.Label(telemetry.Label("tetris_rm_sched_stage_scans_total", "shard", "0"), "result", result), "").Value()
+	}
+	core := g.Shard(0).cfg.Scheduler.(*scheduler.Tetris).ScanStats()
+	if series("scanned") != core.StageScans || series("pruned") != core.StagePrunes {
+		t.Errorf("series scanned=%d pruned=%d, core counted %+v", series("scanned"), series("pruned"), core)
+	}
+	if core.StageScans == 0 || core.StagePrunes == 0 {
+		t.Errorf("a saturated 3-node shard should both scan and prune: %+v", core)
 	}
 }
 

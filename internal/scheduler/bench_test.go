@@ -48,20 +48,27 @@ func benchView(sz benchSize, warm int) *View {
 	return v
 }
 
+// benchTetris times Schedule over v on a fresh default-config Tetris of
+// the given core and pool size.
+func benchTetris(b *testing.B, v *View, core Core, workers int) {
+	cfg := DefaultTetrisConfig()
+	cfg.Core = core
+	cfg.Workers = workers
+	t := NewTetris(cfg)
+	t.Schedule(v) // warm caches and scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Schedule(v)
+	}
+}
+
 func BenchmarkTetrisSchedule(b *testing.B) {
 	for _, sz := range benchSizes {
 		v := benchView(sz, 3)
 		for _, core := range []Core{CoreIncremental, CoreReference} {
 			b.Run(fmt.Sprintf("%s/%s", sz.name, core), func(b *testing.B) {
-				cfg := DefaultTetrisConfig()
-				cfg.Core = core
-				t := NewTetris(cfg)
-				t.Schedule(v) // warm caches and scratch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t.Schedule(v)
-				}
+				benchTetris(b, v, core, 0)
 			})
 		}
 	}
@@ -71,25 +78,61 @@ func BenchmarkTetrisSchedule(b *testing.B) {
 // pool sizes. w1 bypasses the scatter (it must track the incremental
 // core within noise — scripts/benchgate pairs it against
 // BenchmarkTetrisSchedule/<size>/incremental and fails the gate past
-// 15%); w4/w8 need that many cores to show wall-clock speedup, so their
+// 15%); w2/w4/w8 need that many cores to show wall-clock speedup, so their
 // numbers are only meaningful on a machine with GOMAXPROCS >= workers.
 func BenchmarkTetrisScheduleParallel(b *testing.B) {
 	for _, sz := range benchSizes {
 		v := benchView(sz, 3)
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/w%d", sz.name, workers), func(b *testing.B) {
-				cfg := DefaultTetrisConfig()
-				cfg.Core = CoreParallel
-				cfg.Workers = workers
-				t := NewTetris(cfg)
-				t.Schedule(v) // warm caches and scratch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					t.Schedule(v)
-				}
+				benchTetris(b, v, CoreParallel, workers)
 			})
 		}
+	}
+}
+
+// backlogView builds the regime benchView's three warm-up rounds never
+// reach — a saturated cluster under a deep backlog: 100 machines, 40 jobs
+// with stages of 50–300 input-free tasks, scheduled with no completions
+// until a round places nothing. A Schedule call on it re-proves, machine
+// by machine, that no head task fits anywhere: the cost the RM pays on
+// every heartbeat round of a backlogged cluster (`rm-backlog`).
+func backlogView() *View {
+	const nMach, nJobs = 100, 40
+	rng := rand.New(rand.NewSource(nMach*1000 + nJobs))
+	caps := genCaps(rng, nMach)
+	jobs := genDeepJobs(rng, nJobs, nMach, 50, 300, false)
+	cfg := DefaultTetrisConfig()
+	cfg.Core = CoreReference
+	w := newEqWorld(NewTetris(cfg), jobs, caps, make([]int, nJobs), 1)
+	for r := 0; ; r++ {
+		v := w.view(r)
+		asgs := w.sched.Schedule(v)
+		if len(asgs) == 0 {
+			return v
+		}
+		w.book(asgs)
+	}
+}
+
+// BenchmarkTetrisScheduleBacklog measures one round over backlogView on
+// every core (w1 bypasses the scatter; w2 is what this 2-core box can
+// run in parallel).
+func BenchmarkTetrisScheduleBacklog(b *testing.B) {
+	v := backlogView()
+	for _, bc := range []struct {
+		name    string
+		core    Core
+		workers int
+	}{
+		{"incremental", CoreIncremental, 0},
+		{"reference", CoreReference, 0},
+		{"w1", CoreParallel, 1},
+		{"w2", CoreParallel, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			benchTetris(b, v, bc.core, bc.workers)
+		})
 	}
 }
 

@@ -81,6 +81,59 @@ func genJobs(rng *rand.Rand, nJobs, nMach int) []*workload.Job {
 	return jobs
 }
 
+// genDeepJobs draws the deep-backlog family: one or two stages per job,
+// each of minTasks..maxTasks tasks — far beyond scanBudget, so window
+// truncation, mid-window takes and growth fetches all occur — whose
+// demands spread ±20 % around a per-stage base (§4.1: a stage's tasks are
+// alike, not equal). With inputs, about half the tasks read one to three
+// blocks, some of them unplaced, so a scan window mixes tasks with and
+// without placed input.
+func genDeepJobs(rng *rand.Rand, nJobs, nMach, minTasks, maxTasks int, inputs bool) []*workload.Job {
+	jobs := make([]*workload.Job, nJobs)
+	for i := range jobs {
+		j := &workload.Job{ID: i + 1, Weight: 1}
+		nStages := 1 + rng.Intn(2)
+		for si := 0; si < nStages; si++ {
+			st := &workload.Stage{Name: fmt.Sprintf("s%d", si)}
+			if si > 0 {
+				st.Deps = []int{si - 1}
+			}
+			base := resources.New(
+				1+4*rng.Float64(),
+				2+10*rng.Float64(),
+				60*rng.Float64(),
+				40*rng.Float64(),
+				200*rng.Float64(),
+				200*rng.Float64(),
+			)
+			nTasks := minTasks + rng.Intn(maxTasks-minTasks+1)
+			for ti := 0; ti < nTasks; ti++ {
+				peak := base
+				for k := range peak {
+					peak[k] *= 0.8 + 0.4*rng.Float64()
+				}
+				task := &workload.Task{
+					ID:   workload.TaskID{Job: j.ID, Stage: si, Index: ti},
+					Peak: peak,
+					Work: workload.Work{CPUSeconds: 5 + 100*rng.Float64(), WriteMB: 200 * rng.Float64()},
+				}
+				if inputs && rng.Intn(2) == 0 {
+					for b := 1 + rng.Intn(3); b > 0; b-- {
+						task.Inputs = append(task.Inputs, workload.InputBlock{
+							Machine: rng.Intn(nMach+1) - 1, // -1: unplaced block
+							SizeMB:  50 + 500*rng.Float64(),
+						})
+					}
+				}
+				st.Tasks = append(st.Tasks, task)
+			}
+			j.Stages = append(j.Stages, st)
+		}
+		jobs[i] = j
+	}
+	return jobs
+}
+
 // ---------------------------------------------------------------------
 // Twin-world driver.
 
@@ -151,6 +204,37 @@ func (w *eqWorld) failTasksOn(mid int) {
 	w.placed = alive
 }
 
+// view builds the round's View: the jobs that have arrived and not
+// finished, over the world's machines.
+func (w *eqWorld) view(round int) *View {
+	v := &View{Time: float64(round), Machines: w.machines, Total: w.total}
+	if w.est != nil {
+		v.EstimateDemand = func(j *JobState, t *workload.Task) (resources.Vector, float64) {
+			return w.est(round, j, t)
+		}
+	}
+	for i, j := range w.jobs {
+		if w.arrive[i] <= round && !j.Status.Finished() {
+			v.Jobs = append(v.Jobs, j)
+		}
+	}
+	return v
+}
+
+// book applies a round's assignments to the statuses and ledgers.
+func (w *eqWorld) book(asgs []Assignment) {
+	for _, a := range asgs {
+		j := w.jobByID(a.JobID)
+		j.Status.MarkRunning(a.Task.ID)
+		j.Alloc = j.Alloc.Add(a.Local)
+		w.machines[a.Machine].Allocated = w.machines[a.Machine].Allocated.Add(a.Local)
+		for _, rc := range a.Remote {
+			w.machines[rc.Machine].Allocated = w.machines[rc.Machine].Allocated.Add(rc.Charge)
+		}
+		w.placed = append(w.placed, placement{j: j, task: a.Task, mach: a.Machine, local: a.Local, remote: a.Remote})
+	}
+}
+
 // step runs one scheduling round: fault/recovery churn, a Schedule call,
 // bookkeeping for its assignments, then random task completions. All
 // randomness comes from the world's script rng, which draws in an order
@@ -177,29 +261,8 @@ func (w *eqWorld) step(round int, faults, hotspots bool) []Assignment {
 			m.Reported = m.Capacity.Scale(0.85 + 0.3*w.rng.Float64())
 		}
 	}
-	v := &View{Time: now, Machines: w.machines, Total: w.total}
-	if w.est != nil {
-		r := round
-		v.EstimateDemand = func(j *JobState, t *workload.Task) (resources.Vector, float64) {
-			return w.est(r, j, t)
-		}
-	}
-	for i, j := range w.jobs {
-		if w.arrive[i] <= round && !j.Status.Finished() {
-			v.Jobs = append(v.Jobs, j)
-		}
-	}
-	asgs := w.sched.Schedule(v)
-	for _, a := range asgs {
-		j := w.jobByID(a.JobID)
-		j.Status.MarkRunning(a.Task.ID)
-		j.Alloc = j.Alloc.Add(a.Local)
-		w.machines[a.Machine].Allocated = w.machines[a.Machine].Allocated.Add(a.Local)
-		for _, rc := range a.Remote {
-			w.machines[rc.Machine].Allocated = w.machines[rc.Machine].Allocated.Add(rc.Charge)
-		}
-		w.placed = append(w.placed, placement{j: j, task: a.Task, mach: a.Machine, local: a.Local, remote: a.Remote})
-	}
+	asgs := w.sched.Schedule(w.view(round))
+	w.book(asgs)
 	alive := w.placed[:0]
 	for _, p := range w.placed {
 		if w.rng.Float64() < 0.35 {
@@ -258,17 +321,83 @@ func runEquivalenceN(t testing.TB, name string, labels []string, mks []func() Sc
 	for i, mk := range mks {
 		worlds[i] = newEqWorld(mk(), jobs, caps, arrive, seed+1)
 	}
+	stepTwins(t, name, labels, worlds, seed, rounds, true, hotspots)
+	return rounds
+}
+
+// stepTwins steps the twin worlds in lockstep, comparing every world's
+// assignment sequence against the first's each round.
+func stepTwins(t testing.TB, name string, labels []string, worlds []*eqWorld, seed int64, rounds int, faults, hotspots bool) {
 	for r := 0; r < rounds; r++ {
-		a := worlds[0].step(r, true, hotspots)
+		a := worlds[0].step(r, faults, hotspots)
 		for i := 1; i < len(worlds); i++ {
-			b := worlds[i].step(r, true, hotspots)
+			b := worlds[i].step(r, faults, hotspots)
 			if msg := diffAssignments(a, b); msg != "" {
 				t.Fatalf("%s seed=%d round=%d: %s and %s cores diverge: %s",
 					name, seed, r, labels[0], labels[i], msg)
 			}
 		}
 	}
-	return rounds
+}
+
+// newDeepWorlds builds one deep-backlog world per scheduler build: 4–14
+// machines under stages of 10–160 tasks (genDeepJobs) arriving over the
+// first quarter of the run, so machines saturate and most stage visits
+// find nothing to add.
+func newDeepWorlds(mks []func() Scheduler, seed int64, rounds int, inputs bool) []*eqWorld {
+	rng := rand.New(rand.NewSource(seed))
+	nMach := 4 + rng.Intn(11)
+	nJobs := 3 + rng.Intn(5)
+	caps := genCaps(rng, nMach)
+	jobs := genDeepJobs(rng, nJobs, nMach, 10, 160, inputs)
+	arrive := make([]int, nJobs)
+	for i := range arrive {
+		arrive[i] = rng.Intn(rounds/4 + 1)
+	}
+	worlds := make([]*eqWorld, len(mks))
+	for i, mk := range mks {
+		worlds[i] = newEqWorld(mk(), jobs, caps, arrive, seed+1)
+	}
+	return worlds
+}
+
+// deepRun parameterizes one run of the deep-backlog family.
+type deepRun struct {
+	cfg     TetrisConfig
+	workers int // parallel world's pool size
+	seed    int64
+	rounds  int
+	inputs  bool // tasks carry input blocks
+	faults  bool // machines crash and recover
+	// requirePrune fails the run unless the envelope prune actually fired
+	// in the incremental and parallel worlds — equivalence over scans that
+	// never pruned would prove nothing about the prune. (The fuzzer leaves
+	// it off: it can shrink a world until nothing is ever left pending.)
+	requirePrune bool
+	// est, when non-nil, moves the estimates (eqWorld.est).
+	est func(round int, j *JobState, t *workload.Task) (resources.Vector, float64)
+}
+
+// runDeepEquivalence is the deep-backlog counterpart of runEquivalenceN
+// for the three Tetris cores; it returns the number of compared rounds.
+func runDeepEquivalence(t testing.TB, name string, run deepRun) int {
+	labels, mks := tetrisCoreMakers(run.cfg, run.workers)
+	worlds := newDeepWorlds(mks, run.seed, run.rounds, run.inputs)
+	for _, w := range worlds {
+		w.est = run.est
+	}
+	stepTwins(t, name, labels, worlds, run.seed, run.rounds, run.faults, run.cfg.HotspotThreshold > 0)
+	for i, w := range worlds {
+		st := w.sched.(*Tetris).ScanStats()
+		if labels[i] == "reference" {
+			if st != (ScanStats{}) {
+				t.Fatalf("%s seed=%d: reference core counted scans: %+v", name, run.seed, st)
+			}
+		} else if run.requirePrune && st.StagePrunes == 0 {
+			t.Fatalf("%s seed=%d: %s core never pruned a stage scan: %+v", name, run.seed, labels[i], st)
+		}
+	}
+	return run.rounds
 }
 
 // runEquivalence is the two-build special case (fast vs reference).
@@ -371,6 +500,19 @@ func TestScheduleEquivalence(t *testing.T) {
 		t.Errorf("only %d Tetris equivalence rounds, want >= 1000", tetrisRounds)
 	}
 
+	// Deep-backlog family: every config again, with and without input
+	// blocks, faults on and off.
+	deepRounds := 0
+	for ci, cfg := range tetrisEquivalenceConfigs() {
+		name := fmt.Sprintf("tetris-deep[%d %s]", ci, cfg.Scorer.Name())
+		for s := 0; s < 4; s++ {
+			deepRounds += runDeepEquivalence(t, name, deepRun{
+				cfg: cfg, workers: []int{2, 3, 8}[(ci+s)%3], seed: int64(20000 + 100*ci + s), rounds: 80,
+				inputs: s&1 != 0, faults: s&2 != 0, requirePrune: true,
+			})
+		}
+	}
+
 	drfRounds := 0
 	for di, mk := range []func() *DRF{NewDRF, NewDRFWithNetwork} {
 		for s := 0; s < 8; s++ {
@@ -392,21 +534,27 @@ func TestScheduleEquivalence(t *testing.T) {
 				seed, 25, false)
 		}
 	}
-	t.Logf("equivalence rounds: tetris=%d drf=%d slotfair=%d", tetrisRounds, drfRounds, slotRounds)
+	t.Logf("equivalence rounds: tetris=%d tetris-deep=%d drf=%d slotfair=%d", tetrisRounds, deepRounds, drfRounds, slotRounds)
 	if drfRounds < 300 || slotRounds < 300 {
 		t.Errorf("too few baseline rounds: drf=%d slotfair=%d", drfRounds, slotRounds)
 	}
 }
 
 // FuzzScheduleEquivalence lets the fuzzer steer world seed, scheduler
-// family, knob combination and round count.
+// family, knob combination, round count and — for Tetris — the world's
+// shape: bit 0 selects the deep-backlog family (runDeepEquivalence), bit
+// 1 gives its tasks input blocks, bit 2 turns machine faults off.
 func FuzzScheduleEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(0), uint8(8))
-	f.Add(int64(42), uint8(0), uint8(0xFF), uint8(12))
-	f.Add(int64(7), uint8(1), uint8(3), uint8(10))
-	f.Add(int64(99), uint8(2), uint8(1), uint8(10))
-	f.Add(int64(-3), uint8(0), uint8(0x55), uint8(15))
-	f.Fuzz(func(t *testing.T, seed int64, family, knobs, rounds uint8) {
+	f.Add(int64(1), uint8(0), uint8(0), uint8(8), uint8(0))
+	f.Add(int64(42), uint8(0), uint8(0xFF), uint8(12), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(3), uint8(10), uint8(0))
+	f.Add(int64(99), uint8(2), uint8(1), uint8(10), uint8(0))
+	f.Add(int64(-3), uint8(0), uint8(0x55), uint8(15), uint8(0))
+	f.Add(int64(5), uint8(0), uint8(0), uint8(17), uint8(1))
+	f.Add(int64(11), uint8(0), uint8(0xA4), uint8(19), uint8(3))
+	f.Add(int64(-8), uint8(0), uint8(0x41), uint8(13), uint8(5))
+	f.Add(int64(23), uint8(0), uint8(0x9E), uint8(18), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, family, knobs, rounds, shape uint8) {
 		r := 2 + int(rounds%20)
 		switch family % 3 {
 		case 0:
@@ -425,6 +573,13 @@ func FuzzScheduleEquivalence(f *testing.F) {
 			// Pool size derived from the seed so the fuzzer's corpus
 			// signature stays stable while still exploring it.
 			workers := 2 + int(uint64(seed)%7)
+			if shape&1 != 0 {
+				runDeepEquivalence(t, "fuzz-tetris-deep", deepRun{
+					cfg: cfg, workers: workers, seed: seed, rounds: 3 * r,
+					inputs: shape&2 != 0, faults: shape&4 == 0,
+				})
+				return
+			}
 			labels, mks := tetrisCoreMakers(cfg, workers)
 			runEquivalenceN(t, "fuzz-tetris", labels, mks,
 				seed, r, cfg.HotspotThreshold > 0)

@@ -107,7 +107,7 @@ func churnJobs(seed int64, nMach int) []*JobState {
 		nTasks := 5 + r.Intn(20)
 		for i := 0; i < nTasks; i++ {
 			task := &workload.Task{
-				ID:   workload.TaskID{Job: jid, Stage: 0, Index: i},
+				ID: workload.TaskID{Job: jid, Stage: 0, Index: i},
 				Peak: resources.New(0.5+r.Float64()*4, 1+r.Float64()*8,
 					5+r.Float64()*40, 5+r.Float64()*40,
 					20+r.Float64()*200, 20+r.Float64()*200),

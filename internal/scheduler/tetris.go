@@ -381,7 +381,6 @@ type stageRun struct {
 	tasks    []*workload.Task // fetched pending prefix
 	cursor   int              // first possibly-untaken index
 	pending  int              // total pending at round start
-	takenCnt int
 	inTail   bool
 	eligible bool
 	// trs caches the incremental core's taskRound entry per position in
@@ -389,6 +388,15 @@ type stageRun struct {
 	// Within a round the pending set is stable, so positions are too.
 	// The reference core leaves it unused.
 	trs []*taskRound
+	// env is the incremental core's demand envelope of the stage's scan
+	// window, valid while envOK: the component-wise minimum, over the
+	// window's tasks, of a machine-independent lower bound of each one's
+	// placement demand (taskRound.demandFloor). A free vector env does not
+	// fit in fits no task of the window, so collectIncr skips the scan
+	// (see there). Recorded by a scan that added nothing, retired when a
+	// window task is taken (incrState.markTaken) and with the round.
+	env   resources.Vector
+	envOK bool
 }
 
 // ensureFetched extends the fetched prefix when the round has consumed

@@ -30,6 +30,14 @@ import (
 //     single flag test on every later placement — the early-exit prune.
 //   - Remote-source feasibility is memoized with the version-sum of the
 //     source machines' ledgers and rechecked only when one changed.
+//   - A stage whose scan window produced no candidate leaves a demand
+//     envelope behind (stageRun.env); every later visit in the round —
+//     another fill, another machine — that the envelope proves fruitless
+//     is skipped with one comparison, so a full machine costs one FitsIn
+//     per stage instead of one per pending task (collectIncr).
+//   - What is a pure function of (estimate, task) — the base demand and
+//     its normalized form — is kept across rounds for as long as the
+//     estimate stays bit-identical (taskRoundFor).
 //   - Every round-scoped structure (candidate buffer, stage runs, free
 //     ledger, maps) is scratch reused across rounds, so a steady-state
 //     round performs no heap allocations beyond the returned
@@ -53,9 +61,14 @@ import (
 type taskRound struct {
 	round uint64 // validity stamp for all per-round fields below
 
-	job  *JobState
-	p    float64          // job's remaining-work score this round
-	peak resources.Vector // scheduler-visible peak demand this round
+	job *JobState
+	p   float64   // job's remaining-work score this round
+	sr  *stageRun // the task's stage this round, once a stage scan saw it
+
+	// peak is the scheduler-visible peak demand. Re-read from the View
+	// every round; everything derived from it alone (base, normBase)
+	// outlives the round while the new reading is bit-identical.
+	peak resources.Vector
 
 	// base demand and charges for machines holding none of the task's
 	// input — the common case, identical for every such machine.
@@ -82,7 +95,7 @@ type taskRound struct {
 
 	// normBase caches base.Normalize(cap) keyed by the exact capacity
 	// vector: clusters have few machine classes, so consecutive machines
-	// often share one. Reset each round (base depends on the estimate).
+	// often share one. Valid as long as base is.
 	normBase    resources.Vector
 	normBaseCap resources.Vector
 	normBaseSet bool
@@ -101,24 +114,54 @@ type taskRound struct {
 	// Per-(round, machine) state, valid while mach matches the machine
 	// currently being packed. Machines are packed one at a time and
 	// never revisited within a round, so one machine's worth suffices.
-	mach      int
-	affinity  bool
-	remoteMB  float64
-	d         resources.Vector // placement demand on mach
-	normD     resources.Vector // d normalized by mach's capacity
-	normDOK   bool             // normD computed for mach (lazy: skipped on warm hits)
-	remote    []RemoteCharge   // live charges for placement on mach
-	remoteSet bool
-	failLocal  bool // d did not fit free[mach]: monotone within the round
-	failRemote bool // a charge did not fit its source: monotone
+	mach         int
+	affinity     bool
+	remoteMB     float64
+	d            resources.Vector // placement demand on mach
+	normD        resources.Vector // d normalized by mach's capacity
+	normDOK      bool             // normD computed for mach (lazy: skipped on warm hits)
+	remote       []RemoteCharge   // live charges for placement on mach
+	remoteSet    bool
+	failLocal    bool   // d did not fit free[mach]: monotone within the round
+	failRemote   bool   // a charge did not fit its source: monotone
 	remoteOK     bool   // last remote check passed...
 	remoteVerSum uint64 // ...at this Σ freeVer over the source machines
-	alignOK  bool   // cached align valid...
-	alignVer uint32 // ...while freeVer[mach] still equals this
-	align    float64
+	alignOK      bool   // cached align valid...
+	alignVer     uint32 // ...while freeVer[mach] still equals this
+	align        float64
 
 	tick uint32 // appended-as-candidate stamp for the current collect call
 }
+
+// demandFloor returns a lower bound, valid on every machine, of the
+// task's placement demand, derived from the demand cached for the machine
+// it was last considered on. EffectiveDemand varies by machine only in
+// DiskRead and NetIn (NetOut is always zero, and CPUMemOnly projects
+// before either), and only for a task with placed input; any other task
+// demands base everywhere. A zeroed dimension can never be the one that
+// fails FitsIn against a (non-negative) free vector, so zeroing bounds
+// from below whatever the estimate's sign.
+func (tr *taskRound) demandFloor() resources.Vector {
+	if !tr.hasPlaced {
+		return tr.d
+	}
+	return tr.d.With(resources.DiskRead, 0).With(resources.NetIn, 0)
+}
+
+// ScanStats is a snapshot of the cumulative candidate-scan counters of
+// the incremental core (and of the parallel core, whose reduce is the
+// same code): how much of the rounds' stage walking the demand envelopes
+// pruned. All zero on the reference core.
+type ScanStats struct {
+	StageScans  uint64 // stage windows walked task by task
+	StagePrunes uint64 // stage visits skipped by one envelope comparison
+	Considered  uint64 // (task, machine) options evaluated by considerTR
+}
+
+// ScanStats reports the scan counters. They are plain fields, unlike
+// ParallelStats' atomics: read them from the goroutine that calls
+// Schedule (the RM does so under the shard lock, right after the round).
+func (t *Tetris) ScanStats() ScanStats { return t.inc.scan }
 
 // deficitSorter sorts jobs by fairness deficit (most deprived first, ties
 // by ascending job ID) over scratch slices — the allocation-free
@@ -180,6 +223,8 @@ type incrState struct {
 	// is off or the round is sampled out (the common case — every hook
 	// is then one nil check).
 	rt *RoundTrace
+
+	scan ScanStats // cumulative, see Tetris.ScanStats
 }
 
 // beginRound advances the round stamp and lazily initializes the state.
@@ -206,7 +251,11 @@ func (ic *incrState) beginRound(t *Tetris, v *View) {
 }
 
 // taskRoundFor returns the task's cache entry, resetting per-round fields
-// on first touch in the current round.
+// on first touch in the current round. The base demand (and its
+// normalized form) is a pure function of (peak, task) — input blocks and
+// the flow cap are immutable — so it is dropped only when the estimator
+// moved the peak, compared bit for bit (== equates ±0, and the kept value
+// must reproduce the recomputation exactly).
 func (ic *incrState) taskRoundFor(j *JobState, task *workload.Task) *taskRound {
 	tr := ic.tasks[task]
 	if tr == nil {
@@ -217,15 +266,31 @@ func (ic *incrState) taskRoundFor(j *JobState, task *workload.Task) *taskRound {
 		tr.round = ic.round
 		tr.job = j
 		tr.p = ic.pScore[j.Job.ID]
-		tr.peak = ic.curV.DemandPeak(j, task)
-		tr.baseSet = false
+		tr.sr = nil
+		if peak := ic.curV.DemandPeak(j, task); !peak.SameBits(tr.peak) {
+			tr.peak = peak
+			tr.baseSet = false
+			tr.normBaseSet = false
+		}
 		tr.liveSet = false
 		tr.baseRemoteDead = false
-		tr.normBaseSet = false
 		tr.mach = -1
 		tr.tick = 0
 	}
 	return tr
+}
+
+// markTaken stamps the task as placed this round and retires its stage's
+// demand envelope, whose window it has just left. Every path that takes a
+// task goes through here. A task no stage scan has seen carries no
+// back-pointer and needs none: it lies outside every recorded window (a
+// window's tasks were all visited by the scan that recorded it), so
+// taking it leaves the scan the envelope stands for unchanged.
+func (ic *incrState) markTaken(tr *taskRound) {
+	tr.takenRound = ic.round
+	if tr.sr != nil {
+		tr.sr.envOK = false
+	}
 }
 
 // sortRunnable orders ic.runnable by fairness deficit exactly like
@@ -393,7 +458,7 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 		// Mirror the shared rs.taken entries into the takenRound stamps
 		// the incremental stage scans test instead of the map.
 		for _, a := range served {
-			ic.taskRoundFor(rs.byJob[a.JobID], a.Task).takenRound = ic.round
+			ic.markTaken(ic.taskRoundFor(rs.byJob[a.JobID], a.Task))
 		}
 	}
 
@@ -475,7 +540,7 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 				Remote:  c.remote,
 			})
 			rs.taken[c.task] = true // scanLocals (shared) reads the map
-			c.tr.takenRound = ic.round
+			ic.markTaken(c.tr)
 			ic.free[m.ID] = ic.free[m.ID].Sub(c.demand).Max(resources.Vector{})
 			ic.freeVer[m.ID]++
 			for _, rc := range c.remote {
@@ -501,6 +566,19 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 // through the taskRound caches. Returns the candidates and the sum of
 // their alignment scores (over the tail subset when tail preference
 // applies), accumulated during collection.
+//
+// The envelope prune. A stage scan that ends having added no candidate
+// has visited the stage's whole window — the first ≤ scanBudget untaken
+// pending tasks from sr.cursor, all fetched — and leaves the minimum of
+// their demand floors in sr.env. On a later visit in the same round,
+// while no window task has been taken, !sr.env.FitsIn(avail) proves that
+// every window task fails its own local-fit test on this machine (FitsIn
+// is per-dimension and monotone, and a minimum involves no arithmetic),
+// so the scan would add nothing, visit exactly the window again, fetch
+// nothing and advance no cursor: skipping it changes no decision and no
+// state a later step reads. A sampled round takes the unpruned path, so
+// its infeasible-local records stay those of the first detection per
+// (task, machine).
 func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, float64) {
 	ic := &t.inc
 	avail := ic.free[mid]
@@ -522,9 +600,12 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 		if !sr.eligible && !sr.inTail {
 			continue
 		}
-		if sr.takenCnt >= sr.pending {
+		if sr.envOK && ic.rt == nil && !sr.env.FitsIn(avail) {
+			ic.scan.StagePrunes++
 			continue
 		}
+		ic.scan.StageScans++
+		var env resources.Vector
 		added, scanned := 0, 0
 		for i := sr.cursor; added < perStage && scanned < scanBudget; i++ {
 			if i >= len(sr.tasks) {
@@ -543,6 +624,7 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 			tr := sr.trs[i]
 			if tr == nil {
 				tr = ic.taskRoundFor(sr.job, task)
+				tr.sr = sr
 				sr.trs[i] = tr
 			}
 			if tr.takenRound == ic.round {
@@ -556,7 +638,16 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 			t.considerTR(tr, task, sr.inTail)
 			if len(ic.cands) > before {
 				added++
+			} else if added == 0 {
+				if floor := tr.demandFloor(); scanned == 1 {
+					env = floor
+				} else {
+					env = env.Min(floor)
+				}
 			}
+		}
+		if added == 0 && scanned > 0 {
+			sr.env, sr.envOK = env, true
 		}
 	}
 	t.scanLocals(v, mid, rs, ic.consider)
@@ -597,6 +688,7 @@ func (t *Tetris) considerIncr(j *JobState, task *workload.Task, inTail bool) {
 // candidates (and traces) are bit-identical with or without warming.
 func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 	ic := &t.inc
+	ic.scan.Considered++
 	if tr.tick == ic.tick {
 		return // already a candidate in this collect call
 	}
@@ -657,14 +749,18 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 	if we != nil && we.flags&warmFitsLocal == 0 {
 		// Did not fit the round-start free vector: permanent this round.
 		tr.failLocal = true
-		ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleLocal})
+		if ic.rt != nil {
+			ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleLocal})
+		}
 		return
 	}
 	if (we == nil || ic.freeVer[mid] != 0) && !tr.d.FitsIn(ic.curAvail) {
 		tr.failLocal = true
 		// Traced at first detection only; the early-exit prune above
 		// keeps re-tests (and re-records) off later placements.
-		ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleLocal})
+		if ic.rt != nil {
+			ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleLocal})
+		}
 		return
 	}
 	if !t.cfg.CPUMemOnly && !t.cfg.DisableRemoteCharges && tr.remoteMB > 0 {
@@ -699,7 +795,9 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 					if !tr.affinity {
 						tr.baseRemoteDead = true
 					}
-					ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleRemote})
+					if ic.rt != nil {
+						ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleRemote})
+					}
 					return
 				}
 				tr.remoteOK = true
@@ -711,7 +809,9 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 						if !tr.affinity {
 							tr.baseRemoteDead = true
 						}
-						ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleRemote})
+						if ic.rt != nil {
+							ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleRemote})
+						}
 						return
 					}
 				}

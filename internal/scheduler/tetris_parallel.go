@@ -104,7 +104,12 @@ type ParallelStats struct {
 	Workers   int    // resolved pool size of the latest scatter
 	WarmTasks uint64 // tasks prepped, cumulative
 	WarmPairs uint64 // (task, machine) entries scored, cumulative
-	WarmHits  uint64 // reduce consults that found a warm entry
+	// WarmHits counts the warm entries the reduce actually consulted.
+	// Entries are consulted only where considerTR runs, so a stage scan the
+	// demand envelope pruned (ScanStats.StagePrunes) consults none: a low
+	// hits-to-pairs ratio on a saturated cluster is scatter work the
+	// prune made unnecessary.
+	WarmHits  uint64
 	ScatterNs uint64 // wall-clock spent in scatter phases
 	BusyNs    uint64 // summed per-worker busy time (occupancy = BusyNs / (ScatterNs·Workers))
 }

@@ -214,9 +214,6 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 		if !sr.eligible && !sr.inTail {
 			continue
 		}
-		if sr.takenCnt >= sr.pending {
-			continue
-		}
 		added, scanned := 0, 0
 		for i := sr.cursor; added < perStage && scanned < scanBudget; i++ {
 			if i >= len(sr.tasks) {

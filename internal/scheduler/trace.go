@@ -19,9 +19,11 @@ import (
 // its reduce emit traces — bit-identical ones, since the parallel
 // scatter only precomputes what the reduce would; the reference core
 // is a behavioural oracle kept free of instrumentation. When
-// tracing is configured but the round is sampled out, the hot path pays
-// a single nil check — TestTraceSampledOutAllocs pins that at zero
-// allocations so the benchgate holds.
+// tracing is configured but the round is sampled out, every hook is one
+// nil check and no record is built — TestTraceSampledOutAllocs pins that
+// at zero allocations so the benchgate holds. A sampled round also
+// bypasses the demand-envelope prune (collectIncr), so its
+// infeasible-local records are those of the unpruned scan.
 
 // Decision outcomes.
 const (
@@ -63,11 +65,11 @@ type RoundTrace struct {
 	// Fairness-knob cutoff (§3.4): of RunnableJobs sorted by fairness
 	// deficit, only the first EligibleJobs were considered; CutoffJobIDs
 	// lists the jobs excluded this round (barrier-tail tasks excepted).
-	RunnableJobs int     `json:"runnable_jobs"`
-	EligibleJobs int     `json:"eligible_jobs"`
-	CutoffJobIDs []int   `json:"cutoff_job_ids,omitempty"`
-	Eps          float64 `json:"eps"` // last ε computed this round
-	Placed       int     `json:"placed"`
+	RunnableJobs int            `json:"runnable_jobs"`
+	EligibleJobs int            `json:"eligible_jobs"`
+	CutoffJobIDs []int          `json:"cutoff_job_ids,omitempty"`
+	Eps          float64        `json:"eps"` // last ε computed this round
+	Placed       int            `json:"placed"`
 	Decisions    []TaskDecision `json:"decisions"`
 	// Truncated counts decisions dropped after the per-round cap.
 	Truncated int `json:"truncated,omitempty"`
@@ -112,7 +114,9 @@ func (dr *DecisionRing) Dropped() uint64 { return dr.ring.Dropped() }
 func (dr *DecisionRing) Len() int { return dr.ring.Len() }
 
 // trace appends a decision to the in-flight round trace, honoring the
-// per-round cap. No-op when the round is not being traced.
+// per-round cap. Call sites test ic.rt themselves, so that an unsampled
+// round never builds the record it would drop here; the nil check below
+// is the backstop for a site that forgets.
 func (ic *incrState) trace(d TaskDecision) {
 	rt := ic.rt
 	if rt == nil {

@@ -39,9 +39,16 @@ type simMetrics struct {
 	schedWorkers   *telemetry.Gauge
 	schedOccupancy *telemetry.Gauge
 
-	// Previous cumulative parallel-core counters, for per-round deltas.
+	// stageScans / stagePrunes split the Tetris core's stage visits into
+	// windows walked task by task and visits one envelope comparison
+	// skipped (scheduler.ScanStats).
+	stageScans  *telemetry.Counter
+	stagePrunes *telemetry.Counter
+
+	// Previous cumulative scheduler-core counters, for per-round deltas.
 	prevScatterNs     uint64
 	prevScatterRounds uint64
+	prevScan          scheduler.ScanStats
 }
 
 func newSimMetrics(reg *telemetry.Registry) *simMetrics {
@@ -61,6 +68,9 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 		schedWorkers:   reg.Gauge("tetris_sim_sched_workers", "Resolved worker-pool size of the parallel scheduling core."),
 		schedOccupancy: reg.Gauge("tetris_sim_sched_worker_occupancy", "Mean scatter-phase worker occupancy of the parallel scheduling core."),
 	}
+	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
+	m.stageScans = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "scanned"), scansHelp)
+	m.stagePrunes = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "pruned"), scansHelp)
 	const (
 		utilHelp   = "Cluster utilization as a fraction of capacity, per resource."
 		demandHelp = "Running tasks' aggregate peak demand as a fraction of capacity, per resource."
@@ -72,14 +82,20 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 	return m
 }
 
-// observeParallel publishes the parallel scheduling core's counters
-// after one Schedule call: this round's scatter wall time (the delta of
-// the cumulative counter) plus the pool-size and occupancy gauges.
-// No-op for schedulers without a parallel core or rounds that ran no
-// scatter.
-func (m *simMetrics) observeParallel(sched scheduler.Scheduler) {
+// observeCore publishes the scheduling core's own counters after one
+// Schedule call, as deltas of its cumulative ones: the Tetris core's
+// stage scans and prunes, and — for a parallel core, on rounds that ran
+// a scatter — the scatter wall time plus the pool-size and occupancy
+// gauges. No-op for schedulers with neither.
+func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
 	if w, ok := sched.(interface{ Inner() scheduler.Scheduler }); ok {
 		sched = w.Inner()
+	}
+	if p, ok := sched.(interface{ ScanStats() scheduler.ScanStats }); ok {
+		st := p.ScanStats()
+		m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
+		m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
+		m.prevScan = st
 	}
 	p, ok := sched.(interface {
 		ParallelStats() (scheduler.ParallelStats, bool)

@@ -34,9 +34,27 @@ func TestSimMetricsPublished(t *testing.T) {
 		"tetris_sim_tasks_running",
 		"tetris_sim_time_seconds",
 		"tetris_sim_placements_total 4",
+		`tetris_sim_sched_stage_scans_total{result="scanned"}`,
+		`tetris_sim_sched_stage_scans_total{result="pruned"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestSimMetricsStageScans: a backlog deeper than the cluster makes the
+// Tetris core prune — once the first full machine has shown that no head
+// task fits, the other full machines cost one comparison — and the sim
+// publishes both sides of the split.
+func TestSimMetricsStageScans(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cl := cluster.New(3, cluster.FacebookProfile(), 0)
+	wl := oneJob(120, resources.New(2, 2, 0, 0, 0, 0), workload.Work{CPUSeconds: 20})
+	run(t, Config{Cluster: cl, Workload: wl, Scheduler: tetris(), SampleEvery: 1, Metrics: reg})
+	for _, result := range []string{"scanned", "pruned"} {
+		if reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", result), "").Value() == 0 {
+			t.Errorf("tetris_sim_sched_stage_scans_total{result=%q} never moved", result)
 		}
 	}
 }

@@ -500,7 +500,7 @@ func (s *Sim) schedule() {
 		asgs = s.cfg.Scheduler.Schedule(v)
 	}
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
-	s.metrics.observeParallel(s.cfg.Scheduler)
+	s.metrics.observeCore(s.cfg.Scheduler)
 	s.metrics.placements.Add(uint64(len(asgs)))
 	for _, a := range asgs {
 		s.start(a)

@@ -58,11 +58,11 @@ func TestBucketIndex(t *testing.T) {
 	}{
 		{0, 0},
 		{1e-9, 0},
-		{1e-6, 0},      // exactly the first bound
-		{1.5e-6, 1},    // (1e-6, 2e-6]
-		{2e-6, 1},      // exactly the second bound
-		{2.1e-6, 2},    // just past it
-		{1, 20},        // 1e-6·2^20 ≈ 1.05 ≥ 1
+		{1e-6, 0},          // exactly the first bound
+		{1.5e-6, 1},        // (1e-6, 2e-6]
+		{2e-6, 1},          // exactly the second bound
+		{2.1e-6, 2},        // just past it
+		{1, 20},            // 1e-6·2^20 ≈ 1.05 ≥ 1
 		{1e9, histBuckets}, // beyond the grid → +Inf
 	}
 	for _, c := range cases {

@@ -407,9 +407,9 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	// no bytes behind it: the count guard must reject it before any
 	// proportional allocation.
 	lying := []byte{binNMHeartbeat}
-	lying = appendInt(lying, 1)  // node
-	lying = append(lying, 0)     // flags
-	lying = append(lying, 0, 0)  // zero used/allocated masks
+	lying = appendInt(lying, 1) // node
+	lying = append(lying, 0)    // flags
+	lying = append(lying, 0, 0) // zero used/allocated masks
 	lying = binenc.AppendUvarint(lying, 1<<40)
 
 	for _, mutate := range []struct {
