@@ -133,6 +133,10 @@ type Tetris struct {
 	locals       map[int][]locEntry
 	localsCursor map[int]int
 	indexedJobs  map[int]bool
+	// localsRound numbers the Schedule calls; it is the validity stamp of
+	// the locality index's per-stage records (locStage). Starts at 1, so a
+	// new record is valid for no round.
+	localsRound uint64
 	// Starvation prevention (§3.5 extension): when a runnable task has
 	// waited past StarvationSec, a whole machine is reserved for it in
 	// res — the shared reservation table (internal/reserve) that gang
@@ -166,9 +170,28 @@ func (t *Tetris) recordEps(eps float64) {
 	}
 }
 
+// locEntry is one (machine, task) pair of the locality index: the task
+// has an input block on the machine. st is shared by all entries of the
+// task's stage, on every machine.
 type locEntry struct {
+	task *workload.Task
+	st   *locStage
+}
+
+// locStage is what a scanLocals visit needs to know about an entry's
+// (job, stage). All of it is fixed for a scheduling round — the View's
+// job set, a stage's readiness and barrier-tail status (functions of done
+// counts, which move only between rounds) and the round's eligible set —
+// so the first visit of a round derives it and every other visit of any
+// of the stage's entries, from any machine, reads it.
+type locStage struct {
 	jobID int
-	task  *workload.Task
+	// stamp is the Tetris.localsRound the fields below were derived in.
+	stamp    uint64
+	job      *JobState // nil: the job has left the View
+	ready    bool      // Status.StageReady
+	inTail   bool      // Status.InBarrierTail under cfg.Barrier
+	eligible bool      // roundState.eligible[jobID]
 }
 
 // NewTetris creates a Tetris scheduler with the given configuration.
@@ -185,6 +208,7 @@ func NewTetris(cfg TetrisConfig) *Tetris {
 		locals:       make(map[int][]locEntry),
 		localsCursor: make(map[int]int),
 		indexedJobs:  make(map[int]bool),
+		localsRound:  1,
 		firstSeen:    make(map[*workload.Task]float64),
 		res:          reserve.New(),
 		active:       make(map[int]*JobState),
@@ -317,7 +341,7 @@ func (t *Tetris) evictDeparted(v *View) {
 		newCursor := 0
 		out := entries[:0]
 		for i, e := range entries {
-			if t.active[e.jobID] != nil {
+			if t.active[e.st.jobID] != nil {
 				if i < cursor {
 					newCursor++
 				}
@@ -342,12 +366,16 @@ func (t *Tetris) indexJob(j *JobState) {
 	}
 	t.indexedJobs[j.Job.ID] = true
 	for _, st := range j.Job.Stages {
+		var ls *locStage
 		for _, task := range st.Tasks {
 			seen := map[int]bool{}
 			for _, b := range task.Inputs {
 				if b.Machine >= 0 && !seen[b.Machine] {
 					seen[b.Machine] = true
-					t.locals[b.Machine] = append(t.locals[b.Machine], locEntry{j.Job.ID, task})
+					if ls == nil {
+						ls = &locStage{jobID: j.Job.ID}
+					}
+					t.locals[b.Machine] = append(t.locals[b.Machine], locEntry{task, ls})
 				}
 			}
 		}
@@ -476,6 +504,7 @@ func (t *Tetris) buildRound(v *View, sorted []*JobState, eligible map[int]bool) 
 // concurrent scoring scatter. Selection is TetrisConfig.Core; the
 // equivalence suite keeps all three bit-identical.
 func (t *Tetris) Schedule(v *View) []Assignment {
+	t.localsRound++
 	t.evictDeparted(v)
 	if t.cfg.Core == CoreReference {
 		return t.scheduleReference(v)
@@ -639,29 +668,44 @@ func (t *Tetris) scanLocals(v *View, mid int, rs *roundState, consider func(*Job
 			continue // already tombstoned this round
 		}
 		scanned++
-		j, ok := rs.byJob[e.jobID]
-		if !ok {
+		ls := e.st
+		if ls.stamp != t.localsRound {
+			ls.stamp = t.localsRound
+			ls.job = rs.byJob[ls.jobID]
+			if ls.job != nil {
+				ls.ready = ls.job.Status.StageReady(e.task.ID.Stage)
+				ls.inTail = ls.job.Status.InBarrierTail(e.task.ID, t.cfg.Barrier)
+				ls.eligible = rs.eligibleJob(ls.jobID)
+			}
+		}
+		if ls.job == nil {
 			// Job no longer active. Jobs are indexed only after arrival,
 			// so an absent job has finished and never comes back: drop.
 			entries[i].task = nil
 			dead++
 			continue
 		}
-		st := j.Status
-		id := e.task.ID
-		if st.State(id) != workload.Pending {
+		// Readiness is tested before the task's state, which skips the
+		// tombstoning below — but there is nothing to tombstone: a task
+		// leaves Pending only by being placed, placement requires its
+		// stage to be ready, and a ready stage stays ready (done counts
+		// never decrease). In a stage that is not ready every task is
+		// still Pending.
+		if !ls.ready {
+			continue
+		}
+		if ls.job.Status.State(e.task.ID) != workload.Pending {
 			entries[i].task = nil // running or done: never pending again
 			dead++
 			continue
 		}
-		if !st.StageReady(id.Stage) || rs.taken[e.task] {
-			continue
-		}
-		inTail := st.InBarrierTail(id, t.cfg.Barrier)
-		if !inTail && !rs.eligibleJob(e.jobID) {
+		if !ls.inTail && !ls.eligible {
 			continue // fairness restriction applies to non-tail tasks
 		}
-		consider(j, e.task, inTail)
+		if rs.taken[e.task] {
+			continue
+		}
+		consider(ls.job, e.task, ls.inTail)
 		considered++
 	}
 	if dead == 0 {

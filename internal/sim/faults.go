@@ -20,8 +20,10 @@ func (s *Sim) applyFault(e faults.Event) {
 		s.recoverMachine(e.Machine)
 	case faults.SlowdownStart:
 		s.slow[e.Machine] = e.Factor
+		s.mark(e.Machine) // re-rates every component of every task on it
 	case faults.SlowdownEnd:
 		s.slow[e.Machine] = 1
+		s.mark(e.Machine)
 	}
 }
 
@@ -90,7 +92,7 @@ func (s *Sim) failTask(rt *runningTask) {
 func (s *Sim) killJob(jr *jobRun) {
 	jr.killed = true
 	// Release the job's other running tasks, wherever they are.
-	var victims []*runningTask
+	victims := s.victims[:0]
 	for _, rt := range s.running {
 		if rt.job == jr {
 			victims = append(victims, rt)
@@ -99,6 +101,8 @@ func (s *Sim) killJob(jr *jobRun) {
 	for _, rt := range victims {
 		s.unlink(rt)
 	}
+	clear(victims)
+	s.victims = victims
 	jr.state.Alloc = resources.Vector{}
 	jr.truePeaks = resources.Vector{}
 	j := jr.state.Job
@@ -110,18 +114,25 @@ func (s *Sim) killJob(jr *jobRun) {
 }
 
 // unlink removes a running task from the running list and the
-// per-machine index, fixing swapped indices. Idempotent via rt.gone.
+// per-machine index, fixing swapped indices. Idempotent via rt.gone. The
+// task's resource nodes are marked — they drop it at their next re-sum —
+// and so are those of the task swap-moved into its slot, whose place in
+// their summation order just changed.
 func (s *Sim) unlink(rt *runningTask) {
 	if rt.gone {
 		return
 	}
 	rt.gone = true
+	s.markTask(rt)
 	last := len(s.running) - 1
 	moved := s.running[last]
 	s.running[rt.idx] = moved
 	moved.idx = rt.idx
 	s.running[last] = nil
 	s.running = s.running[:last]
+	if moved != rt {
+		s.markTask(moved)
+	}
 
 	lst := s.byMach[rt.machine]
 	for i, x := range lst {

@@ -45,6 +45,12 @@ type simMetrics struct {
 	stageScans  *telemetry.Counter
 	stagePrunes *telemetry.Counter
 
+	// rateRecomputed / rateClean split the resource nodes (machines, rack
+	// uplinks) of every event-loop iteration into those whose fluid shares
+	// were re-derived and those left alone (Sim.rateNodesRecomputed).
+	rateRecomputed *telemetry.Counter
+	rateClean      *telemetry.Counter
+
 	// Previous cumulative scheduler-core counters, for per-round deltas.
 	prevScatterNs     uint64
 	prevScatterRounds uint64
@@ -71,6 +77,9 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
 	m.stageScans = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "scanned"), scansHelp)
 	m.stagePrunes = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "pruned"), scansHelp)
+	const nodesHelp = "Resource nodes (machines, rack uplinks) per event-loop iteration whose fluid shares were re-derived (recomputed) or left alone because nothing arrived at or left them (clean)."
+	m.rateRecomputed = reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "recomputed"), nodesHelp)
+	m.rateClean = reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "clean"), nodesHelp)
 	const (
 		utilHelp   = "Cluster utilization as a fraction of capacity, per resource."
 		demandHelp = "Running tasks' aggregate peak demand as a fraction of capacity, per resource."
@@ -112,6 +121,13 @@ func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
 	m.prevScatterRounds = ps.Rounds
 	m.schedWorkers.Set(float64(ps.Workers))
 	m.schedOccupancy.Set(ps.Occupancy())
+}
+
+// observeRateNodes brings the published rate-node counters up to the
+// simulator's cumulative ones.
+func (m *simMetrics) observeRateNodes(recomputed, clean uint64) {
+	m.rateRecomputed.Add(recomputed - m.rateRecomputed.Value())
+	m.rateClean.Add(clean - m.rateClean.Value())
 }
 
 // observeSample publishes the cluster-level gauges for one sampling

@@ -7,6 +7,7 @@ import (
 	"github.com/tetris-sched/tetris/internal/cluster"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/telemetry"
+	"github.com/tetris-sched/tetris/internal/trace"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
@@ -36,6 +37,8 @@ func TestSimMetricsPublished(t *testing.T) {
 		"tetris_sim_placements_total 4",
 		`tetris_sim_sched_stage_scans_total{result="scanned"}`,
 		`tetris_sim_sched_stage_scans_total{result="pruned"} 0`,
+		`tetris_sim_rate_nodes_total{result="recomputed"}`,
+		`tetris_sim_rate_nodes_total{result="clean"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -56,6 +59,38 @@ func TestSimMetricsStageScans(t *testing.T) {
 		if reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", result), "").Value() == 0 {
 			t.Errorf("tetris_sim_sched_stage_scans_total{result=%q} never moved", result)
 		}
+	}
+}
+
+// TestSimMetricsRateNodes: the simulator publishes how many resource
+// nodes each event-loop iteration re-derived and how many it left alone.
+// On a cluster where most machines see nothing arrive or leave at a given
+// event, the clean side dominates — which is also the witness that rates
+// follow the dirty set instead of being recomputed wholesale.
+func TestSimMetricsRateNodes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	wl := trace.GenerateSuite(trace.Config{Seed: 11, NumJobs: 8, NumMachines: 40, ArrivalSpanSec: 200, MeanTaskSeconds: 10})
+	s, err := New(Config{Cluster: cluster.NewDeployment(40), Workload: wl, Scheduler: tetris(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	recomputed := reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "recomputed"), "").Value()
+	clean := reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "clean"), "").Value()
+	if recomputed != s.rateNodesRecomputed || clean != s.rateNodesClean {
+		t.Errorf("published %d recomputed, %d clean; the simulator counted %d and %d", recomputed, clean, s.rateNodesRecomputed, s.rateNodesClean)
+	}
+	const nodes = 40 + 2*2 // machines, and two racks' uplinks in two directions
+	if total := recomputed + clean; total == 0 || total%nodes != 0 {
+		t.Fatalf("recomputed + clean = %d, want a positive multiple of %d nodes", total, nodes)
+	}
+	if recomputed < nodes {
+		t.Errorf("%d nodes recomputed, want at least the %d of the first iteration", recomputed, nodes)
+	}
+	if recomputed*4 > clean {
+		t.Errorf("%d nodes recomputed against %d clean: rates no longer follow the dirty set", recomputed, clean)
 	}
 }
 

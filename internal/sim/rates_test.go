@@ -1,0 +1,157 @@
+package sim
+
+import (
+	"reflect"
+	"testing"
+
+	"github.com/tetris-sched/tetris/internal/cluster"
+	"github.com/tetris-sched/tetris/internal/faults"
+	"github.com/tetris-sched/tetris/internal/gang"
+	"github.com/tetris-sched/tetris/internal/resources"
+	"github.com/tetris-sched/tetris/internal/scheduler"
+	"github.com/tetris-sched/tetris/internal/trace"
+	"github.com/tetris-sched/tetris/internal/workload"
+)
+
+// TestIncrementalRatesMatchFull runs the simulator over every kind of
+// event that moves a fluid share, with Config.CheckInvariants on: after
+// each recomputeRates, checkRates rebuilds every node's user list from
+// the running tasks and requires each demand sum, scale factor and live
+// component rate to equal the full three-pass computation bit for bit.
+// Each case also asserts that the events it exists for happened, and that
+// the incremental path did the work (some nodes were left alone).
+//
+// The check has teeth. Each of these one-line mutations of the
+// incremental path fails this test (and the chaos suite) with a
+// checkRates error: not re-marking the task unlink swap-moves; summing a
+// marked node's list unsorted; no mark when advance finishes a component;
+// no mark on a slow[] change (faults case only); not listing cross-rack
+// flows on the uplink nodes (deployment cases only).
+func TestIncrementalRatesMatchFull(t *testing.T) {
+	suite := func(machines int) trace.Config {
+		return trace.Config{Seed: 11, NumJobs: 10, NumMachines: machines, ArrivalSpanSec: 200, MeanTaskSeconds: 10}
+	}
+	plan := func(machines int) *faults.Plan {
+		p := faults.Generate(faults.PlanConfig{
+			Seed: 7, Machines: machines, Horizon: 300,
+			CrashFraction: 0.15, MeanDowntime: 30,
+			SlowdownFraction: 0.2, SlowdownFactor: 0.5,
+		})
+		p.StragglerProb, p.StragglerFactor = 0.2, 0.5
+		return p
+	}
+	cases := []struct {
+		name  string
+		cfg   func() Config
+		check func(t *testing.T, s *Sim, res *Result)
+	}{
+		{"facebook", func() Config {
+			return Config{Cluster: cluster.NewFacebook(20), Workload: trace.GenerateSuite(suite(20)), Scheduler: tetris(), SampleEvery: 5}
+		}, nil},
+		{"deployment-uplinks", func() Config {
+			return Config{Cluster: cluster.NewDeployment(40), Workload: trace.GenerateSuite(suite(40)), Scheduler: tetris()}
+		}, func(t *testing.T, s *Sim, _ *Result) {
+			if s.racks != 2 || len(s.nodes) != 40+4 {
+				t.Errorf("%d uplinked racks, %d nodes; want 2 and 44", s.racks, len(s.nodes))
+			}
+		}},
+		{"activities", func() Config {
+			var acts []Activity
+			for m := 0; m < 20; m += 3 {
+				acts = append(acts, Activity{Machine: m, Start: float64(10 * m), End: float64(10*m + 120),
+					Usage: resources.New(4, 0, 150, 150, 800, 800)})
+			}
+			return Config{Cluster: cluster.NewFacebook(20), Workload: trace.GenerateSuite(suite(20)), Scheduler: scheduler.NewSlotFair(), Activities: acts}
+		}, nil},
+		{"faults", func() Config {
+			return Config{Cluster: cluster.NewDeployment(40), Workload: trace.GenerateSuite(suite(40)), Scheduler: tetris(), FaultPlan: plan(40)}
+		}, func(t *testing.T, _ *Sim, res *Result) {
+			st := res.RecoveryStats()
+			slowdowns := 0
+			for _, e := range plan(40).Events {
+				if e.Kind == faults.SlowdownStart {
+					slowdowns++
+				}
+			}
+			if st.Crashes == 0 || st.Recoveries == 0 || st.TasksKilled == 0 || slowdowns == 0 || res.Stragglers == 0 {
+				t.Errorf("crashes %d, recoveries %d, tasks killed %d, slowdowns %d, stragglers %d: want all > 0",
+					st.Crashes, st.Recoveries, st.TasksKilled, slowdowns, res.Stragglers)
+			}
+		}},
+		{"task-failures-kill-jobs", func() Config {
+			return Config{Cluster: cluster.NewFacebook(20), Workload: trace.GenerateSuite(suite(20)), Scheduler: scheduler.NewDRF(),
+				TaskFailureProb: 0.3, FailureSeed: 7, MaxTaskAttempts: 3}
+		}, func(t *testing.T, _ *Sim, res *Result) {
+			if res.FailedAttempts == 0 || len(res.KilledJobs) == 0 {
+				t.Errorf("%d failed attempts, killed jobs %v: want both", res.FailedAttempts, res.KilledJobs)
+			}
+		}},
+		{"gang-preemption", func() Config {
+			wl := trace.GenerateGangMix(trace.Config{Seed: 3, NumJobs: 24, NumMachines: 6, ArrivalSpanSec: 100, MeanTaskSeconds: 40}, 0.4)
+			return Config{Cluster: cluster.NewFacebook(6), Workload: wl,
+				Scheduler: gang.New(tetris(), gang.Config{HoldSec: 5, PreemptSec: 5})}
+		}, func(t *testing.T, _ *Sim, res *Result) {
+			if res.Preemptions == 0 || res.GangCommits == 0 {
+				t.Errorf("%d preemptions, %d gang commits: want both", res.Preemptions, res.GangCommits)
+			}
+		}},
+		{"every-event-schedules", func() Config {
+			return Config{Cluster: cluster.NewFacebook(20), Workload: trace.GenerateSuite(suite(20)), Scheduler: tetris(), HeartbeatSec: -1}
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.CheckInvariants = true
+			cfg.MaxTime = 1e6
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Jobs) != len(cfg.Workload.Jobs) {
+				t.Errorf("%d of %d jobs terminated", len(res.Jobs), len(cfg.Workload.Jobs))
+			}
+			if s.rateNodesRecomputed == 0 || s.rateNodesClean == 0 {
+				t.Errorf("rate nodes: %d recomputed, %d clean; want both > 0", s.rateNodesRecomputed, s.rateNodesClean)
+			}
+			if tc.check != nil {
+				tc.check(t, s, res)
+			}
+		})
+	}
+}
+
+// TestFlowOrderIsAFunctionOfTheTask: a task's flow components come one
+// per source machine in ascending source order, whatever order its input
+// blocks are listed in. The order is part of every sum the components
+// enter, so it must not depend on map iteration (it did) or on anything
+// else outside the seed.
+func TestFlowOrderIsAFunctionOfTheTask(t *testing.T) {
+	blocks := []workload.InputBlock{
+		{Machine: 7, SizeMB: 10}, {Machine: 3, SizeMB: 20}, {Machine: 9, SizeMB: 30},
+		{Machine: 3, SizeMB: 40}, {Machine: 1, SizeMB: 50}, {Machine: 0, SizeMB: 60},
+	}
+	wl := oneJob(50, resources.New(1, 1, 50, 0, 100, 0), workload.Work{CPUSeconds: 1}, blocks...)
+	wl.NumMachines = 10
+	s, err := New(Config{Cluster: cluster.NewFacebook(10), Workload: wl, Scheduler: tetris()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range wl.Jobs[0].Stages[0].Tasks {
+		s.start(scheduler.Assignment{JobID: 0, Task: task, Machine: 0, Local: task.Peak})
+		var srcs []int
+		var mbs []float64
+		for _, c := range s.running[len(s.running)-1].comps {
+			if c.kind == compFlow {
+				srcs, mbs = append(srcs, c.src), append(mbs, c.remaining)
+			}
+		}
+		if !reflect.DeepEqual(srcs, []int{1, 3, 7, 9}) || !reflect.DeepEqual(mbs, []float64{50, 60, 10, 30}) {
+			t.Fatalf("task %v: flows from %v carrying %v MB, want sources [1 3 7 9] carrying [50 60 10 30]", task.ID, srcs, mbs)
+		}
+	}
+}

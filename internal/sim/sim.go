@@ -98,9 +98,12 @@ type Config struct {
 	TaskFailureProb float64
 	// FailureSeed drives the failure coin flips (default 1).
 	FailureSeed int64
-	// CheckInvariants makes the simulator verify, at every sampling or
-	// scheduling instant, that no machine's memory is over-committed and
-	// that no ledger is negative. For tests; costs a pass over machines.
+	// CheckInvariants makes the simulator verify, at every event, that no
+	// machine's memory is over-committed and that no ledger is negative
+	// (checkInvariants), and that the incrementally kept fluid rates
+	// equal, bit for bit, a full recomputation from all running tasks
+	// (checkRates). For tests; costs several passes over the running
+	// tasks per event.
 	CheckInvariants bool
 	// Metrics receives the simulator's telemetry: per-resource
 	// utilization and demand gauges, fairness deviation, placement
@@ -230,6 +233,20 @@ type Sim struct {
 	// array, so a tick allocates nothing on the view-building side.
 	view     scheduler.View
 	viewJobs []*scheduler.JobState
+	// Fluid-rate state (rates.go): one node per machine, then — when the
+	// cluster models rack uplinks — one per rack and direction; dirty
+	// lists the nodes marked since the last recomputeRates.
+	nodes            []rateNode
+	dirty            []int
+	racks            int // racks with a modelled uplink; 0 when there is none
+	alpha, floorFrac float64
+	// How much of the events' rate work was recomputation: nodes re-summed
+	// against nodes left alone, summed over loop iterations.
+	rateNodesRecomputed, rateNodesClean uint64
+	// Scratch reused across loop iterations and rounds.
+	finished []*runningTask // advance: tasks with no work left
+	victims  []*runningTask // killJob
+	srcRates []srcRate      // updateReported
 }
 
 // New validates the configuration and prepares a run.
@@ -269,6 +286,17 @@ func New(cfg Config) (*Sim, error) {
 	s.crashedAt = make([]float64, len(s.machines))
 	for i := range s.slow {
 		s.slow[i] = 1
+	}
+	s.alpha, s.floorFrac = cfg.interferenceAlpha(), cfg.interferenceFloor()
+	if r := cfg.Cluster.NumRacks(); r > 1 && cfg.Cluster.CrossRackMbps > 0 {
+		s.racks = r
+	}
+	// Every node starts marked, so the first recomputeRates derives the
+	// idle scale factors like any others.
+	s.nodes = make([]rateNode, len(s.machines)+2*s.racks)
+	s.dirty = make([]int, 0, len(s.nodes))
+	for id := range s.nodes {
+		s.mark(id)
 	}
 	if plan := cfg.FaultPlan; !plan.Empty() {
 		if err := plan.Validate(len(s.machines)); err != nil {
@@ -328,10 +356,12 @@ func (s *Sim) Run() (*Result, error) {
 			case evActivityStart:
 				a := s.cfg.Activities[ev.idx]
 				s.background[a.Machine] = s.background[a.Machine].Add(a.Usage)
+				s.mark(a.Machine)
 				needSchedule = true
 			case evActivityEnd:
 				a := s.cfg.Activities[ev.idx]
 				s.background[a.Machine] = s.background[a.Machine].Sub(a.Usage).Max(resources.Vector{})
+				s.mark(a.Machine)
 				needSchedule = true
 			case evSample:
 				s.sample()
@@ -365,6 +395,11 @@ func (s *Sim) Run() (*Result, error) {
 		}
 		// 3. Recompute fluid rates and find the next completion.
 		s.recomputeRates()
+		if s.cfg.CheckInvariants {
+			if err := s.checkRates(); err != nil {
+				return nil, err
+			}
+		}
 		nextFinish := math.Inf(1)
 		for _, rt := range s.running {
 			if f := rt.finishEstimate(); f < nextFinish {
@@ -385,7 +420,7 @@ func (s *Sim) Run() (*Result, error) {
 		if s.cfg.MaxTime > 0 && next > s.cfg.MaxTime {
 			return nil, fmt.Errorf("sim: exceeded MaxTime %v (next event at t=%v, %d jobs unfinished)", s.cfg.MaxTime, next, len(s.active))
 		}
-		// 4. Advance work to the next instant.
+		// 4. Advance work to the next instant, noting what it finishes.
 		dt := next - s.clock
 		if dt < 0 {
 			dt = 0
@@ -411,6 +446,7 @@ func (s *Sim) Run() (*Result, error) {
 			needSchedule = true
 		}
 	}
+	s.metrics.observeRateNodes(s.rateNodesRecomputed, s.rateNodesClean)
 	s.res.Makespan = s.lastDone
 	s.res.FaultEvents = s.faultRing.Records()
 	s.res.DroppedFaultEvents = s.faultRing.Dropped()
@@ -501,6 +537,7 @@ func (s *Sim) schedule() {
 	}
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
 	s.metrics.observeCore(s.cfg.Scheduler)
+	s.metrics.observeRateNodes(s.rateNodesRecomputed, s.rateNodesClean)
 	s.metrics.placements.Add(uint64(len(asgs)))
 	for _, a := range asgs {
 		s.start(a)
@@ -566,34 +603,42 @@ func (s *Sim) start(a scheduler.Assignment) {
 	if t.Work.WriteMB > 0 {
 		rt.comps = append(rt.comps, component{kind: compWrite, remaining: t.Work.WriteMB, demand: t.Peak.Get(resources.DiskWrite)})
 	}
+	// Input blocks: local ones read from this machine's disks, remote
+	// ones summed per source machine in ascending source order — the
+	// component order is part of the floating-point result.
 	var localMB float64
-	remoteBySrc := map[int]float64{}
+	var flowBuf [12]component
+	flows := flowBuf[:0]
 	for _, b := range t.Inputs {
 		if b.SizeMB <= 0 {
 			continue
 		}
 		if b.Machine < 0 || b.Machine == a.Machine {
 			localMB += b.SizeMB
-		} else {
-			remoteBySrc[b.Machine] += b.SizeMB
+			continue
 		}
+		i := 0
+		for i < len(flows) && flows[i].src < b.Machine {
+			i++
+		}
+		if i == len(flows) || flows[i].src != b.Machine {
+			flows = append(flows, component{})
+			copy(flows[i+1:], flows[i:])
+			flows[i] = component{kind: compFlow, src: b.Machine}
+		}
+		flows[i].remaining += b.SizeMB
 	}
 	if localMB > 0 {
 		rt.comps = append(rt.comps, component{kind: compLocalRead, remaining: localMB, demand: t.Peak.Get(resources.DiskRead)})
 		s.res.LocalReadMB += localMB
 	}
 	remoteTotal := t.RemoteInputMB(a.Machine)
-	for src, mb := range remoteBySrc {
+	for _, f := range flows {
 		// Each flow's peak byte rate is its share of the task's
 		// achievable remote-read rate (disk- and network-capped).
-		frac := mb / remoteTotal
-		rt.comps = append(rt.comps, component{
-			kind:      compFlow,
-			remaining: mb,
-			demand:    t.FlowCapMBps() * frac,
-			src:       src,
-		})
-		s.res.RemoteReadMB += mb
+		f.demand = t.FlowCapMBps() * (f.remaining / remoteTotal)
+		rt.comps = append(rt.comps, f)
+		s.res.RemoteReadMB += f.remaining
 	}
 	s.running = append(s.running, rt)
 	s.byMach[a.Machine] = append(s.byMach[a.Machine], rt)
@@ -601,6 +646,7 @@ func (s *Sim) start(a scheduler.Assignment) {
 		// Degenerate zero-work task: completes instantly on the next pass.
 		rt.comps = append(rt.comps, component{kind: compCPU, remaining: 0, demand: 1})
 	}
+	s.enlist(rt)
 }
 
 // finishEstimate returns seconds until this task completes at current
@@ -622,41 +668,39 @@ func (rt *runningTask) finishEstimate() float64 {
 	return worst
 }
 
-// advance progresses every component by dt at its current rate.
+// advance progresses every live component by dt at its current rate —
+// all of them on every call: stepping a component later over a longer dt
+// would round differently — and collects in s.finished, in running
+// order, the tasks left with nothing to do.
 func (s *Sim) advance(dt float64) {
-	if dt <= 0 {
-		return
-	}
+	s.finished = s.finished[:0]
 	for _, rt := range s.running {
+		busy := false
 		for i := range rt.comps {
 			c := &rt.comps[i]
 			if c.remaining <= 0 {
 				continue
 			}
-			c.remaining -= c.rate * dt
-			if c.remaining < 1e-9 {
-				c.remaining = 0
+			if dt > 0 {
+				c.remaining -= c.rate * dt
+				if c.remaining < 1e-9 {
+					c.remaining, c.rate = 0, 0
+					s.markComp(rt, c) // its share returns to the others
+					continue
+				}
 			}
+			busy = true
+		}
+		if !busy {
+			s.finished = append(s.finished, rt)
 		}
 	}
 }
 
-// completeFinished retires tasks whose components are all done; returns
+// completeFinished retires the tasks advance found finished; returns
 // whether anything completed.
 func (s *Sim) completeFinished() bool {
-	var done []*runningTask
-	for _, rt := range s.running {
-		finished := true
-		for i := range rt.comps {
-			if rt.comps[i].remaining > 0 {
-				finished = false
-				break
-			}
-		}
-		if finished {
-			done = append(done, rt)
-		}
-	}
+	done := s.finished
 	for _, rt := range done {
 		if rt.gone {
 			continue // removed by a job kill triggered earlier in this loop
