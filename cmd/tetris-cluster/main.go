@@ -48,11 +48,9 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, JSON /debug/status and /debug/trace, and pprof on this address (empty = off)")
 
 		deltaBeats = flag.Bool("delta-heartbeats", false, "NMs send delta availability reports when usage is unchanged since the last acked beat")
-		wireCodec  = flag.String("wire-codec", "json", "wire codec NMs and AMs speak to the RM: json (legacy v0 frames) or binary (v1 zero-copy frames; the RM replies in kind)")
+		wireCodec  = flag.String("wire-codec", "json", "wire codec NMs and AMs speak to the RM: json or binary (zero-copy frames); the RM replies in kind")
 
-		coreName = flag.String("core", "incremental", "tetris schedule core: incremental | reference | parallel")
-		workers  = flag.Int("sched-workers", 0, "parallel core pool size (0 = GOMAXPROCS; needs -core=parallel)")
-		shards   = flag.Int("shards", 1, "scheduler shards: the RM partitions nodes by id mod N and routes each job to one shard")
+		shards = flag.Int("shards", 1, "scheduler shards: the RM partitions nodes by id mod N and routes each job to one shard")
 
 		connTimeout = flag.Duration("conn-timeout", 0, "per-read/write deadline on RM connection handlers (0 = 2m default)")
 		tenant      = flag.String("tenant", "", "tenant name stamped on submitted jobs (empty = anonymous default tenant)")
@@ -87,17 +85,6 @@ func main() {
 	ring := scheduler.NewDecisionRing(256, 1)
 	schedCfg := tetris.DefaultConfig()
 	schedCfg.Trace = ring
-	switch *coreName {
-	case "incremental":
-		schedCfg.Core = tetris.CoreIncremental
-	case "reference":
-		schedCfg.Core = tetris.CoreReference
-	case "parallel":
-		schedCfg.Core = tetris.CoreParallel
-		schedCfg.Workers = *workers
-	default:
-		log.Fatalf("unknown core %q (want incremental, reference or parallel)", *coreName)
-	}
 	// Admission front door: enabled when a per-tenant quota is set.
 	var admCfg *rm.AdmissionConfig
 	if *quotaJobs > 0 {

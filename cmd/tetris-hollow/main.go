@@ -14,8 +14,8 @@
 //	benchgate -check BENCH_scale_smoke.json -require rounds_per_sec,...
 //
 // -scenario wire runs the same workload twice at equal node count —
-// once with legacy JSON frames and individual heartbeats, once with the
-// v1 binary codec and batched heartbeats — and writes one
+// once with JSON frames and individual heartbeats, once with the
+// binary codec and batched heartbeats — and writes one
 // BENCH_scale_wire.json carrying the binary run's metrics plus the
 // JSON baseline under json_* keys and the ratio
 // wire_bytes_binary_over_json, the number CI gates on.
@@ -64,7 +64,6 @@ type options struct {
 	scenario                         string
 	gangFrac                         float64
 	crashFrac                        float64
-	coreName                         string
 	shards                           int
 	logger                           *log.Logger
 
@@ -86,14 +85,13 @@ func main() {
 		compression = flag.Float64("compression", 50, "time compression for synthetic task durations and job arrivals")
 		seed        = flag.Int64("seed", 1, "seed for workload, fault plan, stagger and sampling")
 		delta       = flag.Bool("delta", true, "send delta availability reports (unchanged usage omitted from heartbeats)")
-		codecName   = flag.String("codec", "json", "wire codec for fleet traffic: json (legacy v0 frames) or binary (v1 zero-copy frames)")
+		codecName   = flag.String("codec", "json", "wire codec for fleet traffic: json or binary (zero-copy frames)")
 		batch       = flag.Int("batch", 0, "coalesce up to this many nodes' heartbeats per frame (0 = individual beats; the binary leg of -scenario wire defaults to 64)")
 		scenario    = flag.String("scenario", "smoke", "scenario name; output file is BENCH_scale_<scenario>.json. \"gang\" switches to the ML/MPI gang workload and wraps the RM scheduler in the gang coordinator. \"wire\" runs a JSON baseline then a binary+batched leg and emits their comparison")
 		gangFrac    = flag.Float64("gang-fraction", 0.5, "fraction of gang jobs in -scenario gang")
 		outDir      = flag.String("out", ".", "directory for the BENCH snapshot")
 		nodeTimeout = flag.Duration("node-timeout", 10*time.Second, "RM failure-detector heartbeat silence threshold (0 = off)")
 		crashFrac   = flag.Float64("crash-frac", 0, "fraction of nodes that crash once mid-run (fault-plan churn; needs -node-timeout)")
-		coreName    = flag.String("core", "incremental", "tetris schedule core: incremental | reference | parallel")
 		shards      = flag.Int("shards", 1, "scheduler shards: the RM partitions nodes by id mod N and routes each job to one shard")
 		verbose     = flag.Bool("v", false, "verbose RM/fleet logging")
 
@@ -128,7 +126,7 @@ func main() {
 		compression: *compression, seed: *seed, delta: *delta,
 		codec: codec, batch: *batch,
 		scenario: *scenario, gangFrac: *gangFrac, crashFrac: *crashFrac,
-		coreName: *coreName, shards: *shards, logger: logger,
+		shards: *shards, logger: logger,
 		tenants: *tenants, stormWorkers: *stormWorkers, stormBatch: *stormBatch,
 		quotaJobs: *quotaJobs, shedHigh: *shedHigh, shedLimit: *shedLimit,
 		stormRate: *stormRate, tenantRate: *tenantRate,
@@ -158,7 +156,7 @@ func main() {
 }
 
 // runWire measures the wire overhaul: the same workload at equal node
-// count over legacy JSON frames with individual heartbeats, then over
+// count over JSON frames with individual heartbeats, then over
 // the binary codec with batched heartbeats. The emitted snapshot is the
 // binary leg's, extended with the baseline's numbers under json_* keys
 // and the wire_bytes_binary_over_json ratio CI gates on (≤ 0.6 means
@@ -212,16 +210,6 @@ func runWire(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 	reg := telemetry.NewRegistry()
 	schedCfg := tetris.DefaultConfig()
-	switch o.coreName {
-	case "incremental":
-		schedCfg.Core = tetris.CoreIncremental
-	case "reference":
-		schedCfg.Core = tetris.CoreReference
-	case "parallel":
-		schedCfg.Core = tetris.CoreParallel
-	default:
-		return nil, 0, fmt.Errorf("unknown core %q (want incremental, reference or parallel)", o.coreName)
-	}
 	// With -tenants the admission front door guards submissions: the
 	// storm's anonymous masses get default quotas while the AM fleet
 	// submits as the high-priority "fleet" tenant, so the real workload
@@ -419,7 +407,6 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 			"delta":       strconv.FormatBool(o.delta),
 			"codec":       o.codec.String(),
 			"batch":       strconv.Itoa(o.batch),
-			"core":        o.coreName,
 			"shards":      strconv.Itoa(o.shards),
 			"crash_frac":  strconv.FormatFloat(o.crashFrac, 'g', -1, 64),
 			"duration":    o.duration.String(),

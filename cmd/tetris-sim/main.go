@@ -33,10 +33,8 @@ func main() {
 		barrier   = flag.Float64("barrier", 0.9, "tetris barrier knob b ∈ (0,1]")
 		penalty   = flag.Float64("remote-penalty", 0.1, "tetris remote penalty")
 		epsMult   = flag.Float64("eps", 1, "tetris ε multiplier m")
-		coreName  = flag.String("core", "incremental", "tetris schedule core: incremental | reference | parallel")
 		scenario  = flag.String("scenario", "", "named scenario: gang (ML/MPI gang mix, gang coordinator wrapped around the scheduler)")
 		gangFrac  = flag.Float64("gang-fraction", 0.3, "fraction of gang jobs in -scenario gang")
-		workers   = flag.Int("sched-workers", 0, "parallel core pool size (0 = GOMAXPROCS; needs -core=parallel)")
 		compare   = flag.Bool("compare", false, "also run slot-fair and DRF and print gains")
 		failures  = flag.Float64("failures", 0, "task failure probability (re-executed on failure)")
 
@@ -80,7 +78,6 @@ func main() {
 	if wl.NumMachines > *machines {
 		log.Fatalf("workload references %d machines; raise -machines", wl.NumMachines)
 	}
-	var mainSched tetris.Scheduler
 	mkSched := func(name string) tetris.Scheduler {
 		switch name {
 		case "tetris":
@@ -89,17 +86,6 @@ func main() {
 			cfg.Barrier = *barrier
 			cfg.RemotePenalty = *penalty
 			cfg.EpsilonMultiplier = *epsMult
-			switch *coreName {
-			case "incremental":
-				cfg.Core = tetris.CoreIncremental
-			case "reference":
-				cfg.Core = tetris.CoreReference
-			case "parallel":
-				cfg.Core = tetris.CoreParallel
-				cfg.Workers = *workers
-			default:
-				log.Fatalf("unknown core %q (want incremental, reference or parallel)", *coreName)
-			}
 			cfg.Trace = ring
 			return tetris.NewScheduler(cfg)
 		case "slot-fair", "cs", "fair":
@@ -138,9 +124,6 @@ func main() {
 			// packing differences, not gang-admission differences.
 			s = tetris.NewGangCoordinator(s, tetris.DefaultGangConfig())
 		}
-		if mainSched == nil {
-			mainSched = s
-		}
 		res, err := tetris.Simulate(tetris.SimConfig{
 			Cluster:         tetris.NewFacebookCluster(*machines),
 			Workload:        wl,
@@ -171,19 +154,6 @@ func main() {
 			res.GangCommits, res.GangWaitPercentile(50), res.GangWaitPercentile(99), res.GangReleases)
 		fmt.Printf("preemptions   %d attempts evicted for gangs (%.2f/1000 s simulated)\n",
 			res.Preemptions, 1000*float64(res.Preemptions)/res.Makespan)
-	}
-	inner := mainSched
-	if w, ok := inner.(interface{ Inner() tetris.Scheduler }); ok {
-		inner = w.Inner()
-	}
-	if p, ok := inner.(interface {
-		ParallelStats() (tetris.ParallelStats, bool)
-	}); ok {
-		if ps, ok := p.ParallelStats(); ok && ps.Rounds > 0 {
-			fmt.Printf("parallel      %d workers, %.0f%% occupancy, %.1f µs mean scatter over %d rounds\n",
-				ps.Workers, 100*ps.Occupancy(),
-				float64(ps.ScatterNs)/float64(ps.Rounds)/1e3, ps.Rounds)
-		}
 	}
 	if *failures > 0 {
 		fmt.Printf("failures      %d task attempts failed and re-ran\n", res.FailedAttempts)

@@ -38,8 +38,8 @@ type Config struct {
 	// cutoff). Zero means no time cap — only MaxReconnects applies.
 	ReconnectWindow time.Duration
 	// Codec selects the wire encoding for RM traffic: wire.CodecJSON
-	// (the default) speaks legacy v0 frames, wire.CodecBinary speaks v1
-	// binary frames for the hot poll path (DESIGN.md §15).
+	// (the default) speaks JSON frames, wire.CodecBinary binary frames
+	// for the hot poll path (DESIGN.md §15).
 	Codec wire.Codec
 	// Metrics receives the job manager's telemetry (poll RTTs, reconnect
 	// attempts, job outcomes); AMs sharing one registry aggregate. Nil

@@ -37,16 +37,17 @@ func fakeRM(t *testing.T, replies []*wire.Message) string {
 			return
 		}
 		defer conn.Close()
+		framer := wire.NewServerFramer()
 		i := 0
 		for {
-			if _, err := wire.Read(conn); err != nil {
+			if _, err := framer.Read(conn); err != nil {
 				return
 			}
 			reply := replies[i]
 			if i < len(replies)-1 {
 				i++ // keep answering with the final scripted reply
 			}
-			if err := wire.Write(conn, reply); err != nil {
+			if err := framer.Write(conn, reply); err != nil {
 				return
 			}
 		}

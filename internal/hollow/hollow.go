@@ -62,8 +62,8 @@ type Config struct {
 	// when a node's usage is unchanged since its last acked beat.
 	DeltaHeartbeats bool
 	// Codec selects the wire encoding for fleet traffic: wire.CodecJSON
-	// (the default) speaks legacy v0 frames, wire.CodecBinary speaks v1
-	// zero-copy binary frames (DESIGN.md §15). The RM replies in kind.
+	// (the default) speaks JSON frames, wire.CodecBinary zero-copy
+	// binary frames (DESIGN.md §15). The RM replies in kind.
 	Codec wire.Codec
 	// Batch coalesces up to this many nodes' heartbeats into one
 	// TypeHeartbeatBatch frame per shared connection. Each node still

@@ -155,7 +155,8 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 		pace = time.Duration(float64(cfg.Batch) * float64(cfg.Workers) / cfg.Rate * float64(time.Second))
 	}
 	var conn net.Conn
-	var unarm func() bool // releases the ctx-cancel deadline on the live conn
+	var framer *wire.Framer // one per dialed connection
+	var unarm func() bool   // releases the ctx-cancel deadline on the live conn
 	closeConn := func() {
 		if conn != nil {
 			unarm()
@@ -175,7 +176,7 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 				}
 				continue
 			}
-			conn = c
+			conn, framer = c, wire.NewFramer(wire.CodecJSON)
 			// Unblock any in-flight Read the instant the storm budget
 			// expires; an overloaded RM can take arbitrarily long to reply.
 			unarm = context.AfterFunc(ctx, func() { c.SetDeadline(time.Now()) })
@@ -188,12 +189,19 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 		}
 		rep.Attempts += len(batch.Jobs)
 		t0 := time.Now()
-		err := wire.Write(conn, &wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: batch})
+		err := framer.Write(conn, &wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: batch})
 		var reply *wire.Message
 		if err == nil {
-			reply, err = wire.Read(conn)
+			reply, err = framer.Read(conn)
 		}
 		if err != nil {
+			if ctx.Err() != nil {
+				// The storm's own budget expired and the deadline armed at
+				// dial time cut the exchange short: no transport failed, and
+				// a batch the storm stopped waiting on is not an attempt.
+				rep.Attempts -= len(batch.Jobs)
+				break
+			}
 			// The RM may have been killed mid-batch (chaos runs do this on
 			// purpose): the batch's fate is unknown until the journal
 			// replays. Count it and redial.

@@ -54,9 +54,9 @@ type Config struct {
 	// and whenever the RM requests one (NMReply.FullReport).
 	DeltaHeartbeats bool
 	// Codec selects the wire encoding for RM traffic: wire.CodecJSON
-	// (the default) speaks legacy v0 frames, wire.CodecBinary speaks v1
-	// zero-copy binary frames (DESIGN.md §15). The RM replies in kind,
-	// so mixed-codec fleets interoperate per connection.
+	// (the default) speaks JSON frames, wire.CodecBinary zero-copy
+	// binary frames (DESIGN.md §15). The RM replies in kind, so
+	// mixed-codec fleets interoperate per connection.
 	Codec wire.Codec
 	// Metrics receives the node's telemetry (heartbeat RTTs, reconnect
 	// attempts, task lifecycle counters). Several NMs sharing one

@@ -91,6 +91,7 @@ func TestChaosAdmissionCrashRestart(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(idx) + 1))
 			var conn net.Conn
+			var framer *wire.Framer
 			defer func() {
 				if conn != nil {
 					conn.Close()
@@ -103,17 +104,17 @@ func TestChaosAdmissionCrashRestart(t *testing.T) {
 						time.Sleep(10 * time.Millisecond)
 						continue
 					}
-					conn = c
+					conn, framer = c, wire.NewFramer(wire.CodecJSON)
 				}
 				tenant := fmt.Sprintf("t%d", rng.Intn(tenants))
 				batch := &wire.SubmitBatch{Tenant: tenant}
 				for i := 0; i < batchSize; i++ {
 					batch.Jobs = append(batch.Jobs, chaosJob(int(nextID.Add(1)-1), 1))
 				}
-				err := wire.Write(conn, &wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: batch})
+				err := framer.Write(conn, &wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: batch})
 				var reply *wire.Message
 				if err == nil {
-					reply, err = wire.Read(conn)
+					reply, err = framer.Read(conn)
 				}
 				if err != nil {
 					conn.Close()

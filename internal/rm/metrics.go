@@ -48,7 +48,6 @@ type rmMetrics struct {
 	nmHeartbeat   *telemetry.Histogram
 	amHeartbeat   *telemetry.Histogram
 	journalFsync  *telemetry.Histogram
-	parScatter    *telemetry.Histogram
 	gangAdmitWait *telemetry.Histogram
 
 	replaySeconds *telemetry.Gauge
@@ -56,9 +55,7 @@ type rmMetrics struct {
 
 	// Previous cumulative scheduler-core counters, for per-round deltas.
 	// Only touched at the Schedule call site under s.mu.
-	prevScatterNs     uint64
-	prevScatterRounds uint64
-	prevScan          scheduler.ScanStats
+	prevScan scheduler.ScanStats
 }
 
 // newRMMetrics resolves one shard core's metric set in reg. A nil reg
@@ -90,7 +87,6 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 		nmHeartbeat:   reg.Histogram(name("tetris_rm_nm_heartbeat_seconds"), "NM heartbeat processing time, scheduling included."),
 		amHeartbeat:   reg.Histogram(name("tetris_rm_am_heartbeat_seconds"), "AM heartbeat processing time."),
 		journalFsync:  reg.Histogram(name("tetris_rm_journal_fsync_seconds"), "Write-ahead journal fsync latency."),
-		parScatter:    reg.Histogram(name("tetris_rm_parallel_scatter_seconds"), "Scatter-phase wall time of one parallel-core scheduling round."),
 		gangAdmitWait: reg.Histogram(name("tetris_rm_gang_admit_wait_seconds"), "Gang admission latency: first quorum want to atomic commit."),
 
 		replaySeconds: reg.Gauge(name("tetris_rm_journal_replay_seconds"), "Wall time of the last journal recovery replay."),
@@ -144,19 +140,6 @@ func (s *Server) registerGauges(reg *telemetry.Registry) {
 	reg.GaugeFunc(name("tetris_rm_fault_log_dropped"), "Fault records evicted from the bounded fault ring.", func() float64 {
 		return float64(s.DroppedFaultEvents())
 	})
-	// Parallel-core pool gauges, registered only when the configured
-	// scheduler runs one. The counters are atomics, so these scrape
-	// without s.mu.
-	if _, ok := parallelStats(s.cfg.Scheduler); ok {
-		reg.GaugeFunc(name("tetris_rm_sched_workers"), "Resolved worker-pool size of the parallel scheduling core.", func() float64 {
-			ps, _ := parallelStats(s.cfg.Scheduler)
-			return float64(ps.Workers)
-		})
-		reg.GaugeFunc(name("tetris_rm_sched_worker_occupancy"), "Mean scatter-phase worker occupancy of the parallel scheduling core.", func() float64 {
-			ps, _ := parallelStats(s.cfg.Scheduler)
-			return ps.Occupancy()
-		})
-	}
 }
 
 // innerScheduler looks through wrappers that expose their inner
@@ -166,19 +149,6 @@ func innerScheduler(sched scheduler.Scheduler) scheduler.Scheduler {
 		return w.Inner()
 	}
 	return sched
-}
-
-// parallelStats reports the scheduler's parallel-core counters. ok is
-// false when the scheduler has no parallel core (other schedulers, or
-// a Tetris instance on a sequential core).
-func parallelStats(sched scheduler.Scheduler) (scheduler.ParallelStats, bool) {
-	p, ok := innerScheduler(sched).(interface {
-		ParallelStats() (scheduler.ParallelStats, bool)
-	})
-	if !ok {
-		return scheduler.ParallelStats{}, false
-	}
-	return p.ParallelStats()
 }
 
 // observeScans adds the round's share of the Tetris core's cumulative

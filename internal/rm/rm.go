@@ -758,13 +758,6 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	restoreWeights()
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
 	s.metrics.rounds[cause].Inc()
-	if ps, ok := parallelStats(s.cfg.Scheduler); ok && ps.Rounds > s.metrics.prevScatterRounds {
-		// The counters are cumulative; the delta is this round's scatter
-		// (Schedule runs under s.mu, so rounds advance one at a time).
-		s.metrics.parScatter.Observe(float64(ps.ScatterNs-s.metrics.prevScatterNs) / 1e9)
-		s.metrics.prevScatterNs = ps.ScatterNs
-		s.metrics.prevScatterRounds = ps.Rounds
-	}
 	s.metrics.observeScans(s.cfg.Scheduler)
 	s.metrics.placements.Add(uint64(len(asgs)))
 	for _, a := range asgs {

@@ -381,8 +381,8 @@ func (g *Sharded) serve(conn net.Conn) {
 	default:
 	}
 	// One Framer per connection: codec negotiation is reply-in-kind
-	// (legacy JSON peers get legacy frames, binary peers get binary),
-	// and hot-frame decode reuses the Framer's scratch so steady-state
+	// (JSON peers get JSON frames, binary peers get binary), and
+	// hot-frame decode reuses the Framer's scratch so steady-state
 	// heartbeats allocate nothing.
 	framer := wire.NewServerFramer()
 	for {

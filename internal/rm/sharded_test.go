@@ -133,12 +133,13 @@ func TestShardedWireProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	framer := wire.NewFramer(wire.CodecJSON)
 	rpc := func(m *wire.Message) *wire.Message {
 		t.Helper()
-		if err := wire.Write(conn, m); err != nil {
+		if err := framer.Write(conn, m); err != nil {
 			t.Fatal(err)
 		}
-		r, err := wire.Read(conn)
+		r, err := framer.Read(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,10 +305,11 @@ func TestShardedCloseSeversConnections(t *testing.T) {
 	defer conn.Close()
 	// One round trip, so the handler is known to be parked in its next
 	// read when Close runs.
-	if err := wire.Write(conn, &wire.Message{Type: wire.TypeClusterStatus}); err != nil {
+	framer := wire.NewFramer(wire.CodecJSON)
+	if err := framer.Write(conn, &wire.Message{Type: wire.TypeClusterStatus}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.Read(conn); err != nil {
+	if _, err := framer.Read(conn); err != nil {
 		t.Fatal(err)
 	}
 	closed := make(chan error, 1)
@@ -320,7 +322,7 @@ func TestShardedCloseSeversConnections(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Close blocked on an idle client connection")
 	}
-	if _, err := wire.Read(conn); err == nil {
+	if _, err := framer.Read(conn); err == nil {
 		t.Fatal("connection still open after Close")
 	}
 }

@@ -1,9 +1,10 @@
 package rm
 
 // Wire-level tests of the binary codec and heartbeat batching against
-// live RMs: mixed-codec sessions (one v0 JSON peer, one v1 binary peer
-// on the same server), reply-in-kind negotiation observed on the raw
-// socket, and batch fan-out semantics at one shard and several.
+// live RMs: mixed-codec sessions (one JSON peer, one binary peer on the
+// same server), reply-in-kind negotiation observed on the raw socket,
+// a retired v0 frame refused at the socket, and batch fan-out semantics
+// at one shard and several.
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -29,22 +31,22 @@ func dialRM(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
-// TestMixedCodecSessions runs a legacy v0 JSON peer and a v1 binary
-// peer against one live RM concurrently-registered: both register,
-// heartbeat, and see equivalent verdicts; the server answers each in
-// its own format.
+// TestMixedCodecSessions runs a JSON peer and a binary peer against one
+// live RM concurrently-registered: both register, heartbeat, and see
+// equivalent verdicts; the server answers each in its own codec.
 func TestMixedCodecSessions(t *testing.T) {
 	s := newServer(t)
 	capV := resources.New(16, 32, 200, 200, 1000, 1000)
 
-	// Legacy peer: bare wire.Write/Read, node 0.
-	legacy := dialRM(t, s.Addr())
-	if err := wire.Write(legacy, &wire.Message{Type: wire.TypeRegisterNM,
+	// JSON peer: Framer with CodecJSON, node 0.
+	jsonPeer := dialRM(t, s.Addr())
+	jf := wire.NewFramer(wire.CodecJSON)
+	if err := jf.Write(jsonPeer, &wire.Message{Type: wire.TypeRegisterNM,
 		RegisterNM: &wire.RegisterNM{NodeID: 0, Capacity: capV}}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := wire.Read(legacy); err != nil || m.NMReply == nil {
-		t.Fatalf("legacy register reply: m=%+v err=%v", m, err)
+	if m, err := jf.Read(jsonPeer); err != nil || m.NMReply == nil {
+		t.Fatalf("JSON register reply: m=%+v err=%v", m, err)
 	}
 
 	// Binary peer: Framer with CodecBinary, node 1.
@@ -60,12 +62,12 @@ func TestMixedCodecSessions(t *testing.T) {
 
 	// Interleaved heartbeats on both sessions.
 	for round := 0; round < 5; round++ {
-		if err := wire.Write(legacy, &wire.Message{Type: wire.TypeNMHeartbeat,
+		if err := jf.Write(jsonPeer, &wire.Message{Type: wire.TypeNMHeartbeat,
 			NMHeartbeat: &wire.NMHeartbeat{NodeID: 0, Used: capV.Scale(0.1), Allocated: capV.Scale(0.1)}}); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := wire.Read(legacy); err != nil || m.NMReply == nil {
-			t.Fatalf("legacy beat %d: m=%+v err=%v", round, m, err)
+		if m, err := jf.Read(jsonPeer); err != nil || m.NMReply == nil {
+			t.Fatalf("JSON beat %d: m=%+v err=%v", round, m, err)
 		}
 		if err := f.Write(binPeer, &wire.Message{Type: wire.TypeNMHeartbeat,
 			NMHeartbeat: &wire.NMHeartbeat{NodeID: 1, Used: capV.Scale(0.2), Allocated: capV.Scale(0.2)}}); err != nil {
@@ -78,11 +80,11 @@ func TestMixedCodecSessions(t *testing.T) {
 
 	// An unregistered node's beat draws the same typed error through
 	// both codecs.
-	if err := wire.Write(legacy, &wire.Message{Type: wire.TypeNMHeartbeat,
+	if err := jf.Write(jsonPeer, &wire.Message{Type: wire.TypeNMHeartbeat,
 		NMHeartbeat: &wire.NMHeartbeat{NodeID: 77}}); err != nil {
 		t.Fatal(err)
 	}
-	ml, err := wire.Read(legacy)
+	ml, err := jf.Read(jsonPeer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +97,15 @@ func TestMixedCodecSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ml.Type != wire.TypeError || mb.Type != wire.TypeError || ml.Error != mb.Error {
-		t.Fatalf("error divergence across codecs: legacy=%+v binary=%+v", ml, mb)
+		t.Fatalf("error divergence across codecs: json=%+v binary=%+v", ml, mb)
 	}
 	if !strings.Contains(mb.Error, "unregistered node 77") {
 		t.Fatalf("unexpected error text: %q", mb.Error)
 	}
 }
 
-// TestReplyInKindOnTheSocket inspects raw reply bytes: a legacy request
-// draws a bare length-prefixed frame (first byte ≤ 0x04 given
-// MaxFrame), a binary request draws a magic-prefixed binary frame, on
+// TestReplyInKindOnTheSocket inspects raw reply bytes: a JSON request
+// draws a magic + JSON frame, a binary request a magic + binary frame, on
 // the same connection back to back.
 func TestReplyInKindOnTheSocket(t *testing.T) {
 	s := newServer(t)
@@ -115,43 +116,41 @@ func TestReplyInKindOnTheSocket(t *testing.T) {
 
 	readRaw := func() []byte {
 		t.Helper()
-		var hdr [4]byte
+		var hdr [6]byte
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			t.Fatal(err)
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		extra := 0
-		if hdr[0] == wire.Magic {
-			var rest [2]byte
-			if _, err := io.ReadFull(conn, rest[:]); err != nil {
-				t.Fatal(err)
-			}
-			n = binary.BigEndian.Uint32([]byte{hdr[2], hdr[3], rest[0], rest[1]})
-			extra = 2
-		}
-		body := make([]byte, n)
+		body := make([]byte, binary.BigEndian.Uint32(hdr[2:]))
 		if _, err := io.ReadFull(conn, body); err != nil {
 			t.Fatal(err)
 		}
-		_ = extra
 		return append(hdr[:], body...)
 	}
 
-	// Legacy request → legacy reply.
-	if err := wire.Write(conn, beat); err != nil {
-		t.Fatal(err)
+	for _, c := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
+		if err := wire.NewFramer(c).Write(conn, beat); err != nil {
+			t.Fatal(err)
+		}
+		if raw := readRaw(); raw[0] != wire.Magic || raw[1] != byte(c) {
+			t.Fatalf("reply to a %s frame = % x, want magic+%s", c, raw[:6], c)
+		}
 	}
-	if raw := readRaw(); raw[0] == wire.Magic {
-		t.Fatalf("reply to a legacy frame started with the magic byte: % x", raw[:4])
-	}
+}
 
-	// Binary request on the same connection → magic + binary reply.
-	f := wire.NewFramer(wire.CodecBinary)
-	if err := f.Write(conn, beat); err != nil {
+// TestV0FrameDropsConnection: the RM's serve loop treats the retired
+// headerless frame like any protocol error — no reply, connection closed.
+func TestV0FrameDropsConnection(t *testing.T) {
+	s := newServer(t)
+	conn := dialRM(t, s.Addr())
+	// The smallest well-formed v0 frame, a 4-byte length and the body "{}",
+	// is exactly one header long: the server leaves nothing unread, so its
+	// close arrives as a clean EOF rather than a reset.
+	if _, err := conn.Write([]byte{0, 0, 0, 2, '{', '}'}); err != nil {
 		t.Fatal(err)
 	}
-	if raw := readRaw(); raw[0] != wire.Magic || raw[1] != byte(wire.CodecBinary) {
-		t.Fatalf("reply to a binary frame = % x, want magic+binary", raw[:4])
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after a v0 frame: read %d bytes, err=%v; want the connection closed with nothing sent", n, err)
 	}
 }
 
@@ -284,7 +283,7 @@ func TestBatchBinaryOverheadSmaller(t *testing.T) {
 	for id := 0; id < 64; id++ {
 		hb := wire.NMHeartbeat{NodeID: id, Delta: true}
 		beats = append(beats, hb)
-		if err := wire.Write(&jsonBytes, &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &hb}); err != nil {
+		if err := wire.NewFramer(wire.CodecJSON).Write(&jsonBytes, &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &hb}); err != nil {
 			t.Fatal(err)
 		}
 	}

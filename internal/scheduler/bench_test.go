@@ -7,8 +7,9 @@ import (
 )
 
 // Micro-benchmarks for the Schedule hot path, over small/medium/large
-// synthetic views, with one sub-benchmark per core so the incremental
-// (fast) and reference paths can be compared directly:
+// synthetic views, with one sub-benchmark per side of the differential
+// suite so the production path and its test-side oracle can be compared
+// directly:
 //
 //	go test ./internal/scheduler -bench 'Schedule' -benchmem
 //
@@ -33,9 +34,7 @@ func benchView(sz benchSize, warm int) *View {
 	caps := genCaps(rng, sz.nMach)
 	jobs := genJobs(rng, sz.nJobs, sz.nMach)
 	arrive := make([]int, sz.nJobs)
-	cfg := DefaultTetrisConfig()
-	cfg.Core = CoreReference
-	w := newEqWorld(NewTetris(cfg), jobs, caps, arrive, 1)
+	w := newEqWorld(newReferenceTetris(DefaultTetrisConfig()), jobs, caps, arrive, 1)
 	for r := 0; r < warm; r++ {
 		w.step(r, false, false)
 	}
@@ -48,13 +47,9 @@ func benchView(sz benchSize, warm int) *View {
 	return v
 }
 
-// benchTetris times Schedule over v on a fresh default-config Tetris of
-// the given core and pool size.
-func benchTetris(b *testing.B, v *View, core Core, workers int) {
-	cfg := DefaultTetrisConfig()
-	cfg.Core = core
-	cfg.Workers = workers
-	t := NewTetris(cfg)
+// benchTetris times Schedule over v on a fresh scheduler.
+func benchTetris(b *testing.B, v *View, mk func() Scheduler) {
+	t := mk()
 	t.Schedule(v) // warm caches and scratch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -66,26 +61,10 @@ func benchTetris(b *testing.B, v *View, core Core, workers int) {
 func BenchmarkTetrisSchedule(b *testing.B) {
 	for _, sz := range benchSizes {
 		v := benchView(sz, 3)
-		for _, core := range []Core{CoreIncremental, CoreReference} {
-			b.Run(fmt.Sprintf("%s/%s", sz.name, core), func(b *testing.B) {
-				benchTetris(b, v, core, 0)
-			})
-		}
-	}
-}
-
-// BenchmarkTetrisScheduleParallel measures the parallel core at fixed
-// pool sizes. w1 bypasses the scatter (it must track the incremental
-// core within noise — scripts/benchgate pairs it against
-// BenchmarkTetrisSchedule/<size>/incremental and fails the gate past
-// 15%); w2/w4/w8 need that many cores to show wall-clock speedup, so their
-// numbers are only meaningful on a machine with GOMAXPROCS >= workers.
-func BenchmarkTetrisScheduleParallel(b *testing.B) {
-	for _, sz := range benchSizes {
-		v := benchView(sz, 3)
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/w%d", sz.name, workers), func(b *testing.B) {
-				benchTetris(b, v, CoreParallel, workers)
+		labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
+		for i, mk := range mks {
+			b.Run(fmt.Sprintf("%s/%s", sz.name, labels[i]), func(b *testing.B) {
+				benchTetris(b, v, mk)
 			})
 		}
 	}
@@ -102,9 +81,7 @@ func backlogView() *View {
 	rng := rand.New(rand.NewSource(nMach*1000 + nJobs))
 	caps := genCaps(rng, nMach)
 	jobs := genDeepJobs(rng, nJobs, nMach, 50, 300, false)
-	cfg := DefaultTetrisConfig()
-	cfg.Core = CoreReference
-	w := newEqWorld(NewTetris(cfg), jobs, caps, make([]int, nJobs), 1)
+	w := newEqWorld(newReferenceTetris(DefaultTetrisConfig()), jobs, caps, make([]int, nJobs), 1)
 	for r := 0; ; r++ {
 		v := w.view(r)
 		asgs := w.sched.Schedule(v)
@@ -116,22 +93,13 @@ func backlogView() *View {
 }
 
 // BenchmarkTetrisScheduleBacklog measures one round over backlogView on
-// every core (w1 bypasses the scatter; w2 is what this 2-core box can
-// run in parallel).
+// the core and on its oracle.
 func BenchmarkTetrisScheduleBacklog(b *testing.B) {
 	v := backlogView()
-	for _, bc := range []struct {
-		name    string
-		core    Core
-		workers int
-	}{
-		{"incremental", CoreIncremental, 0},
-		{"reference", CoreReference, 0},
-		{"w1", CoreParallel, 1},
-		{"w2", CoreParallel, 2},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			benchTetris(b, v, bc.core, bc.workers)
+	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
+	for i, mk := range mks {
+		b.Run(labels[i], func(b *testing.B) {
+			benchTetris(b, v, mk)
 		})
 	}
 }
@@ -145,8 +113,10 @@ func BenchmarkDRFSchedule(b *testing.B) {
 				name = "reference"
 			}
 			b.Run(fmt.Sprintf("%s/%s", sz.name, name), func(b *testing.B) {
-				d := NewDRF()
-				d.Reference = ref
+				var d Scheduler = NewDRF()
+				if ref {
+					d = referenceDRF{NewDRF()}
+				}
 				d.Schedule(v)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -167,7 +137,10 @@ func BenchmarkSlotFairSchedule(b *testing.B) {
 				name = "reference"
 			}
 			b.Run(fmt.Sprintf("%s/%s", sz.name, name), func(b *testing.B) {
-				s := &SlotFair{SlotGB: 2, Reference: ref}
+				var s Scheduler = &SlotFair{SlotGB: 2}
+				if ref {
+					s = referenceSlotFair{&SlotFair{SlotGB: 2}}
+				}
 				s.Schedule(v)
 				b.ReportAllocs()
 				b.ResetTimer()

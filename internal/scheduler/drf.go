@@ -15,18 +15,12 @@ type DRF struct {
 	// Kinds are the resource dimensions DRF allocates. Default (via
 	// NewDRF): CPU and memory.
 	Kinds []resources.Kind
-	// Reference selects the original selection loop — a linear scan over
-	// all jobs per placement — instead of the heap-based fast path. Both
-	// paths are decision-identical (the equivalence suite enforces it);
-	// the reference is kept as the oracle.
-	Reference bool
 
 	scratch drfScratch
 }
 
-// drfScratch is the fast path's per-round working state, reused across
-// Schedule calls so a steady-state round allocates only the returned
-// assignments.
+// drfScratch is the per-round working state, reused across Schedule
+// calls so a steady-state round allocates only the returned assignments.
 type drfScratch struct {
 	jobs  []*JobState
 	free  []resources.Vector
@@ -38,8 +32,8 @@ type drfScratch struct {
 }
 
 // heapLess orders the selection heap: smallest dominant share first,
-// ties by ascending job ID — the same strict total order the reference
-// scan minimizes, so the heap top is always the job the scan would pick.
+// ties by ascending job ID — the same strict total order the oracle's
+// linear scan minimizes, so the heap top is always the job it would pick.
 func (sc *drfScratch) heapLess(a, b int) bool {
 	if sc.share[a] != sc.share[b] {
 		return sc.share[a] < sc.share[b]
@@ -116,14 +110,12 @@ func (d *DRF) project(v resources.Vector) resources.Vector {
 
 // Schedule implements Scheduler via progressive filling: while any job's
 // next task fits somewhere, give the job with the smallest dominant share
-// its next task. The default fast path keeps the jobs in a min-heap
-// keyed by (dominant share, job ID) — only the picked job's share
-// changes per placement, so selection is O(log jobs) instead of the
-// reference's O(jobs) rescan, with identical decisions.
+// its next task. The jobs sit in a min-heap keyed by (dominant share,
+// job ID) — only the picked job's share changes per placement, so
+// selection is O(log jobs). The original loop, a linear scan over all
+// jobs per placement, is the test-side oracle the equivalence suite
+// holds this one to (baseline_reference_test.go).
 func (d *DRF) Schedule(v *View) []Assignment {
-	if d.Reference {
-		return d.scheduleReference(v)
-	}
 	sc := &d.scratch
 	sc.jobs = sc.jobs[:0]
 	for _, j := range v.Jobs {
@@ -195,73 +187,6 @@ func (d *DRF) Schedule(v *View) []Assignment {
 		}
 		sc.share[p] = s
 		sc.siftDown() // share only grew: re-sink the root
-		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: demand})
-	}
-	return out
-}
-
-// scheduleReference is the original progressive-filling loop, kept as
-// the decision oracle for the fast path.
-func (d *DRF) scheduleReference(v *View) []Assignment {
-	jobs := withRunnable(v)
-	if len(jobs) == 0 {
-		return nil
-	}
-	free := make([]resources.Vector, len(v.Machines))
-	down := make([]bool, len(v.Machines))
-	for i, m := range v.Machines {
-		free[i] = d.project(m.FreeAllocated())
-		down[i] = m.Down
-	}
-	share := make(map[int]float64, len(jobs))
-	alloc := make(map[int]resources.Vector, len(jobs))
-	fetch := make(map[int]*pendingFetcher, len(jobs))
-	blocked := make(map[int]bool)
-	for _, j := range jobs {
-		alloc[j.Job.ID] = d.project(j.Alloc)
-		share[j.Job.ID] = dominantShare(j, v.Total, d.Kinds)
-		fetch[j.Job.ID] = newPendingFetcher(j)
-	}
-	var out []Assignment
-
-	for {
-		// Pick the unblocked job with the smallest dominant share.
-		var pick *JobState
-		for _, j := range jobs {
-			id := j.Job.ID
-			if blocked[id] || fetch[id].Peek() == nil {
-				continue
-			}
-			if pick == nil || share[id] < share[pick.Job.ID] ||
-				(share[id] == share[pick.Job.ID] && id < pick.Job.ID) {
-				pick = j
-			}
-		}
-		if pick == nil {
-			break
-		}
-		id := pick.Job.ID
-		task := fetch[id].Peek()
-		peak, _ := v.Demand(pick, task)
-		demand := d.project(peak)
-		mid := d.pickMachine(task, demand, free, down)
-		if mid < 0 {
-			blocked[id] = true
-			continue
-		}
-		fetch[id].Consume()
-		free[mid] = free[mid].Sub(demand).Max(resources.Vector{})
-		alloc[id] = alloc[id].Add(demand)
-		// Recompute the dominant share.
-		s := 0.0
-		for _, k := range d.Kinds {
-			if c := v.Total.Get(k); c > 0 {
-				if v := alloc[id].Get(k) / c; v > s {
-					s = v
-				}
-			}
-		}
-		share[id] = s
 		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: demand})
 	}
 	return out

@@ -1,7 +1,6 @@
 package scheduler
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,19 +15,22 @@ import (
 // statistically; each case here pins one path by construction, on a view
 // where a wrong envelope changes the assignment sequence.
 
-// lockstepCores runs the three cores over private copies of one scenario
-// for the given number of rounds and fails on any divergence. mk builds a
-// fresh view (statuses are per core); before, when non-nil, adjusts each
-// core's view ahead of each round. Assignments are applied to the statuses and
-// ledgers between rounds. It returns the incremental core's assignments
-// per round and the three schedulers (incremental, reference, parallel).
-func lockstepCores(t *testing.T, cfg TetrisConfig, mk func() *View, rounds int, before func(round int, s *Tetris, v *View)) ([][]Assignment, []*Tetris) {
+// lockstepCores runs the core and its oracle over private copies of one
+// scenario for the given number of rounds and fails on any divergence. mk
+// builds a fresh view (statuses are per core); before, when non-nil,
+// adjusts each core's view ahead of each round. Assignments are applied to
+// the statuses and ledgers between rounds. It returns the incremental
+// core's assignments per round and the Tetris state behind the two
+// schedulers (incremental, reference).
+func lockstepCores(t *testing.T, cfg TetrisConfig, mk func() *View, rounds int, before func(round int, label string, s *Tetris, v *View)) ([][]Assignment, []*Tetris) {
 	t.Helper()
-	labels, mks := tetrisCoreMakers(cfg, 2)
-	scheds := make([]*Tetris, len(mks))
+	labels, mks := tetrisCoreMakers(cfg)
+	scheds := make([]Scheduler, len(mks))
+	states := make([]*Tetris, len(mks))
 	views := make([]*View, len(mks))
 	for i, mk2 := range mks {
-		scheds[i] = mk2().(*Tetris)
+		scheds[i] = mk2()
+		states[i] = tetrisOf(scheds[i])
 		views[i] = mk()
 	}
 	var out [][]Assignment
@@ -36,7 +38,7 @@ func lockstepCores(t *testing.T, cfg TetrisConfig, mk func() *View, rounds int, 
 		var first []Assignment
 		for i, s := range scheds {
 			if before != nil {
-				before(r, s, views[i])
+				before(r, labels[i], states[i], views[i])
 			}
 			asgs := s.Schedule(views[i])
 			apply(views[i], asgs)
@@ -48,7 +50,7 @@ func lockstepCores(t *testing.T, cfg TetrisConfig, mk func() *View, rounds int, 
 		}
 		out = append(out, first)
 	}
-	return out, scheds
+	return out, states
 }
 
 // wantPlacements asserts one round's assignments as (task index, machine)
@@ -64,14 +66,12 @@ func wantPlacements(t *testing.T, got []Assignment, want ...[2]int) {
 	}
 }
 
-// wantPrunes asserts the prune fired on the incremental and parallel
-// cores — a scenario that never prunes would pass vacuously.
+// wantPrunes asserts the prune fired on the incremental core — a scenario
+// that never prunes would pass vacuously.
 func wantPrunes(t *testing.T, scheds []*Tetris) {
 	t.Helper()
-	for _, i := range []int{0, 2} {
-		if st := scheds[i].ScanStats(); st.StagePrunes == 0 {
-			t.Fatalf("%v core never pruned a stage scan: %+v", scheds[i].cfg.Core, st)
-		}
+	if st := scheds[0].ScanStats(); st.StagePrunes == 0 {
+		t.Fatalf("incremental core never pruned a stage scan: %+v", st)
 	}
 }
 
@@ -163,9 +163,9 @@ func TestEnvelopeWithServedReservation(t *testing.T) {
 		return mkView(3, small, mkJob(1, 20, resources.New(3.5, 7, 10, 10, 50, 50), 60))
 	}
 	times := []float64{0, 3, 4}
-	before := func(r int, s *Tetris, v *View) {
+	before := func(r int, core string, s *Tetris, v *View) {
 		if held := s.res.Machines(); r == 2 && !reflect.DeepEqual(held, []int{0}) {
-			t.Fatalf("%v core: machines reserved before the serving round = %v, want [0]", s.cfg.Core, held)
+			t.Fatalf("%s core: machines reserved before the serving round = %v, want [0]", core, held)
 		}
 		v.Time = times[r]
 		for _, m := range v.Machines {
@@ -274,9 +274,9 @@ func TestEnvelopeHotspotMachine(t *testing.T) {
 // TestBaseDemandTracksEstimate: the base demand kept across rounds must
 // follow the estimator. Deep worlds whose estimates start 60 % high and
 // snap to the truth at a stage-dependent round (§4.1: Overestimated →
-// FromStage) keep tasks pending across the move; the three cores must
-// agree throughout, which they do only if no core keeps a base computed
-// from the old estimate.
+// FromStage) keep tasks pending across the move; the core and its oracle
+// must agree throughout, which they do only if the core keeps no base
+// computed from the old estimate.
 func TestBaseDemandTracksEstimate(t *testing.T) {
 	refine := func(round int, j *JobState, task *workload.Task) (resources.Vector, float64) {
 		if round < 5+(j.Job.ID*5+task.ID.Stage*3)%20 {
@@ -286,19 +286,17 @@ func TestBaseDemandTracksEstimate(t *testing.T) {
 	}
 	for s := int64(0); s < 4; s++ {
 		runDeepEquivalence(t, "moving-estimate", deepRun{
-			cfg: DefaultTetrisConfig(), workers: 2 + int(s), seed: 31000 + s, rounds: 80,
+			cfg: DefaultTetrisConfig(), seed: 31000 + s, rounds: 80,
 			inputs: s&1 != 0, faults: s&2 != 0, requirePrune: true, est: refine,
 		})
 	}
 }
 
 // deepTraceRun steps one deep saturated world for 40 rounds under the
-// given core and trace ring (nil: tracing off) and returns every round's
+// given trace ring (nil: tracing off) and returns every round's
 // assignments and the scheduler.
-func deepTraceRun(core Core, ring *DecisionRing) ([][]Assignment, *Tetris) {
+func deepTraceRun(ring *DecisionRing) ([][]Assignment, *Tetris) {
 	cfg := DefaultTetrisConfig()
-	cfg.Core = core
-	cfg.Workers = 3
 	cfg.Trace = ring
 	sched := NewTetris(cfg)
 	w := newDeepWorlds([]func() Scheduler{func() Scheduler { return sched }}, 77, 40, true)[0]
@@ -335,11 +333,11 @@ func sampledMatch(t *testing.T, what string, sampled, full []RoundTrace) {
 // every-round run recorded for them: a pruned round leaves nothing behind
 // that a sampled round could see.
 func TestTraceOnSaturatedDeepView(t *testing.T) {
-	plain, plainSched := deepTraceRun(CoreIncremental, nil)
+	plain, plainSched := deepTraceRun(nil)
 	fullRing := NewDecisionRing(64, 1)
-	full, fullSched := deepTraceRun(CoreIncremental, fullRing)
+	full, fullSched := deepTraceRun(fullRing)
 	halfRing := NewDecisionRing(64, 2)
-	half, halfSched := deepTraceRun(CoreIncremental, halfRing)
+	half, halfSched := deepTraceRun(halfRing)
 	for r := range plain {
 		for name, other := range map[string][][]Assignment{"every round": full, "every other round": half} {
 			if msg := diffAssignments(plain[r], other[r]); msg != "" {
@@ -356,36 +354,4 @@ func TestTraceOnSaturatedDeepView(t *testing.T) {
 		}
 	}
 	sampledMatch(t, "incremental", halfRing.Snapshot(), fullRing.Snapshot())
-}
-
-// TestParallelTraceIdentity: on the same saturated deep view the parallel
-// core's traces are the incremental core's, sampled rounds and all — the
-// reduce prunes and records exactly where the incremental core does. (In
-// the CI race step by name.)
-func TestParallelTraceIdentity(t *testing.T) {
-	for _, every := range []int{1, 2} {
-		incRing, parRing := NewDecisionRing(64, every), NewDecisionRing(64, every)
-		inc, incSched := deepTraceRun(CoreIncremental, incRing)
-		par, parSched := deepTraceRun(CoreParallel, parRing)
-		for r := range inc {
-			if msg := diffAssignments(inc[r], par[r]); msg != "" {
-				t.Fatalf("every=%d round %d: cores diverge: %s", every, r, msg)
-			}
-		}
-		if a, b := incRing.Snapshot(), parRing.Snapshot(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("every=%d: parallel traces differ from incremental:\n%s", every, firstTraceDiff(a, b))
-		}
-		if a, b := incSched.ScanStats(), parSched.ScanStats(); a != b {
-			t.Errorf("every=%d: scan counters differ: incremental %+v, parallel %+v", every, a, b)
-		}
-	}
-}
-
-func firstTraceDiff(a, b []RoundTrace) string {
-	for i := range a {
-		if i >= len(b) || !reflect.DeepEqual(a[i], b[i]) {
-			return fmt.Sprintf("first difference at trace %d (round %d)", i, a[i].Round)
-		}
-	}
-	return fmt.Sprintf("%d vs %d traces", len(a), len(b))
 }

@@ -9,15 +9,15 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// Differential equivalence suite: the optimized schedulers (incremental
-// and parallel Tetris cores, heap-based DRF/SlotFair) must make
-// bit-identical decisions to their reference implementations. Randomized
-// clusters and workloads are driven through many rounds of scheduling,
-// task completion, task failure and machine crash/recovery in twin
-// worlds — one per implementation — and every round's assignment
-// sequence is compared field for field, including the exact demand and
-// remote-charge vectors. The Tetris comparisons are three-way
-// (incremental vs reference vs parallel at varying pool sizes).
+// Differential equivalence suite: the production schedulers (the
+// incremental Tetris core, heap-based DRF/SlotFair) must make
+// bit-identical decisions to their reference implementations, the
+// test-side oracles of tetris_reference_test.go and
+// baseline_reference_test.go. Randomized clusters and workloads are
+// driven through many rounds of scheduling, task completion, task failure
+// and machine crash/recovery in twin worlds — one per implementation —
+// and every round's assignment sequence is compared field for field,
+// including the exact demand and remote-charge vectors.
 
 // ---------------------------------------------------------------------
 // Random world generation. Job/Stage/Task values are immutable during
@@ -363,32 +363,32 @@ func newDeepWorlds(mks []func() Scheduler, seed int64, rounds int, inputs bool) 
 
 // deepRun parameterizes one run of the deep-backlog family.
 type deepRun struct {
-	cfg     TetrisConfig
-	workers int // parallel world's pool size
-	seed    int64
-	rounds  int
-	inputs  bool // tasks carry input blocks
-	faults  bool // machines crash and recover
+	cfg    TetrisConfig
+	seed   int64
+	rounds int
+	inputs bool // tasks carry input blocks
+	faults bool // machines crash and recover
 	// requirePrune fails the run unless the envelope prune actually fired
-	// in the incremental and parallel worlds — equivalence over scans that
-	// never pruned would prove nothing about the prune. (The fuzzer leaves
-	// it off: it can shrink a world until nothing is ever left pending.)
+	// in the incremental world — equivalence over scans that never pruned
+	// would prove nothing about the prune. (The fuzzer leaves it off: it
+	// can shrink a world until nothing is ever left pending.)
 	requirePrune bool
 	// est, when non-nil, moves the estimates (eqWorld.est).
 	est func(round int, j *JobState, t *workload.Task) (resources.Vector, float64)
 }
 
 // runDeepEquivalence is the deep-backlog counterpart of runEquivalenceN
-// for the three Tetris cores; it returns the number of compared rounds.
+// for the Tetris core and its oracle; it returns the number of compared
+// rounds.
 func runDeepEquivalence(t testing.TB, name string, run deepRun) int {
-	labels, mks := tetrisCoreMakers(run.cfg, run.workers)
+	labels, mks := tetrisCoreMakers(run.cfg)
 	worlds := newDeepWorlds(mks, run.seed, run.rounds, run.inputs)
 	for _, w := range worlds {
 		w.est = run.est
 	}
 	stepTwins(t, name, labels, worlds, run.seed, run.rounds, run.faults, run.cfg.HotspotThreshold > 0)
 	for i, w := range worlds {
-		st := w.sched.(*Tetris).ScanStats()
+		st := tetrisOf(w.sched).ScanStats()
 		if labels[i] == "reference" {
 			if st != (ScanStats{}) {
 				t.Fatalf("%s seed=%d: reference core counted scans: %+v", name, run.seed, st)
@@ -404,19 +404,6 @@ func runDeepEquivalence(t testing.TB, name string, run deepRun) int {
 func runEquivalence(t testing.TB, name string, mkFast, mkRef func() Scheduler, seed int64, rounds int, hotspots bool) int {
 	return runEquivalenceN(t, name, []string{"fast", "reference"},
 		[]func() Scheduler{mkFast, mkRef}, seed, rounds, hotspots)
-}
-
-// tetrisCoreMakers builds the three cores for one knob configuration:
-// incremental, reference and parallel (at the given pool size). The
-// equivalence driver compares all three round by round.
-func tetrisCoreMakers(cfg TetrisConfig, workers int) ([]string, []func() Scheduler) {
-	labels := []string{"incremental", "reference", fmt.Sprintf("parallel/w%d", workers)}
-	mks := []func() Scheduler{
-		func() Scheduler { c := cfg; c.Core = CoreIncremental; return NewTetris(c) },
-		func() Scheduler { c := cfg; c.Core = CoreReference; return NewTetris(c) },
-		func() Scheduler { c := cfg; c.Core = CoreParallel; c.Workers = workers; return NewTetris(c) },
-	}
-	return labels, mks
 }
 
 // tetrisEquivalenceConfigs spans every knob the equivalence suite must
@@ -488,10 +475,7 @@ func TestScheduleEquivalence(t *testing.T) {
 			cfg.DisableRemoteCharges, cfg.HotspotThreshold, cfg.StarvationSec, cfg.Scorer.Name())
 		for s := 0; s < seedsPerConfig; s++ {
 			seed := int64(1000*ci + 7*s + 13)
-			// Vary the parallel pool size across seeds: the worker count
-			// must never show in the decisions.
-			workers := []int{2, 3, 8}[(ci+s)%3]
-			labels, mks := tetrisCoreMakers(cfg, workers)
+			labels, mks := tetrisCoreMakers(cfg)
 			tetrisRounds += runEquivalenceN(t, name, labels, mks,
 				seed, rounds, cfg.HotspotThreshold > 0)
 		}
@@ -507,7 +491,7 @@ func TestScheduleEquivalence(t *testing.T) {
 		name := fmt.Sprintf("tetris-deep[%d %s]", ci, cfg.Scorer.Name())
 		for s := 0; s < 4; s++ {
 			deepRounds += runDeepEquivalence(t, name, deepRun{
-				cfg: cfg, workers: []int{2, 3, 8}[(ci+s)%3], seed: int64(20000 + 100*ci + s), rounds: 80,
+				cfg: cfg, seed: int64(20000 + 100*ci + s), rounds: 80,
 				inputs: s&1 != 0, faults: s&2 != 0, requirePrune: true,
 			})
 		}
@@ -519,7 +503,7 @@ func TestScheduleEquivalence(t *testing.T) {
 			seed := int64(5000 + 100*di + 7*s)
 			drfRounds += runEquivalence(t, fmt.Sprintf("drf[%d]", di),
 				func() Scheduler { return mk() },
-				func() Scheduler { d := mk(); d.Reference = true; return d },
+				func() Scheduler { return referenceDRF{mk()} },
 				seed, 25, false)
 		}
 	}
@@ -530,7 +514,7 @@ func TestScheduleEquivalence(t *testing.T) {
 			seed := int64(9000 + 100*si + 7*s)
 			slotRounds += runEquivalence(t, fmt.Sprintf("slotfair[%v]", slotGB),
 				func() Scheduler { return &SlotFair{SlotGB: slotGB} },
-				func() Scheduler { return &SlotFair{SlotGB: slotGB, Reference: true} },
+				func() Scheduler { return referenceSlotFair{&SlotFair{SlotGB: slotGB}} },
 				seed, 25, false)
 		}
 	}
@@ -570,17 +554,14 @@ func FuzzScheduleEquivalence(f *testing.F) {
 				cfg.StarvationSec = 2
 			}
 			cfg.Scorer = Scorers()[int(knobs)%len(Scorers())]
-			// Pool size derived from the seed so the fuzzer's corpus
-			// signature stays stable while still exploring it.
-			workers := 2 + int(uint64(seed)%7)
 			if shape&1 != 0 {
 				runDeepEquivalence(t, "fuzz-tetris-deep", deepRun{
-					cfg: cfg, workers: workers, seed: seed, rounds: 3 * r,
+					cfg: cfg, seed: seed, rounds: 3 * r,
 					inputs: shape&2 != 0, faults: shape&4 == 0,
 				})
 				return
 			}
-			labels, mks := tetrisCoreMakers(cfg, workers)
+			labels, mks := tetrisCoreMakers(cfg)
 			runEquivalenceN(t, "fuzz-tetris", labels, mks,
 				seed, r, cfg.HotspotThreshold > 0)
 		case 1:
@@ -590,13 +571,13 @@ func FuzzScheduleEquivalence(f *testing.F) {
 			}
 			runEquivalence(t, "fuzz-drf",
 				func() Scheduler { return mk() },
-				func() Scheduler { d := mk(); d.Reference = true; return d },
+				func() Scheduler { return referenceDRF{mk()} },
 				seed, r, false)
 		default:
 			slotGB := []float64{1, 2, 4, 8}[knobs&3]
 			runEquivalence(t, "fuzz-slotfair",
 				func() Scheduler { return &SlotFair{SlotGB: slotGB} },
-				func() Scheduler { return &SlotFair{SlotGB: slotGB, Reference: true} },
+				func() Scheduler { return referenceSlotFair{&SlotFair{SlotGB: slotGB}} },
 				seed, r, false)
 		}
 	})

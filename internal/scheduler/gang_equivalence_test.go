@@ -1,4 +1,4 @@
-package gang
+package scheduler_test
 
 import (
 	"fmt"
@@ -6,20 +6,21 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// The gang twin-world driver mirrors the scheduler package's
-// equivalence harness: two worlds share one immutable job set and one
-// fault/completion script (identical rng seeds), differ in one respect,
-// and must emit field-for-field identical decisions every round —
-// assignments, preemptions, commits and releases alike. Here the respect
-// is the coordinator itself (TestDigestNeutralWhenUnused); the twin run of
-// the scheduler core against its oracle under a coordinator is
-// internal/scheduler's TestGangScheduleEquivalence, where the oracle is
-// reachable.
+// The gang twin-world driver mirrors this package's equivalence harness
+// one layer up: two worlds share one immutable job set and one
+// fault/completion script (identical rng seeds), differ only in the
+// scheduler under the gang coordinator — the production core or its
+// oracle — and must emit field-for-field identical decisions every round:
+// assignments, preemptions, commits and releases alike. It lives here, as
+// an external test of package scheduler, because the oracle is reachable
+// only through this package's export_test.go; internal/gang keeps its own
+// copy of the world for TestDigestNeutralWhenUnused.
 
 func genGangCaps(rng *rand.Rand, n int) []resources.Vector {
 	sizes := []resources.Vector{
@@ -76,25 +77,19 @@ func genGangJobs(rng *rand.Rand, n int) ([]*workload.Job, []float64) {
 }
 
 type gangWorld struct {
-	c *Coordinator
-	// bare, when non-nil, replaces the coordinator entirely: the world
-	// schedules through the raw inner scheduler. Used to prove the
-	// coordinator is digest-neutral on non-gang workloads.
-	bare     scheduler.Scheduler
+	c        *gang.Coordinator
 	machines []*scheduler.MachineState
 	jobs     []*workload.Job
 	arrive   []float64
 	states   map[int]*scheduler.JobState
-	running  []Running
+	running  []gang.Running
 	rng      *rand.Rand
 	total    resources.Vector
 }
 
-func newGangWorld(seed int64, caps []resources.Vector, jobs []*workload.Job, arrive []float64) *gangWorld {
-	tc := scheduler.DefaultTetrisConfig()
-	tc.StarvationSec = 8
+func newGangWorld(seed int64, inner scheduler.Scheduler, caps []resources.Vector, jobs []*workload.Job, arrive []float64) *gangWorld {
 	w := &gangWorld{
-		c:      New(scheduler.NewTetris(tc), Config{HoldSec: 4, PreemptSec: 8, MaxPreemptPerRound: 4}),
+		c:      gang.New(inner, gang.Config{HoldSec: 4, PreemptSec: 8, MaxPreemptPerRound: 4}),
 		jobs:   jobs,
 		arrive: arrive,
 		states: make(map[int]*scheduler.JobState),
@@ -119,7 +114,7 @@ func (w *gangWorld) finished(js *scheduler.JobState) bool {
 	return true
 }
 
-func (w *gangWorld) dropRunning(tid workload.TaskID) (Running, bool) {
+func (w *gangWorld) dropRunning(tid workload.TaskID) (gang.Running, bool) {
 	for i, r := range w.running {
 		if r.Task == tid {
 			out := r
@@ -127,7 +122,7 @@ func (w *gangWorld) dropRunning(tid workload.TaskID) (Running, bool) {
 			return out, true
 		}
 	}
-	return Running{}, false
+	return gang.Running{}, false
 }
 
 // step advances one round and returns a canonical rendering of the
@@ -172,12 +167,7 @@ func (w *gangWorld) step(now float64) string {
 		}
 	}
 
-	var dec Decision
-	if w.bare != nil {
-		dec = Decision{Assignments: w.bare.Schedule(v)}
-	} else {
-		dec = w.c.Decide(v, append([]Running(nil), w.running...))
-	}
+	dec := w.c.Decide(v, append([]gang.Running(nil), w.running...))
 
 	var b strings.Builder
 	for _, a := range dec.Assignments {
@@ -202,7 +192,7 @@ func (w *gangWorld) step(now float64) string {
 		for _, rc := range a.Remote {
 			w.machines[rc.Machine].Allocated = w.machines[rc.Machine].Allocated.Add(rc.Charge)
 		}
-		w.running = append(w.running, Running{JobID: a.JobID, Task: a.Task.ID, Machine: a.Machine, Demand: a.Local})
+		w.running = append(w.running, gang.Running{JobID: a.JobID, Task: a.Task.ID, Machine: a.Machine, Demand: a.Local})
 	}
 	// Apply preemptions: the "NM kill" lands within the round here.
 	for _, p := range dec.Preemptions {
@@ -216,7 +206,7 @@ func (w *gangWorld) step(now float64) string {
 		w.machines[r.Machine].Allocated = w.machines[r.Machine].Allocated.Sub(r.Demand).Max(resources.Vector{})
 	}
 	// Random completions over a snapshot of the running list.
-	snap := append([]Running(nil), w.running...)
+	snap := append([]gang.Running(nil), w.running...)
 	for _, r := range snap {
 		if w.rng.Float64() < 0.15 {
 			if _, ok := w.dropRunning(r.Task); !ok {
@@ -231,27 +221,25 @@ func (w *gangWorld) step(now float64) string {
 	return b.String()
 }
 
-// TestDigestNeutralWhenUnused: on a workload with no gang jobs, the
-// coordinator must emit exactly the decisions the bare inner scheduler
-// would — round for round, byte for byte.
-func TestDigestNeutralWhenUnused(t *testing.T) {
-	gen := rand.New(rand.NewSource(7))
-	caps := genGangCaps(gen, 6)
-	jobs, arrive := genGangJobs(gen, 12)
-	for _, j := range jobs {
-		j.Gang = false
-		j.MinMembers = 0
-	}
-
-	wrapped := newGangWorld(99, caps, jobs, arrive)
-	plain := newGangWorld(99, caps, jobs, arrive)
-	plain.bare = plain.c.Inner()
-	for round := 0; round < 30; round++ {
-		now := float64(round) * 2
-		got, want := wrapped.step(now), plain.step(now)
-		if got != want {
-			t.Fatalf("round %d: coordinator not digest-neutral on a non-gang workload\nwrapped: %s\nbare:    %s",
-				round, got, want)
+// TestGangScheduleEquivalence drives gang-bearing fault-injected worlds
+// over the production core and over its oracle and requires bit-identical
+// decisions every round.
+func TestGangScheduleEquivalence(t *testing.T) {
+	tc := scheduler.DefaultTetrisConfig()
+	tc.StarvationSec = 8
+	for seed := int64(1); seed <= 4; seed++ {
+		gen := rand.New(rand.NewSource(seed * 977))
+		caps := genGangCaps(gen, 6)
+		jobs, arrive := genGangJobs(gen, 12)
+		incremental := newGangWorld(seed, scheduler.NewTetris(tc), caps, jobs, arrive)
+		reference := newGangWorld(seed, scheduler.NewReferenceTetris(tc), caps, jobs, arrive)
+		for round := 0; round < 40; round++ {
+			now := float64(round) * 2
+			want, got := incremental.step(now), reference.step(now)
+			if got != want {
+				t.Fatalf("seed %d round %d: reference core diverged\nincremental: %s\nreference: %s",
+					seed, round, want, got)
+			}
 		}
 	}
 }

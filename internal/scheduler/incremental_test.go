@@ -17,9 +17,7 @@ import (
 func bothCores(t *testing.T, cfg TetrisConfig, mk func() *View) []Assignment {
 	t.Helper()
 	inc := NewTetris(cfg)
-	refCfg := cfg
-	refCfg.Core = CoreReference
-	ref := NewTetris(refCfg)
+	ref := newReferenceTetris(cfg)
 	a := inc.Schedule(mk())
 	b := ref.Schedule(mk())
 	if msg := diffAssignments(a, b); msg != "" {
@@ -41,7 +39,7 @@ func TestAllMachinesDown(t *testing.T) {
 	if got := bothCores(t, DefaultTetrisConfig(), mk); len(got) != 0 {
 		t.Errorf("tetris placed %d tasks on an all-down cluster", len(got))
 	}
-	for _, s := range []Scheduler{NewDRF(), &DRF{Kinds: []resources.Kind{resources.CPU, resources.Memory}, Reference: true}, NewSlotFair(), &SlotFair{SlotGB: 2, Reference: true}} {
+	for _, s := range []Scheduler{NewDRF(), referenceDRF{NewDRF()}, NewSlotFair(), referenceSlotFair{NewSlotFair()}} {
 		if got := s.Schedule(mk()); len(got) != 0 {
 			t.Errorf("%s placed %d tasks on an all-down cluster", s.Name(), len(got))
 		}
@@ -106,10 +104,11 @@ func TestBarrierTailAtExactFraction(t *testing.T) {
 func TestReservationMachineCrashMidRound(t *testing.T) {
 	cfg := DefaultTetrisConfig()
 	cfg.StarvationSec = 2
-	run := func(core Core) *Tetris {
-		c := cfg
-		c.Core = core
-		tt := NewTetris(c)
+	labels, mks := tetrisCoreMakers(cfg)
+	for i, mkSched := range mks {
+		core := labels[i]
+		sched := mkSched()
+		tt := tetrisOf(sched)
 		small := resources.New(4, 8, 50, 50, 250, 250)
 		// The job persists across rounds: starvation tracking keys on
 		// task identity. Its task outsizes the free capacity of every
@@ -127,10 +126,10 @@ func TestReservationMachineCrashMidRound(t *testing.T) {
 			v.Time = now
 			return v
 		}
-		if got := tt.Schedule(mk(0, -1)); len(got) != 0 {
+		if got := sched.Schedule(mk(0, -1)); len(got) != 0 {
 			t.Fatalf("round 0 placed %d tasks; fixture must starve the job", len(got))
 		}
-		if got := tt.Schedule(mk(3, -1)); len(got) != 0 {
+		if got := sched.Schedule(mk(3, -1)); len(got) != 0 {
 			t.Fatalf("round 1 placed %d tasks; fixture must starve the job", len(got))
 		}
 		if tt.res.Len() != 1 {
@@ -140,7 +139,7 @@ func TestReservationMachineCrashMidRound(t *testing.T) {
 		// The reserved machine crashes. serveReservations must release
 		// it, after which the still-starved task immediately gets a live
 		// machine re-reserved by detectStarvation in the same round.
-		tt.Schedule(mk(4, resMach))
+		sched.Schedule(mk(4, resMach))
 		if tt.res.Held(resMach) {
 			t.Errorf("%v core: reservation still held on crashed machine %d", core, resMach)
 		}
@@ -152,10 +151,7 @@ func TestReservationMachineCrashMidRound(t *testing.T) {
 				t.Errorf("%v core: re-reserved the crashed machine %d", core, mid)
 			}
 		}
-		return tt
 	}
-	run(CoreIncremental)
-	run(CoreReference)
 }
 
 // TestEpsilonRegression pins the ε values of a known view on both cores
@@ -169,13 +165,14 @@ func TestEpsilonRegression(t *testing.T) {
 		j2 := mkJob(2, 1, resources.New(2, 4, 0, 0, 0, 0), 200)
 		return mkView(1, machine, j1, j2)
 	}
-	for _, core := range []Core{CoreIncremental, CoreReference} {
-		cfg := DefaultTetrisConfig()
-		cfg.Fairness = 0 // all jobs eligible: ā spans both candidates
-		cfg.Core = core
-		tt := NewTetris(cfg)
+	cfg := DefaultTetrisConfig()
+	cfg.Fairness = 0 // all jobs eligible: ā spans both candidates
+	labels, mks := tetrisCoreMakers(cfg)
+	for i, mkSched := range mks {
+		core := labels[i]
+		tt := mkSched()
 		var trace []float64
-		tt.epsTrace = &trace
+		tetrisOf(tt).epsTrace = &trace
 		tt.Schedule(mk())
 		// Golden values, derived by hand. Candidate alignment (cosine,
 		// capacity-normalized, empty machine, CPU+mem-only demand):

@@ -323,11 +323,11 @@ func TestLocalsVerdictIsPerRound(t *testing.T) {
 	capacity := resources.New(8, 8, 100, 100, 100, 100)
 	v := &View{Machines: []*MachineState{{ID: 0, Capacity: capacity}}, Total: capacity, Jobs: []*JobState{j}}
 
-	for _, core := range []Core{CoreIncremental, CoreReference} {
+	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
+	for i, mk := range mks {
+		core := labels[i]
 		*j.Status = *workload.NewStatus(job)
-		cfg := DefaultTetrisConfig()
-		cfg.Core = core
-		sched := NewTetris(cfg)
+		sched := mk()
 		asgs := sched.Schedule(v)
 		if len(asgs) != 1 || asgs[0].Task != first.Tasks[0] {
 			t.Fatalf("%v core, round 1: placed %d tasks, want the first stage's one", core, len(asgs))

@@ -10,8 +10,6 @@
 package scheduler
 
 import (
-	"sort"
-
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
@@ -223,53 +221,6 @@ func RemoteFeasible(v *View, charges []RemoteCharge) bool {
 	return true
 }
 
-// fairnessEntry pairs a job with its distance below fair share.
-type fairnessEntry struct {
-	job     *JobState
-	deficit float64
-}
-
-// sortByDeficit returns the given jobs sorted by how far they are below
-// their fair share (most deprived first). share computes a job's current
-// share in [0,1]; fair share is weight-proportional over all active jobs
-// in the view.
-func sortByDeficit(v *View, jobs []*JobState, share func(*JobState) float64) []*JobState {
-	var totalWeight float64
-	for _, j := range v.Jobs {
-		totalWeight += j.Job.Weight
-	}
-	entries := make([]fairnessEntry, 0, len(jobs))
-	for _, j := range jobs {
-		fair := 0.0
-		if totalWeight > 0 {
-			fair = j.Job.Weight / totalWeight
-		}
-		entries = append(entries, fairnessEntry{job: j, deficit: fair - share(j)})
-	}
-	sort.SliceStable(entries, func(a, b int) bool {
-		if entries[a].deficit != entries[b].deficit {
-			return entries[a].deficit > entries[b].deficit
-		}
-		return entries[a].job.Job.ID < entries[b].job.Job.ID
-	})
-	out := make([]*JobState, len(entries))
-	for i, e := range entries {
-		out[i] = e.job
-	}
-	return out
-}
-
-// withRunnable filters the view's jobs to those with runnable tasks.
-func withRunnable(v *View) []*JobState {
-	var out []*JobState
-	for _, j := range v.Jobs {
-		if j.Status.HasRunnable() {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // pendingFetcher iterates a job's runnable tasks lazily in (stage, index)
 // order, fetching in geometrically growing chunks so a round that places
 // k tasks costs O(k), not O(pending). Within a round the underlying
@@ -282,8 +233,6 @@ type pendingFetcher struct {
 	taken int // consumed from the current stage
 	cur   *workload.Task
 }
-
-func newPendingFetcher(j *JobState) *pendingFetcher { return &pendingFetcher{j: j} }
 
 // reset reinitializes the fetcher for job j, recycling the fetch buffer.
 // Used by the schedulers' scratch-reusing fast paths.

@@ -17,16 +17,12 @@ type SlotFair struct {
 	// SlotGB is the slot size in GB of memory (the paper uses the
 	// Facebook cluster's value; we default to 2 GB).
 	SlotGB float64
-	// Reference selects the original selection loop — a linear scan over
-	// all jobs per placement — instead of the heap-based fast path. Both
-	// paths are decision-identical (the equivalence suite enforces it).
-	Reference bool
 
 	scratch slotScratch
 }
 
-// slotScratch is the fast path's per-round working state, reused across
-// Schedule calls.
+// slotScratch is the per-round working state, reused across Schedule
+// calls.
 type slotScratch struct {
 	jobs      []*JobState
 	freeSlots []int
@@ -38,8 +34,8 @@ type slotScratch struct {
 }
 
 // heapMore orders the selection heap: largest deficit first, ties by
-// ascending job position. The reference scan keeps the first job (in
-// list order) achieving the maximum deficit, which is exactly the
+// ascending job position. The oracle's linear scan keeps the first job
+// (in list order) achieving the maximum deficit, which is exactly the
 // maximum of this strict total order.
 func (sc *slotScratch) heapMore(a, b int) bool {
 	if sc.deficit[a] != sc.deficit[b] {
@@ -108,15 +104,12 @@ func (s *SlotFair) slotsOf(memGB float64) int {
 }
 
 // Schedule implements Scheduler: repeatedly give the next free slot(s) to
-// the job occupying the fewest slots relative to its fair share. The
-// default fast path keeps the jobs in a max-heap keyed by slot deficit —
-// only the picked job's deficit changes per placement, so selection is
-// O(log jobs) instead of the reference's O(jobs) rescan, with identical
-// decisions.
+// the job occupying the fewest slots relative to its fair share. The jobs
+// sit in a max-heap keyed by slot deficit — only the picked job's deficit
+// changes per placement, so selection is O(log jobs). The original loop,
+// a linear scan over all jobs per placement, is the test-side oracle the
+// equivalence suite holds this one to (baseline_reference_test.go).
 func (s *SlotFair) Schedule(v *View) []Assignment {
-	if s.Reference {
-		return s.scheduleReference(v)
-	}
 	sc := &s.scratch
 	sc.jobs = sc.jobs[:0]
 	for _, j := range v.Jobs {
@@ -154,7 +147,7 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		totalWeight += j.Job.Weight
 	}
 	if totalWeight == 0 {
-		// Zero total weight makes every fair share NaN; the reference
+		// Zero total weight makes every fair share NaN; the oracle's
 		// scan then never finds a pick (NaN beats nothing) and places no
 		// tasks. Match it without feeding NaN keys to the heap.
 		return nil
@@ -215,95 +208,6 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		sc.used[p] += float64(need)
 		sc.deficit[p] = sc.fair[p] - sc.used[p]/totalSlots
 		sc.siftDown() // deficit only shrank: re-sink the root
-		// Charge memory only: that is all a slot scheduler allocates.
-		local := resources.Vector{}.With(resources.Memory, float64(need)*s.SlotGB)
-		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: local})
-	}
-	return out
-}
-
-// scheduleReference is the original selection loop, kept as the decision
-// oracle for the fast path.
-func (s *SlotFair) scheduleReference(v *View) []Assignment {
-	jobs := withRunnable(v)
-	if len(jobs) == 0 {
-		return nil
-	}
-	// Free slots per machine under this scheduler's own ledger (memory
-	// charged in slot multiples).
-	freeSlots := make([]int, len(v.Machines))
-	totalFree := 0
-	for i, m := range v.Machines {
-		if m.Down {
-			continue // crashed machine: no slots
-		}
-		total := int(m.Capacity.Get(resources.Memory) / s.SlotGB)
-		used := int(math.Round(m.Allocated.Get(resources.Memory) / s.SlotGB))
-		freeSlots[i] = total - used
-		if freeSlots[i] < 0 {
-			freeSlots[i] = 0
-		}
-		totalFree += freeSlots[i]
-	}
-	if totalFree == 0 {
-		return nil
-	}
-	var totalWeight float64
-	for _, j := range v.Jobs {
-		totalWeight += j.Job.Weight
-	}
-	var totalSlots float64
-	for _, m := range v.Machines {
-		if m.Down {
-			continue
-		}
-		totalSlots += math.Floor(m.Capacity.Get(resources.Memory) / s.SlotGB)
-	}
-	if totalSlots == 0 {
-		return nil
-	}
-	slotsUsed := make(map[int]float64, len(jobs))
-	fetch := make(map[int]*pendingFetcher, len(jobs))
-	blocked := make(map[int]bool)
-	for _, j := range jobs {
-		slotsUsed[j.Job.ID] = j.Alloc.Get(resources.Memory) / s.SlotGB
-		fetch[j.Job.ID] = newPendingFetcher(j)
-	}
-
-	var out []Assignment
-	for totalFree > 0 {
-		// Job furthest below its fair slot share with a placeable task.
-		var pick *JobState
-		bestDeficit := math.Inf(-1)
-		for _, j := range jobs {
-			id := j.Job.ID
-			if blocked[id] || fetch[id].Peek() == nil {
-				continue
-			}
-			fair := j.Job.Weight / totalWeight
-			deficit := fair - slotsUsed[id]/totalSlots
-			if deficit > bestDeficit {
-				bestDeficit = deficit
-				pick = j
-			}
-		}
-		if pick == nil {
-			break
-		}
-		id := pick.Job.ID
-		task := fetch[id].Peek()
-		peak, _ := v.Demand(pick, task)
-		need := s.slotsOf(peak.Get(resources.Memory))
-		mid := s.pickMachine(task, freeSlots, need)
-		if mid < 0 {
-			// Task too big for any machine right now.
-			blocked[id] = true
-			continue
-		}
-		fetch[id].Consume()
-		freeSlots[mid] -= need
-		totalFree -= need
-		slotsUsed[id] += float64(need)
 		// Charge memory only: that is all a slot scheduler allocates.
 		local := resources.Vector{}.With(resources.Memory, float64(need)*s.SlotGB)
 		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: local})

@@ -46,56 +46,11 @@ type TetrisConfig struct {
 	// the machine accepts no other new tasks until the starved task fits.
 	// Zero disables (the paper's deployment did not need it).
 	StarvationSec float64
-	// Core selects the Schedule implementation. The default
-	// (CoreIncremental) is the optimized hot path; CoreReference is the
-	// original straight-line implementation kept as the behavioural
-	// oracle; CoreParallel scatter-gathers candidate scoring across a
-	// worker pool and reduces sequentially (tetris_parallel.go). All
-	// three produce bit-identical assignment sequences — the
-	// differential equivalence suite (equivalence_test.go) and
-	// FuzzScheduleEquivalence enforce it.
-	Core Core
-	// Workers bounds the CoreParallel scoring pool. 0 means GOMAXPROCS;
-	// 1 degenerates to the incremental core (a one-worker scatter would
-	// be pure overhead). Ignored by the other cores.
-	Workers int
 	// Trace, when non-nil, collects sampled per-round decision traces
 	// (trace.go). Read-only observation: it never alters decisions. The
-	// incremental and parallel cores emit traces (the parallel reduce
-	// consults warm entries at the same sites considerTR would compute,
-	// so the traces are identical); the reference core is kept
-	// instrumentation-free as the behavioural oracle.
+	// test-side oracle the core is compared against is kept
+	// instrumentation-free and emits none.
 	Trace *DecisionRing
-}
-
-// Core selects between the three decision-identical Schedule
-// implementations.
-type Core int
-
-const (
-	// CoreIncremental (the zero value) is the optimized core: per-round
-	// task demand indexes, version-stamped score/feasibility caches and
-	// scratch-buffer reuse.
-	CoreIncremental Core = iota
-	// CoreReference is the original implementation, kept as the oracle
-	// the equivalence suite and fuzzer compare against.
-	CoreReference
-	// CoreParallel is the incremental core with a concurrent scatter
-	// phase: candidate scoring fans out across a bounded worker pool,
-	// then the sequential reduce applies placements in the same order
-	// the other cores would (tetris_parallel.go).
-	CoreParallel
-)
-
-// String names the core for experiment output.
-func (c Core) String() string {
-	switch c {
-	case CoreReference:
-		return "reference"
-	case CoreParallel:
-		return "parallel"
-	}
-	return "incremental"
 }
 
 // DefaultTetrisConfig returns the paper's default operating point:
@@ -152,12 +107,9 @@ type Tetris struct {
 	// the estimator-rescoring differential suite compares cached runs
 	// against this from-scratch oracle.
 	uncachedSRTF bool
-	// inc holds the incremental core's round-scoped caches and scratch
-	// buffers (tetris_incremental.go). Lazily initialized.
+	// inc holds the core's round-scoped caches and scratch buffers
+	// (tetris_incremental.go). Lazily initialized.
 	inc incrState
-	// par holds the parallel core's warm tables, worker pool bookkeeping
-	// and cumulative stats (tetris_parallel.go). Nil for other cores.
-	par *parState
 	// epsTrace, when non-nil, records every ε value the inner loop
 	// computes, in decision order. Test hook for the ε regression suite.
 	epsTrace *[]float64
@@ -202,7 +154,7 @@ func NewTetris(cfg TetrisConfig) *Tetris {
 	if cfg.Barrier <= 0 {
 		cfg.Barrier = 1 // disabled
 	}
-	t := &Tetris{
+	return &Tetris{
 		cfg:          cfg,
 		stageScore:   make(map[[2]int]stageScoreEntry),
 		locals:       make(map[int][]locEntry),
@@ -213,10 +165,6 @@ func NewTetris(cfg TetrisConfig) *Tetris {
 		res:          reserve.New(),
 		active:       make(map[int]*JobState),
 	}
-	if cfg.Core == CoreParallel {
-		t.par = &parState{}
-	}
-	return t
 }
 
 // Name implements Scheduler.
@@ -289,10 +237,11 @@ func (t *Tetris) remainingWork(v *View, j *JobState) float64 {
 // once finished), sweeps it out of every piece of long-lived scheduler
 // state: stageScore, indexedJobs, firstSeen, reservations, the locality
 // index and the incremental core's task cache. Without the sweep those
-// maps keep keys for finished jobs forever. All three cores share it, so
-// the (decision-shaping) locality-index compaction stays bit-identical
-// across them. Map iteration order never leaks into decisions: the
-// sweeps only delete entries, and list compaction preserves order.
+// maps keep keys for finished jobs forever. The core and its test-side
+// oracle share it, so the (decision-shaping) locality-index compaction
+// stays bit-identical across them. Map iteration order never leaks into
+// decisions: the sweeps only delete entries, and list compaction
+// preserves order.
 func (t *Tetris) evictDeparted(v *View) {
 	clear(t.active)
 	for _, j := range v.Jobs {
@@ -391,11 +340,11 @@ type candidate struct {
 	align  float64
 	inTail bool
 	// p is the job's remaining-work score, denormalized into the
-	// candidate by the incremental core so selection needs no map
-	// lookups. The reference core leaves it zero and reads pScore.
+	// candidate so selection needs no map lookups. The oracle leaves it
+	// zero and reads its own pScore map.
 	p float64
-	// tr is the incremental core's cache entry for the task, so a
-	// placement can stamp it taken without a map access. Reference: nil.
+	// tr is the core's cache entry for the task, so a placement can stamp
+	// it taken without a map access. Nil in the oracle's candidates.
 	tr *taskRound
 }
 
@@ -411,12 +360,12 @@ type stageRun struct {
 	pending  int              // total pending at round start
 	inTail   bool
 	eligible bool
-	// trs caches the incremental core's taskRound entry per position in
-	// tasks (padded lazily), replacing a map lookup per scanned task.
-	// Within a round the pending set is stable, so positions are too.
-	// The reference core leaves it unused.
+	// trs caches the core's taskRound entry per position in tasks (padded
+	// lazily), replacing a map lookup per scanned task. Within a round the
+	// pending set is stable, so positions are too. The oracle leaves it
+	// unused.
 	trs []*taskRound
-	// env is the incremental core's demand envelope of the stage's scan
+	// env is the core's demand envelope of the stage's scan
 	// window, valid while envOK: the component-wise minimum, over the
 	// window's tasks, of a machine-independent lower bound of each one's
 	// placement demand (taskRound.demandFloor). A free vector env does not
@@ -446,69 +395,24 @@ type roundState struct {
 	byJob    map[int]*JobState
 	eligible map[int]bool
 	taken    map[*workload.Task]bool
-	// chargeCache and demandCache memoize RemoteCharges and
-	// EffectiveDemand per task for "no local block" placements —
-	// identical for every machine holding none of the task's input,
-	// which is the overwhelmingly common case.
-	chargeCache map[*workload.Task][]RemoteCharge
-	demandCache map[*workload.Task]resources.Vector
 }
 
 func (rs *roundState) eligibleJob(id int) bool { return rs.eligible[id] }
-
-func (t *Tetris) buildRound(v *View, sorted []*JobState, eligible map[int]bool) *roundState {
-	rs := &roundState{
-		byJob:       make(map[int]*JobState, len(v.Jobs)),
-		eligible:    eligible,
-		taken:       make(map[*workload.Task]bool),
-		chargeCache: make(map[*workload.Task][]RemoteCharge),
-		demandCache: make(map[*workload.Task]resources.Vector),
-	}
-	for _, j := range v.Jobs {
-		rs.byJob[j.Job.ID] = j
-	}
-	const initialFetch = 4
-	for _, j := range sorted {
-		for si := range j.Job.Stages {
-			pending := j.Status.PendingInStage(si)
-			if pending == 0 || !j.Status.StageReady(si) {
-				continue
-			}
-			sr := &stageRun{
-				job:      j,
-				stage:    si,
-				pending:  pending,
-				inTail:   j.Status.InBarrierTail(workload.TaskID{Job: j.Job.ID, Stage: si}, t.cfg.Barrier),
-				eligible: eligible[j.Job.ID],
-			}
-			n := initialFetch
-			if n > pending {
-				n = pending
-			}
-			sr.tasks = j.Status.AppendPending(si, n, nil)
-			rs.stages = append(rs.stages, sr)
-		}
-	}
-	return rs
-}
 
 // Schedule implements Scheduler: for every machine with headroom it
 // repeatedly picks the feasible task with the highest combined score
 // (alignment − ε·remaining-work), honoring the fairness and barrier
 // knobs, until nothing more fits (§3.2–§3.5).
 //
-// Three decision-identical implementations back it: the incremental
-// core (default; tetris_incremental.go), the reference core the paper's
-// pseudo-code maps onto directly (tetris_reference.go), and the
-// parallel core (tetris_parallel.go) — the incremental reduce fed by a
-// concurrent scoring scatter. Selection is TetrisConfig.Core; the
-// equivalence suite keeps all three bit-identical.
+// One implementation backs it, the incremental core
+// (tetris_incremental.go). The straight-line loop the paper's pseudo-code
+// maps onto directly lives behind the test boundary as its oracle
+// (tetris_reference_test.go): the equivalence suite and
+// FuzzScheduleEquivalence keep the two bit-identical, and no production
+// code can reach it.
 func (t *Tetris) Schedule(v *View) []Assignment {
 	t.localsRound++
 	t.evictDeparted(v)
-	if t.cfg.Core == CoreReference {
-		return t.scheduleReference(v)
-	}
 	return t.scheduleIncremental(v)
 }
 
@@ -516,8 +420,8 @@ func (t *Tetris) Schedule(v *View) []Assignment {
 // they finally fit, and clears reservations whose task is gone. Caller
 // must have StarvationSec > 0. Reservations are visited in ascending
 // machine-id order: map iteration order must not leak into the
-// assignment sequence, or replays (and the reference/incremental
-// equivalence) stop being deterministic.
+// assignment sequence, or replays (and the equivalence with the oracle)
+// stop being deterministic.
 func (t *Tetris) serveReservations(v *View, free []resources.Vector, rs *roundState) []Assignment {
 	var out []Assignment
 	for _, mid := range t.res.Machines() {
@@ -626,15 +530,15 @@ func (t *Tetris) detectStarvation(v *View, rs *roundState) {
 // perStage *feasible* candidates per stage, examining at most scanBudget
 // pending tasks. Tasks within a stage have similar demands but different
 // input locations, so an infeasible head (its source machines busy) must
-// not block the rest of the stage. Both cores share the constants — the
-// scan shape is part of the policy's decisions.
+// not block the rest of the stage. The core and its oracle share the
+// constants — the scan shape is part of the policy's decisions.
 const (
 	perStage   = 3
 	scanBudget = 16
 )
 
 // projectCPUMem restricts a demand vector to CPU and memory — the
-// CPUMemOnly ablation's view of the world. Shared by both cores so the
+// CPUMemOnly ablation's view of the world. Shared with the oracle so the
 // arithmetic (and therefore the decisions) stays identical.
 func projectCPUMem(d resources.Vector) resources.Vector {
 	return resources.Vector{}.

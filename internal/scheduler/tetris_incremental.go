@@ -8,12 +8,12 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// This file is the incremental Tetris core, the default Schedule
-// implementation (TetrisConfig.Core == CoreIncremental). It makes the
-// same decisions as the reference core (tetris_reference.go) — the
-// differential equivalence suite and FuzzScheduleEquivalence assert the
-// two emit bit-identical assignment sequences — but avoids the
-// reference's per-placement recomputation:
+// This file is the incremental Tetris core, the one Schedule
+// implementation. It makes the same decisions as the straight-line loop
+// of §3.2–§3.5 kept behind the test boundary as its oracle
+// (tetris_reference_test.go) — the differential equivalence suite and
+// FuzzScheduleEquivalence assert the two emit bit-identical assignment
+// sequences — but avoids the oracle's per-placement recomputation:
 //
 //   - Per-task round state (taskRound) caches the demand estimate, the
 //     placement-adjusted demand vector, its capacity-normalized form and
@@ -43,7 +43,7 @@ import (
 //     round performs no heap allocations beyond the returned
 //     assignments (asserted by TestScheduleAllocs).
 //
-// Equivalence hinges on mirroring the reference's control flow exactly:
+// Equivalence hinges on mirroring the oracle's control flow exactly:
 // the stage scans advance the same cursors, trigger the same fetches and
 // feed scanLocals the same way, because those side effects persist into
 // starvation detection and later rounds. Only redundant recomputation is
@@ -51,9 +51,9 @@ import (
 //
 // One caching assumption: View.EstimateDemand must be deterministic per
 // (job, task) within a round. The incremental core evaluates it once per
-// task per round, while the reference re-evaluates per placement — a
+// task per round, while the oracle re-evaluates per placement — a
 // stateful estimator (e.g. one drawing fresh random noise per call) is
-// call-order-dependent under either core and cannot be replayed.
+// call-order-dependent under either and cannot be replayed.
 
 // taskRound is the incremental core's cached per-task state. Entries
 // persist across rounds (keyed by task pointer) and self-invalidate via
@@ -100,13 +100,6 @@ type taskRound struct {
 	normBaseCap resources.Vector
 	normBaseSet bool
 
-	// warm is the parallel core's scatter output, indexed by machine ID
-	// and valid while warmRound matches the current round: alignment and
-	// feasibility prechecks computed concurrently against the round-start
-	// free ledger (tetris_parallel.go). Never set by the other cores.
-	warm      []warmEntry
-	warmRound uint64
-
 	// takenRound stamps the task as placed this round — the allocation-
 	// free mirror of roundState.taken for the stage scans.
 	takenRound uint64
@@ -119,7 +112,7 @@ type taskRound struct {
 	remoteMB     float64
 	d            resources.Vector // placement demand on mach
 	normD        resources.Vector // d normalized by mach's capacity
-	normDOK      bool             // normD computed for mach (lazy: skipped on warm hits)
+	normDOK      bool             // normD computed for mach (lazy: a task that fails a fit test needs none)
 	remote       []RemoteCharge   // live charges for placement on mach
 	remoteSet    bool
 	failLocal    bool   // d did not fit free[mach]: monotone within the round
@@ -148,25 +141,24 @@ func (tr *taskRound) demandFloor() resources.Vector {
 	return tr.d.With(resources.DiskRead, 0).With(resources.NetIn, 0)
 }
 
-// ScanStats is a snapshot of the cumulative candidate-scan counters of
-// the incremental core (and of the parallel core, whose reduce is the
-// same code): how much of the rounds' stage walking the demand envelopes
-// pruned. All zero on the reference core.
+// ScanStats is a snapshot of the core's cumulative candidate-scan
+// counters: how much of the rounds' stage walking the demand envelopes
+// pruned. The oracle counts nothing.
 type ScanStats struct {
 	StageScans  uint64 // stage windows walked task by task
 	StagePrunes uint64 // stage visits skipped by one envelope comparison
 	Considered  uint64 // (task, machine) options evaluated by considerTR
 }
 
-// ScanStats reports the scan counters. They are plain fields, unlike
-// ParallelStats' atomics: read them from the goroutine that calls
-// Schedule (the RM does so under the shard lock, right after the round).
+// ScanStats reports the scan counters. They are plain fields, not
+// atomics: read them from the goroutine that calls Schedule (the RM does
+// so under the shard lock, right after the round).
 func (t *Tetris) ScanStats() ScanStats { return t.inc.scan }
 
 // deficitSorter sorts jobs by fairness deficit (most deprived first, ties
-// by ascending job ID) over scratch slices — the allocation-free
-// equivalent of sortByDeficit. Job IDs are unique, so the order is a
-// strict total order and any sort yields the reference's permutation.
+// by ascending job ID) over scratch slices, without allocating. Job IDs
+// are unique, so the order is a strict total order and any sort yields
+// the oracle's permutation.
 type deficitSorter struct {
 	jobs []*JobState
 	def  []float64
@@ -293,8 +285,9 @@ func (ic *incrState) markTaken(tr *taskRound) {
 	}
 }
 
-// sortRunnable orders ic.runnable by fairness deficit exactly like
-// sortByDeficit, without allocating.
+// sortRunnable orders ic.runnable by how far each job is below its fair
+// share (weight-proportional over all active jobs in the view), without
+// allocating.
 func (ic *incrState) sortRunnable(v *View) []*JobState {
 	var totalWeight float64
 	for _, j := range v.Jobs {
@@ -314,8 +307,9 @@ func (ic *incrState) sortRunnable(v *View) []*JobState {
 	return s.jobs
 }
 
-// buildRound mirrors Tetris.buildRound over recycled storage: same stage
-// order, same initial fetch, same eligibility and tail flags.
+// buildRound lays out the round's stage runs over recycled storage, in
+// the oracle's stage order and with its initial fetch, eligibility and
+// tail flags.
 func (ic *incrState) buildRound(t *Tetris, v *View, sorted []*JobState) *roundState {
 	rs := &ic.rs
 	if rs.byJob == nil {
@@ -325,8 +319,6 @@ func (ic *incrState) buildRound(t *Tetris, v *View, sorted []*JobState) *roundSt
 	clear(rs.byJob)
 	clear(rs.taken)
 	rs.eligible = ic.eligible
-	rs.chargeCache = nil // the incremental core caches in taskRound instead
-	rs.demandCache = nil
 	for _, j := range v.Jobs {
 		rs.byJob[j.Job.ID] = j
 	}
@@ -376,8 +368,8 @@ func (ic *incrState) buildRound(t *Tetris, v *View, sorted []*JobState) *roundSt
 }
 
 // scheduleIncremental is the incremental core's Schedule implementation.
-// Step for step it follows scheduleReference; see the file comment for
-// what is cached between steps.
+// Step for step it follows the oracle; see the file comment for what is
+// cached between steps.
 func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 	ic := &t.inc
 	ic.beginRound(t, v)
@@ -460,13 +452,6 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 		for _, a := range served {
 			ic.markTaken(ic.taskRoundFor(rs.byJob[a.JobID], a.Task))
 		}
-	}
-
-	// Parallel core: scatter phase. Runs after reservations (which charge
-	// the free ledger without bumping freeVer) so the warm tables are
-	// computed against exactly the ledger the fill loops start from.
-	if t.par != nil {
-		t.parScatter(v, rs)
 	}
 
 	for _, m := range v.Machines {
@@ -560,9 +545,9 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 	return out
 }
 
-// collectIncr is the incremental counterpart of collectCandidates: the
-// same stage scans (advancing the same cursors and triggering the same
-// fetches) and the same locality scan, but candidate evaluation goes
+// collectIncr gathers the feasible candidates for machine mid with the
+// oracle's stage scans (advancing the same cursors and triggering the
+// same fetches) and the same locality scan, but candidate evaluation goes
 // through the taskRound caches. Returns the candidates and the sum of
 // their alignment scores (over the tail subset when tail preference
 // applies), accumulated during collection.
@@ -669,8 +654,8 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 }
 
 // considerIncr evaluates one (task, machine) option through the caches,
-// reproducing the reference consider closure's outcome: it appends a
-// candidate exactly when the reference would, with bit-identical demand,
+// reproducing the oracle's consider closure's outcome: it appends a
+// candidate exactly when the oracle would, with bit-identical demand,
 // charges and alignment.
 func (t *Tetris) considerIncr(j *JobState, task *workload.Task, inTail bool) {
 	t.considerTR(t.inc.taskRoundFor(j, task), task, inTail)
@@ -678,14 +663,6 @@ func (t *Tetris) considerIncr(j *JobState, task *workload.Task, inTail bool) {
 
 // considerTR is considerIncr after the cache-entry lookup — the stage
 // scans resolve tr positionally and call it directly.
-//
-// When the parallel core warmed this task for the round (tr.warmRound),
-// the warm entry substitutes for the pure computations it pre-ran
-// against the round-start free ledger: a failed precheck is permanent
-// (free only shrinks within a round) and a passing one is consumed only
-// while the relevant free-vector versions are still untouched — the
-// same validity rule the incremental caches already use, so the emitted
-// candidates (and traces) are bit-identical with or without warming.
 func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 	ic := &t.inc
 	ic.scan.Considered++
@@ -739,22 +716,7 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 	if tr.failLocal || tr.failRemote {
 		return // early-exit prune: free only shrinks, the failure stands
 	}
-	var we *warmEntry
-	if tr.warmRound == ic.round {
-		if e := &tr.warm[mid]; e.flags&warmSet != 0 {
-			we = e
-			t.par.warmHits.Add(1)
-		}
-	}
-	if we != nil && we.flags&warmFitsLocal == 0 {
-		// Did not fit the round-start free vector: permanent this round.
-		tr.failLocal = true
-		if ic.rt != nil {
-			ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleLocal})
-		}
-		return
-	}
-	if (we == nil || ic.freeVer[mid] != 0) && !tr.d.FitsIn(ic.curAvail) {
+	if !tr.d.FitsIn(ic.curAvail) {
 		tr.failLocal = true
 		// Traced at first detection only; the early-exit prune above
 		// keeps re-tests (and re-records) off later placements.
@@ -788,9 +750,8 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 			verSum += uint64(ic.freeVer[rc.Machine])
 		}
 		if !tr.remoteOK || verSum != tr.remoteVerSum {
-			if we != nil && verSum == 0 {
-				// Sources untouched since the scatter's precheck ran.
-				if we.flags&warmFitsRemote == 0 {
+			for _, rc := range tr.remote {
+				if !rc.Charge.FitsIn(ic.free[rc.Machine]) {
 					tr.failRemote = true
 					if !tr.affinity {
 						tr.baseRemoteDead = true
@@ -800,35 +761,14 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 					}
 					return
 				}
-				tr.remoteOK = true
-				tr.remoteVerSum = 0
-			} else {
-				for _, rc := range tr.remote {
-					if !rc.Charge.FitsIn(ic.free[rc.Machine]) {
-						tr.failRemote = true
-						if !tr.affinity {
-							tr.baseRemoteDead = true
-						}
-						if ic.rt != nil {
-							ic.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleRemote})
-						}
-						return
-					}
-				}
-				tr.remoteOK = true
-				tr.remoteVerSum = verSum
 			}
+			tr.remoteOK = true
+			tr.remoteVerSum = verSum
 		}
 	}
 	var align float64
 	if tr.alignOK && tr.alignVer == ic.freeVer[mid] {
 		align = tr.align
-	} else if we != nil && ic.freeVer[mid] == 0 {
-		// The scatter scored against exactly this free vector.
-		align = we.align
-		tr.align = align
-		tr.alignVer = 0
-		tr.alignOK = true
 	} else {
 		if ic.ns != nil {
 			if !tr.normDOK {

@@ -2,23 +2,147 @@ package scheduler
 
 import (
 	"math"
+	"sort"
 
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
 // This file is the reference Tetris core: the original, straight-line
-// implementation of §3.2–§3.5, selected with TetrisConfig.Core =
-// CoreReference. It rebuilds the full candidate set — feasibility,
-// remote checks and alignment scores — after every placement on every
-// machine, which is easy to audit against the paper but O(machines ×
-// placements × tasks × sources) per round.
+// implementation of §3.2–§3.5. It rebuilds the full candidate set —
+// feasibility, remote checks and alignment scores — after every
+// placement on every machine, which is easy to audit against the paper
+// but O(machines × placements × tasks × sources) per round.
 //
 // It is kept, verbatim, as the behavioural oracle for the incremental
 // core (tetris_incremental.go): the differential equivalence suite and
-// FuzzScheduleEquivalence assert that both cores emit bit-identical
-// assignment sequences. Fix bugs here first, then make the incremental
-// core match.
+// FuzzScheduleEquivalence assert that both emit bit-identical assignment
+// sequences. Fix bugs here first, then make the incremental core match.
+// It lives in a _test.go file so that no production binary carries a
+// second scheduler code path and nothing outside the tests can select it.
+
+// referenceTetris runs the oracle behind the Scheduler interface: the
+// prologue of Tetris.Schedule, then the reference loop in place of the
+// incremental one. Everything else — configuration, the locality index,
+// reservations, the state evictDeparted sweeps — is the embedded Tetris.
+type referenceTetris struct{ *Tetris }
+
+func newReferenceTetris(cfg TetrisConfig) referenceTetris {
+	return referenceTetris{NewTetris(cfg)}
+}
+
+// Schedule implements Scheduler.
+func (r referenceTetris) Schedule(v *View) []Assignment {
+	r.localsRound++
+	r.evictDeparted(v)
+	return r.scheduleReference(v)
+}
+
+// tetrisOf returns the Tetris state behind either build of a differential
+// test, so assertions on long-lived state read both the same way.
+func tetrisOf(s Scheduler) *Tetris {
+	if r, ok := s.(referenceTetris); ok {
+		return r.Tetris
+	}
+	return s.(*Tetris)
+}
+
+// tetrisCoreMakers builds the two sides of a Tetris differential test for
+// one knob configuration: the production core and its oracle. The
+// equivalence driver compares them round by round.
+func tetrisCoreMakers(cfg TetrisConfig) ([]string, []func() Scheduler) {
+	return []string{"incremental", "reference"}, []func() Scheduler{
+		func() Scheduler { return NewTetris(cfg) },
+		func() Scheduler { return newReferenceTetris(cfg) },
+	}
+}
+
+// fairnessEntry pairs a job with its distance below fair share.
+type fairnessEntry struct {
+	job     *JobState
+	deficit float64
+}
+
+// sortByDeficit returns the given jobs sorted by how far they are below
+// their fair share (most deprived first). share computes a job's current
+// share in [0,1]; fair share is weight-proportional over all active jobs
+// in the view.
+func sortByDeficit(v *View, jobs []*JobState, share func(*JobState) float64) []*JobState {
+	var totalWeight float64
+	for _, j := range v.Jobs {
+		totalWeight += j.Job.Weight
+	}
+	entries := make([]fairnessEntry, 0, len(jobs))
+	for _, j := range jobs {
+		fair := 0.0
+		if totalWeight > 0 {
+			fair = j.Job.Weight / totalWeight
+		}
+		entries = append(entries, fairnessEntry{job: j, deficit: fair - share(j)})
+	}
+	sort.SliceStable(entries, func(a, b int) bool {
+		if entries[a].deficit != entries[b].deficit {
+			return entries[a].deficit > entries[b].deficit
+		}
+		return entries[a].job.Job.ID < entries[b].job.Job.ID
+	})
+	out := make([]*JobState, len(entries))
+	for i, e := range entries {
+		out[i] = e.job
+	}
+	return out
+}
+
+// referenceRound is the oracle's round: the roundState it shares with
+// serveReservations, detectStarvation and scanLocals, plus two memo
+// tables only it reads.
+type referenceRound struct {
+	*roundState
+	// chargeCache and demandCache memoize RemoteCharges and
+	// EffectiveDemand per task for "no local block" placements —
+	// identical for every machine holding none of the task's input,
+	// which is the overwhelmingly common case.
+	chargeCache map[*workload.Task][]RemoteCharge
+	demandCache map[*workload.Task]resources.Vector
+}
+
+func (t *Tetris) buildRound(v *View, sorted []*JobState, eligible map[int]bool) *referenceRound {
+	rs := &referenceRound{
+		roundState: &roundState{
+			byJob:    make(map[int]*JobState, len(v.Jobs)),
+			eligible: eligible,
+			taken:    make(map[*workload.Task]bool),
+		},
+		chargeCache: make(map[*workload.Task][]RemoteCharge),
+		demandCache: make(map[*workload.Task]resources.Vector),
+	}
+	for _, j := range v.Jobs {
+		rs.byJob[j.Job.ID] = j
+	}
+	const initialFetch = 4
+	for _, j := range sorted {
+		for si := range j.Job.Stages {
+			pending := j.Status.PendingInStage(si)
+			if pending == 0 || !j.Status.StageReady(si) {
+				continue
+			}
+			sr := &stageRun{
+				job:      j,
+				stage:    si,
+				pending:  pending,
+				inTail:   j.Status.InBarrierTail(workload.TaskID{Job: j.Job.ID, Stage: si}, t.cfg.Barrier),
+				eligible: eligible[j.Job.ID],
+			}
+			n := initialFetch
+			if n > pending {
+				n = pending
+			}
+			sr.tasks = j.Status.AppendPending(si, n, nil)
+			rs.stages = append(rs.stages, sr)
+		}
+	}
+	return rs
+}
 
 // scheduleReference is the reference core's Schedule implementation.
 func (t *Tetris) scheduleReference(v *View) []Assignment {
@@ -78,7 +202,7 @@ func (t *Tetris) scheduleReference(v *View) []Assignment {
 	// Starvation prevention: retire stale reservations, try to place
 	// reserved tasks first, and keep reserved machines closed otherwise.
 	if t.cfg.StarvationSec > 0 {
-		out = append(out, t.serveReservations(v, free, rs)...)
+		out = append(out, t.serveReservations(v, free, rs.roundState)...)
 	}
 
 	for _, m := range v.Machines {
@@ -134,7 +258,7 @@ func (t *Tetris) scheduleReference(v *View) []Assignment {
 		}
 	}
 	if t.cfg.StarvationSec > 0 {
-		t.detectStarvation(v, rs)
+		t.detectStarvation(v, rs.roundState)
 	}
 	return out
 }
@@ -144,7 +268,7 @@ func (t *Tetris) scheduleReference(v *View) []Assignment {
 // with input local to the machine. If any candidate is in a barrier tail
 // (§3.5), only tail candidates are returned; tail preference bypasses the
 // fairness restriction, since it takes only a small amount of resources.
-func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs *roundState) []candidate {
+func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs *referenceRound) []candidate {
 	avail := free[mid]
 	if avail.IsZero() {
 		return nil
@@ -242,7 +366,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 	}
 	// Tasks with input blocks on this machine (bounded scan with lazy
 	// compaction: entries whose task left the pending state are dropped).
-	t.scanLocals(v, mid, rs, consider)
+	t.scanLocals(v, mid, rs.roundState, consider)
 
 	if anyTail {
 		tail := cands[:0]

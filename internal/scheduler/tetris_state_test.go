@@ -39,15 +39,12 @@ func tetrisStateSizes(t *Tetris) map[string]int {
 // firstSeen, locals/localsCursor, orphaned reservations and the
 // incremental core's task cache kept keys for finished jobs forever.
 func TestTetrisStateEvictionAfterCompletion(t *testing.T) {
-	for _, core := range []Core{CoreIncremental, CoreReference, CoreParallel} {
-		t.Run(core.String(), func(t *testing.T) {
-			cfg := DefaultTetrisConfig()
-			cfg.StarvationSec = 2 // exercise firstSeen + reserved too
-			cfg.Core = core
-			if core == CoreParallel {
-				cfg.Workers = 3
-			}
-			sched := NewTetris(cfg)
+	cfg := DefaultTetrisConfig()
+	cfg.StarvationSec = 2 // exercise firstSeen + reserved too
+	labels, mks := tetrisCoreMakers(cfg)
+	for i, mk := range mks {
+		t.Run(labels[i], func(t *testing.T) {
+			sched := mk()
 
 			rng := rand.New(rand.NewSource(11))
 			const nMach, nJobs = 8, 12
@@ -79,7 +76,7 @@ func TestTetrisStateEvictionAfterCompletion(t *testing.T) {
 			if !finishedAll {
 				t.Fatalf("jobs did not finish within 600 rounds")
 			}
-			for name, size := range tetrisStateSizes(sched) {
+			for name, size := range tetrisStateSizes(tetrisOf(sched)) {
 				if size != 0 {
 					t.Errorf("%s holds %d entries after all jobs completed; want 0", name, size)
 				}
@@ -262,7 +259,7 @@ func TestStageScoreInvalidation(t *testing.T) {
 // test: estimates refine mid-workload (per stage, at staggered rounds)
 // and the cached scheduler must match a from-scratch oracle that never
 // caches stage scores — bit-identical assignment sequences and job
-// completion order, for all three cores.
+// completion order, on the core and on its oracle.
 func TestTetrisRescoringMatchesUncachedOracle(t *testing.T) {
 	// refining estimator: every stage starts overestimated by 60% and
 	// snaps to the true value at a stage-dependent round, the way §4.1
@@ -275,18 +272,13 @@ func TestTetrisRescoringMatchesUncachedOracle(t *testing.T) {
 		return task.Peak, task.PeakDuration()
 	}
 
-	for _, core := range []Core{CoreIncremental, CoreReference, CoreParallel} {
-		core := core
-		t.Run(core.String(), func(t *testing.T) {
+	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
+	for i, mk := range mks {
+		t.Run(labels[i], func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
-				cfg := DefaultTetrisConfig()
-				cfg.Core = core
-				if core == CoreParallel {
-					cfg.Workers = 3
-				}
-				cached := NewTetris(cfg)
-				oracle := NewTetris(cfg)
-				oracle.uncachedSRTF = true
+				cached := mk()
+				oracle := mk()
+				tetrisOf(oracle).uncachedSRTF = true
 
 				rng := rand.New(rand.NewSource(seed))
 				nMach := 4 + rng.Intn(8)

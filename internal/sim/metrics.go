@@ -32,13 +32,6 @@ type simMetrics struct {
 	scheduleRound *telemetry.Histogram
 	faultDropped  *telemetry.Gauge
 
-	// Parallel scheduling core, when the configured scheduler runs one:
-	// per-round scatter latency plus pool-size and occupancy gauges,
-	// published from the sim loop right after each Schedule call.
-	parScatter     *telemetry.Histogram
-	schedWorkers   *telemetry.Gauge
-	schedOccupancy *telemetry.Gauge
-
 	// stageScans / stagePrunes split the Tetris core's stage visits into
 	// windows walked task by task and visits one envelope comparison
 	// skipped (scheduler.ScanStats).
@@ -52,9 +45,7 @@ type simMetrics struct {
 	rateClean      *telemetry.Counter
 
 	// Previous cumulative scheduler-core counters, for per-round deltas.
-	prevScatterNs     uint64
-	prevScatterRounds uint64
-	prevScan          scheduler.ScanStats
+	prevScan scheduler.ScanStats
 }
 
 func newSimMetrics(reg *telemetry.Registry) *simMetrics {
@@ -69,10 +60,6 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 		placements:    reg.Counter("tetris_sim_placements_total", "Task placements made by the scheduler under simulation."),
 		scheduleRound: reg.Histogram("tetris_sim_schedule_round_seconds", "Wall-clock latency of one simulated scheduling round."),
 		faultDropped:  reg.Gauge("tetris_sim_fault_log_dropped", "Fault-log records evicted from the bounded ring."),
-
-		parScatter:     reg.Histogram("tetris_sim_parallel_scatter_seconds", "Scatter-phase wall time of one parallel-core scheduling round."),
-		schedWorkers:   reg.Gauge("tetris_sim_sched_workers", "Resolved worker-pool size of the parallel scheduling core."),
-		schedOccupancy: reg.Gauge("tetris_sim_sched_worker_occupancy", "Mean scatter-phase worker occupancy of the parallel scheduling core."),
 	}
 	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
 	m.stageScans = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "scanned"), scansHelp)
@@ -93,9 +80,7 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 
 // observeCore publishes the scheduling core's own counters after one
 // Schedule call, as deltas of its cumulative ones: the Tetris core's
-// stage scans and prunes, and — for a parallel core, on rounds that ran
-// a scatter — the scatter wall time plus the pool-size and occupancy
-// gauges. No-op for schedulers with neither.
+// stage scans and prunes. No-op for schedulers without them.
 func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
 	if w, ok := sched.(interface{ Inner() scheduler.Scheduler }); ok {
 		sched = w.Inner()
@@ -106,21 +91,6 @@ func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
 		m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
 		m.prevScan = st
 	}
-	p, ok := sched.(interface {
-		ParallelStats() (scheduler.ParallelStats, bool)
-	})
-	if !ok {
-		return
-	}
-	ps, ok := p.ParallelStats()
-	if !ok || ps.Rounds <= m.prevScatterRounds {
-		return
-	}
-	m.parScatter.Observe(float64(ps.ScatterNs-m.prevScatterNs) / 1e9)
-	m.prevScatterNs = ps.ScatterNs
-	m.prevScatterRounds = ps.Rounds
-	m.schedWorkers.Set(float64(ps.Workers))
-	m.schedOccupancy.Set(ps.Occupancy())
 }
 
 // observeRateNodes brings the published rate-node counters up to the

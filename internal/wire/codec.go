@@ -3,34 +3,43 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
 
-// Frame formats. The legacy v0 frame is a bare 4-byte big-endian
-// length followed by a JSON body. The v1 frame prepends a 2-byte
-// preamble: Magic, then a codec byte, then the same 4-byte length and
-// payload. Because MaxFrame is 64 MiB (0x04000000), the first byte of
-// any legal v0 header is at most 0x04, so a reader can tell the two
-// apart from the first byte alone — negotiation is per-frame and
-// stateless on the read side.
+// The frame. Every frame is a 6-byte header — Magic, a codec byte, a
+// 4-byte big-endian payload length — followed by that many bytes of
+// payload in the named codec. The codec is per frame and the read side is
+// stateless: a reader decodes whichever codec each header names.
 //
 // Codec negotiation is reply-in-kind: a server Framer answers each
-// request in the format the request arrived in (legacy peers get
-// legacy frames, binary peers get binary), so v0 clients interoperate
-// with a v1 server with no handshake round-trip.
+// request in the codec the request arrived in (JSON peers get JSON
+// frames, binary peers get binary), so the two interoperate on one socket
+// with no handshake round-trip.
+//
+// The headerless v0 frame (a bare 4-byte length, then JSON) this protocol
+// began with is retired: a first byte that is not Magic is never parsed
+// as a length, it fails with ErrBadMagic.
 const (
-	// Magic is the first byte of a v1 frame header.
+	// Magic is the first byte of every frame header.
 	Magic byte = 0xB7
+	// headerLen is Magic + codec + len32.
+	headerLen = 6
 )
 
-// Codec identifies a v1 payload encoding.
+// ErrBadMagic marks a frame whose first byte is not Magic: a v0 peer, a
+// desynchronized stream or a stranger on the port. Nothing past the
+// header is read; like every protocol error it ends the connection.
+var ErrBadMagic = errors.New("wire: frame does not start with the magic byte")
+
+// Codec identifies a payload encoding.
 type Codec byte
 
 const (
-	// CodecJSON is codec 0: the payload is the Message's JSON encoding,
-	// identical to a v0 body. It remains the compatibility and fuzz
-	// oracle encoding.
+	// CodecJSON is codec 0: the payload is the Message's JSON encoding.
+	// It carries the cold control types and remains the compatibility
+	// and fuzz oracle encoding.
 	CodecJSON Codec = 0
 	// CodecBinary is codec 1: the payload is the hand-rolled binary
 	// encoding (see binary.go). Types without a binary encoding fall
@@ -59,38 +68,26 @@ func ParseCodec(s string) (Codec, error) {
 	return 0, fmt.Errorf("wire: unknown codec %q (want json or binary)", s)
 }
 
-// frameFormat is the on-the-wire shape of one frame.
-type frameFormat uint8
-
-const (
-	fmtLegacy   frameFormat = iota // v0: bare length + JSON
-	fmtV1JSON                      // magic + codec 0 + length + JSON
-	fmtV1Binary                    // magic + codec 1 + length + binary
-)
-
 // Framer reads and writes frames on one connection, owning the
 // buffers and decode scratch so steady-state heartbeat exchanges
 // allocate nothing. Not safe for concurrent use; each connection's
 // serve loop owns one Framer.
 //
 // A client Framer (NewFramer) writes its configured codec: CodecJSON
-// writes legacy v0 frames (byte-compatible with old servers),
-// CodecBinary writes v1 binary frames, falling back to v1 JSON frames
-// for types without a binary encoding. A server Framer
-// (NewServerFramer) replies in kind: each Write uses the format of the
-// most recently read frame, so legacy peers never see a magic byte
-// their reader would misparse as an oversize length.
+// writes JSON frames, CodecBinary writes binary frames, falling back to
+// JSON frames for types without a binary encoding. A server Framer
+// (NewServerFramer) replies in kind: each Write uses the codec of the
+// most recently read frame.
 //
 // Messages returned by Read alias the Framer's internal scratch and
 // are valid only until the next Read on the same Framer. Handlers that
 // retain payload slices past the exchange (registration journaling)
 // get freshly allocated payloads — see decodeBinary.
 type Framer struct {
-	codec     Codec
+	codec     Codec // what Write encodes; a server Framer's follows its reads
 	autoReply bool
-	lastRead  frameFormat
 
-	hdr     [6]byte
+	hdr     [headerLen]byte
 	rbuf    []byte
 	wbuf    []byte
 	scratch decodeScratch
@@ -100,36 +97,25 @@ type Framer struct {
 func NewFramer(c Codec) *Framer { return &Framer{codec: c} }
 
 // NewServerFramer returns a reply-in-kind server Framer. Before the
-// first read it writes legacy frames — the only format every peer can
-// read.
-func NewServerFramer() *Framer { return &Framer{autoReply: true, lastRead: fmtLegacy} }
+// first read it writes JSON frames — the codec every peer can read.
+func NewServerFramer() *Framer { return &Framer{codec: CodecJSON, autoReply: true} }
 
-// Read reads one frame of either format, auto-detected per frame.
-// The returned Message satisfies the envelope invariant and is valid
-// only until the next Read on this Framer.
+// Read reads one frame in whichever codec its header names. The returned
+// Message satisfies the envelope invariant and is valid only until the
+// next Read on this Framer.
 func (f *Framer) Read(r io.Reader) (*Message, error) {
 	hdr := f.hdr[:] // lives in the Framer so per-read header reads do not allocate
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	var n uint32
-	format := fmtLegacy
-	if hdr[0] == Magic {
-		switch Codec(hdr[1]) {
-		case CodecJSON:
-			format = fmtV1JSON
-		case CodecBinary:
-			format = fmtV1Binary
-		default:
-			return nil, fmt.Errorf("wire: unknown codec byte 0x%02x", hdr[1])
-		}
-		if _, err := io.ReadFull(r, hdr[4:6]); err != nil {
-			return nil, err
-		}
-		n = binary.BigEndian.Uint32(hdr[2:6])
-	} else {
-		n = binary.BigEndian.Uint32(hdr[:4])
+	if hdr[0] != Magic {
+		return nil, fmt.Errorf("%w: got 0x%02x", ErrBadMagic, hdr[0])
 	}
+	codec := Codec(hdr[1])
+	if codec != CodecJSON && codec != CodecBinary {
+		return nil, fmt.Errorf("wire: unknown codec byte 0x%02x", hdr[1])
+	}
+	n := binary.BigEndian.Uint32(hdr[2:])
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: header announces %d bytes", ErrFrameTooLarge, n)
 	}
@@ -138,8 +124,10 @@ func (f *Framer) Read(r io.Reader) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.lastRead = format
-	if format == fmtV1Binary {
+	if f.autoReply {
+		f.codec = codec
+	}
+	if codec == CodecBinary {
 		return decodeBinary(body, &f.scratch)
 	}
 	// JSON payloads decode into fresh allocations: the cold control
@@ -155,52 +143,37 @@ func (f *Framer) Read(r io.Reader) (*Message, error) {
 	return &m, nil
 }
 
-// Write frames and writes one message as a single Write call (see
-// Write's partial-frame rationale).
+// Write frames and writes one message as a single Write call: header
+// and body go out together, so a deadline firing mid-message can never
+// leave a header-only half-frame desyncing the stream. (A deadline can
+// still truncate a large frame inside the kernel; the connection is
+// then unusable and must be closed, but the peer sees a clean
+// truncated-frame error rather than a garbage decode.)
 func (f *Framer) Write(w io.Writer, m *Message) error {
-	format := fmtLegacy
-	if f.autoReply {
-		format = f.lastRead
-	} else if f.codec == CodecBinary {
-		format = fmtV1Binary
-	}
-
-	buf := f.wbuf[:0]
-	if format == fmtV1Binary {
-		buf = append(buf, Magic, byte(CodecBinary), 0, 0, 0, 0)
-		body, ok := appendBinary(buf, m)
-		if ok {
-			buf = body
-		} else {
-			// No binary encoding for this type: fall back to a v1 JSON
-			// frame. The peer auto-detects per frame.
-			format = fmtV1JSON
-			buf = buf[:0]
+	buf := append(f.wbuf[:0], Magic, byte(CodecBinary), 0, 0, 0, 0)
+	encoded := false
+	if f.codec == CodecBinary {
+		if body, ok := appendBinary(buf, m); ok {
+			buf, encoded = body, true
 		}
 	}
-	if format != fmtV1Binary {
+	if !encoded {
+		// A JSON Framer, or a type with no binary encoding: the peer
+		// reads the codec off each header.
+		buf[1] = byte(CodecJSON)
 		body, err := json.Marshal(m)
 		if err != nil {
 			return fmt.Errorf("wire: marshal: %w", err)
 		}
-		if format == fmtV1JSON {
-			buf = append(buf, Magic, byte(CodecJSON), 0, 0, 0, 0)
-		} else {
-			buf = append(buf, 0, 0, 0, 0)
-		}
 		buf = append(buf, body...)
 	}
 
-	hdrLen := 4
-	if format != fmtLegacy {
-		hdrLen = 6
-	}
-	payload := len(buf) - hdrLen
+	payload := len(buf) - headerLen
 	if payload > MaxFrame {
 		f.wbuf = buf[:0]
 		return fmt.Errorf("%w: encoded message is %d bytes", ErrFrameTooLarge, payload)
 	}
-	binary.BigEndian.PutUint32(buf[hdrLen-4:], uint32(payload))
+	binary.BigEndian.PutUint32(buf[2:], uint32(payload))
 	_, err := w.Write(buf)
 	f.wbuf = buf[:0]
 	return err

@@ -68,7 +68,7 @@ func codecCorpus() []*Message {
 			{NodeID: 3, Reply: NMReply{Launch: []TaskLaunch{{Task: workload.TaskID{Job: 2, Stage: 0, Index: 0}, JobID: 2, Duration: 9}}}},
 		}}},
 		{Type: TypeClusterStatus},
-		// Cold types: JSON fallback inside v1 frames.
+		// Cold types: JSON fallback on a binary Framer.
 		{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: &workload.Job{ID: 1, Name: "j", Weight: 1}, Tenant: "acme"}},
 		{Type: TypeSubmitReject, SubmitReject: &SubmitReject{JobID: 1, Tenant: "acme", Code: RejectRateLimited, RetryAfter: 0.25}},
 		{Type: TypeSubmitBatch, SubmitBatch: &SubmitBatch{Tenant: "acme", Jobs: []*workload.Job{{ID: 2, Weight: 1}}}},
@@ -91,20 +91,21 @@ func canonJSON(t *testing.T, m *Message) string {
 }
 
 // TestCodecEquivalence is the differential oracle: every message type
-// encoded through the legacy JSON path and through a binary Framer
-// must decode to identical structs (compared via canonical JSON, the
-// wire's own definition of identity).
+// encoded through a JSON Framer and through a binary Framer must decode
+// to identical structs (compared via canonical JSON, the wire's own
+// definition of identity).
 func TestCodecEquivalence(t *testing.T) {
 	for _, m := range codecCorpus() {
 		want := canonJSON(t, m)
 
 		var jbuf bytes.Buffer
-		if err := Write(&jbuf, m); err != nil {
-			t.Fatalf("%s: legacy write: %v", m.Type, err)
+		jf := NewFramer(CodecJSON)
+		if err := jf.Write(&jbuf, m); err != nil {
+			t.Fatalf("%s: JSON write: %v", m.Type, err)
 		}
-		viaJSON, err := Read(&jbuf)
+		viaJSON, err := jf.Read(&jbuf)
 		if err != nil {
-			t.Fatalf("%s: legacy read: %v", m.Type, err)
+			t.Fatalf("%s: JSON read: %v", m.Type, err)
 		}
 
 		cf := NewFramer(CodecBinary)
@@ -126,82 +127,131 @@ func TestCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestFramerFormats pins the negotiation matrix: a JSON client Framer
-// writes byte-compatible legacy frames, a binary client writes magic
-// frames, and a server Framer replies in the format of the last read —
-// so a v0 peer (bare wire.Read) never sees a magic byte.
+// TestFramerFormats pins the negotiation matrix: every frame opens with
+// Magic and its codec byte, a JSON client Framer writes JSON frames, a
+// binary client binary ones, and a server Framer replies in the codec of
+// the last read — JSON before any.
 func TestFramerFormats(t *testing.T) {
 	hb := &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Delta: true}}
 	reply := &Message{Type: TypeNMReply, NMReply: &NMReply{}}
+	wantHeader := func(what string, frame []byte, c Codec) {
+		t.Helper()
+		if frame[0] != Magic || frame[1] != byte(c) {
+			t.Errorf("%s header = % x, want magic+%s", what, frame[:2], c)
+		}
+	}
 
-	var legacy, v1 bytes.Buffer
-	if err := NewFramer(CodecJSON).Write(&legacy, hb); err != nil {
+	var jsonFrame, binFrame bytes.Buffer
+	if err := NewFramer(CodecJSON).Write(&jsonFrame, hb); err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Bytes()[0] == Magic {
-		t.Fatal("JSON client framer emitted a magic byte; v0 servers would choke")
+	wantHeader("JSON client frame", jsonFrame.Bytes(), CodecJSON)
+	if m, err := NewFramer(CodecBinary).Read(bytes.NewReader(jsonFrame.Bytes())); err != nil || m.NMHeartbeat == nil {
+		t.Fatalf("binary Framer reading a JSON frame: %v", err)
 	}
-	if m, err := Read(bytes.NewReader(legacy.Bytes())); err != nil || m.NMHeartbeat == nil {
-		t.Fatalf("legacy Read of JSON-framer frame: %v", err)
-	}
-	if err := NewFramer(CodecBinary).Write(&v1, hb); err != nil {
+	if err := NewFramer(CodecBinary).Write(&binFrame, hb); err != nil {
 		t.Fatal(err)
 	}
-	if v1.Bytes()[0] != Magic || v1.Bytes()[1] != byte(CodecBinary) {
-		t.Fatalf("binary frame header = % x", v1.Bytes()[:2])
-	}
-	if v1.Len() >= legacy.Len() {
-		t.Errorf("binary delta beat (%dB) not smaller than JSON (%dB)", v1.Len(), legacy.Len())
+	wantHeader("binary client frame", binFrame.Bytes(), CodecBinary)
+	if binFrame.Len() >= jsonFrame.Len() {
+		t.Errorf("binary delta beat (%dB) not smaller than JSON (%dB)", binFrame.Len(), jsonFrame.Len())
 	}
 
 	srv := NewServerFramer()
 	var out bytes.Buffer
 
-	// Before any read: legacy, the only universally readable format.
+	// Before any read: JSON, the codec every peer reads.
 	if err := srv.Write(&out, reply); err != nil {
 		t.Fatal(err)
 	}
-	if out.Bytes()[0] == Magic {
-		t.Error("server framer opened with a magic byte")
-	}
+	wantHeader("server's opening frame", out.Bytes(), CodecJSON)
 
 	// After a binary read: binary.
-	if _, err := srv.Read(bytes.NewReader(v1.Bytes())); err != nil {
+	if _, err := srv.Read(bytes.NewReader(binFrame.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
 	if err := srv.Write(&out, reply); err != nil {
 		t.Fatal(err)
 	}
-	if out.Bytes()[0] != Magic || out.Bytes()[1] != byte(CodecBinary) {
-		t.Errorf("reply to binary peer = % x, want magic+binary", out.Bytes()[:2])
-	}
+	wantHeader("reply to binary peer", out.Bytes(), CodecBinary)
 
-	// After a legacy read: back to legacy.
-	if _, err := srv.Read(bytes.NewReader(legacy.Bytes())); err != nil {
+	// After a JSON read: back to JSON.
+	if _, err := srv.Read(bytes.NewReader(jsonFrame.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
 	if err := srv.Write(&out, reply); err != nil {
 		t.Fatal(err)
 	}
-	if out.Bytes()[0] == Magic {
-		t.Error("reply to legacy peer used a magic byte")
-	}
+	wantHeader("reply to JSON peer", out.Bytes(), CodecJSON)
 
-	// Cold type on a binary framer: JSON fallback in a v1 frame, still
-	// auto-detected by any Framer.
+	// Cold type on a binary framer: JSON fallback, which any Framer reads
+	// off the header.
 	var cold bytes.Buffer
 	cf := NewFramer(CodecBinary)
 	status := &Message{Type: TypeClusterStatusReply, ClusterStatus: &ClusterStatusReply{Nodes: 2}}
 	if err := cf.Write(&cold, status); err != nil {
 		t.Fatal(err)
 	}
-	if cold.Bytes()[0] != Magic || cold.Bytes()[1] != byte(CodecJSON) {
-		t.Errorf("cold-type fallback header = % x, want magic+json", cold.Bytes()[:2])
-	}
+	wantHeader("cold-type fallback", cold.Bytes(), CodecJSON)
 	if m, err := NewFramer(CodecJSON).Read(&cold); err != nil || m.ClusterStatus == nil {
 		t.Fatalf("reading fallback frame: %v", err)
+	}
+}
+
+// countingReader counts the bytes handed out, so a test can tell how far
+// into a stream a failed Read got.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestV0FrameRefused: the retired headerless frame — a bare 4-byte length,
+// then JSON — is never parsed as a length. A well-formed one and one whose
+// header lies about a 64 MiB body both fail with ErrBadMagic after the
+// 6-byte header read, with nothing read or allocated for a body.
+func TestV0FrameRefused(t *testing.T) {
+	v0 := func(announced uint32, body []byte) []byte {
+		return append(binenc.BigEndian.AppendUint32(nil, announced), body...)
+	}
+	body, err := json.Marshal(&Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Delta: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"well-formed":  v0(uint32(len(body)), body),
+		"lying header": v0(MaxFrame-1, bytes.Repeat([]byte{'x'}, 1000)),
+	} {
+		for side, f := range map[string]*Framer{"client": NewFramer(CodecJSON), "server": NewServerFramer()} {
+			src := &countingReader{r: bytes.NewReader(data)}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := f.Read(src)
+			runtime.ReadMemStats(&after)
+			if m != nil || !errors.Is(err, ErrBadMagic) {
+				t.Errorf("%s v0 frame, %s Framer: m=%v err=%v, want ErrBadMagic", name, side, m, err)
+			}
+			if src.n != headerLen {
+				t.Errorf("%s v0 frame, %s Framer: consumed %d bytes, want the %d-byte header only", name, side, src.n, headerLen)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<10 {
+				t.Errorf("%s v0 frame, %s Framer: refusing it allocated %d bytes", name, side, grew)
+			}
+		}
+	}
+	// Any non-Magic first byte, not only the ≤ 0x04 a v0 length starts with.
+	for _, first := range []byte{0x00, 0x04, '{', 0xFF} {
+		_, err := NewServerFramer().Read(bytes.NewReader([]byte{first, 0, 0, 0, 0, 0, '{', '}'}))
+		if !errors.Is(err, ErrBadMagic) {
+			t.Errorf("first byte 0x%02x: err = %v, want ErrBadMagic", first, err)
+		}
 	}
 }
 
@@ -237,7 +287,7 @@ func TestEnvelopeValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rerr := Read(bytes.NewReader(frame(uint32(len(body)), body)))
+		_, rerr := NewFramer(CodecJSON).Read(bytes.NewReader(frame(uint32(len(body)), body)))
 		if c.ok && rerr != nil {
 			t.Errorf("%s: Read = %v, want ok", c.name, rerr)
 		}
@@ -254,8 +304,8 @@ func TestEnvelopeValidation(t *testing.T) {
 func TestReadLyingHeaderBoundsAllocation(t *testing.T) {
 	lying := frame(MaxFrame-1, bytes.Repeat([]byte{'x'}, 1000))
 	for name, read := range map[string]func(io.Reader) (*Message, error){
-		"Read":   Read,
-		"Framer": NewServerFramer().Read,
+		"client Framer": NewFramer(CodecJSON).Read,
+		"server Framer": NewServerFramer().Read,
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -287,13 +337,9 @@ func TestSingleWriteFraming(t *testing.T) {
 	m := &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Used: resources.New(1, 2, 3, 4, 5, 6)}}
 	var buf bytes.Buffer
 
-	wc := &writeCounter{w: &buf}
-	if err := Write(wc, m); err != nil || wc.calls != 1 {
-		t.Errorf("Write: calls=%d err=%v, want one write", wc.calls, err)
-	}
 	for _, c := range []Codec{CodecJSON, CodecBinary} {
 		buf.Reset()
-		wc = &writeCounter{w: &buf}
+		wc := &writeCounter{w: &buf}
 		if err := NewFramer(c).Write(wc, m); err != nil || wc.calls != 1 {
 			t.Errorf("Framer(%s).Write: calls=%d err=%v, want one write", c, wc.calls, err)
 		}
@@ -324,7 +370,7 @@ func TestDeadlineMidFrameCleanError(t *testing.T) {
 		defer conn.Close()
 		// Let the writer hit its deadline before draining anything.
 		time.Sleep(200 * time.Millisecond)
-		m, err := Read(conn)
+		m, err := NewServerFramer().Read(conn)
 		got <- result{m, err}
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -335,7 +381,7 @@ func TestDeadlineMidFrameCleanError(t *testing.T) {
 	// the frame partially flushed when the deadline fires.
 	big := &Message{Type: TypeError, Error: strings.Repeat("x", 16<<20)}
 	conn.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
-	if err := Write(conn, big); err == nil {
+	if err := NewFramer(CodecJSON).Write(conn, big); err == nil {
 		t.Fatal("16MiB write into a full socket beat a 50ms deadline?")
 	}
 	conn.Close()
@@ -398,8 +444,8 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	}
 	valid := buf.Bytes()
 
-	// v1frame wraps a raw payload in a magic+codec+length header.
-	v1frame := func(codec byte, payload []byte) []byte {
+	// rawFrame wraps a raw payload in a magic+codec+length header.
+	rawFrame := func(codec byte, payload []byte) []byte {
 		d := []byte{Magic, codec, byte(len(payload) >> 24), byte(len(payload) >> 16), byte(len(payload) >> 8), byte(len(payload))}
 		return append(d, payload...)
 	}
@@ -418,10 +464,10 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	}{
 		{"truncated body", valid[:len(valid)-3]},
 		{"unknown codec byte", append([]byte{Magic, 0x7F}, valid[2:]...)},
-		{"unknown type byte", v1frame(byte(CodecBinary), []byte{0xEE})},
-		{"lying element count", v1frame(byte(CodecBinary), lying)},
-		{"trailing bytes", v1frame(byte(CodecBinary), append(bytes.Clone(valid[6:]), 0xAB))},
-		{"bad vector mask", v1frame(byte(CodecBinary), []byte{binNMHeartbeat, 2 /*node*/, 0 /*flags*/, 0xFF /*mask with unknown bits*/})},
+		{"unknown type byte", rawFrame(byte(CodecBinary), []byte{0xEE})},
+		{"lying element count", rawFrame(byte(CodecBinary), lying)},
+		{"trailing bytes", rawFrame(byte(CodecBinary), append(bytes.Clone(valid[6:]), 0xAB))},
+		{"bad vector mask", rawFrame(byte(CodecBinary), []byte{binNMHeartbeat, 2 /*node*/, 0 /*flags*/, 0xFF /*mask with unknown bits*/})},
 	} {
 		f := NewFramer(CodecJSON)
 		if m, err := f.Read(bytes.NewReader(mutate.data)); err == nil {
@@ -431,18 +477,18 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 }
 
 // FuzzCodecEquivalence is the fuzz form of the differential oracle:
-// any byte stream the legacy JSON reader accepts must survive a
-// binary encode→decode round trip unchanged.
+// any byte stream a Framer accepts must survive a binary encode→decode
+// round trip unchanged. The seeds are the corpus as JSON frames.
 func FuzzCodecEquivalence(f *testing.F) {
 	for _, m := range codecCorpus() {
 		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
+		if err := NewFramer(CodecJSON).Write(&buf, m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Read(bytes.NewReader(data))
+		m, err := NewFramer(CodecJSON).Read(bytes.NewReader(data))
 		if err != nil {
 			return // not a valid message; nothing to compare
 		}

@@ -11,23 +11,24 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// frame builds a raw frame with an arbitrary header length and body —
-// including deliberately inconsistent ones.
+// frame builds a raw JSON-codec frame with an arbitrary announced length
+// and body — including deliberately inconsistent ones.
 func frame(announced uint32, body []byte) []byte {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], announced)
-	return append(hdr[:], body...)
+	hdr := []byte{Magic, byte(CodecJSON), 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(hdr[2:], announced)
+	return append(hdr, body...)
 }
 
-// FuzzWireRoundTrip feeds Read arbitrary byte streams — truncated
+// FuzzWireRoundTrip feeds Framer.Read arbitrary byte streams — truncated
 // headers, short bodies, oversize length announcements, invalid JSON —
 // asserting it never panics and fails cleanly. When the input happens
-// to decode into a message, the message is re-framed with Write and
-// read back, asserting round-trip identity at the JSON level.
+// to decode into a message, the message is re-framed in the codec it
+// arrived in (a server Framer replies in kind) and read back, asserting
+// round-trip identity at the JSON level.
 func FuzzWireRoundTrip(f *testing.F) {
 	valid := func(m *Message) []byte {
 		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
+		if err := NewFramer(CodecJSON).Write(&buf, m); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -90,7 +91,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(frame(uint32(len(badExtra)), badExtra))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Read(bytes.NewReader(data))
+		sf := NewServerFramer()
+		m, err := sf.Read(bytes.NewReader(data))
 		if err != nil {
 			if m != nil {
 				t.Fatalf("Read returned both a message and error %v", err)
@@ -102,16 +104,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		// The stream decoded: Write→Read must reproduce the message
 		// exactly. Compare via canonical JSON — that is the wire's own
-		// definition of identity.
+		// definition of identity. (A message Read returns is valid only
+		// until the next Read on the same Framer, so m is marshalled
+		// before m2 is read.)
+		j1, err1 := json.Marshal(m)
 		var buf bytes.Buffer
-		if err := Write(&buf, m); err != nil {
+		if err := sf.Write(&buf, m); err != nil {
 			t.Fatalf("re-framing a read message: %v", err)
 		}
-		m2, err := Read(&buf)
+		m2, err := sf.Read(&buf)
 		if err != nil {
 			t.Fatalf("re-reading a written message: %v", err)
 		}
-		j1, err1 := json.Marshal(m)
 		j2, err2 := json.Marshal(m2)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("marshal: %v / %v", err1, err2)

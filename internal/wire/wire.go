@@ -1,16 +1,15 @@
 // Package wire defines the message protocol spoken between the
 // cluster-wide resource manager (RM), the per-node node managers (NM)
 // and the per-job job managers (AM) of the distributed prototype
-// (§4.4): length-prefixed JSON frames over TCP.
+// (§4.4): framed messages over TCP.
 //
-// Framing: a 4-byte big-endian length followed by that many bytes of
-// JSON. Frames are capped at MaxFrame to bound memory under a
+// Framing (codec.go): a 6-byte header — magic byte, codec byte, 4-byte
+// big-endian length — followed by that many bytes of JSON or binary
+// payload. Frames are capped at MaxFrame to bound memory under a
 // misbehaving peer.
 package wire
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,7 +24,8 @@ import (
 const MaxFrame = 64 << 20
 
 // ErrFrameTooLarge marks a frame exceeding MaxFrame, on either path:
-// Write refuses to emit one, Read refuses a header announcing one.
+// Framer.Write refuses to emit one, Framer.Read refuses a header
+// announcing one.
 // Callers distinguish it (errors.Is) from transport failures — an
 // oversize frame is a peer bug or corruption, never worth a retry.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
@@ -56,8 +56,8 @@ const (
 )
 
 // Message is the envelope for every frame. Exactly one payload field is
-// set, matching Type; Read and Framer.Read enforce this (ErrBadMessage)
-// so handlers never see a declared type with a nil payload.
+// set, matching Type; Framer.Read enforces this (ErrBadMessage) so
+// handlers never see a declared type with a nil payload.
 type Message struct {
 	Type string `json:"type"`
 
@@ -350,27 +350,6 @@ type ClusterStatusReply struct {
 	DroppedFaults uint64 `json:"droppedFaults,omitempty"`
 }
 
-// Write frames and writes one message as a single Write call: header
-// and body go out together, so a deadline firing mid-message can never
-// leave a header-only half-frame desyncing the stream. (A deadline can
-// still truncate a large frame inside the kernel; the connection is
-// then unusable and must be closed, but the peer sees a clean
-// truncated-frame error rather than a garbage decode.)
-func Write(w io.Writer, m *Message) error {
-	body, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("%w: marshaled message is %d bytes", ErrFrameTooLarge, len(body))
-	}
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
-	_, err = w.Write(buf)
-	return err
-}
-
 // readChunk is the staged-allocation step for frame bodies: the buffer
 // grows by at most this much ahead of bytes actually received, so a
 // peer announcing a just-under-MaxFrame header on many connections
@@ -398,30 +377,4 @@ func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 		buf = buf[:target]
 	}
 	return buf, nil
-}
-
-// Read reads one framed message. Decoded messages satisfy the envelope
-// invariant (exactly the payload matching Type is set); frames that
-// violate it fail with ErrBadMessage.
-func Read(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: header announces %d bytes", ErrFrameTooLarge, n)
-	}
-	body, err := readBody(r, nil, int(n))
-	if err != nil {
-		return nil, err
-	}
-	var m Message
-	if err := json.Unmarshal(body, &m); err != nil {
-		return nil, fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }

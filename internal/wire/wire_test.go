@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -37,13 +36,14 @@ func TestRoundTripAllTypes(t *testing.T) {
 		{Type: TypeError, Error: "boom"},
 	}
 	var buf bytes.Buffer
+	f := NewFramer(CodecJSON)
 	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
+		if err := f.Write(&buf, m); err != nil {
 			t.Fatalf("Write(%s): %v", m.Type, err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := Read(&buf)
+		got, err := f.Read(&buf)
 		if err != nil {
 			t.Fatalf("Read: %v", err)
 		}
@@ -51,7 +51,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 			t.Fatalf("type = %q, want %q", got.Type, want.Type)
 		}
 	}
-	if _, err := Read(&buf); err != io.EOF {
+	if _, err := f.Read(&buf); err != io.EOF {
 		t.Errorf("after drain: err = %v, want EOF", err)
 	}
 }
@@ -62,10 +62,11 @@ func TestPayloadFidelity(t *testing.T) {
 		Task: workload.TaskID{Job: 7, Stage: 1, Index: 9}, JobID: 7,
 		Demand: resources.New(0.5, 8, 40, 20, 300, 100), Duration: 42.5, ReadMB: 1024,
 	}}}}
-	if err := Write(&buf, in); err != nil {
+	f := NewFramer(CodecJSON)
+	if err := f.Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Read(&buf)
+	out, err := f.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,32 +77,26 @@ func TestPayloadFidelity(t *testing.T) {
 }
 
 func TestRejectsOversizedFrame(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	if _, err := Read(bytes.NewReader(hdr[:])); err == nil {
+	if _, err := NewFramer(CodecJSON).Read(bytes.NewReader(frame(MaxFrame+1, nil))); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
 
 func TestRejectsGarbageJSON(t *testing.T) {
-	var buf bytes.Buffer
 	body := []byte("{not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	if _, err := Read(&buf); err == nil {
+	if _, err := NewFramer(CodecJSON).Read(bytes.NewReader(frame(uint32(len(body)), body))); err == nil {
 		t.Error("garbage accepted")
 	}
 }
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &Message{Type: TypeAMHeartbeat, AMHeartbeat: &AMHeartbeat{JobID: 1}}); err != nil {
+	f := NewFramer(CodecJSON)
+	if err := f.Write(&buf, &Message{Type: TypeAMHeartbeat, AMHeartbeat: &AMHeartbeat{JobID: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
+	if _, err := f.Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
@@ -120,22 +115,24 @@ func TestOverTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		m, err := Read(conn)
+		f := NewServerFramer()
+		m, err := f.Read(conn)
 		if err != nil {
 			done <- err
 			return
 		}
-		done <- Write(conn, &Message{Type: TypeAMReply, AMReply: &AMReply{JobID: m.AMHeartbeat.JobID, Finished: true}})
+		done <- f.Write(conn, &Message{Type: TypeAMReply, AMReply: &AMReply{JobID: m.AMHeartbeat.JobID, Finished: true}})
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := Write(conn, &Message{Type: TypeAMHeartbeat, AMHeartbeat: &AMHeartbeat{JobID: 5}}); err != nil {
+	f := NewFramer(CodecJSON)
+	if err := f.Write(conn, &Message{Type: TypeAMHeartbeat, AMHeartbeat: &AMHeartbeat{JobID: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := Read(conn)
+	reply, err := f.Read(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +156,11 @@ func TestBigJobFrame(t *testing.T) {
 	}
 	j.Stages = []*workload.Stage{st}
 	var buf bytes.Buffer
-	if err := Write(&buf, &Message{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: j}}); err != nil {
+	f := NewFramer(CodecJSON)
+	if err := f.Write(&buf, &Message{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: j}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := Read(&buf)
+	out, err := f.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +175,7 @@ func TestWriteRejectsOversizeFrame(t *testing.T) {
 	// and emit nothing — a partial frame would desynchronize the stream.
 	m := &Message{Type: TypeError, Error: strings.Repeat("x", MaxFrame)}
 	var buf bytes.Buffer
-	err := Write(&buf, m)
+	err := NewFramer(CodecJSON).Write(&buf, m)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Write err = %v, want ErrFrameTooLarge", err)
 	}
@@ -189,9 +187,7 @@ func TestWriteRejectsOversizeFrame(t *testing.T) {
 func TestReadRejectsOversizeHeader(t *testing.T) {
 	// A header announcing MaxFrame+1 bytes must be refused before any
 	// allocation or body read.
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(MaxFrame+1))
-	_, err := Read(bytes.NewReader(hdr[:]))
+	_, err := NewFramer(CodecJSON).Read(bytes.NewReader(frame(MaxFrame+1, nil)))
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("Read err = %v, want ErrFrameTooLarge", err)
 	}
@@ -206,10 +202,11 @@ func TestSubmitRejectFidelity(t *testing.T) {
 			Reason: "tenant at aggregate demand quota", RetryAfter: 2.5,
 		}},
 	}}}
-	if err := Write(&buf, in); err != nil {
+	f := NewFramer(CodecJSON)
+	if err := f.Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := f.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

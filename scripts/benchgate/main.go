@@ -1,7 +1,7 @@
 // Command benchgate compares two `go test -bench` outputs (benchstat
 // style) and fails when any benchmark slowed down beyond a threshold.
-// CI runs the scheduler micro-benchmarks on the base and head commits
-// and gates merges on:
+// CI runs the scheduler micro-benchmarks and the whole-run simulator
+// benchmark on the base and head commits and gates merges on:
 //
 //	benchgate -base base.txt -head head.txt -threshold 0.15
 //
@@ -9,16 +9,6 @@
 // or removed benchmarks are not regressions). Allocation counts are
 // shown for context; only ns/op is gated, since allocs/op is separately
 // pinned by TestScheduleAllocs.
-//
-// -pair A=B (repeatable) additionally gates benchmark A against
-// benchmark B within the head file: A slower than B beyond the
-// threshold fails. CI uses it to pin the parallel core's 1-worker
-// overhead to the incremental core it degenerates to:
-//
-//	-pair 'BenchmarkTetrisScheduleParallel/large/w1=BenchmarkTetrisSchedule/large/incremental'
-//
-// Unlike base/head gating, a missing side of a pair is an error — a
-// misspelled pair must not pass silently.
 //
 // Two JSON modes tie benchgate into the BENCH_*.json trajectory
 // (internal/bench schema):
@@ -92,27 +82,6 @@ func (m *maxList) Set(s string) error {
 		key   string
 		bound float64
 	}{k, bound})
-	return nil
-}
-
-// pairList collects repeated -pair flags, each of the form
-// "headBenchmark=referenceBenchmark".
-type pairList [][2]string
-
-func (p *pairList) String() string {
-	var parts []string
-	for _, pr := range *p {
-		parts = append(parts, pr[0]+"="+pr[1])
-	}
-	return strings.Join(parts, ",")
-}
-
-func (p *pairList) Set(s string) error {
-	a, b, ok := strings.Cut(s, "=")
-	if !ok || a == "" || b == "" {
-		return fmt.Errorf("want benchA=benchB, got %q", s)
-	}
-	*p = append(*p, [2]string{a, b})
 	return nil
 }
 
@@ -267,8 +236,6 @@ func main() {
 	scenario := flag.String("scenario", "micro", "scenario name recorded in the -json-out snapshot")
 	checkPath := flag.String("check", "", "standalone: validate an existing BENCH_*.json snapshot and exit")
 	require := flag.String("require", "", "comma-separated metrics that must be present and nonzero in -check")
-	var pairs pairList
-	flag.Var(&pairs, "pair", "gate benchA against benchB within the head file (benchA=benchB, repeatable)")
 	var maxes maxList
 	flag.Var(&maxes, "max", "upper-bound a -check metric (metric=bound, repeatable); the metric must be present, finite, and <= bound")
 	flag.Parse()
@@ -344,25 +311,6 @@ func main() {
 		if _, ok := head[name]; !ok {
 			fmt.Printf("%-60s %14s %14s %8s\n", name, "-", "-", "removed")
 		}
-	}
-	for _, pr := range pairs {
-		a, okA := head[pr[0]]
-		b, okB := head[pr[1]]
-		if !okA || !okB {
-			fmt.Fprintf(os.Stderr, "benchgate: -pair %s=%s: benchmark missing from %s\n", pr[0], pr[1], *headPath)
-			os.Exit(2)
-		}
-		delta := 0.0
-		if b.nsPerOp > 0 {
-			delta = a.nsPerOp/b.nsPerOp - 1
-		}
-		mark := ""
-		if delta > *threshold {
-			mark = "  << REGRESSION"
-			failed = true
-		}
-		fmt.Printf("%-60s %14.0f %14.0f %+7.1f%%%s\n",
-			"pair: "+pr[0]+" vs "+pr[1], b.nsPerOp, a.nsPerOp, delta*100, mark)
 	}
 	if failed {
 		fmt.Printf("\nbenchgate: FAIL — ns/op regression beyond +%.0f%%\n", *threshold*100)

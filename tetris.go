@@ -131,21 +131,6 @@ type (
 	Assignment = scheduler.Assignment
 	// View is the cluster snapshot a Scheduler decides over.
 	View = scheduler.View
-	// Core selects between the Tetris scheduler's decision-identical
-	// Schedule implementations.
-	Core = scheduler.Core
-	// ParallelStats is a snapshot of the parallel core's counters.
-	ParallelStats = scheduler.ParallelStats
-)
-
-// Tetris Schedule cores: the incremental hot path (default), the
-// reference implementation it is differentially tested against, and
-// the parallel core (concurrent scoring scatter feeding the same
-// reduce; set Config.Workers to size the pool).
-const (
-	CoreIncremental = scheduler.CoreIncremental
-	CoreReference   = scheduler.CoreReference
-	CoreParallel    = scheduler.CoreParallel
 )
 
 // DefaultConfig returns the paper's default operating point: fairness
