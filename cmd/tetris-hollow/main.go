@@ -398,7 +398,7 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 		Unix:     time.Now().Unix(),
 		Config: map[string]string{
 			"nodes":       strconv.Itoa(o.nodes),
-			"conns":       strconv.Itoa(resolvedConns(o.conns, o.nodes)),
+			"conns":       strconv.Itoa(fleet.Conns()),
 			"jobs":        strconv.Itoa(o.jobs),
 			"heartbeat":   o.heartbeat.String(),
 			"poll":        o.poll.String(),
@@ -528,16 +528,4 @@ func safeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// resolvedConns mirrors hollow.New's connection-count default so the
-// snapshot's config records the resolved value.
-func resolvedConns(conns, nodes int) int {
-	if conns <= 0 {
-		conns = (nodes + 511) / 512
-	}
-	if conns > nodes {
-		conns = nodes
-	}
-	return conns
 }

@@ -7,7 +7,6 @@ package am
 import (
 	"context"
 	"fmt"
-	"net"
 	"time"
 
 	"github.com/tetris-sched/tetris/internal/faults"
@@ -82,38 +81,6 @@ type Result struct {
 	Wall time.Duration
 }
 
-// rmConn is one TCP link to the RM whose reads unblock on ctx
-// cancellation.
-type rmConn struct {
-	conn   net.Conn
-	framer *wire.Framer
-	stop   func() bool
-}
-
-func dialRM(ctx context.Context, addr string, codec wire.Codec) (*rmConn, error) {
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	return &rmConn{conn: conn, framer: wire.NewFramer(codec), stop: stop}, nil
-}
-
-func (c *rmConn) close() {
-	c.stop()
-	c.conn.Close()
-}
-
-// call performs one request/reply exchange. The reply may alias the
-// connection's framer scratch; it is valid until the next call.
-func (c *rmConn) call(m *wire.Message) (*wire.Message, error) {
-	if err := c.framer.Write(c.conn, m); err != nil {
-		return nil, err
-	}
-	return c.framer.Read(c.conn)
-}
-
 // Run submits the job and blocks until it finishes or ctx is canceled.
 // A transport failure mid-poll (RM restart, network partition) is
 // retried: the AM re-dials with exponential backoff plus jitter and
@@ -136,17 +103,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// should surface immediately. Transient admission rejections
 	// (rate-limit, quota, overload shed) are honored with jittered
 	// backoff and resubmitted; permanent rejections fail at once.
-	conn, err := dialRM(ctx, cfg.RMAddr, cfg.Codec)
+	conn, err := wire.Dial(ctx, cfg.RMAddr, cfg.Codec)
 	if err != nil {
 		return nil, fmt.Errorf("am: dial: %w", err)
 	}
-	defer func() { conn.close() }()
+	defer func() { conn.Close() }()
 
 	start := time.Now()
 	bo := faults.NewBackoff(100*time.Millisecond, 5*time.Second, int64(cfg.Job.ID)+1)
 	bo.MaxElapsed = cfg.ReconnectWindow
 	for {
-		reply, err := conn.call(submitMsg(cfg))
+		reply, err := conn.Call(submitMsg(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("am: submit: %w", err)
 		}
@@ -186,7 +153,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		case <-ticker.C:
 		}
 		pollT0 := time.Now()
-		reply, err := conn.call(&wire.Message{Type: wire.TypeAMHeartbeat, AMHeartbeat: &wire.AMHeartbeat{JobID: cfg.Job.ID}})
+		reply, err := conn.Call(&wire.Message{Type: wire.TypeAMHeartbeat, AMHeartbeat: &wire.AMHeartbeat{JobID: cfg.Job.ID}})
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -194,7 +161,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if maxRetry < 0 {
 				return nil, fmt.Errorf("am: poll: %w", err)
 			}
-			conn.close()
+			conn.Close()
 			next, rerr := reconnect(ctx, cfg, bo, maxRetry, met, err)
 			if rerr != nil {
 				return nil, rerr
@@ -225,7 +192,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // progress. Returns the new connection, or an error once the retry
 // budget (attempt count or elapsed window) is spent, the context ends,
 // or the RM definitively rejects the resubmission.
-func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int, met *amMetrics, cause error) (*rmConn, error) {
+func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int, met *amMetrics, cause error) (*wire.Conn, error) {
 	lastErr := cause
 	hint := 0.0
 	for {
@@ -243,7 +210,7 @@ func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int
 			return nil, ctx.Err()
 		case <-time.After(d):
 		}
-		c, err := dialRM(ctx, cfg.RMAddr, cfg.Codec)
+		c, err := wire.Dial(ctx, cfg.RMAddr, cfg.Codec)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
@@ -251,9 +218,9 @@ func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int
 			lastErr = err
 			continue
 		}
-		reply, err := c.call(submitMsg(cfg))
+		reply, err := c.Call(submitMsg(cfg))
 		if err != nil {
-			c.close()
+			c.Close()
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
@@ -261,11 +228,11 @@ func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int
 			continue
 		}
 		if reply.Type == wire.TypeError {
-			c.close()
+			c.Close()
 			return nil, fmt.Errorf("am: rm rejected resubmission: %s", reply.Error)
 		}
 		if rej := reply.SubmitReject; reply.Type == wire.TypeSubmitReject && rej != nil {
-			c.close()
+			c.Close()
 			if rej.RetryAfter <= 0 {
 				return nil, fmt.Errorf("am: rm rejected resubmission (%s): %s", rej.Code, rej.Reason)
 			}

@@ -500,14 +500,7 @@ func (c *Coordinator) sortVictims(running []Running, byJob map[int]*scheduler.Jo
 		if ja.Job.Priority != jb.Job.Priority {
 			return ja.Job.Priority < jb.Job.Priority
 		}
-		ta, tb := out[a].Task, out[b].Task
-		if ta.Job != tb.Job {
-			return ta.Job < tb.Job
-		}
-		if ta.Stage != tb.Stage {
-			return ta.Stage < tb.Stage
-		}
-		return ta.Index < tb.Index
+		return out[a].Task.Less(out[b].Task)
 	})
 	return out
 }

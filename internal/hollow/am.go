@@ -2,8 +2,8 @@ package hollow
 
 import (
 	"context"
+	"io"
 	"log"
-	"net"
 	"sort"
 	"sync"
 	"time"
@@ -83,7 +83,7 @@ func RunAMs(ctx context.Context, cfg AMConfig) AMReport {
 		cfg.AMs = len(cfg.Jobs)
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = log.New(discard{}, "", 0)
+		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	if len(cfg.Jobs) == 0 {
 		return AMReport{}
@@ -131,12 +131,9 @@ func RunAMs(ctx context.Context, cfg AMConfig) AMReport {
 func runAMWorker(ctx context.Context, cfg AMConfig, idx int, start time.Time, jobs []*amJob) AMReport {
 	var rep AMReport
 	bo := faults.NewBackoff(100*time.Millisecond, 5*time.Second, cfg.Seed+int64(idx)+1)
-	framer := wire.NewFramer(cfg.Codec)
-	var conn net.Conn
-	var unarm func() bool // releases the ctx-cancel deadline on the live conn
+	var conn *wire.Conn
 	closeConn := func() {
 		if conn != nil {
-			unarm()
 			conn.Close()
 			conn = nil
 		}
@@ -145,8 +142,7 @@ func runAMWorker(ctx context.Context, cfg AMConfig, idx int, start time.Time, jo
 	redial := func() bool {
 		closeConn()
 		for ctx.Err() == nil {
-			d := net.Dialer{}
-			c, err := d.DialContext(ctx, "tcp", cfg.RMAddr)
+			c, err := wire.Dial(ctx, cfg.RMAddr, cfg.Codec)
 			if err == nil {
 				// Resubmission after a link loss: the RM may have restarted;
 				// re-announce every outstanding job (dedup makes this safe).
@@ -156,10 +152,6 @@ func runAMWorker(ctx context.Context, cfg AMConfig, idx int, start time.Time, jo
 					}
 				}
 				conn = c
-				// Unblock any in-flight Read the instant the run budget
-				// expires — without this the worker parks in Read until the
-				// overloaded RM gets around to replying.
-				unarm = context.AfterFunc(ctx, func() { c.SetDeadline(time.Now()) })
 				bo.Reset()
 				return true
 			}
@@ -176,10 +168,8 @@ func runAMWorker(ctx context.Context, cfg AMConfig, idx int, start time.Time, jo
 			if conn == nil && !redial() {
 				return nil, false
 			}
-			if err := framer.Write(conn, m); err == nil {
-				if reply, err := framer.Read(conn); err == nil {
-					return reply, true
-				}
+			if reply, err := conn.Call(m); err == nil {
+				return reply, true
 			}
 			if ctx.Err() != nil {
 				return nil, false

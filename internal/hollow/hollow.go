@@ -9,29 +9,29 @@
 // resources through sleeps, so a fleet's cost is per-beat, not
 // per-task, and 10k nodes fit in one process.
 //
-// Fidelity boundaries (see DESIGN.md §11): task completions quantize
-// to the heartbeat interval, usage reports jump to the task's declared
-// peak instantly (no tracker ramp), and token-bucket enforcement is
-// skipped — the RM-facing control plane is real, the node-local data
-// plane is not.
+// The protocol is not reimplemented here: a fleet is Conns nm.Links, the
+// session a real node manager runs, each carrying many agents whose
+// executor is nm.Synthetic (its fidelity boundaries are stated there and
+// in DESIGN.md §11.1). The RM-facing control plane is real, the
+// node-local data plane is not.
 package hollow
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/tetris-sched/tetris/internal/faults"
+	"github.com/tetris-sched/tetris/internal/nm"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/wire"
-	"github.com/tetris-sched/tetris/internal/workload"
 )
 
 // Config parameterizes a hollow-node fleet.
@@ -105,58 +105,24 @@ type Report struct {
 // window is one planned down interval, as offsets from fleet start.
 type window struct{ from, to time.Duration }
 
-// node is one hollow node manager's state. Owned by its shard
-// goroutine; no locking needed.
+// node is one hollow node manager. Owned by its link's goroutine; no
+// locking needed.
 type node struct {
-	id         int
-	capacity   resources.Vector
-	delta      wire.DeltaTracker
-	registered bool
-	used       resources.Vector
-	running    map[workload.TaskID]runningTask
-	completed  []wire.TaskCompletion // buffered until deliverable
-	windows    []window              // pending crash windows, time order
-	down       bool
-}
-
-type runningTask struct {
-	launch wire.TaskLaunch
-	due    time.Time
-}
-
-// shard owns a subset of the fleet's nodes and one connection.
-type shard struct {
-	f      *Fleet
-	nodes  []*node
-	rng    *rand.Rand
-	cursor int
-
-	// Reused across batched ticks so steady-state batching does not
-	// allocate per frame.
-	batchBeats []wire.NMHeartbeat
-	batchNodes []*node
+	agent   nm.Agent
+	exec    nm.Synthetic
+	windows []window // pending crash windows, time order
+	down    bool
 }
 
 // Fleet is a hollow-node fleet. Create with New, drive with Run.
 type Fleet struct {
-	cfg    Config
-	log    *log.Logger
-	shards []*shard
-	start  time.Time
-
-	beats          atomic.Uint64
-	deltaBeats     atomic.Uint64
-	fullRequested  atomic.Uint64
-	registers      atomic.Uint64
-	redials        atomic.Uint64
-	crashes        atomic.Uint64
-	tasksLaunched  atomic.Uint64
-	tasksCompleted atomic.Uint64
-	tasksKilled    atomic.Uint64
-	tasksPreempted atomic.Uint64
-	bytesSent      atomic.Uint64
-	bytesRecv      atomic.Uint64
-	rtt            *reservoir
+	cfg     Config
+	nodes   []node // by node id
+	links   []*nm.Link
+	start   time.Time
+	metrics *nm.Metrics
+	crashes atomic.Uint64
+	rtt     *reservoir
 }
 
 // New builds a fleet (not yet connected; call Run).
@@ -182,53 +148,52 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Batch < 0 {
-		cfg.Batch = 0
-	}
 	if cfg.Capacity == (resources.Vector{}) {
 		cfg.Capacity = resources.New(16, 32, 200, 200, 1000, 1000)
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = log.New(discard{}, "", 0)
+		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	f := &Fleet{
-		cfg: cfg,
-		log: cfg.Logger,
-		rtt: newReservoir(8192, cfg.Seed),
+		cfg:     cfg,
+		nodes:   make([]node, cfg.Nodes),
+		links:   make([]*nm.Link, cfg.Conns),
+		metrics: nm.NewMetrics(nil),
+		rtt:     newReservoir(8192, cfg.Seed),
 	}
-	windows := crashWindows(cfg.Plan)
-	nodes := make([]*node, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = &node{
-			id:       i,
-			capacity: cfg.Capacity,
-			running:  make(map[workload.TaskID]runningTask),
-			windows:  windows[i],
+	for i := range f.links {
+		f.links[i] = &nm.Link{
+			Name: fmt.Sprintf("hollow: link %d", i), Addr: cfg.RMAddr, Codec: cfg.Codec,
+			Heartbeat: cfg.Heartbeat, Batch: cfg.Batch, Delta: cfg.DeltaHeartbeats,
+			Metrics: f.metrics, Log: cfg.Logger,
+			Silent: f.churn, ObserveRTT: f.rtt.observe,
 		}
 	}
-	// Shard nodes round-robin, then shuffle each shard's beat order with
-	// the fleet seed: the stagger pattern is deterministic per seed but
+	// Deal nodes to links round-robin, then shuffle each link's beat order
+	// with the fleet seed: the stagger pattern is deterministic per seed but
 	// not aligned with node IDs, so churn windows (planned by ID) don't
 	// all land on the same connection phase.
-	f.shards = make([]*shard, cfg.Conns)
-	for i := range f.shards {
-		f.shards[i] = &shard{f: f, rng: rand.New(rand.NewSource(cfg.Seed + int64(i)))}
+	windows := crashWindows(cfg.Plan)
+	for id := range f.nodes {
+		n := &f.nodes[id]
+		n.exec = nm.Synthetic{Compression: cfg.Compression}
+		n.agent = nm.Agent{ID: id, Capacity: cfg.Capacity, Exec: &n.exec}
+		n.windows = windows[id]
+		l := f.links[id%cfg.Conns]
+		l.Agents = append(l.Agents, &n.agent)
 	}
-	for i, n := range nodes {
-		sh := f.shards[i%cfg.Conns]
-		sh.nodes = append(sh.nodes, n)
-	}
-	for _, sh := range f.shards {
-		sh.rng.Shuffle(len(sh.nodes), func(i, j int) {
-			sh.nodes[i], sh.nodes[j] = sh.nodes[j], sh.nodes[i]
+	for i, l := range f.links {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
+		rng.Shuffle(len(l.Agents), func(i, j int) {
+			l.Agents[i], l.Agents[j] = l.Agents[j], l.Agents[i]
 		})
 	}
 	return f, nil
 }
 
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
+// Conns returns the number of connections the fleet shares: the
+// configured count, or the default New resolved it to.
+func (f *Fleet) Conns() int { return len(f.links) }
 
 // crashWindows extracts per-machine down intervals from a fault plan.
 // An unmatched crash stays down forever.
@@ -258,17 +223,23 @@ func crashWindows(p *faults.Plan) map[int][]window {
 	return out
 }
 
-// Run connects the fleet and beats until ctx is canceled. Connection
-// failures redial with backoff; the error is only ever ctx's.
+// Run connects the fleet and beats until ctx is canceled. A link whose
+// connection fails redials with backoff and re-registers every node on
+// it, flowing through the RM's resync reconciliation exactly like a real
+// NM surviving a link blip; the error is only ever ctx's. A link the RM
+// refuses a registration on stops for good and says so in the log.
 func (f *Fleet) Run(ctx context.Context) error {
 	f.start = time.Now()
 	var wg sync.WaitGroup
-	for i, sh := range f.shards {
+	for i, l := range f.links {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func(i int, l *nm.Link) {
 			defer wg.Done()
-			sh.run(ctx, i)
-		}(i, sh)
+			bo := faults.NewBackoff(50*time.Millisecond, 2*time.Second, f.cfg.Seed+int64(i)+1)
+			if err := l.Run(ctx, bo, math.MaxInt); ctx.Err() == nil {
+				f.cfg.Logger.Printf("%s stopped with %d nodes: %v", l.Name, len(l.Agents), err)
+			}
+		}(i, l)
 	}
 	wg.Wait()
 	return ctx.Err()
@@ -276,113 +247,33 @@ func (f *Fleet) Run(ctx context.Context) error {
 
 // Report snapshots the fleet's counters.
 func (f *Fleet) Report() Report {
+	m := f.metrics
 	return Report{
-		Beats:          f.beats.Load(),
-		DeltaBeats:     f.deltaBeats.Load(),
-		FullRequested:  f.fullRequested.Load(),
-		Registers:      f.registers.Load(),
-		Redials:        f.redials.Load(),
+		Beats:          m.Heartbeats.Value(),
+		DeltaBeats:     m.DeltaBeats.Value(),
+		FullRequested:  m.FullRequested.Value(),
+		Registers:      m.Registered.Value(),
+		Redials:        m.Reconnects.Value(),
 		Crashes:        f.crashes.Load(),
-		TasksLaunched:  f.tasksLaunched.Load(),
-		TasksCompleted: f.tasksCompleted.Load(),
-		TasksKilled:    f.tasksKilled.Load(),
-		TasksPreempted: f.tasksPreempted.Load(),
-		BytesSent:      f.bytesSent.Load(),
-		BytesRecv:      f.bytesRecv.Load(),
+		TasksLaunched:  m.Launched.Value(),
+		TasksCompleted: m.Completed.Value(),
+		TasksKilled:    m.Killed.Value(),
+		TasksPreempted: m.Preempted.Value(),
+		BytesSent:      m.BytesSent.Value(),
+		BytesRecv:      m.BytesRecv.Value(),
 		RTTSamples:     f.rtt.count(),
 		RTTp50:         f.rtt.quantile(0.50),
 		RTTp99:         f.rtt.quantile(0.99),
 	}
 }
 
-// run is one shard's lifetime: sessions separated by backoff. A session
-// ends only on transport failure (or ctx); every node on the shard then
-// re-registers, flowing through the RM's resync reconciliation exactly
-// like a real NM surviving a link blip.
-func (sh *shard) run(ctx context.Context, idx int) {
-	bo := faults.NewBackoff(50*time.Millisecond, 2*time.Second, sh.f.cfg.Seed+int64(idx)+1)
-	for ctx.Err() == nil {
-		worked, err := sh.session(ctx)
-		if ctx.Err() != nil {
-			return
-		}
-		sh.f.redials.Add(1)
-		sh.f.log.Printf("hollow: shard %d link lost (%v), redialing", idx, err)
-		for _, n := range sh.nodes {
-			n.registered = false
-			n.delta.Reset()
-		}
-		if worked {
-			bo.Reset()
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(bo.Next()):
-		}
-	}
-}
-
-// session dials one connection and beats the shard's nodes round-robin,
-// pacing so every node beats once per Heartbeat. worked reports whether
-// at least one exchange succeeded (refreshing the redial budget).
-func (sh *shard) session(ctx context.Context) (worked bool, err error) {
-	d := net.Dialer{}
-	raw, err := d.DialContext(ctx, "tcp", sh.f.cfg.RMAddr)
-	if err != nil {
-		return false, err
-	}
-	conn := &countingConn{Conn: raw, sent: &sh.f.bytesSent, recv: &sh.f.bytesRecv}
-	defer raw.Close()
-	stop := context.AfterFunc(ctx, func() { raw.SetDeadline(time.Now()) })
-	defer stop()
-
-	// One framer per session owns the frame buffers and decode scratch,
-	// so steady-state beats allocate nothing on the fleet side either.
-	framer := wire.NewFramer(sh.f.cfg.Codec)
-
-	// Each tick advances batch-many nodes (one, unbatched), so every
-	// node still beats once per Heartbeat: the tick stretches by the
-	// batch factor instead of the frame rate multiplying.
-	batch := sh.f.cfg.Batch
-	if batch > len(sh.nodes) {
-		batch = len(sh.nodes)
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	per := sh.f.cfg.Heartbeat * time.Duration(batch) / time.Duration(len(sh.nodes))
-	if per < 50*time.Microsecond {
-		per = 50 * time.Microsecond
-	}
-	ticker := time.NewTicker(per)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return worked, ctx.Err()
-		case <-ticker.C:
-		}
-		if batch > 1 {
-			if err := sh.beatBatch(conn, framer, batch); err != nil {
-				return worked, err
-			}
-		} else {
-			n := sh.nodes[sh.cursor]
-			sh.cursor = (sh.cursor + 1) % len(sh.nodes)
-			if err := sh.beat(conn, framer, n); err != nil {
-				return worked, err
-			}
-		}
-		worked = true
-	}
-}
-
-// churn applies any planned crash window to the node; true means the
-// node is silent this slot. Inside a window the node says nothing (the
-// RM's failure detector will declare it dead); entering one loses all
-// node state, like a machine power cycle.
-func (sh *shard) churn(n *node, since time.Duration) bool {
+// churn is every link's Silent hook: it applies any planned crash window
+// to the node; true means the node is silent this slot. Inside a window
+// the node says nothing (the RM's failure detector will declare it
+// dead); entering one loses all node state, like a machine power cycle.
+func (f *Fleet) churn(a *nm.Agent, now time.Time) bool {
+	n := &f.nodes[a.ID]
+	since := now.Sub(f.start)
 	for len(n.windows) > 0 && since >= n.windows[0].to {
 		n.windows = n.windows[1:]
 		n.down = false
@@ -390,291 +281,13 @@ func (sh *shard) churn(n *node, since time.Duration) bool {
 	if len(n.windows) > 0 && since >= n.windows[0].from {
 		if !n.down {
 			n.down = true
-			n.registered = false
-			n.used = resources.Vector{}
-			n.running = make(map[workload.TaskID]runningTask)
-			n.completed = nil
-			n.delta.Reset()
-			sh.f.crashes.Add(1)
+			// Its tasks vanish uncounted: the fleet's tasks-running gauge
+			// (private, unreported) keeps them.
+			n.exec = nm.Synthetic{Compression: f.cfg.Compression}
+			n.agent = nm.Agent{ID: a.ID, Capacity: a.Capacity, Exec: &n.exec}
+			f.crashes.Add(1)
 		}
 		return true
 	}
 	return false
-}
-
-// prepareBeat builds the node's next heartbeat: synthetic execution
-// drains due tasks in deterministic ID order, then the delta tracker
-// compresses the availability report when eligible. The returned beat's
-// Completed slice must be requeued if the exchange fails.
-func (sh *shard) prepareBeat(n *node, now time.Time) wire.NMHeartbeat {
-	n.drainDue(now, &sh.f.tasksCompleted)
-	hb := wire.NMHeartbeat{
-		NodeID:    n.id,
-		Used:      n.used,
-		Allocated: n.used,
-		Completed: n.completed,
-	}
-	n.completed = nil
-	if sh.f.cfg.DeltaHeartbeats {
-		if full := n.delta.Mark(&hb); !full {
-			sh.f.deltaBeats.Add(1)
-		}
-	}
-	return hb
-}
-
-// applyReply applies a successful heartbeat reply's instructions to the
-// node: delta ack, orphan kills, gang preemptions, launches.
-func (sh *shard) applyReply(n *node, r *wire.NMReply, now time.Time) {
-	if sh.f.cfg.DeltaHeartbeats {
-		n.delta.Ack(r)
-		if r != nil && r.FullReport {
-			sh.f.fullRequested.Add(1)
-		}
-	}
-	if r == nil {
-		return
-	}
-	n.handleKills(r.Kill, &sh.f.tasksKilled)
-	n.handlePreempts(r.Preempt, &sh.f.tasksPreempted)
-	for _, l := range r.Launch {
-		n.launch(l, now, sh.f.cfg.Compression)
-		sh.f.tasksLaunched.Add(1)
-	}
-}
-
-// beat advances one node by one heartbeat slot: apply any planned crash
-// window, (re)register if needed, otherwise exchange one heartbeat.
-// Returns transport errors only; protocol-level rejections mark the
-// node for re-registration and continue.
-func (sh *shard) beat(conn net.Conn, framer *wire.Framer, n *node) error {
-	now := time.Now()
-	if sh.churn(n, now.Sub(sh.f.start)) {
-		return nil
-	}
-	if !n.registered {
-		return sh.register(conn, framer, n)
-	}
-
-	hb := sh.prepareBeat(n, now)
-	t0 := time.Now()
-	if err := framer.Write(conn, &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &hb}); err != nil {
-		n.requeue(hb.Completed)
-		return err
-	}
-	reply, err := framer.Read(conn)
-	if err != nil {
-		n.requeue(hb.Completed)
-		return err
-	}
-	sh.f.rtt.observe(time.Since(t0).Seconds())
-	sh.f.beats.Add(1)
-	if reply.Type == wire.TypeError {
-		// "unregistered node" / "must re-register": the RM lost or reset
-		// its view of this node; re-register on the next slot.
-		n.requeue(hb.Completed)
-		n.registered = false
-		n.delta.Reset()
-		return nil
-	}
-	sh.applyReply(n, reply.NMReply, now)
-	return nil
-}
-
-// beatBatch advances the next batch-many nodes by one heartbeat slot,
-// coalescing their heartbeats into one TypeHeartbeatBatch frame. Nodes
-// in a churn window stay silent; unregistered nodes take their slot as
-// an individual registration frame (rare, and its reply must land
-// before the node can join a batch). The batch reply carries one entry
-// per beat in beat order — exactly what each node would have received
-// on its own connection — so per-node ack semantics are preserved.
-func (sh *shard) beatBatch(conn net.Conn, framer *wire.Framer, batch int) error {
-	now := time.Now()
-	since := now.Sub(sh.f.start)
-	beats := sh.batchBeats[:0]
-	members := sh.batchNodes[:0]
-	defer func() { sh.batchBeats, sh.batchNodes = beats[:0], members[:0] }()
-	for i := 0; i < batch; i++ {
-		n := sh.nodes[sh.cursor]
-		sh.cursor = (sh.cursor + 1) % len(sh.nodes)
-		if sh.churn(n, since) {
-			continue
-		}
-		if !n.registered {
-			if err := sh.register(conn, framer, n); err != nil {
-				return err
-			}
-			continue
-		}
-		beats = append(beats, sh.prepareBeat(n, now))
-		members = append(members, n)
-	}
-	if len(beats) == 0 {
-		return nil
-	}
-	requeueAll := func() {
-		for i, n := range members {
-			n.requeue(beats[i].Completed)
-		}
-	}
-	t0 := time.Now()
-	if err := framer.Write(conn, &wire.Message{Type: wire.TypeHeartbeatBatch,
-		HeartbeatBatch: &wire.HeartbeatBatch{Beats: beats}}); err != nil {
-		requeueAll()
-		return err
-	}
-	reply, err := framer.Read(conn)
-	if err != nil {
-		requeueAll()
-		return err
-	}
-	sh.f.rtt.observe(time.Since(t0).Seconds())
-	sh.f.beats.Add(uint64(len(beats)))
-	br := reply.HeartbeatBatchReply
-	if reply.Type != wire.TypeHeartbeatBatchReply || br == nil || len(br.Replies) != len(beats) {
-		// A peer that answers a batch with anything but a matching batch
-		// reply is not speaking the protocol; treat it like a broken
-		// transport and redial.
-		requeueAll()
-		got := 0
-		if br != nil {
-			got = len(br.Replies)
-		}
-		return fmt.Errorf("hollow: batch reply mismatch: type %q with %d entries for %d beats",
-			reply.Type, got, len(beats))
-	}
-	for i, n := range members {
-		e := &br.Replies[i]
-		if e.NodeID != n.id {
-			requeueAll()
-			return fmt.Errorf("hollow: batch reply entry %d is for node %d, want %d", i, e.NodeID, n.id)
-		}
-		if e.Error != "" {
-			// Per-node protocol rejection ("unregistered node"): only this
-			// node re-registers; the rest of the batch proceeds.
-			n.requeue(beats[i].Completed)
-			n.registered = false
-			n.delta.Reset()
-			continue
-		}
-		sh.applyReply(n, &e.Reply, now)
-	}
-	return nil
-}
-
-// register performs one registration exchange, carrying the node's
-// running set and buffered completions for resync reconciliation.
-func (sh *shard) register(conn net.Conn, framer *wire.Framer, n *node) error {
-	running := make([]workload.TaskID, 0, len(n.running))
-	for tid := range n.running {
-		running = append(running, tid)
-	}
-	sort.Slice(running, func(i, j int) bool { return taskIDLess(running[i], running[j]) })
-	done := n.completed
-	n.completed = nil
-	if err := framer.Write(conn, &wire.Message{Type: wire.TypeRegisterNM, RegisterNM: &wire.RegisterNM{
-		NodeID: n.id, Capacity: n.capacity, Running: running, Completed: done,
-	}}); err != nil {
-		n.requeue(done)
-		return err
-	}
-	reply, err := framer.Read(conn)
-	if err != nil {
-		n.requeue(done)
-		return err
-	}
-	if reply.Type == wire.TypeError {
-		// Definitive rejection; leave the node unregistered and keep
-		// trying — the harness has no separate fatal path.
-		sh.f.log.Printf("hollow: node %d registration rejected: %s", n.id, reply.Error)
-		return nil
-	}
-	if reply.NMReply != nil {
-		n.handleKills(reply.NMReply.Kill, &sh.f.tasksKilled)
-	}
-	n.registered = true
-	n.delta.Reset()
-	sh.f.registers.Add(1)
-	return nil
-}
-
-// drainDue completes every running task whose due time passed,
-// buffering completions for the next deliverable beat.
-func (n *node) drainDue(now time.Time, completed *atomic.Uint64) {
-	var due []workload.TaskID
-	for tid, rt := range n.running {
-		if !now.Before(rt.due) {
-			due = append(due, tid)
-		}
-	}
-	if len(due) == 0 {
-		return
-	}
-	sort.Slice(due, func(i, j int) bool { return taskIDLess(due[i], due[j]) })
-	for _, tid := range due {
-		rt := n.running[tid]
-		delete(n.running, tid)
-		n.used = n.used.Sub(rt.launch.Demand).Max(resources.Vector{})
-		n.completed = append(n.completed, wire.TaskCompletion{
-			Task:     tid,
-			Usage:    rt.launch.Demand,
-			Duration: rt.launch.Duration,
-		})
-		completed.Add(1)
-	}
-}
-
-// launch records a synthetic task: no goroutine, no sleep — just a
-// usage charge and a due time checked at beat time.
-func (n *node) launch(l wire.TaskLaunch, now time.Time, compression float64) {
-	if _, dup := n.running[l.Task]; dup {
-		return
-	}
-	wall := time.Duration(l.Duration / compression * float64(time.Second))
-	n.running[l.Task] = runningTask{launch: l, due: now.Add(wall)}
-	n.used = n.used.Add(l.Demand)
-}
-
-// handleKills drops orphaned tasks without reporting completions.
-func (n *node) handleKills(kill []workload.TaskID, killed *atomic.Uint64) {
-	for _, tid := range kill {
-		rt, ok := n.running[tid]
-		if !ok {
-			continue
-		}
-		delete(n.running, tid)
-		n.used = n.used.Sub(rt.launch.Demand).Max(resources.Vector{})
-		killed.Add(1)
-	}
-}
-
-// handlePreempts drops gang-evicted tasks without reporting
-// completions: the RM already requeued the attempt as failed.
-func (n *node) handlePreempts(preempt []wire.TaskPreempt, preempted *atomic.Uint64) {
-	for _, p := range preempt {
-		rt, ok := n.running[p.Task]
-		if !ok {
-			continue
-		}
-		delete(n.running, p.Task)
-		n.used = n.used.Sub(rt.launch.Demand).Max(resources.Vector{})
-		preempted.Add(1)
-	}
-}
-
-// requeue puts undelivered completions back at the buffer head.
-func (n *node) requeue(done []wire.TaskCompletion) {
-	if len(done) > 0 {
-		n.completed = append(done, n.completed...)
-	}
-}
-
-func taskIDLess(a, b workload.TaskID) bool {
-	if a.Job != b.Job {
-		return a.Job < b.Job
-	}
-	if a.Stage != b.Stage {
-		return a.Stage < b.Stage
-	}
-	return a.Index < b.Index
 }

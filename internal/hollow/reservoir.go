@@ -2,10 +2,8 @@ package hollow
 
 import (
 	"math/rand"
-	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // reservoir keeps a bounded uniform sample of observations so exact
@@ -68,24 +66,4 @@ func (r *reservoir) quantile(q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// countingConn wraps a net.Conn and accumulates transferred byte counts
-// into shared atomic counters — the harness's wire-bytes-per-node
-// measurement taps every fleet connection through this.
-type countingConn struct {
-	net.Conn
-	sent, recv *atomic.Uint64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.recv.Add(uint64(n))
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.sent.Add(uint64(n))
-	return n, err
 }

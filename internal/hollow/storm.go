@@ -3,9 +3,9 @@ package hollow
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +101,7 @@ func RunStorm(ctx context.Context, cfg StormConfig) StormReport {
 		cfg.Seed = 1
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = log.New(discard{}, "", 0)
+		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	if cfg.Duration > 0 {
 		var cancel context.CancelFunc
@@ -154,12 +154,9 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 	if cfg.Rate > 0 {
 		pace = time.Duration(float64(cfg.Batch) * float64(cfg.Workers) / cfg.Rate * float64(time.Second))
 	}
-	var conn net.Conn
-	var framer *wire.Framer // one per dialed connection
-	var unarm func() bool   // releases the ctx-cancel deadline on the live conn
+	var conn *wire.Conn
 	closeConn := func() {
 		if conn != nil {
-			unarm()
 			conn.Close()
 			conn = nil
 		}
@@ -167,8 +164,7 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 	defer closeConn()
 	for ctx.Err() == nil {
 		if conn == nil {
-			d := net.Dialer{}
-			c, err := d.DialContext(ctx, "tcp", cfg.RMAddr)
+			c, err := wire.Dial(ctx, cfg.RMAddr, wire.CodecJSON)
 			if err != nil {
 				select {
 				case <-ctx.Done():
@@ -176,10 +172,7 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 				}
 				continue
 			}
-			conn, framer = c, wire.NewFramer(wire.CodecJSON)
-			// Unblock any in-flight Read the instant the storm budget
-			// expires; an overloaded RM can take arbitrarily long to reply.
-			unarm = context.AfterFunc(ctx, func() { c.SetDeadline(time.Now()) })
+			conn = c
 			bo.Reset()
 		}
 		tenant := stormTenant(rng, cfg)
@@ -189,11 +182,7 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 		}
 		rep.Attempts += len(batch.Jobs)
 		t0 := time.Now()
-		err := framer.Write(conn, &wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: batch})
-		var reply *wire.Message
-		if err == nil {
-			reply, err = framer.Read(conn)
-		}
+		reply, err := conn.Call(&wire.Message{Type: wire.TypeSubmitBatch, SubmitBatch: batch})
 		if err != nil {
 			if ctx.Err() != nil {
 				// The storm's own budget expired and the deadline armed at

@@ -4,6 +4,7 @@ package nm_test
 
 import (
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"github.com/tetris-sched/tetris/internal/rm"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/testutil"
+	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
@@ -268,6 +270,100 @@ func TestEndToEndNodeFailure(t *testing.T) {
 	}
 	cancel()
 	wg.Wait()
+}
+
+// TestRejectedHeartbeatKeepsCompletions: the RM answers the heartbeat that
+// carries a task's completion with "must re-register" (it restarted, or
+// declared the node dead, in between). It applied nothing of that beat, so
+// the completion must come again — with the re-registration or a later
+// beat — or resync re-runs a task that finished.
+func TestRejectedHeartbeatKeepsCompletions(t *testing.T) {
+	task := workload.TaskID{Job: 1, Stage: 0, Index: 0}
+	carries := func(done []wire.TaskCompletion) bool {
+		for _, c := range done {
+			if c.Task == task {
+				return true
+			}
+		}
+		return false
+	}
+	var (
+		mu                 sync.Mutex
+		launched, rejected bool
+		delivered          = make(chan string, 1)
+	)
+	ok := func(r *wire.NMReply) *wire.Message { return &wire.Message{Type: wire.TypeNMReply, NMReply: r} }
+	handle := func(m *wire.Message) *wire.Message {
+		mu.Lock()
+		defer mu.Unlock()
+		switch m.Type {
+		case wire.TypeRegisterNM:
+			if carries(m.RegisterNM.Completed) {
+				delivered <- "registration"
+			}
+			return ok(&wire.NMReply{})
+		case wire.TypeNMHeartbeat:
+			if carries(m.NMHeartbeat.Completed) {
+				if !rejected {
+					rejected = true
+					return &wire.Message{Type: wire.TypeError, Error: "node 0 must re-register: resource manager restarted"}
+				}
+				delivered <- "heartbeat"
+			}
+			if !launched {
+				launched = true
+				return ok(&wire.NMReply{Launch: []wire.TaskLaunch{{
+					Task: task, JobID: 1, Demand: resources.New(1, 1, 0, 0, 0, 0), Duration: 1,
+				}}})
+			}
+			return ok(&wire.NMReply{})
+		}
+		return &wire.Message{Type: wire.TypeError, Error: "unexpected " + m.Type}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				framer := wire.NewServerFramer()
+				for {
+					m, err := framer.Read(conn)
+					if err != nil || framer.Write(conn, handle(m)) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := nm.New(nm.Config{
+		NodeID: 0, Capacity: resources.New(4, 8, 0, 0, 0, 0), RMAddr: ln.Addr().String(),
+		Heartbeat: 10 * time.Millisecond, Compression: 100,
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.Run(ctx)
+	}()
+	select {
+	case how := <-delivered:
+		t.Logf("completion redelivered with the next %s", how)
+	case <-time.After(5 * time.Second):
+		t.Error("the completion carried by a rejected heartbeat never reached the RM again")
+	}
+	cancel()
+	<-done
 }
 
 func TestAMRejectsNilJob(t *testing.T) {

@@ -80,7 +80,7 @@ func (n *emuNode) sortedRunning() []workload.TaskID {
 	for tid := range n.running {
 		ids = append(ids, tid)
 	}
-	sort.Slice(ids, func(i, j int) bool { return taskIDLess(ids[i], ids[j]) })
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	return ids
 }
 

@@ -85,7 +85,7 @@ func (s *Server) reconcile(id int, running []workload.TaskID) []workload.TaskID 
 	// was abandoned). Sorted for deterministic replay and kill order.
 	var kill []workload.TaskID
 	sortedRunning := append([]workload.TaskID(nil), running...)
-	sort.Slice(sortedRunning, func(i, j int) bool { return taskIDLess(sortedRunning[i], sortedRunning[j]) })
+	sort.Slice(sortedRunning, func(i, j int) bool { return sortedRunning[i].Less(sortedRunning[j]) })
 	for _, tid := range sortedRunning {
 		ji, ok := s.jobs[tid.Job]
 		if !ok || ji.failed {
@@ -186,16 +186,6 @@ func vecClose(a, b resources.Vector) bool {
 		}
 	}
 	return true
-}
-
-func taskIDLess(a, b workload.TaskID) bool {
-	if a.Job != b.Job {
-		return a.Job < b.Job
-	}
-	if a.Stage != b.Stage {
-		return a.Stage < b.Stage
-	}
-	return a.Index < b.Index
 }
 
 // sameJob reports whether two job definitions are identical — the

@@ -18,6 +18,7 @@ package rm
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"sort"
 	"sync"
@@ -227,7 +228,7 @@ func newCore(cfg Config) (*Server, error) {
 		}
 	}
 	if s.log == nil {
-		s.log = log.New(discard{}, "", 0)
+		s.log = log.New(io.Discard, "", 0)
 	}
 	s.metrics = newRMMetrics(cfg.Metrics, cfg.ShardLabel)
 	s.registerGauges(cfg.Metrics)
@@ -272,10 +273,6 @@ func (s *Server) watchNodes(every time.Duration) {
 		}
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // Close stops the sweeper and flushes the journal (if any). A Close is
 // indistinguishable from a crash to the next incarnation: no final

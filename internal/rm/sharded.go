@@ -31,6 +31,7 @@ package rm
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"log"
 	"net"
@@ -166,7 +167,7 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 		closed:   make(chan struct{}),
 	}
 	if g.log == nil {
-		g.log = log.New(discard{}, "", 0)
+		g.log = log.New(io.Discard, "", 0)
 	}
 	if cfg.Admission != nil {
 		// Built before any shard core so journal recovery inside newCore
@@ -394,35 +395,45 @@ func (g *Sharded) serve(conn net.Conn) {
 		if err != nil {
 			return // peer closed, stalled past the deadline, or protocol error
 		}
-		var reply *wire.Message
-		switch m.Type {
-		case wire.TypeRegisterNM:
-			if m.RegisterNM == nil {
-				reply = errMsg("missing registerNM payload")
-			} else {
-				reply = g.nodeShard(m.RegisterNM.NodeID).handleRegisterNM(m.RegisterNM)
-			}
-		case wire.TypeNMHeartbeat:
-			reply = g.HandleNMHeartbeat(m.NMHeartbeat)
-		case wire.TypeHeartbeatBatch:
-			reply = g.HandleHeartbeatBatch(m.HeartbeatBatch)
-		case wire.TypeSubmitJob:
-			reply = g.handleSubmitJob(m.SubmitJob)
-		case wire.TypeSubmitBatch:
-			reply = g.handleSubmitBatch(m.SubmitBatch)
-		case wire.TypeAMHeartbeat:
-			reply = g.HandleAMHeartbeat(m.AMHeartbeat)
-		case wire.TypeClusterStatus:
-			st := g.ClusterStatus()
-			reply = &wire.Message{Type: wire.TypeClusterStatusReply, ClusterStatus: &st}
-		default:
-			reply = &wire.Message{Type: wire.TypeError, Error: fmt.Sprintf("unknown message type %q", m.Type)}
-		}
+		reply, _ := g.Call(m)
 		armDeadline(conn, g.cfg.ConnTimeout)
 		if err := framer.Write(conn, reply); err != nil {
 			return
 		}
 	}
+}
+
+// Call answers one decoded frame: the dispatch of the serve loop, and —
+// called directly — the in-process transport a client session runs on
+// against NewShardedInProcess, with no socket between them. The error is
+// always nil (a protocol rejection is a TypeError reply); it is there so
+// *Sharded and *wire.Conn are the same kind of thing to a client.
+func (g *Sharded) Call(m *wire.Message) (*wire.Message, error) {
+	var reply *wire.Message
+	switch m.Type {
+	case wire.TypeRegisterNM:
+		if m.RegisterNM == nil {
+			reply = errMsg("missing registerNM payload")
+		} else {
+			reply = g.nodeShard(m.RegisterNM.NodeID).handleRegisterNM(m.RegisterNM)
+		}
+	case wire.TypeNMHeartbeat:
+		reply = g.HandleNMHeartbeat(m.NMHeartbeat)
+	case wire.TypeHeartbeatBatch:
+		reply = g.HandleHeartbeatBatch(m.HeartbeatBatch)
+	case wire.TypeSubmitJob:
+		reply = g.handleSubmitJob(m.SubmitJob)
+	case wire.TypeSubmitBatch:
+		reply = g.handleSubmitBatch(m.SubmitBatch)
+	case wire.TypeAMHeartbeat:
+		reply = g.HandleAMHeartbeat(m.AMHeartbeat)
+	case wire.TypeClusterStatus:
+		st := g.ClusterStatus()
+		reply = &wire.Message{Type: wire.TypeClusterStatusReply, ClusterStatus: &st}
+	default:
+		reply = &wire.Message{Type: wire.TypeError, Error: fmt.Sprintf("unknown message type %q", m.Type)}
+	}
+	return reply, nil
 }
 
 // armDeadline sets the connection's absolute I/O deadline d from now

@@ -24,6 +24,18 @@ func (id TaskID) String() string {
 	return fmt.Sprintf("j%d/s%d/t%d", id.Job, id.Stage, id.Index)
 }
 
+// Less orders ids by (job, stage, index): the deterministic order every
+// sorted task list in the system uses.
+func (id TaskID) Less(o TaskID) bool {
+	if id.Job != o.Job {
+		return id.Job < o.Job
+	}
+	if id.Stage != o.Stage {
+		return id.Stage < o.Stage
+	}
+	return id.Index < o.Index
+}
+
 // InputBlock is one piece of task input data, resident on a machine.
 type InputBlock struct {
 	// Machine holding the block. A negative value means the block has no
