@@ -199,18 +199,15 @@ func ledgerDigest(s *Server) []byte {
 			fmt.Fprintf(&b, "%016x,", math.Float64bits(v.Get(resources.Kind(k))))
 		}
 	}
-	mids := make([]int, 0, len(s.machines))
-	for id := range s.machines {
-		mids = append(mids, id)
-	}
-	sort.Ints(mids)
-	for _, id := range mids {
-		m := s.machines[id]
-		fmt.Fprintf(&b, "m%d down=%v epoch=%d ", id, m.Down, s.epochs[id])
-		vec(m.Capacity)
-		vec(m.Allocated)
-		vec(m.Reported)
-		fmt.Fprintf(&b, "needFull=%v\n", s.needFull[id])
+	for _, n := range s.nodes {
+		if n == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "m%d down=%v epoch=%d ", n.ID, n.Down, n.epoch)
+		vec(n.Capacity)
+		vec(n.Allocated)
+		vec(n.Reported)
+		fmt.Fprintf(&b, "needFull=%v\n", n.needFull)
 	}
 	for _, jobID := range s.jobIDs() {
 		ji := s.jobs[jobID]
@@ -431,7 +428,7 @@ func TestDeltaFullReportAfterReset(t *testing.T) {
 	}
 	core := s.Shard(0)
 	core.mu.Lock()
-	got := core.machines[0].Reported
+	got := core.nodes[0].Reported
 	core.mu.Unlock()
 	if got != u {
 		t.Fatalf("Reported = %v, want %v", got, u)
@@ -443,7 +440,7 @@ func TestDeltaFullReportAfterReset(t *testing.T) {
 		t.Fatal("FullReport on a steady-state delta beat")
 	}
 	core.mu.Lock()
-	got = core.machines[0].Reported
+	got = core.nodes[0].Reported
 	core.mu.Unlock()
 	if got != u {
 		t.Fatalf("delta beat moved Reported to %v, want %v", got, u)

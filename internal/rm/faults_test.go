@@ -77,7 +77,7 @@ func TestDeadNodeReclaimedAndRejoin(t *testing.T) {
 	// The surviving node's ledger must stay within capacity.
 	core := s.Shard(0)
 	core.mu.Lock()
-	alloc := core.machines[1].Allocated
+	alloc := core.nodes[1].Allocated
 	core.mu.Unlock()
 	if !alloc.FitsIn(cap) {
 		t.Errorf("node 1 over-allocated after reclaim: %v > %v", alloc, cap)

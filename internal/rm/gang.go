@@ -12,7 +12,6 @@ package rm
 
 import (
 	"github.com/tetris-sched/tetris/internal/gang"
-	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
@@ -69,21 +68,15 @@ func (s *Server) applyPreempt(tid workload.TaskID, forJob int, now float64) {
 	if !ok || ji.finished {
 		return
 	}
-	rec, ok := ji.launched[tid]
+	rec, ok := s.releaseLaunch(ji, tid)
 	if !ok {
 		return
 	}
-	delete(ji.launched, tid)
-	ji.state.Alloc = ji.state.Alloc.Sub(rec.local).Max(resources.Vector{})
-	if m := s.machines[rec.machine]; m != nil {
-		m.Allocated = m.Allocated.Sub(rec.local).Max(resources.Vector{})
-	}
-	s.subRemote(rec.remote)
 	ji.state.Status.MarkFailed(tid)
 	ji.preempted++
 	if !s.replaying {
-		s.pendingPreempt[rec.machine] = append(s.pendingPreempt[rec.machine],
-			wire.TaskPreempt{Task: tid, JobID: tid.Job, ForJob: forJob})
+		n := s.nodes[rec.machine]
+		n.preempts = append(n.preempts, wire.TaskPreempt{Task: tid, JobID: tid.Job, ForJob: forJob})
 		s.metrics.preemptions.Inc()
 	}
 	if cap := s.cfg.MaxTaskAttempts; cap > 0 && ji.state.Status.Attempts(tid) >= cap {

@@ -17,7 +17,6 @@ package rm
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
@@ -121,8 +120,8 @@ func (s *Server) maybeSnapshot() {
 func (s *Server) applyEvent(ev *event) error {
 	switch ev.Kind {
 	case evRegister:
-		if ev.Node < 0 {
-			return fmt.Errorf("register event for invalid node %d", ev.Node)
+		if err := checkNodeID(ev.Node); err != nil {
+			return fmt.Errorf("register event: %w", err)
 		}
 		s.applyRegister(&wire.RegisterNM{
 			NodeID: ev.Node, Capacity: ev.Capacity,
@@ -136,22 +135,24 @@ func (s *Server) applyEvent(ev *event) error {
 			s.applySubmit(ev.Job, ev.Tenant)
 		}
 	case evLaunch:
-		if s.jobs[ev.Task.Job] == nil || s.machines[ev.Machine] == nil {
+		if s.jobs[ev.Task.Job] == nil || s.node(ev.Machine) == nil {
 			return fmt.Errorf("launch event for unknown job %d or machine %d", ev.Task.Job, ev.Machine)
 		}
-		s.applyLaunch(ev.Task, ev.Machine, ev.Local, ev.Remote)
+		s.chargeLaunch(ev.Task, ev.Machine, ev.Local, ev.Remote)
 	case evComplete:
 		s.applyComplete(wire.TaskCompletion{Task: ev.Task, Usage: ev.Usage, Duration: ev.Duration}, ev.Node, ev.Time)
 	case evDead:
-		if s.machines[ev.Node] == nil {
+		n := s.node(ev.Node)
+		if n == nil {
 			return fmt.Errorf("dead event for unknown machine %d", ev.Node)
 		}
-		s.applyDead(ev.Node, ev.Time)
+		s.applyDead(n, ev.Time)
 	case evRejoin:
-		if s.machines[ev.Node] == nil {
+		n := s.node(ev.Node)
+		if n == nil {
 			return fmt.Errorf("rejoin event for unknown machine %d", ev.Node)
 		}
-		s.applyRejoin(ev.Node, ev.Time)
+		s.reviveNode(n, ev.Time)
 	case evPreempt:
 		if s.jobs[ev.Task.Job] == nil {
 			return fmt.Errorf("preempt event for unknown job %d", ev.Task.Job)
@@ -220,30 +221,18 @@ func (s *Server) recover() error {
 	recovered := rec.Snapshot != nil || len(rec.Records) > 0
 	if recovered {
 		s.log.Printf("rm: recovered %d machines, %d jobs from journal (%d records replayed)",
-			len(s.machines), len(s.jobs), len(rec.Records))
+			s.countNodes(nil), len(s.jobs), len(rec.Records))
 	}
+	// Continue the recovered clock: s.now() must never run backwards
+	// past journaled times.
+	s.start = time.Now().Add(-time.Duration(s.lastEventTime * float64(time.Second)))
 	// Resync: the journal says these machines were live, but their NMs
 	// may have moved on (tasks finished, nodes died) while the RM was
 	// down. Exclude them from placement — keeping their ledgers — until
 	// they re-register with their running sets; the failure detector
 	// gives them one NodeTimeout to do so before they are declared
 	// plain dead.
-	for id, m := range s.machines {
-		if !m.Down {
-			m.Down = true
-			s.resync[id] = true
-		}
-		m.Reported = resources.Vector{} // transient; next heartbeat refills
-	}
-	// Continue the recovered clock: s.now() must never run backwards
-	// past journaled times.
-	s.start = time.Now().Add(-time.Duration(s.lastEventTime * float64(time.Second)))
-	if s.detector != nil {
-		now := s.now()
-		for id := range s.resync {
-			s.detector.Beat(id, now)
-		}
-	}
+	s.awaitResync(s.now())
 	// Checkpoint the recovered state so repeated crashes never replay
 	// more than one incarnation's events. The resync marking encodes
 	// identically to the pre-marking state (Dead normalizes it away).
@@ -321,23 +310,14 @@ func (s *Server) encodeStateLocked() []byte {
 		Faults:        s.faultLog.Records(),
 		DroppedFaults: s.faultLog.Dropped(),
 	}
-	ids := make([]int, 0, len(s.machines))
-	for id := range s.machines {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		m := s.machines[id]
-		ms := machineSnap{
-			ID: id, Capacity: m.Capacity, Allocated: m.Allocated,
-			Dead:  m.Down && !s.resync[id],
-			Epoch: s.epochs[id],
+	for _, n := range s.nodes {
+		if n == nil {
+			continue
 		}
-		if since, ok := s.downSince[id]; ok {
-			v := since
-			ms.DownSince = &v
-		}
-		st.Machines = append(st.Machines, ms)
+		st.Machines = append(st.Machines, machineSnap{
+			ID: n.ID, Capacity: n.Capacity, Allocated: n.Allocated,
+			Dead: n.Down && !n.resync, Epoch: n.epoch, DownSince: n.downSince,
+		})
 	}
 	for _, jobID := range s.jobIDs() {
 		ji := s.jobs[jobID]
@@ -381,18 +361,10 @@ func (s *Server) restoreState(data []byte) error {
 	}
 	s.lastEventTime = st.Now
 	for _, ms := range st.Machines {
-		if ms.ID < 0 {
-			return fmt.Errorf("snapshot machine with invalid id %d", ms.ID)
+		if err := checkNodeID(ms.ID); err != nil {
+			return fmt.Errorf("snapshot machine: %w", err)
 		}
-		s.addMachine(&scheduler.MachineState{
-			ID: ms.ID, Capacity: ms.Capacity, Allocated: ms.Allocated, Down: ms.Dead,
-		})
-		if ms.Epoch != 0 {
-			s.epochs[ms.ID] = ms.Epoch
-		}
-		if ms.DownSince != nil && s.downSince != nil {
-			s.downSince[ms.ID] = *ms.DownSince
-		}
+		s.addNode(ms)
 	}
 	for _, js := range st.Jobs {
 		if js.Job == nil {
@@ -425,8 +397,13 @@ func (s *Server) restoreState(data []byte) error {
 		}
 		for _, ls := range js.Launched {
 			rec := launchRecord{machine: ls.Machine, local: ls.Local}
+			known := s.node(ls.Machine) != nil
 			for _, rc := range ls.Remote {
+				known = known && s.node(rc.Machine) != nil
 				rec.remote = append(rec.remote, remoteCharge{machine: rc.Machine, charge: rc.Charge, epoch: rc.Epoch})
+			}
+			if !known {
+				return fmt.Errorf("snapshot job %d: launch %v charges an unregistered machine", js.Job.ID, ls.Task)
 			}
 			ji.launched[ls.Task] = rec
 		}

@@ -115,7 +115,7 @@ func (s *Server) registerGauges(reg *telemetry.Registry) {
 	reg.GaugeFunc(name("tetris_rm_nodes_total"), "Registered node managers.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return float64(len(s.machines))
+		return float64(s.countNodes(nil))
 	})
 	reg.GaugeFunc(name("tetris_rm_nodes_live"), "Registered nodes not presumed dead.", func() float64 {
 		return float64(s.LiveNodes())

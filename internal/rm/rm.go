@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -97,11 +98,10 @@ type Server struct {
 	cfg Config
 	log *log.Logger
 
-	mu       sync.Mutex
-	start    time.Time
-	machines map[int]*scheduler.MachineState
-	jobs     map[int]*jobInfo          // every job, finished or not
-	pending  map[int][]wire.TaskLaunch // queued launches per node
+	mu    sync.Mutex
+	start time.Time
+	nodes []*node          // dense by machine ID, nil where unowned (ledger.go)
+	jobs  map[int]*jobInfo // every job, finished or not
 
 	// The long-lived scheduling view and what triggers a round over it
 	// (view.go). view.Machines is dense by machine ID; active parallels
@@ -114,23 +114,9 @@ type Server struct {
 	followup  bool             // the last round acted
 	unplaced  bool             // the last round left runnable work pending
 	rounds    uint64           // rounds run so far
-	beatRound []uint64         // per machine ID: rounds when that node last beat
 
-	// pendingPreempt queues gang-preemption kills per node, delivered
-	// (like launches) on the node's next heartbeat. Transient: a kill
-	// lost to an RM restart resurfaces as an orphaned attempt at resync.
-	pendingPreempt map[int][]wire.TaskPreempt
-	detector       *faults.Detector // nil when failure detection is off
-	downSince      map[int]float64
-	faultLog       *faults.Ring
-	epochs         map[int]int // per-machine death epoch; see remoteCharge
-	resync         map[int]bool
-	// needFull marks nodes whose delta-heartbeat baseline the RM cannot
-	// vouch for: registration, dead-node reclaim and rejoin all reset
-	// the RM's usage view, so until the node's next full report a delta
-	// beat must not be trusted to pin Reported. Replies to such nodes
-	// carry NMReply.FullReport; a full beat clears the mark.
-	needFull map[int]bool
+	detector *faults.Detector // nil when failure detection is off
+	faultLog *faults.Ring
 	nmTimes  stats.Online
 	amTimes  stats.Online
 	metrics  *rmMetrics
@@ -172,24 +158,6 @@ type jobInfo struct {
 	lastRelease *wire.GangRelease
 }
 
-type launchRecord struct {
-	machine int
-	local   resources.Vector
-	remote  []remoteCharge
-}
-
-// remoteCharge is a scheduler.RemoteCharge stamped with the target
-// machine's death epoch at launch time. A machine's epoch increments
-// every time it is declared dead (its ledger is zeroed then), so a
-// charge is only subtracted back if the machine has not died since it
-// was added — otherwise a stale subtraction would silently eat charges
-// accrued after the machine rejoined.
-type remoteCharge struct {
-	machine int
-	charge  resources.Vector
-	epoch   int
-}
-
 // newCore builds a shard core (state, metrics, journal recovery) with
 // no goroutines. With Config.JournalDir set, any existing journal there
 // is replayed first: recovered machines await resync (see resync.go) and
@@ -205,19 +173,13 @@ func newCore(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:            cfg,
-		log:            cfg.Logger,
-		start:          time.Now(),
-		machines:       make(map[int]*scheduler.MachineState),
-		jobs:           make(map[int]*jobInfo),
-		pending:        make(map[int][]wire.TaskLaunch),
-		pendingPreempt: make(map[int][]wire.TaskPreempt),
-		faultLog:       faults.NewRing(cfg.FaultLogCap),
-		epochs:         make(map[int]int),
-		resync:         make(map[int]bool),
-		needFull:       make(map[int]bool),
-		closed:         make(chan struct{}),
-		dirty:          causeNode,
+		cfg:      cfg,
+		log:      cfg.Logger,
+		start:    time.Now(),
+		jobs:     make(map[int]*jobInfo),
+		faultLog: faults.NewRing(cfg.FaultLogCap),
+		closed:   make(chan struct{}),
+		dirty:    causeNode,
 	}
 	if est := cfg.Estimator; est != nil {
 		s.view.EstimateDemand = func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
@@ -238,7 +200,6 @@ func newCore(cfg Config) (*Server, error) {
 	s.adm = cfg.sharedAdmission
 	if cfg.NodeTimeout > 0 {
 		s.detector = faults.NewDetector(cfg.NodeTimeout.Seconds())
-		s.downSince = make(map[int]float64)
 	}
 	if cfg.JournalDir != "" {
 		if err := s.recover(); err != nil {
@@ -299,10 +260,8 @@ func (s *Server) handleRegisterNM(r *wire.RegisterNM) *wire.Message {
 	if r == nil {
 		return errMsg("missing registerNM payload")
 	}
-	if r.NodeID < 0 {
-		// The view indexes machines by ID; a negative one could never be
-		// placed on.
-		return errMsg(fmt.Sprintf("invalid node id %d", r.NodeID))
+	if err := checkNodeID(r.NodeID); err != nil {
+		return errMsg(err.Error())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -316,21 +275,6 @@ func (s *Server) handleRegisterNM(r *wire.RegisterNM) *wire.Message {
 	s.log.Printf("rm: node %d registered (%v), %d running reported, %d orphans killed",
 		r.NodeID, r.Capacity, len(r.Running), len(kill))
 	return &wire.Message{Type: wire.TypeNMReply, NMReply: &wire.NMReply{Kill: kill}}
-}
-
-// rejoin returns a presumed-dead node to service. Caller holds s.mu.
-func (s *Server) rejoin(id int, now float64) {
-	s.machines[id].Down = false
-	rec := faults.Record{Time: now, Kind: faults.MachineRecover, Machine: id}
-	if since, ok := s.downSince[id]; ok {
-		rec.Downtime = now - since
-		delete(s.downSince, id)
-	}
-	s.faultLog.Append(rec)
-	if !s.replaying {
-		s.metrics.rejoins.Inc()
-	}
-	s.log.Printf("rm: node %d rejoined after %.2fs down", id, rec.Downtime)
 }
 
 // submit applies one validated, front-door-admitted job under the shard
@@ -464,11 +408,11 @@ func (s *Server) observeBeat(d time.Duration) {
 // (re-)register, else "". Caller holds s.mu.
 func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) string {
 	id := hb.NodeID
-	m, ok := s.machines[id]
-	if !ok {
+	n := s.node(id)
+	if n == nil {
 		return fmt.Sprintf("unregistered node %d", id)
 	}
-	if s.resync[id] {
+	if n.resync {
 		// The RM restarted since this node last registered; its ledger
 		// entries await reconciliation, which only a registration (with
 		// the node's running set) can provide.
@@ -476,27 +420,27 @@ func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) stri
 	}
 	if s.detector != nil {
 		s.detector.Beat(id, now)
-		if m.Down {
+		if n.Down {
 			// The node was presumed dead but is merely slow; take it back.
 			// Its old tasks were reclaimed (and may rerun elsewhere), so it
 			// rejoins with a clean ledger.
 			s.journal(&event{Kind: evRejoin, Time: now, Node: id})
-			s.applyRejoin(id, now)
+			s.reviveNode(n, now)
 		}
 		s.checkFailures(now)
 	}
 	if hb.Delta {
 		// Delta availability report: Used/Allocated are unchanged since
-		// this node's last acked beat, so m.Reported already holds them.
+		// this node's last acked beat, so n.Reported already holds them.
 		// If the RM reset its view since then (needFull), keep the reset
 		// value and ask for a full report below.
 		s.metrics.deltaBeats.Inc()
 	} else {
-		if m.Reported != hb.Used {
-			m.Reported = hb.Used
+		if n.Reported != hb.Used {
+			n.Reported = hb.Used
 			s.markDirty(causeUsage)
 		}
-		delete(s.needFull, id)
+		n.needFull = false
 	}
 	for _, c := range hb.Completed {
 		if s.applyComplete(c, id, now) {
@@ -504,34 +448,17 @@ func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) stri
 				Task: c.Task, Usage: c.Usage, Duration: c.Duration})
 		}
 	}
-	if cause := s.roundDue(id); cause != causeNone {
+	if cause := s.roundDue(n); cause != causeNone {
 		s.runScheduler(now, cause)
 	} else {
 		s.metrics.beatsWithoutRound.Inc()
 	}
-	s.beatRound[id] = s.rounds
+	n.beatRound = s.rounds
 	s.maybeSnapshot()
-	if q, ok := s.pending[id]; ok {
-		rep.Launch = q
-		delete(s.pending, id)
-	}
-	if q, ok := s.pendingPreempt[id]; ok {
-		rep.Preempt = q
-		delete(s.pendingPreempt, id)
-	}
-	rep.FullReport = s.needFull[id]
+	rep.Launch, n.launches = n.launches, nil
+	rep.Preempt, n.preempts = n.preempts, nil
+	rep.FullReport = n.needFull
 	return ""
-}
-
-// applyRejoin takes a presumed-dead node back on a heartbeat: its old
-// tasks were reclaimed, so it returns with a clean ledger. Shared by
-// the live path and journal replay; caller holds s.mu.
-func (s *Server) applyRejoin(id int, now float64) {
-	m := s.machines[id]
-	m.Allocated = resources.Vector{}
-	s.needFull[id] = true // Reported was zeroed at death; re-baseline
-	s.rejoin(id, now)
-	s.markDirty(causeNode)
 }
 
 // applyComplete absorbs one task completion from a node, returning
@@ -542,18 +469,12 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 	if !ok || ji.failed {
 		return false
 	}
-	rec, ok := ji.launched[c.Task]
-	if !ok || rec.machine != nodeID {
+	if rec, ok := ji.launched[c.Task]; !ok || rec.machine != nodeID {
 		// No live launch on this node: the node was presumed dead and its
 		// attempt re-queued (possibly rerunning elsewhere already).
 		return false
 	}
-	delete(ji.launched, c.Task)
-	ji.state.Alloc = ji.state.Alloc.Sub(rec.local).Max(resources.Vector{})
-	if m := s.machines[rec.machine]; m != nil {
-		m.Allocated = m.Allocated.Sub(rec.local).Max(resources.Vector{})
-	}
-	s.subRemote(rec.remote)
+	s.releaseLaunch(ji, c.Task)
 	ji.state.Status.MarkDone(c.Task, now)
 	s.markDirty(causeCompletion)
 	if s.cfg.Estimator != nil {
@@ -572,20 +493,6 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 		s.log.Printf("rm: job %d finished at %.2fs", c.Task.Job, now)
 	}
 	return true
-}
-
-// subRemote subtracts a launch's remote charges from their source
-// machines, skipping charges whose target died (and was zeroed) since
-// the launch. Caller holds s.mu.
-func (s *Server) subRemote(remote []remoteCharge) {
-	for _, rc := range remote {
-		if rc.epoch != s.epochs[rc.machine] {
-			continue // the machine died since; this charge is already gone
-		}
-		if m := s.machines[rc.machine]; m != nil {
-			m.Allocated = m.Allocated.Sub(rc.charge).Max(resources.Vector{})
-		}
-	}
 }
 
 // CheckFailures sweeps for nodes whose heartbeats timed out and marks
@@ -613,59 +520,12 @@ func (s *Server) checkFailures(now float64) {
 // job whose task exhausts Config.MaxTaskAttempts is abandoned. Caller
 // holds s.mu.
 func (s *Server) markDead(id int, now float64) {
-	m, ok := s.machines[id]
-	if !ok || (m.Down && !s.resync[id]) {
+	n := s.node(id)
+	if n == nil || (n.Down && !n.resync) {
 		return
 	}
 	s.journal(&event{Kind: evDead, Time: now, Node: id})
-	s.applyDead(id, now)
-}
-
-// applyDead is markDead's mutation body, shared with journal replay.
-// Caller holds s.mu.
-func (s *Server) applyDead(id int, now float64) {
-	m := s.machines[id]
-	delete(s.resync, id) // an awaited node that timed out is plain dead
-	m.Down = true
-	m.Allocated = resources.Vector{}
-	m.Reported = resources.Vector{}
-	s.needFull[id] = true // the zeroed Reported must not be delta-pinned
-	s.epochs[id]++        // invalidate remote charges targeting the zeroed ledger
-	if s.downSince != nil {
-		s.downSince[id] = now
-	}
-	delete(s.pending, id) // undelivered launches are reclaimed below
-	delete(s.pendingPreempt, id)
-	s.markDirty(causeNode)
-	killed := 0
-	// failJob takes the job off s.active, which then holds its successor
-	// at i; every other job advances the index.
-	for i := 0; i < len(s.active); {
-		ji := s.active[i]
-		jobID := ji.state.Job.ID
-		for _, tid := range launchedIDs(ji, id) {
-			rec := ji.launched[tid]
-			delete(ji.launched, tid)
-			ji.state.Alloc = ji.state.Alloc.Sub(rec.local).Max(resources.Vector{})
-			s.subRemote(rec.remote)
-			ji.state.Status.MarkFailed(tid)
-			killed++
-			if cap := s.cfg.MaxTaskAttempts; cap > 0 && ji.state.Status.Attempts(tid) >= cap {
-				s.failJob(jobID, ji, now)
-			}
-		}
-		if !ji.finished {
-			i++
-		}
-	}
-	s.faultLog.Append(faults.Record{
-		Time: now, Kind: faults.MachineCrash, Machine: id, TasksKilled: killed,
-	})
-	if !s.replaying {
-		s.metrics.deadNodes.Inc()
-		s.metrics.reclaims.Add(uint64(killed))
-	}
-	s.log.Printf("rm: node %d declared dead, %d tasks reclaimed", id, killed)
+	s.applyDead(n, now)
 }
 
 // jobIDs returns the job IDs in ascending order. Mutation paths iterate
@@ -690,13 +550,7 @@ func launchedIDs(ji *jobInfo, id int) []workload.TaskID {
 			out = append(out, tid)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Index < b.Index
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
@@ -711,22 +565,13 @@ func (s *Server) failJob(jobID int, ji *jobInfo, now float64) {
 	ji.finished = true
 	ji.finishedAt = now
 	for _, tid := range launchedIDs(ji, -1) {
-		rec := ji.launched[tid]
-		delete(ji.launched, tid)
-		if m := s.machines[rec.machine]; m != nil {
-			m.Allocated = m.Allocated.Sub(rec.local).Max(resources.Vector{})
-		}
-		s.subRemote(rec.remote)
+		s.releaseLaunch(ji, tid)
 	}
 	ji.state.Alloc = resources.Vector{}
-	for node, q := range s.pending {
-		kept := q[:0]
-		for _, l := range q {
-			if l.JobID != jobID {
-				kept = append(kept, l)
-			}
+	for _, n := range s.nodes {
+		if n != nil {
+			n.launches = slices.DeleteFunc(n.launches, func(l wire.TaskLaunch) bool { return l.JobID == jobID })
 		}
-		s.pending[node] = kept
 	}
 	if !s.replaying {
 		s.metrics.jobsFailed.Inc()
@@ -760,8 +605,9 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	for _, a := range asgs {
 		s.journal(&event{Kind: evLaunch, Time: now, Task: a.Task.ID,
 			Machine: a.Machine, Local: a.Local, Remote: a.Remote})
-		s.applyLaunch(a.Task.ID, a.Machine, a.Local, a.Remote)
-		s.pending[a.Machine] = append(s.pending[a.Machine], wire.TaskLaunch{
+		s.chargeLaunch(a.Task.ID, a.Machine, a.Local, a.Remote)
+		n := s.nodes[a.Machine]
+		n.launches = append(n.launches, wire.TaskLaunch{
 			Task:     a.Task.ID,
 			JobID:    a.JobID,
 			Demand:   a.Task.Peak,
@@ -777,25 +623,6 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	}
 	s.rounds++
 	s.dirty, s.followup, s.unplaced = causeNone, acted, s.hasRunnable()
-}
-
-// applyLaunch charges one placement decision to the ledgers. Shared by
-// the live path and journal replay (which restores ledgers but not the
-// per-node delivery queues: undelivered launches surface as lost during
-// resync and are re-queued). Caller holds s.mu.
-func (s *Server) applyLaunch(tid workload.TaskID, machine int, local resources.Vector, remote []scheduler.RemoteCharge) {
-	ji := s.jobs[tid.Job]
-	ji.state.Status.MarkRunning(tid)
-	ji.state.Alloc = ji.state.Alloc.Add(local)
-	s.machines[machine].Allocated = s.machines[machine].Allocated.Add(local)
-	rec := launchRecord{machine: machine, local: local}
-	for _, rc := range remote {
-		s.machines[rc.Machine].Allocated = s.machines[rc.Machine].Allocated.Add(rc.Charge)
-		rec.remote = append(rec.remote, remoteCharge{
-			machine: rc.Machine, charge: rc.Charge, epoch: s.epochs[rc.Machine],
-		})
-	}
-	ji.launched[tid] = rec
 }
 
 // applyTenantWeights layers hierarchical (tenant → job) fairness on the
@@ -878,21 +705,17 @@ func (s *Server) amReplyLocked(jobID int, ji *jobInfo) *wire.Message {
 func (s *Server) ClusterStatus() wire.ClusterStatusReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := wire.ClusterStatusReply{Nodes: len(s.machines)}
-	ids := make([]int, 0, len(s.machines))
-	for id := range s.machines {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if s.machines[id].Down {
-			st.Dead = append(st.Dead, id)
-		} else {
-			st.Live = append(st.Live, id)
+	st := wire.ClusterStatusReply{Faults: s.faultLog.Records(), DroppedFaults: s.faultLog.Dropped()}
+	for _, n := range s.nodes {
+		switch {
+		case n == nil:
+		case n.Down:
+			st.Dead = append(st.Dead, n.ID)
+		default:
+			st.Live = append(st.Live, n.ID)
 		}
 	}
-	st.Faults = s.faultLog.Records()
-	st.DroppedFaults = s.faultLog.Dropped()
+	st.Nodes = len(st.Live) + len(st.Dead)
 	return st
 }
 
@@ -926,13 +749,7 @@ func (s *Server) JobIDs() []int {
 func (s *Server) LiveNodes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, m := range s.machines {
-		if !m.Down {
-			n++
-		}
-	}
-	return n
+	return s.countNodes(func(n *node) bool { return !n.Down })
 }
 
 // JournalStats reports journaling activity: records appended and

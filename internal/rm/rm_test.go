@@ -1,6 +1,9 @@
 package rm
 
 import (
+	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
@@ -106,6 +109,62 @@ func TestUnregisteredNodeRejected(t *testing.T) {
 	reply := s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 7})
 	if reply.Type != wire.TypeError {
 		t.Error("heartbeat from unregistered node accepted")
+	}
+}
+
+// TestRegisterRefusesOutOfRangeNodeID: the node table is dense by ID, so
+// registering an ID far past the fleet would first allocate a slot for
+// every ID below it — at the parent RegisterNM{NodeID: 1<<40} never
+// answered. Live registration, journal replay and snapshot restore refuse
+// it as they refuse a negative ID: no slot, next to no allocation.
+func TestRegisterRefusesOutOfRangeNodeID(t *testing.T) {
+	g, err := NewShardedInProcess(ShardedConfig{Shards: 2, NewScheduler: tetrisScheduler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	capV := resources.New(16, 32, 200, 200, 1000, 1000)
+	g.RegisterMachine(5, capV)
+	slots := func() (n int) {
+		for i := 0; i < g.NumShards(); i++ {
+			s := g.Shard(i)
+			s.mu.Lock()
+			n += len(s.view.Machines)
+			s.mu.Unlock()
+		}
+		return n
+	}
+	want := slots()
+	for _, id := range []int{-1, maxNodeID, 1 << 40} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reply, _ := g.Call(&wire.Message{Type: wire.TypeRegisterNM, RegisterNM: &wire.RegisterNM{NodeID: id, Capacity: capV}})
+		runtime.ReadMemStats(&after)
+		if reply.Type != wire.TypeError || !strings.Contains(reply.Error, "invalid node id") {
+			t.Errorf("register node %d: %+v, want an invalid-node-id error", id, reply)
+		}
+		if got := slots(); got != want {
+			t.Errorf("register node %d: %d machine slots, want %d", id, got, want)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Errorf("register node %d allocated %d bytes", id, b)
+		}
+	}
+
+	core := g.Shard(0)
+	core.mu.Lock()
+	errReplay := core.applyEvent(&event{Kind: evRegister, Node: 1 << 40, Capacity: capV})
+	snap, err := json.Marshal(rmState{Machines: []machineSnap{{ID: 1 << 40, Capacity: capV}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errRestore := core.restoreState(snap)
+	core.mu.Unlock()
+	if errReplay == nil || errRestore == nil {
+		t.Errorf("replay: %v, restore: %v; want both refused", errReplay, errRestore)
+	}
+	if got := slots(); got != want {
+		t.Errorf("after replay and restore: %d machine slots, want %d", got, want)
 	}
 }
 

@@ -55,7 +55,7 @@ type ShardView struct {
 func (s *Server) RoutingSummary() ShardView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := ShardView{ActiveJobs: len(s.active), MachineCaps: make([]resources.Vector, 0, len(s.machines))}
+	v := ShardView{ActiveJobs: len(s.active), MachineCaps: make([]resources.Vector, 0, s.countNodes(nil))}
 	for _, m := range s.view.Machines {
 		if m.Down {
 			continue

@@ -4,11 +4,12 @@ package rm
 //
 // A shard keeps one scheduler.View for its whole life and the apply*
 // functions keep it current, the way internal/sim keeps s.view: the
-// dense machine slice grows at registration, the ID-ordered active-job
-// list changes on submit / finish / abandon / snapshot restore, and the
-// capacity aggregates (Total, the largest-machine vector the estimator
-// closure clamps to) are recomputed in ID order once before the next
-// round that needs them. A round therefore builds nothing.
+// dense machine slice grows with the node table (ledger.go), the
+// ID-ordered active-job list changes on submit / finish / abandon /
+// snapshot restore, and the capacity aggregates (Total, the
+// largest-machine vector the estimator closure clamps to) are
+// recomputed in ID order once before the next round that needs them. A
+// round therefore builds nothing.
 //
 // Rounds run on heartbeats, but only when one can matter (roundDue): an
 // input of Schedule changed since the last round, the last round acted,
@@ -29,7 +30,6 @@ import (
 	"sort"
 
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/scheduler"
 )
 
 // roundCause says why a scheduling round ran; it labels
@@ -81,7 +81,7 @@ func (s *Server) markDirty(c roundCause) {
 // without the RM knowing which policy it wraps. A skipped round is thus
 // one whose view equals that of a round that just returned nothing.
 // Caller holds s.mu.
-func (s *Server) roundDue(node int) roundCause {
+func (s *Server) roundDue(n *node) roundCause {
 	switch {
 	case len(s.view.Jobs) == 0:
 		// Nothing to place whatever changed; the next submit marks dirty.
@@ -91,7 +91,7 @@ func (s *Server) roundDue(node int) roundCause {
 		return s.dirty
 	case s.followup:
 		return causeFollowup
-	case s.unplaced && s.beatRound[node] == s.rounds:
+	case s.unplaced && n.beatRound == s.rounds:
 		return causeInterval
 	}
 	return causeNone
@@ -106,22 +106,6 @@ func (s *Server) hasRunnable() bool {
 		}
 	}
 	return false
-}
-
-// addMachine enters a machine into the ledger and into its ID's slot of
-// the view's dense machine slice. Slots below it that this shard does
-// not own get a Down placeholder, once: Down keeps the cores from
-// placing there and makes LiveCharges drop bandwidth charges aimed at
-// them — a sharded RM's tasks routinely name input machines owned by
-// sibling shards. Caller holds s.mu and has checked m.ID ≥ 0.
-func (s *Server) addMachine(m *scheduler.MachineState) {
-	s.machines[m.ID] = m
-	for id := len(s.view.Machines); id <= m.ID; id++ {
-		s.view.Machines = append(s.view.Machines, &scheduler.MachineState{ID: id, Down: true})
-		s.beatRound = append(s.beatRound, 0)
-	}
-	s.view.Machines[m.ID] = m
-	s.capsStale = true
 }
 
 // refreshCaps recomputes the capacity aggregates if a registration
@@ -170,36 +154,11 @@ func (s *Server) retire(ji *jobInfo) {
 	}
 }
 
-// verifyView rebuilds the view from s.machines and s.jobs and compares:
+// verifyView is VerifyLedger's check of what the view aggregates, given
+// the capacity total and largest machine of the node table in ID order:
 // the maintained view may never drift from what a per-round rebuild
 // would have produced. Caller holds s.mu.
-func (s *Server) verifyView() error {
-	ids := make([]int, 0, len(s.machines))
-	for id := range s.machines {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	slots := 0
-	if len(ids) > 0 {
-		slots = ids[len(ids)-1] + 1
-	}
-	if len(s.view.Machines) != slots || len(s.beatRound) != slots {
-		return fmt.Errorf("view drift: %d machine slots, %d beat marks, want %d", len(s.view.Machines), len(s.beatRound), slots)
-	}
-	var total, largest resources.Vector
-	for _, id := range ids {
-		total = total.Add(s.machines[id].Capacity)
-		largest = largest.Max(s.machines[id].Capacity)
-	}
-	for id, m := range s.view.Machines {
-		if own, ok := s.machines[id]; ok {
-			if m != own {
-				return fmt.Errorf("view drift: slot %d does not hold machine %d's ledger entry", id, id)
-			}
-		} else if *m != (scheduler.MachineState{ID: id, Down: true}) {
-			return fmt.Errorf("view drift: slot %d is not a Down placeholder: %+v", id, *m)
-		}
-	}
+func (s *Server) verifyView(total, largest resources.Vector) error {
 	s.refreshCaps()
 	if !s.view.Total.SameBits(total) || !s.largest.SameBits(largest) {
 		return fmt.Errorf("view drift: total %v largest %v, ID-ordered recomputation gives %v and %v", s.view.Total, s.largest, total, largest)

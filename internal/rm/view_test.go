@@ -209,9 +209,9 @@ func mostlyBusy(t *testing.T, g *Sharded) {
 	s := g.Shard(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, m := range s.machines {
-		if m.Allocated != resources.New(10, 20, 0, 0, 0, 0) {
-			t.Fatalf("machine %d allocated %v, want one filler task", id, m.Allocated)
+	for _, n := range s.nodes {
+		if n.Allocated != resources.New(10, 20, 0, 0, 0, 0) {
+			t.Fatalf("machine %d allocated %v, want one filler task", n.ID, n.Allocated)
 		}
 	}
 }

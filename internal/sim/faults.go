@@ -72,8 +72,6 @@ func (s *Sim) failTask(rt *runningTask) {
 	}
 	s.unlink(rt)
 	jr := rt.job
-	jr.state.Alloc = jr.state.Alloc.Sub(rt.local).Max(resources.Vector{})
-	jr.truePeaks = jr.truePeaks.Sub(rt.task.Peak).Max(resources.Vector{})
 	if jr.killed {
 		return // job already killed this round; no bookkeeping left
 	}
@@ -103,6 +101,7 @@ func (s *Sim) killJob(jr *jobRun) {
 	}
 	clear(victims)
 	s.victims = victims
+	// Exactly +0, whatever rounding unlink's releases left.
 	jr.state.Alloc = resources.Vector{}
 	jr.truePeaks = resources.Vector{}
 	j := jr.state.Job
@@ -114,7 +113,8 @@ func (s *Sim) killJob(jr *jobRun) {
 }
 
 // unlink removes a running task from the running list and the
-// per-machine index, fixing swapped indices. Idempotent via rt.gone. The
+// per-machine index, fixing swapped indices, and takes its charges off
+// its job however it ended. Idempotent via rt.gone. The
 // task's resource nodes are marked — they drop it at their next re-sum —
 // and so are those of the task swap-moved into its slot, whose place in
 // their summation order just changed.
@@ -123,6 +123,9 @@ func (s *Sim) unlink(rt *runningTask) {
 		return
 	}
 	rt.gone = true
+	jr := rt.job
+	jr.state.Alloc = jr.state.Alloc.Sub(rt.local).Max(resources.Vector{})
+	jr.truePeaks = jr.truePeaks.Sub(rt.task.Peak).Max(resources.Vector{})
 	s.markTask(rt)
 	last := len(s.running) - 1
 	moved := s.running[last]

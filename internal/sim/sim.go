@@ -708,8 +708,6 @@ func (s *Sim) completeFinished() bool {
 		id := rt.task.ID
 		s.unlink(rt)
 		jr := rt.job
-		jr.state.Alloc = jr.state.Alloc.Sub(rt.local).Max(resources.Vector{})
-		jr.truePeaks = jr.truePeaks.Sub(rt.task.Peak).Max(resources.Vector{})
 		if s.failRand != nil && s.failRand.Float64() < s.cfg.TaskFailureProb {
 			// The attempt failed: release everything, return the task to
 			// the pending pool, and count the wasted attempt.

@@ -10,23 +10,17 @@
 // shown for context; only ns/op is gated, since allocs/op is separately
 // pinned by TestScheduleAllocs.
 //
-// Two JSON modes tie benchgate into the BENCH_*.json trajectory
+// A standalone mode ties benchgate into the BENCH_*.json trajectory
 // (internal/bench schema):
-//
-//	-json-out BENCH_micro.json -scenario micro
-//
-// additionally writes the head results as a versioned snapshot
-// (metrics keyed "<benchmark>_ns_per_op"), so micro-benchmark history
-// is archived in the same format the hollow scale harness emits.
 //
 //	benchgate -check BENCH_scale_smoke.json -require rounds_per_sec,heartbeat_p99_seconds
 //
-// is a standalone mode: it validates an existing snapshot — schema
-// version, and that every -require metric is present and nonzero —
-// and prints it. CI uses it to fail the scale-smoke job when the
-// harness silently measured nothing. -max metric=bound (repeatable)
-// additionally upper-bounds a metric in -check mode — zero passes,
-// since a bound gates tail latency, not liveness:
+// validates an existing snapshot — schema version, and that every
+// -require metric is present and nonzero — and prints it. CI uses it
+// to fail the scale-smoke job when the harness silently measured
+// nothing. -max metric=bound (repeatable) additionally upper-bounds a
+// metric in -check mode — zero passes, since a bound gates tail
+// latency, not liveness:
 //
 //	benchgate -check BENCH_scale_overload.json \
 //	    -require storm_admitted_total,storm_rejected_total \
@@ -41,7 +35,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"github.com/tetris-sched/tetris/internal/bench"
 )
@@ -220,20 +213,10 @@ func runCheck(path, require string, maxes maxList, w io.Writer) error {
 	return nil
 }
 
-// metricKey flattens a benchmark name into a snapshot metric key:
-// lowercase, path separators and dashes to underscores.
-func metricKey(name string) string {
-	key := strings.ToLower(name)
-	key = strings.NewReplacer("/", "_", "-", "_", "=", "_").Replace(key)
-	return key + "_ns_per_op"
-}
-
 func main() {
 	basePath := flag.String("base", "", "bench output of the base commit")
 	headPath := flag.String("head", "", "bench output of the head commit")
 	threshold := flag.Float64("threshold", 0.15, "max allowed ns/op slowdown (0.15 = +15%)")
-	jsonOut := flag.String("json-out", "", "also write head results as a BENCH_*.json snapshot")
-	scenario := flag.String("scenario", "micro", "scenario name recorded in the -json-out snapshot")
 	checkPath := flag.String("check", "", "standalone: validate an existing BENCH_*.json snapshot and exit")
 	require := flag.String("require", "", "comma-separated metrics that must be present and nonzero in -check")
 	var maxes maxList
@@ -265,25 +248,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmarks in", *headPath)
 		os.Exit(2)
 	}
-	if *jsonOut != "" {
-		snap := &bench.Snapshot{
-			Schema:   bench.SchemaVersion,
-			Kind:     "micro-bench",
-			Scenario: *scenario,
-			Unix:     time.Now().Unix(),
-			Config:   map[string]string{"head": *headPath, "base": *basePath},
-			Metrics:  make(map[string]float64, len(head)),
-		}
-		for name, r := range head {
-			snap.Metrics[metricKey(name)] = r.nsPerOp
-		}
-		if err := snap.WriteFile(*jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("benchgate: wrote %s (%d metrics)\n", *jsonOut, len(snap.Metrics))
-	}
-
 	failed := false
 	fmt.Printf("%-60s %14s %14s %8s\n", "benchmark", "base ns/op", "head ns/op", "delta")
 	for _, name := range order {
