@@ -25,7 +25,6 @@ import (
 	"github.com/tetris-sched/tetris/internal/rm"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/telemetry"
-	"github.com/tetris-sched/tetris/internal/wire"
 )
 
 func main() {
@@ -47,9 +46,6 @@ func main() {
 
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, JSON /debug/status and /debug/trace, and pprof on this address (empty = off)")
 
-		deltaBeats = flag.Bool("delta-heartbeats", false, "NMs send delta availability reports when usage is unchanged since the last acked beat")
-		wireCodec  = flag.String("wire-codec", "json", "wire codec NMs and AMs speak to the RM: json or binary (zero-copy frames); the RM replies in kind")
-
 		shards = flag.Int("shards", 1, "scheduler shards: the RM partitions nodes by id mod N and routes each job to one shard")
 
 		connTimeout = flag.Duration("conn-timeout", 0, "per-read/write deadline on RM connection handlers (0 = 2m default)")
@@ -60,10 +56,6 @@ func main() {
 		shedLimit   = flag.Int("shed-limit", 0, "backlog where every submission sheds (0 = 2x highwater)")
 	)
 	flag.Parse()
-	codec, err := wire.ParseCodec(*wireCodec)
-	if err != nil {
-		log.Fatal(err)
-	}
 	syncPolicy, err := journal.ParsePolicy(*fsyncMode)
 	if err != nil {
 		log.Fatalf("-fsync: %v", err)
@@ -137,14 +129,12 @@ func main() {
 	var nmWG sync.WaitGroup
 	runNM := func(nodeCtx context.Context, id int) {
 		node := nm.New(nm.Config{
-			NodeID:          id,
-			Capacity:        capVec,
-			RMAddr:          srv.Addr(),
-			Compression:     *compression,
-			Logger:          logger,
-			Metrics:         reg,
-			DeltaHeartbeats: *deltaBeats,
-			Codec:           codec,
+			NodeID:      id,
+			Capacity:    capVec,
+			RMAddr:      srv.Addr(),
+			Compression: *compression,
+			Logger:      logger,
+			Metrics:     reg,
 		})
 		nmWG.Add(1)
 		go func() {
@@ -209,7 +199,7 @@ func main() {
 		amWG.Add(1)
 		go func() {
 			defer amWG.Done()
-			res, err := am.Run(ctx, am.Config{RMAddr: srv.Addr(), Job: j, Tenant: *tenant, Metrics: reg, Codec: codec})
+			res, err := am.Run(ctx, am.Config{RMAddr: srv.Addr(), Job: j, Tenant: *tenant, Metrics: reg})
 			if err != nil {
 				if ctx.Err() == nil {
 					log.Printf("job %d: %v", j.ID, err)

@@ -13,18 +13,11 @@
 //
 //	benchgate -check BENCH_scale_smoke.json -require rounds_per_sec,...
 //
-// -scenario wire runs the same workload twice at equal node count —
-// once with JSON frames and individual heartbeats, once with the
-// binary codec and batched heartbeats — and writes one
-// BENCH_scale_wire.json carrying the binary run's metrics plus the
-// JSON baseline under json_* keys and the ratio
-// wire_bytes_binary_over_json, the number CI gates on.
-//
 // Examples:
 //
 //	tetris-hollow -nodes 1000 -jobs 12 -duration 60s -scenario smoke
 //	tetris-hollow -nodes 5000 -conns 16 -heartbeat 2s -duration 120s -scenario 5k
-//	tetris-hollow -nodes 50000 -conns 64 -heartbeat 10s -batch 128 -scenario wire
+//	tetris-hollow -nodes 50000 -conns 64 -heartbeat 10s -batch 128 -scenario 50k
 package main
 
 import (
@@ -47,19 +40,15 @@ import (
 	"github.com/tetris-sched/tetris/internal/rm"
 	"github.com/tetris-sched/tetris/internal/telemetry"
 	"github.com/tetris-sched/tetris/internal/trace"
-	"github.com/tetris-sched/tetris/internal/wire"
 )
 
-// options is one run's fully resolved configuration. -scenario wire
-// clones it twice with different codec/batch settings.
+// options is one run's fully resolved configuration.
 type options struct {
 	nodes, conns, ams, jobs, taskCap int
 	duration, heartbeat, poll        time.Duration
 	nodeTimeout                      time.Duration
 	compression                      float64
 	seed                             int64
-	delta                            bool
-	codec                            wire.Codec
 	batch                            int
 	scenario                         string
 	gangFrac                         float64
@@ -79,15 +68,13 @@ func main() {
 		ams         = flag.Int("ams", 0, "hollow job managers (0 = one per 16 jobs)")
 		jobs        = flag.Int("jobs", 12, "jobs to generate and submit")
 		taskCap     = flag.Int("task-cap", 60, "truncate generated stages to this many tasks (0 = keep full §5.1 sizes)")
-		duration    = flag.Duration("duration", 60*time.Second, "hard wall-clock budget for the run (per leg under -scenario wire)")
+		duration    = flag.Duration("duration", 60*time.Second, "hard wall-clock budget for the run")
 		heartbeat   = flag.Duration("heartbeat", time.Second, "per-node heartbeat interval")
 		poll        = flag.Duration("poll", 500*time.Millisecond, "per-job AM progress poll interval")
 		compression = flag.Float64("compression", 50, "time compression for synthetic task durations and job arrivals")
 		seed        = flag.Int64("seed", 1, "seed for workload, fault plan, stagger and sampling")
-		delta       = flag.Bool("delta", true, "send delta availability reports (unchanged usage omitted from heartbeats)")
-		codecName   = flag.String("codec", "json", "wire codec for fleet traffic: json or binary (zero-copy frames)")
-		batch       = flag.Int("batch", 0, "coalesce up to this many nodes' heartbeats per frame (0 = individual beats; the binary leg of -scenario wire defaults to 64)")
-		scenario    = flag.String("scenario", "smoke", "scenario name; output file is BENCH_scale_<scenario>.json. \"gang\" switches to the ML/MPI gang workload and wraps the RM scheduler in the gang coordinator. \"wire\" runs a JSON baseline then a binary+batched leg and emits their comparison")
+		batch       = flag.Int("batch", 0, "coalesce up to this many nodes' heartbeats per frame (0 = individual beats)")
+		scenario    = flag.String("scenario", "smoke", "scenario name; output file is BENCH_scale_<scenario>.json. \"gang\" switches to the ML/MPI gang workload and wraps the RM scheduler in the gang coordinator")
 		gangFrac    = flag.Float64("gang-fraction", 0.5, "fraction of gang jobs in -scenario gang")
 		outDir      = flag.String("out", ".", "directory for the BENCH snapshot")
 		nodeTimeout = flag.Duration("node-timeout", 10*time.Second, "RM failure-detector heartbeat silence threshold (0 = off)")
@@ -111,10 +98,6 @@ func main() {
 	if *shards < 1 {
 		log.Fatal("-shards must be >= 1")
 	}
-	codec, err := wire.ParseCodec(*codecName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	var logger *log.Logger
 	if *verbose {
@@ -123,8 +106,7 @@ func main() {
 	o := options{
 		nodes: *nodes, conns: *conns, ams: *ams, jobs: *jobs, taskCap: *taskCap,
 		duration: *duration, heartbeat: *heartbeat, poll: *poll, nodeTimeout: *nodeTimeout,
-		compression: *compression, seed: *seed, delta: *delta,
-		codec: codec, batch: *batch,
+		compression: *compression, seed: *seed, batch: *batch,
 		scenario: *scenario, gangFrac: *gangFrac, crashFrac: *crashFrac,
 		shards: *shards, logger: logger,
 		tenants: *tenants, stormWorkers: *stormWorkers, stormBatch: *stormBatch,
@@ -135,13 +117,7 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	var snap *bench.Snapshot
-	var failed int
-	if *scenario == "wire" {
-		snap, failed, err = runWire(ctx, o)
-	} else {
-		snap, failed, err = runOnce(ctx, o)
-	}
+	snap, failed, err := runOnce(ctx, o)
 	if err != nil {
 		log.Fatalf("tetris-hollow: %v", err)
 	}
@@ -153,55 +129,6 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// runWire measures the wire overhaul: the same workload at equal node
-// count over JSON frames with individual heartbeats, then over
-// the binary codec with batched heartbeats. The emitted snapshot is the
-// binary leg's, extended with the baseline's numbers under json_* keys
-// and the wire_bytes_binary_over_json ratio CI gates on (≤ 0.6 means
-// the binary+batched wire spends at least 40% fewer bytes per node).
-func runWire(ctx context.Context, o options) (*bench.Snapshot, int, error) {
-	baseline := o
-	baseline.scenario = "wire-json"
-	baseline.codec = wire.CodecJSON
-	baseline.batch = 0
-	jsonSnap, jsonFailed, err := runOnce(ctx, baseline)
-	if err != nil {
-		return nil, jsonFailed, fmt.Errorf("json leg: %w", err)
-	}
-
-	binary := o
-	binary.scenario = "wire-binary"
-	binary.codec = wire.CodecBinary
-	if binary.batch <= 1 {
-		binary.batch = 64
-	}
-	snap, failed, err := runOnce(ctx, binary)
-	if err != nil {
-		return nil, failed, fmt.Errorf("binary leg: %w", err)
-	}
-
-	snap.Scenario = "wire"
-	snap.Config["baseline_codec"] = "json"
-	snap.Config["codec"] = "binary"
-	for _, k := range []string{
-		"wire_bytes_per_node_per_sec",
-		"heartbeat_p50_seconds",
-		"heartbeat_p99_seconds",
-		"rounds_per_sec",
-		"cpu_seconds_per_node_per_sec",
-		"beats_per_sec",
-	} {
-		snap.Metrics["json_"+k] = jsonSnap.Metrics[k]
-	}
-	ratio := safeDiv(snap.Metrics["wire_bytes_per_node_per_sec"],
-		jsonSnap.Metrics["wire_bytes_per_node_per_sec"])
-	snap.Metrics["wire_bytes_binary_over_json"] = ratio
-	fmt.Printf("tetris-hollow: wire comparison at %d nodes — %.0f → %.0f bytes/node/sec (binary/json = %.3f)\n",
-		o.nodes, jsonSnap.Metrics["wire_bytes_per_node_per_sec"],
-		snap.Metrics["wire_bytes_per_node_per_sec"], ratio)
-	return snap, jsonFailed + failed, nil
 }
 
 // runOnce boots one RM, runs one fleet + AM pool (+ optional storm) to
@@ -254,8 +181,8 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 		return nil, 0, err
 	}
 	defer srv.Close()
-	fmt.Printf("tetris-hollow: RM on %s (%d shard(s)), %d hollow nodes, %d jobs, %v budget, %s codec, batch %d\n",
-		srv.Addr(), o.shards, o.nodes, o.jobs, o.duration, o.codec, o.batch)
+	fmt.Printf("tetris-hollow: RM on %s (%d shard(s)), %d hollow nodes, %d jobs, %v budget, batch %d\n",
+		srv.Addr(), o.shards, o.nodes, o.jobs, o.duration, o.batch)
 
 	var plan *faults.Plan
 	if o.crashFrac > 0 {
@@ -273,17 +200,15 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 	defer expire()
 
 	fleet, err := hollow.New(hollow.Config{
-		RMAddr:          srv.Addr(),
-		Nodes:           o.nodes,
-		Conns:           o.conns,
-		Heartbeat:       o.heartbeat,
-		Compression:     o.compression,
-		Seed:            o.seed,
-		DeltaHeartbeats: o.delta,
-		Codec:           o.codec,
-		Batch:           o.batch,
-		Plan:            plan,
-		Logger:          o.logger,
+		RMAddr:      srv.Addr(),
+		Nodes:       o.nodes,
+		Conns:       o.conns,
+		Heartbeat:   o.heartbeat,
+		Compression: o.compression,
+		Seed:        o.seed,
+		Batch:       o.batch,
+		Plan:        plan,
+		Logger:      o.logger,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -345,7 +270,6 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 		Poll:      o.poll,
 		TimeScale: o.compression,
 		Seed:      o.seed,
-		Codec:     o.codec,
 		Logger:    o.logger,
 	}
 	if admCfg != nil {
@@ -404,8 +328,6 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 			"poll":        o.poll.String(),
 			"compression": strconv.FormatFloat(o.compression, 'g', -1, 64),
 			"seed":        strconv.FormatInt(o.seed, 10),
-			"delta":       strconv.FormatBool(o.delta),
-			"codec":       o.codec.String(),
 			"batch":       strconv.Itoa(o.batch),
 			"shards":      strconv.Itoa(o.shards),
 			"crash_frac":  strconv.FormatFloat(o.crashFrac, 'g', -1, 64),
@@ -488,9 +410,9 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 	}
 	fmt.Printf("  heartbeat RTT       p50 %.3fms  p99 %.3fms  (%d samples)\n",
 		fr.RTTp50*1e3, fr.RTTp99*1e3, fr.RTTSamples)
-	fmt.Printf("  wire bytes/node/sec %.0f (delta beats %.0f%%, %s codec, batch %d)\n",
+	fmt.Printf("  wire bytes/node/sec %.0f (delta beats %.0f%%, batch %d)\n",
 		float64(fr.BytesSent+fr.BytesRecv)/float64(o.nodes)/elapsed,
-		100*safeDiv(float64(fr.DeltaBeats), float64(fr.Beats)), o.codec, o.batch)
+		100*safeDiv(float64(fr.DeltaBeats), float64(fr.Beats)), o.batch)
 	fmt.Printf("  process CPU         %.2fs (%.4fms per node per sec)\n",
 		cpuSec, 1e3*cpuSec/float64(o.nodes)/elapsed)
 	if o.tenants > 0 {

@@ -36,10 +36,6 @@ type Config struct {
 	// consecutive reconnect attempts (the faults.Backoff max-elapsed
 	// cutoff). Zero means no time cap — only MaxReconnects applies.
 	ReconnectWindow time.Duration
-	// Codec selects the wire encoding for RM traffic: wire.CodecJSON
-	// (the default) speaks JSON frames, wire.CodecBinary binary frames
-	// for the hot poll path (DESIGN.md §15).
-	Codec wire.Codec
 	// Metrics receives the job manager's telemetry (poll RTTs, reconnect
 	// attempts, job outcomes); AMs sharing one registry aggregate. Nil
 	// records into a private registry, exposing nothing.
@@ -103,7 +99,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// should surface immediately. Transient admission rejections
 	// (rate-limit, quota, overload shed) are honored with jittered
 	// backoff and resubmitted; permanent rejections fail at once.
-	conn, err := wire.Dial(ctx, cfg.RMAddr, cfg.Codec)
+	conn, err := wire.Dial(ctx, cfg.RMAddr)
 	if err != nil {
 		return nil, fmt.Errorf("am: dial: %w", err)
 	}
@@ -210,7 +206,7 @@ func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int
 			return nil, ctx.Err()
 		case <-time.After(d):
 		}
-		c, err := wire.Dial(ctx, cfg.RMAddr, cfg.Codec)
+		c, err := wire.Dial(ctx, cfg.RMAddr)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()

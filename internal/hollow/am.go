@@ -32,8 +32,6 @@ type AMConfig struct {
 	// Tenant names the submitting principal stamped on every submission
 	// for the RM's admission gate. Empty means the anonymous tenant.
 	Tenant string
-	// Codec selects the wire encoding for RM traffic (DESIGN.md §15).
-	Codec wire.Codec
 	// Seed drives reconnect jitter (default 1).
 	Seed int64
 	// Logger for diagnostics; nil discards.
@@ -142,7 +140,7 @@ func runAMWorker(ctx context.Context, cfg AMConfig, idx int, start time.Time, jo
 	redial := func() bool {
 		closeConn()
 		for ctx.Err() == nil {
-			c, err := wire.Dial(ctx, cfg.RMAddr, cfg.Codec)
+			c, err := wire.Dial(ctx, cfg.RMAddr)
 			if err == nil {
 				// Resubmission after a link loss: the RM may have restarted;
 				// re-announce every outstanding job (dedup makes this safe).

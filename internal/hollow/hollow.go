@@ -31,7 +31,6 @@ import (
 	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/nm"
 	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/wire"
 )
 
 // Config parameterizes a hollow-node fleet.
@@ -58,13 +57,6 @@ type Config struct {
 	// Seed drives the fleet's determinism: beat-order stagger, reconnect
 	// jitter, and RTT sampling (default 1).
 	Seed int64
-	// DeltaHeartbeats sends delta availability reports (wire.DeltaTracker)
-	// when a node's usage is unchanged since its last acked beat.
-	DeltaHeartbeats bool
-	// Codec selects the wire encoding for fleet traffic: wire.CodecJSON
-	// (the default) speaks JSON frames, wire.CodecBinary zero-copy
-	// binary frames (DESIGN.md §15). The RM replies in kind.
-	Codec wire.Codec
 	// Batch coalesces up to this many nodes' heartbeats into one
 	// TypeHeartbeatBatch frame per shared connection. Each node still
 	// beats once per Heartbeat — the tick stretches by the batch factor —
@@ -163,8 +155,8 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	for i := range f.links {
 		f.links[i] = &nm.Link{
-			Name: fmt.Sprintf("hollow: link %d", i), Addr: cfg.RMAddr, Codec: cfg.Codec,
-			Heartbeat: cfg.Heartbeat, Batch: cfg.Batch, Delta: cfg.DeltaHeartbeats,
+			Name: fmt.Sprintf("hollow: link %d", i), Addr: cfg.RMAddr,
+			Heartbeat: cfg.Heartbeat, Batch: cfg.Batch,
 			Metrics: f.metrics, Log: cfg.Logger,
 			Silent: f.churn, ObserveRTT: f.rtt.observe,
 		}

@@ -9,7 +9,6 @@ import (
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/rm"
 	"github.com/tetris-sched/tetris/internal/scheduler"
-	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
@@ -58,13 +57,12 @@ func TestHollowFleetEndToEnd(t *testing.T) {
 	defer cancel()
 
 	fleet, err := New(Config{
-		RMAddr:          srv.Addr(),
-		Nodes:           40,
-		Conns:           3,
-		Heartbeat:       25 * time.Millisecond,
-		Compression:     50,
-		Seed:            7,
-		DeltaHeartbeats: true,
+		RMAddr:      srv.Addr(),
+		Nodes:       40,
+		Conns:       3,
+		Heartbeat:   25 * time.Millisecond,
+		Compression: 50,
+		Seed:        7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +102,7 @@ func TestHollowFleetEndToEnd(t *testing.T) {
 		t.Errorf("no heartbeats measured: %+v", fr)
 	}
 	if fr.DeltaBeats == 0 {
-		t.Errorf("delta heartbeats enabled but none compressed: %+v", fr)
+		t.Errorf("no heartbeat compressed to a delta report: %+v", fr)
 	}
 	wantTasks := uint64(60)
 	if fr.TasksCompleted < wantTasks {
@@ -122,7 +120,7 @@ func TestHollowFleetEndToEnd(t *testing.T) {
 }
 
 // TestHollowBinaryBatchedFleet runs the fleet in its scale
-// configuration — binary codec, batched heartbeats, delta reports —
+// configuration — binary frames carrying batched delta heartbeats —
 // against a real RM, with planned churn so batch replies carry
 // per-node "unregistered node" errors mid-run (the crashed nodes must
 // re-register through the batched path). Jobs still finish and the
@@ -143,16 +141,14 @@ func TestHollowBinaryBatchedFleet(t *testing.T) {
 	defer cancel()
 
 	fleet, err := New(Config{
-		RMAddr:          srv.Addr(),
-		Nodes:           40,
-		Conns:           3,
-		Heartbeat:       25 * time.Millisecond,
-		Compression:     50,
-		Seed:            11,
-		DeltaHeartbeats: true,
-		Codec:           wire.CodecBinary,
-		Batch:           8,
-		Plan:            mkChurnPlan(),
+		RMAddr:      srv.Addr(),
+		Nodes:       40,
+		Conns:       3,
+		Heartbeat:   25 * time.Millisecond,
+		Compression: 50,
+		Seed:        11,
+		Batch:       8,
+		Plan:        mkChurnPlan(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +172,6 @@ func TestHollowBinaryBatchedFleet(t *testing.T) {
 		Poll:      30 * time.Millisecond,
 		TimeScale: 50,
 		Seed:      11,
-		Codec:     wire.CodecBinary,
 	})
 	// Jobs can drain before the churn windows close; keep the fleet up
 	// until the crashed nodes have re-registered through the batched
@@ -211,7 +206,7 @@ func TestHollowBinaryBatchedFleet(t *testing.T) {
 		t.Errorf("no heartbeats measured: %+v", fr)
 	}
 	if fr.DeltaBeats == 0 {
-		t.Errorf("delta heartbeats enabled but none compressed through batches: %+v", fr)
+		t.Errorf("no heartbeat compressed to a delta report through batches: %+v", fr)
 	}
 	if fr.TasksCompleted < 60 {
 		t.Errorf("TasksCompleted = %d, want >= 60", fr.TasksCompleted)
@@ -240,13 +235,12 @@ func TestHollowChurn(t *testing.T) {
 
 	plan := mkChurnPlan()
 	fleet, err := New(Config{
-		RMAddr:          srv.Addr(),
-		Nodes:           12,
-		Conns:           2,
-		Heartbeat:       25 * time.Millisecond,
-		Seed:            3,
-		DeltaHeartbeats: true,
-		Plan:            plan,
+		RMAddr:    srv.Addr(),
+		Nodes:     12,
+		Conns:     2,
+		Heartbeat: 25 * time.Millisecond,
+		Seed:      3,
+		Plan:      plan,
 	})
 	if err != nil {
 		t.Fatal(err)

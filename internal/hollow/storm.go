@@ -164,7 +164,7 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 	defer closeConn()
 	for ctx.Err() == nil {
 		if conn == nil {
-			c, err := wire.Dial(ctx, cfg.RMAddr, wire.CodecJSON)
+			c, err := wire.Dial(ctx, cfg.RMAddr)
 			if err != nil {
 				select {
 				case <-ctx.Done():

@@ -45,17 +45,6 @@ type Config struct {
 	// consecutive reconnect attempts (the faults.Backoff max-elapsed
 	// cutoff). Zero means no time cap — only MaxReconnects applies.
 	ReconnectWindow time.Duration
-	// DeltaHeartbeats sends delta availability reports: Used/Allocated
-	// are omitted from a heartbeat when unchanged since the last
-	// acknowledged beat (wire.DeltaTracker), shrinking steady-state
-	// heartbeat frames. Full reports resume automatically on reconnect
-	// and whenever the RM requests one (NMReply.FullReport).
-	DeltaHeartbeats bool
-	// Codec selects the wire encoding for RM traffic: wire.CodecJSON
-	// (the default) speaks JSON frames, wire.CodecBinary zero-copy
-	// binary frames (DESIGN.md §15). The RM replies in kind, so
-	// mixed-codec fleets interoperate per connection.
-	Codec wire.Codec
 	// Metrics receives the node's telemetry (heartbeat RTTs, reconnect
 	// attempts, task lifecycle counters). Several NMs sharing one
 	// registry — the loopback cluster — aggregate into shared series.
@@ -114,8 +103,7 @@ func New(cfg Config) *Node {
 	// The tracker's ramp-up window shrinks with time compression.
 	n.tracker.RampUpSec = 10 / cfg.Compression
 	n.link = &Link{
-		Name: "nm " + strconv.Itoa(cfg.NodeID), Addr: cfg.RMAddr, Codec: cfg.Codec,
-		Heartbeat: cfg.Heartbeat, Delta: cfg.DeltaHeartbeats,
+		Name: "nm " + strconv.Itoa(cfg.NodeID), Addr: cfg.RMAddr, Heartbeat: cfg.Heartbeat,
 		Agents:  []*Agent{{ID: cfg.NodeID, Capacity: cfg.Capacity, Exec: (*emulator)(n)}},
 		Metrics: NewMetrics(cfg.Metrics), Log: cfg.Logger,
 	}

@@ -121,12 +121,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 type Link struct {
 	Name      string // log prefix: "nm 3", "hollow: link 2"
 	Addr      string
-	Codec     wire.Codec
 	Heartbeat time.Duration // each agent's beat interval
 	// Batch coalesces up to this many agents' beats into one
 	// TypeHeartbeatBatch frame; 0 or 1 sends TypeNMHeartbeat frames.
 	Batch   int
-	Delta   bool // send delta availability reports
 	Agents  []*Agent
 	Metrics *Metrics
 	Log     *log.Logger
@@ -173,10 +171,11 @@ func (l *Link) Step(c Caller, now time.Time) error {
 		}
 		used, allocated, finished := a.Exec.Report(now)
 		hb := wire.NMHeartbeat{NodeID: a.ID, Used: used, Allocated: allocated, Completed: l.owed(a, finished)}
-		if l.Delta {
-			if full := a.delta.Mark(&hb); !full {
-				l.Metrics.DeltaBeats.Inc()
-			}
+		// A delta report when usage is unchanged since the last acknowledged
+		// beat; the first beat after registration, and any after a reply
+		// asking for one, go out full (wire.DeltaTracker).
+		if full := a.delta.Mark(&hb); !full {
+			l.Metrics.DeltaBeats.Inc()
 		}
 		l.beats = append(l.beats, hb)
 		l.members = append(l.members, a)
@@ -261,14 +260,12 @@ func (l *Link) rejected(a *Agent, why string) {
 // apply carries out an acknowledged heartbeat's reply.
 func (l *Link) apply(a *Agent, r *wire.NMReply, now time.Time) {
 	a.undelivered = nil
-	if l.Delta {
-		a.delta.Ack(r)
-		if r != nil && r.FullReport {
-			l.Metrics.FullRequested.Inc()
-		}
-	}
+	a.delta.Ack(r)
 	if r == nil {
 		return
+	}
+	if r.FullReport {
+		l.Metrics.FullRequested.Inc()
 	}
 	for _, tid := range r.Kill {
 		l.stop(a, tid, l.Metrics.Killed, "orphaned")
@@ -334,7 +331,7 @@ func (l *Link) Session(ctx context.Context) (worked bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("%s: dial: %w", l.Name, err)
 	}
-	conn := wire.NewConn(ctx, &countingConn{Conn: raw, m: l.Metrics}, l.Codec)
+	conn := wire.NewConn(ctx, &countingConn{Conn: raw, m: l.Metrics})
 	defer conn.Close()
 
 	tick := l.Heartbeat * time.Duration(l.batch()) / time.Duration(len(l.Agents))

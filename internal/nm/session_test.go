@@ -34,6 +34,7 @@ type scriptedRM struct {
 	registered []wire.RegisterNM         // registrations, in order
 	completed  map[int][]workload.TaskID // node → completions acked, in order
 	full       map[int]int               // node → full (non-delta) beats acked
+	used       map[int]resources.Vector  // node → usage of its last full beat, which a delta leaves standing
 	lastBeat   map[int]wire.NMHeartbeat  // node → last beat acked
 }
 
@@ -42,6 +43,7 @@ func newScriptedRM() *scriptedRM {
 		launch:    make(map[int][]wire.TaskLaunch),
 		completed: make(map[int][]workload.TaskID),
 		full:      make(map[int]int),
+		used:      make(map[int]resources.Vector),
 		lastBeat:  make(map[int]wire.NMHeartbeat),
 	}
 }
@@ -82,6 +84,7 @@ func (s *scriptedRM) beat(hb *wire.NMHeartbeat) *wire.NMReply {
 	s.ack(hb.NodeID, hb.Completed)
 	if !hb.Delta {
 		s.full[hb.NodeID]++
+		s.used[hb.NodeID] = hb.Used
 	}
 	s.lastBeat[hb.NodeID] = *hb
 	r := &wire.NMReply{Launch: s.launch[hb.NodeID]}
@@ -114,7 +117,7 @@ func launchOf(id workload.TaskID, durSec float64) wire.TaskLaunch {
 // testLink builds a link of n synthetic agents at compression 1, so a
 // launch's Duration is its virtual seconds.
 func testLink(n, batch int) *Link {
-	l := &Link{Name: "test", Batch: batch, Delta: true, Metrics: NewMetrics(nil), Log: log.New(io.Discard, "", 0)}
+	l := &Link{Name: "test", Batch: batch, Metrics: NewMetrics(nil), Log: log.New(io.Discard, "", 0)}
 	for i := 0; i < n; i++ {
 		l.Agents = append(l.Agents, &Agent{ID: i, Capacity: testCap, Exec: &Synthetic{Compression: 1}})
 	}
@@ -239,7 +242,6 @@ func TestFailedFrameRetainsCompletions(t *testing.T) {
 func TestResentLaunch(t *testing.T) {
 	rm := newScriptedRM()
 	l := testLink(1, 1)
-	l.Delta = false // every beat carries its usage
 	sweep(t, l, rm, at(0))
 	for i := 0; i < 2; i++ {
 		rm.launch[0] = []wire.TaskLaunch{launchOf(tid(7, 0), 2)}
@@ -252,7 +254,7 @@ func TestResentLaunch(t *testing.T) {
 		t.Errorf("running gauge = %v, want 1", got)
 	}
 	sweep(t, l, rm, at(1.5))
-	if got := rm.lastBeat[0].Used; got != testDemand {
+	if got := rm.used[0]; got != testDemand {
 		t.Errorf("usage %v after a re-sent launch, want one task's %v", got, testDemand)
 	}
 	sweep(t, l, rm, at(2)) // due by the first launch's clock, not the second's
@@ -266,7 +268,6 @@ func TestResentLaunch(t *testing.T) {
 func TestKillAndPreempt(t *testing.T) {
 	rm := newScriptedRM()
 	l := testLink(1, 1)
-	l.Delta = false // every beat carries its usage
 	sweep(t, l, rm, at(0))
 	rm.launch[0] = []wire.TaskLaunch{launchOf(tid(1, 0), 5), launchOf(tid(1, 1), 5), launchOf(tid(1, 2), 5)}
 	sweep(t, l, rm, at(0))
@@ -278,7 +279,7 @@ func TestKillAndPreempt(t *testing.T) {
 	}
 	sweep(t, l, rm, at(1))
 	sweep(t, l, rm, at(2))
-	if got := rm.lastBeat[0].Used; got != testDemand {
+	if got := rm.used[0]; got != testDemand {
 		t.Errorf("usage %v after one kill and one preemption of three tasks, want %v", got, testDemand)
 	}
 	sweep(t, l, rm, at(6))

@@ -26,7 +26,8 @@ func (f tap) Call(m *wire.Message) (*wire.Message, error) { return f(m) }
 // node registered before round 0, then per round the arrivals and one
 // heartbeat per node in id order — and returns each job's finish round.
 // maskUsage zeroes Used/Allocated on the way to the RM, which is what
-// replayQuality's nodes report.
+// replayQuality's nodes report. The session sends delta reports, as every
+// node does; the run fails if none went out.
 func sessionQuality(t *testing.T, g *Sharded, w qualityWorkload, maskUsage bool) map[int]int {
 	t.Helper()
 	link := &nm.Link{Name: "quality", Metrics: nm.NewMetrics(nil), Log: log.New(io.Discard, "", 0)}
@@ -96,6 +97,9 @@ func sessionQuality(t *testing.T, g *Sharded, w qualityWorkload, maskUsage bool)
 	}
 	if got := int(link.Metrics.Completed.Value()); got != totalTasks {
 		t.Errorf("session counted %d completions, want %d", got, totalTasks)
+	}
+	if link.Metrics.DeltaBeats.Value() == 0 {
+		t.Error("no heartbeat of the session went out as a delta report")
 	}
 	if err := g.VerifyLedger(); err != nil {
 		t.Errorf("ledger after the session: %v", err)

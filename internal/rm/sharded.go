@@ -381,10 +381,9 @@ func (g *Sharded) serve(conn net.Conn) {
 		return // accepted while Close was severing; it will not see this conn
 	default:
 	}
-	// One Framer per connection: codec negotiation is reply-in-kind
-	// (JSON peers get JSON frames, binary peers get binary), and
-	// hot-frame decode reuses the Framer's scratch so steady-state
-	// heartbeats allocate nothing.
+	// One Framer per connection: it reads either codec and writes each
+	// reply in its type's codec, and hot-frame decode reuses its scratch
+	// so steady-state heartbeats allocate nothing.
 	framer := wire.NewServerFramer()
 	for {
 		// Read/write deadlines: a stalled or half-dead peer times out and

@@ -2,9 +2,9 @@ package rm
 
 // Wire-level tests of the binary codec and heartbeat batching against
 // live RMs: mixed-codec sessions (one JSON peer, one binary peer on the
-// same server), reply-in-kind negotiation observed on the raw socket,
-// a retired v0 frame refused at the socket, and batch fan-out semantics
-// at one shard and several.
+// same server), the codec chosen by message type observed on the raw
+// socket, a retired v0 frame refused at the socket, and batch fan-out
+// semantics at one shard and several.
 
 import (
 	"bytes"
@@ -33,12 +33,13 @@ func dialRM(t *testing.T, addr string) net.Conn {
 
 // TestMixedCodecSessions runs a JSON peer and a binary peer against one
 // live RM concurrently-registered: both register, heartbeat, and see
-// equivalent verdicts; the server answers each in its own codec.
+// equivalent verdicts. The server reads either codec and answers both in
+// the codec of the reply's type.
 func TestMixedCodecSessions(t *testing.T) {
 	s := newServer(t)
 	capV := resources.New(16, 32, 200, 200, 1000, 1000)
 
-	// JSON peer: Framer with CodecJSON, node 0.
+	// JSON peer: the oracle Framer, which writes every type as JSON; node 0.
 	jsonPeer := dialRM(t, s.Addr())
 	jf := wire.NewFramer(wire.CodecJSON)
 	if err := jf.Write(jsonPeer, &wire.Message{Type: wire.TypeRegisterNM,
@@ -49,7 +50,7 @@ func TestMixedCodecSessions(t *testing.T) {
 		t.Fatalf("JSON register reply: m=%+v err=%v", m, err)
 	}
 
-	// Binary peer: Framer with CodecBinary, node 1.
+	// Binary peer: the protocol's Framer, node 1.
 	binPeer := dialRM(t, s.Addr())
 	f := wire.NewFramer(wire.CodecBinary)
 	if err := f.Write(binPeer, &wire.Message{Type: wire.TypeRegisterNM,
@@ -104,15 +105,18 @@ func TestMixedCodecSessions(t *testing.T) {
 	}
 }
 
-// TestReplyInKindOnTheSocket inspects raw reply bytes: a JSON request
-// draws a magic + JSON frame, a binary request a magic + binary frame, on
+// TestJSONRequestDrawsBinaryReply inspects raw reply bytes: the message
+// type, not the request's codec, picks the reply's. A JSON-framed and a
+// binary-framed NMHeartbeat both draw a magic + binary NMReply frame, and
+// a status request in either codec draws a magic + JSON status reply, on
 // the same connection back to back.
-func TestReplyInKindOnTheSocket(t *testing.T) {
+func TestJSONRequestDrawsBinaryReply(t *testing.T) {
 	s := newServer(t)
 	s.RegisterMachine(4, resources.New(16, 32, 200, 200, 1000, 1000))
 	conn := dialRM(t, s.Addr())
 
 	beat := &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &wire.NMHeartbeat{NodeID: 4}}
+	status := &wire.Message{Type: wire.TypeClusterStatus}
 
 	readRaw := func() []byte {
 		t.Helper()
@@ -128,11 +132,16 @@ func TestReplyInKindOnTheSocket(t *testing.T) {
 	}
 
 	for _, c := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
-		if err := wire.NewFramer(c).Write(conn, beat); err != nil {
-			t.Fatal(err)
-		}
-		if raw := readRaw(); raw[0] != wire.Magic || raw[1] != byte(c) {
-			t.Fatalf("reply to a %s frame = % x, want magic+%s", c, raw[:6], c)
+		for _, ex := range []struct {
+			req  *wire.Message
+			want wire.Codec
+		}{{beat, wire.CodecBinary}, {status, wire.CodecJSON}} {
+			if err := wire.NewFramer(c).Write(conn, ex.req); err != nil {
+				t.Fatal(err)
+			}
+			if raw := readRaw(); raw[0] != wire.Magic || raw[1] != byte(ex.want) {
+				t.Fatalf("reply to a %s request in codec %d = % x, want magic+codec %d", ex.req.Type, c, raw[:6], ex.want)
+			}
 		}
 	}
 }

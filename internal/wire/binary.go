@@ -27,7 +27,7 @@ import (
 // Only the hot session frames have binary bodies: Register/heartbeat
 // traffic for NMs (including batches) and AM polls, plus typed errors.
 // Cold control frames (submissions, cluster status replies) travel as
-// codec-0 JSON frames; Framer falls back transparently.
+// codec-0 JSON frames: Framer.Write picks the codec by message type.
 const (
 	binError byte = iota + 1
 	binRegisterNM

@@ -13,10 +13,12 @@ import (
 // payload in the named codec. The codec is per frame and the read side is
 // stateless: a reader decodes whichever codec each header names.
 //
-// Codec negotiation is reply-in-kind: a server Framer answers each
-// request in the codec the request arrived in (JSON peers get JSON
-// frames, binary peers get binary), so the two interoperate on one socket
-// with no handshake round-trip.
+// The message type picks the codec, not the peer: the hot session types
+// binary.go encodes (registration, heartbeats and their batches, AM polls,
+// errors, the status request) always travel binary, the cold control types
+// (submissions and their replies, the status reply) always JSON. There is
+// no negotiation: a peer that writes JSON frames of a hot type is still
+// served, and its replies come back binary.
 //
 // The headerless v0 frame (a bare 4-byte length, then JSON) this protocol
 // began with is retired: a first byte that is not Magic is never parsed
@@ -33,59 +35,34 @@ const (
 // header is read; like every protocol error it ends the connection.
 var ErrBadMagic = errors.New("wire: frame does not start with the magic byte")
 
-// Codec identifies a payload encoding.
+// Codec identifies a payload encoding: a frame header's second byte.
 type Codec byte
 
 const (
 	// CodecJSON is codec 0: the payload is the Message's JSON encoding.
-	// It carries the cold control types and remains the compatibility
-	// and fuzz oracle encoding.
+	// It carries the cold control types and remains the fuzz oracle
+	// encoding.
 	CodecJSON Codec = 0
 	// CodecBinary is codec 1: the payload is the hand-rolled binary
-	// encoding (see binary.go). Types without a binary encoding fall
-	// back to CodecJSON frames transparently.
+	// encoding (see binary.go) of a hot session type.
 	CodecBinary Codec = 1
 )
-
-func (c Codec) String() string {
-	switch c {
-	case CodecJSON:
-		return "json"
-	case CodecBinary:
-		return "binary"
-	}
-	return fmt.Sprintf("codec-%d", byte(c))
-}
-
-// ParseCodec maps flag values ("json", "binary") to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "json", "":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	}
-	return 0, fmt.Errorf("wire: unknown codec %q (want json or binary)", s)
-}
 
 // Framer reads and writes frames on one connection, owning the
 // buffers and decode scratch so steady-state heartbeat exchanges
 // allocate nothing. Not safe for concurrent use; each connection's
 // serve loop owns one Framer.
 //
-// A client Framer (NewFramer) writes its configured codec: CodecJSON
-// writes JSON frames, CodecBinary writes binary frames, falling back to
-// JSON frames for types without a binary encoding. A server Framer
-// (NewServerFramer) replies in kind: each Write uses the codec of the
-// most recently read frame.
+// Write encodes each message in its type's codec. The one exception is
+// the oracle Framer NewFramer(CodecJSON), which writes every type as JSON
+// so tests and probes can compare the two encodings.
 //
 // Messages returned by Read alias the Framer's internal scratch and
 // are valid only until the next Read on the same Framer. Handlers that
 // retain payload slices past the exchange (registration journaling)
 // get freshly allocated payloads — see decodeBinary.
 type Framer struct {
-	codec     Codec // what Write encodes; a server Framer's follows its reads
-	autoReply bool
+	allJSON bool // the oracle: every type as JSON
 
 	hdr     [headerLen]byte
 	rbuf    []byte
@@ -93,12 +70,14 @@ type Framer struct {
 	scratch decodeScratch
 }
 
-// NewFramer returns a client Framer writing the given codec.
-func NewFramer(c Codec) *Framer { return &Framer{codec: c} }
+// NewFramer returns a Framer. CodecBinary gives the protocol's Framer —
+// the codec by message type, as every client and server writes;
+// CodecJSON gives the JSON oracle encoder.
+func NewFramer(c Codec) *Framer { return &Framer{allJSON: c == CodecJSON} }
 
-// NewServerFramer returns a reply-in-kind server Framer. Before the
-// first read it writes JSON frames — the codec every peer can read.
-func NewServerFramer() *Framer { return &Framer{codec: CodecJSON, autoReply: true} }
+// NewServerFramer returns the Framer a serve loop owns; it writes exactly
+// what NewFramer(CodecBinary) does.
+func NewServerFramer() *Framer { return &Framer{} }
 
 // Read reads one frame in whichever codec its header names. The returned
 // Message satisfies the envelope invariant and is valid only until the
@@ -123,9 +102,6 @@ func (f *Framer) Read(r io.Reader) (*Message, error) {
 	f.rbuf = body[:0]
 	if err != nil {
 		return nil, err
-	}
-	if f.autoReply {
-		f.codec = codec
 	}
 	if codec == CodecBinary {
 		return decodeBinary(body, &f.scratch)
@@ -152,14 +128,12 @@ func (f *Framer) Read(r io.Reader) (*Message, error) {
 func (f *Framer) Write(w io.Writer, m *Message) error {
 	buf := append(f.wbuf[:0], Magic, byte(CodecBinary), 0, 0, 0, 0)
 	encoded := false
-	if f.codec == CodecBinary {
-		if body, ok := appendBinary(buf, m); ok {
-			buf, encoded = body, true
-		}
+	if !f.allJSON {
+		buf, encoded = appendBinary(buf, m)
 	}
 	if !encoded {
-		// A JSON Framer, or a type with no binary encoding: the peer
-		// reads the codec off each header.
+		// A cold type, or the oracle: the peer reads the codec off each
+		// header.
 		buf[1] = byte(CodecJSON)
 		body, err := json.Marshal(m)
 		if err != nil {

@@ -127,17 +127,18 @@ func TestCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestFramerFormats pins the negotiation matrix: every frame opens with
-// Magic and its codec byte, a JSON client Framer writes JSON frames, a
-// binary client binary ones, and a server Framer replies in the codec of
-// the last read — JSON before any.
+// TestFramerFormats pins the codec matrix: every frame opens with Magic
+// and its codec byte, the JSON oracle Framer writes JSON frames, the
+// protocol's Framer binary ones for hot types, and a server Framer writes
+// each reply in its type's codec whatever codec it last read.
 func TestFramerFormats(t *testing.T) {
 	hb := &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Delta: true}}
 	reply := &Message{Type: TypeNMReply, NMReply: &NMReply{}}
+	status := &Message{Type: TypeClusterStatusReply, ClusterStatus: &ClusterStatusReply{Nodes: 2}}
 	wantHeader := func(what string, frame []byte, c Codec) {
 		t.Helper()
 		if frame[0] != Magic || frame[1] != byte(c) {
-			t.Errorf("%s header = % x, want magic+%s", what, frame[:2], c)
+			t.Errorf("%s header = % x, want magic+codec %d", what, frame[:2], c)
 		}
 	}
 
@@ -157,40 +158,34 @@ func TestFramerFormats(t *testing.T) {
 		t.Errorf("binary delta beat (%dB) not smaller than JSON (%dB)", binFrame.Len(), jsonFrame.Len())
 	}
 
+	// A server Framer: the type decides, before any read and after reads
+	// of either codec.
 	srv := NewServerFramer()
-	var out bytes.Buffer
-
-	// Before any read: JSON, the codec every peer reads.
-	if err := srv.Write(&out, reply); err != nil {
-		t.Fatal(err)
+	for _, read := range []struct {
+		what  string
+		frame []byte
+	}{{"before any read", nil}, {"after a binary read", binFrame.Bytes()}, {"after a JSON read", jsonFrame.Bytes()}} {
+		if read.frame != nil {
+			if _, err := srv.Read(bytes.NewReader(read.frame)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out bytes.Buffer
+		if err := srv.Write(&out, reply); err != nil {
+			t.Fatal(err)
+		}
+		wantHeader("server's hot reply "+read.what, out.Bytes(), CodecBinary)
+		out.Reset()
+		if err := srv.Write(&out, status); err != nil {
+			t.Fatal(err)
+		}
+		wantHeader("server's cold reply "+read.what, out.Bytes(), CodecJSON)
 	}
-	wantHeader("server's opening frame", out.Bytes(), CodecJSON)
-
-	// After a binary read: binary.
-	if _, err := srv.Read(bytes.NewReader(binFrame.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := srv.Write(&out, reply); err != nil {
-		t.Fatal(err)
-	}
-	wantHeader("reply to binary peer", out.Bytes(), CodecBinary)
-
-	// After a JSON read: back to JSON.
-	if _, err := srv.Read(bytes.NewReader(jsonFrame.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := srv.Write(&out, reply); err != nil {
-		t.Fatal(err)
-	}
-	wantHeader("reply to JSON peer", out.Bytes(), CodecJSON)
 
 	// Cold type on a binary framer: JSON fallback, which any Framer reads
 	// off the header.
 	var cold bytes.Buffer
 	cf := NewFramer(CodecBinary)
-	status := &Message{Type: TypeClusterStatusReply, ClusterStatus: &ClusterStatusReply{Nodes: 2}}
 	if err := cf.Write(&cold, status); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +336,7 @@ func TestSingleWriteFraming(t *testing.T) {
 		buf.Reset()
 		wc := &writeCounter{w: &buf}
 		if err := NewFramer(c).Write(wc, m); err != nil || wc.calls != 1 {
-			t.Errorf("Framer(%s).Write: calls=%d err=%v, want one write", c, wc.calls, err)
+			t.Errorf("Framer(codec %d).Write: calls=%d err=%v, want one write", c, wc.calls, err)
 		}
 	}
 }

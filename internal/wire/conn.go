@@ -17,20 +17,20 @@ type Conn struct {
 	disarm func() bool
 }
 
-// Dial connects to addr and wraps the socket in a Conn writing codec.
-func Dial(ctx context.Context, addr string, codec Codec) (*Conn, error) {
+// Dial connects to addr and wraps the socket in a Conn.
+func Dial(ctx context.Context, addr string) (*Conn, error) {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return NewConn(ctx, conn, codec), nil
+	return NewConn(ctx, conn), nil
 }
 
 // NewConn wraps an established connection; Close closes it.
-func NewConn(ctx context.Context, conn net.Conn, codec Codec) *Conn {
+func NewConn(ctx context.Context, conn net.Conn) *Conn {
 	disarm := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Now()) })
-	return &Conn{conn: conn, framer: NewFramer(codec), disarm: disarm}
+	return &Conn{conn: conn, framer: &Framer{}, disarm: disarm}
 }
 
 // Call performs one request/reply exchange. The reply may alias the

@@ -22,8 +22,8 @@ func frame(announced uint32, body []byte) []byte {
 // FuzzWireRoundTrip feeds Framer.Read arbitrary byte streams — truncated
 // headers, short bodies, oversize length announcements, invalid JSON —
 // asserting it never panics and fails cleanly. When the input happens
-// to decode into a message, the message is re-framed in the codec it
-// arrived in (a server Framer replies in kind) and read back, asserting
+// to decode into a message, the message is re-framed in its type's codec
+// (binary for the hot types, JSON for the cold) and read back, asserting
 // round-trip identity at the JSON level.
 func FuzzWireRoundTrip(f *testing.F) {
 	valid := func(m *Message) []byte {
