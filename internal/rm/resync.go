@@ -16,7 +16,6 @@ package rm
 // crash/restart storms.
 
 import (
-	"encoding/json"
 	"sort"
 
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -83,13 +82,4 @@ func (s *Server) ResyncPending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.countNodes(func(n *node) bool { return n.resync })
-}
-
-// sameJob reports whether two job definitions are identical — the
-// idempotent-resubmission test. Jobs travel as JSON, so JSON equality
-// is definition equality.
-func sameJob(a, b *workload.Job) bool {
-	ja, errA := json.Marshal(a)
-	jb, errB := json.Marshal(b)
-	return errA == nil && errB == nil && string(ja) == string(jb)
 }

@@ -129,6 +129,7 @@ type Server struct {
 	lastEventTime   float64          // clock of the newest journaled event
 	sinceSnap       int              // journaled records since the last checkpoint
 	recoveredDigest []byte           // state digest right after replay, pre-resync
+	jbuf            []byte           // record and snapshot encode scratch
 
 	wg     sync.WaitGroup
 	closed chan struct{}

@@ -1,7 +1,6 @@
 package rm
 
 import (
-	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -154,10 +153,14 @@ func TestRegisterRefusesOutOfRangeNodeID(t *testing.T) {
 	core := g.Shard(0)
 	core.mu.Lock()
 	errReplay := core.applyEvent(&event{Kind: evRegister, Node: 1 << 40, Capacity: capV})
-	snap, err := json.Marshal(rmState{Machines: []machineSnap{{ID: 1 << 40, Capacity: capV}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A snapshot of one machine, node 1<<40, and nothing else.
+	snap := wire.AppendFloat([]byte{snapshotTag}, 0)
+	snap = wire.AppendCount(snap, 1)
+	snap = wire.AppendInt(snap, 1<<40)
+	snap = wire.AppendVector(snap, &capV)
+	snap = wire.AppendVector(snap, &resources.Vector{})
+	snap = append(snap, 0, 0)          // flags, epoch
+	snap = append(snap, 0, 0, 0, 0, 0) // no jobs, faults, drops or estimator stages
 	errRestore := core.restoreState(snap)
 	core.mu.Unlock()
 	if errReplay == nil || errRestore == nil {

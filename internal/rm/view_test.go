@@ -7,12 +7,12 @@ package rm
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/reserve"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -120,23 +120,36 @@ func (r *sweepRecorder) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 }
 
 // timelessDigest is StateDigest with the wall-clock stamps zeroed: twins
-// run at different wall clocks by construction.
+// run at different wall clocks by construction. It restores the digest
+// into a scratch core configured to keep everything s snapshots, zeroes
+// the clock and every finish time there, and encodes again.
 func timelessDigest(t *testing.T, s *Server) []byte {
 	t.Helper()
-	var st rmState
-	if err := json.Unmarshal(s.StateDigest(), &st); err != nil {
-		t.Fatal(err)
+	cfg := Config{Scheduler: tetrisScheduler(), NodeTimeout: s.cfg.NodeTimeout, FaultLogCap: s.cfg.FaultLogCap}
+	if s.cfg.Estimator != nil {
+		cfg.Estimator = estimator.New()
 	}
-	st.Now = 0
-	for i := range st.Jobs {
-		st.Jobs[i].FinishedAt = 0
-		st.Jobs[i].Status.FinishedAt = 0
-	}
-	out, err := json.Marshal(st)
+	c, err := newCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	if err := c.restoreState(s.StateDigest()); err != nil {
+		t.Fatal(err)
+	}
+	c.lastEventTime = 0
+	for _, ji := range c.jobs {
+		ji.finishedAt = 0
+		st := ji.state.Status
+		snap := workload.StatusSnapshot{}
+		for si := range ji.state.Job.Stages {
+			snap.States = append(snap.States, st.StageStates(si))
+			snap.Attempts = append(snap.Attempts, st.StageAttempts(si))
+		}
+		if ji.state.Status, err = workload.RestoreStatus(ji.state.Job, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c.StateDigest()
 }
 
 // TestEventDrivenRoundsEquivalence: for a policy without clock or

@@ -1,28 +1,10 @@
 package wire
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"math"
+import "fmt"
 
-	"github.com/tetris-sched/tetris/internal/resources"
-	"github.com/tetris-sched/tetris/internal/workload"
-)
-
-// Binary payload encoding (codec 1). The payload is a type byte
-// followed by the type-specific body:
-//
-//   - ints are zigzag varints, counts are uvarints;
-//   - float64s are 8-byte little-endian IEEE-754 bits, so values
-//     round-trip bit-identically (the delta-heartbeat baselines compare
-//     with ==, which is bit-level for the vectors involved);
-//   - a resources.Vector is a bitmask byte of its nonzero dimensions
-//     (nonzero at the bit level, preserving -0 and NaN) followed by
-//     8 bytes per set bit — an all-zero vector, the steady state of
-//     delta beats, costs one byte;
-//   - strings are a uvarint length followed by raw bytes;
-//   - booleans pack into per-message flag bytes.
+// Binary payload encoding (codec 1): a type byte followed by the
+// type-specific body, built from the primitives in primitives.go;
+// booleans pack into per-message flag bytes.
 //
 // Only the hot session frames have binary bodies: Register/heartbeat
 // traffic for NMs (including batches) and AM polls, plus typed errors.
@@ -40,76 +22,37 @@ const (
 	binClusterStatusReq
 )
 
-// The vector bitmask is a single byte.
-const _ uint = 8 - uint(resources.NumKinds)
-
-var errBinTruncated = errors.New("wire: truncated binary payload")
-
 // Conservative minimum encoded sizes per repeated element, used to
 // bound slice preallocation against lying counts: a count can never
 // exceed remaining-bytes/minSize, so decode allocation is proportional
 // to bytes the peer actually sent.
 const (
-	minTaskIDSize     = 3
-	minCompletionSize = minTaskIDSize + 1 + 8 // task + mask + duration
-	minLaunchSize     = minTaskIDSize + 1 + 1 + 24
-	minPreemptSize    = minTaskIDSize + 2
+	minCompletionSize = MinTaskIDSize + 1 + 8 // task + mask + duration
+	minLaunchSize     = MinTaskIDSize + 1 + 1 + 24
+	minPreemptSize    = MinTaskIDSize + 2
 	minBeatSize       = 1 + 1 + 1 + 1 + 1 // node + flags + 2 masks + count
 	minBeatReplySize  = 1 + 1 + 4         // node + error len + reply
 )
 
-func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendVector(b []byte, v *resources.Vector) []byte {
-	var mask byte
-	for i := range v {
-		if math.Float64bits(v[i]) != 0 {
-			mask |= 1 << i
-		}
-	}
-	b = append(b, mask)
-	for i := range v {
-		if mask&(1<<i) != 0 {
-			b = appendFloat(b, v[i])
-		}
-	}
-	return b
-}
-
-func appendTaskID(b []byte, id workload.TaskID) []byte {
-	b = appendInt(b, id.Job)
-	b = appendInt(b, id.Stage)
-	return appendInt(b, id.Index)
-}
-
 func appendCompletions(b []byte, cs []TaskCompletion) []byte {
-	b = binary.AppendUvarint(b, uint64(len(cs)))
+	b = AppendCount(b, len(cs))
 	for i := range cs {
-		b = appendTaskID(b, cs[i].Task)
-		b = appendVector(b, &cs[i].Usage)
-		b = appendFloat(b, cs[i].Duration)
+		b = AppendTaskID(b, cs[i].Task)
+		b = AppendVector(b, &cs[i].Usage)
+		b = AppendFloat(b, cs[i].Duration)
 	}
 	return b
 }
 
 func appendHeartbeatBody(b []byte, hb *NMHeartbeat) []byte {
-	b = appendInt(b, hb.NodeID)
+	b = AppendInt(b, hb.NodeID)
 	var flags byte
 	if hb.Delta {
 		flags |= 1
 	}
 	b = append(b, flags)
-	b = appendVector(b, &hb.Used)
-	b = appendVector(b, &hb.Allocated)
+	b = AppendVector(b, &hb.Used)
+	b = AppendVector(b, &hb.Allocated)
 	return appendCompletions(b, hb.Completed)
 }
 
@@ -119,26 +62,26 @@ func appendNMReplyBody(b []byte, r *NMReply) []byte {
 		flags |= 1
 	}
 	b = append(b, flags)
-	b = binary.AppendUvarint(b, uint64(len(r.Launch)))
+	b = AppendCount(b, len(r.Launch))
 	for i := range r.Launch {
 		l := &r.Launch[i]
-		b = appendTaskID(b, l.Task)
-		b = appendInt(b, l.JobID)
-		b = appendVector(b, &l.Demand)
-		b = appendFloat(b, l.Duration)
-		b = appendFloat(b, l.ReadMB)
-		b = appendFloat(b, l.WriteMB)
+		b = AppendTaskID(b, l.Task)
+		b = AppendInt(b, l.JobID)
+		b = AppendVector(b, &l.Demand)
+		b = AppendFloat(b, l.Duration)
+		b = AppendFloat(b, l.ReadMB)
+		b = AppendFloat(b, l.WriteMB)
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Kill)))
+	b = AppendCount(b, len(r.Kill))
 	for _, id := range r.Kill {
-		b = appendTaskID(b, id)
+		b = AppendTaskID(b, id)
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Preempt)))
+	b = AppendCount(b, len(r.Preempt))
 	for i := range r.Preempt {
 		p := &r.Preempt[i]
-		b = appendTaskID(b, p.Task)
-		b = appendInt(b, p.JobID)
-		b = appendInt(b, p.ForJob)
+		b = AppendTaskID(b, p.Task)
+		b = AppendInt(b, p.JobID)
+		b = AppendInt(b, p.ForJob)
 	}
 	return b
 }
@@ -150,15 +93,15 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 	switch m.Type {
 	case TypeError:
 		b = append(b, binError)
-		return appendString(b, m.Error), true
+		return AppendString(b, m.Error), true
 	case TypeRegisterNM:
 		r := m.RegisterNM
 		b = append(b, binRegisterNM)
-		b = appendInt(b, r.NodeID)
-		b = appendVector(b, &r.Capacity)
-		b = binary.AppendUvarint(b, uint64(len(r.Running)))
+		b = AppendInt(b, r.NodeID)
+		b = AppendVector(b, &r.Capacity)
+		b = AppendCount(b, len(r.Running))
 		for _, id := range r.Running {
-			b = appendTaskID(b, id)
+			b = AppendTaskID(b, id)
 		}
 		return appendCompletions(b, r.Completed), true
 	case TypeNMHeartbeat:
@@ -169,13 +112,13 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 		return appendNMReplyBody(b, m.NMReply), true
 	case TypeAMHeartbeat:
 		b = append(b, binAMHeartbeat)
-		return appendInt(b, m.AMHeartbeat.JobID), true
+		return AppendInt(b, m.AMHeartbeat.JobID), true
 	case TypeAMReply:
 		r := m.AMReply
 		b = append(b, binAMReply)
-		b = appendInt(b, r.JobID)
-		b = appendInt(b, r.Done)
-		b = appendInt(b, r.Total)
+		b = AppendInt(b, r.JobID)
+		b = AppendInt(b, r.Done)
+		b = AppendInt(b, r.Total)
 		var flags byte
 		if r.Finished {
 			flags |= 1
@@ -187,18 +130,18 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 			flags |= 4
 		}
 		b = append(b, flags)
-		b = appendFloat(b, r.FinishedAt)
-		b = appendInt(b, r.Preemptions)
+		b = AppendFloat(b, r.FinishedAt)
+		b = AppendInt(b, r.Preemptions)
 		if r.GangRelease != nil {
-			b = appendInt(b, r.GangRelease.JobID)
-			b = appendInt(b, r.GangRelease.Held)
-			b = appendString(b, r.GangRelease.Reason)
+			b = AppendInt(b, r.GangRelease.JobID)
+			b = AppendInt(b, r.GangRelease.Held)
+			b = AppendString(b, r.GangRelease.Reason)
 		}
 		return b, true
 	case TypeHeartbeatBatch:
 		batch := m.HeartbeatBatch
 		b = append(b, binHeartbeatBatch)
-		b = binary.AppendUvarint(b, uint64(len(batch.Beats)))
+		b = AppendCount(b, len(batch.Beats))
 		for i := range batch.Beats {
 			b = appendHeartbeatBody(b, &batch.Beats[i])
 		}
@@ -206,11 +149,11 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 	case TypeHeartbeatBatchReply:
 		br := m.HeartbeatBatchReply
 		b = append(b, binHeartbeatBatchReply)
-		b = binary.AppendUvarint(b, uint64(len(br.Replies)))
+		b = AppendCount(b, len(br.Replies))
 		for i := range br.Replies {
 			e := &br.Replies[i]
-			b = appendInt(b, e.NodeID)
-			b = appendString(b, e.Error)
+			b = AppendInt(b, e.NodeID)
+			b = AppendString(b, e.Error)
 			b = appendNMReplyBody(b, &e.Reply)
 		}
 		return b, true
@@ -220,167 +163,59 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 	return b, false
 }
 
-// binReader is a failure-latching cursor over a binary payload. After
-// the first malformed read every accessor returns zero values, so
-// decoders can run straight-line and check err once.
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = errBinTruncated
-	}
-}
-
-func (r *binReader) rest() int { return len(r.b) - r.off }
-
-func (r *binReader) byte_() byte {
-	if r.err != nil || r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) int_() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return int(v)
-}
-
-func (r *binReader) float() float64 {
-	if r.err != nil || r.rest() < 8 {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return math.Float64frombits(v)
-}
-
-func (r *binReader) str() string {
-	n := r.uvarint()
-	if r.err != nil || n > uint64(r.rest()) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-// count reads a repeated-element count and bounds it by the bytes
-// actually remaining (each element encodes to at least minSize bytes),
-// so a lying count cannot force a huge preallocation.
-func (r *binReader) count(minSize int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.rest()/minSize) {
-		r.fail()
-		return 0
-	}
-	return int(n)
-}
-
-func (r *binReader) vector() resources.Vector {
-	var v resources.Vector
-	mask := r.byte_()
-	if mask >= 1<<uint(resources.NumKinds) {
-		r.fail()
-		return v
-	}
-	for i := range v {
-		if mask&(1<<i) != 0 {
-			v[i] = r.float()
-		}
-	}
-	return v
-}
-
-func (r *binReader) taskID() workload.TaskID {
-	return workload.TaskID{Job: r.int_(), Stage: r.int_(), Index: r.int_()}
-}
-
 // completions decodes a completion list into buf's capacity; a nil buf
 // allocates only when the list is non-empty.
-func (r *binReader) completions(buf []TaskCompletion) []TaskCompletion {
-	n := r.count(minCompletionSize)
+func (r *Reader) completions(buf []TaskCompletion) []TaskCompletion {
+	n := r.Count(minCompletionSize)
 	buf = buf[:0]
 	for i := 0; i < n; i++ {
 		buf = append(buf, TaskCompletion{
-			Task:     r.taskID(),
-			Usage:    r.vector(),
-			Duration: r.float(),
+			Task:     r.TaskID(),
+			Usage:    r.Vector(),
+			Duration: r.Float(),
 		})
 	}
 	return buf
 }
 
 // heartbeatBody decodes into hb, reusing hb.Completed's capacity.
-func (r *binReader) heartbeatBody(hb *NMHeartbeat) {
-	hb.NodeID = r.int_()
-	flags := r.byte_()
+func (r *Reader) heartbeatBody(hb *NMHeartbeat) {
+	hb.NodeID = r.Int()
+	flags := r.Byte()
 	hb.Delta = flags&1 != 0
-	hb.Used = r.vector()
-	hb.Allocated = r.vector()
+	hb.Used = r.Vector()
+	hb.Allocated = r.Vector()
 	hb.Completed = r.completions(hb.Completed)
 }
 
 // nmReplyBody decodes into rep, reusing its slice capacities.
-func (r *binReader) nmReplyBody(rep *NMReply) {
-	flags := r.byte_()
+func (r *Reader) nmReplyBody(rep *NMReply) {
+	flags := r.Byte()
 	rep.FullReport = flags&1 != 0
-	n := r.count(minLaunchSize)
+	n := r.Count(minLaunchSize)
 	rep.Launch = rep.Launch[:0]
 	for i := 0; i < n; i++ {
 		rep.Launch = append(rep.Launch, TaskLaunch{
-			Task:     r.taskID(),
-			JobID:    r.int_(),
-			Demand:   r.vector(),
-			Duration: r.float(),
-			ReadMB:   r.float(),
-			WriteMB:  r.float(),
+			Task:     r.TaskID(),
+			JobID:    r.Int(),
+			Demand:   r.Vector(),
+			Duration: r.Float(),
+			ReadMB:   r.Float(),
+			WriteMB:  r.Float(),
 		})
 	}
-	n = r.count(minTaskIDSize)
+	n = r.Count(MinTaskIDSize)
 	rep.Kill = rep.Kill[:0]
 	for i := 0; i < n; i++ {
-		rep.Kill = append(rep.Kill, r.taskID())
+		rep.Kill = append(rep.Kill, r.TaskID())
 	}
-	n = r.count(minPreemptSize)
+	n = r.Count(minPreemptSize)
 	rep.Preempt = rep.Preempt[:0]
 	for i := 0; i < n; i++ {
 		rep.Preempt = append(rep.Preempt, TaskPreempt{
-			Task:   r.taskID(),
-			JobID:  r.int_(),
-			ForJob: r.int_(),
+			Task:   r.TaskID(),
+			JobID:  r.Int(),
+			ForJob: r.Int(),
 		})
 	}
 }
@@ -406,19 +241,19 @@ type decodeScratch struct {
 // reused scratch. Per-beat slices inside batches are likewise fresh
 // when non-empty (empty — the steady state — stays nil).
 func decodeBinary(payload []byte, s *decodeScratch) (*Message, error) {
-	r := binReader{b: payload}
+	r := NewReader(payload)
 	s.msg = Message{}
-	switch t := r.byte_(); t {
+	switch t := r.Byte(); t {
 	case binError:
 		s.msg.Type = TypeError
-		s.msg.Error = r.str()
+		s.msg.Error = r.Str()
 	case binRegisterNM:
 		reg := &RegisterNM{}
-		reg.NodeID = r.int_()
-		reg.Capacity = r.vector()
-		n := r.count(minTaskIDSize)
+		reg.NodeID = r.Int()
+		reg.Capacity = r.Vector()
+		n := r.Count(MinTaskIDSize)
 		for i := 0; i < n; i++ {
-			reg.Running = append(reg.Running, r.taskID())
+			reg.Running = append(reg.Running, r.TaskID())
 		}
 		reg.Completed = r.completions(nil)
 		s.msg.Type = TypeRegisterNM
@@ -432,28 +267,28 @@ func decodeBinary(payload []byte, s *decodeScratch) (*Message, error) {
 		s.msg.Type = TypeNMReply
 		s.msg.NMReply = &s.nmReply
 	case binAMHeartbeat:
-		s.amhb.JobID = r.int_()
+		s.amhb.JobID = r.Int()
 		s.msg.Type = TypeAMHeartbeat
 		s.msg.AMHeartbeat = &s.amhb
 	case binAMReply:
 		rep := &s.amReply
 		*rep = AMReply{}
-		rep.JobID = r.int_()
-		rep.Done = r.int_()
-		rep.Total = r.int_()
-		flags := r.byte_()
+		rep.JobID = r.Int()
+		rep.Done = r.Int()
+		rep.Total = r.Int()
+		flags := r.Byte()
 		rep.Finished = flags&1 != 0
 		rep.Failed = flags&2 != 0
-		rep.FinishedAt = r.float()
-		rep.Preemptions = r.int_()
+		rep.FinishedAt = r.Float()
+		rep.Preemptions = r.Int()
 		if flags&4 != 0 {
-			s.gang = GangRelease{JobID: r.int_(), Held: r.int_(), Reason: r.str()}
+			s.gang = GangRelease{JobID: r.Int(), Held: r.Int(), Reason: r.Str()}
 			rep.GangRelease = &s.gang
 		}
 		s.msg.Type = TypeAMReply
 		s.msg.AMReply = rep
 	case binHeartbeatBatch:
-		n := r.count(minBeatSize)
+		n := r.Count(minBeatSize)
 		s.batch.Beats = s.batch.Beats[:0]
 		for i := 0; i < n; i++ {
 			var hb NMHeartbeat
@@ -463,12 +298,12 @@ func decodeBinary(payload []byte, s *decodeScratch) (*Message, error) {
 		s.msg.Type = TypeHeartbeatBatch
 		s.msg.HeartbeatBatch = &s.batch
 	case binHeartbeatBatchReply:
-		n := r.count(minBeatReplySize)
+		n := r.Count(minBeatReplySize)
 		s.batchReply.Replies = s.batchReply.Replies[:0]
 		for i := 0; i < n; i++ {
 			var e NMBeatReply
-			e.NodeID = r.int_()
-			e.Error = r.str()
+			e.NodeID = r.Int()
+			e.Error = r.Str()
 			r.nmReplyBody(&e.Reply)
 			s.batchReply.Replies = append(s.batchReply.Replies, e)
 		}
@@ -479,11 +314,8 @@ func decodeBinary(payload []byte, s *decodeScratch) (*Message, error) {
 	default:
 		return nil, fmt.Errorf("wire: unknown binary message type 0x%02x", t)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after binary payload", len(r.b)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return &s.msg, nil
 }

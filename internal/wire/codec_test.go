@@ -448,7 +448,7 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 	// no bytes behind it: the count guard must reject it before any
 	// proportional allocation.
 	lying := []byte{binNMHeartbeat}
-	lying = appendInt(lying, 1) // node
+	lying = AppendInt(lying, 1) // node
 	lying = append(lying, 0)    // flags
 	lying = append(lying, 0, 0) // zero used/allocated masks
 	lying = binenc.AppendUvarint(lying, 1<<40)
@@ -463,6 +463,8 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 		{"lying element count", rawFrame(byte(CodecBinary), lying)},
 		{"trailing bytes", rawFrame(byte(CodecBinary), append(bytes.Clone(valid[6:]), 0xAB))},
 		{"bad vector mask", rawFrame(byte(CodecBinary), []byte{binNMHeartbeat, 2 /*node*/, 0 /*flags*/, 0xFF /*mask with unknown bits*/})},
+		{"overlong varint", rawFrame(byte(CodecBinary), []byte{binAMHeartbeat, 0x80, 0x00 /*job 0 in two bytes*/})},
+		{"mask bit over a zero float", rawFrame(byte(CodecBinary), []byte{binNMHeartbeat, 2, 0, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
 	} {
 		f := NewFramer(CodecJSON)
 		if m, err := f.Read(bytes.NewReader(mutate.data)); err == nil {

@@ -1,54 +1,57 @@
 package workload
 
-// StatusSnapshot is the serializable progress of one job: everything a
+import (
+	"fmt"
+	"math"
+)
+
+// StatusSnapshot is the durable progress of one job: everything a
 // restarted resource manager needs to rebuild a Status exactly. Derived
 // bookkeeping (per-stage counts, pending cursors) is reconstructed on
 // restore rather than persisted.
 type StatusSnapshot struct {
 	// States holds one TaskState per task, indexed [stage][task].
-	States [][]TaskState `json:"states"`
-	// Attempts holds failed-execution counts; nil rows mean all zero.
-	Attempts [][]int `json:"attempts,omitempty"`
-	// FinishedAt is the completion time, valid when every task is Done.
-	FinishedAt float64 `json:"finishedAt,omitempty"`
+	States [][]TaskState
+	// Attempts holds failed-execution counts, indexed like States; a nil
+	// slice or a nil row means all zero.
+	Attempts [][]int
+	// FinishedAt is the completion time, nonzero only when every task is
+	// Done.
+	FinishedAt float64
 }
 
-// Snapshot captures the job's progress for journaling.
-func (s *Status) Snapshot() StatusSnapshot {
-	snap := StatusSnapshot{
-		States:     make([][]TaskState, len(s.state)),
-		FinishedAt: s.finishedAt,
-	}
-	for si, row := range s.state {
-		snap.States[si] = append([]TaskState(nil), row...)
-	}
-	for si, row := range s.attempts {
-		if row == nil {
-			continue
-		}
-		if snap.Attempts == nil {
-			snap.Attempts = make([][]int, len(s.attempts))
-		}
-		snap.Attempts[si] = append([]int(nil), row...)
-	}
-	return snap
-}
+// StageStates returns stage si's task states, indexed by task. The
+// slice is the Status's own: read it, never modify it.
+func (s *Status) StageStates(si int) []TaskState { return s.state[si] }
+
+// StageAttempts returns stage si's failed-execution counts, nil while
+// no task of the stage has failed. The slice is the Status's own.
+func (s *Status) StageAttempts(si int) []int { return s.attempts[si] }
 
 // RestoreStatus rebuilds a Status for job j from a snapshot, recomputing
-// all derived bookkeeping. The snapshot must have been taken from a
-// Status of the same job shape; mismatched dimensions panic, as they
-// indicate a corrupt or foreign journal.
-func RestoreStatus(j *Job, snap StatusSnapshot) *Status {
+// all derived bookkeeping. A snapshot whose shape does not match j, that
+// holds an unknown state, or that carries a finish time for an
+// unfinished job is refused: it comes from a corrupt or foreign journal.
+func RestoreStatus(j *Job, snap StatusSnapshot) (*Status, error) {
 	s := NewStatus(j)
+	if len(snap.States) != len(j.Stages) || (snap.Attempts != nil && len(snap.Attempts) != len(j.Stages)) {
+		return nil, fmt.Errorf("job %d: status of %d stages, job has %d", j.ID, len(snap.States), len(j.Stages))
+	}
 	for si, row := range snap.States {
+		if len(row) != len(s.state[si]) {
+			return nil, fmt.Errorf("job %d stage %d: status of %d tasks, stage has %d", j.ID, si, len(row), len(s.state[si]))
+		}
 		for ti, st := range row {
 			s.state[si][ti] = st
 			switch st {
+			case Pending:
 			case Running:
 				s.runCount[si]++
 			case Done:
 				s.doneCount[si]++
 				s.doneTasks++
+			default:
+				return nil, fmt.Errorf("job %d task %d/%d: unknown state %d", j.ID, si, ti, int(st))
 			}
 		}
 		// The pending cursor sits at the first pending task.
@@ -59,13 +62,19 @@ func RestoreStatus(j *Job, snap StatusSnapshot) *Status {
 		s.cursor[si] = i
 	}
 	for si, row := range snap.Attempts {
-		if row != nil {
-			s.attempts[si] = append([]int(nil), row...)
+		if row == nil {
+			continue
 		}
+		if len(row) != len(s.state[si]) {
+			return nil, fmt.Errorf("job %d stage %d: attempts of %d tasks, stage has %d", j.ID, si, len(row), len(s.state[si]))
+		}
+		s.attempts[si] = append([]int(nil), row...)
 	}
 	if s.doneTasks == j.NumTasks() && s.doneTasks > 0 {
 		s.finished = true
 		s.finishedAt = snap.FinishedAt
+	} else if math.Float64bits(snap.FinishedAt) != 0 {
+		return nil, fmt.Errorf("job %d: finish time %v on an unfinished status", j.ID, snap.FinishedAt)
 	}
-	return s
+	return s, nil
 }
