@@ -214,9 +214,9 @@ func main() {
 	amWG.Wait()
 	fmt.Printf("all jobs done in %s wall time\n", time.Since(start).Round(time.Millisecond))
 
-	nmMean, nmMax, amMean, amMax := srv.HeartbeatStats()
-	fmt.Printf("RM heartbeat cost: NM mean %.0fµs max %.0fµs; AM mean %.0fµs max %.0fµs\n",
-		nmMean*1e6, nmMax*1e6, amMean*1e6, amMax*1e6)
+	nmMean, nmP99, amMean, amP99 := srv.HeartbeatStats()
+	fmt.Printf("RM heartbeat cost: NM mean %.0fµs p99 %.0fµs; AM mean %.0fµs p99 %.0fµs\n",
+		nmMean*1e6, nmP99*1e6, amMean*1e6, amP99*1e6)
 	if appends, snaps, ok := srv.JournalStats(); ok {
 		fmt.Printf("journal: %d records appended, %d snapshots\n", appends, snaps)
 	}

@@ -6,12 +6,12 @@
 // scales with heartbeats, not tasks.
 //
 // The run ends when every job finishes or -duration elapses, whichever
-// comes first, and always writes a versioned BENCH_scale_<scenario>.json
-// snapshot (internal/bench schema) with the scale trajectory's core
-// metrics: scheduling rounds/sec, NM heartbeat RTT p50/p99, wire bytes
-// per node per second, and process CPU per node. Gate it in CI with:
-//
-//	benchgate -check BENCH_scale_smoke.json -require rounds_per_sec,...
+// comes first, and always writes a BENCH_scale_<scenario>.json snapshot
+// with the scale trajectory's core metrics: scheduling rounds/sec, NM
+// heartbeat RTT p50/p99, wire bytes per node per second, and process CPU
+// per node. It then judges its own run (verdict): the process exits 1 if
+// a job failed, the ledger does not balance, or a metric the run turned
+// on measured nothing or broke its bound.
 //
 // Examples:
 //
@@ -22,18 +22,20 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"math"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"syscall"
 	"time"
 
 	tetris "github.com/tetris-sched/tetris"
-	"github.com/tetris-sched/tetris/internal/bench"
 	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/hollow"
@@ -121,20 +123,102 @@ func main() {
 	if err != nil {
 		log.Fatalf("tetris-hollow: %v", err)
 	}
-	out := *outDir + "/BENCH_scale_" + *scenario + ".json"
-	if err := snap.WriteFile(out); err != nil {
-		log.Fatalf("tetris-hollow: %v", err)
+	bad := verdict(snap)
+	out := filepath.Join(*outDir, "BENCH_scale_"+*scenario+".json")
+	if err := snap.write(out); err != nil {
+		bad = append(bad, err.Error())
+	} else {
+		fmt.Printf("  snapshot            %s\n", out)
 	}
-	fmt.Printf("  snapshot            %s\n", out)
-	if failed > 0 {
+	for _, b := range bad {
+		fmt.Printf("  FAIL                %s\n", b)
+	}
+	if failed > 0 || len(bad) > 0 {
 		os.Exit(1)
 	}
+	fmt.Printf("  verdict             ok (%d metrics)\n", len(snap.Metrics))
+}
+
+// snapshot is one run's BENCH_scale_<scenario>.json record: what was run
+// (Config) and what was measured (Metrics), flat so any two snapshots
+// diff key by key. Metric keys are snake_case with the unit suffixed.
+type snapshot struct {
+	Schema   int                `json:"schema"`
+	Kind     string             `json:"kind"`
+	Scenario string             `json:"scenario"`
+	Unix     int64              `json:"unix,omitempty"`
+	Config   map[string]string  `json:"config,omitempty"`
+	Metrics  map[string]float64 `json:"metrics"`
+}
+
+// write stores the snapshot as indented JSON. A non-finite metric fails
+// here (JSON has no NaN); the verdict names it.
+func (s *snapshot) write(path string) error {
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return fmt.Errorf("snapshot %s: %w", path, err)
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// The bounds the verdict holds a run to, beyond liveness.
+const (
+	maxSubmitP99Seconds     = 0.5 // storm submit RTT p99 (-tenants)
+	maxPreemptionsPerSecond = 50  // gang preemption churn (-scenario gang)
+)
+
+// verdict judges a finished run from its snapshot alone and returns one
+// line per failing metric (nil = pass). Every metric must be finite; the
+// metrics of what the run turned on must be nonzero — a zero rate or
+// latency means nothing was measured, not that the RM was infinitely
+// fast — and the tail bounds above must hold.
+func verdict(s *snapshot) []string {
+	var bad []string
+	for k, v := range s.Metrics {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			bad = append(bad, fmt.Sprintf("%s = %g (not finite)", k, v))
+		}
+	}
+	nonzero := []string{
+		"rounds_per_sec", "beats_per_sec", "heartbeat_p50_seconds", "heartbeat_p99_seconds",
+		"registers_total", "tasks_completed_total",
+	}
+	// Node i belongs to shard i mod N, so with nodes 0..n-1 every shard
+	// below n owns one.
+	for i := 0; i < int(s.Metrics["shards"]) && i < int(s.Metrics["nodes"]); i++ {
+		nonzero = append(nonzero, fmt.Sprintf("shard%d_beats_per_sec", i), fmt.Sprintf("shard%d_heartbeat_p99_seconds", i))
+	}
+	bounds := map[string]float64{}
+	if _, storm := s.Config["tenants"]; storm {
+		nonzero = append(nonzero, "storm_admitted_total", "storm_rejected_total", "storm_batches_total", "submit_p50_seconds")
+		bounds["submit_p99_seconds"] = maxSubmitP99Seconds
+	}
+	if s.Scenario == "gang" {
+		nonzero = append(nonzero, "gangs_admitted_total", "gang_admit_p50_seconds", "preemptions_total", "gang_releases_total", "jobs_finished")
+		bounds["preemptions_per_sec"] = maxPreemptionsPerSecond
+	}
+	for _, k := range nonzero {
+		if v, ok := s.Metrics[k]; !ok {
+			bad = append(bad, k+" missing")
+		} else if v == 0 {
+			bad = append(bad, k+" = 0 (want nonzero)")
+		}
+	}
+	for k, bound := range bounds {
+		if v, ok := s.Metrics[k]; !ok {
+			bad = append(bad, k+" missing")
+		} else if v > bound {
+			bad = append(bad, fmt.Sprintf("%s = %g (bound <= %g)", k, v, bound))
+		}
+	}
+	sort.Strings(bad)
+	return bad
 }
 
 // runOnce boots one RM, runs one fleet + AM pool (+ optional storm) to
 // completion or the duration budget, and returns the measurement
 // snapshot plus the count of failed jobs.
-func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
+func runOnce(ctx context.Context, o options) (*snapshot, int, error) {
 	reg := telemetry.NewRegistry()
 	schedCfg := tetris.DefaultConfig()
 	// With -tenants the admission front door guards submissions: the
@@ -315,8 +399,8 @@ func runOnce(ctx context.Context, o options) (*bench.Snapshot, int, error) {
 		gangP99 = math.Max(gangP99, gh.Quantile(0.99))
 	}
 
-	snap := &bench.Snapshot{
-		Schema:   bench.SchemaVersion,
+	snap := &snapshot{
+		Schema:   1,
 		Kind:     "hollow-scale",
 		Scenario: o.scenario,
 		Unix:     time.Now().Unix(),

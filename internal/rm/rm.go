@@ -31,7 +31,6 @@ import (
 	"github.com/tetris-sched/tetris/internal/journal"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
-	"github.com/tetris-sched/tetris/internal/stats"
 	"github.com/tetris-sched/tetris/internal/telemetry"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -117,8 +116,6 @@ type Server struct {
 
 	detector *faults.Detector // nil when failure detection is off
 	faultLog *faults.Ring
-	nmTimes  stats.Online
-	amTimes  stats.Online
 	metrics  *rmMetrics
 	// adm is the tenant accounting shared with the front door, which
 	// runs the admission checks; nil admits everything.
@@ -360,7 +357,7 @@ func (s *Server) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 	t0 := time.Now()
 	s.mu.Lock()
 	errText := s.beat(hb, s.now(), rep)
-	s.observeBeat(time.Since(t0))
+	s.metrics.nmHeartbeat.Observe(time.Since(t0).Seconds())
 	s.mu.Unlock()
 	if errText != "" {
 		return errMsg(errText)
@@ -389,18 +386,10 @@ func (s *Server) handleBeats(beats []wire.NMHeartbeat, idxs []int, out []wire.NM
 	// idle beat does) and each beat booked an equal share: the histogram's
 	// count and sum — beats handled, mean cost per beat — stay exact, and
 	// a batched beat's quantiles are those of its group's mean.
-	share := time.Since(t0) / time.Duration(len(idxs))
+	share := time.Since(t0).Seconds() / float64(len(idxs))
 	for range idxs {
-		s.observeBeat(share)
+		s.metrics.nmHeartbeat.Observe(share)
 	}
-}
-
-// observeBeat records one NM heartbeat's processing time. Caller holds
-// s.mu.
-func (s *Server) observeBeat(d time.Duration) {
-	dt := d.Seconds()
-	s.nmTimes.Add(dt)
-	s.metrics.nmHeartbeat.Observe(dt)
 }
 
 // beat is the body of one NM heartbeat at RM time now: ledger apply, a
@@ -670,9 +659,7 @@ func (s *Server) HandleAMHeartbeat(hb *wire.AMHeartbeat) *wire.Message {
 	t0 := time.Now()
 	s.mu.Lock()
 	defer func() {
-		dt := time.Since(t0).Seconds()
-		s.amTimes.Add(dt)
-		s.metrics.amHeartbeat.Observe(dt)
+		s.metrics.amHeartbeat.Observe(time.Since(t0).Seconds())
 		s.mu.Unlock()
 	}()
 	ji, ok := s.jobs[hb.JobID]

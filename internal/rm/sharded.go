@@ -686,33 +686,28 @@ func (g *Sharded) ResyncPending() int {
 	return n
 }
 
-// HeartbeatStats returns the mean and max observed processing times (in
-// seconds) of NM and AM heartbeats — the Table 7 measurement — merged
-// across shards: count-weighted means, fleet-wide maxima.
-func (g *Sharded) HeartbeatStats() (nmMean, nmMax, amMean, amMax float64) {
-	var nmN, amN float64
-	for _, s := range g.shards {
-		s.mu.Lock()
-		nm, am := s.nmTimes, s.amTimes
-		s.mu.Unlock()
-		nmMean += nm.Mean() * float64(nm.N())
-		amMean += am.Mean() * float64(am.N())
-		nmN += float64(nm.N())
-		amN += float64(am.N())
-		if nm.Max() > nmMax {
-			nmMax = nm.Max()
+// HeartbeatStats returns the mean and p99 processing times (in seconds)
+// of NM and AM heartbeats — the Table 7 measurement — read from each
+// shard's tetris_rm_{nm,am}_heartbeat_seconds histogram and weighted by
+// beat count across shards.
+func (g *Sharded) HeartbeatStats() (nmMean, nmP99, amMean, amP99 float64) {
+	merge := func(hist func(*Server) *telemetry.Histogram) (mean, p99 float64) {
+		var sum, n float64
+		for _, s := range g.shards {
+			h := hist(s)
+			c := float64(h.Count())
+			sum += h.Sum()
+			p99 += h.Quantile(0.99) * c
+			n += c
 		}
-		if am.Max() > amMax {
-			amMax = am.Max()
+		if n == 0 {
+			return 0, 0
 		}
+		return sum / n, p99 / n
 	}
-	if nmN > 0 {
-		nmMean /= nmN
-	}
-	if amN > 0 {
-		amMean /= amN
-	}
-	return nmMean, nmMax, amMean, amMax
+	nmMean, nmP99 = merge(func(s *Server) *telemetry.Histogram { return s.metrics.nmHeartbeat })
+	amMean, amP99 = merge(func(s *Server) *telemetry.Histogram { return s.metrics.amHeartbeat })
+	return nmMean, nmP99, amMean, amP99
 }
 
 // JournalStats sums journaling activity across shards; ok is false when

@@ -439,11 +439,6 @@ func tetrisEquivalenceConfigs() []TetrisConfig {
 	}
 	{
 		c := base
-		c.DisableRemoteCharges = true
-		cfgs = append(cfgs, c)
-	}
-	{
-		c := base
 		c.HotspotThreshold = 0.8
 		cfgs = append(cfgs, c)
 	}
@@ -470,9 +465,9 @@ func TestScheduleEquivalence(t *testing.T) {
 	tetrisRounds := 0
 	for ci, cfg := range tetrisEquivalenceConfigs() {
 		cfg := cfg
-		name := fmt.Sprintf("tetris[f=%v b=%v m=%v srtf=%v cpumem=%v nocharge=%v hot=%v starve=%v %s]",
+		name := fmt.Sprintf("tetris[f=%v b=%v m=%v srtf=%v cpumem=%v hot=%v starve=%v %s]",
 			cfg.Fairness, cfg.Barrier, cfg.EpsilonMultiplier, cfg.SRTFOnly, cfg.CPUMemOnly,
-			cfg.DisableRemoteCharges, cfg.HotspotThreshold, cfg.StarvationSec, cfg.Scorer.Name())
+			cfg.HotspotThreshold, cfg.StarvationSec, cfg.Scorer.Name())
 		for s := 0; s < seedsPerConfig; s++ {
 			seed := int64(1000*ci + 7*s + 13)
 			labels, mks := tetrisCoreMakers(cfg)

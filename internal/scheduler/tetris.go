@@ -37,9 +37,6 @@ type TetrisConfig struct {
 	// network like the baselines — the §5.3.1 ablation that attributes
 	// roughly two thirds of the gains to avoiding IO over-allocation.
 	CPUMemOnly bool
-	// DisableRemoteCharges skips the remote-source feasibility checks and
-	// charges (§3.2). Diagnostic ablation only.
-	DisableRemoteCharges bool
 	// StarvationSec enables the reservation-based starvation prevention
 	// the paper leaves to future work (§3.5): a runnable task that has
 	// not fit anywhere for this many seconds gets a machine reserved —

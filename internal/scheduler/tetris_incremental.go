@@ -725,7 +725,7 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 		}
 		return
 	}
-	if !t.cfg.CPUMemOnly && !t.cfg.DisableRemoteCharges && tr.remoteMB > 0 {
+	if !t.cfg.CPUMemOnly && tr.remoteMB > 0 {
 		if !tr.remoteSet {
 			if tr.affinity {
 				// Partial locality: charges are machine-specific.

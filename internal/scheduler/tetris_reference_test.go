@@ -302,7 +302,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 			return
 		}
 		var remote []RemoteCharge
-		if !t.cfg.CPUMemOnly && !t.cfg.DisableRemoteCharges && task.RemoteInputMB(mid) > 0 {
+		if !t.cfg.CPUMemOnly && task.RemoteInputMB(mid) > 0 {
 			if affinity {
 				remote = RemoteCharges(peak, task, mid) // partial locality: machine-specific
 			} else {

@@ -195,6 +195,45 @@ func TestFramerFormats(t *testing.T) {
 	}
 }
 
+// TestSteadyStateFrameSizes pins the exact bytes of the frames a fleet
+// exchanges in steady state: a delta NMHeartbeat with nothing to report,
+// its empty NMReply, and the cost of one more such beat in a
+// HeartbeatBatch. A JSON fallback for a hot type, or any growth of the
+// binary encoding, fails here rather than in a minute-long scale run.
+func TestSteadyStateFrameSizes(t *testing.T) {
+	size := func(m *Message) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := NewFramer(CodecBinary).Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Bytes()[1] != byte(CodecBinary) {
+			t.Errorf("%s frame went out as codec %d, want binary", m.Type, buf.Bytes()[1])
+		}
+		return buf.Len()
+	}
+	beat := NMHeartbeat{NodeID: 999, Delta: true}
+	batch := func(n int) *Message {
+		beats := make([]NMHeartbeat, n)
+		for i := range beats {
+			beats[i] = beat
+		}
+		return &Message{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{Beats: beats}}
+	}
+	for _, tc := range []struct {
+		what      string
+		got, want int
+	}{
+		{"delta NMHeartbeat frame", size(&Message{Type: TypeNMHeartbeat, NMHeartbeat: &beat}), 13},
+		{"empty NMReply frame", size(&Message{Type: TypeNMReply, NMReply: &NMReply{}}), 11},
+		{"HeartbeatBatch entry", size(batch(2)) - size(batch(1)), 6},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %d bytes, want %d", tc.what, tc.got, tc.want)
+		}
+	}
+}
+
 // countingReader counts the bytes handed out, so a test can tell how far
 // into a stream a failed Read got.
 type countingReader struct {

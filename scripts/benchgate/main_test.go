@@ -1,188 +1,41 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 )
 
-// writeSnap drops raw snapshot JSON into a temp file and returns its path.
-func writeSnap(t *testing.T, body string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+// TestParseBench reads a `go test -bench -count 3` fixture: the -N
+// GOMAXPROCS suffix is stripped (a non-numeric suffix is part of the
+// name), -count repeats are averaged, allocs/op is carried only where a
+// line reports it, and non-benchmark lines are skipped.
+func TestParseBench(t *testing.T) {
+	got, order, err := parseBench("testdata/bench.txt")
+	if err != nil {
 		t.Fatal(err)
 	}
-	return path
-}
-
-const goodSnap = `{
-  "schema": 1,
-  "kind": "hollow-scale",
-  "scenario": "smoke",
-  "unix": 1700000000,
-  "config": {"nodes": "100"},
-  "metrics": {
-    "rounds_per_sec": 42.5,
-    "heartbeat_p99_seconds": 0.002,
-    "zero_metric": 0,
-    "huge_metric": 1e301
-  }
-}`
-
-// TestRunCheck drives the -check gate over well-formed, missing-metric,
-// and malformed snapshots, asserting that a failure names the offending
-// metric and the value it actually had.
-func TestRunCheck(t *testing.T) {
-	cases := []struct {
-		name       string
-		body       string
-		require    string
-		maxes      []string // metric=bound specs fed through maxList.Set
-		wantErr    string   // substring of the returned error ("" = nil)
-		wantOutput []string
-	}{
-		{
-			name:       "all required present",
-			body:       goodSnap,
-			require:    "rounds_per_sec,heartbeat_p99_seconds",
-			wantOutput: []string{"rounds_per_sec", "42.5", "OK"},
-		},
-		{
-			name:       "missing metric named in output",
-			body:       goodSnap,
-			require:    "rounds_per_sec,no_such_metric",
-			wantErr:    "1 of 2 required metrics failed",
-			wantOutput: []string{"no_such_metric", "got missing, required nonzero finite"},
-		},
-		{
-			name:       "zero metric named with its value",
-			body:       goodSnap,
-			require:    "zero_metric",
-			wantErr:    "1 of 1 required metrics failed",
-			wantOutput: []string{"zero_metric", "got 0, required nonzero finite"},
-		},
-		{
-			name:       "non-finite metric rejected",
-			body:       goodSnap,
-			require:    "huge_metric",
-			wantErr:    "1 of 1 required metrics failed",
-			wantOutput: []string{"huge_metric", "non-finite"},
-		},
-		{
-			name:    "every failure reported, not just the first",
-			body:    goodSnap,
-			require: "zero_metric,no_such_metric,rounds_per_sec",
-			wantErr: "2 of 3 required metrics failed",
-			wantOutput: []string{
-				"zero_metric", "no_such_metric",
-				"got 0, required nonzero finite",
-				"got missing, required nonzero finite",
-			},
-		},
-		{
-			name:    "wrong schema version",
-			body:    strings.Replace(goodSnap, `"schema": 1`, `"schema": 99`, 1),
-			require: "rounds_per_sec",
-			wantErr: "schema",
-		},
-		{
-			name:    "missing kind",
-			body:    strings.Replace(goodSnap, `"kind": "hollow-scale",`, "", 1),
-			require: "rounds_per_sec",
-			wantErr: "kind",
-		},
-		{
-			name:    "not JSON at all",
-			body:    "rounds_per_sec: plenty\n",
-			require: "rounds_per_sec",
-			wantErr: "invalid character",
-		},
-		{
-			name:    "empty require list passes any valid snapshot",
-			body:    goodSnap,
-			require: "",
-			wantErr: "",
-		},
-		{
-			name:       "max bound satisfied",
-			body:       goodSnap,
-			maxes:      []string{"heartbeat_p99_seconds=0.01"},
-			wantOutput: []string{"heartbeat_p99_seconds", "(<= 0.01)"},
-		},
-		{
-			name:       "max bound exceeded",
-			body:       goodSnap,
-			maxes:      []string{"heartbeat_p99_seconds=0.001"},
-			wantErr:    "1 of 1 required metrics failed",
-			wantOutput: []string{"heartbeat_p99_seconds", "got 0.002, bound <= 0.001"},
-		},
-		{
-			name:    "max on missing metric fails",
-			body:    goodSnap,
-			maxes:   []string{"no_such_metric=5"},
-			wantErr: "1 of 1 required metrics failed",
-		},
-		{
-			name:  "max accepts zero where require would not",
-			body:  goodSnap,
-			maxes: []string{"zero_metric=1"},
-		},
-		{
-			name:    "require and max failures both counted",
-			body:    goodSnap,
-			require: "zero_metric",
-			maxes:   []string{"rounds_per_sec=1"},
-			wantErr: "2 of 2 required metrics failed",
-			wantOutput: []string{
-				"got 0, required nonzero finite",
-				"got 42.5, bound <= 1",
-			},
-		},
+	wantOrder := []string{
+		"BenchmarkTetrisSchedule/machines=100",
+		"BenchmarkSimRun/facebook",
+		"BenchmarkJournalEncode/launch-v2",
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var maxes maxList
-			for _, spec := range tc.maxes {
-				if err := maxes.Set(spec); err != nil {
-					t.Fatalf("maxList.Set(%q): %v", spec, err)
-				}
-			}
-			var out strings.Builder
-			err := runCheck(writeSnap(t, tc.body), tc.require, maxes, &out)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("runCheck() = %v, want nil\noutput:\n%s", err, out.String())
-				}
-			} else {
-				if err == nil {
-					t.Fatalf("runCheck() = nil, want error containing %q\noutput:\n%s", tc.wantErr, out.String())
-				}
-				if !strings.Contains(err.Error(), tc.wantErr) {
-					t.Fatalf("runCheck() error %q does not contain %q", err, tc.wantErr)
-				}
-			}
-			for _, want := range tc.wantOutput {
-				if !strings.Contains(out.String(), want) {
-					t.Errorf("output missing %q:\n%s", want, out.String())
-				}
-			}
-		})
+	if !slices.Equal(order, wantOrder) {
+		t.Fatalf("order = %q, want %q", order, wantOrder)
 	}
-
-	if _, err := os.Stat(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("sanity: expected missing file")
+	want := map[string]result{
+		"BenchmarkTetrisSchedule/machines=100": {nsPerOp: 62000, allocsPerOp: 2, hasAllocs: true},
+		"BenchmarkSimRun/facebook":             {nsPerOp: 600000000},
+		"BenchmarkJournalEncode/launch-v2":     {nsPerOp: 100, allocsPerOp: 1, hasAllocs: true},
 	}
-	if err := runCheck(filepath.Join(t.TempDir(), "nope.json"), "x", nil, &strings.Builder{}); err == nil {
-		t.Fatal("runCheck on a missing file should error")
+	if len(got) != len(want) {
+		t.Errorf("parsed %d benchmarks, want %d: %v", len(got), len(want), got)
 	}
-
-	var m maxList
-	if err := m.Set("no_bound"); err == nil {
-		t.Error("maxList.Set without '=' should error")
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s = %+v, want %+v", name, got[name], w)
+		}
 	}
-	if err := m.Set("k=not_a_number"); err == nil {
-		t.Error("maxList.Set with non-numeric bound should error")
+	if _, _, err := parseBench("testdata/absent.txt"); err == nil {
+		t.Error("parseBench on a missing file: want an error")
 	}
 }
