@@ -220,13 +220,13 @@ func main() {
 	if appends, snaps, ok := srv.JournalStats(); ok {
 		fmt.Printf("journal: %d records appended, %d snapshots\n", appends, snaps)
 	}
-	if dropped := srv.DroppedFaultEvents(); dropped > 0 {
-		fmt.Printf("fault log: %d oldest records evicted from the bounded ring\n", dropped)
+	st := srv.ClusterStatus()
+	if st.DroppedFaults > 0 {
+		fmt.Printf("fault log: %d oldest records evicted from the bounded ring\n", st.DroppedFaults)
 	}
-	if ev := srv.FaultEvents(); len(ev) > 0 {
-		st := srv.ClusterStatus()
+	if len(st.Faults) > 0 {
 		fmt.Printf("cluster: %d/%d nodes live\n", len(st.Live), st.Nodes)
-		for _, e := range ev {
+		for _, e := range st.Faults {
 			switch e.Kind {
 			case faults.MachineCrash:
 				fmt.Printf("fault: t=%-6.1f node %d crashed, %d task attempts reclaimed\n",

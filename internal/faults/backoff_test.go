@@ -141,7 +141,7 @@ func TestRingBounded(t *testing.T) {
 	if r.Dropped() != 6 {
 		t.Errorf("dropped = %d, want 6", r.Dropped())
 	}
-	recs := r.Records()
+	recs := r.Snapshot()
 	for i, rec := range recs {
 		if rec.Machine != 6+i {
 			t.Fatalf("record %d = machine %d, want %d (oldest-first order)", i, rec.Machine, 6+i)
@@ -149,22 +149,11 @@ func TestRingBounded(t *testing.T) {
 	}
 }
 
-func TestRingDefaultCapAndRestore(t *testing.T) {
+func TestNewRingDefaultCap(t *testing.T) {
 	if got := NewRing(0).Cap(); got != DefaultRingCap {
 		t.Errorf("default cap = %d, want %d", got, DefaultRingCap)
 	}
-	r := NewRing(3)
-	r.Restore([]Record{{Machine: 1}, {Machine: 2}}, 5)
-	if r.Len() != 2 || r.Dropped() != 5 {
-		t.Fatalf("after restore: len %d dropped %d", r.Len(), r.Dropped())
-	}
-	r.Append(Record{Machine: 3})
-	r.Append(Record{Machine: 4})
-	recs := r.Records()
-	if len(recs) != 3 || recs[0].Machine != 2 || recs[2].Machine != 4 {
-		t.Fatalf("records = %+v", recs)
-	}
-	if r.Dropped() != 6 {
-		t.Errorf("dropped = %d, want 6", r.Dropped())
+	if got := NewRing(3).Cap(); got != 3 {
+		t.Errorf("cap = %d, want 3", got)
 	}
 }

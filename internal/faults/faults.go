@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"github.com/tetris-sched/tetris/internal/telemetry"
 )
 
 // Kind identifies one fault event type.
@@ -271,6 +273,20 @@ type Record struct {
 	// Downtime is, on a recover/rejoin record, the seconds the machine
 	// was out of service — the per-event recovery latency.
 	Downtime float64 `json:"downtime,omitempty"`
+}
+
+// DefaultRingCap is a fault log's capacity when none is configured.
+const DefaultRingCap = 1024
+
+// NewRing returns a bounded fault log: the most recent capacity records
+// (DefaultRingCap if capacity <= 0), evictions counted. Long-running
+// resource managers and simulations log every crash and recovery, and an
+// unbounded log would grow forever under churn.
+func NewRing(capacity int) *telemetry.Ring[Record] {
+	if capacity <= 0 {
+		capacity = DefaultRingCap
+	}
+	return telemetry.NewRing[Record](capacity)
 }
 
 // RecoveryStats summarizes a fault log.

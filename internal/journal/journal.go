@@ -37,9 +37,9 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncInterval (the default) fsyncs on a background ticker
-	// (Options.Interval, default 100 ms): bounded data loss on power
-	// failure, negligible append cost.
+	// SyncInterval (the default) fsyncs on a background ticker every
+	// syncInterval: bounded data loss on power failure, negligible append
+	// cost.
 	SyncInterval SyncPolicy = iota
 	// SyncNever leaves flushing entirely to the OS.
 	SyncNever
@@ -79,11 +79,6 @@ type Options struct {
 	Dir string
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// Interval is the fsync cadence under SyncInterval (default 100 ms).
-	Interval time.Duration
-	// Buffer is the append queue depth before Append blocks
-	// (default 1024).
-	Buffer int
 	// ObserveFsync, when non-nil, receives the duration in seconds of
 	// every log-file fsync — the owner's telemetry hook. Called from the
 	// writer goroutine; must be cheap and must not call back into the
@@ -106,6 +101,12 @@ type Recovery struct {
 }
 
 const (
+	// syncInterval is the fsync cadence under SyncInterval.
+	syncInterval = 100 * time.Millisecond
+	// queueDepth is how many appends may wait for the writer before
+	// Append blocks.
+	queueDepth = 1024
+
 	snapshotFile = "snapshot.dat"
 	walFile      = "wal.dat"
 	frameHeader  = 4 + 8 + 4 // length + LSN + CRC
@@ -146,12 +147,6 @@ type Journal struct {
 func Open(o Options) (*Journal, *Recovery, error) {
 	if o.Dir == "" {
 		return nil, nil, fmt.Errorf("journal: Dir is required")
-	}
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
-	if o.Buffer <= 0 {
-		o.Buffer = 1024
 	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
@@ -220,7 +215,7 @@ func Open(o Options) (*Journal, *Recovery, error) {
 		f:    f,
 		bw:   bufio.NewWriterSize(f, 64<<10),
 		lsn:  lastLSN,
-		ch:   make(chan item, o.Buffer),
+		ch:   make(chan item, queueDepth),
 		done: make(chan struct{}),
 	}
 	go j.writer()
@@ -309,7 +304,7 @@ func (j *Journal) writer() {
 	var ticker *time.Ticker
 	var tick <-chan time.Time
 	if j.opts.Sync == SyncInterval {
-		ticker = time.NewTicker(j.opts.Interval)
+		ticker = time.NewTicker(syncInterval)
 		defer ticker.Stop()
 		tick = ticker.C
 	}

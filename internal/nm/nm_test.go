@@ -255,7 +255,7 @@ func TestEndToEndNodeFailure(t *testing.T) {
 		t.Fatal("job did not finish in time after the node failure")
 	}
 
-	ev := srv.FaultEvents()
+	ev := srv.ClusterStatus().Faults
 	var crashes, recoveries int
 	for _, e := range ev {
 		switch e.Kind {

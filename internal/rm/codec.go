@@ -317,7 +317,7 @@ func (s *Server) appendState(b []byte) []byte {
 	for _, id := range ids {
 		b = appendJobState(b, s.jobs[id])
 	}
-	recs := s.faultLog.Records()
+	recs := s.faultLog.Snapshot()
 	b = wire.AppendCount(b, len(recs))
 	for _, rec := range recs {
 		b = wire.AppendFloat(b, rec.Time)

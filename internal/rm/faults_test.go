@@ -59,7 +59,7 @@ func TestDeadNodeReclaimedAndRejoin(t *testing.T) {
 	if got := s.LiveNodes(); got != 1 {
 		t.Fatalf("LiveNodes = %d after death, want 1", got)
 	}
-	ev := s.FaultEvents()
+	ev := s.ClusterStatus().Faults
 	if len(ev) != 1 || ev[0].Kind != faults.MachineCrash || ev[0].Machine != 0 || ev[0].TasksKilled != on0 {
 		t.Fatalf("fault log = %+v, want one crash of node 0 killing %d tasks", ev, on0)
 	}
@@ -89,7 +89,7 @@ func TestDeadNodeReclaimedAndRejoin(t *testing.T) {
 	if got := s.LiveNodes(); got != 2 {
 		t.Fatalf("LiveNodes = %d after rejoin, want 2", got)
 	}
-	ev = s.FaultEvents()
+	ev = s.ClusterStatus().Faults
 	last := ev[len(ev)-1]
 	if last.Kind != faults.MachineRecover || last.Machine != 0 || last.Downtime < 0 {
 		t.Fatalf("last fault event = %+v, want recovery of node 0", last)

@@ -521,7 +521,7 @@ func TestGangChaosShardChurn(t *testing.T) {
 	}
 	// Blast radius: the shard that never hosted the gang's dead machine
 	// saw no fault events.
-	if ev := g.Shard(1 - owner).FaultEvents(); len(ev) != 0 {
+	if ev := g.Shard(1 - owner).ClusterStatus().Faults; len(ev) != 0 {
 		t.Fatalf("shard %d recorded fault events for shard %d's churn: %+v", 1-owner, owner, ev)
 	}
 }

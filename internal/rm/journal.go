@@ -183,12 +183,10 @@ func (s *Server) checkLaunch(ev *event) error {
 	return nil
 }
 
-// recover opens the journal, replays snapshot+log, and prepares the
-// server for resync: every machine that was live at the crash is marked
-// down-pending-resync (ledger kept!) until its NM re-registers, the
-// clock is re-based so time continues from the last journaled event,
-// and a fresh checkpoint compacts the log. Called from newCore, before
-// any goroutine starts.
+// recover opens the journal and replays snapshot+log. Called from
+// newCore, before anything reads the RM clock; resume finishes the
+// recovery once the front door's clock continues from the newest event
+// any shard journaled.
 func (s *Server) recover() error {
 	jnl, rec, err := journal.Open(journal.Options{
 		Dir:          s.cfg.JournalDir,
@@ -226,28 +224,28 @@ func (s *Server) recover() error {
 			rec.TornBytes, rec.StaleRecords)
 	}
 	s.recoveredDigest = s.appendState(nil)
-	recovered := rec.Snapshot != nil || len(rec.Records) > 0
-	if recovered {
+	if rec.Snapshot != nil || len(rec.Records) > 0 {
 		s.log.Printf("rm: recovered %d machines, %d jobs from journal (%d records replayed)",
 			s.countNodes(nil), len(s.jobs), len(rec.Records))
 	}
-	// Continue the recovered clock: s.now() must never run backwards
-	// past journaled times.
-	s.start = time.Now().Add(-time.Duration(s.lastEventTime * float64(time.Second)))
-	// Resync: the journal says these machines were live, but their NMs
-	// may have moved on (tasks finished, nodes died) while the RM was
-	// down. Exclude them from placement — keeping their ledgers — until
-	// they re-register with their running sets; the failure detector
-	// gives them one NodeTimeout to do so before they are declared
-	// plain dead.
+	return nil
+}
+
+// resume readies a replayed shard to serve, on the RM clock the front
+// door has continued past every shard's journaled times. Resync: the
+// journal says these machines were live, but their NMs may have moved on
+// (tasks finished, nodes died) while the RM was down. Exclude them from
+// placement — keeping their ledgers — until they re-register with their
+// running sets; the failure detector gives them one NodeTimeout to do so
+// before they are declared plain dead. Then checkpoint the recovered
+// state so repeated crashes never replay more than one incarnation's
+// events; the resync marking encodes identically to the pre-marking
+// state (Dead normalizes it away). Called before anything serves.
+func (s *Server) resume() {
 	s.awaitResync(s.now())
-	// Checkpoint the recovered state so repeated crashes never replay
-	// more than one incarnation's events. The resync marking encodes
-	// identically to the pre-marking state (Dead normalizes it away).
 	s.jbuf = s.appendState(s.jbuf[:0])
 	s.jnl.Snapshot(s.jbuf)
 	s.sinceSnap = 0
-	return nil
 }
 
 // machineSnap is a node's durable fields: what a snapshot restores and

@@ -138,7 +138,7 @@ func (s *Server) registerGauges(reg *telemetry.Registry) {
 		return float64(s.ResyncPending())
 	})
 	reg.GaugeFunc(name("tetris_rm_fault_log_dropped"), "Fault records evicted from the bounded fault ring.", func() float64 {
-		return float64(s.DroppedFaultEvents())
+		return float64(s.faultLog.Dropped())
 	})
 }
 

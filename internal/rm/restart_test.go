@@ -411,3 +411,35 @@ func TestIdempotentResubmitAcrossRestart(t *testing.T) {
 		t.Fatal("conflicting definition accepted under reused ID")
 	}
 }
+
+// TestRestartOneClockAcrossShards: a restarted multi-shard RM continues
+// one clock from the newest event any shard journaled. Were each shard to
+// resume from its own last event, shard 0 (last event at ≈ 0 s) would run
+// ≈ 0.3 s behind shard 1 for the life of the process, and the merged
+// fault log would list node 0's later crash first.
+func TestRestartOneClockAcrossShards(t *testing.T) {
+	dir := t.TempDir()
+	g, err := journaledSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capV := resources.New(16, 32, 200, 200, 1000, 1000)
+	g.RegisterMachine(0, capV)
+	time.Sleep(300 * time.Millisecond)
+	g.RegisterMachine(1, capV)
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err = journaledSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	killNode(g, 1)
+	killNode(g, 0)
+	ev := g.ClusterStatus().Faults
+	if len(ev) != 2 || ev[0].Machine != 1 || ev[1].Machine != 0 {
+		t.Fatalf("merged fault log = %+v, want node 1's crash, then node 0's", ev)
+	}
+}

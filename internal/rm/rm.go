@@ -6,9 +6,10 @@
 // feeds completed-task measurements to the demand estimator.
 //
 // Sharded (sharded.go) is the RM's one front door for any shard count
-// N ≥ 1: it owns the listener, the wire loop, validation, admission and
-// routing. Server (this file) is one shard's locked state machine and
-// never touches a socket.
+// N ≥ 1: it owns the listener, the wire loop, validation, admission,
+// routing, the RM clock and the failure sweeper. Server (this file) is one
+// shard's locked state machine: it never touches a socket, never reads
+// the wall clock for a decision and starts no goroutine.
 //
 // With JournalDir set the RM is durable: every state transition is
 // journaled to a write-ahead log (internal/journal) off the scheduling
@@ -78,6 +79,9 @@ type Config struct {
 	// so adopt/release and journal replay land in shared tenant state.
 	// Nil admits everything.
 	sharedAdmission *admission
+	// clock is the front door's RM clock (rmClock), the one time every
+	// shard core reads.
+	clock rmClock
 	// Metrics receives the RM's telemetry (placements, heartbeat and
 	// fsync latencies, node liveness, ...; see metrics.go). Nil records
 	// into a private registry, exposing nothing.
@@ -98,7 +102,6 @@ type Server struct {
 	log *log.Logger
 
 	mu    sync.Mutex
-	start time.Time
 	nodes []*node          // dense by machine ID, nil where unowned (ledger.go)
 	jobs  map[int]*jobInfo // every job, finished or not
 
@@ -115,7 +118,7 @@ type Server struct {
 	rounds    uint64           // rounds run so far
 
 	detector *faults.Detector // nil when failure detection is off
-	faultLog *faults.Ring
+	faultLog *telemetry.Ring[faults.Record]
 	metrics  *rmMetrics
 	// adm is the tenant accounting shared with the front door, which
 	// runs the admission checks; nil admits everything.
@@ -127,9 +130,6 @@ type Server struct {
 	sinceSnap       int              // journaled records since the last checkpoint
 	recoveredDigest []byte           // state digest right after replay, pre-resync
 	jbuf            []byte           // record and snapshot encode scratch
-
-	wg     sync.WaitGroup
-	closed chan struct{}
 }
 
 type jobInfo struct {
@@ -156,11 +156,10 @@ type jobInfo struct {
 	lastRelease *wire.GangRelease
 }
 
-// newCore builds a shard core (state, metrics, journal recovery) with
-// no goroutines. With Config.JournalDir set, any existing journal there
-// is replayed first: recovered machines await resync (see resync.go) and
-// recovered jobs resume where the journal left them. Call
-// startBackground to start the failure-detection sweeper.
+// newCore builds a shard core (state, metrics, journal replay). With
+// Config.JournalDir set, any existing journal there is replayed; the
+// front door then resumes the shard (resume) once its clock continues
+// from the newest event any shard journaled.
 func newCore(cfg Config) (*Server, error) {
 	if cfg.Scheduler == nil {
 		return nil, fmt.Errorf("rm: scheduler is required")
@@ -173,10 +172,8 @@ func newCore(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		log:      cfg.Logger,
-		start:    time.Now(),
 		jobs:     make(map[int]*jobInfo),
 		faultLog: faults.NewRing(cfg.FaultLogCap),
-		closed:   make(chan struct{}),
 		dirty:    causeNode,
 	}
 	if est := cfg.Estimator; est != nil {
@@ -207,52 +204,19 @@ func newCore(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// startBackground starts the dead-node sweeper when failure detection
-// is on.
-func (s *Server) startBackground() {
-	if s.detector != nil {
-		s.wg.Add(1)
-		go s.watchNodes(s.cfg.NodeTimeout / 4)
-	}
-}
-
-// watchNodes periodically sweeps for nodes whose heartbeats stopped.
-// Detection also runs on every NM heartbeat; this ticker catches the
-// case where the whole cluster but one node went silent.
-func (s *Server) watchNodes(every time.Duration) {
-	defer s.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-ticker.C:
-			s.CheckFailures()
-		}
-	}
-}
-
-// Close stops the sweeper and flushes the journal (if any). A Close is
-// indistinguishable from a crash to the next incarnation: no final
-// checkpoint is written, so restart always exercises the replay path.
+// Close flushes the journal (if any). A Close is indistinguishable from
+// a crash to the next incarnation: no final checkpoint is written, so
+// restart always exercises the replay path.
 func (s *Server) Close() error {
-	select {
-	case <-s.closed:
-	default:
-		close(s.closed)
-	}
-	s.wg.Wait()
 	if s.jnl != nil {
 		return s.jnl.Close()
 	}
 	return nil
 }
 
-// now returns seconds since the server started (continued across
-// restarts when journaling: recovery re-bases the epoch so the clock
-// never runs backwards relative to journaled times).
-func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
+// now reads the RM clock: seconds of RM time, continued across restarts
+// when journaling (see Sharded's clock).
+func (s *Server) now() float64 { return s.cfg.clock.now() }
 
 func (s *Server) handleRegisterNM(r *wire.RegisterNM) *wire.Message {
 	if r == nil {
@@ -486,8 +450,8 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 }
 
 // CheckFailures sweeps for nodes whose heartbeats timed out and marks
-// them dead. It runs on every NM heartbeat and on the watch ticker;
-// exported so tests can force detection deterministically.
+// them dead. It runs on every NM heartbeat and on the front door's
+// sweeper; exported so tests can force detection deterministically.
 func (s *Server) CheckFailures() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -689,11 +653,12 @@ func (s *Server) amReplyLocked(jobID int, ji *jobInfo) *wire.Message {
 	return &wire.Message{Type: wire.TypeAMReply, AMReply: rep}
 }
 
-// ClusterStatus snapshots node liveness and the fault-event log.
+// ClusterStatus snapshots node liveness and the fault-event log (the
+// most recent Config.FaultLogCap records, and how many were evicted).
 func (s *Server) ClusterStatus() wire.ClusterStatusReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := wire.ClusterStatusReply{Faults: s.faultLog.Records(), DroppedFaults: s.faultLog.Dropped()}
+	st := wire.ClusterStatusReply{Faults: s.faultLog.Snapshot(), DroppedFaults: s.faultLog.Dropped()}
 	for _, n := range s.nodes {
 		switch {
 		case n == nil:
@@ -705,22 +670,6 @@ func (s *Server) ClusterStatus() wire.ClusterStatusReply {
 	}
 	st.Nodes = len(st.Live) + len(st.Dead)
 	return st
-}
-
-// FaultEvents returns a copy of the RM's crash/recovery log (the most
-// recent Config.FaultLogCap records).
-func (s *Server) FaultEvents() []faults.Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faultLog.Records()
-}
-
-// DroppedFaultEvents returns how many fault records the bounded log has
-// evicted.
-func (s *Server) DroppedFaultEvents() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faultLog.Dropped()
 }
 
 // JobIDs returns the IDs of every job this server knows (finished or

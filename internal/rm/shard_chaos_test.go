@@ -162,10 +162,10 @@ func TestChaosShardNodeChurn(t *testing.T) {
 	}
 
 	// Blast radius: the untouched shard saw no faults.
-	if ev := g.Shard(0).FaultEvents(); len(ev) != 0 {
+	if ev := g.Shard(0).ClusterStatus().Faults; len(ev) != 0 {
 		t.Fatalf("shard 0 recorded fault events despite churn confined to shard 1: %+v", ev)
 	}
-	if ev := churned.FaultEvents(); len(ev) == 0 {
+	if ev := churned.ClusterStatus().Faults; len(ev) == 0 {
 		t.Fatal("shard 1 recorded no fault events despite churn")
 	}
 	// The merged status must agree with per-shard views.

@@ -206,7 +206,7 @@ func TestShardQualityOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		w := makeQualityWorkload(seed, 8, 24)
 
-		core, err := newCore(Config{Scheduler: qualityScheduler()})
+		core, err := newCore(Config{Scheduler: qualityScheduler(), clock: new(virtualClock)})
 		if err != nil {
 			t.Fatal(err)
 		}

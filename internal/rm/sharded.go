@@ -21,6 +21,10 @@ package rm
 // and the per-shard ledgers stay closed under the existing proof
 // obligations.
 //
+// The front door also owns RM time: one clock every shard core reads,
+// continued after a restart from the newest event any shard journaled,
+// and one sweeper goroutine running every shard's failure detector.
+//
 // What is given up: a task cannot pack against another shard's spare
 // capacity, so N-shard placement can lose packing efficiency versus the
 // global packer. The shard_quality_test.go harness measures exactly
@@ -44,7 +48,6 @@ import (
 	"time"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
-	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/journal"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -96,6 +99,33 @@ type ShardedConfig struct {
 	// through their normal redial/resync paths. 0 means the 2-minute
 	// default; negative disables deadlines.
 	ConnTimeout time.Duration
+
+	// clock replaces the wall clock as RM time; nil means the wall clock.
+	// Only tests set it, to a virtual clock, which starts no sweeper:
+	// failure detection then runs on beats and CheckFailures alone.
+	clock rmClock
+}
+
+// rmClock is RM time in seconds, the one clock of an RM: every shard
+// core reads it for journaled times, the failure detector, and the
+// starvation and gang timers of the wrapped policy. Metric timing,
+// connection deadlines and the admission token buckets keep wall time;
+// none of them decides anything that is journaled.
+type rmClock interface {
+	now() float64
+	// startAt is called once, after journal replay and before anything
+	// reads the clock: from then on the clock runs from t. A virtual
+	// clock that already reads past t keeps its reading.
+	startAt(t float64)
+}
+
+// wallClock is RM time on the wall clock: seconds since start.
+type wallClock struct{ start time.Time }
+
+func (c *wallClock) now() float64 { return time.Since(c.start).Seconds() }
+
+func (c *wallClock) startAt(t float64) {
+	c.start = time.Now().Add(-time.Duration(t * float64(time.Second)))
 }
 
 // Sharded is a running resource manager.
@@ -177,6 +207,10 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 	if g.cfg.ConnTimeout == 0 {
 		g.cfg.ConnTimeout = 2 * time.Minute
 	}
+	clock := cfg.clock
+	if clock == nil {
+		clock = new(wallClock)
+	}
 	if cfg.JournalDir != "" {
 		if err := checkJournalLayout(cfg.JournalDir, cfg.Shards); err != nil {
 			return nil, err
@@ -195,6 +229,7 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 			Logger:          cfg.Logger,
 			Gang:            cfg.Gang,
 			sharedAdmission: g.adm,
+			clock:           clock,
 		}
 		if cfg.NewEstimator != nil {
 			sc.Estimator = cfg.NewEstimator()
@@ -215,6 +250,18 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 				return nil, fmt.Errorf("rm: sharded: job %d recovered on shards %d and %d", id, prev, i)
 			}
 			g.jobShard[id] = i
+		}
+	}
+	// One clock for every shard, continued from the newest event any shard
+	// journaled: no shard's time runs backwards, and all shards agree.
+	var last float64
+	for _, s := range g.shards {
+		last = max(last, s.lastEventTime)
+	}
+	clock.startAt(last)
+	for _, s := range g.shards {
+		if s.jnl != nil {
+			s.resume()
 		}
 	}
 	if reg := cfg.Metrics; reg != nil {
@@ -278,15 +325,33 @@ func checkJournalLayout(dir string, shards int) error {
 	return nil
 }
 
-// start launches every shard's background work plus the accept loop
-// when a listener is installed.
+// start launches the failure sweeper (with failure detection on, on the
+// wall clock) and the accept loop when a listener is installed.
 func (g *Sharded) start() {
-	for _, s := range g.shards {
-		s.startBackground()
+	if g.cfg.NodeTimeout > 0 && g.cfg.clock == nil {
+		g.wg.Add(1)
+		go g.sweep(g.cfg.NodeTimeout / 4)
 	}
 	if g.ln != nil {
 		g.wg.Add(1)
 		go g.accept()
+	}
+}
+
+// sweep runs every shard's failure detector each tick. Detection also
+// runs on every NM heartbeat; the ticker catches nodes that went silent
+// on a shard that hears from no one else.
+func (g *Sharded) sweep(every time.Duration) {
+	defer g.wg.Done()
+	ticker := time.NewTicker(every)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-g.closed:
+			return
+		case <-ticker.C:
+			g.CheckFailures()
+		}
 	}
 }
 
@@ -319,7 +384,8 @@ func (g *Sharded) nodeShard(nodeID int) *Server { return g.shards[g.shardIndex(n
 
 // Close shuts the RM down — closing the listener and severing live
 // NM/AM connections as a real crash would — waits for the connection
-// handlers, and closes every shard (flushing its journal, if any).
+// handlers and the sweeper, and closes every shard (flushing its
+// journal, if any).
 func (g *Sharded) Close() error {
 	select {
 	case <-g.closed:
@@ -724,28 +790,10 @@ func (g *Sharded) JournalStats() (appends, snapshots uint64, ok bool) {
 	return appends, snapshots, true
 }
 
-// DroppedFaultEvents sums fault-ring evictions across shards.
-func (g *Sharded) DroppedFaultEvents() uint64 {
-	var n uint64
-	for _, s := range g.shards {
-		n += s.DroppedFaultEvents()
-	}
-	return n
-}
-
-// FaultEvents merges every shard's crash/recovery log in time order.
-func (g *Sharded) FaultEvents() []faults.Record {
-	var out []faults.Record
-	for _, s := range g.shards {
-		out = append(out, s.FaultEvents()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}
-
 // ClusterStatus merges every shard's status into one fleet-wide view:
 // node sets are unioned (shards partition the ID space, so no
-// collisions), fault logs are merged in time order.
+// collisions), fault logs are merged in time order (one RM clock stamps
+// them all) and their eviction counts summed.
 func (g *Sharded) ClusterStatus() wire.ClusterStatusReply {
 	var merged wire.ClusterStatusReply
 	for _, s := range g.shards {

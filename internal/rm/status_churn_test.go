@@ -5,21 +5,25 @@ package rm
 // eviction counter must account for every dropped record.
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/resources"
+	"github.com/tetris-sched/tetris/internal/telemetry"
 )
 
 func TestClusterStatusUnderChurn(t *testing.T) {
 	const ringCap = 4
 	// No NodeTimeout: deaths are injected directly through markDead so
 	// the churn sequence is deterministic — no background watcher races.
+	reg := telemetry.NewRegistry()
 	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
 		Shards:       1,
 		NewScheduler: tetrisScheduler,
 		FaultLogCap:  ringCap,
+		Metrics:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,8 +88,12 @@ func TestClusterStatusUnderChurn(t *testing.T) {
 		t.Errorf("surviving crash records = nodes %d,%d, want 2,3",
 			st.Faults[0].Machine, st.Faults[1].Machine)
 	}
-	if got := s.DroppedFaultEvents(); got != st.DroppedFaults {
-		t.Errorf("DroppedFaultEvents() = %d, status reports %d", got, st.DroppedFaults)
+	var expo bytes.Buffer
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(expo.String(), `tetris_rm_fault_log_dropped{shard="0"}`); got != float64(st.DroppedFaults) {
+		t.Errorf("fault_log_dropped gauge = %v, status reports %d", got, st.DroppedFaults)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/reserve"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -38,16 +37,6 @@ func roundsRun(g *Sharded, i int) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rounds
-}
-
-// advanceClock moves every shard's RM clock forward by d.
-func advanceClock(g *Sharded, d time.Duration) {
-	for i := 0; i < g.NumShards(); i++ {
-		s := g.Shard(i)
-		s.mu.Lock()
-		s.start = s.start.Add(-d)
-		s.mu.Unlock()
-	}
 }
 
 // TestRoutingSummaryBitStable: the router's inputs are float sums, and
@@ -119,49 +108,19 @@ func (r *sweepRecorder) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 	return reply
 }
 
-// timelessDigest is StateDigest with the wall-clock stamps zeroed: twins
-// run at different wall clocks by construction. It restores the digest
-// into a scratch core configured to keep everything s snapshots, zeroes
-// the clock and every finish time there, and encodes again.
-func timelessDigest(t *testing.T, s *Server) []byte {
-	t.Helper()
-	cfg := Config{Scheduler: tetrisScheduler(), NodeTimeout: s.cfg.NodeTimeout, FaultLogCap: s.cfg.FaultLogCap}
-	if s.cfg.Estimator != nil {
-		cfg.Estimator = estimator.New()
-	}
-	c, err := newCore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.restoreState(s.StateDigest()); err != nil {
-		t.Fatal(err)
-	}
-	c.lastEventTime = 0
-	for _, ji := range c.jobs {
-		ji.finishedAt = 0
-		st := ji.state.Status
-		snap := workload.StatusSnapshot{}
-		for si := range ji.state.Job.Stages {
-			snap.States = append(snap.States, st.StageStates(si))
-			snap.Attempts = append(snap.Attempts, st.StageAttempts(si))
-		}
-		if ji.state.Status, err = workload.RestoreStatus(ji.state.Job, snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c.StateDigest()
-}
-
 // TestEventDrivenRoundsEquivalence: for a policy without clock or
 // rotating state (no input blocks, starvation horizon 1e9), running a
 // round only when roundDue says so decides exactly what running one on
 // every beat decides — same ledgers after every sweep, same finish
-// sweep for every job, same final state — in fewer rounds.
+// sweep for every job, same final state — in fewer rounds. The twins
+// share one virtual clock, so their state digests compare as they are.
 func TestEventDrivenRoundsEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		w := makeQualityWorkload(seed, 8, 24)
-		lazy := &sweepRecorder{Sharded: newQualitySharded(t, 1), nodes: w.nodes}
-		eager := &sweepRecorder{Sharded: newQualitySharded(t, 1), nodes: w.nodes, roundEveryBeat: true}
+		clock := new(virtualClock)
+		cfg := ShardedConfig{Shards: 1, NewScheduler: qualityScheduler}
+		lazy := &sweepRecorder{Sharded: newVirtualSharded(t, cfg, clock), nodes: w.nodes}
+		eager := &sweepRecorder{Sharded: newVirtualSharded(t, cfg, clock), nodes: w.nodes, roundEveryBeat: true}
 		got, want := replayQuality(t, lazy, w), replayQuality(t, eager, w)
 
 		if len(got.finish) != len(w.jobs) || len(want.finish) != len(w.jobs) {
@@ -180,8 +139,8 @@ func TestEventDrivenRoundsEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: ledgers diverge after sweep %d", seed, i)
 			}
 		}
-		if a, b := timelessDigest(t, lazy.Shard(0)), timelessDigest(t, eager.Shard(0)); !bytes.Equal(a, b) {
-			t.Errorf("seed %d: final state digests differ:\n %s\n %s", seed, a, b)
+		if !bytes.Equal(lazy.Shard(0).StateDigest(), eager.Shard(0).StateDigest()) {
+			t.Errorf("seed %d: final state digests differ", seed)
 		}
 		for _, g := range []*Sharded{lazy.Sharded, eager.Sharded} {
 			if err := g.VerifyLedger(); err != nil {
@@ -241,11 +200,8 @@ func TestIntervalFloor(t *testing.T) {
 		cfg := scheduler.DefaultTetrisConfig()
 		cfg.StarvationSec = 30
 		tet := scheduler.NewTetris(cfg)
-		g, err := NewShardedInProcess(ShardedConfig{Shards: 1, NewScheduler: func() scheduler.Scheduler { return tet }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer g.Close()
+		clock := new(virtualClock)
+		g := newVirtualSharded(t, ShardedConfig{Shards: 1, NewScheduler: func() scheduler.Scheduler { return tet }}, clock)
 		mostlyBusy(t, g)
 		whale := &workload.Job{ID: 2, Weight: 1, Stages: []*workload.Stage{{Name: "s", Tasks: []*workload.Task{{
 			ID:   workload.TaskID{Job: 2, Stage: 0, Index: 0},
@@ -268,7 +224,7 @@ func TestIntervalFloor(t *testing.T) {
 			t.Fatalf("%d reservations before the starvation horizon", n)
 		}
 
-		advanceClock(g, 31*time.Second)
+		clock.advance(31 * time.Second)
 		sweep(t, g, nodes, true)
 		starved := 0
 		tet.Reservations().Each(func(_ int, r reserve.Reservation) {
@@ -283,16 +239,13 @@ func TestIntervalFloor(t *testing.T) {
 
 	t.Run("gang hoard timeout", func(t *testing.T) {
 		reg := telemetry.NewRegistry()
-		g, err := NewShardedInProcess(ShardedConfig{
+		clock := new(virtualClock)
+		g := newVirtualSharded(t, ShardedConfig{
 			Shards:       1,
 			NewScheduler: qualityScheduler,
 			Gang:         &gang.Config{HoldSec: 30, PreemptSec: 1e9},
 			Metrics:      reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer g.Close()
+		}, clock)
 		mostlyBusy(t, g)
 		// Three 6-core members against room for one on each machine: two
 		// can be held, the quorum cannot commit, so the gang hoards.
@@ -315,7 +268,7 @@ func TestIntervalFloor(t *testing.T) {
 		if releases.Value() != 0 || poll() != nil {
 			t.Fatalf("hoard released before HoldSec")
 		}
-		advanceClock(g, 31*time.Second)
+		clock.advance(31 * time.Second)
 		sweep(t, g, nodes, true)
 		if releases.Value() != 1 {
 			t.Errorf("%d hoard releases one sweep past HoldSec, want 1", releases.Value())

@@ -225,7 +225,7 @@ type Sim struct {
 	slow      []float64 // per-machine rate multiplier (1 = full speed)
 	crashedAt []float64 // crash time of currently-down machines
 	chaosRand *rand.Rand
-	faultRing *faults.Ring // bounded fault log; drained into res at finalize
+	faultRing *telemetry.Ring[faults.Record] // bounded fault log; drained into res at finalize
 	metrics   *simMetrics
 	res       *Result
 	// Scratch for schedule(): the view and its job list are rebuilt every
@@ -448,7 +448,7 @@ func (s *Sim) Run() (*Result, error) {
 	}
 	s.metrics.observeRateNodes(s.rateNodesRecomputed, s.rateNodesClean)
 	s.res.Makespan = s.lastDone
-	s.res.FaultEvents = s.faultRing.Records()
+	s.res.FaultEvents = s.faultRing.Snapshot()
 	s.res.DroppedFaultEvents = s.faultRing.Dropped()
 	s.res.finalize()
 	return s.res, nil

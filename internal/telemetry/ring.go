@@ -3,10 +3,11 @@ package telemetry
 import "sync"
 
 // Ring is a bounded FIFO of structured records, the event-stream
-// counterpart to the metric registry. Like faults.Ring it keeps the
-// most recent Cap records and counts evictions instead of growing
-// without bound, but it is generic so each component can carry its own
-// record type (scheduler decision traces, fault events, ...).
+// counterpart to the metric registry. It keeps the most recent Cap
+// records and counts evictions instead of growing without bound, so a
+// long-running component under churn cannot grow its log forever; it is
+// generic so each component carries its own record type (scheduler
+// decision traces, fault events, ...).
 type Ring[T any] struct {
 	mu      sync.Mutex
 	buf     []T
@@ -28,6 +29,10 @@ func NewRing[T any](capacity int) *Ring[T] {
 func (r *Ring[T]) Append(rec T) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.appendLocked(rec)
+}
+
+func (r *Ring[T]) appendLocked(rec T) {
 	if r.n < len(r.buf) {
 		r.buf[(r.start+r.n)%len(r.buf)] = rec
 		r.n++
@@ -64,4 +69,16 @@ func (r *Ring[T]) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
+}
+
+// Restore replaces the contents with recs (oldest first) and the
+// eviction count with dropped; records beyond capacity are evicted
+// oldest-first and counted. Snapshot restore rebuilds a log with it.
+func (r *Ring[T]) Restore(recs []T, dropped uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.start, r.n, r.dropped = 0, 0, dropped
+	for _, rec := range recs {
+		r.appendLocked(rec)
+	}
 }

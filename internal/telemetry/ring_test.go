@@ -33,6 +33,28 @@ func TestRingPartialFill(t *testing.T) {
 	}
 }
 
+func TestRingRestore(t *testing.T) {
+	r := NewRing[int](3)
+	r.Append(9)
+	r.Restore([]int{1, 2}, 5)
+	if r.Len() != 2 || r.Dropped() != 5 {
+		t.Fatalf("after restore: Len = %d Dropped = %d, want 2/5", r.Len(), r.Dropped())
+	}
+	r.Append(3)
+	r.Append(4)
+	if got := r.Snapshot(); !reflect.DeepEqual(got, []int{2, 3, 4}) {
+		t.Fatalf("Snapshot = %v, want [2 3 4]", got)
+	}
+	if r.Dropped() != 6 {
+		t.Errorf("Dropped = %d, want 6", r.Dropped())
+	}
+	// More records than capacity: the oldest are evicted and counted.
+	r.Restore([]int{1, 2, 3, 4}, 0)
+	if got := r.Snapshot(); !reflect.DeepEqual(got, []int{2, 3, 4}) || r.Dropped() != 1 {
+		t.Fatalf("over-capacity restore: Snapshot = %v Dropped = %d, want [2 3 4]/1", got, r.Dropped())
+	}
+}
+
 func TestRingZeroCapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
