@@ -3,7 +3,10 @@
 // snapshot checkpoints, with a configurable fsync policy. Appends are
 // asynchronous — callers enqueue into a buffered channel drained by one
 // writer goroutine — so journaling stays off the scheduling hot path;
-// Sync provides an explicit durability barrier when one is needed.
+// Barrier (and Sync, which waits on it) provides an explicit durability
+// barrier when one is needed. Record buffers circulate between the
+// caller and the writer (Buffer, Append), so a steady stream of appends
+// allocates nothing.
 //
 // On-disk layout (under Options.Dir):
 //
@@ -106,6 +109,9 @@ const (
 	// queueDepth is how many appends may wait for the writer before
 	// Append blocks.
 	queueDepth = 1024
+	// maxRecycled is the largest record buffer the free list keeps: a
+	// rare huge record (a job of thousands of tasks) is left to the GC.
+	maxRecycled = 64 << 10
 
 	snapshotFile = "snapshot.dat"
 	walFile      = "wal.dat"
@@ -131,10 +137,14 @@ type Journal struct {
 	wmu    sync.Mutex // serializes writer-goroutine state below
 	f      *os.File
 	bw     *bufio.Writer
-	lsn    uint64 // last assigned LSN
-	werr   error  // sticky writer error
+	hdr    [frameHeader]byte // frame header scratch
+	lsn    uint64            // last assigned LSN
+	werr   error             // sticky writer error
 
-	ch   chan item
+	ch chan item
+	// free holds written record buffers for Buffer. It is as deep as the
+	// queue, so the buffers of a full queue all fit back.
+	free chan []byte
 	done chan struct{}
 
 	appends   uint64
@@ -216,17 +226,32 @@ func Open(o Options) (*Journal, *Recovery, error) {
 		bw:   bufio.NewWriterSize(f, 64<<10),
 		lsn:  lastLSN,
 		ch:   make(chan item, queueDepth),
+		free: make(chan []byte, queueDepth),
 		done: make(chan struct{}),
 	}
 	go j.writer()
 	return j, rec, nil
 }
 
-// Append enqueues one record. It returns immediately unless the queue is
-// full (durability is preferred to unbounded memory); the payload is
-// copied. Appends after Close are dropped.
+// Buffer returns an empty record buffer to encode one record into and
+// pass to Append: one the writer has finished with when there is one,
+// else a new one.
+func (j *Journal) Buffer() []byte {
+	select {
+	case b := <-j.free:
+		return b[:0]
+	default:
+		return make([]byte, 0, 256)
+	}
+}
+
+// Append enqueues one record and takes ownership of payload, which the
+// caller must not touch again: the writer hands it out again through
+// Buffer once it is written. It returns immediately unless the queue is
+// full (durability is preferred to unbounded memory). Appends after
+// Close are dropped.
 func (j *Journal) Append(payload []byte) {
-	j.enqueue(item{payload: append([]byte(nil), payload...)})
+	j.enqueue(item{payload: payload})
 }
 
 // Snapshot enqueues a checkpoint: the state is written to the snapshot
@@ -251,14 +276,19 @@ func (j *Journal) enqueue(it item) {
 	j.mu.Unlock()
 }
 
-// Sync is a durability barrier: it blocks until everything enqueued
-// before it has been written and fsynced, and returns the writer's
-// sticky error, if any.
-func (j *Journal) Sync() error {
+// Barrier enqueues a durability barrier and returns without waiting:
+// once everything enqueued before it has been written and fsynced, the
+// returned channel yields the writer's sticky error, if any (after
+// Close, an error at once). Barriers on separate journals overlap their
+// fsyncs.
+func (j *Journal) Barrier() <-chan error {
 	ack := make(chan error, 1)
 	j.enqueue(item{flush: ack})
-	return <-ack
+	return ack
 }
+
+// Sync is a blocking durability barrier: <-Barrier().
+func (j *Journal) Sync() error { return <-j.Barrier() }
 
 // Close drains the queue, flushes and fsyncs the log, and stops the
 // writer. Further appends are dropped.
@@ -352,8 +382,14 @@ func (j *Journal) handle(it item) {
 	default:
 		j.lsn++
 		j.appends++
-		if err := writeFrame(j.bw, j.lsn, it.payload); err != nil && j.werr == nil {
+		if err := writeFrame(j.bw, &j.hdr, j.lsn, it.payload); err != nil && j.werr == nil {
 			j.werr = err
+		}
+		if cap(it.payload) <= maxRecycled {
+			select {
+			case j.free <- it.payload:
+			default:
+			}
 		}
 	}
 }
@@ -385,7 +421,7 @@ func (j *Journal) checkpoint(state []byte) {
 	tf, err := os.Create(tmp)
 	if err == nil {
 		bw := bufio.NewWriter(tf)
-		err = writeFrame(bw, j.lsn, state)
+		err = writeFrame(bw, &j.hdr, j.lsn, state)
 		if err == nil {
 			err = bw.Flush()
 		}
@@ -432,9 +468,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// writeFrame encodes one record.
-func writeFrame(w io.Writer, lsn uint64, payload []byte) error {
-	var hdr [frameHeader]byte
+// writeFrame encodes one record, building its header in hdr (a field of
+// the journal, so the header does not escape to the heap per record).
+func writeFrame(w io.Writer, hdr *[frameHeader]byte, lsn uint64, payload []byte) error {
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint64(hdr[4:12], lsn)
 	crc := crc32.Update(0, crcTable, hdr[4:12])

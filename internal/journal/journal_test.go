@@ -170,7 +170,7 @@ func TestStaleRecordsSkippedAfterCheckpointCrash(t *testing.T) {
 	}
 	// Hand-write a snapshot covering LSN 2 without touching the log.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, 2, []byte("state-at-2")); err != nil {
+	if err := writeFrame(&buf, new([frameHeader]byte), 2, []byte("state-at-2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, snapshotFile), buf.Bytes(), 0o644); err != nil {
@@ -241,5 +241,57 @@ func TestAppendAfterCloseDropped(t *testing.T) {
 	_, rec := open(t, dir, SyncNever)
 	if len(rec.Records) != 1 {
 		t.Fatalf("recovered %d records, want 1", len(rec.Records))
+	}
+}
+
+// TestAppendRecyclesBuffers: a record encoded into a Buffer and handed to
+// Append comes back through Buffer once written, so a steady stream of
+// appends allocates nothing — neither the caller nor the writer.
+func TestAppendRecyclesBuffers(t *testing.T) {
+	j, _ := open(t, t.TempDir(), SyncNever)
+	defer j.Close()
+	rec := []byte("a steady-state journal record")
+	const runs = 100
+	// Warm up: runs+1 buffers written and back on the free list, so the
+	// measured appends find one each even if the writer lags.
+	bufs := make([][]byte, runs+1)
+	for i := range bufs {
+		bufs[i] = j.Buffer()
+	}
+	for _, b := range bufs {
+		j.Append(append(b, rec...))
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(runs, func() { j.Append(append(j.Buffer(), rec...)) }); allocs != 0 {
+		t.Errorf("steady-state append: %v allocs, want 0", allocs)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if a, _, _ := j.Stats(); a != 2*runs+2 {
+		t.Errorf("appended %d records, want %d", a, 2*runs+2)
+	}
+}
+
+// TestBarrierDoesNotBlock: Barrier returns before the fsync and acks once
+// everything before it is durable; on a closed journal it acks an error.
+func TestBarrierDoesNotBlock(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := open(t, dir, SyncNever)
+	j.Append([]byte("one"))
+	ack := j.Barrier()
+	if err := <-ack; err != nil {
+		t.Fatal(err)
+	}
+	if a, _, _ := j.Stats(); a != 1 {
+		t.Errorf("barrier acked with %d records written, want 1", a)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-j.Barrier(); err == nil {
+		t.Error("barrier on a closed journal acked success")
 	}
 }

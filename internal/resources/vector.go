@@ -232,6 +232,16 @@ func (v Vector) NonNegative() bool {
 	return true
 }
 
+// Finite reports whether no component is NaN or ±Inf.
+func (v Vector) Finite() bool {
+	for i := range v {
+		if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Normalize returns v divided component-wise by capacity: each component
 // becomes a fraction of the machine's total capacity. The paper
 // normalizes both task demands and available resources this way so that

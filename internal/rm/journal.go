@@ -68,16 +68,15 @@ type event struct {
 
 // journal appends one event to the WAL. It is a no-op while replaying
 // (replay must not re-journal itself) and when journaling is disabled.
-// The record is encoded into the shard's scratch buffer, which the
-// journal copies; the append is asynchronous — the caller stays on the
-// scheduling hot path; the journal's writer goroutine does the file
+// The record is encoded into a buffer the journal's writer recycles, and
+// handed over without a copy; the append is asynchronous — the caller
+// stays on the scheduling hot path; the writer goroutine does the file
 // I/O. Caller holds s.mu.
 func (s *Server) journal(ev *event) {
 	if s.jnl == nil || s.replaying {
 		return
 	}
-	s.jbuf = appendEvent(s.jbuf[:0], ev)
-	s.jnl.Append(s.jbuf)
+	s.jnl.Append(appendEvent(s.jnl.Buffer(), ev))
 	s.lastEventTime = ev.Time
 	s.sinceSnap++
 }
@@ -102,13 +101,12 @@ func (s *Server) maybeSnapshot() {
 func (s *Server) applyEvent(ev *event) error {
 	switch ev.Kind {
 	case evRegister:
-		if err := checkNodeID(ev.Node); err != nil {
+		r := &wire.RegisterNM{NodeID: ev.Node, Capacity: ev.Capacity,
+			Running: ev.Running, Completed: ev.Completed}
+		if err := checkRegister(r); err != nil {
 			return corrupt("register: %v", err)
 		}
-		s.applyRegister(&wire.RegisterNM{
-			NodeID: ev.Node, Capacity: ev.Capacity,
-			Running: ev.Running, Completed: ev.Completed,
-		}, ev.Time)
+		s.applyRegister(r, ev.Time)
 	case evSubmit:
 		if ev.Job == nil {
 			return corrupt("submit without a job")
@@ -125,7 +123,11 @@ func (s *Server) applyEvent(ev *event) error {
 		}
 		s.chargeLaunch(ev.Task, ev.Machine, ev.Local, ev.Remote)
 	case evComplete:
-		s.applyComplete(wire.TaskCompletion{Task: ev.Task, Usage: ev.Usage, Duration: ev.Duration}, ev.Node, ev.Time)
+		c := wire.TaskCompletion{Task: ev.Task, Usage: ev.Usage, Duration: ev.Duration}
+		if err := checkCompletions([]wire.TaskCompletion{c}); err != nil {
+			return corrupt("complete: %v", err)
+		}
+		s.applyComplete(c, ev.Node, ev.Time)
 	case evDead:
 		n := s.node(ev.Node)
 		if n == nil {

@@ -8,6 +8,7 @@ package rm
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -24,6 +25,36 @@ const maxNodeID = 1 << 18
 func checkNodeID(id int) error {
 	if id < 0 || id >= maxNodeID {
 		return fmt.Errorf("invalid node id %d (want 0 ≤ id < %d)", id, maxNodeID)
+	}
+	return nil
+}
+
+// validAmount reports whether v may enter the ledger: finite and
+// non-negative. One NaN capacity or usage compares false against
+// everything, so it would poison every sum and score it reaches — the
+// routing summary, the view's totals, the core's argmax.
+func validAmount(v resources.Vector) bool { return v.Finite() && v.NonNegative() }
+
+// checkRegister refuses a registration the ledger cannot hold: an
+// out-of-range ID, a capacity or a buffered completion that is not
+// finite and non-negative.
+func checkRegister(r *wire.RegisterNM) error {
+	if err := checkNodeID(r.NodeID); err != nil {
+		return err
+	}
+	if !validAmount(r.Capacity) {
+		return fmt.Errorf("invalid capacity %v (want finite, non-negative)", r.Capacity)
+	}
+	return checkCompletions(r.Completed)
+}
+
+// checkCompletions refuses a completion whose usage or duration is not
+// finite and non-negative: both feed the demand estimator.
+func checkCompletions(cs []wire.TaskCompletion) error {
+	for _, c := range cs {
+		if !validAmount(c.Usage) || !(c.Duration >= 0) || math.IsInf(c.Duration, 1) {
+			return fmt.Errorf("invalid completion of %v: usage %v, duration %v (want finite, non-negative)", c.Task, c.Usage, c.Duration)
+		}
 	}
 	return nil
 }
@@ -99,6 +130,7 @@ func (s *Server) addNode(ms machineSnap) *node {
 	s.nodes[ms.ID] = n
 	s.view.Machines[ms.ID] = &n.MachineState
 	s.capsStale = true
+	s.nodesChanged()
 	return n
 }
 
@@ -116,6 +148,7 @@ func (s *Server) applyRegister(r *wire.RegisterNM, now float64) []workload.TaskI
 		s.capsStale = true
 	}
 	s.markDirty(causeNode)
+	s.nodesChanged()
 	if n.Down && !n.resync {
 		// Its tasks were reclaimed, so whatever it still runs is orphaned.
 		s.reviveNode(n, now)
@@ -142,6 +175,7 @@ func (s *Server) chargeLaunch(tid workload.TaskID, machine int, local resources.
 		rec.remote = append(rec.remote, remoteCharge{machine: rc.Machine, charge: rc.Charge, epoch: src.epoch})
 	}
 	ji.launched[tid] = rec
+	s.nodesChanged()
 }
 
 // releaseLaunch takes tid's launch off the ledger, whatever ended it:
@@ -154,6 +188,7 @@ func (s *Server) releaseLaunch(ji *jobInfo, tid workload.TaskID) (launchRecord, 
 		return rec, false
 	}
 	delete(ji.launched, tid)
+	s.nodesChanged()
 	ji.state.Alloc = ji.state.Alloc.Sub(rec.local).Max(resources.Vector{})
 	m := s.nodes[rec.machine]
 	m.Allocated = m.Allocated.Sub(rec.local).Max(resources.Vector{})
@@ -178,6 +213,7 @@ func (s *Server) applyDead(n *node, now float64) {
 	}
 	n.launches, n.preempts = nil, nil
 	s.markDirty(causeNode)
+	s.nodesChanged()
 	killed := 0
 	// failJob takes the job off s.active, which then holds its successor
 	// at i, and releases the job's other launches: the IDs left in the
@@ -224,6 +260,7 @@ func (s *Server) reviveNode(n *node, now float64) {
 		s.metrics.rejoins.Inc()
 	}
 	s.markDirty(causeNode)
+	s.nodesChanged()
 	s.log.Printf("rm: node %d rejoined after %.2fs down", n.ID, rec.Downtime)
 }
 
@@ -231,6 +268,7 @@ func (s *Server) reviveNode(n *node, now float64) {
 // ledger kept, until it re-registers — within one detector timeout of
 // now (recover). Reported is transient; the next heartbeat refills it.
 func (s *Server) awaitResync(now float64) {
+	s.nodesChanged()
 	for _, n := range s.nodes {
 		if n == nil {
 			continue
@@ -248,7 +286,8 @@ func (s *Server) awaitResync(now float64) {
 // VerifyLedger checks the accounting invariant — every machine's
 // Allocated is its launches' local charges plus the same-epoch remote
 // charges on it, every job's Alloc its launches' local charges (within
-// float tolerance) — and that the maintained view equals a rebuild.
+// float tolerance) — and that the maintained view and the cached routing
+// summary equal a rebuild.
 func (s *Server) VerifyLedger() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,7 +328,10 @@ func (s *Server) VerifyLedger() error {
 			total, largest = total.Add(n.Capacity), largest.Max(n.Capacity)
 		}
 	}
-	return s.verifyView(total, largest)
+	if err := s.verifyView(total, largest); err != nil {
+		return err
+	}
+	return s.verifyRoute()
 }
 
 // vecClose reports whether two vectors agree within accumulated

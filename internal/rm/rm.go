@@ -110,6 +110,7 @@ type Server struct {
 	// view.Jobs, the unfinished jobs in ascending ID order.
 	view      scheduler.View
 	active    []*jobInfo
+	route     routeCache       // the routing summary (router.go)
 	largest   resources.Vector // component-wise max machine capacity
 	capsStale bool             // view.Total and largest await refreshCaps
 	dirty     roundCause       // a Schedule input changed since the last round (causeNone: none did)
@@ -129,7 +130,7 @@ type Server struct {
 	lastEventTime   float64          // clock of the newest journaled event
 	sinceSnap       int              // journaled records since the last checkpoint
 	recoveredDigest []byte           // state digest right after replay, pre-resync
-	jbuf            []byte           // record and snapshot encode scratch
+	jbuf            []byte           // snapshot encode scratch
 }
 
 type jobInfo struct {
@@ -175,6 +176,7 @@ func newCore(cfg Config) (*Server, error) {
 		jobs:     make(map[int]*jobInfo),
 		faultLog: faults.NewRing(cfg.FaultLogCap),
 		dirty:    causeNode,
+		route:    routeCache{seen: make(map[resources.Vector]struct{})},
 	}
 	if est := cfg.Estimator; est != nil {
 		s.view.EstimateDemand = func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
@@ -222,7 +224,7 @@ func (s *Server) handleRegisterNM(r *wire.RegisterNM) *wire.Message {
 	if r == nil {
 		return errMsg("missing registerNM payload")
 	}
-	if err := checkNodeID(r.NodeID); err != nil {
+	if err := checkRegister(r); err != nil {
 		return errMsg(err.Error())
 	}
 	s.mu.Lock()
@@ -277,13 +279,14 @@ func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Mes
 	return &wire.Message{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: j.ID, Total: j.NumTasks()}}
 }
 
-// syncJournal flushes and fsyncs this core's journal, if any — the
-// batch-submit path's per-shard durability barrier.
-func (s *Server) syncJournal() error {
+// journalBarrier issues a durability barrier on this core's journal —
+// the batch-submit path's per-shard barrier — and returns its ack
+// without waiting; nil when journaling is off.
+func (s *Server) journalBarrier() <-chan error {
 	if s.jnl == nil {
 		return nil
 	}
-	return s.jnl.Sync()
+	return s.jnl.Barrier()
 }
 
 // applySubmit registers a validated, weight-normalized job under its
@@ -362,6 +365,12 @@ func (s *Server) handleBeats(beats []wire.NMHeartbeat, idxs []int, out []wire.NM
 // (re-)register, else "". Caller holds s.mu.
 func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) string {
 	id := hb.NodeID
+	if !hb.Delta && !validAmount(hb.Used) { // a delta beat's Used is not read
+		return fmt.Sprintf("node %d: invalid usage report %v (want finite, non-negative)", id, hb.Used)
+	}
+	if err := checkCompletions(hb.Completed); err != nil {
+		return fmt.Sprintf("node %d: %v", id, err)
+	}
 	n := s.node(id)
 	if n == nil {
 		return fmt.Sprintf("unregistered node %d", id)
@@ -393,6 +402,7 @@ func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) stri
 		if n.Reported != hb.Used {
 			n.Reported = hb.Used
 			s.markDirty(causeUsage)
+			s.nodesChanged()
 		}
 		n.needFull = false
 	}
@@ -431,6 +441,7 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 	s.releaseLaunch(ji, c.Task)
 	ji.state.Status.MarkDone(c.Task, now)
 	s.markDirty(causeCompletion)
+	s.jobsChanged()
 	if s.cfg.Estimator != nil {
 		s.cfg.Estimator.Observe(ji.state.Job, c.Task.Stage, c.Usage, c.Duration)
 	}

@@ -16,21 +16,26 @@ package rm
 // aggregate free vector looks alike.
 
 import (
+	"fmt"
+	"math"
+	"slices"
+
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
 // ShardView is one shard's routing summary: the aggregate placement
-// headroom of its live machines plus the per-machine capacities needed
-// for feasibility checks.
+// headroom of its live machines plus the capacity shapes needed for
+// feasibility checks.
 type ShardView struct {
 	// Free is the sum of FreePacking over live machines.
 	Free resources.Vector
 	// Capacity is the sum of Capacity over live machines.
 	Capacity resources.Vector
-	// MachineCaps holds each live machine's capacity. Routing only asks
-	// "does some machine fit the demand", which is order-independent,
-	// so the slice may be in any order.
+	// MachineCaps holds the distinct capacities of the live machines
+	// (a deployment fleet has a handful). Routing only asks "does some
+	// machine fit the demand", which neither order nor multiplicity
+	// changes. Read-only: a shard's summaries share it.
 	MachineCaps []resources.Vector
 	// ActiveJobs counts unfinished jobs assigned to the shard.
 	ActiveJobs int
@@ -42,32 +47,105 @@ type ShardView struct {
 	PendingWork float64
 }
 
-// RoutingSummary builds the server's shard view from its live machines
-// and unfinished jobs. Down machines contribute nothing: a shard that
-// lost every node reports an empty view and attracts no new jobs until
-// nodes return.
+// routeCache is a shard's routing summary, cached in two halves so an
+// unchanged shard answers every submission with an O(1) read. The
+// machine half (Free, Capacity, MachineCaps) is rebuilt at most once per
+// node-ledger change, the job half (ActiveJobs, PendingWork) at most once
+// per job-table change; the writers that make those changes — ledger.go's
+// and view.go's, a completion, a full report that moves Reported — are
+// the only ones that clear the fresh flags (nodesChanged, jobsChanged).
+// A rebuild sums in ID order, exactly as a summary built from scratch
+// does, so cached and fresh values agree to the bit; VerifyLedger checks
+// that they do.
+type routeCache struct {
+	view                  ShardView
+	nodesFresh, jobsFresh bool
+	seen                  map[resources.Vector]struct{} // shape dedup scratch
+}
+
+// nodesChanged marks the machine half of the routing summary stale: a
+// machine's capacity, allocation, report or liveness moved. Caller holds
+// s.mu.
+func (s *Server) nodesChanged() { s.route.nodesFresh = false }
+
+// jobsChanged marks the job half stale: a job arrived, finished or
+// completed a task. Caller holds s.mu.
+func (s *Server) jobsChanged() { s.route.jobsFresh = false }
+
+// RoutingSummary returns the shard's routing summary from its live
+// machines and unfinished jobs. Down machines contribute nothing: a
+// shard that lost every node reports an empty view and attracts no new
+// jobs until nodes return.
 //
-// Both walks are in ID order over the maintained view (view.go), so two
-// summaries of an unchanged shard are bit-identical — float sums in map
-// order were not, and a near-tie could route differently on a rerun. A
-// sibling shard's placeholder slot is Down and drops out like any dead
-// machine.
+// Both halves are summed in ID order over the maintained view (view.go),
+// so two summaries of an unchanged shard are bit-identical — float sums
+// in map order were not, and a near-tie could route differently on a
+// rerun. A sibling shard's placeholder slot is Down and drops out like
+// any dead machine.
 func (s *Server) RoutingSummary() ShardView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := ShardView{ActiveJobs: len(s.active), MachineCaps: make([]resources.Vector, 0, s.countNodes(nil))}
+	c := &s.route
+	if !c.nodesFresh {
+		c.view.Free, c.view.Capacity, c.view.MachineCaps = s.machineSummary(c.seen)
+		c.nodesFresh = true
+	}
+	if !c.jobsFresh {
+		c.view.ActiveJobs, c.view.PendingWork = s.jobSummary()
+		c.jobsFresh = true
+	}
+	return c.view
+}
+
+// machineSummary sums the live machines in ID order and lists their
+// distinct capacities in order of first appearance, in a new slice (a
+// published one is never written again). Caller holds s.mu.
+func (s *Server) machineSummary(seen map[resources.Vector]struct{}) (free, capacity resources.Vector, shapes []resources.Vector) {
+	clear(seen)
 	for _, m := range s.view.Machines {
 		if m.Down {
 			continue
 		}
-		v.Free = v.Free.Add(m.FreePacking())
-		v.Capacity = v.Capacity.Add(m.Capacity)
-		v.MachineCaps = append(v.MachineCaps, m.Capacity)
+		free = free.Add(m.FreePacking())
+		capacity = capacity.Add(m.Capacity)
+		if _, ok := seen[m.Capacity]; !ok {
+			seen[m.Capacity] = struct{}{}
+			shapes = append(shapes, m.Capacity)
+		}
 	}
+	return free, capacity, shapes
+}
+
+// jobSummary counts the unfinished jobs and sums their pending work in
+// ID order. Caller holds s.mu.
+func (s *Server) jobSummary() (active int, pending float64) {
 	for _, ji := range s.active {
-		v.PendingWork += float64(ji.state.Status.RemainingTasks()) * ji.meanVolume
+		pending += float64(ji.state.Status.RemainingTasks()) * ji.meanVolume
 	}
-	return v
+	return len(s.active), pending
+}
+
+// verifyRoute is VerifyLedger's check of the cached routing summary: a
+// half the cache holds as fresh must equal, bit for bit, a rebuild from
+// the node and job tables — a writer that forgot to mark it stale shows
+// here. The rebuild then becomes the cache, so the next check covers
+// whatever changes in between. Caller holds s.mu.
+func (s *Server) verifyRoute() error {
+	c := &s.route
+	free, capacity, shapes := s.machineSummary(c.seen)
+	active, pending := s.jobSummary()
+	if c.nodesFresh && (!c.view.Free.SameBits(free) || !c.view.Capacity.SameBits(capacity) ||
+		!slices.EqualFunc(c.view.MachineCaps, shapes, resources.Vector.SameBits)) {
+		return fmt.Errorf("routing summary drift: cached free %v capacity %v shapes %v, rebuild gives %v, %v, %v",
+			c.view.Free, c.view.Capacity, c.view.MachineCaps, free, capacity, shapes)
+	}
+	if c.jobsFresh && (c.view.ActiveJobs != active || math.Float64bits(c.view.PendingWork) != math.Float64bits(pending)) {
+		return fmt.Errorf("routing summary drift: cached %d active jobs, pending work %v, rebuild gives %d, %v",
+			c.view.ActiveJobs, c.view.PendingWork, active, pending)
+	}
+	c.view = ShardView{Free: free, Capacity: capacity, MachineCaps: shapes, ActiveJobs: active, PendingWork: pending}
+	c.nodesFresh, c.jobsFresh = true, true
+	return nil
 }
 
 // meanTaskVolume is a job's average per-task work volume, peak demand

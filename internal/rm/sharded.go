@@ -603,18 +603,23 @@ func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 
 // handleSubmitBatch is the bulk-ingest path: each job is validated,
 // gated, routed and applied on its shard independently; their submit
-// events stream to the shard journals' writer goroutines, and then every
-// shard that accepted work runs one journal Sync — one fsync per (batch,
-// shard) pair — before the combined reply is sent. That makes an acked
-// batch stronger than an acked single submit (whose append is
-// asynchronous under the interval fsync policy) while paying the fsync
-// once per batch and shard instead of once per job.
+// events stream to the shard journals' writer goroutines. Then every
+// shard that accepted work gets one journal barrier — one fsync per
+// (batch, shard) pair — all issued, in shard order, before any is waited
+// on: each shard journals to its own file, so the fsyncs overlap and a
+// batch pays about one fsync latency. That makes an acked batch stronger
+// than an acked single submit (whose append is asynchronous under the
+// interval fsync policy) while paying the fsync once per batch instead
+// of once per job. A failed barrier fails the whole batch closed: the
+// reply is an error naming the shard, never an admit of jobs that may
+// not survive a crash. The jobs stay applied and pinned, so resubmitting
+// the same IDs is idempotent and is acked once a barrier succeeds.
 func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 	if r == nil || len(r.Jobs) == 0 {
 		return errMsg("missing or empty submitBatch payload")
 	}
 	reply := &wire.SubmitBatchReply{Results: make([]wire.SubmitResult, 0, len(r.Jobs))}
-	touched := make(map[int]bool)
+	touched := make([]bool, len(g.shards))
 	for _, j := range r.Jobs {
 		if j == nil {
 			reply.Results = append(reply.Results, wire.SubmitResult{Reject: &wire.SubmitReject{
@@ -641,10 +646,25 @@ func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 		g.adm.batches.Inc()
 		g.adm.batchJobs.Add(uint64(len(r.Jobs)))
 	}
-	for shard := range touched {
-		if err := g.shards[shard].syncJournal(); err != nil {
-			g.log.Printf("rm: sharded: shard %d batch journal sync: %v", shard, err)
+	acks := make([]<-chan error, len(g.shards))
+	for shard, t := range touched {
+		if t {
+			acks[shard] = g.shards[shard].journalBarrier()
 		}
+	}
+	var failed []string
+	for shard, ack := range acks {
+		if ack == nil {
+			continue
+		}
+		if err := <-ack; err != nil {
+			failed = append(failed, fmt.Sprintf("shard %d: %v", shard, err))
+		}
+	}
+	if len(failed) > 0 {
+		msg := "batch not durable, journal barrier failed on " + strings.Join(failed, "; ")
+		g.log.Printf("rm: sharded: %s", msg)
+		return errMsg(msg)
 	}
 	return &wire.Message{Type: wire.TypeSubmitBatchReply, SubmitBatchReply: reply}
 }
@@ -658,13 +678,7 @@ func (g *Sharded) routeJob(j *workload.Job) int {
 	}
 	g.mu.Unlock()
 
-	// Summarize shards without holding g.mu: RoutingSummary takes each
-	// shard's own lock, and admission must not serialize heartbeats.
-	views := make([]ShardView, len(g.shards))
-	for i, s := range g.shards {
-		views[i] = s.RoutingSummary()
-	}
-	shard, feasible := RouteJob(j, views)
+	shard, feasible := g.pickShard(j)
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -679,6 +693,27 @@ func (g *Sharded) routeJob(j *workload.Job) int {
 	g.log.Printf("rm: sharded: job %d routed to shard %d (%d tasks)", j.ID, shard, j.NumTasks())
 	return shard
 }
+
+// pickShard scores j against every shard's routing summary. It runs
+// without holding g.mu — RoutingSummary takes each shard's own lock, and
+// admission must not serialize heartbeats — and allocates nothing: the
+// summaries are cached per shard (router.go) and the views slice lives
+// on the stack for up to maxStackShards shards.
+func (g *Sharded) pickShard(j *workload.Job) (shard int, feasible bool) {
+	var buf [maxStackShards]ShardView
+	views := buf[:0]
+	if len(g.shards) > maxStackShards {
+		views = make([]ShardView, 0, len(g.shards))
+	}
+	for _, s := range g.shards {
+		views = append(views, s.RoutingSummary())
+	}
+	return RouteJob(j, views)
+}
+
+// maxStackShards is the shard count up to which pickShard keeps its
+// views off the heap.
+const maxStackShards = 16
 
 // RegisterMachine adds a machine to its static shard (without a socket).
 func (g *Sharded) RegisterMachine(id int, capacity resources.Vector) {

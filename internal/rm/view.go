@@ -135,6 +135,7 @@ func (s *Server) addJob(ji *jobInfo) {
 	if ji.finished {
 		return
 	}
+	s.jobsChanged()
 	i := sort.Search(len(s.active), func(k int) bool { return s.active[k].state.Job.ID > id })
 	s.active = slices.Insert(s.active, i, ji)
 	s.view.Jobs = slices.Insert(s.view.Jobs, i, ji.state)
@@ -149,6 +150,7 @@ func (s *Server) retire(ji *jobInfo) {
 	i := sort.Search(len(s.active), func(k int) bool { return s.active[k].state.Job.ID >= id })
 	s.active = slices.Delete(s.active, i, i+1)
 	s.view.Jobs = slices.Delete(s.view.Jobs, i, i+1)
+	s.jobsChanged()
 	if s.adm != nil {
 		s.adm.release(ji.tenant, ji.demand)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
@@ -552,4 +553,30 @@ func FuzzCodecEquivalence(f *testing.F) {
 			t.Fatalf("binary read left %d unconsumed bytes", len(rest))
 		}
 	})
+}
+
+// TestBinaryRefusesNonFinite: a binary frame carrying a NaN or infinite
+// float — in a registration's capacity, a beat's usage report, or a
+// completion's usage or duration — does not decode. One NaN capacity
+// accepted by the RM used to panic its next scheduling round.
+func TestBinaryRefusesNonFinite(t *testing.T) {
+	capV := resources.New(16, 32, 200, 200, 1000, 1000)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, m := range []*Message{
+			{Type: TypeRegisterNM, RegisterNM: &RegisterNM{NodeID: 1, Capacity: capV.With(resources.CPU, bad)}},
+			{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Used: resources.New(1, bad, 0, 0, 0, 0)}},
+			{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Completed: []TaskCompletion{
+				{Task: workload.TaskID{Job: 1}, Usage: resources.New(bad, 1, 0, 0, 0, 0), Duration: 1}}}},
+			{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Completed: []TaskCompletion{
+				{Task: workload.TaskID{Job: 1}, Duration: bad}}}},
+		} {
+			var buf bytes.Buffer
+			if err := NewFramer(CodecBinary).Write(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := NewServerFramer().Read(&buf); err == nil {
+				t.Errorf("%v in a %s frame decoded: %+v", bad, m.Type, got)
+			}
+		}
+	}
 }

@@ -17,14 +17,17 @@ import (
 //   - float64s are 8-byte little-endian IEEE-754 bits, so values
 //     round-trip bit-identically;
 //   - a resources.Vector is a bitmask byte of its nonzero dimensions
-//     (nonzero at the bit level, preserving -0 and NaN) followed by
+//     (nonzero at the bit level, preserving -0) followed by
 //     8 bytes per set bit — an all-zero vector costs one byte;
 //   - strings are a uvarint length followed by raw bytes;
 //   - a workload.TaskID is its job, stage and index as ints.
 //
 // Every value has exactly one encoding: Reader refuses an overlong
 // varint and a mask bit over a zero float, so whatever it decodes
-// re-encodes to the bytes it read.
+// re-encodes to the bytes it read. It also refuses a NaN or infinite
+// float: no field of a frame or journal record may hold one, and one
+// NaN in a capacity or demand would poison every sum and score it
+// enters.
 
 // The vector bitmask is a single byte.
 const _ uint = 8 - uint(resources.NumKinds)
@@ -39,6 +42,7 @@ const (
 var (
 	errBinTruncated    = errors.New("wire: truncated binary payload")
 	errBinNonCanonical = errors.New("wire: non-canonical binary encoding")
+	errBinNonFinite    = errors.New("wire: non-finite number in binary payload")
 )
 
 // AppendInt appends v as a zigzag varint.
@@ -169,15 +173,19 @@ func (r *Reader) Int() int {
 	return int(v)
 }
 
-// Float reads 8 bytes of IEEE-754 bits.
+// Float reads 8 bytes of IEEE-754 bits, refusing NaN and ±Inf.
 func (r *Reader) Float() float64 {
 	if r.err != nil || r.Len() < 8 {
 		r.Fail(errBinTruncated)
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		r.Fail(errBinNonFinite)
+		return 0
+	}
 	r.off += 8
-	return math.Float64frombits(v)
+	return f
 }
 
 // Str reads a length-prefixed string.
