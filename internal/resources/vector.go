@@ -232,10 +232,21 @@ func (v Vector) NonNegative() bool {
 	return true
 }
 
-// Finite reports whether no component is NaN or ±Inf.
-func (v Vector) Finite() bool {
+// MaxAmount bounds the magnitude of every number the control plane takes
+// in: capacities, demands, usage, work, sizes, durations, arrivals and
+// weights. It sits far above any real machine or task, and low enough
+// that no sum over a fleet and no running variance over any number of
+// samples (at most n·MaxAmount²) overflows to ±Inf — a value the journal
+// reader refuses, so an RM that computed one could not restart.
+const MaxAmount = 1e15
+
+// Bounded reports whether |x| ≤ MaxAmount, which rules out NaN and ±Inf.
+func Bounded(x float64) bool { return math.Abs(x) <= MaxAmount }
+
+// Bounded reports whether every component is Bounded.
+func (v Vector) Bounded() bool {
 	for i := range v {
-		if math.IsNaN(v[i]) || math.IsInf(v[i], 0) {
+		if !Bounded(v[i]) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package rm
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"path/filepath"
@@ -12,10 +13,13 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// Every number that enters the RM is finite and non-negative: one NaN
-// capacity or demand compares false against everything, so the next
-// round's argmax finds no candidate and the core panics under the shard
-// lock — and a journaled registration re-arms that on every restart.
+// Every number that enters the RM is non-negative and at most
+// resources.MaxAmount: one NaN capacity or demand compares false against
+// everything, so the next round's argmax finds no candidate and the core
+// panics under the shard lock — and a journaled registration re-arms
+// that on every restart. A huge finite one overflows a sum or the
+// estimator's variance to +Inf, which the next snapshot writes and the
+// journal reader refuses.
 
 // honestRound checks that a fleet of node 0 alone still schedules: a job
 // submitted now runs to completion and the ledger balances.
@@ -34,7 +38,7 @@ func honestRound(t *testing.T, g *Sharded, jobID int) {
 
 func TestRegisterRefusesNonFiniteCapacity(t *testing.T) {
 	capV := resources.New(16, 32, 200, 200, 1000, 1000)
-	for i, bad := range []float64{math.NaN(), math.Inf(1), -1} {
+	for i, bad := range []float64{math.NaN(), math.Inf(1), -1, 1e200} {
 		g := newShardedServer(t, 1, ShardedConfig{})
 		g.RegisterMachine(0, capV)
 		reply, _ := g.Call(&wire.Message{Type: wire.TypeRegisterNM, RegisterNM: &wire.RegisterNM{
@@ -52,16 +56,20 @@ func TestRegisterRefusesNonFiniteCapacity(t *testing.T) {
 func TestSubmitRefusesNonFiniteJob(t *testing.T) {
 	g := newShardedServer(t, 1, ShardedConfig{})
 	g.RegisterMachine(0, resources.New(16, 32, 200, 200, 1000, 1000))
-	for i, mutate := range []func(*workload.Task){
-		func(t *workload.Task) { t.Peak = t.Peak.With(resources.CPU, math.NaN()) },
-		func(t *workload.Task) { t.Peak = t.Peak.With(resources.Memory, math.Inf(1)) },
-		func(t *workload.Task) { t.Work.CPUSeconds = math.Inf(1) },
-		func(t *workload.Task) { t.Work.CPUSeconds = math.NaN() },
+	for i, mutate := range []func(*workload.Job, *workload.Task){
+		func(_ *workload.Job, t *workload.Task) { t.Peak = t.Peak.With(resources.CPU, math.NaN()) },
+		func(_ *workload.Job, t *workload.Task) { t.Peak = t.Peak.With(resources.Memory, math.Inf(1)) },
+		func(_ *workload.Job, t *workload.Task) { t.Peak = t.Peak.With(resources.Memory, 1e200) },
+		func(_ *workload.Job, t *workload.Task) { t.Work.CPUSeconds = math.Inf(1) },
+		func(_ *workload.Job, t *workload.Task) { t.Work.CPUSeconds = math.NaN() },
+		func(j *workload.Job, _ *workload.Task) { j.Arrival = math.NaN() },
+		func(j *workload.Job, _ *workload.Task) { j.Arrival = math.Inf(-1) },
+		func(j *workload.Job, _ *workload.Task) { j.Weight = 1e200 },
 	} {
 		j := simpleJob(100+i, 2)
-		mutate(j.Stages[0].Tasks[1])
+		mutate(j, j.Stages[0].Tasks[1])
 		if err := g.SubmitJob(j); err == nil {
-			t.Errorf("case %d: job with task %+v admitted", i, *j.Stages[0].Tasks[1])
+			t.Errorf("case %d: job (arrival %v, weight %v) with task %+v admitted", i, j.Arrival, j.Weight, *j.Stages[0].Tasks[1])
 		}
 	}
 	honestRound(t, g, 1)
@@ -83,6 +91,7 @@ func TestBeatRefusesNonFiniteReport(t *testing.T) {
 		{NodeID: 0, Used: resources.New(-1, 0, 0, 0, 0, 0)},
 		{NodeID: 0, Completed: []wire.TaskCompletion{{Task: tid, Usage: resources.New(math.Inf(1), 0, 0, 0, 0, 0), Duration: 1}}},
 		{NodeID: 0, Completed: []wire.TaskCompletion{{Task: tid, Duration: math.NaN()}}},
+		{NodeID: 0, Completed: []wire.TaskCompletion{{Task: tid, Duration: 1e200}}},
 	} {
 		if reply := g.HandleNMHeartbeat(&hb); reply.Type != wire.TypeError {
 			t.Errorf("beat %+v: %+v, want refused", hb, reply)
@@ -120,5 +129,47 @@ func TestReplayRefusesNonFiniteRegistration(t *testing.T) {
 	}
 	if !errors.Is(err, ErrJournalCorrupt) {
 		t.Errorf("got %v, want ErrJournalCorrupt", err)
+	}
+}
+
+// TestHugeCompletionsRestart: the estimator's running variance over
+// completions of durations 1e200 and 0 is +Inf, so an RM that accepted
+// them would snapshot a journal it refuses to restart from. They are
+// refused at the beat; the widest spread the bound admits, MaxAmount and
+// 0 in duration and usage, snapshots and restarts to the same state.
+func TestHugeCompletionsRestart(t *testing.T) {
+	dir := t.TempDir()
+	g := journaledServer(t, dir, 1) // snapshot after every record
+	g.RegisterMachine(0, resources.New(16, 32, 200, 200, 1000, 1000))
+	if err := g.SubmitJob(simpleJob(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	launch := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0}).NMReply.Launch
+	if len(launch) != 2 {
+		t.Fatalf("launched %d tasks, want 2", len(launch))
+	}
+	huge := []wire.TaskCompletion{
+		{Task: launch[0].Task, Duration: 1e200},
+		{Task: launch[1].Task, Usage: resources.New(1e200, 0, 0, 0, 0, 0)},
+	}
+	for _, c := range huge {
+		if reply := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: []wire.TaskCompletion{c}}); reply.Type != wire.TypeError {
+			t.Errorf("completion %+v: %+v, want refused", c, reply)
+		}
+	}
+	widest := []wire.TaskCompletion{
+		{Task: launch[0].Task, Usage: resources.New(resources.MaxAmount, 0, 0, 0, 0, 0), Duration: resources.MaxAmount},
+		{Task: launch[1].Task, Duration: 0},
+	}
+	if reply := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: widest}); reply.Type != wire.TypeNMReply {
+		t.Fatalf("completions at the bound: %+v", reply)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := g.Shard(0).StateDigest()
+	g2 := journaledServer(t, dir, 1)
+	if got := g2.Shard(0).RecoveredDigest(); !bytes.Equal(want, got) {
+		t.Fatalf("recovered state diverges:\n pre-crash: %s\n recovered: %s", want, got)
 	}
 }

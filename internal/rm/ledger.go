@@ -8,7 +8,6 @@ package rm
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -29,31 +28,33 @@ func checkNodeID(id int) error {
 	return nil
 }
 
-// validAmount reports whether v may enter the ledger: finite and
-// non-negative. One NaN capacity or usage compares false against
+// validAmount reports whether v may enter the ledger: non-negative and
+// resources.Bounded. One NaN capacity or usage compares false against
 // everything, so it would poison every sum and score it reaches — the
-// routing summary, the view's totals, the core's argmax.
-func validAmount(v resources.Vector) bool { return v.Finite() && v.NonNegative() }
+// routing summary, the view's totals, the core's argmax; a huge finite
+// one overflows those sums, or the estimator's variance, to ±Inf, which
+// a snapshot then carries into a journal the RM refuses to restart from.
+func validAmount(v resources.Vector) bool { return v.Bounded() && v.NonNegative() }
 
 // checkRegister refuses a registration the ledger cannot hold: an
-// out-of-range ID, a capacity or a buffered completion that is not
-// finite and non-negative.
+// out-of-range ID, a capacity or a buffered completion that is not a
+// validAmount.
 func checkRegister(r *wire.RegisterNM) error {
 	if err := checkNodeID(r.NodeID); err != nil {
 		return err
 	}
 	if !validAmount(r.Capacity) {
-		return fmt.Errorf("invalid capacity %v (want finite, non-negative)", r.Capacity)
+		return fmt.Errorf("invalid capacity %v (want 0 ≤ x ≤ %g)", r.Capacity, resources.MaxAmount)
 	}
 	return checkCompletions(r.Completed)
 }
 
-// checkCompletions refuses a completion whose usage or duration is not
-// finite and non-negative: both feed the demand estimator.
+// checkCompletions refuses a completion whose usage or duration is not a
+// validAmount: both feed the demand estimator.
 func checkCompletions(cs []wire.TaskCompletion) error {
 	for _, c := range cs {
-		if !validAmount(c.Usage) || !(c.Duration >= 0) || math.IsInf(c.Duration, 1) {
-			return fmt.Errorf("invalid completion of %v: usage %v, duration %v (want finite, non-negative)", c.Task, c.Usage, c.Duration)
+		if !validAmount(c.Usage) || !(c.Duration >= 0) || !resources.Bounded(c.Duration) {
+			return fmt.Errorf("invalid completion of %v: usage %v, duration %v (want 0 ≤ x ≤ %g)", c.Task, c.Usage, c.Duration, resources.MaxAmount)
 		}
 	}
 	return nil

@@ -366,7 +366,7 @@ func (s *Server) handleBeats(beats []wire.NMHeartbeat, idxs []int, out []wire.NM
 func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) string {
 	id := hb.NodeID
 	if !hb.Delta && !validAmount(hb.Used) { // a delta beat's Used is not read
-		return fmt.Sprintf("node %d: invalid usage report %v (want finite, non-negative)", id, hb.Used)
+		return fmt.Sprintf("node %d: invalid usage report %v (want 0 ≤ x ≤ %g)", id, hb.Used, resources.MaxAmount)
 	}
 	if err := checkCompletions(hb.Completed); err != nil {
 		return fmt.Sprintf("node %d: %v", id, err)

@@ -3,6 +3,7 @@ package rm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func submitFleet(tb testing.TB, nodes int) *Sharded {
 func TestSubmitCostFlat(t *testing.T) {
 	for _, nodes := range []int{64, 20000} {
 		g := submitFleet(t, nodes)
-		g.pickShard(simpleJob(-1, 4)) // the fleet's first summary
+		g.routeViews(simpleJob(-1, 4)) // the fleet's first summary
 		for id := 0; id < submitWindow; id++ {
 			j := simpleJob(id, 4)
 			if id%50 == 0 {
@@ -48,7 +49,7 @@ func TestSubmitCostFlat(t *testing.T) {
 					for _, s := range g.shards {
 						s.route.jobsFresh = false
 					}
-					g.pickShard(j)
+					g.routeViews(j)
 				})
 				if allocs != 0 {
 					t.Fatalf("%d nodes, job %d: routing allocated %v times, want 0", nodes, id, allocs)
@@ -95,6 +96,51 @@ func BenchmarkSubmitRoute(b *testing.B) {
 			b.StopTimer()
 			g.Close()
 		})
+	}
+}
+
+// BenchmarkRouteStale is routing's cost when every shard's ledger changed
+// since the last submission — a launch, release, death or moved full
+// report on each — so each machine half is rebuilt: a walk of the
+// shard's view, which grows with the fleet, and one shapes slice per
+// shard. BenchmarkSubmitRoute is the other end, no shard changed.
+func BenchmarkRouteStale(b *testing.B) {
+	j := simpleJob(0, 4)
+	for _, nodes := range []int{64, 2000, 20000} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			g := submitFleet(b, nodes)
+			defer g.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range g.shards {
+					s.mu.Lock()
+					s.nodesChanged()
+					s.mu.Unlock()
+				}
+				g.routeViews(j)
+			}
+		})
+	}
+}
+
+// TestAddShape: addShape lists distinct capacities in order of first
+// appearance on both sides of fewShapes — the scan and the set.
+func TestAddShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, distinct := range []int{1, fewShapes, fewShapes + 1, 40} {
+		var got, want []resources.Vector
+		seen := make(map[resources.Vector]struct{})
+		for i := 0; i < 400; i++ {
+			c := resources.New(float64(rng.Intn(distinct)), 32, 200, 200, 1000, 1000)
+			got = addShape(got, seen, c)
+			if !slices.Contains(want, c) {
+				want = append(want, c)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%d distinct shapes: got %v, want %v", distinct, got, want)
+		}
 	}
 }
 

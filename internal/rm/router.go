@@ -60,7 +60,7 @@ type ShardView struct {
 type routeCache struct {
 	view                  ShardView
 	nodesFresh, jobsFresh bool
-	seen                  map[resources.Vector]struct{} // shape dedup scratch
+	seen                  map[resources.Vector]struct{} // shape dedup scratch (addShape)
 }
 
 // nodesChanged marks the machine half of the routing summary stale: a
@@ -99,21 +99,48 @@ func (s *Server) RoutingSummary() ShardView {
 
 // machineSummary sums the live machines in ID order and lists their
 // distinct capacities in order of first appearance, in a new slice (a
-// published one is never written again). Caller holds s.mu.
+// published one is never written again), sized for as many as the last
+// summary had. Caller holds s.mu.
 func (s *Server) machineSummary(seen map[resources.Vector]struct{}) (free, capacity resources.Vector, shapes []resources.Vector) {
 	clear(seen)
+	shapes = make([]resources.Vector, 0, max(len(s.route.view.MachineCaps), 1))
 	for _, m := range s.view.Machines {
 		if m.Down {
 			continue
 		}
 		free = free.Add(m.FreePacking())
 		capacity = capacity.Add(m.Capacity)
-		if _, ok := seen[m.Capacity]; !ok {
-			seen[m.Capacity] = struct{}{}
-			shapes = append(shapes, m.Capacity)
-		}
+		shapes = addShape(shapes, seen, m.Capacity)
 	}
 	return free, capacity, shapes
+}
+
+// fewShapes is how many distinct shapes addShape scans linearly before it
+// indexes them in its set: a scan of a handful is cheaper than hashing
+// six floats per machine.
+const fewShapes = 8
+
+// addShape appends c to shapes unless it is there already. While shapes
+// are few it scans them; past fewShapes it keeps them in seen as well.
+func addShape(shapes []resources.Vector, seen map[resources.Vector]struct{}, c resources.Vector) []resources.Vector {
+	if len(shapes) > fewShapes {
+		if _, ok := seen[c]; ok {
+			return shapes
+		}
+		seen[c] = struct{}{}
+		return append(shapes, c)
+	}
+	for i := range shapes {
+		if shapes[i] == c {
+			return shapes
+		}
+	}
+	if shapes = append(shapes, c); len(shapes) > fewShapes {
+		for _, v := range shapes {
+			seen[v] = struct{}{}
+		}
+	}
+	return shapes
 }
 
 // jobSummary counts the unfinished jobs and sums their pending work in

@@ -678,7 +678,7 @@ func (g *Sharded) routeJob(j *workload.Job) int {
 	}
 	g.mu.Unlock()
 
-	shard, feasible := g.pickShard(j)
+	shard, feasible := g.routeViews(j)
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -694,12 +694,12 @@ func (g *Sharded) routeJob(j *workload.Job) int {
 	return shard
 }
 
-// pickShard scores j against every shard's routing summary. It runs
+// routeViews scores j against every shard's routing summary. It runs
 // without holding g.mu — RoutingSummary takes each shard's own lock, and
 // admission must not serialize heartbeats — and allocates nothing: the
 // summaries are cached per shard (router.go) and the views slice lives
 // on the stack for up to maxStackShards shards.
-func (g *Sharded) pickShard(j *workload.Job) (shard int, feasible bool) {
+func (g *Sharded) routeViews(j *workload.Job) (shard int, feasible bool) {
 	var buf [maxStackShards]ShardView
 	views := buf[:0]
 	if len(g.shards) > maxStackShards {
@@ -711,7 +711,7 @@ func (g *Sharded) pickShard(j *workload.Job) (shard int, feasible bool) {
 	return RouteJob(j, views)
 }
 
-// maxStackShards is the shard count up to which pickShard keeps its
+// maxStackShards is the shard count up to which routeViews keeps its
 // views off the heap.
 const maxStackShards = 16
 

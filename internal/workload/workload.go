@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/tetris-sched/tetris/internal/resources"
 )
@@ -244,16 +243,18 @@ func (j *Job) NumTasks() int {
 func (j *Job) Task(stage, index int) *Task { return j.Stages[stage].Tasks[index] }
 
 // Validate checks structural invariants: at least one task, stage deps
-// in range and acyclic, task ids consistent, finite non-negative demands
-// and work, a finite weight, and no task whose positive work has a zero
-// peak rate on the matching dimension (such a task would run forever —
-// its duration at peak rates is infinite).
+// in range and acyclic, task ids consistent, non-negative demands and
+// work, and no task whose positive work has a zero peak rate on the
+// matching dimension (such a task would run forever — its duration at
+// peak rates is infinite). Every number it carries must be
+// resources.Bounded: finite, and small enough that no sum the RM keeps
+// of it overflows.
 func (j *Job) Validate() error {
 	if j.NumTasks() == 0 {
 		return fmt.Errorf("job %d: no tasks", j.ID)
 	}
-	if math.IsNaN(j.Weight) || math.IsInf(j.Weight, 0) {
-		return fmt.Errorf("job %d: non-finite weight %v", j.ID, j.Weight)
+	if !resources.Bounded(j.Arrival) || !resources.Bounded(j.Weight) {
+		return fmt.Errorf("job %d: arrival %v or weight %v out of range", j.ID, j.Arrival, j.Weight)
 	}
 	n := len(j.Stages)
 	indeg := make([]int, n)
@@ -276,15 +277,15 @@ func (j *Job) Validate() error {
 			if t.ID.Job != j.ID || t.ID.Stage != si || t.ID.Index != ti {
 				return fmt.Errorf("job %d: task %v has inconsistent id at stage %d index %d", j.ID, t.ID, si, ti)
 			}
-			if !t.Peak.Finite() || !t.Peak.NonNegative() {
-				return fmt.Errorf("job %d task %v: negative or non-finite peak demand %v", j.ID, t.ID, t.Peak)
+			if !t.Peak.Bounded() || !t.Peak.NonNegative() {
+				return fmt.Errorf("job %d task %v: negative or out-of-range peak demand %v", j.ID, t.ID, t.Peak)
 			}
 			if !amount(t.Work.CPUSeconds) || !amount(t.Work.WriteMB) {
-				return fmt.Errorf("job %d task %v: negative or non-finite work", j.ID, t.ID)
+				return fmt.Errorf("job %d task %v: negative or out-of-range work", j.ID, t.ID)
 			}
 			for _, b := range t.Inputs {
 				if !amount(b.SizeMB) {
-					return fmt.Errorf("job %d task %v: negative or non-finite input size", j.ID, t.ID)
+					return fmt.Errorf("job %d task %v: negative or out-of-range input size", j.ID, t.ID)
 				}
 			}
 			if t.Work.CPUSeconds > 0 && t.Peak.Get(resources.CPU) <= 0 {
@@ -367,5 +368,5 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// amount reports whether x is a finite, non-negative quantity.
-func amount(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+// amount reports whether x is a non-negative, Bounded quantity.
+func amount(x float64) bool { return x >= 0 && resources.Bounded(x) }
