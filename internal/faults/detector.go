@@ -16,7 +16,7 @@ type Detector struct {
 	lastSeen map[int]float64
 	// oldest is a lower bound on every stamp in lastSeen: exact after a
 	// scan, lowered by an earlier-stamped Beat, never raised in between
-	// (Forget and a re-Beat of the oldest node only make it loose). Until
+	// (a re-Beat of the oldest node only makes it loose). Until
 	// the clock passes oldest+timeout nothing can have expired, so
 	// Expired — asked on every heartbeat — returns without scanning.
 	oldest float64
@@ -35,10 +35,6 @@ func (d *Detector) Beat(id int, now float64) {
 		d.oldest = now
 	}
 }
-
-// Forget stops tracking a node (it deregistered or was declared dead;
-// a later Beat re-arms it).
-func (d *Detector) Forget(id int) { delete(d.lastSeen, id) }
 
 // Expired returns, in ascending ID order, the nodes whose last beat is
 // older than the timeout, and stops tracking them — each death is
@@ -65,6 +61,3 @@ func (d *Detector) Expired(now float64) []int {
 	}
 	return out
 }
-
-// Tracked returns the number of nodes currently considered alive.
-func (d *Detector) Tracked() int { return len(d.lastSeen) }

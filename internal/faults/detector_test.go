@@ -29,10 +29,10 @@ func (d *naiveDetector) expired(now float64) []int {
 }
 
 // TestDetectorMatchesFullScan drives the detector and a naive full scan
-// with the same seeded sequence of Beat/Forget/Expired calls — clocks
-// that mostly advance but sometimes step back, stamps older than
-// anything tracked, forgotten and re-armed nodes — and requires the same
-// report from every Expired call.
+// with the same seeded sequence of Beat/Expired calls — clocks that
+// mostly advance but sometimes step back, stamps older than anything
+// tracked, expired and re-armed nodes — and requires the same report
+// from every Expired call.
 func TestDetectorMatchesFullScan(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		rng := rand.New(rand.NewSource(seed))
@@ -54,17 +54,14 @@ func TestDetectorMatchesFullScan(t *testing.T) {
 				}
 				d.Beat(id, at)
 				ref.lastSeen[id] = at
-			case op < 6:
-				d.Forget(id)
-				delete(ref.lastSeen, id)
 			default:
 				got, want := d.Expired(now), ref.expired(now)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: Expired(%v) = %v, full scan says %v", seed, step, now, got, want)
 				}
 			}
-			if d.Tracked() != len(ref.lastSeen) {
-				t.Fatalf("seed %d step %d: tracking %d nodes, full scan tracks %d", seed, step, d.Tracked(), len(ref.lastSeen))
+			if len(d.lastSeen) != len(ref.lastSeen) {
+				t.Fatalf("seed %d step %d: tracking %d nodes, full scan tracks %d", seed, step, len(d.lastSeen), len(ref.lastSeen))
 			}
 		}
 	}

@@ -110,13 +110,6 @@ func New(cfg Config) *Node {
 	return n
 }
 
-// Running returns the number of tasks currently executing.
-func (n *Node) Running() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.running)
-}
-
 // Launched returns the total number of tasks ever launched.
 func (n *Node) Launched() int {
 	n.mu.Lock()

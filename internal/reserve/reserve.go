@@ -60,10 +60,6 @@ type Reservation struct {
 	Expires float64
 }
 
-// WholeMachine reports whether the reservation holds the entire
-// machine rather than a capacity slice.
-func (r Reservation) WholeMachine() bool { return r.Capacity.IsZero() }
-
 // Expired reports whether the reservation has lapsed at time now.
 func (r Reservation) Expired(now float64) bool {
 	return r.Expires > 0 && now >= r.Expires
@@ -103,19 +99,6 @@ func (t *Table) Release(mid int) (Reservation, bool) {
 		delete(t.m, mid)
 	}
 	return r, ok
-}
-
-// ReleaseHolder drops every reservation held by job holder and returns
-// the number released.
-func (t *Table) ReleaseHolder(holder int) int {
-	n := 0
-	for mid, r := range t.m {
-		if r.Holder == holder {
-			delete(t.m, mid)
-			n++
-		}
-	}
-	return n
 }
 
 // Machines returns the reserved machine IDs in ascending order — the

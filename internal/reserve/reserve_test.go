@@ -17,11 +17,11 @@ func TestPutGetRelease(t *testing.T) {
 		t.Fatalf("expected 2 held machines, got %d", tb.Len())
 	}
 	r, ok := tb.Get(3)
-	if !ok || r.Holder != 7 || !r.WholeMachine() {
+	if !ok || r.Holder != 7 || !r.Capacity.IsZero() {
 		t.Fatalf("bad starved reservation: %+v ok=%v", r, ok)
 	}
 	r, ok = tb.Get(1)
-	if !ok || r.Holder != 9 || r.WholeMachine() {
+	if !ok || r.Holder != 9 || r.Capacity.IsZero() {
 		t.Fatalf("bad gang reservation: %+v ok=%v", r, ok)
 	}
 	if got := tb.Machines(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
@@ -46,8 +46,10 @@ func TestReleaseHolder(t *testing.T) {
 	if got := tb.HolderMachines(5); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("HolderMachines(5) = %v", got)
 	}
-	if n := tb.ReleaseHolder(5); n != 2 {
-		t.Fatalf("ReleaseHolder(5) = %d, want 2", n)
+	for _, mid := range tb.HolderMachines(5) {
+		if r, ok := tb.Release(mid); !ok || r.Holder != 5 {
+			t.Fatalf("Release(%d) = %+v, %v", mid, r, ok)
+		}
 	}
 	if tb.Len() != 1 || !tb.Held(4) {
 		t.Fatalf("holder 6's reservation should survive, table: %v", tb.Machines())

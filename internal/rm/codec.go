@@ -328,8 +328,8 @@ func (s *Server) appendState(b []byte) []byte {
 	}
 	b = wire.AppendUint(b, s.faultLog.Dropped())
 	var est estimator.State
-	if s.cfg.Estimator != nil {
-		est = s.cfg.Estimator.Export()
+	if s.est != nil {
+		est = s.est.Export()
 	}
 	b = appendStageStats(b, est.Current)
 	return appendStageStats(b, est.History)
@@ -490,8 +490,8 @@ func (s *Server) restoreState(data []byte) error {
 		return corrupt("snapshot: %v", err)
 	}
 	s.faultLog.Restore(recs, dropped)
-	if s.cfg.Estimator != nil {
-		s.cfg.Estimator.Import(est)
+	if s.est != nil {
+		s.est.Import(est)
 	}
 	return nil
 }

@@ -22,14 +22,12 @@ import (
 // fault log of logCap records and an attempt cap.
 func codecCore(t testing.TB, logCap int) *Server {
 	t.Helper()
-	s, err := newCore(Config{
-		Scheduler:       tetrisScheduler(),
-		Estimator:       estimator.New(),
-		NodeTimeout:     time.Hour,
-		MaxTaskAttempts: 3,
-		FaultLogCap:     logCap,
-	})
-	if err != nil {
+	s := &Server{
+		cfg:   &ShardedConfig{NodeTimeout: time.Hour, MaxTaskAttempts: 3, FaultLogCap: logCap},
+		sched: tetrisScheduler(),
+		est:   estimator.New(),
+	}
+	if err := s.open(); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -135,7 +133,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		r.faultLog.Len() != 3 || r.nodes[2].epoch != 1 || r.nodes[1].downSince == nil {
 		t.Errorf("fixture did not reach the state it is meant to cover")
 	}
-	if st := r.cfg.Estimator.Export(); len(st.Current) == 0 || len(st.History) == 0 {
+	if st := r.est.Export(); len(st.Current) == 0 || len(st.History) == 0 {
 		t.Error("fixture estimator holds no statistics")
 	}
 }

@@ -1,6 +1,6 @@
 package rm
 
-// Gang scheduling support: when Config.Gang is set the RM wraps its
+// Gang scheduling support: when ShardedConfig.Gang is set the RM wraps its
 // scheduler in a gang.Coordinator and acts on the full Decision each
 // round — journaling commits, releases and preemptions as durable
 // events so crash-recovery replays them bit-identically. Preempted

@@ -186,12 +186,12 @@ func (s *Server) checkLaunch(ev *event) error {
 }
 
 // recover opens the journal and replays snapshot+log. Called from
-// newCore, before anything reads the RM clock; resume finishes the
+// open, before anything reads the RM clock; resume finishes the
 // recovery once the front door's clock continues from the newest event
 // any shard journaled.
 func (s *Server) recover() error {
 	jnl, rec, err := journal.Open(journal.Options{
-		Dir:          s.cfg.JournalDir,
+		Dir:          s.journalDir,
 		Sync:         s.cfg.JournalSync,
 		ObserveFsync: s.metrics.journalFsync.Observe,
 	})

@@ -94,7 +94,7 @@ func TestReleaseCauses(t *testing.T) {
 				place := func(node int, asgs ...scheduler.Assignment) {
 					t.Helper()
 					core.mu.Lock()
-					core.cfg.Scheduler.(*script).queue = asgs
+					core.sched.(*script).queue = asgs
 					core.mu.Unlock()
 					r := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: node})
 					if r.Type == wire.TypeError || len(r.NMReply.Launch) == 0 {

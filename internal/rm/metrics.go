@@ -105,13 +105,13 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 }
 
 // registerGauges installs the scrape-time views over live server state.
-// Called from newCore before the core is reachable; fns run on the
+// Called from open before the core is reachable; fns run on the
 // scrape goroutine and take s.mu.
 func (s *Server) registerGauges(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	name := func(n string) string { return telemetry.Label(n, "shard", s.cfg.ShardLabel) }
+	name := func(n string) string { return telemetry.Label(n, "shard", s.label) }
 	reg.GaugeFunc(name("tetris_rm_nodes_total"), "Registered node managers.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -37,69 +37,18 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// Config parameterizes one shard core; Sharded fills it from
-// ShardedConfig.
-type Config struct {
-	// Scheduler is the placement policy (required).
-	Scheduler scheduler.Scheduler
-	// Estimator supplies demand estimates from completions; nil disables
-	// estimation (declared demands are used as-is).
-	Estimator *estimator.Estimator
-	// NodeTimeout is the heartbeat silence after which a node is declared
-	// dead: its ledger is reclaimed and its tasks return to pending. Zero
-	// disables failure detection (nodes are trusted forever).
-	NodeTimeout time.Duration
-	// MaxTaskAttempts caps failed executions per task; when a task dies
-	// that many times (its nodes kept crashing), its whole job is
-	// abandoned and reported failed to the AM. Zero means unlimited.
-	// Keep it stable across restarts: journal replay re-derives job
-	// abandonment from it.
-	MaxTaskAttempts int
-	// JournalDir enables write-ahead journaling and crash recovery:
-	// state transitions are logged there and replayed on restart. Empty
-	// disables durability (the pre-journal in-memory behavior).
-	JournalDir string
-	// JournalSync is the journal's fsync policy (default
-	// journal.SyncInterval).
-	JournalSync journal.SyncPolicy
-	// SnapshotEvery is the number of journaled records between snapshot
-	// checkpoints (log truncation points). Default 4096.
-	SnapshotEvery int
-	// FaultLogCap bounds the in-memory crash/recovery log (a ring
-	// buffer; evictions are counted). Default faults.DefaultRingCap.
-	FaultLogCap int
-	// Gang enables gang scheduling: the configured Scheduler is wrapped
-	// in a gang.Coordinator (internal/gang), so gang jobs admit
-	// all-or-nothing, hoard under timeout-and-release, and may preempt
-	// lower-priority preemptible tasks. Nil disables gang handling (gang
-	// jobs then trickle through the inner scheduler task by task).
-	Gang *gang.Config
-	// sharedAdmission is the front door's tenant accounting: Sharded
-	// gates at its top layer and hands every shard core the same instance
-	// so adopt/release and journal replay land in shared tenant state.
-	// Nil admits everything.
-	sharedAdmission *admission
-	// clock is the front door's RM clock (rmClock), the one time every
-	// shard core reads.
-	clock rmClock
-	// Metrics receives the RM's telemetry (placements, heartbeat and
-	// fsync latencies, node liveness, ...; see metrics.go). Nil records
-	// into a private registry, exposing nothing.
-	Metrics *telemetry.Registry
-	// ShardLabel is the value of the `shard` label on every metric series
-	// this core registers, so N shard cores sharing one registry (see
-	// sharded.go) expose disjoint per-shard series.
-	ShardLabel string
-	// Logger for diagnostics; nil discards.
-	Logger *log.Logger
-}
-
 // Server is one shard core of a running resource manager: the ledger,
 // job table, failure detector and journal of the machines it owns,
-// behind one lock.
+// behind one lock. It reads the front door's configuration; its own
+// fields hold only what differs per shard.
 type Server struct {
-	cfg Config
-	log *log.Logger
+	cfg        *ShardedConfig
+	sched      scheduler.Scheduler  // the shard's policy, gang-wrapped when cfg.Gang is set
+	est        *estimator.Estimator // nil: declared demands are used as-is
+	journalDir string               // cfg.JournalDir/shard-<i>; empty: no journal
+	label      string               // the `shard` label on every metric series
+	clock      rmClock              // the front door's RM clock
+	log        *log.Logger
 
 	mu    sync.Mutex
 	nodes []*node          // dense by machine ID, nil where unowned (ledger.go)
@@ -122,7 +71,9 @@ type Server struct {
 	faultLog *telemetry.Ring[faults.Record]
 	metrics  *rmMetrics
 	// adm is the tenant accounting shared with the front door, which
-	// runs the admission checks; nil admits everything.
+	// runs the admission checks and hands every shard core the same
+	// instance, so adopt/release and journal replay land in shared
+	// tenant state; nil admits everything.
 	adm *admission
 
 	jnl             *journal.Journal // nil when journaling is off
@@ -157,28 +108,25 @@ type jobInfo struct {
 	lastRelease *wire.GangRelease
 }
 
-// newCore builds a shard core (state, metrics, journal replay). With
-// Config.JournalDir set, any existing journal there is replayed; the
-// front door then resumes the shard (resume) once its clock continues
-// from the newest event any shard journaled.
-func newCore(cfg Config) (*Server, error) {
-	if cfg.Scheduler == nil {
-		return nil, fmt.Errorf("rm: scheduler is required")
+// open finishes a shard core whose per-shard fields (cfg, sched, est,
+// journalDir, label, clock, adm) are set: state, metrics, journal
+// replay. With journalDir set, any existing journal there is replayed;
+// the front door then resumes the shard (resume) once its clock
+// continues from the newest event any shard journaled.
+func (s *Server) open() error {
+	if s.sched == nil {
+		return fmt.Errorf("rm: scheduler is required")
 	}
+	cfg := s.cfg
 	if cfg.Gang != nil {
-		if _, ok := cfg.Scheduler.(*gang.Coordinator); !ok {
-			cfg.Scheduler = gang.New(cfg.Scheduler, *cfg.Gang)
-		}
+		s.sched = gang.New(s.sched, *cfg.Gang)
 	}
-	s := &Server{
-		cfg:      cfg,
-		log:      cfg.Logger,
-		jobs:     make(map[int]*jobInfo),
-		faultLog: faults.NewRing(cfg.FaultLogCap),
-		dirty:    causeNode,
-		route:    routeCache{seen: make(map[resources.Vector]struct{})},
-	}
-	if est := cfg.Estimator; est != nil {
+	s.log = cfg.Logger
+	s.jobs = make(map[int]*jobInfo)
+	s.faultLog = faults.NewRing(cfg.FaultLogCap)
+	s.dirty = causeNode
+	s.route = routeCache{seen: make(map[resources.Vector]struct{})}
+	if est := s.est; est != nil {
 		s.view.EstimateDemand = func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
 			peak, dur, _ := est.Estimate(j.Job, t.ID.Stage, t.Peak, t.PeakDuration())
 			// Never let estimates exceed the biggest machine: a wild
@@ -189,21 +137,15 @@ func newCore(cfg Config) (*Server, error) {
 	if s.log == nil {
 		s.log = log.New(io.Discard, "", 0)
 	}
-	s.metrics = newRMMetrics(cfg.Metrics, cfg.ShardLabel)
+	s.metrics = newRMMetrics(cfg.Metrics, s.label)
 	s.registerGauges(cfg.Metrics)
-	if s.cfg.SnapshotEvery <= 0 {
-		s.cfg.SnapshotEvery = 4096
-	}
-	s.adm = cfg.sharedAdmission
 	if cfg.NodeTimeout > 0 {
 		s.detector = faults.NewDetector(cfg.NodeTimeout.Seconds())
 	}
-	if cfg.JournalDir != "" {
-		if err := s.recover(); err != nil {
-			return nil, err
-		}
+	if s.journalDir != "" {
+		return s.recover()
 	}
-	return s, nil
+	return nil
 }
 
 // Close flushes the journal (if any). A Close is indistinguishable from
@@ -218,7 +160,7 @@ func (s *Server) Close() error {
 
 // now reads the RM clock: seconds of RM time, continued across restarts
 // when journaling (see Sharded's clock).
-func (s *Server) now() float64 { return s.cfg.clock.now() }
+func (s *Server) now() float64 { return s.clock.now() }
 
 func (s *Server) handleRegisterNM(r *wire.RegisterNM) *wire.Message {
 	if r == nil {
@@ -442,8 +384,8 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 	ji.state.Status.MarkDone(c.Task, now)
 	s.markDirty(causeCompletion)
 	s.jobsChanged()
-	if s.cfg.Estimator != nil {
-		s.cfg.Estimator.Observe(ji.state.Job, c.Task.Stage, c.Usage, c.Duration)
+	if s.est != nil {
+		s.est.Observe(ji.state.Job, c.Task.Stage, c.Usage, c.Duration)
 	}
 	if !s.replaying {
 		s.metrics.completions.Inc()
@@ -482,8 +424,8 @@ func (s *Server) checkFailures(now float64) {
 // markDead declares a node failed: it is excluded from placement until
 // it rejoins, its queued launches are dropped, its ledger is zeroed, and
 // every task launched on it returns to pending as a failed attempt. A
-// job whose task exhausts Config.MaxTaskAttempts is abandoned. Caller
-// holds s.mu.
+// job whose task exhausts ShardedConfig.MaxTaskAttempts is abandoned.
+// Caller holds s.mu.
 func (s *Server) markDead(id int, now float64) {
 	n := s.node(id)
 	if n == nil || (n.Down && !n.resync) {
@@ -555,17 +497,17 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	t0 := time.Now()
 	var asgs []scheduler.Assignment
 	var gdec *gang.Decision
-	if gc, ok := s.cfg.Scheduler.(*gang.Coordinator); ok {
+	if gc, ok := s.sched.(*gang.Coordinator); ok {
 		dec := gc.Decide(v, s.runningTasks())
 		gdec = &dec
 		asgs = dec.Assignments
 	} else {
-		asgs = s.cfg.Scheduler.Schedule(v)
+		asgs = s.sched.Schedule(v)
 	}
 	restoreWeights()
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
 	s.metrics.rounds[cause].Inc()
-	s.metrics.observeScans(s.cfg.Scheduler)
+	s.metrics.observeScans(s.sched)
 	s.metrics.placements.Add(uint64(len(asgs)))
 	for _, a := range asgs {
 		s.journal(&event{Kind: evLaunch, Time: now, Task: a.Task.ID,
@@ -665,7 +607,8 @@ func (s *Server) amReplyLocked(jobID int, ji *jobInfo) *wire.Message {
 }
 
 // ClusterStatus snapshots node liveness and the fault-event log (the
-// most recent Config.FaultLogCap records, and how many were evicted).
+// most recent ShardedConfig.FaultLogCap records, and how many were
+// evicted).
 func (s *Server) ClusterStatus() wire.ClusterStatusReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -48,7 +48,7 @@ func TestRequiresScheduler(t *testing.T) {
 	if _, err := NewSharded("127.0.0.1:0", ShardedConfig{Shards: 1}); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	if _, err := newCore(Config{}); err == nil {
+	if err := (&Server{cfg: &ShardedConfig{}}).open(); err == nil {
 		t.Error("shard core accepted a nil scheduler")
 	}
 }

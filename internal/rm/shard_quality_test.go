@@ -206,8 +206,8 @@ func TestShardQualityOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		w := makeQualityWorkload(seed, 8, 24)
 
-		core, err := newCore(Config{Scheduler: qualityScheduler(), clock: new(virtualClock)})
-		if err != nil {
+		core := &Server{cfg: &ShardedConfig{}, sched: qualityScheduler(), clock: new(virtualClock)}
+		if err := core.open(); err != nil {
 			t.Fatal(err)
 		}
 		base := replayQuality(t, bareCore{core}, w)

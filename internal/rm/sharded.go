@@ -57,36 +57,59 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// ShardedConfig parameterizes the RM. Per-shard knobs mirror Config;
-// the factories exist because shard cores must not share mutable
-// scheduler or estimator state.
+// ShardedConfig parameterizes the RM; every shard core reads it. The
+// factories exist because shard cores must not share mutable scheduler
+// or estimator state.
 type ShardedConfig struct {
 	// Shards is the number of scheduler shards (≥ 1).
 	Shards int
 	// NewScheduler builds one shard's placement policy (required; called
 	// once per shard — cores must not share scheduler state).
 	NewScheduler func() scheduler.Scheduler
-	// NewEstimator optionally builds one shard's demand estimator.
+	// NewEstimator optionally builds one shard's demand estimator from
+	// completions; nil disables estimation (declared demands are used
+	// as-is).
 	NewEstimator func() *estimator.Estimator
-	// NodeTimeout, MaxTaskAttempts: as in Config, applied per shard.
-	NodeTimeout     time.Duration
+	// NodeTimeout is the heartbeat silence after which a node is declared
+	// dead: its ledger is reclaimed and its tasks return to pending. Zero
+	// disables failure detection (nodes are trusted forever).
+	NodeTimeout time.Duration
+	// MaxTaskAttempts caps failed executions per task; when a task dies
+	// that many times (its nodes kept crashing), its whole job is
+	// abandoned and reported failed to the AM. Zero means unlimited.
+	// Keep it stable across restarts: journal replay re-derives job
+	// abandonment from it.
 	MaxTaskAttempts int
-	// JournalDir enables per-shard write-ahead journaling under
-	// JournalDir/shard-<i>. Recovery also rebuilds the top layer's
-	// job→shard routing table from the recovered shard states.
-	JournalDir    string
-	JournalSync   journal.SyncPolicy
+	// JournalDir enables per-shard write-ahead journaling and crash
+	// recovery under JournalDir/shard-<i>: state transitions are logged
+	// there and replayed on restart. Recovery also rebuilds the top
+	// layer's job→shard routing table from the recovered shard states.
+	// Empty disables durability.
+	JournalDir string
+	// JournalSync is the journal's fsync policy (default
+	// journal.SyncInterval).
+	JournalSync journal.SyncPolicy
+	// SnapshotEvery is the number of journaled records between snapshot
+	// checkpoints (log truncation points). Default 4096.
 	SnapshotEvery int
-	FaultLogCap   int
-	// Gang enables gang scheduling per shard (see Config.Gang): each
-	// shard core wraps its scheduler in its own coordinator, and the
-	// router pins every gang to one shard whose aggregate capacity can
-	// co-hold its quorum.
+	// FaultLogCap bounds each shard's in-memory crash/recovery log (a
+	// ring buffer; evictions are counted). Default faults.DefaultRingCap.
+	FaultLogCap int
+	// Gang enables gang scheduling: each shard core wraps its scheduler
+	// in its own gang.Coordinator (internal/gang), so gang jobs admit
+	// all-or-nothing, hoard under timeout-and-release, and may preempt
+	// lower-priority preemptible tasks; the router pins every gang to
+	// one shard whose aggregate capacity can co-hold its quorum. Nil
+	// disables gang handling (gang jobs then trickle through the inner
+	// scheduler task by task).
 	Gang *gang.Config
-	// Metrics receives every shard's telemetry, each series tagged
-	// shard="<i>", plus the top layer's routing metrics.
+	// Metrics receives every shard's telemetry (placements, heartbeat
+	// and fsync latencies, node liveness, ...; see metrics.go), each
+	// series tagged shard="<i>", plus the top layer's routing metrics.
+	// Nil records into private registries, exposing nothing.
 	Metrics *telemetry.Registry
-	Logger  *log.Logger
+	// Logger for diagnostics; nil discards.
+	Logger *log.Logger
 	// Admission enables the multi-tenant front door (admission.go):
 	// submissions are gated (quota/rate/shed) once, before routing, with
 	// typed wire.SubmitReject answers, and all shard cores share the same
@@ -200,12 +223,15 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 		g.log = log.New(io.Discard, "", 0)
 	}
 	if cfg.Admission != nil {
-		// Built before any shard core so journal recovery inside newCore
+		// Built before any shard core so journal recovery inside open
 		// re-adopts recovered jobs into the shared tenant accounting.
 		g.adm = newAdmission(*cfg.Admission, cfg.Metrics)
 	}
 	if g.cfg.ConnTimeout == 0 {
 		g.cfg.ConnTimeout = 2 * time.Minute
+	}
+	if g.cfg.SnapshotEvery <= 0 {
+		g.cfg.SnapshotEvery = 4096
 	}
 	clock := cfg.clock
 	if clock == nil {
@@ -217,28 +243,14 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 		}
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sc := Config{
-			Scheduler:       cfg.NewScheduler(),
-			NodeTimeout:     cfg.NodeTimeout,
-			MaxTaskAttempts: cfg.MaxTaskAttempts,
-			JournalSync:     cfg.JournalSync,
-			SnapshotEvery:   cfg.SnapshotEvery,
-			FaultLogCap:     cfg.FaultLogCap,
-			Metrics:         cfg.Metrics,
-			ShardLabel:      strconv.Itoa(i),
-			Logger:          cfg.Logger,
-			Gang:            cfg.Gang,
-			sharedAdmission: g.adm,
-			clock:           clock,
-		}
+		core := &Server{cfg: &g.cfg, sched: cfg.NewScheduler(), label: strconv.Itoa(i), clock: clock, adm: g.adm}
 		if cfg.NewEstimator != nil {
-			sc.Estimator = cfg.NewEstimator()
+			core.est = cfg.NewEstimator()
 		}
 		if cfg.JournalDir != "" {
-			sc.JournalDir = filepath.Join(cfg.JournalDir, fmt.Sprintf("shard-%d", i))
+			core.journalDir = filepath.Join(cfg.JournalDir, fmt.Sprintf("shard-%d", i))
 		}
-		core, err := newCore(sc)
-		if err != nil {
+		if err := core.open(); err != nil {
 			g.closeShards()
 			return nil, fmt.Errorf("rm: sharded: shard %d: %w", i, err)
 		}

@@ -378,7 +378,7 @@ func TestStageScanCounters(t *testing.T) {
 	series := func(result string) uint64 {
 		return reg.Counter(telemetry.Label(telemetry.Label("tetris_rm_sched_stage_scans_total", "shard", "0"), "result", result), "").Value()
 	}
-	core := g.Shard(0).cfg.Scheduler.(*scheduler.Tetris).ScanStats()
+	core := g.Shard(0).sched.(*scheduler.Tetris).ScanStats()
 	if series("scanned") != core.StageScans || series("pruned") != core.StagePrunes {
 		t.Errorf("series scanned=%d pruned=%d, core counted %+v", series("scanned"), series("pruned"), core)
 	}

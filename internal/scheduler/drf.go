@@ -28,61 +28,17 @@ type drfScratch struct {
 	share []float64          // current dominant share, by job position
 	alloc []resources.Vector // projected allocation, by job position
 	fetch []pendingFetcher
-	heap  []int // job positions, min-heap by (share, job ID)
+	heap  jobHeap // job positions by (share, job ID), see less
 }
 
-// heapLess orders the selection heap: smallest dominant share first,
-// ties by ascending job ID — the same strict total order the oracle's
-// linear scan minimizes, so the heap top is always the job it would pick.
-func (sc *drfScratch) heapLess(a, b int) bool {
+// less orders the selection heap: smallest dominant share first, ties by
+// ascending job ID — the same strict total order the oracle's linear
+// scan minimizes, so the heap top is always the job it would pick.
+func (sc *drfScratch) less(a, b int) bool {
 	if sc.share[a] != sc.share[b] {
 		return sc.share[a] < sc.share[b]
 	}
 	return sc.jobs[a].Job.ID < sc.jobs[b].Job.ID
-}
-
-func (sc *drfScratch) heapPush(p int) {
-	sc.heap = append(sc.heap, p)
-	i := len(sc.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !sc.heapLess(sc.heap[i], sc.heap[parent]) {
-			break
-		}
-		sc.heap[i], sc.heap[parent] = sc.heap[parent], sc.heap[i]
-		i = parent
-	}
-}
-
-func (sc *drfScratch) heapPop() {
-	n := len(sc.heap) - 1
-	sc.heap[0] = sc.heap[n]
-	sc.heap = sc.heap[:n]
-	if n > 0 {
-		sc.siftDown()
-	}
-}
-
-// siftDown restores the heap property after the root's key changed (a
-// placement only ever grows the picked job's share) or after a pop.
-func (sc *drfScratch) siftDown() {
-	i := 0
-	n := len(sc.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && sc.heapLess(sc.heap[l], sc.heap[smallest]) {
-			smallest = l
-		}
-		if r < n && sc.heapLess(sc.heap[r], sc.heap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		sc.heap[i], sc.heap[smallest] = sc.heap[smallest], sc.heap[i]
-		i = smallest
-	}
 }
 
 // NewDRF returns a DRF scheduler over CPU and memory.
@@ -145,24 +101,27 @@ func (d *DRF) Schedule(v *View) []Assignment {
 	sc.share = sc.share[:len(jobs)]
 	sc.alloc = sc.alloc[:len(jobs)]
 	sc.fetch = sc.fetch[:len(jobs)]
-	sc.heap = sc.heap[:0]
+	if sc.heap.before == nil {
+		sc.heap.before = sc.less
+	}
+	sc.heap.pos = sc.heap.pos[:0]
 	for p, j := range jobs {
 		sc.alloc[p] = d.project(j.Alloc)
 		sc.share[p] = dominantShare(j, v.Total, d.Kinds)
 		sc.fetch[p].reset(j)
-		sc.heapPush(p)
+		sc.heap.push(p)
 	}
 	var out []Assignment
 
-	for len(sc.heap) > 0 {
+	for len(sc.heap.pos) > 0 {
 		// The heap top is the unblocked job with the smallest dominant
 		// share. Jobs out of runnable tasks, or blocked (nothing fits),
 		// stay that way for the rest of the round: drop them for good.
-		p := sc.heap[0]
+		p := sc.heap.pos[0]
 		pick := jobs[p]
 		task := sc.fetch[p].Peek()
 		if task == nil {
-			sc.heapPop()
+			sc.heap.pop()
 			continue
 		}
 		id := pick.Job.ID
@@ -170,7 +129,7 @@ func (d *DRF) Schedule(v *View) []Assignment {
 		demand := d.project(peak)
 		mid := d.pickMachine(task, demand, sc.free, sc.down)
 		if mid < 0 {
-			sc.heapPop() // blocked
+			sc.heap.pop() // blocked
 			continue
 		}
 		sc.fetch[p].Consume()
@@ -186,7 +145,7 @@ func (d *DRF) Schedule(v *View) []Assignment {
 			}
 		}
 		sc.share[p] = s
-		sc.siftDown() // share only grew: re-sink the root
+		sc.heap.siftDown() // share only grew: re-sink the root
 		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: demand})
 	}
 	return out

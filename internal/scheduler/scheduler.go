@@ -202,25 +202,6 @@ func LiveCharges(v *View, charges []RemoteCharge) []RemoteCharge {
 	return charges
 }
 
-// RemoteFeasible reports whether every remote source machine has the
-// disk-read and network-out headroom the placement needs (§3.2: "Tetris
-// checks before placing a task on a machine that sufficient disk read and
-// network-out bandwidth are available at each of the remote machines").
-func RemoteFeasible(v *View, charges []RemoteCharge) bool {
-	for _, rc := range charges {
-		if rc.Machine >= len(v.Machines) {
-			return false
-		}
-		if v.Machines[rc.Machine].Down {
-			return false
-		}
-		if !rc.Charge.FitsIn(v.Machines[rc.Machine].FreePacking()) {
-			return false
-		}
-	}
-	return true
-}
-
 // pendingFetcher iterates a job's runnable tasks lazily in (stage, index)
 // order, fetching in geometrically growing chunks so a round that places
 // k tasks costs O(k), not O(pending). Within a round the underlying
@@ -290,4 +271,57 @@ func dominantShare(j *JobState, total resources.Vector, kinds []resources.Kind) 
 		}
 	}
 	return share
+}
+
+// jobHeap is the baselines' selection heap: job positions in a binary
+// heap under before, a strict total order its owner supplies, so the root
+// is the job the order puts first. A placement changes only the root's
+// key, so the owner re-sinks the root instead of rebuilding.
+type jobHeap struct {
+	pos    []int
+	before func(a, b int) bool
+}
+
+func (h *jobHeap) push(p int) {
+	h.pos = append(h.pos, p)
+	i := len(h.pos) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(h.pos[i], h.pos[parent]) {
+			break
+		}
+		h.pos[i], h.pos[parent] = h.pos[parent], h.pos[i]
+		i = parent
+	}
+}
+
+func (h *jobHeap) pop() {
+	n := len(h.pos) - 1
+	h.pos[0] = h.pos[n]
+	h.pos = h.pos[:n]
+	if n > 0 {
+		h.siftDown()
+	}
+}
+
+// siftDown restores the heap property after the root's key moved back in
+// the order (a placement) or after a pop.
+func (h *jobHeap) siftDown() {
+	i := 0
+	n := len(h.pos)
+	for {
+		l, r := 2*i+1, 2*i+2
+		first := i
+		if l < n && h.before(h.pos[l], h.pos[first]) {
+			first = l
+		}
+		if r < n && h.before(h.pos[r], h.pos[first]) {
+			first = r
+		}
+		if first == i {
+			return
+		}
+		h.pos[i], h.pos[first] = h.pos[first], h.pos[i]
+		i = first
+	}
 }

@@ -121,23 +121,6 @@ func TestRemoteCharges(t *testing.T) {
 	}
 }
 
-func TestRemoteFeasible(t *testing.T) {
-	v := mkView(3, machine)
-	charges := []RemoteCharge{
-		{Machine: 1, Charge: resources.Vector{}.With(resources.NetOut, 500)},
-	}
-	if !RemoteFeasible(v, charges) {
-		t.Error("charges within capacity should be feasible")
-	}
-	v.Machines[1].Allocated = v.Machines[1].Allocated.With(resources.NetOut, 800)
-	if RemoteFeasible(v, charges) {
-		t.Error("overloaded source should be infeasible")
-	}
-	if RemoteFeasible(v, []RemoteCharge{{Machine: 9}}) {
-		t.Error("out-of-range machine should be infeasible")
-	}
-}
-
 // --- scorers ----------------------------------------------------------
 
 func TestScorersPreferences(t *testing.T) {
@@ -145,9 +128,12 @@ func TestScorersPreferences(t *testing.T) {
 	availNet := resources.New(5, 5, 0, 0, 0, 9)
 	netTask := resources.New(1, 1, 0, 0, 0, 8)
 	cpuTask := resources.New(4, 1, 0, 0, 0, 0)
+	score := func(sc Scorer, demand, avail resources.Vector) float64 {
+		return sc.ScoreNorm(demand.Normalize(cap), avail.Normalize(cap))
+	}
 
 	cos := CosineScorer{}
-	if cos.Score(netTask, availNet, cap) <= cos.Score(cpuTask, availNet, cap) {
+	if score(cos, netTask, availNet) <= score(cos, cpuTask, availNet) {
 		t.Error("cosine should prefer the task aligned with abundant network")
 	}
 
@@ -155,7 +141,7 @@ func TestScorersPreferences(t *testing.T) {
 	big := resources.New(8, 8, 8, 8, 8, 8)
 	small := resources.New(1, 1, 1, 1, 1, 1)
 	for _, sc := range []Scorer{FFDProdScorer{}, FFDSumScorer{}} {
-		if sc.Score(big, availNet, cap) <= sc.Score(small, availNet, cap) {
+		if score(sc, big, availNet) <= score(sc, small, availNet) {
 			t.Errorf("%s should prefer the bigger task", sc.Name())
 		}
 	}
@@ -163,7 +149,7 @@ func TestScorersPreferences(t *testing.T) {
 	// L2-norm-diff prefers the task that best fills what is available.
 	l2 := L2NormDiffScorer{}
 	exact := availNet
-	if l2.Score(exact, availNet, cap) < l2.Score(small, availNet, cap) {
+	if score(l2, exact, availNet) < score(l2, small, availNet) {
 		t.Error("l2-norm-diff should prefer the perfectly filling task")
 	}
 
@@ -603,7 +589,7 @@ func TestL2NormRatioScorer(t *testing.T) {
 	small := resources.New(1, 1, 0, 0, 0, 0)
 	big := resources.New(7, 7, 0, 0, 0, 0)
 	sc := L2NormRatioScorer{}
-	if sc.Score(small, avail, cap) <= sc.Score(big, avail, cap) {
+	if sc.ScoreNorm(small.Normalize(cap), avail.Normalize(cap)) <= sc.ScoreNorm(big.Normalize(cap), avail.Normalize(cap)) {
 		t.Error("l2-norm-ratio should prefer the task that bites least into scarce resources")
 	}
 }
@@ -637,7 +623,7 @@ func TestTetrisConfigAccessorAndDefaults(t *testing.T) {
 	cfg.Scorer = nil // NewTetris must default it
 	cfg.Barrier = 0  // and disable b=0 → 1
 	tet := NewTetris(cfg)
-	got := tet.Config()
+	got := tet.cfg
 	if got.Scorer == nil || got.Barrier != 1 {
 		t.Errorf("config normalization: %+v", got)
 	}

@@ -2,29 +2,21 @@ package scheduler
 
 import "github.com/tetris-sched/tetris/internal/resources"
 
-// Scorer computes a packing alignment score for placing a task with the
-// given (placement-adjusted) demand on a machine with the given available
-// resources and capacity; all policies pick the highest score. The
-// alternatives are the vector bin-packing heuristics the paper compares
-// in §5.3.1 (Table 8): Tetris' cosine-similarity dot product wins on both
-// job completion time and makespan.
+// Scorer computes a packing alignment score for placing a task with a
+// given (placement-adjusted) demand on a machine with given available
+// resources; all policies pick the highest score. The alternatives are
+// the vector bin-packing heuristics the paper compares in §5.3.1
+// (Table 8): Tetris' cosine-similarity dot product wins on both job
+// completion time and makespan.
+//
+// A score sees demand and availability only in capacity-normalized
+// form, so the core normalizes the demand once per (task, machine) and
+// the availability once per placement instead of once per evaluated
+// pair.
 type Scorer interface {
 	Name() string
-	Score(demand, available, capacity resources.Vector) float64
-}
-
-// NormScorer is implemented by scorers whose score depends on demand and
-// availability only through their capacity-normalized forms. The
-// incremental core (tetris_incremental.go) uses it to normalize the
-// demand once per (task, machine) and the availability once per
-// placement instead of once per evaluated pair. Every built-in scorer
-// implements it with Score delegating to ScoreNorm, so the two entry
-// points share one arithmetic path and produce bit-identical results —
-// which the reference/incremental equivalence suite relies on.
-type NormScorer interface {
-	Scorer
 	// ScoreNorm scores pre-normalized vectors: normDemand and normAvail
-	// must be demand.Normalize(capacity) and available.Normalize(capacity).
+	// are demand.Normalize(capacity) and available.Normalize(capacity).
 	ScoreNorm(normDemand, normAvail resources.Vector) float64
 }
 
@@ -35,12 +27,7 @@ type CosineScorer struct{}
 // Name implements Scorer.
 func (CosineScorer) Name() string { return "cosine" }
 
-// Score implements Scorer.
-func (s CosineScorer) Score(demand, available, capacity resources.Vector) float64 {
-	return s.ScoreNorm(demand.Normalize(capacity), available.Normalize(capacity))
-}
-
-// ScoreNorm implements NormScorer.
+// ScoreNorm implements Scorer.
 func (CosineScorer) ScoreNorm(normDemand, normAvail resources.Vector) float64 {
 	return normDemand.Dot(normAvail)
 }
@@ -52,12 +39,7 @@ type L2NormDiffScorer struct{}
 // Name implements Scorer.
 func (L2NormDiffScorer) Name() string { return "l2-norm-diff" }
 
-// Score implements Scorer.
-func (s L2NormDiffScorer) Score(demand, available, capacity resources.Vector) float64 {
-	return s.ScoreNorm(demand.Normalize(capacity), available.Normalize(capacity))
-}
-
-// ScoreNorm implements NormScorer.
+// ScoreNorm implements Scorer.
 func (L2NormDiffScorer) ScoreNorm(normDemand, normAvail resources.Vector) float64 {
 	diff := normAvail.Sub(normDemand)
 	return -diff.Dot(diff)
@@ -70,12 +52,7 @@ type L2NormRatioScorer struct{}
 // Name implements Scorer.
 func (L2NormRatioScorer) Name() string { return "l2-norm-ratio" }
 
-// Score implements Scorer.
-func (sc L2NormRatioScorer) Score(demand, available, capacity resources.Vector) float64 {
-	return sc.ScoreNorm(demand.Normalize(capacity), available.Normalize(capacity))
-}
-
-// ScoreNorm implements NormScorer.
+// ScoreNorm implements Scorer.
 func (L2NormRatioScorer) ScoreNorm(normDemand, normAvail resources.Vector) float64 {
 	s := 0.0
 	for _, k := range resources.Kinds() {
@@ -94,12 +71,7 @@ type FFDProdScorer struct{}
 // Name implements Scorer.
 func (FFDProdScorer) Name() string { return "ffd-prod" }
 
-// Score implements Scorer.
-func (s FFDProdScorer) Score(demand, _, capacity resources.Vector) float64 {
-	return s.ScoreNorm(demand.Normalize(capacity), resources.Vector{})
-}
-
-// ScoreNorm implements NormScorer. The availability is unused: FFD sizes
+// ScoreNorm implements Scorer. The availability is unused: FFD sizes
 // tasks machine-independently.
 func (FFDProdScorer) ScoreNorm(normDemand, _ resources.Vector) float64 {
 	p := 1.0
@@ -122,12 +94,7 @@ type FFDSumScorer struct{}
 // Name implements Scorer.
 func (FFDSumScorer) Name() string { return "ffd-sum" }
 
-// Score implements Scorer.
-func (s FFDSumScorer) Score(demand, _, capacity resources.Vector) float64 {
-	return s.ScoreNorm(demand.Normalize(capacity), resources.Vector{})
-}
-
-// ScoreNorm implements NormScorer.
+// ScoreNorm implements Scorer.
 func (FFDSumScorer) ScoreNorm(normDemand, _ resources.Vector) float64 {
 	return normDemand.Sum()
 }

@@ -30,62 +30,18 @@ type slotScratch struct {
 	used      []float64 // slots occupied, by job position
 	deficit   []float64 // fair minus used share, by job position
 	fetch     []pendingFetcher
-	heap      []int // job positions, max-heap by (deficit, -position)
+	heap      jobHeap // job positions by (-deficit, position), see more
 }
 
-// heapMore orders the selection heap: largest deficit first, ties by
+// more orders the selection heap: largest deficit first, ties by
 // ascending job position. The oracle's linear scan keeps the first job
 // (in list order) achieving the maximum deficit, which is exactly the
-// maximum of this strict total order.
-func (sc *slotScratch) heapMore(a, b int) bool {
+// first job of this strict total order.
+func (sc *slotScratch) more(a, b int) bool {
 	if sc.deficit[a] != sc.deficit[b] {
 		return sc.deficit[a] > sc.deficit[b]
 	}
 	return a < b
-}
-
-func (sc *slotScratch) heapPush(p int) {
-	sc.heap = append(sc.heap, p)
-	i := len(sc.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !sc.heapMore(sc.heap[i], sc.heap[parent]) {
-			break
-		}
-		sc.heap[i], sc.heap[parent] = sc.heap[parent], sc.heap[i]
-		i = parent
-	}
-}
-
-func (sc *slotScratch) heapPop() {
-	n := len(sc.heap) - 1
-	sc.heap[0] = sc.heap[n]
-	sc.heap = sc.heap[:n]
-	if n > 0 {
-		sc.siftDown()
-	}
-}
-
-// siftDown restores the heap property after the root's key changed (a
-// placement only ever shrinks the picked job's deficit) or after a pop.
-func (sc *slotScratch) siftDown() {
-	i := 0
-	n := len(sc.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && sc.heapMore(sc.heap[l], sc.heap[largest]) {
-			largest = l
-		}
-		if r < n && sc.heapMore(sc.heap[r], sc.heap[largest]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		sc.heap[i], sc.heap[largest] = sc.heap[largest], sc.heap[i]
-		i = largest
-	}
 }
 
 // NewSlotFair returns a slot-based fair scheduler with 2 GB slots.
@@ -172,25 +128,28 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 	sc.used = sc.used[:len(jobs)]
 	sc.deficit = sc.deficit[:len(jobs)]
 	sc.fetch = sc.fetch[:len(jobs)]
-	sc.heap = sc.heap[:0]
+	if sc.heap.before == nil {
+		sc.heap.before = sc.more
+	}
+	sc.heap.pos = sc.heap.pos[:0]
 	for p, j := range jobs {
 		sc.fair[p] = j.Job.Weight / totalWeight
 		sc.used[p] = j.Alloc.Get(resources.Memory) / s.SlotGB
 		sc.deficit[p] = sc.fair[p] - sc.used[p]/totalSlots
 		sc.fetch[p].reset(j)
-		sc.heapPush(p)
+		sc.heap.push(p)
 	}
 
 	var out []Assignment
-	for totalFree > 0 && len(sc.heap) > 0 {
+	for totalFree > 0 && len(sc.heap.pos) > 0 {
 		// The heap top is the placeable job furthest below fair share.
 		// Jobs out of runnable tasks, or whose next task fits nowhere,
 		// stay that way for the rest of the round: drop them for good.
-		p := sc.heap[0]
+		p := sc.heap.pos[0]
 		pick := jobs[p]
 		task := sc.fetch[p].Peek()
 		if task == nil {
-			sc.heapPop()
+			sc.heap.pop()
 			continue
 		}
 		id := pick.Job.ID
@@ -199,7 +158,7 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		mid := s.pickMachine(task, sc.freeSlots, need)
 		if mid < 0 {
 			// Task too big for any machine right now.
-			sc.heapPop()
+			sc.heap.pop()
 			continue
 		}
 		sc.fetch[p].Consume()
@@ -207,7 +166,7 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		totalFree -= need
 		sc.used[p] += float64(need)
 		sc.deficit[p] = sc.fair[p] - sc.used[p]/totalSlots
-		sc.siftDown() // deficit only shrank: re-sink the root
+		sc.heap.siftDown() // deficit only shrank: re-sink the root
 		// Charge memory only: that is all a slot scheduler allocates.
 		local := resources.Vector{}.With(resources.Memory, float64(need)*s.SlotGB)
 		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: local})

@@ -175,9 +175,6 @@ func (t *Tetris) Name() string { return "tetris" }
 // holds.
 func (t *Tetris) Reservations() *reserve.Table { return t.res }
 
-// Config returns the scheduler's configuration.
-func (t *Tetris) Config() TetrisConfig { return t.cfg }
-
 // taskSRTFScore is one task's contribution to the job's remaining-work
 // score: duration × Σ of capacity-normalized demands (§3.3.1).
 func taskSRTFScore(peak resources.Vector, duration float64, total resources.Vector) float64 {

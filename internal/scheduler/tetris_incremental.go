@@ -209,8 +209,6 @@ type incrState struct {
 	curNormA resources.Vector
 	consider func(*JobState, *workload.Task, bool)
 
-	ns NormScorer // non-nil when the configured scorer supports ScoreNorm
-
 	// rt is the decision trace of the round in flight; nil when tracing
 	// is off or the round is sampled out (the common case — every hook
 	// is then one nil check).
@@ -226,7 +224,6 @@ func (ic *incrState) beginRound(t *Tetris, v *View) {
 		ic.eligible = make(map[int]bool)
 		ic.pScore = make(map[int]float64)
 		ic.consider = t.considerIncr
-		ic.ns, _ = t.cfg.Scorer.(NormScorer)
 	}
 	ic.round++
 	ic.tick = 0
@@ -573,9 +570,7 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 	ic.curMid = mid
 	ic.curAvail = avail
 	ic.curCap = v.Machines[mid].Capacity
-	if ic.ns != nil {
-		ic.curNormA = avail.Normalize(ic.curCap)
-	}
+	ic.curNormA = avail.Normalize(ic.curCap)
 	ic.cands = ic.cands[:0]
 	ic.aSumAll, ic.aSumTail = 0, 0
 	ic.anyTail = false
@@ -770,24 +765,20 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 	if tr.alignOK && tr.alignVer == ic.freeVer[mid] {
 		align = tr.align
 	} else {
-		if ic.ns != nil {
-			if !tr.normDOK {
-				if tr.affinity {
-					tr.normD = tr.d.Normalize(ic.curCap)
-				} else {
-					if !tr.normBaseSet || tr.normBaseCap != ic.curCap {
-						tr.normBase = tr.base.Normalize(ic.curCap)
-						tr.normBaseCap = ic.curCap
-						tr.normBaseSet = true
-					}
-					tr.normD = tr.normBase
+		if !tr.normDOK {
+			if tr.affinity {
+				tr.normD = tr.d.Normalize(ic.curCap)
+			} else {
+				if !tr.normBaseSet || tr.normBaseCap != ic.curCap {
+					tr.normBase = tr.base.Normalize(ic.curCap)
+					tr.normBaseCap = ic.curCap
+					tr.normBaseSet = true
 				}
-				tr.normDOK = true
+				tr.normD = tr.normBase
 			}
-			align = ic.ns.ScoreNorm(tr.normD, ic.curNormA)
-		} else {
-			align = t.cfg.Scorer.Score(tr.d, ic.curAvail, ic.curCap)
+			tr.normDOK = true
 		}
+		align = t.cfg.Scorer.ScoreNorm(tr.normD, ic.curNormA)
 		if tr.remote != nil {
 			align *= 1 - t.cfg.RemotePenalty
 		}

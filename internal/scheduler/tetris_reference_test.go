@@ -324,7 +324,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 			seen = make(map[*workload.Task]bool, 8)
 		}
 		seen[task] = true
-		align := t.cfg.Scorer.Score(d, avail, capacity)
+		align := t.cfg.Scorer.ScoreNorm(d.Normalize(capacity), avail.Normalize(capacity))
 		if remote != nil {
 			align *= 1 - t.cfg.RemotePenalty
 		}

@@ -28,47 +28,10 @@ func TestPercentileSingleSample(t *testing.T) {
 	}
 }
 
-func TestCDFEmpty(t *testing.T) {
-	c := NewCDF(nil)
-	if c.Len() != 0 {
-		t.Errorf("Len = %d, want 0", c.Len())
-	}
-	if got := c.At(1); got != 0 {
-		t.Errorf("At(1) = %v, want 0", got)
-	}
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := c.Quantile(q); got != 0 {
-			t.Errorf("Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-	// Table must render without panicking on an empty sample.
-	if out := c.Table([]float64{0.5, 0.9}); !strings.Contains(out, "p50") {
-		t.Errorf("Table output = %q", out)
-	}
-}
-
-func TestCDFSingleSample(t *testing.T) {
-	c := NewCDF([]float64{3})
-	if got := c.At(2.9); got != 0 {
-		t.Errorf("At(2.9) = %v, want 0", got)
-	}
-	if got := c.At(3); got != 1 {
-		t.Errorf("At(3) = %v, want 1", got)
-	}
-	if got := c.At(4); got != 1 {
-		t.Errorf("At(4) = %v, want 1", got)
-	}
-	for _, q := range []float64{0, 0.5, 1} {
-		if got := c.Quantile(q); got != 3 {
-			t.Errorf("Quantile(%v) = %v, want 3", q, got)
-		}
-	}
-}
-
 func TestHist2DEmpty(t *testing.T) {
 	h := NewHist2D(4, 4, 0, 1, 0, 1)
-	if h.Total() != 0 || h.Clipped() != 0 || h.MaxCount() != 0 {
-		t.Errorf("empty hist: total=%d clipped=%d max=%d", h.Total(), h.Clipped(), h.MaxCount())
+	if h.Total() != 0 || h.MaxCount() != 0 {
+		t.Errorf("empty hist: total=%d max=%d", h.Total(), h.MaxCount())
 	}
 	// Render of an all-zero grid is blank rows, no division blow-up.
 	out := h.Render()
@@ -80,8 +43,8 @@ func TestHist2DEmpty(t *testing.T) {
 func TestHist2DSingleSample(t *testing.T) {
 	h := NewHist2D(4, 4, 0, 1, 0, 1)
 	h.Add(0.5, 0.5)
-	if h.Total() != 1 || h.Clipped() != 0 || h.MaxCount() != 1 {
-		t.Errorf("total=%d clipped=%d max=%d, want 1/0/1", h.Total(), h.Clipped(), h.MaxCount())
+	if h.Total() != 1 || h.MaxCount() != 1 {
+		t.Errorf("total=%d max=%d, want 1/1", h.Total(), h.MaxCount())
 	}
 	if !strings.ContainsAny(h.Render(), "@") {
 		t.Error("single sample not rendered at full intensity")
@@ -93,8 +56,8 @@ func TestHist2DDegenerateRange(t *testing.T) {
 	// by zero.
 	h := NewHist2D(4, 4, 0, 0, 0, 1)
 	h.Add(5, 0.5)
-	if h.Total() != 1 || h.Clipped() != 1 {
-		t.Errorf("total=%d clipped=%d, want 1/1", h.Total(), h.Clipped())
+	if h.Total() != 1 {
+		t.Errorf("total=%d, want 1", h.Total())
 	}
 	if h.Counts[2][0] != 1 {
 		t.Errorf("sample not clipped into x-bin 0: %v", h.Counts)

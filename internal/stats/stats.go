@@ -1,10 +1,10 @@
 // Package stats provides the small statistics toolkit used by the trace
 // generator, the workload analysis of §2.2 and the evaluation metrics of
-// §5: moments, correlation, percentiles, CDFs and 2-D histograms.
+// §5: moments (batch or one-pass), correlation, percentiles and 2-D
+// histograms.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -98,79 +98,14 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// FractionAbove returns the fraction of samples strictly greater than
-// threshold. Used for the "tightness" analysis of Table 3.
-func FractionAbove(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// CDF is an empirical cumulative distribution over a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from the samples (which are copied).
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(c.sorted)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.sorted) {
-		i = len(c.sorted) - 1
-	}
-	return c.sorted[i]
-}
-
-// Table renders the CDF as (value, cumulative fraction) rows at the given
-// quantiles, matching how the paper reports improvement distributions.
-func (c *CDF) Table(quantiles []float64) string {
-	var b strings.Builder
-	for _, q := range quantiles {
-		fmt.Fprintf(&b, "p%02.0f\t%8.3f\n", q*100, c.Quantile(q))
-	}
-	return b.String()
-}
-
 // Hist2D is a fixed-bin two-dimensional histogram used to render the
 // Figure-2 style demand heatmaps.
 type Hist2D struct {
-	XBins, YBins   int
-	XMin, XMax     float64
-	YMin, YMax     float64
-	Counts         [][]int
-	totalSamples   int
-	clippedSamples int
+	XBins, YBins int
+	XMin, XMax   float64
+	YMin, YMax   float64
+	Counts       [][]int
+	totalSamples int
 }
 
 // NewHist2D creates a histogram with the given bin grid over [xmin,xmax] ×
@@ -185,36 +120,27 @@ func NewHist2D(xbins, ybins int, xmin, xmax, ymin, ymax float64) *Hist2D {
 }
 
 // Add records a sample; out-of-range samples are clipped into the border
-// bins (and counted as clipped).
+// bins.
 func (h *Hist2D) Add(x, y float64) {
-	bin := func(v, lo, hi float64, n int) (int, bool) {
+	bin := func(v, lo, hi float64, n int) int {
 		if hi <= lo {
-			return 0, true
+			return 0
 		}
 		i := int((v - lo) / (hi - lo) * float64(n))
-		clipped := false
 		if i < 0 {
-			i, clipped = 0, true
+			i = 0
 		}
 		if i >= n {
-			i, clipped = n-1, v > hi
+			i = n - 1
 		}
-		return i, clipped
+		return i
 	}
-	xi, cx := bin(x, h.XMin, h.XMax, h.XBins)
-	yi, cy := bin(y, h.YMin, h.YMax, h.YBins)
-	h.Counts[yi][xi]++
+	h.Counts[bin(y, h.YMin, h.YMax, h.YBins)][bin(x, h.XMin, h.XMax, h.XBins)]++
 	h.totalSamples++
-	if cx || cy {
-		h.clippedSamples++
-	}
 }
 
 // Total returns the number of samples added.
 func (h *Hist2D) Total() int { return h.totalSamples }
-
-// Clipped returns how many samples fell outside the grid.
-func (h *Hist2D) Clipped() int { return h.clippedSamples }
 
 // MaxCount returns the largest bin count.
 func (h *Hist2D) MaxCount() int {
@@ -285,12 +211,6 @@ func (o *Online) N() int { return o.n }
 
 // Mean returns the running mean.
 func (o *Online) Mean() float64 { return o.mean }
-
-// Min returns the smallest sample seen (0 before any sample).
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest sample seen (0 before any sample).
-func (o *Online) Max() float64 { return o.max }
 
 // Variance returns the running population variance.
 func (o *Online) Variance() float64 {

@@ -134,15 +134,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed samples.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns the mean observed sample (0 before any sample).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile returns an upper-bound estimate of the q-th quantile
 // (q in [0,1]): the upper bound of the bucket where the quantile falls.
 func (h *Histogram) Quantile(q float64) float64 {

@@ -81,7 +81,7 @@ func TestBucketIndex(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram should read 0")
 	}
 	for _, v := range []float64{0.001, 0.002, 0.004, 100} {

@@ -61,9 +61,6 @@ func (r *Ring[T]) Len() int {
 	return r.n
 }
 
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Dropped returns how many records have been evicted to make room.
 func (r *Ring[T]) Dropped() uint64 {
 	r.mu.Lock()

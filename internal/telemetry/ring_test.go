@@ -7,7 +7,7 @@ import (
 
 func TestRingAppendAndEvict(t *testing.T) {
 	r := NewRing[int](3)
-	if r.Cap() != 3 || r.Len() != 0 || r.Dropped() != 0 {
+	if len(r.buf) != 3 || r.Len() != 0 || r.Dropped() != 0 {
 		t.Fatal("fresh ring state wrong")
 	}
 	for i := 1; i <= 5; i++ {

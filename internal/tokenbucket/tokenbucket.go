@@ -120,33 +120,9 @@ func (b *Bucket) WaitHint(n float64) time.Duration {
 	return time.Duration((n - b.tokens) / b.rate * float64(time.Second))
 }
 
-// SetRate changes the refill rate, e.g. when the scheduler adjusts a
-// task's allocation.
-func (b *Bucket) SetRate(rate float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(b.now())
-	b.rate = rate
-}
-
-// Rate returns the current refill rate.
-func (b *Bucket) Rate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rate
-}
-
 // Burst returns the bucket capacity.
 func (b *Bucket) Burst() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.burst
-}
-
-// Available returns the current token count (after refill).
-func (b *Bucket) Available() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refillLocked(b.now())
-	return b.tokens
 }

@@ -31,8 +31,8 @@ func newFake(rate, burst float64) (*Bucket, *fakeClock) {
 
 func TestStartsFull(t *testing.T) {
 	b, _ := newFake(10, 100)
-	if got := b.Available(); got != 100 {
-		t.Errorf("Available = %v, want 100", got)
+	if d := b.WaitHint(100); d != 0 {
+		t.Errorf("WaitHint(100) = %v, want 0 (starts full)", d)
 	}
 	if !b.TryTake(100) {
 		t.Error("full burst should be takeable")
@@ -46,12 +46,12 @@ func TestRefillRate(t *testing.T) {
 	b, c := newFake(10, 100)
 	b.TryTake(100)
 	c.sleep(5 * time.Second) // 50 tokens refill
-	if got := b.Available(); got != 50 {
-		t.Errorf("after 5s: Available = %v, want 50", got)
+	if d0, d1 := b.WaitHint(50), b.WaitHint(51); d0 != 0 || d1 != 100*time.Millisecond {
+		t.Errorf("after 5s: WaitHint(50), WaitHint(51) = %v, %v, want 0, 100ms (50 tokens)", d0, d1)
 	}
 	c.sleep(100 * time.Second) // caps at burst
-	if got := b.Available(); got != 100 {
-		t.Errorf("after long idle: Available = %v, want 100 (capped)", got)
+	if !b.TryTake(100) || b.TryTake(1) {
+		t.Error("after long idle the bucket should hold exactly the burst")
 	}
 }
 
@@ -75,33 +75,28 @@ func TestTakeTooLarge(t *testing.T) {
 	}
 }
 
-func TestSetRate(t *testing.T) {
-	b, c := newFake(10, 100)
-	b.TryTake(100)
-	b.SetRate(100)
-	if b.Rate() != 100 {
-		t.Errorf("Rate = %v", b.Rate())
-	}
-	c.sleep(time.Second)
-	if got := b.Available(); got != 100 {
-		t.Errorf("after rate change: Available = %v, want 100", got)
-	}
-}
-
+// TestZeroRateStillPolls: at zero rate no refill time can be computed,
+// so Take sleeps a fixed poll interval and re-checks rather than
+// dividing by zero.
 func TestZeroRateStillPolls(t *testing.T) {
-	b, c := newFake(0, 10)
+	c := &fakeClock{t: time.Unix(0, 0)}
+	var waits []time.Duration
+	var b *Bucket
+	b = newWithClock(0, 10, c.now, func(d time.Duration) {
+		waits = append(waits, d)
+		if len(waits) == 3 { // tokens arrive from outside on the third poll
+			b.mu.Lock()
+			b.tokens = 10
+			b.mu.Unlock()
+		}
+	})
 	b.TryTake(10)
-	done := make(chan struct{})
-	go func() {
-		// Raise the rate shortly after Take starts polling.
-		b.SetRate(1000)
-		close(done)
-	}()
-	<-done
 	if err := b.Take(5); err != nil {
-		t.Fatalf("Take after rate raise: %v", err)
+		t.Fatalf("Take: %v", err)
 	}
-	_ = c
+	if len(waits) != 3 || waits[0] != 10*time.Millisecond {
+		t.Errorf("polls = %v, want three of 10ms", waits)
+	}
 }
 
 func TestEnforcedThroughputApproximatesRate(t *testing.T) {
@@ -166,9 +161,8 @@ func TestWaitHint(t *testing.T) {
 }
 
 // TestConcurrentMixedOps hammers every method from many goroutines under
-// the race detector: Take and TryTake racing SetRate and the read-side
-// accessors must stay data-race free and never hand out more tokens than
-// the refill schedule allows.
+// the race detector: Take and TryTake racing the read-side accessors
+// must stay data-race free.
 func TestConcurrentMixedOps(t *testing.T) {
 	b := New(1e6, 1000) // fast refill so Take never parks for long
 	var wg sync.WaitGroup
@@ -177,19 +171,15 @@ func TestConcurrentMixedOps(t *testing.T) {
 		go func(seed int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
 					b.TryTake(float64(1 + i%7))
 				case 1:
 					if err := b.Take(float64(1 + i%5)); err != nil {
 						t.Errorf("Take: %v", err)
 					}
-				case 2:
-					b.SetRate(1e6 + float64(seed*i))
 				default:
-					b.Available()
-					b.WaitHint(1)
-					b.Rate()
+					b.WaitHint(float64(1 + seed))
 					b.Burst()
 				}
 			}

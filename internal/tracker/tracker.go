@@ -1,6 +1,5 @@
-// Package tracker implements the per-node resource tracker of §4.1–§4.3:
-// it observes the aggregate resource usage on a machine (running tasks
-// plus non-job activity such as data ingestion and evacuation), grants
+// Package tracker implements the per-node resource tracker of §4.1: it
+// observes the resource usage of the tasks running on a machine, grants
 // newly placed tasks a decaying ramp-up allowance so their usage is not
 // under-reported before they spin up, and produces the availability
 // reports the scheduler packs against.
@@ -15,16 +14,15 @@ import (
 
 // Report is one tracker observation delivered to the scheduler.
 type Report struct {
-	// Used is the observed usage including background activity and the
-	// ramp-up allowance for young tasks.
+	// Used is the observed usage including the ramp-up allowance for
+	// young tasks.
 	Used resources.Vector
 	// Allocated is the sum of peak demands of tasks currently placed.
 	Allocated resources.Vector
 	// Available is the packing headroom: capacity minus the component-wise
 	// maximum of Used and Allocated. Taking the max means the scheduler
 	// neither re-allocates resources promised to running tasks nor
-	// over-packs a machine whose actual usage (e.g. ingestion) exceeds
-	// what was allocated.
+	// over-packs a machine whose actual usage exceeds what was allocated.
 	Available resources.Vector
 }
 
@@ -36,9 +34,8 @@ type Tracker struct {
 	// uses 10 s).
 	RampUpSec float64
 
-	mu         sync.Mutex
-	tasks      map[workload.TaskID]*taskEntry
-	background resources.Vector
+	mu    sync.Mutex
+	tasks map[workload.TaskID]*taskEntry
 }
 
 type taskEntry struct {
@@ -55,9 +52,6 @@ func New(capacity resources.Vector) *Tracker {
 		tasks:     make(map[workload.TaskID]*taskEntry),
 	}
 }
-
-// Capacity returns the machine capacity.
-func (t *Tracker) Capacity() resources.Vector { return t.capacity }
 
 // Start registers a task placed on this machine at time now with the
 // given expected (estimated peak) demand.
@@ -90,28 +84,6 @@ func (t *Tracker) Finish(id workload.TaskID) resources.Vector {
 	return e.observed
 }
 
-// SetBackground sets the non-job activity usage (ingestion, evacuation,
-// re-replication) currently consuming machine resources (§4.3).
-func (t *Tracker) SetBackground(v resources.Vector) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.background = v
-}
-
-// Background returns the current non-job usage.
-func (t *Tracker) Background() resources.Vector {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.background
-}
-
-// NumTasks returns how many tasks are currently tracked.
-func (t *Tracker) NumTasks() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.tasks)
-}
-
 // allowance returns the ramp-up-adjusted usage charged for a task: the
 // component-wise max of observed usage and the expected demand scaled by
 // a factor that decays linearly from 1 to 0 over RampUpSec.
@@ -128,26 +100,11 @@ func (t *Tracker) allowance(e *taskEntry, now float64) resources.Vector {
 func (t *Tracker) ReportAt(now float64) Report {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	used := t.background
-	var allocated resources.Vector
+	var used, allocated resources.Vector
 	for _, e := range t.tasks {
 		used = used.Add(t.allowance(e, now))
 		allocated = allocated.Add(e.expected)
 	}
 	avail := t.capacity.Sub(used.Max(allocated)).Max(resources.Vector{})
 	return Report{Used: used, Allocated: allocated, Available: avail}
-}
-
-// Hot reports whether any resource's observed usage exceeds the given
-// fraction of capacity — the hotspot signal the scheduler uses to stop
-// placing tasks on a machine busy with ingestion (Figure 6).
-func (t *Tracker) Hot(now, fraction float64) bool {
-	rep := t.ReportAt(now)
-	for _, k := range resources.Kinds() {
-		c := t.capacity.Get(k)
-		if c > 0 && rep.Used.Get(k) > fraction*c {
-			return true
-		}
-	}
-	return false
 }

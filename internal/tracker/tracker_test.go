@@ -82,8 +82,8 @@ func TestFinishReturnsUsageAndClears(t *testing.T) {
 	if got.Get(resources.CPU) != 2 {
 		t.Errorf("Finish usage = %v", got)
 	}
-	if tr.NumTasks() != 0 {
-		t.Errorf("NumTasks = %d", tr.NumTasks())
+	if len(tr.tasks) != 0 {
+		t.Errorf("NumTasks = %d", len(tr.tasks))
 	}
 	// Finishing again is harmless.
 	if !tr.Finish(id(1)).IsZero() {
@@ -96,39 +96,10 @@ func TestFinishReturnsUsageAndClears(t *testing.T) {
 	}
 }
 
-func TestBackgroundActivity(t *testing.T) {
-	tr := New(capVec)
-	ingest := resources.New(0, 0, 0, 180, 500, 0)
-	tr.SetBackground(ingest)
-	if tr.Background() != ingest {
-		t.Error("Background roundtrip failed")
-	}
-	rep := tr.ReportAt(0)
-	if got := rep.Available.Get(resources.DiskWrite); got != 20 {
-		t.Errorf("Available.diskW = %v, want 20", got)
-	}
-	if !tr.Hot(0, 0.8) {
-		t.Error("ingesting machine should be hot at 80% threshold")
-	}
-	tr.SetBackground(resources.Vector{})
-	if tr.Hot(0, 0.8) {
-		t.Error("idle machine should not be hot")
-	}
-}
-
-func TestHotOnTaskUsage(t *testing.T) {
-	tr := New(capVec)
-	tr.Start(id(1), resources.Vector{}, 0)
-	tr.Observe(id(1), resources.New(15.5, 0, 0, 0, 0, 0))
-	if !tr.Hot(100, 0.9) {
-		t.Error("machine at 97% cpu should be hot")
-	}
-}
-
 func TestAvailableNeverNegative(t *testing.T) {
 	tr := New(capVec)
-	tr.SetBackground(resources.New(999, 999, 999, 999, 9999, 9999))
-	rep := tr.ReportAt(0)
+	tr.Start(id(1), resources.New(999, 999, 999, 999, 9999, 9999), 0)
+	rep := tr.ReportAt(100)
 	if !rep.Available.IsZero() {
 		t.Errorf("Available = %v, want clamped to zero", rep.Available)
 	}
@@ -160,7 +131,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if tr.NumTasks() != 0 {
-		t.Errorf("NumTasks = %d after all finished", tr.NumTasks())
+	if len(tr.tasks) != 0 {
+		t.Errorf("NumTasks = %d after all finished", len(tr.tasks))
 	}
 }

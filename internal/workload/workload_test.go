@@ -416,3 +416,63 @@ func TestPeakDuration(t *testing.T) {
 		t.Errorf("zero-rate PeakDuration = %v, want sentinel", zero.PeakDuration())
 	}
 }
+
+// TestStatusDiamondCascade drives a Status through a barrier cascade four
+// levels deep: a source, a diamond (two branches joining), and a sink that
+// also depends on the source across levels. Running every runnable task
+// each wave must take exactly one wave per level, and each wave must run
+// exactly the stages of its level.
+func TestStatusDiamondCascade(t *testing.T) {
+	deps := [][]int{{}, {0}, {0}, {1, 2}, {3, 0}}
+	level := []int{0, 1, 1, 2, 3}
+	const depth = 4
+	j := &Job{ID: 7, Name: "diamond", Weight: 1}
+	for si, d := range deps {
+		st := &Stage{Name: "s", Deps: d}
+		for i := 0; i < si+1; i++ {
+			st.Tasks = append(st.Tasks, &Task{
+				ID:   TaskID{Job: 7, Stage: si, Index: i},
+				Peak: resources.New(1, 1, 0, 0, 0, 0),
+				Work: Work{CPUSeconds: 1},
+			})
+		}
+		j.Stages = append(j.Stages, st)
+	}
+	if err := j.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := NewStatus(j)
+	waves := 0
+	for !s.Finished() {
+		run := s.Runnable(nil)
+		if len(run) == 0 {
+			t.Fatalf("wave %d: no runnable tasks but job unfinished (%d/%d done)", waves, s.DoneTasks(), j.NumTasks())
+		}
+		want := 0
+		for si := range j.Stages {
+			if level[si] == waves {
+				want += len(j.Stages[si].Tasks)
+			}
+		}
+		if len(run) != want {
+			t.Fatalf("wave %d: %d runnable tasks, want %d", waves, len(run), want)
+		}
+		for _, task := range run {
+			if level[task.ID.Stage] != waves {
+				t.Fatalf("wave %d: runnable %v belongs to level %d", waves, task.ID, level[task.ID.Stage])
+			}
+			s.MarkRunning(task.ID)
+			s.MarkDone(task.ID, float64(waves))
+		}
+		waves++
+		if waves > depth {
+			t.Fatalf("more than %d waves", depth)
+		}
+	}
+	if waves != depth {
+		t.Errorf("waves = %d, want the depth %d", waves, depth)
+	}
+	if s.FinishedAt() != depth-1 {
+		t.Errorf("FinishedAt = %v, want %d", s.FinishedAt(), depth-1)
+	}
+}

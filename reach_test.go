@@ -1,0 +1,420 @@
+package tetris_test
+
+import (
+	"encoding/json"
+	"errors"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// reachAllowed names the non-test functions and types no program reaches
+// that stay anyway: test seams and observers other packages' tests read.
+// Keys are "pkg.Func", "pkg.Type" or "pkg.Type.Method" with pkg the path
+// below the module; the value says why.
+var reachAllowed = map[string]string{
+	"internal/testutil.WaitFor":         "polling helper shared by the tests of several packages",
+	"internal/tokenbucket.newWithClock": "builds a bucket on a fake clock for tests",
+	"internal/rm.Sharded.SubmitJobAs":   "submits as a tenant, for admission tests",
+	"internal/rm.Sharded.LiveNodes":     "observer the rm, nm and hollow tests poll",
+	"internal/rm.Sharded.ResyncPending": "observer the restart tests poll",
+	"internal/rm.admission.queuedJobs":  "observer the admission tests read",
+	"internal/rm.admission.backlog":     "observer the admission tests read",
+	"internal/nm.Node.Launched":         "observer the nm tests read",
+}
+
+// listedPackage is the part of `go list -json` the reachability pass reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+}
+
+// TestEveryDeclarationHasACaller fails when a non-test function, method or
+// type of the module is reached neither from a main package nor from the
+// root package's exports. It type-checks the module's non-test files,
+// follows every reference out of each main and init function, every
+// package-level variable initializer and the exported API of the tetris
+// facade (the exported methods and fields of every type it names,
+// transitively), and sends each call of an interface method to the
+// matching methods of every reached type that implements the interface.
+// Methods matching a standard-library interface are assumed called by
+// the standard library.
+func TestEveryDeclarationHasACaller(t *testing.T) {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export", "./...").Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+		}
+		t.Fatalf("go list: %v", err)
+	}
+	modPath := modulePath(t)
+	var mod []*listedPackage
+	exports := map[string]string{}
+	for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if p.ImportPath == modPath || strings.HasPrefix(p.ImportPath, modPath+"/") {
+			mod = append(mod, p) // go list -deps orders dependencies first
+		} else {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	r := newReach()
+	var decls []declared
+	for _, p := range mod {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		r.module[pkg] = true
+		rel := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, modPath), "/")
+		decls = append(decls, r.addPackage(pkg, rel, files, info)...)
+	}
+	for path := range exports {
+		if p, err := std.Import(path); err == nil {
+			r.addStdInterfaces(p)
+		}
+	}
+	if root := checked[modPath]; root != nil {
+		r.addFacade(root)
+	}
+	r.run()
+
+	var unreached []string
+	for _, d := range decls {
+		if r.reached[d.obj] {
+			continue
+		}
+		if _, ok := reachAllowed[d.name]; ok {
+			continue
+		}
+		unreached = append(unreached, d.name+" ("+fset.Position(d.obj.Pos()).String()+")")
+	}
+	sort.Strings(unreached)
+	if len(unreached) > 0 {
+		t.Errorf("%d non-test declarations reached from no main package and no tetris export; delete them or, for a test seam, add them to reachAllowed with a reason:\n\t%s",
+			len(unreached), strings.Join(unreached, "\n\t"))
+	}
+	for name := range reachAllowed {
+		if o, ok := r.named[name]; !ok {
+			t.Errorf("reachAllowed names %s, which is not declared", name)
+		} else if r.reached[o] {
+			t.Errorf("reachAllowed names %s, which a program reaches; take it off the list", name)
+		}
+	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+func modulePath(t *testing.T) string {
+	b, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "module "); ok {
+			return strings.TrimSpace(rest)
+		}
+	}
+	t.Fatal("go.mod names no module")
+	return ""
+}
+
+// declared is one package-level function, method or type, named the way
+// reachAllowed keys it.
+type declared struct {
+	name string
+	obj  types.Object
+}
+
+type reach struct {
+	module  map[*types.Package]bool
+	edges   map[types.Object][]types.Object // declaration -> objects its body or type uses
+	reached map[types.Object]bool
+	named   map[string]types.Object
+	work    []types.Object
+	// Interface methods called somewhere, and the named module types
+	// reached so far; each pair that matches reaches the concrete method.
+	calledIface []*types.Func
+	types       []*types.Named
+	apiSeen     map[types.Type]bool
+}
+
+func newReach() *reach {
+	return &reach{
+		module:  map[*types.Package]bool{},
+		edges:   map[types.Object][]types.Object{},
+		reached: map[types.Object]bool{},
+		named:   map[string]types.Object{},
+		apiSeen: map[types.Type]bool{},
+	}
+}
+
+// addPackage records the edges out of every top-level declaration of a
+// checked package and marks its roots: main and init functions and
+// package-level variable initializers. It returns the declarations the
+// test holds to account.
+func (r *reach) addPackage(pkg *types.Package, rel string, files []*ast.File, info *types.Info) []declared {
+	uses := func(n ast.Node) []types.Object {
+		var objs []types.Object
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if o := info.Uses[id]; o != nil {
+					objs = append(objs, origin(o))
+				}
+			}
+			return true
+		})
+		return objs
+	}
+	var out []declared
+	for _, f := range files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				obj := info.Defs[d.Name]
+				if obj == nil {
+					continue
+				}
+				r.edges[obj] = uses(d)
+				name := rel + "." + d.Name.Name
+				if d.Recv != nil {
+					name = rel + "." + recvName(d.Recv.List[0].Type) + "." + d.Name.Name
+				}
+				if d.Recv == nil && (d.Name.Name == "init" || (d.Name.Name == "main" && pkg.Name() == "main")) {
+					r.mark(obj)
+					continue
+				}
+				r.named[name] = obj
+				out = append(out, declared{name, obj})
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						obj := info.Defs[s.Name]
+						if obj == nil || s.Name.Name == "_" {
+							continue
+						}
+						r.edges[obj] = uses(s)
+						name := rel + "." + s.Name.Name
+						r.named[name] = obj
+						out = append(out, declared{name, obj})
+					case *ast.ValueSpec:
+						for _, o := range uses(s) {
+							r.mark(o)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// addStdInterfaces treats every method of every interface a
+// standard-library package declares as called: the library may call it
+// on any value handed to it.
+func (r *reach) addStdInterfaces(p *types.Package) {
+	for _, name := range p.Scope().Names() {
+		if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					r.calledIface = append(r.calledIface, it.Method(i))
+				}
+			}
+		}
+	}
+}
+
+// addFacade marks the root package's exports and, transitively, the
+// exported methods and fields of every module type its API names.
+func (r *reach) addFacade(root *types.Package) {
+	for _, name := range root.Scope().Names() {
+		o := root.Scope().Lookup(name)
+		if !o.Exported() {
+			continue
+		}
+		r.mark(o)
+		r.api(o.Type())
+	}
+}
+
+func (r *reach) api(t types.Type) {
+	if t == nil || r.apiSeen[t] {
+		return
+	}
+	r.apiSeen[t] = true
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		if !r.module[t.Obj().Pkg()] {
+			return
+		}
+		r.mark(t.Obj())
+		for _, rt := range []types.Type{t, types.NewPointer(t)} {
+			ms := types.NewMethodSet(rt)
+			for i := 0; i < ms.Len(); i++ {
+				if m := ms.At(i).Obj(); m.Exported() {
+					r.mark(origin(m))
+					r.api(m.Type())
+				}
+			}
+		}
+		r.api(t.Underlying())
+	case *types.Pointer:
+		r.api(t.Elem())
+	case *types.Slice:
+		r.api(t.Elem())
+	case *types.Array:
+		r.api(t.Elem())
+	case *types.Map:
+		r.api(t.Key())
+		r.api(t.Elem())
+	case *types.Chan:
+		r.api(t.Elem())
+	case *types.Signature:
+		r.api(t.Params())
+		r.api(t.Results())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			r.api(t.At(i).Type())
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); f.Exported() || f.Embedded() {
+				r.api(f.Type())
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			r.mark(t.Method(i))
+			r.api(t.Method(i).Type())
+		}
+	}
+}
+
+func (r *reach) mark(o types.Object) {
+	if o == nil || r.reached[o] {
+		return
+	}
+	r.reached[o] = true
+	r.work = append(r.work, o)
+}
+
+// run drains the worklist, dispatching interface calls to the methods
+// of reached types until neither set grows.
+func (r *reach) run() {
+	for len(r.work) > 0 {
+		for len(r.work) > 0 {
+			o := r.work[len(r.work)-1]
+			r.work = r.work[:len(r.work)-1]
+			for _, u := range r.edges[o] {
+				r.mark(u)
+			}
+			switch o := o.(type) {
+			case *types.Func:
+				if isIfaceMethod(o) {
+					r.calledIface = append(r.calledIface, o)
+				}
+			case *types.TypeName:
+				if n, ok := o.Type().(*types.Named); ok && r.module[o.Pkg()] {
+					r.types = append(r.types, n)
+				}
+			}
+		}
+		for _, n := range r.types {
+			for _, rt := range []types.Type{n, types.NewPointer(n)} {
+				ms := types.NewMethodSet(rt)
+				for i := 0; i < ms.Len(); i++ {
+					m := ms.At(i).Obj().(*types.Func)
+					if r.reached[origin(m)] {
+						continue
+					}
+					for _, im := range r.calledIface {
+						if im.Name() != m.Name() {
+							continue
+						}
+						it := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+						if types.Implements(rt, it) || types.Implements(types.NewPointer(n), it) {
+							r.mark(origin(m))
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func isIfaceMethod(f *types.Func) bool {
+	recv := f.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// origin maps an instantiated generic function or method to its
+// declaration.
+func origin(o types.Object) types.Object {
+	if f, ok := o.(*types.Func); ok {
+		return f.Origin()
+	}
+	return o
+}
+
+// recvName is the type name of a method receiver expression.
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}
