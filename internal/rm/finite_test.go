@@ -173,3 +173,79 @@ func TestHugeCompletionsRestart(t *testing.T) {
 		t.Fatalf("recovered state diverges:\n pre-crash: %s\n recovered: %s", want, got)
 	}
 }
+
+// TestTinyRateJobRestart: a job admitted with a remaining-work score that
+// overflows to +Inf — a CPU peak of 1e-310 under 10 CPU-seconds, or a
+// demand of 50 over a registered capacity component of 1e-310 (the
+// estimator would clamp that demand to the largest machine, so these RMs
+// run without one) — made every candidate's score NaN, so the next round
+// panicked under the shard lock, and the journaled submission re-armed the
+// panic on every restart. Each case now launches, and a restarted RM on
+// the same journal drains the job.
+func TestTinyRateJobRestart(t *testing.T) {
+	capV := resources.New(16, 32, 200, 200, 1000, 1000)
+	for _, c := range []struct {
+		name     string
+		capacity resources.Vector
+		peak     resources.Vector
+	}{
+		{"tiny peak rate", capV, resources.New(1e-310, 4, 0, 0, 0, 0)},
+		{"tiny capacity", capV.With(resources.NetOut, 1e-310), resources.New(2, 4, 0, 0, 0, 50)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("scheduling round panicked: %v", r)
+				}
+			}()
+			dir := t.TempDir()
+			start := func() *Sharded {
+				g, err := NewShardedInProcess(ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler, JournalDir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { g.Close() })
+				// A node that runs nothing: after a restart every
+				// journaled launch is lost and re-queued.
+				reply, _ := g.Call(&wire.Message{Type: wire.TypeRegisterNM, RegisterNM: &wire.RegisterNM{NodeID: 0, Capacity: c.capacity}})
+				if reply.Type == wire.TypeError {
+					t.Fatalf("registration: %s", reply.Error)
+				}
+				return g
+			}
+			g := start()
+			j := simpleJob(1, 12)
+			for _, task := range j.Stages[0].Tasks {
+				task.Peak, task.Work.CPUSeconds = c.peak, 10
+			}
+			if err := g.SubmitJob(j); err != nil {
+				t.Fatal(err)
+			}
+			if launch := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0}).NMReply.Launch; len(launch) == 0 {
+				t.Fatal("nothing launched")
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+			g = start()
+			var done []wire.TaskCompletion
+			for ran := 0; ran < len(j.Stages[0].Tasks); {
+				reply := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: done})
+				if reply.Type == wire.TypeError {
+					t.Fatalf("heartbeat after restart: %s", reply.Error)
+				}
+				if len(done) == 0 && len(reply.NMReply.Launch) == 0 {
+					t.Fatalf("restarted RM stalled after %d of %d tasks", ran, len(j.Stages[0].Tasks))
+				}
+				done = done[:0]
+				for _, l := range reply.NMReply.Launch {
+					done = append(done, wire.TaskCompletion{Task: l.Task, Usage: l.Demand, Duration: 1})
+				}
+				ran += len(done)
+			}
+			if err := g.VerifyLedger(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

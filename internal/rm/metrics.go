@@ -40,9 +40,11 @@ type rmMetrics struct {
 	beatsWithoutRound *telemetry.Counter
 	// stageScans / stagePrunes split the Tetris core's stage visits into
 	// windows walked task by task and visits one envelope comparison
-	// skipped (scheduler.ScanStats).
+	// skipped (scheduler.ScanStats); localPrunes counts the locality-scan
+	// options one demand-floor comparison rejected.
 	stageScans  *telemetry.Counter
 	stagePrunes *telemetry.Counter
+	localPrunes *telemetry.Counter
 
 	scheduleRound *telemetry.Histogram
 	nmHeartbeat   *telemetry.Histogram
@@ -97,6 +99,8 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
 	m.stageScans = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "scanned"), scansHelp)
 	m.stagePrunes = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "pruned"), scansHelp)
+	const localHelp = "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."
+	m.localPrunes = reg.Counter(name("tetris_rm_sched_local_prunes_total"), localHelp)
 	for c := causeNone + 1; c < numCauses; c++ {
 		m.rounds[c] = reg.Counter(telemetry.Label(name("tetris_rm_rounds_total"), "cause", causeNames[c]),
 			"Scheduling rounds run, by trigger: a changed input (submit, completion, node, usage), a follow-up to a round that acted, or the heartbeat-interval floor.")
@@ -163,5 +167,6 @@ func (m *rmMetrics) observeScans(sched scheduler.Scheduler) {
 	st := p.ScanStats()
 	m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
 	m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
+	m.localPrunes.Add(st.LocalPrunes - m.prevScan.LocalPrunes)
 	m.prevScan = st
 }

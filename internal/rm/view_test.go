@@ -356,10 +356,12 @@ func TestRoundCauses(t *testing.T) {
 }
 
 // TestStageScanCounters: the shard adds each round's share of the Tetris
-// core's scan counters to tetris_rm_sched_stage_scans_total, and a backlog
-// deeper than the cluster makes the pruned side move — the round after
-// the submit fills the machines; the follow-up round finds the first one
-// full, and the other two cost one envelope comparison each.
+// core's scan counters to tetris_rm_sched_stage_scans_total and
+// tetris_rm_sched_local_prunes_total, and a backlog deeper than the
+// cluster makes the pruned sides move — the round after the submit fills
+// the machines; the follow-up round finds the first one full, the other
+// two cost one envelope comparison each, and every task reading a block
+// on a full machine costs one floor comparison there.
 func TestStageScanCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g, err := NewShardedInProcess(ShardedConfig{Shards: 1, NewScheduler: qualityScheduler, Metrics: reg})
@@ -371,19 +373,25 @@ func TestStageScanCounters(t *testing.T) {
 	for id := 0; id < nodes; id++ {
 		g.RegisterMachine(id, resources.New(16, 32, 200, 200, 1000, 1000))
 	}
-	if err := g.SubmitJob(simpleJob(0, 60)); err != nil { // 8 tasks fill a machine
+	j := simpleJob(0, 60) // 8 tasks fill a machine
+	for i, task := range j.Stages[0].Tasks {
+		task.Peak = task.Peak.With(resources.DiskRead, 10)
+		task.Inputs = []workload.InputBlock{{Machine: i % nodes, SizeMB: 100}}
+	}
+	if err := g.SubmitJob(j); err != nil {
 		t.Fatal(err)
 	}
 	sweep(t, g, nodes, false)
 	series := func(result string) uint64 {
 		return reg.Counter(telemetry.Label(telemetry.Label("tetris_rm_sched_stage_scans_total", "shard", "0"), "result", result), "").Value()
 	}
+	local := reg.Counter(telemetry.Label("tetris_rm_sched_local_prunes_total", "shard", "0"), "").Value()
 	core := g.Shard(0).sched.(*scheduler.Tetris).ScanStats()
-	if series("scanned") != core.StageScans || series("pruned") != core.StagePrunes {
-		t.Errorf("series scanned=%d pruned=%d, core counted %+v", series("scanned"), series("pruned"), core)
+	if series("scanned") != core.StageScans || series("pruned") != core.StagePrunes || local != core.LocalPrunes {
+		t.Errorf("series scanned=%d pruned=%d local=%d, core counted %+v", series("scanned"), series("pruned"), local, core)
 	}
-	if core.StageScans == 0 || core.StagePrunes == 0 {
-		t.Errorf("a saturated 3-node shard should both scan and prune: %+v", core)
+	if core.StageScans == 0 || core.StagePrunes == 0 || core.LocalPrunes == 0 {
+		t.Errorf("a saturated 3-node shard should scan and prune both scans: %+v", core)
 	}
 }
 

@@ -72,15 +72,17 @@ func BenchmarkTetrisSchedule(b *testing.B) {
 
 // backlogView builds the regime benchView's three warm-up rounds never
 // reach — a saturated cluster under a deep backlog: 100 machines, 40 jobs
-// with stages of 50–300 input-free tasks, scheduled with no completions
-// until a round places nothing. A Schedule call on it re-proves, machine
-// by machine, that no head task fits anywhere: the cost the RM pays on
-// every heartbeat round of a backlogged cluster (`rm-backlog`).
-func backlogView() *View {
+// with stages of 50–300 tasks, scheduled with no completions until a
+// round places nothing. A Schedule call on it re-proves, machine by
+// machine, that no head task fits anywhere: the cost the RM pays on every
+// heartbeat round of a backlogged cluster (`rm-backlog`). With inputs,
+// about half the tasks read blocks, so every machine's locality scan
+// also feeds the core tasks that do not fit (`sim-fb`).
+func backlogView(inputs bool) *View {
 	const nMach, nJobs = 100, 40
 	rng := rand.New(rand.NewSource(nMach*1000 + nJobs))
 	caps := genCaps(rng, nMach)
-	jobs := genDeepJobs(rng, nJobs, nMach, 50, 300, false)
+	jobs := genDeepJobs(rng, nJobs, nMach, 50, 300, inputs)
 	w := newEqWorld(newReferenceTetris(DefaultTetrisConfig()), jobs, caps, make([]int, nJobs), 1)
 	for r := 0; ; r++ {
 		v := w.view(r)
@@ -92,10 +94,10 @@ func backlogView() *View {
 	}
 }
 
-// BenchmarkTetrisScheduleBacklog measures one round over backlogView on
-// the core and on its oracle.
-func BenchmarkTetrisScheduleBacklog(b *testing.B) {
-	v := backlogView()
+// benchBacklog measures one round over backlogView on the core and on
+// its oracle.
+func benchBacklog(b *testing.B, inputs bool) {
+	v := backlogView(inputs)
 	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
 	for i, mk := range mks {
 		b.Run(labels[i], func(b *testing.B) {
@@ -103,6 +105,12 @@ func BenchmarkTetrisScheduleBacklog(b *testing.B) {
 		})
 	}
 }
+
+func BenchmarkTetrisScheduleBacklog(b *testing.B) { benchBacklog(b, false) }
+
+// BenchmarkTetrisScheduleLocal is the backlog round with input blocks:
+// most of its cost is locality-scan options that cannot fit.
+func BenchmarkTetrisScheduleLocal(b *testing.B) { benchBacklog(b, true) }
 
 func BenchmarkDRFSchedule(b *testing.B) {
 	for _, sz := range benchSizes {

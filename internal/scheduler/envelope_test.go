@@ -119,6 +119,55 @@ func TestDemandFloorBoundsEveryMachine(t *testing.T) {
 	}
 }
 
+// TestLocalFloorBoundsEveryAffinityMachine is the local prune's rule: on
+// every machine that holds input of a task — the machines scanLocals
+// feeds it on — the floor computed from its peak is component-wise ≤ the
+// core's placement demand there, and is exactly demandFloor of the cache
+// entry for that machine. Random deep-backlog tasks (some blocks
+// unplaced) are joined by partial locality and zero-size blocks.
+func TestLocalFloorBoundsEveryAffinityMachine(t *testing.T) {
+	const nMach = 6
+	tasks := []*workload.Task{
+		{Peak: resources.New(2, 4, 80, 10, 300, 200), Inputs: []workload.InputBlock{{Machine: 1, SizeMB: 100}, {Machine: 2, SizeMB: 300}}},
+		{Peak: resources.New(2, 4, 80, 10, 300, 200), Inputs: []workload.InputBlock{{Machine: 3, SizeMB: 0}, {Machine: 4, SizeMB: 200}}},
+		{Peak: resources.New(2, 4, 80, 10, 0, 200), Inputs: []workload.InputBlock{{Machine: 5, SizeMB: 0}}},
+	}
+	for _, j := range genDeepJobs(rand.New(rand.NewSource(5)), 20, nMach, 10, 20, true) {
+		for _, st := range j.Stages {
+			tasks = append(tasks, st.Tasks...)
+		}
+	}
+	for _, cpuMem := range []bool{false, true} {
+		cfg := DefaultTetrisConfig()
+		cfg.CPUMemOnly = cpuMem
+		core := NewTetris(cfg)
+		checked := 0
+		for _, task := range tasks {
+			floor := core.peakFloor(task.Peak)
+			for _, b := range task.Inputs {
+				if b.Machine < 0 {
+					continue
+				}
+				d := EffectiveDemand(task.Peak, task, b.Machine)
+				if cpuMem {
+					d = projectCPUMem(d)
+				}
+				if floor.Max(d) != d {
+					t.Fatalf("cpumem=%v task %v: floor %v exceeds demand %v on machine %d", cpuMem, task.Peak, floor, d, b.Machine)
+				}
+				tr := &taskRound{hasPlaced: true, d: d}
+				if got := tr.demandFloor(); got != floor {
+					t.Fatalf("cpumem=%v task %v on machine %d: peak floor %v, demandFloor %v", cpuMem, task.Peak, b.Machine, floor, got)
+				}
+				checked++
+			}
+		}
+		if checked < 100 {
+			t.Fatalf("cpumem=%v: only %d (task, machine) pairs checked", cpuMem, checked)
+		}
+	}
+}
+
 // TestEnvelopeRetiredByLocalsTake: a window task taken through the
 // locality scan, not the stage scan, must retire the envelope. Tasks 0–15
 // (the window) need 10 cores, task 16 needs 2, task 5 reads a block on
@@ -326,10 +375,11 @@ func sampledMatch(t *testing.T, what string, sampled, full []RoundTrace) {
 }
 
 // TestTraceOnSaturatedDeepView reruns trace-does-not-affect-decisions
-// where the prune is busiest. Tracing every round never prunes — that run
-// is the unpruned core, record for record. Tracing every other round
-// prunes in between, and must still (a) decide exactly as with tracing
-// off and (b) record, in its sampled rounds, exactly what the
+// where the prunes are busiest: tasks read input, so the locality scan
+// prunes as well as the stage scans. Tracing every round never prunes —
+// that run is the unpruned core, record for record. Tracing every other
+// round prunes in between, and must still (a) decide exactly as with
+// tracing off and (b) record, in its sampled rounds, exactly what the
 // every-round run recorded for them: a pruned round leaves nothing behind
 // that a sampled round could see.
 func TestTraceOnSaturatedDeepView(t *testing.T) {
@@ -345,12 +395,12 @@ func TestTraceOnSaturatedDeepView(t *testing.T) {
 			}
 		}
 	}
-	if st := fullSched.ScanStats(); st.StagePrunes != 0 {
+	if st := fullSched.ScanStats(); st.StagePrunes != 0 || st.LocalPrunes != 0 {
 		t.Errorf("sampled rounds pruned: %+v", st)
 	}
 	for name, s := range map[string]*Tetris{"untraced": plainSched, "half-sampled": halfSched} {
-		if st := s.ScanStats(); st.StagePrunes == 0 {
-			t.Errorf("%s run never pruned: %+v", name, st)
+		if st := s.ScanStats(); st.StagePrunes == 0 || st.LocalPrunes == 0 {
+			t.Errorf("%s run never pruned a stage scan or a local option: %+v", name, st)
 		}
 	}
 	sampledMatch(t, "incremental", halfRing.Snapshot(), fullRing.Snapshot())

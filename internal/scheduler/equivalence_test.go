@@ -368,10 +368,11 @@ type deepRun struct {
 	rounds int
 	inputs bool // tasks carry input blocks
 	faults bool // machines crash and recover
-	// requirePrune fails the run unless the envelope prune actually fired
-	// in the incremental world — equivalence over scans that never pruned
-	// would prove nothing about the prune. (The fuzzer leaves it off: it
-	// can shrink a world until nothing is ever left pending.)
+	// requirePrune fails the run unless the envelope prune — and, with
+	// inputs, the local prune — actually fired in the incremental world:
+	// equivalence over scans that never pruned would prove nothing about
+	// the prune. (The fuzzer leaves it off: it can shrink a world until
+	// nothing is ever left pending.)
 	requirePrune bool
 	// est, when non-nil, moves the estimates (eqWorld.est).
 	est func(round int, j *JobState, t *workload.Task) (resources.Vector, float64)
@@ -395,6 +396,8 @@ func runDeepEquivalence(t testing.TB, name string, run deepRun) int {
 			}
 		} else if run.requirePrune && st.StagePrunes == 0 {
 			t.Fatalf("%s seed=%d: %s core never pruned a stage scan: %+v", name, run.seed, labels[i], st)
+		} else if run.requirePrune && run.inputs && st.LocalPrunes == 0 {
+			t.Fatalf("%s seed=%d: %s core never pruned a local option: %+v", name, run.seed, labels[i], st)
 		}
 	}
 	return run.rounds

@@ -226,3 +226,39 @@ func TestScheduleAllocs(t *testing.T) {
 		t.Errorf("slotfair fast path: %v allocs/op in steady state, want 0", g)
 	}
 }
+
+// TestRemainingWorkFiniteAtTinyRates: admissible inputs whose
+// remaining-work score overflowed to +Inf made ε = ā/p̄ zero and every
+// candidate's score 0·Inf = NaN, so no candidate won and the round
+// panicked. A CPU peak of 1e-310 under 10 CPU-seconds overflows the
+// peak duration; a capacity component of 1e-310 under a job that
+// demands 50 of it (network-out, never charged at the task's own
+// machine) overflows the normalized demand. Both must schedule.
+func TestRemainingWorkFiniteAtTinyRates(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mk   func() *View
+	}{
+		{"peak duration", func() *View {
+			return mkView(2, machine, mkJob(1, 3, resources.New(1e-310, 4, 0, 0, 0, 0), 10))
+		}},
+		{"normalized demand", func() *View {
+			return mkView(2, machine.With(resources.NetOut, 1e-310), mkJob(1, 3, resources.New(2, 4, 0, 0, 0, 50), 10))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("round panicked: %v", r)
+				}
+			}()
+			v := c.mk()
+			if p := NewTetris(DefaultTetrisConfig()).remainingWork(v, v.Jobs[0]); math.IsInf(p, 0) || math.IsNaN(p) {
+				t.Errorf("remaining work %v, want finite", p)
+			}
+			if got := bothCores(t, DefaultTetrisConfig(), c.mk); len(got) != 3 {
+				t.Errorf("placed %d tasks, want 3", len(got))
+			}
+		})
+	}
+}

@@ -176,10 +176,17 @@ func (t *Tetris) Name() string { return "tetris" }
 func (t *Tetris) Reservations() *reserve.Table { return t.res }
 
 // taskSRTFScore is one task's contribution to the job's remaining-work
-// score: duration × Σ of capacity-normalized demands (§3.3.1).
+// score: duration × Σ of capacity-normalized demands (§3.3.1). Each
+// factor saturates at srtfCap, so an admissible demand over a vanishing
+// capacity component still scores finite: an infinite score would make
+// ε zero and every candidate's score 0·Inf = NaN.
 func taskSRTFScore(peak resources.Vector, duration float64, total resources.Vector) float64 {
-	return duration * peak.Normalize(total).Sum()
+	return min(duration, srtfCap) * min(peak.Normalize(total).Sum(), srtfCap)
 }
+
+// srtfCap bounds each factor of taskSRTFScore (the workload package's
+// duration sentinel): a job's score stays far below overflow.
+const srtfCap = 1e30
 
 // stageScoreEntry is one (job, stage) SRTF average plus the estimate of
 // the stage's first task at the time the average was computed. Estimates

@@ -35,6 +35,8 @@ import (
 //     another fill, another machine — that the envelope proves fruitless
 //     is skipped with one comparison, so a full machine costs one FitsIn
 //     per stage instead of one per pending task (collectIncr).
+//   - A locality-scan option whose demand floor does not fit the machine
+//     is dropped before the task cache is opened (considerIncr).
 //   - What is a pure function of (estimate, task) — the base demand and
 //     its normalized form — is kept across rounds for as long as the
 //     estimate stays bit-identical (taskRoundFor).
@@ -56,8 +58,9 @@ import (
 // call-order-dependent under either and cannot be replayed.
 
 // taskRound is the incremental core's cached per-task state. Entries
-// persist across rounds (keyed by task pointer) and self-invalidate via
-// the round stamp; per-machine fields self-invalidate via mach.
+// persist across rounds (keyed by task pointer) while the task is
+// pending, and self-invalidate via the round stamp; per-machine fields
+// self-invalidate via mach.
 type taskRound struct {
 	round uint64 // validity stamp for all per-round fields below
 
@@ -138,7 +141,23 @@ func (tr *taskRound) demandFloor() resources.Vector {
 	if !tr.hasPlaced {
 		return tr.d
 	}
-	return tr.d.With(resources.DiskRead, 0).With(resources.NetIn, 0)
+	return placementFloor(tr.d)
+}
+
+// placementFloor zeroes the dimensions EffectiveDemand sets by placement
+// (NetOut, NetIn, DiskRead); the rest pass through bit for bit.
+func placementFloor(d resources.Vector) resources.Vector {
+	return d.With(resources.NetOut, 0).With(resources.NetIn, 0).With(resources.DiskRead, 0)
+}
+
+// peakFloor is demandFloor of a task with placed input, computed from its
+// peak instead of a cache entry: projecting under CPUMemOnly commutes
+// with placementFloor, so it is the same vector on every machine.
+func (t *Tetris) peakFloor(peak resources.Vector) resources.Vector {
+	if t.cfg.CPUMemOnly {
+		return projectCPUMem(peak)
+	}
+	return placementFloor(peak)
 }
 
 // ScanStats is a snapshot of the core's cumulative candidate-scan
@@ -147,6 +166,7 @@ func (tr *taskRound) demandFloor() resources.Vector {
 type ScanStats struct {
 	StageScans  uint64 // stage windows walked task by task
 	StagePrunes uint64 // stage visits skipped by one envelope comparison
+	LocalPrunes uint64 // locality-scan options skipped by one floor comparison
 	Considered  uint64 // (task, machine) options evaluated by considerTR
 }
 
@@ -228,15 +248,6 @@ func (ic *incrState) beginRound(t *Tetris, v *View) {
 	ic.round++
 	ic.tick = 0
 	ic.curV = v
-	// Periodically drop cache entries for tasks not seen in a while
-	// (finished jobs), so the map does not grow without bound.
-	if ic.round%256 == 0 {
-		for task, tr := range ic.tasks {
-			if ic.round-tr.round > 64 {
-				delete(ic.tasks, task)
-			}
-		}
-	}
 }
 
 // taskRoundFor returns the task's cache entry, resetting per-round fields
@@ -539,6 +550,12 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 		t.cfg.Trace.ring.Append(*rt)
 		ic.rt = nil
 	}
+	// A cache entry lives as long as its task can be considered: a placed
+	// task leaves Pending (it comes back, if it fails, as a fresh entry),
+	// and evictDeparted drops the tasks of departed jobs.
+	for _, a := range out {
+		delete(ic.tasks, a.Task)
+	}
 	return out
 }
 
@@ -652,8 +669,20 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 // reproducing the oracle's consider closure's outcome: it appends a
 // candidate exactly when the oracle would, with bit-identical demand,
 // charges and alignment.
+//
+// The local prune. scanLocals feeds only tasks with input on the
+// machine, and most of them do not fit what is left of it. Their
+// peakFloor equals demandFloor of the entry the cache would build, so
+// when it does not fit neither does the demand, and considerTR would only
+// set failLocal: the option is rejected before the cache is opened. A
+// sampled round takes the unpruned path, as for the stage envelope.
 func (t *Tetris) considerIncr(j *JobState, task *workload.Task, inTail bool) {
-	t.considerTR(t.inc.taskRoundFor(j, task), task, inTail)
+	ic := &t.inc
+	if ic.rt == nil && !t.peakFloor(ic.curV.DemandPeak(j, task)).FitsIn(ic.curAvail) {
+		ic.scan.LocalPrunes++
+		return
+	}
+	t.considerTR(ic.taskRoundFor(j, task), task, inTail)
 }
 
 // considerTR is considerIncr after the cache-entry lookup — the stage

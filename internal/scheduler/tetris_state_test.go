@@ -128,6 +128,46 @@ func TestTetrisStateBounded(t *testing.T) {
 	}
 }
 
+// TestTaskCacheHoldsOnlyPendingTasks: a task-cache entry lives exactly as
+// long as its task can be considered. After every round of a
+// fault-injected deep world with input blocks — where most local options
+// are pruned before the cache is opened, and failed tasks come back to
+// Pending — every entry belongs to a pending task of an active job.
+func TestTaskCacheHoldsOnlyPendingTasks(t *testing.T) {
+	sched := NewTetris(DefaultTetrisConfig())
+	const rounds = 120
+	w := newDeepWorlds([]func() Scheduler{func() Scheduler { return sched }}, 41, rounds, true)[0]
+	peak := 0
+	for r := 0; r < rounds; r++ {
+		w.step(r, true, false)
+		pending := 0
+		for i, j := range w.jobs {
+			if w.arrive[i] > r || j.Status.Finished() {
+				continue
+			}
+			for _, st := range j.Job.Stages {
+				for _, task := range st.Tasks {
+					if j.Status.State(task.ID) == workload.Pending {
+						pending++
+					}
+				}
+			}
+		}
+		for task := range sched.inc.tasks {
+			if st := w.jobByID(task.ID.Job).Status.State(task.ID); st != workload.Pending {
+				t.Fatalf("round %d: task %v is cached in state %v", r, task.ID, st)
+			}
+		}
+		if n := len(sched.inc.tasks); n > pending {
+			t.Fatalf("round %d: task cache holds %d entries for %d pending tasks", r, n, pending)
+		}
+		peak = max(peak, len(sched.inc.tasks))
+	}
+	if st := sched.ScanStats(); peak == 0 || st.LocalPrunes == 0 {
+		t.Fatalf("vacuous run: peak cache %d entries, %+v", peak, st)
+	}
+}
+
 // TestScanLocalsRotationAfterCompaction drives tombstone compaction and
 // asserts the rotating cursor still delivers full, non-repeating
 // coverage: the pre-fix cursor was computed against pre-compaction

@@ -34,9 +34,11 @@ type simMetrics struct {
 
 	// stageScans / stagePrunes split the Tetris core's stage visits into
 	// windows walked task by task and visits one envelope comparison
-	// skipped (scheduler.ScanStats).
+	// skipped (scheduler.ScanStats); localPrunes counts the locality-scan
+	// options one demand-floor comparison rejected.
 	stageScans  *telemetry.Counter
 	stagePrunes *telemetry.Counter
+	localPrunes *telemetry.Counter
 
 	// rateRecomputed / rateClean split the resource nodes (machines, rack
 	// uplinks) of every event-loop iteration into those whose fluid shares
@@ -64,6 +66,8 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
 	m.stageScans = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "scanned"), scansHelp)
 	m.stagePrunes = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "pruned"), scansHelp)
+	const localHelp = "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."
+	m.localPrunes = reg.Counter("tetris_sim_sched_local_prunes_total", localHelp)
 	const nodesHelp = "Resource nodes (machines, rack uplinks) per event-loop iteration whose fluid shares were re-derived (recomputed) or left alone because nothing arrived at or left them (clean)."
 	m.rateRecomputed = reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "recomputed"), nodesHelp)
 	m.rateClean = reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "clean"), nodesHelp)
@@ -89,6 +93,7 @@ func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
 		st := p.ScanStats()
 		m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
 		m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
+		m.localPrunes.Add(st.LocalPrunes - m.prevScan.LocalPrunes)
 		m.prevScan = st
 	}
 }

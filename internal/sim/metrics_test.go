@@ -48,17 +48,22 @@ func TestSimMetricsPublished(t *testing.T) {
 
 // TestSimMetricsStageScans: a backlog deeper than the cluster makes the
 // Tetris core prune — once the first full machine has shown that no head
-// task fits, the other full machines cost one comparison — and the sim
-// publishes both sides of the split.
+// task fits, the other full machines cost one comparison, and so does
+// each task reading a block on a full machine — and the sim publishes
+// both sides of the stage split and the local prunes.
 func TestSimMetricsStageScans(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cl := cluster.New(3, cluster.FacebookProfile(), 0)
-	wl := oneJob(120, resources.New(2, 2, 0, 0, 0, 0), workload.Work{CPUSeconds: 20})
+	wl := oneJob(120, resources.New(2, 2, 10, 0, 0, 0), workload.Work{CPUSeconds: 20},
+		workload.InputBlock{Machine: 0, SizeMB: 50})
 	run(t, Config{Cluster: cl, Workload: wl, Scheduler: tetris(), SampleEvery: 1, Metrics: reg})
 	for _, result := range []string{"scanned", "pruned"} {
 		if reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", result), "").Value() == 0 {
 			t.Errorf("tetris_sim_sched_stage_scans_total{result=%q} never moved", result)
 		}
+	}
+	if reg.Counter("tetris_sim_sched_local_prunes_total", "").Value() == 0 {
+		t.Error("tetris_sim_sched_local_prunes_total never moved")
 	}
 }
 

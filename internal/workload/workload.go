@@ -110,34 +110,33 @@ func (t *Task) HasLocalAffinity(m int) bool {
 // are converted to MB/s). Zero-rate components with positive work yield a
 // large sentinel — the caller is expected to validate demands.
 func (t *Task) NominalDuration(m int) float64 {
-	d := 0.0
-	grow := func(work, rate float64) {
-		if work <= 0 {
-			return
-		}
-		var dur float64
-		if rate <= 0 {
-			dur = inf
-		} else {
-			dur = work / rate
-		}
-		if dur > d {
-			d = dur
-		}
-	}
-	grow(t.Work.CPUSeconds, t.Peak.Get(resources.CPU))
-	grow(t.Work.WriteMB, t.Peak.Get(resources.DiskWrite))
+	d := stretch(0, t.Work.CPUSeconds, t.Peak.Get(resources.CPU))
+	d = stretch(d, t.Work.WriteMB, t.Peak.Get(resources.DiskWrite))
 	local := t.TotalInputMB() - t.RemoteInputMB(m)
 	remote := t.RemoteInputMB(m)
-	grow(local+remote, t.Peak.Get(resources.DiskRead)) // all bytes touch a disk somewhere
-	grow(remote, t.FlowCapMBps())
-	return d
+	d = stretch(d, local+remote, t.Peak.Get(resources.DiskRead)) // all bytes touch a disk somewhere
+	return stretch(d, remote, t.FlowCapMBps())
 }
 
 const (
 	inf     = 1e30 // large-but-finite sentinel so schedulers can still sort
 	mbPerMB = 8    // Mb per MB
 )
+
+// stretch returns the longer of d and the time positive work takes at
+// rate, saturated at the inf sentinel: a zero rate, or one so small the
+// quotient overflows (10 CPU-seconds at 1e-310 cores), yields inf, never
+// +Inf.
+func stretch(d, work, rate float64) float64 {
+	if work <= 0 {
+		return d
+	}
+	dur := inf
+	if rate > 0 && work/rate < inf {
+		dur = work / rate
+	}
+	return max(d, dur)
+}
 
 // FlowCapMBps returns the maximum byte rate (MB/s) at which this task
 // can read input from a remote machine: its disk-read peak (the read
@@ -156,25 +155,9 @@ func (t *Task) FlowCapMBps() float64 {
 // is read locally — the placement-independent duration estimate used by
 // the multi-resource SRTF remaining-work score (§3.3.1).
 func (t *Task) PeakDuration() float64 {
-	d := 0.0
-	grow := func(work, rate float64) {
-		if work <= 0 {
-			return
-		}
-		var dur float64
-		if rate <= 0 {
-			dur = inf
-		} else {
-			dur = work / rate
-		}
-		if dur > d {
-			d = dur
-		}
-	}
-	grow(t.Work.CPUSeconds, t.Peak.Get(resources.CPU))
-	grow(t.Work.WriteMB, t.Peak.Get(resources.DiskWrite))
-	grow(t.TotalInputMB(), t.Peak.Get(resources.DiskRead))
-	return d
+	d := stretch(0, t.Work.CPUSeconds, t.Peak.Get(resources.CPU))
+	d = stretch(d, t.Work.WriteMB, t.Peak.Get(resources.DiskWrite))
+	return stretch(d, t.TotalInputMB(), t.Peak.Get(resources.DiskRead))
 }
 
 // Stage is a set of tasks that perform the same computation over
