@@ -40,9 +40,9 @@ func main() {
 		killAfter   = flag.Duration("kill-after", time.Second, "when to kill -kill-node")
 		reviveAfter = flag.Duration("revive-after", 0, "start a replacement NM this long after the kill (0 = never)")
 
-		journalDir = flag.String("journal-dir", "", "RM write-ahead journal directory, one shard-<i> subdirectory per shard (empty = no durability); a restarted RM pointed at the same directory with the same -shards recovers its state")
+		journalDir = flag.String("journal-dir", "", "RM write-ahead journal directory: one log for every shard, under shard-0/ (empty = no durability); a restarted RM pointed at the same directory with the same -shards recovers its state, and another -shards is refused")
 		fsyncMode  = flag.String("fsync", "interval", "journal fsync policy: interval, always, or never")
-		snapEvery  = flag.Int("snapshot-every", 0, "journal records between snapshot checkpoints (0 = default)")
+		snapEvery  = flag.Int("snapshot-every", 0, "checkpoint every shard once one shard has journaled this many records since the last checkpoint (0 = default)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus /metrics, JSON /debug/status and /debug/trace, and pprof on this address (empty = off)")
 

@@ -4,21 +4,26 @@ package rm
 // primitives, for the events the RM journals and the snapshots it
 // checkpoints (DESIGN §8.1, §8.3).
 //
-// An event record is its kind byte, the RM clock as float64 bits, then
-// only the fields that kind uses. A snapshot is snapshotTag, the clock,
-// then the node table, the job table (by ID), the fault log and the
-// estimator's statistics. Floats travel as raw IEEE-754 bits and every
-// value has one encoding, so replay is bit-exact and equal states encode
-// to equal bytes — StateDigest compares them.
+// The RM keeps one log for all its shards. A log record is recordTag,
+// the index of the shard that journaled it, then the event: its kind
+// byte, the RM clock as float64 bits, then only the fields that kind
+// uses. A checkpoint is checkpointTag, the shard count, then each shard's
+// state in index order: snapshotTag, the clock, the node table, the job
+// table (by ID), the fault log and the estimator's statistics. Floats
+// travel as raw IEEE-754 bits and every value has one encoding, so replay
+// is bit-exact and equal states encode to equal bytes — StateDigest
+// compares one shard's state.
 //
-// A journal written as JSON (every record and snapshot begins with '{')
-// is refused with ErrJournalFormat; nothing reads JSON journals.
+// No older format begins with either tag: a per-shard journal (untagged
+// events, a snapshotTag snapshot) or a JSON one (every record and
+// snapshot begins with '{') is refused with ErrJournalFormat.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/faults"
@@ -31,10 +36,10 @@ import (
 
 var (
 	// ErrJournalFormat reports a journal record or snapshot in an encoding
-	// this RM does not write — a JSON journal from before the binary
-	// encoding, or an unknown kind. The RM fails closed; the operator
+	// this RM does not write — a per-shard or JSON journal of an older
+	// build, or an unknown kind. The RM fails closed; the operator
 	// discards the journal directory.
-	ErrJournalFormat = errors.New("rm: journal format not recognised (journals written as JSON must be discarded)")
+	ErrJournalFormat = errors.New("rm: journal format not recognised (journals written by an older build must be discarded)")
 	// ErrJournalCorrupt reports a journal record or snapshot that passed
 	// its checksum but does not decode, or does not fit the state it is
 	// applied to (an unknown machine or job, a task outside its job).
@@ -58,8 +63,13 @@ const (
 	evGangRelease
 )
 
-// snapshotTag is a snapshot's first byte: no event kind and not '{'.
-const snapshotTag byte = 0xA1
+// Leading bytes: of a shard's state (StateDigest), of a log record and
+// of a checkpoint. None is an event kind or '{'.
+const (
+	snapshotTag   byte = 0xA1
+	recordTag     byte = 0xA2
+	checkpointTag byte = 0xA3
+)
 
 // Minimum encoded sizes of repeated elements, for wire.Reader.Count.
 const (
@@ -128,7 +138,39 @@ func appendEvent(b []byte, ev *event) []byte {
 	return b
 }
 
-// decodeEvent decodes one record into ev.
+// appendRecord appends the log record of ev, journaled by shard.
+func appendRecord(b []byte, shard int, ev *event) []byte {
+	b = append(b, recordTag)
+	b = wire.AppendInt(b, shard)
+	return appendEvent(b, ev)
+}
+
+// decodeRecord decodes one log record into ev and returns the shard it
+// names, refusing one beyond the shards configured.
+func decodeRecord(data []byte, shards int, ev *event) (int, error) {
+	if len(data) == 0 || data[0] != recordTag {
+		return 0, leadErr("record", data)
+	}
+	r := wire.NewReader(data[1:])
+	shard := r.Int()
+	if err := r.Err(); err != nil {
+		return 0, corrupt("record: %v", err)
+	}
+	if shard < 0 || shard >= shards {
+		return 0, corrupt("record of shard %d, %d configured", shard, shards)
+	}
+	return shard, decodeEvent(data[len(data)-r.Len():], ev)
+}
+
+// leadErr refuses a record or snapshot whose first byte is not its tag.
+func leadErr(what string, data []byte) error {
+	if len(data) == 0 {
+		return corrupt("empty %s", what)
+	}
+	return fmt.Errorf("%w: %s begins with 0x%02x", ErrJournalFormat, what, data[0])
+}
+
+// decodeEvent decodes one event into ev.
 func decodeEvent(data []byte, ev *event) error {
 	r := wire.NewReader(data)
 	*ev = event{Kind: r.Byte(), Time: r.Float()}
@@ -424,21 +466,56 @@ func readStageStats(r *wire.Reader) []estimator.StageState {
 	return xs
 }
 
-// restoreState rebuilds the RM from a snapshot. Called during recovery
-// before any goroutine starts; on an error the core is discarded.
-func (s *Server) restoreState(data []byte) error {
-	if len(data) == 0 || data[0] != snapshotTag {
-		if len(data) == 0 {
-			return corrupt("empty snapshot")
+// appendCheckpoint appends a checkpoint of every shard. Past the first
+// shard it makes room for the rest at the mean size so far: one
+// allocation instead of a chain of append's 1.25× growths. Caller holds
+// every shard lock.
+func appendCheckpoint(b []byte, shards []*Server) []byte {
+	b = append(b, checkpointTag)
+	b = wire.AppendCount(b, len(shards))
+	start := len(b)
+	for i, s := range shards {
+		if i > 0 {
+			b = slices.Grow(b, (len(b)-start)/i*(len(shards)-i)*9/8)
 		}
-		return fmt.Errorf("%w: snapshot begins with 0x%02x", ErrJournalFormat, data[0])
+		b = s.appendState(b)
+	}
+	return b
+}
+
+// restoreCheckpoint rebuilds every shard from a checkpoint, refusing one
+// written by another shard count with ErrJournalLayout naming dir.
+func restoreCheckpoint(data []byte, shards []*Server, dir string) error {
+	if len(data) == 0 || data[0] != checkpointTag {
+		return leadErr("snapshot", data)
 	}
 	r := wire.NewReader(data[1:])
+	if n := r.Uint(); r.Err() == nil && n != uint64(len(shards)) {
+		return &ErrJournalLayout{Path: dir, Reason: fmt.Sprintf("log written by %d shard(s), %d configured", n, len(shards))}
+	}
+	for _, s := range shards {
+		if err := s.restoreState(&r); err != nil {
+			return err
+		}
+	}
+	if err := r.Done(); err != nil {
+		return corrupt("snapshot: %v", err)
+	}
+	return nil
+}
+
+// restoreState rebuilds one shard from its section of a checkpoint,
+// leaving r after it. Called during recovery before any goroutine
+// starts; on an error the RM is discarded.
+func (s *Server) restoreState(r *wire.Reader) error {
+	if tag := r.Byte(); tag != snapshotTag && r.Err() == nil {
+		return corrupt("shard state begins with 0x%02x", tag)
+	}
 	s.lastEventTime = r.Float()
 	prev := -1
 	for range r.Count(minMachineSize) {
 		ms := machineSnap{ID: r.Int(), Capacity: r.Vector(), Allocated: r.Vector()}
-		f := readFlags(&r, 2)
+		f := readFlags(r, 2)
 		ms.Dead = f&1 != 0
 		ms.Epoch = r.Int()
 		if f&2 != 0 {
@@ -459,7 +536,7 @@ func (s *Server) restoreState(data []byte) error {
 	}
 	prevJob := math.MinInt
 	for range r.Count(minJobStateSize) {
-		ji, err := s.readJobState(&r)
+		ji, err := s.readJobState(r)
 		if err != nil {
 			return err
 		}
@@ -485,8 +562,8 @@ func (s *Server) restoreState(data []byte) error {
 		}
 	}
 	dropped := r.Uint()
-	est := estimator.State{Current: readStageStats(&r), History: readStageStats(&r)}
-	if err := r.Done(); err != nil {
+	est := estimator.State{Current: readStageStats(r), History: readStageStats(r)}
+	if err := r.Err(); err != nil {
 		return corrupt("snapshot: %v", err)
 	}
 	s.faultLog.Restore(recs, dropped)

@@ -83,6 +83,23 @@ func codecEvents() []event {
 	}
 }
 
+// restoreDigest restores s from one shard's state (a StateDigest),
+// refusing trailing bytes.
+func restoreDigest(s *Server, data []byte) error {
+	r := wire.NewReader(data)
+	if err := s.restoreState(&r); err != nil {
+		return err
+	}
+	return r.Done()
+}
+
+// journalErr reports whether err is one of the typed errors a journal
+// that does not decode or fit is refused with.
+func journalErr(err error) bool {
+	var layout *ErrJournalLayout
+	return errors.Is(err, ErrJournalCorrupt) || errors.Is(err, ErrJournalFormat) || errors.As(err, &layout)
+}
+
 // codecFixture is codecCore with codecEvents applied.
 func codecFixture(t testing.TB, logCap int) *Server {
 	t.Helper()
@@ -96,20 +113,22 @@ func codecFixture(t testing.TB, logCap int) *Server {
 	return s
 }
 
-// TestJournalRecordRoundTrip: every event kind decodes to what was
-// encoded (task IDs rebuilt from position) and re-encodes to the same
-// bytes, and so does the snapshot of a core that used them all.
+// TestJournalRecordRoundTrip: every event kind, as a log record of
+// either shard, decodes to what was encoded (task IDs rebuilt from
+// position) and re-encodes to the same bytes, and so does the snapshot
+// of a core that used them all, alone and in a two-shard checkpoint.
 func TestJournalRecordRoundTrip(t *testing.T) {
-	for _, ev := range codecEvents() {
-		data := appendEvent(nil, &ev)
+	for i, ev := range codecEvents() {
+		data := appendRecord(nil, i%2, &ev)
 		var got event
-		if err := decodeEvent(data, &got); err != nil {
-			t.Fatalf("kind %d: %v", ev.Kind, err)
+		shard, err := decodeRecord(data, 2, &got)
+		if err != nil || shard != i%2 {
+			t.Fatalf("kind %d: shard %d, %v", ev.Kind, shard, err)
 		}
 		if !reflect.DeepEqual(got, ev) {
 			t.Errorf("kind %d: decoded %+v, want %+v", ev.Kind, got, ev)
 		}
-		if again := appendEvent(nil, &got); !bytes.Equal(again, data) {
+		if again := appendRecord(nil, shard, &got); !bytes.Equal(again, data) {
 			t.Errorf("kind %d: re-encoding differs", ev.Kind)
 		}
 	}
@@ -117,11 +136,19 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	s := codecFixture(t, 64)
 	digest := s.StateDigest()
 	r := codecCore(t, 64)
-	if err := r.restoreState(digest); err != nil {
+	if err := restoreDigest(r, digest); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(r.StateDigest(), digest) {
 		t.Error("restored snapshot re-encodes differently")
+	}
+	cp := appendCheckpoint(nil, []*Server{codecCore(t, 64), s})
+	two := []*Server{codecCore(t, 64), codecCore(t, 64)}
+	if err := restoreCheckpoint(cp, two, "dir"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(two[1].StateDigest(), digest) || !bytes.Equal(appendCheckpoint(nil, two), cp) {
+		t.Error("restored checkpoint re-encodes differently")
 	}
 	if err := r.VerifyLedger(); err != nil {
 		t.Error(err)
@@ -202,29 +229,78 @@ func TestReplayRefusesInconsistentJournal(t *testing.T) {
 	} {
 		s := codecFixture(t, 64)
 		c.mutate(s)
-		if err := codecCore(t, 64).restoreState(s.StateDigest()); !errors.Is(err, ErrJournalCorrupt) {
+		if err := restoreDigest(codecCore(t, 64), s.StateDigest()); !errors.Is(err, ErrJournalCorrupt) {
 			t.Errorf("snapshot with %s: err = %v, want ErrJournalCorrupt", c.name, err)
 		}
 	}
 }
 
-// TestOldJSONJournalRefused: a journal written as JSON — a record or a
-// snapshot — fails recovery closed with ErrJournalFormat.
+// TestLogFramingRefused: a record naming a shard the RM does not have, a
+// checkpoint of another shard count, a truncated shard section and the
+// per-shard encodings of an older build each fail with their typed
+// error; none is applied.
+func TestLogFramingRefused(t *testing.T) {
+	ev := codecEvents()[0]
+	var got event
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"record of shard 2 of 2", appendRecord(nil, 2, &ev), ErrJournalCorrupt},
+		{"record of shard -1", appendRecord(nil, -1, &ev), ErrJournalCorrupt},
+		{"untagged per-shard record", appendEvent(nil, &ev), ErrJournalFormat},
+		{"empty record", nil, ErrJournalCorrupt},
+	} {
+		if _, err := decodeRecord(c.data, 2, &got); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+
+	fixture := codecFixture(t, 64)
+	cp := appendCheckpoint(nil, []*Server{codecCore(t, 64), fixture})
+	var layout *ErrJournalLayout
+	err := restoreCheckpoint(appendCheckpoint(nil, []*Server{fixture}), []*Server{codecCore(t, 64), codecCore(t, 64)}, "dir")
+	if !errors.As(err, &layout) || layout.Path != "dir" {
+		t.Errorf("checkpoint of 1 shard restored into 2: err = %v, want ErrJournalLayout naming dir", err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated shard section", cp[:len(cp)-3], ErrJournalCorrupt},
+		{"second shard section holding only its tag", cp[:len(cp)-len(fixture.StateDigest())+1], ErrJournalCorrupt},
+		{"trailing bytes", append(cp[:len(cp):len(cp)], 0), ErrJournalCorrupt},
+		{"per-shard snapshot", fixture.StateDigest(), ErrJournalFormat},
+	} {
+		if err := restoreCheckpoint(c.data, []*Server{codecCore(t, 64), codecCore(t, 64)}, "dir"); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// TestOldJSONJournalRefused: a log written by an older build — a JSON
+// record or snapshot, or a per-shard binary one — fails recovery closed
+// with ErrJournalFormat.
 func TestOldJSONJournalRefused(t *testing.T) {
 	record := []byte(`{"kind":"submit","time":0.5,"job":{"ID":1,"Name":"","Arrival":0,` +
 		`"Stages":[{"Name":"s","Tasks":[{"ID":{"Job":1,"Stage":0,"Index":0},"Peak":[2,4,0,0,0,0],` +
 		`"Work":{"CPUSeconds":20,"WriteMB":0},"Inputs":null}],"Deps":null}],"Lineage":0,"Weight":1,` +
 		`"Gang":false,"MinMembers":0,"Preemptible":false,"Priority":0},"tenant":"a"}`)
 	snapshot := []byte(`{"now":0.5,"machines":[{"id":0,"capacity":[16,32,200,200,1000,1000],"allocated":[0,0,0,0,0,0]}]}`)
+	ev := codecEvents()[0]
 	for _, c := range []struct {
 		name  string
 		write func(*journal.Journal)
 	}{
-		{"record", func(j *journal.Journal) { j.Append(record) }},
-		{"snapshot", func(j *journal.Journal) { j.Snapshot(snapshot) }},
+		{"JSON record", func(j *journal.Journal) { j.Append(record) }},
+		{"JSON snapshot", func(j *journal.Journal) { j.Snapshot(snapshot) }},
+		{"per-shard record", func(j *journal.Journal) { j.Append(appendEvent(nil, &ev)) }},
+		{"per-shard snapshot", func(j *journal.Journal) { j.Snapshot(codecFixture(t, 64).StateDigest()) }},
 	} {
 		dir := t.TempDir()
-		j, _, err := journal.Open(journal.Options{Dir: filepath.Join(dir, "shard-0")})
+		j, _, err := journal.Open(journal.Options{Dir: filepath.Join(dir, logDir)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,20 +310,28 @@ func TestOldJSONJournalRefused(t *testing.T) {
 		}
 		g, err := NewShardedInProcess(ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler, JournalDir: dir})
 		if !errors.Is(err, ErrJournalFormat) || g != nil {
-			t.Errorf("JSON %s: rm = %v, err = %v; want nil and ErrJournalFormat", c.name, g, err)
+			t.Errorf("%s: rm = %v, err = %v; want nil and ErrJournalFormat", c.name, g, err)
 		}
 	}
 }
 
-// FuzzJournalRecord: the event and snapshot decoders take arbitrary
-// bytes. Whatever one accepts re-encodes to the same bytes; a decoded
-// event applied to the fixture RM applies or is refused, never panics.
-// Reader.Count bounds every preallocation by the bytes present.
+// FuzzJournalRecord: the decoders of events, log records, one shard's
+// state and two-shard checkpoints take arbitrary bytes. Whatever one
+// accepts re-encodes to the same bytes; whatever it refuses, it refuses
+// with a typed error; a decoded event applied to the fixture RM applies
+// or is refused, never panics. Reader.Count bounds every preallocation
+// by the bytes present.
 func FuzzJournalRecord(f *testing.F) {
-	for _, ev := range codecEvents() {
+	for i, ev := range codecEvents() {
 		f.Add(appendEvent(nil, &ev))
+		f.Add(appendRecord(nil, i%3, &ev)) // shard 2 of 2 is refused
 	}
-	f.Add(codecFixture(f, 64).StateDigest())
+	fixture := codecFixture(f, 64)
+	cp := appendCheckpoint(nil, []*Server{fixture, codecCore(f, 64)})
+	f.Add(fixture.StateDigest())
+	f.Add(cp)
+	f.Add(cp[:len(cp)-5])                            // a truncated shard section
+	f.Add(appendCheckpoint(nil, []*Server{fixture})) // written by another shard count
 	f.Add([]byte(`{"kind":"dead","time":1,"node":0}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ev event
@@ -257,14 +341,34 @@ func FuzzJournalRecord(f *testing.F) {
 			}
 			s := codecFixture(t, 64)
 			_ = s.applyEvent(&ev)
+		} else if !journalErr(err) {
+			t.Fatalf("event refused untyped: %v", err)
 		}
-		// A fault log large enough for any count the bytes could hold, so
+		if shard, err := decodeRecord(data, 2, &ev); err == nil {
+			if again := appendRecord(nil, shard, &ev); !bytes.Equal(again, data) {
+				t.Fatalf("record re-encodes to %x, read %x", again, data)
+			}
+		} else if !journalErr(err) {
+			t.Fatalf("record refused untyped: %v", err)
+		}
+		// Fault logs large enough for any count the bytes could hold, so
 		// Restore evicts nothing.
-		s := codecCore(t, len(data)/minFaultSize+1)
-		if err := s.restoreState(data); err == nil {
+		logCap := len(data)/minFaultSize + 1
+		s := codecCore(t, logCap)
+		if err := restoreDigest(s, data); err == nil {
 			if again := s.StateDigest(); !bytes.Equal(again, data) {
 				t.Fatalf("snapshot re-encodes to %x, read %x", again, data)
 			}
+		} else if !journalErr(err) {
+			t.Fatalf("snapshot refused untyped: %v", err)
+		}
+		two := []*Server{codecCore(t, logCap), codecCore(t, logCap)}
+		if err := restoreCheckpoint(data, two, "dir"); err == nil {
+			if again := appendCheckpoint(nil, two); !bytes.Equal(again, data) {
+				t.Fatalf("checkpoint re-encodes to %x, read %x", again, data)
+			}
+		} else if !journalErr(err) {
+			t.Fatalf("checkpoint refused untyped: %v", err)
 		}
 	})
 }
@@ -292,11 +396,12 @@ func BenchmarkJournalEncode(b *testing.B) {
 	}
 }
 
-// replayRecords is n records of a plain job stream: eight machines
-// register, then four-task jobs are submitted, launched and completed.
+// replayRecords is n log records of a plain job stream on one shard:
+// eight machines register, then four-task jobs are submitted, launched
+// and completed.
 func replayRecords(n int) [][]byte {
 	var recs [][]byte
-	add := func(ev event) { recs = append(recs, appendEvent(nil, &ev)) }
+	add := func(ev event) { recs = append(recs, appendRecord(nil, 0, &ev)) }
 	capV := resources.New(16, 32, 200, 200, 1000, 1000)
 	for m := 0; m < 8; m++ {
 		add(event{Kind: evRegister, Node: m, Capacity: capV})
@@ -327,7 +432,7 @@ func BenchmarkReplay(b *testing.B) {
 		b.StartTimer()
 		var ev event
 		for _, data := range recs {
-			if err := decodeEvent(data, &ev); err != nil {
+			if _, err := decodeRecord(data, 1, &ev); err != nil {
 				b.Fatal(err)
 			}
 			if err := s.applyEvent(&ev); err != nil {

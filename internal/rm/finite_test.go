@@ -112,13 +112,13 @@ func TestBeatRefusesNonFiniteReport(t *testing.T) {
 // into every restarted RM.
 func TestReplayRefusesNonFiniteRegistration(t *testing.T) {
 	dir := t.TempDir()
-	jnl, _, err := journal.Open(journal.Options{Dir: filepath.Join(dir, "shard-0")})
+	jnl, _, err := journal.Open(journal.Options{Dir: filepath.Join(dir, logDir)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	capV := resources.New(16, 32, 200, 200, 1000, 1000)
-	jnl.Append(appendEvent(nil, &event{Kind: evRegister, Node: 0, Capacity: capV}))
-	jnl.Append(appendEvent(nil, &event{Kind: evRegister, Node: 1, Capacity: capV.With(resources.CPU, math.NaN())}))
+	jnl.Append(appendRecord(nil, 0, &event{Kind: evRegister, Node: 0, Capacity: capV}))
+	jnl.Append(appendRecord(nil, 0, &event{Kind: evRegister, Node: 1, Capacity: capV.With(resources.CPU, math.NaN())}))
 	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,15 @@ package rm
 
 // Journaling: every RM state transition is captured as a semantic event
 // and appended to a write-ahead log (internal/journal) off the
-// scheduling hot path. Recovery replays the latest snapshot plus the
-// surviving log suffix through the SAME apply functions the live paths
-// use, so a replayed RM is byte-for-byte identical to the pre-crash
-// one — StateDigest/RecoveredDigest make that checkable.
+// scheduling hot path. An RM keeps one log for all its shards, owned by
+// the front door: every record names the shard that journaled it, and a
+// checkpoint snapshots every shard at one point of the log, so a batch
+// of submissions is durable after one fsync however many shards it
+// touched. Recovery replays the checkpoint plus the surviving log
+// suffix, each record on its shard in log order, through the SAME apply
+// functions the live paths use, so a replayed shard is byte-for-byte
+// identical to the pre-crash one — StateDigest/RecoveredDigest make that
+// checkable.
 //
 // What is journaled (durable): registrations (with their resync
 // payload), job submissions, task launches, task completions, node
@@ -16,7 +21,7 @@ package rm
 
 import (
 	"fmt"
-	"time"
+	"sync/atomic"
 
 	"github.com/tetris-sched/tetris/internal/journal"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -66,32 +71,34 @@ type event struct {
 	Duration float64
 }
 
-// journal appends one event to the WAL. It is a no-op while replaying
+// rmLog is an RM's one write-ahead log, shared by its shard cores.
+type rmLog struct {
+	*journal.Journal
+	// due is set once a shard has journaled SnapshotEvery records since
+	// the last checkpoint; the front door reads it after each heartbeat.
+	due atomic.Bool
+	// buf is the checkpoint encode scratch, touched only under every
+	// shard lock.
+	buf []byte
+}
+
+// journal appends one event to the log. It is a no-op while replaying
 // (replay must not re-journal itself) and when journaling is disabled.
 // The record is encoded into a buffer the journal's writer recycles, and
 // handed over without a copy; the append is asynchronous — the caller
 // stays on the scheduling hot path; the writer goroutine does the file
-// I/O. Caller holds s.mu.
+// I/O. Appending under s.mu keeps the shard's records in the order of
+// its transitions. Caller holds s.mu.
 func (s *Server) journal(ev *event) {
-	if s.jnl == nil || s.replaying {
+	if s.wal == nil || s.replaying {
 		return
 	}
-	s.jnl.Append(appendEvent(s.jnl.Buffer(), ev))
+	s.wal.Append(appendRecord(s.wal.Buffer(), s.index, ev))
 	s.lastEventTime = ev.Time
 	s.sinceSnap++
-}
-
-// maybeSnapshot takes a checkpoint once enough records accumulated since
-// the last one, bounding both log size and replay time. Encoding runs
-// under s.mu but the file I/O is the journal goroutine's. Caller holds
-// s.mu.
-func (s *Server) maybeSnapshot() {
-	if s.jnl == nil || s.replaying || s.sinceSnap < s.cfg.SnapshotEvery {
-		return
+	if s.sinceSnap >= s.cfg.SnapshotEvery {
+		s.wal.due.Store(true)
 	}
-	s.jbuf = s.appendState(s.jbuf[:0])
-	s.jnl.Snapshot(s.jbuf)
-	s.sinceSnap = 0
 }
 
 // applyEvent replays one journaled transition through the shared apply
@@ -183,71 +190,6 @@ func (s *Server) checkLaunch(ev *event) error {
 		}
 	}
 	return nil
-}
-
-// recover opens the journal and replays snapshot+log. Called from
-// open, before anything reads the RM clock; resume finishes the
-// recovery once the front door's clock continues from the newest event
-// any shard journaled.
-func (s *Server) recover() error {
-	jnl, rec, err := journal.Open(journal.Options{
-		Dir:          s.journalDir,
-		Sync:         s.cfg.JournalSync,
-		ObserveFsync: s.metrics.journalFsync.Observe,
-	})
-	if err != nil {
-		return fmt.Errorf("rm: journal: %w", err)
-	}
-	s.jnl = jnl
-	s.replaying = true
-	replayT0 := time.Now()
-	if rec.Snapshot != nil {
-		if err := s.restoreState(rec.Snapshot); err != nil {
-			jnl.Close()
-			return fmt.Errorf("rm: restore snapshot: %w", err)
-		}
-	}
-	var ev event
-	for i, data := range rec.Records {
-		if err := decodeEvent(data, &ev); err != nil {
-			jnl.Close()
-			return fmt.Errorf("rm: journal record %d: %w", i, err)
-		}
-		if err := s.applyEvent(&ev); err != nil {
-			jnl.Close()
-			return fmt.Errorf("rm: journal record %d: %w", i, err)
-		}
-	}
-	s.replaying = false
-	s.metrics.replaySeconds.Set(time.Since(replayT0).Seconds())
-	s.metrics.replayRecords.Set(float64(len(rec.Records)))
-	if rec.TornBytes > 0 || rec.StaleRecords > 0 {
-		s.log.Printf("rm: journal recovery dropped %d torn tail bytes, skipped %d stale records",
-			rec.TornBytes, rec.StaleRecords)
-	}
-	s.recoveredDigest = s.appendState(nil)
-	if rec.Snapshot != nil || len(rec.Records) > 0 {
-		s.log.Printf("rm: recovered %d machines, %d jobs from journal (%d records replayed)",
-			s.countNodes(nil), len(s.jobs), len(rec.Records))
-	}
-	return nil
-}
-
-// resume readies a replayed shard to serve, on the RM clock the front
-// door has continued past every shard's journaled times. Resync: the
-// journal says these machines were live, but their NMs may have moved on
-// (tasks finished, nodes died) while the RM was down. Exclude them from
-// placement — keeping their ledgers — until they re-register with their
-// running sets; the failure detector gives them one NodeTimeout to do so
-// before they are declared plain dead. Then checkpoint the recovered
-// state so repeated crashes never replay more than one incarnation's
-// events; the resync marking encodes identically to the pre-marking
-// state (Dead normalizes it away). Called before anything serves.
-func (s *Server) resume() {
-	s.awaitResync(s.now())
-	s.jbuf = s.appendState(s.jbuf[:0])
-	s.jnl.Snapshot(s.jbuf)
-	s.sinceSnap = 0
 }
 
 // machineSnap is a node's durable fields: what a snapshot restores and

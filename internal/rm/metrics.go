@@ -49,10 +49,8 @@ type rmMetrics struct {
 	scheduleRound *telemetry.Histogram
 	nmHeartbeat   *telemetry.Histogram
 	amHeartbeat   *telemetry.Histogram
-	journalFsync  *telemetry.Histogram
 	gangAdmitWait *telemetry.Histogram
 
-	replaySeconds *telemetry.Gauge
 	replayRecords *telemetry.Gauge
 
 	// Previous cumulative scheduler-core counters, for per-round deltas.
@@ -88,11 +86,9 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 		scheduleRound: reg.Histogram(name("tetris_rm_schedule_round_seconds"), "Wall time of one scheduling round (the Table 7 allocation cost)."),
 		nmHeartbeat:   reg.Histogram(name("tetris_rm_nm_heartbeat_seconds"), "NM heartbeat processing time, scheduling included."),
 		amHeartbeat:   reg.Histogram(name("tetris_rm_am_heartbeat_seconds"), "AM heartbeat processing time."),
-		journalFsync:  reg.Histogram(name("tetris_rm_journal_fsync_seconds"), "Write-ahead journal fsync latency."),
 		gangAdmitWait: reg.Histogram(name("tetris_rm_gang_admit_wait_seconds"), "Gang admission latency: first quorum want to atomic commit."),
 
-		replaySeconds: reg.Gauge(name("tetris_rm_journal_replay_seconds"), "Wall time of the last journal recovery replay."),
-		replayRecords: reg.Gauge(name("tetris_rm_journal_replay_records"), "Log records replayed by the last journal recovery."),
+		replayRecords: reg.Gauge(name("tetris_rm_journal_replay_records"), "Log records the last journal recovery replayed on the shard."),
 
 		beatsWithoutRound: reg.Counter(name("tetris_rm_beats_without_round_total"), "NM heartbeats processed without a scheduling round: nothing a round decides on had changed."),
 	}
@@ -111,11 +107,11 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 // registerGauges installs the scrape-time views over live server state.
 // Called from open before the core is reachable; fns run on the
 // scrape goroutine and take s.mu.
-func (s *Server) registerGauges(reg *telemetry.Registry) {
+func (s *Server) registerGauges(reg *telemetry.Registry, label string) {
 	if reg == nil {
 		return
 	}
-	name := func(n string) string { return telemetry.Label(n, "shard", s.label) }
+	name := func(n string) string { return telemetry.Label(n, "shard", label) }
 	reg.GaugeFunc(name("tetris_rm_nodes_total"), "Registered node managers.", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()

@@ -12,9 +12,10 @@
 // the wall clock for a decision and starts no goroutine.
 //
 // With JournalDir set the RM is durable: every state transition is
-// journaled to a write-ahead log (internal/journal) off the scheduling
-// hot path, and a restarted RM replays snapshot+log, then reconciles
-// with re-registering node managers (see resync.go).
+// journaled to one write-ahead log (internal/journal) shared by the
+// shards, off the scheduling hot path, and a restarted RM replays
+// checkpoint+log, then reconciles with re-registering node managers (see
+// resync.go).
 package rm
 
 import (
@@ -23,13 +24,13 @@ import (
 	"log"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/faults"
 	"github.com/tetris-sched/tetris/internal/gang"
-	"github.com/tetris-sched/tetris/internal/journal"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/telemetry"
@@ -38,17 +39,16 @@ import (
 )
 
 // Server is one shard core of a running resource manager: the ledger,
-// job table, failure detector and journal of the machines it owns,
-// behind one lock. It reads the front door's configuration; its own
-// fields hold only what differs per shard.
+// job table and failure detector of the machines it owns, behind one
+// lock. It reads the front door's configuration and journals to its log;
+// its own fields hold only what differs per shard.
 type Server struct {
-	cfg        *ShardedConfig
-	sched      scheduler.Scheduler  // the shard's policy, gang-wrapped when cfg.Gang is set
-	est        *estimator.Estimator // nil: declared demands are used as-is
-	journalDir string               // cfg.JournalDir/shard-<i>; empty: no journal
-	label      string               // the `shard` label on every metric series
-	clock      rmClock              // the front door's RM clock
-	log        *log.Logger
+	cfg   *ShardedConfig
+	sched scheduler.Scheduler  // the shard's policy, gang-wrapped when cfg.Gang is set
+	est   *estimator.Estimator // nil: declared demands are used as-is
+	index int                  // the shard's position: names its log records, labels its metric series
+	clock rmClock              // the front door's RM clock
+	log   *log.Logger
 
 	mu    sync.Mutex
 	nodes []*node          // dense by machine ID, nil where unowned (ledger.go)
@@ -76,12 +76,11 @@ type Server struct {
 	// tenant state; nil admits everything.
 	adm *admission
 
-	jnl             *journal.Journal // nil when journaling is off
-	replaying       bool             // suppress journal writes during replay
-	lastEventTime   float64          // clock of the newest journaled event
-	sinceSnap       int              // journaled records since the last checkpoint
-	recoveredDigest []byte           // state digest right after replay, pre-resync
-	jbuf            []byte           // snapshot encode scratch
+	wal             *rmLog  // the front door's log; nil when journaling is off
+	replaying       bool    // suppress journal writes during replay
+	lastEventTime   float64 // clock of the newest journaled event
+	sinceSnap       int     // journaled records since the last checkpoint
+	recoveredDigest []byte  // state digest right after replay, pre-resync
 }
 
 type jobInfo struct {
@@ -109,10 +108,8 @@ type jobInfo struct {
 }
 
 // open finishes a shard core whose per-shard fields (cfg, sched, est,
-// journalDir, label, clock, adm) are set: state, metrics, journal
-// replay. With journalDir set, any existing journal there is replayed;
-// the front door then resumes the shard (resume) once its clock
-// continues from the newest event any shard journaled.
+// index, clock, adm) are set: state and metrics. The front door then
+// replays its log into the shard, if it keeps one.
 func (s *Server) open() error {
 	if s.sched == nil {
 		return fmt.Errorf("rm: scheduler is required")
@@ -137,23 +134,11 @@ func (s *Server) open() error {
 	if s.log == nil {
 		s.log = log.New(io.Discard, "", 0)
 	}
-	s.metrics = newRMMetrics(cfg.Metrics, s.label)
-	s.registerGauges(cfg.Metrics)
+	label := strconv.Itoa(s.index)
+	s.metrics = newRMMetrics(cfg.Metrics, label)
+	s.registerGauges(cfg.Metrics, label)
 	if cfg.NodeTimeout > 0 {
 		s.detector = faults.NewDetector(cfg.NodeTimeout.Seconds())
-	}
-	if s.journalDir != "" {
-		return s.recover()
-	}
-	return nil
-}
-
-// Close flushes the journal (if any). A Close is indistinguishable from
-// a crash to the next incarnation: no final checkpoint is written, so
-// restart always exercises the replay path.
-func (s *Server) Close() error {
-	if s.jnl != nil {
-		return s.jnl.Close()
 	}
 	return nil
 }
@@ -219,16 +204,6 @@ func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Mes
 	s.applySubmit(j, tenant)
 	s.log.Printf("rm: job %d submitted by tenant %q (%d tasks)", j.ID, tenant, j.NumTasks())
 	return &wire.Message{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: j.ID, Total: j.NumTasks()}}
-}
-
-// journalBarrier issues a durability barrier on this core's journal —
-// the batch-submit path's per-shard barrier — and returns its ack
-// without waiting; nil when journaling is off.
-func (s *Server) journalBarrier() <-chan error {
-	if s.jnl == nil {
-		return nil
-	}
-	return s.jnl.Barrier()
 }
 
 // applySubmit registers a validated, weight-normalized job under its
@@ -360,7 +335,6 @@ func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) stri
 		s.metrics.beatsWithoutRound.Inc()
 	}
 	n.beatRound = s.rounds
-	s.maybeSnapshot()
 	rep.Launch, n.launches = n.launches, nil
 	rep.Preempt, n.preempts = n.preempts, nil
 	rep.FullReport = n.needFull
@@ -627,8 +601,8 @@ func (s *Server) ClusterStatus() wire.ClusterStatusReply {
 }
 
 // JobIDs returns the IDs of every job this server knows (finished or
-// not), ascending. The sharded manager uses it to rebuild its job→shard
-// routing table after per-shard journal recovery.
+// not), ascending. The front door uses it to rebuild its job→shard
+// routing table after journal recovery.
 func (s *Server) JobIDs() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -641,21 +615,6 @@ func (s *Server) LiveNodes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.countNodes(func(n *node) bool { return !n.Down })
-}
-
-// JournalStats reports journaling activity: records appended and
-// snapshots taken by this incarnation. It flushes the journal's queue
-// first so the counts reflect every transition journaled so far. ok is
-// false when journaling is disabled.
-func (s *Server) JournalStats() (appends, snapshots uint64, ok bool) {
-	if s.jnl == nil {
-		return 0, 0, false
-	}
-	if err := s.jnl.Sync(); err != nil {
-		s.log.Printf("rm: journal sync: %v", err)
-	}
-	a, sn, _ := s.jnl.Stats()
-	return a, sn, true
 }
 
 // RegisterMachine adds a machine directly, as a first registration

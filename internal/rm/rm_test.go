@@ -161,7 +161,7 @@ func TestRegisterRefusesOutOfRangeNodeID(t *testing.T) {
 	snap = wire.AppendVector(snap, &resources.Vector{})
 	snap = append(snap, 0, 0)          // flags, epoch
 	snap = append(snap, 0, 0, 0, 0, 0) // no jobs, faults, drops or estimator stages
-	errRestore := core.restoreState(snap)
+	errRestore := restoreDigest(core, snap)
 	core.mu.Unlock()
 	if errReplay == nil || errRestore == nil {
 		t.Errorf("replay: %v, restore: %v; want both refused", errReplay, errRestore)

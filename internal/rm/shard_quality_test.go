@@ -211,7 +211,6 @@ func TestShardQualityOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := replayQuality(t, bareCore{core}, w)
-		core.Close()
 
 		one := replayQuality(t, newQualitySharded(t, 1), w)
 		if base.makespan != one.makespan || len(base.finish) != len(one.finish) {

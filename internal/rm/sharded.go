@@ -5,7 +5,8 @@ package rm
 // partition of the machine fleet and running the scheduling core
 // against its own free ledger, behind a thin top layer that owns the
 // listener and does wire decode → validation → admission → shard
-// routing → dispatch. Each shard has its own lock: heartbeats from
+// routing → dispatch, and the one write-ahead log every shard journals
+// to. Each shard has its own lock: heartbeats from
 // different shards schedule concurrently, and a scheduling round only
 // walks 1/N of the fleet. N = 1 is the degenerate partition — one core
 // holding the whole fleet, every job routed to it.
@@ -80,17 +81,22 @@ type ShardedConfig struct {
 	// Keep it stable across restarts: journal replay re-derives job
 	// abandonment from it.
 	MaxTaskAttempts int
-	// JournalDir enables per-shard write-ahead journaling and crash
-	// recovery under JournalDir/shard-<i>: state transitions are logged
-	// there and replayed on restart. Recovery also rebuilds the top
-	// layer's job→shard routing table from the recovered shard states.
-	// Empty disables durability.
+	// JournalDir enables write-ahead journaling and crash recovery: every
+	// shard's state transitions go to one log under JournalDir/shard-0
+	// (the path a 1-shard RM has always used) and are replayed on
+	// restart. The log records its shard count; reopening it with another
+	// count, or over a per-shard shard-<k> directory of an older build,
+	// fails with ErrJournalLayout. Recovery also rebuilds the top layer's
+	// job→shard routing table from the recovered shard states. Empty
+	// disables durability.
 	JournalDir string
 	// JournalSync is the journal's fsync policy (default
 	// journal.SyncInterval).
 	JournalSync journal.SyncPolicy
-	// SnapshotEvery is the number of journaled records between snapshot
-	// checkpoints (log truncation points). Default 4096.
+	// SnapshotEvery bounds replay: once any shard has journaled this many
+	// records since the last checkpoint, the next heartbeat through the
+	// front door checkpoints every shard and truncates the log. Default
+	// 4096.
 	SnapshotEvery int
 	// FaultLogCap bounds each shard's in-memory crash/recovery log (a
 	// ring buffer; evictions are counted). Default faults.DefaultRingCap.
@@ -114,7 +120,7 @@ type ShardedConfig struct {
 	// submissions are gated (quota/rate/shed) once, before routing, with
 	// typed wire.SubmitReject answers, and all shard cores share the same
 	// tenant accounting so per-tenant state is global even though jobs
-	// scatter across shard journals. Nil admits everything.
+	// scatter across shards. Nil admits everything.
 	Admission *AdmissionConfig
 	// ConnTimeout bounds how long a connection handler waits on a single
 	// read or write before dropping the connection, so a stalled or
@@ -164,6 +170,8 @@ type Sharded struct {
 	// adm is the shared admission front door (nil without Admission
 	// config): the top layer gates, shard cores carry the accounting.
 	adm *admission
+	// wal is the one log every shard journals to; nil without JournalDir.
+	wal *rmLog
 
 	routedJobs []*telemetry.Counter // per-shard admission counts
 	fallbacks  *telemetry.Counter   // jobs routed with no feasible shard
@@ -177,8 +185,8 @@ type Sharded struct {
 
 // NewSharded creates a resource manager listening on addr ("host:port";
 // use "127.0.0.1:0" for an ephemeral port). With cfg.JournalDir set,
-// each shard recovers from its own journal before serving and the
-// job→shard table is rebuilt from the recovered shards.
+// every shard recovers from the log before serving and the job→shard
+// table is rebuilt from the recovered shards.
 func NewSharded(addr string, cfg ShardedConfig) (*Sharded, error) {
 	g, err := newShardedCore(cfg)
 	if err != nil {
@@ -186,7 +194,7 @@ func NewSharded(addr string, cfg ShardedConfig) (*Sharded, error) {
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		g.closeShards()
+		g.Close()
 		return nil, fmt.Errorf("rm: listen: %w", err)
 	}
 	g.ln = ln
@@ -237,28 +245,26 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 	if clock == nil {
 		clock = new(wallClock)
 	}
-	if cfg.JournalDir != "" {
-		if err := checkJournalLayout(cfg.JournalDir, cfg.Shards); err != nil {
-			return nil, err
-		}
-	}
 	for i := 0; i < cfg.Shards; i++ {
-		core := &Server{cfg: &g.cfg, sched: cfg.NewScheduler(), label: strconv.Itoa(i), clock: clock, adm: g.adm}
+		core := &Server{cfg: &g.cfg, sched: cfg.NewScheduler(), index: i, clock: clock, adm: g.adm}
 		if cfg.NewEstimator != nil {
 			core.est = cfg.NewEstimator()
 		}
-		if cfg.JournalDir != "" {
-			core.journalDir = filepath.Join(cfg.JournalDir, fmt.Sprintf("shard-%d", i))
-		}
 		if err := core.open(); err != nil {
-			g.closeShards()
 			return nil, fmt.Errorf("rm: sharded: shard %d: %w", i, err)
 		}
 		g.shards = append(g.shards, core)
-		// Rebuild routing for jobs the shard's journal recovered.
-		for _, id := range core.JobIDs() {
-			if prev, ok := g.jobShard[id]; ok && prev != i {
-				g.closeShards()
+	}
+	if cfg.JournalDir != "" {
+		if err := g.recover(); err != nil {
+			return nil, err
+		}
+	}
+	// Rebuild routing for the jobs recovery brought back.
+	for i, s := range g.shards {
+		for _, id := range s.JobIDs() {
+			if prev, ok := g.jobShard[id]; ok {
+				g.Close()
 				return nil, fmt.Errorf("rm: sharded: job %d recovered on shards %d and %d", id, prev, i)
 			}
 			g.jobShard[id] = i
@@ -271,10 +277,16 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 		last = max(last, s.lastEventTime)
 	}
 	clock.startAt(last)
-	for _, s := range g.shards {
-		if s.jnl != nil {
-			s.resume()
+	if g.wal != nil {
+		// Every machine the log left live awaits its NM's re-registration
+		// (resync.go). Then checkpoint, so repeated crashes never replay
+		// more than one incarnation's events; the resync marking encodes
+		// as the pre-marking state did.
+		now := clock.now()
+		for _, s := range g.shards {
+			s.awaitResync(now)
 		}
+		g.checkpoint(true)
 	}
 	if reg := cfg.Metrics; reg != nil {
 		for i := range g.shards {
@@ -297,7 +309,8 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 
 // ErrJournalLayout reports state under ShardedConfig.JournalDir that the
 // configured shard count would start without. The RM fails closed; the
-// operator moves or removes Path.
+// operator moves or removes Path, or reopens with the shard count that
+// wrote it.
 type ErrJournalLayout struct {
 	Path   string // the offending entry
 	Reason string
@@ -307,12 +320,15 @@ func (e *ErrJournalLayout) Error() string {
 	return fmt.Sprintf("rm: journal layout: %s: %s", e.Path, e.Reason)
 }
 
+// logDir is the log's directory under JournalDir.
+const logDir = "shard-0"
+
 // checkJournalLayout rejects a journal directory holding journal files at
 // its top level (a single-journal layout; fix: mv dir/*.dat dir/shard-0/)
-// or a shard-<k> directory with k ≥ shards (written by a run with more
-// shards). Shard cores only ever open dir/shard-<i> for i < shards, so
-// either would be silently ignored.
-func checkJournalLayout(dir string, shards int) error {
+// or a shard-<k> directory with k ≥ 1 (per-shard state of an older
+// build). The log only ever opens dir/shard-0, so either would be
+// silently ignored.
+func checkJournalLayout(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil
@@ -324,17 +340,107 @@ func checkJournalLayout(dir string, shards int) error {
 		path := filepath.Join(dir, e.Name())
 		if !e.IsDir() {
 			if filepath.Ext(e.Name()) == ".dat" {
-				return &ErrJournalLayout{Path: path, Reason: "journal file outside a shard-<i> directory (move it into shard-0/)"}
+				return &ErrJournalLayout{Path: path, Reason: "journal file outside shard-0/ (move it there)"}
 			}
 			continue
 		}
-		if k, ok := strings.CutPrefix(e.Name(), "shard-"); ok {
-			if i, err := strconv.Atoi(k); err == nil && i >= shards {
-				return &ErrJournalLayout{Path: path, Reason: fmt.Sprintf("shard journal beyond the %d configured shard(s)", shards)}
+		if k, ok := strings.CutPrefix(e.Name(), "shard-"); ok && e.Name() != logDir {
+			if _, err := strconv.Atoi(k); err == nil {
+				return &ErrJournalLayout{Path: path, Reason: "per-shard journal of an older build (the RM keeps one log under shard-0)"}
 			}
 		}
 	}
 	return nil
+}
+
+// recover opens the log under JournalDir/shard-0 and replays it before
+// anything reads the RM clock: the checkpoint restores every shard, then
+// each record is applied on the shard it names, in log order — the order
+// of that shard's live transitions.
+func (g *Sharded) recover() error {
+	if err := checkJournalLayout(g.cfg.JournalDir); err != nil {
+		return err
+	}
+	reg := g.cfg.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	// The log's own series carry the label of the shard whose directory
+	// holds it.
+	logSeries := func(n string) string { return telemetry.Label(n, "shard", "0") }
+	jnl, rec, err := journal.Open(journal.Options{
+		Dir:          filepath.Join(g.cfg.JournalDir, logDir),
+		Sync:         g.cfg.JournalSync,
+		ObserveFsync: reg.Histogram(logSeries("tetris_rm_journal_fsync_seconds"), "Write-ahead journal fsync latency.").Observe,
+	})
+	if err != nil {
+		return fmt.Errorf("rm: journal: %w", err)
+	}
+	g.wal = &rmLog{Journal: jnl}
+	t0 := time.Now()
+	for _, s := range g.shards {
+		s.wal = g.wal
+		s.replaying = true
+	}
+	if rec.Snapshot != nil {
+		if err := restoreCheckpoint(rec.Snapshot, g.shards, g.cfg.JournalDir); err != nil {
+			jnl.Close()
+			return fmt.Errorf("rm: restore snapshot: %w", err)
+		}
+	}
+	counts := make([]int, len(g.shards))
+	var ev event
+	for i, data := range rec.Records {
+		shard, err := decodeRecord(data, len(g.shards), &ev)
+		if err == nil {
+			err = g.shards[shard].applyEvent(&ev)
+		}
+		if err != nil {
+			jnl.Close()
+			return fmt.Errorf("rm: journal record %d: %w", i, err)
+		}
+		counts[shard]++
+	}
+	for i, s := range g.shards {
+		s.replaying = false
+		s.metrics.replayRecords.Set(float64(counts[i]))
+		s.recoveredDigest = s.appendState(nil)
+	}
+	reg.Gauge(logSeries("tetris_rm_journal_replay_seconds"), "Wall time of the last journal recovery replay.").Set(time.Since(t0).Seconds())
+	if rec.TornBytes > 0 || rec.StaleRecords > 0 {
+		g.log.Printf("rm: journal recovery dropped %d torn tail bytes, skipped %d stale records",
+			rec.TornBytes, rec.StaleRecords)
+	}
+	if rec.Snapshot != nil || len(rec.Records) > 0 {
+		g.log.Printf("rm: recovered %d shard(s) from journal (%d records replayed)", len(g.shards), len(rec.Records))
+	}
+	return nil
+}
+
+// checkpoint snapshots every shard at one point of the log and
+// truncates it: always, or when a shard has journaled SnapshotEvery
+// records since the last checkpoint. The heartbeat paths call it after
+// the shard returns. It takes every shard lock in index order, so no
+// shard journals between the states it encodes and the snapshot it
+// enqueues; no other path holds two shard locks.
+func (g *Sharded) checkpoint(always bool) {
+	if g.wal == nil || !always && !g.wal.due.Load() {
+		return
+	}
+	for _, s := range g.shards {
+		s.mu.Lock()
+	}
+	if always || g.wal.due.Load() { // a racing caller may have taken it
+		g.wal.buf = appendCheckpoint(g.wal.buf[:0], g.shards)
+		g.wal.Snapshot(g.wal.buf)
+		for _, s := range g.shards {
+			s.sinceSnap = 0
+		}
+		g.wal.due.Store(false)
+	}
+	for _, s := range g.shards {
+		s.mu.Unlock()
+	}
 }
 
 // start launches the failure sweeper (with failure detection on, on the
@@ -367,12 +473,6 @@ func (g *Sharded) sweep(every time.Duration) {
 	}
 }
 
-func (g *Sharded) closeShards() {
-	for _, s := range g.shards {
-		s.Close()
-	}
-}
-
 // Addr returns the listener address.
 func (g *Sharded) Addr() string { return g.ln.Addr().String() }
 
@@ -396,8 +496,10 @@ func (g *Sharded) nodeShard(nodeID int) *Server { return g.shards[g.shardIndex(n
 
 // Close shuts the RM down — closing the listener and severing live
 // NM/AM connections as a real crash would — waits for the connection
-// handlers and the sweeper, and closes every shard (flushing its
-// journal, if any).
+// handlers and the sweeper, and closes the log (flushing it), if any. A
+// Close is indistinguishable from a crash to the next incarnation: no
+// final checkpoint is written, so restart always exercises the replay
+// path.
 func (g *Sharded) Close() error {
 	select {
 	case <-g.closed:
@@ -414,9 +516,9 @@ func (g *Sharded) Close() error {
 	}
 	g.connMu.Unlock()
 	g.wg.Wait()
-	for _, s := range g.shards {
-		if serr := s.Close(); err == nil {
-			err = serr
+	if g.wal != nil {
+		if jerr := g.wal.Close(); err == nil {
+			err = jerr
 		}
 	}
 	return err
@@ -551,6 +653,7 @@ func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
 		}(g.shards[si])
 	}
 	wg.Wait()
+	g.checkpoint(false)
 	return &wire.Message{Type: wire.TypeHeartbeatBatchReply,
 		HeartbeatBatchReply: &wire.HeartbeatBatchReply{Replies: entries}}
 }
@@ -563,7 +666,9 @@ func (g *Sharded) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 	if hb == nil {
 		return errMsg("missing nmHeartbeat payload")
 	}
-	return g.nodeShard(hb.NodeID).HandleNMHeartbeat(hb)
+	reply := g.nodeShard(hb.NodeID).HandleNMHeartbeat(hb)
+	g.checkpoint(false)
+	return reply
 }
 
 // HandleAMHeartbeat answers a job-progress poll from the job's shard.
@@ -615,23 +720,22 @@ func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 
 // handleSubmitBatch is the bulk-ingest path: each job is validated,
 // gated, routed and applied on its shard independently; their submit
-// events stream to the shard journals' writer goroutines. Then every
-// shard that accepted work gets one journal barrier — one fsync per
-// (batch, shard) pair — all issued, in shard order, before any is waited
-// on: each shard journals to its own file, so the fsyncs overlap and a
-// batch pays about one fsync latency. That makes an acked batch stronger
-// than an acked single submit (whose append is asynchronous under the
-// interval fsync policy) while paying the fsync once per batch instead
-// of once per job. A failed barrier fails the whole batch closed: the
-// reply is an error naming the shard, never an admit of jobs that may
-// not survive a crash. The jobs stay applied and pinned, so resubmitting
-// the same IDs is idempotent and is acked once a barrier succeeds.
+// records stream to the log's writer goroutine. Then, if any job was
+// accepted, one durability barrier — one fsync for the batch, however
+// many shards it touched, since every shard journals to the one log.
+// That makes an acked batch stronger than an acked single submit (whose
+// append is asynchronous under the interval fsync policy) while paying
+// the fsync once per batch instead of once per job. A failed barrier
+// fails the whole batch closed: the reply is an error naming the
+// journal, never an admit of jobs that may not survive a crash. The jobs
+// stay applied and pinned, so resubmitting the same IDs is idempotent
+// and is acked once a barrier succeeds.
 func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 	if r == nil || len(r.Jobs) == 0 {
 		return errMsg("missing or empty submitBatch payload")
 	}
 	reply := &wire.SubmitBatchReply{Results: make([]wire.SubmitResult, 0, len(r.Jobs))}
-	touched := make([]bool, len(g.shards))
+	accepted := false
 	for _, j := range r.Jobs {
 		if j == nil {
 			reply.Results = append(reply.Results, wire.SubmitResult{Reject: &wire.SubmitReject{
@@ -644,9 +748,7 @@ func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 		switch m.Type {
 		case wire.TypeAMReply:
 			res.Total = m.AMReply.Total
-			if shard, ok := g.JobShard(j.ID); ok {
-				touched[shard] = true
-			}
+			accepted = true
 		case wire.TypeSubmitReject:
 			res.Reject = m.SubmitReject
 		default:
@@ -658,25 +760,12 @@ func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 		g.adm.batches.Inc()
 		g.adm.batchJobs.Add(uint64(len(r.Jobs)))
 	}
-	acks := make([]<-chan error, len(g.shards))
-	for shard, t := range touched {
-		if t {
-			acks[shard] = g.shards[shard].journalBarrier()
+	if accepted && g.wal != nil {
+		if err := g.wal.Sync(); err != nil {
+			msg := fmt.Sprintf("batch not durable, journal barrier failed: %v", err)
+			g.log.Printf("rm: sharded: %s", msg)
+			return errMsg(msg)
 		}
-	}
-	var failed []string
-	for shard, ack := range acks {
-		if ack == nil {
-			continue
-		}
-		if err := <-ack; err != nil {
-			failed = append(failed, fmt.Sprintf("shard %d: %v", shard, err))
-		}
-	}
-	if len(failed) > 0 {
-		msg := "batch not durable, journal barrier failed on " + strings.Join(failed, "; ")
-		g.log.Printf("rm: sharded: %s", msg)
-		return errMsg(msg)
 	}
 	return &wire.Message{Type: wire.TypeSubmitBatchReply, SubmitBatchReply: reply}
 }
@@ -754,15 +843,6 @@ func (g *Sharded) SubmitBatch(tenant string, jobs []*workload.Job) ([]wire.Submi
 	return reply.SubmitBatchReply.Results, nil
 }
 
-// JobShard returns the shard a job was routed to, and whether the job
-// is known.
-func (g *Sharded) JobShard(jobID int) (int, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s, ok := g.jobShard[jobID]
-	return s, ok
-}
-
 // VerifyLedger checks every shard's conservation invariants; the first
 // violation is reported with its shard index.
 func (g *Sharded) VerifyLedger() error {
@@ -823,17 +903,18 @@ func (g *Sharded) HeartbeatStats() (nmMean, nmP99, amMean, amP99 float64) {
 	return nmMean, nmP99, amMean, amP99
 }
 
-// JournalStats sums journaling activity across shards; ok is false when
-// journaling is off.
+// JournalStats reports the log's activity: records appended and
+// checkpoints taken by this incarnation. It flushes the log's queue
+// first so the counts reflect every transition journaled so far. ok is
+// false when journaling is off.
 func (g *Sharded) JournalStats() (appends, snapshots uint64, ok bool) {
-	for _, s := range g.shards {
-		a, sn, on := s.JournalStats()
-		if !on {
-			return 0, 0, false
-		}
-		appends += a
-		snapshots += sn
+	if g.wal == nil {
+		return 0, 0, false
 	}
+	if err := g.wal.Sync(); err != nil {
+		g.log.Printf("rm: journal sync: %v", err)
+	}
+	appends, snapshots, _ = g.wal.Stats()
 	return appends, snapshots, true
 }
 

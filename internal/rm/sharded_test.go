@@ -43,6 +43,15 @@ func registerFleet(t *testing.T, g *Sharded, n int) resources.Vector {
 	return cap
 }
 
+// JobShard returns the shard a job was routed to, and whether the job
+// is known.
+func (g *Sharded) JobShard(jobID int) (int, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	s, ok := g.jobShard[jobID]
+	return s, ok
+}
+
 // completeAll heartbeats every node, executing launches instantly, until
 // no shard launches anything new. Returns the number of task executions.
 func completeAll(t *testing.T, g *Sharded, nodes int) int {
@@ -382,30 +391,52 @@ func TestJournalLayoutTopLevelFilesRejected(t *testing.T) {
 	}
 }
 
-// TestJournalLayoutExtraShardRejected: reopening with fewer shards than
-// wrote the directory would drop the extra shards' jobs and machines;
-// the RM must refuse and name the first shard directory out of range.
+// TestJournalLayoutExtraShardRejected: the log records the shard count
+// that wrote it. Reopening it with fewer shards would drop the extra
+// shards' jobs and machines; with more, the static node partition would
+// send a recovered node's beats to a shard that never heard of it while
+// its old shard kept it as a ghost. Either is refused with
+// ErrJournalLayout naming the directory, as is a shard-1 directory of an
+// older build's per-shard journals.
 func TestJournalLayoutExtraShardRejected(t *testing.T) {
+	capV := resources.New(16, 32, 200, 200, 1000, 1000)
+	for _, c := range []struct{ wrote, reopen int }{{2, 1}, {1, 2}} {
+		dir := t.TempDir()
+		g, err := journaledSharded(dir, c.wrote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.RegisterMachine(0, capV)
+		g.RegisterMachine(1, capV)
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		g, err = journaledSharded(dir, c.reopen)
+		var layout *ErrJournalLayout
+		if !errors.As(err, &layout) || g != nil {
+			t.Fatalf("%d-shard open of a %d-shard log: err = %v, want ErrJournalLayout", c.reopen, c.wrote, err)
+		}
+		if layout.Path != dir {
+			t.Fatalf("ErrJournalLayout names %q, want %q", layout.Path, dir)
+		}
+		// The shard count that wrote the log still opens it.
+		g, err = journaledSharded(dir, c.wrote)
+		if err != nil {
+			t.Fatalf("%d-shard reopen: %v", c.wrote, err)
+		}
+		if n := g.ClusterStatus().Nodes; n != 2 {
+			t.Errorf("%d-shard reopen recovered %d machines, want 2", c.wrote, n)
+		}
+		g.Close()
+	}
+
 	dir := t.TempDir()
-	g, err := journaledSharded(dir, 2)
-	if err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "shard-1"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = journaledSharded(dir, 1)
+	_, err := journaledSharded(dir, 2)
 	var layout *ErrJournalLayout
-	if !errors.As(err, &layout) {
-		t.Fatalf("1-shard open of a 2-shard dir: err = %v, want ErrJournalLayout", err)
+	if !errors.As(err, &layout) || layout.Path != filepath.Join(dir, "shard-1") {
+		t.Fatalf("open over an older build's shard-1: err = %v, want ErrJournalLayout naming it", err)
 	}
-	if want := filepath.Join(dir, "shard-1"); layout.Path != want {
-		t.Fatalf("ErrJournalLayout names %q, want %q", layout.Path, want)
-	}
-	// The shard count that wrote the directory still opens it.
-	g, err = journaledSharded(dir, 2)
-	if err != nil {
-		t.Fatalf("2-shard reopen: %v", err)
-	}
-	g.Close()
 }
