@@ -11,15 +11,22 @@
 // On-disk layout (under Options.Dir):
 //
 //	snapshot.dat  one framed record: the latest checkpoint state
-//	wal.dat       framed records appended since that checkpoint
+//	wal.dat       framed records since that checkpoint, then zeros
+//
+// The log is kept zero-filled ahead of its write head, and a checkpoint
+// zeroes what its cycle wrote and restarts the log at offset 0 instead
+// of truncating it. A barrier's fsync then writes data pages but never
+// a new file size (cheaper; DESIGN §8.1), and past the head there is
+// never a stale frame that recovery could take for a torn write.
 //
 // Frame format: 4-byte big-endian payload length, 8-byte big-endian LSN
 // (log sequence number), 4-byte CRC-32C over the LSN and payload, then
 // the payload bytes. The LSN makes recovery immune to the crash window
-// between writing a snapshot and truncating the log: the snapshot
-// records the LSN it covers, and recovery skips any log record at or
-// below it. A torn tail (partial frame, bad CRC) is detected and
-// discarded; everything before it replays.
+// between writing a snapshot and clearing the log: the snapshot records
+// the LSN it covers, and recovery skips the leading log records at or
+// below it; past them, a record whose LSN does not increase ends the
+// log, as does an all-zero header. A torn tail (partial frame, bad CRC)
+// is detected and discarded; everything before it replays.
 package journal
 
 import (
@@ -95,11 +102,12 @@ type Recovery struct {
 	Snapshot []byte
 	// Records are the log records after the snapshot, in append order.
 	Records [][]byte
-	// TornBytes counts trailing log bytes discarded because a frame was
-	// incomplete or failed its CRC (a crash mid-write).
+	// TornBytes counts the log bytes after the last good frame up to the
+	// last non-zero one, discarded as a crash mid-write (an incomplete
+	// frame or a bad CRC); the zero tail is not torn.
 	TornBytes int64
-	// StaleRecords counts log records skipped because the snapshot
-	// already covered them (a crash between checkpoint and truncate).
+	// StaleRecords counts leading log records skipped because the
+	// snapshot already covered them (a crash before the log was cleared).
 	StaleRecords int
 }
 
@@ -112,6 +120,11 @@ const (
 	// maxRecycled is the largest record buffer the free list keeps: a
 	// rare huge record (a job of thousands of tasks) is left to the GC.
 	maxRecycled = 64 << 10
+	// firstFill is the first chunk zero-filled ahead of the write head;
+	// each fill doubles the next, up to maxFill. A small first chunk
+	// keeps a new journal's first appends cheap.
+	firstFill = 32 << 10
+	maxFill   = 4 << 20
 
 	snapshotFile = "snapshot.dat"
 	walFile      = "wal.dat"
@@ -119,6 +132,9 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// zeros is the source of every zero fill; it is never written.
+var zeros [64 << 10]byte
 
 type item struct {
 	payload  []byte
@@ -140,6 +156,10 @@ type Journal struct {
 	hdr    [frameHeader]byte // frame header scratch
 	lsn    uint64            // last assigned LSN
 	werr   error             // sticky writer error
+	head   int64             // log offset of the next frame
+	filled int64             // the log is zeros from head up to here
+	fill   int64             // size of the next zero fill
+	dirty  bool              // records written since the last fsync
 
 	ch chan item
 	// free holds written record buffers for Buffer. It is as deep as the
@@ -182,19 +202,24 @@ func Open(o Options) (*Journal, *Recovery, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	raw, err := io.ReadAll(f)
+	var raw []byte // one allocation of the file's size
+	fi, err := f.Stat()
+	if err == nil {
+		raw = make([]byte, fi.Size())
+		_, err = io.ReadFull(f, raw)
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal: read log: %w", err)
 	}
 	lastLSN := snapLSN
-	valid := int64(0)
-	for off := 0; off < len(raw); {
-		lsn, payload, n, err := decodeFrame(raw[off:])
+	valid := 0
+	for valid < len(raw) {
+		lsn, payload, n, err := decodeFrame(raw[valid:])
 		if err != nil {
-			break
+			break // a torn frame, or the all-zero header of the zero tail
 		}
-		if lsn <= snapLSN {
+		if len(rec.Records) == 0 && lsn <= snapLSN {
 			rec.StaleRecords++
 		} else if lsn <= lastLSN {
 			// LSNs must be strictly increasing; anything else is a torn
@@ -204,30 +229,38 @@ func Open(o Options) (*Journal, *Recovery, error) {
 			rec.Records = append(rec.Records, payload)
 			lastLSN = lsn
 		}
-		off += n
-		valid = int64(off)
+		valid += n
 	}
-	rec.TornBytes = int64(len(raw)) - valid
-	if rec.TornBytes > 0 {
-		if err := f.Truncate(valid); err != nil {
+	end := len(raw)
+	for end > valid && raw[end-1] == 0 {
+		end--
+	}
+	rec.TornBytes = int64(end - valid)
+	// Drop the zero tail too: a crashed writer's pages reach the disk in
+	// any order, so a frame of that incarnation may sit past the zeros.
+	if len(raw) > valid {
+		if err := f.Truncate(int64(valid)); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 
 	j := &Journal{
-		dir:  o.Dir,
-		opts: o,
-		f:    f,
-		bw:   bufio.NewWriterSize(f, 64<<10),
-		lsn:  lastLSN,
-		ch:   make(chan item, queueDepth),
-		free: make(chan []byte, queueDepth),
-		done: make(chan struct{}),
+		dir:    o.Dir,
+		opts:   o,
+		f:      f,
+		bw:     bufio.NewWriterSize(f, 64<<10),
+		lsn:    lastLSN,
+		head:   int64(valid),
+		filled: int64(valid),
+		fill:   firstFill,
+		ch:     make(chan item, queueDepth),
+		free:   make(chan []byte, queueDepth),
+		done:   make(chan struct{}),
 	}
 	go j.writer()
 	return j, rec, nil
@@ -256,7 +289,7 @@ func (j *Journal) Append(payload []byte) {
 
 // Snapshot enqueues a checkpoint: the state is written to the snapshot
 // file atomically (covering every record appended before this call) and
-// the log is truncated. The state is copied.
+// the log restarts at offset 0. The state is copied.
 func (j *Journal) Snapshot(state []byte) {
 	j.enqueue(item{payload: append([]byte(nil), state...), snapshot: true})
 }
@@ -365,7 +398,7 @@ func (j *Journal) writer() {
 			j.wmu.Unlock()
 		case <-tick:
 			j.wmu.Lock()
-			j.flushLocked(true)
+			j.flushLocked(true) // fsyncs only if a record was written
 			j.wmu.Unlock()
 		}
 	}
@@ -380,11 +413,15 @@ func (j *Journal) handle(it item) {
 	case it.snapshot:
 		j.checkpoint(it.payload)
 	default:
+		size := int64(frameHeader + len(it.payload))
+		j.reserve(size)
 		j.lsn++
 		j.appends++
 		if err := writeFrame(j.bw, &j.hdr, j.lsn, it.payload); err != nil && j.werr == nil {
 			j.werr = err
 		}
+		j.head += size
+		j.dirty = true
 		if cap(it.payload) <= maxRecycled {
 			select {
 			case j.free <- it.payload:
@@ -394,27 +431,71 @@ func (j *Journal) handle(it item) {
 	}
 }
 
-// flushLocked pushes buffered bytes to the kernel and optionally fsyncs.
+// flushLocked pushes buffered bytes to the kernel and, when sync is set
+// and a record was written since the last fsync, fsyncs.
 func (j *Journal) flushLocked(sync bool) {
 	if err := j.bw.Flush(); err != nil && j.werr == nil {
 		j.werr = err
 	}
-	if sync {
-		var t0 time.Time
-		if j.opts.ObserveFsync != nil {
-			t0 = time.Now()
-		}
-		if err := j.f.Sync(); err != nil && j.werr == nil {
-			j.werr = err
-		}
-		if j.opts.ObserveFsync != nil {
-			j.opts.ObserveFsync(time.Since(t0).Seconds())
-		}
+	if sync && j.dirty {
+		j.fsync()
 	}
 }
 
-// checkpoint writes the snapshot atomically and truncates the log.
-// Caller holds wmu.
+// fsync makes everything written to the log durable. Every log fsync
+// goes through here, so ObserveFsync sees them all. Caller holds wmu.
+func (j *Journal) fsync() {
+	var t0 time.Time
+	if j.opts.ObserveFsync != nil {
+		t0 = time.Now()
+	}
+	if err := j.f.Sync(); err != nil && j.werr == nil {
+		j.werr = err
+	}
+	if j.opts.ObserveFsync != nil {
+		j.opts.ObserveFsync(time.Since(t0).Seconds())
+	}
+	j.dirty = false
+}
+
+// reserve zero-fills the log ahead of the head, in doubling chunks,
+// until n more bytes fit before the end of the zeros, and makes the
+// zeros durable before a record lands on them. Caller holds wmu.
+func (j *Journal) reserve(n int64) {
+	if j.head+n <= j.filled {
+		return
+	}
+	// The fsync below covers the buffered records too. Records past
+	// filled were appended after a failed fill: never zero them.
+	j.flushLocked(false)
+	j.filled = max(j.filled, j.head)
+	for j.head+n > j.filled {
+		if err := j.zero(j.filled, j.filled+j.fill); err != nil {
+			if j.werr == nil {
+				j.werr = fmt.Errorf("journal: zero-fill log: %w", err)
+			}
+			return
+		}
+		j.filled += j.fill
+		j.fill = min(2*j.fill, maxFill)
+	}
+	j.fsync()
+}
+
+// zero overwrites the log's bytes [from, to) with zeros.
+func (j *Journal) zero(from, to int64) error {
+	for from < to {
+		n, err := j.f.WriteAt(zeros[:min(to-from, int64(len(zeros)))], from)
+		if err != nil {
+			return err
+		}
+		from += int64(n)
+	}
+	return nil
+}
+
+// checkpoint writes the snapshot atomically and restarts the log at
+// offset 0. Caller holds wmu.
 func (j *Journal) checkpoint(state []byte) {
 	j.flushLocked(true) // the snapshot must not outrun the records it covers
 	tmp := filepath.Join(j.dir, snapshotFile+".tmp")
@@ -446,14 +527,23 @@ func (j *Journal) checkpoint(state []byte) {
 	}
 	j.snapshots++
 	// The snapshot is durable and carries the covered LSN, so losing the
-	// truncate to a crash is safe: recovery skips stale records.
-	if err := j.f.Truncate(0); err != nil && j.werr == nil {
-		j.werr = err
+	// zeroing to a crash is safe: recovery skips stale records. The zeros
+	// are durable before a record of the next cycle lands on them.
+	if j.head == 0 {
+		return
 	}
+	if err := j.zero(0, j.head); err != nil {
+		if j.werr == nil {
+			j.werr = fmt.Errorf("journal: clear log: %w", err)
+		}
+		return
+	}
+	j.fsync()
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil && j.werr == nil {
 		j.werr = err
 	}
 	j.bw.Reset(j.f)
+	j.head = 0
 }
 
 func syncDir(dir string) error {

@@ -5,8 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/tetris-sched/tetris/internal/testutil"
 )
 
 func open(t *testing.T, dir string, pol SyncPolicy) (*Journal, *Recovery) {
@@ -61,7 +66,10 @@ func TestAppendAndRecover(t *testing.T) {
 	}
 }
 
-func TestSnapshotTruncatesLog(t *testing.T) {
+// TestCheckpointRestartsLog: after a checkpoint the log starts again at
+// offset 0 over zeros — the post-checkpoint records replay, and every
+// byte of the file past them is zero.
+func TestCheckpointRestartsLog(t *testing.T) {
 	dir := t.TempDir()
 	j, _ := open(t, dir, SyncAlways)
 	j.Append([]byte("old-1"))
@@ -70,6 +78,17 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	j.Append([]byte("new-3"))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, payload, n, err := decodeFrame(raw)
+	if err != nil || lsn != 3 || string(payload) != "new-3" {
+		t.Fatalf("log starts with LSN %d %q (%v), want LSN 3 \"new-3\"", lsn, payload, err)
+	}
+	if i := nonZero(raw[n:]); i >= 0 {
+		t.Errorf("non-zero byte at offset %d past the last record", n+i)
 	}
 
 	j2, rec := open(t, dir, SyncAlways)
@@ -80,16 +99,8 @@ func TestSnapshotTruncatesLog(t *testing.T) {
 	if len(rec.Records) != 1 || string(rec.Records[0]) != "new-3" {
 		t.Errorf("post-snapshot records = %q", rec.Records)
 	}
-	if rec.StaleRecords != 0 {
-		t.Errorf("stale records = %d, want 0", rec.StaleRecords)
-	}
-	// The log was truncated: only the post-snapshot record remains.
-	fi, err := os.Stat(filepath.Join(dir, walFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(frameHeader + len("new-3")); fi.Size() != want {
-		t.Errorf("log size = %d, want %d", fi.Size(), want)
+	if rec.StaleRecords != 0 || rec.TornBytes != 0 {
+		t.Errorf("stale records = %d, torn bytes = %d, want 0 and 0", rec.StaleRecords, rec.TornBytes)
 	}
 }
 
@@ -101,12 +112,13 @@ func TestTornTailDiscarded(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-write: garbage after the valid frames.
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0)
+	// Simulate a crash mid-write: garbage at the write head, after the
+	// valid frames and before the zero-filled tail.
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0, 0, 0, 9, 1, 2, 3}); err != nil {
+	if _, err := f.WriteAt([]byte{0, 0, 0, 9, 1, 2, 3}, int64(2*frameHeader+len("good-1")+len("good-2"))); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -294,4 +306,259 @@ func TestBarrierDoesNotBlock(t *testing.T) {
 	if err := <-j.Barrier(); err == nil {
 		t.Error("barrier on a closed journal acked success")
 	}
+}
+
+// TestIdleJournalDoesNotFsync: under SyncInterval the ticker fsyncs only
+// when a record was written since the last fsync, and a barrier with
+// nothing new acks without one.
+func TestIdleJournalDoesNotFsync(t *testing.T) {
+	var fsyncs atomic.Int64
+	j, _, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval,
+		ObserveFsync: func(float64) { fsyncs.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	// The first record zero-fills the head of the log; its barrier makes
+	// it durable.
+	j.Append([]byte("first"))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fsyncs.Store(0)
+	time.Sleep(350 * time.Millisecond) // three ticks and a half
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsyncs.Load(); n != 0 {
+		t.Fatalf("idle journal fsynced %d times, want 0", n)
+	}
+	j.Append([]byte("second"))
+	testutil.WaitFor(t, 2*time.Second, "a ticker fsync after the append", func() bool { return fsyncs.Load() > 0 })
+	time.Sleep(250 * time.Millisecond)
+	if n := fsyncs.Load(); n != 1 {
+		t.Errorf("one append cost %d ticker fsyncs, want 1", n)
+	}
+}
+
+// TestLogZeroFilledAhead: once a barrier acks, the log holds zeros past
+// its last record, so the next record overwrites bytes the file already
+// has instead of growing it.
+func TestLogZeroFilledAhead(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := open(t, dir, SyncNever)
+	defer j.Close()
+	rec := bytes.Repeat([]byte{'r'}, 4<<10)
+	for head := 0; head < 100<<10; {
+		j.Append(append(j.Buffer(), rec...))
+		head += frameHeader + len(rec)
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) <= head || nonZero(raw[head:]) >= 0 {
+			t.Fatalf("log of %d bytes holds no zero tail past its head at %d", len(raw), head)
+		}
+	}
+}
+
+// frame is one good frame of a log and the offset where it ends.
+type frame struct {
+	lsn     uint64
+	payload []byte
+	end     int
+}
+
+// frames decodes the good frames at the start of raw, in order.
+func frames(raw []byte) (fs []frame) {
+	for off := 0; ; {
+		lsn, p, n, err := decodeFrame(raw[off:])
+		if err != nil {
+			return fs
+		}
+		off += n
+		fs = append(fs, frame{lsn, p, off})
+	}
+}
+
+// nonZero is the index of the first non-zero byte of b, or -1.
+func nonZero(b []byte) int { return bytes.IndexFunc(b, func(r rune) bool { return r != 0 }) }
+
+// openCopy opens a copy of the journal in dir whose log has every byte
+// from cut on zeroed, as a crash would leave it whose writes after cut
+// never reached the disk.
+func openCopy(t *testing.T, dir string, cut int) *Recovery {
+	t.Helper()
+	cp := t.TempDir()
+	for _, name := range []string{snapshotFile, walFile} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == walFile {
+			clear(b[cut:])
+		}
+		if err := os.WriteFile(filepath.Join(cp, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, rec := open(t, cp, SyncNever)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestLogPrefixProperty: a crash leaves a prefix of the log, and recovery
+// returns exactly that prefix. The log is recorded across two
+// checkpoints, each cycle shorter than the one before, so its file is
+// reused and every byte past the last cycle's records must have been
+// zeroed. A copy cut at every record boundary recovers the records
+// before the cut with no torn bytes, and one cut inside a frame
+// recovers the records before that frame and reports torn bytes.
+func TestLogPrefixProperty(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := open(t, dir, SyncNever)
+	var want [][]byte // the records after the last checkpoint
+	for cycle := 0; cycle < 3; cycle++ {
+		if cycle > 0 {
+			j.Snapshot([]byte(fmt.Sprintf("state-%d", cycle)))
+		}
+		want = want[:0]
+		// Records of growing size: the first cycle crosses several zero
+		// fills.
+		for i := 0; i < 140-20*cycle; i++ {
+			p := []byte(fmt.Sprintf("cycle-%d-record-%03d-%s", cycle, i, bytes.Repeat([]byte{'x'}, 13*i)))
+			want = append(want, p)
+			j.Append(p)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := frames(raw)
+	if len(fs) != len(want) {
+		t.Fatalf("log holds %d frames, want the %d of the last cycle", len(fs), len(want))
+	}
+	last := fs[len(fs)-1].end
+	if len(raw) <= last {
+		t.Fatalf("log of %d bytes has no zero tail", len(raw))
+	}
+	if i := nonZero(raw[last:]); i >= 0 {
+		t.Fatalf("non-zero byte at offset %d past the last record", last+i)
+	}
+	cuts := []int{0}
+	for _, f := range fs {
+		cuts = append(cuts, f.end)
+	}
+	for k, cut := range cuts {
+		rec := openCopy(t, dir, cut)
+		if len(rec.Records) != k || rec.TornBytes != 0 || rec.StaleRecords != 0 {
+			t.Fatalf("cut at record %d: recovered %d records, %d torn bytes, %d stale, want %d, 0, 0",
+				k, len(rec.Records), rec.TornBytes, rec.StaleRecords, k)
+		}
+		for i, r := range rec.Records {
+			if !bytes.Equal(r, want[i]) {
+				t.Fatalf("cut at record %d: record %d = %q, want %q", k, i, r, want[i])
+			}
+		}
+	}
+	mid := len(want) / 2
+	rec := openCopy(t, dir, cuts[mid]+frameHeader+3)
+	if len(rec.Records) != mid || rec.TornBytes != frameHeader+3 {
+		t.Errorf("cut inside frame %d: recovered %d records, %d torn bytes, want %d and %d",
+			mid, len(rec.Records), rec.TornBytes, mid, frameHeader+3)
+	}
+}
+
+// FuzzJournalOpen: any bytes as the log, with or without a snapshot,
+// open without a panic; the replayed records are frames of the log in
+// order, after the leading ones the snapshot covers, with strictly
+// increasing LSNs; and a record appended after them is recovered behind
+// them by the next Open.
+func FuzzJournalOpen(f *testing.F) {
+	var log bytes.Buffer
+	for i, p := range []string{"a", "bb", "ccc", "dddd"} {
+		if err := writeFrame(&log, new([frameHeader]byte), uint64(i+1), []byte(p)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	valid := log.Bytes()
+	f.Add([]byte{}, uint32(0), false)
+	f.Add(valid, uint32(0), false)
+	f.Add(valid, uint32(2), true)
+	f.Add(append(slices.Clone(valid), make([]byte, 64)...), uint32(1), true)
+	f.Add(append(slices.Clone(valid), 0, 0, 0, 9, 1, 2, 3), uint32(0), false)
+	f.Add(append(slices.Clone(valid), valid[:frameHeader+1]...), uint32(3), true) // LSN 1 after 4
+	f.Add(make([]byte, 100), uint32(0), true)
+	// The snapshot's LSN is drawn from 32 bits: the LSN wraps only after
+	// 2^64 appends, which no journal reaches.
+	f.Fuzz(func(t *testing.T, wal []byte, snapLSN uint32, withSnap bool) {
+		dir := t.TempDir()
+		if withSnap {
+			var snap bytes.Buffer
+			if err := writeFrame(&snap, new([frameHeader]byte), uint64(snapLSN), []byte("state")); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			snapLSN = 0
+		}
+		if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rec := open(t, dir, SyncNever)
+		fs := frames(wal)
+		stale := rec.StaleRecords
+		if stale+len(rec.Records) > len(fs) {
+			t.Fatalf("%d stale and %d replayed records from a log of %d good frames", stale, len(rec.Records), len(fs))
+		}
+		last := uint64(snapLSN)
+		for i, f := range fs[:stale] {
+			if f.lsn > last {
+				t.Fatalf("stale record %d has LSN %d above the snapshot's %d", i, f.lsn, last)
+			}
+		}
+		for i, r := range rec.Records {
+			f := fs[stale+i]
+			if f.lsn <= last {
+				t.Fatalf("replayed LSN %d after %d", f.lsn, last)
+			}
+			last = f.lsn
+			if !bytes.Equal(r, f.payload) {
+				t.Fatalf("record %d = %q, want frame %d's %q", i, r, stale+i, f.payload)
+			}
+		}
+		if _, _, lsn := j.Stats(); lsn != last {
+			t.Fatalf("journal resumes at LSN %d, want %d", lsn, last)
+		}
+
+		j.Append([]byte("appended"))
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, rec2 := open(t, dir, SyncNever)
+		defer j2.Close()
+		if rec2.StaleRecords != stale || rec2.TornBytes != 0 || len(rec2.Records) != len(rec.Records)+1 {
+			t.Fatalf("reopened with %d stale, %d torn bytes, %d records, want %d, 0, %d",
+				rec2.StaleRecords, rec2.TornBytes, len(rec2.Records), stale, len(rec.Records)+1)
+		}
+		for i, r := range rec.Records {
+			if !bytes.Equal(rec2.Records[i], r) {
+				t.Fatalf("reopened record %d = %q, want %q", i, rec2.Records[i], r)
+			}
+		}
+		if got := rec2.Records[len(rec.Records)]; string(got) != "appended" {
+			t.Fatalf("appended record reads %q", got)
+		}
+	})
 }

@@ -95,7 +95,7 @@ type ShardedConfig struct {
 	JournalSync journal.SyncPolicy
 	// SnapshotEvery bounds replay: once any shard has journaled this many
 	// records since the last checkpoint, the next heartbeat through the
-	// front door checkpoints every shard and truncates the log. Default
+	// front door checkpoints every shard and restarts the log. Default
 	// 4096.
 	SnapshotEvery int
 	// FaultLogCap bounds each shard's in-memory crash/recovery log (a
@@ -418,7 +418,7 @@ func (g *Sharded) recover() error {
 }
 
 // checkpoint snapshots every shard at one point of the log and
-// truncates it: always, or when a shard has journaled SnapshotEvery
+// restarts it: always, or when a shard has journaled SnapshotEvery
 // records since the last checkpoint. The heartbeat paths call it after
 // the shard returns. It takes every shard lock in index order, so no
 // shard journals between the states it encodes and the snapshot it
