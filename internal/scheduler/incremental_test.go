@@ -227,6 +227,62 @@ func TestScheduleAllocs(t *testing.T) {
 	}
 }
 
+// TestPlacedEntriesAreRecycled: once warm, a stream of rounds that each
+// place tasks creates no task-cache entry — every task new to the scan
+// windows takes the entry of one placed in an earlier round — and the
+// entries of a departed job's tasks are kept for reuse too.
+func TestPlacedEntriesAreRecycled(t *testing.T) {
+	tet := NewTetris(DefaultTetrisConfig())
+	j := mkJob(1, 600, resources.New(4, 8, 0, 0, 0, 0), 10)
+	v := mkView(4, machine, j)
+	entries := func() map[*taskRound]bool {
+		seen := map[*taskRound]bool{}
+		for _, tr := range tet.inc.tasks {
+			seen[tr] = true
+		}
+		for _, tr := range tet.inc.spare {
+			seen[tr] = true
+		}
+		return seen
+	}
+	// One round: place, then finish everything placed, freeing the
+	// machines for the next.
+	round := func(now float64) int {
+		asgs := tet.Schedule(v)
+		apply(v, asgs)
+		for _, a := range asgs {
+			j.Status.MarkDone(a.Task.ID, now)
+		}
+		for _, m := range v.Machines {
+			m.Allocated = resources.Vector{}
+		}
+		return len(asgs)
+	}
+	for r := 0; r < 3; r++ {
+		round(float64(r))
+	}
+	warm := entries()
+	for r := 3; r < 20; r++ {
+		if n := round(float64(r)); n == 0 {
+			t.Fatalf("round %d placed nothing", r)
+		}
+		for tr := range entries() {
+			if !warm[tr] {
+				t.Fatalf("round %d created a task-cache entry (%d warm ones, %d spare)", r, len(warm), len(tet.inc.spare))
+			}
+		}
+	}
+	cached, spare := len(tet.inc.tasks), len(tet.inc.spare)
+	if cached == 0 {
+		t.Fatal("no pending task is cached: the stream never scanned ahead")
+	}
+	v.Jobs = nil
+	tet.Schedule(v)
+	if len(tet.inc.tasks) != 0 || len(tet.inc.spare) != cached+spare {
+		t.Errorf("job departed: %d entries cached, %d spare; want 0 and %d", len(tet.inc.tasks), len(tet.inc.spare), cached+spare)
+	}
+}
+
 // TestRemainingWorkFiniteAtTinyRates: admissible inputs whose
 // remaining-work score overflowed to +Inf made ε = ā/p̄ zero and every
 // candidate's score 0·Inf = NaN, so no candidate won and the round

@@ -279,7 +279,7 @@ func (t *Tetris) evictDeparted(v *View) {
 	}
 	for task := range t.inc.tasks {
 		if t.active[task.ID.Job] == nil {
-			delete(t.inc.tasks, task)
+			t.inc.retire(task)
 		}
 	}
 	for mid, entries := range t.locals {

@@ -60,7 +60,9 @@ import (
 // taskRound is the incremental core's cached per-task state. Entries
 // persist across rounds (keyed by task pointer) while the task is
 // pending, and self-invalidate via the round stamp; per-machine fields
-// self-invalidate via mach.
+// self-invalidate via mach. An entry whose task was placed or whose job
+// departed goes to incrState.spare and is zeroed when a new task takes
+// it.
 type taskRound struct {
 	round uint64 // validity stamp for all per-round fields below
 
@@ -214,6 +216,10 @@ type incrState struct {
 	stageBuf []stageRun // backing array for rs.stages; task slices recycled
 
 	tasks map[*workload.Task]*taskRound
+	// spare holds entries retired from tasks, for reuse. It is refilled
+	// only between rounds: within one, stage runs and candidates still
+	// point at the entries of tasks placed earlier in the round.
+	spare []*taskRound
 
 	cands    []candidate
 	aSumAll  float64 // Σ align over all candidates, in append order
@@ -259,7 +265,13 @@ func (ic *incrState) beginRound(t *Tetris, v *View) {
 func (ic *incrState) taskRoundFor(j *JobState, task *workload.Task) *taskRound {
 	tr := ic.tasks[task]
 	if tr == nil {
-		tr = &taskRound{}
+		if n := len(ic.spare); n > 0 {
+			tr = ic.spare[n-1]
+			ic.spare = ic.spare[:n-1]
+			*tr = taskRound{}
+		} else {
+			tr = &taskRound{}
+		}
 		ic.tasks[task] = tr
 	}
 	if tr.round != ic.round {
@@ -278,6 +290,15 @@ func (ic *incrState) taskRoundFor(j *JobState, task *workload.Task) *taskRound {
 		tr.tick = 0
 	}
 	return tr
+}
+
+// retire drops a task's cache entry and keeps the entry for reuse. Call
+// it only outside a round's placement loop (see spare).
+func (ic *incrState) retire(task *workload.Task) {
+	if tr := ic.tasks[task]; tr != nil {
+		ic.spare = append(ic.spare, tr)
+		delete(ic.tasks, task)
+	}
 }
 
 // markTaken stamps the task as placed this round and retires its stage's
@@ -554,7 +575,7 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 	// task leaves Pending (it comes back, if it fails, as a fresh entry),
 	// and evictDeparted drops the tasks of departed jobs.
 	for _, a := range out {
-		delete(ic.tasks, a.Task)
+		ic.retire(a.Task)
 	}
 	return out
 }

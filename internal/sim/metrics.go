@@ -46,8 +46,11 @@ type simMetrics struct {
 	rateRecomputed *telemetry.Counter
 	rateClean      *telemetry.Counter
 
-	// Previous cumulative scheduler-core counters, for per-round deltas.
-	prevScan scheduler.ScanStats
+	// Previous cumulative scheduler-core and rate-node counters, for
+	// per-round deltas: the registry's counters may be shared with other
+	// runs, so they are never read back.
+	prevScan                      scheduler.ScanStats
+	prevRecomputed, prevRateClean uint64
 }
 
 func newSimMetrics(reg *telemetry.Registry) *simMetrics {
@@ -98,11 +101,12 @@ func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
 	}
 }
 
-// observeRateNodes brings the published rate-node counters up to the
-// simulator's cumulative ones.
+// observeRateNodes adds to the published rate-node counters what the
+// simulator's cumulative ones gained since the last call.
 func (m *simMetrics) observeRateNodes(recomputed, clean uint64) {
-	m.rateRecomputed.Add(recomputed - m.rateRecomputed.Value())
-	m.rateClean.Add(clean - m.rateClean.Value())
+	m.rateRecomputed.Add(recomputed - m.prevRecomputed)
+	m.rateClean.Add(clean - m.prevRateClean)
+	m.prevRecomputed, m.prevRateClean = recomputed, clean
 }
 
 // observeSample publishes the cluster-level gauges for one sampling

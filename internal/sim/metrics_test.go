@@ -99,6 +99,33 @@ func TestSimMetricsRateNodes(t *testing.T) {
 	}
 }
 
+// TestSimMetricsRateNodesShareARegistry: runs that publish into one
+// registry, as tetris-sim -compare does, add up. Each run reported its
+// own cumulative count minus the shared counter's value, so the second
+// run's subtraction wrapped around and the counter fell back to that
+// run's count alone.
+func TestSimMetricsRateNodesShareARegistry(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var recomputed, clean uint64
+	for i := 0; i < 2; i++ {
+		wl := trace.GenerateSuite(trace.Config{Seed: 11, NumJobs: 8, NumMachines: 40, ArrivalSpanSec: 200, MeanTaskSeconds: 10})
+		s, err := New(Config{Cluster: cluster.NewDeployment(40), Workload: wl, Scheduler: tetris(), Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		recomputed += s.rateNodesRecomputed
+		clean += s.rateNodesClean
+	}
+	gotR := reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "recomputed"), "").Value()
+	gotC := reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "clean"), "").Value()
+	if gotR != recomputed || gotC != clean {
+		t.Errorf("after two runs: published %d recomputed, %d clean; the runs counted %d and %d in all", gotR, gotC, recomputed, clean)
+	}
+}
+
 // TestSimMetricsNilRegistry checks a nil Metrics config is safe: the
 // sim records into a private registry and runs normally.
 func TestSimMetricsNilRegistry(t *testing.T) {

@@ -61,7 +61,7 @@ func (s *Sim) compNodes(rt *runningTask, c *component) (ids [4]int, n int) {
 	if c.kind != compFlow {
 		return ids, n
 	}
-	ids[1], n = c.src, 2
+	ids[1], n = int(c.src), 2
 	if s.racks > 0 {
 		ms := s.cfg.Cluster.Machines
 		if sr, dr := ms[c.src].Rack, ms[rt.machine].Rack; sr != dr {
@@ -109,7 +109,9 @@ func (s *Sim) enlist(rt *runningTask) {
 // since the last call: every machine resource is proportionally shared
 // among the components demanding it, and each remote flow runs at the
 // minimum of its granted rates along the path (source disk, source
-// NIC-out, rack uplinks, destination NIC-in).
+// NIC-out, rack uplinks, destination NIC-in). Every task with a re-rated
+// component is re-estimated, whether or not the rate moved; any other
+// task's estimate is the one advance stored, at rates that still hold.
 func (s *Sim) recomputeRates() {
 	s.rateNodesRecomputed += uint64(len(s.dirty))
 	s.rateNodesClean += uint64(len(s.nodes) - len(s.dirty))
@@ -123,10 +125,19 @@ func (s *Sim) recomputeRates() {
 		for _, u := range nd.users {
 			c := &u.rt.comps[u.ci]
 			c.rate = s.grantedRate(u.rt, c)
+			if !u.rt.rerated {
+				u.rt.rerated = true
+				s.rerated = append(s.rerated, u.rt)
+			}
 		}
 		nd.dirty = false
 	}
 	s.dirty = s.dirty[:0]
+	for _, rt := range s.rerated {
+		rt.rerated = false
+		rt.finish = rt.finishEstimate()
+	}
+	s.rerated = s.rerated[:0]
 }
 
 // resum drops a marked node's departed users, restores the list's
@@ -307,6 +318,12 @@ type srcRate struct {
 //
 // It stays one pass over the running tasks per round: the decay moves
 // with the clock, so no machine's ledger survives from round to round.
+// It forms every charge in place, with the vector formula's comparisons
+// and order of additions (referenceReported, checkReported's oracle).
+// Past the ramp-up a remote charge adds only the dimensions where the
+// charge and the flow are non-zero: every other term is ±0, and a ledger
+// starts at +0 and gains only non-negative terms, so it never holds −0
+// and adding ±0 leaves it as it is.
 func (s *Sim) updateReported() {
 	for m := range s.machines {
 		s.machines[m].Reported = s.background[m]
@@ -336,7 +353,7 @@ func (s *Sim) updateReported() {
 				rep[resources.NetOut] += c.rate * 8
 				// start makes one flow per source, so this is the
 				// source's whole usage by the task.
-				srcs = append(srcs, srcRate{c.src, c.rate})
+				srcs = append(srcs, srcRate{int(c.src), c.rate})
 			}
 		}
 		s.srcRates = srcs
@@ -344,18 +361,19 @@ func (s *Sim) updateReported() {
 
 		// Effective ledger charge: observed usage projected onto the
 		// dimensions this scheduler charged, topped up by the decaying
-		// allowance of the original allocation.
+		// allowance of the original allocation. Memory stays reserved at
+		// the charged amount for the task's whole life (slot rounding
+		// included, for the slot scheduler): raising its usage to the
+		// charge first is the same maximum, as the allowance never
+		// exceeds the charge.
 		decay := 1 - (s.clock-rt.started)/rampUpSec
 		if decay < 0 {
 			decay = 0
 		}
-		charge := use.MaskBy(rt.local).Max(rt.local.Scale(decay))
-		// Memory stays reserved at the charged amount for the task's
-		// whole life (slot rounding included, for the slot scheduler).
-		if mem := rt.local.Get(resources.Memory); mem > charge.Get(resources.Memory) {
-			charge[resources.Memory] = mem
+		if mem := rt.local[resources.Memory]; mem > use[resources.Memory] {
+			use[resources.Memory] = mem
 		}
-		ms.Allocated = ms.Allocated.Add(charge)
+		addCharge(&ms.Allocated, &rt.local, &use, decay)
 		for _, rc := range rt.remote {
 			var actual resources.Vector
 			for _, sr := range srcs {
@@ -365,10 +383,32 @@ func (s *Sim) updateReported() {
 					break
 				}
 			}
-			eff := actual.MaskBy(rc.Charge).Max(rc.Charge.Scale(decay))
-			src := s.machines[rc.Machine]
-			src.Allocated = src.Allocated.Add(eff)
+			alloc := &s.machines[rc.Machine].Allocated
+			if decay > 0 {
+				addCharge(alloc, &rc.Charge, &actual, decay)
+				continue
+			}
+			for _, k := range [...]resources.Kind{resources.DiskRead, resources.NetOut} {
+				if rc.Charge[k] != 0 && actual[k] != 0 {
+					alloc[k] += actual[k]
+				}
+			}
 		}
+	}
+}
+
+// addCharge adds to ledger, one dimension at a time, the effective charge
+// use.MaskBy(charge).Max(charge.Scale(decay)).
+func addCharge(ledger, charge, use *resources.Vector, decay float64) {
+	for k, c := range charge {
+		v := 0.0
+		if c != 0 {
+			v = use[k]
+		}
+		if o := c * decay; o > v {
+			v = o
+		}
+		ledger[k] += v
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 // checkRates verifies the incremental rate state right after
 // recomputeRates (enabled by Config.CheckInvariants): nothing is left
 // marked; every node lists exactly the live components of s.running that
-// demand it, in summation order; and every demand sum, scale factor and
-// live component rate equals, bit for bit, what the full computation over
-// all of s.running yields — the three passes the incremental path
-// replaced, kept here as its oracle and reachable from nowhere else.
+// demand it, in summation order; every demand sum, scale factor and live
+// component rate equals, bit for bit, what the full computation over all
+// of s.running yields — the three passes the incremental path replaced,
+// kept here as its oracle and reachable from nowhere else; and every
+// task's stored finish estimate equals finishEstimate at those rates.
 func (s *Sim) checkRates() error {
 	n := len(s.machines)
 	cm := s.cfg.Cluster.Machines
@@ -169,6 +170,83 @@ func (s *Sim) checkRates() error {
 					rt.task.ID, i, c.kind, m, c.rate, rate, s.clock)
 			}
 		}
+		if f := rt.finishEstimate(); math.Float64bits(rt.finish) != math.Float64bits(f) {
+			return fmt.Errorf("sim: task %v on machine %d stores finish estimate %v, its rates give %v at t=%.2f",
+				rt.task.ID, m, rt.finish, f, s.clock)
+		}
 	}
 	return nil
+}
+
+// checkReported verifies the tracker ledgers right after updateReported
+// (enabled by Config.CheckInvariants): every machine's Reported and
+// Allocated equals, bit for bit, what referenceReported derives.
+func (s *Sim) checkReported() error {
+	reported, allocated := s.referenceReported()
+	for m, ms := range s.machines {
+		if !ms.Reported.SameBits(reported[m]) || !ms.Allocated.SameBits(allocated[m]) {
+			type full [resources.NumKinds]float64 // printed in full, not rounded by Vector.String
+			return fmt.Errorf("sim: machine %d reports %v and allocates %v, the vector formula gives %v and %v at t=%.2f",
+				m, full(ms.Reported), full(ms.Allocated), full(reported[m]), full(allocated[m]), s.clock)
+		}
+	}
+	return nil
+}
+
+// referenceReported is updateReported's tracker formula in whole-vector
+// operations — observed usage masked by the charge, topped up by the
+// decaying allowance, every charge added in full — computed into fresh
+// ledgers: the oracle updateReported's per-dimension form must match.
+func (s *Sim) referenceReported() (reported, allocated []resources.Vector) {
+	reported = append([]resources.Vector(nil), s.background...)
+	allocated = make([]resources.Vector, len(s.machines))
+	for _, rt := range s.running {
+		var use resources.Vector
+		use[resources.Memory] = rt.task.Peak.Get(resources.Memory)
+		var srcs []srcRate
+		for i := range rt.comps {
+			c := &rt.comps[i]
+			if c.remaining <= 0 {
+				continue
+			}
+			switch c.kind {
+			case compCPU:
+				use[resources.CPU] += c.rate
+			case compLocalRead:
+				use[resources.DiskRead] += c.rate
+			case compWrite:
+				use[resources.DiskWrite] += c.rate
+			case compFlow:
+				use[resources.NetIn] += c.rate * 8
+				rep := &reported[c.src]
+				rep[resources.DiskRead] += c.rate
+				rep[resources.NetOut] += c.rate * 8
+				srcs = append(srcs, srcRate{int(c.src), c.rate})
+			}
+		}
+		reported[rt.machine] = reported[rt.machine].Add(use)
+
+		decay := 1 - (s.clock-rt.started)/rampUpSec
+		if decay < 0 {
+			decay = 0
+		}
+		charge := use.MaskBy(rt.local).Max(rt.local.Scale(decay))
+		if mem := rt.local.Get(resources.Memory); mem > charge.Get(resources.Memory) {
+			charge[resources.Memory] = mem
+		}
+		allocated[rt.machine] = allocated[rt.machine].Add(charge)
+		for _, rc := range rt.remote {
+			var actual resources.Vector
+			for _, sr := range srcs {
+				if sr.machine == rc.Machine {
+					actual[resources.DiskRead] = sr.rate
+					actual[resources.NetOut] = sr.rate * 8
+					break
+				}
+			}
+			eff := actual.MaskBy(rc.Charge).Max(rc.Charge.Scale(decay))
+			allocated[rc.Machine] = allocated[rc.Machine].Add(eff)
+		}
+	}
+	return reported, allocated
 }

@@ -17,7 +17,8 @@ import (
 // event that moves a fluid share, with Config.CheckInvariants on: after
 // each recomputeRates, checkRates rebuilds every node's user list from
 // the running tasks and requires each demand sum, scale factor and live
-// component rate to equal the full three-pass computation bit for bit.
+// component rate to equal the full three-pass computation bit for bit,
+// and each task's stored finish estimate to equal finishEstimate.
 // Each case also asserts that the events it exists for happened, and that
 // the incremental path did the work (some nodes were left alone).
 //
@@ -26,7 +27,8 @@ import (
 // checkRates error: not re-marking the task unlink swap-moves; summing a
 // marked node's list unsorted; no mark when advance finishes a component;
 // no mark on a slow[] change (faults case only); not listing cross-rack
-// flows on the uplink nodes (deployment cases only).
+// flows on the uplink nodes (deployment cases only); not re-estimating
+// the tasks recomputeRates re-rated.
 func TestIncrementalRatesMatchFull(t *testing.T) {
 	suite := func(machines int) trace.Config {
 		return trace.Config{Seed: 11, NumJobs: 10, NumMachines: machines, ArrivalSpanSec: 200, MeanTaskSeconds: 10}
@@ -125,6 +127,106 @@ func TestIncrementalRatesMatchFull(t *testing.T) {
 	}
 }
 
+// maskedRemote is a policy with its own remote-read model: it places what
+// Tetris places but charges each remote source only in the dimensions
+// keep lists, so the tracker must mask observed usage by the charge.
+type maskedRemote struct {
+	scheduler.Scheduler
+	keep    resources.Vector // 1 where a remote charge is kept
+	charges int              // remote charges handed to the simulator
+}
+
+func (p *maskedRemote) Schedule(v *scheduler.View) []scheduler.Assignment {
+	asgs := p.Scheduler.Schedule(v)
+	for i := range asgs {
+		// A fresh slice: the core's cache still holds the charges it made.
+		rem := make([]scheduler.RemoteCharge, len(asgs[i].Remote))
+		for k, rc := range asgs[i].Remote {
+			rem[k] = scheduler.RemoteCharge{Machine: rc.Machine, Charge: rc.Charge.Mul(p.keep)}
+		}
+		asgs[i].Remote = rem
+		p.charges += len(rem)
+	}
+	return asgs
+}
+
+// TestTrackerLedgersMatchVectorFormula runs policies whose remote charges
+// leave out the source's disk or its network, with Config.CheckInvariants
+// on: before every round, checkReported requires each machine's Reported
+// and Allocated to equal, bit for bit, the whole-vector formula
+// updateReported replaced. Charging a flow's disk read without testing
+// the charge's mask fails the disk-free case.
+func TestTrackerLedgersMatchVectorFormula(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		keep resources.Vector
+	}{
+		{"tetris", resources.New(1, 1, 1, 1, 1, 1)},
+		{"no-source-disk", resources.New(1, 1, 0, 1, 1, 1)},
+		{"no-source-net", resources.New(1, 1, 1, 1, 1, 0)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := &maskedRemote{Scheduler: tetris(), keep: c.keep}
+			wl := trace.GenerateSuite(trace.Config{Seed: 11, NumJobs: 10, NumMachines: 20, ArrivalSpanSec: 200, MeanTaskSeconds: 30})
+			res := run(t, Config{Cluster: cluster.NewFacebook(20), Workload: wl, Scheduler: p, CheckInvariants: true, MaxTime: 1e6})
+			if p.charges == 0 {
+				t.Fatal("no remote charge was made: the masks were never exercised")
+			}
+			long := 0
+			for _, d := range res.TaskDurations {
+				if d > rampUpSec {
+					long++
+				}
+			}
+			if long == 0 {
+				t.Fatalf("no task outlived the %d s ramp-up: the decayed charges were never exercised", rampUpSec)
+			}
+		})
+	}
+}
+
+// TestWideTaskFinishes: a task reading from more sources than one word of
+// the live-component mask covers completes only once every component,
+// the 65th on included, has done its work; Config.CheckInvariants
+// compares its stored finish estimate and every rate against the full
+// computation at every event.
+func TestWideTaskFinishes(t *testing.T) {
+	const sources = 70
+	var blocks []workload.InputBlock
+	for m := 0; m < sources; m++ {
+		blocks = append(blocks, workload.InputBlock{Machine: m, SizeMB: float64(10 + m)})
+	}
+	wl := oneJob(2, resources.New(1, 1, 50, 10, 400, 0), workload.Work{CPUSeconds: 5, WriteMB: 20}, blocks...)
+	wl.NumMachines = sources
+	s, err := New(Config{Cluster: cluster.NewFacebook(sources + 2), Workload: wl, Scheduler: tetris(), CheckInvariants: true, MaxTime: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range wl.Jobs[0].Stages[0].Tasks {
+		s.start(scheduler.Assignment{JobID: 0, Task: task, Machine: sources + task.ID.Index, Local: task.Peak})
+	}
+	started := append([]*runningTask(nil), s.running...)
+	for _, rt := range started {
+		if len(rt.comps) <= 64 || len(rt.liveMore) == 0 {
+			t.Fatalf("task %v: %d components, %d extra mask words; want more than 64 and some", rt.task.ID, len(rt.comps), len(rt.liveMore))
+		}
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.TaskDurations) != 2 || len(res.Jobs) != 1 {
+		t.Errorf("%d task durations, %d jobs finished; want 2 and 1", len(res.TaskDurations), len(res.Jobs))
+	}
+	for _, rt := range started {
+		for i, c := range rt.comps {
+			if c.remaining != 0 {
+				t.Errorf("task %v finished with %v left in component %d of %d", rt.task.ID, c.remaining, i, len(rt.comps))
+			}
+		}
+	}
+}
+
 // TestFlowOrderIsAFunctionOfTheTask: a task's flow components come one
 // per source machine in ascending source order, whatever order its input
 // blocks are listed in. The order is part of every sum the components
@@ -147,7 +249,7 @@ func TestFlowOrderIsAFunctionOfTheTask(t *testing.T) {
 		var mbs []float64
 		for _, c := range s.running[len(s.running)-1].comps {
 			if c.kind == compFlow {
-				srcs, mbs = append(srcs, c.src), append(mbs, c.remaining)
+				srcs, mbs = append(srcs, int(c.src)), append(mbs, c.remaining)
 			}
 		}
 		if !reflect.DeepEqual(srcs, []int{1, 3, 7, 9}) || !reflect.DeepEqual(mbs, []float64{50, 60, 10, 30}) {

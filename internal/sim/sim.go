@@ -16,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -100,9 +101,11 @@ type Config struct {
 	FailureSeed int64
 	// CheckInvariants makes the simulator verify, at every event, that no
 	// machine's memory is over-committed and that no ledger is negative
-	// (checkInvariants), and that the incrementally kept fluid rates
-	// equal, bit for bit, a full recomputation from all running tasks
-	// (checkRates). For tests; costs several passes over the running
+	// (checkInvariants), and that the incrementally kept fluid rates and
+	// finish estimates equal, bit for bit, a full recomputation from all
+	// running tasks (checkRates); and at every scheduling round, that the
+	// tracker ledgers equal the vector formula they replaced
+	// (checkReported). For tests; costs several passes over the running
 	// tasks per event.
 	CheckInvariants bool
 	// Metrics receives the simulator's telemetry: per-resource
@@ -157,7 +160,7 @@ type event struct {
 }
 
 // compKind identifies a work component of a running task.
-type compKind int
+type compKind uint8
 
 const (
 	compCPU compKind = iota
@@ -166,12 +169,13 @@ const (
 	compFlow // remote read from src
 )
 
+// component is kept to 32 bytes, for the cache lines advance walks.
 type component struct {
-	kind      compKind
 	remaining float64 // core-seconds (compCPU) or MB (others)
 	demand    float64 // peak rate: cores or MB/s
-	src       int     // source machine for compFlow
 	rate      float64 // current granted rate (same units as demand)
+	src       int32   // source machine for compFlow
+	kind      compKind
 }
 
 type runningTask struct {
@@ -180,15 +184,24 @@ type runningTask struct {
 	machine int
 	started float64
 	comps   []component
-	local   resources.Vector         // scheduler's local charge
-	remote  []scheduler.RemoteCharge // scheduler's remote charges
-	idx     int                      // position in Sim.running (swap-removed)
+	compBuf [3]component // backs comps for a task of up to three
+	// finish is finishEstimate at the current rates, kept by advance and
+	// recomputeRates.
+	finish float64
+	// live has bit i set while component i has work left; liveMore holds
+	// the bits from component 64 on, 64 a word.
+	live     uint64
+	liveMore []uint64
+	local    resources.Vector         // scheduler's local charge
+	remote   []scheduler.RemoteCharge // scheduler's remote charges
+	idx      int                      // position in Sim.running (swap-removed)
 	// slowdown multiplies this attempt's granted rates: 1 normally,
 	// FaultPlan.StragglerFactor when straggler injection picked it.
 	slowdown float64
 	// gone guards against double removal when a crash or job kill
 	// unlinks a task that another code path also holds.
-	gone bool
+	gone    bool
+	rerated bool // queued on Sim.rerated for re-estimation
 }
 
 type jobRun struct {
@@ -245,6 +258,7 @@ type Sim struct {
 	rateNodesRecomputed, rateNodesClean uint64
 	// Scratch reused across loop iterations and rounds.
 	finished []*runningTask // advance: tasks with no work left
+	rerated  []*runningTask // recomputeRates: tasks to re-estimate
 	victims  []*runningTask // killJob
 	srcRates []srcRate      // updateReported
 }
@@ -333,6 +347,12 @@ func New(cfg Config) (*Sim, error) {
 func (s *Sim) Run() (*Result, error) {
 	const eps = 1e-9
 	needSchedule := false
+	if n := s.cfg.Workload.NumTasks(); n > 0 {
+		s.res.TaskDurations = make([]float64, 0, n)
+		if s.cfg.RecordTasks {
+			s.res.Tasks = make([]TaskRecord, 0, n)
+		}
+	}
 	for {
 		if s.done() {
 			break
@@ -382,7 +402,9 @@ func (s *Sim) Run() (*Result, error) {
 			}
 			switch {
 			case hb < 0 || s.clock+eps >= s.nextSchedOK:
-				s.schedule()
+				if err := s.schedule(); err != nil {
+					return nil, err
+				}
 				s.nextSchedOK = s.clock + math.Max(hb, 0)
 				needSchedule = false
 			case !s.schedPending:
@@ -402,8 +424,8 @@ func (s *Sim) Run() (*Result, error) {
 		}
 		nextFinish := math.Inf(1)
 		for _, rt := range s.running {
-			if f := rt.finishEstimate(); f < nextFinish {
-				nextFinish = f
+			if rt.finish < nextFinish {
+				nextFinish = rt.finish
 			}
 		}
 		nextEvent := math.Inf(1)
@@ -492,8 +514,9 @@ func (s *Sim) pendingNonSample() bool {
 	return false
 }
 
-// schedule invokes the policy and applies its assignments.
-func (s *Sim) schedule() {
+// schedule invokes the policy and applies its assignments. It fails only
+// when Config.CheckInvariants finds the tracker ledgers wrong.
+func (s *Sim) schedule() error {
 	// Drop finished and killed jobs from the active list.
 	act := s.active[:0]
 	for _, jr := range s.active {
@@ -503,7 +526,7 @@ func (s *Sim) schedule() {
 	}
 	s.active = act
 	if len(s.active) == 0 {
-		return
+		return nil
 	}
 	v := &s.view
 	*v = scheduler.View{
@@ -518,6 +541,11 @@ func (s *Sim) schedule() {
 	}
 	s.viewJobs = v.Jobs
 	s.updateReported()
+	if s.cfg.CheckInvariants {
+		if err := s.checkReported(); err != nil {
+			return err
+		}
+	}
 	t0 := time.Now()
 	var asgs []scheduler.Assignment
 	var gdec *gang.Decision
@@ -545,6 +573,7 @@ func (s *Sim) schedule() {
 	if gdec != nil {
 		s.applyGangDecision(gdec)
 	}
+	return nil
 }
 
 // applyGangDecision acts on the non-assignment parts of a gang round:
@@ -588,6 +617,7 @@ func (s *Sim) start(a scheduler.Assignment) {
 		idx:      len(s.running),
 		slowdown: 1,
 	}
+	rt.comps = rt.compBuf[:0]
 	// Straggler injection: some attempts run degraded (a bad disk, a
 	// contended host) — the re-execution pressure the paper's production
 	// traces contain.
@@ -618,13 +648,13 @@ func (s *Sim) start(a scheduler.Assignment) {
 			continue
 		}
 		i := 0
-		for i < len(flows) && flows[i].src < b.Machine {
+		for i < len(flows) && int(flows[i].src) < b.Machine {
 			i++
 		}
-		if i == len(flows) || flows[i].src != b.Machine {
+		if i == len(flows) || int(flows[i].src) != b.Machine {
 			flows = append(flows, component{})
 			copy(flows[i+1:], flows[i:])
-			flows[i] = component{kind: compFlow, src: b.Machine}
+			flows[i] = component{kind: compFlow, src: int32(b.Machine)}
 		}
 		flows[i].remaining += b.SizeMB
 	}
@@ -646,11 +676,20 @@ func (s *Sim) start(a scheduler.Assignment) {
 		// Degenerate zero-work task: completes instantly on the next pass.
 		rt.comps = append(rt.comps, component{kind: compCPU, remaining: 0, demand: 1})
 	}
+	if n := (len(rt.comps) + 63) / 64; n > 1 {
+		rt.liveMore = make([]uint64, n-1)
+	}
+	for i := range rt.comps {
+		if rt.comps[i].remaining > 0 {
+			*rt.liveWord(i / 64) |= 1 << (i % 64)
+		}
+	}
 	s.enlist(rt)
 }
 
 // finishEstimate returns seconds until this task completes at current
-// rates (infinite if any component is starved).
+// rates (infinite if any component is starved). advance computes it in
+// its stepping pass; checkRates holds every stored value to this.
 func (rt *runningTask) finishEstimate() float64 {
 	worst := 0.0
 	for i := range rt.comps {
@@ -670,31 +709,49 @@ func (rt *runningTask) finishEstimate() float64 {
 
 // advance progresses every live component by dt at its current rate —
 // all of them on every call: stepping a component later over a longer dt
-// would round differently — and collects in s.finished, in running
-// order, the tasks left with nothing to do.
+// would round differently — stores each task's finishEstimate at the
+// rates it ran at, and collects in s.finished, in running order, the
+// tasks left with nothing to do. The live mask takes it past finished
+// components, which are 45 % of them on the Facebook trace.
 func (s *Sim) advance(dt float64) {
 	s.finished = s.finished[:0]
 	for _, rt := range s.running {
 		busy := false
-		for i := range rt.comps {
-			c := &rt.comps[i]
-			if c.remaining <= 0 {
-				continue
-			}
-			if dt > 0 {
-				c.remaining -= c.rate * dt
-				if c.remaining < 1e-9 {
-					c.remaining, c.rate = 0, 0
-					s.markComp(rt, c) // its share returns to the others
-					continue
+		worst := 0.0 // finishEstimate's maximum; +Inf stays
+		for w := 0; w <= len(rt.liveMore); w++ {
+			word := rt.liveWord(w)
+			for m := *word; m != 0; m &= m - 1 {
+				c := &rt.comps[w*64+bits.TrailingZeros64(m)]
+				if dt > 0 {
+					c.remaining -= c.rate * dt
+					if c.remaining < 1e-9 {
+						c.remaining, c.rate = 0, 0
+						*word &^= m & -m
+						s.markComp(rt, c) // its share returns to the others
+						continue
+					}
+				}
+				busy = true
+				if c.rate <= 0 {
+					worst = math.Inf(1)
+				} else if t := c.remaining / c.rate; t > worst {
+					worst = t
 				}
 			}
-			busy = true
 		}
+		rt.finish = worst
 		if !busy {
 			s.finished = append(s.finished, rt)
 		}
 	}
+}
+
+// liveWord returns word w of the task's live-component mask.
+func (rt *runningTask) liveWord(w int) *uint64 {
+	if w == 0 {
+		return &rt.live
+	}
+	return &rt.liveMore[w-1]
 }
 
 // completeFinished retires the tasks advance found finished; returns

@@ -6,8 +6,9 @@
 //	benchgate -base base.txt -head head.txt -threshold 0.15
 //
 // Benchmarks present in only one file are reported but not gated (new
-// or removed benchmarks are not regressions). Allocation counts are
-// shown for context; only ns/op is gated, since allocs/op is separately
+// or removed benchmarks are not regressions). Bytes per op are shown for
+// every row that reports them, and allocation counts where head allocates
+// more, for context; only ns/op is gated, since allocs/op is separately
 // pinned by TestScheduleAllocs.
 package main
 
@@ -15,6 +16,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -22,6 +24,8 @@ import (
 
 type result struct {
 	nsPerOp     float64
+	bytesPerOp  float64
+	hasBytes    bool
 	allocsPerOp float64
 	hasAllocs   bool
 }
@@ -65,6 +69,9 @@ func parseBench(path string) (map[string]result, []string, error) {
 			case "ns/op":
 				r.nsPerOp = v
 				ok = true
+			case "B/op":
+				r.bytesPerOp = v
+				r.hasBytes = true
 			case "allocs/op":
 				r.allocsPerOp = v
 				r.hasAllocs = true
@@ -78,6 +85,8 @@ func parseBench(path string) (map[string]result, []string, error) {
 		}
 		prev := sums[name]
 		prev.nsPerOp += r.nsPerOp
+		prev.bytesPerOp += r.bytesPerOp
+		prev.hasBytes = prev.hasBytes || r.hasBytes
 		prev.allocsPerOp += r.allocsPerOp
 		prev.hasAllocs = prev.hasAllocs || r.hasAllocs
 		sums[name] = prev
@@ -89,6 +98,7 @@ func parseBench(path string) (map[string]result, []string, error) {
 	for name, n := range counts {
 		r := sums[name]
 		r.nsPerOp /= float64(n)
+		r.bytesPerOp /= float64(n)
 		r.allocsPerOp /= float64(n)
 		sums[name] = r
 	}
@@ -118,13 +128,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmarks in", *headPath)
 		os.Exit(2)
 	}
-	failed := false
-	fmt.Printf("%-60s %14s %14s %8s\n", "benchmark", "base ns/op", "head ns/op", "delta")
+	if !report(os.Stdout, base, head, order, *threshold) {
+		fmt.Printf("\nbenchgate: FAIL — ns/op regression beyond +%.0f%%\n", *threshold*100)
+		os.Exit(1)
+	}
+	fmt.Println("\nbenchgate: OK")
+}
+
+// report writes the comparison table, head's rows in order, and returns
+// false when some row's ns/op slowed down by more than threshold.
+func report(w io.Writer, base, head map[string]result, order []string, threshold float64) bool {
+	ok := true
+	fmt.Fprintf(w, "%-60s %14s %14s %8s\n", "benchmark", "base ns/op", "head ns/op", "delta")
 	for _, name := range order {
 		h := head[name]
 		b, inBase := base[name]
 		if !inBase {
-			fmt.Printf("%-60s %14s %14.0f %8s\n", name, "-", h.nsPerOp, "new")
+			fmt.Fprintf(w, "%-60s %14s %14.0f %8s\n", name, "-", h.nsPerOp, "new")
+			if h.hasBytes {
+				fmt.Fprintf(w, "%-60s %14s %14.0f B/op (informational)\n", "  bytes:", "-", h.bytesPerOp)
+			}
 			continue
 		}
 		delta := 0.0
@@ -132,23 +155,22 @@ func main() {
 			delta = h.nsPerOp/b.nsPerOp - 1
 		}
 		mark := ""
-		if delta > *threshold {
+		if delta > threshold {
 			mark = "  << REGRESSION"
-			failed = true
+			ok = false
 		}
-		fmt.Printf("%-60s %14.0f %14.0f %+7.1f%%%s\n", name, b.nsPerOp, h.nsPerOp, delta*100, mark)
+		fmt.Fprintf(w, "%-60s %14.0f %14.0f %+7.1f%%%s\n", name, b.nsPerOp, h.nsPerOp, delta*100, mark)
+		if b.hasBytes && h.hasBytes {
+			fmt.Fprintf(w, "%-60s %14.0f %14.0f B/op (informational)\n", "  bytes:", b.bytesPerOp, h.bytesPerOp)
+		}
 		if b.hasAllocs && h.hasAllocs && h.allocsPerOp > b.allocsPerOp {
-			fmt.Printf("%-60s %14.0f %14.0f allocs/op (informational)\n", "  allocs:", b.allocsPerOp, h.allocsPerOp)
+			fmt.Fprintf(w, "%-60s %14.0f %14.0f allocs/op (informational)\n", "  allocs:", b.allocsPerOp, h.allocsPerOp)
 		}
 	}
 	for name := range base {
-		if _, ok := head[name]; !ok {
-			fmt.Printf("%-60s %14s %14s %8s\n", name, "-", "-", "removed")
+		if _, inHead := head[name]; !inHead {
+			fmt.Fprintf(w, "%-60s %14s %14s %8s\n", name, "-", "-", "removed")
 		}
 	}
-	if failed {
-		fmt.Printf("\nbenchgate: FAIL — ns/op regression beyond +%.0f%%\n", *threshold*100)
-		os.Exit(1)
-	}
-	fmt.Println("\nbenchgate: OK")
+	return ok
 }
