@@ -17,9 +17,9 @@ import (
 )
 
 // maxNodeID bounds node IDs: registering ID n costs n slots, so without a
-// bound one frame naming 1<<40 allocates until the process dies. It sits
-// above the largest fleet anything here runs (100 000 hollow nodes).
-const maxNodeID = 1 << 18
+// bound one frame naming 1<<40 allocates until the process dies. Job.Validate
+// puts the same bound on input block machines, for the same reason.
+const maxNodeID = workload.MaxMachineID
 
 func checkNodeID(id int) error {
 	if id < 0 || id >= maxNodeID {

@@ -40,11 +40,12 @@ type rmMetrics struct {
 	beatsWithoutRound *telemetry.Counter
 	// stageScans / stagePrunes split the Tetris core's stage visits into
 	// windows walked task by task and visits one envelope comparison
-	// skipped (scheduler.ScanStats); localPrunes counts the locality-scan
-	// options one demand-floor comparison rejected.
-	stageScans  *telemetry.Counter
-	stagePrunes *telemetry.Counter
-	localPrunes *telemetry.Counter
+	// skipped (scheduler.ScanStats), machinePrunes the whole walks and
+	// localPrunes the locality-scan options one comparison rejected.
+	stageScans    *telemetry.Counter
+	stagePrunes   *telemetry.Counter
+	machinePrunes *telemetry.Counter
+	localPrunes   *telemetry.Counter
 
 	scheduleRound *telemetry.Histogram
 	nmHeartbeat   *telemetry.Histogram
@@ -95,6 +96,7 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
 	m.stageScans = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "scanned"), scansHelp)
 	m.stagePrunes = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "pruned"), scansHelp)
+	m.machinePrunes = reg.Counter(name("tetris_rm_sched_machine_prunes_total"), "Machine visits of the Tetris core whose whole stage walk one comparison with the minimum of the stages' demand envelopes skipped.")
 	const localHelp = "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."
 	m.localPrunes = reg.Counter(name("tetris_rm_sched_local_prunes_total"), localHelp)
 	for c := causeNone + 1; c < numCauses; c++ {
@@ -163,6 +165,7 @@ func (m *rmMetrics) observeScans(sched scheduler.Scheduler) {
 	st := p.ScanStats()
 	m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
 	m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
+	m.machinePrunes.Add(st.MachinePrunes - m.prevScan.MachinePrunes)
 	m.localPrunes.Add(st.LocalPrunes - m.prevScan.LocalPrunes)
 	m.prevScan = st
 }

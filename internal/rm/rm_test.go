@@ -171,6 +171,50 @@ func TestRegisterRefusesOutOfRangeNodeID(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesOutOfRangeInputMachine: the scheduler's locality index
+// is dense by machine ID, so a job with an input block on a machine far
+// past the fleet would make every later round on its shard allocate a
+// slot for each ID below it. Live and batch submission reject it as
+// invalid, and journal replay refuses it, as node registration does.
+func TestSubmitRefusesOutOfRangeInputMachine(t *testing.T) {
+	g, err := NewShardedInProcess(ShardedConfig{Shards: 2, NewScheduler: tetrisScheduler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.RegisterMachine(0, resources.New(16, 32, 200, 200, 1000, 1000))
+	far := func(id int) *workload.Job {
+		j := simpleJob(id, 1)
+		task := j.Stages[0].Tasks[0]
+		task.Peak = task.Peak.With(resources.DiskRead, 50)
+		task.Inputs = []workload.InputBlock{{Machine: 1 << 40, SizeMB: 10}}
+		return j
+	}
+
+	reply := g.handleSubmitJob(&wire.SubmitJob{Job: far(1), Tenant: "t"})
+	if reply.Type != wire.TypeSubmitReject || reply.SubmitReject.Code != wire.RejectInvalid {
+		t.Errorf("submit: %+v, want %s", reply, wire.RejectInvalid)
+	}
+	results, err := g.SubmitBatch("t", []*workload.Job{far(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Reject == nil || results[0].Reject.Code != wire.RejectInvalid {
+		t.Errorf("batch submit: %+v, want %s", results[0].Reject, wire.RejectInvalid)
+	}
+	core := g.Shard(0)
+	core.mu.Lock()
+	errReplay := core.applyEvent(&event{Kind: evSubmit, Job: far(3), Tenant: "t"})
+	jobs := len(core.jobs)
+	core.mu.Unlock()
+	if errReplay == nil {
+		t.Error("replay accepted a job with an input on machine 1<<40")
+	}
+	if jobs != 0 {
+		t.Errorf("shard 0 holds %d jobs, want 0", jobs)
+	}
+}
+
 func TestDuplicateJobRejected(t *testing.T) {
 	s := newServer(t)
 	if err := s.SubmitJob(simpleJob(1, 1)); err != nil {

@@ -357,11 +357,13 @@ func TestRoundCauses(t *testing.T) {
 
 // TestStageScanCounters: the shard adds each round's share of the Tetris
 // core's scan counters to tetris_rm_sched_stage_scans_total and
-// tetris_rm_sched_local_prunes_total, and a backlog deeper than the
+// tetris_rm_sched_local_prunes_total and
+// tetris_rm_sched_machine_prunes_total, and a backlog deeper than the
 // cluster makes the pruned sides move — the round after the submit fills
 // the machines; the follow-up round finds the first one full, the other
-// two cost one envelope comparison each, and every task reading a block
-// on a full machine costs one floor comparison there.
+// two cost one envelope comparison each (the job's one stage makes it a
+// machine prune), and every task reading a block on a full machine costs
+// one floor comparison there.
 func TestStageScanCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	g, err := NewShardedInProcess(ShardedConfig{Shards: 1, NewScheduler: qualityScheduler, Metrics: reg})
@@ -386,12 +388,13 @@ func TestStageScanCounters(t *testing.T) {
 		return reg.Counter(telemetry.Label(telemetry.Label("tetris_rm_sched_stage_scans_total", "shard", "0"), "result", result), "").Value()
 	}
 	local := reg.Counter(telemetry.Label("tetris_rm_sched_local_prunes_total", "shard", "0"), "").Value()
+	machine := reg.Counter(telemetry.Label("tetris_rm_sched_machine_prunes_total", "shard", "0"), "").Value()
 	core := g.Shard(0).sched.(*scheduler.Tetris).ScanStats()
-	if series("scanned") != core.StageScans || series("pruned") != core.StagePrunes || local != core.LocalPrunes {
-		t.Errorf("series scanned=%d pruned=%d local=%d, core counted %+v", series("scanned"), series("pruned"), local, core)
+	if series("scanned") != core.StageScans || series("pruned") != core.StagePrunes || local != core.LocalPrunes || machine != core.MachinePrunes {
+		t.Errorf("series scanned=%d pruned=%d local=%d machine=%d, core counted %+v", series("scanned"), series("pruned"), local, machine, core)
 	}
-	if core.StageScans == 0 || core.StagePrunes == 0 || core.LocalPrunes == 0 {
-		t.Errorf("a saturated 3-node shard should scan and prune both scans: %+v", core)
+	if core.StageScans == 0 || core.StagePrunes == 0 || core.LocalPrunes == 0 || core.MachinePrunes == 0 {
+		t.Errorf("a saturated 3-node shard should scan and prune both scans and whole machines: %+v", core)
 	}
 }
 

@@ -112,6 +112,31 @@ func BenchmarkTetrisScheduleBacklog(b *testing.B) { benchBacklog(b, false) }
 // most of its cost is locality-scan options that cannot fit.
 func BenchmarkTetrisScheduleLocal(b *testing.B) { benchBacklog(b, true) }
 
+// BenchmarkTetrisScheduleDepart is the backlog round with input blocks
+// in which one job of the 40 departs: what a round pays to sweep a job
+// out of the long-lived state (evictDeparted) on top of the round
+// itself. The job comes back in an untimed round before each timed one.
+func BenchmarkTetrisScheduleDepart(b *testing.B) {
+	full := backlogView(true)
+	less := *full
+	less.Jobs = full.Jobs[1:]
+	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
+	for i, mk := range mks {
+		b.Run(labels[i], func(b *testing.B) {
+			t := mk()
+			t.Schedule(full)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				t.Schedule(full)
+				b.StartTimer()
+				t.Schedule(&less)
+			}
+		})
+	}
+}
+
 func BenchmarkDRFSchedule(b *testing.B) {
 	for _, sz := range benchSizes {
 		v := benchView(sz, 3)

@@ -123,7 +123,9 @@ func TestDemandFloorBoundsEveryMachine(t *testing.T) {
 // every machine that holds input of a task — the machines scanLocals
 // feeds it on — the floor computed from its peak is component-wise ≤ the
 // core's placement demand there, and is exactly demandFloor of the cache
-// entry for that machine. Random deep-backlog tasks (some blocks
+// entry for that machine; and floorFits, which compares that floor in
+// place, agrees with FitsIn on it against free vectors short of it in
+// each dimension in turn. Random deep-backlog tasks (some blocks
 // unplaced) are joined by partial locality and zero-size blocks.
 func TestLocalFloorBoundsEveryAffinityMachine(t *testing.T) {
 	const nMach = 6
@@ -143,7 +145,17 @@ func TestLocalFloorBoundsEveryAffinityMachine(t *testing.T) {
 		core := NewTetris(cfg)
 		checked := 0
 		for _, task := range tasks {
-			floor := core.peakFloor(task.Peak)
+			floor := placementFloor(task.Peak)
+			if cpuMem {
+				floor = projectCPUMem(floor)
+			}
+			for k := range resources.NumKinds {
+				for _, avail := range []resources.Vector{floor, floor.With(k, floor[k]/2), floor.With(k, 0), floor.With(k, 2*floor[k]+1)} {
+					if got, want := core.floorFits(task.Peak, avail), floor.FitsIn(avail); got != want {
+						t.Fatalf("cpumem=%v task %v: floorFits against %v is %v, FitsIn of the floor %v", cpuMem, task.Peak, avail, got, want)
+					}
+				}
+			}
 			for _, b := range task.Inputs {
 				if b.Machine < 0 {
 					continue
@@ -318,6 +330,36 @@ func TestEnvelopeHotspotMachine(t *testing.T) {
 	rounds, scheds := lockstepCores(t, cfg, mk, 1, nil)
 	wantPlacements(t, rounds[0], [2]int{0, 3}, [2]int{1, 3})
 	wantPrunes(t, scheds)
+}
+
+// TestMachineEnvelopeCounts pins when the machine envelope skips a whole
+// stage walk. Two jobs' tasks need 2 and 3 cores; machines 0, 1 and 3
+// have 1 core free, machine 2 has 2. Machine 0 walks both stages and
+// records their envelopes; machine 1 is skipped by their minimum (2
+// cores). Machine 2 fits it, walks, prunes the 3-core stage and places
+// a 2-core task, which retires that stage's envelope; its next fill
+// walks again, re-records it and places nothing. Machine 3 is skipped by
+// the re-derived minimum. A minimum left stale by a recording would
+// skip nothing; one left stale by the take would skip machine 2's
+// second fill with a retired envelope in it.
+func TestMachineEnvelopeCounts(t *testing.T) {
+	cfg := DefaultTetrisConfig()
+	cfg.Fairness = 0
+	mk := func() *View {
+		v := mkView(4, machine, mkJob(1, 10, resources.New(2, 4, 0, 0, 0, 0), 100), mkJob(2, 10, resources.New(3, 4, 0, 0, 0, 0), 100))
+		for i, free := range []float64{1, 1, 2, 1} {
+			v.Machines[i].Allocated = busyCPU(free)
+		}
+		return v
+	}
+	rounds, scheds := lockstepCores(t, cfg, mk, 1, nil)
+	if len(rounds[0]) != 1 || rounds[0][0].JobID != 1 || rounds[0][0].Machine != 2 {
+		t.Fatalf("placed %+v, want one task of job 1 on machine 2", rounds[0])
+	}
+	want := ScanStats{StageScans: 4, StagePrunes: 6, MachinePrunes: 2, Considered: 10 + 10 + 3 + 9}
+	if got := scheds[0].ScanStats(); got != want {
+		t.Fatalf("scan counters %+v, want %+v", got, want)
+	}
 }
 
 // TestBaseDemandTracksEstimate: the base demand kept across rounds must

@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"slices"
+
 	"github.com/tetris-sched/tetris/internal/reserve"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -78,13 +80,14 @@ type Tetris struct {
 	// changes and the average is recomputed, so SRTF ordering tracks the
 	// current estimates instead of whatever was seen first.
 	stageScore map[[2]int]stageScoreEntry
-	// locals indexes tasks by the machines holding their input blocks.
-	// Entries are dropped lazily once their task is no longer pending;
-	// localsCursor rotates each machine's scan start so blocked entries
-	// at the front cannot starve the rest of the list.
-	locals       map[int][]locEntry
-	localsCursor map[int]int
-	indexedJobs  map[int]bool
+	// locals indexes tasks by the machines holding their input blocks,
+	// one list per machine ID. Entries are dropped lazily once their task
+	// is no longer pending; localsCursor rotates each machine's scan start
+	// so blocked entries at the front cannot starve the rest of the list.
+	locals       [][]locEntry
+	localsCursor []int
+	localsSwept  []bool // evictDeparted's scratch
+	indexedJobs  map[int]*workload.Job
 	// localsRound numbers the Schedule calls; it is the validity stamp of
 	// the locality index's per-stage records (locStage). Starts at 1, so a
 	// new record is valid for no round.
@@ -121,10 +124,11 @@ func (t *Tetris) recordEps(eps float64) {
 
 // locEntry is one (machine, task) pair of the locality index: the task
 // has an input block on the machine. st is shared by all entries of the
-// task's stage, on every machine.
+// task's stage, on every machine, and idx is the task's index in it. A
+// nil st is a tombstone. A scan reads the task only to offer it.
 type locEntry struct {
-	task *workload.Task
-	st   *locStage
+	st  *locStage
+	idx int
 }
 
 // locStage is what a scanLocals visit needs to know about an entry's
@@ -135,12 +139,15 @@ type locEntry struct {
 // of the stage's entries, from any machine, reads it.
 type locStage struct {
 	jobID int
+	stage int
+	tasks []*workload.Task // the stage's tasks, indexed by locEntry.idx
 	// stamp is the Tetris.localsRound the fields below were derived in.
 	stamp    uint64
-	job      *JobState // nil: the job has left the View
-	ready    bool      // Status.StageReady
-	inTail   bool      // Status.InBarrierTail under cfg.Barrier
-	eligible bool      // roundState.eligible[jobID]
+	job      *JobState            // nil: the job has left the View
+	states   []workload.TaskState // Status.StageStates: one round's task states
+	ready    bool                 // Status.StageReady
+	inTail   bool                 // Status.InBarrierTail under cfg.Barrier
+	eligible bool                 // roundState.eligible[jobID]
 }
 
 // NewTetris creates a Tetris scheduler with the given configuration.
@@ -152,15 +159,13 @@ func NewTetris(cfg TetrisConfig) *Tetris {
 		cfg.Barrier = 1 // disabled
 	}
 	return &Tetris{
-		cfg:          cfg,
-		stageScore:   make(map[[2]int]stageScoreEntry),
-		locals:       make(map[int][]locEntry),
-		localsCursor: make(map[int]int),
-		indexedJobs:  make(map[int]bool),
-		localsRound:  1,
-		firstSeen:    make(map[*workload.Task]float64),
-		res:          reserve.New(),
-		active:       make(map[int]*JobState),
+		cfg:         cfg,
+		stageScore:  make(map[[2]int]stageScoreEntry),
+		indexedJobs: make(map[int]*workload.Job),
+		localsRound: 1,
+		firstSeen:   make(map[*workload.Task]float64),
+		res:         reserve.New(),
+		active:      make(map[int]*JobState),
 	}
 }
 
@@ -233,26 +238,35 @@ func (t *Tetris) remainingWork(v *View, j *JobState) float64 {
 	return p
 }
 
-// evictDeparted rebuilds the active-job index for this round and, when a
-// previously indexed job is no longer in the View (jobs never return
-// once finished), sweeps it out of every piece of long-lived scheduler
-// state: stageScore, indexedJobs, firstSeen, reservations, the locality
-// index and the incremental core's task cache. Without the sweep those
-// maps keep keys for finished jobs forever. The core and its test-side
-// oracle share it, so the (decision-shaping) locality-index compaction
-// stays bit-identical across them. Map iteration order never leaks into
-// decisions: the sweeps only delete entries, and list compaction
-// preserves order.
+// evictDeparted rebuilds the active-job index for this round and sweeps
+// each indexed job no longer in the View (a job a gang coordinator hid is
+// indexed afresh when shown again) out of stageScore, indexedJobs,
+// firstSeen, reservations, the locality index and the task cache,
+// visiting only what the job owns. The core and its oracle share it; map
+// order never leaks into decisions (the sweeps only delete, and
+// compaction preserves order).
 func (t *Tetris) evictDeparted(v *View) {
 	clear(t.active)
 	for _, j := range v.Jobs {
 		t.active[j.Job.ID] = j
 	}
 	departed := false
-	for id := range t.indexedJobs {
-		if t.active[id] == nil {
-			delete(t.indexedJobs, id)
-			departed = true
+	for id, job := range t.indexedJobs {
+		if t.active[id] != nil {
+			continue
+		}
+		delete(t.indexedJobs, id)
+		departed = true
+		for si, st := range job.Stages {
+			delete(t.stageScore, [2]int{id, si})
+			for _, task := range st.Tasks {
+				t.inc.retire(task)
+				for _, b := range task.Inputs {
+					if b.Machine >= 0 {
+						t.localsSwept[b.Machine] = true
+					}
+				}
+			}
 		}
 	}
 	// firstSeen also drops tasks that left the pending state while
@@ -272,61 +286,50 @@ func (t *Tetris) evictDeparted(v *View) {
 	if !departed {
 		return
 	}
-	for key := range t.stageScore {
-		if t.active[key[0]] == nil {
-			delete(t.stageScore, key)
-		}
-	}
-	for task := range t.inc.tasks {
-		if t.active[task.ID.Job] == nil {
-			t.inc.retire(task)
-		}
-	}
+	// Every cursor is reduced: scanLocals stores it unreduced, and a list
+	// that grows later would otherwise start its next scan elsewhere.
 	for mid, entries := range t.locals {
-		n := len(entries)
-		cursor := 0
-		if n > 0 {
-			cursor = t.localsCursor[mid] % n
-		}
-		newCursor := 0
-		out := entries[:0]
-		for i, e := range entries {
-			if t.active[e.st.jobID] != nil {
-				if i < cursor {
-					newCursor++
+		if n := len(entries); n > 0 && !t.localsSwept[mid] {
+			t.localsCursor[mid] %= n
+		} else if n > 0 {
+			last, gone := (*locStage)(nil), false // one job lookup per run of a stage's entries
+			for i, e := range entries {
+				if e.st != last {
+					last, gone = e.st, t.active[e.st.jobID] == nil
 				}
-				out = append(out, e)
+				if gone {
+					entries[i].st = nil
+				}
 			}
+			t.compactLocals(mid, t.localsCursor[mid]%n)
 		}
-		if len(out) == 0 {
-			delete(t.locals, mid)
-			delete(t.localsCursor, mid)
-			continue
-		}
-		t.locals[mid] = out
-		t.localsCursor[mid] = newCursor % len(out)
 	}
+	clear(t.localsSwept)
 }
 
 // indexJob adds a newly seen job's input block locations to the locality
-// index.
+// index, one entry per (task, machine).
 func (t *Tetris) indexJob(j *JobState) {
-	if t.indexedJobs[j.Job.ID] {
+	if t.indexedJobs[j.Job.ID] != nil {
 		return
 	}
-	t.indexedJobs[j.Job.ID] = true
-	for _, st := range j.Job.Stages {
+	t.indexedJobs[j.Job.ID] = j.Job
+	for si, st := range j.Job.Stages {
 		var ls *locStage
-		for _, task := range st.Tasks {
-			seen := map[int]bool{}
-			for _, b := range task.Inputs {
-				if b.Machine >= 0 && !seen[b.Machine] {
-					seen[b.Machine] = true
-					if ls == nil {
-						ls = &locStage{jobID: j.Job.ID}
-					}
-					t.locals[b.Machine] = append(t.locals[b.Machine], locEntry{task, ls})
+		for ti, task := range st.Tasks {
+			for k, b := range task.Inputs {
+				if b.Machine < 0 || slices.ContainsFunc(task.Inputs[:k], func(o workload.InputBlock) bool { return o.Machine == b.Machine }) {
+					continue
 				}
+				if ls == nil {
+					ls = &locStage{jobID: j.Job.ID, stage: si, tasks: st.Tasks}
+				}
+				for len(t.locals) <= b.Machine {
+					t.locals = append(t.locals, nil)
+					t.localsCursor = append(t.localsCursor, 0)
+					t.localsSwept = append(t.localsSwept, false)
+				}
+				t.locals[b.Machine] = append(t.locals[b.Machine], locEntry{ls, ti})
 			}
 		}
 	}
@@ -397,8 +400,6 @@ type roundState struct {
 	eligible map[int]bool
 	taken    map[*workload.Task]bool
 }
-
-func (rs *roundState) eligibleJob(id int) bool { return rs.eligible[id] }
 
 // Schedule implements Scheduler: for every machine with headroom it
 // repeatedly picks the feasible task with the highest combined score
@@ -552,92 +553,90 @@ func projectCPUMem(d resources.Vector) resources.Vector {
 // longer pending (or whose job is gone) are compacted away. The scan
 // starts at a per-machine rotating cursor so blocked entries at the list
 // head cannot permanently hide the rest.
+//
+// No tombstone lies ahead of a scan (scans and evictDeparted compact
+// theirs) and a (job, stage)'s entries on a machine are adjacent, so a
+// run of them from a stage that is not ready is stepped by pointer alone.
 func (t *Tetris) scanLocals(v *View, mid int, rs *roundState, consider func(*JobState, *workload.Task, bool)) {
-	entries := t.locals[mid]
-	n := len(entries)
-	if n == 0 {
+	if mid >= len(t.locals) || len(t.locals[mid]) == 0 {
 		return
 	}
+	entries, n := t.locals[mid], len(t.locals[mid])
 	const (
 		maxConsider = 8
 		maxScan     = 64
 	)
 	start := t.localsCursor[mid] % n
-	considered, scanned := 0, 0
-	dead := 0
-	off := 0
-	for ; off < n && considered < maxConsider && scanned < maxScan; off++ {
-		i := (start + off) % n
-		e := entries[i]
-		if e.task == nil {
-			continue // already tombstoned this round
-		}
-		scanned++
-		ls := e.st
+	considered, scanned, dead := 0, 0, 0
+	off, i := 0, start // i is (start+off) mod n
+	for off < n && considered < maxConsider && scanned < maxScan {
+		ls, k := entries[i].st, 1 // k: the entries this step covers
 		if ls.stamp != t.localsRound {
 			ls.stamp = t.localsRound
 			ls.job = rs.byJob[ls.jobID]
 			if ls.job != nil {
-				ls.ready = ls.job.Status.StageReady(e.task.ID.Stage)
-				ls.inTail = ls.job.Status.InBarrierTail(e.task.ID, t.cfg.Barrier)
-				ls.eligible = rs.eligibleJob(ls.jobID)
+				st := ls.job.Status
+				ls.states = st.StageStates(ls.stage)
+				ls.ready = st.StageReady(ls.stage)
+				ls.inTail = st.InBarrierTail(workload.TaskID{Job: ls.jobID, Stage: ls.stage}, t.cfg.Barrier)
+				ls.eligible = rs.eligible[ls.jobID]
 			}
 		}
-		if ls.job == nil {
-			// Job no longer active. Jobs are indexed only after arrival,
-			// so an absent job has finished and never comes back: drop.
-			entries[i].task = nil
+		switch {
+		case ls.job == nil:
+			// Job gone: finished, or hidden (indexed afresh if shown).
+			entries[i].st = nil
 			dead++
-			continue
-		}
-		// Readiness is tested before the task's state, which skips the
-		// tombstoning below — but there is nothing to tombstone: a task
-		// leaves Pending only by being placed, placement requires its
-		// stage to be ready, and a ready stage stays ready (done counts
-		// never decrease). In a stage that is not ready every task is
-		// still Pending.
-		if !ls.ready {
-			continue
-		}
-		if ls.job.Status.State(e.task.ID) != workload.Pending {
-			entries[i].task = nil // running or done: never pending again
+		case !ls.ready:
+			// Tested before the task's state, skipping no tombstone:
+			// every task of a stage that is not ready is Pending (a
+			// ready stage stays ready, and placing needs readiness).
+			for run := min(n-off, maxScan-scanned, n-i); k < run && entries[i+k].st == ls; {
+				k++
+			}
+		case ls.states[entries[i].idx] != workload.Pending:
+			// Running or done. A task that fails returns to Pending,
+			// but the locality scan no longer offers it (DESIGN §7).
+			entries[i].st = nil
 			dead++
-			continue
+		case !ls.inTail && !ls.eligible:
+			// fairness restriction applies to non-tail tasks
+		default:
+			if task := ls.tasks[entries[i].idx]; !rs.taken[task] {
+				consider(ls.job, task, ls.inTail)
+				considered++
+			}
 		}
-		if !ls.inTail && !ls.eligible {
-			continue // fairness restriction applies to non-tail tasks
+		scanned += k
+		off += k
+		if i += k; i == n {
+			i = 0
 		}
-		if rs.taken[e.task] {
-			continue
-		}
-		consider(ls.job, e.task, ls.inTail)
-		considered++
 	}
 	if dead == 0 {
 		t.localsCursor[mid] = start + off
 		return
 	}
-	// Compact tombstones, preserving order, and recompute the cursor in
-	// post-compaction coordinates: the next scan must start at the first
-	// entry this one did not visit. The old pre-compaction cursor
-	// (start+scanned+dead) pointed past the wrong entry once the list
-	// shrank, repeatedly skipping live local tasks.
-	nextOld := (start + off) % n
-	newCursor := 0
+	t.compactLocals(mid, i)
+}
+
+// compactLocals drops the tombstones of machine mid's list, preserving
+// order, and points its cursor at position next in post-compaction
+// coordinates: a pre-compaction cursor points past the wrong entry once
+// the list shrank, repeatedly skipping live local tasks.
+func (t *Tetris) compactLocals(mid, next int) {
+	entries := t.locals[mid]
+	cursor := 0
 	out := entries[:0]
 	for i, e := range entries {
-		if e.task != nil {
-			if i < nextOld {
-				newCursor++
+		if e.st != nil {
+			if i < next {
+				cursor++
 			}
 			out = append(out, e)
 		}
 	}
-	if len(out) == 0 {
-		delete(t.locals, mid)
-		delete(t.localsCursor, mid)
-		return
-	}
+	clear(entries[len(out):]) // no stale stage record outlives its job
 	t.locals[mid] = out
-	t.localsCursor[mid] = newCursor % len(out)
+	t.localsCursor[mid] = cursor % max(len(out), 1)
 }

@@ -34,7 +34,8 @@ import (
 //     envelope behind (stageRun.env); every later visit in the round —
 //     another fill, another machine — that the envelope proves fruitless
 //     is skipped with one comparison, so a full machine costs one FitsIn
-//     per stage instead of one per pending task (collectIncr).
+//     per stage instead of one per pending task (collectIncr), or one
+//     per machine once every stage has an envelope (their minimum).
 //   - A locality-scan option whose demand floor does not fit the machine
 //     is dropped before the task cache is opened (considerIncr).
 //   - What is a pure function of (estimate, task) — the base demand and
@@ -152,24 +153,25 @@ func placementFloor(d resources.Vector) resources.Vector {
 	return d.With(resources.NetOut, 0).With(resources.NetIn, 0).With(resources.DiskRead, 0)
 }
 
-// peakFloor is demandFloor of a task with placed input, computed from its
-// peak instead of a cache entry: projecting under CPUMemOnly commutes
-// with placementFloor, so it is the same vector on every machine.
-func (t *Tetris) peakFloor(peak resources.Vector) resources.Vector {
-	if t.cfg.CPUMemOnly {
-		return projectCPUMem(peak)
-	}
-	return placementFloor(peak)
+// floorFits is FitsIn of demandFloor of a task with placed input, in
+// place: the dimensions the floor zeroes fit any (clamped) free vector,
+// so only CPU, memory and, unless CPUMemOnly, disk write are compared.
+func (t *Tetris) floorFits(peak, avail resources.Vector) bool {
+	const eps = 1e-9 // FitsIn's tolerance
+	c, m, w := resources.CPU, resources.Memory, resources.DiskWrite
+	return !(peak[c] > avail[c]+eps) && !(peak[m] > avail[m]+eps) &&
+		(t.cfg.CPUMemOnly || !(peak[w] > avail[w]+eps))
 }
 
 // ScanStats is a snapshot of the core's cumulative candidate-scan
 // counters: how much of the rounds' stage walking the demand envelopes
 // pruned. The oracle counts nothing.
 type ScanStats struct {
-	StageScans  uint64 // stage windows walked task by task
-	StagePrunes uint64 // stage visits skipped by one envelope comparison
-	LocalPrunes uint64 // locality-scan options skipped by one floor comparison
-	Considered  uint64 // (task, machine) options evaluated by considerTR
+	StageScans    uint64 // stage windows walked task by task
+	StagePrunes   uint64 // stage visits skipped by an envelope comparison
+	MachinePrunes uint64 // stage walks skipped whole by one machine-envelope comparison
+	LocalPrunes   uint64 // locality-scan options skipped by one floor comparison
+	Considered    uint64 // (task, machine) options evaluated by considerTR
 }
 
 // ScanStats reports the scan counters. They are plain fields, not
@@ -226,14 +228,22 @@ type incrState struct {
 	aSumTail float64 // Σ align over barrier-tail candidates only
 	anyTail  bool
 
+	// machEnv is the minimum of the envelopes of the stages a walk
+	// visits; machEnvStages counts them, 0 while one has no envelope and
+	// -1 while machEnv is stale (collectIncr).
+	machEnv       resources.Vector
+	machEnvStages int
+
 	// Context of the collect call in flight, threaded through fields so
-	// the scanLocals callback needs no per-call closure.
-	curV     *View
-	curMid   int
-	curAvail resources.Vector
-	curCap   resources.Vector
-	curNormA resources.Vector
-	consider func(*JobState, *workload.Task, bool)
+	// the scanLocals callback needs no per-call closure. curNormA is
+	// computed at the first alignment.
+	curV       *View
+	curMid     int
+	curAvail   resources.Vector
+	curCap     resources.Vector
+	curNormA   resources.Vector
+	curNormAOK bool
+	consider   func(*JobState, *workload.Task, bool)
 
 	// rt is the decision trace of the round in flight; nil when tracing
 	// is off or the round is sampled out (the common case — every hook
@@ -254,6 +264,7 @@ func (ic *incrState) beginRound(t *Tetris, v *View) {
 	ic.round++
 	ic.tick = 0
 	ic.curV = v
+	ic.machEnvStages = -1
 }
 
 // taskRoundFor returns the task's cache entry, resetting per-round fields
@@ -309,8 +320,26 @@ func (ic *incrState) retire(task *workload.Task) {
 // taking it leaves the scan the envelope stands for unchanged.
 func (ic *incrState) markTaken(tr *taskRound) {
 	tr.takenRound = ic.round
-	if tr.sr != nil {
+	if tr.sr != nil && tr.sr.envOK {
 		tr.sr.envOK = false
+		ic.machEnvStages = -1
+	}
+}
+
+// machineEnvelope recomputes machEnv over the round's stages.
+func (ic *incrState) machineEnvelope(rs *roundState) {
+	ic.machEnvStages = 0
+	for _, sr := range rs.stages {
+		switch {
+		case !sr.eligible && !sr.inTail:
+		case !sr.envOK:
+			ic.machEnvStages = 0
+			return
+		case ic.machEnvStages == 0:
+			ic.machEnv, ic.machEnvStages = sr.env, 1
+		default:
+			ic.machEnv, ic.machEnvStages = ic.machEnv.Min(sr.env), ic.machEnvStages+1
+		}
 	}
 }
 
@@ -599,6 +628,11 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 // state a later step reads. A sampled round takes the unpruned path, so
 // its infeasible-local records stay those of the first detection per
 // (task, machine).
+//
+// The machine envelope. While every stage the walk visits has an
+// envelope, a free vector that does not fit their minimum fits none of
+// them, so one comparison skips the walk, StagePrunes counts each visit
+// it covers, and the locality scan still runs.
 func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, float64) {
 	ic := &t.inc
 	avail := ic.free[mid]
@@ -608,13 +642,24 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 	ic.curMid = mid
 	ic.curAvail = avail
 	ic.curCap = v.Machines[mid].Capacity
-	ic.curNormA = avail.Normalize(ic.curCap)
+	ic.curNormAOK = false
 	ic.cands = ic.cands[:0]
 	ic.aSumAll, ic.aSumTail = 0, 0
 	ic.anyTail = false
 	ic.tick++
 
-	for _, sr := range rs.stages {
+	walk := rs.stages
+	if ic.rt == nil {
+		if ic.machEnvStages < 0 {
+			ic.machineEnvelope(rs)
+		}
+		if ic.machEnvStages > 0 && !ic.machEnv.FitsIn(avail) {
+			ic.scan.MachinePrunes++
+			ic.scan.StagePrunes += uint64(ic.machEnvStages)
+			walk = nil
+		}
+	}
+	for _, sr := range walk {
 		if !sr.eligible && !sr.inTail {
 			continue
 		}
@@ -666,6 +711,7 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 		}
 		if added == 0 && scanned > 0 {
 			sr.env, sr.envOK = env, true
+			ic.machEnvStages = -1
 		}
 	}
 	t.scanLocals(v, mid, rs, ic.consider)
@@ -692,14 +738,14 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 // charges and alignment.
 //
 // The local prune. scanLocals feeds only tasks with input on the
-// machine, and most of them do not fit what is left of it. Their
-// peakFloor equals demandFloor of the entry the cache would build, so
-// when it does not fit neither does the demand, and considerTR would only
-// set failLocal: the option is rejected before the cache is opened. A
-// sampled round takes the unpruned path, as for the stage envelope.
+// machine, and most of them do not fit what is left of it. floorFits
+// tests demandFloor of the entry the cache would build, so when it fails
+// neither does the demand fit, and considerTR would only set failLocal:
+// the option is rejected before the cache is opened. A sampled round
+// takes the unpruned path, as for the stage envelope.
 func (t *Tetris) considerIncr(j *JobState, task *workload.Task, inTail bool) {
 	ic := &t.inc
-	if ic.rt == nil && !t.peakFloor(ic.curV.DemandPeak(j, task)).FitsIn(ic.curAvail) {
+	if ic.rt == nil && !t.floorFits(ic.curV.DemandPeak(j, task), ic.curAvail) {
 		ic.scan.LocalPrunes++
 		return
 	}
@@ -815,6 +861,10 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 	if tr.alignOK && tr.alignVer == ic.freeVer[mid] {
 		align = tr.align
 	} else {
+		if !ic.curNormAOK {
+			ic.curNormA = ic.curAvail.Normalize(ic.curCap)
+			ic.curNormAOK = true
+		}
 		if !tr.normDOK {
 			if tr.affinity {
 				tr.normD = tr.d.Normalize(ic.curCap)

@@ -14,17 +14,21 @@ import (
 // scanLocals cursor drift after tombstone compaction, and the stale
 // stageScore SRTF cache that ignored refining estimates.
 
-// tetrisStateSizes snapshots every long-lived per-job/per-task map.
+// tetrisStateSizes snapshots every long-lived per-job/per-task map. The
+// locality index is dense (one list and one cursor per machine ID), so
+// it counts the entries still held and the cursors not back at 0.
 func tetrisStateSizes(t *Tetris) map[string]int {
-	locEntries := 0
-	for _, es := range t.locals {
+	locEntries, cursors := 0, 0
+	for mid, es := range t.locals {
 		locEntries += len(es)
+		if t.localsCursor[mid] != 0 {
+			cursors++
+		}
 	}
 	return map[string]int{
 		"stageScore":   len(t.stageScore),
-		"locals":       len(t.locals),
 		"localEntries": locEntries,
-		"localsCursor": len(t.localsCursor),
+		"localsCursor": cursors,
 		"indexedJobs":  len(t.indexedJobs),
 		"firstSeen":    len(t.firstSeen),
 		"reserved":     t.res.Len(),

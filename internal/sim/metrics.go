@@ -34,11 +34,12 @@ type simMetrics struct {
 
 	// stageScans / stagePrunes split the Tetris core's stage visits into
 	// windows walked task by task and visits one envelope comparison
-	// skipped (scheduler.ScanStats); localPrunes counts the locality-scan
-	// options one demand-floor comparison rejected.
-	stageScans  *telemetry.Counter
-	stagePrunes *telemetry.Counter
-	localPrunes *telemetry.Counter
+	// skipped (scheduler.ScanStats), machinePrunes the whole walks and
+	// localPrunes the locality-scan options one comparison rejected.
+	stageScans    *telemetry.Counter
+	stagePrunes   *telemetry.Counter
+	machinePrunes *telemetry.Counter
+	localPrunes   *telemetry.Counter
 
 	// rateRecomputed / rateClean split the resource nodes (machines, rack
 	// uplinks) of every event-loop iteration into those whose fluid shares
@@ -69,6 +70,7 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
 	m.stageScans = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "scanned"), scansHelp)
 	m.stagePrunes = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "pruned"), scansHelp)
+	m.machinePrunes = reg.Counter("tetris_sim_sched_machine_prunes_total", "Machine visits of the Tetris core whose whole stage walk one comparison with the minimum of the stages' demand envelopes skipped.")
 	const localHelp = "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."
 	m.localPrunes = reg.Counter("tetris_sim_sched_local_prunes_total", localHelp)
 	const nodesHelp = "Resource nodes (machines, rack uplinks) per event-loop iteration whose fluid shares were re-derived (recomputed) or left alone because nothing arrived at or left them (clean)."
@@ -96,6 +98,7 @@ func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
 		st := p.ScanStats()
 		m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
 		m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
+		m.machinePrunes.Add(st.MachinePrunes - m.prevScan.MachinePrunes)
 		m.localPrunes.Add(st.LocalPrunes - m.prevScan.LocalPrunes)
 		m.prevScan = st
 	}

@@ -37,6 +37,7 @@ func TestSimMetricsPublished(t *testing.T) {
 		"tetris_sim_placements_total 4",
 		`tetris_sim_sched_stage_scans_total{result="scanned"}`,
 		`tetris_sim_sched_stage_scans_total{result="pruned"} 0`,
+		"tetris_sim_sched_machine_prunes_total 0",
 		`tetris_sim_rate_nodes_total{result="recomputed"}`,
 		`tetris_sim_rate_nodes_total{result="clean"}`,
 	} {
@@ -50,7 +51,7 @@ func TestSimMetricsPublished(t *testing.T) {
 // Tetris core prune — once the first full machine has shown that no head
 // task fits, the other full machines cost one comparison, and so does
 // each task reading a block on a full machine — and the sim publishes
-// both sides of the stage split and the local prunes.
+// both sides of the stage split, the machine prunes and the local prunes.
 func TestSimMetricsStageScans(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	cl := cluster.New(3, cluster.FacebookProfile(), 0)
@@ -62,8 +63,10 @@ func TestSimMetricsStageScans(t *testing.T) {
 			t.Errorf("tetris_sim_sched_stage_scans_total{result=%q} never moved", result)
 		}
 	}
-	if reg.Counter("tetris_sim_sched_local_prunes_total", "").Value() == 0 {
-		t.Error("tetris_sim_sched_local_prunes_total never moved")
+	for _, name := range []string{"tetris_sim_sched_local_prunes_total", "tetris_sim_sched_machine_prunes_total"} {
+		if reg.Counter(name, "").Value() == 0 {
+			t.Errorf("%s never moved", name)
+		}
 	}
 }
 

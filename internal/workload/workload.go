@@ -36,6 +36,11 @@ func (id TaskID) Less(o TaskID) bool {
 	return id.Index < o.Index
 }
 
+// MaxMachineID bounds machine IDs, which the RM's node table and the
+// scheduler's locality index are indexed by. It sits above the largest
+// fleet anything here runs (100 000 hollow nodes).
+const MaxMachineID = 1 << 18
+
 // InputBlock is one piece of task input data, resident on a machine.
 type InputBlock struct {
 	// Machine holding the block. A negative value means the block has no
@@ -227,9 +232,9 @@ func (j *Job) Task(stage, index int) *Task { return j.Stages[stage].Tasks[index]
 
 // Validate checks structural invariants: at least one task, stage deps
 // in range and acyclic, task ids consistent, non-negative demands and
-// work, and no task whose positive work has a zero peak rate on the
-// matching dimension (such a task would run forever — its duration at
-// peak rates is infinite). Every number it carries must be
+// work, input blocks on machines below MaxMachineID, and no task whose
+// positive work has a zero peak rate on the matching dimension (such a
+// task would run forever — its duration at peak rates is infinite). Every number it carries must be
 // resources.Bounded: finite, and small enough that no sum the RM keeps
 // of it overflows.
 func (j *Job) Validate() error {
@@ -267,8 +272,8 @@ func (j *Job) Validate() error {
 				return fmt.Errorf("job %d task %v: negative or out-of-range work", j.ID, t.ID)
 			}
 			for _, b := range t.Inputs {
-				if !amount(b.SizeMB) {
-					return fmt.Errorf("job %d task %v: negative or out-of-range input size", j.ID, t.ID)
+				if !amount(b.SizeMB) || b.Machine >= MaxMachineID {
+					return fmt.Errorf("job %d task %v: out-of-range input size %v or machine %d", j.ID, t.ID, b.SizeMB, b.Machine)
 				}
 			}
 			if t.Work.CPUSeconds > 0 && t.Peak.Get(resources.CPU) <= 0 {

@@ -163,6 +163,16 @@ func TestJobValidate(t *testing.T) {
 	if err := noRead.Validate(); err == nil || !strings.Contains(err.Error(), "disk-read") {
 		t.Errorf("input with zero disk-read peak not detected: %v", err)
 	}
+
+	// Input machines are bounded like node IDs: consumers index by them.
+	for _, m := range []int{MaxMachineID - 1, MaxMachineID, 1 << 40} {
+		far := twoStageJob(7, 1, 1)
+		far.Stages[0].Tasks[0].Inputs = []InputBlock{{Machine: m}}
+		err := far.Validate()
+		if want := m >= MaxMachineID; want != (err != nil) {
+			t.Errorf("input on machine %d: %v, want refused = %v", m, err, want)
+		}
+	}
 }
 
 func TestWorkloadValidate(t *testing.T) {
