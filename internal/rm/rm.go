@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/tetris-sched/tetris/internal/estimator"
@@ -66,6 +67,9 @@ type Server struct {
 	followup  bool             // the last round acted
 	unplaced  bool             // the last round left runnable work pending
 	rounds    uint64           // rounds run so far
+	// mayRound hints dirty || followup || unplaced: stored under s.mu
+	// wherever they change, read unlocked to place batch groups only.
+	mayRound atomic.Bool
 
 	detector *faults.Detector // nil when failure detection is off
 	faultLog *telemetry.Ring[faults.Record]
@@ -121,7 +125,7 @@ func (s *Server) open() error {
 	s.log = cfg.Logger
 	s.jobs = make(map[int]*jobInfo)
 	s.faultLog = faults.NewRing(cfg.FaultLogCap)
-	s.dirty = causeNode
+	s.markDirty(causeNode)
 	s.route = routeCache{seen: make(map[resources.Vector]struct{})}
 	if est := s.est; est != nil {
 		s.view.EstimateDemand = func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
@@ -229,24 +233,24 @@ func (s *Server) applySubmit(j *workload.Job, tenant string) {
 	s.metrics.jobsSubmitted.Inc()
 }
 
-// HandleNMHeartbeat processes one node heartbeat: absorbs the usage
+// handleNMHeartbeat processes one node heartbeat: absorbs the usage
 // report and completions, runs a scheduling round if one is due
-// (allocation happens on NM heartbeats, as in YARN), and returns the
-// node's queued launches.
-func (s *Server) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
-	if hb == nil {
-		return errMsg("missing nmHeartbeat payload")
-	}
-	rep := new(wire.NMReply)
+// (allocation happens on NM heartbeats, as in YARN), and writes the
+// node's queued launches into rep. It returns beat's error text.
+func (s *Server) handleNMHeartbeat(hb *wire.NMHeartbeat, rep *wire.NMReply) string {
 	t0 := time.Now()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	rounds := s.rounds
 	errText := s.beat(hb, s.now(), rep)
-	s.metrics.nmHeartbeat.Observe(time.Since(t0).Seconds())
-	s.mu.Unlock()
+	failed, delta := 0, 0
 	if errText != "" {
-		return errMsg(errText)
+		failed = 1
+	} else if hb.Delta {
+		delta = 1
 	}
-	return &wire.Message{Type: wire.TypeNMReply, NMReply: rep}
+	s.bookBeats(t0, 1, failed, delta, rounds)
+	return errText
 }
 
 // handleBeats processes the beats at idxs (non-empty) of a batch frame —
@@ -254,26 +258,34 @@ func (s *Server) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 // RM clock, writing each node's verdict straight into its entry of out.
 // At one clock reading the failure detector scans at most once: whatever
 // the first beat's sweep leaves cannot have expired by the same instant,
-// so the others return at its early exit. Shards run their groups
-// concurrently; the entries they write are disjoint.
+// so the others return at its early exit. Groups of different shards may
+// run concurrently; the entries they write are disjoint.
 func (s *Server) handleBeats(beats []wire.NMHeartbeat, idxs []int, out []wire.NMBeatReply) {
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
+	rounds := s.rounds
+	failed, delta := 0, 0
 	for _, i := range idxs {
 		e := &out[i]
-		e.NodeID = beats[i].NodeID
-		e.Error = s.beat(&beats[i], now, &e.Reply)
+		*e = wire.NMBeatReply{NodeID: beats[i].NodeID}
+		if e.Error = s.beat(&beats[i], now, &e.Reply); e.Error != "" {
+			failed++
+		} else if beats[i].Delta {
+			delta++
+		}
 	}
-	// The group is timed as a whole (a clock reading costs about what an
-	// idle beat does) and each beat booked an equal share: the histogram's
-	// count and sum — beats handled, mean cost per beat — stay exact, and
-	// a batched beat's quantiles are those of its group's mean.
-	share := time.Since(t0).Seconds() / float64(len(idxs))
-	for range idxs {
-		s.metrics.nmHeartbeat.Observe(share)
-	}
+	s.bookBeats(t0, len(idxs), failed, delta, rounds)
+}
+
+// bookBeats books a locked section begun at t0 in one update per series:
+// n beats (each an equal share of the time), failed refused, delta applied
+// delta reports, s.rounds-rounds0 rounds. Caller holds s.mu.
+func (s *Server) bookBeats(t0 time.Time, n, failed, delta int, rounds0 uint64) {
+	s.metrics.nmHeartbeat.ObserveN(time.Since(t0).Seconds()/float64(n), uint64(n))
+	s.metrics.deltaBeats.Add(uint64(delta))
+	s.metrics.beatsWithoutRound.Add(uint64(n-failed) - (s.rounds - rounds0))
 }
 
 // beat is the body of one NM heartbeat at RM time now: ledger apply, a
@@ -314,7 +326,6 @@ func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) stri
 		// this node's last acked beat, so n.Reported already holds them.
 		// If the RM reset its view since then (needFull), keep the reset
 		// value and ask for a full report below.
-		s.metrics.deltaBeats.Inc()
 	} else {
 		if n.Reported != hb.Used {
 			n.Reported = hb.Used
@@ -331,8 +342,6 @@ func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) stri
 	}
 	if cause := s.roundDue(n); cause != causeNone {
 		s.runScheduler(now, cause)
-	} else {
-		s.metrics.beatsWithoutRound.Inc()
 	}
 	n.beatRound = s.rounds
 	rep.Launch, n.launches = n.launches, nil
@@ -504,6 +513,7 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	}
 	s.rounds++
 	s.dirty, s.followup, s.unplaced = causeNone, acted, s.hasRunnable()
+	s.mayRound.Store(s.followup || s.unplaced)
 }
 
 // applyTenantWeights layers hierarchical (tenant → job) fairness on the

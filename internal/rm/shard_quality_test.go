@@ -42,6 +42,14 @@ type bareCore struct{ *Server }
 
 func (c bareCore) SubmitJob(j *workload.Job) error { return replyErr(c.submit(j, "", false)) }
 
+func (c bareCore) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
+	rep := new(wire.NMReply)
+	if errText := c.handleNMHeartbeat(hb, rep); errText != "" {
+		return errMsg(errText)
+	}
+	return &wire.Message{Type: wire.TypeNMReply, NMReply: rep}
+}
+
 // qualityScheduler is the shard-core factory used for every
 // configuration under test: the default Tetris core with starvation
 // reservations disabled-by-horizon so wall time cannot perturb replays.

@@ -42,6 +42,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -175,6 +176,7 @@ type Sharded struct {
 
 	routedJobs []*telemetry.Counter // per-shard admission counts
 	fallbacks  *telemetry.Counter   // jobs routed with no feasible shard
+	offloaded  []*telemetry.Counter // per-shard batch groups run on a helper goroutine
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -293,6 +295,8 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 			g.routedJobs = append(g.routedJobs, reg.Counter(
 				telemetry.Label("tetris_rm_routed_jobs_total", "shard", strconv.Itoa(i)),
 				"Jobs the top-layer router admitted to the shard."))
+			g.offloaded = append(g.offloaded, reg.Counter(telemetry.Label("tetris_rm_batch_groups_offloaded_total", "shard", strconv.Itoa(i)),
+				"Heartbeat-batch groups of the shard run on a helper goroutine, because it and another shard of the frame may run a round."))
 		}
 		g.fallbacks = reg.Counter("tetris_rm_route_fallbacks_total",
 			"Jobs routed while no shard had a machine fitting their largest task.")
@@ -301,6 +305,7 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 	} else {
 		for range g.shards {
 			g.routedJobs = append(g.routedJobs, &telemetry.Counter{})
+			g.offloaded = append(g.offloaded, &telemetry.Counter{})
 		}
 		g.fallbacks = &telemetry.Counter{}
 	}
@@ -565,6 +570,7 @@ func (g *Sharded) serve(conn net.Conn) {
 	// reply in its type's codec, and hot-frame decode reuses its scratch
 	// so steady-state heartbeats allocate nothing.
 	framer := wire.NewServerFramer()
+	var sc replyScratch
 	for {
 		// Read/write deadlines: a stalled or half-dead peer times out and
 		// the connection drops — NMs/AMs recover through their redial and
@@ -574,7 +580,7 @@ func (g *Sharded) serve(conn net.Conn) {
 		if err != nil {
 			return // peer closed, stalled past the deadline, or protocol error
 		}
-		reply, _ := g.Call(m)
+		reply := g.call(m, &sc)
 		armDeadline(conn, g.cfg.ConnTimeout)
 		if err := framer.Write(conn, reply); err != nil {
 			return
@@ -588,6 +594,11 @@ func (g *Sharded) serve(conn net.Conn) {
 // always nil (a protocol rejection is a TypeError reply); it is there so
 // *Sharded and *wire.Conn are the same kind of thing to a client.
 func (g *Sharded) Call(m *wire.Message) (*wire.Message, error) {
+	return g.call(m, new(replyScratch)), nil
+}
+
+// call answers one decoded frame, building a heartbeat reply in sc.
+func (g *Sharded) call(m *wire.Message, sc *replyScratch) *wire.Message {
 	var reply *wire.Message
 	switch m.Type {
 	case wire.TypeRegisterNM:
@@ -597,9 +608,9 @@ func (g *Sharded) Call(m *wire.Message) (*wire.Message, error) {
 			reply = g.nodeShard(m.RegisterNM.NodeID).handleRegisterNM(m.RegisterNM)
 		}
 	case wire.TypeNMHeartbeat:
-		reply = g.HandleNMHeartbeat(m.NMHeartbeat)
+		reply = g.handleNM(m.NMHeartbeat, &sc.nmReply)
 	case wire.TypeHeartbeatBatch:
-		reply = g.HandleHeartbeatBatch(m.HeartbeatBatch)
+		reply = g.handleBatch(m.HeartbeatBatch, sc)
 	case wire.TypeSubmitJob:
 		reply = g.handleSubmitJob(m.SubmitJob)
 	case wire.TypeSubmitBatch:
@@ -612,7 +623,7 @@ func (g *Sharded) Call(m *wire.Message) (*wire.Message, error) {
 	default:
 		reply = &wire.Message{Type: wire.TypeError, Error: fmt.Sprintf("unknown message type %q", m.Type)}
 	}
-	return reply, nil
+	return reply
 }
 
 // armDeadline sets the connection's absolute I/O deadline d from now
@@ -623,52 +634,95 @@ func armDeadline(conn net.Conn, d time.Duration) {
 	}
 }
 
-// HandleHeartbeatBatch splits a multi-node heartbeat frame by owning
-// shard and fans the groups out concurrently: each shard core absorbs
-// its nodes' beats (and runs whatever rounds they make due) in parallel
-// with the other shards, which is what makes one shared connection
-// carrying thousands of nodes scale past a single core. A shard is
-// entered once per frame — one lock hold for its whole group
-// (Server.handleBeats) — and writes each node's verdict into that beat's
-// entry, so entries stay in beat order and each carries exactly what the
-// node would have received on its own connection — an NMReply or a typed
-// error string — leaving sender-side DeltaTracker baseline-advance
-// semantics unchanged by batching.
+// nmReply is a single beat's reply: the message and its payload.
+type nmReply struct {
+	msg wire.Message
+	nm  wire.NMReply
+}
+
+// replyScratch holds a heartbeat reply and what builds it. A serve loop
+// reuses one per connection: it encodes a reply before reading the next
+// frame (Framer.Read's contract), so nothing reads a rebuilt reply. Every
+// other caller passes a fresh one and owns the reply.
+type replyScratch struct {
+	nmReply
+	batch  wire.HeartbeatBatchReply
+	groups [][]int // per shard, the indices of its beats in the frame
+	wg     sync.WaitGroup
+}
+
+// HandleHeartbeatBatch answers a multi-node heartbeat frame from a fresh
+// scratch, so the caller owns the reply.
 func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
-	entries := make([]wire.NMBeatReply, len(b.Beats))
-	groups := make([][]int, len(g.shards))
+	return g.handleBatch(b, new(replyScratch))
+}
+
+// handleBatch enters each shard once with its group of the frame's beats
+// (nodeID mod N); Server.handleBeats writes each verdict into its entry.
+// Groups run on the calling goroutine unless two or more may run a round
+// (a completion, or the shard's mayRound hint): then all but the last go
+// to helper goroutines. The hint only picks where a group runs.
+func (g *Sharded) handleBatch(b *wire.HeartbeatBatch, sc *replyScratch) *wire.Message {
+	if b == nil {
+		return errMsg("missing heartbeatBatch payload")
+	}
+	sc.groups = slices.Grow(sc.groups[:0], len(g.shards))[:len(g.shards)]
+	for si := range sc.groups {
+		sc.groups[si] = sc.groups[si][:0]
+	}
 	for i := range b.Beats {
 		si := g.shardIndex(b.Beats[i].NodeID)
-		groups[si] = append(groups[si], i)
+		sc.groups[si] = append(sc.groups[si], i)
 	}
-	var wg sync.WaitGroup
-	for si, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
+	sc.batch.Replies = slices.Grow(sc.batch.Replies[:0], len(b.Beats))[:len(b.Beats)]
+	completes := func(i int) bool { return len(b.Beats[i].Completed) > 0 }
+	held := -1 // the latest group that may run a round, not yet started
+	for si, idxs := range sc.groups {
+		switch {
+		case len(idxs) == 0:
+		case !g.shards[si].mayRound.Load() && !slices.ContainsFunc(idxs, completes):
+			g.shards[si].handleBeats(b.Beats, idxs, sc.batch.Replies)
+		default:
+			if held >= 0 {
+				g.offloaded[held].Inc()
+				sc.wg.Add(1)
+				go func(s *Server, idxs []int) {
+					defer sc.wg.Done()
+					s.handleBeats(b.Beats, idxs, sc.batch.Replies)
+				}(g.shards[held], sc.groups[held])
+			}
+			held = si
 		}
-		wg.Add(1)
-		go func(s *Server) {
-			defer wg.Done()
-			s.handleBeats(b.Beats, idxs, entries)
-		}(g.shards[si])
 	}
-	wg.Wait()
+	if held >= 0 {
+		g.shards[held].handleBeats(b.Beats, sc.groups[held], sc.batch.Replies)
+	}
+	sc.wg.Wait()
 	g.checkpoint(false)
-	return &wire.Message{Type: wire.TypeHeartbeatBatchReply,
-		HeartbeatBatchReply: &wire.HeartbeatBatchReply{Replies: entries}}
+	sc.msg = wire.Message{Type: wire.TypeHeartbeatBatchReply, HeartbeatBatchReply: &sc.batch}
+	return &sc.msg
 }
 
 // HandleNMHeartbeat dispatches a node heartbeat to the node's shard,
-// which absorbs the report and runs a scheduling round if one is due.
-// Exported for in-process drivers; shard cores never contend on a shared
-// lock here, which is where the beats/sec scaling comes from.
+// which absorbs it and runs a round if one is due; the caller owns the
+// reply. Shards share no lock here: that is where beats/sec scales.
 func (g *Sharded) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
+	return g.handleNM(hb, new(nmReply))
+}
+
+// handleNM answers one node heartbeat, building the reply in r (which
+// the reply points into, so r is one heap allocation on every path).
+func (g *Sharded) handleNM(hb *wire.NMHeartbeat, r *nmReply) *wire.Message {
 	if hb == nil {
 		return errMsg("missing nmHeartbeat payload")
 	}
-	reply := g.nodeShard(hb.NodeID).HandleNMHeartbeat(hb)
+	errText := g.nodeShard(hb.NodeID).handleNMHeartbeat(hb, &r.nm)
 	g.checkpoint(false)
-	return reply
+	if errText != "" {
+		return errMsg(errText)
+	}
+	r.msg = wire.Message{Type: wire.TypeNMReply, NMReply: &r.nm}
+	return &r.msg
 }
 
 // HandleAMHeartbeat answers a job-progress poll from the job's shard.

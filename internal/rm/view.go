@@ -68,6 +68,7 @@ func (s *Server) markDirty(c roundCause) {
 	if s.dirty == causeNone || c < s.dirty {
 		s.dirty = c
 	}
+	s.mayRound.Store(true)
 }
 
 // roundDue decides whether the beat from node runs a scheduling round,
@@ -86,6 +87,7 @@ func (s *Server) roundDue(n *node) roundCause {
 	case len(s.view.Jobs) == 0:
 		// Nothing to place whatever changed; the next submit marks dirty.
 		s.dirty, s.followup, s.unplaced = causeNone, false, false
+		s.mayRound.Store(false)
 		return causeNone
 	case s.dirty != causeNone:
 		return s.dirty

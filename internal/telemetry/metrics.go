@@ -116,12 +116,16 @@ func bucketIndex(v float64) int {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v in one update: the buckets and
+// count of n Observe(v) calls, and their sum up to rounding (v·n).
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	h.buckets[bucketIndex(v)].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
 		}

@@ -102,6 +102,33 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN: ObserveN(v, n) fills the buckets and count that
+// n calls of Observe(v) do, and its sum differs from theirs only by
+// rounding (one product against n additions).
+func TestHistogramObserveN(t *testing.T) {
+	var once, many Histogram
+	for _, s := range []struct {
+		v float64
+		n uint64
+	}{{0.1, 64}, {3e-7, 5}, {histMin * 8, 3}, {0.004, 1}, {12.5, 0}, {1e9, 2}} {
+		once.ObserveN(s.v, s.n)
+		for i := uint64(0); i < s.n; i++ {
+			many.Observe(s.v)
+		}
+	}
+	for i := range once.buckets {
+		if a, b := once.buckets[i].Load(), many.buckets[i].Load(); a != b {
+			t.Errorf("bucket %d: ObserveN %d, Observe %d", i, a, b)
+		}
+	}
+	if once.Count() != many.Count() || once.Count() != 75 {
+		t.Errorf("count: ObserveN %d, Observe %d, want 75", once.Count(), many.Count())
+	}
+	if diff := math.Abs(once.Sum() - many.Sum()); diff > 64*math.Abs(many.Sum())*0x1p-52 {
+		t.Errorf("sum: ObserveN %v, Observe %v (off by %g)", once.Sum(), many.Sum(), diff)
+	}
+}
+
 func TestLabel(t *testing.T) {
 	if got := Label("m", "k", "v"); got != `m{k="v"}` {
 		t.Fatalf("Label = %q", got)
@@ -222,6 +249,7 @@ func TestRecordAllocs(t *testing.T) {
 		g.Set(1.25)
 		g.Add(0.5)
 		h.Observe(0.004)
+		h.ObserveN(0.004, 64)
 	}); n != 0 {
 		t.Fatalf("recording allocates %v allocs/op, want 0", n)
 	}
