@@ -75,7 +75,7 @@ func main() {
 		poll        = flag.Duration("poll", 500*time.Millisecond, "per-job AM progress poll interval")
 		compression = flag.Float64("compression", 50, "time compression for synthetic task durations and job arrivals")
 		seed        = flag.Int64("seed", 1, "seed for workload, fault plan, stagger and sampling")
-		batch       = flag.Int("batch", 0, "coalesce up to this many nodes' heartbeats per frame (0 = individual beats)")
+		batch       = flag.Int("batch", 0, "coalesce up to this many nodes' heartbeats per frame (0 or 1 = one beat per frame)")
 		scenario    = flag.String("scenario", "smoke", "scenario name; output file is BENCH_scale_<scenario>.json. \"gang\" switches to the ML/MPI gang workload and wraps the RM scheduler in the gang coordinator")
 		gangFrac    = flag.Float64("gang-fraction", 0.5, "fraction of gang jobs in -scenario gang")
 		outDir      = flag.String("out", ".", "directory for the BENCH snapshot")

@@ -19,7 +19,7 @@
 //
 // The coordinator is deliberately core-agnostic: it mutates only the
 // view it hands the inner scheduler (jobs filtered, committed demand
-// charged), so the reference/incremental/parallel cores stay
+// charged), so the Tetris core and its test-side oracle stay
 // bit-identical under it. When no gang state exists it returns the
 // inner scheduler's decisions on the untouched view, making the
 // feature digest-neutral for non-gang workloads.

@@ -57,12 +57,11 @@ type Config struct {
 	// Seed drives the fleet's determinism: beat-order stagger, reconnect
 	// jitter, and RTT sampling (default 1).
 	Seed int64
-	// Batch coalesces up to this many nodes' heartbeats into one
-	// TypeHeartbeatBatch frame per shared connection. Each node still
-	// beats once per Heartbeat — the tick stretches by the batch factor —
-	// and the reply carries one entry per beat, so per-node ack semantics
-	// (DeltaTracker baseline advance) are unchanged. 0 or 1 sends
-	// individual heartbeat frames, the pre-batching behavior.
+	// Batch is how many nodes' heartbeats share one heartbeat-batch frame
+	// per shared connection; 0 or 1 means one. Each node still beats once
+	// per Heartbeat — the tick stretches by the batch factor — and the
+	// reply carries one entry per beat, so per-node ack semantics
+	// (DeltaTracker baseline advance) do not depend on it.
 	Batch int
 	// Plan optionally injects node churn: MachineCrash/MachineRecover
 	// events (times in wall seconds from Run) silence a node past the

@@ -293,6 +293,10 @@ func TestRejectedHeartbeatKeepsCompletions(t *testing.T) {
 		delivered          = make(chan string, 1)
 	)
 	ok := func(r *wire.NMReply) *wire.Message { return &wire.Message{Type: wire.TypeNMReply, NMReply: r} }
+	beat := func(e wire.NMBeatReply) *wire.Message {
+		return &wire.Message{Type: wire.TypeHeartbeatBatchReply,
+			HeartbeatBatchReply: &wire.HeartbeatBatchReply{Replies: []wire.NMBeatReply{e}}}
+	}
 	handle := func(m *wire.Message) *wire.Message {
 		mu.Lock()
 		defer mu.Unlock()
@@ -302,21 +306,22 @@ func TestRejectedHeartbeatKeepsCompletions(t *testing.T) {
 				delivered <- "registration"
 			}
 			return ok(&wire.NMReply{})
-		case wire.TypeNMHeartbeat:
-			if carries(m.NMHeartbeat.Completed) {
+		case wire.TypeHeartbeatBatch:
+			hb := &m.HeartbeatBatch.Beats[0] // a node's beat is a batch of one
+			if carries(hb.Completed) {
 				if !rejected {
 					rejected = true
-					return &wire.Message{Type: wire.TypeError, Error: "node 0 must re-register: resource manager restarted"}
+					return beat(wire.NMBeatReply{NodeID: hb.NodeID, Error: "node 0 must re-register: resource manager restarted"})
 				}
 				delivered <- "heartbeat"
 			}
 			if !launched {
 				launched = true
-				return ok(&wire.NMReply{Launch: []wire.TaskLaunch{{
+				return beat(wire.NMBeatReply{NodeID: hb.NodeID, Reply: wire.NMReply{Launch: []wire.TaskLaunch{{
 					Task: task, JobID: 1, Demand: resources.New(1, 1, 0, 0, 0, 0), Duration: 1,
-				}}})
+				}}}})
 			}
-			return ok(&wire.NMReply{})
+			return beat(wire.NMBeatReply{NodeID: hb.NodeID})
 		}
 		return &wire.Message{Type: wire.TypeError, Error: "unexpected " + m.Type}
 	}

@@ -122,8 +122,8 @@ type Link struct {
 	Name      string // log prefix: "nm 3", "hollow: link 2"
 	Addr      string
 	Heartbeat time.Duration // each agent's beat interval
-	// Batch coalesces up to this many agents' beats into one
-	// TypeHeartbeatBatch frame; 0 or 1 sends TypeNMHeartbeat frames.
+	// Batch is how many agents' beats share one heartbeat-batch frame;
+	// 0 or 1 means one.
 	Batch   int
 	Agents  []*Agent
 	Metrics *Metrics
@@ -183,10 +183,7 @@ func (l *Link) Step(c Caller, now time.Time) error {
 	if len(l.beats) == 0 {
 		return nil
 	}
-	m := &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &l.beats[0]}
-	if l.Batch > 1 {
-		m = &wire.Message{Type: wire.TypeHeartbeatBatch, HeartbeatBatch: &wire.HeartbeatBatch{Beats: l.beats}}
-	}
+	m := &wire.Message{Type: wire.TypeHeartbeatBatch, HeartbeatBatch: &wire.HeartbeatBatch{Beats: l.beats}}
 	// A stopwatch around the exchange, not a reading of the clock:
 	// nothing Step decides depends on it.
 	t0 := time.Now()
@@ -201,16 +198,7 @@ func (l *Link) Step(c Caller, now time.Time) error {
 	}
 	l.Metrics.Heartbeats.Add(uint64(len(l.beats)))
 
-	if l.Batch <= 1 {
-		if reply.Type == wire.TypeError {
-			l.rejected(l.members[0], reply.Error)
-		} else {
-			l.apply(l.members[0], reply.NMReply, now)
-		}
-		return nil
-	}
-	// The batch reply carries one entry per beat in beat order — what
-	// each node would have read on a connection of its own. A peer that
+	// The reply carries one entry per beat in beat order. A peer that
 	// answers with anything else is not speaking the protocol; nothing of
 	// it is applied.
 	var replies []wire.NMBeatReply
@@ -261,9 +249,6 @@ func (l *Link) rejected(a *Agent, why string) {
 func (l *Link) apply(a *Agent, r *wire.NMReply, now time.Time) {
 	a.undelivered = nil
 	a.delta.Ack(r)
-	if r == nil {
-		return
-	}
 	if r.FullReport {
 		l.Metrics.FullRequested.Inc()
 	}

@@ -61,8 +61,6 @@ func (s *scriptedRM) Call(m *wire.Message) (*wire.Message, error) {
 		s.registered = append(s.registered, r)
 		s.ack(r.NodeID, r.Completed)
 		return &wire.Message{Type: wire.TypeNMReply, NMReply: &wire.NMReply{}}, nil
-	case wire.TypeNMHeartbeat:
-		return &wire.Message{Type: wire.TypeNMReply, NMReply: s.beat(m.NMHeartbeat)}, nil
 	case wire.TypeHeartbeatBatch:
 		br := &wire.HeartbeatBatchReply{}
 		for i := range m.HeartbeatBatch.Beats {
@@ -97,6 +95,17 @@ func cut(*wire.Message) (*wire.Message, error) { return nil, errCut }
 func rmError(text string) func(*wire.Message) (*wire.Message, error) {
 	return func(*wire.Message) (*wire.Message, error) {
 		return &wire.Message{Type: wire.TypeError, Error: text}, nil
+	}
+}
+
+// rejectBeats answers a heartbeat frame refusing every beat in it.
+func rejectBeats(text string) func(*wire.Message) (*wire.Message, error) {
+	return func(m *wire.Message) (*wire.Message, error) {
+		br := &wire.HeartbeatBatchReply{}
+		for _, hb := range m.HeartbeatBatch.Beats {
+			br.Replies = append(br.Replies, wire.NMBeatReply{NodeID: hb.NodeID, Error: text})
+		}
+		return &wire.Message{Type: wire.TypeHeartbeatBatchReply, HeartbeatBatchReply: br}, nil
 	}
 }
 
@@ -175,8 +184,9 @@ func TestFailedFrameRetainsCompletions(t *testing.T) {
 		{name: "registration fails behind a gathered beat", batch: 2, unregister: true, fault: cut, wantErr: "connection cut"},
 		{name: "batch reply of the wrong length", batch: 2, fault: shortReply, wantErr: "batch reply mismatch"},
 		{name: "batch reply that is not a batch reply", batch: 2, fault: rmError("boom"), wantErr: "batch reply mismatch"},
+		{name: "one beat answered by a frame error", batch: 1, fault: rmError("boom"), wantErr: "batch reply mismatch"},
 		{name: "batch reply entry for the wrong node", batch: 2, fault: wrongNode, wantErr: "is for node 99"},
-		{name: "heartbeat rejected", batch: 1, fault: rmError("node 0 must re-register"), rejected: true},
+		{name: "heartbeat rejected", batch: 1, fault: rejectBeats("node 0 must re-register"), rejected: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -272,9 +282,11 @@ func TestKillAndPreempt(t *testing.T) {
 	rm.launch[0] = []wire.TaskLaunch{launchOf(tid(1, 0), 5), launchOf(tid(1, 1), 5), launchOf(tid(1, 2), 5)}
 	sweep(t, l, rm, at(0))
 	rm.fault = func(*wire.Message) (*wire.Message, error) {
-		return &wire.Message{Type: wire.TypeNMReply, NMReply: &wire.NMReply{
-			Kill:    []workload.TaskID{tid(1, 0), tid(9, 9)},
-			Preempt: []wire.TaskPreempt{{Task: tid(1, 1), JobID: 1, ForJob: 2}, {Task: tid(9, 8)}},
+		return &wire.Message{Type: wire.TypeHeartbeatBatchReply, HeartbeatBatchReply: &wire.HeartbeatBatchReply{
+			Replies: []wire.NMBeatReply{{NodeID: 0, Reply: wire.NMReply{
+				Kill:    []workload.TaskID{tid(1, 0), tid(9, 9)},
+				Preempt: []wire.TaskPreempt{{Task: tid(1, 1), JobID: 1, ForJob: 2}, {Task: tid(9, 8)}},
+			}}},
 		}}, nil
 	}
 	sweep(t, l, rm, at(1))
@@ -305,7 +317,7 @@ func TestDeltaResumesFullAfterReregistration(t *testing.T) {
 	if rm.full[0] != 1 || l.Metrics.DeltaBeats.Value() != 2 {
 		t.Fatalf("steady state: %d full beats, %d deltas, want 1 and 2", rm.full[0], l.Metrics.DeltaBeats.Value())
 	}
-	rm.fault = rmError("unregistered node 0")
+	rm.fault = rejectBeats("unregistered node 0")
 	for i := 4; i < 8; i++ { // rejected, register, full, delta
 		sweep(t, l, rm, at(float64(i)))
 	}

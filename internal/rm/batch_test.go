@@ -17,14 +17,33 @@ import (
 	"github.com/tetris-sched/tetris/internal/wire"
 )
 
+// beatFrame is the frame a node manager's beat travels in: a batch of one.
+func beatFrame(hb wire.NMHeartbeat) *wire.Message {
+	return &wire.Message{Type: wire.TypeHeartbeatBatch, HeartbeatBatch: &wire.HeartbeatBatch{Beats: []wire.NMHeartbeat{hb}}}
+}
+
+// beatReply reads a one-beat frame's reply the way HandleNMHeartbeat
+// answers: the entry's NMReply, or a TypeError for a refused beat or frame.
+func beatReply(m *wire.Message) *wire.Message {
+	if m.Type != wire.TypeHeartbeatBatchReply || len(m.HeartbeatBatchReply.Replies) != 1 {
+		return m
+	}
+	e := &m.HeartbeatBatchReply.Replies[0]
+	if e.Error != "" {
+		return errMsg(e.Error)
+	}
+	return &wire.Message{Type: wire.TypeNMReply, NMReply: &e.Reply}
+}
+
 // TestCallNilPayloads: every request type Call dispatches, sent with a
-// nil payload, gets a TypeError reply instead of a panic. A cluster-status
-// request carries no payload, so it is not in the table.
+// nil payload, gets a TypeError reply instead of a panic, and so does the
+// retired single-beat type. A cluster-status request carries no payload,
+// so it is not in the table.
 func TestCallNilPayloads(t *testing.T) {
 	g := newShardedServer(t, 2, ShardedConfig{})
 	for _, typ := range []string{
-		wire.TypeRegisterNM, wire.TypeNMHeartbeat, wire.TypeHeartbeatBatch,
-		wire.TypeSubmitJob, wire.TypeSubmitBatch, wire.TypeAMHeartbeat,
+		wire.TypeRegisterNM, wire.TypeHeartbeatBatch,
+		wire.TypeSubmitJob, wire.TypeSubmitBatch, wire.TypeAMHeartbeat, "nm-heartbeat",
 	} {
 		reply, err := g.Call(&wire.Message{Type: typ})
 		if err != nil || reply.Type != wire.TypeError || reply.Error == "" {
@@ -33,6 +52,9 @@ func TestCallNilPayloads(t *testing.T) {
 	}
 	if r := g.HandleHeartbeatBatch(nil); r.Type != wire.TypeError {
 		t.Errorf("HandleHeartbeatBatch(nil) = %+v, want a TypeError reply", r)
+	}
+	if r := g.HandleNMHeartbeat(nil); r.Type != wire.TypeError {
+		t.Errorf("HandleNMHeartbeat(nil) = %+v, want a TypeError reply", r)
 	}
 }
 
@@ -197,6 +219,21 @@ func TestServeFrameAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("an idle frame through the serve handler allocates %v times, want 0", n)
+	}
+}
+
+// TestHandleNMHeartbeatAllocs: the in-process single beat — a group of
+// one over the batch path — answers an idle beat in one allocation, the
+// reply and its payload together.
+func TestHandleNMHeartbeatAllocs(t *testing.T) {
+	g, frame := idleFleet(t, 200)
+	hb := frame.Beats[0]
+	if n := testing.AllocsPerRun(50, func() {
+		if r := g.HandleNMHeartbeat(&hb); r.Type != wire.TypeNMReply || len(r.NMReply.Launch) > 0 {
+			t.Fatalf("not an idle beat: %+v", r)
+		}
+	}); n != 1 {
+		t.Errorf("an idle beat through HandleNMHeartbeat allocates %v times, want 1", n)
 	}
 }
 

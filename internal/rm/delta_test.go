@@ -135,12 +135,12 @@ func (n *emuNode) finishBeat(t *testing.T, reply *wire.Message) {
 func (n *emuNode) beat(t *testing.T, s *Sharded) *wire.Message {
 	t.Helper()
 	hb := n.prepareBeat()
-	if n.trip != nil {
-		hb = n.trip.roundTrip(t, &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: hb}).NMHeartbeat
-	}
-	reply := s.HandleNMHeartbeat(hb)
-	if n.trip != nil {
-		reply = n.trip.roundTrip(t, reply)
+	var reply *wire.Message
+	if n.trip == nil {
+		reply = s.HandleNMHeartbeat(hb)
+	} else {
+		reply, _ = s.Call(n.trip.roundTrip(t, beatFrame(*hb)))
+		reply = beatReply(n.trip.roundTrip(t, reply))
 	}
 	n.finishBeat(t, reply)
 	return reply

@@ -25,8 +25,7 @@ import (
 
 // hotTypes are the types with a binary encoding; every other type is cold.
 var hotTypes = map[string]bool{
-	wire.TypeError: true, wire.TypeRegisterNM: true,
-	wire.TypeNMHeartbeat: true, wire.TypeNMReply: true,
+	wire.TypeError: true, wire.TypeRegisterNM: true, wire.TypeNMReply: true,
 	wire.TypeAMHeartbeat: true, wire.TypeAMReply: true,
 	wire.TypeHeartbeatBatch: true, wire.TypeHeartbeatBatchReply: true,
 	wire.TypeClusterStatus: true,
@@ -38,11 +37,13 @@ type frameKind struct{ dir, typ string }
 
 // dialectTap stands in front of a live RM on a loopback socket of its
 // own: it relays every connection's frames unchanged and records the
-// message type and codec byte of each, by direction.
+// message type and codec byte of each, by direction, and the nodes whose
+// beats arrived in heartbeat-batch frames.
 type dialectTap struct {
-	t    *testing.T
-	mu   sync.Mutex
-	seen map[frameKind]map[wire.Codec]int // → codec → frames
+	t       *testing.T
+	mu      sync.Mutex
+	seen    map[frameKind]map[wire.Codec]int // → codec → frames
+	batched map[int]bool
 }
 
 func tapRM(t *testing.T, rmAddr string) (string, *dialectTap) {
@@ -52,7 +53,7 @@ func tapRM(t *testing.T, rmAddr string) (string, *dialectTap) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	d := &dialectTap{t: t, seen: make(map[frameKind]map[wire.Codec]int)}
+	d := &dialectTap{t: t, seen: make(map[frameKind]map[wire.Codec]int), batched: make(map[int]bool)}
 	go func() {
 		for {
 			client, err := ln.Accept()
@@ -94,6 +95,11 @@ func (d *dialectTap) relay(src, dst net.Conn, dir string) {
 			d.seen[key] = make(map[wire.Codec]int)
 		}
 		d.seen[key][wire.Codec(hdr[1])]++
+		if b := m.HeartbeatBatch; b != nil {
+			for _, hb := range b.Beats {
+				d.batched[hb.NodeID] = true
+			}
+		}
 		d.mu.Unlock()
 		if _, err := dst.Write(frame); err != nil {
 			return
@@ -105,7 +111,8 @@ func (d *dialectTap) relay(src, dst net.Conn, dir string) {
 // through the tap — a real NM, an AM, a batched hollow fleet link and a
 // hollow AM pool, and a status request — and holds each frame, both ways,
 // to its type's codec: hot types binary, cold types JSON. The real NM,
-// left steady, must have sent delta reports.
+// left steady, must have sent delta reports, and its beats must have
+// arrived as heartbeat-batch frames: the RM reads no other heartbeat frame.
 func TestEveryClientSpeaksOneDialect(t *testing.T) {
 	g, err := NewSharded("127.0.0.1:0", ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler, NewEstimator: estimator.New})
 	if err != nil {
@@ -173,11 +180,17 @@ func TestEveryClientSpeaksOneDialect(t *testing.T) {
 
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
-	for _, typ := range []string{wire.TypeRegisterNM, wire.TypeNMHeartbeat, wire.TypeHeartbeatBatch,
+	for _, typ := range []string{wire.TypeRegisterNM, wire.TypeHeartbeatBatch,
 		wire.TypeSubmitJob, wire.TypeAMHeartbeat, wire.TypeClusterStatus} {
 		if tap.seen[frameKind{"reads", typ}] == nil {
 			t.Errorf("the RM read no %s frame; saw %v", typ, tap.seen)
 		}
+	}
+	if !tap.batched[100] {
+		t.Error("the real NM's beats never arrived in a heartbeat-batch frame")
+	}
+	if n := tap.seen[frameKind{"reads", "nm-heartbeat"}]; n != nil {
+		t.Errorf("the RM read nm-heartbeat frames: %v", n)
 	}
 	for _, typ := range []string{wire.TypeNMReply, wire.TypeHeartbeatBatchReply, wire.TypeAMReply, wire.TypeClusterStatusReply} {
 		if tap.seen[frameKind{"writes", typ}] == nil {

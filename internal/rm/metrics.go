@@ -38,14 +38,8 @@ type rmMetrics struct {
 	// heartbeats that needed none.
 	rounds            [numCauses]*telemetry.Counter
 	beatsWithoutRound *telemetry.Counter
-	// stageScans / stagePrunes split the Tetris core's stage visits into
-	// windows walked task by task and visits one envelope comparison
-	// skipped (scheduler.ScanStats), machinePrunes the whole walks and
-	// localPrunes the locality-scan options one comparison rejected.
-	stageScans    *telemetry.Counter
-	stagePrunes   *telemetry.Counter
-	machinePrunes *telemetry.Counter
-	localPrunes   *telemetry.Counter
+	// scans is touched only at the Schedule call site, under s.mu.
+	scans *scheduler.ScanMetrics
 
 	scheduleRound *telemetry.Histogram
 	nmHeartbeat   *telemetry.Histogram
@@ -53,10 +47,6 @@ type rmMetrics struct {
 	gangAdmitWait *telemetry.Histogram
 
 	replayRecords *telemetry.Gauge
-
-	// Previous cumulative scheduler-core counters, for per-round deltas.
-	// Only touched at the Schedule call site under s.mu.
-	prevScan scheduler.ScanStats
 }
 
 // newRMMetrics resolves one shard core's metric set in reg. A nil reg
@@ -92,13 +82,9 @@ func newRMMetrics(reg *telemetry.Registry, shard string) *rmMetrics {
 		replayRecords: reg.Gauge(name("tetris_rm_journal_replay_records"), "Log records the last journal recovery replayed on the shard."),
 
 		beatsWithoutRound: reg.Counter(name("tetris_rm_beats_without_round_total"), "NM heartbeats processed without a scheduling round: nothing a round decides on had changed."),
+
+		scans: scheduler.NewScanMetrics(reg, func(n string) string { return name("tetris_rm_" + n) }),
 	}
-	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
-	m.stageScans = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "scanned"), scansHelp)
-	m.stagePrunes = reg.Counter(telemetry.Label(name("tetris_rm_sched_stage_scans_total"), "result", "pruned"), scansHelp)
-	m.machinePrunes = reg.Counter(name("tetris_rm_sched_machine_prunes_total"), "Machine visits of the Tetris core whose whole stage walk one comparison with the minimum of the stages' demand envelopes skipped.")
-	const localHelp = "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."
-	m.localPrunes = reg.Counter(name("tetris_rm_sched_local_prunes_total"), localHelp)
 	for c := causeNone + 1; c < numCauses; c++ {
 		m.rounds[c] = reg.Counter(telemetry.Label(name("tetris_rm_rounds_total"), "cause", causeNames[c]),
 			"Scheduling rounds run, by trigger: a changed input (submit, completion, node, usage), a follow-up to a round that acted, or the heartbeat-interval floor.")
@@ -142,30 +128,4 @@ func (s *Server) registerGauges(reg *telemetry.Registry, label string) {
 	reg.GaugeFunc(name("tetris_rm_fault_log_dropped"), "Fault records evicted from the bounded fault ring.", func() float64 {
 		return float64(s.faultLog.Dropped())
 	})
-}
-
-// innerScheduler looks through wrappers that expose their inner
-// scheduler (the gang coordinator).
-func innerScheduler(sched scheduler.Scheduler) scheduler.Scheduler {
-	if w, ok := sched.(interface{ Inner() scheduler.Scheduler }); ok {
-		return w.Inner()
-	}
-	return sched
-}
-
-// observeScans adds the round's share of the Tetris core's cumulative
-// scan counters to the stage-scan series. Caller holds s.mu (the
-// counters are plain fields of the scheduler). No-op for schedulers
-// without them.
-func (m *rmMetrics) observeScans(sched scheduler.Scheduler) {
-	p, ok := innerScheduler(sched).(interface{ ScanStats() scheduler.ScanStats })
-	if !ok {
-		return
-	}
-	st := p.ScanStats()
-	m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
-	m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
-	m.machinePrunes.Add(st.MachinePrunes - m.prevScan.MachinePrunes)
-	m.localPrunes.Add(st.LocalPrunes - m.prevScan.LocalPrunes)
-	m.prevScan = st
 }

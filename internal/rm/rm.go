@@ -233,26 +233,6 @@ func (s *Server) applySubmit(j *workload.Job, tenant string) {
 	s.metrics.jobsSubmitted.Inc()
 }
 
-// handleNMHeartbeat processes one node heartbeat: absorbs the usage
-// report and completions, runs a scheduling round if one is due
-// (allocation happens on NM heartbeats, as in YARN), and writes the
-// node's queued launches into rep. It returns beat's error text.
-func (s *Server) handleNMHeartbeat(hb *wire.NMHeartbeat, rep *wire.NMReply) string {
-	t0 := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rounds := s.rounds
-	errText := s.beat(hb, s.now(), rep)
-	failed, delta := 0, 0
-	if errText != "" {
-		failed = 1
-	} else if hb.Delta {
-		delta = 1
-	}
-	s.bookBeats(t0, 1, failed, delta, rounds)
-	return errText
-}
-
 // handleBeats processes the beats at idxs (non-empty) of a batch frame —
 // the ones this shard owns — under one lock hold and one reading of the
 // RM clock, writing each node's verdict straight into its entry of out.
@@ -490,7 +470,7 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	restoreWeights()
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
 	s.metrics.rounds[cause].Inc()
-	s.metrics.observeScans(s.sched)
+	s.metrics.scans.Observe(s.sched)
 	s.metrics.placements.Add(uint64(len(asgs)))
 	for _, a := range asgs {
 		s.journal(&event{Kind: evLaunch, Time: now, Task: a.Task.ID,

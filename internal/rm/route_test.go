@@ -202,14 +202,12 @@ func TestRoutingCacheSteps(t *testing.T) {
 			case 1, 2:
 				what = "full beat"
 				used := resources.New(rng.Float64()*3.3, rng.Float64()*7.1, 0.3, 0.1, 1.9, 0.7)
-				reply, _ := g.Call(&wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &wire.NMHeartbeat{
-					NodeID: id, Used: used, Completed: complete(id)}})
-				launched(id, reply)
+				reply, _ := g.Call(beatFrame(wire.NMHeartbeat{NodeID: id, Used: used, Completed: complete(id)}))
+				launched(id, beatReply(reply))
 			case 3:
 				what = "delta beat"
-				reply, _ := g.Call(&wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &wire.NMHeartbeat{
-					NodeID: id, Delta: true, Completed: complete(id)}})
-				launched(id, reply)
+				reply, _ := g.Call(beatFrame(wire.NMHeartbeat{NodeID: id, Delta: true, Completed: complete(id)}))
+				launched(id, beatReply(reply))
 			case 4:
 				what = "death"
 				killNode(g, id)
@@ -234,9 +232,8 @@ func TestRoutingCacheSteps(t *testing.T) {
 			default:
 				what = "finish"
 				for k := 0; k < 3; k++ { // complete everything node id runs
-					reply, _ := g.Call(&wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &wire.NMHeartbeat{
-						NodeID: id, Delta: true, Completed: completeAllOf(running, id)}})
-					launched(id, reply)
+					reply, _ := g.Call(beatFrame(wire.NMHeartbeat{NodeID: id, Delta: true, Completed: completeAllOf(running, id)}))
+					launched(id, beatReply(reply))
 				}
 			}
 			if err := g.VerifyLedger(); err != nil {

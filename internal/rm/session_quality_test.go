@@ -44,21 +44,26 @@ func sessionQuality(t *testing.T, g *Sharded, w qualityWorkload, maskUsage bool)
 	seen := make(map[workload.TaskID]int)
 	round, completed := 0, 0
 	rm := tap(func(m *wire.Message) (*wire.Message, error) {
-		if hb := m.NMHeartbeat; hb != nil {
-			if maskUsage {
-				hb.Used, hb.Allocated = resources.Vector{}, resources.Vector{}
-			}
-			for _, c := range hb.Completed {
-				seen[c.Task]++
-				completed++
-				if remaining[c.Task.Job]--; remaining[c.Task.Job] == 0 {
-					finish[c.Task.Job] = round
+		if b := m.HeartbeatBatch; b != nil {
+			for i := range b.Beats {
+				hb := &b.Beats[i]
+				if maskUsage {
+					hb.Used, hb.Allocated = resources.Vector{}, resources.Vector{}
+				}
+				for _, c := range hb.Completed {
+					seen[c.Task]++
+					completed++
+					if remaining[c.Task.Job]--; remaining[c.Task.Job] == 0 {
+						finish[c.Task.Job] = round
+					}
 				}
 			}
 		}
 		reply, err := g.Call(m)
-		if err == nil && reply.Type == wire.TypeError {
-			t.Fatalf("round %d: RM answered %s with %q", round, m.Type, reply.Error)
+		if err == nil {
+			if r := beatReply(reply); r.Type == wire.TypeError {
+				t.Fatalf("round %d: RM answered %s with %q", round, m.Type, r.Error)
+			}
 		}
 		return reply, err
 	})

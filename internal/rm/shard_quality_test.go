@@ -43,11 +43,12 @@ type bareCore struct{ *Server }
 func (c bareCore) SubmitJob(j *workload.Job) error { return replyErr(c.submit(j, "", false)) }
 
 func (c bareCore) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
-	rep := new(wire.NMReply)
-	if errText := c.handleNMHeartbeat(hb, rep); errText != "" {
-		return errMsg(errText)
+	out := make([]wire.NMBeatReply, 1)
+	c.handleBeats([]wire.NMHeartbeat{*hb}, []int{0}, out)
+	if out[0].Error != "" {
+		return errMsg(out[0].Error)
 	}
-	return &wire.Message{Type: wire.TypeNMReply, NMReply: rep}
+	return &wire.Message{Type: wire.TypeNMReply, NMReply: &out[0].Reply}
 }
 
 // qualityScheduler is the shard-core factory used for every

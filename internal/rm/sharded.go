@@ -607,8 +607,6 @@ func (g *Sharded) call(m *wire.Message, sc *replyScratch) *wire.Message {
 		} else {
 			reply = g.nodeShard(m.RegisterNM.NodeID).handleRegisterNM(m.RegisterNM)
 		}
-	case wire.TypeNMHeartbeat:
-		reply = g.handleNM(m.NMHeartbeat, &sc.nmReply)
 	case wire.TypeHeartbeatBatch:
 		reply = g.handleBatch(m.HeartbeatBatch, sc)
 	case wire.TypeSubmitJob:
@@ -634,24 +632,18 @@ func armDeadline(conn net.Conn, d time.Duration) {
 	}
 }
 
-// nmReply is a single beat's reply: the message and its payload.
-type nmReply struct {
-	msg wire.Message
-	nm  wire.NMReply
-}
-
 // replyScratch holds a heartbeat reply and what builds it. A serve loop
 // reuses one per connection: it encodes a reply before reading the next
 // frame (Framer.Read's contract), so nothing reads a rebuilt reply. Every
 // other caller passes a fresh one and owns the reply.
 type replyScratch struct {
-	nmReply
+	msg    wire.Message
 	batch  wire.HeartbeatBatchReply
 	groups [][]int // per shard, the indices of its beats in the frame
 	wg     sync.WaitGroup
 }
 
-// HandleHeartbeatBatch answers a multi-node heartbeat frame from a fresh
+// HandleHeartbeatBatch answers a heartbeat frame from a fresh
 // scratch, so the caller owns the reply.
 func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
 	return g.handleBatch(b, new(replyScratch))
@@ -703,25 +695,28 @@ func (g *Sharded) handleBatch(b *wire.HeartbeatBatch, sc *replyScratch) *wire.Me
 	return &sc.msg
 }
 
-// HandleNMHeartbeat dispatches a node heartbeat to the node's shard,
-// which absorbs it and runs a round if one is due; the caller owns the
-// reply. Shards share no lock here: that is where beats/sec scales.
+// HandleNMHeartbeat answers one node heartbeat in process, as a group of
+// one on the node's shard: a TypeNMReply, or a TypeError for a refused
+// beat. The beat's copy and its entry stay on the stack; the reply and
+// its payload are one heap allocation on every path, owned by the
+// caller. Shards share no lock here: that is where beats/sec scales.
 func (g *Sharded) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
-	return g.handleNM(hb, new(nmReply))
-}
-
-// handleNM answers one node heartbeat, building the reply in r (which
-// the reply points into, so r is one heap allocation on every path).
-func (g *Sharded) handleNM(hb *wire.NMHeartbeat, r *nmReply) *wire.Message {
 	if hb == nil {
 		return errMsg("missing nmHeartbeat payload")
 	}
-	errText := g.nodeShard(hb.NodeID).handleNMHeartbeat(hb, &r.nm)
+	beats, out := [1]wire.NMHeartbeat{*hb}, [1]wire.NMBeatReply{}
+	g.nodeShard(hb.NodeID).handleBeats(beats[:], []int{0}, out[:])
 	g.checkpoint(false)
-	if errText != "" {
-		return errMsg(errText)
+	r := new(struct {
+		msg wire.Message
+		nm  wire.NMReply
+	})
+	if out[0].Error != "" {
+		r.msg = wire.Message{Type: wire.TypeError, Error: out[0].Error}
+	} else {
+		r.nm = out[0].Reply
+		r.msg = wire.Message{Type: wire.TypeNMReply, NMReply: &r.nm}
 	}
-	r.msg = wire.Message{Type: wire.TypeNMReply, NMReply: &r.nm}
 	return &r.msg
 }
 

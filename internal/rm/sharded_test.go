@@ -169,7 +169,7 @@ func TestShardedWireProtocol(t *testing.T) {
 	}
 	launched := 0
 	for id := 0; id < 2; id++ {
-		r = rpc(&wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &wire.NMHeartbeat{NodeID: id}})
+		r = beatReply(rpc(beatFrame(wire.NMHeartbeat{NodeID: id})))
 		if r.Type != wire.TypeNMReply {
 			t.Fatalf("heartbeat reply = %+v", r)
 		}

@@ -3,8 +3,8 @@ package rm
 // Wire-level tests of the binary codec and heartbeat batching against
 // live RMs: mixed-codec sessions (one JSON peer, one binary peer on the
 // same server), the codec chosen by message type observed on the raw
-// socket, a retired v0 frame refused at the socket, and batch fan-out
-// semantics at one shard and several.
+// socket, a retired v0 frame and the retired single-beat frame refused at
+// the socket, and batch fan-out semantics at one shard and several.
 
 import (
 	"bytes"
@@ -61,42 +61,40 @@ func TestMixedCodecSessions(t *testing.T) {
 		t.Fatalf("binary register reply: m=%+v err=%v", m, err)
 	}
 
-	// Interleaved heartbeats on both sessions.
+	// Interleaved one-beat frames on both sessions.
 	for round := 0; round < 5; round++ {
-		if err := jf.Write(jsonPeer, &wire.Message{Type: wire.TypeNMHeartbeat,
-			NMHeartbeat: &wire.NMHeartbeat{NodeID: 0, Used: capV.Scale(0.1), Allocated: capV.Scale(0.1)}}); err != nil {
+		if err := jf.Write(jsonPeer, beatFrame(wire.NMHeartbeat{NodeID: 0, Used: capV.Scale(0.1), Allocated: capV.Scale(0.1)})); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := jf.Read(jsonPeer); err != nil || m.NMReply == nil {
+		if m, err := jf.Read(jsonPeer); err != nil || beatReply(m).NMReply == nil {
 			t.Fatalf("JSON beat %d: m=%+v err=%v", round, m, err)
 		}
-		if err := f.Write(binPeer, &wire.Message{Type: wire.TypeNMHeartbeat,
-			NMHeartbeat: &wire.NMHeartbeat{NodeID: 1, Used: capV.Scale(0.2), Allocated: capV.Scale(0.2)}}); err != nil {
+		if err := f.Write(binPeer, beatFrame(wire.NMHeartbeat{NodeID: 1, Used: capV.Scale(0.2), Allocated: capV.Scale(0.2)})); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := f.Read(binPeer); err != nil || m.NMReply == nil {
+		if m, err := f.Read(binPeer); err != nil || beatReply(m).NMReply == nil {
 			t.Fatalf("binary beat %d: m=%+v err=%v", round, m, err)
 		}
 	}
 
 	// An unregistered node's beat draws the same typed error through
 	// both codecs.
-	if err := jf.Write(jsonPeer, &wire.Message{Type: wire.TypeNMHeartbeat,
-		NMHeartbeat: &wire.NMHeartbeat{NodeID: 77}}); err != nil {
+	if err := jf.Write(jsonPeer, beatFrame(wire.NMHeartbeat{NodeID: 77})); err != nil {
 		t.Fatal(err)
 	}
 	ml, err := jf.Read(jsonPeer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Write(binPeer, &wire.Message{Type: wire.TypeNMHeartbeat,
-		NMHeartbeat: &wire.NMHeartbeat{NodeID: 77}}); err != nil {
+	ml = beatReply(ml)
+	if err := f.Write(binPeer, beatFrame(wire.NMHeartbeat{NodeID: 77})); err != nil {
 		t.Fatal(err)
 	}
 	mb, err := f.Read(binPeer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mb = beatReply(mb)
 	if ml.Type != wire.TypeError || mb.Type != wire.TypeError || ml.Error != mb.Error {
 		t.Fatalf("error divergence across codecs: json=%+v binary=%+v", ml, mb)
 	}
@@ -107,7 +105,7 @@ func TestMixedCodecSessions(t *testing.T) {
 
 // TestJSONRequestDrawsBinaryReply inspects raw reply bytes: the message
 // type, not the request's codec, picks the reply's. A JSON-framed and a
-// binary-framed NMHeartbeat both draw a magic + binary NMReply frame, and
+// binary-framed one-beat frame both draw a magic + binary reply frame, and
 // a status request in either codec draws a magic + JSON status reply, on
 // the same connection back to back.
 func TestJSONRequestDrawsBinaryReply(t *testing.T) {
@@ -115,7 +113,7 @@ func TestJSONRequestDrawsBinaryReply(t *testing.T) {
 	s.RegisterMachine(4, resources.New(16, 32, 200, 200, 1000, 1000))
 	conn := dialRM(t, s.Addr())
 
-	beat := &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &wire.NMHeartbeat{NodeID: 4}}
+	beat := beatFrame(wire.NMHeartbeat{NodeID: 4})
 	status := &wire.Message{Type: wire.TypeClusterStatus}
 
 	readRaw := func() []byte {
@@ -163,12 +161,57 @@ func TestV0FrameDropsConnection(t *testing.T) {
 	}
 }
 
+// TestRetiredBeatFrameRefused: the single-beat frame the protocol no
+// longer has reaches no handler. As JSON its type is unknown and draws a
+// typed error on a connection that lives on; as binary its type byte 0x03
+// does not decode, so the connection drops like on any protocol error.
+// Either way the RM keeps serving.
+func TestRetiredBeatFrameRefused(t *testing.T) {
+	s := newServer(t)
+	s.RegisterMachine(4, resources.New(16, 32, 200, 200, 1000, 1000))
+	send := func(conn net.Conn, codec byte, payload []byte) {
+		t.Helper()
+		hdr := []byte{wire.Magic, codec, 0, 0, 0, 0}
+		binary.BigEndian.PutUint32(hdr[2:], uint32(len(payload)))
+		if _, err := conn.Write(append(hdr, payload...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := wire.NewFramer(wire.CodecBinary)
+
+	conn := dialRM(t, s.Addr())
+	send(conn, byte(wire.CodecJSON), []byte(`{"type":"nm-heartbeat","nmHeartbeat":{"nodeID":4,"delta":true}}`))
+	if m, err := f.Read(conn); err != nil || m.Type != wire.TypeError || !strings.Contains(m.Error, "unknown message type") {
+		t.Fatalf("JSON nm-heartbeat frame: m=%+v err=%v, want an unknown-type error", m, err)
+	}
+	if err := f.Write(conn, beatFrame(wire.NMHeartbeat{NodeID: 4})); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := f.Read(conn); err != nil || beatReply(m).Type != wire.TypeNMReply {
+		t.Fatalf("beat after the refused frame: m=%+v err=%v", m, err)
+	}
+
+	conn = dialRM(t, s.Addr())
+	send(conn, byte(wire.CodecBinary), []byte{0x03, 8 /*node 4*/, 1 /*delta*/, 0, 0, 0})
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("after a 0x03 binary frame: read %d bytes, err=%v; want the connection closed with nothing sent", n, err)
+	}
+	conn = dialRM(t, s.Addr())
+	if err := f.Write(conn, beatFrame(wire.NMHeartbeat{NodeID: 4})); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := f.Read(conn); err != nil || beatReply(m).Type != wire.TypeNMReply {
+		t.Fatalf("beat on a new connection: m=%+v err=%v", m, err)
+	}
+}
+
 // TestHeartbeatBatch drives one batch spanning every shard over a real
 // socket in binary framing, at one shard and at three: the top layer
 // fans groups out to per-shard cores concurrently and reassembles
 // per-node verdicts in beat order — including a typed error entry for
 // an unregistered node mid-batch — with ack semantics identical to
-// individual beats.
+// one-beat frames.
 func TestHeartbeatBatch(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { heartbeatBatch(t, shards) })
@@ -285,14 +328,14 @@ func heartbeatBatch(t *testing.T, shards int) {
 
 // TestBatchBinaryOverheadSmaller sanity-checks the wire-size win the
 // scale bench gates on: a 64-node delta-beat batch in binary framing
-// is a small fraction of 64 individual JSON heartbeat frames.
+// is a small fraction of 64 one-beat JSON heartbeat frames.
 func TestBatchBinaryOverheadSmaller(t *testing.T) {
 	var jsonBytes, binBytes bytes.Buffer
 	var beats []wire.NMHeartbeat
 	for id := 0; id < 64; id++ {
 		hb := wire.NMHeartbeat{NodeID: id, Delta: true}
 		beats = append(beats, hb)
-		if err := wire.NewFramer(wire.CodecJSON).Write(&jsonBytes, &wire.Message{Type: wire.TypeNMHeartbeat, NMHeartbeat: &hb}); err != nil {
+		if err := wire.NewFramer(wire.CodecJSON).Write(&jsonBytes, beatFrame(hb)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -302,9 +345,9 @@ func TestBatchBinaryOverheadSmaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	if binBytes.Len()*2 > jsonBytes.Len() {
-		t.Fatalf("binary batch %dB vs %dB individual JSON: less than the 2x the gates assume",
+		t.Fatalf("binary batch %dB vs %dB one-beat JSON frames: less than the 2x the gates assume",
 			binBytes.Len(), jsonBytes.Len())
 	}
-	t.Logf("64 delta beats: %dB individual JSON → %dB batched binary (%.1fx)",
+	t.Logf("64 delta beats: %dB one-beat JSON frames → %dB batched binary (%.1fx)",
 		jsonBytes.Len(), binBytes.Len(), float64(jsonBytes.Len())/float64(binBytes.Len()))
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/tetris-sched/tetris/internal/resources"
+	"github.com/tetris-sched/tetris/internal/telemetry"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
@@ -178,6 +179,51 @@ type ScanStats struct {
 // atomics: read them from the goroutine that calls Schedule (the RM does
 // so under the shard lock, right after the round).
 func (t *Tetris) ScanStats() ScanStats { return t.inc.scan }
+
+// ScanMetrics publishes the core's scan counters as telemetry series:
+// stage visits walked task by task and skipped by one envelope comparison,
+// whole stage walks one machine-envelope comparison skipped, and
+// locality-scan options one floor comparison rejected. The simulator and
+// every RM shard each own one.
+type ScanMetrics struct {
+	stageScans, stagePrunes, machinePrunes, localPrunes *telemetry.Counter
+	// prev is the last cumulative snapshot published: the registry's
+	// counters may be shared with other owners, so they are never read
+	// back.
+	prev ScanStats
+}
+
+// NewScanMetrics resolves the series in reg; name maps a series'
+// unprefixed name ("sched_local_prunes_total") to the full, labeled one.
+func NewScanMetrics(reg *telemetry.Registry, name func(string) string) *ScanMetrics {
+	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
+	return &ScanMetrics{
+		stageScans:    reg.Counter(telemetry.Label(name("sched_stage_scans_total"), "result", "scanned"), scansHelp),
+		stagePrunes:   reg.Counter(telemetry.Label(name("sched_stage_scans_total"), "result", "pruned"), scansHelp),
+		machinePrunes: reg.Counter(name("sched_machine_prunes_total"), "Machine visits of the Tetris core whose whole stage walk one comparison with the minimum of the stages' demand envelopes skipped."),
+		localPrunes:   reg.Counter(name("sched_local_prunes_total"), "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."),
+	}
+}
+
+// Observe adds what sched's counters gained since the last call, looking
+// through a wrapper that exposes its inner scheduler (the gang
+// coordinator). Call it from the goroutine that calls Schedule, after the
+// round. No-op for schedulers without scan counters.
+func (m *ScanMetrics) Observe(sched Scheduler) {
+	if w, ok := sched.(interface{ Inner() Scheduler }); ok {
+		sched = w.Inner()
+	}
+	p, ok := sched.(interface{ ScanStats() ScanStats })
+	if !ok {
+		return
+	}
+	st := p.ScanStats()
+	m.stageScans.Add(st.StageScans - m.prev.StageScans)
+	m.stagePrunes.Add(st.StagePrunes - m.prev.StagePrunes)
+	m.machinePrunes.Add(st.MachinePrunes - m.prev.MachinePrunes)
+	m.localPrunes.Add(st.LocalPrunes - m.prev.LocalPrunes)
+	m.prev = st
+}
 
 // deficitSorter sorts jobs by fairness deficit (most deprived first, ties
 // by ascending job ID) over scratch slices, without allocating. Job IDs

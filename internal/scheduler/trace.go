@@ -15,15 +15,13 @@ import (
 // (a telemetry.Ring of rounds, a per-round decision cap), so they are
 // safe to leave on in production the way the fault log is.
 //
-// The incremental core (the default) and the parallel core built on
-// its reduce emit traces — bit-identical ones, since the parallel
-// scatter only precomputes what the reduce would; the reference core
-// is a behavioural oracle kept free of instrumentation. When
-// tracing is configured but the round is sampled out, every hook is one
-// nil check and no record is built — TestTraceSampledOutAllocs pins that
-// at zero allocations so the benchgate holds. A sampled round also
-// bypasses the demand-envelope prune (collectIncr), so its
-// infeasible-local records are those of the unpruned scan.
+// The Tetris core emits the traces; its oracle, behind the test boundary,
+// is kept free of instrumentation. When tracing is configured but the
+// round is sampled out, every hook is one nil check and no record is
+// built — TestTraceSampledOutAllocs pins that at zero allocations so the
+// benchgate holds. A sampled round also bypasses the demand-envelope
+// prune (collectIncr), so its infeasible-local records are those of the
+// unpruned scan.
 
 // Decision outcomes.
 const (

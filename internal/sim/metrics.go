@@ -31,15 +31,7 @@ type simMetrics struct {
 	placements    *telemetry.Counter
 	scheduleRound *telemetry.Histogram
 	faultDropped  *telemetry.Gauge
-
-	// stageScans / stagePrunes split the Tetris core's stage visits into
-	// windows walked task by task and visits one envelope comparison
-	// skipped (scheduler.ScanStats), machinePrunes the whole walks and
-	// localPrunes the locality-scan options one comparison rejected.
-	stageScans    *telemetry.Counter
-	stagePrunes   *telemetry.Counter
-	machinePrunes *telemetry.Counter
-	localPrunes   *telemetry.Counter
+	scans         *scheduler.ScanMetrics
 
 	// rateRecomputed / rateClean split the resource nodes (machines, rack
 	// uplinks) of every event-loop iteration into those whose fluid shares
@@ -47,10 +39,9 @@ type simMetrics struct {
 	rateRecomputed *telemetry.Counter
 	rateClean      *telemetry.Counter
 
-	// Previous cumulative scheduler-core and rate-node counters, for
-	// per-round deltas: the registry's counters may be shared with other
-	// runs, so they are never read back.
-	prevScan                      scheduler.ScanStats
+	// Previous cumulative rate-node counters, for per-round deltas: the
+	// registry's counters may be shared with other runs, so they are never
+	// read back.
 	prevRecomputed, prevRateClean uint64
 }
 
@@ -66,13 +57,8 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 		placements:    reg.Counter("tetris_sim_placements_total", "Task placements made by the scheduler under simulation."),
 		scheduleRound: reg.Histogram("tetris_sim_schedule_round_seconds", "Wall-clock latency of one simulated scheduling round."),
 		faultDropped:  reg.Gauge("tetris_sim_fault_log_dropped", "Fault-log records evicted from the bounded ring."),
+		scans:         scheduler.NewScanMetrics(reg, func(n string) string { return "tetris_sim_" + n }),
 	}
-	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
-	m.stageScans = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "scanned"), scansHelp)
-	m.stagePrunes = reg.Counter(telemetry.Label("tetris_sim_sched_stage_scans_total", "result", "pruned"), scansHelp)
-	m.machinePrunes = reg.Counter("tetris_sim_sched_machine_prunes_total", "Machine visits of the Tetris core whose whole stage walk one comparison with the minimum of the stages' demand envelopes skipped.")
-	const localHelp = "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."
-	m.localPrunes = reg.Counter("tetris_sim_sched_local_prunes_total", localHelp)
 	const nodesHelp = "Resource nodes (machines, rack uplinks) per event-loop iteration whose fluid shares were re-derived (recomputed) or left alone because nothing arrived at or left them (clean)."
 	m.rateRecomputed = reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "recomputed"), nodesHelp)
 	m.rateClean = reg.Counter(telemetry.Label("tetris_sim_rate_nodes_total", "result", "clean"), nodesHelp)
@@ -85,23 +71,6 @@ func newSimMetrics(reg *telemetry.Registry) *simMetrics {
 		m.demand[k] = reg.Gauge(telemetry.Label("tetris_sim_demand", "resource", k.String()), demandHelp)
 	}
 	return m
-}
-
-// observeCore publishes the scheduling core's own counters after one
-// Schedule call, as deltas of its cumulative ones: the Tetris core's
-// stage scans and prunes. No-op for schedulers without them.
-func (m *simMetrics) observeCore(sched scheduler.Scheduler) {
-	if w, ok := sched.(interface{ Inner() scheduler.Scheduler }); ok {
-		sched = w.Inner()
-	}
-	if p, ok := sched.(interface{ ScanStats() scheduler.ScanStats }); ok {
-		st := p.ScanStats()
-		m.stageScans.Add(st.StageScans - m.prevScan.StageScans)
-		m.stagePrunes.Add(st.StagePrunes - m.prevScan.StagePrunes)
-		m.machinePrunes.Add(st.MachinePrunes - m.prevScan.MachinePrunes)
-		m.localPrunes.Add(st.LocalPrunes - m.prevScan.LocalPrunes)
-		m.prevScan = st
-	}
 }
 
 // observeRateNodes adds to the published rate-node counters what the

@@ -103,8 +103,6 @@ func newResult() *Result {
 	return &Result{Jobs: make(map[int]JobResult)}
 }
 
-func (r *Result) finalize() {}
-
 // JCTs returns all completed jobs' completion times in ascending job-ID
 // order (killed jobs are excluded — they have no completion).
 func (r *Result) JCTs() []float64 {

@@ -238,7 +238,7 @@ type Sim struct {
 	slow      []float64 // per-machine rate multiplier (1 = full speed)
 	crashedAt []float64 // crash time of currently-down machines
 	chaosRand *rand.Rand
-	faultRing *telemetry.Ring[faults.Record] // bounded fault log; drained into res at finalize
+	faultRing *telemetry.Ring[faults.Record] // bounded fault log; drained into res when Run ends
 	metrics   *simMetrics
 	res       *Result
 	// Scratch for schedule(): the view and its job list are rebuilt every
@@ -472,7 +472,6 @@ func (s *Sim) Run() (*Result, error) {
 	s.res.Makespan = s.lastDone
 	s.res.FaultEvents = s.faultRing.Snapshot()
 	s.res.DroppedFaultEvents = s.faultRing.Dropped()
-	s.res.finalize()
 	return s.res, nil
 }
 
@@ -564,7 +563,7 @@ func (s *Sim) schedule() error {
 		asgs = s.cfg.Scheduler.Schedule(v)
 	}
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
-	s.metrics.observeCore(s.cfg.Scheduler)
+	s.metrics.scans.Observe(s.cfg.Scheduler)
 	s.metrics.observeRateNodes(s.rateNodesRecomputed, s.rateNodesClean)
 	s.metrics.placements.Add(uint64(len(asgs)))
 	for _, a := range asgs {

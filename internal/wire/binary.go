@@ -6,14 +6,14 @@ import "fmt"
 // type-specific body, built from the primitives in primitives.go;
 // booleans pack into per-message flag bytes.
 //
-// Only the hot session frames have binary bodies: Register/heartbeat
-// traffic for NMs (including batches) and AM polls, plus typed errors.
+// Only the hot session frames have binary bodies: NM registration,
+// heartbeat batches and their replies, AM polls, plus typed errors.
 // Cold control frames (submissions, cluster status replies) travel as
 // codec-0 JSON frames: Framer.Write picks the codec by message type.
 const (
 	binError byte = iota + 1
 	binRegisterNM
-	binNMHeartbeat
+	_ // 0x03 is unassigned and decodes as unknown: type bytes never move
 	binNMReply
 	binAMHeartbeat
 	binAMReply
@@ -104,9 +104,6 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 			b = AppendTaskID(b, id)
 		}
 		return appendCompletions(b, r.Completed), true
-	case TypeNMHeartbeat:
-		b = append(b, binNMHeartbeat)
-		return appendHeartbeatBody(b, m.NMHeartbeat), true
 	case TypeNMReply:
 		b = append(b, binNMReply)
 		return appendNMReplyBody(b, m.NMReply), true
@@ -226,7 +223,6 @@ func (r *Reader) nmReplyBody(rep *NMReply) {
 // Framer's next Read.
 type decodeScratch struct {
 	msg        Message
-	hb         NMHeartbeat
 	nmReply    NMReply
 	amhb       AMHeartbeat
 	amReply    AMReply
@@ -258,10 +254,6 @@ func decodeBinary(payload []byte, s *decodeScratch) (*Message, error) {
 		reg.Completed = r.completions(nil)
 		s.msg.Type = TypeRegisterNM
 		s.msg.RegisterNM = reg
-	case binNMHeartbeat:
-		r.heartbeatBody(&s.hb)
-		s.msg.Type = TypeNMHeartbeat
-		s.msg.NMHeartbeat = &s.hb
 	case binNMReply:
 		r.nmReplyBody(&s.nmReply)
 		s.msg.Type = TypeNMReply

@@ -14,11 +14,11 @@ import (
 // stateless: a reader decodes whichever codec each header names.
 //
 // The message type picks the codec, not the peer: the hot session types
-// binary.go encodes (registration, heartbeats and their batches, AM polls,
-// errors, the status request) always travel binary, the cold control types
-// (submissions and their replies, the status reply) always JSON. There is
-// no negotiation: a peer that writes JSON frames of a hot type is still
-// served, and its replies come back binary.
+// binary.go encodes (registration, heartbeat batches and their replies,
+// AM polls, errors, the status request) always travel binary, the cold
+// control types (submissions and their replies, the status reply) always
+// JSON. There is no negotiation: a peer that writes JSON frames of a hot
+// type is still served, and its replies come back binary.
 //
 // The headerless v0 frame (a bare 4-byte length, then JSON) this protocol
 // began with is retired: a first byte that is not Magic is never parsed

@@ -32,7 +32,7 @@ func codecCorpus() []*Message {
 				{Task: workload.TaskID{Job: 9, Stage: 2, Index: 1}, Usage: resources.New(1, 1, 0, 0, 0, 0), Duration: 0.25},
 			},
 		}},
-		{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{
+		beatFrame(NMHeartbeat{
 			NodeID:    3,
 			Used:      resources.New(1, 2, 0, 0, 0, 0),
 			Allocated: resources.New(4, 8, 0, 0, 100, 0),
@@ -40,8 +40,8 @@ func codecCorpus() []*Message {
 				{Task: workload.TaskID{Job: 1, Stage: 0, Index: 2}, Usage: resources.New(1, 1, 0, 0, 0, 0), Duration: 12.5},
 				{Task: workload.TaskID{Job: 2, Stage: 1, Index: 0}, Duration: 0.001},
 			},
-		}},
-		{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 99999, Delta: true}},
+		}),
+		beatFrame(NMHeartbeat{NodeID: 99999, Delta: true}),
 		{Type: TypeNMReply, NMReply: &NMReply{
 			Launch: []TaskLaunch{{
 				Task: workload.TaskID{Job: 1, Stage: 0, Index: 5}, JobID: 1,
@@ -80,6 +80,11 @@ func codecCorpus() []*Message {
 			DroppedFaults: 7,
 		}},
 	}
+}
+
+// beatFrame is the frame a node manager's beat travels in: a batch of one.
+func beatFrame(hb NMHeartbeat) *Message {
+	return &Message{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{Beats: []NMHeartbeat{hb}}}
 }
 
 func canonJSON(t *testing.T, m *Message) string {
@@ -133,7 +138,7 @@ func TestCodecEquivalence(t *testing.T) {
 // protocol's Framer binary ones for hot types, and a server Framer writes
 // each reply in its type's codec whatever codec it last read.
 func TestFramerFormats(t *testing.T) {
-	hb := &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Delta: true}}
+	hb := beatFrame(NMHeartbeat{NodeID: 1, Delta: true})
 	reply := &Message{Type: TypeNMReply, NMReply: &NMReply{}}
 	status := &Message{Type: TypeClusterStatusReply, ClusterStatus: &ClusterStatusReply{Nodes: 2}}
 	wantHeader := func(what string, frame []byte, c Codec) {
@@ -148,7 +153,7 @@ func TestFramerFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantHeader("JSON client frame", jsonFrame.Bytes(), CodecJSON)
-	if m, err := NewFramer(CodecBinary).Read(bytes.NewReader(jsonFrame.Bytes())); err != nil || m.NMHeartbeat == nil {
+	if m, err := NewFramer(CodecBinary).Read(bytes.NewReader(jsonFrame.Bytes())); err != nil || m.HeartbeatBatch == nil {
 		t.Fatalf("binary Framer reading a JSON frame: %v", err)
 	}
 	if err := NewFramer(CodecBinary).Write(&binFrame, hb); err != nil {
@@ -197,9 +202,9 @@ func TestFramerFormats(t *testing.T) {
 }
 
 // TestSteadyStateFrameSizes pins the exact bytes of the frames a fleet
-// exchanges in steady state: a delta NMHeartbeat with nothing to report,
-// its empty NMReply, and the cost of one more such beat in a
-// HeartbeatBatch. A JSON fallback for a hot type, or any growth of the
+// exchanges in steady state: one delta beat with nothing to report, its
+// empty reply, the empty NMReply a registration gets, and the cost of one
+// more such beat in a HeartbeatBatch and of one more entry in its reply. A JSON fallback for a hot type, or any growth of the
 // binary encoding, fails here rather than in a minute-long scale run.
 func TestSteadyStateFrameSizes(t *testing.T) {
 	size := func(m *Message) int {
@@ -221,13 +226,22 @@ func TestSteadyStateFrameSizes(t *testing.T) {
 		}
 		return &Message{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{Beats: beats}}
 	}
+	replies := func(n int) *Message {
+		entries := make([]NMBeatReply, n)
+		for i := range entries {
+			entries[i] = NMBeatReply{NodeID: beat.NodeID}
+		}
+		return &Message{Type: TypeHeartbeatBatchReply, HeartbeatBatchReply: &HeartbeatBatchReply{Replies: entries}}
+	}
 	for _, tc := range []struct {
 		what      string
 		got, want int
 	}{
-		{"delta NMHeartbeat frame", size(&Message{Type: TypeNMHeartbeat, NMHeartbeat: &beat}), 13},
+		{"one-beat delta HeartbeatBatch frame", size(batch(1)), 14},
+		{"one-entry empty HeartbeatBatchReply frame", size(replies(1)), 15},
 		{"empty NMReply frame", size(&Message{Type: TypeNMReply, NMReply: &NMReply{}}), 11},
 		{"HeartbeatBatch entry", size(batch(2)) - size(batch(1)), 6},
+		{"HeartbeatBatchReply entry", size(replies(2)) - size(replies(1)), 7},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %d bytes, want %d", tc.what, tc.got, tc.want)
@@ -256,7 +270,7 @@ func TestV0FrameRefused(t *testing.T) {
 	v0 := func(announced uint32, body []byte) []byte {
 		return append(binenc.BigEndian.AppendUint32(nil, announced), body...)
 	}
-	body, err := json.Marshal(&Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Delta: true}})
+	body, err := json.Marshal(beatFrame(NMHeartbeat{NodeID: 1, Delta: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +313,9 @@ func TestEnvelopeValidation(t *testing.T) {
 		m    *Message
 		ok   bool
 	}{
-		{"matching payload", &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1}}, true},
-		{"declared type, nil payload", &Message{Type: TypeNMHeartbeat}, false},
-		{"extra payload", &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{}, NMReply: &NMReply{}}, false},
+		{"matching payload", beatFrame(NMHeartbeat{NodeID: 1}), true},
+		{"declared type, nil payload", &Message{Type: TypeHeartbeatBatch}, false},
+		{"extra payload", &Message{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{}, NMReply: &NMReply{}}, false},
 		{"wrong payload", &Message{Type: TypeAMHeartbeat, NMReply: &NMReply{}}, false},
 		{"payload-less request", &Message{Type: TypeClusterStatus}, true},
 		{"payload on payload-less type", &Message{Type: TypeClusterStatus, NMReply: &NMReply{}}, false},
@@ -309,7 +323,10 @@ func TestEnvelopeValidation(t *testing.T) {
 		{"unknown type, no payload", &Message{Type: "future-type"}, true},
 		{"unknown type with payload", &Message{Type: "future-type", NMReply: &NMReply{}}, false},
 		{"empty message", &Message{}, true},
-		{"batch", &Message{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{}}, true},
+		{"empty batch", &Message{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{}}, true},
+		// The retired single-beat type is an unknown type like any other:
+		// it decodes, and the RM answers it with a typed error.
+		{"retired nm-heartbeat type", &Message{Type: "nm-heartbeat"}, true},
 	}
 	for _, c := range cases {
 		if err := c.m.Validate(); (err == nil) != c.ok {
@@ -369,7 +386,7 @@ func (c *writeCounter) Write(p []byte) (int, error) {
 // call on every path, so a deadline can never fire between them and
 // strand a header-only half-frame.
 func TestSingleWriteFraming(t *testing.T) {
-	m := &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Used: resources.New(1, 2, 3, 4, 5, 6)}}
+	m := beatFrame(NMHeartbeat{NodeID: 1, Used: resources.New(1, 2, 3, 4, 5, 6)})
 	var buf bytes.Buffer
 
 	for _, c := range []Codec{CodecJSON, CodecBinary} {
@@ -434,11 +451,11 @@ func TestDeadlineMidFrameCleanError(t *testing.T) {
 }
 
 // TestFramerSteadyStateAllocs pins the zero-copy claim: after priming,
-// a delta-heartbeat request/reply exchange through binary Framers
-// allocates nothing on either side.
+// a one-beat delta heartbeat request/reply exchange through binary
+// Framers allocates nothing on either side.
 func TestFramerSteadyStateAllocs(t *testing.T) {
-	beat := &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 42, Delta: true}}
-	reply := &Message{Type: TypeNMReply, NMReply: &NMReply{}}
+	beat := beatFrame(NMHeartbeat{NodeID: 42, Delta: true})
+	reply := &Message{Type: TypeHeartbeatBatchReply, HeartbeatBatchReply: &HeartbeatBatchReply{Replies: []NMBeatReply{{NodeID: 42}}}}
 	client, server := NewFramer(CodecBinary), NewServerFramer()
 	var buf bytes.Buffer
 	exchange := func() {
@@ -446,14 +463,14 @@ func TestFramerSteadyStateAllocs(t *testing.T) {
 		if err := client.Write(&buf, beat); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := server.Read(&buf); err != nil || m.NMHeartbeat == nil {
+		if m, err := server.Read(&buf); err != nil || m.HeartbeatBatch == nil {
 			t.Fatalf("server read: %v", err)
 		}
 		buf.Reset()
 		if err := server.Write(&buf, reply); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := client.Read(&buf); err != nil || m.NMReply == nil {
+		if m, err := client.Read(&buf); err != nil || m.HeartbeatBatchReply == nil {
 			t.Fatalf("client read: %v", err)
 		}
 	}
@@ -469,11 +486,11 @@ func TestFramerSteadyStateAllocs(t *testing.T) {
 func TestBinaryRejectsMalformed(t *testing.T) {
 	// A valid binary heartbeat frame to mutate.
 	var buf bytes.Buffer
-	hb := &Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{
+	hb := beatFrame(NMHeartbeat{
 		NodeID:    3,
 		Used:      resources.New(1, 2, 0, 0, 0, 0),
 		Completed: []TaskCompletion{{Task: workload.TaskID{Job: 1}, Duration: 1}},
-	}}
+	})
 	if err := NewFramer(CodecBinary).Write(&buf, hb); err != nil {
 		t.Fatal(err)
 	}
@@ -484,10 +501,10 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 		d := []byte{Magic, codec, byte(len(payload) >> 24), byte(len(payload) >> 16), byte(len(payload) >> 8), byte(len(payload))}
 		return append(d, payload...)
 	}
-	// A heartbeat body whose completion count claims 2^40 elements with
+	// A one-beat batch whose completion count claims 2^40 elements with
 	// no bytes behind it: the count guard must reject it before any
 	// proportional allocation.
-	lying := []byte{binNMHeartbeat}
+	lying := []byte{binHeartbeatBatch, 1}
 	lying = AppendInt(lying, 1) // node
 	lying = append(lying, 0)    // flags
 	lying = append(lying, 0, 0) // zero used/allocated masks
@@ -502,9 +519,12 @@ func TestBinaryRejectsMalformed(t *testing.T) {
 		{"unknown type byte", rawFrame(byte(CodecBinary), []byte{0xEE})},
 		{"lying element count", rawFrame(byte(CodecBinary), lying)},
 		{"trailing bytes", rawFrame(byte(CodecBinary), append(bytes.Clone(valid[6:]), 0xAB))},
-		{"bad vector mask", rawFrame(byte(CodecBinary), []byte{binNMHeartbeat, 2 /*node*/, 0 /*flags*/, 0xFF /*mask with unknown bits*/})},
+		{"bad vector mask", rawFrame(byte(CodecBinary), []byte{binHeartbeatBatch, 1 /*beats*/, 2 /*node*/, 0 /*flags*/, 0xFF /*mask with unknown bits*/})},
 		{"overlong varint", rawFrame(byte(CodecBinary), []byte{binAMHeartbeat, 0x80, 0x00 /*job 0 in two bytes*/})},
-		{"mask bit over a zero float", rawFrame(byte(CodecBinary), []byte{binNMHeartbeat, 2, 0, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
+		{"mask bit over a zero float", rawFrame(byte(CodecBinary), []byte{binHeartbeatBatch, 1, 2, 0, 0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})},
+		// The retired single-beat type byte, followed by the body it used
+		// to carry: an unknown type now.
+		{"retired type byte 0x03", rawFrame(byte(CodecBinary), append([]byte{0x03}, valid[8:]...))},
 	} {
 		f := NewFramer(CodecJSON)
 		if m, err := f.Read(bytes.NewReader(mutate.data)); err == nil {
@@ -564,11 +584,11 @@ func TestBinaryRefusesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, m := range []*Message{
 			{Type: TypeRegisterNM, RegisterNM: &RegisterNM{NodeID: 1, Capacity: capV.With(resources.CPU, bad)}},
-			{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Used: resources.New(1, bad, 0, 0, 0, 0)}},
-			{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Completed: []TaskCompletion{
-				{Task: workload.TaskID{Job: 1}, Usage: resources.New(bad, 1, 0, 0, 0, 0), Duration: 1}}}},
-			{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 1, Completed: []TaskCompletion{
-				{Task: workload.TaskID{Job: 1}, Duration: bad}}}},
+			beatFrame(NMHeartbeat{NodeID: 1, Used: resources.New(1, bad, 0, 0, 0, 0)}),
+			beatFrame(NMHeartbeat{NodeID: 1, Completed: []TaskCompletion{
+				{Task: workload.TaskID{Job: 1}, Usage: resources.New(bad, 1, 0, 0, 0, 0), Duration: 1}}}),
+			beatFrame(NMHeartbeat{NodeID: 1, Completed: []TaskCompletion{
+				{Task: workload.TaskID{Job: 1}, Duration: bad}}}),
 		} {
 			var buf bytes.Buffer
 			if err := NewFramer(CodecBinary).Write(&buf, m); err != nil {

@@ -44,7 +44,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(frame(MaxFrame+1, []byte("{}"))) // just past the cap
 	f.Add(frame(2, []byte("{}")))          // minimal valid message
 	f.Add(valid(&Message{Type: TypeClusterStatus}))
-	f.Add(valid(&Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{
+	f.Add(valid(beatFrame(NMHeartbeat{
 		NodeID: 3,
 		Used:   resources.New(1, 2, 3, 4, 5, 6),
 		Completed: []TaskCompletion{{
@@ -52,8 +52,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 			Usage:    resources.New(1, 1, 0, 0, 0, 0),
 			Duration: 12.5,
 		}},
-	}}))
-	f.Add(valid(&Message{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{NodeID: 9, Delta: true}}))
+	})))
+	f.Add(valid(beatFrame(NMHeartbeat{NodeID: 9, Delta: true})))
 	f.Add(valid(&Message{Type: TypeNMReply, NMReply: &NMReply{
 		Launch:     []TaskLaunch{{Task: workload.TaskID{Job: 7}, JobID: 7, Duration: 3}},
 		Kill:       []workload.TaskID{{Job: 1, Stage: 1, Index: 1}},
@@ -85,10 +85,15 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// Envelope-invariant seeds: declared type with a nil payload, and a
 	// payload contradicting the type. Read must reject both (ErrBadMessage),
 	// never hand them to a handler that would nil-panic.
-	badNil := []byte(`{"type":"nm-heartbeat"}`)
+	badNil := []byte(`{"type":"heartbeat-batch"}`)
 	f.Add(frame(uint32(len(badNil)), badNil))
 	badExtra := []byte(`{"type":"error","nmReply":{}}`)
 	f.Add(frame(uint32(len(badExtra)), badExtra))
+	// The retired single-beat frame, in both codecs: JSON decodes as an
+	// unknown type, binary type byte 0x03 fails to decode.
+	retired := []byte(`{"type":"nm-heartbeat","nmHeartbeat":{"nodeID":9,"delta":true}}`)
+	f.Add(frame(uint32(len(retired)), retired))
+	f.Add([]byte{Magic, byte(CodecBinary), 0, 0, 0, 6, 0x03, 18 /*node 9*/, 1 /*delta*/, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf := NewServerFramer()

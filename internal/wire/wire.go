@@ -40,7 +40,6 @@ var ErrBadMessage = errors.New("wire: payload fields do not match message type")
 // Message types.
 const (
 	TypeRegisterNM          = "register-nm"
-	TypeNMHeartbeat         = "nm-heartbeat"
 	TypeNMReply             = "nm-reply"
 	TypeSubmitJob           = "submit-job"
 	TypeSubmitReject        = "submit-reject"
@@ -62,7 +61,6 @@ type Message struct {
 	Type string `json:"type"`
 
 	RegisterNM          *RegisterNM          `json:"registerNM,omitempty"`
-	NMHeartbeat         *NMHeartbeat         `json:"nmHeartbeat,omitempty"`
 	NMReply             *NMReply             `json:"nmReply,omitempty"`
 	SubmitJob           *SubmitJob           `json:"submitJob,omitempty"`
 	SubmitReject        *SubmitReject        `json:"submitReject,omitempty"`
@@ -86,7 +84,6 @@ func (m *Message) payloads() (set, want uint16) {
 		unset bool
 	}{
 		{1 << 0, TypeRegisterNM, m.RegisterNM == nil},
-		{1 << 1, TypeNMHeartbeat, m.NMHeartbeat == nil},
 		{1 << 2, TypeNMReply, m.NMReply == nil},
 		{1 << 3, TypeSubmitJob, m.SubmitJob == nil},
 		{1 << 4, TypeSubmitReject, m.SubmitReject == nil},
@@ -121,18 +118,18 @@ func (m *Message) Validate() error {
 	return nil
 }
 
-// HeartbeatBatch coalesces many nodes' heartbeats into one frame on a
-// shared connection (the hollow fleet's sharded sessions). The RM
-// answers with a HeartbeatBatchReply carrying one entry per beat, in
-// order, so per-node ack semantics (DeltaTracker baseline advance)
-// are identical to individually framed heartbeats.
+// HeartbeatBatch is the one heartbeat frame: a node manager's beat is a
+// batch of one, and the hollow fleet coalesces many nodes' beats on a
+// shared connection. The RM answers with a HeartbeatBatchReply carrying
+// one entry per beat, in order, so per-node ack semantics (DeltaTracker
+// baseline advance) do not depend on how many beats share a frame.
 type HeartbeatBatch struct {
 	Beats []NMHeartbeat `json:"beats"`
 }
 
 // NMBeatReply is one node's verdict inside a batch reply: either Error
 // is non-empty (e.g. the node must re-register) or Reply holds the
-// NMReply the node would have received on its own connection.
+// node's NMReply.
 type NMBeatReply struct {
 	NodeID int     `json:"nodeID"`
 	Error  string  `json:"error,omitempty"`
@@ -170,8 +167,9 @@ type TaskCompletion struct {
 	Duration float64          `json:"duration"`
 }
 
-// NMHeartbeat is the node manager's periodic report: tracker observations
-// plus completions since the last beat.
+// NMHeartbeat is the node manager's periodic report, one entry of a
+// HeartbeatBatch: tracker observations plus completions since the last
+// beat.
 //
 // Availability reports come in two forms. A full report carries Used
 // and Allocated. A delta report (Delta set) omits both: it asserts they

@@ -15,11 +15,11 @@ import (
 func TestRoundTripAllTypes(t *testing.T) {
 	msgs := []*Message{
 		{Type: TypeRegisterNM, RegisterNM: &RegisterNM{NodeID: 3, Capacity: resources.New(16, 32, 200, 200, 1000, 1000)}},
-		{Type: TypeNMHeartbeat, NMHeartbeat: &NMHeartbeat{
+		beatFrame(NMHeartbeat{
 			NodeID:    3,
 			Used:      resources.New(1, 2, 0, 0, 0, 0),
 			Completed: []TaskCompletion{{Task: workload.TaskID{Job: 1, Stage: 0, Index: 2}, Usage: resources.New(1, 1, 0, 0, 0, 0), Duration: 12.5}},
-		}},
+		}),
 		{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{{
 			Task: workload.TaskID{Job: 1, Stage: 0, Index: 5}, JobID: 1,
 			Demand: resources.New(2, 4, 10, 10, 0, 0), Duration: 30, ReadMB: 100, WriteMB: 50,
