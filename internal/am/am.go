@@ -32,10 +32,6 @@ type Config struct {
 	// never retried: a job that cannot even reach the RM should fail
 	// fast.
 	MaxReconnects int
-	// ReconnectWindow additionally caps the total backoff delay spent on
-	// consecutive reconnect attempts (the faults.Backoff max-elapsed
-	// cutoff). Zero means no time cap — only MaxReconnects applies.
-	ReconnectWindow time.Duration
 	// Metrics receives the job manager's telemetry (poll RTTs, reconnect
 	// attempts, job outcomes); AMs sharing one registry aggregate. Nil
 	// records into a private registry, exposing nothing.
@@ -107,7 +103,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 	start := time.Now()
 	bo := faults.NewBackoff(100*time.Millisecond, 5*time.Second, int64(cfg.Job.ID)+1)
-	bo.MaxElapsed = cfg.ReconnectWindow
 	for {
 		reply, err := conn.Call(submitMsg(cfg))
 		if err != nil {
@@ -127,10 +122,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("am: rm still rejecting after %d submit attempts (%s): %s", bo.Attempts(), rej.Code, rej.Reason)
 		}
 		met.throttled.Inc()
-		d := waitFor(bo, rej.RetryAfter)
-		if bo.Exhausted() {
-			return nil, fmt.Errorf("am: rm still rejecting after %v of submit backoff (%s): %s", bo.Elapsed(), rej.Code, rej.Reason)
-		}
+		d := bo.NextAtLeast(time.Duration(rej.RetryAfter * float64(time.Second)))
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -186,21 +178,18 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // deduplicates identical definitions, so resubmission is always safe. A
 // journal-recovered RM already knows the job and simply reports its
 // progress. Returns the new connection, or an error once the retry
-// budget (attempt count or elapsed window) is spent, the context ends,
-// or the RM definitively rejects the resubmission.
+// budget is spent, the context ends, or the RM definitively rejects the
+// resubmission.
 func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int, met *amMetrics, cause error) (*wire.Conn, error) {
 	lastErr := cause
-	hint := 0.0
+	var hint time.Duration // the last rejection's RetryAfter
 	for {
 		if bo.Attempts() >= maxRetry {
 			return nil, fmt.Errorf("am: rm unreachable after %d reconnect attempts: %w", bo.Attempts(), lastErr)
 		}
 		met.reconnects.Inc()
-		d := waitFor(bo, hint)
+		d := bo.NextAtLeast(hint)
 		hint = 0
-		if bo.Exhausted() {
-			return nil, fmt.Errorf("am: rm unreachable after %v of reconnect backoff: %w", bo.Elapsed(), lastErr)
-		}
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -234,7 +223,7 @@ func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int
 			}
 			met.throttled.Inc()
 			lastErr = fmt.Errorf("am: admission %s: %s", rej.Code, rej.Reason)
-			hint = rej.RetryAfter
+			hint = time.Duration(rej.RetryAfter * float64(time.Second))
 			continue
 		}
 		return c, nil
@@ -245,16 +234,4 @@ func reconnect(ctx context.Context, cfg Config, bo *faults.Backoff, maxRetry int
 // configured tenant.
 func submitMsg(cfg Config) *wire.Message {
 	return &wire.Message{Type: wire.TypeSubmitJob, SubmitJob: &wire.SubmitJob{Job: cfg.Job, Tenant: cfg.Tenant}}
-}
-
-// waitFor returns the delay before the next submit attempt: the backoff
-// schedule's next step, raised to the RM's RetryAfter hint (re-jittered,
-// so a fleet throttled together does not resubmit together) when the
-// hint is longer.
-func waitFor(bo *faults.Backoff, retryAfter float64) time.Duration {
-	d := bo.Next()
-	if hint := time.Duration(retryAfter * float64(time.Second)); hint > d {
-		d = hint + time.Duration(0.2*float64(hint)*bo.Rand.Float64())
-	}
-	return d
 }

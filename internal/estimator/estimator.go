@@ -78,24 +78,23 @@ func (ss *stageStats) meanPeak() resources.Vector {
 // distributed prototype observes completions from many AM goroutines).
 // The zero value is NOT ready; use New.
 type Estimator struct {
-	// OverestimateFactor inflates declared demands when no measurements
-	// exist (default 1.5).
-	OverestimateFactor float64
-	// MinSamples before in-stage statistics are trusted (default 3).
-	MinSamples int
-
 	mu      sync.Mutex
 	current map[stageKey]*stageStats
 	history map[lineageKey]*stageStats
 }
 
-// New returns an Estimator with default parameters.
+// Declared demands are inflated by overestimateFactor until the stage (or
+// its lineage) has minSamples completions to estimate from.
+const (
+	overestimateFactor = 1.5
+	minSamples         = 3
+)
+
+// New returns an Estimator.
 func New() *Estimator {
 	return &Estimator{
-		OverestimateFactor: 1.5,
-		MinSamples:         3,
-		current:            make(map[stageKey]*stageStats),
-		history:            make(map[lineageKey]*stageStats),
+		current: make(map[stageKey]*stageStats),
+		history: make(map[lineageKey]*stageStats),
 	}
 }
 
@@ -128,19 +127,15 @@ func (e *Estimator) Observe(job *workload.Job, stage int, peak resources.Vector,
 func (e *Estimator) Estimate(job *workload.Job, stage int, declared resources.Vector, declaredDuration float64) (resources.Vector, float64, Source) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ss := e.current[stageKey{job.ID, stage}]; ss != nil && ss.duration.N() >= e.MinSamples {
+	if ss := e.current[stageKey{job.ID, stage}]; ss != nil && ss.duration.N() >= minSamples {
 		return ss.meanPeak(), ss.duration.Mean(), FromStage
 	}
 	if job.Lineage != 0 {
-		if hs := e.history[lineageKey{job.Lineage, stage}]; hs != nil && hs.duration.N() >= e.MinSamples {
+		if hs := e.history[lineageKey{job.Lineage, stage}]; hs != nil && hs.duration.N() >= minSamples {
 			return hs.meanPeak(), hs.duration.Mean(), FromHistory
 		}
 	}
-	f := e.OverestimateFactor
-	if f <= 0 {
-		f = 1
-	}
-	return declared.Scale(f), declaredDuration * f, Overestimated
+	return declared.Scale(overestimateFactor), declaredDuration * overestimateFactor, Overestimated
 }
 
 // StageCoV returns the coefficient of variation of observed durations for

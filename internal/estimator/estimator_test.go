@@ -37,7 +37,7 @@ func TestInStageStatisticsKickInAfterMinSamples(t *testing.T) {
 	e.Observe(j, 0, measured, 20)
 	e.Observe(j, 0, measured, 20)
 	if _, _, src := e.Estimate(j, 0, declared, 1); src != Overestimated {
-		t.Fatalf("2 samples < MinSamples, got source %v", src)
+		t.Fatalf("2 samples < minSamples, got source %v", src)
 	}
 	e.Observe(j, 0, measured, 20)
 	peak, dur, src := e.Estimate(j, 0, declared, 1)
@@ -130,16 +130,6 @@ func TestStageCoV(t *testing.T) {
 	e.Observe(j, 0, resources.Vector{}, 30)
 	if cov := e.StageCoV(3, 0); cov <= 0 {
 		t.Errorf("CoV = %v, want > 0", cov)
-	}
-}
-
-func TestZeroOverestimateFactorMeansNoInflation(t *testing.T) {
-	e := New()
-	e.OverestimateFactor = 0
-	declared := resources.New(2, 2, 2, 2, 2, 2)
-	peak, _, _ := e.Estimate(job(1, 0), 0, declared, 10)
-	if peak != declared {
-		t.Errorf("factor 0 should fall back to declared, got %v", peak)
 	}
 }
 

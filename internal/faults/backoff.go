@@ -14,25 +14,17 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps the delay (default 5 s).
 	Max time.Duration
-	// Jitter is the fraction of each delay randomized: the returned
-	// delay is uniform in [d·(1−Jitter), d·(1+Jitter)] (default 0.2).
-	Jitter float64
-	// Rand supplies the jitter randomness; nil lazily seeds from Seed.
-	Rand *rand.Rand
-	// Seed seeds the lazy Rand (default 1); set per node ID so a fleet
-	// of NMs jitters apart deterministically.
+	// Seed seeds the jitter stream (default 1); set per node ID so a
+	// fleet of NMs jitters apart deterministically.
 	Seed int64
-	// MaxElapsed caps the total delay handed out since the last Reset:
-	// once the sum of returned delays reaches it, Exhausted reports true
-	// and callers should give up. Zero means no time cutoff (attempts
-	// may still be capped by the caller). Measured over the delays
-	// themselves rather than a wall clock, so schedules stay
-	// deterministic under test.
-	MaxElapsed time.Duration
 
+	rand    *rand.Rand // seeded from Seed at the first Next
 	attempt int
-	elapsed time.Duration
 }
+
+// backoffJitter is the fraction of each delay randomized: a delay d is
+// returned uniform in [d·(1−backoffJitter), d·(1+backoffJitter)].
+const backoffJitter = 0.2
 
 // NewBackoff returns a Backoff with the given base and cap, 20% jitter,
 // and a deterministic jitter stream derived from seed.
@@ -51,16 +43,12 @@ func (b *Backoff) Next() time.Duration {
 	if max <= 0 {
 		max = 5 * time.Second
 	}
-	jitter := b.Jitter
-	if jitter == 0 {
-		jitter = 0.2
-	}
-	if b.Rand == nil {
+	if b.rand == nil {
 		seed := b.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		b.Rand = rand.New(rand.NewSource(seed))
+		b.rand = rand.New(rand.NewSource(seed))
 	}
 	d := base << uint(b.attempt)
 	if d > max || d < base { // d < base on shift overflow
@@ -69,12 +57,22 @@ func (b *Backoff) Next() time.Duration {
 	if b.attempt < 62 {
 		b.attempt++
 	}
-	f := 1 + jitter*(2*b.Rand.Float64()-1)
+	f := 1 + backoffJitter*(2*b.rand.Float64()-1)
 	d = time.Duration(float64(d) * f)
 	if d < 0 {
 		d = base
 	}
-	b.elapsed += d
+	return d
+}
+
+// NextAtLeast is Next raised to floor when floor is longer, jittered
+// upward by up to backoffJitter·floor so a fleet told to wait together
+// does not retry together.
+func (b *Backoff) NextAtLeast(floor time.Duration) time.Duration {
+	d := b.Next()
+	if floor > d {
+		d = floor + time.Duration(backoffJitter*float64(floor)*b.rand.Float64())
+	}
 	return d
 }
 
@@ -82,15 +80,6 @@ func (b *Backoff) Next() time.Duration {
 // Reset.
 func (b *Backoff) Attempts() int { return b.attempt }
 
-// Elapsed returns the total delay handed out since the last Reset.
-func (b *Backoff) Elapsed() time.Duration { return b.elapsed }
-
-// Exhausted reports whether the MaxElapsed budget has been spent.
-// Always false when MaxElapsed is zero.
-func (b *Backoff) Exhausted() bool {
-	return b.MaxElapsed > 0 && b.elapsed >= b.MaxElapsed
-}
-
 // Reset restarts the schedule after a successful attempt: the next delay
-// is Base again and the MaxElapsed budget is refilled.
-func (b *Backoff) Reset() { b.attempt, b.elapsed = 0, 0 }
+// is Base again.
+func (b *Backoff) Reset() { b.attempt = 0 }

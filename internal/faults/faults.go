@@ -275,18 +275,14 @@ type Record struct {
 	Downtime float64 `json:"downtime,omitempty"`
 }
 
-// DefaultRingCap is a fault log's capacity when none is configured.
+// DefaultRingCap is a fault log's capacity.
 const DefaultRingCap = 1024
 
-// NewRing returns a bounded fault log: the most recent capacity records
-// (DefaultRingCap if capacity <= 0), evictions counted. Long-running
-// resource managers and simulations log every crash and recovery, and an
-// unbounded log would grow forever under churn.
-func NewRing(capacity int) *telemetry.Ring[Record] {
-	if capacity <= 0 {
-		capacity = DefaultRingCap
-	}
-	return telemetry.NewRing[Record](capacity)
+// NewRing returns a bounded fault log: the most recent DefaultRingCap
+// records, evictions counted, so a long-running RM or simulation logging
+// every crash and recovery does not grow its log forever under churn.
+func NewRing() *telemetry.Ring[Record] {
+	return telemetry.NewRing[Record](DefaultRingCap)
 }
 
 // RecoveryStats summarizes a fault log.

@@ -46,14 +46,15 @@ type Config struct {
 	// minimum spacing between preemption waves for one gang.
 	// Default 60.
 	PreemptSec float64
-	// MaxPreemptPerRound caps evictions per round across all gangs,
-	// bounding preemption churn. Default 8.
-	MaxPreemptPerRound int
 }
+
+// maxPreemptPerRound caps evictions per round across all gangs, bounding
+// preemption churn.
+const maxPreemptPerRound = 8
 
 // DefaultConfig returns the default coordinator knobs.
 func DefaultConfig() Config {
-	return Config{HoldSec: 30, PreemptSec: 60, MaxPreemptPerRound: 8}
+	return Config{HoldSec: 30, PreemptSec: 60}
 }
 
 func (c Config) withDefaults() Config {
@@ -63,9 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PreemptSec <= 0 {
 		c.PreemptSec = d.PreemptSec
-	}
-	if c.MaxPreemptPerRound <= 0 {
-		c.MaxPreemptPerRound = d.MaxPreemptPerRound
 	}
 	return c
 }
@@ -226,15 +224,9 @@ func Feasible(v *scheduler.View, j *scheduler.JobState) bool {
 		if !fits {
 			return false
 		}
-		sum = sum.Add(localDemand(peak))
+		sum = sum.Add(scheduler.LocalDemand(peak))
 	}
 	return sum.FitsIn(totalLive)
-}
-
-// localDemand strips the placement-dependent network components from a
-// peak vector, matching the RM router's shard-feasibility view.
-func localDemand(peak resources.Vector) resources.Vector {
-	return peak.With(resources.NetIn, 0).With(resources.NetOut, 0)
 }
 
 // Decide runs one round: gang admission first, then the inner
@@ -326,9 +318,9 @@ func (c *Coordinator) Decide(v *scheduler.View, running []Running) Decision {
 		feasible := Feasible(v, j)
 		if feasible && now-c.waitSince[id] >= c.cfg.PreemptSec &&
 			now-c.lastPreempt[id] >= c.cfg.PreemptSec &&
-			preempted < c.cfg.MaxPreemptPerRound {
+			preempted < maxPreemptPerRound {
 			evs := c.preemptFor(v, j, members, need, placed, victims, victimized,
-				c.cfg.MaxPreemptPerRound-preempted)
+				maxPreemptPerRound-preempted)
 			if len(evs) > 0 {
 				dec.Preemptions = append(dec.Preemptions, evs...)
 				preempted += len(evs)
@@ -527,7 +519,7 @@ func (c *Coordinator) preemptFor(v *scheduler.View, j *scheduler.JobState, membe
 		if counted[task.ID] || n >= short {
 			continue
 		}
-		deficit = deficit.Add(localDemand(v.DemandPeak(j, task)))
+		deficit = deficit.Add(scheduler.LocalDemand(v.DemandPeak(j, task)))
 		n++
 	}
 	var out []Preemption

@@ -234,14 +234,16 @@ func TestInfeasibleGangNeverHoards(t *testing.T) {
 }
 
 // TestPreemptionVictimOrder: past PreemptSec, the gang evicts strictly
-// lower-priority preemptible tasks, lowest priority first, spaced by
-// PreemptSec between waves, and never touches non-preemptible or
-// higher-priority work.
+// lower-priority preemptible tasks, lowest priority first and at most
+// maxPreemptPerRound of them per round, spaced by PreemptSec between
+// waves, and never touches non-preemptible or higher-priority work.
 func TestPreemptionVictimOrder(t *testing.T) {
-	c := newCoord(Config{HoldSec: 1000, PreemptSec: 10, MaxPreemptPerRound: 2})
+	c := newCoord(Config{HoldSec: 1000, PreemptSec: 10})
 	full := resources.New(16, 32, 0, 0, 0, 0)
-	g := mkGang(1, 4, 0, 5, full, 100)
-	low := mkJob(2, 2, full, 50) // priority 1, preemptible
+	// A gang of ten full machines on a full cluster of eleven, with ten
+	// eligible victims: two more than the per-round cap.
+	g := mkGang(1, 10, 0, 5, full, 100)
+	low := mkJob(2, 9, full, 50) // priority 1, preemptible
 	low.Job.Preemptible = true
 	low.Job.Priority = 1
 	mid := mkJob(3, 1, full, 50) // priority 3, preemptible
@@ -251,7 +253,7 @@ func TestPreemptionVictimOrder(t *testing.T) {
 	pinned.Job.Priority = 0
 
 	mk := func(now float64) (*scheduler.View, []Running) {
-		v := mkView(4, machine, g, low, mid, pinned)
+		v := mkView(11, machine, g, low, mid, pinned)
 		v.Time = now
 		var running []Running
 		place := func(j *scheduler.JobState, idx, m int) {
@@ -262,10 +264,11 @@ func TestPreemptionVictimOrder(t *testing.T) {
 			v.Machines[m].Allocated = v.Machines[m].Allocated.Add(full)
 			running = append(running, Running{JobID: j.Job.ID, Task: tid, Machine: m, Demand: full})
 		}
-		place(low, 0, 0)
-		place(low, 1, 1)
-		place(mid, 0, 2)
-		place(pinned, 0, 3)
+		for i := 0; i < 9; i++ {
+			place(low, i, i)
+		}
+		place(mid, 0, 9)
+		place(pinned, 0, 10)
 		return v, running
 	}
 
@@ -276,16 +279,16 @@ func TestPreemptionVictimOrder(t *testing.T) {
 	}
 	v, running = mk(11)
 	dec = c.Decide(v, running)
-	if len(dec.Preemptions) != 2 {
-		t.Fatalf("want 2 preemptions (MaxPreemptPerRound), got %+v", dec.Preemptions)
+	if len(dec.Preemptions) != maxPreemptPerRound {
+		t.Fatalf("want %d preemptions (the per-round cap), got %+v", maxPreemptPerRound, dec.Preemptions)
 	}
 	for i, p := range dec.Preemptions {
 		if p.JobID != 2 || p.ForJob != 1 {
 			t.Fatalf("victim %d = %+v, want lowest-priority job 2", i, p)
 		}
-	}
-	if dec.Preemptions[0].Task.Index != 0 || dec.Preemptions[1].Task.Index != 1 {
-		t.Fatalf("victim order not deterministic: %+v", dec.Preemptions)
+		if p.Task.Index != i {
+			t.Fatalf("victim order not deterministic: %+v", dec.Preemptions)
+		}
 	}
 	// Next round inside the wave window: no further evictions.
 	v, running = mk(15)

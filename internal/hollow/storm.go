@@ -28,13 +28,6 @@ type StormConfig struct {
 	// Tenants is the tenant-id universe the storm draws from (default
 	// 1e6). Tenant names are "t<number>".
 	Tenants int
-	// HotTenants is the size of the hot set hit disproportionately
-	// often, so per-tenant quotas and rate limits actually trip while
-	// the long tail exercises lazy tenant creation (default 64).
-	HotTenants int
-	// HotFraction is the probability a batch is submitted by a hot
-	// tenant (default 0.5).
-	HotFraction float64
 	// Workers is the number of concurrent submitting connections
 	// (default 8).
 	Workers int
@@ -43,8 +36,6 @@ type StormConfig struct {
 	// Rate caps total submitted jobs/sec across all workers; 0 means
 	// unthrottled — submit as fast as the RM acks.
 	Rate float64
-	// TasksPerJob sizes each synthetic job (default 2).
-	TasksPerJob int
 	// Duration bounds the storm (required unless ctx is bounded).
 	Duration time.Duration
 	// BaseJobID starts the storm's job-id space, kept disjoint from any
@@ -55,6 +46,17 @@ type StormConfig struct {
 	// Logger for diagnostics; nil discards.
 	Logger *log.Logger
 }
+
+// The storm's shape: a batch comes from the hot set of the first
+// stormHotTenants tenants (at most Tenants) with probability
+// stormHotFraction, so per-tenant quotas and rate limits trip while the
+// long tail exercises lazy tenant creation; a job has stormTasksPerJob
+// tasks.
+const (
+	stormHotTenants  = 64
+	stormHotFraction = 0.5
+	stormTasksPerJob = 2
+)
 
 // StormReport is the storm's outcome, bucketed by admission verdict.
 type StormReport struct {
@@ -79,23 +81,11 @@ func RunStorm(ctx context.Context, cfg StormConfig) StormReport {
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 1_000_000
 	}
-	if cfg.HotTenants <= 0 {
-		cfg.HotTenants = 64
-	}
-	if cfg.HotTenants > cfg.Tenants {
-		cfg.HotTenants = cfg.Tenants
-	}
-	if cfg.HotFraction <= 0 || cfg.HotFraction > 1 {
-		cfg.HotFraction = 0.5
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
 	if cfg.Batch <= 0 {
 		cfg.Batch = 16
-	}
-	if cfg.TasksPerJob <= 0 {
-		cfg.TasksPerJob = 2
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -178,7 +168,7 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 		tenant := stormTenant(rng, cfg)
 		batch := &wire.SubmitBatch{Tenant: tenant, Jobs: make([]*workload.Job, 0, cfg.Batch)}
 		for i := 0; i < cfg.Batch; i++ {
-			batch.Jobs = append(batch.Jobs, stormJob(int(nextID.Add(1)-1), cfg.TasksPerJob))
+			batch.Jobs = append(batch.Jobs, stormJob(int(nextID.Add(1)-1)))
 		}
 		rep.Attempts += len(batch.Jobs)
 		t0 := time.Now()
@@ -237,16 +227,16 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 // stormTenant draws a tenant name: usually from the small hot set,
 // otherwise uniformly from the full universe.
 func stormTenant(rng *rand.Rand, cfg StormConfig) string {
-	if rng.Float64() < cfg.HotFraction {
-		return fmt.Sprintf("t%d", rng.Intn(cfg.HotTenants))
+	if rng.Float64() < stormHotFraction {
+		return fmt.Sprintf("t%d", rng.Intn(min(stormHotTenants, cfg.Tenants)))
 	}
 	return fmt.Sprintf("t%d", rng.Intn(cfg.Tenants))
 }
 
 // stormJob builds a minimal valid single-stage job.
-func stormJob(id, tasks int) *workload.Job {
+func stormJob(id int) *workload.Job {
 	st := &workload.Stage{Name: "s"}
-	for i := 0; i < tasks; i++ {
+	for i := 0; i < stormTasksPerJob; i++ {
 		st.Tasks = append(st.Tasks, &workload.Task{
 			ID:   workload.TaskID{Job: id, Stage: 0, Index: i},
 			Peak: resources.New(1, 1, 0, 0, 0, 0),

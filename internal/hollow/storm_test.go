@@ -31,14 +31,12 @@ func TestStormOverloadsAdmission(t *testing.T) {
 	defer srv.Close()
 
 	rep := RunStorm(context.Background(), StormConfig{
-		RMAddr:      srv.Addr(),
-		Tenants:     10_000,
-		HotTenants:  4,
-		HotFraction: 0.7,
-		Workers:     4,
-		Batch:       8,
-		Duration:    400 * time.Millisecond,
-		Seed:        7,
+		RMAddr:   srv.Addr(),
+		Tenants:  10_000,
+		Workers:  4,
+		Batch:    8,
+		Duration: 400 * time.Millisecond,
+		Seed:     7,
 	})
 	if rep.Batches == 0 || rep.Attempts == 0 {
 		t.Fatalf("storm sent nothing: %+v", rep)

@@ -41,10 +41,6 @@ type Config struct {
 	// 0 means the default of 10; negative disables reconnection — the
 	// first link failure is fatal, the pre-fault-tolerance behavior.
 	MaxReconnects int
-	// ReconnectWindow additionally caps the total backoff delay spent on
-	// consecutive reconnect attempts (the faults.Backoff max-elapsed
-	// cutoff). Zero means no time cap — only MaxReconnects applies.
-	ReconnectWindow time.Duration
 	// Metrics receives the node's telemetry (heartbeat RTTs, reconnect
 	// attempts, task lifecycle counters). Several NMs sharing one
 	// registry — the loopback cluster — aggregate into shared series.
@@ -130,7 +126,6 @@ func (n *Node) Run(ctx context.Context) error {
 	// Seed the jitter per node so a mass reconnect after an RM restart
 	// doesn't stampede in lockstep.
 	bo := faults.NewBackoff(100*time.Millisecond, 5*time.Second, int64(n.cfg.NodeID)+1)
-	bo.MaxElapsed = n.cfg.ReconnectWindow
 	n.ctx = ctx
 	return n.link.Run(ctx, bo, maxRetry)
 }

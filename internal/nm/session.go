@@ -342,8 +342,8 @@ func (l *Link) Session(ctx context.Context) (worked bool, err error) {
 // (RM restart, partition) it waits out bo and dials again, and every
 // agent registers afresh — running set, owed completions — so the RM's
 // resync reconciliation sees the node's truth. It gives up after maxRetry
-// consecutive failed sessions (negative: after the first), when bo's
-// window is spent, and at once on a *RefusedError.
+// consecutive failed sessions (negative: after the first) and at once on
+// a *RefusedError.
 func (l *Link) Run(ctx context.Context, bo *faults.Backoff, maxRetry int) error {
 	for {
 		worked, err := l.Session(ctx)
@@ -367,9 +367,6 @@ func (l *Link) Run(ctx context.Context, bo *faults.Backoff, maxRetry int) error 
 			return err
 		}
 		wait := bo.Next()
-		if bo.Exhausted() {
-			return fmt.Errorf("%s: reconnect window (%v) exhausted: %w", l.Name, bo.MaxElapsed, err)
-		}
 		l.Metrics.Reconnects.Inc()
 		l.Log.Printf("%s: link lost (%v), reconnecting in %v", l.Name, err, wait)
 		select {

@@ -46,12 +46,11 @@ type TenantLimits struct {
 	// the tenant's unfinished jobs. A zero vector means unlimited.
 	MaxDemand resources.Vector
 	// SubmitRate is the tenant's submit token-bucket refill in
-	// submissions/second; 0 disables rate limiting for the tenant.
+	// submissions/second, its capacity max(1, SubmitRate); 0 disables
+	// rate limiting for the tenant.
 	SubmitRate float64
-	// SubmitBurst is the bucket capacity (default max(1, SubmitRate)).
-	SubmitBurst float64
 	// Priority orders load shedding: lower priorities are shed first.
-	// Must be in [0, AdmissionConfig.MaxPriority].
+	// Must be in [0, 9]; the RM constructors refuse any other.
 	Priority int
 	// Weight is the tenant's share in hierarchical fairness: active
 	// tenants split the cluster in proportion to Weight, and each
@@ -71,15 +70,32 @@ type AdmissionConfig struct {
 	// ShedLimit is the backlog where every submission is shed regardless
 	// of priority (default 2×ShedHighWater).
 	ShedLimit int
-	// MaxPriority is the top of the priority scale (default 9).
-	MaxPriority int
 	// RetryAfter is the base backoff hint stamped on transient rejections
 	// (default 1s). Shed rejections scale it with saturation.
 	RetryAfter time.Duration
-	// TenantSeriesLimit caps per-tenant labeled metric series; tenants
-	// beyond the cap aggregate into tenant="other" (default 32). The cap
-	// keeps a million-tenant fleet from exploding registry cardinality.
-	TenantSeriesLimit int
+}
+
+const (
+	// maxPriority is the top of the priority scale.
+	maxPriority = 9
+	// tenantSeriesLimit caps per-tenant labeled metric series; tenants
+	// beyond the cap aggregate into tenant="other". The cap keeps a
+	// million-tenant fleet from exploding registry cardinality.
+	tenantSeriesLimit = 32
+)
+
+// validate refuses a tenant priority outside [0, maxPriority]: shedFloor
+// tops out at maxPriority+1, so a higher priority would escape ShedLimit.
+func (c *AdmissionConfig) validate() error {
+	for name, lim := range c.Tenants {
+		if lim.Priority < 0 || lim.Priority > maxPriority {
+			return fmt.Errorf("rm: admission: tenant %q priority %d outside [0, %d]", name, lim.Priority, maxPriority)
+		}
+	}
+	if p := c.Defaults.Priority; p < 0 || p > maxPriority {
+		return fmt.Errorf("rm: admission: default priority %d outside [0, %d]", p, maxPriority)
+	}
+	return nil
 }
 
 const admissionStripes = 64
@@ -99,7 +115,7 @@ type tenantState struct {
 	queued int                 // admitted, unfinished jobs
 	demand resources.Vector    // aggregate peak demand of unfinished jobs
 
-	// Per-tenant labeled series (dedicated under TenantSeriesLimit,
+	// Per-tenant labeled series (dedicated under tenantSeriesLimit,
 	// shared tenant="other" series beyond it).
 	admitted *telemetry.Counter
 	rejected *telemetry.Counter
@@ -139,23 +155,17 @@ func newAdmission(cfg AdmissionConfig, reg *telemetry.Registry) *admission {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	if cfg.MaxPriority <= 0 {
-		cfg.MaxPriority = 9
-	}
 	if cfg.ShedHighWater > 0 && cfg.ShedLimit <= cfg.ShedHighWater {
 		cfg.ShedLimit = 2 * cfg.ShedHighWater
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
 	}
-	if cfg.TenantSeriesLimit <= 0 {
-		cfg.TenantSeriesLimit = 32
-	}
 	a := &admission{cfg: cfg, reg: reg}
 	for i := range a.stripes {
 		a.stripes[i].tenants = make(map[string]*tenantState)
 	}
-	a.seriesLeft.Store(int64(cfg.TenantSeriesLimit))
+	a.seriesLeft.Store(tenantSeriesLimit)
 	a.admitted = reg.Counter("tetris_rm_admission_admitted_total", "Job submissions admitted by the front door.")
 	a.rejected = reg.Counter("tetris_rm_admission_rejected_total", "Job submissions rejected by the front door (all causes).")
 	a.shedTotal = reg.Counter("tetris_rm_admission_shed_total", "Job submissions shed under overload (also counted in rejected).")
@@ -203,15 +213,9 @@ func (a *admission) tenant(name string) *tenantState {
 	if lim.Weight <= 0 {
 		lim.Weight = 1
 	}
-	if lim.SubmitRate > 0 && lim.SubmitBurst <= 0 {
-		lim.SubmitBurst = lim.SubmitRate
-		if lim.SubmitBurst < 1 {
-			lim.SubmitBurst = 1
-		}
-	}
 	t := &tenantState{limits: lim}
 	if lim.SubmitRate > 0 {
-		t.bucket = tokenbucket.New(lim.SubmitRate, lim.SubmitBurst)
+		t.bucket = tokenbucket.New(lim.SubmitRate, max(1, lim.SubmitRate))
 	}
 	if a.seriesLeft.Add(-1) >= 0 {
 		label := name
@@ -236,7 +240,7 @@ func (a *admission) tenant(name string) *tenantState {
 
 // shedFloor maps the current backlog to a priority floor: -1 when not
 // shedding, otherwise tenants with Priority < floor are shed. The floor
-// rises linearly from 1 just above ShedHighWater to MaxPriority+1 (shed
+// rises linearly from 1 just above ShedHighWater to maxPriority+1 (shed
 // everyone) at ShedLimit. frac is the saturation in (0,1], scaling the
 // retry hint.
 func (a *admission) shedFloor() (floor int, frac float64) {
@@ -252,7 +256,7 @@ func (a *admission) shedFloor() (floor int, frac float64) {
 	if frac > 1 {
 		frac = 1
 	}
-	floor = 1 + int(frac*float64(a.cfg.MaxPriority))
+	floor = 1 + int(frac*maxPriority)
 	return floor, frac
 }
 

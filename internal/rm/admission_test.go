@@ -103,7 +103,7 @@ func TestAdmissionQuotaDemand(t *testing.T) {
 
 func TestAdmissionRateLimit(t *testing.T) {
 	s := newAdmissionServer(t, AdmissionConfig{
-		Defaults: TenantLimits{SubmitRate: 0.001, SubmitBurst: 1},
+		Defaults: TenantLimits{SubmitRate: 0.001},
 	})
 	if code, _ := rejectCode(s, "a", 0, 1); code != "" {
 		t.Fatalf("first job rejected: %s", code)
@@ -153,6 +153,40 @@ func TestAdmissionShedByPriority(t *testing.T) {
 	if reply := s.HandleAMHeartbeat(&wire.AMHeartbeat{JobID: 0}); reply.AMReply == nil {
 		t.Fatalf("AM heartbeat degraded under shedding: %+v", reply)
 	}
+}
+
+// TestAdmissionRefusesPriorityOutOfRange: shedding tops out at priority
+// 9, so a priority above it would be admitted past ShedLimit, which sheds
+// everyone. Both constructors refuse such a config, and a negative
+// priority, whether in Defaults or in a tenant's entry; 0 and 9 are
+// accepted.
+func TestAdmissionRefusesPriorityOutOfRange(t *testing.T) {
+	cfg := func(adm AdmissionConfig) ShardedConfig {
+		return ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler, Admission: &adm}
+	}
+	for name, adm := range map[string]AdmissionConfig{
+		"default 10":   {Defaults: TenantLimits{Priority: 10}},
+		"default -1":   {Defaults: TenantLimits{Priority: -1}},
+		"tenant 10":    {ShedHighWater: 2, Tenants: map[string]TenantLimits{"ok": {Priority: 9}, "vip": {Priority: 10}}},
+		"tenant -1":    {Tenants: map[string]TenantLimits{"neg": {Priority: -1}}},
+		"tenant 1<<40": {Tenants: map[string]TenantLimits{"huge": {Priority: 1 << 40}}},
+	} {
+		if s, err := NewShardedInProcess(cfg(adm)); err == nil {
+			s.Close()
+			t.Errorf("%s: NewShardedInProcess accepted the config", name)
+		} else if !strings.Contains(err.Error(), "priority") {
+			t.Errorf("%s: error %q does not name the priority", name, err)
+		}
+		if s, err := NewSharded("127.0.0.1:0", cfg(adm)); err == nil {
+			s.Close()
+			t.Errorf("%s: NewSharded accepted the config", name)
+		}
+	}
+	s, err := NewShardedInProcess(cfg(AdmissionConfig{Tenants: map[string]TenantLimits{"low": {Priority: 0}, "high": {Priority: 9}}}))
+	if err != nil {
+		t.Fatalf("priorities 0 and 9 refused: %v", err)
+	}
+	s.Close()
 }
 
 func TestAdmissionBatchMixed(t *testing.T) {

@@ -555,7 +555,11 @@ func (s *Server) restoreState(r *wire.Reader) error {
 		s.addJob(ji)
 	}
 	var recs []faults.Record
-	if n := r.Count(minFaultSize); n > 0 {
+	n := r.Count(minFaultSize)
+	if n > faults.DefaultRingCap {
+		return corrupt("snapshot holds %d fault records, the log keeps %d", n, faults.DefaultRingCap)
+	}
+	if n > 0 {
 		recs = make([]faults.Record, n)
 		for i := range recs {
 			recs[i] = faults.Record{Time: r.Float(), Kind: faults.Kind(r.Int()), Machine: r.Int(), TasksKilled: r.Int(), Downtime: r.Float()}

@@ -19,11 +19,11 @@ import (
 
 // codecCore is an empty shard core with journaling off and every
 // snapshotted feature on: failure detector (DownSince), estimator, a
-// fault log of logCap records and an attempt cap.
-func codecCore(t testing.TB, logCap int) *Server {
+// fault log and an attempt cap.
+func codecCore(t testing.TB) *Server {
 	t.Helper()
 	s := &Server{
-		cfg:   &ShardedConfig{NodeTimeout: time.Hour, MaxTaskAttempts: 3, FaultLogCap: logCap},
+		cfg:   &ShardedConfig{NodeTimeout: time.Hour, MaxTaskAttempts: 3},
 		sched: tetrisScheduler(),
 		est:   estimator.New(),
 	}
@@ -101,9 +101,9 @@ func journalErr(err error) bool {
 }
 
 // codecFixture is codecCore with codecEvents applied.
-func codecFixture(t testing.TB, logCap int) *Server {
+func codecFixture(t testing.TB) *Server {
 	t.Helper()
-	s := codecCore(t, logCap)
+	s := codecCore(t)
 	evs := codecEvents()
 	for i := range evs {
 		if err := s.applyEvent(&evs[i]); err != nil {
@@ -133,17 +133,17 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		}
 	}
 
-	s := codecFixture(t, 64)
+	s := codecFixture(t)
 	digest := s.StateDigest()
-	r := codecCore(t, 64)
+	r := codecCore(t)
 	if err := restoreDigest(r, digest); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(r.StateDigest(), digest) {
 		t.Error("restored snapshot re-encodes differently")
 	}
-	cp := appendCheckpoint(nil, []*Server{codecCore(t, 64), s})
-	two := []*Server{codecCore(t, 64), codecCore(t, 64)}
+	cp := appendCheckpoint(nil, []*Server{codecCore(t), s})
+	two := []*Server{codecCore(t), codecCore(t)}
 	if err := restoreCheckpoint(cp, two, "dir"); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestReplayRefusesInconsistentJournal(t *testing.T) {
 		{"launch of a stage outside its job", event{Kind: evLaunch, Task: workload.TaskID{Job: 1, Stage: 4}, Machine: 0}},
 		{"submit of an invalid job", event{Kind: evSubmit, Job: badDeps}},
 	} {
-		s := codecFixture(t, 64)
+		s := codecFixture(t)
 		before := s.StateDigest()
 		var ev event
 		err := decodeEvent(appendEvent(nil, &c.ev), &ev)
@@ -227,9 +227,9 @@ func TestReplayRefusesInconsistentJournal(t *testing.T) {
 		}},
 		{"a job written twice", func(s *Server) { s.jobs[2] = s.jobs[1] }},
 	} {
-		s := codecFixture(t, 64)
+		s := codecFixture(t)
 		c.mutate(s)
-		if err := restoreDigest(codecCore(t, 64), s.StateDigest()); !errors.Is(err, ErrJournalCorrupt) {
+		if err := restoreDigest(codecCore(t), s.StateDigest()); !errors.Is(err, ErrJournalCorrupt) {
 			t.Errorf("snapshot with %s: err = %v, want ErrJournalCorrupt", c.name, err)
 		}
 	}
@@ -257,10 +257,10 @@ func TestLogFramingRefused(t *testing.T) {
 		}
 	}
 
-	fixture := codecFixture(t, 64)
-	cp := appendCheckpoint(nil, []*Server{codecCore(t, 64), fixture})
+	fixture := codecFixture(t)
+	cp := appendCheckpoint(nil, []*Server{codecCore(t), fixture})
 	var layout *ErrJournalLayout
-	err := restoreCheckpoint(appendCheckpoint(nil, []*Server{fixture}), []*Server{codecCore(t, 64), codecCore(t, 64)}, "dir")
+	err := restoreCheckpoint(appendCheckpoint(nil, []*Server{fixture}), []*Server{codecCore(t), codecCore(t)}, "dir")
 	if !errors.As(err, &layout) || layout.Path != "dir" {
 		t.Errorf("checkpoint of 1 shard restored into 2: err = %v, want ErrJournalLayout naming dir", err)
 	}
@@ -274,7 +274,7 @@ func TestLogFramingRefused(t *testing.T) {
 		{"trailing bytes", append(cp[:len(cp):len(cp)], 0), ErrJournalCorrupt},
 		{"per-shard snapshot", fixture.StateDigest(), ErrJournalFormat},
 	} {
-		if err := restoreCheckpoint(c.data, []*Server{codecCore(t, 64), codecCore(t, 64)}, "dir"); !errors.Is(err, c.want) {
+		if err := restoreCheckpoint(c.data, []*Server{codecCore(t), codecCore(t)}, "dir"); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
@@ -297,7 +297,7 @@ func TestOldJSONJournalRefused(t *testing.T) {
 		{"JSON record", func(j *journal.Journal) { j.Append(record) }},
 		{"JSON snapshot", func(j *journal.Journal) { j.Snapshot(snapshot) }},
 		{"per-shard record", func(j *journal.Journal) { j.Append(appendEvent(nil, &ev)) }},
-		{"per-shard snapshot", func(j *journal.Journal) { j.Snapshot(codecFixture(t, 64).StateDigest()) }},
+		{"per-shard snapshot", func(j *journal.Journal) { j.Snapshot(codecFixture(t).StateDigest()) }},
 	} {
 		dir := t.TempDir()
 		j, _, err := journal.Open(journal.Options{Dir: filepath.Join(dir, logDir)})
@@ -326,8 +326,8 @@ func FuzzJournalRecord(f *testing.F) {
 		f.Add(appendEvent(nil, &ev))
 		f.Add(appendRecord(nil, i%3, &ev)) // shard 2 of 2 is refused
 	}
-	fixture := codecFixture(f, 64)
-	cp := appendCheckpoint(nil, []*Server{fixture, codecCore(f, 64)})
+	fixture := codecFixture(f)
+	cp := appendCheckpoint(nil, []*Server{fixture, codecCore(f)})
 	f.Add(fixture.StateDigest())
 	f.Add(cp)
 	f.Add(cp[:len(cp)-5])                            // a truncated shard section
@@ -339,7 +339,7 @@ func FuzzJournalRecord(f *testing.F) {
 			if again := appendEvent(nil, &ev); !bytes.Equal(again, data) {
 				t.Fatalf("event re-encodes to %x, read %x", again, data)
 			}
-			s := codecFixture(t, 64)
+			s := codecFixture(t)
 			_ = s.applyEvent(&ev)
 		} else if !journalErr(err) {
 			t.Fatalf("event refused untyped: %v", err)
@@ -351,10 +351,7 @@ func FuzzJournalRecord(f *testing.F) {
 		} else if !journalErr(err) {
 			t.Fatalf("record refused untyped: %v", err)
 		}
-		// Fault logs large enough for any count the bytes could hold, so
-		// Restore evicts nothing.
-		logCap := len(data)/minFaultSize + 1
-		s := codecCore(t, logCap)
+		s := codecCore(t)
 		if err := restoreDigest(s, data); err == nil {
 			if again := s.StateDigest(); !bytes.Equal(again, data) {
 				t.Fatalf("snapshot re-encodes to %x, read %x", again, data)
@@ -362,7 +359,7 @@ func FuzzJournalRecord(f *testing.F) {
 		} else if !journalErr(err) {
 			t.Fatalf("snapshot refused untyped: %v", err)
 		}
-		two := []*Server{codecCore(t, logCap), codecCore(t, logCap)}
+		two := []*Server{codecCore(t), codecCore(t)}
 		if err := restoreCheckpoint(data, two, "dir"); err == nil {
 			if again := appendCheckpoint(nil, two); !bytes.Equal(again, data) {
 				t.Fatalf("checkpoint re-encodes to %x, read %x", again, data)
@@ -427,7 +424,7 @@ func BenchmarkReplay(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := codecCore(b, 0)
+		s := codecCore(b)
 		s.replaying = true
 		b.StartTimer()
 		var ev event

@@ -233,7 +233,7 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 			// A tiny preemption bound with an inert hold timer: the gang
 			// preempts the fillers almost immediately, generating evPreempt
 			// and evGangCommit frames for the journal to replay.
-			Gang:          &gang.Config{HoldSec: 3600, PreemptSec: 1e-9, MaxPreemptPerRound: 8},
+			Gang:          &gang.Config{HoldSec: 3600, PreemptSec: 1e-9},
 			JournalDir:    journalDir,
 			SnapshotEvery: 16, // force checkpoints that must carry gang state
 		}

@@ -124,7 +124,7 @@ func (s *Server) open() error {
 	}
 	s.log = cfg.Logger
 	s.jobs = make(map[int]*jobInfo)
-	s.faultLog = faults.NewRing(cfg.FaultLogCap)
+	s.faultLog = faults.NewRing()
 	s.markDirty(causeNode)
 	s.route = routeCache{seen: make(map[resources.Vector]struct{})}
 	if est := s.est; est != nil {
@@ -571,8 +571,7 @@ func (s *Server) amReplyLocked(jobID int, ji *jobInfo) *wire.Message {
 }
 
 // ClusterStatus snapshots node liveness and the fault-event log (the
-// most recent ShardedConfig.FaultLogCap records, and how many were
-// evicted).
+// most recent faults.DefaultRingCap records, and how many were evicted).
 func (s *Server) ClusterStatus() wire.ClusterStatusReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -21,6 +21,7 @@ import (
 	"slices"
 
 	"github.com/tetris-sched/tetris/internal/resources"
+	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
@@ -212,14 +213,6 @@ func jobRoutingDemand(j *workload.Job) (mean, max resources.Vector) {
 	return mean, max
 }
 
-// localDemand strips the network components of a peak demand. Network
-// in/out are only exercised when placement makes an input read remote,
-// so the best-case (fully local) placement needs none — feasibility
-// must not reject a shard for bandwidth the job may never use.
-func localDemand(peak resources.Vector) resources.Vector {
-	return peak.With(resources.NetIn, 0).With(resources.NetOut, 0)
-}
-
 // gangRoutingDemand returns the aggregate local demand of a gang's
 // quorum — the capacity one shard must eventually co-hold, since a
 // gang pins to exactly one shard and commits all-or-nothing there.
@@ -236,7 +229,7 @@ func gangRoutingDemand(j *workload.Job) resources.Vector {
 			if n >= j.GangQuorum() {
 				return sum
 			}
-			sum = sum.Add(localDemand(st.Tasks[i].Peak))
+			sum = sum.Add(scheduler.LocalDemand(st.Tasks[i].Peak))
 			n++
 		}
 	}
@@ -283,7 +276,7 @@ func anyFeasible(max resources.Vector, views []ShardView) bool {
 // routing is a placement-possibility check, not an admission gate —
 // currently-busy machines free up, too-small machines never do).
 func shardFeasible(max resources.Vector, v ShardView) bool {
-	need := localDemand(max)
+	need := scheduler.LocalDemand(max)
 	for _, mc := range v.MachineCaps {
 		if need.FitsIn(mc) {
 			return true

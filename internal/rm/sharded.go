@@ -99,9 +99,6 @@ type ShardedConfig struct {
 	// front door checkpoints every shard and restarts the log. Default
 	// 4096.
 	SnapshotEvery int
-	// FaultLogCap bounds each shard's in-memory crash/recovery log (a
-	// ring buffer; evictions are counted). Default faults.DefaultRingCap.
-	FaultLogCap int
 	// Gang enables gang scheduling: each shard core wraps its scheduler
 	// in its own gang.Coordinator (internal/gang), so gang jobs admit
 	// all-or-nothing, hoard under timeout-and-release, and may preempt
@@ -233,6 +230,9 @@ func newShardedCore(cfg ShardedConfig) (*Sharded, error) {
 		g.log = log.New(io.Discard, "", 0)
 	}
 	if cfg.Admission != nil {
+		if err := cfg.Admission.validate(); err != nil {
+			return nil, err
+		}
 		// Built before any shard core so journal recovery inside open
 		// re-adopts recovered jobs into the shared tenant accounting.
 		g.adm = newAdmission(*cfg.Admission, cfg.Metrics)

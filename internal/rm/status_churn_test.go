@@ -15,14 +15,13 @@ import (
 )
 
 func TestClusterStatusUnderChurn(t *testing.T) {
-	const ringCap = 4
+	const ringCap = faults.DefaultRingCap
 	// No NodeTimeout: deaths are injected directly through markDead so
 	// the churn sequence is deterministic — no background watcher races.
 	reg := telemetry.NewRegistry()
-	s, err := NewSharded("127.0.0.1:0", ShardedConfig{
+	s, err := NewShardedInProcess(ShardedConfig{
 		Shards:       1,
 		NewScheduler: tetrisScheduler,
-		FaultLogCap:  ringCap,
 		Metrics:      reg,
 	})
 	if err != nil {
@@ -36,7 +35,15 @@ func TestClusterStatusUnderChurn(t *testing.T) {
 		s.RegisterMachine(i, capV)
 	}
 
-	// Kill nodes 0–3: four MachineCrash records.
+	// Node 5 flaps until the log is four records short of full: a
+	// MachineCrash and a MachineRecover record per flap.
+	const flaps = (ringCap - 4) / 2
+	for i := 0; i < flaps; i++ {
+		killNode(s, 5)
+		s.RegisterMachine(5, capV)
+	}
+
+	// Kill nodes 0–3: four MachineCrash records fill the log.
 	for _, id := range []int{0, 1, 2, 3} {
 		killNode(s, id)
 	}
@@ -50,7 +57,7 @@ func TestClusterStatusUnderChurn(t *testing.T) {
 	}
 
 	// Nodes 0 and 1 come back (fresh registrations of confirmed-dead
-	// nodes): two MachineRecover records — six total, ring holds four.
+	// nodes): two MachineRecover records evict the two oldest.
 	s.RegisterMachine(0, capV)
 	s.RegisterMachine(1, capV)
 
@@ -65,28 +72,36 @@ func TestClusterStatusUnderChurn(t *testing.T) {
 		t.Errorf("liveness lists not ascending: live %v dead %v", st.Live, st.Dead)
 	}
 
-	// Ring bounding: 4 crashes + 2 recoveries happened, the ring keeps
-	// the most recent ringCap and counts the rest as dropped.
+	// Ring bounding: 2·flaps + 4 crashes + 2 recoveries happened, the
+	// ring keeps the most recent ringCap and counts the rest as dropped.
 	if got := len(st.Faults); got != ringCap {
 		t.Fatalf("fault log holds %d records, want ring cap %d", got, ringCap)
 	}
-	if got, want := st.DroppedFaults, uint64(6-ringCap); got != want {
+	if got, want := st.DroppedFaults, uint64(2*flaps+6-ringCap); got != want {
 		t.Errorf("DroppedFaults = %d, want %d", got, want)
 	}
-	wantKinds := []faults.Kind{faults.MachineCrash, faults.MachineCrash, faults.MachineRecover, faults.MachineRecover}
-	for i, rec := range st.Faults {
-		if rec.Kind != wantKinds[i] {
-			t.Errorf("fault[%d].Kind = %v, want %v (log: %+v)", i, rec.Kind, wantKinds[i], st.Faults)
-		}
-		if i > 0 && rec.Time < st.Faults[i-1].Time {
-			t.Errorf("fault log out of chronological order at %d: %+v", i, st.Faults)
-		}
+	// Oldest first: the surviving flaps of node 5 (the first flap was
+	// evicted), then the crashes of nodes 0–3 in the order they were
+	// killed, then the recoveries of nodes 0 and 1.
+	type rec struct {
+		kind    faults.Kind
+		machine int
 	}
-	// The two surviving crash records are the two highest silent IDs —
-	// markDead sweeps detector expirations in ascending ID order.
-	if st.Faults[0].Machine != 2 || st.Faults[1].Machine != 3 {
-		t.Errorf("surviving crash records = nodes %d,%d, want 2,3",
-			st.Faults[0].Machine, st.Faults[1].Machine)
+	var want []rec
+	for i := 1; i < flaps; i++ {
+		want = append(want, rec{faults.MachineCrash, 5}, rec{faults.MachineRecover, 5})
+	}
+	for _, id := range []int{0, 1, 2, 3} {
+		want = append(want, rec{faults.MachineCrash, id})
+	}
+	want = append(want, rec{faults.MachineRecover, 0}, rec{faults.MachineRecover, 1})
+	for i, r := range st.Faults {
+		if got := (rec{r.Kind, r.Machine}); got != want[i] {
+			t.Fatalf("fault[%d] = %v on node %d, want %v on node %d", i, r.Kind, r.Machine, want[i].kind, want[i].machine)
+		}
+		if i > 0 && r.Time < st.Faults[i-1].Time {
+			t.Fatalf("fault log out of chronological order at %d: %+v", i, st.Faults[i-1:i+1])
+		}
 	}
 	var expo bytes.Buffer
 	if err := reg.WritePrometheus(&expo); err != nil {

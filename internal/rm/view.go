@@ -76,7 +76,7 @@ func (s *Server) markDirty(c roundCause) {
 // time-driven trigger: while runnable work sits unplaced, a node whose
 // own previous beat has seen no round since runs one. Across a fleet
 // that is one round per heartbeat interval — the cadence internal/sim
-// uses (Config.HeartbeatSec) — and it is what keeps every clock-driven
+// uses (heartbeatSec) — and it is what keeps every clock-driven
 // guard ticking (starvation reservations, gang hoard timeouts and
 // preemption waits, reservation expiry, rotating locality cursors)
 // without the RM knowing which policy it wraps. A skipped round is thus

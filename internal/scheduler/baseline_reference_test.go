@@ -121,8 +121,8 @@ func (s *SlotFair) scheduleReference(v *View) []Assignment {
 		if m.Down {
 			continue // crashed machine: no slots
 		}
-		total := int(m.Capacity.Get(resources.Memory) / s.SlotGB)
-		used := int(math.Round(m.Allocated.Get(resources.Memory) / s.SlotGB))
+		total := int(m.Capacity.Get(resources.Memory) / slotGB)
+		used := int(math.Round(m.Allocated.Get(resources.Memory) / slotGB))
 		freeSlots[i] = total - used
 		if freeSlots[i] < 0 {
 			freeSlots[i] = 0
@@ -141,7 +141,7 @@ func (s *SlotFair) scheduleReference(v *View) []Assignment {
 		if m.Down {
 			continue
 		}
-		totalSlots += math.Floor(m.Capacity.Get(resources.Memory) / s.SlotGB)
+		totalSlots += math.Floor(m.Capacity.Get(resources.Memory) / slotGB)
 	}
 	if totalSlots == 0 {
 		return nil
@@ -150,7 +150,7 @@ func (s *SlotFair) scheduleReference(v *View) []Assignment {
 	fetch := make(map[int]*pendingFetcher, len(jobs))
 	blocked := make(map[int]bool)
 	for _, j := range jobs {
-		slotsUsed[j.Job.ID] = j.Alloc.Get(resources.Memory) / s.SlotGB
+		slotsUsed[j.Job.ID] = j.Alloc.Get(resources.Memory) / slotGB
 		fetch[j.Job.ID] = newPendingFetcher(j)
 	}
 
@@ -189,7 +189,7 @@ func (s *SlotFair) scheduleReference(v *View) []Assignment {
 		totalFree -= need
 		slotsUsed[id] += float64(need)
 		// Charge memory only: that is all a slot scheduler allocates.
-		local := resources.Vector{}.With(resources.Memory, float64(need)*s.SlotGB)
+		local := resources.Vector{}.With(resources.Memory, float64(need)*slotGB)
 		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: local})
 	}
 	return out

@@ -170,9 +170,9 @@ func BenchmarkSlotFairSchedule(b *testing.B) {
 				name = "reference"
 			}
 			b.Run(fmt.Sprintf("%s/%s", sz.name, name), func(b *testing.B) {
-				var s Scheduler = &SlotFair{SlotGB: 2}
+				var s Scheduler = NewSlotFair()
 				if ref {
-					s = referenceSlotFair{&SlotFair{SlotGB: 2}}
+					s = referenceSlotFair{NewSlotFair()}
 				}
 				s.Schedule(v)
 				b.ReportAllocs()

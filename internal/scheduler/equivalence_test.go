@@ -507,12 +507,12 @@ func TestScheduleEquivalence(t *testing.T) {
 	}
 
 	slotRounds := 0
-	for si, slotGB := range []float64{1, 2, 4} {
+	for si := 0; si < 3; si++ {
 		for s := 0; s < 6; s++ {
 			seed := int64(9000 + 100*si + 7*s)
-			slotRounds += runEquivalence(t, fmt.Sprintf("slotfair[%v]", slotGB),
-				func() Scheduler { return &SlotFair{SlotGB: slotGB} },
-				func() Scheduler { return referenceSlotFair{&SlotFair{SlotGB: slotGB}} },
+			slotRounds += runEquivalence(t, "slotfair",
+				func() Scheduler { return NewSlotFair() },
+				func() Scheduler { return referenceSlotFair{NewSlotFair()} },
 				seed, 25, false)
 		}
 	}
@@ -572,10 +572,9 @@ func FuzzScheduleEquivalence(f *testing.F) {
 				func() Scheduler { return referenceDRF{mk()} },
 				seed, r, false)
 		default:
-			slotGB := []float64{1, 2, 4, 8}[knobs&3]
 			runEquivalence(t, "fuzz-slotfair",
-				func() Scheduler { return &SlotFair{SlotGB: slotGB} },
-				func() Scheduler { return referenceSlotFair{&SlotFair{SlotGB: slotGB}} },
+				func() Scheduler { return NewSlotFair() },
+				func() Scheduler { return referenceSlotFair{NewSlotFair()} },
 				seed, r, false)
 		}
 	})

@@ -89,7 +89,7 @@ type gangWorld struct {
 
 func newGangWorld(seed int64, inner scheduler.Scheduler, caps []resources.Vector, jobs []*workload.Job, arrive []float64) *gangWorld {
 	w := &gangWorld{
-		c:      gang.New(inner, gang.Config{HoldSec: 4, PreemptSec: 8, MaxPreemptPerRound: 4}),
+		c:      gang.New(inner, gang.Config{HoldSec: 4, PreemptSec: 8}),
 		jobs:   jobs,
 		arrive: arrive,
 		states: make(map[int]*scheduler.JobState),

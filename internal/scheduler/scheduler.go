@@ -143,6 +143,14 @@ func EffectiveDemand(peak resources.Vector, t *workload.Task, m int) resources.V
 	return d
 }
 
+// LocalDemand strips the network components of a peak demand, leaving the
+// demand of the best-case, fully local placement: feasibility checks (the
+// RM router's per shard, the gang coordinator's per quorum) must not
+// reject for network bandwidth only a remote read would use.
+func LocalDemand(peak resources.Vector) resources.Vector {
+	return peak.With(resources.NetIn, 0).With(resources.NetOut, 0)
+}
+
 // RemoteCharges computes the per-source-machine resource charges of
 // placing task t on machine m: each remote source serves its share of the
 // read, at proportional disk-read and network-out rates bounded by the

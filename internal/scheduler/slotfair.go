@@ -14,12 +14,12 @@ import (
 // nor limited, which is exactly the over-allocation pathology the paper
 // demonstrates. Tasks are preferentially placed local to their input.
 type SlotFair struct {
-	// SlotGB is the slot size in GB of memory (the paper uses the
-	// Facebook cluster's value; we default to 2 GB).
-	SlotGB float64
-
 	scratch slotScratch
 }
+
+// slotGB is the slot size in GB of memory (the paper uses the Facebook
+// cluster's value; this reproduction uses 2 GB).
+const slotGB = 2
 
 // slotScratch is the per-round working state, reused across Schedule
 // calls.
@@ -45,7 +45,7 @@ func (sc *slotScratch) more(a, b int) bool {
 }
 
 // NewSlotFair returns a slot-based fair scheduler with 2 GB slots.
-func NewSlotFair() *SlotFair { return &SlotFair{SlotGB: 2} }
+func NewSlotFair() *SlotFair { return &SlotFair{} }
 
 // Name implements Scheduler.
 func (s *SlotFair) Name() string { return "slot-fair" }
@@ -56,7 +56,7 @@ func (s *SlotFair) slotsOf(memGB float64) int {
 	if memGB <= 0 {
 		return 1 // every task occupies at least one slot
 	}
-	return int(math.Ceil(memGB / s.SlotGB))
+	return int(math.Ceil(memGB / slotGB))
 }
 
 // Schedule implements Scheduler: repeatedly give the next free slot(s) to
@@ -87,8 +87,8 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		if m.Down {
 			continue // crashed machine: no slots
 		}
-		total := int(m.Capacity.Get(resources.Memory) / s.SlotGB)
-		used := int(math.Round(m.Allocated.Get(resources.Memory) / s.SlotGB))
+		total := int(m.Capacity.Get(resources.Memory) / slotGB)
+		used := int(math.Round(m.Allocated.Get(resources.Memory) / slotGB))
 		sc.freeSlots[i] = total - used
 		if sc.freeSlots[i] < 0 {
 			sc.freeSlots[i] = 0
@@ -113,7 +113,7 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		if m.Down {
 			continue
 		}
-		totalSlots += math.Floor(m.Capacity.Get(resources.Memory) / s.SlotGB)
+		totalSlots += math.Floor(m.Capacity.Get(resources.Memory) / slotGB)
 	}
 	if totalSlots == 0 {
 		return nil
@@ -134,7 +134,7 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 	sc.heap.pos = sc.heap.pos[:0]
 	for p, j := range jobs {
 		sc.fair[p] = j.Job.Weight / totalWeight
-		sc.used[p] = j.Alloc.Get(resources.Memory) / s.SlotGB
+		sc.used[p] = j.Alloc.Get(resources.Memory) / slotGB
 		sc.deficit[p] = sc.fair[p] - sc.used[p]/totalSlots
 		sc.fetch[p].reset(j)
 		sc.heap.push(p)
@@ -168,7 +168,7 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		sc.deficit[p] = sc.fair[p] - sc.used[p]/totalSlots
 		sc.heap.siftDown() // deficit only shrank: re-sink the root
 		// Charge memory only: that is all a slot scheduler allocates.
-		local := resources.Vector{}.With(resources.Memory, float64(need)*s.SlotGB)
+		local := resources.Vector{}.With(resources.Memory, float64(need)*slotGB)
 		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: local})
 	}
 	return out

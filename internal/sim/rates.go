@@ -224,18 +224,24 @@ func cpuScale(capacity, demand float64) float64 {
 	return capacity / demand
 }
 
+// Over-subscribing disk or network costs throughput super-linearly (§2.1:
+// incast, disk seek overheads): at demand k > 1 times capacity, effective
+// capacity is capacity/(1 + interferenceAlpha·(k−1)), but never below
+// interferenceFloor × capacity — interference degrades, it doesn't halt.
+const (
+	interferenceAlpha = 0.5
+	interferenceFloor = 0.25
+)
+
 // ioScale is cpuScale for disk and network, which lose effective
-// capacity under over-subscription (incast, seek overheads): see
-// Config.InterferenceAlpha.
+// capacity under over-subscription (see interferenceAlpha).
 func (s *Sim) ioScale(capacity, demand float64) float64 {
 	if demand <= capacity || demand == 0 {
 		return 1
 	}
 	k := demand / capacity
-	eff := capacity / (1 + s.alpha*(k-1))
-	// Interference degrades throughput, it doesn't halt it: the floor
-	// bounds the damage.
-	if floor := s.floorFrac * capacity; eff < floor {
+	eff := capacity / (1 + interferenceAlpha*(k-1))
+	if floor := interferenceFloor * capacity; eff < floor {
 		eff = floor
 	}
 	return eff / demand

@@ -82,7 +82,7 @@ func TestIncrementalRatesMatchFull(t *testing.T) {
 		}},
 		{"task-failures-kill-jobs", func() Config {
 			return Config{Cluster: cluster.NewFacebook(20), Workload: trace.GenerateSuite(suite(20)), Scheduler: scheduler.NewDRF(),
-				TaskFailureProb: 0.3, FailureSeed: 7, MaxTaskAttempts: 3}
+				TaskFailureProb: 0.3, MaxTaskAttempts: 3}
 		}, func(t *testing.T, _ *Sim, res *Result) {
 			if res.FailedAttempts == 0 || len(res.KilledJobs) == 0 {
 				t.Errorf("%d failed attempts, killed jobs %v: want both", res.FailedAttempts, res.KilledJobs)
@@ -97,9 +97,6 @@ func TestIncrementalRatesMatchFull(t *testing.T) {
 				t.Errorf("%d preemptions, %d gang commits: want both", res.Preemptions, res.GangCommits)
 			}
 		}},
-		{"every-event-schedules", func() Config {
-			return Config{Cluster: cluster.NewFacebook(20), Workload: trace.GenerateSuite(suite(20)), Scheduler: tetris(), HeartbeatSec: -1}
-		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

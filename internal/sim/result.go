@@ -69,7 +69,7 @@ type Result struct {
 	// FaultEvents is the chronological log of injected machine crashes
 	// and recoveries (Config.FaultPlan): per-event task kill counts and
 	// recovery latencies fall out of it. It holds the most recent
-	// Config.FaultLogCap records; older ones are evicted and counted in
+	// faults.DefaultRingCap records; older ones are evicted and counted in
 	// DroppedFaultEvents.
 	FaultEvents []faults.Record
 	// DroppedFaultEvents counts fault records evicted from the bounded

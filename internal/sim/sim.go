@@ -58,26 +58,9 @@ type Config struct {
 	EstimateDemand func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64)
 	// MaxTime aborts runs that exceed this simulated time (0 = no limit).
 	MaxTime float64
-	// HeartbeatSec batches scheduling rounds: resources freed between
-	// heartbeats are offered together, as node-manager heartbeats do in
-	// the real system (§3.5, §5.2.2). Negative disables batching
-	// (schedule at every event); zero uses the 1 s default.
-	HeartbeatSec float64
 	// RecordTasks keeps a per-task placement record in the result
 	// (machine, start, finish) — used by placement-level analyses.
 	RecordTasks bool
-	// InterferenceAlpha models the super-linear cost of over-subscribing
-	// disk and network (§2.1: "when tasks contend for a resource, the
-	// total effective throughput is lowered due to systemic reasons such
-	// as buffer overflows on switches (incast), disk seek overheads"):
-	// when demand exceeds capacity by factor k > 1, effective capacity is
-	// capacity / (1 + α·(k−1)). Zero uses the default of 0.5; negative
-	// disables interference (pure work-conserving sharing).
-	InterferenceAlpha float64
-	// InterferenceFloor bounds how much throughput interference can
-	// destroy: effective capacity never drops below floor × capacity.
-	// Zero uses the default of 0.25; negative means no floor.
-	InterferenceFloor float64
 	// FaultPlan injects machine crash/recover and slowdown events plus
 	// straggler tasks (see internal/faults). On a crash the machine's
 	// running tasks fail and re-enter the pending pool; the released
@@ -87,18 +70,12 @@ type Config struct {
 	// task failing this many times kills its job (recorded in
 	// Result.KilledJobs with JobResult.Failed). Zero means unlimited.
 	MaxTaskAttempts int
-	// FaultLogCap bounds the in-memory fault-event log (a ring buffer
-	// keeping the most recent records; evictions are counted in
-	// Result.DroppedFaultEvents). Default faults.DefaultRingCap.
-	FaultLogCap int
 	// TaskFailureProb is the probability that a task fails on completion
 	// and must re-execute from scratch (the paper's simulator replays
 	// the production traces' failure probabilities; §5.1). Failed
 	// attempts count toward TaskDurations; the task returns to the
 	// pending pool.
 	TaskFailureProb float64
-	// FailureSeed drives the failure coin flips (default 1).
-	FailureSeed int64
 	// CheckInvariants makes the simulator verify, at every event, that no
 	// machine's memory is over-committed and that no ledger is negative
 	// (checkInvariants), and that the incrementally kept fluid rates and
@@ -118,29 +95,10 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// interferenceAlpha resolves the configured α.
-func (c Config) interferenceAlpha() float64 {
-	switch {
-	case c.InterferenceAlpha < 0:
-		return 0
-	case c.InterferenceAlpha == 0:
-		return 0.5
-	default:
-		return c.InterferenceAlpha
-	}
-}
-
-// interferenceFloor resolves the configured floor.
-func (c Config) interferenceFloor() float64 {
-	switch {
-	case c.InterferenceFloor < 0:
-		return 0
-	case c.InterferenceFloor == 0:
-		return 0.25
-	default:
-		return c.InterferenceFloor
-	}
-}
+// heartbeatSec batches scheduling rounds: resources freed between
+// heartbeats are offered together, as node-manager heartbeats do in the
+// real system (§3.5, §5.2.2).
+const heartbeatSec = 1.0
 
 // event kinds on the queue.
 type evKind int
@@ -249,10 +207,9 @@ type Sim struct {
 	// Fluid-rate state (rates.go): one node per machine, then — when the
 	// cluster models rack uplinks — one per rack and direction; dirty
 	// lists the nodes marked since the last recomputeRates.
-	nodes            []rateNode
-	dirty            []int
-	racks            int // racks with a modelled uplink; 0 when there is none
-	alpha, floorFrac float64
+	nodes []rateNode
+	dirty []int
+	racks int // racks with a modelled uplink; 0 when there is none
 	// How much of the events' rate work was recomputation: nodes re-summed
 	// against nodes left alone, summed over loop iterations.
 	rateNodesRecomputed, rateNodesClean uint64
@@ -280,15 +237,11 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		cfg:       cfg,
 		res:       newResult(),
-		faultRing: faults.NewRing(cfg.FaultLogCap),
+		faultRing: faults.NewRing(),
 		metrics:   newSimMetrics(cfg.Metrics),
 	}
 	if cfg.TaskFailureProb > 0 {
-		seed := cfg.FailureSeed
-		if seed == 0 {
-			seed = 1
-		}
-		s.failRand = rand.New(rand.NewSource(seed))
+		s.failRand = rand.New(rand.NewSource(1))
 	}
 	for _, m := range cfg.Cluster.Machines {
 		s.machines = append(s.machines, &scheduler.MachineState{ID: m.ID, Capacity: m.Capacity})
@@ -301,7 +254,6 @@ func New(cfg Config) (*Sim, error) {
 	for i := range s.slow {
 		s.slow[i] = 1
 	}
-	s.alpha, s.floorFrac = cfg.interferenceAlpha(), cfg.interferenceFloor()
 	if r := cfg.Cluster.NumRacks(); r > 1 && cfg.Cluster.CrossRackMbps > 0 {
 		s.racks = r
 	}
@@ -396,24 +348,16 @@ func (s *Sim) Run() (*Result, error) {
 		}
 		// 2. Scheduling round, rate-limited to the heartbeat period.
 		if needSchedule {
-			hb := s.cfg.HeartbeatSec
-			if hb == 0 {
-				hb = 1
-			}
-			switch {
-			case hb < 0 || s.clock+eps >= s.nextSchedOK:
+			if s.clock+eps >= s.nextSchedOK {
 				if err := s.schedule(); err != nil {
 					return nil, err
 				}
-				s.nextSchedOK = s.clock + math.Max(hb, 0)
-				needSchedule = false
-			case !s.schedPending:
+				s.nextSchedOK = s.clock + heartbeatSec
+			} else if !s.schedPending {
 				s.queue.Push(s.nextSchedOK, event{kind: evSchedule})
 				s.schedPending = true
-				needSchedule = false
-			default:
-				needSchedule = false
 			}
+			needSchedule = false
 		}
 		// 3. Recompute fluid rates and find the next completion.
 		s.recomputeRates()

@@ -51,69 +51,19 @@ type listedPackage struct {
 // Methods matching a standard-library interface are assumed called by
 // the standard library.
 func TestEveryDeclarationHasACaller(t *testing.T) {
-	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export", "./...").Output()
-	if err != nil {
-		var ee *exec.ExitError
-		if errors.As(err, &ee) {
-			t.Fatalf("go list: %v\n%s", err, ee.Stderr)
-		}
-		t.Fatalf("go list: %v", err)
-	}
-	modPath := modulePath(t)
-	var mod []*listedPackage
-	exports := map[string]string{}
-	for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
-		p := new(listedPackage)
-		if err := dec.Decode(p); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if p.ImportPath == modPath || strings.HasPrefix(p.ImportPath, modPath+"/") {
-			mod = append(mod, p) // go list -deps orders dependencies first
-		} else {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
-	checked := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
-			return p, nil
-		}
-		return std.Import(path)
-	})
+	m := loadModule(t)
 	r := newReach()
 	var decls []declared
-	for _, p := range mod {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = pkg
-		r.module[pkg] = true
-		rel := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, modPath), "/")
-		decls = append(decls, r.addPackage(pkg, rel, files, info)...)
+	for _, p := range m.pkgs {
+		r.module[p.pkg] = true
+		decls = append(decls, r.addPackage(p.pkg, p.rel, p.files, p.info)...)
 	}
-	for path := range exports {
-		if p, err := std.Import(path); err == nil {
+	for path := range m.exports {
+		if p, err := m.std.Import(path); err == nil {
 			r.addStdInterfaces(p)
 		}
 	}
-	if root := checked[modPath]; root != nil {
+	if root := m.root; root != nil {
 		r.addFacade(root)
 	}
 	r.run()
@@ -126,7 +76,7 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 		if _, ok := reachAllowed[d.name]; ok {
 			continue
 		}
-		unreached = append(unreached, d.name+" ("+fset.Position(d.obj.Pos()).String()+")")
+		unreached = append(unreached, d.name+" ("+m.fset.Position(d.obj.Pos()).String()+")")
 	}
 	sort.Strings(unreached)
 	if len(unreached) > 0 {
@@ -140,6 +90,184 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 			t.Errorf("reachAllowed names %s, which a program reaches; take it off the list", name)
 		}
 	}
+}
+
+// optionAllowed names the options no non-test file outside their own
+// package sets that stay anyway, because tests set them. Keys are
+// "pkg.Type.Field" with pkg the path below the module; the value says why.
+var optionAllowed = map[string]string{
+	"internal/sim.Config.CheckInvariants":         "turns on the oracle checks",
+	"internal/trace.Config.MeanTaskSeconds":       "tests shorten generated tasks",
+	"internal/rm.AdmissionConfig.RetryAfter":      "the admission chaos suite shortens the hint to 10 ms",
+	"internal/nm.Config.MaxReconnects":            "the restart chaos suite raises the budget",
+	"internal/am.Config.MaxReconnects":            "the restart chaos suite raises the budget",
+	"internal/nm.Config.Heartbeat":                "tests beat every 10-20 ms",
+	"internal/am.Config.Poll":                     "tests poll every 10 ms",
+	"internal/hollow.Config.Capacity":             "the dialect test gives hollow nodes the real NM's capacity",
+	"internal/hollow.StormConfig.Duration":        "the storm tests bound a storm by time instead of by its context",
+	"internal/faults.PlanConfig.SlowdownFraction": "machine slowdowns are a documented FaultPlan kind",
+	"internal/faults.PlanConfig.SlowdownFactor":   "machine slowdowns are a documented FaultPlan kind",
+	"internal/faults.PlanConfig.MeanSlowdown":     "machine slowdowns are a documented FaultPlan kind",
+}
+
+// TestEveryOptionHasASetter fails when an exported field of a struct type
+// named Config, ...Config or Options is set by no non-test file outside
+// the type's own package: an option no program sets is a constant. A set
+// is a composite-literal key, an assignment or taking the field's address
+// (a flag bound to it); fields resolve through go/types, so a set through
+// a facade alias counts.
+func TestEveryOptionHasASetter(t *testing.T) {
+	m := loadModule(t)
+	set := map[types.Object]bool{}
+	for _, p := range m.pkgs {
+		note := func(id *ast.Ident) {
+			if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != p.pkg {
+				set[v] = true
+			}
+		}
+		noteSel := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				note(sel.Sel)
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						note(id)
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						noteSel(l)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						noteSel(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	declared := map[string]bool{}
+	var unset []string
+	for _, p := range m.pkgs {
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || (name != "Options" && !strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() {
+					continue
+				}
+				key := p.rel + "." + name + "." + f.Name()
+				declared[key] = true
+				if set[f] {
+					if _, ok := optionAllowed[key]; ok {
+						t.Errorf("optionAllowed names %s, which a program sets; take it off the list", key)
+					}
+					continue
+				}
+				if _, ok := optionAllowed[key]; !ok {
+					unset = append(unset, key+" ("+m.fset.Position(f.Pos()).String()+")")
+				}
+			}
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d options set by no non-test file outside their package; replace each with the value it resolves to or, for one tests set, add it to optionAllowed with a reason:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
+	for key := range optionAllowed {
+		if !declared[key] {
+			t.Errorf("optionAllowed names %s, which is not an option", key)
+		}
+	}
+}
+
+// module is the module's non-test code, type-checked from
+// `go list -export -deps` with go/types.
+type module struct {
+	fset    *token.FileSet
+	std     types.Importer
+	exports map[string]string // import path -> export data of each dependency outside the module
+	pkgs    []checkedPackage  // dependencies first
+	root    *types.Package    // the tetris facade
+}
+
+type checkedPackage struct {
+	rel   string // import path below the module
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+func loadModule(t *testing.T) *module {
+	out, err := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export", "./...").Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+		}
+		t.Fatalf("go list: %v", err)
+	}
+	modPath := modulePath(t)
+	var listed []*listedPackage
+	m := &module{fset: token.NewFileSet(), exports: map[string]string{}}
+	for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if p.ImportPath == modPath || strings.HasPrefix(p.ImportPath, modPath+"/") {
+			listed = append(listed, p) // go list -deps orders dependencies first
+		} else {
+			m.exports[p.ImportPath] = p.Export
+		}
+	}
+
+	m.std = importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(m.exports[path])
+	})
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return m.std.Import(path)
+	})
+	for _, p := range listed {
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, m.fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		rel := strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, modPath), "/")
+		m.pkgs = append(m.pkgs, checkedPackage{rel, pkg, files, info})
+	}
+	m.root = checked[modPath]
+	return m
 }
 
 type importerFunc func(path string) (*types.Package, error)

@@ -215,7 +215,7 @@ func LoadWorkload(path string) (*Workload, error) { return trace.LoadFile(path) 
 // Gang scheduling.
 type (
 	// GangConfig parameterizes the gang coordinator: hold timeout,
-	// preemption deadline, wave spacing, per-round eviction budget.
+	// preemption deadline and wave spacing.
 	GangConfig = gang.Config
 	// GangCoordinator wraps a Scheduler with all-or-nothing gang
 	// admission, timeout-and-release of hoarded placements, and
