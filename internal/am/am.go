@@ -64,7 +64,6 @@ func newAMMetrics(reg *telemetry.Registry) *amMetrics {
 
 // Result is the outcome of one job run.
 type Result struct {
-	JobID int
 	// JCT is the job completion time in RM-clock seconds (from job
 	// submission... the RM clock starts when the RM starts; callers
 	// interested in relative durations should difference submissions).
@@ -168,7 +167,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("am: job %d failed: a task exhausted its attempt cap under node failures", cfg.Job.ID)
 			}
 			met.finished.Inc()
-			return &Result{JobID: cfg.Job.ID, FinishedAt: r.FinishedAt, Wall: time.Since(start)}, nil
+			return &Result{FinishedAt: r.FinishedAt, Wall: time.Since(start)}, nil
 		}
 	}
 }

@@ -57,15 +57,15 @@ func fakeRM(t *testing.T, replies []*wire.Message) string {
 
 func TestRunHappyPath(t *testing.T) {
 	addr := fakeRM(t, []*wire.Message{
-		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: 1, Total: 1}},                                            // submit ack
-		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: 1, Done: 0, Total: 1}},                                   // first poll
-		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: 1, Done: 1, Total: 1, Finished: true, FinishedAt: 12.5}}, // done
+		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{Total: 1}},                                            // submit ack
+		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{Done: 0, Total: 1}},                                   // first poll
+		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{Done: 1, Total: 1, Finished: true, FinishedAt: 12.5}}, // done
 	})
 	res, err := Run(context.Background(), Config{RMAddr: addr, Job: testJob(), Poll: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.JobID != 1 || res.FinishedAt != 12.5 || res.Wall <= 0 {
+	if res.FinishedAt != 12.5 || res.Wall <= 0 {
 		t.Errorf("result = %+v", res)
 	}
 }
@@ -80,7 +80,7 @@ func TestRunSubmitRejected(t *testing.T) {
 
 func TestRunPollError(t *testing.T) {
 	addr := fakeRM(t, []*wire.Message{
-		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: 1, Total: 1}},
+		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{Total: 1}},
 		{Type: wire.TypeError, Error: "unknown job 1"},
 	})
 	_, err := Run(context.Background(), Config{RMAddr: addr, Job: testJob(), Poll: 5 * time.Millisecond})
@@ -92,8 +92,8 @@ func TestRunPollError(t *testing.T) {
 func TestRunCanceledWhilePolling(t *testing.T) {
 	// RM acks the submission then goes silent: Run must exit on cancel.
 	addr := fakeRM(t, []*wire.Message{
-		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: 1, Total: 1}},
-		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: 1, Total: 1}},
+		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{Total: 1}},
+		{Type: wire.TypeAMReply, AMReply: &wire.AMReply{Total: 1}},
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()

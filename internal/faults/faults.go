@@ -293,27 +293,32 @@ type RecoveryStats struct {
 	// MeanDowntime and MaxDowntime are over recover records.
 	MeanDowntime float64
 	MaxDowntime  float64
+
+	downtime float64 // the sum MeanDowntime divides
+}
+
+// Add folds one record into the statistics, so a log that evicts old
+// records can still be summarized whole as it is written.
+func (st *RecoveryStats) Add(r Record) {
+	switch r.Kind {
+	case MachineCrash:
+		st.Crashes++
+		st.TasksKilled += r.TasksKilled
+	case MachineRecover:
+		st.Recoveries++
+		st.downtime += r.Downtime
+		st.MeanDowntime = st.downtime / float64(st.Recoveries)
+		if r.Downtime > st.MaxDowntime {
+			st.MaxDowntime = r.Downtime
+		}
+	}
 }
 
 // Summarize aggregates a fault log into recovery statistics.
 func Summarize(log []Record) RecoveryStats {
 	var st RecoveryStats
-	var totalDown float64
 	for _, r := range log {
-		switch r.Kind {
-		case MachineCrash:
-			st.Crashes++
-			st.TasksKilled += r.TasksKilled
-		case MachineRecover:
-			st.Recoveries++
-			totalDown += r.Downtime
-			if r.Downtime > st.MaxDowntime {
-				st.MaxDowntime = r.Downtime
-			}
-		}
-	}
-	if st.Recoveries > 0 {
-		st.MeanDowntime = totalDown / float64(st.Recoveries)
+		st.Add(r)
 	}
 	return st
 }

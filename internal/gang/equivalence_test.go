@@ -149,7 +149,7 @@ func (w *gangWorld) step(now float64) string {
 			kept := w.running[:0]
 			for _, r := range w.running {
 				if r.Machine == m.ID {
-					js := w.states[r.JobID]
+					js := w.states[r.Task.Job]
 					js.Status.MarkFailed(r.Task)
 					js.Alloc = js.Alloc.Sub(r.Demand)
 					continue
@@ -184,7 +184,7 @@ func (w *gangWorld) step(now float64) string {
 		fmt.Fprintf(&b, "A %v@%d %v|", a.Task.ID, a.Machine, a.Local)
 	}
 	for _, p := range dec.Preemptions {
-		fmt.Fprintf(&b, "P %v@%d for %d|", p.Task, p.Machine, p.ForJob)
+		fmt.Fprintf(&b, "P %v for %d|", p.Task, p.ForJob)
 	}
 	for _, cm := range dec.Commits {
 		fmt.Fprintf(&b, "C %d n%d w%.3f|", cm.JobID, cm.Members, cm.WaitSec)
@@ -195,14 +195,14 @@ func (w *gangWorld) step(now float64) string {
 
 	// Apply assignments.
 	for _, a := range dec.Assignments {
-		js := w.states[a.JobID]
+		js := w.states[a.Task.ID.Job]
 		js.Status.MarkRunning(a.Task.ID)
 		js.Alloc = js.Alloc.Add(a.Local)
 		w.machines[a.Machine].Allocated = w.machines[a.Machine].Allocated.Add(a.Local)
 		for _, rc := range a.Remote {
 			w.machines[rc.Machine].Allocated = w.machines[rc.Machine].Allocated.Add(rc.Charge)
 		}
-		w.running = append(w.running, Running{JobID: a.JobID, Task: a.Task.ID, Machine: a.Machine, Demand: a.Local})
+		w.running = append(w.running, Running{Task: a.Task.ID, Machine: a.Machine, Demand: a.Local})
 	}
 	// Apply preemptions: the "NM kill" lands within the round here.
 	for _, p := range dec.Preemptions {
@@ -210,7 +210,7 @@ func (w *gangWorld) step(now float64) string {
 		if !ok {
 			continue
 		}
-		js := w.states[p.JobID]
+		js := w.states[p.Task.Job]
 		js.Status.MarkFailed(p.Task)
 		js.Alloc = js.Alloc.Sub(r.Demand)
 		w.machines[r.Machine].Allocated = w.machines[r.Machine].Allocated.Sub(r.Demand).Max(resources.Vector{})
@@ -222,7 +222,7 @@ func (w *gangWorld) step(now float64) string {
 			if _, ok := w.dropRunning(r.Task); !ok {
 				continue
 			}
-			js := w.states[r.JobID]
+			js := w.states[r.Task.Job]
 			js.Status.MarkDone(r.Task, now)
 			js.Alloc = js.Alloc.Sub(r.Demand)
 			w.machines[r.Machine].Allocated = w.machines[r.Machine].Allocated.Sub(r.Demand).Max(resources.Vector{})

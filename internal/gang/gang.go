@@ -72,7 +72,6 @@ func (c Config) withDefaults() Config {
 // preemption victim. The caller (RM or simulator) supplies the list;
 // order does not matter — the coordinator sorts deterministically.
 type Running struct {
-	JobID   int
 	Task    workload.TaskID
 	Machine int
 	// Demand is the local demand charged for the task, used to decide
@@ -80,14 +79,12 @@ type Running struct {
 	Demand resources.Vector
 }
 
-// Preemption is one eviction decision: kill Task on Machine to make
-// room for gang ForJob. The caller requeues the task through the
-// normal attempt accounting.
+// Preemption is one eviction decision: kill Task to make room for gang
+// ForJob. The caller requeues the task through the normal attempt
+// accounting.
 type Preemption struct {
-	JobID   int
-	Task    workload.TaskID
-	Machine int
-	ForJob  int
+	Task   workload.TaskID
+	ForJob int
 }
 
 // Commit records a gang whose quorum launched this round.
@@ -342,7 +339,6 @@ func (c *Coordinator) Decide(v *scheduler.View, running []Running) Decision {
 					Kind:     reserve.Gang,
 					Holder:   id,
 					Capacity: cur.Capacity.Add(p.Local),
-					Since:    now,
 					Expires:  now + c.cfg.HoldSec,
 				})
 				free[p.Machine] = free[p.Machine].Sub(p.Local).Max(resources.Vector{})
@@ -466,9 +462,7 @@ func (c *Coordinator) placeGang(v *scheduler.View, j *scheduler.JobState, member
 				continue
 			}
 			scratch[m.ID] = scratch[m.ID].Sub(d).Max(resources.Vector{})
-			placed = append(placed, scheduler.Assignment{
-				JobID: j.Job.ID, Task: task, Machine: m.ID, Local: d,
-			})
+			placed = append(placed, scheduler.Assignment{Task: task, Machine: m.ID, Local: d})
 			break
 		}
 	}
@@ -481,14 +475,14 @@ func (c *Coordinator) placeGang(v *scheduler.View, j *scheduler.JobState, member
 func (c *Coordinator) sortVictims(running []Running, byJob map[int]*scheduler.JobState) []Running {
 	var out []Running
 	for _, r := range running {
-		j := byJob[r.JobID]
+		j := byJob[r.Task.Job]
 		if j == nil || !j.Job.Preemptible {
 			continue
 		}
 		out = append(out, r)
 	}
 	sort.SliceStable(out, func(a, b int) bool {
-		ja, jb := byJob[out[a].JobID], byJob[out[b].JobID]
+		ja, jb := byJob[out[a].Task.Job], byJob[out[b].Task.Job]
 		if ja.Job.Priority != jb.Job.Priority {
 			return ja.Job.Priority < jb.Job.Priority
 		}
@@ -531,7 +525,7 @@ func (c *Coordinator) preemptFor(v *scheduler.View, j *scheduler.JobState, membe
 		if victimized[vic.Task] {
 			continue
 		}
-		vj := byJobLookup(v, vic.JobID)
+		vj := byJobLookup(v, vic.Task.Job)
 		if vj == nil || vj.Job.Priority >= j.Job.Priority {
 			// Only strictly lower-priority tasks may be evicted; the
 			// victim list is sorted ascending by priority, so nothing
@@ -539,9 +533,7 @@ func (c *Coordinator) preemptFor(v *scheduler.View, j *scheduler.JobState, membe
 			break
 		}
 		victimized[vic.Task] = true
-		out = append(out, Preemption{
-			JobID: vic.JobID, Task: vic.Task, Machine: vic.Machine, ForJob: j.Job.ID,
-		})
+		out = append(out, Preemption{Task: vic.Task, ForJob: j.Job.ID})
 		freed = freed.Add(vic.Demand)
 		if deficit.FitsIn(freed) {
 			break

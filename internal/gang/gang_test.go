@@ -49,7 +49,7 @@ func apply(v *scheduler.View, asgs []scheduler.Assignment) {
 		jobByID[j.Job.ID] = j
 	}
 	for _, a := range asgs {
-		j := jobByID[a.JobID]
+		j := jobByID[a.Task.ID.Job]
 		j.Status.MarkRunning(a.Task.ID)
 		j.Alloc = j.Alloc.Add(a.Local)
 		v.Machines[a.Machine].Allocated = v.Machines[a.Machine].Allocated.Add(a.Local)
@@ -95,8 +95,8 @@ func TestAllOrNothing(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, a := range dec.Assignments {
-		if a.JobID != 1 {
-			t.Fatalf("unexpected job %d in gang round", a.JobID)
+		if a.Task.ID.Job != 1 {
+			t.Fatalf("unexpected job %d in gang round", a.Task.ID.Job)
 		}
 		if seen[a.Machine] {
 			t.Fatalf("two full-machine members on machine %d", a.Machine)
@@ -198,7 +198,7 @@ func TestHoardClosesMachinesToInner(t *testing.T) {
 		hoarded[mid] = true
 	}
 	for _, a := range dec.Assignments {
-		if a.JobID == 2 && hoarded[a.Machine] {
+		if a.Task.ID.Job == 2 && hoarded[a.Machine] {
 			t.Fatalf("inner scheduler placed a minnow on hoarded machine %d", a.Machine)
 		}
 	}
@@ -226,9 +226,7 @@ func TestInfeasibleGangNeverHoards(t *testing.T) {
 		running = nil
 		for _, a := range dec.Assignments {
 			apply(v, []scheduler.Assignment{a})
-			running = append(running, Running{
-				JobID: a.JobID, Task: a.Task.ID, Machine: a.Machine, Demand: a.Local,
-			})
+			running = append(running, Running{Task: a.Task.ID, Machine: a.Machine, Demand: a.Local})
 		}
 	}
 }
@@ -262,7 +260,7 @@ func TestPreemptionVictimOrder(t *testing.T) {
 				j.Status.MarkRunning(tid)
 			}
 			v.Machines[m].Allocated = v.Machines[m].Allocated.Add(full)
-			running = append(running, Running{JobID: j.Job.ID, Task: tid, Machine: m, Demand: full})
+			running = append(running, Running{Task: tid, Machine: m, Demand: full})
 		}
 		for i := 0; i < 9; i++ {
 			place(low, i, i)
@@ -283,7 +281,7 @@ func TestPreemptionVictimOrder(t *testing.T) {
 		t.Fatalf("want %d preemptions (the per-round cap), got %+v", maxPreemptPerRound, dec.Preemptions)
 	}
 	for i, p := range dec.Preemptions {
-		if p.JobID != 2 || p.ForJob != 1 {
+		if p.Task.Job != 2 || p.ForJob != 1 {
 			t.Fatalf("victim %d = %+v, want lowest-priority job 2", i, p)
 		}
 		if p.Task.Index != i {
@@ -301,7 +299,7 @@ func TestPreemptionVictimOrder(t *testing.T) {
 	v, running = mk(25)
 	dec = c.Decide(v, running)
 	for _, p := range dec.Preemptions {
-		if p.JobID == 4 {
+		if p.Task.Job == 4 {
 			t.Fatalf("non-preemptible job evicted: %+v", p)
 		}
 	}
@@ -320,7 +318,7 @@ func TestGangPriorityOrder(t *testing.T) {
 		t.Fatalf("high-priority gang not served first: %+v", dec.Commits)
 	}
 	for _, a := range dec.Assignments {
-		if a.JobID != 2 {
+		if a.Task.ID.Job != 2 {
 			t.Fatalf("low-priority gang placed alongside: %+v", a)
 		}
 	}

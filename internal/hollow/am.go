@@ -54,7 +54,6 @@ type amJob struct {
 	retryAt   time.Duration // earliest resubmit after an admission throttle
 	submitted bool
 	done      bool
-	failed    bool
 }
 
 // RunAMs drives all jobs to completion (or ctx cancellation) and
@@ -194,14 +193,14 @@ func runAMWorker(ctx context.Context, cfg AMConfig, idx int, start time.Time, jo
 				}
 				if reply.Type == wire.TypeError {
 					cfg.Logger.Printf("hollow: am %d: job %d rejected: %s", idx, aj.job.ID, reply.Error)
-					aj.done, aj.failed = true, true
+					aj.done = true
 					rep.Failed++
 					continue
 				}
 				if rej := reply.SubmitReject; reply.Type == wire.TypeSubmitReject && rej != nil {
 					if rej.RetryAfter <= 0 {
 						cfg.Logger.Printf("hollow: am %d: job %d rejected (%s): %s", idx, aj.job.ID, rej.Code, rej.Reason)
-						aj.done, aj.failed = true, true
+						aj.done = true
 						rep.Failed++
 						continue
 					}
@@ -230,7 +229,6 @@ func runAMWorker(ctx context.Context, cfg AMConfig, idx int, start time.Time, jo
 			if r := reply.AMReply; r != nil && r.Finished {
 				aj.done = true
 				if r.Failed {
-					aj.failed = true
 					rep.Failed++
 				} else {
 					rep.Finished++

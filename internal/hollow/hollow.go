@@ -78,13 +78,11 @@ type Config struct {
 type Report struct {
 	Beats          uint64 // heartbeats exchanged (excludes registrations)
 	DeltaBeats     uint64 // heartbeats sent as delta reports
-	FullRequested  uint64 // replies carrying NMReply.FullReport
 	Registers      uint64 // successful (re)registrations
 	Redials        uint64 // connection-level failures survived
 	Crashes        uint64 // plan-injected node crash windows entered
 	TasksLaunched  uint64
 	TasksCompleted uint64
-	TasksKilled    uint64 // orphans killed on RM instruction
 	TasksPreempted uint64 // attempts killed by gang preemption
 	BytesSent      uint64 // NM-side wire bytes written, all connections
 	BytesRecv      uint64 // NM-side wire bytes read, all connections
@@ -242,13 +240,11 @@ func (f *Fleet) Report() Report {
 	return Report{
 		Beats:          m.Heartbeats.Value(),
 		DeltaBeats:     m.DeltaBeats.Value(),
-		FullRequested:  m.FullRequested.Value(),
 		Registers:      m.Registered.Value(),
 		Redials:        m.Reconnects.Value(),
 		Crashes:        f.crashes.Load(),
 		TasksLaunched:  m.Launched.Value(),
 		TasksCompleted: m.Completed.Value(),
-		TasksKilled:    m.Killed.Value(),
 		TasksPreempted: m.Preempted.Value(),
 		BytesSent:      m.BytesSent.Value(),
 		BytesRecv:      m.BytesRecv.Value(),

@@ -72,7 +72,6 @@ type StormReport struct {
 	Batches     int
 	SubmitP50   float64 // seconds per batch round-trip
 	SubmitP99   float64
-	Wall        time.Duration
 }
 
 // RunStorm drives the submission storm until Duration elapses or ctx
@@ -107,7 +106,6 @@ func RunStorm(ctx context.Context, cfg StormConfig) StormReport {
 		wg     sync.WaitGroup
 	)
 	nextID.Store(int64(cfg.BaseJobID))
-	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(idx int) {
@@ -128,7 +126,6 @@ func RunStorm(ctx context.Context, cfg StormConfig) StormReport {
 		}(w)
 	}
 	wg.Wait()
-	rep.Wall = time.Since(start)
 	rep.SubmitP50 = rtts.quantile(0.50)
 	rep.SubmitP99 = rtts.quantile(0.99)
 	return rep

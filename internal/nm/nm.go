@@ -1,6 +1,6 @@
 // Package nm implements the node manager of the distributed prototype
 // (§4.4): it registers its machine with the resource manager, heartbeats
-// periodically with tracker usage reports and task completions, launches
+// periodically with its usage and task completions, launches
 // the tasks the RM assigns, and enforces their disk and network
 // allocations with token buckets (§4.2). Task execution is emulated —
 // tasks hold their declared resources for their declared (time-
@@ -20,7 +20,6 @@ import (
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/telemetry"
 	"github.com/tetris-sched/tetris/internal/tokenbucket"
-	"github.com/tetris-sched/tetris/internal/tracker"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
 )
@@ -53,26 +52,31 @@ type Config struct {
 // Node is a running node manager: a one-agent Link (session.go) whose
 // executor emulates tasks under token-bucket enforcement.
 type Node struct {
-	cfg     Config
-	link    *Link
-	tracker *tracker.Tracker
-	diskR   *tokenbucket.Bucket
-	diskW   *tokenbucket.Bucket
-	start   time.Time // emulated-clock epoch, stable across reconnects
+	cfg   Config
+	link  *Link
+	diskR *tokenbucket.Bucket
+	diskW *tokenbucket.Bucket
 	// ctx is Run's: it ends the task goroutines with the node. Set once,
 	// before the first Step can launch anything.
 	ctx context.Context
 
 	mu       sync.Mutex
 	finished []wire.TaskCompletion
-	running  map[workload.TaskID]context.CancelFunc
+	running  map[workload.TaskID]runningTask
+	// used is the sum of the running tasks' declared demands, kept with
+	// running and zero whenever nothing runs.
+	used     resources.Vector
 	launched int
 }
 
+type runningTask struct {
+	cancel context.CancelFunc
+	demand resources.Vector
+}
+
 // emulator is a Node as its link's Executor: each task is a goroutine
-// that holds its declared resources in the tracker for its compressed
-// duration. The second name keeps the Executor methods off Node's
-// exported surface.
+// that holds its declared resources for its compressed duration. The
+// second name keeps the Executor methods off Node's exported surface.
 type emulator Node
 
 // New creates a node manager (not yet running; call Run).
@@ -87,8 +91,7 @@ func New(cfg Config) *Node {
 		cfg.Logger = log.New(io.Discard, "", 0)
 	}
 	n := &Node{
-		cfg: cfg, tracker: tracker.New(cfg.Capacity), start: time.Now(),
-		running: make(map[workload.TaskID]context.CancelFunc),
+		cfg: cfg, running: make(map[workload.TaskID]runningTask),
 	}
 	// Token buckets police compressed-time byte rates: capacity MB/s ×
 	// compression, bursts of one second's worth.
@@ -96,8 +99,6 @@ func New(cfg Config) *Node {
 	wRate := cfg.Capacity.Get(resources.DiskWrite) * cfg.Compression
 	n.diskR = tokenbucket.New(rRate, rRate/4+1)
 	n.diskW = tokenbucket.New(wRate, wRate/4+1)
-	// The tracker's ramp-up window shrinks with time compression.
-	n.tracker.RampUpSec = 10 / cfg.Compression
 	n.link = &Link{
 		Name: "nm " + strconv.Itoa(cfg.NodeID), Addr: cfg.RMAddr, Heartbeat: cfg.Heartbeat,
 		Agents:  []*Agent{{ID: cfg.NodeID, Capacity: cfg.Capacity, Exec: (*emulator)(n)}},
@@ -130,18 +131,12 @@ func (n *Node) Run(ctx context.Context) error {
 	return n.link.Run(ctx, bo, maxRetry)
 }
 
-// clock maps wall time to the node's emulated time: compressed seconds
-// since the node was created (stable across RM reconnects).
-func (e *emulator) clock(now time.Time) float64 {
-	return now.Sub(e.start).Seconds() * e.cfg.Compression
-}
-
-func (e *emulator) Report(now time.Time) (used, allocated resources.Vector, finished []wire.TaskCompletion) {
-	rep := e.tracker.ReportAt(e.clock(now))
+func (e *emulator) Report(time.Time) (used resources.Vector, finished []wire.TaskCompletion) {
 	e.mu.Lock()
+	used = e.used
 	finished, e.finished = e.finished, nil
 	e.mu.Unlock()
-	return rep.Used, rep.Allocated, finished
+	return used, finished
 }
 
 func (e *emulator) Inventory(time.Time) (running []workload.TaskID, finished []wire.TaskCompletion) {
@@ -158,21 +153,29 @@ func (e *emulator) Inventory(time.Time) (running []workload.TaskID, finished []w
 
 func (e *emulator) Stop(tid workload.TaskID) bool {
 	e.mu.Lock()
-	cancel, ok := e.running[tid]
-	delete(e.running, tid)
+	t, ok := e.running[tid]
+	if ok {
+		e.release(tid, t.demand)
+	}
 	e.mu.Unlock()
 	if !ok {
 		return false // already finished or never started here
 	}
-	cancel()
-	e.tracker.Finish(tid)
+	t.cancel()
 	return true
 }
 
-// Launch emulates one task: it occupies its declared resources in the
-// tracker for its compressed duration, moving its bytes through the
-// node's token buckets to enforce the allocated rates.
-func (e *emulator) Launch(l wire.TaskLaunch, now time.Time) bool {
+// release takes a task off the running set and its demand off used.
+// The caller holds mu.
+func (e *emulator) release(tid workload.TaskID, demand resources.Vector) {
+	delete(e.running, tid)
+	e.used = lessDemand(e.used, demand, len(e.running))
+}
+
+// Launch emulates one task: it occupies its declared resources for its
+// compressed duration, moving its bytes through the node's token buckets
+// to enforce the allocated rates.
+func (e *emulator) Launch(l wire.TaskLaunch, _ time.Time) bool {
 	ctx, cancel := context.WithCancel(e.ctx)
 	e.mu.Lock()
 	if _, dup := e.running[l.Task]; dup {
@@ -180,14 +183,13 @@ func (e *emulator) Launch(l wire.TaskLaunch, now time.Time) bool {
 		cancel()
 		return false
 	}
-	e.running[l.Task] = cancel
+	e.running[l.Task] = runningTask{cancel, l.Demand}
+	e.used = e.used.Add(l.Demand)
 	e.launched++
 	e.mu.Unlock()
-	e.tracker.Start(l.Task, l.Demand, e.clock(now))
 	go func() {
 		t0 := time.Now()
 		wall := time.Duration(l.Duration / e.cfg.Compression * float64(time.Second))
-		e.tracker.Observe(l.Task, l.Demand)
 		// Move the task's bytes through the enforcement buckets in
 		// chunks across its lifetime, keeping each chunk within the
 		// bucket burst size.
@@ -219,9 +221,8 @@ func (e *emulator) Launch(l wire.TaskLaunch, now time.Time) bool {
 		// already removed the task owns its cleanup, and a stopped task
 		// must not report a (duplicate) completion.
 		e.mu.Lock()
-		_, alive := e.running[l.Task]
-		if alive {
-			delete(e.running, l.Task)
+		if _, alive := e.running[l.Task]; alive {
+			e.release(l.Task, l.Demand)
 			e.finished = append(e.finished, wire.TaskCompletion{
 				Task:     l.Task,
 				Usage:    l.Demand,
@@ -229,9 +230,6 @@ func (e *emulator) Launch(l wire.TaskLaunch, now time.Time) bool {
 			})
 		}
 		e.mu.Unlock()
-		if alive {
-			e.tracker.Finish(l.Task)
-		}
 	}()
 	return true
 }

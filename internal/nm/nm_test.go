@@ -80,7 +80,7 @@ func TestEndToEndSingleJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("am.Run: %v", err)
 	}
-	if res.JobID != 0 || res.Wall <= 0 {
+	if res.Wall <= 0 {
 		t.Errorf("result = %+v", res)
 	}
 	launched := nodes[0].Launched() + nodes[1].Launched()
@@ -318,7 +318,7 @@ func TestRejectedHeartbeatKeepsCompletions(t *testing.T) {
 			if !launched {
 				launched = true
 				return beat(wire.NMBeatReply{NodeID: hb.NodeID, Reply: wire.NMReply{Launch: []wire.TaskLaunch{{
-					Task: task, JobID: 1, Demand: resources.New(1, 1, 0, 0, 0, 0), Duration: 1,
+					Task: task, Demand: resources.New(1, 1, 0, 0, 0, 0), Duration: 1,
 				}}}})
 			}
 			return beat(wire.NMBeatReply{NodeID: hb.NodeID})

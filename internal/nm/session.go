@@ -39,7 +39,7 @@ type Executor interface {
 	Stop(tid workload.TaskID) bool
 	// Report returns the node's usage at now and the attempts finished
 	// since the last Report or Inventory.
-	Report(now time.Time) (used, allocated resources.Vector, finished []wire.TaskCompletion)
+	Report(now time.Time) (used resources.Vector, finished []wire.TaskCompletion)
 	// Inventory returns the running set in TaskID order and the attempts
 	// finished since the last Report or Inventory, taken at one instant:
 	// an attempt is in exactly one, so resync reconciliation can never
@@ -169,8 +169,8 @@ func (l *Link) Step(c Caller, now time.Time) error {
 			}
 			continue
 		}
-		used, allocated, finished := a.Exec.Report(now)
-		hb := wire.NMHeartbeat{NodeID: a.ID, Used: used, Allocated: allocated, Completed: l.owed(a, finished)}
+		used, finished := a.Exec.Report(now)
+		hb := wire.NMHeartbeat{NodeID: a.ID, Used: used, Completed: l.owed(a, finished)}
 		// A delta report when usage is unchanged since the last acknowledged
 		// beat; the first beat after registration, and any after a reply
 		// asking for one, go out full (wire.DeltaTracker).

@@ -14,7 +14,7 @@ import (
 // holding resources through sleeps, so a node costs per beat, not per
 // task. Its fidelity boundaries (DESIGN.md §11.1): completions quantize
 // to the heartbeat interval, usage jumps to the task's declared peak at
-// launch and back at completion (no tracker ramp), and nothing enforces
+// launch and back at completion (no ramp-up), and nothing enforces
 // disk rates. Owned by the goroutine that steps its agent; no locking.
 // The zero value with Compression set is ready to use.
 type Synthetic struct {
@@ -54,12 +54,22 @@ func (s *Synthetic) Stop(tid workload.TaskID) bool {
 
 func (s *Synthetic) release(tid workload.TaskID, t syntheticTask) {
 	delete(s.running, tid)
-	s.used = s.used.Sub(t.launch.Demand).Max(resources.Vector{})
+	s.used = lessDemand(s.used, t.launch.Demand, len(s.running))
 }
 
-func (s *Synthetic) Report(now time.Time) (used, allocated resources.Vector, finished []wire.TaskCompletion) {
+// lessDemand is a running set's usage after a task of the given demand
+// left it; left counts the tasks still running. With none it is exactly
+// zero, however the additions and subtractions rounded.
+func lessDemand(used, demand resources.Vector, left int) resources.Vector {
+	if left == 0 {
+		return resources.Vector{}
+	}
+	return used.Sub(demand).Max(resources.Vector{})
+}
+
+func (s *Synthetic) Report(now time.Time) (used resources.Vector, finished []wire.TaskCompletion) {
 	finished = s.drainDue(now)
-	return s.used, s.used, finished
+	return s.used, finished
 }
 
 func (s *Synthetic) Inventory(now time.Time) (running []workload.TaskID, finished []wire.TaskCompletion) {

@@ -53,8 +53,6 @@ type Reservation struct {
 	// Capacity is the amount held. The zero vector means the whole
 	// machine is held (starvation semantics).
 	Capacity resources.Vector
-	// Since is the reservation time in cluster seconds.
-	Since float64
 	// Expires is the cluster time after which the reservation lapses;
 	// zero means it never expires on its own.
 	Expires float64

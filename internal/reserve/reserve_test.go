@@ -11,8 +11,8 @@ func TestPutGetRelease(t *testing.T) {
 	if tb.Len() != 0 || tb.Held(3) {
 		t.Fatal("fresh table not empty")
 	}
-	tb.Put(3, Reservation{Kind: Starved, Holder: 7, Since: 1})
-	tb.Put(1, Reservation{Kind: Gang, Holder: 9, Capacity: resources.New(2, 4, 0, 0, 0, 0), Since: 2, Expires: 10})
+	tb.Put(3, Reservation{Kind: Starved, Holder: 7})
+	tb.Put(1, Reservation{Kind: Gang, Holder: 9, Capacity: resources.New(2, 4, 0, 0, 0, 0), Expires: 10})
 	if tb.Len() != 2 || !tb.Held(3) || !tb.Held(1) {
 		t.Fatalf("expected 2 held machines, got %d", tb.Len())
 	}

@@ -266,7 +266,7 @@ func (a *admission) shedFloor() (floor int, frac float64) {
 // job finishes, cancel if the caller discovers downstream that the job
 // already existed (idempotent-resubmission race). A non-nil return is a
 // typed rejection and changed no accounting.
-func (a *admission) admit(tenant string, jobID int, demand resources.Vector) *wire.SubmitReject {
+func (a *admission) admit(tenant string, demand resources.Vector) *wire.SubmitReject {
 	t := a.tenant(tenant)
 	reject := func(code, reason string, retry float64) *wire.SubmitReject {
 		a.rejected.Inc()
@@ -278,7 +278,7 @@ func (a *admission) admit(tenant string, jobID int, demand resources.Vector) *wi
 			a.shedTotal.Inc()
 			t.shed.Inc()
 		}
-		return &wire.SubmitReject{JobID: jobID, Tenant: tenant, Code: code, Reason: reason, RetryAfter: retry}
+		return &wire.SubmitReject{Code: code, Reason: reason, RetryAfter: retry}
 	}
 	if floor, frac := a.shedFloor(); floor >= 0 && t.limits.Priority < floor {
 		return reject(wire.RejectShed,

@@ -111,7 +111,7 @@ func (n *emuNode) prepareBeat() *wire.NMHeartbeat {
 		}
 	}
 	u := n.usage()
-	hb := &wire.NMHeartbeat{NodeID: n.id, Used: u, Allocated: u, Completed: done}
+	hb := &wire.NMHeartbeat{NodeID: n.id, Used: u, Completed: done}
 	if n.delta {
 		n.tracker.Mark(hb)
 	}
@@ -422,7 +422,7 @@ func TestDeltaFullReportAfterReset(t *testing.T) {
 
 	// The full beat re-baselines and clears the request.
 	u := resources.New(4, 8, 0, 0, 0, 0)
-	reply = s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Used: u, Allocated: u})
+	reply = s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Used: u})
 	if reply.NMReply.FullReport {
 		t.Fatal("FullReport still set after a full beat")
 	}

@@ -25,9 +25,7 @@ func (s *Server) runningTasks() []gang.Running {
 	for _, ji := range s.active {
 		for _, tid := range launchedIDs(ji, -1) {
 			rec := ji.launched[tid]
-			out = append(out, gang.Running{
-				JobID: tid.Job, Task: tid, Machine: rec.machine, Demand: rec.local,
-			})
+			out = append(out, gang.Running{Task: tid, Machine: rec.machine, Demand: rec.local})
 		}
 	}
 	return out
@@ -40,7 +38,7 @@ func (s *Server) runningTasks() []gang.Running {
 func (s *Server) applyGangDecision(dec *gang.Decision, now float64) {
 	for _, p := range dec.Preemptions {
 		s.journal(&event{Kind: evPreempt, Time: now, Task: p.Task, GangJob: p.ForJob})
-		s.applyPreempt(p.Task, p.ForJob, now)
+		s.applyPreempt(p.Task, now)
 	}
 	for _, cm := range dec.Commits {
 		s.journal(&event{Kind: evGangCommit, Time: now, GangJob: cm.JobID,
@@ -50,20 +48,15 @@ func (s *Server) applyGangDecision(dec *gang.Decision, now float64) {
 	for _, r := range dec.Releases {
 		s.journal(&event{Kind: evGangRelease, Time: now, GangJob: r.JobID, Held: r.Held})
 		s.applyGangRelease(r.JobID, r.Held)
-		if ji := s.jobs[r.JobID]; ji != nil && !s.replaying {
-			ji.lastRelease = &wire.GangRelease{
-				JobID: r.JobID, Held: r.Held, Reason: "hold-timeout",
-			}
-		}
 	}
 }
 
-// applyPreempt evicts one running task to make room for gang forJob:
-// the attempt is released from every ledger and marked failed — the
+// applyPreempt evicts one running task to make room for a gang: the
+// attempt is released from every ledger and marked failed — the
 // same accounting as a dead-node reclaim, so MaxTaskAttempts applies
 // unchanged. Shared by the live path and journal replay; caller holds
 // s.mu.
-func (s *Server) applyPreempt(tid workload.TaskID, forJob int, now float64) {
+func (s *Server) applyPreempt(tid workload.TaskID, now float64) {
 	ji, ok := s.jobs[tid.Job]
 	if !ok || ji.finished {
 		return
@@ -76,7 +69,7 @@ func (s *Server) applyPreempt(tid workload.TaskID, forJob int, now float64) {
 	ji.preempted++
 	if !s.replaying {
 		n := s.nodes[rec.machine]
-		n.preempts = append(n.preempts, wire.TaskPreempt{Task: tid, JobID: tid.Job, ForJob: forJob})
+		n.preempts = append(n.preempts, wire.TaskPreempt{Task: tid})
 		s.metrics.preemptions.Inc()
 	}
 	if cap := s.cfg.MaxTaskAttempts; cap > 0 && ji.state.Status.Attempts(tid) >= cap {

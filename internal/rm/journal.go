@@ -151,7 +151,7 @@ func (s *Server) applyEvent(ev *event) error {
 		if s.jobs[ev.Task.Job] == nil {
 			return corrupt("preempt event for unknown job %d", ev.Task.Job)
 		}
-		s.applyPreempt(ev.Task, ev.GangJob, ev.Time)
+		s.applyPreempt(ev.Task, ev.Time)
 	case evGangCommit:
 		if s.jobs[ev.GangJob] == nil {
 			return corrupt("gangCommit event for unknown job %d", ev.GangJob)

@@ -67,7 +67,7 @@ func TestReleaseCauses(t *testing.T) {
 			s := g.Shard(0)
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			s.applyGangDecision(&gang.Decision{Preemptions: []gang.Preemption{{JobID: 1, Task: x, Machine: a, ForJob: 2}}}, s.now())
+			s.applyGangDecision(&gang.Decision{Preemptions: []gang.Preemption{{Task: x, ForJob: 2}}}, s.now())
 		}},
 	}
 	for _, tc := range cases {
@@ -109,9 +109,9 @@ func TestReleaseCauses(t *testing.T) {
 					t.Fatal(err)
 				}
 				place(a,
-					scheduler.Assignment{JobID: 1, Task: job1.Stages[0].Tasks[0], Machine: a, Local: lx,
+					scheduler.Assignment{Task: job1.Stages[0].Tasks[0], Machine: a, Local: lx,
 						Remote: []scheduler.RemoteCharge{{Machine: b, Charge: rx}}},
-					scheduler.Assignment{JobID: 1, Task: job1.Stages[0].Tasks[1], Machine: c, Local: lt})
+					scheduler.Assignment{Task: job1.Stages[0].Tasks[1], Machine: c, Local: lt})
 				g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: c}) // delivers job 1's other task
 				wantB := zero.Add(rx)
 				if sourceDied {
@@ -122,7 +122,7 @@ func TestReleaseCauses(t *testing.T) {
 				if err := g.SubmitJob(job2); err != nil {
 					t.Fatal(err)
 				}
-				place(b, scheduler.Assignment{JobID: 2, Task: job2.Stages[0].Tasks[0], Machine: b, Local: lu})
+				place(b, scheduler.Assignment{Task: job2.Stages[0].Tasks[0], Machine: b, Local: lu})
 				wantB = wantB.Add(lu)
 
 				tc.release(t, g)

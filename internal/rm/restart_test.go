@@ -178,7 +178,7 @@ func TestRecoveryAfterOutOfOrderRegistration(t *testing.T) {
 				for _, id := range nodes {
 					r := s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: id})
 					for _, l := range r.NMReply.Launch {
-						launched[l.JobID] = append(launched[l.JobID], l)
+						launched[l.Task.Job] = append(launched[l.Task.Job], l)
 					}
 				}
 			}

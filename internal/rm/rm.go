@@ -106,9 +106,6 @@ type jobInfo struct {
 	gangCommitted bool
 	gangReleases  int
 	preempted     int
-	// lastRelease is the release notice not yet delivered to the AM;
-	// transient by design (an AM that never asks never learns).
-	lastRelease *wire.GangRelease
 }
 
 // open finishes a shard core whose per-shard fields (cfg, sched, est,
@@ -188,10 +185,10 @@ func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Mes
 			s.adm.cancel(tenant, jobDemand(j))
 		}
 		if sameJob(ji.state.Job, j) {
-			return s.amReplyLocked(j.ID, ji)
+			return amReply(ji)
 		}
 		return rejectMsg(&wire.SubmitReject{
-			JobID: j.ID, Tenant: tenant, Code: wire.RejectConflict,
+			Code:   wire.RejectConflict,
 			Reason: fmt.Sprintf("job %d already submitted with a different definition", j.ID),
 		})
 	}
@@ -207,7 +204,7 @@ func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Mes
 	s.journal(&event{Kind: evSubmit, Time: s.now(), Job: j, Tenant: tenant})
 	s.applySubmit(j, tenant)
 	s.log.Printf("rm: job %d submitted by tenant %q (%d tasks)", j.ID, tenant, j.NumTasks())
-	return &wire.Message{Type: wire.TypeAMReply, AMReply: &wire.AMReply{JobID: j.ID, Total: j.NumTasks()}}
+	return &wire.Message{Type: wire.TypeAMReply, AMReply: &wire.AMReply{Total: j.NumTasks()}}
 }
 
 // applySubmit registers a validated, weight-normalized job under its
@@ -440,7 +437,7 @@ func (s *Server) failJob(jobID int, ji *jobInfo, now float64) {
 	ji.state.Alloc = resources.Vector{}
 	for _, n := range s.nodes {
 		if n != nil {
-			n.launches = slices.DeleteFunc(n.launches, func(l wire.TaskLaunch) bool { return l.JobID == jobID })
+			n.launches = slices.DeleteFunc(n.launches, func(l wire.TaskLaunch) bool { return l.Task.Job == jobID })
 		}
 	}
 	if !s.replaying {
@@ -479,7 +476,6 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 		n := s.nodes[a.Machine]
 		n.launches = append(n.launches, wire.TaskLaunch{
 			Task:     a.Task.ID,
-			JobID:    a.JobID,
 			Demand:   a.Task.Peak,
 			Duration: a.Task.PeakDuration(),
 			ReadMB:   a.Task.TotalInputMB(),
@@ -547,27 +543,18 @@ func (s *Server) HandleAMHeartbeat(hb *wire.AMHeartbeat) *wire.Message {
 	if !ok {
 		return errMsg(fmt.Sprintf("unknown job %d", hb.JobID))
 	}
-	return s.amReplyLocked(hb.JobID, ji)
+	return amReply(ji)
 }
 
-// amReplyLocked builds the progress reply for one job. Caller holds s.mu.
-func (s *Server) amReplyLocked(jobID int, ji *jobInfo) *wire.Message {
-	rep := &wire.AMReply{
-		JobID:       jobID,
-		Done:        ji.state.Status.DoneTasks(),
-		Total:       ji.state.Job.NumTasks(),
-		Finished:    ji.finished,
-		FinishedAt:  ji.finishedAt,
-		Failed:      ji.failed,
-		Preemptions: ji.preempted,
-	}
-	if ji.lastRelease != nil {
-		// Deliver each hoard-release notice once; the AM resubmits or
-		// rescales in response.
-		rep.GangRelease = ji.lastRelease
-		ji.lastRelease = nil
-	}
-	return &wire.Message{Type: wire.TypeAMReply, AMReply: rep}
+// amReply builds the progress reply for one job. Caller holds s.mu.
+func amReply(ji *jobInfo) *wire.Message {
+	return &wire.Message{Type: wire.TypeAMReply, AMReply: &wire.AMReply{
+		Done:       ji.state.Status.DoneTasks(),
+		Total:      ji.state.Job.NumTasks(),
+		Finished:   ji.finished,
+		FinishedAt: ji.finishedAt,
+		Failed:     ji.failed,
+	}}
 }
 
 // ClusterStatus snapshots node liveness and the fault-event log (the

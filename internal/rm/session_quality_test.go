@@ -48,7 +48,7 @@ func sessionQuality(t *testing.T, g *Sharded, w qualityWorkload, maskUsage bool)
 			for i := range b.Beats {
 				hb := &b.Beats[i]
 				if maskUsage {
-					hb.Used, hb.Allocated = resources.Vector{}, resources.Vector{}
+					hb.Used = resources.Vector{}
 				}
 				for _, c := range hb.Completed {
 					seen[c.Task]++

@@ -747,8 +747,7 @@ func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 	}
 	if err := r.Job.Validate(); err != nil {
 		return rejectMsg(&wire.SubmitReject{
-			JobID: r.Job.ID, Tenant: r.Tenant, Code: wire.RejectInvalid,
-			Reason: fmt.Sprintf("invalid job: %v", err),
+			Code: wire.RejectInvalid, Reason: fmt.Sprintf("invalid job: %v", err),
 		})
 	}
 	g.mu.Lock()
@@ -759,7 +758,7 @@ func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 	}
 	reserved := false
 	if g.adm != nil {
-		if rej := g.adm.admit(r.Tenant, r.Job.ID, jobDemand(r.Job)); rej != nil {
+		if rej := g.adm.admit(r.Tenant, jobDemand(r.Job)); rej != nil {
 			return rejectMsg(rej)
 		}
 		reserved = true
@@ -788,7 +787,7 @@ func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 	for _, j := range r.Jobs {
 		if j == nil {
 			reply.Results = append(reply.Results, wire.SubmitResult{Reject: &wire.SubmitReject{
-				Tenant: r.Tenant, Code: wire.RejectInvalid, Reason: "missing job in batch",
+				Code: wire.RejectInvalid, Reason: "missing job in batch",
 			}})
 			continue
 		}
@@ -796,12 +795,11 @@ func (g *Sharded) handleSubmitBatch(r *wire.SubmitBatch) *wire.Message {
 		res := wire.SubmitResult{JobID: j.ID}
 		switch m.Type {
 		case wire.TypeAMReply:
-			res.Total = m.AMReply.Total
 			accepted = true
 		case wire.TypeSubmitReject:
 			res.Reject = m.SubmitReject
 		default:
-			res.Reject = &wire.SubmitReject{JobID: j.ID, Tenant: r.Tenant, Code: wire.RejectInvalid, Reason: m.Error}
+			res.Reject = &wire.SubmitReject{Code: wire.RejectInvalid, Reason: m.Error}
 		}
 		reply.Results = append(reply.Results, res)
 	}

@@ -240,9 +240,10 @@ func TestIntervalFloor(t *testing.T) {
 	t.Run("gang hoard timeout", func(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		clock := new(virtualClock)
+		tet := qualityScheduler().(*scheduler.Tetris)
 		g := newVirtualSharded(t, ShardedConfig{
 			Shards:       1,
-			NewScheduler: qualityScheduler,
+			NewScheduler: func() scheduler.Scheduler { return tet },
 			Gang:         &gang.Config{HoldSec: 30, PreemptSec: 1e9},
 			Metrics:      reg,
 		}, clock)
@@ -254,27 +255,30 @@ func TestIntervalFloor(t *testing.T) {
 		}
 		sweep(t, g, nodes, true)
 		releases := reg.Counter(telemetry.Label("tetris_rm_gang_releases_total", "shard", "0"), "")
-		poll := func() *wire.GangRelease {
-			r := g.HandleAMHeartbeat(&wire.AMHeartbeat{JobID: 2})
-			if r.Type != wire.TypeAMReply {
-				t.Fatalf("AM poll: %s", r.Error)
-			}
-			return r.AMReply.GangRelease
+		// held counts the machines hoarded for the gang, and journaled
+		// its releases as the shard recorded them.
+		held := func() (machines, journaled int) {
+			tet.Reservations().Each(func(_ int, r reserve.Reservation) {
+				if r.Kind == reserve.Gang && r.Holder == 2 {
+					machines++
+				}
+			})
+			s := g.Shard(0)
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return machines, s.jobs[2].gangReleases
 		}
 
 		for i := 0; i < 5; i++ {
 			sweep(t, g, nodes, true)
 		}
-		if releases.Value() != 0 || poll() != nil {
-			t.Fatalf("hoard released before HoldSec")
+		if m, j := held(); releases.Value() != 0 || j != 0 || m != 2 {
+			t.Fatalf("before HoldSec: %d releases counted, %d journaled, %d machines held; want 0, 0, 2", releases.Value(), j, m)
 		}
 		clock.advance(31 * time.Second)
 		sweep(t, g, nodes, true)
-		if releases.Value() != 1 {
-			t.Errorf("%d hoard releases one sweep past HoldSec, want 1", releases.Value())
-		}
-		if rel := poll(); rel == nil || rel.Held != 2 {
-			t.Errorf("AM was told %+v, want a release of 2 held machines", rel)
+		if m, j := held(); releases.Value() != 1 || j != 1 || m != 0 {
+			t.Errorf("one sweep past HoldSec: %d releases counted, %d journaled, %d machines held; want 1, 1, 0", releases.Value(), j, m)
 		}
 		if err := g.VerifyLedger(); err != nil {
 			t.Error(err)

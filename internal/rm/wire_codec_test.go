@@ -9,9 +9,12 @@ package rm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -63,13 +66,13 @@ func TestMixedCodecSessions(t *testing.T) {
 
 	// Interleaved one-beat frames on both sessions.
 	for round := 0; round < 5; round++ {
-		if err := jf.Write(jsonPeer, beatFrame(wire.NMHeartbeat{NodeID: 0, Used: capV.Scale(0.1), Allocated: capV.Scale(0.1)})); err != nil {
+		if err := jf.Write(jsonPeer, beatFrame(wire.NMHeartbeat{NodeID: 0, Used: capV.Scale(0.1)})); err != nil {
 			t.Fatal(err)
 		}
 		if m, err := jf.Read(jsonPeer); err != nil || beatReply(m).NMReply == nil {
 			t.Fatalf("JSON beat %d: m=%+v err=%v", round, m, err)
 		}
-		if err := f.Write(binPeer, beatFrame(wire.NMHeartbeat{NodeID: 1, Used: capV.Scale(0.2), Allocated: capV.Scale(0.2)})); err != nil {
+		if err := f.Write(binPeer, beatFrame(wire.NMHeartbeat{NodeID: 1, Used: capV.Scale(0.2)})); err != nil {
 			t.Fatal(err)
 		}
 		if m, err := f.Read(binPeer); err != nil || beatReply(m).NMReply == nil {
@@ -203,6 +206,50 @@ func TestRetiredBeatFrameRefused(t *testing.T) {
 	}
 	if m, err := f.Read(conn); err != nil || beatReply(m).Type != wire.TypeNMReply {
 		t.Fatalf("beat on a new connection: m=%+v err=%v", m, err)
+	}
+}
+
+// TestCodec1FrameRefused: a node of the previous build beats in the
+// retired binary codec 1. The RM drops that connection with nothing sent
+// and nothing applied, while a session open beside it keeps being
+// served, before and after.
+func TestCodec1FrameRefused(t *testing.T) {
+	s := newServer(t)
+	s.RegisterMachine(4, resources.New(16, 32, 200, 200, 1000, 1000))
+	f := wire.NewFramer(wire.CodecBinary)
+	live := dialRM(t, s.Addr())
+	beat := func(step string) {
+		t.Helper()
+		if err := f.Write(live, beatFrame(wire.NMHeartbeat{NodeID: 4, Used: resources.New(1, 0, 0, 0, 0, 0)})); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := f.Read(live); err != nil || beatReply(m).Type != wire.TypeNMReply {
+			t.Fatalf("beat %s: m=%+v err=%v", step, m, err)
+		}
+	}
+	beat("before the old peer")
+
+	old := dialRM(t, s.Addr())
+	// One beat of node 4 in codec 1's layout: its Used and Allocated,
+	// each one dimension of 2 cores, and no completions.
+	two := binary.LittleEndian.AppendUint64(nil, math.Float64bits(2))
+	body := append(append(append([]byte{0x07, 1, 8, 0, 1}, two...), 1), two...)
+	body = append(body, 0)
+	hdr := binary.BigEndian.AppendUint32([]byte{wire.Magic, 1}, uint32(len(body)))
+	if _, err := old.Write(append(hdr, body...)); err != nil {
+		t.Fatal(err)
+	}
+	old.SetReadDeadline(time.Now().Add(3 * time.Second))
+	// Closed unread, the body left behind may turn the close into a reset.
+	if n, err := old.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("after a codec-1 beat: read %d bytes, err=%v; want the connection closed with nothing sent", n, err)
+	}
+	beat("after the old peer")
+	core := s.Shard(0)
+	core.mu.Lock()
+	defer core.mu.Unlock()
+	if got, want := core.nodes[4].Reported, resources.New(1, 0, 0, 0, 0, 0); got != want {
+		t.Errorf("node 4 reports %v, want the live session's %v", got, want)
 	}
 }
 

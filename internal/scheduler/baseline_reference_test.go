@@ -101,7 +101,7 @@ func (d *DRF) scheduleReference(v *View) []Assignment {
 			}
 		}
 		share[id] = s
-		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: demand})
+		out = append(out, Assignment{Task: task, Machine: mid, Local: demand})
 	}
 	return out
 }
@@ -190,7 +190,7 @@ func (s *SlotFair) scheduleReference(v *View) []Assignment {
 		slotsUsed[id] += float64(need)
 		// Charge memory only: that is all a slot scheduler allocates.
 		local := resources.Vector{}.With(resources.Memory, float64(need)*slotGB)
-		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: local})
+		out = append(out, Assignment{Task: task, Machine: mid, Local: local})
 	}
 	return out
 }

@@ -124,7 +124,6 @@ func (d *DRF) Schedule(v *View) []Assignment {
 			sc.heap.pop()
 			continue
 		}
-		id := pick.Job.ID
 		peak, _ := v.Demand(pick, task)
 		demand := d.project(peak)
 		mid := d.pickMachine(task, demand, sc.free, sc.down)
@@ -146,7 +145,7 @@ func (d *DRF) Schedule(v *View) []Assignment {
 		}
 		sc.share[p] = s
 		sc.heap.siftDown() // share only grew: re-sink the root
-		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: demand})
+		out = append(out, Assignment{Task: task, Machine: mid, Local: demand})
 	}
 	return out
 }

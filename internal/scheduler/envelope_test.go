@@ -276,7 +276,7 @@ func TestEnvelopeIgnoresLocality(t *testing.T) {
 		t.Fatalf("placed %d tasks, want 4 (16 cores / 4 per task, all on machine 1)", len(rounds[0]))
 	}
 	for _, a := range rounds[0] {
-		if a.JobID != 2 || a.Machine != 1 {
+		if a.Task.ID.Job != 2 || a.Machine != 1 {
 			t.Fatalf("unexpected placement %+v: want only job 2 on machine 1", a)
 		}
 	}
@@ -353,7 +353,7 @@ func TestMachineEnvelopeCounts(t *testing.T) {
 		return v
 	}
 	rounds, scheds := lockstepCores(t, cfg, mk, 1, nil)
-	if len(rounds[0]) != 1 || rounds[0][0].JobID != 1 || rounds[0][0].Machine != 2 {
+	if len(rounds[0]) != 1 || rounds[0][0].Task.ID.Job != 1 || rounds[0][0].Machine != 2 {
 		t.Fatalf("placed %+v, want one task of job 1 on machine 2", rounds[0])
 	}
 	want := ScanStats{StageScans: 4, StagePrunes: 6, MachinePrunes: 2, Considered: 10 + 10 + 3 + 9}

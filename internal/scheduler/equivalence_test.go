@@ -224,7 +224,7 @@ func (w *eqWorld) view(round int) *View {
 // book applies a round's assignments to the statuses and ledgers.
 func (w *eqWorld) book(asgs []Assignment) {
 	for _, a := range asgs {
-		j := w.jobByID(a.JobID)
+		j := w.jobByID(a.Task.ID.Job)
 		j.Status.MarkRunning(a.Task.ID)
 		j.Alloc = j.Alloc.Add(a.Local)
 		w.machines[a.Machine].Allocated = w.machines[a.Machine].Allocated.Add(a.Local)
@@ -283,9 +283,9 @@ func diffAssignments(a, b []Assignment) string {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.JobID != y.JobID || x.Task.ID != y.Task.ID || x.Machine != y.Machine {
+		if x.Task.ID.Job != y.Task.ID.Job || x.Task.ID != y.Task.ID || x.Machine != y.Machine {
 			return fmt.Sprintf("assignment %d: job/task/machine %d/%v/%d vs %d/%v/%d",
-				i, x.JobID, x.Task.ID, x.Machine, y.JobID, y.Task.ID, y.Machine)
+				i, x.Task.ID.Job, x.Task.ID, x.Machine, y.Task.ID.Job, y.Task.ID, y.Machine)
 		}
 		if x.Local != y.Local {
 			return fmt.Sprintf("assignment %d: local %v vs %v", i, x.Local, y.Local)

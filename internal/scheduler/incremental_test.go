@@ -82,7 +82,7 @@ func TestBarrierTailAtExactFraction(t *testing.T) {
 	cfg.Barrier = 0.9
 	placedRich := false
 	for _, a := range bothCores(t, cfg, mk) {
-		if a.JobID == 1 {
+		if a.Task.ID.Job == 1 {
 			placedRich = true
 		}
 	}
@@ -91,7 +91,7 @@ func TestBarrierTailAtExactFraction(t *testing.T) {
 	}
 	cfg.Barrier = 0.91
 	for _, a := range bothCores(t, cfg, mk) {
-		if a.JobID == 1 {
+		if a.Task.ID.Job == 1 {
 			t.Error("b=0.91, 9/10 done: ineligible job placed outside the barrier tail")
 		}
 	}

@@ -188,7 +188,7 @@ func TestMachineChurnInvariants(t *testing.T) {
 								trial, round, sch.Name(), a.Task.ID, rc.Machine)
 						}
 					}
-					js := jobs[a.JobID]
+					js := jobs[a.Task.ID.Job]
 					js.Status.MarkRunning(a.Task.ID)
 					js.Alloc = js.Alloc.Add(a.Local)
 					v.Machines[a.Machine].Allocated = v.Machines[a.Machine].Allocated.Add(a.Local)

@@ -103,7 +103,6 @@ type RemoteCharge struct {
 
 // Assignment is one task placement decision.
 type Assignment struct {
-	JobID   int
 	Task    *workload.Task
 	Machine int
 	// Local is the demand charged against the target machine under the

@@ -43,7 +43,7 @@ func apply(v *View, asgs []Assignment) {
 		jobByID[j.Job.ID] = j
 	}
 	for _, a := range asgs {
-		j := jobByID[a.JobID]
+		j := jobByID[a.Task.ID.Job]
 		j.Status.MarkRunning(a.Task.ID)
 		j.Alloc = j.Alloc.Add(a.Local)
 		v.Machines[a.Machine].Allocated = v.Machines[a.Machine].Allocated.Add(a.Local)
@@ -230,8 +230,8 @@ func TestTetrisPrefersAlignedTask(t *testing.T) {
 	if len(asgs) != 1 {
 		t.Fatalf("assignments = %d (mem task shouldn't fit: 20 > 8 free)", len(asgs))
 	}
-	if asgs[0].JobID != 0 {
-		t.Errorf("picked job %d, want CPU-aligned job 0", asgs[0].JobID)
+	if asgs[0].Task.ID.Job != 0 {
+		t.Errorf("picked job %d, want CPU-aligned job 0", asgs[0].Task.ID.Job)
 	}
 }
 
@@ -247,8 +247,8 @@ func TestTetrisSRTFPrefersSmallJob(t *testing.T) {
 	if len(asgs) != 1 {
 		t.Fatalf("assignments = %d", len(asgs))
 	}
-	if asgs[0].JobID != 1 {
-		t.Errorf("picked job %d, want small job 1 (SRTF)", asgs[0].JobID)
+	if asgs[0].Task.ID.Job != 1 {
+		t.Errorf("picked job %d, want small job 1 (SRTF)", asgs[0].Task.ID.Job)
 	}
 }
 
@@ -265,8 +265,8 @@ func TestTetrisSRTFOnlyMode(t *testing.T) {
 		t.Fatal("no assignments")
 	}
 	// First pick must come from the small job.
-	if asgs[0].JobID != 1 {
-		t.Errorf("SRTF-only first pick = job %d, want 1", asgs[0].JobID)
+	if asgs[0].Task.ID.Job != 1 {
+		t.Errorf("SRTF-only first pick = job %d, want 1", asgs[0].Task.ID.Job)
 	}
 }
 
@@ -288,8 +288,8 @@ func TestTetrisFairnessKnobRestricts(t *testing.T) {
 		t.Fatal("no assignments")
 	}
 	for _, a := range asgs {
-		if a.JobID != 1 {
-			t.Errorf("f→1 assigned task of rich job %d", a.JobID)
+		if a.Task.ID.Job != 1 {
+			t.Errorf("f→1 assigned task of rich job %d", a.Task.ID.Job)
 		}
 	}
 }
@@ -308,7 +308,7 @@ func TestTetrisFairnessZeroAllowsAnyJob(t *testing.T) {
 	asgs := tet.Schedule(v)
 	jobs := map[int]bool{}
 	for _, a := range asgs {
-		jobs[a.JobID] = true
+		jobs[a.Task.ID.Job] = true
 	}
 	if !jobs[0] || !jobs[1] {
 		t.Errorf("f=0 should consider all jobs, got %v", jobs)
@@ -333,7 +333,7 @@ func TestTetrisBarrierPreference(t *testing.T) {
 	if len(asgs) == 0 {
 		t.Fatal("no assignments")
 	}
-	if asgs[0].JobID != 0 || asgs[0].Task.ID.Index != 9 {
+	if asgs[0].Task.ID.Job != 0 || asgs[0].Task.ID.Index != 9 {
 		t.Errorf("first pick = %v, want job 0's tail task", asgs[0].Task.ID)
 	}
 }
@@ -406,7 +406,7 @@ func TestSlotFairSharesSlots(t *testing.T) {
 	}
 	count := map[int]int{}
 	for _, x := range asgs {
-		count[x.JobID]++
+		count[x.Task.ID.Job]++
 	}
 	if count[0] != 8 || count[1] != 8 {
 		t.Errorf("slot split = %v, want 8/8", count)

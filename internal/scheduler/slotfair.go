@@ -152,7 +152,6 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 			sc.heap.pop()
 			continue
 		}
-		id := pick.Job.ID
 		peak, _ := v.Demand(pick, task)
 		need := s.slotsOf(peak.Get(resources.Memory))
 		mid := s.pickMachine(task, sc.freeSlots, need)
@@ -169,7 +168,7 @@ func (s *SlotFair) Schedule(v *View) []Assignment {
 		sc.heap.siftDown() // deficit only shrank: re-sink the root
 		// Charge memory only: that is all a slot scheduler allocates.
 		local := resources.Vector{}.With(resources.Memory, float64(need)*slotGB)
-		out = append(out, Assignment{JobID: id, Task: task, Machine: mid, Local: local})
+		out = append(out, Assignment{Task: task, Machine: mid, Local: local})
 	}
 	return out
 }

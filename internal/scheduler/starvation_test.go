@@ -41,7 +41,7 @@ func TestStarvationReservationServesWhale(t *testing.T) {
 		asgs := tet.Schedule(v)
 		apply(v, asgs)
 		for _, a := range asgs {
-			if a.JobID == 0 {
+			if a.Task.ID.Job == 0 {
 				t.Fatalf("whale placed while machine half-busy at t=%v", now)
 			}
 		}
@@ -54,7 +54,7 @@ func TestStarvationReservationServesWhale(t *testing.T) {
 	asgs := tet.Schedule(v)
 	foundWhale := false
 	for _, a := range asgs {
-		if a.JobID == 0 {
+		if a.Task.ID.Job == 0 {
 			foundWhale = true
 		}
 	}

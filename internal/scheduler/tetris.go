@@ -337,7 +337,6 @@ func (t *Tetris) indexJob(j *JobState) {
 
 // candidate is one feasible (task, machine) option under evaluation.
 type candidate struct {
-	job    *JobState
 	task   *workload.Task
 	demand resources.Vector
 	remote []RemoteCharge
@@ -459,7 +458,7 @@ func (t *Tetris) serveReservations(v *View, free []resources.Vector, rs *roundSt
 		if !feasible {
 			continue
 		}
-		out = append(out, Assignment{JobID: task.ID.Job, Task: task, Machine: mid, Local: d, Remote: remote})
+		out = append(out, Assignment{Task: task, Machine: mid, Local: d, Remote: remote})
 		rs.taken[task] = true
 		free[mid] = free[mid].Sub(d).Max(resources.Vector{})
 		for _, rc := range remote {
@@ -521,7 +520,6 @@ func (t *Tetris) detectStarvation(v *View, rs *roundState) {
 				Kind:   reserve.Starved,
 				Holder: task.ID.Job,
 				Task:   task,
-				Since:  v.Time,
 			})
 			return // at most one new reservation per round
 		}

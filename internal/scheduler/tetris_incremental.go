@@ -68,9 +68,8 @@ import (
 type taskRound struct {
 	round uint64 // validity stamp for all per-round fields below
 
-	job *JobState
-	p   float64   // job's remaining-work score this round
-	sr  *stageRun // the task's stage this round, once a stage scan saw it
+	p  float64   // job's remaining-work score this round
+	sr *stageRun // the task's stage this round, once a stage scan saw it
 
 	// peak is the scheduler-visible peak demand. Re-read from the View
 	// every round; everything derived from it alone (base, normBase)
@@ -333,7 +332,6 @@ func (ic *incrState) taskRoundFor(j *JobState, task *workload.Task) *taskRound {
 	}
 	if tr.round != ic.round {
 		tr.round = ic.round
-		tr.job = j
 		tr.p = ic.pScore[j.Job.ID]
 		tr.sr = nil
 		if peak := ic.curV.DemandPeak(j, task); !peak.SameBits(tr.peak) {
@@ -554,7 +552,7 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 		// Mirror the shared rs.taken entries into the takenRound stamps
 		// the incremental stage scans test instead of the map.
 		for _, a := range served {
-			ic.markTaken(ic.taskRoundFor(rs.byJob[a.JobID], a.Task))
+			ic.markTaken(ic.taskRoundFor(rs.byJob[a.Task.ID.Job], a.Task))
 		}
 	}
 
@@ -622,7 +620,6 @@ func (t *Tetris) scheduleIncremental(v *View) []Assignment {
 				})
 			}
 			out = append(out, Assignment{
-				JobID:   c.job.Job.ID,
 				Task:    c.task,
 				Machine: m.ID,
 				Local:   c.demand,
@@ -934,7 +931,6 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 	}
 	tr.tick = ic.tick
 	ic.cands = append(ic.cands, candidate{
-		job:    tr.job,
 		task:   task,
 		demand: tr.d,
 		remote: tr.remote,

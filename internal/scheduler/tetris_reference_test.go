@@ -233,9 +233,9 @@ func (t *Tetris) scheduleReference(v *View) []Assignment {
 			best := -1
 			bestScore := math.Inf(-1)
 			for i := range cands {
-				score := cands[i].align - eps*pScore[cands[i].job.Job.ID]
+				score := cands[i].align - eps*pScore[cands[i].task.ID.Job]
 				if t.cfg.SRTFOnly {
-					score = -pScore[cands[i].job.Job.ID]
+					score = -pScore[cands[i].task.ID.Job]
 				}
 				if score > bestScore {
 					bestScore = score
@@ -244,7 +244,6 @@ func (t *Tetris) scheduleReference(v *View) []Assignment {
 			}
 			c := cands[best]
 			out = append(out, Assignment{
-				JobID:   c.job.Job.ID,
 				Task:    c.task,
 				Machine: m.ID,
 				Local:   c.demand,
@@ -328,7 +327,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 		if remote != nil {
 			align *= 1 - t.cfg.RemotePenalty
 		}
-		cands = append(cands, candidate{job: j, task: task, demand: d, remote: remote, align: align, inTail: inTail})
+		cands = append(cands, candidate{task: task, demand: d, remote: remote, align: align, inTail: inTail})
 		if inTail {
 			anyTail = true
 		}

@@ -197,3 +197,38 @@ func TestChaosStragglerInjection(t *testing.T) {
 		t.Errorf("makespan = %v, want ≈20 (10 s tasks at half speed)", res.Makespan)
 	}
 }
+
+// TestRecoveryStatsCountEvictedRecords: a run that logs more fault records
+// than the bounded log holds still summarizes every crash and recovery it
+// applied, not the surviving tail.
+func TestRecoveryStatsCountEvictedRecords(t *testing.T) {
+	const cycles = 600 // 1 200 records against the log's 1 024
+	plan := &faults.Plan{}
+	for i := 0; i < cycles; i++ {
+		at := 10 * float64(i+1)
+		plan.Events = append(plan.Events,
+			faults.Event{Time: at, Kind: faults.MachineCrash, Machine: 1},
+			faults.Event{Time: at + 4, Kind: faults.MachineRecover, Machine: 1})
+	}
+	res := run(t, Config{
+		Cluster:   cluster.New(2, cluster.FacebookProfile(), 0),
+		Workload:  oneJob(1, resources.New(2, 4, 0, 0, 0, 0), workload.Work{CPUSeconds: 20000}),
+		Scheduler: tetris(),
+		FaultPlan: plan,
+		MaxTime:   1e6,
+	})
+	if len(res.FaultEvents) != faults.DefaultRingCap || res.DroppedFaultEvents != 2*cycles-faults.DefaultRingCap {
+		t.Fatalf("log holds %d records and dropped %d, want %d and %d",
+			len(res.FaultEvents), res.DroppedFaultEvents, faults.DefaultRingCap, 2*cycles-faults.DefaultRingCap)
+	}
+	st := res.RecoveryStats()
+	if st.Crashes != cycles || st.Recoveries != cycles {
+		t.Errorf("%d crashes and %d recoveries summarized, want %d of each", st.Crashes, st.Recoveries, cycles)
+	}
+	if st.MeanDowntime != 4 || st.MaxDowntime != 4 {
+		t.Errorf("downtime %v mean, %v max; want 4 and 4", st.MeanDowntime, st.MaxDowntime)
+	}
+	if tail := faults.Summarize(res.FaultEvents); st.TasksKilled < tail.TasksKilled {
+		t.Errorf("%d task attempts killed in all, fewer than the %d the surviving tail names", st.TasksKilled, tail.TasksKilled)
+	}
+}

@@ -43,10 +43,9 @@ func (s *Sim) crashMachine(m int) {
 	for _, rt := range victims {
 		s.failTask(rt)
 	}
-	s.faultRing.Append(faults.Record{
+	s.logFault(faults.Record{
 		Time: s.clock, Kind: faults.MachineCrash, Machine: m, TasksKilled: len(victims),
 	})
-	s.metrics.faultDropped.Set(float64(s.faultRing.Dropped()))
 }
 
 // recoverMachine returns a crashed machine to service, empty.
@@ -55,10 +54,18 @@ func (s *Sim) recoverMachine(m int) {
 		return
 	}
 	s.machines[m].Down = false
-	s.faultRing.Append(faults.Record{
+	s.logFault(faults.Record{
 		Time: s.clock, Kind: faults.MachineRecover, Machine: m,
 		Downtime: s.clock - s.crashedAt[m],
 	})
+}
+
+// logFault appends a record to the bounded fault log and folds it into
+// the run's recovery statistics, which so count the records the log
+// evicts too.
+func (s *Sim) logFault(r faults.Record) {
+	s.faultRing.Append(r)
+	s.res.recovery.Add(r)
 	s.metrics.faultDropped.Set(float64(s.faultRing.Dropped()))
 }
 
@@ -107,7 +114,7 @@ func (s *Sim) killJob(jr *jobRun) {
 	j := jr.state.Job
 	s.res.KilledJobs = append(s.res.KilledJobs, j.ID)
 	s.res.Jobs[j.ID] = JobResult{
-		ID: j.ID, Arrival: j.Arrival, Finish: s.clock, JCT: s.clock - j.Arrival,
+		Arrival: j.Arrival, Finish: s.clock, JCT: s.clock - j.Arrival,
 		NumTasks: j.NumTasks(), Failed: true,
 	}
 }

@@ -200,7 +200,7 @@ func TestWideTaskFinishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range wl.Jobs[0].Stages[0].Tasks {
-		s.start(scheduler.Assignment{JobID: 0, Task: task, Machine: sources + task.ID.Index, Local: task.Peak})
+		s.start(scheduler.Assignment{Task: task, Machine: sources + task.ID.Index, Local: task.Peak})
 	}
 	started := append([]*runningTask(nil), s.running...)
 	for _, rt := range started {
@@ -241,7 +241,7 @@ func TestFlowOrderIsAFunctionOfTheTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range wl.Jobs[0].Stages[0].Tasks {
-		s.start(scheduler.Assignment{JobID: 0, Task: task, Machine: 0, Local: task.Peak})
+		s.start(scheduler.Assignment{Task: task, Machine: 0, Local: task.Peak})
 		var srcs []int
 		var mbs []float64
 		for _, c := range s.running[len(s.running)-1].comps {

@@ -11,7 +11,6 @@ import (
 
 // JobResult records one job's outcome.
 type JobResult struct {
-	ID       int
 	Arrival  float64
 	Finish   float64
 	JCT      float64
@@ -75,6 +74,9 @@ type Result struct {
 	// DroppedFaultEvents counts fault records evicted from the bounded
 	// log during the run.
 	DroppedFaultEvents uint64
+	// recovery summarizes every fault record the run logged, evicted
+	// ones included.
+	recovery faults.RecoveryStats
 	// KilledJobs lists jobs abandoned after a task exhausted
 	// Config.MaxTaskAttempts, in kill order.
 	KilledJobs []int
@@ -129,11 +131,10 @@ func (r *Result) GangWaitPercentile(p float64) float64 {
 	return stats.Percentile(append([]float64(nil), r.GangWaits...), p)
 }
 
-// RecoveryStats summarizes the run's fault log: crash and recovery
-// counts, tasks killed, and downtime statistics.
-func (r *Result) RecoveryStats() faults.RecoveryStats {
-	return faults.Summarize(r.FaultEvents)
-}
+// RecoveryStats summarizes every crash and recovery the run applied,
+// including those evicted from FaultEvents: counts, tasks killed, and
+// downtime statistics.
+func (r *Result) RecoveryStats() faults.RecoveryStats { return r.recovery }
 
 // AvgJCT returns the mean job completion time.
 func (r *Result) AvgJCT() float64 { return stats.Mean(r.JCTs()) }

@@ -495,10 +495,7 @@ func (s *Sim) schedule() error {
 	if gc, ok := s.cfg.Scheduler.(*gang.Coordinator); ok {
 		run := make([]gang.Running, 0, len(s.running))
 		for _, rt := range s.running {
-			run = append(run, gang.Running{
-				JobID: rt.job.state.Job.ID, Task: rt.task.ID,
-				Machine: rt.machine, Demand: rt.local,
-			})
+			run = append(run, gang.Running{Task: rt.task.ID, Machine: rt.machine, Demand: rt.local})
 		}
 		dec := gc.Decide(v, run)
 		gdec = &dec
@@ -542,7 +539,7 @@ func (s *Sim) applyGangDecision(dec *gang.Decision) {
 
 // start applies one assignment: ledgers, status, fluid components.
 func (s *Sim) start(a scheduler.Assignment) {
-	jr := s.jobs[a.JobID]
+	jr := s.jobs[a.Task.ID.Job]
 	jr.state.Status.MarkRunning(a.Task.ID)
 	jr.state.Alloc = jr.state.Alloc.Add(a.Local)
 	jr.truePeaks = jr.truePeaks.Add(a.Task.Peak)
@@ -730,7 +727,6 @@ func (s *Sim) completeFinished() bool {
 		if jr.state.Status.Finished() {
 			j := jr.state.Job
 			s.res.Jobs[j.ID] = JobResult{
-				ID:         j.ID,
 				Arrival:    j.Arrival,
 				Finish:     s.clock,
 				JCT:        s.clock - j.Arrival,

@@ -392,10 +392,10 @@ func TestImprovementHelpers(t *testing.T) {
 	}
 	base := newResult()
 	ours := newResult()
-	base.Jobs[0] = JobResult{ID: 0, JCT: 100}
-	base.Jobs[1] = JobResult{ID: 1, JCT: 100}
-	ours.Jobs[0] = JobResult{ID: 0, JCT: 50}
-	ours.Jobs[1] = JobResult{ID: 1, JCT: 120}
+	base.Jobs[0] = JobResult{JCT: 100}
+	base.Jobs[1] = JobResult{JCT: 100}
+	ours.Jobs[0] = JobResult{JCT: 50}
+	ours.Jobs[1] = JobResult{JCT: 120}
 	imp := PerJobImprovement(base, ours)
 	if len(imp) != 2 || imp[0] != 50 || imp[1] != -20 {
 		t.Errorf("PerJobImprovement = %v", imp)

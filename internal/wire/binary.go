@@ -2,7 +2,7 @@ package wire
 
 import "fmt"
 
-// Binary payload encoding (codec 1): a type byte followed by the
+// Binary payload encoding (codec 2): a type byte followed by the
 // type-specific body, built from the primitives in primitives.go;
 // booleans pack into per-message flag bytes.
 //
@@ -28,10 +28,9 @@ const (
 // to bytes the peer actually sent.
 const (
 	minCompletionSize = MinTaskIDSize + 1 + 8 // task + mask + duration
-	minLaunchSize     = MinTaskIDSize + 1 + 1 + 24
-	minPreemptSize    = MinTaskIDSize + 2
-	minBeatSize       = 1 + 1 + 1 + 1 + 1 // node + flags + 2 masks + count
-	minBeatReplySize  = 1 + 1 + 4         // node + error len + reply
+	minLaunchSize     = MinTaskIDSize + 1 + 24
+	minBeatSize       = 1 + 1 + 1 + 1 // node + flags + mask + count
+	minBeatReplySize  = 1 + 1 + 4     // node + error len + reply
 )
 
 func appendCompletions(b []byte, cs []TaskCompletion) []byte {
@@ -52,7 +51,6 @@ func appendHeartbeatBody(b []byte, hb *NMHeartbeat) []byte {
 	}
 	b = append(b, flags)
 	b = AppendVector(b, &hb.Used)
-	b = AppendVector(b, &hb.Allocated)
 	return appendCompletions(b, hb.Completed)
 }
 
@@ -66,7 +64,6 @@ func appendNMReplyBody(b []byte, r *NMReply) []byte {
 	for i := range r.Launch {
 		l := &r.Launch[i]
 		b = AppendTaskID(b, l.Task)
-		b = AppendInt(b, l.JobID)
 		b = AppendVector(b, &l.Demand)
 		b = AppendFloat(b, l.Duration)
 		b = AppendFloat(b, l.ReadMB)
@@ -77,11 +74,8 @@ func appendNMReplyBody(b []byte, r *NMReply) []byte {
 		b = AppendTaskID(b, id)
 	}
 	b = AppendCount(b, len(r.Preempt))
-	for i := range r.Preempt {
-		p := &r.Preempt[i]
+	for _, p := range r.Preempt {
 		b = AppendTaskID(b, p.Task)
-		b = AppendInt(b, p.JobID)
-		b = AppendInt(b, p.ForJob)
 	}
 	return b
 }
@@ -113,7 +107,6 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 	case TypeAMReply:
 		r := m.AMReply
 		b = append(b, binAMReply)
-		b = AppendInt(b, r.JobID)
 		b = AppendInt(b, r.Done)
 		b = AppendInt(b, r.Total)
 		var flags byte
@@ -123,18 +116,8 @@ func appendBinary(b []byte, m *Message) (out []byte, ok bool) {
 		if r.Failed {
 			flags |= 2
 		}
-		if r.GangRelease != nil {
-			flags |= 4
-		}
 		b = append(b, flags)
-		b = AppendFloat(b, r.FinishedAt)
-		b = AppendInt(b, r.Preemptions)
-		if r.GangRelease != nil {
-			b = AppendInt(b, r.GangRelease.JobID)
-			b = AppendInt(b, r.GangRelease.Held)
-			b = AppendString(b, r.GangRelease.Reason)
-		}
-		return b, true
+		return AppendFloat(b, r.FinishedAt), true
 	case TypeHeartbeatBatch:
 		batch := m.HeartbeatBatch
 		b = append(b, binHeartbeatBatch)
@@ -181,7 +164,6 @@ func (r *Reader) heartbeatBody(hb *NMHeartbeat) {
 	flags := r.Byte()
 	hb.Delta = flags&1 != 0
 	hb.Used = r.Vector()
-	hb.Allocated = r.Vector()
 	hb.Completed = r.completions(hb.Completed)
 }
 
@@ -194,7 +176,6 @@ func (r *Reader) nmReplyBody(rep *NMReply) {
 	for i := 0; i < n; i++ {
 		rep.Launch = append(rep.Launch, TaskLaunch{
 			Task:     r.TaskID(),
-			JobID:    r.Int(),
 			Demand:   r.Vector(),
 			Duration: r.Float(),
 			ReadMB:   r.Float(),
@@ -206,14 +187,10 @@ func (r *Reader) nmReplyBody(rep *NMReply) {
 	for i := 0; i < n; i++ {
 		rep.Kill = append(rep.Kill, r.TaskID())
 	}
-	n = r.Count(minPreemptSize)
+	n = r.Count(MinTaskIDSize)
 	rep.Preempt = rep.Preempt[:0]
 	for i := 0; i < n; i++ {
-		rep.Preempt = append(rep.Preempt, TaskPreempt{
-			Task:   r.TaskID(),
-			JobID:  r.Int(),
-			ForJob: r.Int(),
-		})
+		rep.Preempt = append(rep.Preempt, TaskPreempt{Task: r.TaskID()})
 	}
 }
 
@@ -226,12 +203,11 @@ type decodeScratch struct {
 	nmReply    NMReply
 	amhb       AMHeartbeat
 	amReply    AMReply
-	gang       GangRelease
 	batch      HeartbeatBatch
 	batchReply HeartbeatBatchReply
 }
 
-// decodeBinary decodes a codec-1 payload into s, returning &s.msg.
+// decodeBinary decodes a codec-2 payload into s, returning &s.msg.
 // RegisterNM decodes into fresh allocations: registration handlers
 // journal the payload's slices asynchronously, so they must not alias
 // reused scratch. Per-beat slices inside batches are likewise fresh
@@ -264,19 +240,12 @@ func decodeBinary(payload []byte, s *decodeScratch) (*Message, error) {
 		s.msg.AMHeartbeat = &s.amhb
 	case binAMReply:
 		rep := &s.amReply
-		*rep = AMReply{}
-		rep.JobID = r.Int()
 		rep.Done = r.Int()
 		rep.Total = r.Int()
 		flags := r.Byte()
 		rep.Finished = flags&1 != 0
 		rep.Failed = flags&2 != 0
 		rep.FinishedAt = r.Float()
-		rep.Preemptions = r.Int()
-		if flags&4 != 0 {
-			s.gang = GangRelease{JobID: r.Int(), Held: r.Int(), Reason: r.Str()}
-			rep.GangRelease = &s.gang
-		}
 		s.msg.Type = TypeAMReply
 		s.msg.AMReply = rep
 	case binHeartbeatBatch:

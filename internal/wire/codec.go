@@ -43,9 +43,12 @@ const (
 	// It carries the cold control types and remains the fuzz oracle
 	// encoding.
 	CodecJSON Codec = 0
-	// CodecBinary is codec 1: the payload is the hand-rolled binary
-	// encoding (see binary.go) of a hot session type.
-	CodecBinary Codec = 1
+	// CodecBinary is codec 2: the payload is the hand-rolled binary
+	// encoding (see binary.go) of a hot session type. Codec 1, the
+	// layout whose beats, launches, preemptions and AM replies carried
+	// fields no reader used, is retired: its frames fail as an unknown
+	// codec, never decode into a message.
+	CodecBinary Codec = 2
 )
 
 // Framer reads and writes frames on one connection, owning the

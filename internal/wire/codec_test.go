@@ -33,9 +33,8 @@ func codecCorpus() []*Message {
 			},
 		}},
 		beatFrame(NMHeartbeat{
-			NodeID:    3,
-			Used:      resources.New(1, 2, 0, 0, 0, 0),
-			Allocated: resources.New(4, 8, 0, 0, 100, 0),
+			NodeID: 3,
+			Used:   resources.New(1, 2, 0, 0, 100, 0),
 			Completed: []TaskCompletion{
 				{Task: workload.TaskID{Job: 1, Stage: 0, Index: 2}, Usage: resources.New(1, 1, 0, 0, 0, 0), Duration: 12.5},
 				{Task: workload.TaskID{Job: 2, Stage: 1, Index: 0}, Duration: 0.001},
@@ -44,36 +43,32 @@ func codecCorpus() []*Message {
 		beatFrame(NMHeartbeat{NodeID: 99999, Delta: true}),
 		{Type: TypeNMReply, NMReply: &NMReply{
 			Launch: []TaskLaunch{{
-				Task: workload.TaskID{Job: 1, Stage: 0, Index: 5}, JobID: 1,
+				Task:   workload.TaskID{Job: 1, Stage: 0, Index: 5},
 				Demand: resources.New(2, 4, 10, 10, 0, 0), Duration: 30, ReadMB: 100, WriteMB: 50,
 			}},
 			Kill:       []workload.TaskID{{Job: 4, Stage: 1, Index: 7}},
-			Preempt:    []TaskPreempt{{Task: workload.TaskID{Job: 5, Stage: 0, Index: 0}, JobID: 5, ForJob: 11}},
+			Preempt:    []TaskPreempt{{Task: workload.TaskID{Job: 5, Stage: 0, Index: 0}}},
 			FullReport: true,
 		}},
 		{Type: TypeNMReply, NMReply: &NMReply{}},
 		{Type: TypeAMHeartbeat, AMHeartbeat: &AMHeartbeat{JobID: 1 << 30}},
-		{Type: TypeAMReply, AMReply: &AMReply{
-			JobID: 11, Done: 3, Total: 8, Finished: true, FinishedAt: 1234.5,
-			Failed: true, Preemptions: 2,
-			GangRelease: &GangRelease{JobID: 11, Held: 3, Reason: "hold-timeout"},
-		}},
+		{Type: TypeAMReply, AMReply: &AMReply{Done: 3, Total: 8, Finished: true, FinishedAt: 1234.5, Failed: true}},
 		{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{Beats: []NMHeartbeat{
 			{NodeID: 1, Delta: true},
-			{NodeID: 2, Used: resources.New(1, 0, 0, 0, 0, 0), Allocated: resources.New(2, 0, 0, 0, 0, 0)},
+			{NodeID: 2, Used: resources.New(1, 0, 0, 0, 0, 0)},
 			{NodeID: 3, Completed: []TaskCompletion{{Task: workload.TaskID{Job: 7, Stage: 0, Index: 1}, Duration: 4}}},
 		}}},
 		{Type: TypeHeartbeatBatchReply, HeartbeatBatchReply: &HeartbeatBatchReply{Replies: []NMBeatReply{
 			{NodeID: 1, Error: "unregistered node 1"},
 			{NodeID: 2, Reply: NMReply{FullReport: true}},
-			{NodeID: 3, Reply: NMReply{Launch: []TaskLaunch{{Task: workload.TaskID{Job: 2, Stage: 0, Index: 0}, JobID: 2, Duration: 9}}}},
+			{NodeID: 3, Reply: NMReply{Launch: []TaskLaunch{{Task: workload.TaskID{Job: 2, Stage: 0, Index: 0}, Duration: 9}}}},
 		}}},
 		{Type: TypeClusterStatus},
 		// Cold types: JSON fallback on a binary Framer.
 		{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: &workload.Job{ID: 1, Name: "j", Weight: 1}, Tenant: "acme"}},
-		{Type: TypeSubmitReject, SubmitReject: &SubmitReject{JobID: 1, Tenant: "acme", Code: RejectRateLimited, RetryAfter: 0.25}},
+		{Type: TypeSubmitReject, SubmitReject: &SubmitReject{Code: RejectRateLimited, Reason: "tenant over rate", RetryAfter: 0.25}},
 		{Type: TypeSubmitBatch, SubmitBatch: &SubmitBatch{Tenant: "acme", Jobs: []*workload.Job{{ID: 2, Weight: 1}}}},
-		{Type: TypeSubmitBatchReply, SubmitBatchReply: &SubmitBatchReply{Results: []SubmitResult{{JobID: 2, Total: 4}}}},
+		{Type: TypeSubmitBatchReply, SubmitBatchReply: &SubmitBatchReply{Results: []SubmitResult{{JobID: 2}, {JobID: 3, Reject: &SubmitReject{Code: RejectInvalid}}}}},
 		{Type: TypeClusterStatusReply, ClusterStatus: &ClusterStatusReply{
 			Nodes: 3, Live: []int{0, 2}, Dead: []int{1},
 			Faults:        []faults.Record{{Time: 10, Machine: 1, TasksKilled: 2}},
@@ -204,8 +199,19 @@ func TestFramerFormats(t *testing.T) {
 // TestSteadyStateFrameSizes pins the exact bytes of the frames a fleet
 // exchanges in steady state: one delta beat with nothing to report, its
 // empty reply, the empty NMReply a registration gets, and the cost of one
-// more such beat in a HeartbeatBatch and of one more entry in its reply. A JSON fallback for a hot type, or any growth of the
-// binary encoding, fails here rather than in a minute-long scale run.
+// more such beat in a HeartbeatBatch and of one more entry in its reply;
+// and the cost of one launch, one preemption and an AM reply. A JSON
+// fallback for a hot type, or any growth of the binary encoding, fails
+// here rather than in a minute-long scale run.
+//
+// The bytes: a frame header is 6, a type byte 1. A delta beat for node
+// 999 is its node (2, zigzag varint), flags (1), an empty Used mask (1)
+// and no completions (1): 5. A reply entry is its node (2), an empty
+// error (1), flags (1) and three empty lists (3): 7. A launch of task
+// {1 0 5} is its TaskID (3), a two-dimension demand (1 + 16) and three
+// floats (24): 44. A preemption is its TaskID alone: 3. An AM reply
+// with Done 3 and Total 8 is two varints (2), flags (1) and FinishedAt
+// (8) behind its header and type byte: 18.
 func TestSteadyStateFrameSizes(t *testing.T) {
 	size := func(m *Message) int {
 		t.Helper()
@@ -233,15 +239,21 @@ func TestSteadyStateFrameSizes(t *testing.T) {
 		}
 		return &Message{Type: TypeHeartbeatBatchReply, HeartbeatBatchReply: &HeartbeatBatchReply{Replies: entries}}
 	}
+	empty := &Message{Type: TypeNMReply, NMReply: &NMReply{}}
+	task := workload.TaskID{Job: 1, Stage: 0, Index: 5}
+	launch := TaskLaunch{Task: task, Demand: resources.New(2, 4, 0, 0, 0, 0), Duration: 30, ReadMB: 100, WriteMB: 50}
 	for _, tc := range []struct {
 		what      string
 		got, want int
 	}{
-		{"one-beat delta HeartbeatBatch frame", size(batch(1)), 14},
+		{"one-beat delta HeartbeatBatch frame", size(batch(1)), 13},
 		{"one-entry empty HeartbeatBatchReply frame", size(replies(1)), 15},
-		{"empty NMReply frame", size(&Message{Type: TypeNMReply, NMReply: &NMReply{}}), 11},
-		{"HeartbeatBatch entry", size(batch(2)) - size(batch(1)), 6},
+		{"empty NMReply frame", size(empty), 11},
+		{"HeartbeatBatch entry", size(batch(2)) - size(batch(1)), 5},
 		{"HeartbeatBatchReply entry", size(replies(2)) - size(replies(1)), 7},
+		{"NMReply launch entry", size(&Message{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{launch}}}) - size(empty), 44},
+		{"NMReply preempt entry", size(&Message{Type: TypeNMReply, NMReply: &NMReply{Preempt: []TaskPreempt{{Task: task}}}}) - size(empty), 3},
+		{"AMReply frame", size(&Message{Type: TypeAMReply, AMReply: &AMReply{Done: 3, Total: 8, Finished: true, FinishedAt: 12.5}}), 18},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s = %d bytes, want %d", tc.what, tc.got, tc.want)
@@ -300,6 +312,57 @@ func TestV0FrameRefused(t *testing.T) {
 		_, err := NewServerFramer().Read(bytes.NewReader([]byte{first, 0, 0, 0, 0, 0, '{', '}'}))
 		if !errors.Is(err, ErrBadMagic) {
 			t.Errorf("first byte 0x%02x: err = %v, want ErrBadMagic", first, err)
+		}
+	}
+}
+
+// codec1Frame builds a frame of the retired binary codec 1 around body.
+func codec1Frame(body ...byte) []byte {
+	return append(binenc.BigEndian.AppendUint32([]byte{Magic, 1}, uint32(len(body))), body...)
+}
+
+// TestCodec1FrameRefused: a peer of the previous build writes its hot
+// frames as codec 1, whose beats carried a second vector and whose
+// launches, preemptions and AM replies carried fields this layout
+// dropped. Each of the four bodies that changed fails as an unknown
+// codec after the header, on either side, and never decodes into a
+// message.
+func TestCodec1FrameRefused(t *testing.T) {
+	float := make([]byte, 8)
+	for name, data := range map[string][]byte{
+		// One beat: node 9, no flags, Used and Allocated empty, no completions.
+		"heartbeat batch": codec1Frame(0x07, 1, 18, 0, 0, 0, 0),
+		// One launch of task {1 0 0} with its job ID, an empty demand and
+		// three zero floats; no kills; one preemption with job and gang.
+		"NM reply": codec1Frame(append(append([]byte{0x04, 0, 1, 2, 0, 0, 2, 0}, bytes.Repeat(float, 3)...), 0, 1, 2, 0, 0, 2, 22)...),
+		// One entry: node 9, no error, an empty NM reply.
+		"batch reply": codec1Frame(0x08, 1, 18, 0, 0, 0, 0, 0),
+		// Job 11, done 3 of 8, finished, FinishedAt 0, no preemptions.
+		"AM reply": codec1Frame(append(append([]byte{0x06, 22, 6, 16, 1}, float...), 0)...),
+	} {
+		for side, f := range map[string]*Framer{"client": NewFramer(CodecBinary), "server": NewServerFramer()} {
+			src := &countingReader{r: bytes.NewReader(data)}
+			m, err := f.Read(src)
+			if m != nil || err == nil || !strings.Contains(err.Error(), "unknown codec byte 0x01") {
+				t.Errorf("codec-1 %s, %s Framer: m=%+v err=%v, want an unknown-codec error", name, side, m, err)
+			}
+			if src.n != headerLen {
+				t.Errorf("codec-1 %s, %s Framer: consumed %d bytes, want the %d-byte header only", name, side, src.n, headerLen)
+			}
+		}
+	}
+	// A JSON frame in the old layout still decodes: JSON ignores the
+	// fields this layout dropped, and keeps the rest.
+	for body, want := range map[string]string{
+		`{"type":"heartbeat-batch","heartbeatBatch":{"beats":[{"nodeID":9,"used":[1,0,0,0,0,0],"allocated":[2,0,0,0,0,0]}]}}`:                `{"type":"heartbeat-batch","heartbeatBatch":{"beats":[{"nodeID":9,"used":[1,0,0,0,0,0]}]}}`,
+		`{"type":"am-reply","amReply":{"jobID":11,"done":3,"total":8,"finished":false,"preemptions":2,"gangRelease":{"jobID":11,"held":3}}}`: `{"type":"am-reply","amReply":{"done":3,"total":8,"finished":false}}`,
+	} {
+		m, err := NewServerFramer().Read(bytes.NewReader(frame(uint32(len(body)), []byte(body))))
+		if err != nil {
+			t.Fatalf("old-layout JSON frame %s: %v", body, err)
+		}
+		if got := canonJSON(t, m); got != want {
+			t.Errorf("old-layout JSON frame decoded to %s, want %s", got, want)
 		}
 	}
 }

@@ -3,26 +3,25 @@ package wire
 import "github.com/tetris-sched/tetris/internal/resources"
 
 // DeltaTracker implements the sender side of delta availability
-// reports: it remembers the Used/Allocated vectors of the last
-// heartbeat the RM acknowledged and compresses an outgoing heartbeat to
-// a delta when nothing changed. The invariant the RM relies on — a
-// delta beat's implied vectors equal the RM's current view — holds
-// because the baseline only advances on Ack (the reply was read, so the
-// RM definitely applied the report) and is dropped whenever that
-// certainty lapses: a fresh session (Reset) or an RM-side view reset
+// reports: it remembers the Used vector of the last heartbeat the RM
+// acknowledged and compresses an outgoing heartbeat to a delta when
+// nothing changed. The invariant the RM relies on — a delta beat's
+// implied vector equals the RM's current view — holds because the
+// baseline only advances on Ack (the reply was read, so the RM
+// definitely applied the report) and is dropped whenever that certainty
+// lapses: a fresh session (Reset) or an RM-side view reset
 // (NMReply.FullReport).
 //
 // The zero value is ready to use and has no baseline, so the first
 // marked heartbeat is always full. Not safe for concurrent use; each
 // node's heartbeat loop owns one tracker.
 type DeltaTracker struct {
-	valid           bool
-	used, allocated resources.Vector
+	valid bool
+	used  resources.Vector
 
 	// The beat in flight, recorded by Mark and committed by Ack.
-	pendingDelta     bool
-	pendingUsed      resources.Vector
-	pendingAllocated resources.Vector
+	pendingDelta bool
+	pendingUsed  resources.Vector
 }
 
 // Reset invalidates the baseline. Call at the start of every session
@@ -30,23 +29,21 @@ type DeltaTracker struct {
 // reached the RM, so only a full report can re-establish agreement.
 func (d *DeltaTracker) Reset() { d.valid = false }
 
-// Mark compresses hb in place: when hb's Used/Allocated are
-// bit-identical to the acknowledged baseline it sets Delta and clears
-// both vectors, otherwise it leaves hb as a full report. Returns
-// whether the beat went out full. Call exactly once per heartbeat,
-// after filling Used/Allocated and before writing the frame.
+// Mark compresses hb in place: when hb's Used is bit-identical to the
+// acknowledged baseline it sets Delta and clears Used, otherwise it
+// leaves hb as a full report. Returns whether the beat went out full.
+// Call exactly once per heartbeat, after filling Used and before
+// writing the frame.
 func (d *DeltaTracker) Mark(hb *NMHeartbeat) (full bool) {
-	if d.valid && hb.Used == d.used && hb.Allocated == d.allocated {
+	if d.valid && hb.Used == d.used {
 		hb.Delta = true
 		hb.Used = resources.Vector{}
-		hb.Allocated = resources.Vector{}
 		d.pendingDelta = true
 		return false
 	}
 	hb.Delta = false
 	d.pendingDelta = false
 	d.pendingUsed = hb.Used
-	d.pendingAllocated = hb.Allocated
 	return true
 }
 
@@ -58,7 +55,6 @@ func (d *DeltaTracker) Mark(hb *NMHeartbeat) (full bool) {
 func (d *DeltaTracker) Ack(reply *NMReply) {
 	if !d.pendingDelta {
 		d.used = d.pendingUsed
-		d.allocated = d.pendingAllocated
 		d.valid = true
 	}
 	if reply != nil && reply.FullReport {

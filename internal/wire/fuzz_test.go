@@ -55,24 +55,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})))
 	f.Add(valid(beatFrame(NMHeartbeat{NodeID: 9, Delta: true})))
 	f.Add(valid(&Message{Type: TypeNMReply, NMReply: &NMReply{
-		Launch:     []TaskLaunch{{Task: workload.TaskID{Job: 7}, JobID: 7, Duration: 3}},
+		Launch:     []TaskLaunch{{Task: workload.TaskID{Job: 7}, Duration: 3}},
 		Kill:       []workload.TaskID{{Job: 1, Stage: 1, Index: 1}},
 		FullReport: true,
 	}}))
 	f.Add(valid(&Message{Type: TypeNMReply, NMReply: &NMReply{
-		Preempt: []TaskPreempt{{
-			Task:   workload.TaskID{Job: 4, Stage: 0, Index: 2},
-			JobID:  4,
-			ForJob: 11,
-		}},
+		Preempt: []TaskPreempt{{Task: workload.TaskID{Job: 4, Stage: 0, Index: 2}}},
 	}}))
-	f.Add(valid(&Message{Type: TypeAMReply, AMReply: &AMReply{
-		JobID:       11,
-		Done:        3,
-		Total:       8,
-		Preemptions: 2,
-		GangRelease: &GangRelease{JobID: 11, Held: 3, Reason: "hold-timeout"},
-	}}))
+	f.Add(valid(&Message{Type: TypeAMReply, AMReply: &AMReply{Done: 3, Total: 8, Finished: true, FinishedAt: 2.5}}))
 	f.Add(valid(&Message{Type: TypeError, Error: "boom"}))
 	f.Add(valid(&Message{Type: TypeHeartbeatBatch, HeartbeatBatch: &HeartbeatBatch{Beats: []NMHeartbeat{
 		{NodeID: 1, Delta: true},
@@ -94,6 +84,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	retired := []byte(`{"type":"nm-heartbeat","nmHeartbeat":{"nodeID":9,"delta":true}}`)
 	f.Add(frame(uint32(len(retired)), retired))
 	f.Add([]byte{Magic, byte(CodecBinary), 0, 0, 0, 6, 0x03, 18 /*node 9*/, 1 /*delta*/, 0, 0, 0})
+	// The retired codec 1: an idle beat in its layout, two vectors.
+	f.Add(codec1Frame(0x07, 1 /*one beat*/, 18 /*node 9*/, 0 /*flags*/, 0, 0 /*two empty vectors*/, 0 /*no completions*/))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf := NewServerFramer()

@@ -168,12 +168,11 @@ type TaskCompletion struct {
 }
 
 // NMHeartbeat is the node manager's periodic report, one entry of a
-// HeartbeatBatch: tracker observations plus completions since the last
-// beat.
+// HeartbeatBatch: the node's usage plus completions since the last beat.
 //
-// Availability reports come in two forms. A full report carries Used
-// and Allocated. A delta report (Delta set) omits both: it asserts they
-// are bit-identical to this node's last *acknowledged* report — the
+// Availability reports come in two forms. A full report carries Used.
+// A delta report (Delta set) omits it: it asserts Used is bit-identical
+// to this node's last *acknowledged* report — the
 // last heartbeat whose reply the node actually read — so the RM keeps
 // its current view. The sender side lives in DeltaTracker; senders must
 // open every session (connect or reconnect) with a full report, and
@@ -181,18 +180,17 @@ type TaskCompletion struct {
 // (the RM reset its view: restart, dead-node reclaim, rejoin).
 type NMHeartbeat struct {
 	NodeID int `json:"nodeID"`
-	// Delta marks a delta availability report: Used and Allocated are
-	// omitted because they equal the last acknowledged report's values.
+	// Delta marks a delta availability report: Used is omitted because
+	// it equals the last acknowledged report's value.
 	Delta     bool             `json:"delta,omitempty"`
 	Used      resources.Vector `json:"used,omitzero"`
-	Allocated resources.Vector `json:"allocated,omitzero"`
 	Completed []TaskCompletion `json:"completed,omitempty"`
 }
 
-// TaskLaunch instructs a node manager to start one task.
+// TaskLaunch instructs a node manager to start one task; Task.Job names
+// its job.
 type TaskLaunch struct {
 	Task   workload.TaskID  `json:"task"`
-	JobID  int              `json:"jobID"`
 	Demand resources.Vector `json:"demand"`
 	// Duration is the emulated execution time in (uncompressed) seconds;
 	// the node manager divides by its time-compression factor.
@@ -208,23 +206,7 @@ type TaskLaunch struct {
 // charged the task's attempt, and requeued the task; the node must
 // stop the task and report no completion for it.
 type TaskPreempt struct {
-	Task  workload.TaskID `json:"task"`
-	JobID int             `json:"jobID"`
-	// ForJob is the gang job the eviction makes room for, for logs and
-	// AM-side diagnostics.
-	ForJob int `json:"forJob"`
-}
-
-// GangRelease notifies an AM that its gang's hoarded partial placement
-// timed out and was returned to the pool (the gang is still queued and
-// keeps waiting; this is a progress signal, not a failure).
-type GangRelease struct {
-	JobID int `json:"jobID"`
-	// Held is the number of machines whose hoarded capacity was
-	// released.
-	Held int `json:"held"`
-	// Reason is a human-readable cause ("hold-timeout").
-	Reason string `json:"reason,omitempty"`
+	Task workload.TaskID `json:"task"`
 }
 
 // NMReply answers a registration or heartbeat with tasks to launch and
@@ -274,8 +256,6 @@ const (
 // rejections) and giving up (permanent ones). Heartbeat traffic is never
 // answered with SubmitReject — only submissions are shed.
 type SubmitReject struct {
-	JobID  int    `json:"jobID"`
-	Tenant string `json:"tenant,omitempty"`
 	Code   string `json:"code"`
 	Reason string `json:"reason,omitempty"`
 	// RetryAfter is the server's backoff hint in seconds; 0 means the
@@ -295,8 +275,6 @@ type SubmitBatch struct {
 // SubmitResult is one job's admission verdict inside a batch reply.
 type SubmitResult struct {
 	JobID int `json:"jobID"`
-	// Total is the job's task count when admitted (mirrors AMReply.Total).
-	Total int `json:"total,omitempty"`
 	// Reject is nil when the job was admitted (or deduplicated as an
 	// idempotent resubmission).
 	Reject *SubmitReject `json:"reject,omitempty"`
@@ -313,9 +291,8 @@ type AMHeartbeat struct {
 	JobID int `json:"jobID"`
 }
 
-// AMReply reports job progress back to the job manager.
+// AMReply reports the progress of the job an AMHeartbeat polled.
 type AMReply struct {
-	JobID      int     `json:"jobID"`
 	Done       int     `json:"done"`
 	Total      int     `json:"total"`
 	Finished   bool    `json:"finished"`
@@ -324,12 +301,6 @@ type AMReply struct {
 	// per-task attempt cap under node failures. Finished is also set so
 	// pollers stop.
 	Failed bool `json:"failed,omitempty"`
-	// Preemptions counts this job's tasks evicted for gang admission so
-	// far; the evicted attempts are requeued and re-run automatically.
-	Preemptions int `json:"preemptions,omitempty"`
-	// GangRelease reports the most recent hoard timeout for a gang job,
-	// if any since the last heartbeat.
-	GangRelease *GangRelease `json:"gangRelease,omitempty"`
 }
 
 // ClusterStatusReply answers a TypeClusterStatus query (an empty-payload

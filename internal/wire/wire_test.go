@@ -21,17 +21,17 @@ func TestRoundTripAllTypes(t *testing.T) {
 			Completed: []TaskCompletion{{Task: workload.TaskID{Job: 1, Stage: 0, Index: 2}, Usage: resources.New(1, 1, 0, 0, 0, 0), Duration: 12.5}},
 		}),
 		{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{{
-			Task: workload.TaskID{Job: 1, Stage: 0, Index: 5}, JobID: 1,
+			Task:   workload.TaskID{Job: 1, Stage: 0, Index: 5},
 			Demand: resources.New(2, 4, 10, 10, 0, 0), Duration: 30, ReadMB: 100, WriteMB: 50,
 		}}}},
 		{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: &workload.Job{ID: 1, Name: "j", Weight: 1}, Tenant: "acme"}},
 		{Type: TypeAMHeartbeat, AMHeartbeat: &AMHeartbeat{JobID: 1}},
-		{Type: TypeAMReply, AMReply: &AMReply{JobID: 1, Done: 3, Total: 10}},
-		{Type: TypeSubmitReject, SubmitReject: &SubmitReject{JobID: 1, Tenant: "acme", Code: RejectRateLimited, Reason: "over rate", RetryAfter: 0.25}},
+		{Type: TypeAMReply, AMReply: &AMReply{Done: 3, Total: 10}},
+		{Type: TypeSubmitReject, SubmitReject: &SubmitReject{Code: RejectRateLimited, Reason: "over rate", RetryAfter: 0.25}},
 		{Type: TypeSubmitBatch, SubmitBatch: &SubmitBatch{Tenant: "acme", Jobs: []*workload.Job{{ID: 2, Weight: 1}}}},
 		{Type: TypeSubmitBatchReply, SubmitBatchReply: &SubmitBatchReply{Results: []SubmitResult{
-			{JobID: 2, Total: 4},
-			{JobID: 3, Reject: &SubmitReject{JobID: 3, Code: RejectShed, Reason: "overloaded", RetryAfter: 1.5}},
+			{JobID: 2},
+			{JobID: 3, Reject: &SubmitReject{Code: RejectShed, Reason: "overloaded", RetryAfter: 1.5}},
 		}}},
 		{Type: TypeError, Error: "boom"},
 	}
@@ -59,7 +59,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 func TestPayloadFidelity(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Message{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{{
-		Task: workload.TaskID{Job: 7, Stage: 1, Index: 9}, JobID: 7,
+		Task:   workload.TaskID{Job: 7, Stage: 1, Index: 9},
 		Demand: resources.New(0.5, 8, 40, 20, 300, 100), Duration: 42.5, ReadMB: 1024,
 	}}}}
 	f := NewFramer(CodecJSON)
@@ -121,7 +121,7 @@ func TestOverTCP(t *testing.T) {
 			done <- err
 			return
 		}
-		done <- f.Write(conn, &Message{Type: TypeAMReply, AMReply: &AMReply{JobID: m.AMHeartbeat.JobID, Finished: true}})
+		done <- f.Write(conn, &Message{Type: TypeAMReply, AMReply: &AMReply{Total: m.AMHeartbeat.JobID, Finished: true}})
 	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -136,7 +136,7 @@ func TestOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.AMReply == nil || reply.AMReply.JobID != 5 || !reply.AMReply.Finished {
+	if reply.AMReply == nil || reply.AMReply.Total != 5 || !reply.AMReply.Finished {
 		t.Errorf("reply = %+v", reply)
 	}
 	if err := <-done; err != nil {
@@ -196,10 +196,9 @@ func TestReadRejectsOversizeHeader(t *testing.T) {
 func TestSubmitRejectFidelity(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Message{Type: TypeSubmitBatchReply, SubmitBatchReply: &SubmitBatchReply{Results: []SubmitResult{
-		{JobID: 11, Total: 3},
+		{JobID: 11},
 		{JobID: 12, Reject: &SubmitReject{
-			JobID: 12, Tenant: "t-042", Code: RejectQuotaDemand,
-			Reason: "tenant at aggregate demand quota", RetryAfter: 2.5,
+			Code: RejectQuotaDemand, Reason: "tenant at aggregate demand quota", RetryAfter: 2.5,
 		}},
 	}}}
 	f := NewFramer(CodecJSON)
@@ -214,11 +213,11 @@ func TestSubmitRejectFidelity(t *testing.T) {
 	if r == nil || len(r.Results) != 2 {
 		t.Fatalf("batch reply = %+v", got)
 	}
-	if r.Results[0].Reject != nil || r.Results[0].Total != 3 {
+	if r.Results[0].Reject != nil || r.Results[0].JobID != 11 {
 		t.Errorf("accepted result = %+v", r.Results[0])
 	}
 	rej := r.Results[1].Reject
-	if rej == nil || rej.Code != RejectQuotaDemand || rej.Tenant != "t-042" || rej.RetryAfter != 2.5 {
+	if r.Results[1].JobID != 12 || rej == nil || rej.Code != RejectQuotaDemand || rej.Reason != "tenant at aggregate demand quota" || rej.RetryAfter != 2.5 {
 		t.Errorf("reject = %+v", rej)
 	}
 }

@@ -195,6 +195,136 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	}
 }
 
+// fieldAllowed names the struct fields no non-test code reads that stay
+// anyway. Keys are "pkg.Type.Field" with pkg the path below the module;
+// the value says why.
+var fieldAllowed = map[string]string{
+	"internal/scheduler.ScanStats.Considered": "the envelope test and the equivalence counts read it",
+	"internal/am.Result.FinishedAt":           "the am tests read it",
+	"internal/rm.jobInfo.gangCommitted":       "journaled; it leaves with the next checkpoint format break",
+	"internal/rm.jobInfo.gangReleases":        "journaled; it leaves with the next checkpoint format break",
+	"internal/rm.jobInfo.preempted":           "journaled; it leaves with the next checkpoint format break",
+	"benchmark.workloadDef.why":               "the benchmark's test holds it equal to BENCHMARK.json",
+	"internal/wire.Message.ClusterStatus":     "the status reply; no shipped client sends the query",
+}
+
+// TestEveryFieldIsRead fails when a field of a package-level struct type
+// is read by no non-test code: a fact carried but never read. A read is
+// a selector naming the field anywhere but as the target of an
+// assignment, an op-assign or ++/--; a composite-literal key is a write.
+// Two places encode every field, so their reads do not count: the RM's
+// state codec (internal/rm/codec.go), and internal/wire for the fields
+// of its JSON message types. Exempt are json-tagged fields outside
+// internal/wire, which are served as JSON, and the exported fields of
+// every type the tetris facade names.
+func TestEveryFieldIsRead(t *testing.T) {
+	m := loadModule(t)
+	r := newReach()
+	for _, p := range m.pkgs {
+		r.module[p.pkg] = true
+	}
+	r.addFacade(m.root)
+	facade := map[*types.Var]bool{}
+	for typ := range r.apiSeen {
+		if st, ok := typ.(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				facade[st.Field(i)] = true
+			}
+		}
+	}
+
+	// The fields of every struct type, and which of them wire's
+	// encoders read.
+	type field struct {
+		key string
+		obj *types.Var
+	}
+	var fields []field
+	wireMessage := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			jsonType := false
+			for i := 0; i < st.NumFields(); i++ {
+				jsonType = jsonType || strings.Contains(st.Tag(i), `json:"`)
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				switch {
+				case f.Embedded() || f.Name() == "_" || facade[f]:
+				case p.rel == "internal/wire" && jsonType:
+					wireMessage[f] = true
+					fields = append(fields, field{p.rel + "." + name + "." + f.Name(), f})
+				case !strings.Contains(st.Tag(i), `json:"`):
+					fields = append(fields, field{p.rel + "." + name + "." + f.Name(), f})
+				}
+			}
+		}
+	}
+
+	read := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		for _, f := range p.files {
+			if p.rel == "internal/rm" && filepath.Base(m.fset.File(f.Pos()).Name()) == "codec.go" {
+				continue
+			}
+			written := map[*ast.Ident]bool{}
+			target := func(e ast.Expr) {
+				if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+					written[sel.Sel] = true
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						target(l)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.SelectorExpr:
+					v, ok := p.info.Uses[n.Sel].(*types.Var)
+					if ok && v.IsField() && !written[n.Sel] && !(p.rel == "internal/wire" && wireMessage[v.Origin()]) {
+						read[v.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	declared := map[string]bool{}
+	var unread []string
+	for _, f := range fields {
+		declared[f.key] = true
+		_, allowed := fieldAllowed[f.key]
+		switch {
+		case read[f.obj] && allowed:
+			t.Errorf("fieldAllowed names %s, which non-test code reads; take it off the list", f.key)
+		case !read[f.obj] && !allowed:
+			unread = append(unread, f.key+" ("+m.fset.Position(f.obj.Pos()).String()+")")
+		}
+	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d fields read by no non-test code; delete each or, for one tests read, add it to fieldAllowed with a reason:\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
+	}
+	for key := range fieldAllowed {
+		if !declared[key] {
+			t.Errorf("fieldAllowed names %s, which is not a field the test holds to account", key)
+		}
+	}
+}
+
 // module is the module's non-test code, type-checked from
 // `go list -export -deps` with go/types.
 type module struct {
