@@ -53,25 +53,22 @@ type lineageKey struct {
 	stage   int
 }
 
-// stageStats accumulates per-dimension demand and duration observations.
+// stageStats accumulates demand and duration observations. Estimate
+// reads the peak only as a mean, so the peak is a mean vector over the
+// duration's sample count; StageCoV reads the duration's variance.
 type stageStats struct {
-	peak     [resources.NumKinds]stats.Online
+	peak     resources.Vector
 	duration stats.Online
 }
 
+// observe takes one sample, advancing each peak mean by the same
+// Welford step stats.Online takes.
 func (ss *stageStats) observe(peak resources.Vector, duration float64) {
-	for k := 0; k < int(resources.NumKinds); k++ {
-		ss.peak[k].Add(peak.Get(resources.Kind(k)))
-	}
 	ss.duration.Add(duration)
-}
-
-func (ss *stageStats) meanPeak() resources.Vector {
-	var v resources.Vector
-	for k := 0; k < int(resources.NumKinds); k++ {
-		v = v.With(resources.Kind(k), ss.peak[k].Mean())
+	n := float64(ss.duration.N())
+	for k := range ss.peak {
+		ss.peak[k] += (peak[k] - ss.peak[k]) / n
 	}
-	return v
 }
 
 // Estimator estimates task demands. It is safe for concurrent use (the
@@ -128,11 +125,11 @@ func (e *Estimator) Estimate(job *workload.Job, stage int, declared resources.Ve
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ss := e.current[stageKey{job.ID, stage}]; ss != nil && ss.duration.N() >= minSamples {
-		return ss.meanPeak(), ss.duration.Mean(), FromStage
+		return ss.peak, ss.duration.Mean(), FromStage
 	}
 	if job.Lineage != 0 {
 		if hs := e.history[lineageKey{job.Lineage, stage}]; hs != nil && hs.duration.N() >= minSamples {
-			return hs.meanPeak(), hs.duration.Mean(), FromHistory
+			return hs.peak, hs.duration.Mean(), FromHistory
 		}
 	}
 	return declared.Scale(overestimateFactor), declaredDuration * overestimateFactor, Overestimated
@@ -152,10 +149,10 @@ func (e *Estimator) StageCoV(jobID, stage int) float64 {
 // StageState is the serializable statistics of one (job|lineage, stage)
 // pair, used when checkpointing the estimator into the RM journal.
 type StageState struct {
-	Key      int                                   `json:"key"` // job ID or lineage ID
-	Stage    int                                   `json:"stage"`
-	Peak     [resources.NumKinds]stats.OnlineState `json:"peak"`
-	Duration stats.OnlineState                     `json:"duration"`
+	Key      int // job ID or lineage ID
+	Stage    int
+	Peak     resources.Vector // mean peak usage; Duration.N samples
+	Duration stats.OnlineState
 }
 
 // State is the serializable snapshot of an Estimator's accumulated
@@ -163,24 +160,17 @@ type StageState struct {
 // sorted by (key, stage) so the encoding is deterministic — the RM's
 // journal-replay equivalence check compares snapshots byte for byte.
 type State struct {
-	Current []StageState `json:"current,omitempty"`
-	History []StageState `json:"history,omitempty"`
+	Current []StageState
+	History []StageState
 }
 
 func exportStage(key, stage int, ss *stageStats) StageState {
-	st := StageState{Key: key, Stage: stage, Duration: ss.duration.State()}
-	for k := 0; k < int(resources.NumKinds); k++ {
-		st.Peak[k] = ss.peak[k].State()
-	}
-	return st
+	return StageState{Key: key, Stage: stage, Peak: ss.peak, Duration: ss.duration.State()}
 }
 
 func importStage(st StageState) *stageStats {
-	ss := &stageStats{}
+	ss := &stageStats{peak: st.Peak}
 	ss.duration.SetState(st.Duration)
-	for k := 0; k < int(resources.NumKinds); k++ {
-		ss.peak[k].SetState(st.Peak[k])
-	}
 	return ss
 }
 

@@ -159,3 +159,37 @@ func TestSourceString(t *testing.T) {
 		t.Error("source names wrong")
 	}
 }
+
+// TestEstimateBitsPinned: for a fixed observation sequence, Estimate's
+// peak and duration and StageCoV are the exact float bits the estimator
+// produced when it kept a separate accumulator per peak dimension — one
+// shared sample count and mean vector take the same Welford steps.
+func TestEstimateBitsPinned(t *testing.T) {
+	e := New()
+	j := job(4, 11)
+	for i := 0; i < 7; i++ {
+		x := float64(i)
+		e.Observe(j, 1, resources.New(0.1+x/3, 2.7*x+0.3, 1e3/(x+7), 0, x*x*0.01, 5.5), 12.25+x*0.37+1/(x+3))
+	}
+	wantPeak := [resources.NumKinds]uint64{0x3ff199999999999a, 0x4020cccccccccccd, 0x405a138234d02f17, 0, 0x3fc0a3d70a3d70a4, 0x4016000000000000}
+	for _, c := range []struct {
+		j   *workload.Job
+		src Source
+	}{{j, FromStage}, {job(5, 11), FromHistory}} {
+		peak, dur, src := e.Estimate(c.j, 1, resources.Vector{}, 0)
+		if src != c.src {
+			t.Fatalf("job %d: source %v, want %v", c.j.ID, src, c.src)
+		}
+		for k := range peak {
+			if got := math.Float64bits(peak[k]); got != wantPeak[k] {
+				t.Errorf("job %d: peak[%v] bits %#x, want %#x", c.j.ID, resources.Kind(k), got, wantPeak[k])
+			}
+		}
+		if got := math.Float64bits(dur); got != 0x402b198647ef77a7 {
+			t.Errorf("job %d: duration bits %#x, want 0x402b198647ef77a7", c.j.ID, got)
+		}
+	}
+	if got := math.Float64bits(e.StageCoV(4, 1)); got != 0x3fa95919626782e9 {
+		t.Errorf("StageCoV bits %#x, want 0x3fa95919626782e9", got)
+	}
+}

@@ -34,18 +34,18 @@ func runEstErr(p Params, w io.Writer) error {
 		{"perfect", nil},
 		{"noisy ±30%", func(seed int64) func(*scheduler.JobState, *workload.Task) (resources.Vector, float64) {
 			rng := rand.New(rand.NewSource(seed))
-			return func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
+			return func(_ *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
 				f := 0.7 + 0.6*rng.Float64()
 				return t.Peak.Scale(f), t.PeakDuration() * f
 			}
 		}},
 		{"1.5× over-estimate", func(int64) func(*scheduler.JobState, *workload.Task) (resources.Vector, float64) {
-			return func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
+			return func(_ *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
 				return t.Peak.Scale(1.5), t.PeakDuration() * 1.5
 			}
 		}},
 		{"0.5× under-estimate", func(int64) func(*scheduler.JobState, *workload.Task) (resources.Vector, float64) {
-			return func(j *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
+			return func(_ *scheduler.JobState, t *workload.Task) (resources.Vector, float64) {
 				return t.Peak.Scale(0.5), t.PeakDuration() * 0.5
 			}
 		}},

@@ -33,7 +33,7 @@ func fig1Cluster() *cluster.Cluster {
 	return cl
 }
 
-func runFig1(p Params, w io.Writer) error {
+func runFig1(_ Params, w io.Writer) error {
 	const t = 10.0 // seconds per "t"
 	fmt.Fprintf(w, "Figure 1: 3 jobs (A: 18 maps ⟨1c,2GB⟩, B: 6 maps ⟨3c,1GB⟩, C: 2 maps ⟨3c,1GB⟩; 3 reducers ⟨1 Gbps⟩ each)\n")
 	fmt.Fprintf(w, "cluster: 18 cores, 36 GB, 3 Gbps; every task runs %gs (= t)\n\n", t)

@@ -251,7 +251,7 @@ func (c *Coordinator) Decide(v *scheduler.View, running []Running) Decision {
 	}
 	// Drop last round's hoards — they are recomputed from scratch
 	// below, against this round's pending membership.
-	c.res.Sweep(0, func(mid int, r reserve.Reservation) bool {
+	c.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
 		return r.Kind == reserve.Gang
 	}, nil)
 
@@ -353,7 +353,7 @@ func (c *Coordinator) Decide(v *scheduler.View, running []Running) Decision {
 	// Inner round: non-gang and quorum-satisfied jobs, over a view with
 	// the gang commits charged (and, when the reservation table is not
 	// shared, hoarded machines closed).
-	dec.Assignments = append(dec.Assignments, c.innerRound(v, byJob, dec.Assignments)...)
+	dec.Assignments = append(dec.Assignments, c.innerRound(v, dec.Assignments)...)
 	return dec
 }
 
@@ -367,7 +367,7 @@ func (c *Coordinator) idle(v *scheduler.View) bool {
 		// Gang-kind entries mean live hoards even if no gang job is
 		// visible this round (it may have just departed).
 		gangHeld := false
-		c.res.Each(func(mid int, r reserve.Reservation) {
+		c.res.Each(func(_ int, r reserve.Reservation) {
 			if r.Kind == reserve.Gang {
 				gangHeld = true
 			}
@@ -412,7 +412,7 @@ func (c *Coordinator) sweep(byJob map[int]*scheduler.JobState) {
 			delete(c.lastPreempt, id)
 		}
 	}
-	c.res.Sweep(0, func(mid int, r reserve.Reservation) bool {
+	c.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
 		return r.Kind == reserve.Gang && byJob[r.Holder] == nil
 	}, nil)
 }
@@ -425,7 +425,7 @@ func (c *Coordinator) clearJob(id int) {
 	delete(c.hoardHeld, id)
 	delete(c.noHoardUntil, id)
 	delete(c.lastPreempt, id)
-	c.res.Sweep(0, func(mid int, r reserve.Reservation) bool {
+	c.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
 		return r.Kind == reserve.Gang && r.Holder == id
 	}, nil)
 }
@@ -558,7 +558,7 @@ func byJobLookup(v *scheduler.View, id int) *scheduler.JobState {
 // shared with the inner scheduler — hoarded machines are closed by
 // charging their full capacity. All mutations are restored before
 // returning; Scheduler implementations must not see them persist.
-func (c *Coordinator) innerRound(v *scheduler.View, byJob map[int]*scheduler.JobState, gangAsgs []scheduler.Assignment) []scheduler.Assignment {
+func (c *Coordinator) innerRound(v *scheduler.View, gangAsgs []scheduler.Assignment) []scheduler.Assignment {
 	inner := *v
 	inner.Jobs = make([]*scheduler.JobState, 0, len(v.Jobs))
 	for _, j := range v.Jobs {

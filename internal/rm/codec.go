@@ -14,9 +14,11 @@ package rm
 // is bit-exact and equal states encode to equal bytes — StateDigest
 // compares one shard's state.
 //
-// No older format begins with either tag: a per-shard journal (untagged
-// events, a snapshotTag snapshot) or a JSON one (every record and
-// snapshot begins with '{') is refused with ErrJournalFormat.
+// No older format begins with either tag: the one-log layout that still
+// kept fields replay never read (0xA2 records, 0xA3 checkpoints of 0xA1
+// shard states), a per-shard journal (untagged events, 0xA1 snapshots)
+// or a JSON one (every record and snapshot begins with '{') is refused
+// with ErrJournalFormat.
 
 import (
 	"bytes"
@@ -27,7 +29,6 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/faults"
-	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/stats"
 	"github.com/tetris-sched/tetris/internal/wire"
@@ -59,16 +60,15 @@ const (
 	evDead
 	evRejoin
 	evPreempt
-	evGangCommit
-	evGangRelease
 )
 
 // Leading bytes: of a shard's state (StateDigest), of a log record and
-// of a checkpoint. None is an event kind or '{'.
+// of a checkpoint. None is an event kind or '{', nor a tag of an older
+// layout (0xA1–0xA3).
 const (
-	snapshotTag   byte = 0xA1
-	recordTag     byte = 0xA2
-	checkpointTag byte = 0xA3
+	snapshotTag   byte = 0xA4
+	recordTag     byte = 0xA5
+	checkpointTag byte = 0xA6
 )
 
 // Minimum encoded sizes of repeated elements, for wire.Reader.Count.
@@ -80,10 +80,9 @@ const (
 	minStageSize      = 3
 	minJobSize        = 1 + 1 + 2*wire.MinFloatSize + 1 + 1 + 1 + 1 + 1
 	minMachineSize    = 1 + 2*wire.MinVectorSize + 1 + 1
-	minJobStateSize   = minJobSize + 1 + wire.MinFloatSize + wire.MinVectorSize + 1 + 1 + wire.MinFloatSize + 1 + 1 + 1
+	minJobStateSize   = minJobSize + 1 + wire.MinVectorSize + 1 + 1 + wire.MinFloatSize + 1
 	minFaultSize      = 2*wire.MinFloatSize + 3
-	minOnlineSize     = 1 + 4*wire.MinFloatSize
-	minStageStatSize  = 2 + (int(resources.NumKinds)+1)*minOnlineSize
+	minStageStatSize  = 2 + wire.MinVectorSize + 1 + 2*wire.MinFloatSize
 )
 
 // appendEvent appends ev's record.
@@ -126,14 +125,6 @@ func appendEvent(b []byte, ev *event) []byte {
 		b = wire.AppendInt(b, ev.Node)
 	case evPreempt:
 		b = wire.AppendTaskID(b, ev.Task)
-		b = wire.AppendInt(b, ev.GangJob)
-	case evGangCommit:
-		b = wire.AppendInt(b, ev.GangJob)
-		b = wire.AppendFloat(b, ev.Wait)
-		b = wire.AppendInt(b, ev.Members)
-	case evGangRelease:
-		b = wire.AppendInt(b, ev.GangJob)
-		b = wire.AppendInt(b, ev.Held)
 	}
 	return b
 }
@@ -212,14 +203,6 @@ func decodeEvent(data []byte, ev *event) error {
 		ev.Node = r.Int()
 	case evPreempt:
 		ev.Task = r.TaskID()
-		ev.GangJob = r.Int()
-	case evGangCommit:
-		ev.GangJob = r.Int()
-		ev.Wait = r.Float()
-		ev.Members = r.Int()
-	case evGangRelease:
-		ev.GangJob = r.Int()
-		ev.Held = r.Int()
 	default:
 		if len(data) > 0 {
 			return fmt.Errorf("%w: record kind 0x%02x", ErrJournalFormat, data[0])
@@ -394,7 +377,6 @@ func appendJobState(b []byte, ji *jobInfo) []byte {
 			b = wire.AppendInt(b, a)
 		}
 	}
-	b = wire.AppendFloat(b, st.FinishedAt())
 	b = wire.AppendVector(b, &ji.state.Alloc)
 	tids := launchedIDs(ji, -1)
 	b = wire.AppendCount(b, len(tids))
@@ -410,23 +392,9 @@ func appendJobState(b []byte, ji *jobInfo) []byte {
 			b = wire.AppendInt(b, rec.remote[i].epoch)
 		}
 	}
-	b = append(b, flags(ji.finished, ji.failed, ji.gangCommitted))
+	b = append(b, flags(ji.finished, ji.failed))
 	b = wire.AppendFloat(b, ji.finishedAt)
-	b = wire.AppendString(b, ji.tenant)
-	b = wire.AppendInt(b, ji.gangReleases)
-	return wire.AppendInt(b, ji.preempted)
-}
-
-func appendOnline(b []byte, o *stats.OnlineState) []byte {
-	b = wire.AppendInt(b, o.N)
-	b = wire.AppendFloat(b, o.Mean)
-	b = wire.AppendFloat(b, o.M2)
-	b = wire.AppendFloat(b, o.Min)
-	return wire.AppendFloat(b, o.Max)
-}
-
-func readOnline(r *wire.Reader) stats.OnlineState {
-	return stats.OnlineState{N: r.Int(), Mean: r.Float(), M2: r.Float(), Min: r.Float(), Max: r.Float()}
+	return wire.AppendString(b, ji.tenant)
 }
 
 func appendStageStats(b []byte, xs []estimator.StageState) []byte {
@@ -435,10 +403,10 @@ func appendStageStats(b []byte, xs []estimator.StageState) []byte {
 		x := &xs[i]
 		b = wire.AppendInt(b, x.Key)
 		b = wire.AppendInt(b, x.Stage)
-		for k := range x.Peak {
-			b = appendOnline(b, &x.Peak[k])
-		}
-		b = appendOnline(b, &x.Duration)
+		b = wire.AppendVector(b, &x.Peak)
+		b = wire.AppendInt(b, x.Duration.N)
+		b = wire.AppendFloat(b, x.Duration.Mean)
+		b = wire.AppendFloat(b, x.Duration.M2)
 	}
 	return b
 }
@@ -454,11 +422,8 @@ func readStageStats(r *wire.Reader) []estimator.StageState {
 	xs := make([]estimator.StageState, n)
 	for i := range xs {
 		x := &xs[i]
-		x.Key, x.Stage = r.Int(), r.Int()
-		for k := range x.Peak {
-			x.Peak[k] = readOnline(r)
-		}
-		x.Duration = readOnline(r)
+		x.Key, x.Stage, x.Peak = r.Int(), r.Int(), r.Vector()
+		x.Duration = stats.OnlineState{N: r.Int(), Mean: r.Float(), M2: r.Float()}
 		if i > 0 && (x.Key < xs[i-1].Key || x.Key == xs[i-1].Key && x.Stage <= xs[i-1].Stage) {
 			r.Fail(fmt.Errorf("estimator stage (%d, %d) out of order", x.Key, x.Stage))
 		}
@@ -600,7 +565,6 @@ func (s *Server) readJobState(r *wire.Reader) (*jobInfo, error) {
 			}
 		}
 	}
-	snap.FinishedAt = r.Float()
 	alloc := r.Vector()
 	n := r.Count(wire.MinTaskIDSize + 1 + wire.MinVectorSize + 1)
 	tids := make([]workload.TaskID, n)
@@ -615,16 +579,8 @@ func (s *Server) readJobState(r *wire.Reader) (*jobInfo, error) {
 			}
 		}
 	}
-	f := readFlags(r, 3)
-	ji := &jobInfo{
-		finished:      f&1 != 0,
-		failed:        f&2 != 0,
-		gangCommitted: f&4 != 0,
-		finishedAt:    r.Float(),
-		tenant:        r.Str(),
-		gangReleases:  r.Int(),
-		preempted:     r.Int(),
-	}
+	f := readFlags(r, 2)
+	ji := &jobInfo{finished: f&1 != 0, failed: f&2 != 0, finishedAt: r.Float(), tenant: r.Str()}
 	if r.Err() != nil {
 		return nil, nil
 	}

@@ -74,9 +74,7 @@ func codecEvents() []event {
 			Remote: []scheduler.RemoteCharge{{Machine: 1, Charge: resources.New(0, 0, 100, 0, 0, 100)}}},
 		{Kind: evLaunch, Time: 1, Task: workload.TaskID{Job: 1, Index: 1}, Machine: 2, Local: resources.New(2, 4, 100, 50, 0, 0)},
 		{Kind: evComplete, Time: 2, Node: 0, Task: workload.TaskID{Job: 1}, Usage: usage, Duration: 0.75},
-		{Kind: evPreempt, Time: 3, Task: workload.TaskID{Job: 1, Index: 1}, GangJob: 2},
-		{Kind: evGangCommit, Time: 3, GangJob: 2, Wait: 1.25, Members: 2},
-		{Kind: evGangRelease, Time: 4, GangJob: 2, Held: 1},
+		{Kind: evPreempt, Time: 3, Task: workload.TaskID{Job: 1, Index: 1}},
 		{Kind: evDead, Time: 5, Node: 2},
 		{Kind: evRejoin, Time: 6.5, Node: 2},
 		{Kind: evDead, Time: 7, Node: 1}, // stays dead: DownSince is set
@@ -84,13 +82,17 @@ func codecEvents() []event {
 }
 
 // restoreDigest restores s from one shard's state (a StateDigest),
-// refusing trailing bytes.
+// refusing trailing bytes with ErrJournalCorrupt, as restoreCheckpoint
+// does.
 func restoreDigest(s *Server, data []byte) error {
 	r := wire.NewReader(data)
 	if err := s.restoreState(&r); err != nil {
 		return err
 	}
-	return r.Done()
+	if err := r.Done(); err != nil {
+		return corrupt("snapshot: %v", err)
+	}
+	return nil
 }
 
 // journalErr reports whether err is one of the typed errors a journal
@@ -156,7 +158,6 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	// The fixture reached every snapshotted field that has a zero value.
 	ji := r.jobs[1]
 	if len(ji.launched) != 0 || ji.state.Status.Attempts(workload.TaskID{Job: 1, Index: 1}) != 1 ||
-		!r.jobs[2].gangCommitted || r.jobs[2].gangReleases != 1 || ji.preempted != 1 ||
 		r.faultLog.Len() != 3 || r.nodes[2].epoch != 1 || r.nodes[1].downSince == nil {
 		t.Errorf("fixture did not reach the state it is meant to cover")
 	}
@@ -281,8 +282,10 @@ func TestLogFramingRefused(t *testing.T) {
 }
 
 // TestOldJSONJournalRefused: a log written by an older build — a JSON
-// record or snapshot, or a per-shard binary one — fails recovery closed
-// with ErrJournalFormat.
+// record or snapshot, a per-shard binary one, or one of the layout that
+// still carried gang bookkeeping, second finish times and five numbers
+// per estimator dimension (records 0xA2, checkpoints 0xA3, shard states
+// 0xA1) — fails recovery closed with ErrJournalFormat.
 func TestOldJSONJournalRefused(t *testing.T) {
 	record := []byte(`{"kind":"submit","time":0.5,"job":{"ID":1,"Name":"","Arrival":0,` +
 		`"Stages":[{"Name":"s","Tasks":[{"ID":{"Job":1,"Stage":0,"Index":0},"Peak":[2,4,0,0,0,0],` +
@@ -290,10 +293,15 @@ func TestOldJSONJournalRefused(t *testing.T) {
 		`"Gang":false,"MinMembers":0,"Preemptible":false,"Priority":0},"tenant":"a"}`)
 	snapshot := []byte(`{"now":0.5,"machines":[{"id":0,"capacity":[16,32,200,200,1000,1000],"allocated":[0,0,0,0,0,0]}]}`)
 	ev := codecEvents()[0]
+	prevRecord := append([]byte{0xA2, 0}, appendEvent(nil, &ev)...) // shard 0
+	prevCheckpoint := appendCheckpoint(nil, []*Server{codecFixture(t)})
+	prevCheckpoint[0], prevCheckpoint[2] = 0xA3, 0xA1 // after the shard count 1
 	for _, c := range []struct {
 		name  string
 		write func(*journal.Journal)
 	}{
+		{"0xA2 record", func(j *journal.Journal) { j.Append(prevRecord) }},
+		{"0xA3 checkpoint", func(j *journal.Journal) { j.Snapshot(prevCheckpoint) }},
 		{"JSON record", func(j *journal.Journal) { j.Append(record) }},
 		{"JSON snapshot", func(j *journal.Journal) { j.Snapshot(snapshot) }},
 		{"per-shard record", func(j *journal.Journal) { j.Append(appendEvent(nil, &ev)) }},

@@ -2,8 +2,10 @@ package rm
 
 // Gang scheduling support: when ShardedConfig.Gang is set the RM wraps its
 // scheduler in a gang.Coordinator and acts on the full Decision each
-// round — journaling commits, releases and preemptions as durable
-// events so crash-recovery replays them bit-identically. Preempted
+// round. A preemption is the one gang event the journal keeps: it moves
+// a task back to pending and charges an attempt, so replay must repeat
+// it. The quorum's launches are ordinary launch records; commits and
+// hoard releases only feed live metrics and are not durable. Preempted
 // tasks are charged through the normal attempt accounting (exactly
 // like a dead-node reclaim) and the kill is delivered to the NM on its
 // next heartbeat as a typed wire.TaskPreempt frame; a kill the RM
@@ -32,23 +34,19 @@ func (s *Server) runningTasks() []gang.Running {
 }
 
 // applyGangDecision journals and applies the non-assignment parts of a
-// gang round: preemptions (evict + requeue + queue the NM kill),
-// commits, and hoard releases. Assignments were already handled by the
-// shared launch path. Caller holds s.mu.
+// gang round: preemptions (evict + requeue + queue the NM kill) and the
+// commit and hoard-release counters. Assignments were already handled
+// by the shared launch path. Caller holds s.mu.
 func (s *Server) applyGangDecision(dec *gang.Decision, now float64) {
 	for _, p := range dec.Preemptions {
-		s.journal(&event{Kind: evPreempt, Time: now, Task: p.Task, GangJob: p.ForJob})
+		s.journal(&event{Kind: evPreempt, Time: now, Task: p.Task})
 		s.applyPreempt(p.Task, now)
 	}
 	for _, cm := range dec.Commits {
-		s.journal(&event{Kind: evGangCommit, Time: now, GangJob: cm.JobID,
-			Wait: cm.WaitSec, Members: cm.Members})
-		s.applyGangCommit(cm.JobID, cm.WaitSec, cm.Members)
+		s.metrics.gangCommits.Inc()
+		s.metrics.gangAdmitWait.Observe(cm.WaitSec)
 	}
-	for _, r := range dec.Releases {
-		s.journal(&event{Kind: evGangRelease, Time: now, GangJob: r.JobID, Held: r.Held})
-		s.applyGangRelease(r.JobID, r.Held)
-	}
+	s.metrics.gangReleases.Add(uint64(len(dec.Releases)))
 }
 
 // applyPreempt evicts one running task to make room for a gang: the
@@ -66,7 +64,6 @@ func (s *Server) applyPreempt(tid workload.TaskID, now float64) {
 		return
 	}
 	ji.state.Status.MarkFailed(tid)
-	ji.preempted++
 	if !s.replaying {
 		n := s.nodes[rec.machine]
 		n.preempts = append(n.preempts, wire.TaskPreempt{Task: tid})
@@ -74,34 +71,5 @@ func (s *Server) applyPreempt(tid workload.TaskID, now float64) {
 	}
 	if cap := s.cfg.MaxTaskAttempts; cap > 0 && ji.state.Status.Attempts(tid) >= cap {
 		s.failJob(tid.Job, ji, now)
-	}
-}
-
-// applyGangCommit records a gang quorum launching atomically. The
-// member launches themselves were applied through the shared launch
-// path; this event makes the admission itself durable. Caller holds
-// s.mu.
-func (s *Server) applyGangCommit(jobID int, wait float64, members int) {
-	ji, ok := s.jobs[jobID]
-	if !ok {
-		return
-	}
-	ji.gangCommitted = true
-	if !s.replaying {
-		s.metrics.gangCommits.Inc()
-		s.metrics.gangAdmitWait.Observe(wait)
-	}
-}
-
-// applyGangRelease records a hoard timeout returning held machines to
-// the pool. Caller holds s.mu.
-func (s *Server) applyGangRelease(jobID, held int) {
-	ji, ok := s.jobs[jobID]
-	if !ok {
-		return
-	}
-	ji.gangReleases++
-	if !s.replaying {
-		s.metrics.gangReleases.Inc()
 	}
 }

@@ -58,7 +58,8 @@ func fillerJob(id, n int) *workload.Job {
 }
 
 // gangOccupancy returns the gang job's currently launched member count
-// plus its finished tasks, under s.mu.
+// plus its finished tasks, and whether its quorum holds launches — the
+// durable trace of a commit — under s.mu.
 func gangOccupancy(s *Server, jobID int) (occupied int, committed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -66,7 +67,7 @@ func gangOccupancy(s *Server, jobID int) (occupied int, committed bool) {
 	if ji == nil {
 		return 0, false
 	}
-	return len(ji.launched) + ji.state.Status.DoneTasks(), ji.gangCommitted
+	return len(ji.launched) + ji.state.Status.DoneTasks(), len(ji.launched) >= ji.state.Job.GangQuorum()
 }
 
 // TestGangChaosMachineDeathMidGang drives a 1-shard RM in-process: a gang
@@ -232,7 +233,7 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 			NewEstimator: estimator.New,
 			// A tiny preemption bound with an inert hold timer: the gang
 			// preempts the fillers almost immediately, generating evPreempt
-			// and evGangCommit frames for the journal to replay.
+			// and the quorum's evLaunch frames for the journal to replay.
 			Gang:          &gang.Config{HoldSec: 3600, PreemptSec: 1e-9},
 			JournalDir:    journalDir,
 			SnapshotEvery: 16, // force checkpoints that must carry gang state
@@ -329,25 +330,24 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 	}
 
 	// Drive until the gang has preempted fillers and committed. Holding
-	// completions back makes preemption the only path in.
+	// completions back makes preemption the only path in. Both are read
+	// from durable state: a preempted filler's failed attempts, and the
+	// quorum's launch records.
 	preempted := false
 	for round := 0; ; round++ {
 		if round > 500 {
-			s.Shard(0).mu.Lock()
-			p := s.Shard(0).jobs[gangID]
-			t.Fatalf("gang never committed under preemption (committed=%v preempted=%v)",
-				p != nil && p.gangCommitted, preempted)
+			t.Fatalf("gang never committed under preemption (preempted=%v)", preempted)
 		}
 		beat(false)
 		s.Shard(0).mu.Lock()
 		var evictions int
 		for id := 1; id <= 2; id++ {
 			if ji := s.Shard(0).jobs[id]; ji != nil {
-				evictions += ji.preempted
+				evictions += ji.state.Status.TotalFailures()
 			}
 		}
-		committed := s.Shard(0).jobs[gangID] != nil && s.Shard(0).jobs[gangID].gangCommitted
 		s.Shard(0).mu.Unlock()
+		_, committed := gangOccupancy(s.Shard(0), gangID)
 		if evictions > 0 && !preempted {
 			preempted = true
 			crashRestart("after first preemptions")

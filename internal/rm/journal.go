@@ -14,10 +14,12 @@ package rm
 //
 // What is journaled (durable): registrations (with their resync
 // payload), job submissions, task launches, task completions, node
-// deaths and rejoins. What is not (transient, rebuilt by the next
+// deaths and rejoins, and gang preemptions. Every field of a record is
+// one replay reads. What is not (transient, rebuilt by the next
 // heartbeats): reported usage, per-node delivery queues, heartbeat
-// timing stats. Undelivered queued launches therefore surface as lost
-// during resync and are re-queued (see resync.go).
+// timing stats, gang commit and hoard-release counts. Undelivered
+// queued launches therefore surface as lost during resync and are
+// re-queued (see resync.go).
 
 import (
 	"fmt"
@@ -50,16 +52,8 @@ type event struct {
 	Job    *workload.Job
 	Tenant string
 
-	// launch / complete / preempt (the victim)
+	// launch / complete / preempt
 	Task workload.TaskID
-
-	// preempt (beneficiary) / gangCommit / gangRelease
-	GangJob int
-	// gangCommit
-	Wait    float64
-	Members int
-	// gangRelease
-	Held int
 
 	// launch
 	Machine int
@@ -152,16 +146,6 @@ func (s *Server) applyEvent(ev *event) error {
 			return corrupt("preempt event for unknown job %d", ev.Task.Job)
 		}
 		s.applyPreempt(ev.Task, ev.Time)
-	case evGangCommit:
-		if s.jobs[ev.GangJob] == nil {
-			return corrupt("gangCommit event for unknown job %d", ev.GangJob)
-		}
-		s.applyGangCommit(ev.GangJob, ev.Wait, ev.Members)
-	case evGangRelease:
-		if s.jobs[ev.GangJob] == nil {
-			return corrupt("gangRelease event for unknown job %d", ev.GangJob)
-		}
-		s.applyGangRelease(ev.GangJob, ev.Held)
 	default:
 		return fmt.Errorf("%w: event kind %d", ErrJournalFormat, ev.Kind)
 	}

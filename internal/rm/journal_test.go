@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/journal"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/telemetry"
@@ -152,4 +153,73 @@ func BenchmarkSubmitBatchDurable(b *testing.B) {
 	synced += fsyncs() - base
 	g.Close()
 	b.ReportMetric(float64(synced)/float64(b.N), "fsyncs/op")
+}
+
+// checkpointFixture is a 4-shard RM of 64 nodes holding the given number
+// of four-task jobs, built by replaying records into each owning shard:
+// every other job finished (feeding its stage and lineage statistics),
+// one in four half done, one in ten a gang job with a preempted member,
+// the rest running.
+func checkpointFixture(b *testing.B, jobs int) *Sharded {
+	const shards, nodes = 4, 64
+	g, err := NewShardedInProcess(ShardedConfig{Shards: shards, NewScheduler: tetrisScheduler, NewEstimator: estimator.New})
+	if err != nil {
+		b.Fatal(err)
+	}
+	apply := func(shard int, ev event) {
+		if err := g.Shard(shard).applyEvent(&ev); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for id := range nodes {
+		apply(id%shards, event{Kind: evRegister, Node: id, Capacity: resources.New(1e6, 1e6, 1e6, 1e6, 1e6, 1e6)})
+	}
+	for id := range jobs {
+		shard, now := id%shards, float64(id)
+		j := simpleJob(id, 4)
+		j.Lineage = id%64 + 1
+		j.Gang = id%10 == 5
+		apply(shard, event{Kind: evSubmit, Time: now, Job: j, Tenant: "t"})
+		machine := shard + shards*(id/shards%(nodes/shards))
+		for _, t := range j.Stages[0].Tasks {
+			apply(shard, event{Kind: evLaunch, Time: now, Task: t.ID, Machine: machine, Local: t.Peak})
+		}
+		done := 0
+		switch {
+		case id%2 == 0:
+			done = 4
+		case id%4 == 1:
+			done = 2
+		}
+		for _, t := range j.Stages[0].Tasks[:done] {
+			usage := resources.New(1+float64(id%7)/4, 2+float64(id%5)/3, 0, 0, 0, 0)
+			apply(shard, event{Kind: evComplete, Time: now + 1, Node: machine, Task: t.ID, Usage: usage, Duration: 10 + float64(id%13)})
+		}
+		if j.Gang {
+			apply(shard, event{Kind: evPreempt, Time: now + 1, Task: j.Stages[0].Tasks[3].ID})
+		}
+	}
+	return g
+}
+
+// BenchmarkCheckpoint times one checkpoint of every shard of a 4-shard,
+// 64-node RM at 1k, 10k and 50k jobs (checkpointFixture) and reports its
+// size per job.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, jobs := range []int{1000, 10000, 50000} {
+		g := checkpointFixture(b, jobs)
+		b.Run("jobs="+strconv.Itoa(jobs), func(b *testing.B) {
+			for _, s := range g.shards {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+			}
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf = appendCheckpoint(buf[:0], g.shards)
+			}
+			b.ReportMetric(float64(len(buf))/float64(jobs), "B/job")
+		})
+		g.Close()
+	}
 }

@@ -100,12 +100,6 @@ type jobInfo struct {
 	// meanVolume is meanTaskVolume of the job, which the router reads on
 	// every submission to any shard; a pure function of the definition.
 	meanVolume float64
-	// Gang accounting, durable (snapshotted): whether the gang's quorum
-	// ever committed, how many hoard epochs timed out, and how many of
-	// the job's attempts were preempted for higher-priority gangs.
-	gangCommitted bool
-	gangReleases  int
-	preempted     int
 }
 
 // open finishes a shard core whose per-shard fields (cfg, sched, est,
@@ -341,7 +335,7 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 		return false
 	}
 	s.releaseLaunch(ji, c.Task)
-	ji.state.Status.MarkDone(c.Task, now)
+	ji.state.Status.MarkDone(c.Task)
 	s.markDirty(causeCompletion)
 	s.jobsChanged()
 	if s.est != nil {

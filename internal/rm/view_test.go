@@ -255,30 +255,26 @@ func TestIntervalFloor(t *testing.T) {
 		}
 		sweep(t, g, nodes, true)
 		releases := reg.Counter(telemetry.Label("tetris_rm_gang_releases_total", "shard", "0"), "")
-		// held counts the machines hoarded for the gang, and journaled
-		// its releases as the shard recorded them.
-		held := func() (machines, journaled int) {
+		// held counts the machines hoarded for the gang.
+		held := func() (machines int) {
 			tet.Reservations().Each(func(_ int, r reserve.Reservation) {
 				if r.Kind == reserve.Gang && r.Holder == 2 {
 					machines++
 				}
 			})
-			s := g.Shard(0)
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return machines, s.jobs[2].gangReleases
+			return machines
 		}
 
 		for i := 0; i < 5; i++ {
 			sweep(t, g, nodes, true)
 		}
-		if m, j := held(); releases.Value() != 0 || j != 0 || m != 2 {
-			t.Fatalf("before HoldSec: %d releases counted, %d journaled, %d machines held; want 0, 0, 2", releases.Value(), j, m)
+		if m := held(); releases.Value() != 0 || m != 2 {
+			t.Fatalf("before HoldSec: %d releases counted, %d machines held; want 0, 2", releases.Value(), m)
 		}
 		clock.advance(31 * time.Second)
 		sweep(t, g, nodes, true)
-		if m, j := held(); releases.Value() != 1 || j != 1 || m != 0 {
-			t.Errorf("one sweep past HoldSec: %d releases counted, %d journaled, %d machines held; want 1, 1, 0", releases.Value(), j, m)
+		if m := held(); releases.Value() != 1 || m != 0 {
+			t.Errorf("one sweep past HoldSec: %d releases counted, %d machines held; want 1, 0", releases.Value(), m)
 		}
 		if err := g.VerifyLedger(); err != nil {
 			t.Error(err)

@@ -241,7 +241,6 @@ func (w *eqWorld) book(asgs []Assignment) {
 // determined solely by world state — identical across twin worlds while
 // their decisions stay identical.
 func (w *eqWorld) step(round int, faults, hotspots bool) []Assignment {
-	now := float64(round)
 	if faults {
 		for _, m := range w.machines {
 			r := w.rng.Float64()
@@ -267,7 +266,7 @@ func (w *eqWorld) step(round int, faults, hotspots bool) []Assignment {
 	for _, p := range w.placed {
 		if w.rng.Float64() < 0.35 {
 			w.release(p)
-			p.j.Status.MarkDone(p.task.ID, now)
+			p.j.Status.MarkDone(p.task.ID)
 		} else {
 			alive = append(alive, p)
 		}

@@ -213,7 +213,7 @@ func (w *gangWorld) step(now float64) string {
 				continue
 			}
 			js := w.states[r.Task.Job]
-			js.Status.MarkDone(r.Task, now)
+			js.Status.MarkDone(r.Task)
 			js.Alloc = js.Alloc.Sub(r.Demand)
 			w.machines[r.Machine].Allocated = w.machines[r.Machine].Allocated.Sub(r.Demand).Max(resources.Vector{})
 		}

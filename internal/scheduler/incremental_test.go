@@ -71,7 +71,7 @@ func TestBarrierTailAtExactFraction(t *testing.T) {
 		for i := 0; i < 9; i++ {
 			id := workload.TaskID{Job: 1, Stage: 0, Index: i}
 			rich.Status.MarkRunning(id)
-			rich.Status.MarkDone(id, 0)
+			rich.Status.MarkDone(id)
 		}
 		rich.Alloc = resources.New(12, 24, 0, 0, 0, 0) // far over fair share
 		poor := mkJob(2, 10, resources.New(2, 4, 10, 10, 50, 50), 60)
@@ -251,7 +251,7 @@ func TestPlacedEntriesAreRecycled(t *testing.T) {
 		asgs := tet.Schedule(v)
 		apply(v, asgs)
 		for _, a := range asgs {
-			j.Status.MarkDone(a.Task.ID, now)
+			j.Status.MarkDone(a.Task.ID)
 		}
 		for _, m := range v.Machines {
 			m.Allocated = resources.Vector{}

@@ -216,7 +216,7 @@ func TestMachineChurnInvariants(t *testing.T) {
 				kept = running[:0]
 				for _, p := range running {
 					if r.Float64() < 0.4 {
-						p.job.Status.MarkDone(p.id, float64(round))
+						p.job.Status.MarkDone(p.id)
 						p.job.Alloc = p.job.Alloc.Sub(p.local).Max(resources.Vector{})
 						v.Machines[p.machine].Allocated =
 							v.Machines[p.machine].Allocated.Sub(p.local).Max(resources.Vector{})

@@ -17,7 +17,7 @@ import (
 // original order, from the task itself. scanLocals is shared by every
 // core, so the core equivalence suites cannot see a mistake in it; this
 // is its oracle.
-func (t *Tetris) scanLocalsReference(v *View, mid int, rs *roundState, consider func(*JobState, *workload.Task, bool)) {
+func (t *Tetris) scanLocalsReference(mid int, rs *roundState, consider func(*JobState, *workload.Task, bool)) {
 	entries := localsOf(t, mid)
 	n := len(entries)
 	if n == 0 {
@@ -180,13 +180,13 @@ func TestScanLocalsMatchesReference(t *testing.T) {
 			got.localsRound++ // a new round, as Schedule would start it
 			// One round on one side: a few scans per machine, as the fill
 			// loop makes them, taking some of what is offered.
-			play := func(sched *Tetris, scan func(*View, int, *roundState, func(*JobState, *workload.Task, bool))) (calls [][]call, taken []*workload.Task) {
+			play := func(sched *Tetris, scan func(int, *roundState, func(*JobState, *workload.Task, bool))) (calls [][]call, taken []*workload.Task) {
 				rs := &roundState{byJob: byJob, eligible: eligible, taken: map[*workload.Task]bool{}}
 				take := rand.New(rand.NewSource(takeSeed))
 				for mid := 0; mid < machines; mid++ {
 					for fill := 0; fill < 3; fill++ {
 						var cs []call
-						scan(&View{}, mid, rs, func(j *JobState, task *workload.Task, inTail bool) {
+						scan(mid, rs, func(j *JobState, task *workload.Task, inTail bool) {
 							if byJob[task.ID.Job] != j {
 								t.Fatalf("seed %d round %d: task %v offered with the wrong job", seed, round, task.ID)
 							}
@@ -276,7 +276,7 @@ func TestScanLocalsMatchesReference(t *testing.T) {
 				st := jobs[task.ID.Job].Status
 				switch x := r.Intn(10); {
 				case x < 6:
-					st.MarkDone(task.ID, float64(round))
+					st.MarkDone(task.ID)
 				case x < 7:
 					st.MarkFailed(task.ID)
 				default:
@@ -345,7 +345,7 @@ func TestLocalsVerdictIsPerRound(t *testing.T) {
 			t.Fatalf("%v core, round 1: placed %d tasks, want the first stage's one", core, len(asgs))
 		}
 		j.Status.MarkRunning(first.Tasks[0].ID)
-		j.Status.MarkDone(first.Tasks[0].ID, 1)
+		j.Status.MarkDone(first.Tasks[0].ID)
 		v.Time = 1
 		asgs = sched.Schedule(v)
 		if len(asgs) != 4 {
@@ -611,7 +611,7 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 		check(round, "indexing")
 
 		takeSeed := r.Int63()
-		play := func(sched *Tetris, scan func(*View, int, *roundState, func(*JobState, *workload.Task, bool))) (offers []string, taken []*workload.Task) {
+		play := func(sched *Tetris, scan func(int, *roundState, func(*JobState, *workload.Task, bool))) (offers []string, taken []*workload.Task) {
 			sched.inc.beginRound(sched, v)
 			for _, j := range v.Jobs {
 				sched.remainingWork(v, j)
@@ -620,7 +620,7 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 			take := rand.New(rand.NewSource(takeSeed))
 			for mid := 0; mid < machines; mid++ {
 				for fill := 0; fill < 2; fill++ {
-					scan(v, mid, rs, func(j *JobState, task *workload.Task, inTail bool) {
+					scan(mid, rs, func(j *JobState, task *workload.Task, inTail bool) {
 						offers = append(offers, fmt.Sprint(mid, task.ID, inTail))
 						sched.inc.taskRoundFor(j, task)
 						if !rs.taken[task] && take.Intn(3) == 0 {
@@ -655,7 +655,7 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 			st := jobs[task.ID.Job].Status
 			switch x := r.Intn(10); {
 			case x < 5:
-				st.MarkDone(task.ID, float64(round))
+				st.MarkDone(task.ID)
 			case x < 7:
 				st.MarkFailed(task.ID)
 				cov.failed++

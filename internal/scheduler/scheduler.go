@@ -155,7 +155,7 @@ func LocalDemand(peak resources.Vector) resources.Vector {
 // read, at proportional disk-read and network-out rates bounded by the
 // flow's achievable byte rate. Returns nil when all input is local. The
 // result groups repeated source machines.
-func RemoteCharges(peak resources.Vector, t *workload.Task, m int) []RemoteCharge {
+func RemoteCharges(t *workload.Task, m int) []RemoteCharge {
 	remote := t.RemoteInputMB(m)
 	if remote == 0 {
 		return nil

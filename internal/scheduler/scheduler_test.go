@@ -93,7 +93,7 @@ func TestRemoteCharges(t *testing.T) {
 			{Machine: 0, SizeMB: 600}, // local when placed at 0
 		},
 	}
-	charges := RemoteCharges(task.Peak, task, 0)
+	charges := RemoteCharges(task, 0)
 	if len(charges) != 2 {
 		t.Fatalf("charges = %v", charges)
 	}
@@ -112,11 +112,11 @@ func TestRemoteCharges(t *testing.T) {
 		t.Errorf("m2 netOut charge = %v, want 200", got)
 	}
 	// All local: nil.
-	if RemoteCharges(task.Peak, task, 0) == nil {
+	if RemoteCharges(task, 0) == nil {
 		t.Error("expected charges for remote inputs")
 	}
 	local := &workload.Task{Peak: task.Peak, Inputs: []workload.InputBlock{{Machine: 3, SizeMB: 10}}}
-	if RemoteCharges(local.Peak, local, 3) != nil {
+	if RemoteCharges(local, 3) != nil {
 		t.Error("all-local should have nil charges")
 	}
 }
@@ -322,7 +322,7 @@ func TestTetrisBarrierPreference(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		id := workload.TaskID{Job: 0, Stage: 0, Index: i}
 		j0.Status.MarkRunning(id)
-		j0.Status.MarkDone(id, 1)
+		j0.Status.MarkDone(id)
 	}
 	j1 := mkJob(1, 10, resources.New(1, 2, 0, 0, 0, 0), 10)
 	v := mkView(1, machine, j0, j1)

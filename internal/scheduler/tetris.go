@@ -280,7 +280,7 @@ func (t *Tetris) evictDeparted(v *View) {
 	// Only starved-task reservations are swept here: gang hoards are
 	// owned by the coordinator (which hides their holder jobs from this
 	// scheduler's view, so they would always look departed).
-	t.res.Sweep(0, func(mid int, r reserve.Reservation) bool {
+	t.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
 		return r.Kind == reserve.Starved && t.active[r.Holder] == nil
 	}, nil)
 	if !departed {
@@ -447,7 +447,7 @@ func (t *Tetris) serveReservations(v *View, free []resources.Vector, rs *roundSt
 		if !d.FitsIn(free[mid]) {
 			continue // keep waiting; machine stays closed
 		}
-		remote := LiveCharges(v, RemoteCharges(peak, task, mid))
+		remote := LiveCharges(v, RemoteCharges(task, mid))
 		feasible := true
 		for _, rc := range remote {
 			if !rc.Charge.FitsIn(free[rc.Machine]) {
@@ -475,7 +475,7 @@ func (t *Tetris) serveReservations(v *View, free []resources.Vector, rs *roundSt
 // round. Caller must have StarvationSec > 0.
 func (t *Tetris) detectStarvation(v *View, rs *roundState) {
 	alreadyReserved := make(map[*workload.Task]bool, t.res.Len())
-	t.res.Each(func(mid int, r reserve.Reservation) {
+	t.res.Each(func(_ int, r reserve.Reservation) {
 		if r.Task != nil {
 			alreadyReserved[r.Task] = true
 		}
@@ -555,7 +555,7 @@ func projectCPUMem(d resources.Vector) resources.Vector {
 // No tombstone lies ahead of a scan (scans and evictDeparted compact
 // theirs) and a (job, stage)'s entries on a machine are adjacent, so a
 // run of them from a stage that is not ready is stepped by pointer alone.
-func (t *Tetris) scanLocals(v *View, mid int, rs *roundState, consider func(*JobState, *workload.Task, bool)) {
+func (t *Tetris) scanLocals(mid int, rs *roundState, consider func(*JobState, *workload.Task, bool)) {
 	if mid >= len(t.locals) || len(t.locals[mid]) == 0 {
 		return
 	}

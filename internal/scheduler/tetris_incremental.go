@@ -88,8 +88,7 @@ type taskRound struct {
 	baseRemoteDead bool
 
 	// baseCharges persists across rounds: RemoteCharges depends only on
-	// the task's immutable input blocks and flow cap (the peak argument
-	// is unused), so it never changes.
+	// the task's immutable input blocks and flow cap, so it never changes.
 	baseCharges    []RemoteCharge
 	baseChargesSet bool
 
@@ -757,7 +756,7 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 			ic.machEnvStages = -1
 		}
 	}
-	t.scanLocals(v, mid, rs, ic.consider)
+	t.scanLocals(mid, rs, ic.consider)
 
 	cands := ic.cands
 	aSum := ic.aSumAll
@@ -863,11 +862,11 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 		if !tr.remoteSet {
 			if tr.affinity {
 				// Partial locality: charges are machine-specific.
-				tr.remote = LiveCharges(ic.curV, RemoteCharges(tr.peak, task, mid))
+				tr.remote = LiveCharges(ic.curV, RemoteCharges(task, mid))
 			} else {
 				if !tr.liveSet {
 					if !tr.baseChargesSet {
-						tr.baseCharges = RemoteCharges(tr.peak, task, -1)
+						tr.baseCharges = RemoteCharges(task, -1)
 						tr.baseChargesSet = true
 					}
 					tr.live = LiveCharges(ic.curV, tr.baseCharges)

@@ -303,12 +303,12 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 		var remote []RemoteCharge
 		if !t.cfg.CPUMemOnly && task.RemoteInputMB(mid) > 0 {
 			if affinity {
-				remote = RemoteCharges(peak, task, mid) // partial locality: machine-specific
+				remote = RemoteCharges(task, mid) // partial locality: machine-specific
 			} else {
 				var ok bool
 				remote, ok = rs.chargeCache[task]
 				if !ok {
-					remote = RemoteCharges(peak, task, -1)
+					remote = RemoteCharges(task, -1)
 					rs.chargeCache[task] = remote
 				}
 			}
@@ -365,7 +365,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 	}
 	// Tasks with input blocks on this machine (bounded scan with lazy
 	// compaction: entries whose task left the pending state are dropped).
-	t.scanLocals(v, mid, rs.roundState, consider)
+	t.scanLocals(mid, rs.roundState, consider)
 
 	if anyTail {
 		tail := cands[:0]

@@ -208,9 +208,8 @@ func TestScanLocalsRotationAfterCompaction(t *testing.T) {
 	}
 
 	var order []int
-	v := &View{}
 	scan := func() {
-		sched.scanLocals(v, 0, rs, func(_ *JobState, task *workload.Task, _ bool) {
+		sched.scanLocals(0, rs, func(_ *JobState, task *workload.Task, _ bool) {
 			order = append(order, task.ID.Index)
 		})
 	}

@@ -716,7 +716,7 @@ func (s *Sim) completeFinished() bool {
 			}
 			continue
 		}
-		jr.state.Status.MarkDone(id, s.clock)
+		jr.state.Status.MarkDone(id)
 		s.lastDone = s.clock
 		s.res.TaskDurations = append(s.res.TaskDurations, s.clock-rt.started)
 		if s.cfg.RecordTasks {

@@ -179,28 +179,17 @@ func (h *Hist2D) Render() string {
 	return b.String()
 }
 
-// Online accumulates mean/variance/min/max in one pass (Welford's
-// algorithm); used by the estimator and the tracker where retaining raw
-// samples would be wasteful.
+// Online accumulates mean and variance in one pass (Welford's
+// algorithm); used by the estimator, where retaining raw samples would
+// be wasteful.
 type Online struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add incorporates a sample.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
@@ -234,19 +223,16 @@ func (o *Online) CoV() float64 {
 // OnlineState is the serializable state of an Online accumulator, used
 // when checkpointing estimator statistics into the RM journal.
 type OnlineState struct {
-	N    int     `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
+	N        int
+	Mean, M2 float64
 }
 
 // State exports the accumulator.
 func (o *Online) State() OnlineState {
-	return OnlineState{N: o.n, Mean: o.mean, M2: o.m2, Min: o.min, Max: o.max}
+	return OnlineState{N: o.n, Mean: o.mean, M2: o.m2}
 }
 
 // SetState restores the accumulator to a previously exported state.
 func (o *Online) SetState(st OnlineState) {
-	o.n, o.mean, o.m2, o.min, o.max = st.N, st.Mean, st.M2, st.Min, st.Max
+	o.n, o.mean, o.m2 = st.N, st.Mean, st.M2
 }

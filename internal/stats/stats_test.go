@@ -134,9 +134,6 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	if o.N() != 1000 {
 		t.Errorf("N = %d", o.N())
 	}
-	if o.min > o.Mean() || o.max < o.Mean() {
-		t.Error("min/max bracket mean")
-	}
 }
 
 // Property: percentile is monotone in p.

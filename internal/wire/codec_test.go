@@ -292,18 +292,15 @@ func TestV0FrameRefused(t *testing.T) {
 	} {
 		for side, f := range map[string]*Framer{"client": NewFramer(CodecJSON), "server": NewServerFramer()} {
 			src := &countingReader{r: bytes.NewReader(data)}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
 			m, err := f.Read(src)
-			runtime.ReadMemStats(&after)
 			if m != nil || !errors.Is(err, ErrBadMagic) {
 				t.Errorf("%s v0 frame, %s Framer: m=%v err=%v, want ErrBadMagic", name, side, m, err)
 			}
 			if src.n != headerLen {
 				t.Errorf("%s v0 frame, %s Framer: consumed %d bytes, want the %d-byte header only", name, side, src.n, headerLen)
 			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<10 {
-				t.Errorf("%s v0 frame, %s Framer: refusing it allocated %d bytes", name, side, grew)
+			if c := cap(f.rbuf); c != 0 {
+				t.Errorf("%s v0 frame, %s Framer: refusing it grew a %d-byte body buffer", name, side, c)
 			}
 		}
 	}

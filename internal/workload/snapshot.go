@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // StatusSnapshot is the durable progress of one job: everything a
 // restarted resource manager needs to rebuild a Status exactly. Derived
@@ -15,9 +12,6 @@ type StatusSnapshot struct {
 	// Attempts holds failed-execution counts, indexed like States; a nil
 	// slice or a nil row means all zero.
 	Attempts [][]int
-	// FinishedAt is the completion time, nonzero only when every task is
-	// Done.
-	FinishedAt float64
 }
 
 // StageStates returns stage si's task states, indexed by task. The
@@ -29,9 +23,9 @@ func (s *Status) StageStates(si int) []TaskState { return s.state[si] }
 func (s *Status) StageAttempts(si int) []int { return s.attempts[si] }
 
 // RestoreStatus rebuilds a Status for job j from a snapshot, recomputing
-// all derived bookkeeping. A snapshot whose shape does not match j, that
-// holds an unknown state, or that carries a finish time for an
-// unfinished job is refused: it comes from a corrupt or foreign journal.
+// all derived bookkeeping. A snapshot whose shape does not match j or
+// that holds an unknown state is refused: it comes from a corrupt or
+// foreign journal.
 func RestoreStatus(j *Job, snap StatusSnapshot) (*Status, error) {
 	s := NewStatus(j)
 	if len(snap.States) != len(j.Stages) || (snap.Attempts != nil && len(snap.Attempts) != len(j.Stages)) {
@@ -70,11 +64,6 @@ func RestoreStatus(j *Job, snap StatusSnapshot) (*Status, error) {
 		}
 		s.attempts[si] = append([]int(nil), row...)
 	}
-	if s.doneTasks == j.NumTasks() && s.doneTasks > 0 {
-		s.finished = true
-		s.finishedAt = snap.FinishedAt
-	} else if math.Float64bits(snap.FinishedAt) != 0 {
-		return nil, fmt.Errorf("job %d: finish time %v on an unfinished status", j.ID, snap.FinishedAt)
-	}
+	s.finished = s.doneTasks == j.NumTasks() && s.doneTasks > 0
 	return s, nil
 }

@@ -39,7 +39,6 @@ type Status struct {
 	dependents []int // number of stages depending on each stage
 	cursor     []int // per-stage index below which no task is pending
 	doneTasks  int
-	finishedAt float64
 	finished   bool
 }
 
@@ -140,8 +139,8 @@ func (s *Status) TotalFailures() int {
 	return n
 }
 
-// MarkDone transitions a running task to done at the given time.
-func (s *Status) MarkDone(id TaskID, at float64) {
+// MarkDone transitions a running task to done.
+func (s *Status) MarkDone(id TaskID) {
 	if s.state[id.Stage][id.Index] != Running {
 		panic(fmt.Sprintf("task %v: MarkDone from state %v", id, s.state[id.Stage][id.Index]))
 	}
@@ -151,15 +150,11 @@ func (s *Status) MarkDone(id TaskID, at float64) {
 	s.doneTasks++
 	if s.doneTasks == s.Job.NumTasks() {
 		s.finished = true
-		s.finishedAt = at
 	}
 }
 
 // Finished reports whether every task of the job is done.
 func (s *Status) Finished() bool { return s.finished }
-
-// FinishedAt returns the completion time (valid only when Finished).
-func (s *Status) FinishedAt() float64 { return s.finishedAt }
 
 // DoneTasks returns the number of completed tasks.
 func (s *Status) DoneTasks() int { return s.doneTasks }
@@ -226,23 +221,16 @@ func (s *Status) RemainingInStage(si int) int {
 	return len(s.Job.Stages[si].Tasks) - s.doneCount[si]
 }
 
-// PrecedesBarrier reports whether stage si has downstream dependents or —
-// following the paper, which treats the end of the job as a barrier — is a
-// terminal stage.
-func (s *Status) PrecedesBarrier(si int) bool { return true }
-
 // HasDependents reports whether any stage depends on stage si.
 func (s *Status) HasDependents(si int) bool { return s.dependents[si] > 0 }
 
 // InBarrierTail reports whether the given task should receive barrier
-// preference under knob b: its stage precedes a barrier and at least a b
-// fraction of the stage's tasks have finished (§3.5). b ≥ 1 disables the
-// preference entirely.
+// preference under knob b: at least a b fraction of its stage's tasks
+// have finished (§3.5). Every stage precedes a barrier: a stage with
+// dependents precedes theirs, and the paper treats the end of the job
+// as a barrier too. b ≥ 1 disables the preference entirely.
 func (s *Status) InBarrierTail(id TaskID, b float64) bool {
 	if b >= 1 {
-		return false
-	}
-	if !s.PrecedesBarrier(id.Stage) {
 		return false
 	}
 	total := len(s.Job.Stages[id.Stage].Tasks)

@@ -215,11 +215,11 @@ func TestStatusLifecycle(t *testing.T) {
 	if got := s.Runnable(nil); len(got) != 0 {
 		t.Fatalf("runnable after starting all = %d", len(got))
 	}
-	s.MarkDone(TaskID{0, 0, 0}, 10)
+	s.MarkDone(TaskID{0, 0, 0})
 	if s.StageReady(1) {
 		t.Fatal("barrier should hold until all of stage 0 done")
 	}
-	s.MarkDone(TaskID{0, 0, 1}, 11)
+	s.MarkDone(TaskID{0, 0, 1})
 	if !s.StageReady(1) {
 		t.Fatal("stage 1 should unlock")
 	}
@@ -233,10 +233,10 @@ func TestStatusLifecycle(t *testing.T) {
 
 	for _, task := range run {
 		s.MarkRunning(task.ID)
-		s.MarkDone(task.ID, 20)
+		s.MarkDone(task.ID)
 	}
-	if !s.Finished() || s.FinishedAt() != 20 {
-		t.Fatalf("finished=%v at=%v", s.Finished(), s.FinishedAt())
+	if !s.Finished() {
+		t.Fatal("not finished after every task is done")
 	}
 }
 
@@ -248,7 +248,7 @@ func TestStatusPanicsOnBadTransition(t *testing.T) {
 			t.Error("MarkDone on pending task should panic")
 		}
 	}()
-	s.MarkDone(TaskID{0, 0, 0}, 1)
+	s.MarkDone(TaskID{0, 0, 0})
 }
 
 func TestBarrierTail(t *testing.T) {
@@ -262,7 +262,7 @@ func TestBarrierTail(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		id := TaskID{0, 0, i}
 		s.MarkRunning(id)
-		s.MarkDone(id, float64(i))
+		s.MarkDone(id)
 	}
 	if !s.InBarrierTail(id9, 0.9) {
 		t.Error("90% done: last task should be in tail")
@@ -285,7 +285,7 @@ func TestPendingInStage(t *testing.T) {
 	if got := s.PendingInStage(0); got != 2 {
 		t.Fatalf("PendingInStage after run = %d", got)
 	}
-	s.MarkDone(TaskID{0, 0, 0}, 1)
+	s.MarkDone(TaskID{0, 0, 0})
 	if got := s.PendingInStage(0); got != 2 {
 		t.Fatalf("PendingInStage after done = %d", got)
 	}
@@ -295,7 +295,7 @@ func TestForEachRemaining(t *testing.T) {
 	j := twoStageJob(0, 2, 2)
 	s := NewStatus(j)
 	s.MarkRunning(TaskID{0, 0, 0})
-	s.MarkDone(TaskID{0, 0, 0}, 1)
+	s.MarkDone(TaskID{0, 0, 0})
 
 	var n int
 	var work float64
@@ -343,7 +343,7 @@ func TestMarkFailedReturnsToPending(t *testing.T) {
 	}
 	// Re-run to completion.
 	s.MarkRunning(id)
-	s.MarkDone(id, 5)
+	s.MarkDone(id)
 	if s.DoneTasks() != 1 {
 		t.Errorf("done = %d", s.DoneTasks())
 	}
@@ -379,7 +379,7 @@ func TestStageCountersAndAccessors(t *testing.T) {
 		t.Errorf("Task accessor = %v", got.ID)
 	}
 	s.MarkRunning(TaskID{0, 0, 0})
-	s.MarkDone(TaskID{0, 0, 0}, 1)
+	s.MarkDone(TaskID{0, 0, 0})
 	if s.DoneInStage(0) != 1 || s.RemainingInStage(0) != 3 {
 		t.Errorf("stage counters: done=%d remaining=%d", s.DoneInStage(0), s.RemainingInStage(0))
 	}
@@ -387,7 +387,7 @@ func TestStageCountersAndAccessors(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		id := TaskID{0, 0, i}
 		s.MarkRunning(id)
-		s.MarkDone(id, 2)
+		s.MarkDone(id)
 	}
 	if !s.HasRunnable() {
 		t.Error("stage 1 should be runnable after the barrier")
@@ -472,7 +472,7 @@ func TestStatusDiamondCascade(t *testing.T) {
 				t.Fatalf("wave %d: runnable %v belongs to level %d", waves, task.ID, level[task.ID.Stage])
 			}
 			s.MarkRunning(task.ID)
-			s.MarkDone(task.ID, float64(waves))
+			s.MarkDone(task.ID)
 		}
 		waves++
 		if waves > depth {
@@ -481,8 +481,5 @@ func TestStatusDiamondCascade(t *testing.T) {
 	}
 	if waves != depth {
 		t.Errorf("waves = %d, want the depth %d", waves, depth)
-	}
-	if s.FinishedAt() != depth-1 {
-		t.Errorf("FinishedAt = %v, want %d", s.FinishedAt(), depth-1)
 	}
 }

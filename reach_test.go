@@ -201,9 +201,6 @@ func TestEveryOptionHasASetter(t *testing.T) {
 var fieldAllowed = map[string]string{
 	"internal/scheduler.ScanStats.Considered": "the envelope test and the equivalence counts read it",
 	"internal/am.Result.FinishedAt":           "the am tests read it",
-	"internal/rm.jobInfo.gangCommitted":       "journaled; it leaves with the next checkpoint format break",
-	"internal/rm.jobInfo.gangReleases":        "journaled; it leaves with the next checkpoint format break",
-	"internal/rm.jobInfo.preempted":           "journaled; it leaves with the next checkpoint format break",
 	"benchmark.workloadDef.why":               "the benchmark's test holds it equal to BENCHMARK.json",
 	"internal/wire.Message.ClusterStatus":     "the status reply; no shipped client sends the query",
 }
@@ -228,7 +225,9 @@ func TestEveryFieldIsRead(t *testing.T) {
 	for typ := range r.apiSeen {
 		if st, ok := typ.(*types.Struct); ok {
 			for i := 0; i < st.NumFields(); i++ {
-				facade[st.Field(i)] = true
+				if f := st.Field(i); f.Exported() {
+					facade[f] = true
+				}
 			}
 		}
 	}
@@ -322,6 +321,72 @@ func TestEveryFieldIsRead(t *testing.T) {
 		if !declared[key] {
 			t.Errorf("fieldAllowed names %s, which is not a field the test holds to account", key)
 		}
+	}
+}
+
+// TestEveryParameterIsRead fails when a named parameter of a non-test
+// function, method or function literal outside benchmark/ is never read
+// in its body: an argument every caller computes and the callee drops.
+// A read is any use but as the target of a plain assignment. A
+// parameter that a function type forces on the signature (an
+// interface method, a callback) is named _.
+func TestEveryParameterIsRead(t *testing.T) {
+	m := loadModule(t)
+	var unread []string
+	for _, p := range m.pkgs {
+		if p.rel == "benchmark" || strings.HasPrefix(p.rel, "benchmark/") {
+			continue
+		}
+		read := map[types.Object]bool{}
+		for _, f := range p.files {
+			written := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN {
+						for _, l := range n.Lhs {
+							if id, ok := ast.Unparen(l).(*ast.Ident); ok {
+								written[id] = true
+							}
+						}
+					}
+				case *ast.Ident:
+					if o := p.info.Uses[n]; o != nil && !written[n] {
+						read[o] = true
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var typ *ast.FuncType
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Body == nil {
+						return true
+					}
+					typ = n.Type
+				case *ast.FuncLit:
+					typ = n.Type
+				default:
+					return true
+				}
+				for _, field := range typ.Params.List {
+					for _, id := range field.Names {
+						if id.Name != "_" && !read[p.info.Defs[id]] {
+							unread = append(unread, p.rel+": "+id.Name+" ("+m.fset.Position(id.Pos()).String()+")")
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d parameters read nowhere in their function; drop each from the signature and its callers or, where a function type forces it, name it _:\n\t%s",
+			len(unread), strings.Join(unread, "\n\t"))
 	}
 }
 
