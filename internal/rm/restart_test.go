@@ -134,6 +134,58 @@ func TestSnapshotCheckpointAndTruncate(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsLeaveTheEstimator: a job's per-stage estimator
+// statistics go when the job finishes, so neither the estimator nor the
+// checkpoint keeps them, while its lineage's history stays: a new job of
+// the lineage still estimates from it. Recovery, from the log alone and
+// from a checkpoint plus the log, reaches the same state.
+func TestFinishedJobsLeaveTheEstimator(t *testing.T) {
+	const lineage = 7
+	for _, snapEvery := range []int{0, 5} {
+		dir := t.TempDir()
+		s := journaledServer(t, dir, snapEvery)
+		s.RegisterMachine(0, resources.New(16, 32, 200, 200, 1000, 1000))
+		for id := 0; id < 4; id++ {
+			j := simpleJob(id, 3)
+			if id%2 == 0 {
+				j.Lineage = lineage
+			}
+			if err := s.SubmitJob(j); err != nil {
+				t.Fatal(err)
+			}
+			r := s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0})
+			s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: completionsFor(r.NMReply.Launch)})
+		}
+		if n := finishedJobs(s); n != 4 {
+			t.Fatalf("snapshot cadence %d: %d of 4 jobs finished", snapEvery, n)
+		}
+		// One more job, left running with one of its three tasks done.
+		if err := s.SubmitJob(simpleJob(4, 3)); err != nil {
+			t.Fatal(err)
+		}
+		r := s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0})
+		s.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: completionsFor(r.NMReply.Launch[:1])})
+
+		est := s.Shard(0).est
+		current := est.Export().Current
+		if len(current) != 1 || current[0].Key != 4 {
+			t.Errorf("snapshot cadence %d: the estimator holds the stage statistics of jobs %v, want job 4's alone", snapEvery, current)
+		}
+		next := simpleJob(5, 1)
+		next.Lineage = lineage
+		if _, _, src := est.Estimate(next, 0, next.Stages[0].Tasks[0].Peak, 20); src != estimator.FromHistory {
+			t.Errorf("snapshot cadence %d: a new job of the lineage estimates %v, want %v", snapEvery, src, estimator.FromHistory)
+		}
+
+		s.Close()
+		want := s.Shard(0).StateDigest()
+		s2 := journaledServer(t, dir, snapEvery)
+		if got := s2.Shard(0).RecoveredDigest(); !bytes.Equal(want, got) {
+			t.Fatalf("snapshot cadence %d: recovery diverges:\n pre-crash: %x\n recovered: %x", snapEvery, want, got)
+		}
+	}
+}
+
 // viewSummary reads what a scheduling round would see of the shard's
 // capacity and job list: the ID-ordered capacity total and the active
 // job IDs.

@@ -144,9 +144,10 @@ func (s *Server) addJob(ji *jobInfo) {
 }
 
 // retire takes a job that just finished or was abandoned off the active
-// list and returns its admission accounting. Callers guarantee the job
-// was unfinished until now, so both happen exactly once per job. Caller
-// holds s.mu.
+// list, returns its admission accounting and drops its per-stage
+// estimator statistics (its lineage's history stays). Callers guarantee
+// the job was unfinished until now, so all three happen exactly once per
+// job, live and in replay alike. Caller holds s.mu.
 func (s *Server) retire(ji *jobInfo) {
 	id := ji.state.Job.ID
 	i := sort.Search(len(s.active), func(k int) bool { return s.active[k].state.Job.ID >= id })
@@ -155,6 +156,9 @@ func (s *Server) retire(ji *jobInfo) {
 	s.jobsChanged()
 	if s.adm != nil {
 		s.adm.release(ji.tenant, ji.demand)
+	}
+	if s.est != nil {
+		s.est.ForgetJob(id, len(ji.state.Job.Stages))
 	}
 }
 

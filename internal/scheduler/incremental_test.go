@@ -9,7 +9,7 @@ import (
 )
 
 // Edge-case and regression tests for the incremental Tetris core
-// (tetris_incremental.go) and the shared ε computation.
+// (tetris.go) and the shared ε computation.
 
 // bothCores runs one Schedule call on fresh incremental and reference
 // Tetris instances over structurally identical views and asserts the
@@ -237,10 +237,10 @@ func TestPlacedEntriesAreRecycled(t *testing.T) {
 	v := mkView(4, machine, j)
 	entries := func() map[*taskRound]bool {
 		seen := map[*taskRound]bool{}
-		for _, tr := range tet.inc.tasks {
+		for _, tr := range tet.tasks {
 			seen[tr] = true
 		}
-		for _, tr := range tet.inc.spare {
+		for _, tr := range tet.spare {
 			seen[tr] = true
 		}
 		return seen
@@ -268,18 +268,18 @@ func TestPlacedEntriesAreRecycled(t *testing.T) {
 		}
 		for tr := range entries() {
 			if !warm[tr] {
-				t.Fatalf("round %d created a task-cache entry (%d warm ones, %d spare)", r, len(warm), len(tet.inc.spare))
+				t.Fatalf("round %d created a task-cache entry (%d warm ones, %d spare)", r, len(warm), len(tet.spare))
 			}
 		}
 	}
-	cached, spare := len(tet.inc.tasks), len(tet.inc.spare)
+	cached, spare := len(tet.tasks), len(tet.spare)
 	if cached == 0 {
 		t.Fatal("no pending task is cached: the stream never scanned ahead")
 	}
 	v.Jobs = nil
 	tet.Schedule(v)
-	if len(tet.inc.tasks) != 0 || len(tet.inc.spare) != cached+spare {
-		t.Errorf("job departed: %d entries cached, %d spare; want 0 and %d", len(tet.inc.tasks), len(tet.inc.spare), cached+spare)
+	if len(tet.tasks) != 0 || len(tet.spare) != cached+spare {
+		t.Errorf("job departed: %d entries cached, %d spare; want 0 and %d", len(tet.tasks), len(tet.spare), cached+spare)
 	}
 }
 
@@ -309,7 +309,8 @@ func TestRemainingWorkFiniteAtTinyRates(t *testing.T) {
 				}
 			}()
 			v := c.mk()
-			if p := NewTetris(DefaultTetrisConfig()).remainingWork(v, v.Jobs[0]); math.IsInf(p, 0) || math.IsNaN(p) {
+			sched := NewTetris(DefaultTetrisConfig())
+			if p := sched.remainingWork(v, recordOf(sched, v.Jobs[0])); math.IsInf(p, 0) || math.IsNaN(p) {
 				t.Errorf("remaining work %v, want finite", p)
 			}
 			if got := bothCores(t, DefaultTetrisConfig(), c.mk); len(got) != 3 {

@@ -14,10 +14,11 @@ import (
 // scanLocalsReference is scanLocals as it stood before the per-stage
 // records: the job lookup, the state, readiness, taken, barrier-tail and
 // eligibility tests are all made afresh on every entry visit, in the
-// original order, from the task itself. scanLocals is shared by every
-// core, so the core equivalence suites cannot see a mistake in it; this
-// is its oracle.
-func (t *Tetris) scanLocalsReference(mid int, rs *roundState, consider func(*JobState, *workload.Task, bool)) {
+// original order, from the task itself, against the View's jobs (byJob)
+// and the round's eligible set rather than the job records. scanLocals
+// is shared by every core, so the core equivalence suites cannot see a
+// mistake in it; this is its oracle.
+func (t *Tetris) scanLocalsReference(mid int, rs *roundState, byJob map[int]*JobState, eligible map[int]bool, consider func(*jobRecord, *workload.Task, bool)) {
 	entries := localsOf(t, mid)
 	n := len(entries)
 	if n == 0 {
@@ -39,7 +40,7 @@ func (t *Tetris) scanLocalsReference(mid int, rs *roundState, consider func(*Job
 		}
 		scanned++
 		task := entryTask(e)
-		j, ok := rs.byJob[e.st.jobID]
+		j, ok := byJob[task.ID.Job]
 		if !ok {
 			entries[i].st = nil
 			dead++
@@ -56,10 +57,10 @@ func (t *Tetris) scanLocalsReference(mid int, rs *roundState, consider func(*Job
 			continue
 		}
 		inTail := st.InBarrierTail(id, t.cfg.Barrier)
-		if !inTail && !rs.eligible[e.st.jobID] {
+		if !inTail && !eligible[task.ID.Job] {
 			continue
 		}
-		consider(j, task, inTail)
+		consider(t.jobs[task.ID.Job], task, inTail)
 		considered++
 	}
 	if dead == 0 {
@@ -104,6 +105,28 @@ func cursorOf(t *Tetris, mid int) int {
 
 // entryTask is the task of a live locality entry.
 func entryTask(e locEntry) *workload.Task { return e.st.tasks[e.idx] }
+
+// recordOf returns j's record on t, created as the job's first sighting
+// in a View would create it if there is none, and points it at j.
+func recordOf(t *Tetris, j *JobState) *jobRecord {
+	rec := t.jobs[j.Job.ID]
+	if rec == nil {
+		rec = t.newRecord(j)
+	}
+	rec.state = j
+	return rec
+}
+
+// stampRound starts a round on t whose View holds exactly the jobs of
+// byJob, with the given eligibility: what beginRound and the fairness
+// cutoff write into the records, without the departure sweep.
+func stampRound(t *Tetris, byJob map[int]*JobState, eligible map[int]bool) {
+	t.round++
+	for id, j := range byJob {
+		rec := recordOf(t, j)
+		rec.seen, rec.eligible = t.round, eligible[id]
+	}
+}
 
 // TestScanLocalsMatchesReference drives scanLocals and its oracle over
 // the same randomised histories — multi-stage jobs whose later stages
@@ -154,8 +177,8 @@ func TestScanLocalsMatchesReference(t *testing.T) {
 		cfg.Barrier = 0.5
 		got, want := NewTetris(cfg), NewTetris(cfg)
 		for _, j := range jobs {
-			got.indexJob(j)
-			want.indexJob(j)
+			got.indexJob(recordOf(got, j))
+			want.indexJob(recordOf(want, j))
 		}
 
 		type call struct {
@@ -177,17 +200,17 @@ func TestScanLocalsMatchesReference(t *testing.T) {
 				}
 			}
 			takeSeed := r.Int63()
-			got.localsRound++ // a new round, as Schedule would start it
+			stampRound(got, byJob, eligible) // a new round, as Schedule would start it
 			// One round on one side: a few scans per machine, as the fill
 			// loop makes them, taking some of what is offered.
-			play := func(sched *Tetris, scan func(int, *roundState, func(*JobState, *workload.Task, bool))) (calls [][]call, taken []*workload.Task) {
-				rs := &roundState{byJob: byJob, eligible: eligible, taken: map[*workload.Task]bool{}}
+			play := func(scan func(int, *roundState, func(*jobRecord, *workload.Task, bool))) (calls [][]call, taken []*workload.Task) {
+				rs := &roundState{taken: map[*workload.Task]bool{}}
 				take := rand.New(rand.NewSource(takeSeed))
 				for mid := 0; mid < machines; mid++ {
 					for fill := 0; fill < 3; fill++ {
 						var cs []call
-						scan(mid, rs, func(j *JobState, task *workload.Task, inTail bool) {
-							if byJob[task.ID.Job] != j {
+						scan(mid, rs, func(rec *jobRecord, task *workload.Task, inTail bool) {
+							if byJob[task.ID.Job] != rec.state {
 								t.Fatalf("seed %d round %d: task %v offered with the wrong job", seed, round, task.ID)
 							}
 							cs = append(cs, call{task.ID, inTail})
@@ -205,8 +228,10 @@ func TestScanLocalsMatchesReference(t *testing.T) {
 			for mid := 0; mid < machines; mid++ {
 				before[mid] = len(localsOf(want, mid))
 			}
-			gotCalls, gotTaken := play(got, got.scanLocals)
-			wantCalls, wantTaken := play(want, want.scanLocalsReference)
+			gotCalls, gotTaken := play(got.scanLocals)
+			wantCalls, wantTaken := play(func(mid int, rs *roundState, consider func(*jobRecord, *workload.Task, bool)) {
+				want.scanLocalsReference(mid, rs, byJob, eligible, consider)
+			})
 
 			for i := range wantCalls {
 				if fmt.Sprint(gotCalls[i]) != fmt.Sprint(wantCalls[i]) {
@@ -378,43 +403,39 @@ func diffLocals(got, want *Tetris, mid int) string {
 }
 
 // evictDepartedReference is evictDeparted as it stood before the per-job
-// sweep: once any indexed job has departed, every stageScore key, every
-// task-cache entry and every locality list is walked, and whatever
-// belongs to a job outside the View goes. evictDeparted is shared by
-// every core, so the core equivalence suites cannot see a mistake in it;
-// this is its oracle.
+// sweep: once any job with a record has departed, every task-cache entry
+// and every locality list is walked, and whatever belongs to a job
+// outside the View goes. It tells the View's jobs from the View itself,
+// not from the records' round stamps. evictDeparted is shared by every
+// core, so the core equivalence suites cannot see a mistake in it; this
+// is its oracle.
 func (t *Tetris) evictDepartedReference(v *View) {
-	clear(t.active)
+	active := map[int]*JobState{}
 	for _, j := range v.Jobs {
-		t.active[j.Job.ID] = j
+		active[j.Job.ID] = j
 	}
 	departed := false
-	for id := range t.indexedJobs {
-		if t.active[id] == nil {
-			delete(t.indexedJobs, id)
+	for id := range t.jobs {
+		if active[id] == nil {
+			delete(t.jobs, id)
 			departed = true
 		}
 	}
 	for task := range t.firstSeen {
-		j := t.active[task.ID.Job]
+		j := active[task.ID.Job]
 		if j == nil || j.Status.State(task.ID) != workload.Pending {
 			delete(t.firstSeen, task)
 		}
 	}
 	t.res.Sweep(0, func(mid int, r reserve.Reservation) bool {
-		return r.Kind == reserve.Starved && t.active[r.Holder] == nil
+		return r.Kind == reserve.Starved && active[r.Holder] == nil
 	}, nil)
 	if !departed {
 		return
 	}
-	for key := range t.stageScore {
-		if t.active[key[0]] == nil {
-			delete(t.stageScore, key)
-		}
-	}
-	for task := range t.inc.tasks {
-		if t.active[task.ID.Job] == nil {
-			t.inc.retire(task)
+	for task := range t.tasks {
+		if active[task.ID.Job] == nil {
+			t.retire(task)
 		}
 	}
 	for mid, entries := range t.locals {
@@ -426,7 +447,7 @@ func (t *Tetris) evictDepartedReference(v *View) {
 		newCursor := 0
 		out := entries[:0]
 		for i, e := range entries {
-			if t.active[e.st.jobID] != nil {
+			if active[entryTask(e).ID.Job] != nil {
 				if i < cursor {
 					newCursor++
 				}
@@ -483,17 +504,18 @@ func FuzzLocalityIndex(f *testing.F) {
 	})
 }
 
-// localityHistory drives the locality index — indexJob, scanLocals and
-// evictDeparted — on one scheduler and the two oracles (the same
-// indexJob, scanLocalsReference, evictDepartedReference) on another,
+// localityHistory drives the job records and the locality index —
+// beginRound (record stamps, evictDeparted, indexJob) and scanLocals —
+// on one scheduler and the two oracles (evictDepartedReference, the same
+// indexJob, scanLocalsReference) on another,
 // over the same jobs, through a random history: arrivals, scans that
 // take some of what they are offered (as placements), attempts that
 // finish or fail, departures of finished and unfinished jobs, jobs
 // hidden for a few rounds and shown again (the gang coordinator's case),
 // and cursors pushed at and past their list's length. After every step
 // it requires the same offers, entries, cursors, task-cache keys and
-// stageScore keys, and that every live entry names a task with a block
-// on its machine, once.
+// record keys, and that every live entry names a task with a block on
+// its machine, once, and its job's live record.
 func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 	var cov localityCoverage
 	r := rand.New(rand.NewSource(seed))
@@ -542,24 +564,24 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 			seen := map[*workload.Task]bool{}
 			for _, e := range localsOf(got, mid) {
 				task := entryTask(e)
-				if seen[task] || !task.HasLocalAffinity(mid) || got.indexedJobs[e.st.jobID] == nil {
+				if seen[task] || !task.HasLocalAffinity(mid) || got.jobs[task.ID.Job] != e.st.rec {
 					t.Fatalf("seed %d shape %d round %d, after %s: machine %d holds a stray entry for %v", seed, shape, round, step, mid, task.ID)
 				}
 				seen[task] = true
 			}
 		}
-		if len(got.inc.tasks) != len(want.inc.tasks) || len(got.stageScore) != len(want.stageScore) {
-			t.Fatalf("seed %d shape %d round %d, after %s: %d cached tasks and %d stage scores, reference %d and %d",
-				seed, shape, round, step, len(got.inc.tasks), len(got.stageScore), len(want.inc.tasks), len(want.stageScore))
+		if len(got.tasks) != len(want.tasks) || len(got.jobs) != len(want.jobs) {
+			t.Fatalf("seed %d shape %d round %d, after %s: %d cached tasks and %d records, reference %d and %d",
+				seed, shape, round, step, len(got.tasks), len(got.jobs), len(want.tasks), len(want.jobs))
 		}
-		for task := range want.inc.tasks {
-			if got.inc.tasks[task] == nil {
+		for task := range want.tasks {
+			if got.tasks[task] == nil {
 				t.Fatalf("seed %d shape %d round %d, after %s: task %v not cached", seed, shape, round, step, task.ID)
 			}
 		}
-		for key := range want.stageScore {
-			if _, ok := got.stageScore[key]; !ok {
-				t.Fatalf("seed %d shape %d round %d, after %s: no stage score for %v", seed, shape, round, step, key)
+		for id := range want.jobs {
+			if got.jobs[id] == nil {
+				t.Fatalf("seed %d shape %d round %d, after %s: no record for job %d", seed, shape, round, step, id)
 			}
 		}
 	}
@@ -580,7 +602,7 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 			}
 		}
 		departing := false
-		for id := range want.indexedJobs {
+		for id := range want.jobs {
 			departing = departing || !slices.Contains(v.Jobs, jobs[id])
 		}
 		before := 0
@@ -591,38 +613,42 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 				cov.unreduced++
 			}
 		}
-		got.localsRound++
-		want.localsRound++
-		got.evictDeparted(v)
+		// The reference prologue: sweep, then stamp the View's jobs and
+		// index the new ones, in View order.
+		want.round++
 		want.evictDepartedReference(v)
-		check(round, "the departure sweep")
 		for mid := 0; mid < machines; mid++ {
 			before -= len(localsOf(want, mid))
 		}
 		cov.swept += before
+		for _, j := range v.Jobs {
+			rec := want.jobs[j.Job.ID]
+			if rec == nil {
+				rec = want.newRecord(j)
+				want.indexJob(rec)
+			}
+			rec.state, rec.seen = j, want.round
+		}
+		got.beginRound(v)
+		check(round, "the prologue")
 
 		byJob, eligible := map[int]*JobState{}, map[int]bool{}
 		for _, j := range v.Jobs {
-			got.indexJob(j)
-			want.indexJob(j)
 			byJob[j.Job.ID] = j
 			eligible[j.Job.ID] = r.Intn(3) > 0
+			got.jobs[j.Job.ID].eligible = eligible[j.Job.ID]
 		}
-		check(round, "indexing")
 
 		takeSeed := r.Int63()
-		play := func(sched *Tetris, scan func(int, *roundState, func(*JobState, *workload.Task, bool))) (offers []string, taken []*workload.Task) {
-			sched.inc.beginRound(sched, v)
-			for _, j := range v.Jobs {
-				sched.remainingWork(v, j)
-			}
-			rs := &roundState{byJob: byJob, eligible: eligible, taken: map[*workload.Task]bool{}}
+		play := func(sched *Tetris, scan func(int, *roundState, func(*jobRecord, *workload.Task, bool))) (offers []string, taken []*workload.Task) {
+			sched.curV = v
+			rs := &roundState{taken: map[*workload.Task]bool{}}
 			take := rand.New(rand.NewSource(takeSeed))
 			for mid := 0; mid < machines; mid++ {
 				for fill := 0; fill < 2; fill++ {
-					scan(mid, rs, func(j *JobState, task *workload.Task, inTail bool) {
+					scan(mid, rs, func(rec *jobRecord, task *workload.Task, inTail bool) {
 						offers = append(offers, fmt.Sprint(mid, task.ID, inTail))
-						sched.inc.taskRoundFor(j, task)
+						sched.taskRoundFor(rec, task)
 						if !rs.taken[task] && take.Intn(3) == 0 {
 							rs.taken[task] = true
 							taken = append(taken, task)
@@ -631,12 +657,14 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 				}
 			}
 			for _, task := range taken {
-				sched.inc.retire(task)
+				sched.retire(task)
 			}
 			return offers, taken
 		}
 		gotOffers, _ := play(got, got.scanLocals)
-		wantOffers, taken := play(want, want.scanLocalsReference)
+		wantOffers, taken := play(want, func(mid int, rs *roundState, consider func(*jobRecord, *workload.Task, bool)) {
+			want.scanLocalsReference(mid, rs, byJob, eligible, consider)
+		})
 		if fmt.Sprint(gotOffers) != fmt.Sprint(wantOffers) {
 			t.Fatalf("seed %d shape %d round %d: offered\n  %v\nthe reference\n  %v", seed, shape, round, gotOffers, wantOffers)
 		}

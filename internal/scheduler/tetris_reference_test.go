@@ -15,16 +15,19 @@ import (
 // but O(machines × placements × tasks × sources) per round.
 //
 // It is kept, verbatim, as the behavioural oracle for the incremental
-// core (tetris_incremental.go): the differential equivalence suite and
+// core (tetris.go): the differential equivalence suite and
 // FuzzScheduleEquivalence assert that both emit bit-identical assignment
 // sequences. Fix bugs here first, then make the incremental core match.
 // It lives in a _test.go file so that no production binary carries a
 // second scheduler code path and nothing outside the tests can select it.
 
 // referenceTetris runs the oracle behind the Scheduler interface: the
-// prologue of Tetris.Schedule, then the reference loop in place of the
-// incremental one. Everything else — configuration, the locality index,
-// reservations, the state evictDeparted sweeps — is the embedded Tetris.
+// prologue of Tetris.Schedule (beginRound), then the reference loop in
+// place of the incremental one. Everything else — configuration, the job
+// records, the locality index, reservations, the state evictDeparted
+// sweeps — is the embedded Tetris. The oracle writes each round's
+// eligibility into the records, where scanLocals reads it, and keeps its
+// remaining-work scores in a map of its own.
 type referenceTetris struct{ *Tetris }
 
 func newReferenceTetris(cfg TetrisConfig) referenceTetris {
@@ -33,9 +36,7 @@ func newReferenceTetris(cfg TetrisConfig) referenceTetris {
 
 // Schedule implements Scheduler.
 func (r referenceTetris) Schedule(v *View) []Assignment {
-	r.localsRound++
-	r.evictDeparted(v)
-	return r.scheduleReference(v)
+	return r.scheduleReference(v, r.beginRound(v))
 }
 
 // tetrisOf returns the Tetris state behind either build of a differential
@@ -106,18 +107,11 @@ type referenceRound struct {
 	demandCache map[*workload.Task]resources.Vector
 }
 
-func (t *Tetris) buildRound(v *View, sorted []*JobState, eligible map[int]bool) *referenceRound {
+func (t *Tetris) buildReferenceRound(sorted []*JobState) *referenceRound {
 	rs := &referenceRound{
-		roundState: &roundState{
-			byJob:    make(map[int]*JobState, len(v.Jobs)),
-			eligible: eligible,
-			taken:    make(map[*workload.Task]bool),
-		},
+		roundState:  &roundState{taken: make(map[*workload.Task]bool)},
 		chargeCache: make(map[*workload.Task][]RemoteCharge),
 		demandCache: make(map[*workload.Task]resources.Vector),
-	}
-	for _, j := range v.Jobs {
-		rs.byJob[j.Job.ID] = j
 	}
 	const initialFetch = 4
 	for _, j := range sorted {
@@ -127,11 +121,10 @@ func (t *Tetris) buildRound(v *View, sorted []*JobState, eligible map[int]bool) 
 				continue
 			}
 			sr := &stageRun{
-				job:      j,
-				stage:    si,
-				pending:  pending,
-				inTail:   j.Status.InBarrierTail(workload.TaskID{Job: j.Job.ID, Stage: si}, t.cfg.Barrier),
-				eligible: eligible[j.Job.ID],
+				rec:     t.jobs[j.Job.ID],
+				stage:   si,
+				pending: pending,
+				inTail:  j.Status.InBarrierTail(workload.TaskID{Job: j.Job.ID, Stage: si}, t.cfg.Barrier),
 			}
 			n := initialFetch
 			if n > pending {
@@ -145,13 +138,10 @@ func (t *Tetris) buildRound(v *View, sorted []*JobState, eligible map[int]bool) 
 }
 
 // scheduleReference is the reference core's Schedule implementation.
-func (t *Tetris) scheduleReference(v *View) []Assignment {
+func (t *Tetris) scheduleReference(v *View, runnable []*jobRecord) []Assignment {
 	var withRunnable []*JobState
-	for _, j := range v.Jobs {
-		t.indexJob(j)
-		if j.Status.HasRunnable() {
-			withRunnable = append(withRunnable, j)
-		}
+	for _, rec := range runnable {
+		withRunnable = append(withRunnable, rec.state)
 	}
 	if len(withRunnable) == 0 {
 		return nil
@@ -165,16 +155,15 @@ func (t *Tetris) scheduleReference(v *View) []Assignment {
 	if eligibleCount < 1 {
 		eligibleCount = 1
 	}
-	eligible := make(map[int]bool, eligibleCount)
 	for _, j := range sorted[:eligibleCount] {
-		eligible[j.Job.ID] = true
+		t.jobs[j.Job.ID].eligible = true
 	}
 
 	// Job remaining-work scores and their mean, computed once per round.
 	pScore := make(map[int]float64, len(sorted))
 	var pSum float64
 	for _, j := range sorted {
-		p := t.remainingWork(v, j)
+		p := t.remainingWork(v, t.jobs[j.Job.ID])
 		pScore[j.Job.ID] = p
 		pSum += p
 	}
@@ -196,7 +185,7 @@ func (t *Tetris) scheduleReference(v *View) []Assignment {
 			}
 		}
 	}
-	rs := t.buildRound(v, sorted, eligible)
+	rs := t.buildReferenceRound(sorted)
 	var out []Assignment
 
 	// Starvation prevention: retire stale reservations, try to place
@@ -277,11 +266,11 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 	anyTail := false
 	var seen map[*workload.Task]bool // allocated lazily; locals may duplicate
 
-	consider := func(j *JobState, task *workload.Task, inTail bool) {
+	consider := func(rec *jobRecord, task *workload.Task, inTail bool) {
 		if seen[task] {
 			return
 		}
-		peak := v.DemandPeak(j, task)
+		peak := v.DemandPeak(rec.state, task)
 		affinity := task.HasLocalAffinity(mid)
 		var d resources.Vector
 		if affinity {
@@ -334,7 +323,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 	}
 
 	for _, sr := range rs.stages {
-		if !sr.eligible && !sr.inTail {
+		if !sr.rec.eligible && !sr.inTail {
 			continue
 		}
 		added, scanned := 0, 0
@@ -357,7 +346,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 			}
 			scanned++
 			before := len(cands)
-			consider(sr.job, task, sr.inTail)
+			consider(sr.rec, task, sr.inTail)
 			if len(cands) > before {
 				added++
 			}

@@ -12,11 +12,13 @@ import (
 // Regression tests for the long-lived scheduler-state bugs: per-job map
 // leaks (everything a finished job left behind must be evicted), the
 // scanLocals cursor drift after tombstone compaction, and the stale
-// stageScore SRTF cache that ignored refining estimates.
+// per-stage SRTF cache that ignored refining estimates.
 
-// tetrisStateSizes snapshots every long-lived per-job/per-task map. The
-// locality index is dense (one list and one cursor per machine ID), so
-// it counts the entries still held and the cursors not back at 0.
+// tetrisStateSizes snapshots every long-lived per-job/per-task map: the
+// job records (which also hold the per-stage score caches), firstSeen,
+// the reservations and the task cache. The locality index is dense (one
+// list and one cursor per machine ID), so it counts the entries still
+// held and the cursors not back at 0.
 func tetrisStateSizes(t *Tetris) map[string]int {
 	locEntries, cursors := 0, 0
 	for mid, es := range t.locals {
@@ -26,22 +28,21 @@ func tetrisStateSizes(t *Tetris) map[string]int {
 		}
 	}
 	return map[string]int{
-		"stageScore":   len(t.stageScore),
+		"jobs":         len(t.jobs),
 		"localEntries": locEntries,
 		"localsCursor": cursors,
-		"indexedJobs":  len(t.indexedJobs),
 		"firstSeen":    len(t.firstSeen),
 		"reserved":     t.res.Len(),
-		"active":       len(t.active),
-		"incTasks":     len(t.inc.tasks),
+		"incTasks":     len(t.tasks),
 	}
 }
 
 // TestTetrisStateEvictionAfterCompletion drives a fault-injected world
 // until every job has finished and asserts all long-lived maps return
-// to their empty baseline — previously stageScore, indexedJobs,
-// firstSeen, locals/localsCursor, orphaned reservations and the
-// incremental core's task cache kept keys for finished jobs forever.
+// to their empty baseline — previously the per-stage score cache, the
+// indexed-job map, firstSeen, locals/localsCursor, orphaned reservations
+// and the incremental core's task cache kept keys for finished jobs
+// forever; the job records replace the first two.
 func TestTetrisStateEvictionAfterCompletion(t *testing.T) {
 	cfg := DefaultTetrisConfig()
 	cfg.StarvationSec = 2 // exercise firstSeen + reserved too
@@ -120,8 +121,8 @@ func TestTetrisStateBounded(t *testing.T) {
 		}
 		w.step(r, false, false)
 		sizes := tetrisStateSizes(sched)
-		if sizes["indexedJobs"] > activeJobs {
-			t.Fatalf("round %d: indexedJobs=%d exceeds %d active jobs", r, sizes["indexedJobs"], activeJobs)
+		if sizes["jobs"] > activeJobs {
+			t.Fatalf("round %d: %d job records exceed %d active jobs", r, sizes["jobs"], activeJobs)
 		}
 		if sizes["localEntries"] > activeTasks {
 			t.Fatalf("round %d: locality index holds %d entries for %d live tasks", r, sizes["localEntries"], activeTasks)
@@ -157,15 +158,15 @@ func TestTaskCacheHoldsOnlyPendingTasks(t *testing.T) {
 				}
 			}
 		}
-		for task := range sched.inc.tasks {
+		for task := range sched.tasks {
 			if st := w.jobByID(task.ID.Job).Status.State(task.ID); st != workload.Pending {
 				t.Fatalf("round %d: task %v is cached in state %v", r, task.ID, st)
 			}
 		}
-		if n := len(sched.inc.tasks); n > pending {
+		if n := len(sched.tasks); n > pending {
 			t.Fatalf("round %d: task cache holds %d entries for %d pending tasks", r, n, pending)
 		}
-		peak = max(peak, len(sched.inc.tasks))
+		peak = max(peak, len(sched.tasks))
 	}
 	if st := sched.ScanStats(); peak == 0 || st.LocalPrunes == 0 {
 		t.Fatalf("vacuous run: peak cache %d entries, %+v", peak, st)
@@ -197,19 +198,16 @@ func TestScanLocalsRotationAfterCompaction(t *testing.T) {
 	j := &JobState{Job: job, Status: workload.NewStatus(job)}
 
 	sched := NewTetris(DefaultTetrisConfig())
-	sched.indexJob(j)
+	sched.indexJob(recordOf(sched, j))
 	if got := len(sched.locals[0]); got != nTasks {
 		t.Fatalf("locality index holds %d entries, want %d", got, nTasks)
 	}
-	rs := &roundState{
-		byJob:    map[int]*JobState{1: j},
-		eligible: map[int]bool{1: true},
-		taken:    map[*workload.Task]bool{},
-	}
+	stampRound(sched, map[int]*JobState{1: j}, map[int]bool{1: true})
+	rs := &roundState{taken: map[*workload.Task]bool{}}
 
 	var order []int
 	scan := func() {
-		sched.scanLocals(0, rs, func(_ *JobState, task *workload.Task, _ bool) {
+		sched.scanLocals(0, rs, func(_ *jobRecord, task *workload.Task, _ bool) {
 			order = append(order, task.ID.Index)
 		})
 	}
@@ -280,11 +278,12 @@ func TestStageScoreInvalidation(t *testing.T) {
 	}
 
 	sched := NewTetris(DefaultTetrisConfig())
-	over := sched.remainingWork(mkView(1.8), j)  // overestimated first sight
-	refined := sched.remainingWork(mkView(1), j) // estimator refined
+	rec := recordOf(sched, j)
+	over := sched.remainingWork(mkView(1.8), rec)  // overestimated first sight
+	refined := sched.remainingWork(mkView(1), rec) // estimator refined
 
 	fresh := NewTetris(DefaultTetrisConfig())
-	want := fresh.remainingWork(mkView(1), j)
+	want := fresh.remainingWork(mkView(1), recordOf(fresh, j))
 	if refined != want {
 		t.Fatalf("remainingWork after refinement = %v, want the from-scratch %v (stale cache)", refined, want)
 	}
@@ -292,7 +291,7 @@ func TestStageScoreInvalidation(t *testing.T) {
 		t.Fatalf("remainingWork ignored the estimate change (stuck at %v)", over)
 	}
 	// And back: a moving running mean must keep tracking.
-	again := sched.remainingWork(mkView(1.8), j)
+	again := sched.remainingWork(mkView(1.8), rec)
 	if again != over {
 		t.Fatalf("remainingWork did not re-track a moving estimate: %v vs %v", again, over)
 	}

@@ -112,11 +112,11 @@ func (dr *DecisionRing) Dropped() uint64 { return dr.ring.Dropped() }
 func (dr *DecisionRing) Len() int { return dr.ring.Len() }
 
 // trace appends a decision to the in-flight round trace, honoring the
-// per-round cap. Call sites test ic.rt themselves, so that an unsampled
+// per-round cap. Call sites test t.rt themselves, so that an unsampled
 // round never builds the record it would drop here; the nil check below
 // is the backstop for a site that forgets.
-func (ic *incrState) trace(d TaskDecision) {
-	rt := ic.rt
+func (t *Tetris) trace(d TaskDecision) {
+	rt := t.rt
 	if rt == nil {
 		return
 	}

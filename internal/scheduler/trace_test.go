@@ -45,6 +45,9 @@ func TestDecisionTraceExplainsRound(t *testing.T) {
 		t.Fatalf("got %d round traces, want 1", len(traces))
 	}
 	rt := traces[0]
+	if rt.Round != 1 {
+		t.Errorf("Round=%d, want 1: a scheduler's first Schedule call is round 1", rt.Round)
+	}
 	if rt.Placed != 2 || rt.Machines != 2 {
 		t.Errorf("Placed=%d Machines=%d, want 2/2", rt.Placed, rt.Machines)
 	}
@@ -85,6 +88,13 @@ func TestDecisionTraceSampling(t *testing.T) {
 	}
 	if got := ring.Len(); got != 3 {
 		t.Fatalf("sampled %d of 7 rounds with every=3, want 3 (rounds 1,4,7)", got)
+	}
+	var rounds []uint64
+	for _, rt := range ring.Snapshot() {
+		rounds = append(rounds, rt.Round)
+	}
+	if !reflect.DeepEqual(rounds, []uint64{1, 4, 7}) {
+		t.Errorf("sampled rounds %v, want [1 4 7]", rounds)
 	}
 }
 

@@ -32,14 +32,13 @@ func (s TaskState) String() string {
 type Status struct {
 	Job *Job
 
-	state      [][]TaskState
-	attempts   [][]int // failed executions per task (crash or re-run)
-	doneCount  []int
-	runCount   []int
-	dependents []int // number of stages depending on each stage
-	cursor     []int // per-stage index below which no task is pending
-	doneTasks  int
-	finished   bool
+	state     [][]TaskState
+	attempts  [][]int // failed executions per task (crash or re-run)
+	doneCount []int
+	runCount  []int
+	cursor    []int // per-stage index below which no task is pending
+	doneTasks int
+	finished  bool
 }
 
 // NewStatus creates progress tracking for job j with all tasks pending.
@@ -49,13 +48,9 @@ func NewStatus(j *Job) *Status {
 	s.attempts = make([][]int, len(j.Stages))
 	s.doneCount = make([]int, len(j.Stages))
 	s.runCount = make([]int, len(j.Stages))
-	s.dependents = make([]int, len(j.Stages))
 	s.cursor = make([]int, len(j.Stages))
 	for si, st := range j.Stages {
 		s.state[si] = make([]TaskState, len(st.Tasks))
-		for _, d := range st.Deps {
-			s.dependents[d]++
-		}
 	}
 	return s
 }
@@ -220,9 +215,6 @@ func (s *Status) DoneInStage(si int) int { return s.doneCount[si] }
 func (s *Status) RemainingInStage(si int) int {
 	return len(s.Job.Stages[si].Tasks) - s.doneCount[si]
 }
-
-// HasDependents reports whether any stage depends on stage si.
-func (s *Status) HasDependents(si int) bool { return s.dependents[si] > 0 }
 
 // InBarrierTail reports whether the given task should receive barrier
 // preference under knob b: at least a b fraction of its stage's tasks

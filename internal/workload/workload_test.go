@@ -311,17 +311,6 @@ func TestForEachRemaining(t *testing.T) {
 	}
 }
 
-func TestHasDependents(t *testing.T) {
-	j := twoStageJob(0, 1, 1)
-	s := NewStatus(j)
-	if !s.HasDependents(0) {
-		t.Error("stage 0 has a dependent")
-	}
-	if s.HasDependents(1) {
-		t.Error("stage 1 is terminal")
-	}
-}
-
 func TestMarkFailedReturnsToPending(t *testing.T) {
 	j := twoStageJob(0, 3, 1)
 	s := NewStatus(j)
