@@ -1,7 +1,7 @@
 // distributed boots the full YARN-style prototype on loopback TCP — a
-// resource manager running the Tetris policy, four node managers with
-// token-bucket enforcement, and two concurrent job managers — and runs a
-// small workload end to end with time-compressed task execution.
+// resource manager running the Tetris policy, four node managers and two
+// concurrent job managers — and runs a small workload end to end with
+// time-compressed task execution.
 package main
 
 import (

@@ -1,5 +1,5 @@
 // End-to-end tests of the distributed prototype: RM, NMs and AMs over
-// loopback TCP with emulated (time-compressed) task execution.
+// loopback TCP with synthetic (time-compressed) task execution.
 package nm_test
 
 import (
@@ -16,6 +16,7 @@ import (
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/rm"
 	"github.com/tetris-sched/tetris/internal/scheduler"
+	"github.com/tetris-sched/tetris/internal/telemetry"
 	"github.com/tetris-sched/tetris/internal/testutil"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -54,6 +55,7 @@ func TestEndToEndSingleJob(t *testing.T) {
 	defer cancel()
 
 	capVec := resources.New(16, 32, 200, 200, 1000, 1000)
+	reg := telemetry.NewRegistry()
 	var wg sync.WaitGroup
 	nodes := make([]*nm.Node, 2)
 	for i := range nodes {
@@ -63,6 +65,7 @@ func TestEndToEndSingleJob(t *testing.T) {
 			RMAddr:      srv.Addr(),
 			Heartbeat:   20 * time.Millisecond,
 			Compression: 100,
+			Metrics:     reg,
 		})
 		wg.Add(1)
 		go func(n *nm.Node) {
@@ -83,12 +86,17 @@ func TestEndToEndSingleJob(t *testing.T) {
 	if res.Wall <= 0 {
 		t.Errorf("result = %+v", res)
 	}
-	launched := nodes[0].Launched() + nodes[1].Launched()
-	if launched != 8 {
+	if launched := launchedTotal(reg); launched != 8 {
 		t.Errorf("nodes launched %d tasks, want 8", launched)
 	}
 	cancel()
 	wg.Wait()
+}
+
+// launchedTotal reads the task attempts started by the nodes recording
+// into reg.
+func launchedTotal(reg *telemetry.Registry) uint64 {
+	return reg.Counter("tetris_nm_tasks_launched_total", "").Value()
 }
 
 func TestEndToEndConcurrentJobs(t *testing.T) {
@@ -187,15 +195,15 @@ func TestEndToEndNodeFailure(t *testing.T) {
 	defer cancel()
 
 	capVec := resources.New(16, 32, 200, 200, 1000, 1000)
-	mkNode := func(id int) *nm.Node {
+	mkNode := func(id int, reg *telemetry.Registry) *nm.Node {
 		return nm.New(nm.Config{
 			NodeID: id, Capacity: capVec, RMAddr: srv.Addr(),
-			Heartbeat: 20 * time.Millisecond, Compression: 100,
+			Heartbeat: 20 * time.Millisecond, Compression: 100, Metrics: reg,
 		})
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
-		n := mkNode(i)
+		n := mkNode(i, nil)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -203,7 +211,8 @@ func TestEndToEndNodeFailure(t *testing.T) {
 		}()
 	}
 	victimCtx, killVictim := context.WithCancel(ctx)
-	victim := mkNode(2)
+	victimMetrics := telemetry.NewRegistry()
+	victim := mkNode(2, victimMetrics)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -228,7 +237,7 @@ func TestEndToEndNodeFailure(t *testing.T) {
 
 	// Kill the victim once it is actually running tasks.
 	testutil.WaitFor(t, 20*time.Second, "victim node received tasks", func() bool {
-		return victim.Launched() > 0
+		return launchedTotal(victimMetrics) > 0
 	})
 	killVictim()
 	testutil.WaitFor(t, 10*time.Second, "RM detected the dead node", func() bool {
@@ -236,7 +245,7 @@ func TestEndToEndNodeFailure(t *testing.T) {
 	})
 
 	// A replacement NM rejoins under the same node ID.
-	replacement := mkNode(2)
+	replacement := mkNode(2, nil)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -1,8 +1,8 @@
 package nm
 
 // The node side of the §4.4 protocol, once. The real node manager
-// (nm.go) and the hollow fleet (internal/hollow) both run it; they differ
-// in the Executor an Agent drives and in how many Agents share a Link.
+// (nm.go) and the hollow fleet (internal/hollow) both run it with
+// Synthetic executors; they differ in how many Agents share a Link.
 
 import (
 	"context"
@@ -26,34 +26,13 @@ type Caller interface {
 	Call(m *wire.Message) (*wire.Message, error)
 }
 
-// Executor runs a node's tasks. The session calls it from one goroutine;
-// one whose tasks finish on goroutines of their own guards its state.
-type Executor interface {
-	// Launch starts one attempt, or reports false having started nothing:
-	// the RM re-sends a launch that was queued across a link blip.
-	Launch(l wire.TaskLaunch, now time.Time) bool
-	// Stop ends an attempt the RM killed (orphaned by resync) or
-	// preempted (evicted for a gang): its usage is freed and it never
-	// reports a completion — the RM has already requeued it and would
-	// count one as a duplicate. False when the attempt is not running.
-	Stop(tid workload.TaskID) bool
-	// Report returns the node's usage at now and the attempts finished
-	// since the last Report or Inventory.
-	Report(now time.Time) (used resources.Vector, finished []wire.TaskCompletion)
-	// Inventory returns the running set in TaskID order and the attempts
-	// finished since the last Report or Inventory, taken at one instant:
-	// an attempt is in exactly one, so resync reconciliation can never
-	// see a task in neither.
-	Inventory(now time.Time) (running []workload.TaskID, finished []wire.TaskCompletion)
-}
-
 // Agent is one node's protocol state. One built from its three exported
 // fields has never registered and owes the RM nothing — what a machine
 // power cycle leaves.
 type Agent struct {
 	ID       int
 	Capacity resources.Vector
-	Exec     Executor
+	Exec     *Synthetic
 
 	delta      wire.DeltaTracker
 	registered bool

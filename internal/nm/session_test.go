@@ -472,10 +472,7 @@ func TestRefusedRegistrationEndsRun(t *testing.T) {
 // runs anything, and again once every task it ran has finished, although
 // adding and subtracting their demands leaves a rounding residue.
 func TestIdleNodeReportsZero(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	n := New(Config{NodeID: 0, Capacity: testCap, Compression: 1})
-	n.ctx = ctx
 	l, rm := n.link, newScriptedRM()
 	sweep(t, l, rm, time.Now()) // registers
 	sweep(t, l, rm, time.Now())
@@ -513,10 +510,7 @@ func TestIdleNodeReportsZero(t *testing.T) {
 // demand off, and an idle node reports exactly zero, however the
 // additions and subtractions rounded.
 func TestFinishedTaskLeavesReport(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	n := New(Config{NodeID: 0, Capacity: testCap, Compression: 1})
-	n.ctx = ctx
 	l, rm := n.link, newScriptedRM()
 	d1 := resources.New(0.1, 0.2, 0, 0, 0, 0)
 	d2 := resources.New(0.2, 0.4, 0, 0, 0, 0)
@@ -562,4 +556,39 @@ func TestFinishedTaskLeavesReport(t *testing.T) {
 	}
 	sweep(t, l, rm, time.Now())
 	used("idle", resources.Vector{})
+}
+
+// TestRealNodeCompletesOnItsBeat: a real NM's task completes on the first
+// beat at or after its launch plus its compressed duration, reporting its
+// declared duration and demand, on a node with no disk-read capacity at
+// all; the beat after it reports exactly zero usage.
+func TestRealNodeCompletesOnItsBeat(t *testing.T) {
+	const compression, beat = 10, 0.1
+	n := New(Config{NodeID: 0, Capacity: resources.New(4, 8, 0, 100, 100, 100), Compression: compression})
+	l, rm := n.link, newScriptedRM()
+	task := tid(1, 0)
+	demand := resources.New(1, 2, 0, 0, 50, 0)
+	sweep(t, l, rm, at(0)) // registers
+	rm.launch[0] = []wire.TaskLaunch{{Task: task, Demand: demand, Duration: 2.5}}
+	sweep(t, l, rm, at(beat)) // acks the launch: due at 0.1 + 2.5/10 s
+	due := beat + 2.5/compression
+	var sec float64
+	for i := 2; len(rm.completed[0]) == 0; i++ {
+		if i > 100 {
+			t.Fatal("the task never completed")
+		}
+		sec = float64(i) * beat
+		sweep(t, l, rm, at(sec))
+	}
+	if sec < due || sec >= due+beat {
+		t.Errorf("completed on the beat at %.1f s, want the first at or after %.2f s", sec, due)
+	}
+	c := rm.lastBeat[0].Completed
+	if len(c) != 1 || c[0].Task != task || c[0].Duration != 2.5 || c[0].Usage != demand {
+		t.Errorf("completion %+v, want task %v with Duration 2.5 and Usage %v", c, task, demand)
+	}
+	sweep(t, l, rm, at(sec+beat))
+	if got := rm.used[0]; got != (resources.Vector{}) {
+		t.Errorf("the beat after the completion leaves usage %v, want exactly zero", got)
+	}
 }

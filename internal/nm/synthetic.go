@@ -9,17 +9,19 @@ import (
 	"github.com/tetris-sched/tetris/internal/workload"
 )
 
-// Synthetic is the hollow fleet's Executor: a launched task is a
-// due-time entry drained when the node next reports, not a goroutine
-// holding resources through sleeps, so a node costs per beat, not per
-// task. Its fidelity boundaries (DESIGN.md §11.1): completions quantize
-// to the heartbeat interval, usage jumps to the task's declared peak at
-// launch and back at completion (no ramp-up), and nothing enforces
-// disk rates. Owned by the goroutine that steps its agent; no locking.
-// The zero value with Compression set is ready to use.
+// Synthetic runs a node's tasks: a real node's and every hollow node's.
+// A launched task is a due-time entry drained when the node next
+// reports, not a goroutine holding resources through sleeps, so a node
+// costs per beat, not per task. Its fidelity boundaries (DESIGN.md
+// §11.1): completions quantize to the heartbeat interval and carry the
+// declared duration, usage jumps to the task's declared peak at launch
+// and back at completion (no ramp-up), and nothing polices disk or
+// network rates (§4.2 is a substitution, DESIGN.md §2). Owned by the
+// goroutine that steps its agent; no locking. The zero value with
+// Compression set is ready to use.
 type Synthetic struct {
-	// Compression divides task durations, exactly like a real NM's time
-	// compression.
+	// Compression divides task durations: a task declared to run 100 s
+	// is due 100/Compression wall seconds after its launch.
 	Compression float64
 
 	used    resources.Vector
@@ -31,6 +33,8 @@ type syntheticTask struct {
 	due    time.Time
 }
 
+// Launch starts one attempt, or reports false having started nothing:
+// the RM re-sends a launch that was queued across a link blip.
 func (s *Synthetic) Launch(l wire.TaskLaunch, now time.Time) bool {
 	if _, dup := s.running[l.Task]; dup {
 		return false
@@ -44,6 +48,10 @@ func (s *Synthetic) Launch(l wire.TaskLaunch, now time.Time) bool {
 	return true
 }
 
+// Stop ends an attempt the RM killed (orphaned by resync) or preempted
+// (evicted for a gang): its usage is freed and it never reports a
+// completion — the RM has already requeued it and would count one as a
+// duplicate. False when the attempt is not running.
 func (s *Synthetic) Stop(tid workload.TaskID) bool {
 	t, ok := s.running[tid]
 	if ok {
@@ -52,26 +60,29 @@ func (s *Synthetic) Stop(tid workload.TaskID) bool {
 	return ok
 }
 
+// release takes a task off the running set and its demand off used.
+// With nothing left running, used is exactly zero, however the additions
+// and subtractions rounded.
 func (s *Synthetic) release(tid workload.TaskID, t syntheticTask) {
 	delete(s.running, tid)
-	s.used = lessDemand(s.used, t.launch.Demand, len(s.running))
-}
-
-// lessDemand is a running set's usage after a task of the given demand
-// left it; left counts the tasks still running. With none it is exactly
-// zero, however the additions and subtractions rounded.
-func lessDemand(used, demand resources.Vector, left int) resources.Vector {
-	if left == 0 {
-		return resources.Vector{}
+	if len(s.running) == 0 {
+		s.used = resources.Vector{}
+	} else {
+		s.used = s.used.Sub(t.launch.Demand).Max(resources.Vector{})
 	}
-	return used.Sub(demand).Max(resources.Vector{})
 }
 
+// Report returns the node's usage at now and the attempts finished since
+// the last Report or Inventory.
 func (s *Synthetic) Report(now time.Time) (used resources.Vector, finished []wire.TaskCompletion) {
 	finished = s.drainDue(now)
 	return s.used, finished
 }
 
+// Inventory returns the running set in TaskID order and the attempts
+// finished since the last Report or Inventory, taken at one instant: an
+// attempt is in exactly one, so resync reconciliation can never see a
+// task in neither.
 func (s *Synthetic) Inventory(now time.Time) (running []workload.TaskID, finished []wire.TaskCompletion) {
 	finished = s.drainDue(now)
 	running = make([]workload.TaskID, 0, len(s.running))

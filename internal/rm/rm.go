@@ -472,8 +472,6 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 			Task:     a.Task.ID,
 			Demand:   a.Task.Peak,
 			Duration: a.Task.PeakDuration(),
-			ReadMB:   a.Task.TotalInputMB(),
-			WriteMB:  a.Task.Work.WriteMB,
 		})
 	}
 	acted := len(asgs) > 0

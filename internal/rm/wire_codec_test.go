@@ -15,6 +15,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -209,8 +210,8 @@ func TestRetiredBeatFrameRefused(t *testing.T) {
 	}
 }
 
-// TestCodec1FrameRefused: a node of the previous build beats in the
-// retired binary codec 1. The RM drops that connection with nothing sent
+// TestCodec1FrameRefused: a node of an earlier build beats in a retired
+// binary codec, 1 or 2. The RM drops that connection with nothing sent
 // and nothing applied, while a session open beside it keeps being
 // served, before and after.
 func TestCodec1FrameRefused(t *testing.T) {
@@ -227,24 +228,29 @@ func TestCodec1FrameRefused(t *testing.T) {
 			t.Fatalf("beat %s: m=%+v err=%v", step, m, err)
 		}
 	}
-	beat("before the old peer")
+	beat("before the old peers")
 
-	old := dialRM(t, s.Addr())
-	// One beat of node 4 in codec 1's layout: its Used and Allocated,
-	// each one dimension of 2 cores, and no completions.
+	// One beat of node 4 using 2 cores: codec 1's layout carries Used and
+	// Allocated, each one dimension, codec 2's only Used — byte for byte
+	// the current layout — and neither any completions.
 	two := binary.LittleEndian.AppendUint64(nil, math.Float64bits(2))
-	body := append(append(append([]byte{0x07, 1, 8, 0, 1}, two...), 1), two...)
-	body = append(body, 0)
-	hdr := binary.BigEndian.AppendUint32([]byte{wire.Magic, 1}, uint32(len(body)))
-	if _, err := old.Write(append(hdr, body...)); err != nil {
-		t.Fatal(err)
+	used := append([]byte{0x07, 1, 8, 0, 1}, two...)
+	for codec, body := range map[byte][]byte{
+		1: slices.Concat(used, []byte{1}, two, []byte{0}),
+		2: slices.Concat(used, []byte{0}),
+	} {
+		old := dialRM(t, s.Addr())
+		hdr := binary.BigEndian.AppendUint32([]byte{wire.Magic, codec}, uint32(len(body)))
+		if _, err := old.Write(append(hdr, body...)); err != nil {
+			t.Fatal(err)
+		}
+		old.SetReadDeadline(time.Now().Add(3 * time.Second))
+		// Closed unread, the body left behind may turn the close into a reset.
+		if n, err := old.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("after a codec-%d beat: read %d bytes, err=%v; want the connection closed with nothing sent", codec, n, err)
+		}
 	}
-	old.SetReadDeadline(time.Now().Add(3 * time.Second))
-	// Closed unread, the body left behind may turn the close into a reset.
-	if n, err := old.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("after a codec-1 beat: read %d bytes, err=%v; want the connection closed with nothing sent", n, err)
-	}
-	beat("after the old peer")
+	beat("after the old peers")
 	core := s.Shard(0)
 	core.mu.Lock()
 	defer core.mu.Unlock()

@@ -2,7 +2,7 @@ package wire
 
 import "fmt"
 
-// Binary payload encoding (codec 2): a type byte followed by the
+// Binary payload encoding (codec 3): a type byte followed by the
 // type-specific body, built from the primitives in primitives.go;
 // booleans pack into per-message flag bytes.
 //
@@ -28,9 +28,9 @@ const (
 // to bytes the peer actually sent.
 const (
 	minCompletionSize = MinTaskIDSize + 1 + 8 // task + mask + duration
-	minLaunchSize     = MinTaskIDSize + 1 + 24
-	minBeatSize       = 1 + 1 + 1 + 1 // node + flags + mask + count
-	minBeatReplySize  = 1 + 1 + 4     // node + error len + reply
+	minLaunchSize     = MinTaskIDSize + 1 + 8 // task + mask + duration
+	minBeatSize       = 1 + 1 + 1 + 1         // node + flags + mask + count
+	minBeatReplySize  = 1 + 1 + 4             // node + error len + reply
 )
 
 func appendCompletions(b []byte, cs []TaskCompletion) []byte {
@@ -66,8 +66,6 @@ func appendNMReplyBody(b []byte, r *NMReply) []byte {
 		b = AppendTaskID(b, l.Task)
 		b = AppendVector(b, &l.Demand)
 		b = AppendFloat(b, l.Duration)
-		b = AppendFloat(b, l.ReadMB)
-		b = AppendFloat(b, l.WriteMB)
 	}
 	b = AppendCount(b, len(r.Kill))
 	for _, id := range r.Kill {
@@ -178,8 +176,6 @@ func (r *Reader) nmReplyBody(rep *NMReply) {
 			Task:     r.TaskID(),
 			Demand:   r.Vector(),
 			Duration: r.Float(),
-			ReadMB:   r.Float(),
-			WriteMB:  r.Float(),
 		})
 	}
 	n = r.Count(MinTaskIDSize)

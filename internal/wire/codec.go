@@ -43,12 +43,13 @@ const (
 	// It carries the cold control types and remains the fuzz oracle
 	// encoding.
 	CodecJSON Codec = 0
-	// CodecBinary is codec 2: the payload is the hand-rolled binary
-	// encoding (see binary.go) of a hot session type. Codec 1, the
-	// layout whose beats, launches, preemptions and AM replies carried
-	// fields no reader used, is retired: its frames fail as an unknown
-	// codec, never decode into a message.
-	CodecBinary Codec = 2
+	// CodecBinary is codec 3: the payload is the hand-rolled binary
+	// encoding (see binary.go) of a hot session type. Codecs 1 and 2,
+	// the layouts whose beats, launches, preemptions and AM replies
+	// carried fields no reader used (codec 2's launches still carried
+	// their tasks' read and write volumes), are retired: their frames
+	// fail as an unknown codec, never decode into a message.
+	CodecBinary Codec = 3
 )
 
 // Framer reads and writes frames on one connection, owning the

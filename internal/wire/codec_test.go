@@ -5,6 +5,7 @@ import (
 	binenc "encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -44,7 +45,7 @@ func codecCorpus() []*Message {
 		{Type: TypeNMReply, NMReply: &NMReply{
 			Launch: []TaskLaunch{{
 				Task:   workload.TaskID{Job: 1, Stage: 0, Index: 5},
-				Demand: resources.New(2, 4, 10, 10, 0, 0), Duration: 30, ReadMB: 100, WriteMB: 50,
+				Demand: resources.New(2, 4, 10, 10, 0, 0), Duration: 30,
 			}},
 			Kill:       []workload.TaskID{{Job: 4, Stage: 1, Index: 7}},
 			Preempt:    []TaskPreempt{{Task: workload.TaskID{Job: 5, Stage: 0, Index: 0}}},
@@ -208,8 +209,8 @@ func TestFramerFormats(t *testing.T) {
 // 999 is its node (2, zigzag varint), flags (1), an empty Used mask (1)
 // and no completions (1): 5. A reply entry is its node (2), an empty
 // error (1), flags (1) and three empty lists (3): 7. A launch of task
-// {1 0 5} is its TaskID (3), a two-dimension demand (1 + 16) and three
-// floats (24): 44. A preemption is its TaskID alone: 3. An AM reply
+// {1 0 5} is its TaskID (3), a two-dimension demand (1 + 16) and its
+// Duration (8): 28. A preemption is its TaskID alone: 3. An AM reply
 // with Done 3 and Total 8 is two varints (2), flags (1) and FinishedAt
 // (8) behind its header and type byte: 18.
 func TestSteadyStateFrameSizes(t *testing.T) {
@@ -241,7 +242,7 @@ func TestSteadyStateFrameSizes(t *testing.T) {
 	}
 	empty := &Message{Type: TypeNMReply, NMReply: &NMReply{}}
 	task := workload.TaskID{Job: 1, Stage: 0, Index: 5}
-	launch := TaskLaunch{Task: task, Demand: resources.New(2, 4, 0, 0, 0, 0), Duration: 30, ReadMB: 100, WriteMB: 50}
+	launch := TaskLaunch{Task: task, Demand: resources.New(2, 4, 0, 0, 0, 0), Duration: 30}
 	for _, tc := range []struct {
 		what      string
 		got, want int
@@ -251,7 +252,7 @@ func TestSteadyStateFrameSizes(t *testing.T) {
 		{"empty NMReply frame", size(empty), 11},
 		{"HeartbeatBatch entry", size(batch(2)) - size(batch(1)), 5},
 		{"HeartbeatBatchReply entry", size(replies(2)) - size(replies(1)), 7},
-		{"NMReply launch entry", size(&Message{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{launch}}}) - size(empty), 44},
+		{"NMReply launch entry", size(&Message{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{launch}}}) - size(empty), 28},
 		{"NMReply preempt entry", size(&Message{Type: TypeNMReply, NMReply: &NMReply{Preempt: []TaskPreempt{{Task: task}}}}) - size(empty), 3},
 		{"AMReply frame", size(&Message{Type: TypeAMReply, AMReply: &AMReply{Done: 3, Total: 8, Finished: true, FinishedAt: 12.5}}), 18},
 	} {
@@ -313,46 +314,54 @@ func TestV0FrameRefused(t *testing.T) {
 	}
 }
 
-// codec1Frame builds a frame of the retired binary codec 1 around body.
-func codec1Frame(body ...byte) []byte {
-	return append(binenc.BigEndian.AppendUint32([]byte{Magic, 1}, uint32(len(body))), body...)
+// retiredFrame builds a frame of a retired binary codec around body.
+func retiredFrame(codec byte, body ...byte) []byte {
+	return append(binenc.BigEndian.AppendUint32([]byte{Magic, codec}, uint32(len(body))), body...)
 }
 
-// TestCodec1FrameRefused: a peer of the previous build writes its hot
-// frames as codec 1, whose beats carried a second vector and whose
-// launches, preemptions and AM replies carried fields this layout
-// dropped. Each of the four bodies that changed fails as an unknown
-// codec after the header, on either side, and never decodes into a
-// message.
+// TestCodec1FrameRefused: a peer of an earlier build writes its hot
+// frames in a retired binary codec. Codec 1's beats carried a second
+// vector and its launches, preemptions and AM replies carried fields a
+// later layout dropped; codec 2's launches carried two floats more.
+// Each body fails as an unknown codec after the header, on either side,
+// and never decodes into a message — codec 2's beat too, although its
+// body is byte for byte the current layout's.
 func TestCodec1FrameRefused(t *testing.T) {
 	float := make([]byte, 8)
 	for name, data := range map[string][]byte{
 		// One beat: node 9, no flags, Used and Allocated empty, no completions.
-		"heartbeat batch": codec1Frame(0x07, 1, 18, 0, 0, 0, 0),
+		"codec-1 heartbeat batch": retiredFrame(1, 0x07, 1, 18, 0, 0, 0, 0),
 		// One launch of task {1 0 0} with its job ID, an empty demand and
 		// three zero floats; no kills; one preemption with job and gang.
-		"NM reply": codec1Frame(append(append([]byte{0x04, 0, 1, 2, 0, 0, 2, 0}, bytes.Repeat(float, 3)...), 0, 1, 2, 0, 0, 2, 22)...),
+		"codec-1 NM reply": retiredFrame(1, append(append([]byte{0x04, 0, 1, 2, 0, 0, 2, 0}, bytes.Repeat(float, 3)...), 0, 1, 2, 0, 0, 2, 22)...),
 		// One entry: node 9, no error, an empty NM reply.
-		"batch reply": codec1Frame(0x08, 1, 18, 0, 0, 0, 0, 0),
+		"codec-1 batch reply": retiredFrame(1, 0x08, 1, 18, 0, 0, 0, 0, 0),
 		// Job 11, done 3 of 8, finished, FinishedAt 0, no preemptions.
-		"AM reply": codec1Frame(append(append([]byte{0x06, 22, 6, 16, 1}, float...), 0)...),
+		"codec-1 AM reply": retiredFrame(1, append(append([]byte{0x06, 22, 6, 16, 1}, float...), 0)...),
+		// One beat: node 9, no flags, Used empty, no completions.
+		"codec-2 heartbeat batch": retiredFrame(2, 0x07, 1, 18, 0, 0, 0),
+		// One launch of task {1 0 0}, an empty demand and three zero
+		// floats (Duration, ReadMB, WriteMB); no kills, no preemptions.
+		"codec-2 NM reply": retiredFrame(2, append(append([]byte{0x04, 0, 1, 2, 0, 0, 0}, bytes.Repeat(float, 3)...), 0, 0)...),
 	} {
+		want := fmt.Sprintf("unknown codec byte 0x%02x", data[1])
 		for side, f := range map[string]*Framer{"client": NewFramer(CodecBinary), "server": NewServerFramer()} {
 			src := &countingReader{r: bytes.NewReader(data)}
 			m, err := f.Read(src)
-			if m != nil || err == nil || !strings.Contains(err.Error(), "unknown codec byte 0x01") {
-				t.Errorf("codec-1 %s, %s Framer: m=%+v err=%v, want an unknown-codec error", name, side, m, err)
+			if m != nil || err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s Framer: m=%+v err=%v, want an unknown-codec error", name, side, m, err)
 			}
 			if src.n != headerLen {
-				t.Errorf("codec-1 %s, %s Framer: consumed %d bytes, want the %d-byte header only", name, side, src.n, headerLen)
+				t.Errorf("%s, %s Framer: consumed %d bytes, want the %d-byte header only", name, side, src.n, headerLen)
 			}
 		}
 	}
 	// A JSON frame in the old layout still decodes: JSON ignores the
 	// fields this layout dropped, and keeps the rest.
 	for body, want := range map[string]string{
-		`{"type":"heartbeat-batch","heartbeatBatch":{"beats":[{"nodeID":9,"used":[1,0,0,0,0,0],"allocated":[2,0,0,0,0,0]}]}}`:                `{"type":"heartbeat-batch","heartbeatBatch":{"beats":[{"nodeID":9,"used":[1,0,0,0,0,0]}]}}`,
-		`{"type":"am-reply","amReply":{"jobID":11,"done":3,"total":8,"finished":false,"preemptions":2,"gangRelease":{"jobID":11,"held":3}}}`: `{"type":"am-reply","amReply":{"done":3,"total":8,"finished":false}}`,
+		`{"type":"heartbeat-batch","heartbeatBatch":{"beats":[{"nodeID":9,"used":[1,0,0,0,0,0],"allocated":[2,0,0,0,0,0]}]}}`:                              `{"type":"heartbeat-batch","heartbeatBatch":{"beats":[{"nodeID":9,"used":[1,0,0,0,0,0]}]}}`,
+		`{"type":"am-reply","amReply":{"jobID":11,"done":3,"total":8,"finished":false,"preemptions":2,"gangRelease":{"jobID":11,"held":3}}}`:               `{"type":"am-reply","amReply":{"done":3,"total":8,"finished":false}}`,
+		`{"type":"nm-reply","nmReply":{"launch":[{"task":{"Job":1,"Stage":0,"Index":5},"demand":[2,4,0,0,0,0],"duration":30,"readMB":100,"writeMB":50}]}}`: `{"type":"nm-reply","nmReply":{"launch":[{"task":{"Job":1,"Stage":0,"Index":5},"demand":[2,4,0,0,0,0],"duration":30}]}}`,
 	} {
 		m, err := NewServerFramer().Read(bytes.NewReader(frame(uint32(len(body)), []byte(body))))
 		if err != nil {

@@ -85,7 +85,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(frame(uint32(len(retired)), retired))
 	f.Add([]byte{Magic, byte(CodecBinary), 0, 0, 0, 6, 0x03, 18 /*node 9*/, 1 /*delta*/, 0, 0, 0})
 	// The retired codec 1: an idle beat in its layout, two vectors.
-	f.Add(codec1Frame(0x07, 1 /*one beat*/, 18 /*node 9*/, 0 /*flags*/, 0, 0 /*two empty vectors*/, 0 /*no completions*/))
+	f.Add(retiredFrame(1, 0x07, 1 /*one beat*/, 18 /*node 9*/, 0 /*flags*/, 0, 0 /*two empty vectors*/, 0 /*no completions*/))
+	// The retired codec 2: a launch of task {1 0 5} in its layout, an
+	// empty demand and three zero floats (Duration, ReadMB, WriteMB).
+	launch2 := append([]byte{0x04, 0 /*flags*/, 1 /*one launch*/, 2, 0, 10, 0 /*empty demand*/}, make([]byte, 24)...)
+	f.Add(retiredFrame(2, append(launch2, 0, 0 /*no kills, no preemptions*/)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf := NewServerFramer()

@@ -195,9 +195,6 @@ type TaskLaunch struct {
 	// Duration is the emulated execution time in (uncompressed) seconds;
 	// the node manager divides by its time-compression factor.
 	Duration float64 `json:"duration"`
-	// ReadMB/WriteMB drive the NM's token-bucket enforcement.
-	ReadMB  float64 `json:"readMB"`
-	WriteMB float64 `json:"writeMB"`
 }
 
 // TaskPreempt orders a node to evict one running task so a gang can be

@@ -22,7 +22,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		}),
 		{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{{
 			Task:   workload.TaskID{Job: 1, Stage: 0, Index: 5},
-			Demand: resources.New(2, 4, 10, 10, 0, 0), Duration: 30, ReadMB: 100, WriteMB: 50,
+			Demand: resources.New(2, 4, 10, 10, 0, 0), Duration: 30,
 		}}}},
 		{Type: TypeSubmitJob, SubmitJob: &SubmitJob{Job: &workload.Job{ID: 1, Name: "j", Weight: 1}, Tenant: "acme"}},
 		{Type: TypeAMHeartbeat, AMHeartbeat: &AMHeartbeat{JobID: 1}},
@@ -60,7 +60,7 @@ func TestPayloadFidelity(t *testing.T) {
 	var buf bytes.Buffer
 	in := &Message{Type: TypeNMReply, NMReply: &NMReply{Launch: []TaskLaunch{{
 		Task:   workload.TaskID{Job: 7, Stage: 1, Index: 9},
-		Demand: resources.New(0.5, 8, 40, 20, 300, 100), Duration: 42.5, ReadMB: 1024,
+		Demand: resources.New(0.5, 8, 40, 20, 300, 100), Duration: 42.5,
 	}}}}
 	f := NewFramer(CodecJSON)
 	if err := f.Write(&buf, in); err != nil {
@@ -71,7 +71,7 @@ func TestPayloadFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := out.NMReply.Launch[0]
-	if l.Task != (workload.TaskID{Job: 7, Stage: 1, Index: 9}) || l.Demand != in.NMReply.Launch[0].Demand || l.Duration != 42.5 || l.ReadMB != 1024 {
+	if l.Task != (workload.TaskID{Job: 7, Stage: 1, Index: 9}) || l.Demand != in.NMReply.Launch[0].Demand || l.Duration != 42.5 {
 		t.Errorf("payload mangled: %+v", l)
 	}
 }

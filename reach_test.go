@@ -23,13 +23,11 @@ import (
 // below the module; the value says why.
 var reachAllowed = map[string]string{
 	"internal/testutil.WaitFor":         "polling helper shared by the tests of several packages",
-	"internal/tokenbucket.newWithClock": "builds a bucket on a fake clock for tests",
 	"internal/rm.Sharded.SubmitJobAs":   "submits as a tenant, for admission tests",
 	"internal/rm.Sharded.LiveNodes":     "observer the rm, nm and hollow tests poll",
 	"internal/rm.Sharded.ResyncPending": "observer the restart tests poll",
 	"internal/rm.admission.queuedJobs":  "observer the admission tests read",
 	"internal/rm.admission.backlog":     "observer the admission tests read",
-	"internal/nm.Node.Launched":         "observer the nm tests read",
 }
 
 // listedPackage is the part of `go list -json` the reachability pass reads.
