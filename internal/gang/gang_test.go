@@ -3,6 +3,7 @@ package gang
 import (
 	"testing"
 
+	"github.com/tetris-sched/tetris/internal/reserve"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -57,6 +58,18 @@ func apply(v *scheduler.View, asgs []scheduler.Assignment) {
 			v.Machines[rc.Machine].Allocated = v.Machines[rc.Machine].Allocated.Add(rc.Charge)
 		}
 	}
+}
+
+// hoard returns the machines gang job id holds in c's reservation table,
+// in ascending ID order.
+func hoard(c *Coordinator, id int) []int {
+	var mids []int
+	c.res.Each(func(mid int, r reserve.Reservation) {
+		if r.Kind == reserve.Gang && r.Holder == id {
+			mids = append(mids, mid)
+		}
+	})
+	return mids
 }
 
 func newCoord(cfg Config) *Coordinator {
@@ -152,12 +165,12 @@ func TestHoardTimeoutAndRelease(t *testing.T) {
 	if len(dec.Assignments) != 0 {
 		t.Fatalf("partial gang launched")
 	}
-	if got := len(c.res.HolderMachines(1)); got != 4 {
+	if got := len(hoard(c, 1)); got != 4 {
 		t.Fatalf("hoard holds %d machines, want 4", got)
 	}
 	// Before expiry the hoard persists.
 	dec = c.Decide(mk(5), nil)
-	if len(dec.Releases) != 0 || len(c.res.HolderMachines(1)) != 4 {
+	if len(dec.Releases) != 0 || len(hoard(c, 1)) != 4 {
 		t.Fatalf("hoard released early: %+v", dec.Releases)
 	}
 	// Past HoldSec: released, cooldown entered.
@@ -165,17 +178,17 @@ func TestHoardTimeoutAndRelease(t *testing.T) {
 	if len(dec.Releases) != 1 || dec.Releases[0].JobID != 1 || dec.Releases[0].Held != 4 {
 		t.Fatalf("releases = %+v", dec.Releases)
 	}
-	if got := len(c.res.HolderMachines(1)); got != 0 {
+	if got := len(hoard(c, 1)); got != 0 {
 		t.Fatalf("hoard survives its release: %d machines", got)
 	}
 	// During cooldown: no new hoard.
 	c.Decide(mk(15), nil)
-	if got := len(c.res.HolderMachines(1)); got != 0 {
+	if got := len(hoard(c, 1)); got != 0 {
 		t.Fatalf("hoarded during cooldown: %d machines", got)
 	}
 	// After cooldown: hoarding resumes.
 	c.Decide(mk(22), nil)
-	if got := len(c.res.HolderMachines(1)); got != 4 {
+	if got := len(hoard(c, 1)); got != 4 {
 		t.Fatalf("hoard not rebuilt after cooldown: %d machines", got)
 	}
 }
@@ -190,11 +203,11 @@ func TestHoardClosesMachinesToInner(t *testing.T) {
 	v.Machines[4].Allocated = resources.New(16, 32, 0, 0, 0, 0)
 	v.Machines[5].Allocated = resources.New(16, 32, 0, 0, 0, 0)
 	dec := c.Decide(v, nil)
-	if got := len(c.res.HolderMachines(1)); got != 4 {
+	if got := len(hoard(c, 1)); got != 4 {
 		t.Fatalf("hoard holds %d machines, want 4", got)
 	}
 	hoarded := map[int]bool{}
-	for _, mid := range c.res.HolderMachines(1) {
+	for _, mid := range hoard(c, 1) {
 		hoarded[mid] = true
 	}
 	for _, a := range dec.Assignments {
@@ -217,7 +230,7 @@ func TestInfeasibleGangNeverHoards(t *testing.T) {
 		v := mkView(4, machine, g, prey)
 		v.Time = now
 		dec := c.Decide(v, running)
-		if got := len(c.res.HolderMachines(1)); got != 0 {
+		if got := len(hoard(c, 1)); got != 0 {
 			t.Fatalf("t=%v: infeasible gang hoarded %d machines", now, got)
 		}
 		if len(dec.Preemptions) != 0 {
