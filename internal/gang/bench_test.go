@@ -32,7 +32,7 @@ func benchWorld(gang bool) (*scheduler.View, []Running) {
 			j.Status.MarkRunning(tid)
 			j.Alloc = j.Alloc.Add(small)
 			v.Machines[m].Allocated = v.Machines[m].Allocated.Add(small)
-			running = append(running, Running{Task: tid, Machine: m, Demand: small})
+			running = append(running, Running{Task: tid, Job: j.Job, Demand: small})
 		}
 		v.Jobs = append(v.Jobs, j)
 	}
@@ -76,16 +76,17 @@ func BenchmarkGangDecide(b *testing.B) {
 // held machines and preempts preempted tasks, then times b.N rounds,
 // moving the View's clock by step before each round.
 func benchDecide(b *testing.B, c *Coordinator, v *scheduler.View, running []Running, step float64, held, preempted int) {
-	c.Decide(v, running)
+	run := listed(running)
+	c.Decide(v, run)
 	v.Time += step
-	if dec := c.Decide(v, running); len(hoard(c, 100)) != held || len(dec.Preemptions) != preempted {
+	if dec := c.Decide(v, run); len(hoard(c, 100)) != held || len(dec.Preempted) != preempted {
 		b.Fatalf("round holds %d machines and preempts %d tasks, want %d and %d",
-			len(hoard(c, 100)), len(dec.Preemptions), held, preempted)
+			len(hoard(c, 100)), len(dec.Preempted), held, preempted)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.Time += step
-		c.Decide(v, running)
+		c.Decide(v, run)
 	}
 }

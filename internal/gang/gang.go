@@ -26,7 +26,8 @@
 package gang
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/tetris-sched/tetris/internal/reserve"
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -72,46 +73,26 @@ func (c Config) withDefaults() Config {
 // preemption victim. The caller (RM or simulator) supplies the list;
 // order does not matter — the coordinator sorts deterministically.
 type Running struct {
-	Task    workload.TaskID
-	Machine int
+	Task workload.TaskID
+	// Job is the task's job: its Preemptible and Priority pick victims.
+	Job *workload.Job
 	// Demand is the local demand charged for the task, used to decide
 	// how many victims cover a gang's deficit.
 	Demand resources.Vector
 }
 
-// Preemption is one eviction decision: kill Task to make room for gang
-// ForJob. The caller requeues the task through the normal attempt
-// accounting.
-type Preemption struct {
-	Task   workload.TaskID
-	ForJob int
-}
-
-// Commit records a gang whose quorum launched this round.
-type Commit struct {
-	JobID int
-	// WaitSec is the admission latency: time from when the gang first
-	// wanted quorum to this commit.
-	WaitSec float64
-	// Members is the number of tasks launched in the commit.
-	Members int
-}
-
-// Release records a hoard timeout: the gang's held machines returned
-// to the pool.
-type Release struct {
-	JobID int
-	// Held is the number of machines whose hoarded capacity was
-	// released.
-	Held int
-}
-
-// Decision is one round's full output.
+// Decision is one round's output. Its slices are the coordinator's
+// scratch: the next Decide reuses them.
 type Decision struct {
 	Assignments []scheduler.Assignment
-	Preemptions []Preemption
-	Commits     []Commit
-	Releases    []Release
+	// Preempted lists the running tasks to evict; the caller requeues
+	// each through its normal attempt accounting.
+	Preempted []workload.TaskID
+	// CommitWaits holds, for each gang whose quorum launched this round,
+	// its admission latency: the time since it first wanted quorum.
+	CommitWaits []float64
+	// Releases counts the hoards the hold timeout returned to the pool.
+	Releases int
 }
 
 // reservationHolder is implemented by inner schedulers (Tetris) that
@@ -120,6 +101,31 @@ type Decision struct {
 // starvation guard never reserves a hoarded machine.
 type reservationHolder interface {
 	Reservations() *reserve.Table
+}
+
+// record is one gang job's soft state. It lives from the round the gang
+// first waits for quorum until the round it commits, finds its quorum
+// met, or is missing from the View.
+type record struct {
+	state *scheduler.JobState // this round's
+	need  int                 // members still to launch for quorum, this round
+	seen  uint64              // the round that last stamped the record
+	// waitSince is when the gang first wanted (and could not get)
+	// quorum. Admission latency and service order derive from it.
+	waitSince float64
+	// hoarding is set while a hoard epoch is open, since hoardSince.
+	hoarding   bool
+	hoardSince float64
+	// noHoardUntil is the cooldown gate after a timed-out hoard.
+	noHoardUntil float64
+	// lastPreempt spaces the gang's preemption waves.
+	lastPreempt float64
+}
+
+// victim is one preemption candidate of the round.
+type victim struct {
+	Running
+	taken bool // evicted this round
 }
 
 // Coordinator implements gang admission around an inner scheduler. It
@@ -133,29 +139,38 @@ type Coordinator struct {
 	// false the coordinator must hide hoarded machines from the inner
 	// scheduler by charging them in the view.
 	shared bool
-	// waitSince is when each gang job first wanted (and could not get)
-	// quorum; cleared on commit. Admission latency derives from it.
-	waitSince map[int]float64
-	// hoardSince is when the gang's current hoard epoch began.
-	hoardSince map[int]float64
-	// hoardHeld is the machine count of the gang's hoard last round.
-	hoardHeld map[int]int
-	// noHoardUntil is the cooldown gate after a timed-out hoard.
-	noHoardUntil map[int]float64
-	// lastPreempt spaces preemption waves per gang.
-	lastPreempt map[int]float64
+	// jobs holds the record of every gang job waiting for quorum.
+	jobs map[int]*record
+	// round numbers the rounds that were not idle; it stamps records.
+	round uint64
+
+	// Scratch of one round, reused by the next.
+	gangs     []*record             // the waiting gangs, in service order
+	innerJobs []*scheduler.JobState // the jobs the inner round sees
+	free      []resources.Vector    // round-start free, less commits and hoards
+	scratch   []resources.Vector    // placeGang's copy of free
+	members   []*workload.Task      // the pending members of one gang
+	placed    []scheduler.Assignment
+	victims   []victim
+	listed    uint64 // the round victims was built for
+	charge    map[int]resources.Vector
+	saved     []savedMachine
+	dec       Decision
+}
+
+// savedMachine is a machine's ledger as the inner round found it.
+type savedMachine struct {
+	id         int
+	alloc, rep resources.Vector
 }
 
 // New wraps inner with a gang coordinator.
 func New(inner scheduler.Scheduler, cfg Config) *Coordinator {
 	c := &Coordinator{
-		inner:        inner,
-		cfg:          cfg.withDefaults(),
-		waitSince:    make(map[int]float64),
-		hoardSince:   make(map[int]float64),
-		hoardHeld:    make(map[int]int),
-		noHoardUntil: make(map[int]float64),
-		lastPreempt:  make(map[int]float64),
+		inner:  inner,
+		cfg:    cfg.withDefaults(),
+		jobs:   make(map[int]*record),
+		charge: make(map[int]resources.Vector),
 	}
 	if rh, ok := inner.(reservationHolder); ok {
 		c.res = rh.Reservations()
@@ -171,9 +186,6 @@ func (c *Coordinator) Name() string { return "gang+" + c.inner.Name() }
 
 // Inner returns the wrapped scheduler.
 func (c *Coordinator) Inner() scheduler.Scheduler { return c.inner }
-
-// Config returns the coordinator's effective configuration.
-func (c *Coordinator) Config() Config { return c.cfg }
 
 // Schedule implements scheduler.Scheduler for callers that cannot act
 // on preemptions: it decides with no preemption victims available.
@@ -192,14 +204,13 @@ func gangNeed(j *scheduler.JobState) int {
 	return q - done - running
 }
 
-// Feasible reports whether gang job j could ever be co-placed on the
-// live machines of v: every pending member's demand must fit some live
-// machine's total capacity, and the aggregate local demand must fit
-// the aggregate live capacity. Infeasible gangs neither hoard nor
-// preempt — the same max-peak rule the starvation guard applies before
-// reserving a machine.
-func Feasible(v *scheduler.View, j *scheduler.JobState) bool {
-	pending := j.Status.AppendPending(0, j.Status.PendingInStage(0), nil)
+// feasible reports whether gang job j, whose pending members are
+// pending, could ever be co-placed on the live machines of v: every
+// pending member's demand must fit some live machine's total capacity,
+// and the aggregate local demand must fit the aggregate live capacity.
+// Infeasible gangs neither hoard nor preempt — the same max-peak rule
+// the starvation guard applies before reserving a machine.
+func feasible(v *scheduler.View, j *scheduler.JobState, pending []*workload.Task) bool {
 	var totalLive, sum resources.Vector
 	for _, m := range v.Machines {
 		if !m.Down {
@@ -228,327 +239,250 @@ func Feasible(v *scheduler.View, j *scheduler.JobState) bool {
 
 // Decide runs one round: gang admission first, then the inner
 // scheduler over the remaining capacity and non-gang (or
-// quorum-satisfied) jobs. running lists currently running tasks as
-// preemption candidates; nil disables preemption.
-func (c *Coordinator) Decide(v *scheduler.View, running []Running) Decision {
-	if c.idle(v) {
-		// Digest-neutral fast path: no gang jobs, no hoards, no wait
-		// state — hand the untouched view to the inner scheduler.
+// quorum-satisfied) jobs. running lists the currently running tasks as
+// preemption candidates; Decide calls it only in a round in which some
+// gang is due to preempt, and a nil running disables preemption.
+func (c *Coordinator) Decide(v *scheduler.View, running func() []Running) Decision {
+	if len(c.jobs) == 0 && !hasGang(v) {
+		// Digest-neutral fast path: no gang jobs and no gang state —
+		// hand the untouched view to the inner scheduler.
 		return Decision{Assignments: c.inner.Schedule(v)}
 	}
 	now := v.Time
-	byJob := make(map[int]*scheduler.JobState, len(v.Jobs))
-	for _, j := range v.Jobs {
-		byJob[j.Job.ID] = j
-	}
-	c.sweep(byJob)
+	c.beginRound(v)
 
 	// Round-start free ledger, before any hoard charges: gang commits
 	// are decided against what is genuinely free right now.
-	free := make([]resources.Vector, len(v.Machines))
-	for i, m := range v.Machines {
-		free[i] = m.FreePacking()
+	c.free = c.free[:0]
+	for _, m := range v.Machines {
+		c.free = append(c.free, m.FreePacking())
 	}
 	// Drop last round's hoards — they are recomputed from scratch
-	// below, against this round's pending membership.
+	// below, against this round's pending membership. A departed
+	// gang's hoard goes with them.
 	c.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
 		return r.Kind == reserve.Gang
 	}, nil)
 
-	var dec Decision
-
-	// Unsatisfied gangs in deterministic service order: highest
-	// priority first, then longest waiting, then lowest job ID.
-	var gangs []*scheduler.JobState
-	for _, j := range v.Jobs { // ascending job-ID order
-		if !j.Job.Gang {
-			continue
-		}
-		if gangNeed(j) <= 0 {
-			c.clearJob(j.Job.ID)
-			continue
-		}
-		if _, ok := c.waitSince[j.Job.ID]; !ok {
-			c.waitSince[j.Job.ID] = now
-		}
-		gangs = append(gangs, j)
-	}
-	sort.SliceStable(gangs, func(a, b int) bool {
-		ja, jb := gangs[a], gangs[b]
-		if ja.Job.Priority != jb.Job.Priority {
-			return ja.Job.Priority > jb.Job.Priority
-		}
-		wa, wb := c.waitSince[ja.Job.ID], c.waitSince[jb.Job.ID]
-		if wa != wb {
-			return wa < wb
-		}
-		return ja.Job.ID < jb.Job.ID
-	})
-
-	victims := c.sortVictims(running, byJob)
-	victimized := make(map[workload.TaskID]bool)
-	preempted := 0
-
-	for _, j := range gangs {
-		id := j.Job.ID
-		need := gangNeed(j)
-		members := j.Status.AppendPending(0, j.Status.PendingInStage(0), nil)
-		placed := c.placeGang(v, j, members, need, free)
-		if len(placed) >= need {
+	dec := &c.dec
+	*dec = Decision{Assignments: dec.Assignments[:0], Preempted: dec.Preempted[:0], CommitWaits: dec.CommitWaits[:0]}
+	for _, g := range c.gangs {
+		j := g.state
+		c.members = j.Status.AppendPending(0, j.Status.PendingInStage(0), c.members[:0])
+		placed := c.placeGang(v, g)
+		if len(placed) >= g.need {
 			// Commit: the whole quorum launches this round, charged
 			// against the shared free ledger.
 			for _, p := range placed {
 				dec.Assignments = append(dec.Assignments, p)
-				free[p.Machine] = free[p.Machine].Sub(p.Local).Max(resources.Vector{})
+				c.free[p.Machine] = c.free[p.Machine].Sub(p.Local).Max(resources.Vector{})
 			}
-			dec.Commits = append(dec.Commits, Commit{
-				JobID:   id,
-				WaitSec: now - c.waitSince[id],
-				Members: len(placed),
-			})
-			c.clearJob(id)
+			dec.CommitWaits = append(dec.CommitWaits, now-g.waitSince)
+			delete(c.jobs, j.Job.ID)
 			continue
 		}
 		// Quorum not met: nothing launches (all-or-nothing). Decide
 		// whether to hoard the partial placement, and whether the wait
 		// has earned a preemption wave.
-		feasible := Feasible(v, j)
-		if feasible && now-c.waitSince[id] >= c.cfg.PreemptSec &&
-			now-c.lastPreempt[id] >= c.cfg.PreemptSec &&
-			preempted < maxPreemptPerRound {
-			evs := c.preemptFor(v, j, members, need, placed, victims, victimized,
-				maxPreemptPerRound-preempted)
-			if len(evs) > 0 {
-				dec.Preemptions = append(dec.Preemptions, evs...)
-				preempted += len(evs)
-				c.lastPreempt[id] = now
-			}
+		fits := feasible(v, j, c.members)
+		if fits && running != nil && now-g.waitSince >= c.cfg.PreemptSec &&
+			now-g.lastPreempt >= c.cfg.PreemptSec &&
+			len(dec.Preempted) < maxPreemptPerRound &&
+			c.preemptFor(v, g, placed, running) {
+			g.lastPreempt = now
 		}
-		if hs, ok := c.hoardSince[id]; ok && now-hs >= c.cfg.HoldSec {
+		if g.hoarding && now-g.hoardSince >= c.cfg.HoldSec {
 			// Timeout-and-release: return the hoarded capacity and
 			// enter cooldown so the next hoard epoch cannot start
 			// immediately.
-			dec.Releases = append(dec.Releases, Release{JobID: id, Held: c.hoardHeld[id]})
-			delete(c.hoardSince, id)
-			delete(c.hoardHeld, id)
-			c.noHoardUntil[id] = now + c.cfg.HoldSec
-		} else if feasible && now >= c.noHoardUntil[id] && len(placed) > 0 {
+			dec.Releases++
+			g.hoarding = false
+			g.noHoardUntil = now + c.cfg.HoldSec
+		} else if fits && now >= g.noHoardUntil && len(placed) > 0 {
 			for _, p := range placed {
 				cur, _ := c.res.Get(p.Machine)
 				c.res.Put(p.Machine, reserve.Reservation{
 					Kind:     reserve.Gang,
-					Holder:   id,
+					Holder:   j.Job.ID,
 					Capacity: cur.Capacity.Add(p.Local),
 					Expires:  now + c.cfg.HoldSec,
 				})
-				free[p.Machine] = free[p.Machine].Sub(p.Local).Max(resources.Vector{})
+				c.free[p.Machine] = c.free[p.Machine].Sub(p.Local).Max(resources.Vector{})
 			}
-			if _, ok := c.hoardSince[id]; !ok {
-				c.hoardSince[id] = now
+			if !g.hoarding {
+				g.hoarding, g.hoardSince = true, now
 			}
-			c.hoardHeld[id] = len(c.res.HolderMachines(id))
 		}
 	}
 
 	// Inner round: non-gang and quorum-satisfied jobs, over a view with
 	// the gang commits charged (and, when the reservation table is not
 	// shared, hoarded machines closed).
-	dec.Assignments = append(dec.Assignments, c.innerRound(v, dec.Assignments)...)
-	return dec
+	dec.Assignments = append(dec.Assignments, c.innerRound(v)...)
+	return *dec
 }
 
-// idle reports whether the round can take the digest-neutral fast
-// path.
-func (c *Coordinator) idle(v *scheduler.View) bool {
-	if c.res.Len() > 0 && !c.shared {
-		return false
-	}
-	if c.shared {
-		// Gang-kind entries mean live hoards even if no gang job is
-		// visible this round (it may have just departed).
-		gangHeld := false
-		c.res.Each(func(_ int, r reserve.Reservation) {
-			if r.Kind == reserve.Gang {
-				gangHeld = true
-			}
-		})
-		if gangHeld {
-			return false
-		}
-	}
-	if len(c.waitSince) > 0 || len(c.hoardSince) > 0 ||
-		len(c.noHoardUntil) > 0 || len(c.lastPreempt) > 0 {
-		return false
-	}
+// hasGang reports whether v shows a gang job.
+func hasGang(v *scheduler.View) bool {
 	for _, j := range v.Jobs {
 		if j.Job.Gang {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }
 
-// sweep drops soft state for jobs no longer in the view, and any hoard
-// whose holder departed.
-func (c *Coordinator) sweep(byJob map[int]*scheduler.JobState) {
-	for id := range c.waitSince {
-		if byJob[id] == nil {
-			delete(c.waitSince, id)
+// beginRound stamps the record of every gang job of v still short of
+// quorum, creating it the first round the gang waits, and drops the
+// record of a gang whose quorum is met and of every job missing from v.
+// It leaves the stamped records in c.gangs in service order — highest
+// priority first, then longest waiting, then lowest job ID — and the
+// jobs the inner round may see in c.innerJobs, in View order.
+func (c *Coordinator) beginRound(v *scheduler.View) {
+	c.round++
+	c.gangs, c.innerJobs = c.gangs[:0], c.innerJobs[:0]
+	for _, j := range v.Jobs {
+		if !j.Job.Gang {
+			c.innerJobs = append(c.innerJobs, j)
+			continue
+		}
+		need := gangNeed(j)
+		if need <= 0 {
+			delete(c.jobs, j.Job.ID)
+			c.innerJobs = append(c.innerJobs, j)
+			continue
+		}
+		g := c.jobs[j.Job.ID]
+		if g == nil {
+			g = &record{waitSince: v.Time}
+			c.jobs[j.Job.ID] = g
+		}
+		g.state, g.need, g.seen = j, need, c.round
+		c.gangs = append(c.gangs, g)
+	}
+	if len(c.jobs) > len(c.gangs) {
+		for id, g := range c.jobs {
+			if g.seen != c.round {
+				delete(c.jobs, id)
+			}
 		}
 	}
-	for id := range c.hoardSince {
-		if byJob[id] == nil {
-			delete(c.hoardSince, id)
-			delete(c.hoardHeld, id)
-		}
-	}
-	for id := range c.noHoardUntil {
-		if byJob[id] == nil {
-			delete(c.noHoardUntil, id)
-		}
-	}
-	for id := range c.lastPreempt {
-		if byJob[id] == nil {
-			delete(c.lastPreempt, id)
-		}
-	}
-	c.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
-		return r.Kind == reserve.Gang && byJob[r.Holder] == nil
-	}, nil)
+	slices.SortStableFunc(c.gangs, func(a, b *record) int {
+		return cmp.Or(cmp.Compare(b.state.Job.Priority, a.state.Job.Priority),
+			cmp.Compare(a.waitSince, b.waitSince),
+			cmp.Compare(a.state.Job.ID, b.state.Job.ID))
+	})
 }
 
-// clearJob drops all per-gang soft state (on commit or quorum
-// satisfaction).
-func (c *Coordinator) clearJob(id int) {
-	delete(c.waitSince, id)
-	delete(c.hoardSince, id)
-	delete(c.hoardHeld, id)
-	delete(c.noHoardUntil, id)
-	delete(c.lastPreempt, id)
-	c.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
-		return r.Kind == reserve.Gang && r.Holder == id
-	}, nil)
-}
-
-// placeGang first-fits as many of the gang's pending members as it can
-// against a copy of the free ledger, visiting machines in ascending ID
-// order. It stops once need members are placed. Machines reserved for
-// other holders (starved tasks, other gangs' hoards) are closed. Gang
-// members are charged local demand only; their input-block remote
-// charges are intentionally not modeled (ML/MPI gangs are generated
-// without input locality), which keeps the all-or-nothing commit a
-// pure function of the free ledger.
-func (c *Coordinator) placeGang(v *scheduler.View, j *scheduler.JobState, members []*workload.Task, need int, free []resources.Vector) []scheduler.Assignment {
-	if need <= 0 || len(members) < need {
-		return nil
+// placeGang first-fits as many of gang g's pending members (c.members)
+// as it can against a copy of the free ledger, visiting machines in
+// ascending ID order. It stops once g.need members are placed. Machines
+// reserved for other holders (starved tasks, other gangs' hoards) are
+// closed. Gang members are charged local demand only; their input-block
+// remote charges are intentionally not modeled (ML/MPI gangs are
+// generated without input locality), which keeps the all-or-nothing
+// commit a pure function of the free ledger. The placements, in member
+// order, are valid until the next call.
+func (c *Coordinator) placeGang(v *scheduler.View, g *record) []scheduler.Assignment {
+	c.placed = c.placed[:0]
+	if len(c.members) < g.need {
+		return c.placed
 	}
-	scratch := make([]resources.Vector, len(free))
-	copy(scratch, free)
-	var placed []scheduler.Assignment
-	for _, task := range members {
-		if len(placed) >= need {
+	c.scratch = append(c.scratch[:0], c.free...)
+	for _, task := range c.members {
+		if len(c.placed) >= g.need {
 			break
 		}
-		peak := v.DemandPeak(j, task)
+		peak := v.DemandPeak(g.state, task)
 		for _, m := range v.Machines {
 			if m.Down {
 				continue
 			}
-			if r, held := c.res.Get(m.ID); held && r.Holder != j.Job.ID {
+			if r, held := c.res.Get(m.ID); held && r.Holder != g.state.Job.ID {
 				continue
 			}
 			d := scheduler.EffectiveDemand(peak, task, m.ID)
-			if !d.FitsIn(scratch[m.ID]) {
+			if !d.FitsIn(c.scratch[m.ID]) {
 				continue
 			}
-			scratch[m.ID] = scratch[m.ID].Sub(d).Max(resources.Vector{})
-			placed = append(placed, scheduler.Assignment{Task: task, Machine: m.ID, Local: d})
+			c.scratch[m.ID] = c.scratch[m.ID].Sub(d).Max(resources.Vector{})
+			c.placed = append(c.placed, scheduler.Assignment{Task: task, Machine: m.ID, Local: d})
 			break
 		}
 	}
-	return placed
+	return c.placed
 }
 
-// sortVictims filters running tasks down to preemptible ones and
-// orders them lowest priority first (then job ID, stage, index) — the
-// deterministic eviction order.
-func (c *Coordinator) sortVictims(running []Running, byJob map[int]*scheduler.JobState) []Running {
-	var out []Running
-	for _, r := range running {
-		j := byJob[r.Task.Job]
-		if j == nil || !j.Job.Preemptible {
-			continue
-		}
-		out = append(out, r)
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ja, jb := byJob[out[a].Task.Job], byJob[out[b].Task.Job]
-		if ja.Job.Priority != jb.Job.Priority {
-			return ja.Job.Priority < jb.Job.Priority
-		}
-		return out[a].Task.Less(out[b].Task)
-	})
-	return out
-}
-
-// preemptFor picks victims for one gang: strictly lower-priority
-// preemptible running tasks, lowest priority first, until their freed
-// demand covers the gang's placement deficit or the per-round cap is
-// hit. The freed capacity materializes next round, once the NM kills
+// preemptFor evicts victims for gang g, which placed only placed of its
+// members: strictly lower-priority preemptible running tasks, lowest
+// priority first, until their freed demand covers the gang's placement
+// deficit or the per-round cap is hit. It reports whether it evicted
+// any. The freed capacity materializes next round, once the NM kills
 // land; this round the gang keeps waiting.
-func (c *Coordinator) preemptFor(v *scheduler.View, j *scheduler.JobState, members []*workload.Task, need int, placed []scheduler.Assignment, victims []Running, victimized map[workload.TaskID]bool, budget int) []Preemption {
+func (c *Coordinator) preemptFor(v *scheduler.View, g *record, placed []scheduler.Assignment, running func() []Running) bool {
 	// Deficit: the aggregate local demand of the needed members that
-	// first-fit failed to find room for.
-	short := need - len(placed)
-	if short <= 0 {
-		return nil
-	}
+	// first-fit failed to find room for. placed is a subsequence of
+	// c.members.
 	var deficit resources.Vector
-	counted := make(map[workload.TaskID]bool, len(placed))
-	for _, p := range placed {
-		counted[p.Task.ID] = true
-	}
-	n := 0
-	for _, task := range members {
-		if counted[task.ID] || n >= short {
+	k, n := 0, 0
+	for _, task := range c.members {
+		if n == g.need-len(placed) {
+			break
+		}
+		if k < len(placed) && placed[k].Task == task {
+			k++
 			continue
 		}
-		deficit = deficit.Add(scheduler.LocalDemand(v.DemandPeak(j, task)))
+		deficit = deficit.Add(scheduler.LocalDemand(v.DemandPeak(g.state, task)))
 		n++
 	}
-	var out []Preemption
+	budget := maxPreemptPerRound - len(c.dec.Preempted)
+	evicted := 0
 	var freed resources.Vector
-	for _, vic := range victims {
-		if len(out) >= budget {
-			break
-		}
-		if victimized[vic.Task] {
-			continue
-		}
-		vj := byJobLookup(v, vic.Task.Job)
-		if vj == nil || vj.Job.Priority >= j.Job.Priority {
+	for i := range c.candidates(running) {
+		vic := &c.victims[i]
+		if evicted >= budget || vic.Job.Priority >= g.state.Job.Priority {
 			// Only strictly lower-priority tasks may be evicted; the
 			// victim list is sorted ascending by priority, so nothing
 			// later qualifies either.
 			break
 		}
-		victimized[vic.Task] = true
-		out = append(out, Preemption{Task: vic.Task, ForJob: j.Job.ID})
+		if vic.taken {
+			continue
+		}
+		vic.taken = true
+		c.dec.Preempted = append(c.dec.Preempted, vic.Task)
+		evicted++
 		freed = freed.Add(vic.Demand)
 		if deficit.FitsIn(freed) {
 			break
 		}
 	}
-	return out
+	return evicted > 0
 }
 
-func byJobLookup(v *scheduler.View, id int) *scheduler.JobState {
-	for _, j := range v.Jobs {
-		if j.Job.ID == id {
-			return j
+// candidates returns the round's preemption candidates: the preemptible
+// running tasks, lowest priority first (then job ID, stage, index) — the
+// deterministic eviction order. The first call of a round lists them
+// from running; later calls return the same list.
+func (c *Coordinator) candidates(running func() []Running) []victim {
+	if c.listed == c.round {
+		return c.victims
+	}
+	c.listed = c.round
+	c.victims = c.victims[:0]
+	for _, r := range running() {
+		if r.Job.Preemptible {
+			c.victims = append(c.victims, victim{Running: r})
 		}
 	}
-	return nil
+	slices.SortStableFunc(c.victims, func(a, b victim) int {
+		return cmp.Or(cmp.Compare(a.Job.Priority, b.Job.Priority),
+			cmp.Compare(a.Task.Job, b.Task.Job),
+			cmp.Compare(a.Task.Stage, b.Task.Stage),
+			cmp.Compare(a.Task.Index, b.Task.Index))
+	})
+	return c.victims
 }
 
 // innerRound runs the wrapped scheduler over the non-gang slice of the
@@ -558,43 +492,31 @@ func byJobLookup(v *scheduler.View, id int) *scheduler.JobState {
 // shared with the inner scheduler — hoarded machines are closed by
 // charging their full capacity. All mutations are restored before
 // returning; Scheduler implementations must not see them persist.
-func (c *Coordinator) innerRound(v *scheduler.View, gangAsgs []scheduler.Assignment) []scheduler.Assignment {
-	inner := *v
-	inner.Jobs = make([]*scheduler.JobState, 0, len(v.Jobs))
-	for _, j := range v.Jobs {
-		if j.Job.Gang && gangNeed(j) > 0 {
-			continue
-		}
-		inner.Jobs = append(inner.Jobs, j)
-	}
-	charge := make(map[int]resources.Vector)
-	for _, a := range gangAsgs {
-		charge[a.Machine] = charge[a.Machine].Add(a.Local)
+func (c *Coordinator) innerRound(v *scheduler.View) []scheduler.Assignment {
+	clear(c.charge)
+	for _, a := range c.dec.Assignments {
+		c.charge[a.Machine] = c.charge[a.Machine].Add(a.Local)
 	}
 	if !c.shared {
 		c.res.Each(func(mid int, r reserve.Reservation) {
 			if r.Kind == reserve.Gang && mid < len(v.Machines) {
-				charge[mid] = charge[mid].Add(v.Machines[mid].Capacity)
+				c.charge[mid] = c.charge[mid].Add(v.Machines[mid].Capacity)
 			}
 		})
 	}
-	type saved struct {
-		alloc, rep resources.Vector
-	}
-	restore := make(map[int]saved, len(charge))
-	for mid, ch := range charge {
-		if mid >= len(v.Machines) {
-			continue
-		}
+	c.saved = c.saved[:0]
+	for mid, ch := range c.charge {
 		m := v.Machines[mid]
-		restore[mid] = saved{m.Allocated, m.Reported}
+		c.saved = append(c.saved, savedMachine{mid, m.Allocated, m.Reported})
 		m.Allocated = m.Allocated.Add(ch)
 		m.Reported = m.Reported.Add(ch)
 	}
+	inner := *v
+	inner.Jobs = c.innerJobs
 	out := c.inner.Schedule(&inner)
-	for mid, s := range restore {
-		v.Machines[mid].Allocated = s.alloc
-		v.Machines[mid].Reported = s.rep
+	for _, s := range c.saved {
+		v.Machines[s.id].Allocated = s.alloc
+		v.Machines[s.id].Reported = s.rep
 	}
 	return out
 }

@@ -72,6 +72,11 @@ func hoard(c *Coordinator, id int) []int {
 	return mids
 }
 
+// listed hands Decide a fixed running list.
+func listed(running []Running) func() []Running {
+	return func() []Running { return running }
+}
+
 func newCoord(cfg Config) *Coordinator {
 	tc := scheduler.DefaultTetrisConfig()
 	tc.Fairness = 0
@@ -90,7 +95,7 @@ func TestAllOrNothing(t *testing.T) {
 	if len(dec.Assignments) != 0 {
 		t.Fatalf("partial gang launched: %d assignments", len(dec.Assignments))
 	}
-	if len(dec.Commits) != 0 {
+	if len(dec.CommitWaits) != 0 {
 		t.Fatalf("commit recorded without placement")
 	}
 	// Same gang over 6 machines: full quorum commits at once.
@@ -100,11 +105,8 @@ func TestAllOrNothing(t *testing.T) {
 	if len(dec.Assignments) != 6 {
 		t.Fatalf("expected 6 gang assignments, got %d", len(dec.Assignments))
 	}
-	if len(dec.Commits) != 1 || dec.Commits[0].JobID != 1 || dec.Commits[0].Members != 6 {
-		t.Fatalf("commits = %+v", dec.Commits)
-	}
-	if dec.Commits[0].WaitSec != 10 {
-		t.Fatalf("admit latency = %v, want 10", dec.Commits[0].WaitSec)
+	if len(dec.CommitWaits) != 1 || dec.CommitWaits[0] != 10 {
+		t.Fatalf("commit waits = %v, want one of 10", dec.CommitWaits)
 	}
 	seen := map[int]bool{}
 	for _, a := range dec.Assignments {
@@ -125,9 +127,9 @@ func TestQuorumThenStragglers(t *testing.T) {
 	g := mkGang(1, 6, 4, 5, resources.New(16, 32, 0, 0, 0, 0), 100)
 	v := mkView(4, machine, g)
 	dec := c.Decide(v, nil)
-	if len(dec.Assignments) != 4 || len(dec.Commits) != 1 {
+	if len(dec.Assignments) != 4 || len(dec.CommitWaits) != 1 {
 		t.Fatalf("quorum of 4 should commit on 4 machines: asgs=%d commits=%d",
-			len(dec.Assignments), len(dec.Commits))
+			len(dec.Assignments), len(dec.CommitWaits))
 	}
 	apply(v, dec.Assignments)
 	// Two machines free up: the 2 stragglers place via the inner
@@ -141,8 +143,8 @@ func TestQuorumThenStragglers(t *testing.T) {
 	if len(dec.Assignments) != 2 {
 		t.Fatalf("stragglers: got %d assignments, want 2", len(dec.Assignments))
 	}
-	if len(dec.Commits) != 0 {
-		t.Fatalf("no second commit expected: %+v", dec.Commits)
+	if len(dec.CommitWaits) != 0 {
+		t.Fatalf("no second commit expected: %v", dec.CommitWaits)
 	}
 }
 
@@ -170,13 +172,13 @@ func TestHoardTimeoutAndRelease(t *testing.T) {
 	}
 	// Before expiry the hoard persists.
 	dec = c.Decide(mk(5), nil)
-	if len(dec.Releases) != 0 || len(hoard(c, 1)) != 4 {
-		t.Fatalf("hoard released early: %+v", dec.Releases)
+	if dec.Releases != 0 || len(hoard(c, 1)) != 4 {
+		t.Fatalf("hoard released early: %d releases", dec.Releases)
 	}
 	// Past HoldSec: released, cooldown entered.
 	dec = c.Decide(mk(11), nil)
-	if len(dec.Releases) != 1 || dec.Releases[0].JobID != 1 || dec.Releases[0].Held != 4 {
-		t.Fatalf("releases = %+v", dec.Releases)
+	if dec.Releases != 1 {
+		t.Fatalf("releases = %d, want 1", dec.Releases)
 	}
 	if got := len(hoard(c, 1)); got != 0 {
 		t.Fatalf("hoard survives its release: %d machines", got)
@@ -229,17 +231,17 @@ func TestInfeasibleGangNeverHoards(t *testing.T) {
 	for now := 0.0; now <= 30; now += 5 {
 		v := mkView(4, machine, g, prey)
 		v.Time = now
-		dec := c.Decide(v, running)
+		dec := c.Decide(v, listed(running))
 		if got := len(hoard(c, 1)); got != 0 {
 			t.Fatalf("t=%v: infeasible gang hoarded %d machines", now, got)
 		}
-		if len(dec.Preemptions) != 0 {
-			t.Fatalf("t=%v: infeasible gang preempted: %+v", now, dec.Preemptions)
+		if len(dec.Preempted) != 0 {
+			t.Fatalf("t=%v: infeasible gang preempted: %v", now, dec.Preempted)
 		}
 		running = nil
 		for _, a := range dec.Assignments {
 			apply(v, []scheduler.Assignment{a})
-			running = append(running, Running{Task: a.Task.ID, Machine: a.Machine, Demand: a.Local})
+			running = append(running, Running{Task: a.Task.ID, Job: prey.Job, Demand: a.Local})
 		}
 	}
 }
@@ -273,7 +275,7 @@ func TestPreemptionVictimOrder(t *testing.T) {
 				j.Status.MarkRunning(tid)
 			}
 			v.Machines[m].Allocated = v.Machines[m].Allocated.Add(full)
-			running = append(running, Running{Task: tid, Machine: m, Demand: full})
+			running = append(running, Running{Task: tid, Job: j.Job, Demand: full})
 		}
 		for i := 0; i < 9; i++ {
 			place(low, i, i)
@@ -284,36 +286,36 @@ func TestPreemptionVictimOrder(t *testing.T) {
 	}
 
 	v, running := mk(0)
-	dec := c.Decide(v, running)
-	if len(dec.Preemptions) != 0 {
-		t.Fatalf("preempted before PreemptSec: %+v", dec.Preemptions)
+	dec := c.Decide(v, listed(running))
+	if len(dec.Preempted) != 0 {
+		t.Fatalf("preempted before PreemptSec: %v", dec.Preempted)
 	}
 	v, running = mk(11)
-	dec = c.Decide(v, running)
-	if len(dec.Preemptions) != maxPreemptPerRound {
-		t.Fatalf("want %d preemptions (the per-round cap), got %+v", maxPreemptPerRound, dec.Preemptions)
+	dec = c.Decide(v, listed(running))
+	if len(dec.Preempted) != maxPreemptPerRound {
+		t.Fatalf("want %d preemptions (the per-round cap), got %v", maxPreemptPerRound, dec.Preempted)
 	}
-	for i, p := range dec.Preemptions {
-		if p.Task.Job != 2 || p.ForJob != 1 {
-			t.Fatalf("victim %d = %+v, want lowest-priority job 2", i, p)
+	for i, p := range dec.Preempted {
+		if p.Job != 2 {
+			t.Fatalf("victim %d = %v, want lowest-priority job 2", i, p)
 		}
-		if p.Task.Index != i {
-			t.Fatalf("victim order not deterministic: %+v", dec.Preemptions)
+		if p.Index != i {
+			t.Fatalf("victim order not deterministic: %v", dec.Preempted)
 		}
 	}
 	// Next round inside the wave window: no further evictions.
 	v, running = mk(15)
-	dec = c.Decide(v, running)
-	if len(dec.Preemptions) != 0 {
-		t.Fatalf("second wave inside PreemptSec window: %+v", dec.Preemptions)
+	dec = c.Decide(v, listed(running))
+	if len(dec.Preempted) != 0 {
+		t.Fatalf("second wave inside PreemptSec window: %v", dec.Preempted)
 	}
 	// After the window: the next wave may hit job 3 but never job 4
 	// (non-preemptible) or anything at/above the gang's priority.
 	v, running = mk(25)
-	dec = c.Decide(v, running)
-	for _, p := range dec.Preemptions {
-		if p.Task.Job == 4 {
-			t.Fatalf("non-preemptible job evicted: %+v", p)
+	dec = c.Decide(v, listed(running))
+	for _, p := range dec.Preempted {
+		if p.Job == 4 {
+			t.Fatalf("non-preemptible job evicted: %v", p)
 		}
 	}
 }
@@ -327,8 +329,8 @@ func TestGangPriorityOrder(t *testing.T) {
 	highGang := mkGang(2, 4, 0, 9, full, 100)
 	v := mkView(4, machine, lowGang, highGang)
 	dec := c.Decide(v, nil)
-	if len(dec.Commits) != 1 || dec.Commits[0].JobID != 2 {
-		t.Fatalf("high-priority gang not served first: %+v", dec.Commits)
+	if len(dec.CommitWaits) != 1 || len(dec.Assignments) != 4 {
+		t.Fatalf("one gang of 4 should commit: commits=%d asgs=%d", len(dec.CommitWaits), len(dec.Assignments))
 	}
 	for _, a := range dec.Assignments {
 		if a.Task.ID.Job != 2 {
@@ -346,7 +348,7 @@ func TestReAdmissionAfterMemberLoss(t *testing.T) {
 	g := mkGang(1, 4, 0, 5, full, 100)
 	v := mkView(4, machine, g)
 	dec := c.Decide(v, nil)
-	if len(dec.Commits) != 1 {
+	if len(dec.CommitWaits) != 1 {
 		t.Fatalf("initial commit failed")
 	}
 	apply(v, dec.Assignments)
@@ -370,13 +372,16 @@ func TestReAdmissionAfterMemberLoss(t *testing.T) {
 	}
 	v3.Time = 2
 	dec = c.Decide(v3, nil)
-	if len(dec.Assignments) != 1 || len(dec.Commits) != 1 || dec.Commits[0].Members != 1 {
-		t.Fatalf("re-admission: asgs=%d commits=%+v", len(dec.Assignments), dec.Commits)
+	if len(dec.Assignments) != 1 || len(dec.CommitWaits) != 1 {
+		t.Fatalf("re-admission: asgs=%d commits=%d", len(dec.Assignments), len(dec.CommitWaits))
 	}
 }
 
-// TestFeasible covers the exported feasibility check directly.
+// TestFeasible covers the feasibility check directly.
 func TestFeasible(t *testing.T) {
+	Feasible := func(v *scheduler.View, j *scheduler.JobState) bool {
+		return feasible(v, j, j.Status.AppendPending(0, j.Status.PendingInStage(0), nil))
+	}
 	fits := mkGang(1, 4, 0, 0, resources.New(8, 16, 0, 0, 0, 0), 10)
 	tooBig := mkGang(2, 1, 0, 0, resources.New(32, 64, 0, 0, 0, 0), 10)
 	tooMany := mkGang(3, 20, 0, 0, resources.New(16, 32, 0, 0, 0, 0), 10)

@@ -110,19 +110,6 @@ func (t *Table) Machines() []int {
 	return ids
 }
 
-// HolderMachines returns the machine IDs reserved by job holder, in
-// ascending order.
-func (t *Table) HolderMachines(holder int) []int {
-	var ids []int
-	for mid, r := range t.m {
-		if r.Holder == holder {
-			ids = append(ids, mid)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // Each visits reservations in ascending machine-ID order. The visitor
 // must not mutate the table.
 func (t *Table) Each(fn func(mid int, r Reservation)) {

@@ -43,10 +43,16 @@ func TestReleaseHolder(t *testing.T) {
 	tb.Put(0, Reservation{Kind: Gang, Holder: 5})
 	tb.Put(2, Reservation{Kind: Gang, Holder: 5})
 	tb.Put(4, Reservation{Kind: Starved, Holder: 6})
-	if got := tb.HolderMachines(5); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("HolderMachines(5) = %v", got)
+	var held []int
+	tb.Each(func(mid int, r Reservation) {
+		if r.Holder == 5 {
+			held = append(held, mid)
+		}
+	})
+	if len(held) != 2 || held[0] != 0 || held[1] != 2 {
+		t.Fatalf("holder 5 holds %v", held)
 	}
-	for _, mid := range tb.HolderMachines(5) {
+	for _, mid := range held {
 		if r, ok := tb.Release(mid); !ok || r.Holder != 5 {
 			t.Fatalf("Release(%d) = %+v, %v", mid, r, ok)
 		}

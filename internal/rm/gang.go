@@ -13,6 +13,8 @@ package rm
 // resync and dies there instead.
 
 import (
+	"slices"
+
 	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/wire"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -21,13 +23,13 @@ import (
 // runningTasks lists every charged task attempt as a preemption
 // candidate, in deterministic (job ID, stage, index) order so live
 // execution and journal replay hand the coordinator identical input.
-// Caller holds s.mu.
+// The coordinator calls it only in a round in which a gang is due to
+// preempt. Caller holds s.mu.
 func (s *Server) runningTasks() []gang.Running {
 	var out []gang.Running
 	for _, ji := range s.active {
 		for _, tid := range launchedIDs(ji, -1) {
-			rec := ji.launched[tid]
-			out = append(out, gang.Running{Task: tid, Machine: rec.machine, Demand: rec.local})
+			out = append(out, gang.Running{Task: tid, Job: ji.state.Job, Demand: ji.launched[tid].local})
 		}
 	}
 	return out
@@ -38,22 +40,23 @@ func (s *Server) runningTasks() []gang.Running {
 // commit and hoard-release counters. Assignments were already handled
 // by the shared launch path. Caller holds s.mu.
 func (s *Server) applyGangDecision(dec *gang.Decision, now float64) {
-	for _, p := range dec.Preemptions {
-		s.journal(&event{Kind: evPreempt, Time: now, Task: p.Task})
-		s.applyPreempt(p.Task, now)
+	for _, tid := range dec.Preempted {
+		s.journal(&event{Kind: evPreempt, Time: now, Task: tid})
+		s.applyPreempt(tid, now)
 	}
-	for _, cm := range dec.Commits {
+	for _, wait := range dec.CommitWaits {
 		s.metrics.gangCommits.Inc()
-		s.metrics.gangAdmitWait.Observe(cm.WaitSec)
+		s.metrics.gangAdmitWait.Observe(wait)
 	}
-	s.metrics.gangReleases.Add(uint64(len(dec.Releases)))
+	s.metrics.gangReleases.Add(uint64(dec.Releases))
 }
 
 // applyPreempt evicts one running task to make room for a gang: the
 // attempt is released from every ledger and marked failed — the
 // same accounting as a dead-node reclaim, so MaxTaskAttempts applies
-// unchanged. Shared by the live path and journal replay; caller holds
-// s.mu.
+// unchanged. An attempt whose launch still waits for its node's next
+// heartbeat never starts: the launch is dropped and no kill is sent.
+// Shared by the live path and journal replay; caller holds s.mu.
 func (s *Server) applyPreempt(tid workload.TaskID, now float64) {
 	ji, ok := s.jobs[tid.Job]
 	if !ok || ji.finished {
@@ -66,7 +69,11 @@ func (s *Server) applyPreempt(tid workload.TaskID, now float64) {
 	ji.state.Status.MarkFailed(tid)
 	if !s.replaying {
 		n := s.nodes[rec.machine]
-		n.preempts = append(n.preempts, wire.TaskPreempt{Task: tid})
+		if i := slices.IndexFunc(n.launches, func(l wire.TaskLaunch) bool { return l.Task == tid }); i >= 0 {
+			n.launches = slices.Delete(n.launches, i, i+1)
+		} else {
+			n.preempts = append(n.preempts, wire.TaskPreempt{Task: tid})
+		}
 		s.metrics.preemptions.Inc()
 	}
 	if cap := s.cfg.MaxTaskAttempts; cap > 0 && ji.state.Status.Attempts(tid) >= cap {

@@ -525,3 +525,61 @@ func TestGangChaosShardChurn(t *testing.T) {
 		t.Fatalf("shard %d recorded fault events for shard %d's churn: %+v", 1-owner, owner, ev)
 	}
 }
+
+// TestPreemptedBeforeDelivery: a filler launched on a node that has not
+// beaten since, then preempted for a gang, never reaches the node. The
+// node's next reply carries neither the filler's launch nor a kill for
+// it — a kill applied before the launch would leave running an attempt
+// the RM already released and requeued — and does carry the gang.
+func TestPreemptedBeforeDelivery(t *testing.T) {
+	const small, big = 0, 1
+	clock := new(virtualClock)
+	g := newVirtualSharded(t, ShardedConfig{
+		Shards:       1,
+		NewScheduler: tetrisScheduler,
+		Gang:         &gang.Config{HoldSec: 3600, PreemptSec: 10},
+	}, clock)
+	g.RegisterMachine(small, resources.New(1, 2, 100, 100, 100, 100)) // fits no task
+	g.RegisterMachine(big, resources.New(4, 8, 100, 100, 100, 100))   // fits the filler or the gang
+	filler := fillerJob(1, 1)
+	if err := g.SubmitJob(filler); err != nil {
+		t.Fatal(err)
+	}
+	beat := func(id int) *wire.NMReply {
+		t.Helper()
+		r := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: id})
+		if r.Type == wire.TypeError {
+			t.Fatalf("node %d: %s", id, r.Error)
+		}
+		return r.NMReply
+	}
+	beat(small) // places the filler on the big node, which does not beat
+	if err := g.SubmitJob(gangChaosJob(2, 2, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	beat(small) // the gang starts waiting: one of its two members fits
+	clock.advance(11 * time.Second)
+	beat(small) // past PreemptSec: the gang evicts the filler
+	if n := g.Shard(0).metrics.preemptions.Value(); n != 1 {
+		t.Fatalf("%d preemptions, want 1", n)
+	}
+
+	rep := beat(big)
+	members := 0
+	for _, l := range rep.Launch {
+		if l.Task.Job == filler.ID {
+			t.Errorf("reply launches the preempted filler %v", l.Task)
+		} else {
+			members++
+		}
+	}
+	for _, p := range rep.Preempt {
+		t.Errorf("reply kills %v, which the node never received", p.Task)
+	}
+	if members != 2 {
+		t.Errorf("reply launches %d gang members, want 2: %+v", members, rep.Launch)
+	}
+	if err := g.VerifyLedger(); err != nil {
+		t.Fatal(err)
+	}
+}

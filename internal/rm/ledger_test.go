@@ -67,7 +67,7 @@ func TestReleaseCauses(t *testing.T) {
 			s := g.Shard(0)
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			s.applyGangDecision(&gang.Decision{Preemptions: []gang.Preemption{{Task: x, ForJob: 2}}}, s.now())
+			s.applyGangDecision(&gang.Decision{Preempted: []workload.TaskID{x}}, s.now())
 		}},
 	}
 	for _, tc := range cases {

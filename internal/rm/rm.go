@@ -452,7 +452,7 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	var asgs []scheduler.Assignment
 	var gdec *gang.Decision
 	if gc, ok := s.sched.(*gang.Coordinator); ok {
-		dec := gc.Decide(v, s.runningTasks())
+		dec := gc.Decide(v, s.runningTasks)
 		gdec = &dec
 		asgs = dec.Assignments
 	} else {
@@ -477,7 +477,7 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	acted := len(asgs) > 0
 	if gdec != nil {
 		s.applyGangDecision(gdec, now)
-		acted = acted || len(gdec.Preemptions)+len(gdec.Commits)+len(gdec.Releases) > 0
+		acted = acted || len(gdec.Preempted)+len(gdec.CommitWaits)+gdec.Releases > 0
 	}
 	s.rounds++
 	s.dirty, s.followup, s.unplaced = causeNone, acted, s.hasRunnable()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/gang"
+	"github.com/tetris-sched/tetris/internal/reserve"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -14,13 +15,15 @@ import (
 
 // The gang twin-world driver mirrors this package's equivalence harness
 // one layer up: two worlds share one immutable job set and one
-// fault/completion script (identical rng seeds), differ only in the
-// scheduler under the gang coordinator — the production core or its
-// oracle — and must emit field-for-field identical decisions every round:
-// assignments, preemptions, commits and releases alike. It lives here, as
-// an external test of package scheduler, because the oracle is reachable
-// only through this package's export_test.go; internal/gang keeps its own
-// copy of the world for TestDigestNeutralWhenUnused.
+// fault/completion script (identical rng seeds), differ in one respect,
+// and must emit field-for-field identical decisions every round —
+// assignments, preemptions, commit waits and releases alike — and hold
+// identical gang hoards in the shared reservation table. The respect is
+// the scheduler under the gang coordinator, the production core or its
+// oracle (TestGangScheduleEquivalence), or the coordinator itself
+// (TestDigestNeutralWhenUnused). It lives here, as an external test of
+// package scheduler, because the oracle is reachable only through this
+// package's export_test.go.
 
 func genGangCaps(rng *rand.Rand, n int) []resources.Vector {
 	sizes := []resources.Vector{
@@ -77,19 +80,32 @@ func genGangJobs(rng *rand.Rand, n int) ([]*workload.Job, []float64) {
 }
 
 type gangWorld struct {
-	c        *gang.Coordinator
+	c *gang.Coordinator
+	// bare, when non-nil, replaces the coordinator entirely: the world
+	// schedules through the raw inner scheduler. Used to prove the
+	// coordinator is digest-neutral on non-gang workloads.
+	bare     scheduler.Scheduler
+	res      *reserve.Table // the inner scheduler's, which the coordinator shares
 	machines []*scheduler.MachineState
 	jobs     []*workload.Job
 	arrive   []float64
 	states   map[int]*scheduler.JobState
-	running  []gang.Running
+	running  []attempt
 	rng      *rand.Rand
 	total    resources.Vector
+}
+
+// attempt is one running task of a world: what the coordinator sees of
+// it, and the machine it runs on.
+type attempt struct {
+	gang.Running
+	machine int
 }
 
 func newGangWorld(seed int64, inner scheduler.Scheduler, caps []resources.Vector, jobs []*workload.Job, arrive []float64) *gangWorld {
 	w := &gangWorld{
 		c:      gang.New(inner, gang.Config{HoldSec: 4, PreemptSec: 8}),
+		res:    inner.(interface{ Reservations() *reserve.Table }).Reservations(),
 		jobs:   jobs,
 		arrive: arrive,
 		states: make(map[int]*scheduler.JobState),
@@ -114,7 +130,7 @@ func (w *gangWorld) finished(js *scheduler.JobState) bool {
 	return true
 }
 
-func (w *gangWorld) dropRunning(tid workload.TaskID) (gang.Running, bool) {
+func (w *gangWorld) dropRunning(tid workload.TaskID) (attempt, bool) {
 	for i, r := range w.running {
 		if r.Task == tid {
 			out := r
@@ -122,7 +138,16 @@ func (w *gangWorld) dropRunning(tid workload.TaskID) (gang.Running, bool) {
 			return out, true
 		}
 	}
-	return gang.Running{}, false
+	return attempt{}, false
+}
+
+// candidates lists the running tasks for the coordinator.
+func (w *gangWorld) candidates() []gang.Running {
+	out := make([]gang.Running, len(w.running))
+	for i, r := range w.running {
+		out[i] = r.Running
+	}
+	return out
 }
 
 // step advances one round and returns a canonical rendering of the
@@ -143,7 +168,7 @@ func (w *gangWorld) step(now float64) string {
 			// Fail every running task on the machine.
 			kept := w.running[:0]
 			for _, r := range w.running {
-				if r.Machine == m.ID {
+				if r.machine == m.ID {
 					js := w.states[r.Task.Job]
 					js.Status.MarkFailed(r.Task)
 					js.Alloc = js.Alloc.Sub(r.Demand)
@@ -167,21 +192,31 @@ func (w *gangWorld) step(now float64) string {
 		}
 	}
 
-	dec := w.c.Decide(v, append([]gang.Running(nil), w.running...))
+	var dec gang.Decision
+	if w.bare != nil {
+		dec = gang.Decision{Assignments: w.bare.Schedule(v)}
+	} else {
+		dec = w.c.Decide(v, w.candidates)
+	}
 
 	var b strings.Builder
 	for _, a := range dec.Assignments {
 		fmt.Fprintf(&b, "A %v@%d %v|", a.Task.ID, a.Machine, a.Local)
 	}
-	for _, p := range dec.Preemptions {
-		fmt.Fprintf(&b, "P %v for %d|", p.Task, p.ForJob)
+	for _, tid := range dec.Preempted {
+		fmt.Fprintf(&b, "P %v|", tid)
 	}
-	for _, cm := range dec.Commits {
-		fmt.Fprintf(&b, "C %d n%d w%.3f|", cm.JobID, cm.Members, cm.WaitSec)
+	for _, wait := range dec.CommitWaits {
+		fmt.Fprintf(&b, "C w%.3f|", wait)
 	}
-	for _, r := range dec.Releases {
-		fmt.Fprintf(&b, "R %d h%d|", r.JobID, r.Held)
+	if dec.Releases > 0 {
+		fmt.Fprintf(&b, "R %d|", dec.Releases)
 	}
+	w.res.Each(func(mid int, r reserve.Reservation) {
+		if r.Kind == reserve.Gang {
+			fmt.Fprintf(&b, "H %d@%d|", r.Holder, mid)
+		}
+	})
 
 	// Apply assignments.
 	for _, a := range dec.Assignments {
@@ -192,21 +227,21 @@ func (w *gangWorld) step(now float64) string {
 		for _, rc := range a.Remote {
 			w.machines[rc.Machine].Allocated = w.machines[rc.Machine].Allocated.Add(rc.Charge)
 		}
-		w.running = append(w.running, gang.Running{Task: a.Task.ID, Machine: a.Machine, Demand: a.Local})
+		w.running = append(w.running, attempt{gang.Running{Task: a.Task.ID, Job: js.Job, Demand: a.Local}, a.Machine})
 	}
 	// Apply preemptions: the "NM kill" lands within the round here.
-	for _, p := range dec.Preemptions {
-		r, ok := w.dropRunning(p.Task)
+	for _, tid := range dec.Preempted {
+		r, ok := w.dropRunning(tid)
 		if !ok {
 			continue
 		}
-		js := w.states[p.Task.Job]
-		js.Status.MarkFailed(p.Task)
+		js := w.states[tid.Job]
+		js.Status.MarkFailed(tid)
 		js.Alloc = js.Alloc.Sub(r.Demand)
-		w.machines[r.Machine].Allocated = w.machines[r.Machine].Allocated.Sub(r.Demand).Max(resources.Vector{})
+		w.machines[r.machine].Allocated = w.machines[r.machine].Allocated.Sub(r.Demand).Max(resources.Vector{})
 	}
 	// Random completions over a snapshot of the running list.
-	snap := append([]gang.Running(nil), w.running...)
+	snap := append([]attempt(nil), w.running...)
 	for _, r := range snap {
 		if w.rng.Float64() < 0.15 {
 			if _, ok := w.dropRunning(r.Task); !ok {
@@ -215,7 +250,7 @@ func (w *gangWorld) step(now float64) string {
 			js := w.states[r.Task.Job]
 			js.Status.MarkDone(r.Task)
 			js.Alloc = js.Alloc.Sub(r.Demand)
-			w.machines[r.Machine].Allocated = w.machines[r.Machine].Allocated.Sub(r.Demand).Max(resources.Vector{})
+			w.machines[r.machine].Allocated = w.machines[r.machine].Allocated.Sub(r.Demand).Max(resources.Vector{})
 		}
 	}
 	return b.String()
@@ -240,6 +275,33 @@ func TestGangScheduleEquivalence(t *testing.T) {
 				t.Fatalf("seed %d round %d: reference core diverged\nincremental: %s\nreference: %s",
 					seed, round, want, got)
 			}
+		}
+	}
+}
+
+// TestDigestNeutralWhenUnused: on a workload with no gang jobs, the
+// coordinator must emit exactly the decisions the bare inner scheduler
+// would — round for round, byte for byte.
+func TestDigestNeutralWhenUnused(t *testing.T) {
+	gen := rand.New(rand.NewSource(7))
+	caps := genGangCaps(gen, 6)
+	jobs, arrive := genGangJobs(gen, 12)
+	for _, j := range jobs {
+		j.Gang = false
+		j.MinMembers = 0
+	}
+
+	tc := scheduler.DefaultTetrisConfig()
+	tc.StarvationSec = 8
+	wrapped := newGangWorld(99, scheduler.NewTetris(tc), caps, jobs, arrive)
+	plain := newGangWorld(99, scheduler.NewTetris(tc), caps, jobs, arrive)
+	plain.bare = plain.c.Inner()
+	for round := 0; round < 30; round++ {
+		now := float64(round) * 2
+		got, want := wrapped.step(now), plain.step(now)
+		if got != want {
+			t.Fatalf("round %d: coordinator not digest-neutral on a non-gang workload\nwrapped: %s\nbare:    %s",
+				round, got, want)
 		}
 	}
 }

@@ -493,11 +493,7 @@ func (s *Sim) schedule() error {
 	var asgs []scheduler.Assignment
 	var gdec *gang.Decision
 	if gc, ok := s.cfg.Scheduler.(*gang.Coordinator); ok {
-		run := make([]gang.Running, 0, len(s.running))
-		for _, rt := range s.running {
-			run = append(run, gang.Running{Task: rt.task.ID, Machine: rt.machine, Demand: rt.local})
-		}
-		dec := gc.Decide(v, run)
+		dec := gc.Decide(v, s.gangRunning)
 		gdec = &dec
 		asgs = dec.Assignments
 	} else {
@@ -516,25 +512,35 @@ func (s *Sim) schedule() error {
 	return nil
 }
 
+// gangRunning lists the running attempts as the gang coordinator's
+// preemption candidates.
+func (s *Sim) gangRunning() []gang.Running {
+	run := make([]gang.Running, 0, len(s.running))
+	for _, rt := range s.running {
+		run = append(run, gang.Running{Task: rt.task.ID, Job: rt.job.state.Job, Demand: rt.local})
+	}
+	return run
+}
+
 // applyGangDecision acts on the non-assignment parts of a gang round:
 // preempted attempts fail through the normal fault path (released,
 // requeued, attempt counted — like a crash kill), and commit/release
 // events land in the result's gang accounting.
 func (s *Sim) applyGangDecision(dec *gang.Decision) {
-	for _, p := range dec.Preemptions {
+	for _, tid := range dec.Preempted {
 		for _, rt := range s.running {
-			if rt.task.ID == p.Task {
+			if rt.task.ID == tid {
 				s.failTask(rt)
 				s.res.Preemptions++
 				break
 			}
 		}
 	}
-	for _, cm := range dec.Commits {
+	for _, wait := range dec.CommitWaits {
 		s.res.GangCommits++
-		s.res.GangWaits = append(s.res.GangWaits, cm.WaitSec)
+		s.res.GangWaits = append(s.res.GangWaits, wait)
 	}
-	s.res.GangReleases += len(dec.Releases)
+	s.res.GangReleases += dec.Releases
 }
 
 // start applies one assignment: ledgers, status, fluid components.

@@ -212,29 +212,20 @@ func SaveWorkload(path string, wl *Workload) error { return trace.SaveFile(path,
 // LoadWorkload reads a workload from the named file.
 func LoadWorkload(path string) (*Workload, error) { return trace.LoadFile(path) }
 
-// Gang scheduling.
-type (
-	// GangConfig parameterizes the gang coordinator: hold timeout,
-	// preemption deadline and wave spacing.
-	GangConfig = gang.Config
-	// GangCoordinator wraps a Scheduler with all-or-nothing gang
-	// admission, timeout-and-release of hoarded placements, and
-	// checkpoint-aware preemption of low-priority preemptible tasks.
-	GangCoordinator = gang.Coordinator
-	// GangDecision is one round's gang outcome: assignments plus the
-	// preemptions, commits and releases the round produced.
-	GangDecision = gang.Decision
-)
+// GangConfig parameterizes the gang coordinator: hold timeout,
+// preemption deadline and wave spacing.
+type GangConfig = gang.Config
 
 // DefaultGangConfig returns the gang coordinator's default operating
 // point.
 func DefaultGangConfig() GangConfig { return gang.DefaultConfig() }
 
-// NewGangCoordinator wraps inner with the gang-admission layer. The
-// wrapped scheduler is a plain Scheduler (gang jobs are admitted
-// all-or-nothing, singletons pass through); use Decide directly to
-// also observe preemptions, commits and releases.
-func NewGangCoordinator(inner Scheduler, cfg GangConfig) *GangCoordinator {
+// NewGangCoordinator wraps inner with the gang-admission layer: gang
+// jobs are admitted all-or-nothing, hoarded placements time out and are
+// released, and low-priority preemptible tasks may be evicted for a
+// waiting gang; singletons pass through. The simulator recognizes the
+// coordinator and acts on its preemptions, commits and releases.
+func NewGangCoordinator(inner Scheduler, cfg GangConfig) Scheduler {
 	return gang.New(inner, cfg)
 }
 
