@@ -76,7 +76,7 @@ func main() {
 		compression = flag.Float64("compression", 50, "time compression for synthetic task durations and job arrivals")
 		seed        = flag.Int64("seed", 1, "seed for workload, fault plan, stagger and sampling")
 		batch       = flag.Int("batch", 0, "coalesce up to this many nodes' heartbeats per frame (0 or 1 = one beat per frame)")
-		scenario    = flag.String("scenario", "smoke", "scenario name; output file is BENCH_scale_<scenario>.json. \"gang\" switches to the ML/MPI gang workload and wraps the RM scheduler in the gang coordinator")
+		scenario    = flag.String("scenario", "smoke", "scenario name; output file is BENCH_scale_<scenario>.json. \"gang\" switches to the ML/MPI gang workload")
 		gangFrac    = flag.Float64("gang-fraction", 0.5, "fraction of gang jobs in -scenario gang")
 		outDir      = flag.String("out", ".", "directory for the BENCH snapshot")
 		nodeTimeout = flag.Duration("node-timeout", 10*time.Second, "RM failure-detector heartbeat silence threshold (0 = off)")
@@ -234,19 +234,18 @@ func runOnce(ctx context.Context, o options) (*snapshot, int, error) {
 			ShedLimit:     o.shedLimit,
 		}
 	}
-	// -scenario gang wraps every scheduler core (each shard's, under
-	// -shards) in the gang coordinator. The hold and preemption bounds
+	// Every scheduler core (each shard's, under -shards) runs its rounds
+	// through the gang coordinator. Its hold and preemption bounds
 	// compress with task time so release and eviction both fire inside a
-	// short wall-clock run, and the attempt cap rises because each
-	// preemption charges the victim's normal attempt accounting.
+	// short wall-clock run; under -scenario gang the attempt cap rises
+	// because each preemption charges the victim's normal attempt
+	// accounting.
 	gangScenario := o.scenario == "gang"
-	var gangCfg *gang.Config
+	gangCfg := gang.DefaultConfig()
+	gangCfg.HoldSec /= o.compression
+	gangCfg.PreemptSec /= o.compression
 	maxAttempts := 4
 	if gangScenario {
-		gc := gang.DefaultConfig()
-		gc.HoldSec /= o.compression
-		gc.PreemptSec /= o.compression
-		gangCfg = &gc
 		maxAttempts = 64
 	}
 

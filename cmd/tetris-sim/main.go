@@ -33,7 +33,7 @@ func main() {
 		barrier   = flag.Float64("barrier", 0.9, "tetris barrier knob b ∈ (0,1]")
 		penalty   = flag.Float64("remote-penalty", 0.1, "tetris remote penalty")
 		epsMult   = flag.Float64("eps", 1, "tetris ε multiplier m")
-		scenario  = flag.String("scenario", "", "named scenario: gang (ML/MPI gang mix, gang coordinator wrapped around the scheduler)")
+		scenario  = flag.String("scenario", "", "named scenario: gang (ML/MPI gang mix)")
 		gangFrac  = flag.Float64("gang-fraction", 0.3, "fraction of gang jobs in -scenario gang")
 		compare   = flag.Bool("compare", false, "also run slot-fair and DRF and print gains")
 		failures  = flag.Float64("failures", 0, "task failure probability (re-executed on failure)")
@@ -118,16 +118,10 @@ func main() {
 	}
 
 	run := func(name string) *tetris.Result {
-		s := mkSched(name)
-		if *scenario == "gang" {
-			// Same gang layer around every policy, so -compare measures
-			// packing differences, not gang-admission differences.
-			s = tetris.NewGangCoordinator(s, tetris.DefaultGangConfig())
-		}
 		res, err := tetris.Simulate(tetris.SimConfig{
 			Cluster:         tetris.NewFacebookCluster(*machines),
 			Workload:        wl,
-			Scheduler:       s,
+			Scheduler:       mkSched(name),
 			TaskFailureProb: *failures,
 			FaultPlan:       plan,
 			MaxTaskAttempts: *maxAttempt,

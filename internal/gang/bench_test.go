@@ -45,21 +45,40 @@ func benchWorld(gang bool) (*scheduler.View, []Running) {
 	return v, running
 }
 
+// idleWorld is benchWorld with no gang job and a starved whole-machine
+// task (one that cannot fit yet) holding machine 0 in res.
+func idleWorld(res *reserve.Table) (*scheduler.View, []Running) {
+	v, running := benchWorld(false)
+	starved := mkJob(50, 1, resources.New(16, 32, 0, 0, 0, 0), 100)
+	v.Jobs = append(v.Jobs, starved)
+	res.Put(0, reserve.Reservation{Kind: reserve.Starved, Holder: 50, Task: starved.Job.Stages[0].Tasks[0]})
+	return v, running
+}
+
 // BenchmarkGangDecide times one coordinator round over a Tetris core on
 // benchWorld. The View never changes, so every round decides the same:
 //
-//   - idle: no gang job, and a starvation reservation (a whole-machine
-//     task that cannot fit yet) in the shared table;
+//   - bare: the Tetris round alone on the idle world, without the
+//     coordinator — what idle costs beyond it is the coordinator's;
+//   - idle: no gang job, and a starvation reservation in the shared
+//     table (idleWorld);
 //   - hoarding: the gang holds its 32 partial placements at a fixed time;
 //   - preempting: the clock moves one PreemptSec a round, so every round
 //     also evicts a wave of eight filler tasks.
 func BenchmarkGangDecide(b *testing.B) {
+	b.Run("bare", func(b *testing.B) {
+		tet := newTetris()
+		v, _ := idleWorld(tet.Reservations())
+		tet.Schedule(v)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tet.Schedule(v)
+		}
+	})
 	b.Run("idle", func(b *testing.B) {
-		v, running := benchWorld(false)
-		starved := mkJob(50, 1, resources.New(16, 32, 0, 0, 0, 0), 100)
-		v.Jobs = append(v.Jobs, starved)
 		c := newCoord(Config{})
-		c.res.Put(0, reserve.Reservation{Kind: reserve.Starved, Holder: 50, Task: starved.Job.Stages[0].Tasks[0]})
+		v, running := idleWorld(c.res)
 		benchDecide(b, c, v, running, 0, 0, 0)
 	})
 	b.Run("hoarding", func(b *testing.B) {

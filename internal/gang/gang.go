@@ -2,20 +2,22 @@
 // capacity hoarding, and checkpoint-aware preemption on top of any
 // task-at-a-time scheduler (DESIGN.md §14).
 //
-// A Coordinator wraps an inner scheduler.Scheduler. Each round it
-// serves gang jobs (workload.Job.Gang) before anything else: a gang
+// A Coordinator wraps an inner scheduler.Scheduler, and every RM shard
+// and every simulation runs its rounds through one (Decide). Each round
+// it serves gang jobs (workload.Job.Gang) before anything else: a gang
 // whose quorum (GangQuorum) cannot yet be co-placed launches nothing;
 // when the whole quorum fits against the round-start free ledger, all
 // members commit in a single round. While waiting, the gang may hoard
-// the partial placement it could make — capacity reservations in the
-// shared reserve.Table — so singleton churn cannot indefinitely keep a
-// large gang from accumulating space. Hoards expire after HoldSec and
-// are returned to the pool (timeout-and-release), with an equal
-// cooldown before the gang may hoard again, so a hopeless hoard cannot
-// monopolize machines. A gang that has waited past PreemptSec may
-// evict the lowest-priority preemptible running tasks; evictions are
-// charged through the normal attempt accounting by the caller (RM or
-// simulator), exactly like a machine-failure requeue.
+// the partial placement it could make — reservations in the shared
+// reserve.Table, rebuilt every round — so singleton churn cannot
+// indefinitely keep a large gang from accumulating space. A hoard
+// epoch ends after HoldSec: the gang's record stops reserving
+// (timeout-and-release) and waits an equal cooldown before it may
+// hoard again, so a hopeless hoard cannot monopolize machines. A gang
+// that has waited past PreemptSec may evict the lowest-priority
+// preemptible running tasks; evictions are charged through the normal
+// attempt accounting by the caller (RM or simulator), exactly like a
+// machine-failure requeue.
 //
 // The coordinator is deliberately core-agnostic: it mutates only the
 // view it hands the inner scheduler (jobs filtered, committed demand
@@ -181,18 +183,6 @@ func New(inner scheduler.Scheduler, cfg Config) *Coordinator {
 	return c
 }
 
-// Name implements scheduler.Scheduler.
-func (c *Coordinator) Name() string { return "gang+" + c.inner.Name() }
-
-// Inner returns the wrapped scheduler.
-func (c *Coordinator) Inner() scheduler.Scheduler { return c.inner }
-
-// Schedule implements scheduler.Scheduler for callers that cannot act
-// on preemptions: it decides with no preemption victims available.
-func (c *Coordinator) Schedule(v *scheduler.View) []scheduler.Assignment {
-	return c.Decide(v, nil).Assignments
-}
-
 // gangNeed returns how many more members must launch for quorum. Zero
 // or negative means the quorum is currently satisfied by running+done
 // members (stragglers beyond quorum flow through the inner scheduler).
@@ -260,9 +250,9 @@ func (c *Coordinator) Decide(v *scheduler.View, running func() []Running) Decisi
 	// Drop last round's hoards — they are recomputed from scratch
 	// below, against this round's pending membership. A departed
 	// gang's hoard goes with them.
-	c.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
+	c.res.Sweep(func(r reserve.Reservation) bool {
 		return r.Kind == reserve.Gang
-	}, nil)
+	})
 
 	dec := &c.dec
 	*dec = Decision{Assignments: dec.Assignments[:0], Preempted: dec.Preempted[:0], CommitWaits: dec.CommitWaits[:0]}
@@ -300,13 +290,7 @@ func (c *Coordinator) Decide(v *scheduler.View, running func() []Running) Decisi
 			g.noHoardUntil = now + c.cfg.HoldSec
 		} else if fits && now >= g.noHoardUntil && len(placed) > 0 {
 			for _, p := range placed {
-				cur, _ := c.res.Get(p.Machine)
-				c.res.Put(p.Machine, reserve.Reservation{
-					Kind:     reserve.Gang,
-					Holder:   j.Job.ID,
-					Capacity: cur.Capacity.Add(p.Local),
-					Expires:  now + c.cfg.HoldSec,
-				})
+				c.res.Put(p.Machine, reserve.Reservation{Kind: reserve.Gang, Holder: j.Job.ID})
 				c.free[p.Machine] = c.free[p.Machine].Sub(p.Local).Max(resources.Vector{})
 			}
 			if !g.hoarding {

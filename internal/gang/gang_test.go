@@ -77,11 +77,14 @@ func listed(running []Running) func() []Running {
 	return func() []Running { return running }
 }
 
-func newCoord(cfg Config) *Coordinator {
+// newTetris returns a Tetris core with the fairness knob off.
+func newTetris() *scheduler.Tetris {
 	tc := scheduler.DefaultTetrisConfig()
 	tc.Fairness = 0
-	return New(scheduler.NewTetris(tc), cfg)
+	return scheduler.NewTetris(tc)
 }
+
+func newCoord(cfg Config) *Coordinator { return New(newTetris(), cfg) }
 
 // TestAllOrNothing: a gang that does not fit entirely launches nothing;
 // once capacity allows, the whole quorum launches in one round.

@@ -1,10 +1,6 @@
 package reserve
 
-import (
-	"testing"
-
-	"github.com/tetris-sched/tetris/internal/resources"
-)
+import "testing"
 
 func TestPutGetRelease(t *testing.T) {
 	tb := New()
@@ -12,16 +8,16 @@ func TestPutGetRelease(t *testing.T) {
 		t.Fatal("fresh table not empty")
 	}
 	tb.Put(3, Reservation{Kind: Starved, Holder: 7})
-	tb.Put(1, Reservation{Kind: Gang, Holder: 9, Capacity: resources.New(2, 4, 0, 0, 0, 0), Expires: 10})
+	tb.Put(1, Reservation{Kind: Gang, Holder: 9})
 	if tb.Len() != 2 || !tb.Held(3) || !tb.Held(1) {
 		t.Fatalf("expected 2 held machines, got %d", tb.Len())
 	}
 	r, ok := tb.Get(3)
-	if !ok || r.Holder != 7 || !r.Capacity.IsZero() {
+	if !ok || r.Holder != 7 || r.Kind != Starved {
 		t.Fatalf("bad starved reservation: %+v ok=%v", r, ok)
 	}
 	r, ok = tb.Get(1)
-	if !ok || r.Holder != 9 || r.Capacity.IsZero() {
+	if !ok || r.Holder != 9 || r.Kind != Gang {
 		t.Fatalf("bad gang reservation: %+v ok=%v", r, ok)
 	}
 	if got := tb.Machines(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
@@ -62,27 +58,18 @@ func TestReleaseHolder(t *testing.T) {
 	}
 }
 
-func TestExpiryAndSweep(t *testing.T) {
+func TestSweep(t *testing.T) {
 	tb := New()
-	tb.Put(0, Reservation{Kind: Gang, Holder: 1, Expires: 5})
-	tb.Put(1, Reservation{Kind: Gang, Holder: 2, Expires: 20})
-	tb.Put(2, Reservation{Kind: Starved, Holder: 3}) // no expiry
-	var dropped []int
-	n := tb.Sweep(10, nil, func(mid int, r Reservation) { dropped = append(dropped, mid) })
-	if n != 1 || len(dropped) != 1 || dropped[0] != 0 {
-		t.Fatalf("Sweep(10) removed %v, want [0]", dropped)
+	tb.Put(0, Reservation{Kind: Gang, Holder: 1})
+	tb.Put(1, Reservation{Kind: Gang, Holder: 2})
+	tb.Put(2, Reservation{Kind: Starved, Holder: 3})
+	tb.Sweep(func(r Reservation) bool { return r.Kind == Gang })
+	if got := tb.Machines(); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("after a gang sweep the table holds %v, want [2]", got)
 	}
-	if !tb.Held(1) || !tb.Held(2) {
-		t.Fatal("unexpired entries swept")
-	}
-	// drop predicate removes regardless of expiry, in ascending order.
-	dropped = nil
-	n = tb.Sweep(0, func(mid int, r Reservation) bool { return r.Kind == Gang }, func(mid int, r Reservation) { dropped = append(dropped, mid) })
-	if n != 1 || len(dropped) != 1 || dropped[0] != 1 {
-		t.Fatalf("predicate sweep removed %v, want [1]", dropped)
-	}
+	tb.Sweep(func(Reservation) bool { return false })
 	if !tb.Held(2) {
-		t.Fatal("starved reservation should survive predicate sweep")
+		t.Fatal("a sweep that drops nothing removed the starved reservation")
 	}
 }
 

@@ -137,7 +137,7 @@ func TestTwinsOnOneClock(t *testing.T) {
 				return tet
 			},
 			NodeTimeout: 5 * time.Second,
-			Gang:        &gang.Config{HoldSec: 20, PreemptSec: 1e9},
+			Gang:        gang.Config{HoldSec: 20, PreemptSec: 1e9},
 			Metrics:     tw.reg,
 		}, clock)
 		return tw

@@ -1,8 +1,8 @@
 package rm
 
-// Gang scheduling support: when ShardedConfig.Gang is set the RM wraps its
-// scheduler in a gang.Coordinator and acts on the full Decision each
-// round. A preemption is the one gang event the journal keeps: it moves
+// Gang scheduling support: every shard core runs its rounds through a
+// gang.Coordinator around its scheduler and acts on the full Decision
+// each round. A preemption is the one gang event the journal keeps: it moves
 // a task back to pending and charges an attempt, so replay must repeat
 // it. The quorum's launches are ordinary launch records; commits and
 // hoard releases only feed live metrics and are not durable. Preempted

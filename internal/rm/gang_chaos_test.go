@@ -90,7 +90,7 @@ func TestGangChaosMachineDeathMidGang(t *testing.T) {
 		Shards:       1,
 		NewScheduler: tetrisScheduler,
 		NewEstimator: estimator.New,
-		Gang:         &gang.Config{HoldSec: 3600, PreemptSec: 3600}, // timers inert: pure placement
+		Gang:         gang.Config{HoldSec: 3600, PreemptSec: 3600}, // timers inert: pure placement
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestGangChaosRestartMidCommit(t *testing.T) {
 			// A tiny preemption bound with an inert hold timer: the gang
 			// preempts the fillers almost immediately, generating evPreempt
 			// and the quorum's evLaunch frames for the journal to replay.
-			Gang:          &gang.Config{HoldSec: 3600, PreemptSec: 1e-9},
+			Gang:          gang.Config{HoldSec: 3600, PreemptSec: 1e-9},
 			JournalDir:    journalDir,
 			SnapshotEvery: 16, // force checkpoints that must carry gang state
 		}
@@ -401,7 +401,7 @@ func TestGangChaosShardChurn(t *testing.T) {
 	)
 	g := newShardedServer(t, shards, ShardedConfig{
 		NodeTimeout: time.Hour,
-		Gang:        &gang.Config{HoldSec: 3600, PreemptSec: 3600},
+		Gang:        gang.Config{HoldSec: 3600, PreemptSec: 3600},
 	})
 	registerFleet(t, g, nodes)
 	if err := g.SubmitJob(gangChaosJob(gangID, members, 4, 8)); err != nil {
@@ -537,7 +537,7 @@ func TestPreemptedBeforeDelivery(t *testing.T) {
 	g := newVirtualSharded(t, ShardedConfig{
 		Shards:       1,
 		NewScheduler: tetrisScheduler,
-		Gang:         &gang.Config{HoldSec: 3600, PreemptSec: 10},
+		Gang:         gang.Config{HoldSec: 3600, PreemptSec: 10},
 	}, clock)
 	g.RegisterMachine(small, resources.New(1, 2, 100, 100, 100, 100)) // fits no task
 	g.RegisterMachine(big, resources.New(4, 8, 100, 100, 100, 100))   // fits the filler or the gang

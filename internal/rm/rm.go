@@ -45,7 +45,8 @@ import (
 // its own fields hold only what differs per shard.
 type Server struct {
 	cfg   *ShardedConfig
-	sched scheduler.Scheduler  // the shard's policy, gang-wrapped when cfg.Gang is set
+	sched scheduler.Scheduler  // the shard's policy
+	coord *gang.Coordinator    // runs every round, around sched
 	est   *estimator.Estimator // nil: declared demands are used as-is
 	index int                  // the shard's position: names its log records, labels its metric series
 	clock rmClock              // the front door's RM clock
@@ -110,9 +111,7 @@ func (s *Server) open() error {
 		return fmt.Errorf("rm: scheduler is required")
 	}
 	cfg := s.cfg
-	if cfg.Gang != nil {
-		s.sched = gang.New(s.sched, *cfg.Gang)
-	}
+	s.coord = gang.New(s.sched, cfg.Gang)
 	s.log = cfg.Logger
 	s.jobs = make(map[int]*jobInfo)
 	s.faultLog = faults.NewRing()
@@ -449,21 +448,13 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	v.Time = now
 	restoreWeights := s.applyTenantWeights(s.active)
 	t0 := time.Now()
-	var asgs []scheduler.Assignment
-	var gdec *gang.Decision
-	if gc, ok := s.sched.(*gang.Coordinator); ok {
-		dec := gc.Decide(v, s.runningTasks)
-		gdec = &dec
-		asgs = dec.Assignments
-	} else {
-		asgs = s.sched.Schedule(v)
-	}
+	dec := s.coord.Decide(v, s.runningTasks)
 	restoreWeights()
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
 	s.metrics.rounds[cause].Inc()
 	s.metrics.scans.Observe(s.sched)
-	s.metrics.placements.Add(uint64(len(asgs)))
-	for _, a := range asgs {
+	s.metrics.placements.Add(uint64(len(dec.Assignments)))
+	for _, a := range dec.Assignments {
 		s.journal(&event{Kind: evLaunch, Time: now, Task: a.Task.ID,
 			Machine: a.Machine, Local: a.Local, Remote: a.Remote})
 		s.chargeLaunch(a.Task.ID, a.Machine, a.Local, a.Remote)
@@ -474,11 +465,8 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 			Duration: a.Task.PeakDuration(),
 		})
 	}
-	acted := len(asgs) > 0
-	if gdec != nil {
-		s.applyGangDecision(gdec, now)
-		acted = acted || len(gdec.Preempted)+len(gdec.CommitWaits)+gdec.Releases > 0
-	}
+	s.applyGangDecision(&dec, now)
+	acted := len(dec.Assignments)+len(dec.Preempted)+len(dec.CommitWaits)+dec.Releases > 0
 	s.rounds++
 	s.dirty, s.followup, s.unplaced = causeNone, acted, s.hasRunnable()
 	s.mayRound.Store(s.followup || s.unplaced)

@@ -363,3 +363,45 @@ func simpleJobBig(id, n int) *workload.Job {
 	j.Stages = []*workload.Stage{st}
 	return j
 }
+
+// TestGangAllOrNothingByDefault: an RM built with no gang settings still
+// admits a gang all-or-nothing. Two of the gang's three 6-core members
+// fit beside the fillers mostlyBusy starts, so a task-at-a-time round
+// would launch them; none may launch until a filler completes and the
+// whole quorum fits, and then all three launch in one round.
+func TestGangAllOrNothingByDefault(t *testing.T) {
+	g := newVirtualSharded(t, ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler}, new(virtualClock))
+	mostlyBusy(t, g)
+	const gangID = 2
+	if err := g.SubmitJob(gangChaosJob(gangID, 3, 6, 12)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		sweep(t, g, 2, true)
+		if occupied, _ := gangOccupancy(g.Shard(0), gangID); occupied != 0 {
+			t.Fatalf("sweep %d: %d gang members launched before the quorum fits", i, occupied)
+		}
+	}
+
+	// Complete the filler task on machine 0: it now has room for two
+	// members, machine 1 for the third.
+	s := g.Shard(0)
+	s.mu.Lock()
+	var filler workload.TaskID
+	for tid, rec := range s.jobs[1].launched {
+		if rec.machine == 0 {
+			filler = tid
+		}
+	}
+	s.mu.Unlock()
+	done := wire.TaskCompletion{Task: filler, Usage: resources.New(10, 20, 0, 0, 0, 0), Duration: 1}
+	if r := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Delta: true, Completed: []wire.TaskCompletion{done}}); r.Type == wire.TypeError {
+		t.Fatal(r.Error)
+	}
+	if occupied, committed := gangOccupancy(s, gangID); occupied != 3 || !committed {
+		t.Fatalf("the round after the quorum fits launched %d members (committed %v), want all 3", occupied, committed)
+	}
+	if err := g.VerifyLedger(); err != nil {
+		t.Error(err)
+	}
+}

@@ -99,14 +99,13 @@ type ShardedConfig struct {
 	// front door checkpoints every shard and restarts the log. Default
 	// 4096.
 	SnapshotEvery int
-	// Gang enables gang scheduling: each shard core wraps its scheduler
-	// in its own gang.Coordinator (internal/gang), so gang jobs admit
-	// all-or-nothing, hoard under timeout-and-release, and may preempt
-	// lower-priority preemptible tasks; the router pins every gang to
-	// one shard whose aggregate capacity can co-hold its quorum. Nil
-	// disables gang handling (gang jobs then trickle through the inner
-	// scheduler task by task).
-	Gang *gang.Config
+	// Gang times the gang coordinator every shard core runs its rounds
+	// through (internal/gang): gang jobs admit all-or-nothing, hoard
+	// under timeout-and-release, and may preempt lower-priority
+	// preemptible tasks; the router pins every gang to one shard whose
+	// aggregate capacity can co-hold its quorum. The zero value takes
+	// the coordinator's defaults.
+	Gang gang.Config
 	// Metrics receives every shard's telemetry (placements, heartbeat
 	// and fsync latencies, node liveness, ...; see metrics.go), each
 	// series tagged shard="<i>", plus the top layer's routing metrics.

@@ -244,7 +244,7 @@ func TestIntervalFloor(t *testing.T) {
 		g := newVirtualSharded(t, ShardedConfig{
 			Shards:       1,
 			NewScheduler: func() scheduler.Scheduler { return tet },
-			Gang:         &gang.Config{HoldSec: 30, PreemptSec: 1e9},
+			Gang:         gang.Config{HoldSec: 30, PreemptSec: 1e9},
 			Metrics:      reg,
 		}, clock)
 		mostlyBusy(t, g)

@@ -84,8 +84,10 @@ type gangWorld struct {
 	// bare, when non-nil, replaces the coordinator entirely: the world
 	// schedules through the raw inner scheduler. Used to prove the
 	// coordinator is digest-neutral on non-gang workloads.
-	bare     scheduler.Scheduler
-	res      *reserve.Table // the inner scheduler's, which the coordinator shares
+	bare scheduler.Scheduler
+	// res is the inner scheduler's reservation table, which the
+	// coordinator shares; nil for an inner without one.
+	res      *reserve.Table
 	machines []*scheduler.MachineState
 	jobs     []*workload.Job
 	arrive   []float64
@@ -105,11 +107,13 @@ type attempt struct {
 func newGangWorld(seed int64, inner scheduler.Scheduler, caps []resources.Vector, jobs []*workload.Job, arrive []float64) *gangWorld {
 	w := &gangWorld{
 		c:      gang.New(inner, gang.Config{HoldSec: 4, PreemptSec: 8}),
-		res:    inner.(interface{ Reservations() *reserve.Table }).Reservations(),
 		jobs:   jobs,
 		arrive: arrive,
 		states: make(map[int]*scheduler.JobState),
 		rng:    rand.New(rand.NewSource(seed)),
+	}
+	if rh, ok := inner.(interface{ Reservations() *reserve.Table }); ok {
+		w.res = rh.Reservations()
 	}
 	for i, c := range caps {
 		w.machines = append(w.machines, &scheduler.MachineState{ID: i, Capacity: c})
@@ -212,11 +216,13 @@ func (w *gangWorld) step(now float64) string {
 	if dec.Releases > 0 {
 		fmt.Fprintf(&b, "R %d|", dec.Releases)
 	}
-	w.res.Each(func(mid int, r reserve.Reservation) {
-		if r.Kind == reserve.Gang {
-			fmt.Fprintf(&b, "H %d@%d|", r.Holder, mid)
-		}
-	})
+	if w.res != nil {
+		w.res.Each(func(mid int, r reserve.Reservation) {
+			if r.Kind == reserve.Gang {
+				fmt.Fprintf(&b, "H %d@%d|", r.Holder, mid)
+			}
+		})
+	}
 
 	// Apply assignments.
 	for _, a := range dec.Assignments {
@@ -281,7 +287,10 @@ func TestGangScheduleEquivalence(t *testing.T) {
 
 // TestDigestNeutralWhenUnused: on a workload with no gang jobs, the
 // coordinator must emit exactly the decisions the bare inner scheduler
-// would — round for round, byte for byte.
+// would — round for round, byte for byte — for every inner policy: the
+// Tetris core with and without its starvation guard (whose reservation
+// table the coordinator shares), and DRF and slot-fair (for which the
+// coordinator keeps a table of its own).
 func TestDigestNeutralWhenUnused(t *testing.T) {
 	gen := rand.New(rand.NewSource(7))
 	caps := genGangCaps(gen, 6)
@@ -291,17 +300,36 @@ func TestDigestNeutralWhenUnused(t *testing.T) {
 		j.MinMembers = 0
 	}
 
-	tc := scheduler.DefaultTetrisConfig()
-	tc.StarvationSec = 8
-	wrapped := newGangWorld(99, scheduler.NewTetris(tc), caps, jobs, arrive)
-	plain := newGangWorld(99, scheduler.NewTetris(tc), caps, jobs, arrive)
-	plain.bare = plain.c.Inner()
-	for round := 0; round < 30; round++ {
-		now := float64(round) * 2
-		got, want := wrapped.step(now), plain.step(now)
-		if got != want {
-			t.Fatalf("round %d: coordinator not digest-neutral on a non-gang workload\nwrapped: %s\nbare:    %s",
-				round, got, want)
-		}
+	starving := scheduler.DefaultTetrisConfig()
+	starving.StarvationSec = 8
+	inners := []struct {
+		name string
+		new  func() scheduler.Scheduler
+	}{
+		{"tetris", func() scheduler.Scheduler { return scheduler.NewTetris(scheduler.DefaultTetrisConfig()) }},
+		{"tetris-starvation", func() scheduler.Scheduler { return scheduler.NewTetris(starving) }},
+		{"drf", func() scheduler.Scheduler { return scheduler.NewDRF() }},
+		{"slot-fair", func() scheduler.Scheduler { return scheduler.NewSlotFair() }},
+	}
+	for _, in := range inners {
+		t.Run(in.name, func(t *testing.T) {
+			wrapped := newGangWorld(99, in.new(), caps, jobs, arrive)
+			bare := in.new()
+			plain := newGangWorld(99, bare, caps, jobs, arrive)
+			plain.bare = bare
+			placed := 0
+			for round := 0; round < 30; round++ {
+				now := float64(round) * 2
+				got, want := wrapped.step(now), plain.step(now)
+				if got != want {
+					t.Fatalf("round %d: coordinator not digest-neutral on a non-gang workload\nwrapped: %s\nbare:    %s",
+						round, got, want)
+				}
+				placed += strings.Count(want, "A ")
+			}
+			if placed == 0 {
+				t.Fatal("no round placed a task: the comparison shows nothing")
+			}
+		})
 	}
 }

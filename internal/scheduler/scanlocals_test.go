@@ -427,9 +427,9 @@ func (t *Tetris) evictDepartedReference(v *View) {
 			delete(t.firstSeen, task)
 		}
 	}
-	t.res.Sweep(0, func(mid int, r reserve.Reservation) bool {
+	t.res.Sweep(func(r reserve.Reservation) bool {
 		return r.Kind == reserve.Starved && active[r.Holder] == nil
-	}, nil)
+	})
 	if !departed {
 		return
 	}

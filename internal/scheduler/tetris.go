@@ -376,9 +376,9 @@ func (t *Tetris) evictDeparted() {
 	// Only starved-task reservations are swept here: gang hoards are
 	// owned by the coordinator (which hides their holder jobs from this
 	// scheduler's view, so they would always look departed).
-	t.res.Sweep(0, func(_ int, r reserve.Reservation) bool {
+	t.res.Sweep(func(r reserve.Reservation) bool {
 		return r.Kind == reserve.Starved && t.inView(r.Holder) == nil
-	}, nil)
+	})
 	if !departed {
 		return
 	}
@@ -916,14 +916,10 @@ func NewScanMetrics(reg *telemetry.Registry, name func(string) string) *ScanMetr
 	}
 }
 
-// Observe adds what sched's counters gained since the last call, looking
-// through a wrapper that exposes its inner scheduler (the gang
-// coordinator). Call it from the goroutine that calls Schedule, after the
-// round. No-op for schedulers without scan counters.
+// Observe adds what sched's counters gained since the last call. Call it
+// from the goroutine that calls Schedule, after the round. No-op for
+// schedulers without scan counters.
 func (m *ScanMetrics) Observe(sched Scheduler) {
-	if w, ok := sched.(interface{ Inner() Scheduler }); ok {
-		sched = w.Inner()
-	}
 	p, ok := sched.(interface{ ScanStats() ScanStats })
 	if !ok {
 		return

@@ -6,7 +6,6 @@ import (
 
 	"github.com/tetris-sched/tetris/internal/cluster"
 	"github.com/tetris-sched/tetris/internal/faults"
-	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/trace"
@@ -90,8 +89,7 @@ func TestIncrementalRatesMatchFull(t *testing.T) {
 		}},
 		{"gang-preemption", func() Config {
 			wl := trace.GenerateGangMix(trace.Config{Seed: 3, NumJobs: 24, NumMachines: 6, ArrivalSpanSec: 100, MeanTaskSeconds: 40}, 0.4)
-			return Config{Cluster: cluster.NewFacebook(6), Workload: wl,
-				Scheduler: gang.New(tetris(), gang.Config{HoldSec: 5, PreemptSec: 5})}
+			return Config{Cluster: cluster.NewFacebook(6), Workload: wl, Scheduler: tetris()}
 		}, func(t *testing.T, _ *Sim, res *Result) {
 			if res.Preemptions == 0 || res.GangCommits == 0 {
 				t.Errorf("%d preemptions, %d gang commits: want both", res.Preemptions, res.GangCommits)

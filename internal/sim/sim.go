@@ -42,8 +42,10 @@ type Activity struct {
 
 // Config parameterizes one simulation run.
 type Config struct {
-	Cluster   *cluster.Cluster
-	Workload  *workload.Workload
+	Cluster  *cluster.Cluster
+	Workload *workload.Workload
+	// Scheduler is the policy. Every round runs through a gang
+	// coordinator around it, at the coordinator's default timers.
 	Scheduler scheduler.Scheduler
 	// Activities lists background activity intervals.
 	Activities []Activity
@@ -179,6 +181,7 @@ type jobRun struct {
 // Sim is one simulation run. Create with New, run with Run.
 type Sim struct {
 	cfg          Config
+	coord        *gang.Coordinator // runs every round, around cfg.Scheduler
 	clock        float64
 	queue        eventq.Queue[event]
 	jobs         []*jobRun
@@ -236,6 +239,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg:       cfg,
+		coord:     gang.New(cfg.Scheduler, gang.Config{}),
 		res:       newResult(),
 		faultRing: faults.NewRing(),
 		metrics:   newSimMetrics(cfg.Metrics),
@@ -490,25 +494,15 @@ func (s *Sim) schedule() error {
 		}
 	}
 	t0 := time.Now()
-	var asgs []scheduler.Assignment
-	var gdec *gang.Decision
-	if gc, ok := s.cfg.Scheduler.(*gang.Coordinator); ok {
-		dec := gc.Decide(v, s.gangRunning)
-		gdec = &dec
-		asgs = dec.Assignments
-	} else {
-		asgs = s.cfg.Scheduler.Schedule(v)
-	}
+	dec := s.coord.Decide(v, s.gangRunning)
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
 	s.metrics.scans.Observe(s.cfg.Scheduler)
 	s.metrics.observeRateNodes(s.rateNodesRecomputed, s.rateNodesClean)
-	s.metrics.placements.Add(uint64(len(asgs)))
-	for _, a := range asgs {
+	s.metrics.placements.Add(uint64(len(dec.Assignments)))
+	for _, a := range dec.Assignments {
 		s.start(a)
 	}
-	if gdec != nil {
-		s.applyGangDecision(gdec)
-	}
+	s.applyGangDecision(&dec)
 	return nil
 }
 

@@ -383,6 +383,20 @@ func TestAllSchedulersCompleteGeneratedWorkload(t *testing.T) {
 	}
 }
 
+// TestGangsAdmittedByDefault: a simulation of the gang mix under a plain
+// policy, with no gang settings, still admits its gangs through the
+// coordinator: quorums commit, and every job finishes.
+func TestGangsAdmittedByDefault(t *testing.T) {
+	wl := trace.GenerateGangMix(trace.Config{Seed: 3, NumJobs: 12, NumMachines: 6, ArrivalSpanSec: 100, MeanTaskSeconds: 40}, 0.4)
+	res := run(t, Config{Cluster: cluster.NewFacebook(6), Workload: wl, Scheduler: tetris(), MaxTime: 1e6})
+	if res.GangCommits == 0 {
+		t.Error("no gang quorum committed")
+	}
+	if len(res.Jobs) != len(wl.Jobs) {
+		t.Errorf("%d/%d jobs finished", len(res.Jobs), len(wl.Jobs))
+	}
+}
+
 func TestImprovementHelpers(t *testing.T) {
 	if got := Improvement(100, 70); got != 30 {
 		t.Errorf("Improvement = %v", got)

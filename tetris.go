@@ -42,7 +42,6 @@ import (
 	"github.com/tetris-sched/tetris/internal/cluster"
 	"github.com/tetris-sched/tetris/internal/estimator"
 	"github.com/tetris-sched/tetris/internal/faults"
-	"github.com/tetris-sched/tetris/internal/gang"
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/scheduler"
 	"github.com/tetris-sched/tetris/internal/sim"
@@ -211,23 +210,6 @@ func SaveWorkload(path string, wl *Workload) error { return trace.SaveFile(path,
 
 // LoadWorkload reads a workload from the named file.
 func LoadWorkload(path string) (*Workload, error) { return trace.LoadFile(path) }
-
-// GangConfig parameterizes the gang coordinator: hold timeout,
-// preemption deadline and wave spacing.
-type GangConfig = gang.Config
-
-// DefaultGangConfig returns the gang coordinator's default operating
-// point.
-func DefaultGangConfig() GangConfig { return gang.DefaultConfig() }
-
-// NewGangCoordinator wraps inner with the gang-admission layer: gang
-// jobs are admitted all-or-nothing, hoarded placements time out and are
-// released, and low-priority preemptible tasks may be evicted for a
-// waiting gang; singletons pass through. The simulator recognizes the
-// coordinator and acts on its preemptions, commits and releases.
-func NewGangCoordinator(inner Scheduler, cfg GangConfig) Scheduler {
-	return gang.New(inner, cfg)
-}
 
 // GenerateGangWorkload builds the gang-scenario mix: gangFraction
 // ML/MPI gang jobs among small preemptible batch fillers (≤0 defaults
