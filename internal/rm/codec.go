@@ -515,7 +515,7 @@ func (s *Server) restoreState(r *wire.Reader) error {
 		if !ji.finished && s.adm != nil {
 			// Re-adopt the unfinished job's tenant accounting so quotas
 			// hold across the restart (finished jobs were released live).
-			s.adm.adopt(ji.tenant, ji.demand)
+			s.adm.adopt(ji.tenant)
 		}
 		s.addJob(ji)
 	}
@@ -593,7 +593,6 @@ func (s *Server) readJobState(r *wire.Reader) (*jobInfo, error) {
 	}
 	ji.state = &scheduler.JobState{Job: job, Status: status, Alloc: alloc}
 	ji.launched = make(map[workload.TaskID]launchRecord, n)
-	ji.demand = jobDemand(job)
 	ji.meanVolume = meanTaskVolume(job)
 	for i, tid := range tids {
 		if i > 0 && !tids[i-1].Less(tid) {

@@ -94,10 +94,7 @@ type jobInfo struct {
 	finished   bool
 	failed     bool // abandoned: a task exhausted its attempt cap
 	finishedAt float64
-	// tenant owns the job (admission); demand is the admission charge
-	// (sum of task peaks) released when the job finishes.
-	tenant string
-	demand resources.Vector
+	tenant     string // owns the job (admission)
 	// meanVolume is meanTaskVolume of the job, which the router reads on
 	// every submission to any shard; a pure function of the definition.
 	meanVolume float64
@@ -175,7 +172,7 @@ func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Mes
 		// (reply with current progress, as if it were a poll); a
 		// different job under the same ID is a real conflict.
 		if reserved && s.adm != nil {
-			s.adm.cancel(tenant, jobDemand(j))
+			s.adm.release(tenant)
 		}
 		if sameJob(ji.state.Job, j) {
 			return amReply(ji)
@@ -189,7 +186,7 @@ func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Mes
 		// Nothing reserved for this job (a resubmission that raced its
 		// own first submit to this shard, or a core driven directly in
 		// tests): account it so release stays balanced.
-		s.adm.adopt(tenant, jobDemand(j))
+		s.adm.adopt(tenant)
 	}
 	if j.Weight <= 0 {
 		j.Weight = 1
@@ -209,14 +206,13 @@ func (s *Server) applySubmit(j *workload.Job, tenant string) {
 		state:      &scheduler.JobState{Job: j, Status: workload.NewStatus(j)},
 		launched:   make(map[workload.TaskID]launchRecord),
 		tenant:     tenant,
-		demand:     jobDemand(j),
 		meanVolume: meanTaskVolume(j),
 	}
 	s.addJob(ji)
 	s.markDirty(causeSubmit)
 	if s.replaying {
 		if s.adm != nil {
-			s.adm.adopt(tenant, ji.demand)
+			s.adm.adopt(tenant)
 		}
 		return
 	}
@@ -476,12 +472,11 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 // existing f-knob: for the duration of one Schedule call, each active
 // job's fair-share weight becomes
 //
-//	base_j × tenantWeight(t) / Σ base of t's active jobs
+//	base_j / Σ base of t's active jobs
 //
-// so tenants split the cluster in proportion to their configured
-// weights regardless of how many jobs each queued, and a tenant's share
-// is split among its jobs by the per-job weights the f-knob already
-// arbitrates. The mutation is strictly transient — the returned restore
+// so active tenants split the cluster equally regardless of how many
+// jobs each queued, and a tenant's share is split among its jobs by the
+// per-job weights the f-knob already arbitrates. The mutation is strictly transient — the returned restore
 // puts the base weights back before anything is journaled or encoded,
 // keeping snapshots and digests on base weights (safe because every
 // scheduler core re-reads Job.Weight fresh each round). No-op without
@@ -498,7 +493,7 @@ func (s *Server) applyTenantWeights(active []*jobInfo) func() {
 	}
 	for i, ji := range active {
 		if sum := sums[ji.tenant]; sum > 0 {
-			ji.state.Job.Weight = base[i] * s.adm.tenantWeight(ji.tenant) / sum
+			ji.state.Job.Weight = base[i] / sum
 		}
 	}
 	return func() {

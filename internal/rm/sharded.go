@@ -757,7 +757,7 @@ func (g *Sharded) handleSubmitJob(r *wire.SubmitJob) *wire.Message {
 	}
 	reserved := false
 	if g.adm != nil {
-		if rej := g.adm.admit(r.Tenant, jobDemand(r.Job)); rej != nil {
+		if rej := g.adm.admit(r.Tenant); rej != nil {
 			return rejectMsg(rej)
 		}
 		reserved = true

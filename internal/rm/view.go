@@ -155,7 +155,7 @@ func (s *Server) retire(ji *jobInfo) {
 	s.view.Jobs = slices.Delete(s.view.Jobs, i, i+1)
 	s.jobsChanged()
 	if s.adm != nil {
-		s.adm.release(ji.tenant, ji.demand)
+		s.adm.release(ji.tenant)
 	}
 	if s.est != nil {
 		s.est.ForgetJob(id, len(ji.state.Job.Stages))

@@ -94,8 +94,9 @@ func backlogView(inputs bool) *View {
 	}
 }
 
-// benchBacklog measures one round over backlogView on the core and on
-// its oracle.
+// benchBacklog measures one round over backlogView on the core, on its
+// oracle, and on the core with a decision ring that samples every round,
+// as tetris-cluster runs it.
 func benchBacklog(b *testing.B, inputs bool) {
 	v := backlogView(inputs)
 	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
@@ -104,6 +105,13 @@ func benchBacklog(b *testing.B, inputs bool) {
 			benchTetris(b, v, mk)
 		})
 	}
+	b.Run("traced", func(b *testing.B) {
+		benchTetris(b, v, func() Scheduler {
+			cfg := DefaultTetrisConfig()
+			cfg.Trace = NewDecisionRing(256, 1)
+			return NewTetris(cfg)
+		})
+	})
 }
 
 func BenchmarkTetrisScheduleBacklog(b *testing.B) { benchBacklog(b, false) }

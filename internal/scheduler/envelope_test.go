@@ -418,12 +418,12 @@ func sampledMatch(t *testing.T, what string, sampled, full []RoundTrace) {
 
 // TestTraceOnSaturatedDeepView reruns trace-does-not-affect-decisions
 // where the prunes are busiest: tasks read input, so the locality scan
-// prunes as well as the stage scans. Tracing every round never prunes —
-// that run is the unpruned core, record for record. Tracing every other
-// round prunes in between, and must still (a) decide exactly as with
-// tracing off and (b) record, in its sampled rounds, exactly what the
-// every-round run recorded for them: a pruned round leaves nothing behind
-// that a sampled round could see.
+// prunes as well as the stage scans. A sampled round runs the same pruned
+// scan as any other, so tracing every round, every other round and never
+// must (a) decide identically, (b) count identical ScanStats, and (c)
+// record, in the half-sampled run's rounds, exactly what the every-round
+// run recorded for them. The every-round run's per-round Scan fields add
+// up to its cumulative counters.
 func TestTraceOnSaturatedDeepView(t *testing.T) {
 	plain, plainSched := deepTraceRun(nil)
 	fullRing := NewDecisionRing(64, 1)
@@ -437,13 +437,27 @@ func TestTraceOnSaturatedDeepView(t *testing.T) {
 			}
 		}
 	}
-	if st := fullSched.ScanStats(); st.StagePrunes != 0 || st.LocalPrunes != 0 {
-		t.Errorf("sampled rounds pruned: %+v", st)
+	want := plainSched.ScanStats()
+	if want.StagePrunes == 0 || want.MachinePrunes == 0 || want.LocalPrunes == 0 {
+		t.Errorf("untraced run never pruned a stage scan, a stage walk or a local option: %+v", want)
 	}
-	for name, s := range map[string]*Tetris{"untraced": plainSched, "half-sampled": halfSched} {
-		if st := s.ScanStats(); st.StagePrunes == 0 || st.LocalPrunes == 0 {
-			t.Errorf("%s run never pruned a stage scan or a local option: %+v", name, st)
+	for name, s := range map[string]*Tetris{"every round": fullSched, "every other round": halfSched} {
+		if got := s.ScanStats(); got != want {
+			t.Errorf("tracing %s: scan counters %+v, want the untraced run's %+v", name, got, want)
 		}
+	}
+	var sum ScanStats
+	for _, rt := range fullRing.Snapshot() {
+		sum = ScanStats{
+			StageScans:    sum.StageScans + rt.Scan.StageScans,
+			StagePrunes:   sum.StagePrunes + rt.Scan.StagePrunes,
+			MachinePrunes: sum.MachinePrunes + rt.Scan.MachinePrunes,
+			LocalPrunes:   sum.LocalPrunes + rt.Scan.LocalPrunes,
+			Considered:    sum.Considered + rt.Scan.Considered,
+		}
+	}
+	if sum != want {
+		t.Errorf("per-round Scan fields add up to %+v, want the cumulative %+v", sum, want)
 	}
 	sampledMatch(t, "incremental", halfRing.Snapshot(), fullRing.Snapshot())
 }

@@ -493,6 +493,11 @@ func TestScheduleEquivalence(t *testing.T) {
 			})
 		}
 	}
+	// The world TestTraceOnSaturatedDeepView traces, against the oracle.
+	deepRounds += runDeepEquivalence(t, "tetris-deep[traced world]", deepRun{
+		cfg: DefaultTetrisConfig(), seed: 77, rounds: 40,
+		inputs: true, faults: true, requirePrune: true,
+	})
 
 	drfRounds := 0
 	for di, mk := range []func() *DRF{NewDRF, NewDRFWithNetwork} {

@@ -879,11 +879,22 @@ func (t *Tetris) floorFits(peak, avail resources.Vector) bool {
 // counters: how much of the rounds' stage walking the demand envelopes
 // pruned. The oracle counts nothing.
 type ScanStats struct {
-	StageScans    uint64 // stage windows walked task by task
-	StagePrunes   uint64 // stage visits skipped by an envelope comparison
-	MachinePrunes uint64 // stage walks skipped whole by one machine-envelope comparison
-	LocalPrunes   uint64 // locality-scan options skipped by one floor comparison
-	Considered    uint64 // (task, machine) options evaluated by considerTR
+	StageScans    uint64 `json:"stage_scans"`    // stage windows walked task by task
+	StagePrunes   uint64 `json:"stage_prunes"`   // stage visits skipped by an envelope comparison
+	MachinePrunes uint64 `json:"machine_prunes"` // stage walks skipped whole by one machine-envelope comparison
+	LocalPrunes   uint64 `json:"local_prunes"`   // locality-scan options skipped by one floor comparison
+	Considered    uint64 `json:"considered"`     // (task, machine) options evaluated by considerTR
+}
+
+// sub returns the counters gained since prev.
+func (s ScanStats) sub(prev ScanStats) ScanStats {
+	return ScanStats{
+		StageScans:    s.StageScans - prev.StageScans,
+		StagePrunes:   s.StagePrunes - prev.StagePrunes,
+		MachinePrunes: s.MachinePrunes - prev.MachinePrunes,
+		LocalPrunes:   s.LocalPrunes - prev.LocalPrunes,
+		Considered:    s.Considered - prev.Considered,
+	}
 }
 
 // ScanStats reports the scan counters. They are plain fields, not
@@ -925,10 +936,11 @@ func (m *ScanMetrics) Observe(sched Scheduler) {
 		return
 	}
 	st := p.ScanStats()
-	m.stageScans.Add(st.StageScans - m.prev.StageScans)
-	m.stagePrunes.Add(st.StagePrunes - m.prev.StagePrunes)
-	m.machinePrunes.Add(st.MachinePrunes - m.prev.MachinePrunes)
-	m.localPrunes.Add(st.LocalPrunes - m.prev.LocalPrunes)
+	d := st.sub(m.prev)
+	m.stageScans.Add(d.StageScans)
+	m.stagePrunes.Add(d.StagePrunes)
+	m.machinePrunes.Add(d.MachinePrunes)
+	m.localPrunes.Add(d.LocalPrunes)
 	m.prev = st
 }
 
@@ -1111,7 +1123,8 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 
 	t.rt = nil
 	if t.cfg.Trace != nil && t.cfg.Trace.sample() {
-		t.rt = &RoundTrace{Round: t.round, Time: v.Time, Machines: len(v.Machines)}
+		// Scan holds the counters at round start until the round ends.
+		t.rt = &RoundTrace{Round: t.round, Time: v.Time, Machines: len(v.Machines), Scan: t.scan}
 	}
 
 	if len(runnable) == 0 {
@@ -1263,6 +1276,7 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 	}
 	if rt := t.rt; rt != nil {
 		rt.Placed = len(out)
+		rt.Scan = t.scan.sub(rt.Scan)
 		t.cfg.Trace.ring.Append(*rt)
 		t.rt = nil
 	}
@@ -1291,9 +1305,9 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 // is per-dimension and monotone, and a minimum involves no arithmetic),
 // so the scan would add nothing, visit exactly the window again, fetch
 // nothing and advance no cursor: skipping it changes no decision and no
-// state a later step reads. A sampled round takes the unpruned path, so
-// its infeasible-local records stay those of the first detection per
-// (task, machine).
+// state a later step reads. A sampled round prunes too, so its trace
+// lists only the options considerTR evaluated; RoundTrace.Scan counts
+// the visits the prunes skipped.
 //
 // The machine envelope. While every stage the walk visits has an
 // envelope, a free vector that does not fit their minimum fits none of
@@ -1314,21 +1328,19 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 	t.tick++
 
 	walk := rs.stages
-	if t.rt == nil {
-		if t.machEnvStages < 0 {
-			t.machineEnvelope(rs)
-		}
-		if t.machEnvStages > 0 && !t.machEnv.FitsIn(avail) {
-			t.scan.MachinePrunes++
-			t.scan.StagePrunes += uint64(t.machEnvStages)
-			walk = nil
-		}
+	if t.machEnvStages < 0 {
+		t.machineEnvelope(rs)
+	}
+	if t.machEnvStages > 0 && !t.machEnv.FitsIn(avail) {
+		t.scan.MachinePrunes++
+		t.scan.StagePrunes += uint64(t.machEnvStages)
+		walk = nil
 	}
 	for _, sr := range walk {
 		if !sr.rec.eligible && !sr.inTail {
 			continue
 		}
-		if sr.envOK && t.rt == nil && !sr.env.FitsIn(avail) {
+		if sr.envOK && !sr.env.FitsIn(avail) {
 			t.scan.StagePrunes++
 			continue
 		}
@@ -1406,10 +1418,10 @@ func (t *Tetris) collectIncr(v *View, mid int, rs *roundState) ([]candidate, flo
 // machine, and most of them do not fit what is left of it. floorFits
 // tests demandFloor of the entry the cache would build, so when it fails
 // neither does the demand fit, and considerTR would only set failLocal:
-// the option is rejected before the cache is opened. A sampled round
-// takes the unpruned path, as for the stage envelope.
+// the option is rejected before the cache is opened, and a sampled
+// round records no decision for it, as for the stage envelope.
 func (t *Tetris) considerIncr(rec *jobRecord, task *workload.Task, inTail bool) {
-	if t.rt == nil && !t.floorFits(t.curV.DemandPeak(rec.state, task), t.curAvail) {
+	if !t.floorFits(t.curV.DemandPeak(rec.state, task), t.curAvail) {
 		t.scan.LocalPrunes++
 		return
 	}

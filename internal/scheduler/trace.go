@@ -19,9 +19,10 @@ import (
 // is kept free of instrumentation. When tracing is configured but the
 // round is sampled out, every hook is one nil check and no record is
 // built — TestTraceSampledOutAllocs pins that at zero allocations so the
-// benchgate holds. A sampled round also bypasses the demand-envelope
-// prune (collectIncr), so its infeasible-local records are those of the
-// unpruned scan.
+// benchgate holds. A sampled round runs the same pruned scan as any
+// other (collectIncr): its decisions list only the options considerTR
+// evaluated, and its Scan field counts the stage visits, stage walks
+// and locality options the prunes skipped.
 
 // Decision outcomes.
 const (
@@ -63,12 +64,16 @@ type RoundTrace struct {
 	// Fairness-knob cutoff (§3.4): of RunnableJobs sorted by fairness
 	// deficit, only the first EligibleJobs were considered; CutoffJobIDs
 	// lists the jobs excluded this round (barrier-tail tasks excepted).
-	RunnableJobs int            `json:"runnable_jobs"`
-	EligibleJobs int            `json:"eligible_jobs"`
-	CutoffJobIDs []int          `json:"cutoff_job_ids,omitempty"`
-	Eps          float64        `json:"eps"` // last ε computed this round
-	Placed       int            `json:"placed"`
-	Decisions    []TaskDecision `json:"decisions"`
+	RunnableJobs int     `json:"runnable_jobs"`
+	EligibleJobs int     `json:"eligible_jobs"`
+	CutoffJobIDs []int   `json:"cutoff_job_ids,omitempty"`
+	Eps          float64 `json:"eps"` // last ε computed this round
+	Placed       int     `json:"placed"`
+	// Scan is what the core's ScanStats gained over this round: the
+	// options evaluated and the ones the prunes skipped without a
+	// decision record.
+	Scan      ScanStats      `json:"scan"`
+	Decisions []TaskDecision `json:"decisions"`
 	// Truncated counts decisions dropped after the per-round cap.
 	Truncated int `json:"truncated,omitempty"`
 }

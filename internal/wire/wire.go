@@ -243,7 +243,6 @@ const (
 	RejectConflict    = "id-conflict"   // same ID, different definition; permanent
 	RejectRateLimited = "rate-limited"  // tenant submit token bucket empty
 	RejectQuotaJobs   = "quota-jobs"    // tenant queued-job quota exhausted
-	RejectQuotaDemand = "quota-demand"  // tenant aggregate-demand quota exhausted
 	RejectShed        = "shed-overload" // load shedding: RM saturated, tenant priority below the floor
 )
 

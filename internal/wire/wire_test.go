@@ -198,7 +198,7 @@ func TestSubmitRejectFidelity(t *testing.T) {
 	in := &Message{Type: TypeSubmitBatchReply, SubmitBatchReply: &SubmitBatchReply{Results: []SubmitResult{
 		{JobID: 11},
 		{JobID: 12, Reject: &SubmitReject{
-			Code: RejectQuotaDemand, Reason: "tenant at aggregate demand quota", RetryAfter: 2.5,
+			Code: RejectQuotaJobs, Reason: "tenant at queued-job quota", RetryAfter: 2.5,
 		}},
 	}}}
 	f := NewFramer(CodecJSON)
@@ -217,7 +217,7 @@ func TestSubmitRejectFidelity(t *testing.T) {
 		t.Errorf("accepted result = %+v", r.Results[0])
 	}
 	rej := r.Results[1].Reject
-	if r.Results[1].JobID != 12 || rej == nil || rej.Code != RejectQuotaDemand || rej.Reason != "tenant at aggregate demand quota" || rej.RetryAfter != 2.5 {
+	if r.Results[1].JobID != 12 || rej == nil || rej.Code != RejectQuotaJobs || rej.Reason != "tenant at queued-job quota" || rej.RetryAfter != 2.5 {
 		t.Errorf("reject = %+v", rej)
 	}
 }

@@ -108,12 +108,14 @@ var optionAllowed = map[string]string{
 	"internal/faults.PlanConfig.MeanSlowdown":     "machine slowdowns are a documented FaultPlan kind",
 }
 
-// TestEveryOptionHasASetter fails when an exported field of a struct type
-// named Config, ...Config or Options is set by no non-test file outside
-// the type's own package: an option no program sets is a constant. A set
-// is a composite-literal key, an assignment or taking the field's address
-// (a flag bound to it); fields resolve through go/types, so a set through
-// a facade alias counts.
+// TestEveryOptionHasASetter fails when an exported field of an option
+// struct is set by no non-test file outside the type's own package: an
+// option no program sets is a constant. The option structs are the struct
+// types named Config, ...Config or Options, and every struct type of the
+// same package one of their fields holds, directly, by pointer, or as a
+// slice, array or map element. A set is a composite-literal key, an
+// assignment or taking the field's address (a flag bound to it); fields
+// resolve through go/types, so a set through a facade alias counts.
 func TestEveryOptionHasASetter(t *testing.T) {
 	m := loadModule(t)
 	set := map[types.Object]bool{}
@@ -153,20 +155,44 @@ func TestEveryOptionHasASetter(t *testing.T) {
 	var unset []string
 	for _, p := range m.pkgs {
 		scope := p.pkg.Scope()
+		var queue []*types.TypeName
+		seen := map[*types.TypeName]bool{}
+		// hold queues typ's named struct type when it is declared in p,
+		// looking through pointers, slices, arrays and map values.
+		hold := func(typ types.Type) {
+			for {
+				e, ok := typ.(interface{ Elem() types.Type })
+				if !ok {
+					break
+				}
+				typ = e.Elem()
+			}
+			named, ok := typ.(*types.Named)
+			if !ok || named.Obj().Pkg() != p.pkg || seen[named.Obj()] {
+				return
+			}
+			if _, ok := named.Underlying().(*types.Struct); ok {
+				seen[named.Obj()] = true
+				queue = append(queue, named.Obj())
+			}
+		}
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || (name != "Options" && !strings.HasSuffix(name, "Config")) {
-				continue
+			if ok && !tn.IsAlias() && (name == "Options" || strings.HasSuffix(name, "Config")) {
+				hold(tn.Type())
 			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
+		}
+		for len(queue) > 0 {
+			tn := queue[0]
+			queue = queue[1:]
+			name := tn.Name()
+			st := tn.Type().Underlying().(*types.Struct)
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
 				if !f.Exported() {
 					continue
 				}
+				hold(f.Type())
 				key := p.rel + "." + name + "." + f.Name()
 				declared[key] = true
 				if set[f] {
@@ -197,10 +223,9 @@ func TestEveryOptionHasASetter(t *testing.T) {
 // anyway. Keys are "pkg.Type.Field" with pkg the path below the module;
 // the value says why.
 var fieldAllowed = map[string]string{
-	"internal/scheduler.ScanStats.Considered": "the envelope test and the equivalence counts read it",
-	"internal/am.Result.FinishedAt":           "the am tests read it",
-	"benchmark.workloadDef.why":               "the benchmark's test holds it equal to BENCHMARK.json",
-	"internal/wire.Message.ClusterStatus":     "the status reply; no shipped client sends the query",
+	"internal/am.Result.FinishedAt":       "the am tests read it",
+	"benchmark.workloadDef.why":           "the benchmark's test holds it equal to BENCHMARK.json",
+	"internal/wire.Message.ClusterStatus": "the status reply; no shipped client sends the query",
 }
 
 // TestEveryFieldIsRead fails when a field of a package-level struct type
