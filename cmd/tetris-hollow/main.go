@@ -28,10 +28,13 @@ import (
 	"log"
 	"math"
 	"os"
+	"os/exec"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -140,15 +143,43 @@ func main() {
 }
 
 // snapshot is one run's BENCH_scale_<scenario>.json record: what was run
-// (Config) and what was measured (Metrics), flat so any two snapshots
-// diff key by key. Metric keys are snake_case with the unit suffixed.
+// (Config), where (Env) and what was measured (Metrics), flat so any two
+// snapshots diff key by key. Metric keys are snake_case with the unit
+// suffixed.
 type snapshot struct {
 	Schema   int                `json:"schema"`
 	Kind     string             `json:"kind"`
 	Scenario string             `json:"scenario"`
 	Unix     int64              `json:"unix,omitempty"`
+	Env      env                `json:"env"`
 	Config   map[string]string  `json:"config,omitempty"`
 	Metrics  map[string]float64 `json:"metrics"`
+}
+
+// env is what a snapshot's numbers depend on beyond its Config, stamped
+// as the control-plane benchmark stamps its result files.
+type env struct {
+	Commit     string `json:"commit"` // empty outside a git work tree
+	GoVersion  string `json:"go_version"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NProc      int    `json:"nproc"`
+	CPU        string `json:"cpu"` // /proc/cpuinfo's model name; empty where unreadable
+}
+
+func describeEnv() env {
+	e := env{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), NProc: runtime.NumCPU()}
+	if b, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		e.Commit = strings.TrimSpace(string(b))
+	}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				e.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return e
 }
 
 // write stores the snapshot as indented JSON. A non-finite metric fails
@@ -403,6 +434,7 @@ func runOnce(ctx context.Context, o options) (*snapshot, int, error) {
 		Kind:     "hollow-scale",
 		Scenario: o.scenario,
 		Unix:     time.Now().Unix(),
+		Env:      describeEnv(),
 		Config: map[string]string{
 			"nodes":       strconv.Itoa(o.nodes),
 			"conns":       strconv.Itoa(fleet.Conns()),

@@ -170,8 +170,11 @@ func TestSnapshotShape(t *testing.T) {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	if want := []string{"config", "kind", "metrics", "scenario", "schema", "unix"}; !slices.Equal(keys, want) {
+	if want := []string{"config", "env", "kind", "metrics", "scenario", "schema", "unix"}; !slices.Equal(keys, want) {
 		t.Errorf("top-level keys = %q, want %q", keys, want)
+	}
+	if e := describeEnv(); e.GoVersion == "" || e.GOMAXPROCS < 1 || e.NProc < 1 {
+		t.Errorf("describeEnv = %+v, want the Go version, GOMAXPROCS and nproc stamped", e)
 	}
 
 	s.Metrics["rounds_per_sec"] = math.NaN()

@@ -111,8 +111,7 @@ type Tetris struct {
 	runnable []*jobRecord // beginRound's result
 	sorter   deficitSorter
 
-	free    []resources.Vector
-	freeVer []uint32
+	free []resources.Vector
 
 	rs       roundState
 	stageBuf []stageRun // backing array for rs.stages; task slices recycled
@@ -147,8 +146,10 @@ type Tetris struct {
 
 	// rt is the decision trace of the round in flight; nil when tracing
 	// is off or the round is sampled out (the common case — every hook
-	// is then one nil check).
-	rt *RoundTrace
+	// is then one nil check). A sampled round is built in rtBuf, whose
+	// slices every sampled round reuses; the ring gets a clone.
+	rt    *RoundTrace
+	rtBuf RoundTrace
 
 	scan ScanStats // cumulative, see Tetris.ScanStats
 }
@@ -730,17 +731,10 @@ func (t *Tetris) compactLocals(mid, next int) {
 //     placement-adjusted demand vector, its capacity-normalized form and
 //     the remote-source charges, so each is computed once per (task,
 //     machine) instead of once per placement.
-//   - Alignment scores are cached per (task, machine) and stamped with
-//     the machine's free-vector version (freeVer); a placement bumps the
-//     version of every machine whose ledger it touched (the target and
-//     each remote source), which is the dirty-set that invalidates only
-//     the affected scores.
 //   - Feasibility failures are remembered: free vectors only ever shrink
 //     within a round, so a task that did not fit a machine (or whose
 //     remote sources could not absorb its charges) is skipped with a
 //     single flag test on every later placement — the early-exit prune.
-//   - Remote-source feasibility is memoized with the version-sum of the
-//     source machines' ledgers and rechecked only when one changed.
 //   - A stage whose scan window produced no candidate leaves a demand
 //     envelope behind (stageRun.env); every later visit in the round —
 //     another fill, another machine — that the envelope proves fruitless
@@ -749,9 +743,9 @@ func (t *Tetris) compactLocals(mid, next int) {
 //     per machine once every stage has an envelope (their minimum).
 //   - A locality-scan option whose demand floor does not fit the machine
 //     is dropped before the task cache is opened (considerIncr).
-//   - What is a pure function of (estimate, task) — the base demand and
-//     its normalized form — is kept across rounds for as long as the
-//     estimate stays bit-identical (taskRoundFor).
+//   - What is a pure function of (estimate, task) — the base demand —
+//     is kept across rounds for as long as the estimate stays
+//     bit-identical (taskRoundFor).
 //   - A job's per-round facts — presence in the View, eligibility,
 //     remaining work — are written into its record (jobRecord), which
 //     the stage runs, the locality index and the task cache point at, so
@@ -785,8 +779,8 @@ type taskRound struct {
 	sr *stageRun // the task's stage this round, once a stage scan saw it
 
 	// peak is the scheduler-visible peak demand. Re-read from the View
-	// every round; everything derived from it alone (base, normBase)
-	// outlives the round while the new reading is bit-identical.
+	// every round; what is derived from it alone (base) outlives the
+	// round while the new reading is bit-identical.
 	peak resources.Vector
 
 	// base demand and charges for machines holding none of the task's
@@ -811,13 +805,6 @@ type taskRound struct {
 	hasPlaced     bool
 	inputsScanned bool
 
-	// normBase caches base.Normalize(cap) keyed by the exact capacity
-	// vector: clusters have few machine classes, so consecutive machines
-	// often share one. Valid as long as base is.
-	normBase    resources.Vector
-	normBaseCap resources.Vector
-	normBaseSet bool
-
 	// takenRound stamps the task as placed this round — the allocation-
 	// free mirror of roundState.taken for the stage scans.
 	takenRound uint64
@@ -825,21 +812,16 @@ type taskRound struct {
 	// Per-(round, machine) state, valid while mach matches the machine
 	// currently being packed. Machines are packed one at a time and
 	// never revisited within a round, so one machine's worth suffices.
-	mach         int
-	affinity     bool
-	remoteMB     float64
-	d            resources.Vector // placement demand on mach
-	normD        resources.Vector // d normalized by mach's capacity
-	normDOK      bool             // normD computed for mach (lazy: a task that fails a fit test needs none)
-	remote       []RemoteCharge   // live charges for placement on mach
-	remoteSet    bool
-	failLocal    bool   // d did not fit free[mach]: monotone within the round
-	failRemote   bool   // a charge did not fit its source: monotone
-	remoteOK     bool   // last remote check passed...
-	remoteVerSum uint64 // ...at this Σ freeVer over the source machines
-	alignOK      bool   // cached align valid...
-	alignVer     uint32 // ...while freeVer[mach] still equals this
-	align        float64
+	mach       int
+	affinity   bool
+	remoteMB   float64
+	d          resources.Vector // placement demand on mach
+	normD      resources.Vector // d normalized by mach's capacity
+	normDOK    bool             // normD computed for mach (lazy: a task that fails a fit test needs none)
+	remote     []RemoteCharge   // live charges for placement on mach
+	remoteSet  bool
+	failLocal  bool // d did not fit free[mach]: monotone within the round
+	failRemote bool // a charge did not fit its source: monotone
 
 	tick uint32 // appended-as-candidate stamp for the current collect call
 }
@@ -966,11 +948,11 @@ func (s *deficitSorter) Swap(a, b int) {
 }
 
 // taskRoundFor returns the task's cache entry, resetting per-round fields
-// on first touch in the current round. The base demand (and its
-// normalized form) is a pure function of (peak, task) — input blocks and
-// the flow cap are immutable — so it is dropped only when the estimator
-// moved the peak, compared bit for bit (== equates ±0, and the kept value
-// must reproduce the recomputation exactly).
+// on first touch in the current round. The base demand is a pure
+// function of (peak, task) — input blocks and the flow cap are immutable
+// — so it is dropped only when the estimator moved the peak, compared bit
+// for bit (== equates ±0, and the kept value must reproduce the
+// recomputation exactly).
 func (t *Tetris) taskRoundFor(rec *jobRecord, task *workload.Task) *taskRound {
 	tr := t.tasks[task]
 	if tr == nil {
@@ -990,7 +972,6 @@ func (t *Tetris) taskRoundFor(rec *jobRecord, task *workload.Task) *taskRound {
 		if peak := t.curV.DemandPeak(rec.state, task); !peak.SameBits(tr.peak) {
 			tr.peak = peak
 			tr.baseSet = false
-			tr.normBaseSet = false
 		}
 		tr.liveSet = false
 		tr.baseRemoteDead = false
@@ -1124,7 +1105,11 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 	t.rt = nil
 	if t.cfg.Trace != nil && t.cfg.Trace.sample() {
 		// Scan holds the counters at round start until the round ends.
-		t.rt = &RoundTrace{Round: t.round, Time: v.Time, Machines: len(v.Machines), Scan: t.scan}
+		t.rtBuf = RoundTrace{
+			Round: t.round, Time: v.Time, Machines: len(v.Machines), Scan: t.scan,
+			CutoffJobIDs: t.rtBuf.CutoffJobIDs[:0], Decisions: t.rtBuf.Decisions[:0],
+		}
+		t.rt = &t.rtBuf
 	}
 
 	if len(runnable) == 0 {
@@ -1156,13 +1141,8 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 
 	if cap(t.free) < len(v.Machines) {
 		t.free = make([]resources.Vector, len(v.Machines))
-		t.freeVer = make([]uint32, len(v.Machines))
 	}
 	t.free = t.free[:len(v.Machines)]
-	t.freeVer = t.freeVer[:len(v.Machines)]
-	for i := range t.freeVer {
-		t.freeVer[i] = 0
-	}
 	for i, m := range v.Machines {
 		t.free[i] = resources.Vector{}
 		if m.Down {
@@ -1264,10 +1244,8 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 			rs.taken[c.task] = true // scanLocals (shared) reads the map
 			t.markTaken(c.tr)
 			t.free[m.ID] = t.free[m.ID].Sub(c.demand).Max(resources.Vector{})
-			t.freeVer[m.ID]++
 			for _, rc := range c.remote {
 				t.free[rc.Machine] = t.free[rc.Machine].Sub(rc.Charge).Max(resources.Vector{})
-				t.freeVer[rc.Machine]++
 			}
 		}
 	}
@@ -1277,7 +1255,7 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 	if rt := t.rt; rt != nil {
 		rt.Placed = len(out)
 		rt.Scan = t.scan.sub(rt.Scan)
-		t.cfg.Trace.ring.Append(*rt)
+		t.cfg.Trace.ring.Append(rt.clone())
 		t.rt = nil
 	}
 	// A cache entry lives as long as its task can be considered: a placed
@@ -1476,8 +1454,6 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 		tr.remoteSet = false
 		tr.failLocal = false
 		tr.failRemote = !tr.affinity && tr.baseRemoteDead
-		tr.remoteOK = false
-		tr.alignOK = false
 	}
 	if tr.failLocal || tr.failRemote {
 		return // early-exit prune: free only shrinks, the failure stands
@@ -1509,57 +1485,30 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 			}
 			tr.remoteSet = true
 		}
-		// Recheck source feasibility only when some source's ledger
-		// version moved since the last passing check.
-		var verSum uint64
 		for _, rc := range tr.remote {
-			verSum += uint64(t.freeVer[rc.Machine])
-		}
-		if !tr.remoteOK || verSum != tr.remoteVerSum {
-			for _, rc := range tr.remote {
-				if !rc.Charge.FitsIn(t.free[rc.Machine]) {
-					tr.failRemote = true
-					if !tr.affinity {
-						tr.baseRemoteDead = true
-					}
-					if t.rt != nil {
-						t.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleRemote})
-					}
-					return
+			if !rc.Charge.FitsIn(t.free[rc.Machine]) {
+				tr.failRemote = true
+				if !tr.affinity {
+					tr.baseRemoteDead = true
 				}
+				if t.rt != nil {
+					t.trace(TaskDecision{Task: task.ID, Machine: mid, Outcome: OutcomeInfeasibleRemote})
+				}
+				return
 			}
-			tr.remoteOK = true
-			tr.remoteVerSum = verSum
 		}
 	}
-	var align float64
-	if tr.alignOK && tr.alignVer == t.freeVer[mid] {
-		align = tr.align
-	} else {
-		if !t.curNormAOK {
-			t.curNormA = t.curAvail.Normalize(t.curCap)
-			t.curNormAOK = true
-		}
-		if !tr.normDOK {
-			if tr.affinity {
-				tr.normD = tr.d.Normalize(t.curCap)
-			} else {
-				if !tr.normBaseSet || tr.normBaseCap != t.curCap {
-					tr.normBase = tr.base.Normalize(t.curCap)
-					tr.normBaseCap = t.curCap
-					tr.normBaseSet = true
-				}
-				tr.normD = tr.normBase
-			}
-			tr.normDOK = true
-		}
-		align = t.cfg.Scorer.ScoreNorm(tr.normD, t.curNormA)
-		if tr.remote != nil {
-			align *= 1 - t.cfg.RemotePenalty
-		}
-		tr.align = align
-		tr.alignVer = t.freeVer[mid]
-		tr.alignOK = true
+	if !t.curNormAOK {
+		t.curNormA = t.curAvail.Normalize(t.curCap)
+		t.curNormAOK = true
+	}
+	if !tr.normDOK {
+		tr.normD = tr.d.Normalize(t.curCap)
+		tr.normDOK = true
+	}
+	align := t.cfg.Scorer.ScoreNorm(tr.normD, t.curNormA)
+	if tr.remote != nil {
+		align *= 1 - t.cfg.RemotePenalty
 	}
 	tr.tick = t.tick
 	t.cands = append(t.cands, candidate{

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"github.com/tetris-sched/tetris/internal/telemetry"
@@ -76,6 +77,25 @@ type RoundTrace struct {
 	Decisions []TaskDecision `json:"decisions"`
 	// Truncated counts decisions dropped after the per-round cap.
 	Truncated int `json:"truncated,omitempty"`
+}
+
+// clone returns a copy of rt that shares no memory with it, its slices
+// cut to size: the core builds every sampled round in one reused
+// RoundTrace, and a retained trace must not change under a reader. An
+// empty slice stays nil, so a round with no decisions still serializes
+// as "decisions": null.
+func (rt *RoundTrace) clone() RoundTrace {
+	c := *rt
+	c.CutoffJobIDs = cloneNonEmpty(rt.CutoffJobIDs)
+	c.Decisions = cloneNonEmpty(rt.Decisions)
+	return c
+}
+
+func cloneNonEmpty[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // maxTraceDecisions caps one round's decision list; busy rounds keep the

@@ -1,7 +1,10 @@
 package scheduler
 
 import (
+	"encoding/json"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -12,10 +15,15 @@ import (
 // machine (10+10 > 16), so each machine's second fill pass finds the
 // remaining tasks infeasible-local, and with Fairness=0.5 one of the two
 // jobs falls below the fairness cutoff.
-func traceView() *View {
-	j1 := mkJob(1, 6, resources.New(10, 4, 0, 0, 0, 0), 100)
-	j2 := mkJob(2, 6, resources.New(10, 4, 0, 0, 0, 0), 200)
-	return mkView(2, machine, j1, j2)
+func traceView() *View { return traceViewN(0) }
+
+// traceViewN is traceView over 2+n machines (one placement each), its
+// jobs numbered 10n+1 and 10n+2: rounds over different n differ from
+// their first decision record on.
+func traceViewN(n int) *View {
+	j1 := mkJob(10*n+1, 6, resources.New(10, 4, 0, 0, 0, 0), 100)
+	j2 := mkJob(10*n+2, 6, resources.New(10, 4, 0, 0, 0, 0), 200)
+	return mkView(2+n, machine, j1, j2)
 }
 
 func traceConfig(ring *DecisionRing) TetrisConfig {
@@ -111,6 +119,59 @@ func TestDecisionRingBounded(t *testing.T) {
 	if traces[0].Round >= traces[1].Round {
 		t.Fatalf("snapshot not oldest-first: rounds %d, %d", traces[0].Round, traces[1].Round)
 	}
+	// The core builds every sampled round in the same scratch: a trace
+	// taken after round k must still hold round k's decisions after a
+	// round k+1 that decided differently has run.
+	last := traces[1]
+	want := slices.Clone(last.Decisions)
+	tet.Schedule(traceViewN(1))
+	if next := ring.Snapshot()[1]; reflect.DeepEqual(next.Decisions, want) {
+		t.Fatalf("round %d decided as round %d did; the check below would prove nothing", next.Round, last.Round)
+	}
+	if !reflect.DeepEqual(last.Decisions, want) {
+		t.Fatalf("round %d's retained decisions changed under a later round:\nwant %+v\ngot  %+v", last.Round, want, last.Decisions)
+	}
+}
+
+// TestTraceConcurrentSnapshot: /debug/trace snapshots and encodes
+// the ring while the scheduling goroutine keeps appending sampled rounds
+// (tetris-cluster's setting). Run under -race; without it, each decoded
+// round must still agree with itself.
+func TestTraceConcurrentSnapshot(t *testing.T) {
+	ring := NewDecisionRing(4, 1)
+	tet := NewTetris(traceConfig(ring))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			tet.Schedule(traceViewN(i % 3))
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		b, err := json.Marshal(ring.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []RoundTrace
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		for _, rt := range got {
+			if oc := outcomes(rt); oc[OutcomePlaced] != rt.Placed || rt.Placed != rt.Machines {
+				t.Fatalf("round %d over %d machines: Placed=%d, %d placed decisions", rt.Round, rt.Machines, rt.Placed, oc[OutcomePlaced])
+			}
+			for _, d := range rt.Decisions {
+				if d.Machine >= rt.Machines || d.Task.Job/10 != rt.Machines-2 {
+					t.Fatalf("round %d over %d machines records %+v, from another round", rt.Round, rt.Machines, d)
+				}
+			}
+		}
+	}
 }
 
 // TestTraceDoesNotAffectDecisions: tracing is read-only observation —
@@ -139,7 +200,8 @@ func TestTraceDoesNotAffectDecisions(t *testing.T) {
 
 // TestTraceSampledOutAllocs pins the cost of configured-but-sampled-out
 // tracing at zero allocations: the benchgate depends on the hot path
-// staying allocation-free when a trace ring is attached.
+// staying allocation-free when a trace ring is attached. A sampled round
+// costs the ring's copy of its two slices and nothing more.
 func TestTraceSampledOutAllocs(t *testing.T) {
 	cfg := DefaultTetrisConfig()
 	cfg.Trace = NewDecisionRing(8, 1<<30) // round 1 sampled, then none
@@ -152,6 +214,21 @@ func TestTraceSampledOutAllocs(t *testing.T) {
 	tet.Schedule(v) // warm caches and consume the sampled round
 	if g := testing.AllocsPerRun(100, func() { tet.Schedule(v) }); g > 0 {
 		t.Errorf("sampled-out tracing costs %v allocs/op, want 0", g)
+	}
+	b, err := json.Marshal(cfg.Trace.Snapshot()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"decisions":null`) {
+		t.Errorf("a round with no decisions encodes as %s, want \"decisions\":null", b)
+	}
+
+	cfg.Trace = NewDecisionRing(8, 1) // every round sampled
+	traced := NewTetris(cfg)
+	backlog := backlogView(false)
+	traced.Schedule(backlog)
+	if g := testing.AllocsPerRun(20, func() { traced.Schedule(backlog) }); g > 2 {
+		t.Errorf("a sampled backlog round costs %v allocs/op, want at most 2 (the ring's copies of its decisions and cutoff)", g)
 	}
 }
 
