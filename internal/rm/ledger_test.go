@@ -2,6 +2,8 @@ package rm
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -166,6 +168,94 @@ func TestReleaseCauses(t *testing.T) {
 					t.Errorf("replay diverges:\n live: %s\n replayed: %s", live, got)
 				}
 			})
+		}
+	}
+}
+
+// recorder places what Tetris places and keeps a deep copy of each
+// placing round's assignments.
+type recorder struct {
+	scheduler.Scheduler
+	rounds [][]scheduler.Assignment
+}
+
+func (p *recorder) Schedule(v *scheduler.View) []scheduler.Assignment {
+	asgs := p.Scheduler.Schedule(v)
+	if len(asgs) > 0 {
+		round := slices.Clone(asgs)
+		for i := range round {
+			round[i].Remote = slices.Clone(round[i].Remote)
+		}
+		p.rounds = append(p.rounds, round)
+	}
+	return asgs
+}
+
+// TestQueuedLaunchesOutliveTheirRound: a round's launches wait in their
+// node's queue until the node's next heartbeat, and their charges stay on
+// the ledger for the attempt's life, while the core reuses its output
+// slice and refills per-machine charge buffers. Once a later round has
+// run, the launches queued for a node and every launch's ledger charges
+// must still be what the earlier round decided.
+func TestQueuedLaunchesOutliveTheirRound(t *testing.T) {
+	rec := &recorder{Scheduler: tetrisScheduler()}
+	g := newVirtualSharded(t, ShardedConfig{Shards: 1, NewScheduler: func() scheduler.Scheduler { return rec }}, new(virtualClock))
+	for id := 0; id < 3; id++ {
+		g.RegisterMachine(id, resources.New(16, 32, 200, 200, 1000, 1000))
+	}
+	// Each task reads one block on machine 1 and one on machine 2: placed
+	// on either, it reads partly locally, partly remotely.
+	job := func(id int) *workload.Job {
+		j := simpleJob(id, 6)
+		for _, task := range j.Stages[0].Tasks {
+			task.Peak = resources.New(2, 4, 20, 10, 50, 0)
+			task.Inputs = []workload.InputBlock{{Machine: 1, SizeMB: 100}, {Machine: 2, SizeMB: 100}}
+		}
+		return j
+	}
+	for id := 1; id <= 2; id++ {
+		if err := g.SubmitJob(job(id)); err != nil {
+			t.Fatal(err)
+		}
+		if r := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0}); r.Type == wire.TypeError {
+			t.Fatal(r.Error)
+		}
+	}
+	if len(rec.rounds) != 2 {
+		t.Fatalf("%d rounds placed, want 2", len(rec.rounds))
+	}
+	core := g.Shard(0)
+	core.mu.Lock()
+	defer core.mu.Unlock()
+	queued := map[int][]wire.TaskLaunch{}
+	partial := 0
+	for _, round := range rec.rounds {
+		for _, a := range round {
+			lr := core.jobs[a.Task.ID.Job].launched[a.Task.ID]
+			if lr.machine != a.Machine || !lr.local.SameBits(a.Local) || len(lr.remote) != len(a.Remote) {
+				t.Fatalf("task %v: ledger holds machine %d, local %v, %d charges; the round decided %d, %v, %d",
+					a.Task.ID, lr.machine, lr.local, len(lr.remote), a.Machine, a.Local, len(a.Remote))
+			}
+			for k, rc := range a.Remote {
+				if lr.remote[k].machine != rc.Machine || !lr.remote[k].charge.SameBits(rc.Charge) {
+					t.Fatalf("task %v charge %d: ledger holds %d/%v, the round decided %d/%v",
+						a.Task.ID, k, lr.remote[k].machine, lr.remote[k].charge, rc.Machine, rc.Charge)
+				}
+			}
+			if a.Machine != 0 { // node 0's launches went out with its beats
+				queued[a.Machine] = append(queued[a.Machine], wire.TaskLaunch{Task: a.Task.ID, Demand: a.Task.Peak, Duration: a.Task.PeakDuration()})
+			}
+			if a.Remote != nil && a.Task.HasLocalAffinity(a.Machine) {
+				partial++
+			}
+		}
+	}
+	if partial == 0 || len(queued[1])+len(queued[2]) == 0 {
+		t.Fatalf("vacuous run: %d placements read input both locally and remotely, %d launches queued", partial, len(queued[1])+len(queued[2]))
+	}
+	for id := 1; id <= 2; id++ {
+		if got := core.nodes[id].launches; !reflect.DeepEqual(got, queued[id]) {
+			t.Errorf("node %d has queued %+v, the rounds decided %+v", id, got, queued[id])
 		}
 	}
 }

@@ -79,6 +79,12 @@ func BenchmarkTetrisSchedule(b *testing.B) {
 // about half the tasks read blocks, so every machine's locality scan
 // also feeds the core tasks that do not fit (`sim-fb`).
 func backlogView(inputs bool) *View {
+	_, v := backlogWorld(inputs)
+	return v
+}
+
+// backlogWorld is backlogView's world, with the View of its last round.
+func backlogWorld(inputs bool) (*eqWorld, *View) {
 	const nMach, nJobs = 100, 40
 	rng := rand.New(rand.NewSource(nMach*1000 + nJobs))
 	caps := genCaps(rng, nMach)
@@ -88,7 +94,7 @@ func backlogView(inputs bool) *View {
 		v := w.view(r)
 		asgs := w.sched.Schedule(v)
 		if len(asgs) == 0 {
-			return v
+			return w, v
 		}
 		w.book(asgs)
 	}
@@ -143,6 +149,51 @@ func BenchmarkTetrisScheduleDepart(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTetrisScheduleChurn is the backlog round that places, the
+// regime of rm-backlog, where each heartbeat frees a node: before each
+// timed round the tasks of one machine, in machine order, complete and
+// go back to the backlog (Requeue), so the round places what fits on the
+// freed machine while the backlog stays as deep as any b.N needs. The
+// Backlog, Local and Depart rows place nothing; this one times the taken
+// marks, the retired cache entries and the round's output.
+func BenchmarkTetrisScheduleChurn(b *testing.B) {
+	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
+	for i, mk := range mks {
+		b.Run(labels[i], func(b *testing.B) {
+			w, v := backlogWorld(false)
+			w.sched = mk()
+			asgs := w.sched.Schedule(v) // warm caches and scratch
+			placed := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				w.book(asgs)
+				w.requeueOn(i % len(w.machines))
+				b.StartTimer()
+				asgs = w.sched.Schedule(v)
+				placed += len(asgs)
+			}
+			b.ReportMetric(float64(placed)/float64(b.N), "placed/op")
+		})
+	}
+}
+
+// requeueOn releases the tasks running on machine mid and returns them
+// to the backlog, as if each had completed and been submitted again.
+func (w *eqWorld) requeueOn(mid int) {
+	alive := w.placed[:0]
+	for _, p := range w.placed {
+		if p.mach == mid {
+			w.release(p)
+			p.j.Status.Requeue(p.task.ID)
+		} else {
+			alive = append(alive, p)
+		}
+	}
+	w.placed = alive
 }
 
 func BenchmarkDRFSchedule(b *testing.B) {

@@ -18,7 +18,7 @@ import (
 // and the round's eligible set rather than the job records. scanLocals
 // is shared by every core, so the core equivalence suites cannot see a
 // mistake in it; this is its oracle.
-func (t *Tetris) scanLocalsReference(mid int, rs *roundState, byJob map[int]*JobState, eligible map[int]bool, consider func(*jobRecord, *workload.Task, bool)) {
+func (t *Tetris) scanLocalsReference(mid int, byJob map[int]*JobState, eligible map[int]bool, consider func(*jobRecord, *workload.Task, bool)) {
 	entries := localsOf(t, mid)
 	n := len(entries)
 	if n == 0 {
@@ -53,7 +53,7 @@ func (t *Tetris) scanLocalsReference(mid int, rs *roundState, byJob map[int]*Job
 			dead++
 			continue
 		}
-		if !st.StageReady(id.Stage) || rs.taken[task] {
+		if !st.StageReady(id.Stage) || t.jobs[id.Job].slot(task).taken == t.round {
 			continue
 		}
 		inTail := st.InBarrierTail(id, t.cfg.Barrier)
@@ -105,6 +105,18 @@ func cursorOf(t *Tetris, mid int) int {
 
 // entryTask is the task of a live locality entry.
 func entryTask(e locEntry) *workload.Task { return e.st.tasks[e.idx] }
+
+// takeOffer takes an offered task, as a placement would, one time in
+// three by take's draw, unless it is already taken in t's round: the
+// draw is made only for a task not yet taken.
+func takeOffer(t *Tetris, rec *jobRecord, task *workload.Task, take *rand.Rand) bool {
+	s := rec.slot(task)
+	if s.taken == t.round || take.Intn(3) != 0 {
+		return false
+	}
+	s.taken = t.round
+	return true
+}
 
 // recordOf returns j's record on t, created as the job's first sighting
 // in a View would create it if there is none, and points it at j.
@@ -201,21 +213,20 @@ func TestScanLocalsMatchesReference(t *testing.T) {
 			}
 			takeSeed := r.Int63()
 			stampRound(got, byJob, eligible) // a new round, as Schedule would start it
+			want.round++
 			// One round on one side: a few scans per machine, as the fill
 			// loop makes them, taking some of what is offered.
-			play := func(scan func(int, *roundState, func(*jobRecord, *workload.Task, bool))) (calls [][]call, taken []*workload.Task) {
-				rs := &roundState{taken: map[*workload.Task]bool{}}
+			play := func(sched *Tetris, scan func(int, func(*jobRecord, *workload.Task, bool))) (calls [][]call, taken []*workload.Task) {
 				take := rand.New(rand.NewSource(takeSeed))
 				for mid := 0; mid < machines; mid++ {
 					for fill := 0; fill < 3; fill++ {
 						var cs []call
-						scan(mid, rs, func(rec *jobRecord, task *workload.Task, inTail bool) {
+						scan(mid, func(rec *jobRecord, task *workload.Task, inTail bool) {
 							if byJob[task.ID.Job] != rec.state {
 								t.Fatalf("seed %d round %d: task %v offered with the wrong job", seed, round, task.ID)
 							}
 							cs = append(cs, call{task.ID, inTail})
-							if !rs.taken[task] && take.Intn(3) == 0 {
-								rs.taken[task] = true
+							if takeOffer(sched, rec, task, take) {
 								taken = append(taken, task)
 							}
 						})
@@ -228,9 +239,9 @@ func TestScanLocalsMatchesReference(t *testing.T) {
 			for mid := 0; mid < machines; mid++ {
 				before[mid] = len(localsOf(want, mid))
 			}
-			gotCalls, gotTaken := play(got.scanLocals)
-			wantCalls, wantTaken := play(func(mid int, rs *roundState, consider func(*jobRecord, *workload.Task, bool)) {
-				want.scanLocalsReference(mid, rs, byJob, eligible, consider)
+			gotCalls, gotTaken := play(got, got.scanLocals)
+			wantCalls, wantTaken := play(want, func(mid int, consider func(*jobRecord, *workload.Task, bool)) {
+				want.scanLocalsReference(mid, byJob, eligible, consider)
 			})
 
 			for i := range wantCalls {
@@ -415,9 +426,11 @@ func (t *Tetris) evictDepartedReference(v *View) {
 		active[j.Job.ID] = j
 	}
 	departed := false
-	for id := range t.jobs {
+	var gone []*jobRecord
+	for id, rec := range t.jobs {
 		if active[id] == nil {
 			delete(t.jobs, id)
+			gone = append(gone, rec)
 			departed = true
 		}
 	}
@@ -433,9 +446,11 @@ func (t *Tetris) evictDepartedReference(v *View) {
 	if !departed {
 		return
 	}
-	for task := range t.tasks {
-		if active[task.ID.Job] == nil {
-			t.retire(task)
+	for _, rec := range gone {
+		for _, st := range rec.job.Stages {
+			for _, task := range st.Tasks {
+				t.retire(rec, task)
+			}
 		}
 	}
 	for mid, entries := range t.locals {
@@ -570,12 +585,13 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 				seen[task] = true
 			}
 		}
-		if len(got.tasks) != len(want.tasks) || len(got.jobs) != len(want.jobs) {
+		gotTasks, wantTasks := cachedEntries(got), cachedEntries(want)
+		if len(gotTasks) != len(wantTasks) || len(got.jobs) != len(want.jobs) {
 			t.Fatalf("seed %d shape %d round %d, after %s: %d cached tasks and %d records, reference %d and %d",
-				seed, shape, round, step, len(got.tasks), len(got.jobs), len(want.tasks), len(want.jobs))
+				seed, shape, round, step, len(gotTasks), len(got.jobs), len(wantTasks), len(want.jobs))
 		}
-		for task := range want.tasks {
-			if got.tasks[task] == nil {
+		for task := range wantTasks {
+			if gotTasks[task] == nil {
 				t.Fatalf("seed %d shape %d round %d, after %s: task %v not cached", seed, shape, round, step, task.ID)
 			}
 		}
@@ -640,30 +656,28 @@ func localityHistory(t *testing.T, seed int64, shape uint8) localityCoverage {
 		}
 
 		takeSeed := r.Int63()
-		play := func(sched *Tetris, scan func(int, *roundState, func(*jobRecord, *workload.Task, bool))) (offers []string, taken []*workload.Task) {
+		play := func(sched *Tetris, scan func(int, func(*jobRecord, *workload.Task, bool))) (offers []string, taken []*workload.Task) {
 			sched.curV = v
-			rs := &roundState{taken: map[*workload.Task]bool{}}
 			take := rand.New(rand.NewSource(takeSeed))
 			for mid := 0; mid < machines; mid++ {
 				for fill := 0; fill < 2; fill++ {
-					scan(mid, rs, func(rec *jobRecord, task *workload.Task, inTail bool) {
+					scan(mid, func(rec *jobRecord, task *workload.Task, inTail bool) {
 						offers = append(offers, fmt.Sprint(mid, task.ID, inTail))
 						sched.taskRoundFor(rec, task)
-						if !rs.taken[task] && take.Intn(3) == 0 {
-							rs.taken[task] = true
+						if takeOffer(sched, rec, task, take) {
 							taken = append(taken, task)
 						}
 					})
 				}
 			}
 			for _, task := range taken {
-				sched.retire(task)
+				sched.retire(sched.jobs[task.ID.Job], task)
 			}
 			return offers, taken
 		}
 		gotOffers, _ := play(got, got.scanLocals)
-		wantOffers, taken := play(want, func(mid int, rs *roundState, consider func(*jobRecord, *workload.Task, bool)) {
-			want.scanLocalsReference(mid, rs, byJob, eligible, consider)
+		wantOffers, taken := play(want, func(mid int, consider func(*jobRecord, *workload.Task, bool)) {
+			want.scanLocalsReference(mid, byJob, eligible, consider)
 		})
 		if fmt.Sprint(gotOffers) != fmt.Sprint(wantOffers) {
 			t.Fatalf("seed %d shape %d round %d: offered\n  %v\nthe reference\n  %v", seed, shape, round, gotOffers, wantOffers)

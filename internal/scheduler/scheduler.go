@@ -119,7 +119,8 @@ type Scheduler interface {
 	Name() string
 	// Schedule returns the assignments to start now. Implementations must
 	// not mutate the View; the caller applies assignments and re-invokes
-	// as state changes.
+	// as state changes. The slice is valid until the next call, which may
+	// reuse it; each assignment's Remote charges stay valid for good.
 	Schedule(v *View) []Assignment
 }
 
@@ -156,12 +157,17 @@ func LocalDemand(peak resources.Vector) resources.Vector {
 // flow's achievable byte rate. Returns nil when all input is local. The
 // result groups repeated source machines.
 func RemoteCharges(t *workload.Task, m int) []RemoteCharge {
+	return refillRemoteCharges(nil, t, m)
+}
+
+// refillRemoteCharges is RemoteCharges written over buf's storage.
+func refillRemoteCharges(buf []RemoteCharge, t *workload.Task, m int) []RemoteCharge {
 	remote := t.RemoteInputMB(m)
 	if remote == 0 {
 		return nil
 	}
 	flowCap := t.FlowCapMBps()
-	var charges []RemoteCharge
+	charges := buf[:0]
 	for _, b := range t.Inputs {
 		if b.Machine < 0 || b.Machine == m || b.SizeMB == 0 {
 			continue

@@ -94,11 +94,11 @@ func sortByDeficit(v *View, jobs []*JobState, share func(*JobState) float64) []*
 	return out
 }
 
-// referenceRound is the oracle's round: the roundState it shares with
-// serveReservations, detectStarvation and scanLocals, plus two memo
-// tables only it reads.
+// referenceRound is the oracle's round: its stage runs, in scan order,
+// plus two memo tables only it reads. Like the core, it marks and tests
+// a task taken in the task's slot of its job record.
 type referenceRound struct {
-	*roundState
+	stages []*stageRun
 	// chargeCache and demandCache memoize RemoteCharges and
 	// EffectiveDemand per task for "no local block" placements —
 	// identical for every machine holding none of the task's input,
@@ -109,7 +109,6 @@ type referenceRound struct {
 
 func (t *Tetris) buildReferenceRound(sorted []*JobState) *referenceRound {
 	rs := &referenceRound{
-		roundState:  &roundState{taken: make(map[*workload.Task]bool)},
 		chargeCache: make(map[*workload.Task][]RemoteCharge),
 		demandCache: make(map[*workload.Task]resources.Vector),
 	}
@@ -191,7 +190,7 @@ func (t *Tetris) scheduleReference(v *View, runnable []*jobRecord) []Assignment 
 	// Starvation prevention: retire stale reservations, try to place
 	// reserved tasks first, and keep reserved machines closed otherwise.
 	if t.cfg.StarvationSec > 0 {
-		out = append(out, t.serveReservations(v, free, rs.roundState)...)
+		out = t.serveReservations(v, free, out)
 	}
 
 	for _, m := range v.Machines {
@@ -238,7 +237,7 @@ func (t *Tetris) scheduleReference(v *View, runnable []*jobRecord) []Assignment 
 				Local:   c.demand,
 				Remote:  c.remote,
 			})
-			rs.taken[c.task] = true
+			t.jobs[c.task.ID.Job].slot(c.task).taken = t.round
 			free[m.ID] = free[m.ID].Sub(c.demand).Max(resources.Vector{})
 			for _, rc := range c.remote {
 				free[rc.Machine] = free[rc.Machine].Sub(rc.Charge).Max(resources.Vector{})
@@ -246,9 +245,19 @@ func (t *Tetris) scheduleReference(v *View, runnable []*jobRecord) []Assignment 
 		}
 	}
 	if t.cfg.StarvationSec > 0 {
-		t.detectStarvation(v, rs.roundState)
+		t.detectStarvation(v, rs.stages)
 	}
 	return out
+}
+
+// refCandidate is one feasible (task, machine) option of the oracle's
+// round, carrying its own demand and charges.
+type refCandidate struct {
+	task   *workload.Task
+	demand resources.Vector
+	remote []RemoteCharge
+	align  float64
+	inTail bool
 }
 
 // collectCandidates gathers the feasible tasks for machine mid: per
@@ -256,13 +265,13 @@ func (t *Tetris) scheduleReference(v *View, runnable []*jobRecord) []Assignment 
 // with input local to the machine. If any candidate is in a barrier tail
 // (§3.5), only tail candidates are returned; tail preference bypasses the
 // fairness restriction, since it takes only a small amount of resources.
-func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs *referenceRound) []candidate {
+func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs *referenceRound) []refCandidate {
 	avail := free[mid]
 	if avail.IsZero() {
 		return nil
 	}
 	capacity := v.Machines[mid].Capacity
-	var cands []candidate
+	var cands []refCandidate
 	anyTail := false
 	var seen map[*workload.Task]bool // allocated lazily; locals may duplicate
 
@@ -316,7 +325,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 		if remote != nil {
 			align *= 1 - t.cfg.RemotePenalty
 		}
-		cands = append(cands, candidate{task: task, demand: d, remote: remote, align: align, inTail: inTail})
+		cands = append(cands, refCandidate{task: task, demand: d, remote: remote, align: align, inTail: inTail})
 		if inTail {
 			anyTail = true
 		}
@@ -338,7 +347,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 				}
 			}
 			task := sr.tasks[i]
-			if rs.taken[task] {
+			if sr.rec.slot(task).taken == t.round {
 				if i == sr.cursor {
 					sr.cursor++
 				}
@@ -354,7 +363,7 @@ func (t *Tetris) collectCandidates(v *View, mid int, free []resources.Vector, rs
 	}
 	// Tasks with input blocks on this machine (bounded scan with lazy
 	// compaction: entries whose task left the pending state are dropped).
-	t.scanLocals(mid, rs.roundState, consider)
+	t.scanLocals(mid, consider)
 
 	if anyTail {
 		tail := cands[:0]

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/cluster"
@@ -177,6 +179,60 @@ func TestTrackerLedgersMatchVectorFormula(t *testing.T) {
 				t.Fatalf("no task outlived the %d s ramp-up: the decayed charges were never exercised", rampUpSec)
 			}
 		})
+	}
+}
+
+// heldAssignments is a policy that places what its inner scheduler
+// places and keeps every assignment it returned: by value, as the
+// simulator keeps the charges, and as a deep copy.
+type heldAssignments struct {
+	scheduler.Scheduler
+	kept, want []scheduler.Assignment
+	last       int   // kept[last:] are the last round's
+	partial    int   // kept assignments partly local and partly remote
+	err        error // the first kept assignment found changed
+}
+
+func (p *heldAssignments) Schedule(v *scheduler.View) []scheduler.Assignment {
+	asgs := p.Scheduler.Schedule(v)
+	p.check(p.last, fmt.Sprintf("the round at t=%v", v.Time))
+	p.last = len(p.kept)
+	for _, a := range asgs {
+		p.kept = append(p.kept, a)
+		p.want = append(p.want, scheduler.Assignment{Task: a.Task, Machine: a.Machine, Local: a.Local, Remote: slices.Clone(a.Remote)})
+		if a.Remote != nil && a.Task.HasLocalAffinity(a.Machine) {
+			p.partial++
+		}
+	}
+	return asgs
+}
+
+// check records the first of kept[from:] that no longer reads as it was
+// returned, once when has run.
+func (p *heldAssignments) check(from int, when string) {
+	for i := from; i < len(p.kept) && p.err == nil; i++ {
+		if !reflect.DeepEqual(p.kept[i], p.want[i]) {
+			p.err = fmt.Errorf("after %s, assignment %v reads %v", when, p.want[i], p.kept[i])
+		}
+	}
+}
+
+// TestAssignmentsOutliveTheirRound: the simulator keeps each placement's
+// remote charges for the task's whole life (runningTask.remote, read by
+// updateReported), while the core reuses its output slice and refills
+// per-machine charge buffers. With Config.CheckInvariants on, each
+// round's assignments must read as they were returned once the next
+// round has run, and all of them once the run is over.
+func TestAssignmentsOutliveTheirRound(t *testing.T) {
+	p := &heldAssignments{Scheduler: tetris()}
+	wl := trace.GenerateSuite(trace.Config{Seed: 11, NumJobs: 10, NumMachines: 20, ArrivalSpanSec: 200, MeanTaskSeconds: 30})
+	run(t, Config{Cluster: cluster.NewFacebook(20), Workload: wl, Scheduler: p, CheckInvariants: true, MaxTime: 1e6})
+	p.check(0, "the run")
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	if p.partial == 0 {
+		t.Fatalf("none of %d placements read input both locally and remotely: the charge buffers were never exercised", len(p.kept))
 	}
 }
 
