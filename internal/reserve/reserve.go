@@ -59,9 +59,6 @@ type Table struct {
 // New returns an empty table.
 func New() *Table { return &Table{m: make(map[int]Reservation)} }
 
-// Len returns the number of reserved machines.
-func (t *Table) Len() int { return len(t.m) }
-
 // Held reports whether machine mid carries a reservation.
 func (t *Table) Held(mid int) bool {
 	_, ok := t.m[mid]

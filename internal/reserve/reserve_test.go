@@ -4,13 +4,13 @@ import "testing"
 
 func TestPutGetRelease(t *testing.T) {
 	tb := New()
-	if tb.Len() != 0 || tb.Held(3) {
+	if len(tb.Machines()) != 0 || tb.Held(3) {
 		t.Fatal("fresh table not empty")
 	}
 	tb.Put(3, Reservation{Kind: Starved, Holder: 7})
 	tb.Put(1, Reservation{Kind: Gang, Holder: 9})
-	if tb.Len() != 2 || !tb.Held(3) || !tb.Held(1) {
-		t.Fatalf("expected 2 held machines, got %d", tb.Len())
+	if len(tb.Machines()) != 2 || !tb.Held(3) || !tb.Held(1) {
+		t.Fatalf("expected 2 held machines, got %d", len(tb.Machines()))
 	}
 	r, ok := tb.Get(3)
 	if !ok || r.Holder != 7 || r.Kind != Starved {
@@ -26,7 +26,7 @@ func TestPutGetRelease(t *testing.T) {
 	if r, ok := tb.Release(3); !ok || r.Holder != 7 {
 		t.Fatalf("Release(3) = %+v, %v", r, ok)
 	}
-	if tb.Held(3) || tb.Len() != 1 {
+	if tb.Held(3) || len(tb.Machines()) != 1 {
 		t.Fatal("release did not drop entry")
 	}
 	if _, ok := tb.Release(3); ok {
@@ -53,7 +53,7 @@ func TestReleaseHolder(t *testing.T) {
 			t.Fatalf("Release(%d) = %+v, %v", mid, r, ok)
 		}
 	}
-	if tb.Len() != 1 || !tb.Held(4) {
+	if len(tb.Machines()) != 1 || !tb.Held(4) {
 		t.Fatalf("holder 6's reservation should survive, table: %v", tb.Machines())
 	}
 }
@@ -78,7 +78,7 @@ func TestPutReplaces(t *testing.T) {
 	tb.Put(7, Reservation{Kind: Starved, Holder: 1})
 	tb.Put(7, Reservation{Kind: Gang, Holder: 2})
 	r, _ := tb.Get(7)
-	if r.Holder != 2 || r.Kind != Gang || tb.Len() != 1 {
-		t.Fatalf("Put did not replace: %+v len=%d", r, tb.Len())
+	if r.Holder != 2 || r.Kind != Gang || len(tb.Machines()) != 1 {
+		t.Fatalf("Put did not replace: %+v len=%d", r, len(tb.Machines()))
 	}
 }

@@ -220,7 +220,7 @@ func TestIntervalFloor(t *testing.T) {
 		if n := roundsRun(g, 0) - before; n < 4 || n > 5 {
 			t.Errorf("%d rounds in 5 idle sweeps with work waiting, want one per sweep", n)
 		}
-		if n := tet.Reservations().Len(); n != 0 {
+		if n := len(tet.Reservations().Machines()); n != 0 {
 			t.Fatalf("%d reservations before the starvation horizon", n)
 		}
 

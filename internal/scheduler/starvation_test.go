@@ -72,7 +72,7 @@ func TestStarvationDisabledByDefault(t *testing.T) {
 		v.Time = now
 		apply(v, tet.Schedule(v))
 	}
-	if tet.res.Len() != 0 {
+	if len(tet.res.Machines()) != 0 {
 		t.Error("reservations made with StarvationSec=0")
 	}
 }
@@ -87,8 +87,8 @@ func TestReservationClearedWhenTaskGone(t *testing.T) {
 	tet.Schedule(v)
 	v.Time = 5
 	tet.Schedule(v) // whale starved → reservation
-	if tet.res.Len() != 1 {
-		t.Fatalf("expected 1 reservation, got %d", tet.res.Len())
+	if len(tet.res.Machines()) != 1 {
+		t.Fatalf("expected 1 reservation, got %d", len(tet.res.Machines()))
 	}
 	// Whale's task leaves the Pending state out of band: its reservation
 	// must clear on the next round. (Another queued task may legitimately
