@@ -250,8 +250,10 @@ func TestAdmissionTenantWeights(t *testing.T) {
 	s := g.Shard(0)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	active := []*jobInfo{s.jobs[0], s.jobs[1], s.jobs[2]}
-	restore := s.applyTenantWeights(active)
+	if len(s.active) != 3 {
+		t.Fatalf("%d active jobs, want 3", len(s.active))
+	}
+	s.applyTenantWeights()
 	// Active tenants split the cluster equally: gold's share splits
 	// across its two unit-weight jobs, bronze's goes to its single job.
 	if w := s.jobs[0].state.Job.Weight; w != 0.5 {
@@ -263,11 +265,15 @@ func TestAdmissionTenantWeights(t *testing.T) {
 	if w := s.jobs[2].state.Job.Weight; w != 1 {
 		t.Errorf("bronze job weight = %v, want 1", w)
 	}
-	restore()
+	s.restoreWeights()
 	for id := 0; id < 3; id++ {
 		if w := s.jobs[id].state.Job.Weight; w != 1 {
 			t.Errorf("job %d weight not restored: %v", id, w)
 		}
+	}
+	// A round's tenant weighting reuses the server's scratch.
+	if a := testing.AllocsPerRun(100, func() { s.applyTenantWeights(); s.restoreWeights() }); a != 0 {
+		t.Errorf("tenant weighting: %v allocs per round, want 0", a)
 	}
 }
 

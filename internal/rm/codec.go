@@ -381,7 +381,7 @@ func appendJobState(b []byte, ji *jobInfo) []byte {
 	tids := launchedIDs(ji, -1)
 	b = wire.AppendCount(b, len(tids))
 	for _, tid := range tids {
-		rec := ji.launched[tid]
+		rec := ji.launch(tid)
 		b = wire.AppendTaskID(b, tid)
 		b = wire.AppendInt(b, rec.machine)
 		b = wire.AppendVector(b, &rec.local)
@@ -592,7 +592,6 @@ func (s *Server) readJobState(r *wire.Reader) (*jobInfo, error) {
 		return nil, corrupt("snapshot: %v", err)
 	}
 	ji.state = &scheduler.JobState{Job: job, Status: status, Alloc: alloc}
-	ji.launched = make(map[workload.TaskID]launchRecord, n)
 	ji.meanVolume = meanTaskVolume(job)
 	for i, tid := range tids {
 		if i > 0 && !tids[i-1].Less(tid) {
@@ -608,7 +607,7 @@ func (s *Server) readJobState(r *wire.Reader) (*jobInfo, error) {
 		if !known {
 			return nil, corrupt("snapshot job %d: launch %v charges an unregistered machine", job.ID, tid)
 		}
-		ji.launched[tid] = recs[i]
+		*ji.slot(tid) = recs[i]
 	}
 	return ji, nil
 }

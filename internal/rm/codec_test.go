@@ -157,7 +157,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	}
 	// The fixture reached every snapshotted field that has a zero value.
 	ji := r.jobs[1]
-	if len(ji.launched) != 0 || ji.state.Status.Attempts(workload.TaskID{Job: 1, Index: 1}) != 1 ||
+	if len(launchedIDs(ji, -1)) != 0 || ji.state.Status.Attempts(workload.TaskID{Job: 1, Index: 1}) != 1 ||
 		r.faultLog.Len() != 3 || r.nodes[2].epoch != 1 || r.nodes[1].downSince == nil {
 		t.Errorf("fixture did not reach the state it is meant to cover")
 	}
@@ -227,6 +227,18 @@ func TestReplayRefusesInconsistentJournal(t *testing.T) {
 			s.jobs[2].state.Status = workload.NewStatus(simpleJob(2, 3)) // three tasks for a stage of two
 		}},
 		{"a job written twice", func(s *Server) { s.jobs[2] = s.jobs[1] }},
+		// The launch ledger is indexed by stage and task index: a launch
+		// outside the job is refused before it is indexed.
+		{"a launch of a task index outside its job", func(s *Server) {
+			ji := s.jobs[1]
+			ji.slot(workload.TaskID{Job: 1}) // every stage has a ledger slice, stage 0 its slots
+			ji.launched[0] = append(ji.launched[0], launchRecord{machine: 0})
+		}},
+		{"a launch of a stage outside its job", func(s *Server) {
+			ji := s.jobs[1]
+			ji.slot(workload.TaskID{Job: 1})
+			ji.launched = append(ji.launched, []launchRecord{{machine: 0}})
+		}},
 	} {
 		s := codecFixture(t)
 		c.mutate(s)

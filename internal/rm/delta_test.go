@@ -215,7 +215,7 @@ func ledgerDigest(s *Server) []byte {
 		vec(ji.state.Alloc)
 		fmt.Fprintf(&b, "done=%d\n", ji.state.Status.DoneTasks())
 		for _, tid := range launchedIDs(ji, -1) {
-			rec := ji.launched[tid]
+			rec := ji.launch(tid)
 			fmt.Fprintf(&b, "  %v@%d ", tid, rec.machine)
 			vec(rec.local)
 			for _, rc := range rec.remote {

@@ -28,9 +28,9 @@ import (
 func (s *Server) runningTasks() []gang.Running {
 	var out []gang.Running
 	for _, ji := range s.active {
-		for _, tid := range launchedIDs(ji, -1) {
-			out = append(out, gang.Running{Task: tid, Job: ji.state.Job, Demand: ji.launched[tid].local})
-		}
+		ji.eachLaunch(func(tid workload.TaskID, rec *launchRecord) {
+			out = append(out, gang.Running{Task: tid, Job: ji.state.Job, Demand: rec.local})
+		})
 	}
 	return out
 }
@@ -62,13 +62,13 @@ func (s *Server) applyPreempt(tid workload.TaskID, now float64) {
 	if !ok || ji.finished {
 		return
 	}
-	rec, ok := s.releaseLaunch(ji, tid)
+	machine, ok := s.releaseLaunch(ji, tid)
 	if !ok {
 		return
 	}
 	ji.state.Status.MarkFailed(tid)
 	if !s.replaying {
-		n := s.nodes[rec.machine]
+		n := s.nodes[machine]
 		if i := slices.IndexFunc(n.launches, func(l wire.TaskLaunch) bool { return l.Task == tid }); i >= 0 {
 			n.launches = slices.Delete(n.launches, i, i+1)
 		} else {

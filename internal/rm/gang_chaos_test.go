@@ -67,7 +67,8 @@ func gangOccupancy(s *Server, jobID int) (occupied int, committed bool) {
 	if ji == nil {
 		return 0, false
 	}
-	return len(ji.launched) + ji.state.Status.DoneTasks(), len(ji.launched) >= ji.state.Job.GangQuorum()
+	n := len(launchedIDs(ji, -1))
+	return n + ji.state.Status.DoneTasks(), n >= ji.state.Job.GangQuorum()
 }
 
 // TestGangChaosMachineDeathMidGang drives a 1-shard RM in-process: a gang
@@ -171,9 +172,8 @@ func TestGangChaosMachineDeathMidGang(t *testing.T) {
 	core.mu.Lock()
 	ji := core.jobs[gangID]
 	victim := -1
-	for _, rec := range ji.launched {
-		victim = rec.machine
-		break
+	if tids := launchedIDs(ji, -1); len(tids) > 0 {
+		victim = ji.launch(tids[0]).machine
 	}
 	core.mu.Unlock()
 	if victim < 0 {
@@ -477,9 +477,8 @@ func TestGangChaosShardChurn(t *testing.T) {
 	// shard), then recover it and drain.
 	ownerShard.mu.Lock()
 	victim := -1
-	for _, rec := range ownerShard.jobs[gangID].launched {
-		victim = rec.machine
-		break
+	if ji := ownerShard.jobs[gangID]; len(launchedIDs(ji, -1)) > 0 {
+		victim = ji.launch(launchedIDs(ji, -1)[0]).machine
 	}
 	ownerShard.mu.Unlock()
 	if victim < 0 {

@@ -77,10 +77,60 @@ type node struct {
 	beatRound uint64 // s.rounds at the node's last beat (roundDue)
 }
 
+// launchRecord is a task's slot in its job's launch ledger
+// (jobInfo.launched): the live launch's machine and charges, or machine
+// noLaunch. An empty slot keeps its remote slice's storage for the
+// task's next launch.
 type launchRecord struct {
 	machine int
 	local   resources.Vector
 	remote  []remoteCharge
+}
+
+// noLaunch is the machine of a launch slot that holds no launch.
+const noLaunch = -1
+
+// slot returns the launch slot of tid, a task of ji's job, allocating
+// the ledger of its stage at the stage's first launch.
+func (ji *jobInfo) slot(tid workload.TaskID) *launchRecord {
+	job := ji.state.Job
+	if ji.launched == nil {
+		ji.launched = make([][]launchRecord, len(job.Stages))
+	}
+	slots := ji.launched[tid.Stage]
+	if slots == nil {
+		slots = make([]launchRecord, len(job.Stages[tid.Stage].Tasks))
+		for i := range slots {
+			slots[i].machine = noLaunch
+		}
+		ji.launched[tid.Stage] = slots
+	}
+	return &slots[tid.Index]
+}
+
+// launch returns tid's live launch, or nil when it has none. A task ID
+// outside the job (a hostile completion or resync entry) has none.
+func (ji *jobInfo) launch(tid workload.TaskID) *launchRecord {
+	if tid.Stage < 0 || tid.Stage >= len(ji.launched) {
+		return nil
+	}
+	slots := ji.launched[tid.Stage]
+	if tid.Index < 0 || tid.Index >= len(slots) || slots[tid.Index].machine == noLaunch {
+		return nil
+	}
+	return &slots[tid.Index]
+}
+
+// eachLaunch calls f with each of ji's live launches, in task-ID order;
+// f must not change the ledger.
+func (ji *jobInfo) eachLaunch(f func(workload.TaskID, *launchRecord)) {
+	for si, slots := range ji.launched {
+		for i := range slots {
+			if slots[i].machine != noLaunch {
+				f(workload.TaskID{Job: ji.state.Job.ID, Stage: si, Index: i}, &slots[i])
+			}
+		}
+	}
 }
 
 // remoteCharge is a scheduler.RemoteCharge stamped with the source
@@ -161,44 +211,48 @@ func (s *Server) applyRegister(r *wire.RegisterNM, now float64) []workload.TaskI
 	return s.reconcile(n, r.Running)
 }
 
-// chargeLaunch charges one placement to the job, the machine it runs on
-// and each remote source. Shared by the live path and journal replay.
+// chargeLaunch charges one placement of a pending task of an unfinished
+// job to the job, the machine it runs on and each remote source, copying
+// the charges into the task's launch slot. Shared by the live path and
+// journal replay.
 func (s *Server) chargeLaunch(tid workload.TaskID, machine int, local resources.Vector, remote []scheduler.RemoteCharge) {
 	ji := s.jobs[tid.Job]
 	ji.state.Status.MarkRunning(tid)
 	ji.state.Alloc = ji.state.Alloc.Add(local)
 	m := s.nodes[machine]
 	m.Allocated = m.Allocated.Add(local)
-	rec := launchRecord{machine: machine, local: local}
+	rec := ji.slot(tid)
+	rec.machine, rec.local, rec.remote = machine, local, rec.remote[:0]
 	for _, rc := range remote {
 		src := s.nodes[rc.Machine]
 		src.Allocated = src.Allocated.Add(rc.Charge)
 		rec.remote = append(rec.remote, remoteCharge{machine: rc.Machine, charge: rc.Charge, epoch: src.epoch})
 	}
-	ji.launched[tid] = rec
 	s.nodesChanged()
 }
 
 // releaseLaunch takes tid's launch off the ledger, whatever ended it:
 // the job's charge, the local charge and each remote charge whose source
 // has not died since. On a machine applyDead just zeroed the local release
-// leaves +0 (0 − c clamped at zero, for c ≥ 0). False: no such launch.
-func (s *Server) releaseLaunch(ji *jobInfo, tid workload.TaskID) (launchRecord, bool) {
-	rec, ok := ji.launched[tid]
-	if !ok {
-		return rec, false
+// leaves +0 (0 − c clamped at zero, for c ≥ 0). It returns the machine
+// the launch ran on; false: no such launch.
+func (s *Server) releaseLaunch(ji *jobInfo, tid workload.TaskID) (int, bool) {
+	rec := ji.launch(tid)
+	if rec == nil {
+		return noLaunch, false
 	}
-	delete(ji.launched, tid)
+	machine := rec.machine
+	rec.machine = noLaunch
 	s.nodesChanged()
 	ji.state.Alloc = ji.state.Alloc.Sub(rec.local).Max(resources.Vector{})
-	m := s.nodes[rec.machine]
+	m := s.nodes[machine]
 	m.Allocated = m.Allocated.Sub(rec.local).Max(resources.Vector{})
 	for _, rc := range rec.remote {
 		if src := s.nodes[rc.machine]; rc.epoch == src.epoch {
 			src.Allocated = src.Allocated.Sub(rc.charge).Max(resources.Vector{})
 		}
 	}
-	return rec, true
+	return machine, true
 }
 
 // applyDead is markDead's mutation body, shared with journal replay.
@@ -296,8 +350,7 @@ func (s *Server) VerifyLedger() error {
 	for _, jobID := range s.jobIDs() {
 		ji := s.jobs[jobID]
 		var wantJob resources.Vector
-		for _, tid := range launchedIDs(ji, -1) {
-			rec := ji.launched[tid]
+		ji.eachLaunch(func(_ workload.TaskID, rec *launchRecord) {
 			wantJob = wantJob.Add(rec.local)
 			want[rec.machine] = want[rec.machine].Add(rec.local)
 			for _, rc := range rec.remote {
@@ -305,7 +358,7 @@ func (s *Server) VerifyLedger() error {
 					want[rc.machine] = want[rc.machine].Add(rc.charge)
 				}
 			}
-		}
+		})
 		if !vecClose(ji.state.Alloc, wantJob) {
 			return fmt.Errorf("job %d ledger drift: alloc %v, launches sum to %v", jobID, ji.state.Alloc, wantJob)
 		}

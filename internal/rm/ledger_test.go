@@ -140,7 +140,7 @@ func TestReleaseCauses(t *testing.T) {
 					wantB = wantB.Sub(rx).Max(zero)
 				}
 				core.mu.Lock()
-				_, stillLaunched := core.jobs[1].launched[x]
+				stillLaunched := core.jobs[1].launch(x) != nil
 				got := []resources.Vector{core.nodes[a].Allocated, core.nodes[b].Allocated, core.nodes[c].Allocated}
 				core.mu.Unlock()
 				if stillLaunched {
@@ -231,7 +231,10 @@ func TestQueuedLaunchesOutliveTheirRound(t *testing.T) {
 	partial := 0
 	for _, round := range rec.rounds {
 		for _, a := range round {
-			lr := core.jobs[a.Task.ID.Job].launched[a.Task.ID]
+			lr := core.jobs[a.Task.ID.Job].launch(a.Task.ID)
+			if lr == nil {
+				t.Fatalf("task %v: no launch in the ledger", a.Task.ID)
+			}
 			if lr.machine != a.Machine || !lr.local.SameBits(a.Local) || len(lr.remote) != len(a.Remote) {
 				t.Fatalf("task %v: ledger holds machine %d, local %v, %d charges; the round decided %d, %v, %d",
 					a.Task.ID, lr.machine, lr.local, len(lr.remote), a.Machine, a.Local, len(a.Remote))
@@ -257,5 +260,69 @@ func TestQueuedLaunchesOutliveTheirRound(t *testing.T) {
 		if got := core.nodes[id].launches; !reflect.DeepEqual(got, queued[id]) {
 			t.Errorf("node %d has queued %+v, the rounds decided %+v", id, got, queued[id])
 		}
+	}
+}
+
+// TestLedgerIgnoresTasksOutsideTheJob: the launch ledger is indexed by
+// stage and task index, so a completion or a registration's running
+// entry naming a stage or index outside its job, or a task of a job that
+// finished and dropped its ledger, is ignored (an orphan to kill, for a
+// registration) as any task without a launch, never indexed out of
+// range.
+func TestLedgerIgnoresTasksOutsideTheJob(t *testing.T) {
+	g, err := NewShardedInProcess(ShardedConfig{Shards: 1, NewScheduler: tetrisScheduler})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	capV := resources.New(16, 32, 200, 200, 1000, 1000)
+	g.RegisterMachine(0, capV)
+	for _, j := range []*workload.Job{simpleJob(0, 3), simpleJob(1, 1)} {
+		if err := g.SubmitJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0}); r.Type == wire.TypeError || len(r.NMReply.Launch) != 4 {
+		t.Fatalf("first beat: %+v, want 4 launches", r)
+	}
+	done := wire.TaskCompletion{Task: workload.TaskID{Job: 1}, Duration: 1}
+	if r := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: []wire.TaskCompletion{done}}); r.Type == wire.TypeError {
+		t.Fatal(r.Error)
+	}
+	outside := []workload.TaskID{
+		{Job: 0, Stage: -1}, {Job: 0, Index: -1}, {Job: 0, Index: 3}, {Job: 0, Stage: 1},
+		{Job: 1, Index: 0}, // completed: job 1 finished and dropped its ledger
+	}
+	var cs []wire.TaskCompletion
+	for _, tid := range outside {
+		cs = append(cs, wire.TaskCompletion{Task: tid, Duration: 1})
+	}
+	if r := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0, Completed: cs}); r.Type == wire.TypeError {
+		t.Fatal(r.Error)
+	}
+	core := g.Shard(0)
+	core.mu.Lock()
+	doneTasks, launches := core.jobs[0].state.Status.DoneTasks(), len(launchedIDs(core.jobs[0], -1))
+	core.mu.Unlock()
+	if doneTasks != 0 || launches != 3 {
+		t.Fatalf("job 0: %d done, %d launched after completions outside it; want 0 and 3", doneTasks, launches)
+	}
+	running := append([]workload.TaskID{{Job: 0, Index: 0}, {Job: 0, Index: 1}, {Job: 0, Index: 2}}, outside...)
+	reply, _ := g.Call(&wire.Message{Type: wire.TypeRegisterNM, RegisterNM: &wire.RegisterNM{NodeID: 0, Capacity: capV, Running: running}})
+	if reply.Type != wire.TypeNMReply {
+		t.Fatalf("re-registration: %+v", reply)
+	}
+	want := slices.Clone(outside)
+	slices.SortFunc(want, func(a, b workload.TaskID) int {
+		if a.Less(b) {
+			return -1
+		}
+		return 1
+	})
+	if !reflect.DeepEqual(reply.NMReply.Kill, want) {
+		t.Errorf("re-registration kills %v, want the orphans %v", reply.NMReply.Kill, want)
+	}
+	if err := g.VerifyLedger(); err != nil {
+		t.Error(err)
 	}
 }

@@ -118,7 +118,7 @@ func (s *Server) registerGauges(reg *telemetry.Registry, label string) {
 		defer s.mu.Unlock()
 		n := 0
 		for _, ji := range s.active { // a finished job holds no launches
-			n += len(ji.launched)
+			n += len(launchedIDs(ji, -1))
 		}
 		return float64(n)
 	})

@@ -240,7 +240,7 @@ func TestRecoveryAfterOutOfOrderRegistration(t *testing.T) {
 			byNode := make(map[int][]wire.TaskLaunch)
 			s.Shard(0).mu.Lock()
 			for _, l := range launched[2] {
-				node := s.Shard(0).jobs[2].launched[l.Task].machine
+				node := s.Shard(0).jobs[2].launch(l.Task).machine
 				byNode[node] = append(byNode[node], l)
 			}
 			s.Shard(0).mu.Unlock()

@@ -40,8 +40,7 @@ func (s *Server) reconcile(n *node, running []workload.TaskID) []workload.TaskID
 			kill = append(kill, tid)
 			continue
 		}
-		rec, ok := ji.launched[tid]
-		if !ok || rec.machine != n.ID {
+		if rec := ji.launch(tid); rec == nil || rec.machine != n.ID {
 			kill = append(kill, tid)
 		}
 	}

@@ -86,11 +86,19 @@ type Server struct {
 	lastEventTime   float64 // clock of the newest journaled event
 	sinceSnap       int     // journaled records since the last checkpoint
 	recoveredDigest []byte  // state digest right after replay, pre-resync
+
+	// applyTenantWeights' scratch, reused every round: the active jobs'
+	// base weights and their tenants' sums.
+	baseWeights []float64
+	tenantSums  map[string]float64
 }
 
 type jobInfo struct {
-	state      *scheduler.JobState
-	launched   map[workload.TaskID]launchRecord
+	state *scheduler.JobState
+	// launched is the job's launch ledger: one slot per task, a slice per
+	// stage indexed by Task.ID.Index, made at the stage's first launch
+	// (ledger.go). A finished job drops it.
+	launched   [][]launchRecord
 	finished   bool
 	failed     bool // abandoned: a task exhausted its attempt cap
 	finishedAt float64
@@ -204,7 +212,6 @@ func (s *Server) submit(j *workload.Job, tenant string, reserved bool) *wire.Mes
 func (s *Server) applySubmit(j *workload.Job, tenant string) {
 	ji := &jobInfo{
 		state:      &scheduler.JobState{Job: j, Status: workload.NewStatus(j)},
-		launched:   make(map[workload.TaskID]launchRecord),
 		tenant:     tenant,
 		meanVolume: meanTaskVolume(j),
 	}
@@ -324,7 +331,7 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 	if !ok || ji.failed {
 		return false
 	}
-	if rec, ok := ji.launched[c.Task]; !ok || rec.machine != nodeID {
+	if rec := ji.launch(c.Task); rec == nil || rec.machine != nodeID {
 		// No live launch on this node: the node was presumed dead and its
 		// attempt re-queued (possibly rerunning elsewhere already).
 		return false
@@ -342,6 +349,7 @@ func (s *Server) applyComplete(c wire.TaskCompletion, nodeID int, now float64) b
 	if ji.state.Status.Finished() {
 		ji.finished = true
 		ji.finishedAt = now
+		ji.launched = nil // every launch completed
 		s.retire(ji)
 		if !s.replaying {
 			s.metrics.jobsFinished.Inc()
@@ -398,15 +406,14 @@ func (s *Server) jobIDs() []int {
 }
 
 // launchedIDs returns ji's launched task IDs on machine id (all
-// machines if id < 0), sorted, for the same determinism reason.
+// machines if id < 0) in task-ID order, for the same determinism reason.
 func launchedIDs(ji *jobInfo, id int) []workload.TaskID {
 	var out []workload.TaskID
-	for tid, rec := range ji.launched {
+	ji.eachLaunch(func(tid workload.TaskID, rec *launchRecord) {
 		if id < 0 || rec.machine == id {
 			out = append(out, tid)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	})
 	return out
 }
 
@@ -423,6 +430,7 @@ func (s *Server) failJob(jobID int, ji *jobInfo, now float64) {
 	for _, tid := range launchedIDs(ji, -1) {
 		s.releaseLaunch(ji, tid)
 	}
+	ji.launched = nil
 	ji.state.Alloc = resources.Vector{}
 	for _, n := range s.nodes {
 		if n != nil {
@@ -442,10 +450,10 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 	s.refreshCaps()
 	v := &s.view
 	v.Time = now
-	restoreWeights := s.applyTenantWeights(s.active)
+	s.applyTenantWeights()
 	t0 := time.Now()
 	dec := s.coord.Decide(v, s.runningTasks)
-	restoreWeights()
+	s.restoreWeights()
 	s.metrics.scheduleRound.Observe(time.Since(t0).Seconds())
 	s.metrics.rounds[cause].Inc()
 	s.metrics.scans.Observe(s.sched)
@@ -476,30 +484,37 @@ func (s *Server) runScheduler(now float64, cause roundCause) {
 //
 // so active tenants split the cluster equally regardless of how many
 // jobs each queued, and a tenant's share is split among its jobs by the
-// per-job weights the f-knob already arbitrates. The mutation is strictly transient — the returned restore
-// puts the base weights back before anything is journaled or encoded,
-// keeping snapshots and digests on base weights (safe because every
-// scheduler core re-reads Job.Weight fresh each round). No-op without
-// admission. Caller holds s.mu.
-func (s *Server) applyTenantWeights(active []*jobInfo) func() {
-	if s.adm == nil || len(active) == 0 {
-		return func() {}
+// per-job weights the f-knob already arbitrates. The mutation is
+// strictly transient — restoreWeights puts the base weights back before
+// anything is journaled or encoded, keeping snapshots and digests on base
+// weights (safe because every scheduler core re-reads Job.Weight fresh
+// each round). No-op without admission. Caller holds s.mu.
+func (s *Server) applyTenantWeights() {
+	s.baseWeights = s.baseWeights[:0]
+	if s.adm == nil {
+		return
 	}
-	base := make([]float64, len(active))
-	sums := make(map[string]float64, 4)
-	for i, ji := range active {
-		base[i] = ji.state.Job.Weight
-		sums[ji.tenant] += base[i]
+	if s.tenantSums == nil {
+		s.tenantSums = make(map[string]float64, 4)
 	}
-	for i, ji := range active {
-		if sum := sums[ji.tenant]; sum > 0 {
-			ji.state.Job.Weight = base[i] / sum
+	clear(s.tenantSums)
+	for _, ji := range s.active {
+		w := ji.state.Job.Weight
+		s.baseWeights = append(s.baseWeights, w)
+		s.tenantSums[ji.tenant] += w
+	}
+	for i, ji := range s.active {
+		if sum := s.tenantSums[ji.tenant]; sum > 0 {
+			ji.state.Job.Weight = s.baseWeights[i] / sum
 		}
 	}
-	return func() {
-		for i, ji := range active {
-			ji.state.Job.Weight = base[i]
-		}
+}
+
+// restoreWeights undoes applyTenantWeights. s.active has not changed in
+// between. Caller holds s.mu.
+func (s *Server) restoreWeights() {
+	for i, w := range s.baseWeights {
+		s.active[i].state.Job.Weight = w
 	}
 }
 

@@ -388,10 +388,8 @@ func TestGangAllOrNothingByDefault(t *testing.T) {
 	s := g.Shard(0)
 	s.mu.Lock()
 	var filler workload.TaskID
-	for tid, rec := range s.jobs[1].launched {
-		if rec.machine == 0 {
-			filler = tid
-		}
+	for _, tid := range launchedIDs(s.jobs[1], 0) {
+		filler = tid
 	}
 	s.mu.Unlock()
 	done := wire.TaskCompletion{Task: filler, Usage: resources.New(10, 20, 0, 0, 0, 0), Duration: 1}

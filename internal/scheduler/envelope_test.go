@@ -3,7 +3,6 @@ package scheduler
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -49,7 +48,7 @@ func lockstepCores(t *testing.T, cfg TetrisConfig, mk func() *View, rounds int, 
 				t.Fatalf("round %d: %s and %s cores diverge: %s", r, labels[0], labels[i], msg)
 			}
 		}
-		out = append(out, slices.Clone(first)) // the core reuses its slice next round
+		out = append(out, keepRound(first))
 	}
 	return out, states
 }
@@ -394,7 +393,7 @@ func deepTraceRun(ring *DecisionRing) ([][]Assignment, *Tetris) {
 	w := newDeepWorlds([]func() Scheduler{func() Scheduler { return sched }}, 77, 40, true)[0]
 	var rounds [][]Assignment
 	for r := 0; r < 40; r++ {
-		rounds = append(rounds, slices.Clone(w.step(r, true, false))) // the core reuses its slice next round
+		rounds = append(rounds, keepRound(w.step(r, true, false)))
 	}
 	return rounds, sched
 }

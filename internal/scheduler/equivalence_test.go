@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -231,7 +232,7 @@ func (w *eqWorld) book(asgs []Assignment) {
 		for _, rc := range a.Remote {
 			w.machines[rc.Machine].Allocated = w.machines[rc.Machine].Allocated.Add(rc.Charge)
 		}
-		w.placed = append(w.placed, placement{j: j, task: a.Task, mach: a.Machine, local: a.Local, remote: a.Remote})
+		w.placed = append(w.placed, placement{j: j, task: a.Task, mach: a.Machine, local: a.Local, remote: slices.Clone(a.Remote)}) // valid until the next round
 	}
 }
 
@@ -273,6 +274,18 @@ func (w *eqWorld) step(round int, faults, hotspots bool) []Assignment {
 	}
 	w.placed = alive
 	return asgs
+}
+
+// keepRound copies a round's assignments, Remote charges included: the
+// core reuses the slice and the charge buffers in its next round, so a
+// test that keeps a round past the next Schedule call keeps this copy
+// (slices.Clone alone would share the charges).
+func keepRound(asgs []Assignment) []Assignment {
+	out := slices.Clone(asgs)
+	for i := range out {
+		out[i].Remote = slices.Clone(out[i].Remote)
+	}
+	return out
 }
 
 // diffAssignments compares two assignment sequences bit for bit.

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/tetris-sched/tetris/internal/resources"
@@ -195,7 +196,7 @@ func TestMachineChurnInvariants(t *testing.T) {
 					for _, rc := range a.Remote {
 						v.Machines[rc.Machine].Allocated = v.Machines[rc.Machine].Allocated.Add(rc.Charge)
 					}
-					running = append(running, placed{a.Task.ID, a.Machine, a.Local, a.Remote, js})
+					running = append(running, placed{a.Task.ID, a.Machine, a.Local, slices.Clone(a.Remote), js}) // Remote is valid until the next round
 				}
 
 				for _, m := range v.Machines {

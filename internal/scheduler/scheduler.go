@@ -119,8 +119,9 @@ type Scheduler interface {
 	Name() string
 	// Schedule returns the assignments to start now. Implementations must
 	// not mutate the View; the caller applies assignments and re-invokes
-	// as state changes. The slice is valid until the next call, which may
-	// reuse it; each assignment's Remote charges stay valid for good.
+	// as state changes. The slice and each assignment's Remote charges
+	// are valid until the next call, which may reuse them: a caller that
+	// keeps a charge copies it.
 	Schedule(v *View) []Assignment
 }
 
@@ -168,6 +169,9 @@ func refillRemoteCharges(buf []RemoteCharge, t *workload.Task, m int) []RemoteCh
 	}
 	flowCap := t.FlowCapMBps()
 	charges := buf[:0]
+	if cap(charges) < len(t.Inputs) {
+		charges = make([]RemoteCharge, 0, len(t.Inputs)) // one allocation, not one per doubling
+	}
 	for _, b := range t.Inputs {
 		if b.Machine < 0 || b.Machine == m || b.SizeMB == 0 {
 			continue

@@ -504,7 +504,8 @@ func (sr *stageRun) ensureFetched() {
 // (alignment − ε·remaining-work), honoring the fairness and barrier
 // knobs, until nothing more fits (§3.2–§3.5).
 //
-// The slice is valid until the next call.
+// The slice and its assignments' Remote charges are valid until the next
+// call.
 //
 // One implementation backs it, the incremental core below. The
 // straight-line loop the paper's pseudo-code maps onto directly lives
@@ -766,10 +767,10 @@ func (t *Tetris) compactLocals(mid, next int) {
 //     entry and taken mark sit in its slot of the record, reached by
 //     position, so none is keyed by task pointer either.
 //   - Every round-scoped structure (candidate buffer, stage runs, free
-//     ledger, the returned assignments) is scratch reused across rounds,
-//     so a steady-state round performs no heap allocations, placing or
-//     not (asserted by TestScheduleAllocs), beyond the remote charges
-//     the caller keeps for a task's life.
+//     ledger, the returned assignments and their remote charges) is
+//     scratch reused across rounds, so a steady-state round performs no
+//     heap allocations, placing or not, partly local tasks included
+//     (asserted by TestScheduleAllocs).
 //
 // Equivalence hinges on mirroring the oracle's control flow exactly:
 // the stage scans advance the same cursors, trigger the same fetches and
@@ -824,8 +825,9 @@ type taskRound struct {
 
 	// charges backs remote for a task with input on mach (partial
 	// locality), refilled per machine; remote is it unless a source is
-	// down. A placement's Assignment takes it over: the entry is retired
-	// and zeroed in the same round, so nothing refills it afterwards.
+	// down. A placement's Assignment points into it (or into
+	// baseCharges), so both are valid until the next round: retire keeps
+	// their storage for the entry's next task, which refills it.
 	charges []RemoteCharge
 
 	// Per-(round, machine) state, valid while mach matches the machine
@@ -1002,12 +1004,13 @@ func (t *Tetris) taskRoundFor(rec *jobRecord, task *workload.Task) *taskRound {
 }
 
 // retire drops the cache entry of task, one of rec's tasks, and keeps
-// the entry, zeroed, for reuse. Zeroing lets go of the charges a
-// placement's Assignment took over.
+// the entry, zeroed but for its charge buffers' storage, for reuse. The
+// round's Assignments may still read the buffers; the entry is refilled
+// in a later round at the earliest.
 func (t *Tetris) retire(rec *jobRecord, task *workload.Task) {
 	s := rec.slot(task)
 	if tr := s.tr; tr != nil {
-		*tr = taskRound{}
+		*tr = taskRound{charges: tr.charges[:0], baseCharges: tr.baseCharges[:0]}
 		t.spare = append(t.spare, tr)
 		s.tr = nil
 	}
@@ -1483,12 +1486,12 @@ func (t *Tetris) considerTR(tr *taskRound, task *workload.Task, inTail bool) {
 		if !tr.remoteSet {
 			if tr.affinity {
 				// Partial locality: charges are machine-specific.
-				tr.charges = refillRemoteCharges(tr.charges, task, mid)
+				tr.charges = refillRemoteCharges(tr.charges[:0], task, mid)
 				tr.remote = LiveCharges(t.curV, tr.charges)
 			} else {
 				if !tr.liveSet {
 					if !tr.baseChargesSet {
-						tr.baseCharges = RemoteCharges(task, -1)
+						tr.baseCharges = refillRemoteCharges(tr.baseCharges[:0], task, -1)
 						tr.baseChargesSet = true
 					}
 					tr.live = LiveCharges(t.curV, tr.baseCharges)

@@ -186,7 +186,7 @@ func TestTraceDoesNotAffectDecisions(t *testing.T) {
 		var rounds [][]Assignment
 		for i := 0; i < 6; i++ {
 			asgs := tet.Schedule(v)
-			rounds = append(rounds, slices.Clone(asgs)) // the core reuses its slice next round
+			rounds = append(rounds, keepRound(asgs))
 			apply(v, asgs)
 		}
 		return rounds

@@ -124,7 +124,10 @@ func (s *Sim) killJob(jr *jobRun) {
 // its job however it ended. Idempotent via rt.gone. The
 // task's resource nodes are marked — they drop it at their next re-sum —
 // and so are those of the task swap-moved into its slot, whose place in
-// their summation order just changed.
+// their summation order just changed. The record goes back to Sim.spare
+// only at the end of that re-sum (recomputeRates): until then a node
+// still lists it, and a start in the same loop iteration, after a crash
+// (step 1) or a preemption or kill (step 2), must not reuse it.
 func (s *Sim) unlink(rt *runningTask) {
 	if rt.gone {
 		return
@@ -134,6 +137,7 @@ func (s *Sim) unlink(rt *runningTask) {
 	jr.state.Alloc = jr.state.Alloc.Sub(rt.local).Max(resources.Vector{})
 	jr.truePeaks = jr.truePeaks.Sub(rt.task.Peak).Max(resources.Vector{})
 	s.markTask(rt)
+	s.unlinked = append(s.unlinked, rt)
 	last := len(s.running) - 1
 	moved := s.running[last]
 	s.running[rt.idx] = moved

@@ -138,6 +138,11 @@ func (s *Sim) recomputeRates() {
 		rt.finish = rt.finishEstimate()
 	}
 	s.rerated = s.rerated[:0]
+	// Every node that listed an unlinked task was marked and has just
+	// dropped it, so its record may serve a new task.
+	s.spare = append(s.spare, s.unlinked...)
+	clear(s.unlinked)
+	s.unlinked = s.unlinked[:0]
 }
 
 // resum drops a marked node's departed users, restores the list's

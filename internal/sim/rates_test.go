@@ -182,24 +182,33 @@ func TestTrackerLedgersMatchVectorFormula(t *testing.T) {
 	}
 }
 
-// heldAssignments is a policy that places what its inner scheduler
-// places and keeps every assignment it returned: by value, as the
-// simulator keeps the charges, and as a deep copy.
-type heldAssignments struct {
+// heldCharges is a policy that places what its inner scheduler places
+// and keeps a deep copy of each placement's remote charges. Once the
+// inner scheduler's next round has run — and reused the buffers the
+// charges came from — it checks that every running task still holds the
+// charges it was placed with.
+type heldCharges struct {
 	scheduler.Scheduler
-	kept, want []scheduler.Assignment
-	last       int   // kept[last:] are the last round's
-	partial    int   // kept assignments partly local and partly remote
-	err        error // the first kept assignment found changed
+	sim     *Sim
+	want    map[workload.TaskID][]scheduler.RemoteCharge // by running task, as placed
+	checked int                                          // running tasks checked with charges
+	partial int                                          // placements partly local and partly remote
+	err     error                                        // the first running task found changed
 }
 
-func (p *heldAssignments) Schedule(v *scheduler.View) []scheduler.Assignment {
+func (p *heldCharges) Schedule(v *scheduler.View) []scheduler.Assignment {
 	asgs := p.Scheduler.Schedule(v)
-	p.check(p.last, fmt.Sprintf("the round at t=%v", v.Time))
-	p.last = len(p.kept)
+	for _, rt := range p.sim.running {
+		want := p.want[rt.task.ID]
+		if !slices.Equal(rt.remote, want) && p.err == nil {
+			p.err = fmt.Errorf("after the round at t=%v, task %v placed with charges %v holds %v", v.Time, rt.task.ID, want, rt.remote)
+		}
+		if len(want) > 0 {
+			p.checked++
+		}
+	}
 	for _, a := range asgs {
-		p.kept = append(p.kept, a)
-		p.want = append(p.want, scheduler.Assignment{Task: a.Task, Machine: a.Machine, Local: a.Local, Remote: slices.Clone(a.Remote)})
+		p.want[a.Task.ID] = slices.Clone(a.Remote)
 		if a.Remote != nil && a.Task.HasLocalAffinity(a.Machine) {
 			p.partial++
 		}
@@ -207,32 +216,28 @@ func (p *heldAssignments) Schedule(v *scheduler.View) []scheduler.Assignment {
 	return asgs
 }
 
-// check records the first of kept[from:] that no longer reads as it was
-// returned, once when has run.
-func (p *heldAssignments) check(from int, when string) {
-	for i := from; i < len(p.kept) && p.err == nil; i++ {
-		if !reflect.DeepEqual(p.kept[i], p.want[i]) {
-			p.err = fmt.Errorf("after %s, assignment %v reads %v", when, p.want[i], p.kept[i])
-		}
-	}
-}
-
-// TestAssignmentsOutliveTheirRound: the simulator keeps each placement's
-// remote charges for the task's whole life (runningTask.remote, read by
-// updateReported), while the core reuses its output slice and refills
-// per-machine charge buffers. With Config.CheckInvariants on, each
-// round's assignments must read as they were returned once the next
-// round has run, and all of them once the run is over.
+// TestAssignmentsOutliveTheirRound: an Assignment's remote charges are
+// valid only until the scheduler's next round, which refills the buffers
+// they point at; the simulator copies them into the running task
+// (runningTask.remote, read by updateReported for the task's whole
+// life). With Config.CheckInvariants on, every running task must hold
+// the charges it was placed with after each later round.
 func TestAssignmentsOutliveTheirRound(t *testing.T) {
-	p := &heldAssignments{Scheduler: tetris()}
+	p := &heldCharges{Scheduler: tetris(), want: map[workload.TaskID][]scheduler.RemoteCharge{}}
 	wl := trace.GenerateSuite(trace.Config{Seed: 11, NumJobs: 10, NumMachines: 20, ArrivalSpanSec: 200, MeanTaskSeconds: 30})
-	run(t, Config{Cluster: cluster.NewFacebook(20), Workload: wl, Scheduler: p, CheckInvariants: true, MaxTime: 1e6})
-	p.check(0, "the run")
+	s, err := New(Config{Cluster: cluster.NewFacebook(20), Workload: wl, Scheduler: p, CheckInvariants: true, MaxTime: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.sim = s
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if p.err != nil {
 		t.Fatal(p.err)
 	}
-	if p.partial == 0 {
-		t.Fatalf("none of %d placements read input both locally and remotely: the charge buffers were never exercised", len(p.kept))
+	if p.partial == 0 || p.checked == 0 {
+		t.Fatalf("%d partly local placements, %d running tasks with charges checked: the charge buffers were never exercised", p.partial, p.checked)
 	}
 }
 

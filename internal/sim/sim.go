@@ -153,7 +153,7 @@ type runningTask struct {
 	live     uint64
 	liveMore []uint64
 	local    resources.Vector         // scheduler's local charge
-	remote   []scheduler.RemoteCharge // scheduler's remote charges
+	remote   []scheduler.RemoteCharge // scheduler's remote charges, copied out of the round
 	idx      int                      // position in Sim.running (swap-removed)
 	// slowdown multiplies this attempt's granted rates: 1 normally,
 	// FaultPlan.StragglerFactor when straggler injection picked it.
@@ -221,6 +221,10 @@ type Sim struct {
 	rerated  []*runningTask // recomputeRates: tasks to re-estimate
 	victims  []*runningTask // killJob
 	srcRates []srcRate      // updateReported
+	// Running-task records are recycled: unlink queues a record on
+	// unlinked, the next recomputeRates moves it to spare (by then every
+	// node has dropped its users), and start takes records from spare.
+	unlinked, spare []*runningTask
 }
 
 // New validates the configuration and prepares a run.
@@ -547,17 +551,11 @@ func (s *Sim) start(a scheduler.Assignment) {
 	// updateReported before every scheduling round; within a round the
 	// scheduler tracks its own decrements.
 
-	rt := &runningTask{
-		job:      jr,
-		task:     a.Task,
-		machine:  a.Machine,
-		started:  s.clock,
-		local:    a.Local,
-		remote:   a.Remote,
-		idx:      len(s.running),
-		slowdown: 1,
-	}
-	rt.comps = rt.compBuf[:0]
+	rt := s.newRunningTask()
+	rt.job, rt.task, rt.machine, rt.started = jr, a.Task, a.Machine, s.clock
+	rt.local = a.Local
+	rt.remote = append(rt.remote, a.Remote...) // a.Remote is the round's
+	rt.idx = len(s.running)
 	// Straggler injection: some attempts run degraded (a bad disk, a
 	// contended host) — the re-execution pressure the paper's production
 	// traces contain.
@@ -617,7 +615,7 @@ func (s *Sim) start(a scheduler.Assignment) {
 		rt.comps = append(rt.comps, component{kind: compCPU, remaining: 0, demand: 1})
 	}
 	if n := (len(rt.comps) + 63) / 64; n > 1 {
-		rt.liveMore = make([]uint64, n-1)
+		rt.liveMore = append(rt.liveMore, make([]uint64, n-1)...)
 	}
 	for i := range rt.comps {
 		if rt.comps[i].remaining > 0 {
@@ -625,6 +623,23 @@ func (s *Sim) start(a scheduler.Assignment) {
 		}
 	}
 	s.enlist(rt)
+}
+
+// newRunningTask returns a record for a task about to start: a spare
+// one, reset but for the storage of its comps, liveMore and remote
+// slices (emptied), or a new one.
+func (s *Sim) newRunningTask() *runningTask {
+	n := len(s.spare)
+	if n == 0 {
+		rt := &runningTask{slowdown: 1}
+		rt.comps = rt.compBuf[:0]
+		return rt
+	}
+	rt := s.spare[n-1]
+	s.spare[n-1] = nil
+	s.spare = s.spare[:n-1]
+	*rt = runningTask{comps: rt.comps[:0], liveMore: rt.liveMore[:0], remote: rt.remote[:0], slowdown: 1}
+	return rt
 }
 
 // finishEstimate returns seconds until this task completes at current

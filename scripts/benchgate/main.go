@@ -1,5 +1,6 @@
 // Command benchgate compares two `go test -bench` outputs (benchstat
-// style) and fails when a benchmark slowed down beyond a threshold. CI
+// style) and fails when a benchmark slowed down, or allocates more bytes
+// per op, beyond a threshold. CI
 // runs the scheduler, simulator, RM journal and gang micro-benchmarks of
 // the base and head commits alternately, one run at a time
 // (scripts/bench_alternate.sh), and gates merges on:
@@ -15,11 +16,15 @@
 // is one that only head's slowest runs show (a busy machine slows some
 // runs and never speeds one up, so a real slowdown moves the fast runs
 // too), nor one that the runs taken side by side do not show.
-// Benchmarks present in only one file are reported but not gated (new
-// or removed benchmarks are not regressions). Median bytes per op are
-// shown for every row that reports them, and median allocation counts
-// where head allocates more, for context; only ns/op is gated, since
-// allocs/op is separately pinned by TestScheduleAllocs.
+// A row that reports B/op is also flagged when head's smallest B/op run
+// is above base's largest by more than the threshold and by more than
+// minBytesDelta: bytes per op hardly depend on the machine, so runs that
+// overlap, and a few bytes more on a row that allocated next to nothing,
+// are not regressions. Benchmarks present in only one file are reported
+// but not gated (new or removed benchmarks are not regressions). Median
+// bytes per op are shown for every row that reports them, and median
+// allocation counts where head allocates more, for context; allocs/op is
+// not gated.
 package main
 
 import (
@@ -28,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -104,7 +110,7 @@ func parseBench(path string) (map[string]*runs, []string, error) {
 func main() {
 	basePath := flag.String("base", "", "bench output of the base commit")
 	headPath := flag.String("head", "", "bench output of the head commit")
-	threshold := flag.Float64("threshold", 0.15, "max allowed ns/op slowdown (0.15 = +15%)")
+	threshold := flag.Float64("threshold", 0.15, "max allowed ns/op slowdown and B/op growth (0.15 = +15%)")
 	flag.Parse()
 	if *basePath == "" || *headPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: benchgate -base base.txt -head head.txt [-threshold 0.15]")
@@ -125,7 +131,7 @@ func main() {
 		os.Exit(2)
 	}
 	if !report(os.Stdout, base, head, order, *threshold) {
-		fmt.Printf("\nbenchgate: FAIL — median ns/op regression beyond base's spread and +%.0f%%\n", *threshold*100)
+		fmt.Printf("\nbenchgate: FAIL — median ns/op regression beyond base's spread and +%.0f%%, or B/op growth past every base run by +%.0f%% and %d B\n", *threshold*100, *threshold*100, minBytesDelta)
 		os.Exit(1)
 	}
 	fmt.Println("\nbenchgate: OK")
@@ -142,7 +148,7 @@ func report(w io.Writer, base, head map[string]*runs, order []string, threshold 
 		if !inBase {
 			fmt.Fprintf(w, "%-60s %14s %14s %14.0f %8s\n", name, "-", "-", median(h.ns), "new")
 			if len(h.bytes) > 0 {
-				fmt.Fprintf(w, "%-60s %14s %14.0f B/op (informational)\n", "  bytes:", "-", median(h.bytes))
+				fmt.Fprintf(w, "%-60s %14s %14.0f B/op\n", "  bytes:", "-", median(h.bytes))
 			}
 			continue
 		}
@@ -159,7 +165,12 @@ func report(w io.Writer, base, head map[string]*runs, order []string, threshold 
 		iqr := fmt.Sprintf("%.0f-%.0f", stats.Percentile(b.ns, 25), stats.Percentile(b.ns, 75))
 		fmt.Fprintf(w, "%-60s %14.0f %14s %14.0f %+7.1f%% %+7.1f%%%s\n", name, bm, iqr, hm, delta*100, (pairRatio(b.ns, h.ns)-1)*100, mark)
 		if len(b.bytes) > 0 && len(h.bytes) > 0 {
-			fmt.Fprintf(w, "%-60s %14.0f %14.0f B/op (informational)\n", "  bytes:", median(b.bytes), median(h.bytes))
+			mark := ""
+			if bytesRegressed(b.bytes, h.bytes, threshold) {
+				mark = "  << B/op REGRESSION"
+				ok = false
+			}
+			fmt.Fprintf(w, "%-60s %14.0f %14.0f B/op%s\n", "  bytes:", median(b.bytes), median(h.bytes), mark)
 		}
 		if len(b.allocs) > 0 && len(h.allocs) > 0 && median(h.allocs) > median(b.allocs) {
 			fmt.Fprintf(w, "%-60s %14.0f %14.0f allocs/op (informational)\n", "  allocs:", median(b.allocs), median(h.allocs))
@@ -187,6 +198,17 @@ func regressed(base, head []float64, threshold float64) bool {
 		past(median(base), median(head)) &&
 		past(stats.Percentile(base, 25), stats.Percentile(head, 25)) &&
 		past(1, pairRatio(base, head))
+}
+
+// minBytesDelta is the least B/op growth bytesRegressed flags.
+const minBytesDelta = 64
+
+// bytesRegressed reports whether head's runs allocate more bytes per op
+// than base's beyond any overlap: head's smallest run is above base's
+// largest by more than threshold and by more than minBytesDelta B/op.
+func bytesRegressed(base, head []float64, threshold float64) bool {
+	b, h := slices.Max(base), slices.Min(head)
+	return h-b > minBytesDelta && h > b*(1+threshold)
 }
 
 // pairRatio is the median ratio of head's run i to base's run i.

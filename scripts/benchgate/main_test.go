@@ -44,7 +44,7 @@ func TestParseBench(t *testing.T) {
 
 // TestReport: every row that carries B/op in both files prints base and
 // head median B/op, whichever way it moved; allocs/op prints only where
-// head's median allocates more; only ns/op can fail the gate.
+// head's median allocates more; ns/op and B/op can fail the gate.
 func TestReport(t *testing.T) {
 	base := map[string]*runs{
 		"BenchmarkA": {ns: []float64{100, 100, 100}, bytes: []float64{5000}, allocs: []float64{3}},
@@ -67,7 +67,7 @@ func TestReport(t *testing.T) {
 	for _, l := range lines {
 		f := strings.Fields(l)
 		switch {
-		case strings.HasSuffix(l, "B/op (informational)"):
+		case strings.HasSuffix(l, "B/op"):
 			bytes = append(bytes, f[1]+" "+f[2])
 		case strings.HasSuffix(l, "allocs/op (informational)"):
 			allocs = append(allocs, f[1]+" "+f[2])
@@ -79,9 +79,38 @@ func TestReport(t *testing.T) {
 	if want := []string{"1 2"}; !slices.Equal(allocs, want) {
 		t.Errorf("allocs/op lines give %q, want %q:\n%s", allocs, want, out.String())
 	}
+	head["BenchmarkB"] = &runs{ns: []float64{90}, bytes: []float64{200}}
+	out.Reset()
+	if report(&out, base, head, order, 0.15) || !strings.Contains(out.String(), "B/op  << B/op REGRESSION") {
+		t.Errorf("10 → 200 B/op passed the gate:\n%s", out.String())
+	}
+	head["BenchmarkB"] = &runs{ns: []float64{90}}
 	head["BenchmarkA"] = &runs{ns: []float64{116, 116, 116}}
 	if report(&strings.Builder{}, base, head, order, 0.15) {
 		t.Error("a 16% slowdown of every run passed a 15% gate")
+	}
+}
+
+// TestBytesRegressed pins the B/op rule: head's smallest run must lie
+// above base's largest by more than the threshold and by more than
+// minBytesDelta.
+func TestBytesRegressed(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		base, head []float64
+		want       bool
+	}{
+		{"0 B/op gains 8", []float64{0, 0, 0, 0, 0}, []float64{8, 8, 8, 8, 8}, false},
+		{"doubled", []float64{7000, 7010, 6990, 7005, 7000}, []float64{14000, 14020, 13990, 14010, 14000}, true},
+		{"overlapping runs", []float64{7000, 7400, 6990, 9000, 7000}, []float64{8900, 9100, 9200, 9300, 9400}, false},
+		{"shrank", []float64{7000, 7010, 6990}, []float64{3000, 3010, 2990}, false},
+		{"past the threshold by less than 64 B", []float64{100, 100, 100}, []float64{160, 160, 160}, false},
+		{"past 64 B, within the threshold", []float64{10000, 10000}, []float64{11000, 11000}, false},
+		{"0 B/op gains 100", []float64{0, 0, 0}, []float64{100, 100, 100}, true},
+	} {
+		if got := bytesRegressed(c.base, c.head, 0.15); got != c.want {
+			t.Errorf("%s: bytesRegressed = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
