@@ -3,12 +3,11 @@
 // pop in insertion order so that simulations are reproducible.
 package eventq
 
-import "container/heap"
-
-// Queue is a min-heap of events ordered by (time, insertion sequence).
-// The zero value is an empty queue ready for use.
+// Queue is a binary min-heap of events ordered by (time, insertion
+// sequence). The zero value is an empty queue ready for use. Events sit
+// in the heap by value, so Push and Pop allocate only when it grows.
 type Queue[T any] struct {
-	h   itemHeap[T]
+	h   []item[T]
 	seq uint64
 }
 
@@ -18,40 +17,54 @@ type item[T any] struct {
 	value T
 }
 
-type itemHeap[T any] []item[T]
-
-func (h itemHeap[T]) Len() int { return len(h) }
-func (h itemHeap[T]) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether h[i] pops before h[j].
+func (q *Queue[T]) before(i, j int) bool {
+	if q.h[i].at != q.h[j].at {
+		return q.h[i].at < q.h[j].at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h itemHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *itemHeap[T]) Push(x any)   { *h = append(*h, x.(item[T])) }
-func (h *itemHeap[T]) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = item[T]{} // let GC reclaim the value
-	*h = old[:n-1]
-	return it
+	return q.h[i].seq < q.h[j].seq
 }
 
 // Push schedules value at the given time.
 func (q *Queue[T]) Push(at float64, value T) {
 	q.seq++
-	heap.Push(&q.h, item[T]{at: at, seq: q.seq, value: value})
+	q.h = append(q.h, item[T]{at: at, seq: q.seq, value: value})
+	for j := len(q.h) - 1; j > 0; { // sift the new event up
+		i := (j - 1) / 2
+		if !q.before(j, i) {
+			break
+		}
+		q.h[i], q.h[j] = q.h[j], q.h[i]
+		j = i
+	}
 }
 
 // Pop removes and returns the earliest event. ok is false when the queue
 // is empty.
 func (q *Queue[T]) Pop() (at float64, value T, ok bool) {
-	if len(q.h) == 0 {
+	n := len(q.h) - 1
+	if n < 0 {
 		var zero T
 		return 0, zero, false
 	}
-	it := heap.Pop(&q.h).(item[T])
+	it := q.h[0]
+	q.h[0] = q.h[n]
+	q.h[n] = item[T]{} // let GC reclaim the value
+	q.h = q.h[:n]
+	for i := 0; ; { // sift the moved event down
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && q.before(j+1, j) {
+			j++
+		}
+		if !q.before(j, i) {
+			break
+		}
+		q.h[i], q.h[j] = q.h[j], q.h[i]
+		i = j
+	}
 	return it.at, it.value, true
 }
 

@@ -113,3 +113,25 @@ func TestRandomizedAgainstSort(t *testing.T) {
 		}
 	}
 }
+
+// TestPushPopAllocs pins Push and Pop at zero allocations once the
+// queue's storage has grown: events are stored by value, never boxed.
+func TestPushPopAllocs(t *testing.T) {
+	type event struct {
+		kind int
+		job  *int
+	}
+	var q Queue[event]
+	step := func() {
+		for i := 0; i < 32; i++ {
+			q.Push(float64(i%7), event{kind: i})
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}
+	step()
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Errorf("%v allocs per 32 pushes and pops, want 0", got)
+	}
+}

@@ -7,9 +7,10 @@ import (
 )
 
 // Micro-benchmarks for the Schedule hot path, over small/medium/large
-// synthetic views, with one sub-benchmark per side of the differential
-// suite so the production path and its test-side oracle can be compared
-// directly:
+// synthetic views. The Tetris rows have one sub-benchmark per side of the
+// differential suite, so the core and its test-side oracle can be
+// compared directly; DRF and slot-fair have one loop each, timed in the
+// rows named fast:
 //
 //	go test ./internal/scheduler -bench 'Schedule' -benchmem
 //
@@ -47,8 +48,8 @@ func benchView(sz benchSize, warm int) *View {
 	return v
 }
 
-// benchTetris times Schedule over v on a fresh scheduler.
-func benchTetris(b *testing.B, v *View, mk func() Scheduler) {
+// benchSchedule times Schedule over v on a fresh scheduler.
+func benchSchedule(b *testing.B, v *View, mk func() Scheduler) {
 	t := mk()
 	t.Schedule(v) // warm caches and scratch
 	b.ReportAllocs()
@@ -64,7 +65,7 @@ func BenchmarkTetrisSchedule(b *testing.B) {
 		labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
 		for i, mk := range mks {
 			b.Run(fmt.Sprintf("%s/%s", sz.name, labels[i]), func(b *testing.B) {
-				benchTetris(b, v, mk)
+				benchSchedule(b, v, mk)
 			})
 		}
 	}
@@ -108,11 +109,11 @@ func benchBacklog(b *testing.B, inputs bool) {
 	labels, mks := tetrisCoreMakers(DefaultTetrisConfig())
 	for i, mk := range mks {
 		b.Run(labels[i], func(b *testing.B) {
-			benchTetris(b, v, mk)
+			benchSchedule(b, v, mk)
 		})
 	}
 	b.Run("traced", func(b *testing.B) {
-		benchTetris(b, v, func() Scheduler {
+		benchSchedule(b, v, func() Scheduler {
 			cfg := DefaultTetrisConfig()
 			cfg.Trace = NewDecisionRing(256, 1)
 			return NewTetris(cfg)
@@ -197,49 +198,21 @@ func (w *eqWorld) requeueOn(mid int) {
 }
 
 func BenchmarkDRFSchedule(b *testing.B) {
-	for _, sz := range benchSizes {
-		v := benchView(sz, 3)
-		for _, ref := range []bool{false, true} {
-			name := "fast"
-			if ref {
-				name = "reference"
-			}
-			b.Run(fmt.Sprintf("%s/%s", sz.name, name), func(b *testing.B) {
-				var d Scheduler = NewDRF()
-				if ref {
-					d = referenceDRF{NewDRF()}
-				}
-				d.Schedule(v)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d.Schedule(v)
-				}
-			})
-		}
-	}
+	benchBaseline(b, func() Scheduler { return NewDRF() })
 }
 
 func BenchmarkSlotFairSchedule(b *testing.B) {
+	benchBaseline(b, func() Scheduler { return NewSlotFair() })
+}
+
+// benchBaseline times a baseline's Schedule over each benchView size. The
+// rows keep the name fast they had beside the oracles, so a bench gate
+// still pairs them with older runs.
+func benchBaseline(b *testing.B, mk func() Scheduler) {
 	for _, sz := range benchSizes {
 		v := benchView(sz, 3)
-		for _, ref := range []bool{false, true} {
-			name := "fast"
-			if ref {
-				name = "reference"
-			}
-			b.Run(fmt.Sprintf("%s/%s", sz.name, name), func(b *testing.B) {
-				var s Scheduler = NewSlotFair()
-				if ref {
-					s = referenceSlotFair{NewSlotFair()}
-				}
-				s.Schedule(v)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Schedule(v)
-				}
-			})
-		}
+		b.Run(sz.name+"/fast", func(b *testing.B) {
+			benchSchedule(b, v, mk)
+		})
 	}
 }

@@ -40,7 +40,7 @@ func TestAllMachinesDown(t *testing.T) {
 	if got := bothCores(t, DefaultTetrisConfig(), mk); len(got) != 0 {
 		t.Errorf("tetris placed %d tasks on an all-down cluster", len(got))
 	}
-	for _, s := range []Scheduler{NewDRF(), referenceDRF{NewDRF()}, NewSlotFair(), referenceSlotFair{NewSlotFair()}} {
+	for _, s := range []Scheduler{NewDRF(), NewSlotFair()} {
 		if got := s.Schedule(mk()); len(got) != 0 {
 			t.Errorf("%s placed %d tasks on an all-down cluster", s.Name(), len(got))
 		}

@@ -17,40 +17,11 @@ import (
 func TestRandomizedSchedulingInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
-		nMach := 1 + r.Intn(6)
-		capVec := resources.New(
-			float64(4+r.Intn(29)), float64(8+r.Intn(57)),
-			float64(50+r.Intn(351)), float64(50+r.Intn(351)),
-			float64(100+r.Intn(9901)), float64(100+r.Intn(9901)))
-		var jobs []*JobState
-		nJobs := 1 + r.Intn(5)
-		for jid := 0; jid < nJobs; jid++ {
-			j := &workload.Job{ID: jid, Weight: 1}
-			st := &workload.Stage{Name: "s"}
-			nTasks := 1 + r.Intn(30)
-			for i := 0; i < nTasks; i++ {
-				peak := resources.New(
-					0.1+r.Float64()*8, 0.1+r.Float64()*8,
-					r.Float64()*100, r.Float64()*100,
-					r.Float64()*500, r.Float64()*200)
-				task := &workload.Task{
-					ID:   workload.TaskID{Job: jid, Stage: 0, Index: i},
-					Peak: peak,
-					Work: workload.Work{CPUSeconds: 1 + r.Float64()*100},
-				}
-				if r.Float64() < 0.5 {
-					task.Inputs = []workload.InputBlock{{Machine: r.Intn(nMach), SizeMB: 10 + r.Float64()*1000}}
-				}
-				st.Tasks = append(st.Tasks, task)
-			}
-			j.Stages = []*workload.Stage{st}
-			jobs = append(jobs, &JobState{Job: j, Status: workload.NewStatus(j)})
+		nMach, capVec, jobs, cfg := randomWorld(r, 1)
+		v := mkView(nMach, capVec)
+		for _, j := range jobs {
+			v.Jobs = append(v.Jobs, &JobState{Job: j, Status: workload.NewStatus(j)})
 		}
-		v := mkView(nMach, capVec, jobs...)
-
-		cfg := DefaultTetrisConfig()
-		cfg.Fairness = []float64{0, 0.25, 0.5, 0.9}[r.Intn(4)]
-		cfg.Barrier = []float64{0.8, 0.9, 1}[r.Intn(3)]
 		for _, sch := range []Scheduler{NewTetris(cfg), NewSlotFair(), NewDRF()} {
 			asgs := sch.Schedule(v)
 			seen := map[workload.TaskID]bool{}
@@ -90,6 +61,88 @@ func TestRandomizedSchedulingInvariants(t *testing.T) {
 			for m := 0; m < nMach; m++ {
 				if perMachine[m].Get(resources.Memory) > capVec.Get(resources.Memory)+1e-9 {
 					t.Fatalf("trial %d %s: machine %d memory over-committed", trial, sch.Name(), m)
+				}
+			}
+		}
+	}
+}
+
+// randomWorld draws one cluster, its jobs and a Tetris configuration for
+// TestRandomizedSchedulingInvariants: 1–6 equal machines and 1–5
+// one-stage jobs of 1–30 tasks, half of which read one input block.
+// Every machine's memory capacity and every task's memory peak are
+// multiplied by memScale after the draws, so worlds drawn from equal
+// seeds differ only in the unit memory is counted in.
+func randomWorld(r *rand.Rand, memScale float64) (int, resources.Vector, []*workload.Job, TetrisConfig) {
+	nMach := 1 + r.Intn(6)
+	capVec := resources.New(
+		float64(4+r.Intn(29)), float64(8+r.Intn(57)),
+		float64(50+r.Intn(351)), float64(50+r.Intn(351)),
+		float64(100+r.Intn(9901)), float64(100+r.Intn(9901)))
+	capVec[resources.Memory] *= memScale
+	var jobs []*workload.Job
+	nJobs := 1 + r.Intn(5)
+	for jid := 0; jid < nJobs; jid++ {
+		j := &workload.Job{ID: jid, Weight: 1}
+		st := &workload.Stage{Name: "s"}
+		nTasks := 1 + r.Intn(30)
+		for i := 0; i < nTasks; i++ {
+			peak := resources.New(
+				0.1+r.Float64()*8, 0.1+r.Float64()*8,
+				r.Float64()*100, r.Float64()*100,
+				r.Float64()*500, r.Float64()*200)
+			peak[resources.Memory] *= memScale
+			task := &workload.Task{
+				ID:   workload.TaskID{Job: jid, Stage: 0, Index: i},
+				Peak: peak,
+				Work: workload.Work{CPUSeconds: 1 + r.Float64()*100},
+			}
+			if r.Float64() < 0.5 {
+				task.Inputs = []workload.InputBlock{{Machine: r.Intn(nMach), SizeMB: 10 + r.Float64()*1000}}
+			}
+			st.Tasks = append(st.Tasks, task)
+		}
+		j.Stages = []*workload.Stage{st}
+		jobs = append(jobs, j)
+	}
+	cfg := DefaultTetrisConfig()
+	cfg.Fairness = []float64{0, 0.25, 0.5, 0.9}[r.Intn(4)]
+	cfg.Barrier = []float64{0.8, 0.9, 1}[r.Intn(3)]
+	return nMach, capVec, jobs, cfg
+}
+
+// TestUnitScalingInvariance holds Tetris to §3.2's rule that units never
+// decide: with memory counted in units k times smaller (every machine's
+// memory capacity and every task's memory peak times k), every round
+// places the same tasks on the same machines in the same order. k is a
+// power of two, so the scaled arithmetic is exact. DRF is not held to it
+// yet: it ranks machines by the plain sum of their free resources, which
+// adds cores to memory, and places differently on 219 of these 400 seeds
+// at either k; it joins once that rank is unit-free. Slot-fair is unit-bound by
+// design: a slot is 2 GB of memory.
+func TestUnitScalingInvariance(t *testing.T) {
+	for _, k := range []float64{1024, 1 << 30} {
+		for seed := int64(0); seed < 400; seed++ {
+			var worlds [2]*eqWorld
+			for i, scale := range []float64{1, k} {
+				nMach, capVec, jobs, cfg := randomWorld(rand.New(rand.NewSource(seed)), scale)
+				caps := make([]resources.Vector, nMach)
+				for m := range caps {
+					caps[m] = capVec
+				}
+				worlds[i] = newEqWorld(NewTetris(cfg), jobs, caps, make([]int, len(jobs)), seed)
+			}
+			for round := 0; round < 4; round++ {
+				a := worlds[0].step(round, false, false)
+				b := worlds[1].step(round, false, false)
+				if len(a) != len(b) {
+					t.Fatalf("k=%g seed=%d round=%d: %d vs %d placements", k, seed, round, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].Task.ID != b[i].Task.ID || a[i].Machine != b[i].Machine {
+						t.Fatalf("k=%g seed=%d round=%d placement %d: %v on %d vs %v on %d",
+							k, seed, round, i, a[i].Task.ID, a[i].Machine, b[i].Task.ID, b[i].Machine)
+					}
 				}
 			}
 		}

@@ -413,6 +413,18 @@ func TestSlotFairSharesSlots(t *testing.T) {
 	}
 }
 
+// TestSlotFairZeroWeightsPlaceNothing: with every weight zero no job has
+// a fair share (each deficit is NaN), so slot-fair places nothing rather
+// than letting the scan hand the slots to whichever job it meets first.
+func TestSlotFairZeroWeightsPlaceNothing(t *testing.T) {
+	a := mkJob(0, 4, resources.New(1, 2, 0, 0, 0, 0), 10)
+	b := mkJob(1, 4, resources.New(1, 2, 0, 0, 0, 0), 10)
+	a.Job.Weight, b.Job.Weight = 0, 0
+	if asgs := NewSlotFair().Schedule(mkView(1, machine, a, b)); len(asgs) != 0 {
+		t.Errorf("placed %d tasks with every weight zero, want 0", len(asgs))
+	}
+}
+
 func TestSlotFairIgnoresCPUAndIO(t *testing.T) {
 	// Tasks demand 8 cores each: a slot scheduler will happily put 16 of
 	// them (one per slot) onto a 16-core machine → CPU over-allocation.

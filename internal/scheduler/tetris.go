@@ -1063,7 +1063,7 @@ func (t *Tetris) sortRunnable(v *View, runnable []*jobRecord) []*jobRecord {
 		if totalWeight > 0 {
 			fair = rec.job.Weight / totalWeight
 		}
-		s.def = append(s.def, fair-dominantShare(rec.state, v.Total, nil))
+		s.def = append(s.def, fair-dominantShare(rec.state, v.Total))
 	}
 	sort.Stable(s)
 	return s.jobs

@@ -148,7 +148,7 @@ func (t *Tetris) scheduleReference(v *View, runnable []*jobRecord) []Assignment 
 	// Fairness restriction: consider only the (1−f) fraction of jobs
 	// furthest from their fair (dominant-resource) share.
 	sorted := sortByDeficit(v, withRunnable, func(j *JobState) float64 {
-		return dominantShare(j, v.Total, nil)
+		return dominantShare(j, v.Total)
 	})
 	eligibleCount := int(math.Ceil((1 - t.cfg.Fairness) * float64(len(sorted))))
 	if eligibleCount < 1 {
