@@ -72,9 +72,48 @@ type node struct {
 	needFull bool
 	// Delivered on the node's next heartbeat. Transient: after an RM
 	// restart a lost launch surfaces at resync as lost, a kill as an orphan.
-	launches  []wire.TaskLaunch
-	preempts  []wire.TaskPreempt
-	beatRound uint64 // s.rounds at the node's last beat (roundDue)
+	launches []wire.TaskLaunch
+	preempts []wire.TaskPreempt
+	// The queues' second buffers: a beat hands each filled queue to its
+	// reply and takes the other buffer, emptied, as the queue, so a reply's
+	// Launch and Preempt alias node storage until the node's next beat.
+	sentLaunches sent[wire.TaskLaunch]
+	sentPreempts sent[wire.TaskPreempt]
+	beatRound    uint64 // s.rounds at the node's last beat (roundDue)
+	// reply is HandleNMHeartbeat's reply slot, made at the node's first
+	// in-process beat and rewritten by each later one.
+	reply *nmReplySlot
+}
+
+// sent is the buffer a node's beat last handed to a reply, and the
+// locked beat call (Server.beatCalls) that handed it out.
+type sent[T any] struct {
+	buf  []T
+	call uint64
+}
+
+// handOut returns the items in *queue for a reply (nil when there are
+// none) and makes s's buffer, emptied, the new queue. A buffer that call
+// itself handed out is still held by an earlier entry of the same frame,
+// which carried the node twice: the queue then starts a fresh one.
+func (s *sent[T]) handOut(queue *[]T, call uint64) []T {
+	out := *queue
+	if len(out) == 0 {
+		return nil
+	}
+	if s.call == call {
+		*queue = nil
+	} else {
+		*queue = s.buf[:0]
+	}
+	s.buf, s.call = out, call
+	return out
+}
+
+// nmReplySlot holds an in-process heartbeat reply and its payload.
+type nmReplySlot struct {
+	msg wire.Message
+	nm  wire.NMReply
 }
 
 // launchRecord is a task's slot in its job's launch ledger
@@ -266,7 +305,7 @@ func (s *Server) applyDead(n *node, now float64) {
 	if s.detector != nil {
 		n.downSince = &now
 	}
-	n.launches, n.preempts = nil, nil
+	n.launches, n.preempts = n.launches[:0], n.preempts[:0]
 	s.markDirty(causeNode)
 	s.nodesChanged()
 	killed := 0

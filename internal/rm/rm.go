@@ -68,6 +68,7 @@ type Server struct {
 	followup  bool             // the last round acted
 	unplaced  bool             // the last round left runnable work pending
 	rounds    uint64           // rounds run so far
+	beatCalls uint64           // locked beat calls so far: stamps the queue buffers a beat hands out (sent)
 	// mayRound hints dirty || followup || unplaced: stored under s.mu
 	// wherever they change, read unlocked to place batch groups only.
 	mayRound atomic.Bool
@@ -232,13 +233,15 @@ func (s *Server) applySubmit(j *workload.Job, tenant string) {
 // At one clock reading the failure detector scans at most once: whatever
 // the first beat's sweep leaves cannot have expired by the same instant,
 // so the others return at its early exit. Groups of different shards may
-// run concurrently; the entries they write are disjoint.
+// run concurrently; the entries they write are disjoint. An entry's
+// Launch and Preempt alias its node's buffers until the node's next beat.
 func (s *Server) handleBeats(beats []wire.NMHeartbeat, idxs []int, out []wire.NMBeatReply) {
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.now()
 	rounds := s.rounds
+	s.beatCalls++
 	failed, delta := 0, 0
 	for _, i := range idxs {
 		e := &out[i]
@@ -252,6 +255,34 @@ func (s *Server) handleBeats(beats []wire.NMHeartbeat, idxs []int, out []wire.NM
 	s.bookBeats(t0, len(idxs), failed, delta, rounds)
 }
 
+// handleBeat is handleBeats for one in-process beat: it answers in the
+// node's reply slot, valid until the node's next beat, or in a fresh
+// TypeError for a refused beat.
+func (s *Server) handleBeat(hb *wire.NMHeartbeat) *wire.Message {
+	t0 := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rounds := s.rounds
+	s.beatCalls++
+	var rep wire.NMReply
+	if text := s.beat(hb, s.now(), &rep); text != "" {
+		s.bookBeats(t0, 1, 1, 0, rounds)
+		return errMsg(text)
+	}
+	delta := 0
+	if hb.Delta {
+		delta = 1
+	}
+	s.bookBeats(t0, 1, 0, delta, rounds)
+	n := s.nodes[hb.NodeID]
+	if n.reply == nil {
+		n.reply = new(nmReplySlot)
+	}
+	n.reply.nm = rep
+	n.reply.msg = wire.Message{Type: wire.TypeNMReply, NMReply: &n.reply.nm}
+	return &n.reply.msg
+}
+
 // bookBeats books a locked section begun at t0 in one update per series:
 // n beats (each an equal share of the time), failed refused, delta applied
 // delta reports, s.rounds-rounds0 rounds. Caller holds s.mu.
@@ -263,7 +294,9 @@ func (s *Server) bookBeats(t0 time.Time, n, failed, delta int, rounds0 uint64) {
 
 // beat is the body of one NM heartbeat at RM time now: ledger apply, a
 // scheduling round if roundDue says so, and the node's queued work
-// written into rep. It returns the error text for a node that must
+// written into rep. rep.Launch and rep.Preempt are the node's filled
+// queue buffers (nil when empty), valid until its next beat, which
+// refills them. It returns the error text for a node that must
 // (re-)register, else "". Caller holds s.mu.
 func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) string {
 	id := hb.NodeID
@@ -317,8 +350,8 @@ func (s *Server) beat(hb *wire.NMHeartbeat, now float64, rep *wire.NMReply) stri
 		s.runScheduler(now, cause)
 	}
 	n.beatRound = s.rounds
-	rep.Launch, n.launches = n.launches, nil
-	rep.Preempt, n.preempts = n.preempts, nil
+	rep.Launch = n.sentLaunches.handOut(&n.launches, s.beatCalls)
+	rep.Preempt = n.sentPreempts.handOut(&n.preempts, s.beatCalls)
 	rep.FullReport = n.needFull
 	return ""
 }
@@ -536,15 +569,22 @@ func (s *Server) HandleAMHeartbeat(hb *wire.AMHeartbeat) *wire.Message {
 	return amReply(ji)
 }
 
-// amReply builds the progress reply for one job. Caller holds s.mu.
+// amReply builds the progress reply for one job, the message and its
+// payload in one allocation. Caller holds s.mu.
 func amReply(ji *jobInfo) *wire.Message {
-	return &wire.Message{Type: wire.TypeAMReply, AMReply: &wire.AMReply{
+	r := new(struct {
+		msg wire.Message
+		am  wire.AMReply
+	})
+	r.am = wire.AMReply{
 		Done:       ji.state.Status.DoneTasks(),
 		Total:      ji.state.Job.NumTasks(),
 		Finished:   ji.finished,
 		FinishedAt: ji.finishedAt,
 		Failed:     ji.failed,
-	}}
+	}
+	r.msg = wire.Message{Type: wire.TypeAMReply, AMReply: &r.am}
+	return &r.msg
 }
 
 // ClusterStatus snapshots node liveness and the fault-event log (the

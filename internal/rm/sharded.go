@@ -591,7 +591,9 @@ func (g *Sharded) serve(conn net.Conn) {
 // called directly — the in-process transport a client session runs on
 // against NewShardedInProcess, with no socket between them. The error is
 // always nil (a protocol rejection is a TypeError reply); it is there so
-// *Sharded and *wire.Conn are the same kind of thing to a client.
+// *Sharded and *wire.Conn are the same kind of thing to a client. The
+// caller owns the reply message, but a heartbeat entry's Launch and
+// Preempt alias its node's queue buffers until that node's next beat.
 func (g *Sharded) Call(m *wire.Message) (*wire.Message, error) {
 	return g.call(m, new(replyScratch)), nil
 }
@@ -634,7 +636,8 @@ func armDeadline(conn net.Conn, d time.Duration) {
 // replyScratch holds a heartbeat reply and what builds it. A serve loop
 // reuses one per connection: it encodes a reply before reading the next
 // frame (Framer.Read's contract), so nothing reads a rebuilt reply. Every
-// other caller passes a fresh one and owns the reply.
+// other caller passes a fresh one and owns the reply; its entries' Launch
+// and Preempt still alias per-node buffers (Server.beat).
 type replyScratch struct {
 	msg    wire.Message
 	batch  wire.HeartbeatBatchReply
@@ -642,8 +645,11 @@ type replyScratch struct {
 	wg     sync.WaitGroup
 }
 
-// HandleHeartbeatBatch answers a heartbeat frame from a fresh
-// scratch, so the caller owns the reply.
+// HandleHeartbeatBatch answers a heartbeat frame from a fresh scratch,
+// so the caller owns the reply and its entries. An entry's Launch and
+// Preempt alias its node's queue buffers and are valid until that node's
+// next beat; a frame may carry one node twice, and each of its entries
+// keeps what was queued for it.
 func (g *Sharded) HandleHeartbeatBatch(b *wire.HeartbeatBatch) *wire.Message {
 	return g.handleBatch(b, new(replyScratch))
 }
@@ -694,29 +700,19 @@ func (g *Sharded) handleBatch(b *wire.HeartbeatBatch, sc *replyScratch) *wire.Me
 	return &sc.msg
 }
 
-// HandleNMHeartbeat answers one node heartbeat in process, as a group of
-// one on the node's shard: a TypeNMReply, or a TypeError for a refused
-// beat. The beat's copy and its entry stay on the stack; the reply and
-// its payload are one heap allocation on every path, owned by the
-// caller. Shards share no lock here: that is where beats/sec scales.
+// HandleNMHeartbeat answers one node heartbeat in process on the node's
+// shard: a TypeNMReply, or a TypeError for a refused beat. A steady-state
+// beat allocates nothing, idle or placing: the reply lives in a slot the
+// node's record owns and its Launch and Preempt alias the node's queue
+// buffers, so the reply is valid until that node's next beat. Shards
+// share no lock here: that is where beats/sec scales.
 func (g *Sharded) HandleNMHeartbeat(hb *wire.NMHeartbeat) *wire.Message {
 	if hb == nil {
 		return errMsg("missing nmHeartbeat payload")
 	}
-	beats, out := [1]wire.NMHeartbeat{*hb}, [1]wire.NMBeatReply{}
-	g.nodeShard(hb.NodeID).handleBeats(beats[:], []int{0}, out[:])
+	reply := g.nodeShard(hb.NodeID).handleBeat(hb)
 	g.checkpoint(false)
-	r := new(struct {
-		msg wire.Message
-		nm  wire.NMReply
-	})
-	if out[0].Error != "" {
-		r.msg = wire.Message{Type: wire.TypeError, Error: out[0].Error}
-	} else {
-		r.nm = out[0].Reply
-		r.msg = wire.Message{Type: wire.TypeNMReply, NMReply: &r.nm}
-	}
-	return &r.msg
+	return reply
 }
 
 // HandleAMHeartbeat answers a job-progress poll from the job's shard.

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -313,7 +314,8 @@ func TestRoundCauses(t *testing.T) {
 	if err := g.SubmitJob(simpleJob(0, 4)); err != nil { // fits on one machine
 		t.Fatal(err)
 	}
-	r0 := g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0})
+	// A reply is valid until its node's next beat: keep a copy.
+	launched := slices.Clone(g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 0}).NMReply.Launch)
 	g.HandleNMHeartbeat(&wire.NMHeartbeat{NodeID: 1})
 	if rounds("submit") != 1 || rounds("followup") != 1 || all() != 2 {
 		t.Fatalf("after a submit: submit=%d followup=%d of %d rounds, want 1, 1 of 2", rounds("submit"), rounds("followup"), all())
@@ -325,7 +327,6 @@ func TestRoundCauses(t *testing.T) {
 		t.Fatalf("everything placed, nothing changed: %d rounds (want 2), %d idle beats (want %d)", all(), idle.Value(), was+2*nodes)
 	}
 
-	launched := r0.NMReply.Launch
 	if len(launched) == 0 {
 		t.Fatal("nothing launched on node 0")
 	}

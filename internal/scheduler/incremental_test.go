@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/tetris-sched/tetris/internal/resources"
 	"github.com/tetris-sched/tetris/internal/workload"
@@ -193,6 +194,15 @@ func TestEpsilonRegression(t *testing.T) {
 				t.Errorf("%v core: ε[%d] = %.18f, want %.18f", core, i, trace[i], want[i])
 			}
 		}
+	}
+}
+
+// TestTaskRoundSize: a cache entry is allocated on its own whenever the
+// free list is empty; its flags are grouped so it has no padding and
+// fits the 352-B size class.
+func TestTaskRoundSize(t *testing.T) {
+	if n := unsafe.Sizeof(taskRound{}); n > 352 {
+		t.Errorf("taskRound is %d B, want at most 352", n)
 	}
 }
 

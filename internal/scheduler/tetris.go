@@ -803,25 +803,29 @@ type taskRound struct {
 
 	// base demand and charges for machines holding none of the task's
 	// input — the common case, identical for every such machine.
-	base    resources.Vector // EffectiveDemand(peak, task, -1), projected
+	base resources.Vector // EffectiveDemand(peak, task, -1), projected
+
+	// The flags sit in two groups of eight bytes, this one and the last
+	// fields', so an entry has no padding and fits the 352-B size class.
 	baseSet bool
-	live    []RemoteCharge // LiveCharges over baseCharges, this round
 	liveSet bool
 	// baseRemoteDead: a base charge failed at its source. Free vectors
 	// only shrink within a round, so the failure is permanent for every
 	// machine using the base charges.
 	baseRemoteDead bool
-
-	// baseCharges persists across rounds: RemoteCharges depends only on
-	// the task's immutable input blocks and flow cap, so it never changes.
-	baseCharges    []RemoteCharge
 	baseChargesSet bool
-
 	// hasPlaced persists across rounds (input blocks are immutable): a
 	// task with no placed input has no affinity and no remote reads on
 	// any machine, skipping both input scans on every machine refresh.
 	hasPlaced     bool
 	inputsScanned bool
+	affinity      bool // the task has input on mach
+
+	live []RemoteCharge // LiveCharges over baseCharges, this round
+
+	// baseCharges persists across rounds: RemoteCharges depends only on
+	// the task's immutable input blocks and flow cap, so it never changes.
+	baseCharges []RemoteCharge
 
 	// charges backs remote for a task with input on mach (partial
 	// locality), refilled per machine; remote is it unless a source is
@@ -833,18 +837,17 @@ type taskRound struct {
 	// Per-(round, machine) state, valid while mach matches the machine
 	// currently being packed. Machines are packed one at a time and
 	// never revisited within a round, so one machine's worth suffices.
-	mach       int
-	affinity   bool
-	remoteMB   float64
-	d          resources.Vector // placement demand on mach
-	normD      resources.Vector // d normalized by mach's capacity
-	normDOK    bool             // normD computed for mach (lazy: a task that fails a fit test needs none)
-	remote     []RemoteCharge   // live charges for placement on mach
-	remoteSet  bool
-	failLocal  bool // d did not fit free[mach]: monotone within the round
-	failRemote bool // a charge did not fit its source: monotone
+	mach     int
+	remoteMB float64
+	d        resources.Vector // placement demand on mach
+	normD    resources.Vector // d normalized by mach's capacity
+	remote   []RemoteCharge   // live charges for placement on mach
 
-	tick uint32 // appended-as-candidate stamp for the current collect call
+	normDOK    bool // normD computed for mach (lazy: a task that fails a fit test needs none)
+	remoteSet  bool
+	failLocal  bool   // d did not fit free[mach]: monotone within the round
+	failRemote bool   // a charge did not fit its source: monotone
+	tick       uint32 // appended-as-candidate stamp for the current collect call
 }
 
 // demandFloor returns a lower bound, valid on every machine, of the

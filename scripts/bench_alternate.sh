@@ -25,7 +25,7 @@ HEAD_SRC="$(pwd)"
 SPECS=(
 	"scheduler Schedule 800ms"
 	"sim SimRun 3x"
-	"rm JournalEncode|Replay|Checkpoint|SubmitRoute|IdleBeatFrame|ServeIdleFrame 800ms"
+	"rm JournalEncode|Replay|Checkpoint|SubmitRoute|IdleBeatFrame|ServeIdleFrame|PlacingBeat 800ms"
 	"gang GangDecide 800ms"
 )
 
