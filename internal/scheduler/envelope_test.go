@@ -181,14 +181,16 @@ func TestLocalFloorBoundsEveryAffinityMachine(t *testing.T) {
 }
 
 // TestEnvelopeRetiredByLocalsTake: a window task taken through the
-// locality scan, not the stage scan, must retire the envelope. Tasks 0–15
+// locality scan, not the stage scan, must reach its stage's envelope.
+// Tasks 0–15
 // (the window) need 10 cores, task 16 needs 2, task 5 reads a block on
 // machine 1. Machine 0 (8 cores free) records the envelope. On machine 1
 // (empty) the stage scan stops at its three candidates 0–2, the locality
 // scan adds task 5, and task 5 wins on alignment (it alone uses the
-// disk). That take moves task 16 into the window: the next fill must scan
-// again and place it. A stale envelope (10 cores > 6 free) would skip
-// that scan and lose the placement.
+// disk). That take moves task 16 into the window: the next fill must
+// evaluate it, an entrant the envelope owes, and place it. An envelope
+// that missed the take (10 cores > 6 free, owing nothing) would skip
+// that visit and lose the placement.
 func TestEnvelopeRetiredByLocalsTake(t *testing.T) {
 	cfg := DefaultTetrisConfig()
 	cfg.Fairness = 0
@@ -209,12 +211,14 @@ func TestEnvelopeRetiredByLocalsTake(t *testing.T) {
 }
 
 // TestEnvelopeWithServedReservation: a task taken by serveReservations —
-// before any scan of the round, so before any envelope exists — is simply
-// absent from the windows recorded later. Twenty 3.5-core tasks starve on
-// three machines with 3 free cores; machine 0 is reserved for the head
-// task at t=3; at t=4 machines 0 and 2 empty out: the reservation serves
-// task 0 on machine 0, machine 0's scan records the envelope, machine 1
-// is pruned, machine 2 fits the envelope and takes task 1.
+// before any scan of the round, from a window whose envelope an earlier
+// round kept — goes through markTaken like any other take. Twenty
+// 3.5-core tasks starve on three machines with 3 free cores, and no
+// round places one, so every round reinstalls the envelope of the first;
+// machine 0 is reserved for the head task at t=3; at t=4 machines 0 and
+// 2 empty out: the reservation serves task 0 on machine 0, machine 0's
+// visit steps the cursor past it and evaluates the entrant it owes,
+// machine 1 is pruned, machine 2 fits the envelope and takes task 1.
 func TestEnvelopeWithServedReservation(t *testing.T) {
 	cfg := DefaultTetrisConfig()
 	cfg.Fairness = 0
@@ -337,11 +341,12 @@ func TestEnvelopeHotspotMachine(t *testing.T) {
 // have 1 core free, machine 2 has 2. Machine 0 walks both stages and
 // records their envelopes; machine 1 is skipped by their minimum (2
 // cores). Machine 2 fits it, walks, prunes the 3-core stage and places
-// a 2-core task, which retires that stage's envelope; its next fill
-// walks again, re-records it and places nothing. Machine 3 is skipped by
-// the re-derived minimum. A minimum left stale by a recording would
-// skip nothing; one left stale by the take would skip machine 2's
-// second fill with a retired envelope in it.
+// a 2-core task, which leaves that stage's envelope over the nine tasks
+// left of its window, owing no entrant (the stage has no eleventh task);
+// its next fill steps the cursor past the taken task and is pruned by
+// that envelope. Machine 3 is skipped by the re-derived minimum. A
+// minimum left stale by a recording would skip nothing; one left stale
+// by the take would skip machine 2's second fill, and its cursor step.
 func TestMachineEnvelopeCounts(t *testing.T) {
 	cfg := DefaultTetrisConfig()
 	cfg.Fairness = 0
@@ -356,7 +361,7 @@ func TestMachineEnvelopeCounts(t *testing.T) {
 	if len(rounds[0]) != 1 || rounds[0][0].Task.ID.Job != 1 || rounds[0][0].Machine != 2 {
 		t.Fatalf("placed %+v, want one task of job 1 on machine 2", rounds[0])
 	}
-	want := ScanStats{StageScans: 4, StagePrunes: 6, MachinePrunes: 2, Considered: 10 + 10 + 3 + 9}
+	want := ScanStats{StageScans: 3, StagePrunes: 7, MachinePrunes: 2, Considered: 10 + 10 + 3}
 	if got := scheds[0].ScanStats(); got != want {
 		t.Fatalf("scan counters %+v, want %+v", got, want)
 	}
@@ -454,10 +459,137 @@ func TestTraceOnSaturatedDeepView(t *testing.T) {
 			MachinePrunes: sum.MachinePrunes + rt.Scan.MachinePrunes,
 			LocalPrunes:   sum.LocalPrunes + rt.Scan.LocalPrunes,
 			Considered:    sum.Considered + rt.Scan.Considered,
+			Entrants:      sum.Entrants + rt.Scan.Entrants,
+			Carried:       sum.Carried + rt.Scan.Carried,
 		}
 	}
 	if sum != want {
 		t.Errorf("per-round Scan fields add up to %+v, want the cumulative %+v", sum, want)
 	}
 	sampledMatch(t, "incremental", halfRing.Snapshot(), fullRing.Snapshot())
+}
+
+// TestUnappliedRoundMatchesOracle: a round whose assignments are never
+// applied leaves every job's pending generation where it was, so a second
+// Schedule call on the same View reinstalls the envelopes the first call
+// kept. Every other harness applies its rounds, and the MarkRunning of a
+// placement moves its job's generation, so only here can an envelope of a
+// window that had lost tasks to takes reach a later round. Tasks 0 and 1
+// need 1 core, the other eighteen 3; machine 0 has 2 cores free and
+// machine 1 has 1. Machine 0 takes tasks 0 and 1, then its last fill
+// records the envelope (3 cores) of tasks 2–17, a window past two taken
+// tasks. Kept and reinstalled, it would prune machine 0's walk in the
+// second call and lose both placements. The deep worlds then run every
+// round twice, the first call unapplied, and must carry envelopes.
+func TestUnappliedRoundMatchesOracle(t *testing.T) {
+	cfg := DefaultTetrisConfig()
+	cfg.Fairness = 0
+	mk := func() *View {
+		j := mkJob(1, 20, resources.New(3, 4, 0, 0, 0, 0), 100)
+		for _, task := range j.Job.Stages[0].Tasks[:2] {
+			task.Peak = resources.New(1, 4, 0, 0, 0, 0)
+		}
+		v := mkView(2, machine, j)
+		v.Machines[0].Allocated = busyCPU(2)
+		v.Machines[1].Allocated = busyCPU(1)
+		return v
+	}
+	labels, mks := tetrisCoreMakers(cfg)
+	var calls [][][]Assignment // per core, per call
+	for _, mkSched := range mks {
+		s, v := mkSched(), mk()
+		var mine [][]Assignment
+		for range 2 {
+			mine = append(mine, keepRound(s.Schedule(v)))
+		}
+		calls = append(calls, mine)
+	}
+	for k := range calls[0] {
+		wantPlacements(t, calls[0][k], [2]int{0, 0}, [2]int{1, 0})
+		if msg := diffAssignments(calls[0][k], calls[1][k]); msg != "" {
+			t.Fatalf("call %d on one View: %s and %s cores diverge: %s", k, labels[0], labels[1], msg)
+		}
+	}
+
+	var carried uint64
+	for s := int64(0); s < 6; s++ {
+		cfg := DefaultTetrisConfig()
+		if s >= 4 {
+			cfg.StarvationSec = 2
+		}
+		labels, mks := tetrisCoreMakers(cfg)
+		worlds := newDeepWorlds(mks, 41000+s, 40, s&1 != 0)
+		for r := 0; r < 40; r++ {
+			for _, call := range []string{"unapplied", "applied"} {
+				var first []Assignment
+				for i, w := range worlds {
+					var asgs []Assignment
+					if call == "applied" {
+						asgs = w.step(r, false, false)
+					} else {
+						for _, m := range w.machines {
+							m.Reported = m.Allocated // as step sets it
+						}
+						asgs = w.sched.Schedule(w.view(r))
+					}
+					if i == 0 {
+						first = keepRound(asgs)
+					} else if msg := diffAssignments(first, asgs); msg != "" {
+						t.Fatalf("seed=%d round=%d, %s call: %s and %s cores diverge: %s", 41000+s, r, call, labels[0], labels[i], msg)
+					}
+				}
+			}
+		}
+		carried += tetrisOf(worlds[0].sched).ScanStats().Carried
+	}
+	if carried == 0 {
+		t.Fatal("no deep world carried an envelope into a later round")
+	}
+}
+
+// TestCarriedEnvelopeDiesWithTotal: an estimate may read the fleet (the
+// RM clamps every estimate to its largest machine), so an envelope kept
+// from a round with another View.Total is not reinstalled. Task 0 of a
+// 20-task stage runs; the others need 40 cores, clamped to the largest
+// machine: machine 3's 32 cores in round 0, when nothing fits and machine
+// 0's scan keeps the envelope, and 16 in round 1, after machine 3 shrank
+// and machine 0 emptied. The stage's SRTF probe, task 0, is below both
+// clamps, so only the moved total can retire the envelope; reinstalled,
+// it would prune machine 0's walk and lose the placement.
+func TestCarriedEnvelopeDiesWithTotal(t *testing.T) {
+	cfg := DefaultTetrisConfig()
+	cfg.Fairness = 0
+	big := machine.With(resources.CPU, 32)
+	mk := func() *View {
+		j := mkJob(1, 20, resources.New(40, 4, 0, 0, 0, 0), 100)
+		j.Job.Stages[0].Tasks[0].Peak = resources.New(4, 4, 0, 0, 0, 0)
+		j.Status.MarkRunning(j.Job.Stages[0].Tasks[0].ID)
+		v := mkView(4, machine, j)
+		for _, m := range v.Machines[:3] {
+			m.Allocated = busyCPU(2)
+		}
+		v.Machines[3].Capacity, v.Machines[3].Allocated = big, big
+		v.Total = v.Total.Add(big).Sub(machine)
+		v.EstimateDemand = func(_ *JobState, task *workload.Task) (resources.Vector, float64) {
+			var largest resources.Vector
+			for _, m := range v.Machines {
+				largest = largest.Max(m.Capacity)
+			}
+			return task.Peak.Min(largest), task.PeakDuration()
+		}
+		return v
+	}
+	before := func(r int, _ string, _ *Tetris, v *View) {
+		if r == 1 {
+			v.Machines[0].Allocated = resources.Vector{}
+			v.Machines[3].Capacity, v.Machines[3].Allocated = machine, machine
+			v.Total = machine.Scale(4)
+		}
+	}
+	rounds, scheds := lockstepCores(t, cfg, mk, 2, before)
+	wantPlacements(t, rounds[0])
+	wantPlacements(t, rounds[1], [2]int{1, 0})
+	if st := scheds[0].ScanStats(); st.Carried != 0 {
+		t.Fatalf("an envelope was carried across the moved total: %+v", st)
+	}
 }

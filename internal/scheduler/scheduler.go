@@ -224,12 +224,12 @@ func LiveCharges(v *View, charges []RemoteCharge) []RemoteCharge {
 // k tasks costs O(k), not O(pending). Within a round the underlying
 // Status does not change, so refetches are consistent.
 type pendingFetcher struct {
-	j     *JobState
-	stage int
-	buf   []*workload.Task
-	idx   int // next unconsumed within buf
-	taken int // consumed from the current stage
-	cur   *workload.Task
+	j        *JobState
+	stage    int
+	buf      []*workload.Task
+	idx      int // next unconsumed within buf
+	consumed int // tasks consumed from the current stage
+	cur      *workload.Task
 }
 
 // reset reinitializes the fetcher for job j, recycling the fetch buffer,
@@ -239,7 +239,7 @@ func (f *pendingFetcher) reset(j *JobState) {
 	f.stage = 0
 	f.buf = f.buf[:0]
 	f.idx = 0
-	f.taken = 0
+	f.consumed = 0
 	f.cur = nil
 }
 
@@ -252,19 +252,19 @@ func (f *pendingFetcher) Peek() *workload.Task {
 		if f.idx < len(f.buf) {
 			f.cur = f.buf[f.idx]
 			f.idx++
-			f.taken++
+			f.consumed++
 			return f.cur
 		}
-		want := f.taken*2 + 16
+		want := f.consumed*2 + 16
 		refetched := f.j.Status.AppendPending(f.stage, want, f.buf[:0])
-		if len(refetched) > f.taken {
-			f.buf = refetched[f.taken:]
+		if len(refetched) > f.consumed {
+			f.buf = refetched[f.consumed:]
 			f.idx = 0
 			continue
 		}
 		f.stage++
 		f.buf = f.buf[:0]
-		f.idx, f.taken = 0, 0
+		f.idx, f.consumed = 0, 0
 	}
 	return nil
 }

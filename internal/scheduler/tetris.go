@@ -122,6 +122,9 @@ type Tetris struct {
 	// reuse. It is refilled at the end of a round, in one pass over the
 	// round's assignments, and when a job departs.
 	spare []*taskRound
+	// carries holds the envelope records (stageCarry) of departed jobs,
+	// for reuse by keepEnvelope.
+	carries []*stageCarry
 
 	// out backs the round's assignments; Schedule's result is valid
 	// until the next call.
@@ -137,6 +140,12 @@ type Tetris struct {
 	// -1 while machEnv is stale (collectIncr).
 	machEnv       resources.Vector
 	machEnvStages int
+
+	// total is the View.Total of the last round and totalRound the round
+	// it last moved in: an envelope kept across rounds dies with it (see
+	// stageCarry).
+	total      resources.Vector
+	totalRound uint64
 
 	// Context of the collect call in flight, threaded through fields so
 	// the scanLocals callback needs no per-call closure. curNormA is
@@ -280,11 +289,37 @@ const srtfCap = 1e30
 // task a sufficient staleness probe. Custom View.EstimateDemand oracles
 // must preserve that property (move a stage's estimates together) for
 // the cache to track them; the built-in estimator does.
+//
+// The entry also holds what the incremental core keeps of the stage
+// between rounds: the stage's index in the round's runs (run, see runOf)
+// and its envelope (carry). A recomputed average drops the envelope,
+// since the estimates it was taken from moved. run shares a word with
+// set, and carry is nil for a stage that never recorded an envelope, so a
+// one-stage job's slice stays in the 80-B size class.
 type stageScoreEntry struct {
-	set       bool // computed at least once
+	set       bool  // computed at least once
+	run       int32 // the stage's index in Tetris.stages, written by buildRound
 	avg       float64
 	probePeak resources.Vector
 	probeDur  float64
+	carry     *stageCarry
+}
+
+// stageCarry is a stage envelope kept for later rounds: the envelope a
+// scan recorded over a window that was the stage's first n pending tasks,
+// none of them taken, the last of them of index last. buildRound installs
+// it in the stage's run while the window is sure to be the same tasks
+// with the same floors: the job's pending set has not moved (the Status
+// and its PendingGen are the ones read at recording), the estimates have
+// not moved (the stage's SRTF probe, which sets status to nil when it
+// recomputes), and neither has View.Total (an estimate may read the
+// fleet: the RM's is clamped to its largest machine).
+type stageCarry struct {
+	env     resources.Vector
+	status  *workload.Status
+	gen     uint64
+	round   uint64 // the round it was recorded in
+	n, last int
 }
 
 // remainingWork returns the multi-resource SRTF score of a job: the total
@@ -311,7 +346,10 @@ func (t *Tetris) remainingWork(v *View, rec *jobRecord) float64 {
 				peak, dur := v.Demand(j, task)
 				sum += taskSRTFScore(peak, dur, v.Total)
 			}
-			*e = stageScoreEntry{set: true, avg: sum / float64(len(tasks)), probePeak: probePeak, probeDur: probeDur}
+			e.set, e.avg, e.probePeak, e.probeDur = true, sum/float64(len(tasks)), probePeak, probeDur
+			if e.carry != nil {
+				e.carry.status = nil
+			}
 		}
 		p += e.avg * float64(rem)
 	}
@@ -383,6 +421,12 @@ func (t *Tetris) evictDeparted(departed bool) {
 				continue
 			}
 			delete(t.jobs, id)
+			for _, e := range rec.stages {
+				if e.carry != nil {
+					e.carry.status = nil
+					t.carries = append(t.carries, e.carry)
+				}
+			}
 			for _, st := range rec.job.Stages {
 				for _, task := range st.Tasks {
 					t.retire(rec, task)
@@ -475,15 +519,43 @@ type stageRun struct {
 	cursor  int              // first possibly-untaken index
 	pending int              // total pending at round start
 	inTail  bool
-	// env is the core's demand envelope of the stage's scan
-	// window, valid while envOK: the component-wise minimum, over the
-	// window's tasks, of a machine-independent lower bound of each one's
-	// placement demand (taskRound.demandFloor). A free vector env does not
-	// fit in fits no task of the window, so collectIncr skips the scan
-	// (see there). Recorded by a scan that added nothing, retired when a
-	// window task is taken (markTaken) and with the round.
-	env   resources.Vector
-	envOK bool
+	// env is the core's demand envelope of the stage, valid while envOK:
+	// the component-wise minimum of a machine-independent lower bound of
+	// the placement demand (taskRound.demandFloor) of each of the covered
+	// untaken tasks at positions [cursor, end) of tasks, the last of which
+	// has index last. A free vector env does not fit in fits none of them,
+	// so collectIncr skips their evaluation (see there). Recorded by a
+	// scan that added nothing, or installed from an earlier round
+	// (stageCarry); a take among the covered tasks decrements covered
+	// (markTaken), and the window the scan would walk then holds up to
+	// scanBudget − covered entrants past end (owes).
+	env     resources.Vector
+	envOK   bool
+	covered int
+	end     int
+	last    int
+	// took: a task of the stage was taken since its last visit, whose
+	// first act is to step cursor past the taken heads.
+	took bool
+}
+
+// has reports whether position i of the stage's pending tasks exists,
+// fetching up to it.
+func (sr *stageRun) has(i int) bool {
+	for i >= len(sr.tasks) {
+		if len(sr.tasks) >= sr.pending {
+			return false
+		}
+		sr.ensureFetched()
+	}
+	return true
+}
+
+// owes reports whether the envelope's window has lost covered tasks to
+// takes while pending tasks lie past it: the scan it stands for would
+// evaluate up to scanBudget − covered of them too.
+func (sr *stageRun) owes() bool {
+	return sr.covered < scanBudget && sr.end < sr.pending
 }
 
 // ensureFetched extends the fetched prefix when the round has consumed
@@ -558,7 +630,7 @@ func (t *Tetris) serveReservations(v *View, free []resources.Vector, out []Assig
 			continue
 		}
 		out = append(out, Assignment{Task: task, Machine: mid, Local: d, Remote: remote})
-		rec.slot(task).taken = t.round
+		t.markTaken(rec.slot(task), t.runOf(rec, task.ID.Stage), task.ID.Index)
 		free[mid] = free[mid].Sub(d).Max(resources.Vector{})
 		for _, rc := range remote {
 			free[rc.Machine] = free[rc.Machine].Sub(rc.Charge).Max(resources.Vector{})
@@ -794,7 +866,7 @@ type taskRound struct {
 	slot  *taskSlot // the record's slot holding this entry
 
 	p  float64   // job's remaining-work score this round
-	sr *stageRun // the task's stage this round, once a stage scan saw it
+	sr *stageRun // the task's stage run this round (runOf)
 
 	// peak is the scheduler-visible peak demand. Re-read from the View
 	// every round; what is derived from it alone (base) outlives the
@@ -887,9 +959,11 @@ func (t *Tetris) floorFits(peak, avail resources.Vector) bool {
 type ScanStats struct {
 	StageScans    uint64 `json:"stage_scans"`    // stage windows walked task by task
 	StagePrunes   uint64 `json:"stage_prunes"`   // stage visits skipped by an envelope comparison
+	Entrants      uint64 `json:"entrants"`       // stage visits that walked only the entrants an envelope owed
 	MachinePrunes uint64 `json:"machine_prunes"` // stage walks skipped whole by one machine-envelope comparison
 	LocalPrunes   uint64 `json:"local_prunes"`   // locality-scan options skipped by one floor comparison
 	Considered    uint64 `json:"considered"`     // (task, machine) options evaluated by considerTR
+	Carried       uint64 `json:"carried"`        // stage envelopes a round took over from an earlier round
 }
 
 // sub returns the counters gained since prev.
@@ -897,9 +971,11 @@ func (s ScanStats) sub(prev ScanStats) ScanStats {
 	return ScanStats{
 		StageScans:    s.StageScans - prev.StageScans,
 		StagePrunes:   s.StagePrunes - prev.StagePrunes,
+		Entrants:      s.Entrants - prev.Entrants,
 		MachinePrunes: s.MachinePrunes - prev.MachinePrunes,
 		LocalPrunes:   s.LocalPrunes - prev.LocalPrunes,
 		Considered:    s.Considered - prev.Considered,
+		Carried:       s.Carried - prev.Carried,
 	}
 }
 
@@ -909,12 +985,13 @@ func (s ScanStats) sub(prev ScanStats) ScanStats {
 func (t *Tetris) ScanStats() ScanStats { return t.scan }
 
 // ScanMetrics publishes the core's scan counters as telemetry series:
-// stage visits walked task by task and skipped by one envelope comparison,
-// whole stage walks one machine-envelope comparison skipped, and
-// locality-scan options one floor comparison rejected. The simulator and
-// every RM shard each own one.
+// stage visits walked task by task, skipped by one envelope comparison
+// and walking only an envelope's entrants, whole stage walks one
+// machine-envelope comparison skipped, locality-scan options one floor
+// comparison rejected, and envelopes carried into a later round. The
+// simulator and every RM shard each own one.
 type ScanMetrics struct {
-	stageScans, stagePrunes, machinePrunes, localPrunes *telemetry.Counter
+	stageScans, stagePrunes, entrants, machinePrunes, localPrunes, carried *telemetry.Counter
 	// prev is the last cumulative snapshot published: the registry's
 	// counters may be shared with other owners, so they are never read
 	// back.
@@ -924,12 +1001,14 @@ type ScanMetrics struct {
 // NewScanMetrics resolves the series in reg; name maps a series'
 // unprefixed name ("sched_local_prunes_total") to the full, labeled one.
 func NewScanMetrics(reg *telemetry.Registry, name func(string) string) *ScanMetrics {
-	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned) and visits skipped by one demand-envelope comparison (pruned)."
+	const scansHelp = "Stage visits of the Tetris core's candidate collection: windows walked task by task (scanned), visits skipped by one demand-envelope comparison (pruned) and visits that walked only the tasks entering an envelope's window after a take (entrants)."
 	return &ScanMetrics{
 		stageScans:    reg.Counter(telemetry.Label(name("sched_stage_scans_total"), "result", "scanned"), scansHelp),
 		stagePrunes:   reg.Counter(telemetry.Label(name("sched_stage_scans_total"), "result", "pruned"), scansHelp),
+		entrants:      reg.Counter(telemetry.Label(name("sched_stage_scans_total"), "result", "entrants"), scansHelp),
 		machinePrunes: reg.Counter(name("sched_machine_prunes_total"), "Machine visits of the Tetris core whose whole stage walk one comparison with the minimum of the stages' demand envelopes skipped."),
 		localPrunes:   reg.Counter(name("sched_local_prunes_total"), "Locality-scan options of the Tetris core rejected by one demand-floor comparison, before the task cache is opened."),
+		carried:       reg.Counter(name("sched_carried_envelopes_total"), "Stage demand envelopes the Tetris core took over from an earlier round, whose stage's pending tasks and estimates had not moved."),
 	}
 }
 
@@ -945,8 +1024,10 @@ func (m *ScanMetrics) Observe(sched Scheduler) {
 	d := st.sub(m.prev)
 	m.stageScans.Add(d.StageScans)
 	m.stagePrunes.Add(d.StagePrunes)
+	m.entrants.Add(d.Entrants)
 	m.machinePrunes.Add(d.MachinePrunes)
 	m.localPrunes.Add(d.LocalPrunes)
+	m.carried.Add(d.Carried)
 	m.prev = st
 }
 
@@ -993,7 +1074,7 @@ func (t *Tetris) taskRoundFor(rec *jobRecord, task *workload.Task) *taskRound {
 	if tr.round != t.round {
 		tr.round = t.round
 		tr.p = rec.p
-		tr.sr = nil
+		tr.sr = t.runOf(rec, task.ID.Stage)
 		if peak := t.curV.DemandPeak(rec.state, task); !peak.SameBits(tr.peak) {
 			tr.peak = peak
 			tr.baseSet = false
@@ -1019,27 +1100,60 @@ func (t *Tetris) retire(rec *jobRecord, task *workload.Task) {
 	}
 }
 
-// markTaken stamps the task as placed this round and retires its stage's
-// demand envelope, whose window it has just left. Every path that takes a
-// task goes through here. A task no stage scan has seen carries no
-// back-pointer and needs none: it lies outside every recorded window (a
-// window's tasks were all visited by the scan that recorded it), so
-// taking it leaves the scan the envelope stands for unchanged.
-func (t *Tetris) markTaken(tr *taskRound) {
-	tr.slot.taken = t.round
-	if tr.sr != nil && tr.sr.envOK {
-		tr.sr.envOK = false
-		t.machEnvStages = -1
+// markTaken stamps the task in slot s, of index index in its stage, as
+// placed this round, and tells its stage's run sr: the stage's next visit
+// steps its cursor, and a task its envelope covers leaves the window, so
+// the envelope stays a lower bound of what is left and owes the window
+// one entrant. Every path that takes a task goes through here, the
+// oracle's serveReservations too, with a nil sr.
+func (t *Tetris) markTaken(s *taskSlot, sr *stageRun, index int) {
+	s.taken = t.round
+	if sr == nil {
+		return
+	}
+	sr.took = true
+	if sr.envOK && index <= sr.last {
+		sr.covered--
+	}
+	if t.machEnvStages > 0 && (sr.rec.eligible || sr.inTail) {
+		t.machEnvStages = 0 // until the stage's cursor step (machineEnvelope)
 	}
 }
 
-// machineEnvelope recomputes machEnv over the round's stages.
+// runOf returns the round's run of rec's stage si, or nil if it has none
+// (so always in the oracle, whose runs are its own).
+func (t *Tetris) runOf(rec *jobRecord, si int) *stageRun {
+	if k := int(rec.stages[si].run); k < len(t.stages) {
+		if sr := t.stages[k]; sr.rec == rec && sr.stage == si {
+			return sr
+		}
+	}
+	return nil
+}
+
+// keepEnvelope records sr's envelope, whose window holds the stage's
+// first pending tasks and no taken one, for later rounds (stageCarry).
+func (t *Tetris) keepEnvelope(sr *stageRun) {
+	e := &sr.rec.stages[sr.stage]
+	if e.carry == nil {
+		if n := len(t.carries); n > 0 {
+			e.carry, t.carries = t.carries[n-1], t.carries[:n-1]
+		} else {
+			e.carry = new(stageCarry)
+		}
+	}
+	st := sr.rec.state.Status
+	*e.carry = stageCarry{env: sr.env, status: st, gen: st.PendingGen(), round: t.round, n: sr.covered, last: sr.last}
+}
+
+// machineEnvelope recomputes machEnv over the round's stages. A stage
+// that must be visited for its cursor step or its entrants disables it.
 func (t *Tetris) machineEnvelope() {
 	t.machEnvStages = 0
 	for _, sr := range t.stages {
 		switch {
 		case !sr.rec.eligible && !sr.inTail:
-		case !sr.envOK:
+		case !sr.envOK || sr.took || sr.owes():
 			t.machEnvStages = 0
 			return
 		case t.machEnvStages == 0:
@@ -1074,7 +1188,8 @@ func (t *Tetris) sortRunnable(v *View, runnable []*jobRecord) []*jobRecord {
 
 // buildRound lays out the round's stage runs in t.stages over recycled
 // storage, in the oracle's stage order and with its initial fetch and
-// tail flags.
+// tail flags, and installs the envelopes kept from earlier rounds that
+// still hold (stageCarry).
 func (t *Tetris) buildRound(sorted []*jobRecord) {
 	// Pre-size the stageRun backing array: t.stages holds pointers into
 	// it, so it must not grow (and relocate) once pointers are taken.
@@ -1099,6 +1214,8 @@ func (t *Tetris) buildRound(sorted []*jobRecord) {
 			if pending == 0 || !j.Status.StageReady(si) {
 				continue
 			}
+			e := &rec.stages[si]
+			e.run = int32(used)
 			sr := &t.stageBuf[used]
 			used++
 			buf := sr.tasks[:0]
@@ -1107,6 +1224,10 @@ func (t *Tetris) buildRound(sorted []*jobRecord) {
 				stage:   si,
 				pending: pending,
 				inTail:  j.Status.InBarrierTail(workload.TaskID{Job: j.Job.ID, Stage: si}, t.cfg.Barrier),
+			}
+			if c := e.carry; c != nil && c.status == j.Status && c.gen == j.Status.PendingGen() && c.round >= t.totalRound {
+				sr.env, sr.envOK, sr.covered, sr.end, sr.last = c.env, true, c.n, c.n, c.last
+				t.scan.Carried++
 			}
 			n := initialFetch
 			if n > pending {
@@ -1184,12 +1305,15 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 		}
 	}
 
+	if !v.Total.SameBits(t.total) {
+		t.total, t.totalRound = v.Total, t.round
+	}
 	t.buildRound(sorted)
 	out := t.out[:0]
 
 	if t.cfg.StarvationSec > 0 {
-		// No stage has an envelope yet, so marking the served tasks taken
-		// retires none.
+		// A served task is taken before the round's first scan, from
+		// windows whose envelopes only an earlier round recorded.
 		out = t.serveReservations(v, t.free, out)
 	}
 
@@ -1263,7 +1387,7 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 				Local:   tr.d,
 				Remote:  tr.remote,
 			})
-			t.markTaken(tr)
+			t.markTaken(tr.slot, tr.sr, c.task.ID.Index)
 			t.free[m.ID] = t.free[m.ID].Sub(tr.d).Max(resources.Vector{})
 			for _, rc := range tr.remote {
 				t.free[rc.Machine] = t.free[rc.Machine].Sub(rc.Charge).Max(resources.Vector{})
@@ -1301,21 +1425,28 @@ func (t *Tetris) scheduleIncremental(v *View, runnable []*jobRecord) []Assignmen
 //
 // The envelope prune. A stage scan that ends having added no candidate
 // has visited the stage's whole window — the first ≤ scanBudget untaken
-// pending tasks from sr.cursor, all fetched — and leaves the minimum of
-// their demand floors in sr.env. On a later visit in the same round,
-// while no window task has been taken, !sr.env.FitsIn(avail) proves that
-// every window task fails its own local-fit test on this machine (FitsIn
-// is per-dimension and monotone, and a minimum involves no arithmetic),
-// so the scan would add nothing, visit exactly the window again, fetch
-// nothing and advance no cursor: skipping it changes no decision and no
-// state a later step reads. A sampled round prunes too, so its trace
-// lists only the options considerTR evaluated; RoundTrace.Scan counts
-// the visits the prunes skipped.
+// pending tasks from sr.cursor — and leaves the minimum of their demand
+// floors in sr.env. On a later visit, !sr.env.FitsIn(avail) proves that
+// every covered task fails its own local-fit test on this machine (FitsIn
+// is per-dimension and monotone, and a minimum involves no arithmetic).
+// While no covered task has been taken the scan would add nothing and
+// visit exactly the window again, so the visit is skipped. A take among
+// the covered tasks shrinks the window the envelope bounds and, if
+// pending tasks lie past it, lets as many entrants into the scan's
+// window; the visit then evaluates only those, under the scan's stop
+// rule, and folds them into the envelope if none is added. Either way
+// the visit adds what the scan would add, in the same order, and leaves
+// the cursor where the scan would: the first visit after a take steps it
+// past the taken heads, as the scan's loop does. Fetches may differ, but
+// the fetched prefix is only ever read by position. A sampled round
+// prunes too, so its trace lists only the options considerTR evaluated;
+// RoundTrace.Scan counts the visits the prunes skipped.
 //
 // The machine envelope. While every stage the walk visits has an
-// envelope, a free vector that does not fit their minimum fits none of
-// them, so one comparison skips the walk, StagePrunes counts each visit
-// it covers, and the locality scan still runs.
+// envelope that owes no entrant and no stage awaits its cursor step, a
+// free vector that does not fit their minimum fits none of them, so one
+// comparison skips the walk, StagePrunes counts each visit it covers, and
+// the locality scan still runs.
 func (t *Tetris) collectIncr(v *View, mid int) ([]candidate, float64) {
 	avail := t.free[mid]
 	if avail.IsZero() {
@@ -1343,32 +1474,35 @@ func (t *Tetris) collectIncr(v *View, mid int) ([]candidate, float64) {
 		if !sr.rec.eligible && !sr.inTail {
 			continue
 		}
-		if sr.envOK && !sr.env.FitsIn(avail) {
-			t.scan.StagePrunes++
-			continue
-		}
-		t.scan.StageScans++
-		var env resources.Vector
-		added, scanned := 0, 0
-		for i := sr.cursor; added < perStage && scanned < scanBudget; i++ {
-			if i >= len(sr.tasks) {
-				if len(sr.tasks) >= sr.pending {
-					break
-				}
-				sr.ensureFetched()
-				if i >= len(sr.tasks) {
-					break
-				}
+		if sr.took {
+			sr.took = false
+			for sr.has(sr.cursor) && sr.rec.slot(sr.tasks[sr.cursor]).taken == t.round {
+				sr.cursor++
 			}
+			if sr.envOK && !sr.owes() {
+				t.machEnvStages = -1 // the stage may have been the one disabling it
+			}
+		}
+		// A full scan starts at the cursor with nothing covered; an
+		// entrant visit past the covered tasks, with their envelope.
+		i, scanned, env, last, entrants := sr.cursor, 0, resources.Vector{}, 0, false
+		if sr.envOK && !sr.env.FitsIn(avail) {
+			if !sr.owes() {
+				t.scan.StagePrunes++
+				continue
+			}
+			t.scan.Entrants++
+			i, scanned, env, last, entrants = max(sr.end, sr.cursor), sr.covered, sr.env, sr.last, true
+		} else {
+			t.scan.StageScans++
+		}
+		added := 0
+		for ; added < perStage && scanned < scanBudget && sr.has(i); i++ {
 			task := sr.tasks[i]
 			if sr.rec.slot(task).taken == t.round {
-				if i == sr.cursor {
-					sr.cursor++
-				}
 				continue
 			}
 			tr := t.taskRoundFor(sr.rec, task)
-			tr.sr = sr
 			scanned++
 			before := len(t.cands)
 			t.considerTR(tr, task, sr.inTail)
@@ -1380,11 +1514,15 @@ func (t *Tetris) collectIncr(v *View, mid int) ([]candidate, float64) {
 				} else {
 					env = env.Min(floor)
 				}
+				last = task.ID.Index
 			}
 		}
-		if added == 0 && scanned > 0 {
-			sr.env, sr.envOK = env, true
+		if added == 0 && (scanned > 0 || entrants) {
+			sr.env, sr.envOK, sr.covered, sr.end, sr.last = env, true, scanned, i, last
 			t.machEnvStages = -1
+			if i == scanned {
+				t.keepEnvelope(sr)
+			}
 		}
 	}
 	t.scanLocals(mid, t.consider)

@@ -39,6 +39,7 @@ type Status struct {
 	cursor    []int // per-stage index below which no task is pending
 	doneTasks int
 	finished  bool
+	gen       uint64 // see PendingGen
 }
 
 // NewStatus creates progress tracking for job j with all tasks pending.
@@ -76,6 +77,7 @@ func (s *Status) MarkRunning(id TaskID) {
 	}
 	s.state[id.Stage][id.Index] = Running
 	s.runCount[id.Stage]++
+	s.gen++
 }
 
 // MarkFailed returns a running task to the pending state (the task
@@ -95,6 +97,7 @@ func (s *Status) MarkFailed(id TaskID) {
 	if id.Index < s.cursor[id.Stage] {
 		s.cursor[id.Stage] = id.Index
 	}
+	s.gen++
 }
 
 // Requeue returns a running task to the pending state without counting
@@ -112,7 +115,15 @@ func (s *Status) Requeue(id TaskID) {
 	if id.Index < s.cursor[id.Stage] {
 		s.cursor[id.Stage] = id.Index
 	}
+	s.gen++
 }
+
+// PendingGen returns the generation of the job's set of pending tasks:
+// MarkRunning, MarkFailed and Requeue each advance it, nothing else does.
+// While it holds, every stage's pending tasks are the ones it had when
+// read. Each Status counts on its own (one from RestoreStatus starts
+// over), so a reading is comparable only with another of the same Status.
+func (s *Status) PendingGen() uint64 { return s.gen }
 
 // Attempts returns the number of failed executions of the identified
 // task so far; the executors' per-task attempt caps compare against it.

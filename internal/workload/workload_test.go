@@ -338,6 +338,65 @@ func TestMarkFailedReturnsToPending(t *testing.T) {
 	}
 }
 
+// TestPendingGen pins the pending generation's rules: the three
+// transitions into and out of Pending advance it, one step each; MarkDone
+// (Running → Done), AppendPending and the reads leave it; a Status rebuilt
+// by RestoreStatus counts from zero, whatever its source had reached.
+func TestPendingGen(t *testing.T) {
+	j := twoStageJob(0, 3, 1)
+	s := NewStatus(j)
+	want := uint64(0)
+	check := func(what string) {
+		t.Helper()
+		if got := s.PendingGen(); got != want {
+			t.Fatalf("after %s: PendingGen = %d, want %d", what, got, want)
+		}
+	}
+	check("NewStatus")
+	a, b := TaskID{0, 0, 0}, TaskID{0, 0, 1}
+	s.MarkRunning(a)
+	want++
+	check("MarkRunning")
+	s.MarkFailed(a)
+	want++
+	check("MarkFailed")
+	s.MarkRunning(a)
+	s.MarkRunning(b)
+	want += 2
+	check("two MarkRunning")
+	s.Requeue(b)
+	want++
+	check("Requeue")
+	s.AppendPending(0, 3, nil)
+	s.Runnable(nil)
+	s.HasRunnable()
+	s.PendingInStage(0)
+	s.StageReady(1)
+	s.State(a)
+	s.InBarrierTail(a, 0.5)
+	s.ForEachRemaining(func(*Task) {})
+	check("reads")
+	s.MarkDone(a)
+	check("MarkDone")
+
+	snap := StatusSnapshot{States: make([][]TaskState, len(j.Stages))}
+	for si := range j.Stages {
+		snap.States[si] = append([]TaskState(nil), s.StageStates(si)...)
+	}
+	r, err := RestoreStatus(j, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.PendingGen(); got != 0 {
+		t.Fatalf("restored Status: PendingGen = %d, want 0 (its own count)", got)
+	}
+	r.MarkRunning(b)
+	if got := r.PendingGen(); got != 1 {
+		t.Fatalf("restored Status after MarkRunning: PendingGen = %d, want 1", got)
+	}
+	check("a transition of the restored copy")
+}
+
 func TestMarkFailedPanicsFromPending(t *testing.T) {
 	j := twoStageJob(0, 1, 1)
 	s := NewStatus(j)

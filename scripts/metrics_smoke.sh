@@ -38,6 +38,7 @@ for series in \
   'tetris_rm_rounds_total{shard="0",cause="submit"} [1-9]' \
   'tetris_rm_sched_stage_scans_total{shard="0",result="scanned"} [1-9]' \
   'tetris_rm_sched_machine_prunes_total{shard="0"} [0-9]' \
+  'tetris_rm_sched_carried_envelopes_total{shard="0"} [0-9]' \
   'tetris_rm_batch_groups_offloaded_total{shard="0"} [0-9]' \
   'tetris_am_jobs_submitted_total [1-9]'; do
   if ! grep -q "^$series" "$SCRAPE"; then
